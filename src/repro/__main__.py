@@ -244,7 +244,7 @@ def _print_hotpath_counters(report) -> None:
     Reports where the generator-free fast paths engage: Timeout requests
     consumed by the resume fast path (all freelist-recycled), resource
     grants delivered without a callback frame, and traced network ops
-    served from the fused cost tables instead of generator frames. These
+    dispatched as fused requests instead of generator frames. These
     are deterministic volumes, not timings — identical across engines and
     hosts for a given workload/seed.
     """
@@ -278,13 +278,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         out = Path(args.output_dir) / f"BENCH_{suite}.json"
         perf.write_report(report, out)
         print(f"  -> {out}")
-        # Also drop a copy at the repo root: the latest local run sits
-        # next to README.md while benchmarks/results/ keeps the
-        # committed baselines the regression gate compares against.
-        root_out = Path.cwd() / f"BENCH_{suite}.json"
-        if root_out.resolve() != out.resolve():
-            perf.write_report(report, root_out)
-            print(f"  -> {root_out}")
         if args.baseline_dir is not None:
             base_path = Path(args.baseline_dir) / f"BENCH_{suite}.json"
             if not base_path.exists():
@@ -550,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument(
         "--engine", default="auto", metavar="MODE",
         help="simulation-engine mode: 'auto' (compiled loop when a C "
-        "toolchain is available, else pure Python), 'python', 'bucket' "
-        "(calendar-queue timeline), or 'compiled'; all modes are "
+        "toolchain is available, else pure Python), 'python' (the "
+        "reference heap engine), or 'compiled'; all modes are "
         "bit-for-bit equivalent (default: %(default)s)",
     )
     p_study.add_argument(

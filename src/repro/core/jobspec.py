@@ -143,9 +143,10 @@ class JobSpec:
             ``"name?opt=val&..."`` (:func:`repro.parallel.executor.
             parse_executor_spec`).
         engine: simulation-engine mode (``repro.simulate.sched``):
-            ``auto`` | ``python`` | ``bucket`` | ``compiled``. Engines
-            are bit-for-bit equivalent, so — like ``executor`` — the
-            choice is excluded from :meth:`job_key`.
+            ``auto`` | ``python`` (the reference heap engine) |
+            ``compiled`` (the C core). Engines are bit-for-bit
+            equivalent, so — like ``executor`` — the choice is excluded
+            from :meth:`job_key`.
         jobs: worker processes for cache-miss cells.
         timeout: per-cell wall-clock budget in seconds (None = none).
         deadline_s: whole-job wall-clock budget in seconds (None =

@@ -87,10 +87,6 @@ class RunResult:
     sim_events: int = 0
     sim_ready_events: int = 0
     trace_records: int = 0
-    #: Events dispatched via a bucketed timeline (``REPRO_ENGINE=bucket``;
-    #: 0 under the heap engines). Heap dispatches are the remainder:
-    #: ``sim_events - sim_ready_events - sim_bucket_events``.
-    sim_bucket_events: int = 0
     #: Task compute costs evaluated through the vectorized batch path
     #: (``MachineSpec.compute_seconds_batch``) rather than per-task.
     batched_costs: int = 0
@@ -421,7 +417,6 @@ class Harness:
             sim_events=self.engine.events_dispatched,
             sim_ready_events=self.engine.ready_dispatched,
             trace_records=self.trace.records,
-            sim_bucket_events=self.engine.bucket_dispatched,
             batched_costs=self.batched_costs,
             timeout_allocs=self.engine.timeout_allocs,
             grant_resumes=self.engine.grant_resumes,

@@ -92,7 +92,6 @@ def _engine_events_bench(engine_factory):
         return {
             "sim_events": float(engine.events_dispatched),
             "sim_ready_events": float(engine.ready_dispatched),
-            "sim_bucket_events": float(engine.bucket_dispatched),
         }
 
     return body, counters
@@ -102,12 +101,6 @@ def _bench_engine_events() -> tuple[Callable[[], object], Callable[[object], dic
     from repro.simulate.engine import Engine
 
     return _engine_events_bench(Engine)
-
-
-def _bench_engine_events_bucket() -> tuple[Callable[[], object], Callable[[object], dict]]:
-    from repro.simulate.sched import BucketEngine
-
-    return _engine_events_bench(BucketEngine)
 
 
 def _bench_engine_events_compiled():
@@ -175,7 +168,6 @@ def _bench_e2e_e1_cell() -> tuple[Callable[[], object], Callable[[object], dict]
 SUITES: dict[str, dict[str, Callable]] = {
     "core": {
         "engine_events": _bench_engine_events,
-        "engine_events_bucket": _bench_engine_events_bucket,
         "engine_events_compiled": _bench_engine_events_compiled,
         "steal_roundtrip": _bench_steal_roundtrip,
         "trace_record": _bench_trace_record,

@@ -1,10 +1,11 @@
 """Deterministic volume counters for simulated runs.
 
 The engine and trace recorder count *how much work the simulator did* —
-events dispatched (split by heap vs. zero-delay run-queue vs. bucketed
-timeline), task costs evaluated through the vectorized batch path, and
-trace intervals recorded — independent of how fast the host ran it. Those
-volumes are pure functions of the workload/seed, so they serve two jobs:
+events dispatched (split by heap vs. zero-delay run-queue; heap
+dispatches are ``sim_events - sim_ready_events``), task costs evaluated
+through the vectorized batch path, and trace intervals recorded —
+independent of how fast the host ran it. Those volumes are pure functions
+of the workload/seed, so they serve two jobs:
 
 - **regression anchors**: a refactor that claims bit-for-bit identity
   must reproduce them exactly;
@@ -33,7 +34,6 @@ def run_counters(result: "RunResult") -> dict[str, float]:
     out: dict[str, float] = {
         "sim_events": float(result.sim_events),
         "sim_ready_events": float(result.sim_ready_events),
-        "sim_bucket_events": float(result.sim_bucket_events),
         "batched_costs": float(result.batched_costs),
         "timeout_allocs": float(result.timeout_allocs),
         "grant_resumes": float(result.grant_resumes),

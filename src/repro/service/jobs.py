@@ -40,8 +40,10 @@ One :class:`JobManager` owns every job the daemon has ever accepted:
 - **Row streaming.** Completed rows are appended (and watchers woken)
   as cells settle, via the sweep's ``on_result`` hook — this is what
   ``GET /v1/jobs/{id}/rows`` serves as NDJSON while the job still runs.
-  When the job finishes, the stored rows are replaced by the finished
-  report's canonical table (same dicts, canonical (P, model) order).
+  When the job finishes, the finished report's canonical table (same
+  dicts, canonical (P, model) order) is published as a *new* list; a
+  reader that started live finishes from the completion-order list it
+  was indexing, so it sees every row exactly once.
   Active streams are refcounted (:meth:`Job.stream_ref`) so the
   retention janitor (:mod:`repro.service.retention`) never deletes a
   record somebody is still reading.
@@ -225,14 +227,21 @@ class Job:
         recorded are replayed first, then the iterator blocks on the
         job's condition until new rows arrive or the job finishes.
         """
+        with self._lock:
+            # Index one list for the whole stream. While the job runs the
+            # manager only appends to it, and every row is appended
+            # before the job turns terminal; the finished table then
+            # replaces ``self.rows`` with a re-sorted list, which a
+            # ``served`` count into the old order must never index.
+            rows = self.rows
         served = 0
         while True:
             with self._changed:
-                while served >= len(self.rows) and not self.terminal:
+                while served >= len(rows) and not self.terminal:
                     self._changed.wait(timeout=poll)
-                batch = self.rows[served:]
+                batch = rows[served:]
                 served += len(batch)
-                finished = self.terminal and served >= len(self.rows)
+                finished = self.terminal
             for row in batch:
                 yield row
             if finished:
@@ -787,9 +796,10 @@ class JobManager:
                 if f.error_type == "DeadlineExceeded"
             ]
             with job._lock:
-                # Replace streamed rows with the finished report's
-                # canonical table: same dicts, canonical order, and the
-                # fault-column decision made the way StudyReport makes it.
+                # Publish the finished report's canonical table: same
+                # dicts, canonical order, and the fault-column decision
+                # made the way StudyReport makes it. A new list, never an
+                # in-place reorder: live streams finish from the old one.
                 job.rows = report.rows()
                 if expired:
                     job.status = "failed"

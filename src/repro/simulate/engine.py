@@ -1,6 +1,9 @@
-"""Discrete-event simulation core.
+"""Discrete-event simulation core: the reference engine.
 
-A tiny SimPy-like engine, purpose-built for this study:
+A tiny SimPy-like engine, purpose-built for this study. :class:`Engine` is
+the readable statement of the dispatch order; the only other engine, the
+compiled core selected by ``repro.simulate.sched``, runs this same heap
+and run-queue from C and must reproduce it event for event.
 
 - **Deterministic.** Events at equal timestamps fire in schedule order (a
   monotone sequence number breaks ties), so a run is a pure function of its
@@ -70,10 +73,6 @@ class Engine:
             deterministic measure of simulated event volume.
         ready_dispatched: callbacks fired via the zero-delay run-queue
             (a subset of ``events_dispatched``).
-        bucket_dispatched: callbacks fired via a bucketed timeline (always
-            0 here; the :class:`~repro.simulate.sched.BucketEngine`
-            subclass counts its timeline pops in this slot so result
-            counters have one shape across engine modes).
         timeout_allocs: ``Timeout`` requests consumed by the resume fast
             path — the demand the freelist and the fused network ops
             exist to shrink. Counted at consumption (not construction) so
@@ -95,20 +94,15 @@ class Engine:
         "_processes",
         "events_dispatched",
         "ready_dispatched",
-        "bucket_dispatched",
         "timeout_allocs",
         "grant_resumes",
     )
 
-    #: Process class instantiated by :meth:`process`; scheduler subclasses
-    #: (``repro.simulate.sched``) swap in a Process whose Timeout fast path
-    #: targets their timeline instead of the heap.
-    _process_cls: type["Process"]
-
-    #: Whether Networks built on this engine should default to the fused
-    #: (generator-free) traced-op path. False here: the pure-Python walk
-    #: of a fused delay program is slower than the generator it replaces;
-    #: only the compiled engine (which walks programs in C) flips this.
+    #: Whether Networks built on this engine dispatch traced ops as
+    #: generator-free ``_FusedOp`` requests. False here: a pure-Python
+    #: step through a delay program is slower than the generator that
+    #: interprets the same program; only the compiled engine (which walks
+    #: programs in C) flips this.
     drives_fused_ops = False
 
     def __init__(self) -> None:
@@ -119,7 +113,6 @@ class Engine:
         self._processes: list[Process] = []
         self.events_dispatched = 0
         self.ready_dispatched = 0
-        self.bucket_dispatched = 0
         self.timeout_allocs = 0
         self.grant_resumes = 0
 
@@ -151,9 +144,7 @@ class Engine:
         on_finish: Callable[[], None] | None = None,
     ) -> "Process":
         """Register and start a process from a generator."""
-        proc = self._process_cls(
-            self, generator, name=name, daemon=daemon, on_finish=on_finish
-        )
+        proc = Process(self, generator, name=name, daemon=daemon, on_finish=on_finish)
         self._processes.append(proc)
         self.call_now(proc._resume, None)
         return proc
@@ -353,9 +344,6 @@ class Process:
             if self.done:
                 self._completion.fire(self.result)
         return self._completion.wait()
-
-
-Engine._process_cls = Process
 
 
 #: Freelist of consumed ``Timeout`` instances. A Timeout normally lives

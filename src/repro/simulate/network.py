@@ -17,11 +17,13 @@ bottleneck the paper discusses (experiment E6).
 Two-sided messages (used by steal requests/responses and termination
 tokens) are active messages delivered into per-rank mailboxes.
 
-Hot-path notes: ``get``/``put`` return the shared :meth:`Network._rma`
-generator directly instead of delegating through one more generator frame,
-and the NIC hold is inlined (acquire / timed occupancy / release in a
-``try/finally``) rather than composed via :func:`~repro.simulate.engine.hold`
-— several frames fewer per remote operation, with identical event order.
+One cost table, two interpreters: :meth:`Network._fused_program` is the
+only place a one-sided operation's cost is written, as a ``(pre, hold,
+post)`` delay program per ``(kind, tier, nbytes)``. :meth:`Network._walk`
+interprets a program as a generator on the reference engine (and whenever
+fault injection is armed); :class:`_FusedOp` carries the same program as a
+single request the compiled engine walks in C. Both allocate every
+``(time, seq)`` at the same dispatch, so runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -385,15 +387,12 @@ class Network:
         self._node_ids = (
             [node_of(r) for r in range(self.n_ranks)] if node_of is not None else None
         )
-        #: Generator-free traced operations. On by default only when the
-        #: engine drives the fused program walk in C (the compiled core):
-        #: a pure-Python ``_FusedOp`` step loses to a generator frame
-        #: resume, so the heap/bucket engines keep the reference
-        #: generators (measured in benchmarks/results/hotpath_timing.txt).
-        #: Both paths are (time, seq)-order identical, so the knob never
-        #: changes results. A fault-armed network falls back per-op
-        #: regardless (the fused tables model the fault-free cost shapes
-        #: only).
+        #: Whether fault-free traced operations are dispatched as
+        #: :class:`_FusedOp` requests instead of :meth:`_walk` generators.
+        #: Taken from the engine: only the compiled core walks a program
+        #: in C; a pure-Python ``_FusedOp`` step loses to a generator
+        #: resume (benchmarks/results/hotpath_timing.txt). Both are
+        #: (time, seq)-order identical, so this never changes results.
         self._fused = bool(getattr(engine, "drives_fused_ops", False))
         #: ``(kind, tier, nbytes) -> (pre, hold, post)`` delay programs,
         #: memoized per distinct size class (block sizes give a handful).
@@ -412,23 +411,6 @@ class Network:
             raise ConfigurationError(f"rank {rank} out of range [0, {self.n_ranks})")
         return rank
 
-    def _account(self, src: int, nbytes: int) -> None:
-        self.stats.bytes_moved += nbytes
-        self.stats.per_rank_bytes[src] += nbytes
-
-    def _dead_target_check(self, src: int, dst: int, operation: str):
-        """Fail an operation whose remote target has crashed (generator).
-
-        The initiator burns software overhead plus the plan's RMA timeout
-        discovering the death, then gets :class:`RankFailedError` — the
-        on-contact detection path. Self-ops never fail (a dead rank's own
-        process is already cancelled).
-        """
-        if self.faults is not None and src != dst and self.faults.is_dead(dst):
-            self.faults.note_rma_failure()
-            yield pooled_timeout(self.model.software_overhead + self.faults.plan.rma_timeout)
-            raise RankFailedError(dst, operation)
-
     def drop_mailbox(self, rank: int) -> None:
         """Discard a crashed rank's queued and in-flight-awaited messages."""
         box = self._mailboxes[self._check_rank(rank)]
@@ -438,221 +420,151 @@ class Network:
     # ------------------------------------------------------------------
     # One-sided operations
     # ------------------------------------------------------------------
-    def _rma(self, src: int, dst: int, nbytes: int):
-        """Common cost shape of a synchronous one-sided read/write.
+    # Each operation is a (pre, hold, post) delay program from the one
+    # cost table below. The ``*_traced`` entry points fold
+    # :class:`repro.runtime.comm.RankContext`'s interval recording into
+    # the operation and hand the program to whichever interpreter fits
+    # what they observe: a :class:`_FusedOp` when the engine walks
+    # programs in C and no fault plan is armed (no generator frame, no
+    # ``Timeout`` per event — the dominant per-event cost measured in
+    # benchmarks/results/sched_timing.txt), else the :meth:`_walk`
+    # generator, which alone knows dead-target discovery. The untraced
+    # public operations always take the generator.
 
-        Three tiers: self (memcpy), same node (shared memory, no NIC),
-        remote (wire latency + target NIC occupancy).
+    def _fused_program(self, kind: str, src: int, dst: int, nbytes: int) -> tuple:
+        """The (pre, hold, post) delay program for one operation.
+
+        ``pre`` delays run back to back, then the target NIC is held for
+        ``hold`` (None when the tier bypasses the NIC, which also ends
+        the program), then ``post`` delays. ``kind`` is ``"rma"`` (get or
+        put), ``"accumulate"`` or ``"fetch_add"``; the locality tier is
+        0 = self (memcpy), 1 = same node (shared memory), 2 = remote.
+        Memoized per ``(kind, tier, nbytes)``. The operand order of every
+        sum is pinned by the golden digests.
         """
-        n = self.n_ranks
-        if not (0 <= src < n and 0 <= dst < n):
-            self._check_rank(src)
-            self._check_rank(dst)
-        if self.faults is not None:
-            yield from self._dead_target_check(src, dst, "rma")
-        m = self.model
-        stats = self.stats
-        stats.bytes_moved += nbytes
-        stats.per_rank_bytes[src] += nbytes
         if src == dst:
-            yield pooled_timeout(m.software_overhead + nbytes / m.local_bandwidth)
-            return
-        if self.same_node(src, dst):
-            yield pooled_timeout(
-                m.software_overhead + 2 * m.intra_latency + nbytes / m.intra_bandwidth
-            )
-            return
-        yield pooled_timeout(m.software_overhead)
-        yield pooled_timeout(m.latency)
-        nic = self.nics[dst]
-        yield nic.acquire()
-        try:
-            yield pooled_timeout(m.nic_occupancy + nbytes / m.bandwidth)
-        finally:
-            nic.release()
-        yield pooled_timeout(m.latency)
-
-    def get(self, src: int, dst: int, nbytes: int):
-        """Synchronous one-sided read of ``nbytes`` from ``dst``'s memory."""
-        self.stats.gets += 1
-        return self._rma(src, dst, nbytes)
-
-    def put(self, src: int, dst: int, nbytes: int):
-        """Synchronous one-sided write (completion acknowledged)."""
-        self.stats.puts += 1
-        return self._rma(src, dst, nbytes)
-
-    def accumulate(self, src: int, dst: int, nbytes: int):
-        """One-sided accumulate: remote read-modify-write of a block."""
-        n = self.n_ranks
-        if not (0 <= src < n and 0 <= dst < n):
-            self._check_rank(src)
-            self._check_rank(dst)
-        if self.faults is not None:
-            yield from self._dead_target_check(src, dst, "accumulate")
-        m = self.model
-        self.stats.accumulates += 1
-        self._account(src, nbytes)
-        reduce_time = nbytes / m.accumulate_bandwidth
-        if src == dst:
-            yield pooled_timeout(m.software_overhead + nbytes / m.local_bandwidth + reduce_time)
-            return
-        if self.same_node(src, dst):
-            yield pooled_timeout(
-                m.software_overhead
-                + 2 * m.intra_latency
-                + nbytes / m.intra_bandwidth
-                + reduce_time
-            )
-            return
-        yield pooled_timeout(m.software_overhead)
-        yield pooled_timeout(m.latency)
-        nic = self.nics[dst]
-        yield nic.acquire()
-        try:
-            yield pooled_timeout(m.nic_occupancy + nbytes / m.bandwidth + reduce_time)
-        finally:
-            nic.release()
-        yield pooled_timeout(m.latency)
-
-    def fetch_add(self, src: int, dst: int, counter: "SharedCell", amount: int = 1):
-        """Atomic fetch-and-add on a cell homed at ``dst``; returns old value.
-
-        The read-modify-write happens while the target NIC is held, so
-        concurrent updates serialize exactly as hardware atomics at a
-        memory controller would.
-        """
-        self._check_rank(src)
-        self._check_rank(dst)
-        if self.faults is not None:
-            yield from self._dead_target_check(src, dst, "fetch_add")
-        m = self.model
-        self.stats.fetch_adds += 1
-        # Wire latency only across nodes; the read-modify-write always
-        # serializes at the home memory controller (the NIC resource),
-        # local or not — that is what makes a counter a counter.
-        wire = 0.0 if self.same_node(src, dst) else m.latency
-        intra = m.intra_latency if (src != dst and wire == 0.0) else 0.0
-        yield pooled_timeout(m.software_overhead)
-        if wire or intra:
-            yield pooled_timeout(wire + intra)
-        yield self.nics[dst].acquire()
-        old = counter.value
-        counter.value += amount
-        try:
-            yield pooled_timeout(m.atomic_service)
-        finally:
-            self.nics[dst].release()
-        if wire or intra:
-            yield pooled_timeout(wire + intra)
-        return old
-
-    # ------------------------------------------------------------------
-    # Traced one-sided operations (hot paths)
-    # ------------------------------------------------------------------
-    # These fold :class:`repro.runtime.comm.RankContext`'s interval
-    # recording into the cost shape itself. On the fault-free path the
-    # operation is dispatched as a :class:`_FusedOp`: the delay sequence
-    # comes from a per-(kind, tier, nbytes) table computed with exactly
-    # the generator's float expressions, so no generator frame is resumed
-    # and no ``Timeout`` is allocated per event — the dominant per-event
-    # cost measured in benchmarks/results/sched_timing.txt. A fault-armed
-    # network takes the original generator (``*_gen``) per-op: dead-target
-    # discovery and FAILED-interval recording stay on the reference path.
-    # Cost shapes, stats updates, record values, and event orders are
-    # bit-identical between the two, pinned by golden digests and a
-    # hypothesis property test.
-
-    def _tier(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        ids = self._node_ids
-        if ids is not None and ids[src] == ids[dst]:
-            return 1
-        return 2
-
-    def _fused_program(self, kind: str, tier: int, nbytes: int) -> tuple:
-        """The (pre, hold, post) delay program for one op class.
-
-        ``hold`` is the NIC-held delay (None when the tier bypasses the
-        NIC). Every arithmetic expression below is copied operand-for-
-        operand from the corresponding generator so the doubles are
-        bit-identical.
-        """
+            tier = 0
+        else:
+            ids = self._node_ids
+            tier = 1 if ids is not None and ids[src] == ids[dst] else 2
         key = (kind, tier, nbytes)
         program = self._fused_cache.get(key)
         if program is not None:
             return program
         m = self.model
-        if kind == "rma":
-            if tier == 0:
-                program = (
-                    (m.software_overhead + nbytes / m.local_bandwidth,),
-                    None,
-                    (),
-                )
-            elif tier == 1:
-                program = (
-                    (
-                        m.software_overhead
-                        + 2 * m.intra_latency
-                        + nbytes / m.intra_bandwidth,
-                    ),
-                    None,
-                    (),
-                )
-            else:
-                program = (
-                    (m.software_overhead, m.latency),
-                    m.nic_occupancy + nbytes / m.bandwidth,
-                    (m.latency,),
-                )
-        elif kind == "acc":
-            reduce_time = nbytes / m.accumulate_bandwidth
-            if tier == 0:
-                program = (
-                    (m.software_overhead + nbytes / m.local_bandwidth + reduce_time,),
-                    None,
-                    (),
-                )
-            elif tier == 1:
-                program = (
-                    (
-                        m.software_overhead
-                        + 2 * m.intra_latency
-                        + nbytes / m.intra_bandwidth
-                        + reduce_time,
-                    ),
-                    None,
-                    (),
-                )
-            else:
-                program = (
-                    (m.software_overhead, m.latency),
-                    m.nic_occupancy + nbytes / m.bandwidth + reduce_time,
-                    (m.latency,),
-                )
-        else:  # "fa": fetch_add; nbytes is unused (always 0 in the key)
-            # Operand-for-operand from _fetch_add_traced_gen, including
-            # the quirk that a zero-latency *remote* hop tests as
-            # ``wire == 0.0`` and therefore pays the intra-node latency.
+        o = m.software_overhead
+        if kind == "fetch_add":  # nbytes is unused (always 0 in the key)
+            # Wire latency only across nodes; the read-modify-write always
+            # serializes at the home memory controller (the NIC resource),
+            # local or not — that is what makes a counter a counter. A
+            # zero-latency *remote* hop tests as ``wire == 0.0`` and so
+            # pays the intra-node latency; digests pin that quirk.
             wire = 0.0 if tier != 2 else m.latency
             intra = m.intra_latency if (tier != 0 and wire == 0.0) else 0.0
-            if wire or intra:
-                program = (
-                    (m.software_overhead, wire + intra),
-                    m.atomic_service,
-                    (wire + intra,),
-                )
+            hop = (wire + intra,) if wire or intra else ()
+            program = ((o,) + hop, m.atomic_service, hop)
+        else:
+            if tier == 0:
+                cost = o + nbytes / m.local_bandwidth
+            elif tier == 1:
+                cost = o + 2 * m.intra_latency + nbytes / m.intra_bandwidth
             else:
-                program = ((m.software_overhead,), m.atomic_service, ())
+                cost = m.nic_occupancy + nbytes / m.bandwidth
+            if kind == "accumulate":
+                cost = cost + nbytes / m.accumulate_bandwidth  # the reduction
+            if tier == 2:
+                program = ((o, m.latency), cost, (m.latency,))
+            else:
+                program = ((cost,), None, ())
         self._fused_cache[key] = program
         return program
 
+    def _walk(
+        self,
+        kind: str,
+        src: int,
+        dst: int,
+        nbytes: int,
+        trace=None,
+        category: "str | None" = None,
+        counter: "SharedCell | None" = None,
+        amount: int = 0,
+    ):
+        """Interpret one operation's delay program as a generator.
+
+        A crashed remote target costs the initiator software overhead
+        plus the plan's RMA timeout, recorded as ``FAILED`` when traced,
+        then :class:`RankFailedError` — the on-contact detection path,
+        which leaves the operation uncounted. Self-ops never fail (a dead
+        rank's own process is already cancelled). Returns the counter's
+        old value for a fetch-and-add.
+        """
+        n = self.n_ranks
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_rank(src)
+            self._check_rank(dst)
+        engine = self.engine
+        start = engine.now
+        faults = self.faults
+        if faults is not None and src != dst and faults.is_dead(dst):
+            faults.note_rma_failure()
+            yield pooled_timeout(self.model.software_overhead + faults.plan.rma_timeout)
+            if trace is not None:
+                trace.record(src, _FAILED, start, engine.now)
+            raise RankFailedError(dst, kind)
+        stats = self.stats
+        if kind == "fetch_add":
+            stats.fetch_adds += 1
+        else:
+            if kind == "accumulate":
+                stats.accumulates += 1
+            stats.bytes_moved += nbytes
+            stats.per_rank_bytes[src] += nbytes
+        pre, hold, post = self._fused_program(kind, src, dst, nbytes)
+        for delay in pre:
+            yield pooled_timeout(delay)
+        old = None
+        if hold is not None:
+            nic = self.nics[dst]
+            yield nic.acquire()
+            if counter is not None:
+                # The read-modify-write happens at the grant, while the
+                # home NIC is held, so concurrent updates serialize
+                # exactly as hardware atomics at a memory controller.
+                old = counter.value
+                counter.value += amount
+            try:
+                yield pooled_timeout(hold)
+            finally:
+                nic.release()
+            for delay in post:
+                yield pooled_timeout(delay)
+        if trace is not None:
+            trace.record(src, category, start, engine.now)
+        return old
+
+    def get(self, src: int, dst: int, nbytes: int):
+        """Synchronous one-sided read of ``nbytes`` from ``dst``'s memory."""
+        self.stats.gets += 1
+        return self._walk("rma", src, dst, nbytes)
+
+    def put(self, src: int, dst: int, nbytes: int):
+        """Synchronous one-sided write (completion acknowledged)."""
+        self.stats.puts += 1
+        return self._walk("rma", src, dst, nbytes)
+
+    def accumulate(self, src: int, dst: int, nbytes: int):
+        """One-sided accumulate: remote read-modify-write of a block."""
+        return self._walk("accumulate", src, dst, nbytes)
+
+    def fetch_add(self, src: int, dst: int, counter: "SharedCell", amount: int = 1):
+        """Atomic fetch-and-add on a cell homed at ``dst``; returns old value."""
+        return self._walk("fetch_add", src, dst, 0, counter=counter, amount=amount)
+
     def rma_traced(self, src: int, dst: int, nbytes: int, trace, category: str):
-        """:meth:`_rma` with the caller's interval tracing inlined."""
+        """A get/put (the caller counts which) with interval tracing inlined."""
         if self.faults is not None or not self._fused:
-            return self._rma_traced_gen(src, dst, nbytes, trace, category)
+            return self._walk("rma", src, dst, nbytes, trace, category)
         n = self.n_ranks
         if not (0 <= src < n and 0 <= dst < n):
             self._check_rank(src)
@@ -661,14 +573,14 @@ class Network:
         stats.bytes_moved += nbytes
         stats.per_rank_bytes[src] += nbytes
         stats.fused_ops += 1
-        pre, hold, post = self._fused_program("rma", self._tier(src, dst), nbytes)
+        pre, hold, post = self._fused_program("rma", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
         return _FusedOp(pre, nic, hold, post, trace, src, category)
 
     def accumulate_traced(self, src: int, dst: int, nbytes: int, trace, category: str):
         """:meth:`accumulate` with the caller's interval tracing inlined."""
         if self.faults is not None or not self._fused:
-            return self._accumulate_traced_gen(src, dst, nbytes, trace, category)
+            return self._walk("accumulate", src, dst, nbytes, trace, category)
         n = self.n_ranks
         if not (0 <= src < n and 0 <= dst < n):
             self._check_rank(src)
@@ -678,7 +590,7 @@ class Network:
         stats.bytes_moved += nbytes
         stats.per_rank_bytes[src] += nbytes
         stats.fused_ops += 1
-        pre, hold, post = self._fused_program("acc", self._tier(src, dst), nbytes)
+        pre, hold, post = self._fused_program("accumulate", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
         return _FusedOp(pre, nic, hold, post, trace, src, category)
 
@@ -693,143 +605,16 @@ class Network:
     ):
         """:meth:`fetch_add` with the caller's interval tracing inlined."""
         if self.faults is not None or not self._fused:
-            return self._fetch_add_traced_gen(src, dst, counter, amount, trace, category)
+            return self._walk("fetch_add", src, dst, 0, trace, category, counter, amount)
         self._check_rank(src)
         self._check_rank(dst)
         stats = self.stats
         stats.fetch_adds += 1
         stats.fused_ops += 1
-        pre, hold, post = self._fused_program("fa", self._tier(src, dst), 0)
+        pre, hold, post = self._fused_program("fetch_add", src, dst, 0)
         return _FusedOp(
             pre, self.nics[dst], hold, post, trace, src, category, counter, amount
         )
-
-    def _rma_traced_gen(self, src: int, dst: int, nbytes: int, trace, category: str):
-        """Generator reference path for :meth:`rma_traced` (fault-armed)."""
-        n = self.n_ranks
-        if not (0 <= src < n and 0 <= dst < n):
-            self._check_rank(src)
-            self._check_rank(dst)
-        engine = self.engine
-        start = engine.now
-        m = self.model
-        faults = self.faults
-        if faults is not None and src != dst and faults.is_dead(dst):
-            faults.note_rma_failure()
-            yield pooled_timeout(m.software_overhead + faults.plan.rma_timeout)
-            trace.record(src, _FAILED, start, engine.now)
-            raise RankFailedError(dst, "rma")
-        stats = self.stats
-        stats.bytes_moved += nbytes
-        stats.per_rank_bytes[src] += nbytes
-        if src == dst:
-            yield pooled_timeout(m.software_overhead + nbytes / m.local_bandwidth)
-            trace.record(src, category, start, engine.now)
-            return
-        if self.same_node(src, dst):
-            yield pooled_timeout(
-                m.software_overhead + 2 * m.intra_latency + nbytes / m.intra_bandwidth
-            )
-            trace.record(src, category, start, engine.now)
-            return
-        yield pooled_timeout(m.software_overhead)
-        yield pooled_timeout(m.latency)
-        nic = self.nics[dst]
-        yield nic.acquire()
-        try:
-            yield pooled_timeout(m.nic_occupancy + nbytes / m.bandwidth)
-        finally:
-            nic.release()
-        yield pooled_timeout(m.latency)
-        trace.record(src, category, start, engine.now)
-
-    def _accumulate_traced_gen(
-        self, src: int, dst: int, nbytes: int, trace, category: str
-    ):
-        """Generator reference path for :meth:`accumulate_traced`."""
-        n = self.n_ranks
-        if not (0 <= src < n and 0 <= dst < n):
-            self._check_rank(src)
-            self._check_rank(dst)
-        engine = self.engine
-        start = engine.now
-        m = self.model
-        faults = self.faults
-        if faults is not None and src != dst and faults.is_dead(dst):
-            faults.note_rma_failure()
-            yield pooled_timeout(m.software_overhead + faults.plan.rma_timeout)
-            trace.record(src, _FAILED, start, engine.now)
-            raise RankFailedError(dst, "accumulate")
-        stats = self.stats
-        stats.accumulates += 1
-        stats.bytes_moved += nbytes
-        stats.per_rank_bytes[src] += nbytes
-        reduce_time = nbytes / m.accumulate_bandwidth
-        if src == dst:
-            yield pooled_timeout(
-                m.software_overhead + nbytes / m.local_bandwidth + reduce_time
-            )
-            trace.record(src, category, start, engine.now)
-            return
-        if self.same_node(src, dst):
-            yield pooled_timeout(
-                m.software_overhead
-                + 2 * m.intra_latency
-                + nbytes / m.intra_bandwidth
-                + reduce_time
-            )
-            trace.record(src, category, start, engine.now)
-            return
-        yield pooled_timeout(m.software_overhead)
-        yield pooled_timeout(m.latency)
-        nic = self.nics[dst]
-        yield nic.acquire()
-        try:
-            yield pooled_timeout(m.nic_occupancy + nbytes / m.bandwidth + reduce_time)
-        finally:
-            nic.release()
-        yield pooled_timeout(m.latency)
-        trace.record(src, category, start, engine.now)
-
-    def _fetch_add_traced_gen(
-        self,
-        src: int,
-        dst: int,
-        counter: "SharedCell",
-        amount: int,
-        trace,
-        category: str,
-    ):
-        """Generator reference path for :meth:`fetch_add_traced`."""
-        self._check_rank(src)
-        self._check_rank(dst)
-        engine = self.engine
-        start = engine.now
-        m = self.model
-        faults = self.faults
-        if faults is not None and src != dst and faults.is_dead(dst):
-            faults.note_rma_failure()
-            yield pooled_timeout(m.software_overhead + faults.plan.rma_timeout)
-            trace.record(src, _FAILED, start, engine.now)
-            raise RankFailedError(dst, "fetch_add")
-        self.stats.fetch_adds += 1
-        wire = 0.0 if self.same_node(src, dst) else m.latency
-        intra = m.intra_latency if (src != dst and wire == 0.0) else 0.0
-        yield pooled_timeout(m.software_overhead)
-        if wire or intra:
-            yield pooled_timeout(wire + intra)
-        nic = self.nics[dst]
-        yield nic.acquire()
-        old = counter.value
-        counter.value += amount
-        try:
-            yield pooled_timeout(m.atomic_service)
-        finally:
-            nic.release()
-        if wire or intra:
-            yield pooled_timeout(wire + intra)
-        trace.record(src, category, start, engine.now)
-        return old
 
     # ------------------------------------------------------------------
     # Two-sided messages
@@ -849,7 +634,8 @@ class Network:
         self._check_rank(dst)
         m = self.model
         self.stats.messages += 1
-        self._account(src, nbytes)
+        self.stats.bytes_moved += nbytes
+        self.stats.per_rank_bytes[src] += nbytes
         message = Message(src=src, tag=tag, payload=payload)
         intra = self.same_node(src, dst)
         fate = DELIVER if self.faults is None else self.faults.message_fate(src, dst)

@@ -1,21 +1,11 @@
-"""Pluggable scheduler layer behind :class:`~repro.simulate.engine.Engine`.
+"""Engine selection: the reference heap engine or the compiled core.
 
-PR 3+5 flattened the pure-Python event hot path; what remains is
-per-event interpreter and heap overhead. This module provides the next
-layer down, selected at runtime via ``REPRO_ENGINE``:
+One behaviour, two engines, selected at runtime via ``REPRO_ENGINE``:
 
 ``python``
-    The baseline :class:`Engine`: C ``heapq`` over ``(time, seq, cb)``
-    tuples plus the zero-delay run-queue. Always available.
-
-``bucket``
-    :class:`BucketEngine`: a calendar-queue timeline
-    (:class:`BucketTimeline`) replaces the heap for timed events. Events
-    hash into fixed-width time buckets held in a dict; only *bucket
-    indices* go through a heap, so the per-event cost is O(1) amortized
-    when events cluster in time (the steal-heavy regime: bursts of
-    short-horizon timeouts and wake-ups at nearby timestamps share a
-    bucket and are ordered by one near-sorted ``list.sort``).
+    The reference :class:`~repro.simulate.engine.Engine`: C ``heapq``
+    over ``(time, seq, cb)`` tuples plus the zero-delay run-queue. Always
+    available, and the readable statement of the dispatch order.
 
 ``compiled``
     :class:`CompiledEngine`: the run loop and the ``Process.resume``
@@ -31,28 +21,10 @@ layer down, selected at runtime via ``REPRO_ENGINE``:
     else ``python`` — silently, so environments without a toolchain
     behave exactly as before.
 
-Order equivalence
------------------
-
-Every engine dispatches in exact ``(time, seq)`` order — the same order
-the baseline heap engine produces — so simulations are bit-for-bit
-identical across modes (pinned by ``tests/test_bitwise_equivalence.py``
-run under each mode in CI, and by a randomized property test in
-``tests/simulate/test_sched.py``). The argument for the bucket timeline:
-
-- bucket index ``int(time * inv_width)`` is monotone in ``time``, so
-  entries in a lower-index bucket strictly precede (by time) every entry
-  in a higher-index bucket;
-- buckets are activated in ascending index order (indices go through a
-  min-heap, and a late insert into a lower index than the active bucket
-  demotes the active bucket back before activating the lower one);
-- within a bucket, entries are sorted by the full ``(time, seq)`` key,
-  and equal-time entries necessarily share a bucket, so FIFO tie-breaks
-  are preserved;
-- a late insert *into* the active bucket only carries keys that sort
-  after everything already dispatched (its time is >= ``now`` and its
-  seq exceeds every allocated seq), so the lazy re-sort never reorders
-  the past.
+Both engines dispatch in exact ``(time, seq)`` order over the same heap
+and run-queue, so simulations are bit-for-bit identical across modes
+(pinned by ``tests/test_bitwise_equivalence.py`` run under each mode in
+CI, and by a randomized property test in ``tests/simulate/test_sched.py``).
 
 The engine mode is an execution-layer knob, like the executor choice: it
 must never change results, so it is excluded from ``JobSpec.job_key()``
@@ -72,9 +44,7 @@ import sys
 import sysconfig
 import tempfile
 import warnings
-from heapq import heappop, heappush
-from sys import getrefcount
-from typing import Any, Callable
+from typing import Any
 
 from repro.simulate.engine import (
     Engine,
@@ -84,14 +54,11 @@ from repro.simulate.engine import (
     SimulationError,
     Timeout,
     _timeout_pool,
-    _timeout_pool_append,
 )
-from repro.util import ConfigurationError, check_non_negative
+from repro.util import ConfigurationError
 
 __all__ = [
     "ENGINE_MODES",
-    "BucketEngine",
-    "BucketTimeline",
     "CompiledEngine",
     "DegradedEngineWarning",
     "compiled_available",
@@ -101,14 +68,7 @@ __all__ = [
 ]
 
 #: Recognized values of ``REPRO_ENGINE`` / ``JobSpec.engine``.
-ENGINE_MODES = ("auto", "python", "bucket", "compiled")
-
-#: Default bucket width in simulated seconds. Network latencies and
-#: software overheads in the machine presets are O(1e-6); microsecond
-#: buckets keep bursts of short-horizon events in one bucket while
-#: widely spaced compute completions each take their own (one heap op
-#: per *bucket*, not per event, either way).
-DEFAULT_BUCKET_WIDTH = 1.0e-6
+ENGINE_MODES = ("auto", "python", "compiled")
 
 
 class DegradedEngineWarning(UserWarning):
@@ -150,8 +110,6 @@ def make_engine() -> Engine:
     mode = engine_mode()
     if mode == "python":
         return Engine()
-    if mode == "bucket":
-        return BucketEngine()
     core = _load_engine_core()
     if core is not None:
         return CompiledEngine()
@@ -197,208 +155,6 @@ def _warn_degraded() -> None:
 
 
 # --------------------------------------------------------------------------
-# Bucketed timeline
-
-
-class BucketTimeline:
-    """Calendar-queue priority structure over ``(time, seq, callback)``.
-
-    Entries hash into fixed-width time buckets (a dict keyed by
-    ``int(time * inv_width)``); bucket *indices* go through a min-heap,
-    entered once per bucket incarnation. The minimal bucket is held
-    "active" as a descending-sorted list popped from the end; inserts
-    into the active bucket set a dirty flag and the list is lazily
-    re-sorted (near-sorted input, so Timsort is ~linear). Pop order is
-    therefore exact global ``(time, seq)`` order — see the module
-    docstring for the argument.
-
-    Invariant: an index is in ``_idx_heap`` iff it is a key of
-    ``_buckets`` (exactly once each); the active bucket's entries live
-    only in ``_active``.
-    """
-
-    __slots__ = ("_inv_width", "_buckets", "_idx_heap", "_active", "_active_idx", "_dirty", "_count")
-
-    def __init__(self, width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if not (width > 0.0) or not math.isfinite(width):
-            raise ConfigurationError(f"bucket width must be finite and > 0, got {width!r}")
-        self._inv_width = 1.0 / width
-        self._buckets: dict[int, list[tuple[float, int, Callable[..., None]]]] = {}
-        self._idx_heap: list[int] = []
-        self._active: list[tuple[float, int, Callable[..., None]]] = []
-        self._active_idx = -1
-        self._dirty = False
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def push(self, entry: tuple[float, int, Callable[..., None]]) -> None:
-        idx = int(entry[0] * self._inv_width)
-        if idx == self._active_idx:
-            self._active.append(entry)
-            self._dirty = True
-        else:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [entry]
-                heappush(self._idx_heap, idx)
-            else:
-                bucket.append(entry)
-        self._count += 1
-
-    def peek(self) -> tuple[float, int, Callable[..., None]] | None:
-        """The minimal entry by ``(time, seq)``, or None when empty."""
-        active = self._active
-        idx_heap = self._idx_heap
-        if idx_heap and (not active or idx_heap[0] < self._active_idx):
-            if active:
-                # A push landed below the active bucket (possible after a
-                # horizon-bounded run advanced activation past ``now``):
-                # demote the active bucket and activate the lower index.
-                self._buckets[self._active_idx] = active
-                heappush(idx_heap, self._active_idx)
-            idx = heappop(idx_heap)
-            active = self._active = self._buckets.pop(idx)
-            self._active_idx = idx
-            active.sort(reverse=True)
-            self._dirty = False
-        elif not active:
-            return None
-        elif self._dirty:
-            active.sort(reverse=True)
-            self._dirty = False
-        return active[-1]
-
-    def pop(self) -> tuple[float, int, Callable[..., None]]:
-        entry = self.peek()
-        if entry is None:
-            raise IndexError("pop from an empty BucketTimeline")
-        self._active.pop()
-        self._count -= 1
-        return entry
-
-
-class BucketEngine(Engine):
-    """:class:`Engine` with the heap replaced by a :class:`BucketTimeline`.
-
-    ``_heap`` stays allocated (and empty) so introspection keeps working;
-    every timed event goes through :attr:`timeline` instead, counted in
-    ``bucket_dispatched``. The zero-delay run-queue, sequence counter,
-    processes, resources and events are shared with the base engine
-    unchanged.
-    """
-
-    __slots__ = ("timeline",)
-
-    def __init__(self, width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        super().__init__()
-        self.timeline = BucketTimeline(width)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        check_non_negative("delay", delay)
-        seq = self._seq
-        self._seq = seq + 1
-        self.timeline.push((self.now + delay, seq, callback))
-
-    def run(self, until: float = math.inf) -> float:
-        timeline = self.timeline
-        peek = timeline.peek
-        pop = timeline.pop
-        ready = self._ready
-        pop_ready = ready.popleft
-        dispatched = self.events_dispatched
-        from_ready = self.ready_dispatched
-        from_bucket = self.bucket_dispatched
-        now = self.now
-        try:
-            while True:
-                if ready:
-                    head = peek()
-                    if head is not None and head[0] <= now and head[1] < ready[0][0]:
-                        pop()
-                        dispatched += 1
-                        from_bucket += 1
-                        head[2]()
-                    else:
-                        _, callback, arg = pop_ready()
-                        dispatched += 1
-                        from_ready += 1
-                        callback(arg)
-                else:
-                    head = peek()
-                    if head is None:
-                        break
-                    time = head[0]
-                    if time > until:
-                        self.now = until
-                        return until
-                    pop()
-                    self.now = now = time
-                    dispatched += 1
-                    from_bucket += 1
-                    head[2]()
-        finally:
-            self.events_dispatched = dispatched
-            self.ready_dispatched = from_ready
-            self.bucket_dispatched = from_bucket
-        stuck = [p.name for p in self.blocked()]
-        if stuck:
-            raise SimulationError(
-                f"deadlock at t={self.now:.6g}: processes still blocked: {stuck[:10]}"
-                + ("..." if len(stuck) > 10 else "")
-            )
-        return self.now
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap) + len(self._ready) + len(self.timeline)
-
-
-class _BucketProcess(Process):
-    """Process whose inline Timeout fast path targets the bucket timeline.
-
-    Byte-for-byte the same control flow as :meth:`Process.resume` with
-    ``heappush(engine._heap, ...)`` replaced by ``timeline.push(...)``.
-    """
-
-    __slots__ = ()
-
-    def resume(self, value: Any = None) -> None:
-        if self.done:
-            if self.cancelled:
-                return  # a wake-up raced with cancellation; drop it
-            raise SimulationError(f"process {self.name!r} resumed after completion")
-        try:
-            request = self._send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        if request.__class__ is Timeout:
-            engine = self.engine
-            engine.timeout_allocs += 1
-            seq = engine._seq
-            engine._seq = seq + 1
-            delay = request.delay
-            if getrefcount(request) == 2:
-                _timeout_pool_append(request)
-            if delay == 0.0:
-                engine._ready.append((seq, self._resume, None))
-            else:
-                engine.timeline.push((engine.now + delay, seq, self._resume))
-            return
-        if not isinstance(request, Request):
-            raise SimulationError(
-                f"process {self.name!r} yielded {request!r}; processes must "
-                "yield Request instances (Timeout, acquire(), wait(), ...)"
-            )
-        request.activate(self.engine, self)
-
-
-BucketEngine._process_cls = _BucketProcess
-
-
-# --------------------------------------------------------------------------
 # Compiled engine core
 
 
@@ -414,11 +170,12 @@ class CompiledEngine(Engine):
 
     __slots__ = ()
 
-    #: Networks built on this engine default to fused (generator-free)
-    #: traced ops: the C core walks the delay programs, which is where
-    #: fusion actually pays. The pure-Python engines keep the reference
-    #: generators (a Python state-machine step is slower than a
-    #: generator resume). Order-identical either way.
+    #: Networks built on this engine dispatch traced ops as ``_FusedOp``
+    #: requests: the C core walks the delay programs, which is where
+    #: skipping the generator frame actually pays. The reference engine
+    #: interprets the same programs with a generator (a Python
+    #: state-machine step is slower than a generator resume).
+    #: Order-identical either way.
     drives_fused_ops = True
 
     def run(self, until: float = math.inf) -> float:

@@ -94,10 +94,7 @@ class TestBenchReports:
         assert core_report["schema"] == SCHEMA
         # engine_events_compiled drops out when no C toolchain exists;
         # everything else is unconditional.
-        expected = {
-            "engine_events", "engine_events_bucket", "steal_roundtrip",
-            "trace_record",
-        }
+        expected = {"engine_events", "steal_roundtrip", "trace_record"}
         names = set(core_report["benchmarks"])
         assert expected <= names
         assert names - expected <= {"engine_events_compiled"}

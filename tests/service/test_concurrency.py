@@ -15,6 +15,7 @@ import pytest
 
 from repro import api
 from repro.core.jobspec import JobSpec, SourceSpec
+from repro.parallel.executor import EXECUTOR_BACKENDS, SerialExecutor
 from repro.service import (
     Draining,
     Janitor,
@@ -179,6 +180,31 @@ class TestConcurrentScheduler:
             manager.close()
 
 
+class TestLiveStream:
+    def test_live_stream_carries_each_stored_row_once(self, tmp_path):
+        manager = JobManager(tmp_path / "state", workers=1)
+        try:
+            # Descending ranks: cells settle in the opposite order to the
+            # stored (P, model)-sorted table, so a reader's row count
+            # points at different rows in the two.
+            job, _ = manager.submit(spec_for(17, ranks=(16, 8)))
+            stream = job.stream_rows()
+            streamed = [next(stream)]  # live: blocks until a first cell settles
+            # Hold that position while the job finishes and publishes its
+            # canonical table, then drain the rest of the stream.
+            job = wait_terminal(manager, job.id)
+            streamed.extend(stream)
+        finally:
+            manager.close()
+        assert job.status == "done", job.error
+
+        def cell(row):
+            return (row["P"], row["model"])
+
+        assert [cell(r) for r in streamed] != [cell(r) for r in job.rows]
+        assert sorted(streamed, key=cell) == job.rows == serial_rows(job.spec)
+
+
 class TestDeadline:
     def test_deadline_exceeded_is_terminal_failed(self, tmp_path):
         manager = JobManager(tmp_path / "state", workers=1)
@@ -192,16 +218,34 @@ class TestDeadline:
         finally:
             manager.close()
 
-    def test_resubmission_resumes_past_deadline_failure(self, tmp_path):
+    def test_resubmission_resumes_past_deadline_failure(self, tmp_path, monkeypatch):
+        budget = 2.0  # ample for the build plus a first cell of this grid
+
+        class StallAfterFirstCell(SerialExecutor):
+            """Sleeps out the whole budget once a first cell has settled.
+
+            The serial backend checks the deadline before starting each
+            cell, so the second cell's check provably comes after expiry:
+            the job lands mid-grid on any host, fast or slow.
+            """
+
+            def run(self, fn, jobs, **kwargs):
+                for settled, item in enumerate(super().run(fn, jobs, **kwargs)):
+                    yield item
+                    if settled == 0:
+                        time.sleep(budget)
+
         manager = JobManager(tmp_path / "state", workers=1)
         try:
-            # 0.6s: a few of the ~1.5s grid's cells settle, the rest
-            # expire — the interesting middle ground.
-            tight = spec_for(8, slow=True, deadline_s=0.6)
-            job, _ = manager.submit(tight)
-            job = wait_terminal(manager, job.id)
+            tight = spec_for(8, deadline_s=budget)
+            with monkeypatch.context() as patched:
+                patched.setitem(EXECUTOR_BACKENDS, "serial", StallAfterFirstCell)
+                job, _ = manager.submit(tight)
+                job = wait_terminal(manager, job.id)
             assert job.status == "failed"
+            assert job.error.startswith("deadline")
             settled_first = job.completed_cells - job.failed_cells
+            assert settled_first < job.total_cells
             # Same grid, no deadline: deadline_s is outside the job
             # identity, so this *revives* the failed record and resumes
             # from the journaled cells instead of deduping onto it.

@@ -1,13 +1,17 @@
-"""The generator-free traced-op path must be invisible except in speed.
+"""One cost table, two interpreters, identical except in speed.
 
-``Network.rma_traced``/``accumulate_traced``/``fetch_add_traced`` serve
-fault-free operations from precomputed (pre, hold, post) delay programs
-walked by a :class:`~repro.simulate.network._FusedOp` instead of a
-generator frame. These tests pin the equivalence from three directions:
+Every one-sided operation is a (pre, hold, post) delay program from
+``Network._fused_program``, interpreted either by the ``Network._walk``
+generator (reference engine, fault-armed networks) or by a
+:class:`~repro.simulate.network._FusedOp` the compiled engine walks in C.
+These tests pin that from four directions:
 
-- a hypothesis property test that the table-driven delay sequences equal
-  the generator path's yielded costs **bit-for-bit** across random
-  network parameters, payload sizes, and tiers;
+- a table test that every ``(kind, tier)`` program equals the closed-form
+  LogGP expression written out here **bit-for-bit** across random network
+  parameters and payload sizes, and that the generator yields exactly
+  that program in order;
+- a dead target costs ``o + rma_timeout``, records ``FAILED``, raises
+  ``RankFailedError`` and counts nothing, traced or not;
 - whole-run equality: identical RunResults (makespan bits, arrays,
   counters, trace intervals) with the fused path on vs. forced off;
 - the cancellation protocol: closing a mid-hold fused op releases the
@@ -41,7 +45,7 @@ class _Recorder:
 
 
 # ----------------------------------------------------------------------
-# Property: fused delay programs == generator-path costs, bit for bit
+# The cost table: every (kind, tier) program, bit for bit
 # ----------------------------------------------------------------------
 
 _times = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)
@@ -61,8 +65,36 @@ _models = st.builds(
 )
 
 
+def _expected_program(m: NetworkModel, kind: str, tier: int, n: int) -> tuple:
+    """The LogGP cost of one op class in closed form, as (pre, hold, post).
+
+    Tier 0 is a self-op (memcpy), 1 a same-node hop (shared memory, no
+    NIC), 2 a remote hop (wire both ways, occupancy at the target NIC).
+    Sums are written in the operand order the golden digests pin.
+    """
+    o, wire, intra = m.software_overhead, m.latency, m.intra_latency
+    reduce_time = n / m.accumulate_bandwidth
+    if kind == "fetch_add":
+        # Remote pays the wire each way, same-node the intra hop; a
+        # zero-latency remote link falls back to the intra hop (quirk).
+        hop = 0.0 if tier == 0 else intra if tier == 1 else (wire or intra)
+        return ((o, hop), m.atomic_service, (hop,)) if hop else ((o,), m.atomic_service, ())
+    return {
+        ("rma", 0): ((o + n / m.local_bandwidth,), None, ()),
+        ("rma", 1): ((o + 2 * intra + n / m.intra_bandwidth,), None, ()),
+        ("rma", 2): ((o, wire), m.nic_occupancy + n / m.bandwidth, (wire,)),
+        ("accumulate", 0): ((o + n / m.local_bandwidth + reduce_time,), None, ()),
+        ("accumulate", 1): ((o + 2 * intra + n / m.intra_bandwidth + reduce_time,), None, ()),
+        ("accumulate", 2): (
+            (o, wire),
+            m.nic_occupancy + n / m.bandwidth + reduce_time,
+            (wire,),
+        ),
+    }[kind, tier]
+
+
 def _drive(gen) -> list[tuple]:
-    """Manually advance a traced-op generator, logging yields in order.
+    """Manually advance an op generator, logging yields in order.
 
     Timeouts log their exact delay; the NIC acquire logs a marker (the
     grant itself carries no cost). ``send(None)`` mirrors what
@@ -86,7 +118,7 @@ def _drive(gen) -> list[tuple]:
 
 
 def _expand(program) -> list[tuple]:
-    """The fused (pre, hold, post) program in the generator's yield order."""
+    """A (pre, hold, post) program in the order an interpreter runs it."""
     pre, hold, post = program
     seq: list[tuple] = [("t", d.hex()) for d in pre]
     if hold is not None:
@@ -102,35 +134,107 @@ def _tier_endpoints(tier: int) -> tuple[int, int]:
     return (0, 0) if tier == 0 else (0, 1) if tier == 1 else (0, 2)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    model=_models,
-    nbytes=st.integers(min_value=0, max_value=10**8),
-    tier=st.integers(min_value=0, max_value=2),
-    kind=st.sampled_from(["rma", "acc", "fa"]),
-)
-def test_fused_program_matches_generator_bitwise(model, nbytes, tier, kind):
+@settings(max_examples=100, deadline=None)
+@given(model=_models, nbytes=st.integers(min_value=0, max_value=10**8))
+def test_fused_program_matches_generator_bitwise(model, nbytes):
+    """The closed form, the memoised program and what the generator
+    yields are one delay sequence, bit for bit, for every (kind, tier)."""
     from repro.simulate.network import SharedCell
 
     net = Network(Engine(), model, 4, node_of=lambda r: r // 2)
-    src, dst = _tier_endpoints(tier)
-    rec = _Recorder()
-    if kind == "rma":
-        gen = net._rma_traced_gen(src, dst, nbytes, rec, "get")
-        program = net._fused_program("rma", tier, nbytes)
-    elif kind == "acc":
-        gen = net._accumulate_traced_gen(src, dst, nbytes, rec, "acc")
-        program = net._fused_program("acc", tier, nbytes)
-    else:
-        gen = net._fetch_add_traced_gen(src, dst, SharedCell(), 1, rec, "fa")
-        program = net._fused_program("fa", tier, 0)
-    assert _drive(gen) == _expand(program)
+    for kind in ("rma", "accumulate", "fetch_add"):
+        n = 0 if kind == "fetch_add" else nbytes
+        for tier in (0, 1, 2):
+            src, dst = _tier_endpoints(tier)
+            expected = _expand(_expected_program(model, kind, tier, n))
+            assert _expand(net._fused_program(kind, src, dst, n)) == expected, (kind, tier)
+            # ...and the reference interpreter yields exactly that program.
+            counter = SharedCell() if kind == "fetch_add" else None
+            walk = net._walk(kind, src, dst, n, _Recorder(), kind, counter, 1)
+            assert _drive(walk) == expected, (kind, tier)
+
+
+def test_zero_latency_remote_fetch_add_pays_the_intra_hop():
+    """The digest-pinned quirk: with ``latency == 0`` a remote counter
+    tests as "no wire" and is charged the intra-node latency instead."""
+    model = NetworkModel(latency=0.0)
+    net = Network(Engine(), model, 4, node_of=lambda r: r // 2)
+    o, hop = model.software_overhead, model.intra_latency
+    assert hop > 0.0
+    assert net._fused_program("fetch_add", 0, 2, 0) == ((o, hop), model.atomic_service, (hop,))
+
+
+# ----------------------------------------------------------------------
+# Dead targets: the one path only the generator interprets
+# ----------------------------------------------------------------------
+
+#: entry point -> (RankFailedError.operation, how to issue it at dead rank 2)
+_DEAD_TARGET_OPS = {
+    "get": ("rma", lambda net, rec, cell: net.get(0, 2, 1024)),
+    "put": ("rma", lambda net, rec, cell: net.put(0, 2, 1024)),
+    "accumulate": ("accumulate", lambda net, rec, cell: net.accumulate(0, 2, 1024)),
+    "fetch_add": ("fetch_add", lambda net, rec, cell: net.fetch_add(0, 2, cell, 5)),
+    "rma_traced": ("rma", lambda net, rec, cell: net.rma_traced(0, 2, 1024, rec, "comm")),
+    "accumulate_traced": (
+        "accumulate",
+        lambda net, rec, cell: net.accumulate_traced(0, 2, 1024, rec, "comm"),
+    ),
+    "fetch_add_traced": (
+        "fetch_add",
+        lambda net, rec, cell: net.fetch_add_traced(0, 2, cell, 5, rec, "overhead"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fused", [False, True])
+@pytest.mark.parametrize("entry", sorted(_DEAD_TARGET_OPS))
+def test_dead_target_fails_uncounted(entry, fused):
+    import copy
+
+    from repro.faults import FaultInjector, FaultPlan, RankCrash
+    from repro.simulate.network import SharedCell
+    from repro.util import RankFailedError
+
+    engine = Engine()
+    net = Network(engine, NetworkModel(), 4)
+    net._fused = fused  # a fault-armed network takes the generator either way
+    plan = FaultPlan(crashes=(RankCrash(2, 0.0),), rma_timeout=1.0)
+    net.faults = injector = FaultInjector(plan, engine, net)
+    injector.arm({})
+    rec, cell = _Recorder(), SharedCell(7)
+    expected_operation, issue = _DEAD_TARGET_OPS[entry]
+    outcome = []
+
+    def prober():
+        yield Timeout(0.5)  # let the crash fire
+        # get/put count themselves as issued before the op starts,
+        # exactly as RankContext counts the traced ones.
+        op = issue(net, rec, cell)
+        before = copy.deepcopy(net.stats)
+        try:
+            yield from op
+        except RankFailedError as err:
+            outcome.append((err.rank, err.operation, engine.now, before))
+
+    engine.process(prober())
+    engine.run()
+    ((rank, operation, end, before),) = outcome
+    assert rank == 2
+    assert operation == expected_operation
+    assert end == 0.5 + (NetworkModel().software_overhead + 1.0)
+    assert net.stats == before
+    assert cell.value == 7
+    assert net.nics[2].total_acquisitions == 0
+    assert injector.stats["rma_failures"] == 1.0
+    traced = entry.endswith("_traced")
+    assert rec.calls == ([(0, "failed", 0.5, end)] if traced else [])
 
 
 def test_fused_program_memoized():
     net = Network(Engine(), NetworkModel(), 4)
-    assert net._fused_program("rma", 2, 384) is net._fused_program("rma", 2, 384)
-    assert net._fused_program("rma", 2, 384) != net._fused_program("acc", 2, 384)
+    # One program per (kind, tier, nbytes): every remote pair shares it.
+    assert net._fused_program("rma", 0, 1, 384) is net._fused_program("rma", 3, 2, 384)
+    assert net._fused_program("rma", 0, 1, 384) != net._fused_program("accumulate", 0, 1, 384)
 
 
 # ----------------------------------------------------------------------
@@ -311,9 +415,9 @@ def _contention_workload(engine) -> None:
 
 
 def test_hotpath_counters_match_across_engines():
-    from repro.simulate.sched import BucketEngine, CompiledEngine, compiled_available
+    from repro.simulate.sched import CompiledEngine, compiled_available
 
-    engines = [Engine(), BucketEngine()]
+    engines = [Engine()]
     if compiled_available():
         engines.append(CompiledEngine())
     observed = set()

@@ -1,15 +1,12 @@
-"""The pluggable scheduler layer: bucketed timeline, engine modes, and
-cross-engine dispatch-order equivalence.
+"""Engine selection and cross-engine dispatch-order equivalence.
 
-The load-bearing property is that every engine mode dispatches events in
-exact ``(time, seq)`` order — the heap engine's order — so simulations
+The load-bearing property is that the compiled engine dispatches events in
+exact ``(time, seq)`` order — the reference heap engine's order — so simulations
 are bit-for-bit identical regardless of ``REPRO_ENGINE``. The randomized
 property test here exercises the order-sensitive corners directly:
 equal timestamps, zero-delay wake-ups, horizon-bounded ``run(until=)``
 stages, cancellations, and deadlock truncation.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -19,8 +16,6 @@ import repro.simulate.sched as sched
 from repro.simulate.engine import Engine, Resource, SimEvent, SimulationError, Timeout, hold
 from repro.simulate.sched import (
     ENGINE_MODES,
-    BucketEngine,
-    BucketTimeline,
     CompiledEngine,
     DegradedEngineWarning,
     compiled_available,
@@ -31,80 +26,7 @@ from repro.simulate.sched import (
 from repro.util import ConfigurationError
 
 #: Engine classes under test; the compiled loop only where buildable.
-ENGINE_CLASSES = [Engine, BucketEngine] + (
-    [CompiledEngine] if compiled_available() else []
-)
-
-
-class TestBucketTimeline:
-    def test_pops_in_time_seq_order(self):
-        tl = BucketTimeline()
-        entries = [(3.0e-6, 2, None), (1.0e-6, 0, None), (2.0e-6, 1, None)]
-        for e in entries:
-            tl.push(e)
-        assert [tl.pop() for _ in range(3)] == sorted(entries)
-
-    def test_equal_times_pop_in_seq_order(self):
-        tl = BucketTimeline()
-        for seq in (4, 1, 3, 0, 2):
-            tl.push((5.0e-7, seq, None))
-        assert [tl.pop()[1] for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_interleaved_push_pop(self):
-        tl = BucketTimeline()
-        tl.push((2.0e-6, 0, None))
-        assert tl.pop()[0] == 2.0e-6
-        # Push into the (now active) bucket after a pop: lazy resort.
-        tl.push((2.4e-6, 2, None))
-        tl.push((2.2e-6, 1, None))
-        assert tl.pop()[1] == 1
-        assert tl.pop()[1] == 2
-
-    def test_push_below_active_bucket_demotes(self):
-        tl = BucketTimeline()
-        tl.push((9.0e-6, 1, None))
-        assert tl.peek()[1] == 1  # activates the far bucket
-        tl.push((1.0e-6, 2, None))  # lands strictly below the active index
-        assert tl.pop() == (1.0e-6, 2, None)
-        assert tl.pop() == (9.0e-6, 1, None)
-        assert tl.peek() is None
-
-    def test_len_tracks_contents(self):
-        tl = BucketTimeline()
-        assert len(tl) == 0
-        for i in range(10):
-            tl.push((i * 1.0e-7, i, None))
-        assert len(tl) == 10
-        tl.pop()
-        assert len(tl) == 9
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            BucketTimeline().pop()
-
-    def test_invalid_width_rejected(self):
-        for width in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ConfigurationError):
-                BucketTimeline(width)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(
-                    [0.0, 1.0e-7, 4.0e-7, 1.0e-6, 1.5e-6, 7.0e-6, 1.0e-3, 2.0]
-                ),
-                st.integers(0, 10_000),
-            ),
-            max_size=60,
-        )
-    )
-    def test_matches_sorted_order(self, raw):
-        # Unique (time, seq) keys — the engine never issues duplicate seqs.
-        entries = list({(t, s): (t, s, None) for t, s in raw}.values())
-        tl = BucketTimeline()
-        for e in entries:
-            tl.push(e)
-        assert [tl.pop() for _ in range(len(entries))] == sorted(entries)
+ENGINE_CLASSES = [Engine] + ([CompiledEngine] if compiled_available() else [])
 
 
 class TestModeSelection:
@@ -119,13 +41,13 @@ class TestModeSelection:
 
     def test_set_engine_mode_roundtrip(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "auto")
-        previous = set_engine_mode("bucket")
+        previous = set_engine_mode("python")
         assert previous == "auto"
-        assert engine_mode() == "bucket"
+        assert engine_mode() == "python"
         # Written to the environment so forked sweep workers inherit it.
         import os
 
-        assert os.environ["REPRO_ENGINE"] == "bucket"
+        assert os.environ["REPRO_ENGINE"] == "python"
 
     def test_set_engine_mode_rejects_unknown(self):
         with pytest.raises(ConfigurationError):
@@ -134,8 +56,6 @@ class TestModeSelection:
     def test_make_engine_per_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "python")
         assert type(make_engine()) is Engine
-        monkeypatch.setenv("REPRO_ENGINE", "bucket")
-        assert type(make_engine()) is BucketEngine
         if compiled_available():
             monkeypatch.setenv("REPRO_ENGINE", "compiled")
             assert type(make_engine()) is CompiledEngine
@@ -166,7 +86,33 @@ class TestModeSelection:
             assert type(make_engine()) is Engine
 
     def test_mode_names_are_stable(self):
-        assert ENGINE_MODES == ("auto", "python", "bucket", "compiled")
+        assert ENGINE_MODES == ("auto", "python", "compiled")
+
+    @pytest.mark.parametrize("door", ["env", "cli", "jobspec"])
+    def test_removed_bucket_mode_rejected_at_every_door(self, door, monkeypatch, capsys):
+        """A removed mode arriving from outside gets the structured
+        error naming the three modes that remain."""
+        if door == "env":
+            monkeypatch.setenv("REPRO_ENGINE", "bucket")
+            with pytest.raises(ConfigurationError) as caught:
+                make_engine()
+            message = str(caught.value)
+        elif door == "cli":
+            from repro.__main__ import main
+
+            assert main(["study", "--engine", "bucket"]) == 2
+            message = capsys.readouterr().err
+            assert message.startswith("error: engine:")
+        else:
+            from repro.core.jobspec import JobSpec, JobSpecError
+
+            spec = JobSpec.from_json('{"engine": "bucket"}')
+            with pytest.raises(JobSpecError) as caught:
+                spec.validate()
+            assert caught.value.field == "engine"
+            message = str(caught.value)
+        assert "'bucket'" in message
+        assert "auto, python, compiled" in message
 
 
 # --------------------------------------------------------------------------
@@ -290,17 +236,10 @@ class TestCrossEngineOrder:
 
         engine.process(proc())
         engine.run()
-        total = engine.events_dispatched
-        heap_dispatched = total - engine.ready_dispatched - engine.bucket_dispatched
-        assert total == 4  # process start + 3 timeouts
-        # Start and the zero-delay timeout take the run-queue everywhere.
+        assert engine.events_dispatched == 4  # process start + 3 timeouts
+        # Start and the zero-delay timeout take the run-queue; the two
+        # timed ones take the heap.
         assert engine.ready_dispatched == 2
-        if engine_cls is BucketEngine:
-            assert engine.bucket_dispatched == 2
-            assert heap_dispatched == 0
-        else:
-            assert engine.bucket_dispatched == 0
-            assert heap_dispatched == 2
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +324,7 @@ class TestCrossModeRunResults:
 
         graph = synthetic_task_graph(300, 12, seed=5, skew=1.1)
         machine = MACHINE_PRESETS["commodity"](8)
-        modes = ["python", "bucket"] + (["compiled"] if compiled_available() else [])
+        modes = ["python"] + (["compiled"] if compiled_available() else [])
         digests = {}
         batched = {}
         for mode in modes:
@@ -393,10 +332,6 @@ class TestCrossModeRunResults:
             result = make_model(model_name).run(graph, machine, seed=11)
             digests[mode] = _digest(result)
             batched[mode] = result.batched_costs
-            if mode == "bucket":
-                assert result.sim_bucket_events > 0
-            else:
-                assert result.sim_bucket_events == 0
         assert len(set(digests.values())) == 1, digests.keys()
         # The batch path is mode-independent (decided by model/machine).
         assert len(set(batched.values())) == 1
