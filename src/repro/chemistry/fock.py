@@ -5,9 +5,18 @@ task performs; every execution path — the serial reference, the simulated
 distributed runs, and the real shared-memory backend — calls the same code,
 so any divergence between execution models is a scheduling bug, not a
 numerics difference.
+
+The contracted ERI matrix of a block quartet does not depend on the
+density, so a kernel computes it once and keeps it (up to
+:data:`_ERI_MEMO_BYTES`): SCF iterations after the first, the symmetric
+kernel and repeated thread-pool builds only scatter the stored matrix and
+contract it with the density. A quartet that does not fit the budget is
+recomputed by the same call on every use.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -17,13 +26,63 @@ from repro.chemistry.screening import SchwarzScreen
 from repro.chemistry.tasks import BlockRef, TaskGraph, TaskSpec
 from repro.util import ConfigurationError
 
+#: Bytes of contracted ERI matrices one kernel retains. All ``n^4``
+#: integrals of an ``n``-function problem take ``8 n^4`` bytes, so this
+#: holds every quartet up to n = 64 (9 s-only waters) and a fixed share
+#: beyond. A constant, not an option: no caller needs a second value, and
+#: a kernel over budget only recomputes.
+_ERI_MEMO_BYTES = 128 * 2**20
+
+Quartet = tuple[int, int, int, int]
+
+
+class _EriMemo:
+    """Byte-bounded store of one kernel's contracted ERI matrices.
+
+    Worker threads share a kernel, so lookups, insertions and the counters
+    go through one lock; the integrals themselves are computed outside it,
+    and two threads missing the same quartet both compute it (one copy is
+    kept).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._blocks: dict[Quartet, np.ndarray] = {}
+        self.bytes = 0
+        self.evaluated = 0
+        self.reused = 0
+
+    def __reduce__(self):
+        # A copy starts cold: the lock cannot travel and the blocks are
+        # cheaper to recompute than to ship.
+        return (_EriMemo, ())
+
+    def get(self, quartet: Quartet) -> np.ndarray | None:
+        with self._lock:
+            mat = self._blocks.get(quartet)
+            if mat is not None:
+                self.reused += 1
+            return mat
+
+    def put(self, quartet: Quartet, mat: np.ndarray) -> None:
+        """Count one evaluation; keep ``mat`` if the budget allows."""
+        with self._lock:
+            self.evaluated += 1
+            if (
+                quartet not in self._blocks
+                and self.bytes + mat.nbytes <= _ERI_MEMO_BYTES
+            ):
+                self._blocks[quartet] = mat
+                self.bytes += mat.nbytes
+
 
 class TaskKernel:
     """Executes block-quartet Fock tasks numerically.
 
     Pair batches (flattened primitive-product tables of the *alive* shell
     pairs of a block pair) are cached, mirroring integral-prescreening data
-    a production code would hold per process.
+    a production code would hold per process; so are the contracted ERI
+    matrices built from them (see the module docstring).
 
     Args:
         basis: basis set.
@@ -49,6 +108,23 @@ class TaskKernel:
         self.engine = engine if engine is not None else screen.engine
         self._alive_cache: dict[BlockRef, list[tuple[int, int]]] = {}
         self._batch_cache: dict[BlockRef, object] = {}
+        self._index_cache: dict[BlockRef, tuple[np.ndarray, np.ndarray]] = {}
+        self._eri_memo = _EriMemo()
+
+    @property
+    def eri_evaluated(self) -> int:
+        """Block-quartet ERI matrices computed by the integral engine."""
+        return self._eri_memo.evaluated
+
+    @property
+    def eri_reused(self) -> int:
+        """Block-quartet ERI matrices served from this kernel's memo."""
+        return self._eri_memo.reused
+
+    @property
+    def eri_bytes(self) -> int:
+        """Bytes of ERI matrices retained (at most ``_ERI_MEMO_BYTES``)."""
+        return self._eri_memo.bytes
 
     # ------------------------------------------------------------------
     def alive_pairs(self, a: int, b: int) -> list[tuple[int, int]]:
@@ -73,33 +149,34 @@ class TaskKernel:
             self._batch_cache[key] = cached
         return cached
 
+    def _local_index(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of each alive pair inside block pair ``(a, b)``."""
+        key = (a, b)
+        cached = self._index_cache.get(key)
+        if cached is None:
+            origin = (self.blocks.block_range(a)[0], self.blocks.block_range(b)[0])
+            local = np.array(self.alive_pairs(a, b), dtype=np.intp).reshape(-1, 2) - origin
+            cached = (local[:, 0], local[:, 1])
+            self._index_cache[key] = cached
+        return cached
+
     # ------------------------------------------------------------------
     def eri_block_tensor(self, a: int, b: int, c: int, d: int) -> np.ndarray:
         """Screened ERI tensor ``G[i,j,k,l]`` for one block quartet.
 
         Screened-away entries are exactly zero.
         """
-        bra_pairs = self.alive_pairs(a, b)
-        ket_pairs = self.alive_pairs(c, d)
-        lo_a, _ = self.blocks.block_range(a)
-        lo_b, _ = self.blocks.block_range(b)
-        lo_c, _ = self.blocks.block_range(c)
-        lo_d, _ = self.blocks.block_range(d)
-        shape = (
-            self.blocks.block_size(a),
-            self.blocks.block_size(b),
-            self.blocks.block_size(c),
-            self.blocks.block_size(d),
-        )
-        g = np.zeros(shape)
-        if not bra_pairs or not ket_pairs:
+        g = np.zeros([self.blocks.block_size(x) for x in (a, b, c, d)])
+        if not self.alive_pairs(a, b) or not self.alive_pairs(c, d):
             return g
-        mat = self.engine.eri_batch_matrix(self._batch(a, b), self._batch(c, d))
-        bi = np.array([i - lo_a for i, _ in bra_pairs])
-        bj = np.array([j - lo_b for _, j in bra_pairs])
-        ki = np.array([k - lo_c for k, _ in ket_pairs])
-        kl = np.array([l - lo_d for _, l in ket_pairs])
-        g[bi[:, None], bj[:, None], ki[None, :], kl[None, :]] = mat
+        quartet = (a, b, c, d)
+        mat = self._eri_memo.get(quartet)
+        if mat is None:
+            mat = self.engine.eri_batch_matrix(self._batch(a, b), self._batch(c, d))
+            self._eri_memo.put(quartet, mat)
+        bra_i, bra_j = self._local_index(a, b)
+        ket_k, ket_l = self._local_index(c, d)
+        g[bra_i[:, None], bra_j[:, None], ket_k[None, :], ket_l[None, :]] = mat
         return g
 
     def contributions(

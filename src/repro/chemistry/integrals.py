@@ -24,9 +24,18 @@ then
 The :class:`IntegralEngine` caches per-shell-pair primitive-product data and
 evaluates block ERIs as one vectorized outer interaction between two *pair
 batches* (flattened primitive-product tables with segment indices), chunked
-to bound peak memory. That same engine backs both the dense reference
-builders used in tests and the per-task kernels every execution model runs,
-so correctness comparisons are exact up to floating-point reduction order.
+to bound peak memory. A batch lists its pairs in order, so ``seg`` is
+sorted and contraction is a sorted-segment sum (``np.add.reduceat`` over
+the segment starts), first over ket primitives, then over bra primitives.
+That same engine backs both the dense reference builders used in tests and
+the per-task kernels every execution model runs, so correctness
+comparisons are exact up to floating-point reduction order.
+
+The one-electron matrices are array evaluations too, over the flat table
+of all primitive pairs ``m <= n`` of the basis; nuclear attraction takes
+that table against every nucleus, one Boys evaluation per chunk of
+(primitive pair x nucleus) entries. The scalar per-shell-pair loops they
+replace live on in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -45,6 +54,15 @@ _TWO_PI_POW = 2.0 * np.pi**2.5
 #: memory of a block ERI at roughly ``chunk * n_cols * 8`` bytes.
 _ERI_CHUNK = 4096
 
+#: (Primitive pair x nucleus) elements per nuclear-attraction chunk; bounds
+#: the transient at a few arrays of this size.
+_NUCLEAR_CHUNK = 1 << 16
+
+
+def segment_starts(seg: np.ndarray) -> np.ndarray:
+    """First position of every run of equal values in a sorted ``seg``."""
+    return np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+
 
 def boys_f0(t: np.ndarray | float) -> np.ndarray:
     """Vectorized Boys function of order zero.
@@ -52,14 +70,41 @@ def boys_f0(t: np.ndarray | float) -> np.ndarray:
     Uses the Taylor expansion ``1 - t/3 + t^2/10`` below 1e-12 where the
     closed form is 0/0.
     """
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
+    out = np.array(t, dtype=np.float64, order="C")
+    _boys_f0_inplace(out.reshape(-1))
+    return out
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a_m - b_n|^2`` for point sets ``(m, 3)`` and ``(n, 3)``.
+
+    Accumulated axis by axis, so no ``(m, n, 3)`` temporary is formed.
+    """
+    out = a[:, None, 0] - b[None, :, 0]
+    out *= out
+    for axis in (1, 2):
+        d = a[:, None, axis] - b[None, :, axis]
+        d *= d
+        out += d
+    return out
+
+
+def _boys_f0_inplace(t: np.ndarray) -> None:
+    """Overwrite ``t`` (at least 1-D) with ``F0(t)``.
+
+    The closed form runs over the whole array and the few small-``t``
+    entries are patched afterwards: no gather/scatter of the large side,
+    one temporary.
+    """
     small = t < 1.0e-12
     ts = t[small]
-    out[small] = 1.0 - ts / 3.0 + ts * ts / 10.0
-    tl = t[~small]
-    out[~small] = 0.5 * np.sqrt(np.pi / tl) * erf(np.sqrt(tl))
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = np.sqrt(t)
+        np.divide(np.pi, t, out=t)
+        np.sqrt(t, out=t)
+        t *= 0.5
+        t *= erf(root, out=root)
+    t[small] = 1.0 - ts / 3.0 + ts * ts / 10.0
 
 
 @dataclass(frozen=True)
@@ -201,27 +246,30 @@ class IntegralEngine:
         out = np.zeros((bra.n_pairs, ket.n_pairs))
         if bra.nprim == 0 or ket.nprim == 0:
             return out
-        qk = ket.p
+        q = ket.p[None, :]
+        ket_starts = segment_starts(ket.seg)
         for lo in range(0, bra.nprim, _ERI_CHUNK):
             hi = min(lo + _ERI_CHUNK, bra.nprim)
             p = bra.p[lo:hi, None]
-            pq = p * qk[None, :]
-            rho = pq / (p + qk[None, :])
-            r2 = ((bra.center[lo:hi, None, :] - ket.center[None, :, :]) ** 2).sum(axis=-1)
-            vals = (
-                _TWO_PI_POW
-                / (pq * np.sqrt(p + qk[None, :]))
-                * bra.k[lo:hi, None]
-                * ket.k[None, :]
-                * boys_f0(rho * r2)
-            )
-            # Sum primitive products into their contracted pair slots:
-            # first collapse ket primitives into ket pairs (dense matmul on
-            # a segment indicator would be wasteful; use add.at on columns),
-            # then bra rows into bra pairs.
-            col_sum = np.zeros((hi - lo, ket.n_pairs))
-            np.add.at(col_sum.T, ket.seg, vals.T)
-            np.add.at(out, bra.seg[lo:hi], col_sum)
+            vals = p + q
+            pq = p * q
+            t = pq / vals
+            t *= _squared_distances(bra.center[lo:hi], ket.center)
+            _boys_f0_inplace(t)
+            # vals = 2 pi^{5/2} / (pq sqrt(p + q)) K_bra K_ket F0(rho r^2)
+            np.sqrt(vals, out=vals)
+            vals *= pq
+            np.divide(_TWO_PI_POW, vals, out=vals)
+            vals *= bra.k[lo:hi, None]
+            vals *= ket.k[None, :]
+            vals *= t
+            # Contract ket primitives into ket pairs, then this chunk's bra
+            # primitives into bra pairs. A pair cut by the chunk boundary
+            # has a run on both sides, hence the accumulation into ``out``.
+            cols = np.add.reduceat(vals, ket_starts, axis=1)
+            seg = bra.seg[lo:hi]
+            bra_starts = segment_starts(seg)
+            out[seg[bra_starts]] += np.add.reduceat(cols, bra_starts, axis=0)
         return out
 
     def eri_block(
@@ -236,10 +284,60 @@ class IntegralEngine:
 # ----------------------------------------------------------------------
 # One-electron dense builders
 # ----------------------------------------------------------------------
-def _pair_geometry(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
-    centers = basis.centers
-    diff = centers[:, None, :] - centers[None, :, :]
-    return centers, (diff**2).sum(axis=-1)
+def upper_pairs(n: int) -> list[tuple[int, int]]:
+    """All ``i <= j`` index pairs, row-major (the order of ``np.triu_indices``)."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def unfold_upper(values: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric ``(n, n)`` matrix from one value per :func:`upper_pairs` entry."""
+    out = np.empty((n, n))
+    upper = np.triu_indices(n)
+    out[upper] = values
+    out.T[upper] = values
+    return out
+
+
+def primitive_pairs(basis: BasisSet) -> tuple[np.ndarray, ...]:
+    """The basis's primitives, numbered shell by shell, and all pairs of them.
+
+    Returns ``(exps, coefs, centers, m, n)``: per-primitive exponents,
+    coefficients and ``(n_prim, 3)`` centers, then the index arrays of
+    every pair ``m <= n`` in :func:`upper_pairs` order.
+    """
+    exps = np.concatenate([sh.exponents for sh in basis.shells])
+    coefs = np.concatenate([sh.coefficients for sh in basis.shells])
+    centers = np.repeat(basis.centers, basis.primitive_counts, axis=0)
+    m, n = np.triu_indices(exps.size)
+    return exps, coefs, centers, m, n
+
+
+def _primitive_products(basis: BasisSet) -> tuple[np.ndarray, ...]:
+    """Gaussian product of every primitive pair ``m <= n`` of an s-only basis.
+
+    Returns flat arrays ``(p, mu, ab2, k, center)``, one entry per pair;
+    ``k`` includes the exponential damping, ``center`` is ``(n_pairs, 3)``.
+    """
+    exps, coefs, centers, m, n = primitive_pairs(basis)
+    p = exps[m] + exps[n]
+    mu = exps[m] * exps[n] / p
+    ab2 = ((centers[m] - centers[n]) ** 2).sum(axis=-1)
+    k = coefs[m] * coefs[n] * np.exp(-mu * ab2)
+    center = (exps[m, None] * centers[m] + exps[n, None] * centers[n]) / p[:, None]
+    return p, mu, ab2, k, center
+
+
+def contract_shells(basis: BasisSet, products: np.ndarray) -> np.ndarray:
+    """Shell x shell matrix from one value per primitive pair ``m <= n``.
+
+    The two triangles of the result sum the same numbers in different
+    orders, so the upper one is mirrored: exactly symmetric.
+    """
+    counts = basis.primitive_counts
+    starts = np.cumsum(counts) - counts
+    prim = unfold_upper(products, int(counts.sum()))
+    full = np.add.reduceat(np.add.reduceat(prim, starts, axis=0), starts, axis=1)
+    return unfold_upper(full[np.triu_indices(basis.n_basis)], basis.n_basis)
 
 
 def overlap_matrix(basis: BasisSet) -> np.ndarray:
@@ -248,21 +346,8 @@ def overlap_matrix(basis: BasisSet) -> np.ndarray:
         from repro.chemistry.integrals_general import overlap_matrix_general
 
         return overlap_matrix_general(basis)
-    n = basis.n_basis
-    s = np.empty((n, n))
-    _, ab2 = _pair_geometry(basis)
-    for i in range(n):
-        sh_i = basis.shells[i]
-        for j in range(i, n):
-            sh_j = basis.shells[j]
-            a = sh_i.exponents[:, None]
-            b = sh_j.exponents[None, :]
-            p = a + b
-            mu = a * b / p
-            k = sh_i.coefficients[:, None] * sh_j.coefficients[None, :]
-            val = (k * np.exp(-mu * ab2[i, j]) * (np.pi / p) ** 1.5).sum()
-            s[i, j] = s[j, i] = val
-    return s
+    p, _, _, k, _ = _primitive_products(basis)
+    return contract_shells(basis, k * (np.pi / p) ** 1.5)
 
 
 def kinetic_matrix(basis: BasisSet) -> np.ndarray:
@@ -271,49 +356,42 @@ def kinetic_matrix(basis: BasisSet) -> np.ndarray:
         from repro.chemistry.integrals_general import kinetic_matrix_general
 
         return kinetic_matrix_general(basis)
-    n = basis.n_basis
-    t = np.empty((n, n))
-    _, ab2 = _pair_geometry(basis)
-    for i in range(n):
-        sh_i = basis.shells[i]
-        for j in range(i, n):
-            sh_j = basis.shells[j]
-            a = sh_i.exponents[:, None]
-            b = sh_j.exponents[None, :]
-            p = a + b
-            mu = a * b / p
-            k = sh_i.coefficients[:, None] * sh_j.coefficients[None, :]
-            val = (
-                k
-                * np.exp(-mu * ab2[i, j])
-                * mu
-                * (3.0 - 2.0 * mu * ab2[i, j])
-                * (np.pi / p) ** 1.5
-            ).sum()
-            t[i, j] = t[j, i] = val
-    return t
+    p, mu, ab2, k, _ = _primitive_products(basis)
+    return contract_shells(
+        basis, k * mu * (3.0 - 2.0 * mu * ab2) * (np.pi / p) ** 1.5
+    )
 
 
-def nuclear_attraction_matrix(basis: BasisSet, molecule: Molecule | None = None) -> np.ndarray:
-    """Dense nuclear-attraction matrix V (negative definite contribution)."""
+def nuclear_attraction_matrix(
+    basis: BasisSet, molecule: Molecule | None = None, engine=None
+) -> np.ndarray:
+    """Dense nuclear-attraction matrix V (negative definite contribution).
+
+    Args:
+        basis: the basis set.
+        molecule: nuclei to attract to; defaults to the basis's own.
+        engine: for a basis with p shells, the
+            :class:`~repro.chemistry.integrals_general.GeneralIntegralEngine`
+            whose Hermite tables to reuse (the s-only closed form below
+            needs no tables).
+    """
     if basis.max_angular_momentum > 0:
         from repro.chemistry.integrals_general import nuclear_attraction_matrix_general
 
-        return nuclear_attraction_matrix_general(basis, molecule)
+        return nuclear_attraction_matrix_general(basis, molecule, engine)
     mol = molecule if molecule is not None else basis.molecule
-    n = basis.n_basis
-    v = np.zeros((n, n))
     charges = mol.atomic_numbers.astype(np.float64)
-    engine = IntegralEngine(basis)
-    for i in range(n):
-        for j in range(i, n):
-            pd = engine.pair_data(i, j)
-            # (n_prim, n_atoms) distances from product centers to nuclei.
-            r2 = ((pd.center[:, None, :] - mol.coords[None, :, :]) ** 2).sum(axis=-1)
-            f0 = boys_f0(pd.p[:, None] * r2)
-            val = -(charges[None, :] * (2.0 * np.pi / pd.p[:, None]) * pd.k[:, None] * f0).sum()
-            v[i, j] = v[j, i] = val
-    return v
+    p, _, _, k, center = _primitive_products(basis)
+    # Per primitive pair: sum_C Z_C F0(p |P - C|^2), chunked over pairs.
+    attraction = np.empty(p.size)
+    rows = max(1, _NUCLEAR_CHUNK // mol.n_atoms)
+    for lo in range(0, p.size, rows):
+        hi = min(lo + rows, p.size)
+        t = _squared_distances(center[lo:hi], mol.coords)
+        t *= p[lo:hi, None]
+        _boys_f0_inplace(t)
+        attraction[lo:hi] = t @ charges
+    return contract_shells(basis, -2.0 * np.pi * k / p * attraction)
 
 
 def eri_tensor(basis: BasisSet, engine: IntegralEngine | None = None) -> np.ndarray:
@@ -330,7 +408,7 @@ def eri_tensor(basis: BasisSet, engine: IntegralEngine | None = None) -> np.ndar
 
         eng = make_engine(basis)
     n = basis.n_basis
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs = upper_pairs(n)
     batch = eng.pair_batch(pairs)
     mat = eng.eri_batch_matrix(batch, batch)
     out = np.empty((n, n, n, n))

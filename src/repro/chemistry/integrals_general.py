@@ -16,9 +16,17 @@ two tables is then a pure double sum of Hermite Coulomb integrals:
               c_m c_n (-1)^{|tuv_n|} R_{tuv_m + tuv_n}(alpha, P_m - Q_n)
               / (p_m q_n sqrt(p_m + q_n))
 
-evaluated in vectorized chunks. For an s-only basis every table entry has
-``tuv = (0,0,0)`` and this reduces exactly to the fast engine's formula
-(tested).
+evaluated in vectorized chunks and contracted by sorted-segment sums
+(``np.add.reduceat`` over the starts of the batch's ``seg`` runs). For an
+s-only basis every table entry has ``tuv = (0,0,0)`` and this reduces
+exactly to the fast engine's formula (tested).
+
+Nuclear attraction is the same table against point charges: one
+:func:`~repro.chemistry.mcmurchie.hermite_coulomb` call per chunk of
+(Hermite entry x nucleus) over the flat batch of all ``i <= j`` pairs.
+Overlap and kinetic run over the flat table of primitive pairs instead,
+one vectorised 1-D Hermite recursion per angular-momentum class. The
+scalar ``mcmurchie.*_prim`` contraction loops are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -28,19 +36,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chemistry.basis import BasisSet
-from repro.chemistry.mcmurchie import (
-    hermite_coulomb,
-    hermite_expansion,
-    kinetic_prim,
-    nuclear_prim,
-    overlap_prim,
+from repro.chemistry.integrals import (
+    contract_shells,
+    primitive_pairs,
+    segment_starts,
+    unfold_upper,
+    upper_pairs,
 )
+from repro.chemistry.mcmurchie import _hermite_1d, hermite_coulomb, hermite_expansion
 from repro.chemistry.molecules import Molecule
 
 _TWO_PI_POW = 2.0 * np.pi**2.5
 #: Row-chunk size for the Hermite interaction product (memory bound:
 #: ~n_R_arrays * chunk * n_cols * 8 bytes transient).
 _CHUNK = 32
+#: (Hermite entry x nucleus) elements per nuclear-attraction chunk; the
+#: Coulomb recursion holds a dozen arrays of this size for p shells.
+_NUCLEAR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -153,49 +165,74 @@ class GeneralIntegralEngine:
         )
 
     # ------------------------------------------------------------------
+    def _interaction(
+        self,
+        bra: HermiteBatch | HermitePairData,
+        lo: int,
+        hi: int,
+        ket: HermiteBatch | HermitePairData,
+    ) -> np.ndarray:
+        """``(hi - lo, ket.nprim)`` weighted Hermite Coulomb interactions.
+
+        Entry ``(m, n)`` is bra entry ``lo + m`` against ket entry ``n``;
+        summing a segment of it gives that pair quartet's contracted ERI.
+        """
+        ket_l = ket.tuv.sum(axis=1)
+        order = int(bra.tuv[lo:hi].sum(axis=1).max() + ket_l.max())
+        p = bra.p[lo:hi, None]
+        q = ket.p[None, :]
+        pq = p * q
+        sep = bra.center[lo:hi, None, :] - ket.center[None, :, :]
+        r_table = hermite_coulomb(order, pq / (p + q), sep)
+        t_idx = bra.tuv[lo:hi, 0][:, None] + ket.tuv[:, 0][None, :]
+        u_idx = bra.tuv[lo:hi, 1][:, None] + ket.tuv[:, 1][None, :]
+        v_idx = bra.tuv[lo:hi, 2][:, None] + ket.tuv[:, 2][None, :]
+        vals = np.zeros_like(pq)
+        for (t, u, v), r_vals in r_table.items():
+            mask = (t_idx == t) & (u_idx == u) & (v_idx == v)
+            if mask.any():
+                vals[mask] = r_vals[mask]
+        ket_sign = np.where(ket_l % 2 == 1, -1.0, 1.0)
+        vals *= (
+            _TWO_PI_POW
+            / (pq * np.sqrt(p + q))
+            * bra.coef[lo:hi, None]
+            * (ket.coef * ket_sign)[None, :]
+        )
+        return vals
+
     def eri_batch_matrix(self, bra: HermiteBatch, ket: HermiteBatch) -> np.ndarray:
         """``(bra.n_pairs, ket.n_pairs)`` contracted ERIs."""
         out = np.zeros((bra.n_pairs, ket.n_pairs))
         if bra.nprim == 0 or ket.nprim == 0:
             return out
-        order = int(bra.tuv.sum(axis=1).max() + ket.tuv.sum(axis=1).max())
-        ket_sign = np.where(ket.tuv.sum(axis=1) % 2 == 1, -1.0, 1.0)
-        q = ket.p
+        ket_starts = segment_starts(ket.seg)
         for lo in range(0, bra.nprim, _CHUNK):
             hi = min(lo + _CHUNK, bra.nprim)
-            p = bra.p[lo:hi, None]
-            pq = p * q[None, :]
-            alpha = pq / (p + q[None, :])
-            sep = bra.center[lo:hi, None, :] - ket.center[None, :, :]
-            r_table = hermite_coulomb(order, alpha, sep)
-            t_idx = bra.tuv[lo:hi, 0][:, None] + ket.tuv[:, 0][None, :]
-            u_idx = bra.tuv[lo:hi, 1][:, None] + ket.tuv[:, 1][None, :]
-            v_idx = bra.tuv[lo:hi, 2][:, None] + ket.tuv[:, 2][None, :]
-            vals = np.zeros_like(alpha)
-            for (t, u, v), r_vals in r_table.items():
-                mask = (t_idx == t) & (u_idx == u) & (v_idx == v)
-                if mask.any():
-                    vals[mask] = r_vals[mask]
-            vals *= (
-                _TWO_PI_POW
-                / (pq * np.sqrt(p + q[None, :]))
-                * bra.coef[lo:hi, None]
-                * (ket.coef * ket_sign)[None, :]
-            )
-            col_sum = np.zeros((hi - lo, ket.n_pairs))
-            np.add.at(col_sum.T, ket.seg, vals.T)
-            np.add.at(out, bra.seg[lo:hi], col_sum)
+            # Ket entries into ket pairs, then this chunk's bra entries into
+            # bra pairs; a pair cut by the chunk boundary accumulates twice.
+            cols = np.add.reduceat(self._interaction(bra, lo, hi, ket), ket_starts, axis=1)
+            seg = bra.seg[lo:hi]
+            bra_starts = segment_starts(seg)
+            out[seg[bra_starts]] += np.add.reduceat(cols, bra_starts, axis=0)
         return out
 
     def eri_pair_pair(self, bra: HermitePairData, ket: HermitePairData) -> float:
-        """Single contracted ERI from two Hermite tables."""
-        bra_batch = HermiteBatch(
-            bra.p, bra.center, bra.coef, bra.tuv, np.zeros(bra.nprim, dtype=np.int64), 1
-        )
-        ket_batch = HermiteBatch(
-            ket.p, ket.center, ket.coef, ket.tuv, np.zeros(ket.nprim, dtype=np.int64), 1
-        )
-        return float(self.eri_batch_matrix(bra_batch, ket_batch)[0, 0])
+        """Single contracted ERI from two Hermite tables.
+
+        Summed strictly left to right (ket entries, then bra entries): the
+        Schwarz bounds, and through them every pinned task graph, carry
+        this order's rounding.
+        """
+        total = 0.0
+        for lo in range(0, bra.nprim, _CHUNK):
+            vals = self._interaction(bra, lo, min(lo + _CHUNK, bra.nprim), ket)
+            rows = np.zeros(vals.shape[0])
+            for column in vals.T:
+                rows += column
+            for row in rows.tolist():
+                total += row
+        return total
 
     def eri_block(
         self, bra_pairs: list[tuple[int, int]], ket_pairs: list[tuple[int, int]]
@@ -204,60 +241,97 @@ class GeneralIntegralEngine:
 
 
 # ----------------------------------------------------------------------
-# General one-electron builders (scalar contraction loops; these matrices
-# are built once per problem, not per task).
+# General one-electron builders: array evaluations over the flat table of
+# primitive pairs (overlap, kinetic) and of Hermite entries (nuclear).
 # ----------------------------------------------------------------------
-def _contracted(basis: BasisSet, i: int, j: int, prim_fn) -> float:
-    sh_i = basis.shells[i]
-    sh_j = basis.shells[j]
-    total = 0.0
-    for a, ca in zip(sh_i.exponents, sh_i.coefficients):
-        for b, cb in zip(sh_j.exponents, sh_j.coefficients):
-            total += ca * cb * prim_fn(
-                sh_i.powers, sh_j.powers, float(a), float(b), sh_i.center, sh_j.center
-            )
-    return total
+def _overlap_kinetic_products(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
+    """``<a|b>`` and ``<a|-nabla^2/2|b>`` of every primitive pair ``m <= n``.
+
+    A Cartesian Gaussian overlap factorises per dimension into
+    ``E_0^{ij} sqrt(pi/p)``, and the kinetic integral is a combination of
+    overlaps with the ket power shifted by two (see
+    :func:`~repro.chemistry.mcmurchie.kinetic_prim`, the scalar oracle).
+    Pairs are grouped by their ``(bra powers, ket powers)`` so each group
+    is one vectorised Hermite recursion per dimension and shift.
+    """
+    exps, coefs, centers, m, n = primitive_pairs(basis)
+    powers = np.repeat(
+        np.array([sh.powers for sh in basis.shells]), basis.primitive_counts, axis=0
+    )
+    a, b = exps[m], exps[n]
+    p = a + b
+    ab = centers[m] - centers[n]
+    pa = -(b / p)[:, None] * ab
+    pb = (a / p)[:, None] * ab
+    scale = (
+        coefs[m] * coefs[n] * np.exp(-a * b / p * (ab**2).sum(axis=-1)) * (np.pi / p) ** 1.5
+    )
+    overlap = np.empty(p.size)
+    kinetic = np.empty(p.size)
+    kinds, kind_of = np.unique(
+        np.hstack([powers[m], powers[n]]), axis=0, return_inverse=True
+    )
+    kind_of = kind_of.reshape(-1)
+    for index, kind in enumerate(kinds.tolist()):
+        rows = np.flatnonzero(kind_of == index)
+        la, lb = kind[:3], kind[3:]
+
+        def e0(d: int, j: int):
+            return _hermite_1d(la[d], j, p[rows], pa[rows, d], pb[rows, d])[0]
+
+        base = [e0(d, lb[d]) for d in range(3)]
+        s = base[0] * base[1] * base[2]
+        t = b[rows] * (2 * sum(lb) + 3) * s
+        for d in range(3):
+            others = base[(d + 1) % 3] * base[(d + 2) % 3]
+            t = t - 2.0 * b[rows] ** 2 * e0(d, lb[d] + 2) * others
+            if lb[d] >= 2:
+                t = t - 0.5 * lb[d] * (lb[d] - 1) * e0(d, lb[d] - 2) * others
+        overlap[rows] = scale[rows] * s
+        kinetic[rows] = scale[rows] * t
+    return overlap, kinetic
 
 
 def overlap_matrix_general(basis: BasisSet) -> np.ndarray:
-    n = basis.n_basis
-    s = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            s[i, j] = s[j, i] = _contracted(basis, i, j, overlap_prim)
-    return s
+    return contract_shells(basis, _overlap_kinetic_products(basis)[0])
 
 
 def kinetic_matrix_general(basis: BasisSet) -> np.ndarray:
-    n = basis.n_basis
-    t = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            t[i, j] = t[j, i] = _contracted(basis, i, j, kinetic_prim)
-    return t
+    return contract_shells(basis, _overlap_kinetic_products(basis)[1])
 
 
 def nuclear_attraction_matrix_general(
-    basis: BasisSet, molecule: Molecule | None = None
+    basis: BasisSet,
+    molecule: Molecule | None = None,
+    engine: GeneralIntegralEngine | None = None,
 ) -> np.ndarray:
+    """Nuclear-attraction matrix from the engine's Hermite tables.
+
+    ``V_ij = -sum_C Z_C sum_m (2 pi / p_m) c_m R_{tuv_m}(p_m, P_m - C)``
+    over the Hermite entries *m* of pair ``(i, j)``.
+    """
     mol = molecule if molecule is not None else basis.molecule
     charges = mol.atomic_numbers.astype(np.float64)
-    n = basis.n_basis
-    v = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            total = 0.0
-            for z, rc in zip(charges, mol.coords):
-                total -= z * _contracted(
-                    basis,
-                    i,
-                    j,
-                    lambda la, lb, a, b, ra, rb, rc=rc: nuclear_prim(
-                        la, lb, a, b, ra, rb, rc
-                    ),
-                )
-            v[i, j] = v[j, i] = total
-    return v
+    eng = engine if engine is not None else GeneralIntegralEngine(basis)
+    batch = eng.pair_batch(upper_pairs(basis.n_basis))
+    # Per Hermite entry: sum_C Z_C R_tuv(p, P - C), chunked over rows.
+    attraction = np.empty(batch.nprim)
+    rows = max(1, _NUCLEAR_CHUNK // mol.n_atoms)
+    for lo in range(0, batch.nprim, rows):
+        hi = min(lo + rows, batch.nprim)
+        tuv = batch.tuv[lo:hi]
+        r_table = hermite_coulomb(
+            int(tuv.sum(axis=1).max()),
+            batch.p[lo:hi, None],
+            batch.center[lo:hi, None, :] - mol.coords[None, :, :],
+        )
+        for key, r_vals in r_table.items():
+            mine = np.flatnonzero((tuv == key).all(axis=1))
+            attraction[lo + mine] = r_vals[mine] @ charges
+    attraction *= -2.0 * np.pi * batch.coef / batch.p
+    return unfold_upper(
+        np.add.reduceat(attraction, segment_starts(batch.seg)), basis.n_basis
+    )
 
 
 def make_engine(basis: BasisSet, prim_cutoff: float = 0.0):

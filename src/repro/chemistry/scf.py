@@ -37,9 +37,13 @@ _S_EIGVAL_FLOOR = 1.0e-8
 GBuilder = Callable[[np.ndarray], np.ndarray]
 
 
-def core_hamiltonian(basis: BasisSet) -> np.ndarray:
-    """One-electron core Hamiltonian ``H = T + V``."""
-    return kinetic_matrix(basis) + nuclear_attraction_matrix(basis)
+def core_hamiltonian(basis: BasisSet, engine=None) -> np.ndarray:
+    """One-electron core Hamiltonian ``H = T + V``.
+
+    ``engine`` is the integral engine whose pair tables V reuses (see
+    :func:`~repro.chemistry.integrals.nuclear_attraction_matrix`).
+    """
+    return kinetic_matrix(basis) + nuclear_attraction_matrix(basis, engine=engine)
 
 
 def _orthogonalizer(s: np.ndarray) -> np.ndarray:
@@ -201,7 +205,7 @@ class ScfProblem:
             screen=screen,
             graph=graph,
             kernel=kernel,
-            hcore=core_hamiltonian(basis),
+            hcore=core_hamiltonian(basis, engine),
             overlap=overlap_matrix(basis),
         )
 

@@ -137,3 +137,132 @@ class TestScreenedConsistency:
             f = fock_reference_tasks(problem.kernel, problem.graph, density)
             errors.append(np.abs(f - dense).max())
         assert errors[0] >= errors[1] >= errors[2]
+
+
+class TestEriReuse:
+    """The contracted ERI matrix of a block quartet is computed once per
+    kernel; later uses only scatter it and contract with the density."""
+
+    @pytest.fixture
+    def problem(self):
+        return ScfProblem.build(water_cluster(2, seed=1), tau=0.0)
+
+    def test_scf_evaluates_each_quartet_once(self, problem):
+        from repro.chemistry.scf import run_scf
+
+        assert problem.graph.n_tasks == 16
+        result = run_scf(problem.molecule, problem=problem, accelerator="diis")
+        assert result.n_iterations == 10
+        assert problem.kernel.eri_evaluated == 16
+        assert problem.kernel.eri_reused == 144
+
+    def test_warm_fresh_and_recomputing_kernels_bit_identical(self, problem, monkeypatch):
+        import repro.chemistry.fock as fock
+
+        density = random_density(problem.basis.n_basis, 2)
+        fresh = fock_reference_tasks(problem.kernel, problem.graph, density)
+        warm = fock_reference_tasks(problem.kernel, problem.graph, density)
+        assert problem.kernel.eri_reused == problem.graph.n_tasks
+        assert np.array_equal(warm, fresh)
+
+        monkeypatch.setattr(fock, "_ERI_MEMO_BYTES", 0)
+        recomputing = ScfProblem.build(problem.molecule, tau=0.0).kernel
+        for _ in range(2):
+            again = fock_reference_tasks(recomputing, problem.graph, density)
+            assert np.array_equal(again, fresh)
+        assert recomputing.eri_evaluated == 2 * problem.graph.n_tasks
+        assert recomputing.eri_reused == 0
+        assert recomputing.eri_bytes == 0
+
+    def test_memo_stays_within_budget(self, problem, monkeypatch):
+        import repro.chemistry.fock as fock
+
+        density = random_density(problem.basis.n_basis, 4)
+        oracle = fock_reference_tasks(problem.kernel, problem.graph, density)
+        total = problem.kernel.eri_bytes
+        budget = total // 3
+        monkeypatch.setattr(fock, "_ERI_MEMO_BYTES", budget)
+        tight = ScfProblem.build(problem.molecule, tau=0.0).kernel
+        for _ in range(2):
+            assert np.array_equal(
+                fock_reference_tasks(tight, problem.graph, density), oracle
+            )
+        assert 0 < tight.eri_bytes <= budget
+        assert 0 < tight.eri_reused < problem.graph.n_tasks
+        assert tight.eri_evaluated + tight.eri_reused == 2 * problem.graph.n_tasks
+
+    def test_kernels_do_not_share_entries(self, problem):
+        other = TaskKernel(
+            problem.basis, problem.blocks, problem.screen, problem.kernel.tau,
+            problem.kernel.engine,
+        )
+        problem.kernel.eri_block_tensor(0, 0, 1, 1)
+        g = other.eri_block_tensor(0, 0, 1, 1)
+        assert (other.eri_evaluated, other.eri_reused) == (1, 0)
+        assert (problem.kernel.eri_evaluated, problem.kernel.eri_reused) == (1, 0)
+        assert np.array_equal(g, problem.kernel.eri_block_tensor(0, 0, 1, 1))
+
+    def test_returned_tensor_is_private(self, problem):
+        """Callers may scribble on a block tensor without touching the memo."""
+        first = problem.kernel.eri_block_tensor(0, 1, 1, 0)
+        expected = first.copy()
+        first[:] = np.nan
+        assert np.array_equal(problem.kernel.eri_block_tensor(0, 1, 1, 0), expected)
+
+    def test_pickled_kernel_starts_cold(self, problem):
+        import pickle
+
+        density = random_density(problem.basis.n_basis, 6)
+        oracle = fock_reference_tasks(problem.kernel, problem.graph, density)
+        clone = pickle.loads(pickle.dumps(problem.kernel))
+        assert (clone.eri_evaluated, clone.eri_reused, clone.eri_bytes) == (0, 0, 0)
+        assert np.array_equal(fock_reference_tasks(clone, problem.graph, density), oracle)
+
+    def test_counters_exact_under_racing_threads(self, problem):
+        """More threads than cores hammer one cold kernel: a lost race may
+        recompute a quartet, but never loses a count or a byte."""
+        import sys
+        import threading
+
+        kernel = problem.kernel
+        quartets = [task.quartet for task in problem.graph.tasks]
+        oracle = {
+            q: ScfProblem.build(problem.molecule, tau=0.0).kernel.eri_block_tensor(*q)
+            for q in quartets[:4]
+        }
+        n_threads, rounds = 8, 3
+        errors: list[Exception] = []
+
+        def hammer(offset: int) -> None:
+            try:
+                for r in range(rounds):
+                    for i in range(len(quartets)):
+                        q = quartets[(i + offset) % len(quartets)]
+                        g = kernel.eri_block_tensor(*q)
+                        if q in oracle and not np.array_equal(g, oracle[q]):
+                            raise AssertionError(f"quartet {q} differs")
+            except Exception as exc:  # reported from the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(2 * t,), daemon=True)
+                for t in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        calls = n_threads * rounds * len(quartets)
+        assert kernel.eri_evaluated + kernel.eri_reused == calls
+        assert kernel.eri_evaluated >= len(quartets)
+        assert kernel.eri_bytes == sum(
+            8 * len(kernel.alive_pairs(a, b)) * len(kernel.alive_pairs(c, d))
+            for a, b, c, d in quartets
+        )

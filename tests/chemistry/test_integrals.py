@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chemistry.basis import build_basis
+from repro.chemistry.basis_sets import build_basis_sto3g
 from repro.chemistry.integrals import (
     IntegralEngine,
     boys_f0,
@@ -11,6 +12,8 @@ from repro.chemistry.integrals import (
     nuclear_attraction_matrix,
     overlap_matrix,
 )
+from repro.chemistry.integrals_general import make_engine
+from repro.chemistry.mcmurchie import kinetic_prim, nuclear_prim, overlap_prim
 from repro.chemistry.molecules import Molecule, water_cluster
 
 
@@ -99,6 +102,72 @@ class TestOneElectron:
         )
         v = nuclear_attraction_matrix(basis)
         assert v[0, 0] == pytest.approx(-2.0 * np.sqrt(2.0 * a / np.pi))
+
+
+def contracted_loop(basis, prim_fn):
+    """The scalar oracle: contract ``prim_fn`` over primitives, pair by pair."""
+    n = basis.n_basis
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            sh_i, sh_j = basis.shells[i], basis.shells[j]
+            total = 0.0
+            for a, ca in zip(sh_i.exponents, sh_i.coefficients):
+                for b, cb in zip(sh_j.exponents, sh_j.coefficients):
+                    total += ca * cb * prim_fn(
+                        sh_i.powers, sh_j.powers, float(a), float(b),
+                        sh_i.center, sh_j.center,
+                    )
+            out[i, j] = out[j, i] = total
+    return out
+
+
+def nuclear_loop(basis):
+    mol = basis.molecule
+    out = np.zeros((basis.n_basis, basis.n_basis))
+    for z, rc in zip(mol.atomic_numbers, mol.coords):
+        out -= z * contracted_loop(
+            basis, lambda la, lb, a, b, ra, rb: nuclear_prim(la, lb, a, b, ra, rb, rc)
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [build_basis(water_cluster(2, seed=3)), build_basis_sto3g(water_cluster(1, seed=3))],
+    ids=["s-only-water2", "sto3g-water1"],
+)
+class TestBatchedOneElectronAgainstScalarLoops:
+    def check(self, batched, oracle):
+        assert np.array_equal(batched, batched.T)
+        np.testing.assert_allclose(
+            batched, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()
+        )
+
+    def test_overlap(self, basis):
+        self.check(overlap_matrix(basis), contracted_loop(basis, overlap_prim))
+
+    def test_kinetic(self, basis):
+        self.check(kinetic_matrix(basis), contracted_loop(basis, kinetic_prim))
+
+    def test_nuclear(self, basis):
+        self.check(nuclear_attraction_matrix(basis), nuclear_loop(basis))
+
+    def test_nuclear_with_a_shared_engine(self, basis):
+        np.testing.assert_array_equal(
+            nuclear_attraction_matrix(basis, engine=make_engine(basis)),
+            nuclear_attraction_matrix(basis),
+        )
+
+    def test_nuclear_chunking_invariance(self, basis, monkeypatch):
+        whole = nuclear_attraction_matrix(basis)
+        module = "integrals_general" if basis.max_angular_momentum else "integrals"
+        monkeypatch.setattr(
+            f"repro.chemistry.{module}._NUCLEAR_CHUNK", 7 * basis.molecule.n_atoms
+        )
+        np.testing.assert_allclose(
+            nuclear_attraction_matrix(basis), whole, rtol=1e-13, atol=1e-14
+        )
 
 
 class TestPairData:
@@ -194,3 +263,64 @@ class TestEri:
         monkeypatch.setattr(integrals, "_ERI_CHUNK", 7)
         chunked = engine.eri_batch_matrix(batch, batch)
         np.testing.assert_allclose(chunked, full, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "basis, chunk_name",
+    [
+        (build_basis(water_cluster(1, seed=2)), "integrals._ERI_CHUNK"),
+        (build_basis_sto3g(water_cluster(1, seed=2)), "integrals_general._CHUNK"),
+    ],
+    ids=["s-only", "sto3g"],
+)
+class TestBatchMatrixAgainstPairwise:
+    """``eri_batch_matrix`` is a segment sum of the same primitive
+    interactions ``eri_pair_pair`` adds one pair at a time."""
+
+    def brute_force(self, engine, bra_pairs, ket_pairs):
+        return np.array(
+            [
+                [
+                    engine.eri_pair_pair(engine.pair_data(*bra), engine.pair_data(*ket))
+                    for ket in ket_pairs
+                ]
+                for bra in bra_pairs
+            ]
+        ).reshape(len(bra_pairs), len(ket_pairs))
+
+    def check(self, engine, bra_pairs, ket_pairs):
+        mat = engine.eri_block(bra_pairs, ket_pairs)
+        ref = self.brute_force(engine, bra_pairs, ket_pairs)
+        assert mat.shape == ref.shape
+        if ref.size:
+            np.testing.assert_allclose(
+                mat, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max()
+            )
+
+    def random_pairs(self, rng, n_basis, count):
+        return [tuple(int(x) for x in rng.integers(0, n_basis, 2)) for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pair_lists(self, basis, chunk_name, seed):
+        rng = np.random.default_rng(seed)
+        engine = make_engine(basis)
+        bra = self.random_pairs(rng, basis.n_basis, int(rng.integers(1, 7)))
+        ket = self.random_pairs(rng, basis.n_basis, int(rng.integers(1, 7)))
+        self.check(engine, bra, ket)
+
+    def test_empty_and_single_pair_lists(self, basis, chunk_name):
+        engine = make_engine(basis)
+        self.check(engine, [], [(0, 1)])
+        self.check(engine, [(0, 1)], [])
+        self.check(engine, [(2, 0)], [(1, 1)])
+
+    def test_pair_straddling_the_chunk_boundary(self, basis, chunk_name, monkeypatch):
+        """A bra batch several chunks long, cut inside shell pairs."""
+        chunk = 5
+        monkeypatch.setattr(f"repro.chemistry.{chunk_name}", chunk)
+        engine = make_engine(basis)
+        bra = [(0, 0), (0, 1), (1, 2), (3, 0), (2, 2)]
+        sizes = [engine.pair_data(*pair).nprim for pair in bra]
+        cuts = set(range(chunk, sum(sizes), chunk))
+        assert cuts - set(np.cumsum(sizes)), "no pair is cut by a chunk boundary"
+        self.check(engine, bra, [(1, 0), (4, 4)])

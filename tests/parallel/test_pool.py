@@ -45,6 +45,25 @@ class TestModesMatchSerial:
         b = builder.build(density)
         np.testing.assert_allclose(a, b, atol=1e-11)
 
+    def test_cold_kernel_filled_by_racing_workers(self, mode):
+        """Workers fill the shared kernel's ERI memo concurrently; the
+        second build only reuses it."""
+        from repro.chemistry import ScfProblem, water_cluster
+
+        molecule = water_cluster(2, seed=6)
+        problem = ScfProblem.build(molecule, block_size=4, tau=0.0)
+        oracle = ScfProblem.build(molecule, block_size=4, tau=0.0)
+        density = random_density(problem, seed=3)
+        serial = fock_reference_tasks(oracle.kernel, oracle.graph, density)
+        builder = SharedMemoryFockBuilder(problem, n_workers=4, mode=mode)
+        np.testing.assert_allclose(builder.build(density), serial, atol=1e-11)
+        kernel, n_tasks = problem.kernel, problem.graph.n_tasks
+        assert kernel.eri_evaluated + kernel.eri_reused == n_tasks
+        evaluated = kernel.eri_evaluated
+        np.testing.assert_allclose(builder.build(density), serial, atol=1e-11)
+        assert kernel.eri_evaluated == evaluated
+        assert kernel.eri_reused == 2 * n_tasks - evaluated
+
 
 class TestStealingBehaviour:
     def test_steals_counted_under_imbalanced_start(self, medium_problem):

@@ -38,6 +38,20 @@ class TestProcessModes:
         builder = ProcessFockBuilder(small_problem, n_workers=1, mode=mode)
         np.testing.assert_allclose(builder.build(density), serial, atol=1e-11)
 
+    def test_cold_kernel_forked(self, mode):
+        """Forked workers fill their own copies of a cold ERI memo; the
+        parent's kernel is left as it was."""
+        from repro.chemistry import ScfProblem, water_cluster
+
+        molecule = water_cluster(2, seed=6)
+        problem = ScfProblem.build(molecule, block_size=4, tau=0.0)
+        oracle = ScfProblem.build(molecule, block_size=4, tau=0.0)
+        density = random_density(problem, seed=3)
+        serial = fock_reference_tasks(oracle.kernel, oracle.graph, density)
+        builder = ProcessFockBuilder(problem, n_workers=2, mode=mode)
+        np.testing.assert_allclose(builder.build(density), serial, atol=1e-11)
+        assert problem.kernel.eri_evaluated == problem.kernel.eri_reused == 0
+
 
 class TestValidation:
     def test_bad_mode_rejected(self, small_problem):
