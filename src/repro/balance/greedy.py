@@ -13,6 +13,7 @@ import heapq
 
 import numpy as np
 
+from repro.balance.metrics import footprint_owners
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
 from repro.util import ConfigurationError, check_positive
@@ -101,11 +102,10 @@ def locality_greedy(
     cost_list: list[float] = costs.tolist()
     all_ranks = range(n_ranks)
     assignment = np.empty(graph.n_tasks, dtype=np.int64)
-    owner = distribution.owner
-    tasks = graph.tasks
+    # One checked lookup; sets fill in footprint order, like per-ref owner() calls.
+    owners_flat, offsets = (a.tolist() for a in footprint_owners(graph, distribution))
     for tid in np.argsort(-costs, kind="stable").tolist():
-        task = tasks[tid]
-        owners = {owner(ref) for ref in (*task.reads, *task.writes)}
+        owners = set(owners_flat[offsets[tid] : offsets[tid + 1]])
         best_owner = min(owners, key=loads.__getitem__)
         cost = cost_list[tid]
         if loads[best_owner] + cost <= limit or ideal == 0.0:

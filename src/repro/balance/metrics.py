@@ -39,6 +39,26 @@ def makespan_lower_bound(costs: np.ndarray, n_ranks: int) -> float:
     return float(max(costs.sum() / n_ranks, costs.max()))
 
 
+def footprint_owners(
+    graph: TaskGraph, distribution: BlockDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds-checked owner rank of every footprint ref, as CSR over tasks.
+
+    Returns ``(owners, offsets)``: ``owners`` lines up with
+    ``graph.footprint_arrays`` and task ``tid``'s refs, in ``(*reads,
+    *writes)`` order, are ``owners[offsets[tid]:offsets[tid + 1]]``.
+    """
+    rows, cols, tids = graph.footprint_arrays
+    nb = distribution.n_blocks
+    bad = (rows < 0) | (rows >= nb) | (cols < 0) | (cols >= nb)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        ref = (int(rows[k]), int(cols[k]))
+        raise ConfigurationError(f"block {ref} out of range for {nb} blocks")
+    offsets = np.cumsum(np.bincount(tids, minlength=graph.n_tasks))
+    return distribution.owner_matrix()[rows, cols], np.concatenate([[0], offsets])
+
+
 def communication_volume(
     graph: TaskGraph, assignment: np.ndarray, distribution: BlockDistribution
 ) -> int:
@@ -54,15 +74,8 @@ def communication_volume(
             f"assignment covers {assignment.size} tasks, graph has {graph.n_tasks}"
         )
     rows, cols, tids = graph.footprint_arrays
-    if rows.size == 0:
-        return 0
-    nb = distribution.n_blocks
-    bad = (rows < 0) | (rows >= nb) | (cols < 0) | (cols >= nb)
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        ref = (int(rows[k]), int(cols[k]))
-        raise ConfigurationError(f"block {ref} out of range for {nb} blocks")
-    remote = distribution.owner_matrix()[rows, cols] != assignment[tids]
+    owners, _ = footprint_owners(graph, distribution)
+    remote = owners != assignment[tids]
     sizes = graph.blocks.sizes()
     # Exact integer arithmetic, so summation order is irrelevant.
     return int(np.sum(sizes[rows] * sizes[cols] * 8 * remote))

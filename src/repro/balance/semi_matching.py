@@ -23,9 +23,12 @@ Three solvers:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
+from repro.balance.metrics import footprint_owners
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
 from repro.util import ConfigurationError, PartitionError, check_positive, spawn_rng
@@ -39,13 +42,78 @@ def _store():
     return default_store()
 
 
+class Eligibility(Sequence):
+    """CSR task -> eligible ranks, checked against ``n_ranks``; not to be mutated.
+
+    Row ``tid`` is ``ranks[offsets[tid]:offsets[tid + 1]]``. ``len()``,
+    ``[tid]`` and iteration answer like the ``list[list[int]]`` it replaces,
+    from ``rows`` (which the solvers' per-task Python loops read directly).
+    """
+
+    def __init__(self, offsets: np.ndarray, ranks: np.ndarray, n_ranks: int):
+        empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+        bad = np.flatnonzero((ranks < 0) | (ranks >= n_ranks))[:1]
+        bad_tid = np.searchsorted(offsets, bad, "right") - 1
+        # Report the first offending task, whichever rule it breaks.
+        if empty.size and not np.any(bad_tid < empty[0]):
+            raise ConfigurationError(f"task {empty[0]} has an empty eligibility list")
+        if bad.size:
+            raise ConfigurationError(
+                f"task {bad_tid[0]} eligible for rank {ranks[bad[0]]} "
+                f"outside [0, {n_ranks})"
+            )
+        self.offsets, self.ranks, self.n_ranks = offsets, ranks, n_ranks
+        flat, offs = ranks.tolist(), offsets.tolist()
+        self.rows = [flat[a:b] for a, b in zip(offs, offs[1:])]
+
+    @classmethod
+    def of(cls, eligibility: Sequence[Sequence[int]], n_ranks: int) -> Eligibility:
+        """``eligibility`` as checked CSR (itself, if it is that for ``n_ranks``)."""
+        if isinstance(eligibility, cls) and eligibility.n_ranks == n_ranks:
+            return eligibility
+        offsets = np.cumsum([0, *map(len, eligibility)], dtype=np.int64)
+        ranks = np.fromiter(chain.from_iterable(eligibility), np.int64, offsets[-1])
+        return cls(offsets, ranks, n_ranks)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, tid):
+        return self.rows[tid]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self.rows == list(other)
+
+
+def _draw_extras(rng: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:
+    """``(m, k)`` table of ``m`` successive ``rng.choice(n, k, replace=False)``.
+
+    One broadcast ``integers`` call consumes the generator exactly as those
+    calls would: per row, Floyd's ``k`` draws below ``n-k+1 .. n`` (a repeat
+    takes its bound's top value) and then the ``k-1`` draws below ``k .. 2``
+    of the closing shuffle. For ``n > 10 000`` and ``k > n // 50``
+    ``choice`` runs another algorithm, so there it is called row by row.
+    """
+    if n > 10_000 and k > n // 50:
+        rows = [rng.choice(n, size=k, replace=False) for _ in range(m)]
+        return np.array(rows, dtype=np.int64).reshape(m, k)
+    highs = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)])
+    draws = rng.integers(0, highs, size=(m, highs.size))
+    out, every = draws[:, :k], np.arange(m)
+    for s in range(1, k):
+        out[(out[:, :s] == out[:, s, None]).any(axis=1), s] = n - k + s
+    for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
+        out[every, j], out[:, i] = out[:, i].copy(), out[every, j]
+    return out
+
+
 def build_eligibility(
     graph: TaskGraph,
     n_ranks: int,
     distribution: BlockDistribution,
     extra_degree: int = 0,
     seed: int = 0,
-) -> list[list[int]]:
+) -> Eligibility:
     """Eligible ranks per task: owners of its data blocks (+ random extras).
 
     ``extra_degree`` appends that many random additional ranks per task,
@@ -56,39 +124,26 @@ def build_eligibility(
     if extra_degree < 0:
         raise ConfigurationError(f"extra_degree must be >= 0, got {extra_degree}")
     rng = spawn_rng(seed, "eligibility", n_ranks)
-    # One vectorized owner lookup for every footprint ref, then a cheap
-    # per-task set/sort pass over the precomputed Python ints. The RNG
-    # draw sequence (one choice() per task) is unchanged.
-    rows, cols, tids = graph.footprint_arrays
-    owners_flat = distribution.owner_matrix()[rows, cols].tolist()
-    counts = np.bincount(tids, minlength=graph.n_tasks)
-    offs = np.zeros(graph.n_tasks + 1, dtype=np.int64)
-    np.cumsum(counts, out=offs[1:])
-    offs = offs.tolist()
-    n_extra = min(extra_degree, n_ranks)
-    out: list[list[int]] = []
-    for tid in range(graph.n_tasks):
-        owners = set(owners_flat[offs[tid] : offs[tid + 1]])
-        if extra_degree:
-            extras = rng.choice(n_ranks, size=n_extra, replace=False)
-            owners.update(int(r) for r in extras)
-        out.append(sorted(owners))
-    return out
-
-
-def _validate_eligibility(eligibility: list[list[int]], n_ranks: int) -> None:
-    for tid, ranks in enumerate(eligibility):
-        if not ranks:
-            raise ConfigurationError(f"task {tid} has an empty eligibility list")
-        if min(ranks) < 0 or max(ranks) >= n_ranks:
-            r = next(r for r in ranks if not 0 <= r < n_ranks)
-            raise ConfigurationError(
-                f"task {tid} eligible for rank {r} outside [0, {n_ranks})"
-            )
+    owners = footprint_owners(graph, distribution)[0]
+    extras = _draw_extras(rng, graph.n_tasks, n_ranks, min(extra_degree, n_ranks))
+    # The sorted distinct keys task * n_ranks + rank are the CSR. Sorted in
+    # place: np.unique's hash table (NumPy >= 2.3) costs as much resident
+    # memory as every other temporary here together.
+    task_keys = np.arange(0, graph.n_tasks * n_ranks, n_ranks)[:, None]
+    keys = np.concatenate(
+        [graph.footprint_arrays[2] * n_ranks + owners, (task_keys + extras).ravel()]
+    )
+    del owners, extras  # peak_rss_mb is benchmarked: free these before the copies below
+    keys.sort()
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    offsets = np.cumsum(np.bincount(keys // n_ranks, minlength=graph.n_tasks))
+    return Eligibility(np.concatenate([[0], offsets]), keys % n_ranks, n_ranks)
 
 
 def greedy_semi_matching(
-    costs: np.ndarray, eligibility: list[list[int]], n_ranks: int
+    costs: np.ndarray, eligibility: Sequence[Sequence[int]], n_ranks: int
 ) -> np.ndarray:
     """Decreasing-cost greedy: each task to its least-loaded eligible rank."""
     check_positive("n_ranks", n_ranks)
@@ -97,7 +152,7 @@ def greedy_semi_matching(
         raise ConfigurationError(
             f"{costs.size} costs but {len(eligibility)} eligibility lists"
         )
-    _validate_eligibility(eligibility, n_ranks)
+    rows = Eligibility.of(eligibility, n_ranks).rows
     # Python-list load state: the loop reads/writes single elements only,
     # where ndarray scalar indexing dominates. Same doubles, same
     # first-minimum tie-break, so the assignment is unchanged.
@@ -105,14 +160,14 @@ def greedy_semi_matching(
     costs_l = costs.tolist()
     assignment = np.empty(costs.size, dtype=np.int64)
     for tid in np.argsort(-costs, kind="stable").tolist():
-        rank = min(eligibility[tid], key=loads.__getitem__)
+        rank = min(rows[tid], key=loads.__getitem__)
         assignment[tid] = rank
         loads[rank] += costs_l[tid]
     return assignment
 
 
 def optimal_semi_matching(
-    eligibility: list[list[int]], n_ranks: int, max_flips: int | None = None
+    eligibility: Sequence[Sequence[int]], n_ranks: int, max_flips: int | None = None
 ) -> np.ndarray:
     """Optimal unit-weight semi-matching via cost-reducing paths.
 
@@ -131,7 +186,7 @@ def optimal_semi_matching(
             the potential argument guarantees termination).
     """
     check_positive("n_ranks", n_ranks)
-    _validate_eligibility(eligibility, n_ranks)
+    eligibility = Eligibility.of(eligibility, n_ranks)
     n_tasks = len(eligibility)
     unit = np.ones(n_tasks)
     assignment = greedy_semi_matching(unit, eligibility, n_ranks)
@@ -154,7 +209,7 @@ def optimal_semi_matching(
         # flip strictly decreases sum(load^2).
         found = False
         for start in np.argsort(-np.array(loads), kind="stable"):
-            path = _cost_reducing_path(int(start), loads, tasks_on, eligibility)
+            path = _cost_reducing_path(int(start), loads, tasks_on, eligibility.rows)
             if path is None:
                 continue
             # path = [m0, t0, m1, t1, ..., mk]; move ti from mi to mi+1.
@@ -214,7 +269,7 @@ def _cost_reducing_path(
 
 def weighted_semi_matching(
     costs: np.ndarray,
-    eligibility: list[list[int]],
+    eligibility: Sequence[Sequence[int]],
     n_ranks: int,
     sweeps: int = 4,
 ) -> np.ndarray:
@@ -228,40 +283,52 @@ def weighted_semi_matching(
     if sweeps < 0:
         raise ConfigurationError(f"sweeps must be >= 0, got {sweeps}")
     costs = np.asarray(costs, dtype=np.float64)
+    eligibility = Eligibility.of(eligibility, n_ranks)
     assignment = greedy_semi_matching(costs, eligibility, n_ranks)
-    # List-based load/cost state for the element-at-a-time sweep loops;
-    # identical IEEE doubles, so every relocation decision is unchanged.
-    loads: list[float] = np.bincount(
-        assignment, weights=costs, minlength=n_ranks
-    ).tolist()
-    costs_l: list[float] = costs.tolist()
+    offsets, ranks = eligibility.offsets, eligibility.ranks
+    loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
     tasks_on: list[list[int]] = [[] for _ in range(n_ranks)]
-    for tid, rank in enumerate(assignment):
+    for tid, rank in enumerate(assignment.tolist()):
         tasks_on[rank].append(tid)
 
     for _ in range(sweeps):
         moved = False
-        for rank in np.argsort(-np.array(loads)).tolist():
-            # Try big tasks first: moving them helps the most.
-            for tid in sorted(tasks_on[rank], key=lambda t: -costs_l[t]):
-                best_dst = None
+        for rank in np.argsort(-loads).tolist():
+            # Big tasks first: moving them helps the most. Under 1 % of the
+            # (task, other eligible rank) pairs move, so one array test over
+            # the pairs in visit order finds the next task that can; it alone
+            # runs the scalar choice; the tail is tested again on the new loads.
+            tids = np.array(tasks_on[rank], dtype=np.int64)
+            tids = tids[np.argsort(-costs[tids], kind="stable")]
+            starts = offsets[tids]
+            lens = offsets[tids + 1] - starts
+            task = np.repeat(np.arange(tids.size), lens)
+            dst = ranks[np.arange(task.size) + (starts - np.cumsum(lens) + lens)[task]]
+            other = dst != rank
+            task, dst = task[other], dst[other]
+            cost = costs[tids][task]
+            at = 0
+            while True:
                 load_r = loads[rank]
-                best_peak = load_r
-                c = costs_l[tid]
-                for dst in eligibility[tid]:
-                    if dst == rank:
-                        continue
-                    peak = max(load_r - c, loads[dst] + c)
+                better = np.maximum(load_r - cost[at:], loads[dst[at:]] + cost[at:])
+                hits = np.flatnonzero(better < load_r - 1e-12)
+                if hits.size == 0:
+                    break
+                mover = task[at + hits[0]]
+                at, end = np.searchsorted(task, [mover, mover + 1])
+                tid, c = int(tids[mover]), cost[at]
+                best_dst, best_peak = None, load_r
+                for d in dst[at:end].tolist():
+                    peak = max(load_r - c, loads[d] + c)
                     if peak < best_peak - 1e-12:
-                        best_peak = peak
-                        best_dst = dst
-                if best_dst is not None:
-                    tasks_on[rank].remove(tid)
-                    tasks_on[best_dst].append(tid)
-                    loads[rank] = load_r - c
-                    loads[best_dst] += c
-                    assignment[tid] = best_dst
-                    moved = True
+                        best_dst, best_peak = d, peak
+                tasks_on[rank].remove(tid)
+                tasks_on[best_dst].append(tid)
+                loads[rank] = load_r - c
+                loads[best_dst] += c
+                assignment[tid] = best_dst
+                moved = True
+                at = end
         if not moved:
             break
     return assignment

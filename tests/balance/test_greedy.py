@@ -105,6 +105,11 @@ class TestLocalityGreedy:
         plain = communication_volume(graph, lpt(graph.costs, 16), dist)
         assert local < plain
 
+    def test_out_of_range_footprint_rejected(self, stray_ref_graph):
+        dist = BlockDistribution(16, 8)
+        with pytest.raises(ConfigurationError, match="out of range for 16 blocks"):
+            locality_greedy(stray_ref_graph, 8, dist)
+
     def test_none_distribution_falls_back_to_lpt(self, synthetic_graph):
         a = locality_greedy(synthetic_graph, 8, None)
         np.testing.assert_array_equal(a, lpt(synthetic_graph.costs, 8))

@@ -111,3 +111,8 @@ class TestCommunicationVolume:
         graph = synthetic_task_graph(5, 2, seed=0)
         with pytest.raises(ConfigurationError):
             communication_volume(graph, np.zeros(3, dtype=int), BlockDistribution(2, 2))
+
+    def test_out_of_range_footprint_rejected(self, stray_ref_graph):
+        assignment = np.zeros(stray_ref_graph.n_tasks, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="out of range for 16 blocks"):
+            communication_volume(stray_ref_graph, assignment, BlockDistribution(16, 8))

@@ -3,11 +3,13 @@ integral setups are session-scoped)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.chemistry import ScfProblem, water_cluster
-from repro.chemistry.tasks import synthetic_task_graph
+from repro.chemistry.tasks import TaskGraph, synthetic_task_graph
 from repro.simulate import commodity_cluster
 
 
@@ -38,6 +40,17 @@ def medium_graph(medium_problem):
 def synthetic_graph():
     """600 heavy-tailed synthetic tasks over 16 blocks."""
     return synthetic_task_graph(600, 16, seed=7, skew=1.3)
+
+
+@pytest.fixture(params=[(0, 16), (-1, 0)], ids=["past-the-end", "negative"])
+def stray_ref_graph(request, synthetic_graph):
+    """``synthetic_graph`` with task 0 reading a block outside its 16 blocks.
+
+    Unchecked, the first ref is an ``IndexError`` in a vectorised owner
+    lookup and the second silently wraps to another rank's block.
+    """
+    first = replace(synthetic_graph.tasks[0], reads=(request.param,))
+    return TaskGraph((first, *synthetic_graph.tasks[1:]), synthetic_graph.blocks, 0.0)
 
 
 @pytest.fixture
