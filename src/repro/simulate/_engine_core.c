@@ -6,10 +6,15 @@
  * the *same* data layout as the pure-Python engine (the `_heap` list of
  * (time, seq, callback) tuples, the `_ready` deque of (seq, callback,
  * arg) tuples, the `_seq` counter, the `now` float and the dispatch
- * counters), mutating them through attribute access, so Python-side
- * scheduling (SimEvent.fire, Resource grants, call_now from callbacks,
- * fused network ops scheduling their own delay steps) interleaves with
- * the C loop exactly as it does with the Python loop.
+ * counters), so Python-side scheduling (SimEvent.fire, Resource grants,
+ * call_now from callbacks, fused network ops scheduling their own delay
+ * steps) interleaves with the C loop exactly as it does with the Python
+ * loop. Attributes are read and written where Python keeps them: a
+ * `__slots__` member is loaded and stored at the byte offset its class's
+ * own member descriptor states (get_attr/set_attr below); everything
+ * else -- an unset slot, a shadowed name, a duck-typed collaborator, a
+ * class mutated since -- goes through PyObject_GetAttr/SetAttr, so
+ * errors and fallbacks are the attribute protocol's own.
  *
  * Two C-side structures exist only *inside* one core_run() call:
  *
@@ -43,6 +48,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdlib.h>
+#include <structmember.h> /* T_OBJECT_EX */
 
 /* Registered by setup(): the engine's collaborator classes. */
 static PyObject *g_process_cls = NULL;
@@ -54,22 +60,42 @@ static PyObject *g_deliver_func = NULL; /* Resource._deliver_grant, plain functi
 static PyObject *g_timeout_pool = NULL; /* engine._timeout_pool, shared freelist */
 static PyObject *g_fusedop_cls = NULL;  /* network._FusedOp */
 static PyObject *g_advance_func = NULL; /* _FusedOp._advance, plain function */
+static PyObject *g_resource_cls = NULL; /* engine.Resource */
+static PyObject *g_trace_cls = NULL;    /* runtime.trace.TraceRecorder */
 static PyObject *g_heappush = NULL;
 static PyObject *g_heappop = NULL;
 
-/* Interned attribute names. */
-static PyObject *s_heap, *s_ready, *s_seq, *s_now;
-static PyObject *s_events_dispatched, *s_ready_dispatched;
-static PyObject *s_timeout_allocs, *s_grant_resumes;
-static PyObject *s_popleft, *s_append;
-static PyObject *s_done, *s_cancelled, *s_send, *s_resume_attr, *s_engine;
-static PyObject *s_delay, *s_name, *s_value, *s_finish, *s_activate;
-static PyObject *s_release, *s_resume_pub;
-static PyObject *s_pre, *s_nic, *s_hold, *s_post, *s_trace, *s_src, *s_category;
-static PyObject *s_counter, *s_amount, *s_proc, *s_start, *s_phase, *s_idx;
-static PyObject *s_holding, *s_result, *s_step, *s_advance_name;
-static PyObject *s_in_use, *s_capacity, *s_total_acquisitions, *s_total_waits;
-static PyObject *s_queue, *s_deliver_name, *s_record;
+/* Where instances of `type` keep one `__slots__` member. */
+typedef struct {
+    PyTypeObject *type;   /* compared, never dereferenced */
+    unsigned int version; /* type->tp_version_tag when resolved */
+    Py_ssize_t offset;    /* of the PyObject* in the instance; -1: not native */
+} SlotWay;
+
+/* An interned attribute name plus where the two types last seen with it
+ * keep it (`done` and `engine` are read on Process and on _FusedOp; no
+ * name is hot on three). Declared as one-element arrays so a name is
+ * passed by pointer without `&`. */
+typedef struct {
+    PyObject *str;
+    SlotWay way[2];
+} AttrName;
+
+static AttrName s_heap[1], s_ready[1], s_seq[1], s_now[1];
+static AttrName s_events_dispatched[1], s_ready_dispatched[1];
+static AttrName s_timeout_allocs[1], s_grant_resumes[1];
+static AttrName s_done[1], s_cancelled[1], s_send[1], s_resume_attr[1], s_engine[1];
+static AttrName s_delay[1], s_name[1], s_value[1];
+static AttrName s_pre[1], s_nic[1], s_hold[1], s_post[1], s_trace[1], s_src[1];
+static AttrName s_category[1], s_counter[1], s_amount[1], s_proc[1], s_start[1];
+static AttrName s_phase[1], s_idx[1], s_holding[1], s_result[1], s_step[1];
+static AttrName s_in_use[1], s_capacity[1], s_total_acquisitions[1];
+static AttrName s_total_waits[1], s_queue[1];
+static AttrName s_totals[1], s_intervals[1], s_records[1];
+
+/* Interned method names: always looked up through the type. */
+static PyObject *s_popleft, *s_append, *s_finish, *s_activate, *s_release;
+static PyObject *s_resume_pub, *s_advance_name, *s_deliver_name, *s_record;
 
 /* What firing a C-held event means. */
 enum { EV_RESUME = 0, EV_FUSED = 1 };
@@ -168,10 +194,110 @@ cheap_pop(RunCtx *ctx)
     return top;
 }
 
-static int
-get_ll(PyObject *obj, PyObject *name, long long *out)
+/* ---- native slot access ---- */
+
+/* Whether `tp` currently holds a valid version tag. */
+#if PY_VERSION_HEX >= 0x030D0000 /* 3.13 dropped the flag: 0 is "no tag" */
+#define TYPE_VERSIONED(tp) ((tp)->tp_version_tag != 0)
+#else
+#define TYPE_VERSIONED(tp) PyType_HasFeature(tp, Py_TPFLAGS_VALID_VERSION_TAG)
+#endif
+
+/*
+ * Resolve `name` on type(obj) the way PyObject_GenericGetAttr would: the
+ * first class in the MRO whose dict has the name decides. Only a
+ * writable T_OBJECT_EX member descriptor that class created for itself
+ * (what `__slots__` makes) on a type with the generic attribute hooks is
+ * native; its offset comes from the descriptor and is checked against
+ * the instance size. Anything else is remembered as "not native". The
+ * answer holds while the type keeps its version tag, which CPython
+ * retires whenever the type or any base is modified.
+ * Returns the member's address, or NULL to use the attribute protocol. */
+static PyObject **
+slot_resolve(PyObject *obj, AttrName *name)
 {
-    PyObject *v = PyObject_GetAttr(obj, name);
+    PyTypeObject *tp = Py_TYPE(obj);
+    /* No tag yet (the first lookup assigns one) or none left to give. */
+    if (!TYPE_VERSIONED(tp))
+        return NULL;
+    Py_ssize_t offset = -1;
+    PyObject *mro = tp->tp_mro;
+    if (tp->tp_getattro == PyObject_GenericGetAttr &&
+        tp->tp_setattro == PyObject_GenericSetAttr && mro != NULL) {
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(mro); i++) {
+            PyTypeObject *base = (PyTypeObject *)PyTuple_GET_ITEM(mro, i);
+            if (base->tp_dict == NULL)
+                break; /* a static builtin (3.12+): cannot see, not native */
+            PyObject *descr = PyDict_GetItemWithError(base->tp_dict, name->str);
+            if (descr == NULL) {
+                if (PyErr_Occurred()) {
+                    PyErr_Clear();
+                    break;
+                }
+                continue;
+            }
+            if (Py_IS_TYPE(descr, &PyMemberDescr_Type) &&
+                PyDescr_TYPE(descr) == base) {
+                PyMemberDef *m = ((PyMemberDescrObject *)descr)->d_member;
+                if (m->type == T_OBJECT_EX && m->flags == 0 &&
+                    m->offset >= (Py_ssize_t)sizeof(PyObject) &&
+                    m->offset + (Py_ssize_t)sizeof(PyObject *) <= tp->tp_basicsize)
+                    offset = m->offset;
+            }
+            break;
+        }
+    }
+    if (name->way[0].type != tp) /* else: this type again, re-versioned */
+        name->way[1] = name->way[0];
+    name->way[0].type = tp;
+    name->way[0].version = tp->tp_version_tag;
+    name->way[0].offset = offset;
+    return offset < 0 ? NULL : (PyObject **)((char *)obj + offset);
+}
+
+static inline PyObject **
+slot_addr(PyObject *obj, AttrName *name)
+{
+#ifdef Py_GIL_DISABLED
+    return NULL; /* free-threaded builds version types differently */
+#else
+    PyTypeObject *tp = Py_TYPE(obj);
+    SlotWay *w = name->way;
+    if ((w->type != tp && (++w)->type != tp) ||
+        w->version != tp->tp_version_tag || !TYPE_VERSIONED(tp))
+        return slot_resolve(obj, name);
+    return w->offset < 0 ? NULL : (PyObject **)((char *)obj + w->offset);
+#endif
+}
+
+/* obj.<name>: a new reference, or NULL with the attribute protocol's own
+ * exception (an unset slot raises its AttributeError from there). */
+static PyObject *
+get_attr(PyObject *obj, AttrName *name)
+{
+    PyObject **p = slot_addr(obj, name);
+    if (p != NULL && *p != NULL)
+        return Py_NewRef(*p);
+    return PyObject_GetAttr(obj, name->str);
+}
+
+/* obj.<name> = value */
+static int
+set_attr(PyObject *obj, AttrName *name, PyObject *value)
+{
+    PyObject **p = slot_addr(obj, name);
+    if (p == NULL)
+        return PyObject_SetAttr(obj, name->str, value);
+    PyObject *old = *p;
+    *p = Py_NewRef(value);
+    Py_XDECREF(old);
+    return 0;
+}
+
+static int
+get_ll(PyObject *obj, AttrName *name, long long *out)
+{
+    PyObject *v = get_attr(obj, name);
     if (v == NULL)
         return -1;
     *out = PyLong_AsLongLong(v);
@@ -182,20 +308,20 @@ get_ll(PyObject *obj, PyObject *name, long long *out)
 }
 
 static int
-set_ll(PyObject *obj, PyObject *name, long long value)
+set_ll(PyObject *obj, AttrName *name, long long value)
 {
     PyObject *v = PyLong_FromLongLong(value);
     if (v == NULL)
         return -1;
-    int rc = PyObject_SetAttr(obj, name, v);
+    int rc = set_attr(obj, name, v);
     Py_DECREF(v);
     return rc;
 }
 
 static int
-get_double(PyObject *obj, PyObject *name, double *out)
+get_double(PyObject *obj, AttrName *name, double *out)
 {
-    PyObject *v = PyObject_GetAttr(obj, name);
+    PyObject *v = get_attr(obj, name);
     if (v == NULL)
         return -1;
     *out = PyFloat_AsDouble(v);
@@ -206,19 +332,19 @@ get_double(PyObject *obj, PyObject *name, double *out)
 }
 
 static int
-set_double(PyObject *obj, PyObject *name, double value)
+set_double(PyObject *obj, AttrName *name, double value)
 {
     PyObject *v = PyFloat_FromDouble(value);
     if (v == NULL)
         return -1;
-    int rc = PyObject_SetAttr(obj, name, v);
+    int rc = set_attr(obj, name, v);
     Py_DECREF(v);
     return rc;
 }
 
 /* obj.<name> += 1 through attribute access (the rare cross-engine path). */
 static int
-bump_ll_attr(PyObject *obj, PyObject *name)
+bump_ll_attr(PyObject *obj, AttrName *name)
 {
     long long v;
     if (get_ll(obj, name, &v) < 0)
@@ -254,7 +380,7 @@ static int
 resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
 {
     /* if self.done: return / raise */
-    PyObject *done = PyObject_GetAttr(proc, s_done);
+    PyObject *done = get_attr(proc, s_done);
     if (done == NULL)
         return -1;
     int is_done = PyObject_IsTrue(done);
@@ -262,7 +388,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
     if (is_done < 0)
         return -1;
     if (is_done) {
-        PyObject *cancelled = PyObject_GetAttr(proc, s_cancelled);
+        PyObject *cancelled = get_attr(proc, s_cancelled);
         if (cancelled == NULL)
             return -1;
         int is_cancelled = PyObject_IsTrue(cancelled);
@@ -271,7 +397,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
             return -1;
         if (is_cancelled)
             return 0; /* a wake-up raced with cancellation; drop it */
-        PyObject *name = PyObject_GetAttr(proc, s_name);
+        PyObject *name = get_attr(proc, s_name);
         PyErr_Format(g_sim_error, "process %R resumed after completion",
                      name ? name : Py_None);
         Py_XDECREF(name);
@@ -279,7 +405,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
     }
 
     /* request = self._send(value) */
-    PyObject *send = PyObject_GetAttr(proc, s_send);
+    PyObject *send = get_attr(proc, s_send);
     if (send == NULL)
         return -1;
     PyObject *request = PyObject_CallOneArg(send, value);
@@ -294,7 +420,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
         PyErr_NormalizeException(&et, &ev, &etb);
         PyObject *stop_value = NULL;
         if (ev != NULL)
-            stop_value = PyObject_GetAttr(ev, s_value);
+            stop_value = get_attr(ev, s_value);
         if (stop_value == NULL) {
             PyErr_Clear();
             stop_value = Py_None;
@@ -322,7 +448,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
         int rc = -1;
         PyObject *engine = NULL, *seqobj = NULL, *newseq = NULL;
         PyObject *delayobj = NULL, *resume_cb = NULL, *tup = NULL;
-        engine = PyObject_GetAttr(proc, s_engine);
+        engine = get_attr(proc, s_engine);
         if (engine == NULL)
             goto timeout_done;
         int own_engine = (engine == ctx->engine);
@@ -331,16 +457,16 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
             ctx->timeout_allocs++;
         else if (bump_ll_attr(engine, s_timeout_allocs) < 0)
             goto timeout_done;
-        seqobj = PyObject_GetAttr(engine, s_seq);
+        seqobj = get_attr(engine, s_seq);
         if (seqobj == NULL)
             goto timeout_done;
         long long seq = PyLong_AsLongLong(seqobj);
         if (seq == -1 && PyErr_Occurred())
             goto timeout_done;
         newseq = PyLong_FromLongLong(seq + 1);
-        if (newseq == NULL || PyObject_SetAttr(engine, s_seq, newseq) < 0)
+        if (newseq == NULL || set_attr(engine, s_seq, newseq) < 0)
             goto timeout_done;
-        delayobj = PyObject_GetAttr(request, s_delay);
+        delayobj = get_attr(request, s_delay);
         if (delayobj == NULL)
             goto timeout_done;
         double delay = PyFloat_AsDouble(delayobj);
@@ -354,7 +480,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
                 PyErr_Clear(); /* best-effort: recycling is an optimization */
         }
         if (delay == 0.0) {
-            resume_cb = PyObject_GetAttr(proc, s_resume_attr);
+            resume_cb = get_attr(proc, s_resume_attr);
             if (resume_cb == NULL)
                 goto timeout_done;
             tup = PyTuple_Pack(3, seqobj, resume_cb, Py_None);
@@ -365,7 +491,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
                 r = PyObject_CallOneArg(ctx->ready_append, tup);
             }
             else {
-                PyObject *ready = PyObject_GetAttr(engine, s_ready);
+                PyObject *ready = get_attr(engine, s_ready);
                 if (ready == NULL)
                     goto timeout_done;
                 r = PyObject_CallMethodOneArg(ready, s_append, tup);
@@ -391,7 +517,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
             PyObject *timeobj = PyFloat_FromDouble(now + delay);
             if (timeobj == NULL)
                 goto timeout_done;
-            resume_cb = PyObject_GetAttr(proc, s_resume_attr);
+            resume_cb = get_attr(proc, s_resume_attr);
             if (resume_cb == NULL) {
                 Py_DECREF(timeobj);
                 goto timeout_done;
@@ -400,7 +526,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
             Py_DECREF(timeobj);
             if (tup == NULL)
                 goto timeout_done;
-            PyObject *heap = PyObject_GetAttr(engine, s_heap);
+            PyObject *heap = get_attr(engine, s_heap);
             if (heap == NULL)
                 goto timeout_done;
             PyObject *r = PyObject_CallFunctionObjArgs(g_heappush, heap, tup, NULL);
@@ -436,7 +562,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
         return -1;
     }
     if (!is_request) {
-        PyObject *name = PyObject_GetAttr(proc, s_name);
+        PyObject *name = get_attr(proc, s_name);
         PyErr_Format(g_sim_error,
                      "process %R yielded %R; processes must yield Request "
                      "instances (Timeout, acquire(), wait(), ...)",
@@ -447,7 +573,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
     }
 
     /* request.activate(self.engine, self) */
-    PyObject *engine = PyObject_GetAttr(proc, s_engine);
+    PyObject *engine = get_attr(proc, s_engine);
     if (engine == NULL) {
         Py_DECREF(request);
         return -1;
@@ -488,7 +614,7 @@ fused_dispatch(RunCtx *ctx, PyObject *op, PyObject *engine, double delay)
         return -1;
     if (delay == 0.0) {
         PyObject *seqobj = PyLong_FromLongLong(seq);
-        PyObject *step = seqobj ? PyObject_GetAttr(op, s_step) : NULL;
+        PyObject *step = seqobj ? get_attr(op, s_step) : NULL;
         PyObject *tup = step ? PyTuple_Pack(3, seqobj, step, Py_None) : NULL;
         Py_XDECREF(step);
         Py_XDECREF(seqobj);
@@ -507,34 +633,109 @@ fused_dispatch(RunCtx *ctx, PyObject *op, PyObject *engine, double delay)
     return cheap_push(ctx, now + delay, seq, op, EV_FUSED);
 }
 
+/* trace.record(src, cat, start, end). TraceRecorder.record itself runs
+ * here -- `totals[rank] += end - start; records += 1`, the same IEEE add
+ * -- when it would do only that: the exact class, no interval log, a
+ * known category, exact float bounds with end >= start and an in-range
+ * rank. Any other case calls the method, which validates, logs and
+ * raises as ever. Nothing is written before every check has passed. */
+static int
+trace_record(PyObject *trace, PyObject *src, PyObject *cat, PyObject *start,
+             PyObject *end)
+{
+    PyObject **totals_p, **intervals_p, **records_p;
+    if ((PyObject *)Py_TYPE(trace) == g_trace_cls && PyLong_CheckExact(src) &&
+        PyUnicode_CheckExact(cat) && PyFloat_CheckExact(start) &&
+        PyFloat_CheckExact(end) &&
+        (totals_p = slot_addr(trace, s_totals)) != NULL &&
+        (intervals_p = slot_addr(trace, s_intervals)) != NULL &&
+        (records_p = slot_addr(trace, s_records)) != NULL &&
+        *totals_p != NULL && PyDict_CheckExact(*totals_p) &&
+        *intervals_p == Py_None && *records_p != NULL &&
+        PyLong_CheckExact(*records_p)) {
+        PyObject *totals = PyDict_GetItemWithError(*totals_p, cat);
+        Py_ssize_t rank = PyLong_AsSsize_t(src);
+        long long records = PyLong_AsLongLong(*records_p);
+        double t0 = PyFloat_AS_DOUBLE(start), t1 = PyFloat_AS_DOUBLE(end);
+        if (PyErr_Occurred())
+            PyErr_Clear(); /* out-of-range ints: the method's business */
+        else if (totals != NULL && PyList_CheckExact(totals) && rank >= 0 &&
+                 rank < PyList_GET_SIZE(totals) &&
+                 PyFloat_CheckExact(PyList_GET_ITEM(totals, rank)) && t1 >= t0) {
+            PyObject *sum = PyFloat_FromDouble(
+                PyFloat_AS_DOUBLE(PyList_GET_ITEM(totals, rank)) + (t1 - t0));
+            PyObject *count = sum ? PyLong_FromLongLong(records + 1) : NULL;
+            if (count == NULL) {
+                Py_XDECREF(sum);
+                return -1;
+            }
+            PyList_SetItem(totals, rank, sum); /* steals sum; index checked */
+            Py_SETREF(*records_p, count);
+            return 0;
+        }
+    }
+    PyObject *r = PyObject_CallMethodObjArgs(trace, s_record, src, cat,
+                                             start, end, NULL);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* resource.release(). Resource.release itself runs here -- `in_use -= 1`
+ * -- when nobody waits: the exact class, in_use > 0, an empty queue. A
+ * waiter (live or cancelled) or an unmatched release takes the method,
+ * so grant order, seq allocation and the error stay where they are. */
+static int
+resource_release(PyObject *resource)
+{
+    PyObject **in_use_p, **queue_p;
+    if ((PyObject *)Py_TYPE(resource) == g_resource_cls &&
+        (in_use_p = slot_addr(resource, s_in_use)) != NULL &&
+        (queue_p = slot_addr(resource, s_queue)) != NULL &&
+        *in_use_p != NULL && PyLong_CheckExact(*in_use_p) && *queue_p != NULL) {
+        long long in_use = PyLong_AsLongLong(*in_use_p);
+        if (in_use == -1 && PyErr_Occurred())
+            PyErr_Clear();
+        else if (in_use > 0) {
+            int waiting = PyObject_IsTrue(*queue_p); /* `while queue:` */
+            if (waiting < 0)
+                return -1;
+            if (!waiting)
+                return set_ll(resource, s_in_use, in_use - 1);
+        }
+    }
+    PyObject *r = PyObject_CallMethodNoArgs(resource, s_release);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
 /* _FusedOp._complete: mark done, emit the trace record, resume the
  * waiting process with the op's result. */
 static int
 fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
 {
-    if (PyObject_SetAttr(op, s_done, Py_True) < 0)
+    if (set_attr(op, s_done, Py_True) < 0)
         return -1;
-    PyObject *trace = PyObject_GetAttr(op, s_trace);
-    PyObject *src = trace ? PyObject_GetAttr(op, s_src) : NULL;
-    PyObject *cat = src ? PyObject_GetAttr(op, s_category) : NULL;
-    PyObject *start = cat ? PyObject_GetAttr(op, s_start) : NULL;
-    PyObject *nowobj = start ? PyObject_GetAttr(engine, s_now) : NULL;
-    PyObject *r = NULL;
-    if (nowobj != NULL)
-        r = PyObject_CallMethodObjArgs(trace, s_record, src, cat, start, nowobj,
-                                       NULL);
+    PyObject *trace = get_attr(op, s_trace);
+    PyObject *src = trace ? get_attr(op, s_src) : NULL;
+    PyObject *cat = src ? get_attr(op, s_category) : NULL;
+    PyObject *start = cat ? get_attr(op, s_start) : NULL;
+    PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
+    int recorded = nowobj ? trace_record(trace, src, cat, start, nowobj) : -1;
     Py_XDECREF(nowobj);
     Py_XDECREF(start);
     Py_XDECREF(cat);
     Py_XDECREF(src);
     Py_XDECREF(trace);
-    if (r == NULL)
+    if (recorded < 0)
         return -1;
-    Py_DECREF(r);
-    PyObject *proc = PyObject_GetAttr(op, s_proc);
+    PyObject *proc = get_attr(op, s_proc);
     if (proc == NULL)
         return -1;
-    PyObject *result = PyObject_GetAttr(op, s_result);
+    PyObject *result = get_attr(op, s_result);
     if (result == NULL) {
         Py_DECREF(proc);
         return -1;
@@ -558,22 +759,22 @@ fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
 static int
 fused_resume(RunCtx *ctx, PyObject *op)
 {
-    PyObject *counter = PyObject_GetAttr(op, s_counter);
+    PyObject *counter = get_attr(op, s_counter);
     if (counter == NULL)
         return -1;
     if (counter != Py_None) {
-        PyObject *value = PyObject_GetAttr(counter, s_value);
-        if (value == NULL || PyObject_SetAttr(op, s_result, value) < 0) {
+        PyObject *value = get_attr(counter, s_value);
+        if (value == NULL || set_attr(op, s_result, value) < 0) {
             Py_XDECREF(value);
             Py_DECREF(counter);
             return -1;
         }
-        PyObject *amount = PyObject_GetAttr(op, s_amount);
+        PyObject *amount = get_attr(op, s_amount);
         PyObject *newval =
             amount == NULL ? NULL : PyNumber_InPlaceAdd(value, amount);
         Py_XDECREF(amount);
         Py_DECREF(value);
-        int rc2 = newval == NULL ? -1 : PyObject_SetAttr(counter, s_value, newval);
+        int rc2 = newval == NULL ? -1 : set_attr(counter, s_value, newval);
         Py_XDECREF(newval);
         Py_DECREF(counter);
         if (rc2 < 0)
@@ -581,14 +782,14 @@ fused_resume(RunCtx *ctx, PyObject *op)
     }
     else
         Py_DECREF(counter);
-    if (PyObject_SetAttr(op, s_holding, Py_True) < 0)
+    if (set_attr(op, s_holding, Py_True) < 0)
         return -1;
     if (set_ll(op, s_phase, 2) < 0)
         return -1;
-    PyObject *engine = PyObject_GetAttr(op, s_engine);
+    PyObject *engine = get_attr(op, s_engine);
     if (engine == NULL)
         return -1;
-    PyObject *holdobj = PyObject_GetAttr(op, s_hold);
+    PyObject *holdobj = get_attr(op, s_hold);
     if (holdobj == NULL) {
         Py_DECREF(engine);
         return -1;
@@ -608,7 +809,7 @@ fused_resume(RunCtx *ctx, PyObject *op)
 static int
 fused_advance(RunCtx *ctx, PyObject *op)
 {
-    PyObject *done = PyObject_GetAttr(op, s_done);
+    PyObject *done = get_attr(op, s_done);
     if (done == NULL)
         return -1;
     int is_done = PyObject_IsTrue(done);
@@ -617,7 +818,7 @@ fused_advance(RunCtx *ctx, PyObject *op)
         return -1;
     if (is_done)
         return 0; /* late wake-up raced with cancellation */
-    PyObject *engine = PyObject_GetAttr(op, s_engine);
+    PyObject *engine = get_attr(op, s_engine);
     if (engine == NULL)
         return -1;
     if (engine != ctx->engine) {
@@ -634,7 +835,7 @@ fused_advance(RunCtx *ctx, PyObject *op)
     if (get_ll(op, s_phase, &phase) < 0)
         goto out;
     if (phase == 0) {
-        PyObject *pre = PyObject_GetAttr(op, s_pre);
+        PyObject *pre = get_attr(op, s_pre);
         if (pre == NULL || !PyTuple_Check(pre)) {
             Py_XDECREF(pre);
             if (!PyErr_Occurred())
@@ -657,7 +858,7 @@ fused_advance(RunCtx *ctx, PyObject *op)
             goto out;
         }
         Py_DECREF(pre);
-        PyObject *nic = PyObject_GetAttr(op, s_nic);
+        PyObject *nic = get_attr(op, s_nic);
         if (nic == NULL)
             goto out;
         if (nic == Py_None) {
@@ -711,7 +912,7 @@ fused_advance(RunCtx *ctx, PyObject *op)
             Py_DECREF(nic);
             goto out;
         }
-        PyObject *queue = PyObject_GetAttr(nic, s_queue);
+        PyObject *queue = get_attr(nic, s_queue);
         Py_DECREF(nic);
         if (queue == NULL)
             goto out;
@@ -727,17 +928,16 @@ fused_advance(RunCtx *ctx, PyObject *op)
         /* hold expired: release first (the next waiter's grant takes
          * its seq here, as the generator's finally did), then the
          * return-path delays. */
-        if (PyObject_SetAttr(op, s_holding, Py_False) < 0)
+        if (set_attr(op, s_holding, Py_False) < 0)
             goto out;
-        PyObject *nic = PyObject_GetAttr(op, s_nic);
+        PyObject *nic = get_attr(op, s_nic);
         if (nic == NULL)
             goto out;
-        PyObject *r = PyObject_CallMethodNoArgs(nic, s_release);
+        int released = resource_release(nic);
         Py_DECREF(nic);
-        if (r == NULL)
+        if (released < 0)
             goto out;
-        Py_DECREF(r);
-        PyObject *post = PyObject_GetAttr(op, s_post);
+        PyObject *post = get_attr(op, s_post);
         if (post == NULL || !PyTuple_Check(post)) {
             Py_XDECREF(post);
             if (!PyErr_Occurred())
@@ -761,7 +961,7 @@ fused_advance(RunCtx *ctx, PyObject *op)
     }
     /* phase 3: walk the remaining return-path delays */
     {
-        PyObject *post = PyObject_GetAttr(op, s_post);
+        PyObject *post = get_attr(op, s_post);
         if (post == NULL || !PyTuple_Check(post)) {
             Py_XDECREF(post);
             if (!PyErr_Occurred())
@@ -797,7 +997,7 @@ out:
 static int
 fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
 {
-    PyObject *engine = PyObject_GetAttr(proc, s_engine);
+    PyObject *engine = get_attr(proc, s_engine);
     if (engine == NULL)
         return -1;
     if (engine != ctx->engine) {
@@ -812,18 +1012,18 @@ fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
     }
     int rc = -1;
     PyObject *nowobj = NULL, *step = NULL, *pre = NULL;
-    if (PyObject_SetAttr(op, s_engine, engine) < 0 ||
-        PyObject_SetAttr(op, s_proc, proc) < 0)
+    if (set_attr(op, s_engine, engine) < 0 ||
+        set_attr(op, s_proc, proc) < 0)
         goto out;
-    nowobj = PyObject_GetAttr(engine, s_now);
-    if (nowobj == NULL || PyObject_SetAttr(op, s_start, nowobj) < 0)
+    nowobj = get_attr(engine, s_now);
+    if (nowobj == NULL || set_attr(op, s_start, nowobj) < 0)
         goto out;
     if (set_ll(op, s_phase, 0) < 0 || set_ll(op, s_idx, 1) < 0)
         goto out;
     step = PyObject_GetAttr(op, s_advance_name); /* bound self._advance */
-    if (step == NULL || PyObject_SetAttr(op, s_step, step) < 0)
+    if (step == NULL || set_attr(op, s_step, step) < 0)
         goto out;
-    pre = PyObject_GetAttr(op, s_pre);
+    pre = get_attr(op, s_pre);
     if (pre == NULL)
         goto out;
     if (!PyTuple_Check(pre) || PyTuple_GET_SIZE(pre) < 1) {
@@ -849,7 +1049,7 @@ out:
 static int
 deliver_grant_fast(RunCtx *ctx, PyObject *resource, PyObject *proc)
 {
-    PyObject *done = PyObject_GetAttr(proc, s_done);
+    PyObject *done = get_attr(proc, s_done);
     if (done == NULL)
         return -1;
     int is_done = PyObject_IsTrue(done);
@@ -858,14 +1058,10 @@ deliver_grant_fast(RunCtx *ctx, PyObject *resource, PyObject *proc)
         return -1;
     if (is_done) {
         /* cancelled between grant and wake-up: the slot is re-offered */
-        PyObject *r = PyObject_CallMethodNoArgs(resource, s_release);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
+        return resource_release(resource);
     }
     /* proc.engine.grant_resumes += 1 */
-    PyObject *engine = PyObject_GetAttr(proc, s_engine);
+    PyObject *engine = get_attr(proc, s_engine);
     if (engine == NULL)
         return -1;
     if (engine == ctx->engine)
@@ -928,8 +1124,8 @@ flush_cheap(RunCtx *ctx)
             PyObject *seqobj = PyLong_FromLongLong(ev.seq);
             PyObject *cb = NULL;
             if (timeobj && seqobj)
-                cb = PyObject_GetAttr(
-                    ev.obj, ev.kind == EV_RESUME ? s_resume_attr : s_step);
+                cb = get_attr(ev.obj,
+                              ev.kind == EV_RESUME ? s_resume_attr : s_step);
             PyObject *tup =
                 cb != NULL ? PyTuple_Pack(3, timeobj, seqobj, cb) : NULL;
             Py_XDECREF(timeobj);
@@ -969,8 +1165,8 @@ core_run(PyObject *self, PyObject *args)
 
     RunCtx ctx;
     ctx.engine = engine;
-    ctx.heap = PyObject_GetAttr(engine, s_heap);
-    ctx.ready = PyObject_GetAttr(engine, s_ready);
+    ctx.heap = get_attr(engine, s_heap);
+    ctx.ready = get_attr(engine, s_ready);
     ctx.ready_append = ctx.ready ? PyObject_GetAttr(ctx.ready, s_append) : NULL;
     PyObject *pop_ready =
         ctx.ready ? PyObject_GetAttr(ctx.ready, s_popleft) : NULL;
@@ -1163,18 +1359,17 @@ core_run(PyObject *self, PyObject *args)
     else if (set_ll(engine, s_ready_dispatched, from_ready) < 0 && !err)
         err = 1;
     /* Fold the fast-path deltas into whatever Python-side callbacks
-     * already accumulated on the attributes during this run. */
+     * already accumulated on the attributes during this run -- also when
+     * a callback raised: the Python engine counted those events too. */
     long long base;
-    if (!err && ctx.timeout_allocs != 0) {
-        if (get_ll(engine, s_timeout_allocs, &base) < 0 ||
-            set_ll(engine, s_timeout_allocs, base + ctx.timeout_allocs) < 0)
-            err = 1;
-    }
-    if (!err && ctx.grants != 0) {
-        if (get_ll(engine, s_grant_resumes, &base) < 0 ||
-            set_ll(engine, s_grant_resumes, base + ctx.grants) < 0)
-            err = 1;
-    }
+    if (ctx.timeout_allocs != 0 &&
+        (get_ll(engine, s_timeout_allocs, &base) < 0 ||
+         set_ll(engine, s_timeout_allocs, base + ctx.timeout_allocs) < 0))
+        err = 1;
+    if (ctx.grants != 0 &&
+        (get_ll(engine, s_grant_resumes, &base) < 0 ||
+         set_ll(engine, s_grant_resumes, base + ctx.grants) < 0))
+        err = 1;
     if (et != NULL || ev != NULL || etb != NULL)
         PyErr_Restore(et, ev, etb);
     Py_DECREF(ctx.heap);
@@ -1197,10 +1392,10 @@ static PyObject *
 core_setup(PyObject *self, PyObject *args)
 {
     PyObject *process_cls, *timeout_cls, *request_cls, *sim_error;
-    PyObject *resource_cls, *timeout_pool, *fusedop_cls;
-    if (!PyArg_ParseTuple(args, "OOOOOOO:setup", &process_cls, &timeout_cls,
+    PyObject *resource_cls, *timeout_pool, *fusedop_cls, *trace_cls;
+    if (!PyArg_ParseTuple(args, "OOOOOOOO:setup", &process_cls, &timeout_cls,
                           &request_cls, &sim_error, &resource_cls,
-                          &timeout_pool, &fusedop_cls))
+                          &timeout_pool, &fusedop_cls, &trace_cls))
         return NULL;
     if (!PyList_Check(timeout_pool)) {
         PyErr_SetString(PyExc_TypeError, "timeout_pool must be a list");
@@ -1229,6 +1424,8 @@ core_setup(PyObject *self, PyObject *args)
     Py_XSETREF(g_timeout_pool, Py_NewRef(timeout_pool));
     Py_XSETREF(g_fusedop_cls, Py_NewRef(fusedop_cls));
     Py_XSETREF(g_advance_func, advance);
+    Py_XSETREF(g_resource_cls, Py_NewRef(resource_cls));
+    Py_XSETREF(g_trace_cls, Py_NewRef(trace_cls));
     Py_RETURN_NONE;
 }
 
@@ -1238,8 +1435,8 @@ static PyMethodDef core_methods[] = {
      "(time, seq) order; 1 when stopped at the horizon, 0 when drained."},
     {"setup", core_setup, METH_VARARGS,
      "setup(Process, Timeout, Request, SimulationError, Resource, "
-     "timeout_pool, FusedOp): register the engine's collaborator classes "
-     "and the shared Timeout freelist."},
+     "timeout_pool, FusedOp, TraceRecorder): register the engine's "
+     "collaborator classes and the shared Timeout freelist."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1273,53 +1470,58 @@ PyInit__engine_core(void)
         if (var == NULL)                                                       \
             return NULL;                                                       \
     } while (0)
+#define INTERN_ATTR(name, text) INTERN((name)->str, text)
 
-    INTERN(s_heap, "_heap");
-    INTERN(s_ready, "_ready");
-    INTERN(s_seq, "_seq");
-    INTERN(s_now, "now");
-    INTERN(s_events_dispatched, "events_dispatched");
-    INTERN(s_ready_dispatched, "ready_dispatched");
-    INTERN(s_timeout_allocs, "timeout_allocs");
-    INTERN(s_grant_resumes, "grant_resumes");
+    INTERN_ATTR(s_heap, "_heap");
+    INTERN_ATTR(s_ready, "_ready");
+    INTERN_ATTR(s_seq, "_seq");
+    INTERN_ATTR(s_now, "now");
+    INTERN_ATTR(s_events_dispatched, "events_dispatched");
+    INTERN_ATTR(s_ready_dispatched, "ready_dispatched");
+    INTERN_ATTR(s_timeout_allocs, "timeout_allocs");
+    INTERN_ATTR(s_grant_resumes, "grant_resumes");
     INTERN(s_popleft, "popleft");
     INTERN(s_append, "append");
-    INTERN(s_done, "done");
-    INTERN(s_cancelled, "cancelled");
-    INTERN(s_send, "_send");
-    INTERN(s_resume_attr, "_resume");
-    INTERN(s_engine, "engine");
-    INTERN(s_delay, "delay");
-    INTERN(s_name, "name");
-    INTERN(s_value, "value");
+    INTERN_ATTR(s_done, "done");
+    INTERN_ATTR(s_cancelled, "cancelled");
+    INTERN_ATTR(s_send, "_send");
+    INTERN_ATTR(s_resume_attr, "_resume");
+    INTERN_ATTR(s_engine, "engine");
+    INTERN_ATTR(s_delay, "delay");
+    INTERN_ATTR(s_name, "name");
+    INTERN_ATTR(s_value, "value");
     INTERN(s_finish, "_finish");
     INTERN(s_activate, "activate");
     INTERN(s_release, "release");
     INTERN(s_resume_pub, "resume");
-    INTERN(s_pre, "pre");
-    INTERN(s_nic, "nic");
-    INTERN(s_hold, "hold");
-    INTERN(s_post, "post");
-    INTERN(s_trace, "trace");
-    INTERN(s_src, "src");
-    INTERN(s_category, "category");
-    INTERN(s_counter, "counter");
-    INTERN(s_amount, "amount");
-    INTERN(s_proc, "proc");
-    INTERN(s_start, "start");
-    INTERN(s_phase, "phase");
-    INTERN(s_idx, "idx");
-    INTERN(s_holding, "holding");
-    INTERN(s_result, "result");
-    INTERN(s_step, "_step");
+    INTERN_ATTR(s_pre, "pre");
+    INTERN_ATTR(s_nic, "nic");
+    INTERN_ATTR(s_hold, "hold");
+    INTERN_ATTR(s_post, "post");
+    INTERN_ATTR(s_trace, "trace");
+    INTERN_ATTR(s_src, "src");
+    INTERN_ATTR(s_category, "category");
+    INTERN_ATTR(s_counter, "counter");
+    INTERN_ATTR(s_amount, "amount");
+    INTERN_ATTR(s_proc, "proc");
+    INTERN_ATTR(s_start, "start");
+    INTERN_ATTR(s_phase, "phase");
+    INTERN_ATTR(s_idx, "idx");
+    INTERN_ATTR(s_holding, "holding");
+    INTERN_ATTR(s_result, "result");
+    INTERN_ATTR(s_step, "_step");
     INTERN(s_advance_name, "_advance");
-    INTERN(s_in_use, "in_use");
-    INTERN(s_capacity, "capacity");
-    INTERN(s_total_acquisitions, "total_acquisitions");
-    INTERN(s_total_waits, "total_waits");
-    INTERN(s_queue, "_queue");
+    INTERN_ATTR(s_in_use, "in_use");
+    INTERN_ATTR(s_capacity, "capacity");
+    INTERN_ATTR(s_total_acquisitions, "total_acquisitions");
+    INTERN_ATTR(s_total_waits, "total_waits");
+    INTERN_ATTR(s_queue, "_queue");
     INTERN(s_deliver_name, "_deliver_grant");
     INTERN(s_record, "record");
+    INTERN_ATTR(s_totals, "_totals");
+    INTERN_ATTR(s_intervals, "intervals");
+    INTERN_ATTR(s_records, "records");
+#undef INTERN_ATTR
 #undef INTERN
 
     return PyModule_Create(&core_module);

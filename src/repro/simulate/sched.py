@@ -40,7 +40,6 @@ import math
 import os
 import shutil
 import subprocess
-import sys
 import sysconfig
 import tempfile
 import warnings
@@ -217,7 +216,8 @@ def _load_engine_core():
         if module is not None:
             # Imported here, not at module scope: network.py pulls in the
             # cost-model machinery, which the engine-only users of this
-            # module never need.
+            # module never need, and repro.runtime sits above this package.
+            from repro.runtime.trace import TraceRecorder
             from repro.simulate.network import _FusedOp
 
             module.setup(
@@ -228,6 +228,7 @@ def _load_engine_core():
                 Resource,
                 _timeout_pool,
                 _FusedOp,
+                TraceRecorder,
             )
             _core = module
     except Exception as exc:
@@ -248,18 +249,42 @@ def _import_or_build():
     source = os.path.join(os.path.dirname(__file__), "_engine_core.c")
     if not os.path.exists(source):
         return None
-    with open(source, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    tag = f"cp{sys.version_info[0]}{sys.version_info[1]}"
     cache_dir = os.environ.get("REPRO_ENGINE_CACHE") or os.path.join(
         os.path.expanduser("~"), ".cache", "repro-engine"
     )
-    path = os.path.join(cache_dir, f"_engine_core-{tag}-{digest}.so")
-    if not os.path.exists(path):
-        if os.environ.get("REPRO_ENGINE_BUILD", "1") == "0":
-            return None
-        if not _build_extension(source, path, cache_dir):
-            return None
+    path = _cache_path(source, cache_dir)
+    may_build = os.environ.get("REPRO_ENGINE_BUILD", "1") != "0"
+    if os.path.exists(path):
+        try:
+            return _load_extension(path)
+        except ImportError:
+            # Not loadable here (a truncated write, a cache directory
+            # seeded by another machine): replace it rather than stay
+            # degraded for as long as the file lives.
+            if not may_build:
+                raise
+            os.unlink(path)
+    if not may_build or not _build_extension(source, path, cache_dir):
+        return None
+    return _load_extension(path)
+
+
+_BUILD_FLAGS = ("-O2", "-fPIC", "-shared", "-fvisibility=hidden")
+
+
+def _cache_path(source: str, cache_dir: str) -> str:
+    """Where the runtime-built core for this source, these compiler flags
+    and this interpreter's ABI (version, debug/free-threaded build,
+    platform, architecture) lives."""
+    with open(source, "rb") as fh:
+        digest = hashlib.sha256(fh.read() + "\0".join(_BUILD_FLAGS).encode())
+    abi = sysconfig.get_config_var("SOABI") or sysconfig.get_config_var("EXT_SUFFIX")
+    return os.path.join(
+        cache_dir, f"_engine_core-{abi}-{digest.hexdigest()[:16]}.so"
+    )
+
+
+def _load_extension(path: str):
     loader = importlib.machinery.ExtensionFileLoader("repro.simulate._engine_core", path)
     spec = importlib.util.spec_from_file_location(
         "repro.simulate._engine_core", path, loader=loader
@@ -283,17 +308,7 @@ def _build_extension(source: str, path: str, cache_dir: str) -> bool:
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
     os.close(fd)
-    cmd = [
-        compiler,
-        "-O2",
-        "-fPIC",
-        "-shared",
-        "-fvisibility=hidden",
-        f"-I{include}",
-        "-o",
-        tmp,
-        source,
-    ]
+    cmd = [compiler, *_BUILD_FLAGS, f"-I{include}", "-o", tmp, source]
     try:
         proc = subprocess.run(
             cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120

@@ -9,7 +9,10 @@ resume for event waiters, and the exact semantics of bounded runs.
 
 import pytest
 
+from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
 from repro.simulate.engine import Engine, Resource, SimEvent, Timeout
+from repro.simulate.network import Network, NetworkModel, SharedCell
+from repro.simulate.sched import CompiledEngine, compiled_available
 from repro.util import SimulationError
 
 
@@ -212,3 +215,317 @@ class TestRunUntilEdges:
         with pytest.raises(SimulationError) as err:
             engine.run()
         assert not str(err.value).endswith("...")
+
+
+# ----------------------------------------------------------------------
+# The compiled core's native slot access and its two inlined methods
+# ----------------------------------------------------------------------
+#
+# The C core loads and stores ``__slots__`` members at the offsets their
+# member descriptors state, and runs ``TraceRecorder.record`` and
+# ``Resource.release`` itself when they would do nothing but add. Every
+# other case must reach the attribute protocol or the Python method, so
+# each test here runs one scenario on the reference ``Engine`` and on
+# ``CompiledEngine`` -- both walking ``_FusedOp`` requests, the reference
+# in Python line by line -- and requires the same observable outcome.
+
+needs_compiled = pytest.mark.skipif(
+    not compiled_available(), reason="compiled engine core unavailable"
+)
+
+
+class _DuckRecorder:
+    """Not a TraceRecorder at all: just something with ``record``."""
+
+    def __init__(self, n_ranks):
+        self.calls = []
+
+    def record(self, src, category, start, end):
+        self.calls.append((src, category, start, end))
+
+
+class _LoudRecorder(TraceRecorder):
+    __slots__ = ("seen",)
+
+    def __init__(self, n_ranks):
+        super().__init__(n_ranks)
+        self.seen = []
+
+    def record(self, rank, category, start, end):
+        self.seen.append((rank, category))
+        super().record(rank, category, start, end)
+
+
+class _CountingNic(Resource):
+    __slots__ = ("releases",)
+
+    def __init__(self, capacity=1):
+        super().__init__(capacity)
+        self.releases = 0
+
+    def release(self):
+        self.releases += 1
+        super().release()
+
+
+def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM,
+             tamper=None, cancel_at=None, intervals=False):
+    """Three ranks issue traced ops at rank 1's NIC (one per rank, so two
+    queue behind the first); returns everything observable afterwards.
+
+    ``tamper(engine, net, ops)`` is called mid-flight, 2.2 us in, while the
+    first op holds the NIC and the other two are queued; ``cancel_at``
+    lists ranks whose processes are cancelled at that same moment.
+    """
+    engine = engine_cls()
+    net = Network(engine, NetworkModel(), 4)
+    net._fused = True  # the reference walks the same _FusedOp, in Python
+    if nic_cls is not None:
+        net.nics[1] = nic_cls(1)
+    trace = recorder_cls(4)
+    if intervals:
+        trace.keep_intervals()
+    cell = SharedCell()
+    ops, log = [], []
+
+    def rank(src):
+        op = net.rma_traced(src, 1, 1 << 16, trace, category)
+        ops.append(op)
+        yield from op
+        old = yield from net.fetch_add_traced(src, 1, cell, 1, trace, OVERHEAD)
+        log.append((src, old, engine.now))
+
+    procs = {src: engine.process(rank(src), name=f"r{src}") for src in (0, 2, 3)}
+
+    def midway():
+        for src in cancel_at or ():
+            procs[src].cancel()
+        if tamper is not None:
+            tamper(engine, net, ops)
+
+    engine.schedule(2.2e-6, midway)
+    error = None
+    try:
+        engine.run()
+    except Exception as exc:  # compared, not swallowed: part of the outcome
+        error = (type(exc).__name__, str(exc))
+    nic = net.nics[1]
+    return {
+        "error": error,
+        "log": log,
+        "engine": (engine.now, engine.events_dispatched, engine.grant_resumes),
+        "nic": (nic.in_use, nic.total_acquisitions, nic.total_waits, len(nic._queue)),
+        "releases": getattr(nic, "releases", None),
+        "trace": [
+            getattr(trace, name, None)
+            for name in ("_totals", "records", "intervals", "seen", "calls")
+        ],
+        "cell": cell.value,
+    }
+
+
+def _future_start(engine, net, ops):
+    ops[0].start = 1.0  # completes at ~15 us: the interval ends before it starts
+
+
+def _forget_acquire(engine, net, ops):
+    net.nics[1].in_use = 0  # the holder's release() is now unmatched
+
+
+@needs_compiled
+class TestCompiledCoreFallbacks:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({}, id="inline"),
+            pytest.param({"nic_cls": _CountingNic}, id="resource-subclass"),
+            pytest.param({"recorder_cls": _LoudRecorder}, id="recorder-subclass"),
+            pytest.param({"recorder_cls": _DuckRecorder}, id="duck-recorder"),
+            pytest.param({"intervals": True}, id="keep-intervals"),
+            pytest.param({"category": "bogus"}, id="unknown-category"),
+            pytest.param({"tamper": _future_start}, id="end-before-start"),
+            pytest.param({"cancel_at": (2,)}, id="release-skips-cancelled-waiter"),
+            pytest.param({"cancel_at": (2, 3)}, id="release-all-cancelled-queue"),
+            pytest.param({"cancel_at": (0,)}, id="cancelled-holder-releases"),
+            pytest.param({"tamper": _forget_acquire}, id="release-without-acquire"),
+        ],
+    )
+    def test_same_outcome_as_reference_engine(self, kwargs):
+        reference = _outcome(Engine, **kwargs)
+        assert _outcome(CompiledEngine, **kwargs) == reference
+        # The scenario did what its name says on the reference engine.
+        error, log = reference["error"], reference["log"]
+        if "category" in kwargs:
+            assert error[0] == "ConfigurationError" and "bogus" in error[1]
+        elif kwargs.get("tamper") is _future_start:
+            assert error[0] == "SimulationError" and "ends before it starts" in error[1]
+        elif kwargs.get("tamper") is _forget_acquire:
+            assert error == ("SimulationError", "release() without a matching acquire()")
+        else:
+            assert error is None
+            assert sorted(src for src, _, _ in log) == sorted(
+                {0, 2, 3} - set(kwargs.get("cancel_at", ()))
+            )
+            assert reference["nic"][0] == 0  # every NIC slot came back
+
+    def test_subclass_methods_really_ran(self):
+        """The parity above is not two engines skipping the override alike."""
+        outcome = _outcome(CompiledEngine, nic_cls=_CountingNic, recorder_cls=_LoudRecorder)
+        assert outcome["releases"] == 6  # three rma + three fetch_add holds
+        assert len(outcome["trace"][3]) == 6  # ...and as many records seen
+
+    @pytest.mark.parametrize("victim", ["op.pre", "proc._send"])
+    def test_unset_slot_raises_the_attribute_protocols_error(self, victim):
+        def message(engine_cls):
+            engine = engine_cls()
+            net = Network(engine, NetworkModel(), 2)
+            net._fused = True
+
+            def rank():
+                op = net.rma_traced(0, 1, 64, TraceRecorder(2), COMM)
+                if victim == "op.pre":
+                    del op.pre
+                yield from op
+
+            proc = engine.process(rank())
+            if victim == "proc._send":
+                del proc._send
+            with pytest.raises(AttributeError) as caught:
+                engine.run()
+            return str(caught.value)
+
+        assert message(CompiledEngine) == message(Engine)
+
+    def test_class_mutated_after_first_use_is_resolved_again(self, monkeypatch):
+        """An offset the core has already used holds only while the class
+        is unchanged: a descriptor planted over the slot afterwards sees
+        the core's stores, and taking it away restores the native path."""
+        reference = _outcome(Engine)
+        assert _outcome(CompiledEngine) == reference  # offsets now cached
+        slot = vars(Resource)["in_use"]
+        grabs = []
+
+        class Spy:
+            def __get__(self, obj, owner=None):
+                return self if obj is None else slot.__get__(obj, owner)
+
+            def __set__(self, obj, value):
+                if value == 1:  # capacity 1: an immediate acquire
+                    grabs.append(obj)
+                slot.__set__(obj, value)
+
+        monkeypatch.setattr(Resource, "in_use", Spy())
+        assert _outcome(Engine) == reference
+        from_python = len(grabs)
+        assert from_python > 0
+        assert _outcome(CompiledEngine) == reference
+        assert len(grabs) == 2 * from_python  # the C acquire went through it too
+        monkeypatch.undo()
+        assert _outcome(CompiledEngine) == reference
+        assert len(grabs) == 2 * from_python
+
+    def test_core_declines_a_class_that_lacks_a_slot(self, monkeypatch):
+        """Offsets come from the class in hand, never from a layout the
+        core assumed: registered against a stand-in ``_FusedOp`` whose
+        ``pre`` and ``done`` live in a ``__dict__`` (and whose remaining
+        slots therefore sit at other offsets), the core must read them
+        through the attribute protocol and agree with the reference."""
+        import repro.simulate.network as network
+        from repro.simulate import sched
+        from repro.simulate.engine import Process, Request, Timeout, _timeout_pool
+        from repro.simulate.network import _FusedOp
+
+        body = {
+            name: value
+            for name, value in vars(_FusedOp).items()
+            if name not in _FusedOp.__slots__ and name not in ("__slots__", "__dict__")
+        }
+        body["__slots__"] = tuple(
+            name for name in _FusedOp.__slots__ if name not in ("pre", "done")
+        ) + ("__dict__",)
+        stand_in = type("_FusedOp", (Request,), body)
+        assert "pre" not in vars(stand_in) and "nic" in vars(stand_in)
+
+        core = sched._load_engine_core()
+        roles = [Process, Timeout, Request, SimulationError, Resource, _timeout_pool]
+        monkeypatch.setattr(network, "_FusedOp", stand_in)
+        core.setup(*roles, stand_in, TraceRecorder)
+        try:
+            outcome = _outcome(CompiledEngine, cancel_at=(2,))
+        finally:
+            core.setup(*roles, _FusedOp, TraceRecorder)
+        monkeypatch.undo()
+        assert outcome == _outcome(Engine, cancel_at=(2,))
+
+
+@needs_compiled
+def test_compiled_core_holds_no_references_after_a_run():
+    """ROADMAP 5(b), first slice: the C core's reference counting.
+
+    A leaked reference per fused op, grant or pooled timeout shows as a
+    refcount that grows with the number of operations, so the same
+    64-rank ``work_stealing`` cell is run small and then large (> 10^5
+    fused ops) and every object the core touches on the per-event path
+    must end both runs with the same count; the interned category
+    strings, shared by every run, must not move between the two.
+    """
+    import gc
+    import sys
+
+    from repro.chemistry.tasks import synthetic_task_graph
+    from repro.exec_models.base import Harness
+    from repro.exec_models import make_model
+    from repro.runtime import trace as trace_mod
+    from repro.simulate import commodity_cluster
+    from repro.simulate.engine import _timeout_pool
+    from repro.simulate.network import _FusedOp
+
+    categories = [getattr(trace_mod, name) for name in ("COMPUTE", "COMM", "OVERHEAD", "IDLE")]
+    machine = commodity_cluster(64)
+    model = make_model("work_stealing")
+
+    def run(n_tasks):
+        graph = synthetic_task_graph(n_tasks, 24, seed=5, skew=1.2, mean_cost=2.0e5)
+        harness = Harness(graph, machine, seed=3)
+        assert type(harness.engine) is CompiledEngine
+        model.setup(harness)
+        harness.spawn_ranks(model.rank_process)
+        result = harness.finish(model.name)
+        del graph
+        gc.collect()
+        counts = {
+            "trace": sys.getrefcount(harness.trace),
+            # every Process ever started refers to its engine
+            "engine": sys.getrefcount(harness.engine) - len(harness.engine._processes),
+            "nics": [sys.getrefcount(nic) for nic in harness.network.nics],
+            "totals": [sys.getrefcount(harness.trace._totals[c]) for c in categories],
+        }
+        return result, counts
+
+    def shared():
+        gc.collect()
+        return [sys.getrefcount(c) for c in categories] + [
+            sys.getrefcount(None), sys.getrefcount(True), sys.getrefcount(False)
+        ]
+
+    def live(cls):
+        return sum(type(obj) is cls for obj in gc.get_objects())
+
+    small, small_counts = run(400)
+    del small
+    timeouts_outside_pool = live(Timeout) - len(_timeout_pool)
+    before = shared()
+    large, large_counts = run(26000)
+    assert large.fused_ops >= 100_000 and large.timeout_allocs > 10_000
+    assert large.grant_resumes > 100_000
+    del large
+    after = shared()
+
+    assert large_counts == small_counts
+    # None/True/False are refcounted before 3.12 and pass through the
+    # core on every event; a handful of references may come and go with
+    # the interpreter's own caches, 10^5 may not.
+    assert after[:4] == before[:4]
+    assert all(abs(a - b) < 64 for a, b in zip(after[4:], before[4:]))
+    assert live(_FusedOp) == 0
+    assert live(Timeout) - len(_timeout_pool) <= timeouts_outside_pool

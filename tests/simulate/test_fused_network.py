@@ -442,6 +442,14 @@ def test_hotpath_counters_match_across_engines():
 # ----------------------------------------------------------------------
 
 
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None
+    and shutil.which("gcc") is None
+    and shutil.which("clang") is None,
+    reason="no C compiler on PATH",
+)
+
+
 def test_engine_require_raises_with_build_detail(monkeypatch):
     from repro.simulate import sched
 
@@ -466,12 +474,7 @@ def test_degraded_warning_includes_stderr_tail(monkeypatch):
     assert type(engine) is Engine  # degraded, not broken
 
 
-@pytest.mark.skipif(
-    shutil.which("cc") is None
-    and shutil.which("gcc") is None
-    and shutil.which("clang") is None,
-    reason="no C compiler on PATH",
-)
+@needs_cc
 def test_build_extension_captures_compiler_stderr(monkeypatch, tmp_path):
     from repro.simulate import sched
 
@@ -482,3 +485,49 @@ def test_build_extension_captures_compiler_stderr(monkeypatch, tmp_path):
     assert not ok
     assert sched._last_build_error is not None
     assert "bad.c" in sched._last_build_error
+
+
+@needs_cc
+def test_unloadable_cached_core_is_rebuilt(tmp_path):
+    """A cached file this interpreter cannot load (another machine's
+    build in a shared ``$HOME``, a truncated write) is replaced, not
+    trusted for as long as it exists. In a fresh interpreter, so the
+    core this process already loaded is not disturbed."""
+    import importlib.machinery
+    import os
+    import subprocess
+    import sys
+    import sysconfig
+
+    import repro.simulate
+    from repro.simulate import sched
+
+    # PathFinder, not find_spec: loading the cached core registers it in
+    # sys.modules under this very name.
+    if importlib.machinery.PathFinder.find_spec(
+        "repro.simulate._engine_core", list(repro.simulate.__path__)
+    ):
+        pytest.skip("a pre-built core shadows the runtime-build cache")
+    source = os.path.join(os.path.dirname(sched.__file__), "_engine_core.c")
+    planted = tmp_path / os.path.basename(sched._cache_path(source, str(tmp_path)))
+    # Keyed by the full ABI tag, not just major.minor.
+    assert sysconfig.get_config_var("SOABI") in planted.name
+    garbage = b"not a shared object\n"
+    planted.write_bytes(garbage)
+    env = dict(
+        os.environ,
+        REPRO_ENGINE_CACHE=str(tmp_path),
+        REPRO_ENGINE_BUILD="1",
+        PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+    )
+    check = (
+        "import sys; from repro.simulate import sched; "
+        "ok = sched.compiled_available(); "
+        "print(sched._last_build_error, file=sys.stderr); sys.exit(0 if ok else 1)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=180
+    )
+    assert done.returncode == 0, done.stderr
+    assert planted.stat().st_size > len(garbage) and planted.read_bytes() != garbage
+    assert [p.name for p in tmp_path.iterdir()] == [planted.name]  # no temp left behind

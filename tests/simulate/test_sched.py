@@ -5,7 +5,10 @@ exact ``(time, seq)`` order — the reference heap engine's order — so simulat
 are bit-for-bit identical regardless of ``REPRO_ENGINE``. The randomized
 property test here exercises the order-sensitive corners directly:
 equal timestamps, zero-delay wake-ups, horizon-bounded ``run(until=)``
-stages, cancellations, and deadlock truncation.
+stages, cancellations, and deadlock truncation — and, for the network
+path, ``Engine`` + the ``_walk`` generator against ``CompiledEngine`` +
+the C-walked ``_FusedOp``: traced one-sided ops contending for NICs while
+other processes hold the same NICs, cancelled mid-op.
 """
 
 import numpy as np
@@ -13,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.simulate.sched as sched
+from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
 from repro.simulate.engine import Engine, Resource, SimEvent, SimulationError, Timeout, hold
+from repro.simulate.network import Network, NetworkModel, SharedCell
 from repro.simulate.sched import (
     ENGINE_MODES,
     CompiledEngine,
@@ -64,6 +69,9 @@ class TestModeSelection:
 
     def test_compiled_unavailable_warns_once(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "compiled")
+        # Inherited from a compiled-and-required environment (the
+        # sanitizer CI leg), it would turn the degrade into an error.
+        monkeypatch.delenv("REPRO_ENGINE_REQUIRE", raising=False)
         monkeypatch.setattr(sched, "_load_engine_core", lambda: None)
         monkeypatch.setattr(sched, "_degraded_warned", False)
         with pytest.warns(DegradedEngineWarning):
@@ -77,6 +85,7 @@ class TestModeSelection:
 
     def test_auto_degrades_silently(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "auto")
+        monkeypatch.delenv("REPRO_ENGINE_REQUIRE", raising=False)
         monkeypatch.setattr(sched, "_load_engine_core", lambda: None)
         monkeypatch.setattr(sched, "_degraded_warned", False)
         import warnings as warnings_mod
@@ -119,7 +128,9 @@ class TestModeSelection:
 # Cross-engine dispatch-order equivalence
 
 
-def _run_scenario(engine_cls, delays, horizons, cancel_victim):
+def _run_scenario(
+    engine_cls, delays, horizons, cancel_victim, net_plans=(), net_cancel=None
+):
     """One mixed workload on ``engine_cls``; returns the dispatch log.
 
     Each process walks its delay list (zero delays take the run-queue,
@@ -127,11 +138,43 @@ def _run_scenario(engine_cls, delays, horizons, cancel_victim):
     FIFO resource, one waits on a broadcast event, and ``cancel_victim``
     optionally cancels process 0 mid-run. The run is staged through the
     ``horizons`` prefixes before the final drain.
+
+    ``net_plans`` adds one rank process per plan on a 4-rank network
+    whose interpreter is the engine's own default (``_walk`` generators
+    on ``Engine``, C-walked ``_FusedOp``s on ``CompiledEngine``): traced
+    ``fetch_add``/``rma`` ops against shared home NICs, and plain
+    ``hold``s of those same NICs, so fused waiters queue behind process
+    waiters and the other way round. ``net_cancel = (rank, time)``
+    cancels one of them wherever it then is — in a pre-delay, queued,
+    granted-but-not-woken, holding, or on the return path. NIC counters,
+    the counter cell and the trace totals close the log.
     """
     engine = engine_cls()
     log = []
     resource = Resource(capacity=1)
     gate = SimEvent()
+    net = Network(engine, NetworkModel(), 4)
+    trace = TraceRecorder(4)
+    cell = SharedCell()
+
+    def rank(src, plan):
+        for kind, dst, arg in plan:
+            if kind == "fetch_add":
+                old = yield from net.fetch_add_traced(src, dst, cell, arg, trace, OVERHEAD)
+                log.append(("fetch_add", src, old, engine.now))
+            elif kind == "rma":
+                yield from net.rma_traced(src, dst, arg, trace, COMM)
+                log.append(("rma", src, engine.now))
+            else:
+                yield from hold(net.nics[dst], arg * 1.0e-9)
+                log.append(("nic-held", src, engine.now))
+
+    ranks = [
+        engine.process(rank(src, plan), name=f"r{src}")
+        for src, plan in enumerate(net_plans)
+    ]
+    if net_cancel is not None and net_cancel[0] < len(ranks):
+        engine.schedule(net_cancel[1], ranks[net_cancel[0]].cancel)
 
     def walker(pid, steps):
         for i, delay in enumerate(steps):
@@ -160,11 +203,29 @@ def _run_scenario(engine_cls, delays, horizons, cancel_victim):
         log.append(("horizon", engine.now, engine.pending_events))
     engine.run()
     log.append(("end", engine.now, engine.events_dispatched, engine.ready_dispatched))
+    log.append(
+        [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in net.nics]
+    )
+    log.append((cell.value, trace.records, trace._totals, engine.grant_resumes))
     return log
 
 
 _DELAY = st.sampled_from(
     [0.0, 0.0, 1.0e-7, 3.0e-7, 1.0e-6, 1.0e-6, 1.5e-6, 2.5e-6, 1.0e-3, 0.5]
+)
+
+#: One network step: (kind, home rank, amount | payload bytes | hold ns).
+#: Two home ranks for four initiators, so NICs are contended and some
+#: ops are self-ops (no NIC at all).
+_NET_OP = st.tuples(
+    st.sampled_from(["fetch_add", "fetch_add", "rma", "rma", "hold"]),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from([1, 64, 4096, 1 << 20]),
+)
+#: Cancel times from inside the first pre-delay out to past a 1 MiB hold.
+_NET_CANCEL = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1.0e-7, 6.0e-7, 1.5e-6, 2.0e-6, 2.6e-6, 4.0e-6, 1.0e-4, 3.0e-4]),
 )
 
 
@@ -179,16 +240,16 @@ class TestCrossEngineOrder:
             max_size=2,
         ).map(sorted),
         cancel_victim=st.booleans(),
+        net_plans=st.lists(st.lists(_NET_OP, min_size=1, max_size=6), max_size=4),
+        net_cancel=st.none() | _NET_CANCEL,
     )
     def test_dispatch_order_identical_across_engines(
-        self, delays, horizons, cancel_victim
+        self, delays, horizons, cancel_victim, net_plans, net_cancel
     ):
-        reference = _run_scenario(Engine, delays, horizons, cancel_victim)
+        scenario = (delays, horizons, cancel_victim, net_plans, net_cancel)
+        reference = _run_scenario(Engine, *scenario)
         for engine_cls in ENGINE_CLASSES[1:]:
-            assert (
-                _run_scenario(engine_cls, delays, horizons, cancel_victim)
-                == reference
-            ), engine_cls.__name__
+            assert _run_scenario(engine_cls, *scenario) == reference, engine_cls.__name__
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_deadlock_truncation_identical(self, engine_cls):
