@@ -61,7 +61,9 @@ def run_table(graphs, rank_counts):
 
 
 @pytest.mark.benchmark(group="e3")
-def test_e3_balancer_table(benchmark, water6_problem, synthetic_medium, emit):
+def test_e3_balancer_table(
+    benchmark, water6_problem, synthetic_medium, emit, no_artifact_store
+):
     graphs = [("water6", water6_problem.graph), ("synthetic", synthetic_medium)]
 
     rows = benchmark.pedantic(run_table, args=(graphs, (32, 128)), rounds=1, iterations=1)

@@ -38,7 +38,7 @@ def run_series():
 
 
 @pytest.mark.benchmark(group="e4")
-def test_e4_balancer_cost_scaling(benchmark, emit):
+def test_e4_balancer_cost_scaling(benchmark, emit, no_artifact_store):
     rows = benchmark.pedantic(run_series, rounds=1, iterations=1)
     emit(
         "e4_balancer_cost",

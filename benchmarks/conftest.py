@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.api import SweepRunner
+from repro.api import SweepRunner, use_store
 from repro.chemistry import ScfProblem, linear_alkane, water_cluster
 from repro.chemistry.tasks import synthetic_task_graph
 
@@ -94,6 +94,19 @@ def sweep_runner():
             f"{stats.computed} computed (hit rate {stats.hit_rate:.0%}, "
             f"jobs={jobs})"
         )
+
+
+@pytest.fixture
+def no_artifact_store():
+    """Run the test with the artifact store off, then restore it.
+
+    For experiments that *time* a balancer: ``hypergraph_balancer`` and
+    ``fock_hypergraph`` are content-addressed, so with
+    ``REPRO_ARTIFACT_DIR`` exported a second run would time a disk read
+    and report it as the partitioner's cost.
+    """
+    with use_store(None):
+        yield
 
 
 @pytest.fixture(scope="session")

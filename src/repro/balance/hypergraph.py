@@ -11,10 +11,12 @@ the classic (and computationally expensive) formulation the paper compares
 semi-matching against.
 
 Internally the pin structure is CSR-style: one concatenated ``pins``
-array plus ``xpins`` segment offsets. Construction, validation, incidence
-and the cut metrics all run as NumPy segment operations; ``nets`` (the
-list-of-arrays view the partitioner's inner loops iterate) is materialized
-lazily as zero-copy slices of ``pins``.
+array plus ``xpins`` segment offsets, and its transpose ``vnets`` /
+``xnets`` (the nets of each vertex), built lazily by one stable argsort.
+Construction, validation, incidence and the cut metrics all run as NumPy
+segment operations; ``nets`` and ``vertex_nets()`` (the list views the
+partitioner's inner loops iterate) are materialized lazily from the two
+CSRs.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class Hypergraph:
         net_weights: ``(n_nets,)`` float weights.
         pins: ``(n_pins,)`` concatenated pin array (CSR values).
         xpins: ``(n_nets + 1,)`` segment offsets into ``pins``.
+        vnets: ``(n_pins,)`` net ids grouped by vertex, ascending within
+            each vertex (the transposed CSR's values; lazy).
+        xnets: ``(n_vertices + 1,)`` segment offsets into ``vnets``.
     """
 
     def __init__(
@@ -85,7 +90,8 @@ class Hypergraph:
                 raise ConfigurationError(f"net {idx} has duplicate pins")
         self.pins = pins
         self.xpins = xpins
-        self._nets: list[np.ndarray] | None = pin_arrays
+        self._reset_caches()
+        self._nets = pin_arrays
         self.net_weights = np.asarray(net_weights, dtype=np.float64)
         if self.net_weights.shape != (len(pin_arrays),):
             raise ConfigurationError(
@@ -93,7 +99,15 @@ class Hypergraph:
             )
         if np.any(self.net_weights < 0):
             raise ConfigurationError("net weights must be non-negative")
+
+    def _reset_caches(self) -> None:
+        """Declare the lazily built views (all derived from the CSR)."""
+        self._nets: list[np.ndarray] | None = None
+        self._vertex_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._vertex_nets: list[list[int]] | None = None
+        #: Side-independent FM working state; owned by
+        #: ``repro.balance.partition._fm_state``.
+        self._fm_state: tuple | None = None
 
     @classmethod
     def from_csr(
@@ -114,8 +128,7 @@ class Hypergraph:
         hg.xpins = np.asarray(xpins, dtype=np.int64)
         hg.pins = np.asarray(pins, dtype=np.int64)
         hg.net_weights = np.asarray(net_weights, dtype=np.float64)
-        hg._nets = None
-        hg._vertex_nets = None
+        hg._reset_caches()
         return hg
 
     @property
@@ -144,24 +157,38 @@ class Hypergraph:
     def total_vertex_weight(self) -> float:
         return float(self.vertex_weights.sum())
 
+    def _vertex_net_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        # The transposed CSR. One stable argsort over the pin array
+        # groups net ids by vertex and keeps them ascending within each
+        # vertex — the append order of a per-net loop.
+        if self._vertex_csr is None:
+            eids = np.repeat(np.arange(self.n_nets), self.net_sizes)
+            vnets = eids[np.argsort(self.pins, kind="stable")]
+            xnets = np.zeros(self.n_vertices + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.pins, minlength=self.n_vertices), out=xnets[1:])
+            self._vertex_csr = (xnets, vnets)
+        return self._vertex_csr
+
+    @property
+    def xnets(self) -> np.ndarray:
+        return self._vertex_net_csr()[0]
+
+    @property
+    def vnets(self) -> np.ndarray:
+        return self._vertex_net_csr()[1]
+
     def vertex_nets(self) -> list[list[int]]:
         """Incidence: for each vertex, the net ids containing it (cached).
 
-        Built by one stable argsort over the pin array; within each
-        vertex's list, net ids appear in ascending order — exactly the
-        append order of the former per-net Python loop.
+        The list-of-lists view of ``xnets``/``vnets``: net ids ascending
+        within each vertex.
         """
         if self._vertex_nets is None:
-            if self.n_vertices == 0:
-                self._vertex_nets = []
-            else:
-                eids = np.repeat(np.arange(self.n_nets), self.net_sizes)
-                order = np.argsort(self.pins, kind="stable")
-                counts = np.bincount(self.pins, minlength=self.n_vertices)
-                self._vertex_nets = [
-                    chunk.tolist()
-                    for chunk in np.split(eids[order], np.cumsum(counts[:-1]))
-                ]
+            offsets = self.xnets.tolist()
+            flat = self.vnets.tolist()
+            self._vertex_nets = [
+                flat[offsets[v] : offsets[v + 1]] for v in range(self.n_vertices)
+            ]
         return self._vertex_nets
 
 

@@ -98,6 +98,13 @@ def _kway_repair(hg: Hypergraph, parts: np.ndarray, k: int, eps: float) -> None:
     # dispatch. Same doubles, same accumulation order, same moves.
     weight_list: list[float] = weights.tolist()
     net_weight_list: list[float] = hg.net_weights.tolist()
+    # Pins of each net in each part, kept current move by move, so the
+    # damage of a candidate is two table reads per net instead of two
+    # scans of the net's pins.
+    net_of_pin = np.repeat(np.arange(hg.n_nets), hg.net_sizes)
+    pin_counts = np.bincount(
+        net_of_pin * k + parts[hg.pins], minlength=hg.n_nets * k
+    ).reshape(hg.n_nets, k)
     while budget > 0:
         src = int(np.argmax(loads))
         if loads[src] <= limit + 1e-12:
@@ -108,6 +115,8 @@ def _kway_repair(hg: Hypergraph, parts: np.ndarray, k: int, eps: float) -> None:
             break
         overload = loads[src] - ideal
         headroom = overload + ideal - loads[dst]
+        in_src: list[int] = pin_counts[:, src].tolist()
+        in_dst: list[int] = pin_counts[:, dst].tolist()
         best_v = -1
         best_key: tuple[float, float] | None = None
         for v in members.tolist():
@@ -116,10 +125,9 @@ def _kway_repair(hg: Hypergraph, parts: np.ndarray, k: int, eps: float) -> None:
                 continue
             damage = 0.0
             for eid in incidence[v]:
-                pins = parts[hg.nets[eid]]
-                if not np.any(pins == dst):
+                if in_dst[eid] == 0:
                     damage += net_weight_list[eid]
-                if np.count_nonzero(pins == src) == 1:
+                if in_src[eid] == 1:
                     damage -= net_weight_list[eid]
             key = (damage / w, -w)
             if best_key is None or key < best_key:
@@ -128,6 +136,9 @@ def _kway_repair(hg: Hypergraph, parts: np.ndarray, k: int, eps: float) -> None:
         if best_v < 0:
             break
         parts[best_v] = dst
+        moved_nets = incidence[best_v]
+        pin_counts[moved_nets, src] -= 1
+        pin_counts[moved_nets, dst] += 1
         moved = weight_list[best_v]
         loads[src] -= moved
         loads[dst] += moved
@@ -249,69 +260,60 @@ def _multilevel_bisect(
     return side
 
 
+def _pin_views(hg: Hypergraph, per_net: np.ndarray) -> list[np.ndarray]:
+    """``per_net`` repeated over each net's pins, as per-net views.
+
+    The weight-side twin of ``hg.nets``: ``views[e]`` lines up with
+    ``hg.nets[e]``, so concatenating both over a vertex's nets yields the
+    (pin, contribution) event stream of a per-net, per-pin loop. One
+    O(pins) array per level, shared by every vertex.
+    """
+    return np.split(np.repeat(per_net, hg.net_sizes), hg.xpins[1:-1])
+
+
 def _heavy_connectivity_matching(
     hg: Hypergraph, rng: np.random.Generator
 ) -> np.ndarray:
     """Pair vertices by shared net weight; returns partner (or self).
 
-    Per-vertex scoring runs on a dense buffer: contributions land via
-    ``np.add.at`` in the dict accumulation's event order, candidates are
-    enumerated in first-touch order (the dict's insertion order), and
-    the strict-``>`` scan becomes a first-maximum argmax over that
-    ordering — same winner, bit for bit, including the weight-cap rule
-    (a capped candidate never updated ``best``, which is exactly what
-    pre-filtering achieves).
+    A vertex's candidates are the pins of its nets of 2 to
+    ``_MAX_NET_MATCH`` pins, each pin scoring ``w_e / (|e| - 1)`` per
+    shared net. ``np.bincount`` sums those contributions sequentially in
+    net-then-pin order (the order a dict accumulation would use), and the
+    first maximum of the masked scores *in that same order* is the
+    best-scoring candidate that was touched first: the strict-``>`` scan
+    over first-touch order, without recovering that order explicitly.
+    Matched, over-cap and self candidates are masked to -1, below any
+    score, which is what skipping them in the scan amounts to.
     """
     n = hg.n_vertices
     match = -np.ones(n, dtype=np.int64)
+    sizes = hg.net_sizes
+    scored = ((sizes >= 2) & (sizes <= _MAX_NET_MATCH)).tolist()
     incidence = hg.vertex_nets()
     nets = hg.nets
-    net_weights = hg.net_weights
+    shares = _pin_views(hg, hg.net_weights / np.maximum(sizes - 1, 1))
     vertex_weights = hg.vertex_weights
     weight_cap = 1.5 * hg.total_vertex_weight / max(_COARSEN_TARGET, 1)
-    scores = np.zeros(n, dtype=np.float64)
-    for v in rng.permutation(n):
-        v = int(v)
-        if match[v] >= 0:
+    free = np.ones(n, dtype=bool)
+    for v in rng.permutation(n).tolist():
+        if not free[v]:
             continue
-        pin_lists: list[np.ndarray] = []
-        per_pin: list[float] = []
-        for eid in incidence[v]:
-            net = nets[eid]
-            if net.size > _MAX_NET_MATCH or net.size < 2:
-                continue
-            pin_lists.append(net)
-            per_pin.append(net_weights[eid] / (net.size - 1))
-        partner = -1
-        if pin_lists:
-            cat = (
-                pin_lists[0]
-                if len(pin_lists) == 1
-                else np.concatenate(pin_lists)
-            )
-            wrep = np.repeat(
-                np.array(per_pin), [p.size for p in pin_lists]
-            )
-            np.add.at(scores, cat, wrep)
-            uniq, first = np.unique(cat, return_index=True)
-            cand = uniq[np.argsort(first)]
-            ok = (
-                (cand != v)
-                & (match[cand] < 0)
-                & (vertex_weights[v] + vertex_weights[cand] <= weight_cap)
-            )
-            cand = cand[ok]
-            if cand.size:
-                cand_scores = scores[cand]
-                i = int(np.argmax(cand_scores))
-                if cand_scores[i] > 0.0:
-                    partner = int(cand[i])
-            scores[uniq] = 0.0
-        if partner >= 0:
-            match[v] = partner
-            match[partner] = v
-        else:
-            match[v] = v
+        free[v] = False
+        partner = v
+        eids = [e for e in incidence[v] if scored[e]]
+        if eids:
+            cat = np.concatenate([nets[e] for e in eids])
+            share = np.concatenate([shares[e] for e in eids])
+            totals = np.bincount(cat, weights=share, minlength=n)
+            ok = free[cat] & (vertex_weights[v] + vertex_weights[cat] <= weight_cap)
+            cand_scores = np.where(ok, totals[cat], -1.0)
+            i = cand_scores.argmax()
+            if cand_scores[i] > 0.0:
+                partner = int(cat[i])
+                free[partner] = False
+        match[v] = partner
+        match[partner] = v
     return match
 
 
@@ -389,7 +391,10 @@ def _initial_bisection(
     the hypergraph has no locality)."""
     total = hg.total_vertex_weight
     target0 = frac0 * total
-    candidates = [_grow_region(hg, target0, rng) for _ in range(_INIT_TRIES)]
+    pin_weights = _pin_views(hg, hg.net_weights)
+    candidates = [
+        _grow_region(hg, target0, rng, pin_weights) for _ in range(_INIT_TRIES)
+    ]
     candidates.append(_weight_scatter(hg, target0, total, rng))
     best_side: np.ndarray | None = None
     best_key: tuple[float, float] | None = None
@@ -404,56 +409,50 @@ def _initial_bisection(
 
 
 def _grow_region(
-    hg: Hypergraph, target0: float, rng: np.random.Generator
+    hg: Hypergraph,
+    target0: float,
+    rng: np.random.Generator,
+    pin_weights: list[np.ndarray],
 ) -> np.ndarray:
     """Grow side 0 from a random seed by strongest net connectivity.
 
     Highest connectivity score wins each absorption step; ties break
-    toward the smaller vertex id.
+    toward the smaller vertex id. ``pin_weights`` is
+    ``_pin_views(hg, hg.net_weights)``, shared by the restarts.
     """
     n = hg.n_vertices
     side = np.ones(n, dtype=np.int8)
     incidence = hg.vertex_nets()
     nets = hg.nets
-    net_weights = hg.net_weights
     vertex_weights = hg.vertex_weights
-    # Dense frontier state replaces the former score dict: ``np.add.at``
-    # applies the per-pin contributions of each absorbed vertex in the
-    # same event order the dict accumulation used, and the masked argmax
-    # picks the first (= smallest-id) maximum — the dict scan's exact
-    # tie-break. Scores accumulated onto vertices already in the region
-    # are dead weight the mask hides; candidates were provably outside
-    # the region at every one of their add events, so their values are
-    # bit-identical.
+    # ``scores`` accumulates each absorbed vertex's per-pin contributions
+    # with ``np.add.at``, i.e. sequentially in net-then-pin order like a
+    # dict accumulation. An absorbed vertex's score is pinned at -inf
+    # (-inf + w stays -inf), and ``cand`` mirrors ``scores`` on every
+    # vertex touched so far while staying -inf elsewhere, so the frontier
+    # (touched, not absorbed) is exactly where ``cand`` is finite and its
+    # first maximum is the smallest-id best candidate. A frontier vertex
+    # was outside the region at each of its add events, so its score is
+    # the plain sum of them.
     scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    in_region = np.zeros(n, dtype=bool)
+    cand = np.full(n, -math.inf)
     w0 = 0.0
     current = int(rng.integers(0, n))
     while True:
         side[current] = 0
-        in_region[current] = True
+        scores[current] = cand[current] = -math.inf
         w0 += vertex_weights[current]
         if w0 >= target0:
             break
         eids = incidence[current]
         if eids:
-            if len(eids) == 1:
-                cat = nets[eids[0]]
-                wrep = np.full(cat.size, net_weights[eids[0]])
-            else:
-                pin_lists = [nets[e] for e in eids]
-                cat = np.concatenate(pin_lists)
-                wrep = np.repeat(
-                    net_weights[eids], [p.size for p in pin_lists]
-                )
+            cat = np.concatenate([nets[e] for e in eids])
+            wrep = np.concatenate([pin_weights[e] for e in eids])
             np.add.at(scores, cat, wrep)
-            touched[cat] = True
-        frontier = touched & ~in_region
-        if frontier.any():
-            current = int(np.argmax(np.where(frontier, scores, -math.inf)))
-        else:
-            remaining = np.nonzero(~in_region)[0]
+            cand[cat] = scores[cat]
+        current = int(cand.argmax())
+        if cand[current] == -math.inf:
+            remaining = np.flatnonzero(side)
             if remaining.size == 0:
                 break
             current = int(remaining[rng.integers(0, remaining.size)])
@@ -466,15 +465,15 @@ def _weight_scatter(
     """Greedy deficit placement in decreasing-weight order."""
     order = np.argsort(-hg.vertex_weights + rng.uniform(0, 1e-9, hg.n_vertices))
     side = np.zeros(hg.n_vertices, dtype=np.int8)
+    weights: list[float] = hg.vertex_weights.tolist()
     w0 = 0.0
     w1 = 0.0
-    for v in order:
-        v = int(v)
+    for v in order.tolist():
         if target0 - w0 >= (total - target0) - w1:
-            w0 += hg.vertex_weights[v]
+            w0 += weights[v]
         else:
             side[v] = 1
-            w1 += hg.vertex_weights[v]
+            w1 += weights[v]
     return side
 
 
@@ -532,14 +531,14 @@ def _fm_state(
     sorted initial-gain event layout are identical every pass, so they
     are built once and cached like ``nets``/``vertex_nets``.
     """
-    cache = getattr(hg, "_fm_state", None)
+    cache = hg._fm_state
     if cache is None:
         sizes_arr = hg.net_sizes
         if hg.n_pins:
-            seg = np.repeat(np.arange(hg.n_nets), sizes_arr)
-            order = np.argsort(hg.pins, kind="stable")
-            ev_v = hg.pins[order]
-            ev_net = seg[order]
+            # Initial-gain events, vertex-major with nets ascending: the
+            # vertex->net CSR read off as (vertex, net) pairs.
+            ev_net = hg.vnets
+            ev_v = np.repeat(np.arange(hg.n_vertices), np.diff(hg.xnets))
             ev_idx = np.repeat(ev_v, 2)
         else:
             ev_v = ev_net = ev_idx = None
@@ -552,7 +551,7 @@ def _fm_state(
             ev_net,
             ev_idx,
         )
-        hg._fm_state = cache  # type: ignore[attr-defined]
+        hg._fm_state = cache
     return cache
 
 

@@ -30,6 +30,20 @@ class TestHypergraph:
         assert incidence[1] == [0, 1]
         assert incidence[3] == [1, 2]
 
+    def test_vertex_net_csr_is_the_transposed_pin_csr(self):
+        # Vertex 4 is isolated and net 1 is out of id order on purpose.
+        hg = Hypergraph(
+            np.ones(5),
+            [np.array([3, 0]), np.array([2, 1, 3]), np.array([0, 3])],
+            np.ones(3),
+        )
+        np.testing.assert_array_equal(hg.xnets, [0, 2, 3, 4, 7, 7])
+        np.testing.assert_array_equal(hg.vnets, [0, 2, 1, 1, 0, 1, 2])
+        assert hg.vertex_nets() == [[0, 2], [1], [1], [0, 1, 2], []]
+        empty = Hypergraph(np.empty(0), [], np.empty(0))
+        np.testing.assert_array_equal(empty.xnets, [0])
+        assert empty.vnets.size == 0 and empty.vertex_nets() == []
+
     def test_duplicate_pins_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             Hypergraph(np.ones(2), [np.array([0, 0])], np.ones(1))
