@@ -176,7 +176,9 @@ class ArtifactStore:
             return None
         path = self.path_for(key)
         try:
-            with np.load(path, allow_pickle=False) as npz:
+            # Opened here, not by np.load: given a path it loses the handle
+            # when the archive turns out to be truncated.
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
                 header = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
                 if (
                     header.get("magic") != _ENTRY_MAGIC

@@ -1,20 +1,24 @@
-"""Real shared-memory execution of the task graph (host validation).
+"""Running work on real host processes: the executor stack and a Fock demo.
 
-The simulator answers the performance questions; this package answers the
-"is any of this real?" question: the same task kernels, claimed by the same
-three scheduling disciplines (static / shared counter / work stealing),
-executed by actual Python threads on the host, with the resulting Fock
-matrix checked against the serial reference. It also powers the laptop
-examples and gives SCF a genuinely parallel two-electron builder.
+Two things live here, and the simulator is neither of them.
 
-:mod:`repro.parallel.executor` is the coarse-grained counterpart: generic
-fork-based fan-out of independent jobs plus the :class:`CellExecutor`
-backend protocol; :mod:`repro.parallel.supervisor` wraps the fan-out in
-host-level fault tolerance (per-job timeouts, crash recovery,
-retry/backoff, poison-job quarantine) — the ``local`` backend the sweep
-orchestrator runs on by default — and :mod:`repro.parallel.fabric` /
-:mod:`repro.parallel.worker` stretch the same supervision across hosts
-as the ``distributed`` backend (leased TCP workers).
+**How a sweep's cells get run.** :mod:`repro.parallel.supervisor` holds
+the one supervision loop (``supervise``: one attempt ledger driving
+retry, backoff, quarantine, per-cell budgets, the job deadline and
+duplicate handling) and two of its three transports, forked workers
+on pipes and in-process; :mod:`repro.parallel.fabric` and
+:mod:`repro.parallel.worker` supply the third, leased TCP workers.
+:mod:`repro.parallel.executor` is the :class:`CellExecutor` contract,
+registry and spec grammar the sweep orchestrator programs against
+(``local`` / ``serial`` / ``distributed``); :mod:`repro.parallel.shm`
+hands large task graphs to forked workers through shared memory.
+
+**Is any of this real?** :mod:`repro.parallel.pool` executes the same
+task kernels, claimed by the same three scheduling disciplines the
+simulator models (static / shared counter / work stealing), on actual
+Python threads, and checks the resulting Fock matrix against the serial
+reference. It powers ``python -m repro scf --workers`` and the laptop
+examples.
 """
 
 from repro.parallel.executor import (
@@ -27,16 +31,12 @@ from repro.parallel.executor import (
     fork_available,
     format_executor_spec,
     make_executor,
-    parallel_imap,
-    parallel_map,
     parse_executor_spec,
     register_executor,
 )
 from repro.parallel.supervisor import (
     HOST_RETRY_POLICY,
-    AttemptLedger,
     CellFailure,
-    SupervisedPool,
     SupervisorStats,
     supervised_imap,
 )
@@ -53,22 +53,13 @@ from repro.parallel.pool import (
     parallel_g_builder,
     ParallelStats,
 )
-from repro.parallel.processes import (
-    ProcessFockBuilder,
-    process_g_builder,
-    ProcessStats,
-)
 
 __all__ = [
     "fork_available",
-    "parallel_imap",
-    "parallel_map",
     "WorkerError",
     "supervised_imap",
-    "SupervisedPool",
     "SupervisorStats",
     "CellFailure",
-    "AttemptLedger",
     "HOST_RETRY_POLICY",
     "CellExecutor",
     "LocalExecutor",
@@ -89,7 +80,4 @@ __all__ = [
     "SharedMemoryFockBuilder",
     "parallel_g_builder",
     "ParallelStats",
-    "ProcessFockBuilder",
-    "process_g_builder",
-    "ProcessStats",
 ]

@@ -1,27 +1,19 @@
-"""Host-side process-pool plumbing for coarse-grained job fan-out.
+"""The executor layer: how a sweep's cache-miss cells get run on a host.
 
-Where :mod:`repro.parallel.processes` forks workers around a single Fock
-build, this module provides the generic piece the sweep orchestrator
-needs: run N independent, picklable jobs across a pool of forked worker
-processes and return their results in submission order.
+:class:`CellExecutor` is the contract the sweep orchestrator programs
+against; the three built-in backends (``local``, ``serial``,
+``distributed``) are thin constructors of a transport handed to the one
+supervision loop in :mod:`repro.parallel.supervisor`, so retry, backoff,
+quarantine, deadlines and duplicate handling are the same code whichever
+backend runs a cell. This module also holds what every backend shares
+without depending on any of them: :class:`WorkerError` (a job failure
+that crossed a process boundary), the structured
+:class:`DegradedExecutionWarning`, and the executor spec-string grammar
+(:func:`parse_executor_spec`) and registry (:func:`make_executor`).
 
-Uses the ``fork`` start method (POSIX) so workers inherit imported
-modules and any already-built problem state without re-importing; falls
-back to serial in-process execution when forking is unavailable or when
-the job list / worker count makes a pool pointless. Simulated runs are
-deterministic functions of their inputs, so serial and parallel
-execution produce identical results — the pool changes wall-clock time
-only.
-
-Failure semantics: a job exception inside a worker comes back as a
-:class:`WorkerError` that names the job (label + index) and carries the
-remote traceback text, instead of the bare unpickled exception whose
-traceback points into ``concurrent.futures`` plumbing. A worker that
-dies outright (SIGKILL, OOM) breaks the whole ``ProcessPoolExecutor``;
-:func:`parallel_imap` absorbs a bounded number of such pool breakages by
-respawning the pool and re-submitting only the jobs that never finished.
-For per-cell timeouts, retry/backoff, and poison-job quarantine, use the
-full supervisor layer (:mod:`repro.parallel.supervisor`) instead.
+Simulated runs are deterministic functions of their inputs, so every
+backend produces identical results — the choice changes wall-clock time
+and failure isolation only.
 """
 
 from __future__ import annotations
@@ -29,13 +21,10 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import signal as _signal
-import traceback
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.util import ConfigurationError, ReproError, check_positive
+from repro.util import ConfigurationError, ReproError
 
 
 class WorkerError(ReproError, RuntimeError):
@@ -65,18 +54,6 @@ class WorkerError(ReproError, RuntimeError):
         self.index = int(index)
         self.error_type = error_type
         self.remote_traceback = remote_traceback
-
-
-def _remote_traceback(exc: BaseException) -> str:
-    """The worker-side traceback text for an exception from a future.
-
-    ``ProcessPoolExecutor`` chains the worker's formatted traceback as a
-    ``_RemoteTraceback`` cause; fall back to formatting the local chain.
-    """
-    cause = exc.__cause__
-    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
-        return str(cause)
-    return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
 
 def fork_available() -> bool:
@@ -134,100 +111,6 @@ def serial_fallback_reason() -> str | None:
     return None
 
 
-def _job_label(labels: Sequence[str] | None, index: int) -> str:
-    if labels is not None and index < len(labels):
-        return labels[index]
-    return f"job[{index}]"
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    jobs: Sequence[Any],
-    n_workers: int = 1,
-    labels: Sequence[str] | None = None,
-) -> list[Any]:
-    """``[fn(job) for job in jobs]`` across forked worker processes.
-
-    Results come back in submission order. With ``n_workers <= 1``, a
-    single job, or no ``fork`` support, runs serially in-process (no
-    pickling, no subprocesses, exceptions propagate unchanged). In the
-    pool path a job exception surfaces as a :class:`WorkerError` naming
-    the failed job.
-    """
-    ordered: list[Any] = [None] * len(jobs)
-    for index, value in parallel_imap(fn, jobs, n_workers, labels=labels):
-        ordered[index] = value
-    return ordered
-
-
-def parallel_imap(
-    fn: Callable[[Any], Any],
-    jobs: Sequence[Any],
-    n_workers: int = 1,
-    labels: Sequence[str] | None = None,
-    max_pool_restarts: int = 2,
-) -> Iterator[tuple[int, Any]]:
-    """Yield ``(index, fn(jobs[index]))`` as each job completes.
-
-    Completion order, not submission order — callers wanting progress
-    reporting consume results as they land and reorder afterwards.
-    Serial fallback rules match :func:`parallel_map`.
-
-    A job exception in a worker is re-raised as :class:`WorkerError`
-    carrying the job's label, index, and remote traceback. A dead worker
-    (SIGKILL/OOM) breaks the entire executor; the pool is respawned and
-    the unfinished jobs re-submitted, up to ``max_pool_restarts`` times,
-    after which the breakage propagates as the final ``WorkerError``.
-    """
-    check_positive("n_workers", n_workers)
-    n_workers = min(int(n_workers), len(jobs))
-    if n_workers <= 1 or len(jobs) <= 1 or not fork_available():
-        for index, job in enumerate(jobs):
-            yield index, fn(job)
-        return
-    ctx = multiprocessing.get_context("fork")
-    remaining = dict(enumerate(jobs))
-    restarts = 0
-    while remaining:
-        try:
-            with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-                pending = {
-                    pool.submit(fn, job): index for index, job in remaining.items()
-                }
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = pending.pop(future)
-                        try:
-                            value = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            raise WorkerError(
-                                _job_label(labels, index),
-                                index,
-                                type(exc).__name__,
-                                str(exc),
-                                _remote_traceback(exc),
-                            ) from exc
-                        remaining.pop(index, None)
-                        yield index, value
-            return
-        except BrokenProcessPool as exc:
-            # A worker died hard (SIGKILL, OOM): every in-flight future is
-            # poisoned. Respawn the pool and re-run only unfinished jobs.
-            restarts += 1
-            if restarts > max_pool_restarts:
-                index = min(remaining)
-                raise WorkerError(
-                    _job_label(labels, index),
-                    index,
-                    type(exc).__name__,
-                    f"process pool broke {restarts} times; giving up with "
-                    f"{len(remaining)} job(s) unfinished",
-                ) from exc
-
-
 # ----------------------------------------------------------------------
 # The CellExecutor protocol and backend registry
 # ----------------------------------------------------------------------
@@ -235,26 +118,26 @@ def parallel_imap(
 class CellExecutor(abc.ABC):
     """How a sweep's cache-miss cells get executed.
 
-    One abstraction, several transports: the sweep orchestrator
+    One contract, several transports: the sweep orchestrator
     (:class:`repro.core.sweep.SweepRunner`) hands every backend the same
-    contract — run these jobs through ``fn``, yield ``(index, outcome)``
+    request — run these jobs through ``fn``, yield ``(index, outcome)``
     in completion order, where an outcome is the job's result or a
     :class:`~repro.parallel.supervisor.CellFailure` for jobs that
     exhausted their retry budget. Fault-tolerance semantics (bounded
     retry with deterministic jittered backoff, poison-job quarantine,
-    non-retryable ``ConfigurationError``) are shared across backends
-    through :class:`~repro.parallel.supervisor.AttemptLedger`, not
-    reimplemented per transport.
+    non-retryable ``ConfigurationError``, the job deadline) are the one
+    loop's (:func:`~repro.parallel.supervisor.supervise`), not
+    reimplemented per backend.
 
     Built-in backends (see :func:`make_executor`):
 
     - ``"local"`` — supervised forked workers
       (:func:`~repro.parallel.supervisor.supervised_imap`): per-job
       wall-clock timeouts, SIGKILL + respawn of hung workers, crash
-      re-dispatch. Degrades to serial in-process execution where
-      ``fork`` is unavailable.
-    - ``"serial"`` — always in-process, same retry/quarantine logic, no
-      isolation (and therefore no timeouts).
+      re-dispatch. Degrades to in-process execution where ``fork`` is
+      unavailable.
+    - ``"serial"`` — always in-process, same loop, no isolation (and
+      therefore no timeouts).
     - ``"distributed"`` — leased TCP workers
       (:class:`repro.parallel.fabric.DistributedExecutor`): remote
       ``python -m repro worker`` daemons pull cells under time-bounded
@@ -289,17 +172,16 @@ class CellExecutor(abc.ABC):
         """Yield ``(index, result-or-CellFailure)`` in completion order.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant: past
-        it, the backend settles every unfinished job as a terminal
-        ``CellFailure(error_type="DeadlineExceeded")``. The local pool
-        enforces it mid-cell (workers are killed); backends without that
-        power (serial in-process, remote leases) enforce it between
-        cells, which is still bounded because per-cell budgets
-        (``timeout`` / leases) bound each cell.
+        it, every unfinished job settles as a terminal
+        ``CellFailure(error_type="DeadlineExceeded")`` and whatever is
+        still running is taken back (local workers are killed, remote
+        leases revoked). In-process execution cannot interrupt a running
+        cell, so there the deadline takes effect between cells.
         """
 
 
 class LocalExecutor(CellExecutor):
-    """The forked supervised pool (PR 4 semantics), as a backend."""
+    """Supervised forked workers, as a backend."""
 
     name = "local"
     graph_handoff = "shm"
@@ -335,7 +217,7 @@ class LocalExecutor(CellExecutor):
 
 
 class SerialExecutor(CellExecutor):
-    """In-process execution with the shared retry/quarantine semantics.
+    """In-process execution under the same supervision loop.
 
     What the local backend degrades to; selectable explicitly for
     debugging (no forking, breakpoints work) and for platforms where
@@ -360,18 +242,18 @@ class SerialExecutor(CellExecutor):
         stats=None,
         deadline=None,
     ):
-        from repro.parallel.supervisor import (
-            HOST_RETRY_POLICY,
-            _serial_supervised,
-        )
+        from repro.parallel.supervisor import HOST_RETRY_POLICY, supervised_imap
 
-        yield from _serial_supervised(
+        yield from supervised_imap(
             fn,
             jobs,
-            retry if retry is not None else HOST_RETRY_POLICY,
-            on_error,
-            labels,
-            deadline,
+            1,
+            retry=retry if retry is not None else HOST_RETRY_POLICY,
+            on_error=on_error,
+            labels=labels,
+            on_dispatch=on_dispatch,
+            stats=stats,
+            deadline=deadline,
         )
 
 

@@ -1,7 +1,7 @@
-"""The distributed sweep fabric: leased TCP workers, one coordination loop.
+"""The distributed sweep fabric: leased TCP workers as a transport.
 
-:mod:`repro.parallel.supervisor` supervises *forked* workers over pipes;
-this module is the same supervision discipline stretched across hosts.
+:mod:`repro.parallel.supervisor` owns the supervision loop; this module
+stretches it across hosts by giving it a TCP transport.
 A :class:`FabricServer` listens on a TCP endpoint; any number of
 ``python -m repro worker`` daemons (:mod:`repro.parallel.worker`)
 connect, pull cells under **time-bounded leases**, stream heartbeats
@@ -10,7 +10,7 @@ while computing, and push results tagged with the cell's content key.
 :class:`~repro.parallel.executor.CellExecutor` protocol, so the sweep
 orchestrator cannot tell the backends apart.
 
-Design rules, mirroring the local supervisor:
+Design rules:
 
 - **One cell per worker at a time.** The server always knows which
   worker holds which cell; a vanished worker costs exactly its in-flight
@@ -19,10 +19,10 @@ Design rules, mirroring the local supervisor:
   A cell that overruns it (hung or frozen worker) is revoked and
   requeued; a worker that stops heartbeating (SIGKILL, network
   partition, SIGSTOP) has its connection declared dead and its cell
-  requeued. Both paths consume one retry attempt through the *same*
-  :class:`~repro.parallel.supervisor.AttemptLedger` the forked pool
-  uses — requeue, deterministic jittered backoff, quarantine after
-  ``max_attempts``.
+  requeued. Both paths consume one retry attempt in the *same*
+  :func:`~repro.parallel.supervisor.supervise` loop the forked pool
+  runs under — requeue, deterministic jittered backoff, quarantine
+  after ``max_attempts``.
 - **Content-keyed transfer, never pickled graphs per cell.** Task
   graphs and the job function travel once per worker as content-keyed
   blobs (the cross-host analogue of the shared-memory handoff in
@@ -56,21 +56,17 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.parallel.executor import (
-    CellExecutor,
-    LocalExecutor,
-    WorkerError,
-    warn_degraded,
-)
+from repro.parallel.executor import CellExecutor, LocalExecutor, warn_degraded
 from repro.parallel.supervisor import (
     HOST_RETRY_POLICY,
-    AttemptLedger,
-    CellFailure,
+    Event,
     SupervisorStats,
+    Transport,
+    job_label,
+    supervise,
 )
 from repro.util import ConfigurationError
 
@@ -193,25 +189,22 @@ def _swap_graph_refs(
 # ----------------------------------------------------------------------
 
 class _WorkerConn:
-    """One connected worker daemon: socket, identity, and assignment."""
+    """One connected worker daemon: socket, identity, and what it owes."""
 
-    __slots__ = (
-        "sock", "wlock", "worker_id", "pid", "state",
-        "task", "key", "dispatched_at", "last_seen",
-    )
+    __slots__ = ("sock", "wlock", "worker_id", "pid", "state", "cell", "last_seen")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.wlock = threading.Lock()
         self.worker_id = "?"
         self.pid = -1
-        # new -> idle <-> busy -> dead; "revoked" = lease taken back but
-        # the worker is still chewing on the old cell (do not redispatch
-        # until it reports ready).
+        # new -> busy <-> idle, any -> dead. A worker is busy from its
+        # hello, and from each cell it is sent, until it next says ready.
         self.state = "new"
-        self.task = None  # the _Task currently leased to this worker
-        self.key = ""  # dispatch key of the leased cell
-        self.dispatched_at = 0.0
+        # Index of the cell it was sent and has not answered; None once
+        # answered or once the lease is revoked (it may still be chewing
+        # on the cell: busy, but owing nothing).
+        self.cell: int | None = None
         self.last_seen = 0.0
 
     def send(self, obj: Any) -> None:
@@ -220,9 +213,12 @@ class _WorkerConn:
     def close(self) -> None:
         self.state = "dead"
         try:
-            self.sock.close()
+            # close() alone neither hangs up on the peer nor wakes this
+            # connection's reader thread while that thread sits in recv.
+            self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self.sock.close()
 
 
 class FabricServer:
@@ -329,7 +325,11 @@ class FabricServer:
         while True:
             try:
                 frame = recv_frame(conn.sock)
-            except (EOFError, OSError, pickle.UnpicklingError, FabricProtocolError) as exc:
+            except Exception as exc:  # noqa: BLE001 - reported as "gone"
+                # EOF, a reset, an over-cap length, or bytes that do not
+                # unpickle here (any exception: a peer on another code
+                # version is enough). Whatever it was, this connection is
+                # over and the coordinator must hear about it.
                 self._events.put(("gone", conn, repr(exc)))
                 return
             self._events.put(("frame", conn, frame))
@@ -337,9 +337,7 @@ class FabricServer:
     def live_workers(self) -> list[_WorkerConn]:
         """Connections that have completed the handshake and not died."""
         with self._conns_lock:
-            return [
-                c for c in self._conns if c.state in ("idle", "busy", "revoked")
-            ]
+            return [c for c in self._conns if c.state in ("idle", "busy")]
 
     def worker_pids(self) -> list[int]:
         """Remote daemon PIDs (chaos/testing hook)."""
@@ -351,7 +349,6 @@ class FabricServer:
             if conn in self._conns:
                 self._conns.remove(conn)
 
-    # -- the supervision loop ------------------------------------------
     def run(
         self,
         fn: Callable[[Any], Any],
@@ -363,207 +360,194 @@ class FabricServer:
         labels: Sequence[str] | None = None,
         on_dispatch: Callable[[int, int], None] | None = None,
         stats: SupervisorStats | None = None,
+        deadline: float | None = None,
     ) -> Iterator[tuple[int, Any]]:
-        """Yield ``(index, result-or-CellFailure)`` in completion order.
+        """Yield ``(index, result-or-CellFailure)`` in completion order:
+        :func:`~repro.parallel.supervisor.supervise` over this server's
+        workers, ``lease`` (default: the server's) being the per-cell
+        budget.
 
         Raises :class:`NoWorkersError` (carrying the unfinished indices)
         when the fabric is or becomes workerless — the executor layer
         turns that into local fallback, so callers of the executor never
         see it.
         """
-        ledger = AttemptLedger(
-            retry if retry is not None else HOST_RETRY_POLICY,
-            on_error,
-            labels=labels,
-            stats=stats,
-        )
-        lease_s = float(lease) if lease is not None else self.lease
-        fn_bytes = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
-        fn_key = blob_key(fn_bytes)
-        self._blobs = {fn_key: fn_bytes}
-        prepared = _swap_graph_refs(jobs, self._blobs)
-        payloads = {i: (p, k) for i, (_job, p, k) in enumerate(prepared)}
-        queue = ledger.make_tasks(jobs)
-        tasks = {task.index: task for task in queue}
-        settled: set[int] = set()
-        outstanding = len(queue)
-        started = time.monotonic()
-        last_alive = started
-        hb_timeout = max(3.0 * self.heartbeat, 0.5)
-
-        def revoke(conn: _WorkerConn, error: tuple[str, str, str], *, drop: bool):
-            """Take the leased cell back; returns a quarantine failure or None."""
-            task = conn.task
-            conn.task, conn.key = None, ""
-            if drop:
-                self._drop(conn)
-            else:
-                # Still chewing on the revoked cell; back in rotation
-                # only after it reports ready.
-                conn.state = "revoked"
-            if task is None or task.index in settled:
-                return None
-            return ledger.fail_attempt(task, error, queue, time.monotonic())
-
-        def settle(index: int) -> None:
-            settled.add(index)
-            tasks.pop(index, None)
-
-        while outstanding:
-            now = time.monotonic()
-
-            # Expire leases: overrun cells are revoked (worker kept, it
-            # may just be slow); silent workers are declared dead.
-            for conn in self.live_workers():
-                if conn.state == "revoked":
-                    # Heartbeats continue through a slow cell; a revoked
-                    # worker gone silent is dead (e.g. SIGSTOP forever)
-                    # and must not keep the fabric looking alive.
-                    if now - conn.last_seen > hb_timeout:
-                        ledger.stats.disconnects += 1
-                        self._drop(conn)
-                    continue
-                if conn.state != "busy" or conn.task is None:
-                    continue
-                failure = None
-                if now - conn.dispatched_at > lease_s:
-                    ledger.stats.lease_expiries += 1
-                    ledger.stats.timeouts += 1
-                    failure = revoke(
-                        conn,
-                        (
-                            "LeaseExpired",
-                            f"cell exceeded its {lease_s:g}s lease; requeued",
-                            "",
-                        ),
-                        drop=False,
-                    )
-                elif now - conn.last_seen > hb_timeout:
-                    ledger.stats.lease_expiries += 1
-                    ledger.stats.crashes += 1
-                    ledger.stats.disconnects += 1
-                    failure = revoke(
-                        conn,
-                        (
-                            "WorkerLost",
-                            f"no heartbeat for {hb_timeout:g}s "
-                            "(worker dead or partitioned)",
-                            "",
-                        ),
-                        drop=True,
-                    )
-                if failure is not None:
-                    settle(failure.index)
-                    outstanding -= 1
-                    yield failure.index, failure
-
-            # Dispatch ready cells onto idle workers.
-            for conn in self.live_workers():
-                if conn.state != "idle" or not queue:
-                    continue
-                task = ledger.next_ready(queue, now)
-                if task is None:
-                    break
-                payload, key = payloads[task.index]
-                try:
-                    conn.send(("cell", task.index, key, fn_key, payload))
-                except OSError:
-                    ledger.stats.crashes += 1
-                    ledger.stats.disconnects += 1
-                    self._drop(conn)
-                    failure = ledger.fail_attempt(
-                        task,
-                        ("WorkerCrash", "worker unreachable at dispatch", ""),
-                        queue,
-                        now,
-                    )
-                    if failure is not None:
-                        settle(failure.index)
-                        outstanding -= 1
-                        yield failure.index, failure
-                    continue
-                conn.task, conn.key = task, key
-                conn.state = "busy"
-                conn.dispatched_at = conn.last_seen = now
-                if on_dispatch is not None:
-                    on_dispatch(task.index, conn.pid)
-
-            # Degrade when the fabric is (or became) workerless.
-            alive = self.live_workers()
-            if alive:
-                last_alive = now
-            else:
-                grace = (
-                    self.degrade_after
-                    if self._ever_connected
-                    else self.connect_timeout
-                )
-                anchor = last_alive if self._ever_connected else started
-                if now - anchor > grace:
-                    pending = sorted(
-                        set(tasks) - settled
-                    )
-                    ledger.stats.degraded += len(pending)
-                    raise NoWorkersError(
-                        "no remote workers "
-                        + ("left" if self._ever_connected else "ever connected"),
-                        pending,
-                    )
-
-            # Wait for the next event or deadline.
-            try:
-                kind, conn, body = self._events.get(timeout=0.05)
-            except queue_mod.Empty:
-                continue
-            if kind == "gone":
-                if conn.state == "dead":
-                    continue
-                was_busy = conn.state == "busy"
-                if was_busy:
-                    ledger.stats.crashes += 1
-                ledger.stats.disconnects += 1
-                failure = revoke(
-                    conn,
-                    (
-                        "WorkerCrash",
-                        f"connection lost mid-cell ({body})",
-                        "",
-                    ),
-                    drop=True,
-                ) if was_busy else (self._drop(conn) or None)
-                if failure is not None:
-                    settle(failure.index)
-                    outstanding -= 1
-                    yield failure.index, failure
-                continue
-            # kind == "frame"
-            result = self._handle_frame(
-                conn, body, ledger, queue, tasks, settled, payloads
-            )
-            if result is not None:
-                index, outcome = result
-                settle(index)
-                outstanding -= 1
+        stats = stats if stats is not None else SupervisorStats()
+        pending = set(range(len(jobs)))
+        try:
+            for index, outcome in supervise(
+                _FabricTransport(self, fn, jobs, stats),
+                jobs,
+                budget=float(lease) if lease is not None else self.lease,
+                retry=retry if retry is not None else HOST_RETRY_POLICY,
+                on_error=on_error,
+                labels=labels,
+                on_dispatch=on_dispatch,
+                deadline=deadline,
+            ):
+                pending.discard(index)
                 yield index, outcome
+        except NoWorkersError as exc:
+            exc.pending = sorted(pending)
+            stats.degraded += len(pending)
+            raise
 
-    # -- frame handling -------------------------------------------------
-    def _handle_frame(
+
+#: What follows the kind in each frame a worker may send. Anything else
+#: on the wire — another kind, arity or type — is a protocol violation.
+_WORKER_FRAMES: dict[str, tuple[type, ...]] = {
+    "hello": (str, int, int),  # worker id, protocol version, pid
+    "ready": (),
+    "heartbeat": (int,),  # cell index
+    "fetch": (str,),  # blob key
+    "result": (int, str, bytes),  # cell index, dispatch key, pickled value
+    "error": (int, str, tuple, bool),  # ..., (type, message, traceback), retryable
+}
+
+
+def _well_formed(frame: Any) -> bool:
+    if not (isinstance(frame, tuple) and frame and isinstance(frame[0], str)):
+        return False
+    fields = _WORKER_FRAMES.get(frame[0])
+    if fields is None or len(frame) != 1 + len(fields):
+        return False
+    if not all(isinstance(value, kind) for value, kind in zip(frame[1:], fields)):
+        return False
+    if frame[0] == "error":
+        error = frame[3]
+        return len(error) == 3 and all(isinstance(part, str) for part in error)
+    return True
+
+
+class _FabricTransport(Transport):
+    """One sweep's view of a :class:`FabricServer`: frames in, events out.
+
+    Handles the handshake, ``ready``, heartbeats and blob fetches itself
+    and hands the loop only completions and losses. The loop's per-cell
+    budget is the lease; the second clock — heartbeat silence — is this
+    transport's, checked on every :meth:`wait`. A peer that sends a frame
+    that cannot be decoded or is not one of :data:`_WORKER_FRAMES` loses
+    its connection, and its leased cell goes back through the loop like
+    any lost worker's.
+    """
+
+    def __init__(
         self,
-        conn: _WorkerConn,
-        frame: Any,
-        ledger: AttemptLedger,
-        queue: deque,
-        tasks: dict[int, Any],
-        settled: set[int],
-        payloads: dict[int, tuple[bytes, str]],
-    ) -> tuple[int, Any] | None:
-        """Process one worker frame; returns a settled (index, outcome)."""
-        if not isinstance(frame, tuple) or not frame:
-            self._drop(conn)
-            return None
-        kind = frame[0]
+        server: FabricServer,
+        fn: Callable[[Any], Any],
+        jobs: Sequence[Any],
+        stats: SupervisorStats,
+    ) -> None:
+        self.server = server
+        self.stats = stats
+        fn_bytes = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
+        self._fn_key = blob_key(fn_bytes)
+        server._blobs = {self._fn_key: fn_bytes}
+        prepared = _swap_graph_refs(jobs, server._blobs)
+        self._payloads = [payload for _job, payload, _key in prepared]
+        self.keys = [key for _job, _payload, key in prepared]
+        self._hb_timeout = max(3.0 * server.heartbeat, 0.5)
+        self._started = self._last_alive = time.monotonic()
+
+    def idle(self) -> list[_WorkerConn]:
+        return [c for c in self.server.live_workers() if c.state == "idle"]
+
+    def send(self, conn: _WorkerConn, task: Any) -> int:
+        index = task.index
+        try:
+            conn.send(
+                ("cell", index, self.keys[index], self._fn_key, self._payloads[index])
+            )
+        except OSError:
+            self.stats.crashes += 1
+            self.stats.disconnects += 1
+            self.server._drop(conn)
+            raise
+        conn.state, conn.cell = "busy", index
+        conn.last_seen = time.monotonic()
+        return conn.pid
+
+    def expire(self, conn: _WorkerConn) -> tuple[str, str]:
+        # The worker may just be slow, so the connection is kept; it
+        # stays busy — out of rotation — until it reports ready, and its
+        # late result, if any, is the loop's to dedupe.
+        self.stats.lease_expiries += 1
+        self.stats.timeouts += 1
+        conn.cell = None
+        return "LeaseExpired", "lease revoked"
+
+    def wait(self, timeout: float | None) -> list[Event]:
+        events: list[Event] = []
+        try:
+            item = self.server._events.get(
+                timeout=0.05 if timeout is None else min(timeout, 0.05)
+            )
+            while True:
+                kind, conn, body = item
+                if kind == "gone":
+                    events += self._lose(
+                        conn, "WorkerCrash", f"connection lost mid-cell ({body})"
+                    )
+                else:
+                    events += self._on_frame(conn, body)
+                item = self.server._events.get_nowait()
+        except queue_mod.Empty:
+            pass
+        # Heartbeats flow while a cell executes, so a busy worker gone
+        # silent is dead or partitioned (SIGKILL, SIGSTOP, network), with
+        # or without a live lease, and must not keep the fabric looking
+        # alive. Checked after the queue is drained: frames that arrived
+        # between sweeps count as signs of life.
         now = time.monotonic()
-        conn.last_seen = now
+        alive = False
+        for conn in self.server.live_workers():
+            if conn.state == "busy" and now - conn.last_seen > self._hb_timeout:
+                if conn.cell is not None:
+                    self.stats.lease_expiries += 1
+                events += self._lose(
+                    conn,
+                    "WorkerLost",
+                    f"no heartbeat for {self._hb_timeout:g}s "
+                    "(worker dead or partitioned)",
+                )
+            else:
+                alive = True
+        if alive:
+            self._last_alive = now
+        elif not events:
+            ever = self.server._ever_connected
+            grace = self.server.degrade_after if ever else self.server.connect_timeout
+            if now - (self._last_alive if ever else self._started) > grace:
+                raise NoWorkersError(
+                    "no remote workers " + ("left" if ever else "ever connected"), []
+                )
+        return events
+
+    def close(self) -> None:
+        # A worker still chewing on a cell of this sweep owes the next
+        # one nothing; it rejoins the rotation when it says ready.
+        for conn in self.server.live_workers():
+            conn.cell = None
+
+    def _lose(self, conn: _WorkerConn, error_type: str, message: str) -> list[Event]:
+        """Drop ``conn``; a ``lost`` event if it still owed us a cell."""
+        if conn.state == "dead":
+            return []
+        owed = conn.cell is not None
+        self.server._drop(conn)
+        self.stats.disconnects += 1
+        if not owed:
+            return []
+        self.stats.crashes += 1
+        return [Event("lost", conn, payload=(error_type, message, ""))]
+
+    def _on_frame(self, conn: _WorkerConn, frame: Any) -> list[Event]:
+        if conn.state == "dead":
+            return []
+        if not _well_formed(frame):
+            return self._lose(conn, "WorkerCrash", "malformed frame from worker")
+        kind = frame[0]
+        conn.last_seen = time.monotonic()
         if kind == "hello":
             _, worker_id, version, pid = frame
             if version != PROTOCOL_VERSION:
@@ -571,101 +555,50 @@ class FabricServer:
                     conn.send(("shutdown",))
                 except OSError:
                     pass
-                self._drop(conn)
-                return None
-            conn.worker_id = str(worker_id)
-            conn.pid = int(pid)
-            conn.state = "idle"
-            self._ever_connected = True
+                self.server._drop(conn)
+                return []
+            conn.worker_id, conn.pid, conn.state = worker_id, pid, "busy"
+            self.server._ever_connected = True
             try:
                 conn.send(
                     (
                         "welcome",
                         {
                             "version": PROTOCOL_VERSION,
-                            "lease": self.lease,
-                            "heartbeat": self.heartbeat,
+                            "lease": self.server.lease,
+                            "heartbeat": self.server.heartbeat,
                         },
                     )
                 )
             except OSError:
-                self._drop(conn)
-            return None
-        if kind == "ready":
-            # Sent after the handshake and after each completion. Only
-            # honour it when no lease is held: the post-handshake ready
-            # can race a dispatch (the server may assign a cell the
-            # moment hello lands), and clearing an active lease here
-            # would orphan the task.
-            if conn.task is None and conn.state != "dead":
+                self.server._drop(conn)
+        elif kind == "ready":
+            # Sent after the handshake and after each completion. A peer
+            # that says it while it owes a cell does not get a second one.
+            if conn.state == "busy" and conn.cell is None:
                 conn.state = "idle"
-            return None
-        if kind == "heartbeat":
-            return None  # last_seen already refreshed above
-        if kind == "fetch":
-            _, key = frame
-            data = self._blobs.get(key)
+        elif kind == "fetch":
+            data = self.server._blobs.get(frame[1])
             try:
                 if data is None:
-                    conn.send(("no-blob", key))
+                    conn.send(("no-blob", frame[1]))
                 else:
-                    conn.send(("blob", key, data))
+                    conn.send(("blob", frame[1], data))
             except OSError:
                 pass  # reader thread will surface the loss
-            return None
-        if kind in ("result", "error"):
+        elif kind in ("result", "error"):
             index, key = frame[1], frame[2]
-            expected = payloads.get(index)
-            if (
-                index in settled
-                or expected is None
-                or expected[1] != key
-            ):
-                # Duplicate or stale completion (healed partition, dup
-                # delivery, previous run): idempotent — drop and count.
-                ledger.stats.duplicates += 1
-                return None
-            task = tasks.get(index)
-            if task is None:
-                ledger.stats.duplicates += 1
-                return None
-            if conn.task is task:
-                conn.task, conn.key = None, ""
-            else:
-                # A *different* worker holds the current lease — this is
-                # the original leaseholder finishing after revocation.
-                # First valid completion wins; release the other lease.
-                for other in self.live_workers():
-                    if other.task is task:
-                        # The other worker is still computing the now-
-                        # settled cell; its eventual result dedupes.
-                        other.task, other.key = None, ""
-                        other.state = "revoked"
-            if kind == "result":
-                try:
-                    value = pickle.loads(frame[3])
-                except Exception as exc:  # noqa: BLE001 - treat as attempt
-                    failure = ledger.fail_attempt(
-                        task,
-                        ("ResultDecodeError", f"undecodable result: {exc}", ""),
-                        queue,
-                        now,
-                    )
-                    return (index, failure) if failure is not None else None
-                ledger.stats.completed += 1
-                if task in queue:  # healed partition: still queued for retry
-                    queue.remove(task)
-                return index, value
-            _kind, _index, _key, error, retryable = frame
-            if not retryable:
-                ledger.raise_non_retryable(task, error)
-            if task in queue:
-                queue.remove(task)
-            failure = ledger.fail_attempt(task, error, queue, now)
-            return (index, failure) if failure is not None else None
-        # Unknown frame kind: protocol violation; drop the peer.
-        self._drop(conn)
-        return None
+            if conn.cell == index and self.keys[index] == key:
+                conn.cell = None
+            if kind == "error":
+                return [Event("error", conn, index, key, frame[3], frame[4])]
+            try:
+                value = pickle.loads(frame[3])
+            except Exception as exc:  # noqa: BLE001 - costs the cell an attempt
+                error = ("ResultDecodeError", f"undecodable result: {exc}", "")
+                return [Event("error", conn, index, key, error)]
+            return [Event("result", conn, index, key, value)]
+        return []  # heartbeat: last_seen is already refreshed
 
 
 # ----------------------------------------------------------------------
@@ -738,17 +671,6 @@ class DistributedExecutor(CellExecutor):
         stats=None,
         deadline=None,
     ):
-        # A job-level deadline is enforced *between* settles here: the
-        # lease machinery already bounds each in-flight cell, so closing
-        # the dispatch generator at the first settle past the deadline
-        # bounds the whole batch. The remaining cells are settled as
-        # terminal DeadlineExceeded failures by _expire_remaining.
-        if deadline is not None:
-            yield from self._run_with_deadline(
-                fn, jobs, n_workers, timeout, retry, on_error, labels,
-                on_dispatch, stats, deadline,
-            )
-            return
         try:
             yield from self.server.run(
                 fn,
@@ -759,15 +681,11 @@ class DistributedExecutor(CellExecutor):
                 labels=labels,
                 on_dispatch=on_dispatch,
                 stats=stats,
+                deadline=deadline,
             )
         except NoWorkersError as exc:
             warn_degraded("distributed", exc.reason, once=False)
             pending = exc.pending
-            sub_labels = (
-                [labels[i] if i < len(labels) else f"job[{i}]" for i in pending]
-                if labels is not None
-                else None
-            )
             for position, outcome in self.fallback.run(
                 fn,
                 [jobs[i] for i in pending],
@@ -775,60 +693,12 @@ class DistributedExecutor(CellExecutor):
                 timeout=timeout,
                 retry=retry,
                 on_error=on_error,
-                labels=sub_labels,
+                labels=[job_label(labels, i) for i in pending],
                 on_dispatch=on_dispatch,
                 stats=stats,
+                deadline=deadline,
             ):
                 yield pending[position], outcome
-
-    def _run_with_deadline(
-        self, fn, jobs, n_workers, timeout, retry, on_error, labels,
-        on_dispatch, stats, deadline,
-    ):
-        settled: set[int] = set()
-        inner = self.run(
-            fn,
-            jobs,
-            n_workers=n_workers,
-            timeout=timeout,
-            retry=retry,
-            on_error=on_error,
-            labels=labels,
-            on_dispatch=on_dispatch,
-            stats=stats,
-        )
-        expired = False
-        try:
-            for index, outcome in inner:
-                settled.add(index)
-                yield index, outcome
-                if time.monotonic() >= deadline:
-                    expired = True
-                    break
-        finally:
-            inner.close()
-        if not expired:
-            return
-        for index in range(len(jobs)):
-            if index in settled:
-                continue
-            label = (
-                labels[index]
-                if labels is not None and index < len(labels)
-                else f"job[{index}]"
-            )
-            message = "job deadline reached before this cell settled"
-            if on_error == "raise":
-                raise WorkerError(label, index, "DeadlineExceeded", message)
-            if stats is not None:
-                stats.quarantined += 1
-            yield index, CellFailure(
-                index=index,
-                label=label,
-                attempts=1,
-                error_type="DeadlineExceeded",
-                message=message,
-            )
 
 
 def parse_endpoint(spec: str) -> tuple[str, int]:

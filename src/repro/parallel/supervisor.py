@@ -1,20 +1,20 @@
-"""Supervised worker pool: timeouts, crash recovery, retry, quarantine.
+"""The supervision loop: one attempt state machine for every backend.
 
-:func:`repro.parallel.parallel_imap` fans jobs out but inherits
-``ProcessPoolExecutor``'s failure semantics: a hung job blocks forever, a
-SIGKILLed worker poisons every in-flight future, and a poison job aborts
-the whole batch. This module is the fault-tolerant replacement the sweep
-orchestrator runs on — the host-layer mirror of the *simulated* fault
-tolerance in :mod:`repro.faults`:
+Running a batch of jobs on workers is a *policy* — who gets which job,
+when a failed attempt is retried, when a job is given up — and a
+*transport* that carries it. :func:`supervise` is the only copy of the
+policy; the forked pool, in-process execution and the TCP fabric
+(:mod:`repro.parallel.fabric`) are :class:`Transport` implementations
+under it, the host-layer mirror of the *simulated* fault tolerance in
+:mod:`repro.faults`:
 
-- **One duplex pipe per worker.** The supervisor assigns exactly one job
-  to a worker at a time over its own pipe, so it always knows which
-  worker is running which job — no shared queue whose lock a dying
-  worker can corrupt, and a SIGKILL surfaces as an EOF on that worker's
-  pipe (or its process sentinel), never as a poisoned pool.
-- **Per-job wall-clock timeouts.** A job that exceeds ``timeout``
-  seconds is treated as hung: its worker is SIGKILLed and respawned, and
-  the job is retried like any other failure.
+- **One job per worker at a time.** The loop holds a lease table, so it
+  always knows which worker is running which job; a vanished worker
+  costs exactly its in-flight job, never the batch.
+- **Per-job wall-clock budget.** A job that holds its worker longer than
+  ``budget`` seconds is taken back (:meth:`Transport.expire`: the forked
+  pool SIGKILLs and respawns the worker, the fabric revokes the lease)
+  and retried like any other failure.
 - **Bounded retry with backoff**, reusing the same
   :class:`~repro.faults.retry.RetryPolicy` the simulated fault-tolerant
   models use (host-scale delays via :data:`HOST_RETRY_POLICY`).
@@ -22,10 +22,12 @@ tolerance in :mod:`repro.faults`:
   reported as a structured :class:`CellFailure` result instead of
   aborting the batch (``on_error="quarantine"``), or re-raised as a
   :class:`~repro.parallel.executor.WorkerError` (``on_error="raise"``).
-- **Graceful degradation.** No ``fork``, one worker, one job, or a pool
-  that fails to spawn ⇒ the same jobs run serially in-process through
-  the identical retry/quarantine logic (timeouts cannot be enforced
-  without process isolation and are ignored serially).
+- **Job deadline.** Past ``deadline`` every unfinished job — running,
+  queued or awaiting a retry — settles at once as ``DeadlineExceeded``.
+- **Idempotent completions.** A completion for a job already settled, or
+  echoing a dispatch key that is not this batch's, is counted in
+  ``duplicates`` and dropped; the first valid completion wins whichever
+  worker sends it.
 
 Jobs are assumed *idempotent and deterministic* (sweep cells are pure
 functions of their inputs), so re-running a job after a crash or timeout
@@ -36,21 +38,18 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.faults.retry import RetryPolicy
 from repro.parallel.executor import (
-    DegradedExecutionWarning,
     WorkerError,
-    fork_available,
     serial_fallback_reason,
     warn_degraded,
 )
@@ -59,8 +58,8 @@ from repro.util import ConfigurationError, check_positive
 #: Default host-side retry policy: three attempts, capped ~0.5 s backoff.
 #: (The simulated models use microsecond-scale delays; host faults —
 #: crashed workers, killed cells — deserve human-scale ones.) Jitter is
-#: deterministic — every pool seeds its own backoff RNG — and non-zero so
-#: a batch of cells requeued by one dead worker does not retry in
+#: deterministic — every ledger seeds its own backoff RNG — and non-zero
+#: so a batch of cells requeued by one dead worker does not retry in
 #: lockstep against the shared cache/journal (thundering herd).
 HOST_RETRY_POLICY = RetryPolicy(
     max_attempts=3, base_delay=0.05, max_delay=0.5, jitter=0.25
@@ -69,6 +68,13 @@ HOST_RETRY_POLICY = RetryPolicy(
 #: ``on_error`` modes: quarantine poison jobs as :class:`CellFailure`
 #: results, or re-raise the final failure as a ``WorkerError``.
 ON_ERROR_MODES = ("quarantine", "raise")
+
+
+def check_on_error(on_error: str) -> None:
+    if on_error not in ON_ERROR_MODES:
+        raise ConfigurationError(
+            f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,43 +102,47 @@ class CellFailure:
 
 @dataclass
 class SupervisorStats:
-    """Fault accounting across one :class:`SupervisedPool` lifetime."""
+    """Fault accounting across one supervised batch (or several)."""
 
     completed: int = 0  #: jobs that produced a result
     retries: int = 0  #: attempts re-dispatched after a failure
     crashes: int = 0  #: worker deaths observed (SIGKILL/OOM/hard exit)
     timeouts: int = 0  #: jobs killed for exceeding the wall-clock budget
     quarantined: int = 0  #: jobs that exhausted retries -> CellFailure
-    respawns: int = 0  #: replacement workers forked
+    respawns: int = 0  #: worker processes forked (initial + replacements)
     # Distributed-fabric counters (repro.parallel.fabric); zero for the
-    # local backend.
+    # local backend, except ``duplicates``, which the loop owns.
     lease_expiries: int = 0  #: leases revoked (overrun or missed beats)
     duplicates: int = 0  #: late/duplicate completions deduped away
     disconnects: int = 0  #: worker connections lost mid-session
     degraded: int = 0  #: jobs rerouted to the fallback local executor
 
 
-class _Task:
-    __slots__ = ("index", "job", "attempts", "not_before", "last_error")
+def job_label(labels: Sequence[str] | None, index: int) -> str:
+    """The display label of job ``index`` (``job[i]`` when none was given)."""
+    if labels is not None and index < len(labels):
+        return labels[index]
+    return f"job[{index}]"
 
-    def __init__(self, index: int, job: Any) -> None:
+
+class _Task:
+    __slots__ = ("index", "job", "key", "attempts", "not_before")
+
+    def __init__(self, index: int, job: Any, key: str | None) -> None:
         self.index = index
         self.job = job
+        self.key = key  # what a completion must echo (Transport.keys)
         self.attempts = 0
         self.not_before = 0.0
-        self.last_error: tuple[str, str, str] | None = None
 
 
 class AttemptLedger:
-    """Retry/quarantine bookkeeping shared by every executor backend.
+    """Retry/quarantine bookkeeping for one batch of jobs.
 
-    One instance owns the attempt budget, deterministic backoff jitter
-    stream, quarantine decision, and fault accounting for a batch of
-    jobs. :class:`SupervisedPool` (the ``local`` backend) and the TCP
-    fabric supervisor (:mod:`repro.parallel.fabric`, the ``distributed``
-    backend) both drive their scheduling loops through the same ledger,
-    so a lease expiry on a remote host consumes an attempt exactly the
-    way a SIGKILLed forked worker does.
+    Owns the attempt budget, the deterministic backoff jitter stream,
+    the quarantine decision and the fault accounting. :func:`supervise`
+    is its only driver, so a lease expiry on a remote host consumes an
+    attempt exactly the way a SIGKILLed forked worker does.
     """
 
     def __init__(
@@ -143,24 +153,15 @@ class AttemptLedger:
         stats: "SupervisorStats | None" = None,
         seed: int = 0,
     ) -> None:
-        if on_error not in ON_ERROR_MODES:
-            raise ConfigurationError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
+        check_on_error(on_error)
         self.retry = retry
         self.on_error = on_error
         self.labels = labels
         self.stats = stats if stats is not None else SupervisorStats()
         self.rng = np.random.default_rng(seed)  # backoff jitter stream
 
-    def make_tasks(self, jobs: Sequence[Any]) -> deque[_Task]:
-        """The work queue: one retryable task per job, in input order."""
-        return deque(_Task(index, job) for index, job in enumerate(jobs))
-
     def label(self, index: int) -> str:
-        if self.labels is not None and index < len(self.labels):
-            return self.labels[index]
-        return f"job[{index}]"
+        return job_label(self.labels, index)
 
     def fail_attempt(
         self,
@@ -168,6 +169,7 @@ class AttemptLedger:
         error: tuple[str, str, str],
         queue: deque[_Task],
         now: float,
+        cause: BaseException | None = None,
     ) -> CellFailure | None:
         """Record a failed attempt: requeue with backoff, or give up.
 
@@ -178,46 +180,248 @@ class AttemptLedger:
         retrying in lockstep.
         """
         task.attempts += 1
-        task.last_error = error
         if task.attempts < self.retry.max_attempts:
             task.not_before = now + self.retry.delay(task.attempts - 1, self.rng)
             self.stats.retries += 1
             queue.append(task)
             return None
+        return self.give_up(task, task.attempts, error, cause)
+
+    def give_up(
+        self,
+        task: _Task,
+        attempts: int,
+        error: tuple[str, str, str],
+        cause: BaseException | None = None,
+    ) -> CellFailure:
+        """Settle ``task`` as failed: a :class:`CellFailure`, or a raise.
+
+        ``on_error="raise"`` raises ``cause`` — the original exception,
+        which only an in-process attempt has — or a :class:`WorkerError`
+        standing in for one that died in another process.
+        """
         self.stats.quarantined += 1
-        failure = CellFailure(
-            index=task.index,
-            label=self.label(task.index),
-            attempts=task.attempts,
-            error_type=error[0],
-            message=error[1],
-            traceback_text=error[2],
-        )
+        failure = CellFailure(task.index, self.label(task.index), attempts, *error)
         if self.on_error == "raise":
-            raise WorkerError(
+            raise cause if cause is not None else WorkerError(
                 failure.label,
                 failure.index,
                 failure.error_type,
-                f"{failure.message} [after {failure.attempts} attempt(s)]",
+                f"{failure.message} [after {attempts} attempt(s)]",
                 failure.traceback_text,
             )
         return failure
 
-    def raise_non_retryable(self, task: _Task, error: tuple[str, str, str]):
-        raise WorkerError(
-            self.label(task.index), task.index, error[0], error[1], error[2]
+    def expire(self, task: _Task) -> CellFailure:
+        """Settle ``task`` as abandoned at the job deadline (no retry: a
+        deadline is terminal by definition)."""
+        return self.give_up(
+            task,
+            task.attempts + 1,
+            ("DeadlineExceeded", "job deadline reached before this cell settled", ""),
         )
 
-    @staticmethod
-    def next_ready(queue: deque[_Task], now: float) -> _Task | None:
-        """Pop the first task whose backoff delay has elapsed."""
-        for _ in range(len(queue)):
-            task = queue.popleft()
-            if task.not_before <= now:
-                return task
-            queue.append(task)
-        return None
 
+# ----------------------------------------------------------------------
+# The transport contract and the loop
+# ----------------------------------------------------------------------
+
+class Event(NamedTuple):
+    """What :meth:`Transport.wait` hands the loop.
+
+    ``kind`` is ``"result"`` (``payload`` is the job's value),
+    ``"error"`` (the job raised; ``payload`` is ``(type name, message,
+    traceback text)``) or ``"lost"`` (``worker`` is gone, taking whatever
+    it was running with it; ``payload`` is the error to record). A
+    completion names the job by ``index`` and echoes its dispatch
+    ``key``.
+    """
+
+    kind: str
+    worker: Any
+    index: int | None = None
+    key: str | None = None
+    payload: Any = None
+    retryable: bool = True
+    cause: BaseException | None = None  #: the exception itself, in-process only
+
+
+class Transport:
+    """What :func:`supervise` needs from a backend — and nothing else.
+
+    A transport knows its workers (opaque, hashable handles) and how to
+    move a task to one and a completion back. It decides nothing about
+    retries, quarantine, deadlines or duplicates; it does count the
+    faults only it can see (``crashes``, ``respawns``, ``timeouts``,
+    ``lease_expiries``, ``disconnects``) on ``stats``.
+    """
+
+    stats: SupervisorStats
+
+    #: Per-job dispatch keys a completion must echo to be believed, for
+    #: a transport whose channel can deliver one from another batch.
+    keys: Sequence[str] | None = None
+
+    def idle(self) -> list[Any]:
+        """Workers that can take a task right now."""
+        raise NotImplementedError
+
+    def send(self, worker: Any, task: _Task) -> int:
+        """Start ``task`` on ``worker``; returns the worker's pid.
+
+        Raises ``OSError`` (having disposed of the worker) when it turns
+        out to be unreachable; the loop counts that as a failed attempt.
+        """
+        raise NotImplementedError
+
+    def wait(self, timeout: float | None) -> list[Event]:
+        """Block up to ``timeout`` seconds (None: until something
+        happens) and return what happened, possibly nothing."""
+        raise NotImplementedError
+
+    def expire(self, worker: Any) -> tuple[str, str]:
+        """``worker`` ran out of budget: take its task back. Returns the
+        ``(error type, what was done)`` to record against the attempt."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """The batch is over (finished, abandoned or raised)."""
+
+
+def supervise(
+    transport: Transport,
+    jobs: Sequence[Any],
+    *,
+    budget: float | None = None,
+    retry: RetryPolicy = HOST_RETRY_POLICY,
+    on_error: str = "quarantine",
+    labels: Sequence[str] | None = None,
+    on_dispatch: Callable[[int, int], None] | None = None,
+    deadline: float | None = None,
+) -> Iterator[tuple[int, Any]]:
+    """Run ``jobs`` over ``transport``; yield ``(index, outcome)`` in
+    completion order, an outcome being the job's result or a
+    :class:`CellFailure`. Closes the transport when the batch ends.
+
+    ``budget`` is the per-job wall-clock allowance in seconds on a
+    worker; ``deadline`` the absolute ``time.monotonic()`` instant at
+    which the whole batch is abandoned. ``on_dispatch(index, pid)`` is
+    the test/chaos hook called each time a job lands on a worker.
+    Non-retryable errors (:class:`ConfigurationError`) raise at once in
+    either ``on_error`` mode.
+
+    Every unsettled task is in exactly one place: ``queue`` (not yet
+    started, or backing off before a retry) or one entry of ``leases``.
+    """
+    try:
+        ledger = AttemptLedger(retry, on_error, labels=labels, stats=transport.stats)
+        stats = ledger.stats
+        keys = transport.keys
+        queue = deque(
+            _Task(index, job, keys[index] if keys is not None else None)
+            for index, job in enumerate(jobs)
+        )
+        unsettled = {task.index: task for task in queue}
+        leases: dict[Any, tuple[_Task, float]] = {}  # worker -> (task, since)
+
+        def failed(task, error, now, cause=None) -> list[tuple[int, CellFailure]]:
+            """One attempt of ``task`` is spent; what to yield for it."""
+            failure = ledger.fail_attempt(task, error, queue, now, cause)
+            if failure is None:
+                return []
+            del unsettled[task.index]
+            return [(task.index, failure)]
+
+        while unsettled:
+            now = time.monotonic()
+
+            if deadline is not None and now >= deadline:
+                for worker in leases:
+                    transport.expire(worker)
+                for task in list(unsettled.values()):  # still in index order
+                    yield task.index, ledger.expire(task)
+                return
+
+            if budget is not None:
+                for worker, (task, since) in list(leases.items()):
+                    if now - since > budget:
+                        del leases[worker]
+                        error_type, done = transport.expire(worker)
+                        message = f"exceeded its {budget:g}s wall-clock budget; {done}"
+                        yield from failed(task, (error_type, message, ""), now)
+
+            if queue:
+                for worker in transport.idle():
+                    for _ in range(len(queue)):  # first task done backing off
+                        task = queue.popleft()
+                        if task.not_before <= now:
+                            break
+                        queue.append(task)
+                    else:
+                        break
+                    try:
+                        pid = transport.send(worker, task)
+                    except OSError:
+                        error = ("WorkerCrash", "worker unreachable at dispatch", "")
+                        yield from failed(task, error, now)
+                        continue
+                    leases[worker] = (task, now)
+                    if on_dispatch is not None:
+                        on_dispatch(task.index, pid)
+
+            if not unsettled:  # the last job was given up just above
+                break
+
+            wake = [task.not_before for task in queue if task.not_before > now]
+            if budget is not None:
+                wake += [since + budget for _task, since in leases.values()]
+            if deadline is not None:
+                wake.append(deadline)
+            events = transport.wait(
+                max(0.0, min(wake) - now) + 0.005 if wake else None
+            )
+            now = time.monotonic()
+            for event in events:
+                held = leases.get(event.worker)
+                if event.kind == "lost":
+                    if held is not None:
+                        del leases[event.worker]
+                        yield from failed(held[0], event.payload, now)
+                    continue
+                task = unsettled.get(event.index)
+                if task is None or task.key != event.key:
+                    stats.duplicates += 1
+                    continue
+                if held is not None and held[0] is task:
+                    del leases[event.worker]
+                else:
+                    # Not from the leaseholder: a worker whose lease was
+                    # taken back finished after all. The first completion
+                    # wins, so pull the task from wherever it waits.
+                    holder = next(
+                        (w for w, (t, _since) in leases.items() if t is task), None
+                    )
+                    if holder is None:
+                        queue.remove(task)
+                    else:
+                        del leases[holder]
+                if event.kind == "result":
+                    stats.completed += 1
+                    del unsettled[task.index]
+                    yield task.index, event.payload
+                elif not event.retryable:
+                    raise event.cause if event.cause is not None else WorkerError(
+                        ledger.label(task.index), task.index, *event.payload
+                    )
+                else:
+                    yield from failed(task, event.payload, now, event.cause)
+    finally:
+        transport.close()
+
+
+# ----------------------------------------------------------------------
+# Transport: forked children on duplex pipes
+# ----------------------------------------------------------------------
 
 def _worker_main(fn: Callable[[Any], Any], conn) -> None:
     """Worker child: serve one job at a time over the duplex pipe."""
@@ -257,432 +461,184 @@ def _worker_main(fn: Callable[[Any], Any], conn) -> None:
 
 
 class _Slot:
-    """One supervised worker: its process, pipe, and current assignment."""
+    """One worker seat: the process and pipe filling it (None: empty)."""
 
-    __slots__ = ("process", "conn", "task", "dispatched_at")
+    __slots__ = ("process", "conn", "busy")
 
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-        self.task: _Task | None = None
-        self.dispatched_at = 0.0
+    def __init__(self) -> None:
+        self.process = None
+        self.conn = None
+        self.busy = False
 
 
-class SupervisedPool:
-    """A crash-tolerant, timeout-enforcing pool of forked workers.
+class ForkTransport(Transport):
+    """Forked workers, one duplex pipe each.
 
-    Args:
-        fn: the job function (must be importable/picklable-compatible;
-            with ``fork`` it is inherited at spawn time).
-        n_workers: worker processes (>= 1).
-        timeout: per-job wall-clock budget in seconds; None disables.
-        retry: attempt budget and backoff schedule
-            (:data:`HOST_RETRY_POLICY` by default).
-        on_error: ``"quarantine"`` yields :class:`CellFailure` for jobs
-            that exhaust retries; ``"raise"`` re-raises a
-            :class:`WorkerError` instead. Non-retryable errors
-            (:class:`ConfigurationError`) always raise immediately.
-        labels: display labels per job index (for errors/failures).
-        on_dispatch: test/chaos hook called as ``on_dispatch(index, pid)``
-            each time a job lands on a worker.
-        stats: fault-accounting sink (a fresh one by default).
-        deadline: absolute ``time.monotonic()`` instant past which the
-            whole batch is abandoned: every busy worker is SIGKILLed and
-            every unfinished job — running, queued, or awaiting a retry —
-            is settled immediately as a :class:`CellFailure` with
-            ``error_type="DeadlineExceeded"`` (no retries; a deadline is
-            terminal by definition). None disables. This is the job-level
-            budget the study service enforces; ``timeout`` stays the
-            per-cell budget.
+    Each worker has its own pipe — no shared queue whose lock a dying
+    worker can corrupt — so a SIGKILL surfaces as an EOF on that pipe
+    (or the process sentinel), never as a poisoned pool, and a hung job
+    can be killed without touching its neighbours. Forks eagerly: a pool
+    that cannot start raises ``OSError`` here, before any job has run.
     """
 
     def __init__(
-        self,
-        fn: Callable[[Any], Any],
-        n_workers: int,
-        *,
-        timeout: float | None = None,
-        retry: RetryPolicy = HOST_RETRY_POLICY,
-        on_error: str = "quarantine",
-        labels: Sequence[str] | None = None,
-        on_dispatch: Callable[[int, int], None] | None = None,
-        stats: SupervisorStats | None = None,
-        deadline: float | None = None,
+        self, fn: Callable[[Any], Any], n_workers: int, stats: SupervisorStats
     ) -> None:
-        check_positive("n_workers", n_workers)
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout}")
         self.fn = fn
-        self.n_workers = int(n_workers)
-        self.timeout = timeout
-        self.deadline = deadline
-        self.retry = retry
-        self.on_error = on_error
-        self.labels = labels
-        self.on_dispatch = on_dispatch
-        self.ledger = AttemptLedger(
-            retry, on_error, labels=labels, stats=stats
-        )
-        self.stats = self.ledger.stats
+        self.stats = stats
         self._ctx = multiprocessing.get_context("fork")
-        self._slots: list[_Slot] = []
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self, n_slots: int) -> None:
-        """Fork the initial workers (raises ``OSError`` when fork fails)."""
-        self._slots = []
+        self._slots = [_Slot() for _ in range(n_workers)]
         try:
-            for _ in range(n_slots):
-                self._slots.append(self._spawn_slot())
+            self.idle()
         except OSError:
-            self._shutdown()
+            self.close()
             raise
 
-    def _spawn_slot(self) -> _Slot:
+    def _spawn(self, slot: _Slot) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main, args=(self.fn, child_conn), daemon=True
         )
-        process.start()
-        child_conn.close()
-        self.stats.respawns += 1
-        return _Slot(process, parent_conn)
-
-    def _retire_slot(self, slot: _Slot, *, kill: bool = False) -> None:
         try:
-            slot.conn.close()
+            process.start()
+        except OSError:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
+        slot.process, slot.conn = process, parent_conn
+        self.stats.respawns += 1
+
+    def _retire(self, slot: _Slot, *, kill: bool = False) -> None:
+        """Empty the seat; :meth:`idle` refills it."""
+        process, conn = slot.process, slot.conn
+        slot.process = slot.conn = None
+        slot.busy = False
+        try:
+            conn.close()
         except OSError:
             pass
-        if kill and slot.process.is_alive():
-            slot.process.kill()
-        slot.process.join(timeout=5.0)
-        if slot.process.is_alive():  # pragma: no cover - last resort
-            slot.process.kill()
-            slot.process.join(timeout=5.0)
-        slot.process.close()
+        if kill and process.is_alive():
+            process.kill()
+        process.join(timeout=5.0)
+        if process.is_alive():  # pragma: no cover - last resort
+            process.kill()
+            process.join(timeout=5.0)
+        process.close()
 
-    def worker_pids(self) -> list[int]:
-        """PIDs of the current worker processes (chaos/testing hook)."""
-        return [
-            slot.process.pid
-            for slot in self._slots
-            if slot.process.pid is not None
-        ]
-
-    def busy_pids(self) -> list[int]:
-        """PIDs of workers currently executing a job."""
-        return [
-            slot.process.pid
-            for slot in self._slots
-            if slot.task is not None and slot.process.pid is not None
-        ]
-
-    # -- helpers -------------------------------------------------------
-    # Retry/quarantine decisions live on the shared AttemptLedger so the
-    # distributed fabric reuses them verbatim; these thin wrappers keep
-    # the supervision loop readable.
-    def _fail_attempt(
-        self,
-        task: _Task,
-        error: tuple[str, str, str],
-        queue: deque[_Task],
-        now: float,
-    ) -> CellFailure | None:
-        return self.ledger.fail_attempt(task, error, queue, now)
-
-    def _raise_non_retryable(self, task: _Task, error: tuple[str, str, str]):
-        self.ledger.raise_non_retryable(task, error)
-
-    # -- the supervision loop ------------------------------------------
-    def run(self, jobs: Sequence[Any]) -> Iterator[tuple[int, Any]]:
-        """Yield ``(index, result-or-CellFailure)`` in completion order."""
-        queue: deque[_Task] = self.ledger.make_tasks(jobs)
-        outstanding = len(queue)
-        try:
-            if not self._slots:
-                self.start(min(self.n_workers, len(jobs)))
-            while outstanding:
-                now = time.monotonic()
-
-                # Job-level deadline: abandon everything unfinished at
-                # once. Workers are SIGKILLed (a deadline must hold even
-                # against a hung cell) and every unsettled task becomes a
-                # terminal DeadlineExceeded failure — no retries.
-                if self.deadline is not None and now >= self.deadline:
-                    for index, failure in self._expire_deadline(queue):
-                        outstanding -= 1
-                        yield index, failure
-                    return
-
-                # Kill and account jobs that blew their wall-clock budget.
-                if self.timeout is not None:
-                    for slot in self._slots:
-                        if (
-                            slot.task is not None
-                            and now - slot.dispatched_at > self.timeout
-                        ):
-                            task = slot.task
-                            slot.task = None
-                            self.stats.timeouts += 1
-                            self._retire_slot(slot, kill=True)
-                            self._replace(slot)
-                            failure = self._fail_attempt(
-                                task,
-                                (
-                                    "CellTimeout",
-                                    f"exceeded {self.timeout:g}s wall-clock "
-                                    f"budget; worker killed",
-                                    "",
-                                ),
-                                queue,
-                                now,
-                            )
-                            if failure is not None:
-                                outstanding -= 1
-                                yield task.index, failure
-
-                # Dispatch ready tasks onto idle workers.
-                for position in range(len(self._slots)):
-                    slot = self._slots[position]
-                    if slot.task is not None or not queue:
-                        continue
-                    task = self._next_ready(queue, now)
-                    if task is None:
-                        break
-                    if not slot.process.is_alive():
-                        self._retire_slot(slot)
-                        self._replace(slot)
-                        slot = self._slots[position]
-                    try:
-                        slot.conn.send((task.index, task.job))
-                    except (BrokenPipeError, OSError):
-                        # Worker died between jobs; replace and count the
-                        # dispatch as a failed attempt of this task.
-                        self.stats.crashes += 1
-                        self._retire_slot(slot, kill=True)
-                        self._replace(slot)
-                        failure = self._fail_attempt(
-                            task,
-                            ("WorkerCrash", "worker unreachable at dispatch", ""),
-                            queue,
-                            now,
-                        )
-                        if failure is not None:
-                            outstanding -= 1
-                            yield task.index, failure
-                        continue
-                    slot.task = task
-                    slot.dispatched_at = now
-                    if self.on_dispatch is not None:
-                        self.on_dispatch(task.index, slot.process.pid)
-
-                busy = [slot for slot in self._slots if slot.task is not None]
-                if not busy and not queue:
-                    break  # nothing left anywhere (all yielded)
-                if not busy:
-                    # Only backoff-delayed retries remain: sleep until due.
-                    wake = min(task.not_before for task in queue)
-                    time.sleep(max(0.0, wake - now))
-                    continue
-
-                ready = connection.wait(
-                    [slot.conn for slot in busy]
-                    + [slot.process.sentinel for slot in busy],
-                    timeout=self._wait_timeout(queue, busy, now),
-                )
-                conn_to_slot = {slot.conn: slot for slot in busy}
-                sentinel_to_slot = {slot.process.sentinel: slot for slot in busy}
-                handled: set[int] = set()
-                for obj in ready:
-                    slot = conn_to_slot.get(obj) or sentinel_to_slot.get(obj)
-                    if slot is None or id(slot) in handled or slot.task is None:
-                        continue
-                    handled.add(id(slot))
-                    outstanding -= self._reap(slot, queue, yield_to := [])
-                    for index, outcome in yield_to:
-                        yield index, outcome
-        finally:
-            self._shutdown()
-
-    def _replace(self, dead: _Slot) -> None:
-        self._slots[self._slots.index(dead)] = self._spawn_slot()
-
-    def _expire_deadline(
-        self, queue: deque[_Task]
-    ) -> list[tuple[int, CellFailure]]:
-        """Settle every unfinished task as a terminal DeadlineExceeded.
-
-        Busy workers are killed (not waited for — the deadline already
-        passed); queued and backoff-delayed tasks fail in place. In
-        ``on_error="raise"`` mode the first abandoned task raises a
-        :class:`~repro.parallel.executor.WorkerError` instead.
-        """
-        abandoned: list[_Task] = []
-        retired: list[_Slot] = []
+    def idle(self) -> list[_Slot]:
         for slot in self._slots:
-            if slot.task is not None:
-                abandoned.append(slot.task)
-                slot.task = None
-                self.stats.timeouts += 1
-                self._retire_slot(slot, kill=True)
-                retired.append(slot)
-        # Retired slots hold closed process objects; drop them so the
-        # shutdown in run()'s finally does not double-close them.
-        self._slots = [slot for slot in self._slots if slot not in retired]
-        abandoned.extend(queue)
-        queue.clear()
-        abandoned.sort(key=lambda task: task.index)
-        out: list[tuple[int, CellFailure]] = []
-        for task in abandoned:
-            self.stats.quarantined += 1
-            failure = CellFailure(
-                index=task.index,
-                label=self.ledger.label(task.index),
-                attempts=max(1, task.attempts + 1),
-                error_type="DeadlineExceeded",
-                message="job deadline reached before this cell settled",
+            if slot.process is None:
+                self._spawn(slot)
+        return [slot for slot in self._slots if not slot.busy]
+
+    def send(self, slot: _Slot, task: _Task) -> int:
+        if not slot.process.is_alive():  # died between jobs
+            self._retire(slot)
+            self._spawn(slot)
+        try:
+            slot.conn.send((task.index, task.job))
+        except OSError:
+            self.stats.crashes += 1
+            self._retire(slot, kill=True)
+            raise
+        slot.busy = True
+        return slot.process.pid
+
+    def wait(self, timeout: float | None) -> list[Event]:
+        busy = [slot for slot in self._slots if slot.busy]
+        if not busy:  # only backoff-delayed retries remain
+            time.sleep(timeout)
+            return []
+        ready = set(
+            connection.wait(
+                [slot.conn for slot in busy]
+                + [slot.process.sentinel for slot in busy],
+                timeout=timeout,
             )
-            if self.on_error == "raise":
-                raise WorkerError(
-                    failure.label,
-                    failure.index,
-                    failure.error_type,
-                    failure.message,
-                )
-            out.append((task.index, failure))
-        return out
+        )
+        events = []
+        for slot in busy:
+            if slot.conn in ready or slot.process.sentinel in ready:
+                events += self._reap(slot)
+        return events
 
-    def _next_ready(self, queue: deque[_Task], now: float) -> _Task | None:
-        return self.ledger.next_ready(queue, now)
-
-    def _wait_timeout(
-        self, queue: deque[_Task], busy: list[_Slot], now: float
-    ) -> float | None:
-        deadlines = []
-        if self.timeout is not None:
-            deadlines += [
-                slot.dispatched_at + self.timeout for slot in busy
-            ]
-        if self.deadline is not None:
-            deadlines.append(self.deadline)
-        deadlines += [task.not_before for task in queue if task.not_before > now]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - now) + 0.005
-
-    def _reap(
-        self,
-        slot: _Slot,
-        queue: deque[_Task],
-        out: list[tuple[int, Any]],
-    ) -> int:
-        """Collect one worker's message (or death); returns jobs settled."""
-        task = slot.task
-        assert task is not None
-        now = time.monotonic()
+    def _reap(self, slot: _Slot) -> list[Event]:
+        """Collect one worker's message, or its death."""
         try:
             if slot.conn.poll(0):
                 index, status, payload, retryable = slot.conn.recv()
             elif not slot.process.is_alive():
                 raise EOFError  # died without a message
             else:
-                return 0  # sentinel raced a still-alive worker; wait more
+                return []  # sentinel raced a still-alive worker; wait more
         except (EOFError, OSError):
             # Hard death mid-job: SIGKILL, OOM kill, or interpreter abort.
-            slot.task = None
             self.stats.crashes += 1
-            self._retire_slot(slot, kill=True)
-            self._replace(slot)
-            failure = self._fail_attempt(
-                task,
-                (
-                    "WorkerCrash",
-                    "worker process died mid-job (SIGKILL/OOM?)",
-                    "",
-                ),
-                queue,
-                now,
-            )
-            if failure is not None:
-                out.append((task.index, failure))
-                return 1
-            return 0
-        slot.task = None
-        if status == "ok":
-            self.stats.completed += 1
-            out.append((index, payload))
-            return 1
-        if not retryable:
-            self._raise_non_retryable(task, payload)
-        failure = self._fail_attempt(task, payload, queue, now)
-        if failure is not None:
-            out.append((task.index, failure))
-            return 1
-        return 0
+            self._retire(slot, kill=True)
+            error = ("WorkerCrash", "worker process died mid-job (SIGKILL/OOM?)", "")
+            return [Event("lost", slot, payload=error)]
+        slot.busy = False
+        kind = "result" if status == "ok" else "error"
+        return [Event(kind, slot, index, None, payload, retryable)]
 
-    def _shutdown(self) -> None:
+    def expire(self, slot: _Slot) -> tuple[str, str]:
+        self.stats.timeouts += 1
+        self._retire(slot, kill=True)
+        return "CellTimeout", "worker killed"
+
+    def close(self) -> None:
         for slot in self._slots:
-            try:
-                slot.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            self._retire_slot(slot, kill=True)
-        self._slots = []
+            if slot.process is not None:
+                try:
+                    slot.conn.send(None)
+                except OSError:
+                    pass
+                self._retire(slot, kill=True)
 
 
-def _serial_supervised(
-    fn: Callable[[Any], Any],
-    jobs: Sequence[Any],
-    retry: RetryPolicy,
-    on_error: str,
-    labels: Sequence[str] | None,
-    deadline: float | None = None,
-) -> Iterator[tuple[int, Any]]:
-    """In-process degradation path: same retry/quarantine, no isolation.
+# ----------------------------------------------------------------------
+# Transport: this process
+# ----------------------------------------------------------------------
 
-    A ``deadline`` is checked *between* jobs only — without process
-    isolation a running cell cannot be interrupted — so every job not
-    yet started when the deadline passes fails as DeadlineExceeded.
+class InProcessTransport(Transport):
+    """No workers: ``send`` runs the job here and queues its own event.
+
+    Without process isolation a running job cannot be interrupted, so
+    there is no budget to expire and the loop sees a deadline between
+    jobs only. An error event carries the exception itself, which is why
+    ``on_error="raise"`` re-raises the original and a
+    :class:`ConfigurationError` propagates unwrapped.
     """
-    rng = np.random.default_rng(0)
-    for index, job in enumerate(jobs):
-        if deadline is not None and time.monotonic() >= deadline:
-            label = labels[index] if labels and index < len(labels) else f"job[{index}]"
-            message = "job deadline reached before this cell started"
-            if on_error == "raise":
-                raise WorkerError(label, index, "DeadlineExceeded", message)
-            yield index, CellFailure(
-                index=index,
-                label=label,
-                attempts=1,
-                error_type="DeadlineExceeded",
-                message=message,
+
+    def __init__(self, fn: Callable[[Any], Any], stats: SupervisorStats) -> None:
+        self.fn = fn
+        self.stats = stats
+        self._done: list[Event] = []
+
+    def idle(self) -> list[Any]:
+        return [self]
+
+    def send(self, worker: Any, task: _Task) -> int:
+        try:
+            event = Event("result", worker, task.index, payload=self.fn(task.job))
+        except Exception as exc:
+            event = Event(
+                "error",
+                worker,
+                task.index,
+                payload=(type(exc).__name__, str(exc), traceback.format_exc()),
+                retryable=not isinstance(exc, ConfigurationError),
+                cause=exc,
             )
-            continue
-        attempts = 0
-        while True:
-            try:
-                yield index, fn(job)
-                break
-            except (KeyboardInterrupt, SystemExit, ConfigurationError):
-                raise
-            except Exception as exc:
-                attempts += 1
-                if attempts < retry.max_attempts:
-                    time.sleep(retry.delay(attempts - 1, rng))
-                    continue
-                if on_error == "raise":
-                    raise
-                label = labels[index] if labels and index < len(labels) else f"job[{index}]"
-                yield index, CellFailure(
-                    index=index,
-                    label=label,
-                    attempts=attempts,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback_text=traceback.format_exc(),
-                )
-                break
+        self._done.append(event)
+        return os.getpid()
+
+    def wait(self, timeout: float | None) -> list[Event]:
+        if not self._done:  # only backoff-delayed retries remain
+            time.sleep(timeout)
+        events, self._done = self._done, []
+        return events
 
 
 def supervised_imap(
@@ -698,51 +654,53 @@ def supervised_imap(
     stats: SupervisorStats | None = None,
     deadline: float | None = None,
 ) -> Iterator[tuple[int, Any]]:
-    """Fault-tolerant :func:`~repro.parallel.parallel_imap`.
+    """Run ``jobs`` through ``fn`` on ``n_workers`` supervised forked
+    workers (:func:`supervise` over a :class:`ForkTransport`).
 
     Yields ``(index, outcome)`` in completion order, where ``outcome`` is
     the job's result or a :class:`CellFailure` for quarantined jobs.
-    Falls back to serial in-process execution (identical retry and
-    quarantine semantics, no timeouts) with ``n_workers <= 1``, a single
-    job, no ``fork`` support, or a pool that fails to start.
+    ``timeout`` is the per-job wall-clock budget (a hung job's worker is
+    SIGKILLed and respawned); ``deadline`` an absolute
+    ``time.monotonic()`` instant past which every unfinished job settles
+    as ``DeadlineExceeded`` — busy workers are killed, not waited for.
+    Pass a :class:`SupervisorStats` as ``stats`` to receive the fault
+    accounting (crashes, timeouts, retries, quarantines).
 
-    Pass a :class:`SupervisorStats` as ``stats`` to receive the pool's
-    fault accounting (crashes, timeouts, retries, quarantines).
-
-    Degrading to serial execution with ``n_workers > 1`` — because the
-    platform lacks ``fork``/``SIGKILL`` or the pool failed to start —
-    emits one structured :class:`~repro.parallel.executor.
+    With ``n_workers <= 1`` or a single job the same loop runs the jobs
+    in this process (:class:`InProcessTransport`: identical retry and
+    quarantine, no isolation and therefore no timeouts). So it does,
+    after one structured :class:`~repro.parallel.executor.
     DegradedExecutionWarning` naming the reason (never a silent
-    fallback).
+    fallback), when the platform lacks ``fork``/``SIGKILL`` or the pool
+    fails to start.
     """
     check_positive("n_workers", n_workers)
+    if timeout is not None and timeout <= 0:
+        raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+    check_on_error(on_error)  # before any worker is forked
+    stats = stats if stats is not None else SupervisorStats()
     n_workers = min(int(n_workers), len(jobs))
-    if n_workers > 1 and len(jobs) > 1:
+    transport: Transport | None = None
+    if n_workers > 1:
         reason = serial_fallback_reason()
-        if reason is None:
-            pool = SupervisedPool(
-                fn,
-                n_workers,
-                timeout=timeout,
-                retry=retry,
-                on_error=on_error,
-                labels=labels,
-                on_dispatch=on_dispatch,
-                stats=stats,
-                deadline=deadline,
-            )
+        if reason is not None:
+            warn_degraded("local", reason)
+        else:
             try:
-                # Fork eagerly so setup failure degrades *before* any
-                # result is yielded (a mid-run fallback would re-run
-                # yielded jobs).
-                pool.start(n_workers)
+                transport = ForkTransport(fn, n_workers, stats)
             except OSError as exc:
                 warn_degraded(
                     "local", f"worker pool failed to start: {exc}", once=False
                 )
-            else:
-                yield from pool.run(jobs)
-                return
-        else:
-            warn_degraded("local", reason)
-    yield from _serial_supervised(fn, jobs, retry, on_error, labels, deadline)
+    if transport is None:
+        transport, timeout = InProcessTransport(fn, stats), None
+    yield from supervise(
+        transport,
+        jobs,
+        budget=timeout,
+        retry=retry,
+        on_error=on_error,
+        labels=labels,
+        on_dispatch=on_dispatch,
+        deadline=deadline,
+    )

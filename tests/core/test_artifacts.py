@@ -1,5 +1,8 @@
 """Artifact store: keys, fetch protocol, corruption, memo, invalidation."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,8 +133,13 @@ class TestCorruption:
         store, key, path = self._seeded(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])  # torn write
-        assert store.get_arrays(key) is None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert store.get_arrays(key) is None
+            gc.collect()
         assert not path.exists()
+        # The corrupt->miss path must not strand the file descriptor.
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_json_text_entry_is_miss(self, tmp_path):
         store, key, path = self._seeded(tmp_path)

@@ -9,6 +9,7 @@ subprocess workers are exercised by the distributed chaos suite
 
 import pickle
 import socket
+import struct
 import threading
 import time
 import warnings
@@ -362,6 +363,95 @@ class TestChaosHooks:
         assert got == [shout(j) for j in jobs]
         assert stats.disconnects >= 1
         assert stats.retries >= 1
+
+
+def dawdle(job):
+    time.sleep(0.05)
+    return str(job).upper()
+
+
+def _framed(obj):
+    payload = pickle.dumps(obj)
+    return struct.pack("!Q", len(payload)) + payload
+
+
+#: What a misbehaving peer might put on the wire: (bytes, then hang up?).
+ROGUE_BYTES = {
+    "garbage": (struct.pack("!Q", 9) + b"not a pkl", False),
+    "over-cap length prefix": (struct.pack("!Q", 1 << 40), False),
+    "frame truncated mid-body": (_framed(("hello", "rogue", 1, 1))[:-4], True),
+    "pickle naming a missing module": (
+        struct.pack("!Q", 27) + b"cno_such_module_xyz\nThing\n.", False,
+    ),
+    "one-element hello": (_framed(("hello",)), False),
+    "two-element result": (_framed(("result", 1)), False),
+    "result with a list as index": (_framed(("result", [0], "key", b"")), False),
+}
+
+
+class TestRoguePeer:
+    """A peer that breaks the protocol loses its connection, not the sweep."""
+
+    @pytest.mark.parametrize("shape", sorted(ROGUE_BYTES))
+    def test_bad_bytes_cost_one_connection(self, shape):
+        data, hang_up = ROGUE_BYTES[shape]
+        jobs = [f"job-{i}" for i in range(8)]
+        stats = SupervisorStats()
+        rogue = socket.socket()
+
+        def misbehave(index, _pid):
+            if index == 0:  # mid-sweep: seven 50 ms cells are still to run
+                rogue.connect(server.endpoint)
+                rogue.sendall(data)
+                if hang_up:
+                    rogue.close()
+
+        try:
+            with FabricServer(connect_timeout=20.0) as server:
+                start_workers(server.endpoint, 1)
+                got = collect(
+                    server.run(
+                        dawdle, jobs, retry=FAST_RETRY, stats=stats,
+                        on_dispatch=misbehave,
+                    ),
+                    len(jobs),
+                )
+        finally:
+            rogue.close()
+        assert got == [dawdle(j) for j in jobs]
+        assert stats.disconnects == 1
+        assert stats.completed == len(jobs) and stats.retries == 0
+
+    def test_leased_cell_of_a_dropped_peer_is_requeued(self):
+        # The rogue handshakes like a worker, takes a cell, and answers
+        # with a frame too short to be a result: its lease goes back
+        # through the ledger like any lost worker's.
+        jobs = [f"job-{i}" for i in range(6)]
+        stats = SupervisorStats()
+
+        def rogue_worker(endpoint):
+            with socket.create_connection(endpoint) as sock:
+                send_frame(sock, ("hello", "rogue", 1, 1))
+                assert recv_frame(sock)[0] == "welcome"
+                send_frame(sock, ("ready",))
+                assert recv_frame(sock)[0] == "cell"
+                send_frame(sock, ("result", 1))
+                with pytest.raises((EOFError, OSError)):
+                    recv_frame(sock)  # the server hangs up on us
+
+        with FabricServer(connect_timeout=20.0) as server:
+            thread = threading.Thread(
+                target=rogue_worker, args=(server.endpoint,), daemon=True
+            )
+            thread.start()
+            start_workers(server.endpoint, 1)
+            got = collect(
+                server.run(dawdle, jobs, retry=FAST_RETRY, stats=stats), len(jobs)
+            )
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert got == [dawdle(j) for j in jobs]
+        assert (stats.disconnects, stats.crashes, stats.retries) == (1, 1, 1)
 
 
 class TestDegradation:

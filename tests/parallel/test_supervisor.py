@@ -9,7 +9,6 @@ import pytest
 from repro.faults import RetryPolicy
 from repro.parallel import (
     CellFailure,
-    SupervisedPool,
     SupervisorStats,
     WorkerError,
     supervised_imap,
@@ -45,6 +44,14 @@ def hang_once(job):
     """Sleep far past the pool timeout on the first attempt of job[0]."""
     value, marker = job
     if value == 0 and _first_attempt(marker):
+        time.sleep(60.0)
+    return value * 10
+
+
+def hang_always(job):
+    """The last job sleeps far past the pool timeout on every attempt."""
+    value, last = job
+    if value == last:
         time.sleep(60.0)
     return value * 10
 
@@ -116,6 +123,34 @@ class TestSupervisedImapParallel:
         assert got == [i * 10 for i in range(4)]
         assert stats.timeouts >= 1
         assert elapsed < 30.0  # the 60s sleep was cut short by the kill
+
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    @pytest.mark.parametrize("with_deadline", [False, True])
+    def test_last_job_overruns_every_attempt(self, n_jobs, with_deadline):
+        # The batch ends inside the budget check, with nothing left to
+        # wait for: it must return then, not sleep until the deadline.
+        jobs = [(i, n_jobs - 1) for i in range(n_jobs)]
+        stats = SupervisorStats()
+        start = time.monotonic()
+        got = collect(
+            supervised_imap(
+                hang_always,
+                jobs,
+                n_workers=2,
+                timeout=0.3,
+                retry=RetryPolicy(2, base_delay=0.01, max_delay=0.05, jitter=0.0),
+                stats=stats,
+                deadline=start + 30.0 if with_deadline else None,
+            ),
+            n_jobs,
+        )
+        elapsed = time.monotonic() - start
+        assert got[:-1] == [i * 10 for i in range(n_jobs - 1)]
+        assert isinstance(got[-1], CellFailure)
+        assert got[-1].error_type == "CellTimeout"
+        assert got[-1].attempts == 2
+        assert stats.timeouts == 2 and stats.quarantined == 1
+        assert elapsed < 10.0
 
     def test_poison_job_quarantined(self):
         jobs = list(range(5))
@@ -244,12 +279,16 @@ class TestSerialFallback:
 
 class TestSupervisedPoolValidation:
     def test_bad_on_error_rejected(self):
+        stats = SupervisorStats()
         with pytest.raises(ConfigurationError):
-            SupervisedPool(square, 2, on_error="explode")
+            collect(
+                supervised_imap(square, [1, 2], 2, on_error="explode", stats=stats), 2
+            )
+        assert stats.respawns == 0  # rejected before any worker was forked
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ConfigurationError):
-            SupervisedPool(square, 2, timeout=0.0)
+            collect(supervised_imap(square, [1, 2], 2, timeout=0.0), 2)
 
     def test_cell_failure_str(self):
         failure = CellFailure(
