@@ -7,10 +7,8 @@ capture; EXPERIMENTS.md quotes those files.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import time
 
 import pytest
 
@@ -19,44 +17,6 @@ from repro.chemistry import ScfProblem, linear_alkane, water_cluster
 from repro.chemistry.tasks import synthetic_task_graph
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Wall-clock trajectory file format (see docs/perf.md).
-_TRAJECTORY_SCHEMA = "repro-bench-trajectory/1"
-
-
-@pytest.fixture(autouse=True)
-def _bench_wall_clock(request):
-    """Append this test's wall-clock to ``$REPRO_BENCH_JSON`` (if set).
-
-    With ``REPRO_BENCH_JSON=path/to/trajectory.json`` every experiment
-    run appends ``{test, wall_s, git_sha, unix}`` to one growing JSON
-    trajectory — a free perf history across commits without touching any
-    benchmark file. Unset (the default), this fixture is inert.
-    """
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        yield
-        return
-    t0 = time.perf_counter()
-    yield
-    wall = time.perf_counter() - t0
-    from repro.perf.bench import _git_sha
-
-    target = pathlib.Path(path)
-    if target.exists():
-        trajectory = json.loads(target.read_text())
-    else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        trajectory = {"schema": _TRAJECTORY_SCHEMA, "entries": []}
-    trajectory["entries"].append(
-        {
-            "test": request.node.nodeid,
-            "wall_s": wall,
-            "git_sha": _git_sha(),
-            "unix": time.time(),
-        }
-    )
-    target.write_text(json.dumps(trajectory, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ Commands:
 - ``scf``      — converge an SCF and report the energy.
 - ``validate`` — simulate one model and numerically validate its schedule.
 - ``workload`` — build a task graph and print its cost-distribution report.
-- ``bench``    — run the perf microbenchmarks, emit ``BENCH_*.json``.
 - ``profile``  — cProfile a study and print the top-N hotspots.
 - ``chaos``    — inject real host faults into a sweep and verify recovery.
 - ``worker``   — join a distributed sweep fabric as a leased TCP worker.
@@ -263,40 +262,6 @@ def _print_hotpath_counters(report) -> None:
             f"{result.timeout_allocs:9d} {result.grant_resumes:8d} "
             f"{result.fused_ops:9d} {avoided:18d}"
         )
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro import perf
-
-    exit_code = 0
-    for suite in args.suites:
-        print(f"bench suite {suite!r} (median of {args.repeats}):")
-        report = perf.run_suite(suite, repeats=args.repeats, progress=print)
-        out = Path(args.output_dir) / f"BENCH_{suite}.json"
-        perf.write_report(report, out)
-        print(f"  -> {out}")
-        if args.baseline_dir is not None:
-            base_path = Path(args.baseline_dir) / f"BENCH_{suite}.json"
-            if not base_path.exists():
-                print(f"  no baseline at {base_path}; skipping regression check")
-                continue
-            baseline = json.loads(base_path.read_text())
-            failures = perf.check_regression(
-                report, baseline, max_regression=args.max_regression
-            )
-            for failure in failures:
-                print(f"  REGRESSION: {failure}")
-            if failures:
-                exit_code = 1
-            else:
-                print(
-                    f"  throughput within {args.max_regression:.0%} of baseline "
-                    f"({baseline['git_sha'][:12]})"
-                )
-    return exit_code
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -627,31 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wl = sub.add_parser("workload", help="task-graph cost report")
     _add_molecule_args(p_wl)
     p_wl.set_defaults(func=cmd_workload)
-
-    from repro.perf import SUITES
-
-    p_bench = sub.add_parser(
-        "bench", help="perf microbenchmarks -> BENCH_*.json baselines"
-    )
-    p_bench.add_argument(
-        "--suites", nargs="+", choices=tuple(SUITES), default=list(SUITES),
-        metavar="SUITE", help=f"suites to run (default: {' '.join(SUITES)})",
-    )
-    p_bench.add_argument("--repeats", type=int, default=5, help="median-of-k repeats")
-    p_bench.add_argument(
-        "--output-dir", default="benchmarks/results", metavar="DIR",
-        help="where BENCH_<suite>.json files are written",
-    )
-    p_bench.add_argument(
-        "--baseline-dir", default=None, metavar="DIR",
-        help="compare event throughput against BENCH_<suite>.json here; "
-        "exit 1 on regression beyond --max-regression",
-    )
-    p_bench.add_argument(
-        "--max-regression", type=float, default=0.30, metavar="FRAC",
-        help="allowed fractional throughput drop vs baseline (default: 0.30)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_prof = sub.add_parser(
         "profile", help="cProfile a study, print top-N cumulative hotspots"

@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.core.cache import atomic_tmp_path, fingerprint
+from repro.core.cache import atomic_write, fingerprint
 
 __all__ = [
     "ARTIFACT_SALT",
@@ -218,13 +218,8 @@ class ArtifactStore:
         # Same collision-free temp-name scheme as ResultCache.put(), so
         # concurrent writers — threads, processes, or remote workers on a
         # shared filesystem — can never collide on a temp path.
-        tmp = atomic_tmp_path(path, suffix=".npz")
-        try:
+        with atomic_write(path, suffix=".npz") as tmp:
             tmp.write_bytes(buf.getvalue())
-            os.replace(tmp, path)
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
         self.stats.stores += 1
 
     # ------------------------------------------------------------------

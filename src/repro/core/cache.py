@@ -28,6 +28,7 @@ deleted at any time with no effect other than recomputation.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import os
@@ -35,7 +36,7 @@ import pathlib
 import pickle
 import secrets
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -184,12 +185,28 @@ def atomic_tmp_path(path: pathlib.Path, suffix: str = "") -> pathlib.Path:
     (:class:`ResultCache`, :class:`~repro.core.artifacts.ArtifactStore`):
     ``<name>.tmp.<pid>-<token>.<n><suffix>``, unique across threads
     (counter), processes (pid), and hosts sharing a filesystem (random
-    per-process token). Write to it, then ``os.replace`` onto ``path``.
+    per-process token). :func:`atomic_write` is the write protocol.
     """
     return path.parent / (
         f"{path.name}.tmp.{os.getpid()}-{_writer_token}"
         f".{next(_tmp_counter)}{suffix}"
     )
+
+
+@contextlib.contextmanager
+def atomic_write(path: pathlib.Path, suffix: str = "") -> Iterator[pathlib.Path]:
+    """Yield a temp path; ``os.replace`` it onto ``path`` if the body succeeds.
+
+    Readers only ever see a complete file, and the temp file never
+    outlives the block, whether the body raised or the replace did.
+    """
+    tmp = atomic_tmp_path(path, suffix)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 @dataclass
@@ -277,26 +294,18 @@ class ResultCache:
 
         Concurrent writers of the same key are safe — including writers
         on *different hosts* sharing the filesystem: each writes its own
-        temp file (:func:`atomic_tmp_path`) and the final ``rename`` is
+        temp file (:func:`atomic_write`) and the final ``rename`` is
         atomic, so readers only ever observe a complete entry — the last
         rename wins, with identical bytes for identical inputs.
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = atomic_tmp_path(path)
-        try:
-            with open(tmp, "wb") as fh:
-                pickle.dump(
-                    (_ENTRY_MAGIC, key, value),
-                    fh,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp, path)
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        with atomic_write(path) as tmp, open(tmp, "wb") as fh:
+            pickle.dump(
+                (_ENTRY_MAGIC, key, value),
+                fh,
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
         self.stats.stores += 1
 
     def __len__(self) -> int:

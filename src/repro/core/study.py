@@ -6,10 +6,7 @@ This is what the benchmarks and examples call (through the
 :mod:`repro.api` facade).
 
 :func:`run_study` takes the workload as a single positional ``source``
-accepting any of ``Workload | ScfProblem | TaskGraph``. The historical
-"exactly one of ``workload=``/``problem=``/``graph=``" keyword convention
-completed its deprecation cycle (DeprecationWarning since the facade
-landed) and now raises a :class:`TypeError` naming the replacement.
+accepting any of ``Workload | ScfProblem | TaskGraph``.
 """
 
 from __future__ import annotations
@@ -82,39 +79,10 @@ def resolve_source(source: Any) -> TaskGraph:
     )
 
 
-def _reconcile_source(
-    source: Any,
-    workload: Workload | None,
-    problem: ScfProblem | None,
-    graph: TaskGraph | None,
-) -> Any:
-    """Reject the removed keyword trio; require exactly one source."""
-    legacy = [
-        (kw, value)
-        for kw, value in (("workload", workload), ("problem", problem), ("graph", graph))
-        if value is not None
-    ]
-    if legacy:
-        kw = legacy[0][0]
-        raise TypeError(
-            f"run_study({kw}=...) was removed after its deprecation "
-            f"cycle; pass the workload as the positional `source` "
-            f"argument instead: run_study(config, {kw})"
-        )
-    if source is None:
-        raise ConfigurationError(
-            "a study needs a source (Workload | ScfProblem | TaskGraph)"
-        )
-    return source
-
-
 def run_study(
     config: StudyConfig,
-    source: Any | None = None,
+    source: Any,
     *,
-    workload: Workload | None = None,
-    problem: ScfProblem | None = None,
-    graph: TaskGraph | None = None,
     jobs: int = 1,
     cache: ResultCache | str | None = None,
     progress: Callable | None = None,
@@ -125,7 +93,6 @@ def run_study(
         config: the sweep grid (models x rank counts, machine, seed).
         source: the workload — a ``Workload``, ``ScfProblem``, or
             ``TaskGraph``.
-        workload / problem / graph: deprecated spellings of ``source``.
         jobs: worker processes for the sweep (1 = serial in-process;
             results are identical either way).
         cache: optional content-addressed result cache (a
@@ -136,6 +103,5 @@ def run_study(
     """
     from repro.core.sweep import SweepRunner
 
-    resolved = _reconcile_source(source, workload, problem, graph)
     runner = SweepRunner(jobs=jobs, cache=cache, progress=progress)
-    return runner.run_study(config, resolve_source(resolved))
+    return runner.run_study(config, resolve_source(source))

@@ -1,43 +1,13 @@
-"""Performance instrumentation: counters, timers, microbenchmarks.
+"""Deterministic per-run volume counters.
 
-Three layers, smallest first:
-
-- :mod:`repro.perf.counters` — deterministic per-run volume counters
-  (events dispatched, zero-delay run-queue share, trace intervals)
-  threaded through :class:`~repro.simulate.engine.Engine` and
-  :class:`~repro.runtime.trace.TraceRecorder` and surfaced on every
-  :class:`~repro.exec_models.base.RunResult`.
-- :mod:`repro.perf.timers` — wall-clock measurement helpers
-  (:class:`WallTimer`, median-of-k :func:`time_repeated`).
-- :mod:`repro.perf.bench` — the microbenchmark suites behind
-  ``python -m repro bench``, emitting schema-validated
-  ``BENCH_core.json`` / ``BENCH_e2e.json`` baselines.
-
-See ``docs/perf.md`` for the workflow.
+:func:`run_counters` flattens what the engine and the trace recorder
+count on every :class:`~repro.exec_models.base.RunResult` (events
+dispatched, zero-delay run-queue share, trace intervals, model and
+network counters). Host wall-clock is measured from outside the
+package, by ``bench/run.py``; ``python -m repro profile`` prints
+hotspots. See ``docs/perf.md``.
 """
 
-from repro.perf.bench import (
-    SCHEMA,
-    SUITES,
-    check_regression,
-    run_suite,
-    validate_report,
-    write_report,
-)
-from repro.perf.counters import events_per_second, run_counters
-from repro.perf.timers import TimingStats, WallTimer, median, time_repeated
+from repro.perf.counters import run_counters
 
-__all__ = [
-    "SCHEMA",
-    "SUITES",
-    "check_regression",
-    "run_suite",
-    "validate_report",
-    "write_report",
-    "events_per_second",
-    "run_counters",
-    "TimingStats",
-    "WallTimer",
-    "median",
-    "time_repeated",
-]
+__all__ = ["run_counters"]

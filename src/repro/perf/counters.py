@@ -9,8 +9,8 @@ of the workload/seed, so they serve two jobs:
 
 - **regression anchors**: a refactor that claims bit-for-bit identity
   must reproduce them exactly;
-- **throughput denominators**: events/second = ``sim_events`` divided by
-  measured wall time, the headline metric of ``repro.perf.bench``.
+- **throughput denominators**: ``bench/run.py`` divides ``sim_events``
+  by measured wall time for ``simulate.events_per_s``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec_models.base import RunResult
 
-__all__ = ["run_counters", "events_per_second"]
+__all__ = ["run_counters"]
 
 
 def run_counters(result: "RunResult") -> dict[str, float]:
@@ -48,9 +48,3 @@ def run_counters(result: "RunResult") -> dict[str, float]:
         out[f"network.{key}"] = float(result.network[key])
     return out
 
-
-def events_per_second(result: "RunResult", wall_seconds: float) -> float:
-    """Simulator event throughput for one measured run."""
-    if wall_seconds <= 0.0:
-        return 0.0
-    return result.sim_events / wall_seconds

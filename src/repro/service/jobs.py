@@ -60,7 +60,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.core.cache import ResultCache, atomic_tmp_path
+from repro.core.cache import ResultCache, atomic_write
 from repro.core.jobspec import JobSpec, JobSpecError
 from repro.core.results import result_row
 from repro.parallel.supervisor import CellFailure
@@ -329,9 +329,6 @@ class JobManager:
         """The job's durable JSON record (public: the janitor uses it)."""
         return self.jobs_dir / f"{job_id}.json"
 
-    # Backwards-compatible internal alias.
-    _record_path = record_path
-
     def _persist(self, job: Job) -> None:
         """Write the job's durable record atomically (crash-safe)."""
         record = {
@@ -348,16 +345,8 @@ class JobManager:
             "cells": job.cells if job.terminal else [],
             "failures": job.failures,
         }
-        path = self.record_path(job.id)
-        tmp = atomic_tmp_path(path)
-        try:
+        with atomic_write(self.record_path(job.id)) as tmp:
             tmp.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
-            os.replace(tmp, path)
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     def _recover(self) -> None:
         """Reload job records; re-enqueue anything the crash interrupted.

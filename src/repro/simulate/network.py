@@ -391,8 +391,9 @@ class Network:
         #: :class:`_FusedOp` requests instead of :meth:`_walk` generators.
         #: Taken from the engine: only the compiled core walks a program
         #: in C; a pure-Python ``_FusedOp`` step loses to a generator
-        #: resume (benchmarks/results/hotpath_timing.txt). Both are
-        #: (time, seq)-order identical, so this never changes results.
+        #: resume (docs/perf.md, "Simulator: `REPRO_ENGINE`, the C core,
+        #: fused ops"). Both are (time, seq)-order identical, so this
+        #: never changes results.
         self._fused = bool(getattr(engine, "drives_fused_ops", False))
         #: ``(kind, tier, nbytes) -> (pre, hold, post)`` delay programs,
         #: memoized per distinct size class (block sizes give a handful).
@@ -426,10 +427,10 @@ class Network:
     # the operation and hand the program to whichever interpreter fits
     # what they observe: a :class:`_FusedOp` when the engine walks
     # programs in C and no fault plan is armed (no generator frame, no
-    # ``Timeout`` per event — the dominant per-event cost measured in
-    # benchmarks/results/sched_timing.txt), else the :meth:`_walk`
-    # generator, which alone knows dead-target discovery. The untraced
-    # public operations always take the generator.
+    # ``Timeout`` per event — the dominant per-event cost, see the same
+    # section of docs/perf.md), else the :meth:`_walk` generator, which
+    # alone knows dead-target discovery. The untraced public operations
+    # always take the generator.
 
     def _fused_program(self, kind: str, src: int, dst: int, nbytes: int) -> tuple:
         """The (pre, hold, post) delay program for one operation.

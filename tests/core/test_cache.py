@@ -306,5 +306,22 @@ class TestAtomicTmpPath:
         # ResultCache.put and ArtifactStore.put_arrays must never drift
         # apart: both atomic writers go through the same helper.
         from repro.core import artifacts, cache
+        from repro.service import jobs
 
-        assert artifacts.atomic_tmp_path is cache.atomic_tmp_path
+        assert artifacts.atomic_write is cache.atomic_write is jobs.atomic_write
+
+    def test_atomic_write_replaces_or_leaves_nothing(self, tmp_path):
+        from repro.core.cache import atomic_write
+
+        target = tmp_path / "entry.json"
+        target.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as tmp:
+                tmp.write_text("half")
+                raise RuntimeError("writer died")
+        assert target.read_text() == "old"
+        with atomic_write(target, suffix=".npz") as tmp:
+            assert tmp.name.endswith(".npz")
+            tmp.write_text("new")
+        assert target.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]

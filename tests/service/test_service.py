@@ -282,6 +282,11 @@ class TestDaemonRestart:
         host, port = endpoint.rsplit(":", 1)
         return proc, host, int(port)
 
+    def _stop(self, proc):
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+
     def _request(self, host, port, method, path, body=None):
         conn = http.client.HTTPConnection(host, port, timeout=120)
         try:
@@ -305,14 +310,15 @@ class TestDaemonRestart:
             job_id = sub["job_id"]
             # Wait for the first row on the live stream, then kill -9.
             conn = http.client.HTTPConnection(host, port, timeout=120)
-            conn.request("GET", f"/v1/jobs/{job_id}/rows")
-            response = conn.getresponse()
-            first = response.readline()
+            try:
+                conn.request("GET", f"/v1/jobs/{job_id}/rows")
+                first = conn.getresponse().readline()
+            finally:
+                conn.close()
             assert first, "no row ever streamed"
             json.loads(first)
         finally:
-            proc.kill()
-            proc.wait(timeout=30)
+            self._stop(proc)
 
         proc, host, port = self._spawn(state)
         try:
@@ -340,5 +346,4 @@ class TestDaemonRestart:
                 INTERRUPTIBLE
             )
         finally:
-            proc.kill()
-            proc.wait(timeout=30)
+            self._stop(proc)

@@ -174,52 +174,9 @@ class TestFaultToleranceFlags:
 
 
 class TestPerfCommands:
-    def test_bench_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.suites == ["core", "e2e"]
-        assert args.repeats == 5
-        assert args.max_regression == 0.30
-        assert args.baseline_dir is None
-
     def test_profile_requires_known_study(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "nope"])
-
-    def test_bench_core_writes_valid_report(self, capsys, tmp_path):
-        import json
-
-        from repro.perf import validate_report
-
-        rc = main(
-            ["bench", "--suites", "core", "--repeats", "1",
-             "--output-dir", str(tmp_path)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "engine_events" in out and "BENCH_core.json" in out
-        report = json.loads((tmp_path / "BENCH_core.json").read_text())
-        validate_report(report)
-
-    def test_bench_regression_gate_fires(self, capsys, tmp_path):
-        import json
-
-        main(["bench", "--suites", "core", "--repeats", "1",
-              "--output-dir", str(tmp_path)])
-        capsys.readouterr()
-        # Inflate the baseline 10x: the fresh run must look 90% slower.
-        base = json.loads((tmp_path / "BENCH_core.json").read_text())
-        for entry in base["benchmarks"].values():
-            for key in ("events_per_second", "records_per_second"):
-                if key in entry:
-                    entry[key] *= 10
-        (tmp_path / "BENCH_core.json").write_text(json.dumps(base))
-        rc = main(
-            ["bench", "--suites", "core", "--repeats", "1",
-             "--output-dir", str(tmp_path / "fresh"),
-             "--baseline-dir", str(tmp_path)]
-        )
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().out
 
     def test_profile_quick(self, capsys):
         rc = main(["profile", "quick", "--top", "5"])
