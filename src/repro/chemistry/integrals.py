@@ -21,15 +21,23 @@ then
                             (p q sqrt(p+q)) F0(rho |P-Q|^2),
                             rho = p q / (p + q)
 
-The :class:`IntegralEngine` caches per-shell-pair primitive-product data and
-evaluates block ERIs as one vectorized outer interaction between two *pair
-batches* (flattened primitive-product tables with segment indices), chunked
-to bound peak memory. A batch lists its pairs in order, so ``seg`` is
-sorted and contraction is a sorted-segment sum (``np.add.reduceat`` over
-the segment starts), first over ket primitives, then over bra primitives.
-That same engine backs both the dense reference builders used in tests and
-the per-task kernels every execution model runs, so correctness
-comparisons are exact up to floating-point reduction order.
+The :class:`IntegralEngine` caches per-shell-pair primitive-product data
+(built a contraction class at a time: all pairs of an *m*-primitive with an
+*n*-primitive shell are one array evaluation) and evaluates block ERIs as
+one vectorized outer interaction between two *pair batches* (flattened
+primitive-product tables with segment indices), chunked to bound peak
+memory. A batch lists its pairs in order, so ``seg`` is sorted and
+contraction is a sorted-segment sum (``np.add.reduceat`` over the segment
+starts), first over ket primitives, then over bra primitives. That same
+engine backs both the dense reference builders used in tests and the
+per-task kernels every execution model runs, so correctness comparisons
+are exact up to floating-point reduction order.
+
+The Schwarz diagonal ``(ij|ij)`` is the one place a *single* pair's
+reduction order is pinned: every task graph descends from it. It is
+evaluated for all pairs at once (:meth:`IntegralEngine.eri_diagonal`,
+equal-size tables stacked) but reduces each pair exactly as the scalar
+:meth:`IntegralEngine.eri_pair_pair` does, which the tests hold it to.
 
 The one-electron matrices are array evaluations too, over the flat table
 of all primitive pairs ``m <= n`` of the basis; nuclear attraction takes
@@ -58,10 +66,42 @@ _ERI_CHUNK = 4096
 #: the transient at a few arrays of this size.
 _NUCLEAR_CHUNK = 1 << 16
 
+#: Interaction elements (pairs x table size squared) per chunk of the
+#: batched diagonal; its transient is about ten arrays of this size. The
+#: diagonal is no faster with more (measured 2^12 to 2^18).
+_DIAGONAL_CHUNK = 1 << 14
+
+#: Primitive products per chunk of pair-table construction (the transient
+#: is about as many arrays again as the tables it leaves in the cache).
+_TABLE_CHUNK = 1 << 14
+
 
 def segment_starts(seg: np.ndarray) -> np.ndarray:
     """First position of every run of equal values in a sorted ``seg``."""
     return np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+
+
+def equal_size_groups(
+    starts: np.ndarray, sizes: np.ndarray, limit: int, kinds: np.ndarray | None = None
+):
+    """Stack the equal-length runs of a flat table, ``limit`` elements at a time.
+
+    Run *r* is ``starts[r] : starts[r] + sizes[r]``. Yields ``(members,
+    index)`` with ``members`` the positions of up to ``limit // n**2`` runs
+    of one length *n* (and one value of ``kinds``, when given) and
+    ``index`` the ``(len(members), n)`` gather of their entries: what a
+    batched diagonal needs to treat the runs as one ``(g, n, n)``
+    interaction without exceeding ``limit`` elements.
+    """
+    keys = sizes if kinds is None else sizes * (kinds.max() + 1) + kinds
+    for key in np.unique(keys).tolist():
+        same = np.flatnonzero(keys == key)
+        n = int(sizes[same[0]])
+        step = max(1, limit // (n * n))
+        within = np.arange(n)
+        for lo in range(0, same.size, step):
+            members = same[lo : lo + step]
+            yield members, starts[members, None] + within
 
 
 def boys_f0(t: np.ndarray | float) -> np.ndarray:
@@ -168,6 +208,15 @@ class IntegralEngine:
         self.basis = basis
         self.prim_cutoff = float(prim_cutoff)
         self._pair_cache: dict[tuple[int, int], PairData] = {}
+        # Per-shell exponents and coefficients as zero-padded rows, so the
+        # shells of one contraction depth gather as one array.
+        self._counts = basis.primitive_counts
+        self._centers = np.array([sh.center for sh in basis.shells]).reshape(-1, 3)
+        self._exps = np.zeros((basis.n_basis, self._counts.max(initial=0)))
+        self._coefs = np.zeros_like(self._exps)
+        for row, shell in enumerate(basis.shells):
+            self._exps[row, : shell.nprim] = shell.exponents
+            self._coefs[row, : shell.nprim] = shell.coefficients
 
     # ------------------------------------------------------------------
     # Pair data
@@ -175,32 +224,54 @@ class IntegralEngine:
     def pair_data(self, i: int, j: int) -> PairData:
         """Primitive-product table for shell pair ``(i, j)`` (symmetric)."""
         key = (i, j) if i <= j else (j, i)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        sh_i = self.basis.shells[key[0]]
-        sh_j = self.basis.shells[key[1]]
-        a = sh_i.exponents[:, None]
-        b = sh_j.exponents[None, :]
-        p = (a + b).ravel()
-        mu = (a * b / (a + b)).ravel()
-        ab2 = float(((sh_i.center - sh_j.center) ** 2).sum())
-        k = (sh_i.coefficients[:, None] * sh_j.coefficients[None, :]).ravel()
-        k = k * np.exp(-mu * ab2)
-        center = (
-            sh_i.exponents[:, None, None] * sh_i.center[None, None, :]
-            + sh_j.exponents[None, :, None] * sh_j.center[None, None, :]
-        ).reshape(-1, 3) / p[:, None]
-        if self.prim_cutoff > 0.0:
-            keep = np.abs(k) >= self.prim_cutoff
-            # Always keep at least the dominant product so no pair table is
-            # empty (a fully-empty table would silently zero an integral).
-            if not keep.any():
-                keep[np.argmax(np.abs(k))] = True
-            p, k, center = p[keep], k[keep], center[keep]
-        data = PairData(p, center, k)
-        self._pair_cache[key] = data
-        return data
+        if key not in self._pair_cache:
+            self._build_tables([key])
+        return self._pair_cache[key]
+
+    def _build_tables(self, keys: list[tuple[int, int]]) -> None:
+        """Compute and cache the tables of shell pairs ``keys`` (``i <= j``).
+
+        All pairs of one contraction class ``(nprim_i, nprim_j)`` are one
+        ``(g, nprim_i * nprim_j)`` array evaluation, :data:`_TABLE_CHUNK`
+        entries at a time; a cached table is a row of it.
+        """
+        if not keys:
+            return
+        counts, centers = self._counts, self._centers
+        ij = np.array(keys, dtype=np.intp)
+        radix = int(counts.max()) + 1
+        classes = counts[ij[:, 0]] * radix + counts[ij[:, 1]]
+        for cls in np.unique(classes).tolist():
+            same = np.flatnonzero(classes == cls)
+            ni, nj = divmod(cls, radix)
+            step = max(1, _TABLE_CHUNK // (ni * nj))
+            for lo in range(0, same.size, step):
+                i, j = ij[same[lo : lo + step]].T
+                a = self._exps[i, :ni, None]
+                b = self._exps[j, None, :nj]
+                p = (a + b).reshape(i.size, -1)
+                mu = (a * b / (a + b)).reshape(i.size, -1)
+                ab2 = ((centers[i] - centers[j]) ** 2).sum(axis=-1)
+                k = (self._coefs[i, :ni, None] * self._coefs[j, None, :nj]).reshape(i.size, -1)
+                k = k * np.exp(-mu * ab2[:, None])
+                center = (
+                    a[..., None] * centers[i, None, None, :]
+                    + b[..., None] * centers[j, None, None, :]
+                ).reshape(i.size, -1, 3) / p[:, :, None]
+                tables = zip(p, center, k)
+                if self.prim_cutoff > 0.0:
+                    keep = np.abs(k) >= self.prim_cutoff
+                    # Always keep at least the dominant product so no pair
+                    # table is empty (a fully-empty table would silently
+                    # zero an integral).
+                    empty = np.flatnonzero(~keep.any(axis=1))
+                    keep[empty, np.abs(k[empty]).argmax(axis=1)] = True
+                    tables = (
+                        (p_r[kept], center_r[kept], k_r[kept])
+                        for (p_r, center_r, k_r), kept in zip(tables, keep)
+                    )
+                for key, table in zip(zip(i.tolist(), j.tolist()), tables):
+                    self._pair_cache[key] = PairData(*table)
 
     def pair_batch(self, pairs: list[tuple[int, int]]) -> PairBatch:
         """Concatenate pair tables for ``pairs`` into one flat batch."""
@@ -208,33 +279,64 @@ class IntegralEngine:
             return PairBatch(
                 np.empty(0), np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.int64), 0
             )
-        tables = [self.pair_data(i, j) for i, j in pairs]
+        keys = [(i, j) if i <= j else (j, i) for i, j in pairs]
+        self._build_tables([key for key in set(keys) if key not in self._pair_cache])
+        tables = [self._pair_cache[key] for key in keys]
         p = np.concatenate([t.p for t in tables])
         center = np.vstack([t.center for t in tables])
         k = np.concatenate([t.k for t in tables])
-        seg = np.concatenate(
-            [np.full(t.nprim, idx, dtype=np.int64) for idx, t in enumerate(tables)]
-        )
+        seg = np.repeat(np.arange(len(tables), dtype=np.int64), [t.nprim for t in tables])
         return PairBatch(p, center, k, seg, len(pairs))
 
     # ------------------------------------------------------------------
     # Two-electron integrals
     # ------------------------------------------------------------------
-    def eri_pair_pair(self, bra: PairData, ket: PairData) -> float:
-        """Single contracted ERI ``(ij|kl)`` from two pair tables."""
-        p = bra.p[:, None]
-        q = ket.p[None, :]
+    @staticmethod
+    def _interactions(bra: PairData, ket: PairData) -> np.ndarray:
+        """``(..., bra products, ket products)`` primitive ERIs of two tables.
+
+        The tables' arrays may carry equal leading axes (a stack of
+        equal-size tables); each stacked bra then meets only its own ket.
+        """
+        p = bra.p[..., :, None]
+        q = ket.p[..., None, :]
         pq = p * q
         rho = pq / (p + q)
-        r2 = ((bra.center[:, None, :] - ket.center[None, :, :]) ** 2).sum(axis=-1)
-        vals = (
+        sep = bra.center[..., :, None, :] - ket.center[..., None, :, :]
+        r2 = (sep**2).sum(axis=-1)
+        return (
             _TWO_PI_POW
             / (pq * np.sqrt(p + q))
-            * bra.k[:, None]
-            * ket.k[None, :]
+            * bra.k[..., :, None]
+            * ket.k[..., None, :]
             * boys_f0(rho * r2)
         )
-        return float(vals.sum())
+
+    def eri_pair_pair(self, bra: PairData, ket: PairData) -> float:
+        """Single contracted ERI ``(ij|kl)`` from two pair tables."""
+        return float(self._interactions(bra, ket).sum())
+
+    def eri_diagonal(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+        """``(ij|ij)`` of every shell pair in ``pairs``: the Schwarz diagonal.
+
+        Pair tables of equal size *n* are stacked and their ``(g, n, n)``
+        self-interactions evaluated at once, :data:`_DIAGONAL_CHUNK`
+        elements at a time. Each pair's ``n * n`` of them are summed as
+        ``ndarray.sum`` sums them in :meth:`eri_pair_pair` (NumPy's
+        pairwise reduction over one contiguous run), so the values equal
+        ``eri_pair_pair(t, t)`` bit for bit.
+        """
+        if not pairs:
+            return np.empty(0)
+        batch = self.pair_batch(pairs)
+        out = np.empty(batch.n_pairs)
+        starts = segment_starts(batch.seg)
+        sizes = np.diff(starts, append=batch.nprim)
+        for members, index in equal_size_groups(starts, sizes, _DIAGONAL_CHUNK):
+            stack = PairData(batch.p[index], batch.center[index], batch.k[index])
+            vals = self._interactions(stack, stack)
+            out[members] = vals.reshape(members.size, -1).sum(axis=1)
+        return out
 
     def eri_batch_matrix(self, bra: PairBatch, ket: PairBatch) -> np.ndarray:
         """``(bra.n_pairs, ket.n_pairs)`` matrix of contracted ERIs.

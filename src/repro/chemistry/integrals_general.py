@@ -19,7 +19,9 @@ two tables is then a pure double sum of Hermite Coulomb integrals:
 evaluated in vectorized chunks and contracted by sorted-segment sums
 (``np.add.reduceat`` over the starts of the batch's ``seg`` runs). For an
 s-only basis every table entry has ``tuv = (0,0,0)`` and this reduces
-exactly to the fast engine's formula (tested).
+exactly to the fast engine's formula (tested). ``eri_diagonal`` evaluates
+the Schwarz diagonal ``(ij|ij)`` of many pairs as stacks of equal-size
+tables, summed in ``eri_pair_pair``'s own left-to-right order.
 
 Nuclear attraction is the same table against point charges: one
 :func:`~repro.chemistry.mcmurchie.hermite_coulomb` call per chunk of
@@ -38,6 +40,7 @@ import numpy as np
 from repro.chemistry.basis import BasisSet
 from repro.chemistry.integrals import (
     contract_shells,
+    equal_size_groups,
     primitive_pairs,
     segment_starts,
     unfold_upper,
@@ -53,6 +56,11 @@ _CHUNK = 32
 #: (Hermite entry x nucleus) elements per nuclear-attraction chunk; the
 #: Coulomb recursion holds a dozen arrays of this size for p shells.
 _NUCLEAR_CHUNK = 1 << 14
+#: Interaction elements (pairs x table size squared) per chunk of the
+#: batched diagonal. The Coulomb recursion of a (pp|pp) stack holds ~80
+#: arrays of this size; below 2^12 the diagonal gets slower, above not
+#: faster.
+_DIAGONAL_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -158,9 +166,7 @@ class GeneralIntegralEngine:
             np.vstack([t.center for t in tables]),
             np.concatenate([t.coef for t in tables]),
             np.vstack([t.tuv for t in tables]),
-            np.concatenate(
-                [np.full(t.nprim, idx, dtype=np.int64) for idx, t in enumerate(tables)]
-            ),
+            np.repeat(np.arange(len(tables), dtype=np.int64), [t.nprim for t in tables]),
             len(pairs),
         )
 
@@ -168,25 +174,27 @@ class GeneralIntegralEngine:
     def _interaction(
         self,
         bra: HermiteBatch | HermitePairData,
-        lo: int,
-        hi: int,
         ket: HermiteBatch | HermitePairData,
+        rows: slice = slice(None),
     ) -> np.ndarray:
-        """``(hi - lo, ket.nprim)`` weighted Hermite Coulomb interactions.
+        """``(..., rows, ket entries)`` weighted Hermite Coulomb interactions.
 
-        Entry ``(m, n)`` is bra entry ``lo + m`` against ket entry ``n``;
+        Entry ``(m, n)`` is bra entry ``rows[m]`` against ket entry ``n``;
         summing a segment of it gives that pair quartet's contracted ERI.
+        The tables' arrays may carry equal leading axes (a stack of equal-
+        size tables); each stacked bra then meets only its own ket.
         """
-        ket_l = ket.tuv.sum(axis=1)
-        order = int(bra.tuv[lo:hi].sum(axis=1).max() + ket_l.max())
-        p = bra.p[lo:hi, None]
-        q = ket.p[None, :]
+        bra_tuv = bra.tuv[..., rows, :]
+        ket_l = ket.tuv.sum(axis=-1)
+        order = int(bra_tuv.sum(axis=-1).max() + ket_l.max())
+        p = bra.p[..., rows, None]
+        q = ket.p[..., None, :]
         pq = p * q
-        sep = bra.center[lo:hi, None, :] - ket.center[None, :, :]
+        sep = bra.center[..., rows, None, :] - ket.center[..., None, :, :]
         r_table = hermite_coulomb(order, pq / (p + q), sep)
-        t_idx = bra.tuv[lo:hi, 0][:, None] + ket.tuv[:, 0][None, :]
-        u_idx = bra.tuv[lo:hi, 1][:, None] + ket.tuv[:, 1][None, :]
-        v_idx = bra.tuv[lo:hi, 2][:, None] + ket.tuv[:, 2][None, :]
+        t_idx, u_idx, v_idx = (
+            bra_tuv[..., :, None, d] + ket.tuv[..., None, :, d] for d in range(3)
+        )
         vals = np.zeros_like(pq)
         for (t, u, v), r_vals in r_table.items():
             mask = (t_idx == t) & (u_idx == u) & (v_idx == v)
@@ -196,10 +204,43 @@ class GeneralIntegralEngine:
         vals *= (
             _TWO_PI_POW
             / (pq * np.sqrt(p + q))
-            * bra.coef[lo:hi, None]
-            * (ket.coef * ket_sign)[None, :]
+            * bra.coef[..., rows, None]
+            * (ket.coef * ket_sign)[..., None, :]
         )
         return vals
+
+    def eri_diagonal(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+        """``(ij|ij)`` of every shell pair in ``pairs``: the Schwarz diagonal.
+
+        Hermite tables of equal size *n* and equal highest Hermite order
+        (it sets the depth of the Coulomb recursion, and a stack of s-s
+        tables should not pay for the p-p table of the same size) are
+        stacked and their ``(g, n, n)`` self-interactions evaluated at
+        once, :data:`_DIAGONAL_CHUNK` elements at a time, then summed in
+        the order of :meth:`eri_pair_pair` (ket entries left to right,
+        then bra entries left to right), so the values equal
+        ``eri_pair_pair(t, t)`` bit for bit.
+        """
+        if not pairs:
+            return np.empty(0)
+        batch = self.pair_batch(pairs)
+        out = np.empty(batch.n_pairs)
+        starts = segment_starts(batch.seg)
+        sizes = np.diff(starts, append=batch.nprim)
+        orders = np.maximum.reduceat(batch.tuv.sum(axis=1), starts)
+        for members, index in equal_size_groups(starts, sizes, _DIAGONAL_CHUNK, orders):
+            stack = HermitePairData(
+                batch.p[index], batch.center[index], batch.coef[index], batch.tuv[index]
+            )
+            vals = self._interaction(stack, stack)
+            entries = np.zeros(index.shape)
+            for column in range(index.shape[1]):
+                entries += vals[:, :, column]
+            total = np.zeros(members.size)
+            for row in range(index.shape[1]):
+                total += entries[:, row]
+            out[members] = total
+        return out
 
     def eri_batch_matrix(self, bra: HermiteBatch, ket: HermiteBatch) -> np.ndarray:
         """``(bra.n_pairs, ket.n_pairs)`` contracted ERIs."""
@@ -211,7 +252,8 @@ class GeneralIntegralEngine:
             hi = min(lo + _CHUNK, bra.nprim)
             # Ket entries into ket pairs, then this chunk's bra entries into
             # bra pairs; a pair cut by the chunk boundary accumulates twice.
-            cols = np.add.reduceat(self._interaction(bra, lo, hi, ket), ket_starts, axis=1)
+            vals = self._interaction(bra, ket, slice(lo, hi))
+            cols = np.add.reduceat(vals, ket_starts, axis=1)
             seg = bra.seg[lo:hi]
             bra_starts = segment_starts(seg)
             out[seg[bra_starts]] += np.add.reduceat(cols, bra_starts, axis=0)
@@ -226,7 +268,7 @@ class GeneralIntegralEngine:
         """
         total = 0.0
         for lo in range(0, bra.nprim, _CHUNK):
-            vals = self._interaction(bra, lo, min(lo + _CHUNK, bra.nprim), ket)
+            vals = self._interaction(bra, ket, slice(lo, lo + _CHUNK))
             rows = np.zeros(vals.shape[0])
             for column in vals.T:
                 rows += column

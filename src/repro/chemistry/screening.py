@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.chemistry.basis import BasisSet, BlockStructure
-from repro.chemistry.integrals import IntegralEngine
+from repro.chemistry.integrals import IntegralEngine, unfold_upper, upper_pairs
 from repro.util import check_non_negative
 
 
@@ -34,10 +34,10 @@ class SchwarzScreen:
     """Schwarz bounds for a basis, with block-level aggregates.
 
     The Q matrix and its block aggregates are pure functions of the basis
-    (and engine family), so they route through the artifact store
-    (:mod:`repro.core.artifacts`): within a process each distinct basis
-    is screened once, and with an on-disk store configured, warm reruns
-    skip the O(n^2) pair-integral loop entirely.
+    and the engine (its family and primitive cutoff), so they route
+    through the artifact store (:mod:`repro.core.artifacts`): within a
+    process each distinct basis is screened once, and with an on-disk
+    store configured, warm reruns skip the pair integrals entirely.
 
     Args:
         basis: the basis set.
@@ -61,21 +61,24 @@ class SchwarzScreen:
 
     @cached_property
     def content_key(self) -> str:
-        """Fingerprint of the screening inputs: basis + engine family."""
+        """Fingerprint of the screening inputs: basis, engine family, cutoff.
+
+        An engine that drops primitive products has other tables and
+        another Q; the exact engine (cutoff 0) keeps the two-part key it
+        always had, so entries stored under it stay reachable.
+        """
         from repro.core.cache import fingerprint
 
-        return fingerprint((type(self.engine).__name__, self.basis))
+        parts = (type(self.engine).__name__, self.basis)
+        if self.engine.prim_cutoff != 0.0:
+            parts += (("prim_cutoff", self.engine.prim_cutoff),)
+        return fingerprint(parts)
 
     def _build_q(self) -> np.ndarray:
         n = self.basis.n_basis
-        q = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                pd = self.engine.pair_data(i, j)
-                val = self.engine.eri_pair_pair(pd, pd)
-                # (ij|ij) is non-negative analytically; clamp fp noise.
-                q[i, j] = q[j, i] = np.sqrt(max(val, 0.0))
-        return q
+        diagonal = self.engine.eri_diagonal(upper_pairs(n))
+        # (ij|ij) is non-negative analytically; clamp fp noise.
+        return unfold_upper(np.sqrt(np.maximum(diagonal, 0.0)), n)
 
     @property
     def q_max(self) -> float:
@@ -95,15 +98,7 @@ class SchwarzScreen:
         )
 
     def _block_qmax(self, blocks: BlockStructure) -> np.ndarray:
-        nb = blocks.n_blocks
-        out = np.empty((nb, nb))
-        for a in range(nb):
-            lo_a, hi_a = blocks.block_range(a)
-            for b in range(a, nb):
-                lo_b, hi_b = blocks.block_range(b)
-                val = float(self.q[lo_a:hi_a, lo_b:hi_b].max())
-                out[a, b] = out[b, a] = val
-        return out
+        return _block_reduce(np.maximum, self.q, blocks)
 
     def surviving_pairs(
         self,
@@ -153,18 +148,16 @@ class SchwarzScreen:
         alive = self.q >= bound
         # Per-shell-pair table size: primitive products for s pairs,
         # Hermite entries for pairs with angular momentum — exactly the
-        # inner-loop length of the vectorized kernel either way. Tables
-        # are already cached from the Schwarz bound computation.
-        prim_pairs = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                size = self.engine.pair_data(i, j).nprim
-                prim_pairs[i, j] = prim_pairs[j, i] = size
-        prim_pairs = prim_pairs * alive
-        nb = blocks.n_blocks
-        out = np.zeros((nb, nb))
-        off = blocks.offsets
-        for a in range(nb):
-            for b in range(nb):
-                out[a, b] = prim_pairs[off[a] : off[a + 1], off[b] : off[b + 1]].sum()
-        return out
+        # inner-loop length of the vectorized kernel either way. The
+        # engine holds the tables since the Schwarz diagonal (and builds
+        # them here if Q came from the artifact store).
+        batch = self.engine.pair_batch(upper_pairs(n))
+        sizes = unfold_upper(np.bincount(batch.seg, minlength=batch.n_pairs), n)
+        # Whole numbers: the block sums are exact in any order.
+        return _block_reduce(np.add, sizes * alive, blocks)
+
+
+def _block_reduce(ufunc: np.ufunc, matrix: np.ndarray, blocks: BlockStructure) -> np.ndarray:
+    """``(n_blocks, n_blocks)`` reduction of ``matrix`` over every block pair."""
+    starts = blocks.offsets[:-1]
+    return ufunc.reduceat(ufunc.reduceat(matrix, starts, axis=0), starts, axis=1)

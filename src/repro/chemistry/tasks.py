@@ -202,9 +202,14 @@ class TaskGraph:
 
 
 def _task_footprint(a: int, b: int, c: int, d: int) -> tuple[tuple[BlockRef, ...], tuple[BlockRef, ...]]:
-    reads = tuple(dict.fromkeys([(c, d), (b, d)]))
-    writes = tuple(dict.fromkeys([(a, b), (a, c)]))
-    return reads, writes
+    """``(reads, writes)`` of quartet ``(A, B, C, D)``, duplicates dropped.
+
+    Reads are ``D[C, D]`` and ``D[B, D]``, writes ``F[A, B]`` and
+    ``F[A, C]``: each pair names one block twice exactly when ``B == C``.
+    """
+    if b == c:
+        return ((c, d),), ((a, b),)
+    return ((c, d), (b, d)), ((a, b), (a, c))
 
 
 def build_task_graph(
@@ -302,10 +307,20 @@ def graph_from_arrays(
     flops = np.ascontiguousarray(flops, dtype=np.float64)
     tasks: list[TaskSpec] = []
     flops_list = flops.tolist()
+    # Tasks with equal reads (or writes) hold one tuple between them: there
+    # are only n_blocks^3 distinct ones, and the containers a task keeps
+    # alive are what the cyclic collector re-walks while this loop runs.
+    shared: dict[tuple[BlockRef, ...], tuple[BlockRef, ...]] = {}
     for tid, (a, b, c, d) in enumerate(quartets.tolist()):
         reads, writes = _task_footprint(a, b, c, d)
         tasks.append(
-            TaskSpec(tid, (a, b, c, d), flops_list[tid], reads, writes)
+            TaskSpec(
+                tid,
+                (a, b, c, d),
+                flops_list[tid],
+                shared.setdefault(reads, reads),
+                shared.setdefault(writes, writes),
+            )
         )
     graph = TaskGraph(tuple(tasks), blocks, tau)
     quartets.flags.writeable = False

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.chemistry.integrals_general as integrals_general
 from repro.chemistry.basis import build_basis
 from repro.chemistry.basis_sets import build_basis_sto3g
 from repro.chemistry.integrals import IntegralEngine, eri_tensor, overlap_matrix
@@ -10,8 +13,11 @@ from repro.chemistry.integrals_general import (
     overlap_matrix_general,
 )
 from repro.chemistry.mcmurchie import eri_prim
-from repro.chemistry.molecules import Molecule, water_cluster
+from repro.chemistry.integrals import upper_pairs
+from repro.chemistry.molecules import Molecule, linear_alkane, water_cluster
 from repro.util import ConfigurationError
+
+from tests.chemistry.test_screening import scalar_q, screened_q
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +88,61 @@ class TestAgainstScalarReference:
         np.testing.assert_allclose(g, g.transpose(1, 0, 2, 3), atol=1e-11)
         np.testing.assert_allclose(g, g.transpose(0, 1, 3, 2), atol=1e-11)
         np.testing.assert_allclose(g, g.transpose(2, 3, 0, 1), atol=1e-11)
+
+
+class TestBatchedDiagonal:
+    """The Hermite ``eri_diagonal`` against the scalar double loop."""
+
+    def test_two_waters_cover_every_table_size(self):
+        basis = build_basis_sto3g(water_cluster(2, seed=5))
+        engine = GeneralIntegralEngine(basis)
+        q = screened_q(engine)
+        sizes = {engine.pair_data(i, j).nprim for i, j in upper_pairs(basis.n_basis)}
+        assert sizes == {8, 9, 18, 24, 25, 36}
+        assert np.array_equal(q, scalar_q(GeneralIntegralEngine(basis)))
+
+    @pytest.mark.parametrize(
+        "basis, cutoff",
+        [
+            (build_basis_sto3g(water_cluster(1, seed=2)), 0.0),
+            (build_basis_sto3g(linear_alkane(2)), 0.0),
+            # Ragged tables, some emptied to the null entry.
+            (build_basis_sto3g(water_cluster(2, seed=3)), 1e-3),
+            (build_basis_sto3g(Molecule(("H", "H"), np.array([[0.0, 0, 0], [40.0, 0, 0]]))), 1e-2),
+            # s-only through the general engine: table sizes 1 to 36.
+            (build_basis(water_cluster(2, seed=1)), 0.0),
+        ],
+        ids=["water1", "ethane", "water2-cutoff", "far-h2-cutoff", "s-only"],
+    )
+    def test_q_equals_scalar_loop(self, basis, cutoff):
+        engine = GeneralIntegralEngine(basis, cutoff)
+        assert np.array_equal(
+            screened_q(engine), scalar_q(GeneralIntegralEngine(basis, cutoff))
+        )
+
+    def test_groups_cut_by_the_chunk_bound(self, h2o_sto3g, monkeypatch):
+        expected = scalar_q(GeneralIntegralEngine(h2o_sto3g))
+        for limit in (200, 1):  # two 9-entry tables per stack; one per stack
+            monkeypatch.setattr(integrals_general, "_DIAGONAL_CHUNK", limit)
+            assert np.array_equal(screened_q(GeneralIntegralEngine(h2o_sto3g)), expected)
+
+    def test_diagonal_transient_is_bounded_by_the_chunk(self):
+        basis = build_basis_sto3g(water_cluster(3, seed=5))
+        engine = GeneralIntegralEngine(basis)
+        pairs = upper_pairs(basis.n_basis)
+        batch = engine.pair_batch(pairs)
+        tracemalloc.start()
+        try:
+            engine.eri_diagonal(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # (pp|pp) recursion: ~80 arrays of one chunk (70 R^n_tuv, 5 Boys
+        # orders, separations, masks); all interactions at once would be
+        # a dozen chunks of each.
+        chunk_bytes = 8 * integrals_general._DIAGONAL_CHUNK
+        assert int((np.bincount(batch.seg) ** 2).sum()) > 12 * integrals_general._DIAGONAL_CHUNK
+        assert peak < 128 * chunk_bytes, (peak, chunk_bytes)
 
 
 class TestSto3gBasis:

@@ -6,6 +6,7 @@ from repro.chemistry.basis import build_basis
 from repro.chemistry.basis_sets import build_basis_sto3g
 from repro.chemistry.integrals import (
     IntegralEngine,
+    PairData,
     boys_f0,
     eri_tensor,
     kinetic_matrix,
@@ -14,7 +15,7 @@ from repro.chemistry.integrals import (
 )
 from repro.chemistry.integrals_general import make_engine
 from repro.chemistry.mcmurchie import kinetic_prim, nuclear_prim, overlap_prim
-from repro.chemistry.molecules import Molecule, water_cluster
+from repro.chemistry.molecules import Molecule, linear_alkane, water_cluster
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,77 @@ class TestBatchedOneElectronAgainstScalarLoops:
         np.testing.assert_allclose(
             nuclear_attraction_matrix(basis), whole, rtol=1e-13, atol=1e-14
         )
+
+
+def scalar_pair_data(basis, i, j, prim_cutoff=0.0) -> PairData:
+    """One shell pair's table, computed on its own (``pair_data`` as it was
+    before tables were built a contraction class at a time): the oracle."""
+    sh_i, sh_j = basis.shells[i], basis.shells[j]
+    a = sh_i.exponents[:, None]
+    b = sh_j.exponents[None, :]
+    p = (a + b).ravel()
+    mu = (a * b / (a + b)).ravel()
+    ab2 = float(((sh_i.center - sh_j.center) ** 2).sum())
+    k = (sh_i.coefficients[:, None] * sh_j.coefficients[None, :]).ravel()
+    k = k * np.exp(-mu * ab2)
+    center = (
+        sh_i.exponents[:, None, None] * sh_i.center[None, None, :]
+        + sh_j.exponents[None, :, None] * sh_j.center[None, None, :]
+    ).reshape(-1, 3) / p[:, None]
+    if prim_cutoff > 0.0:
+        keep = np.abs(k) >= prim_cutoff
+        if not keep.any():
+            keep[np.argmax(np.abs(k))] = True
+        p, k, center = p[keep], k[keep], center[keep]
+    return PairData(p, center, k)
+
+
+class TestPairTablesAgainstScalar:
+    """Class-batched table construction, ``array_equal`` to the scalar one."""
+
+    @staticmethod
+    def assert_same(table, expected):
+        for name in ("p", "center", "k"):
+            assert np.array_equal(getattr(table, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-6, 1e-2])
+    @pytest.mark.parametrize(
+        "molecule",
+        [water_cluster(3, seed=4), linear_alkane(3)],
+        ids=["water3", "propane"],
+    )
+    def test_batch_and_single_pair_paths(self, molecule, cutoff, monkeypatch):
+        import repro.chemistry.integrals as integrals
+
+        basis = build_basis(molecule)
+        n = basis.n_basis
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        whole = IntegralEngine(basis, cutoff)
+        whole.pair_batch(pairs)
+        # 36 entries per 6x6 table: classes cut into chunks of two tables.
+        monkeypatch.setattr(integrals, "_TABLE_CHUNK", 80)
+        chunked = IntegralEngine(basis, cutoff)
+        chunked.pair_batch(pairs[::-1] + [(j, i) for i, j in pairs[:5]])
+        single = IntegralEngine(basis, cutoff)
+        for i, j in pairs:
+            expected = scalar_pair_data(basis, i, j, cutoff)
+            self.assert_same(whole.pair_data(i, j), expected)
+            self.assert_same(chunked.pair_data(i, j), expected)
+            self.assert_same(single.pair_data(j, i), expected)
+
+    def test_batch_is_the_concatenated_tables(self, water_basis):
+        engine = IntegralEngine(water_basis)
+        pairs = [(4, 6), (1, 0), (2, 2), (1, 0)]
+        batch = engine.pair_batch(pairs)
+        tables = [scalar_pair_data(water_basis, min(i, j), max(i, j)) for i, j in pairs]
+        assert batch.n_pairs == 4
+        assert np.array_equal(batch.p, np.concatenate([t.p for t in tables]))
+        assert np.array_equal(batch.k, np.concatenate([t.k for t in tables]))
+        assert np.array_equal(batch.center, np.vstack([t.center for t in tables]))
+        assert np.array_equal(
+            batch.seg, np.repeat(np.arange(4), [t.nprim for t in tables])
+        )
+        assert batch.seg.dtype == np.int64
 
 
 class TestPairData:

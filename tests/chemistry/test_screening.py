@@ -1,10 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.chemistry.integrals as integrals
 from repro.chemistry.basis import BlockStructure, build_basis
-from repro.chemistry.integrals import IntegralEngine, eri_tensor
+from repro.chemistry.integrals import IntegralEngine, eri_tensor, upper_pairs
 from repro.chemistry.molecules import Molecule, linear_alkane, water_cluster
 from repro.chemistry.screening import SchwarzScreen
+from repro.core.artifacts import configure_artifacts, default_store, use_store
+
+
+def scalar_q(engine) -> np.ndarray:
+    """The per-shell-pair Schwarz loop ``SchwarzScreen._build_q`` used to be.
+
+    One ``pair_data`` + ``eri_pair_pair`` call per pair: the oracle the
+    batched diagonal must equal bit for bit, on either engine.
+    """
+    n = engine.basis.n_basis
+    q = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            pd = engine.pair_data(i, j)
+            val = engine.eri_pair_pair(pd, pd)
+            q[i, j] = q[j, i] = np.sqrt(max(val, 0.0))
+    return q
+
+
+def screened_q(engine) -> np.ndarray:
+    """``SchwarzScreen.q`` computed here and now (no artifact store)."""
+    with use_store(None):
+        return SchwarzScreen(engine.basis, engine).q
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +68,173 @@ class TestSchwarzBounds:
         assert water_screen.q_max == pytest.approx(water_screen.q.max())
 
 
+class TestBatchedDiagonal:
+    """``eri_diagonal`` against the scalar double loop, ``array_equal``."""
+
+    @pytest.mark.parametrize(
+        "molecule",
+        [water_cluster(2, seed=3), water_cluster(3, seed=1), linear_alkane(3)],
+        ids=["water2", "water3", "propane"],
+    )
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-6, 1e-2])
+    def test_q_equals_scalar_loop(self, molecule, cutoff):
+        # 1-, 3- and 6-primitive shells: table sizes 1 to 36, and ragged
+        # ones once the cutoff drops products.
+        basis = build_basis(molecule)
+        assert set(basis.primitive_counts.tolist()) == {1, 3, 6}
+        engine = IntegralEngine(basis, cutoff)
+        assert np.array_equal(screened_q(engine), scalar_q(IntegralEngine(basis, cutoff)))
+
+    def test_cutoff_that_empties_tables_keeps_the_dominant_product(self):
+        mol = Molecule(("H", "H"), np.array([[0.0, 0, 0], [30.0, 0, 0]]))
+        engine = IntegralEngine(build_basis(mol), prim_cutoff=1e-2)
+        q = screened_q(engine)
+        assert engine.pair_data(0, 2).nprim == 1
+        assert np.array_equal(q, scalar_q(engine))
+
+    def test_one_function_basis(self):
+        basis = build_basis(
+            Molecule(("H",), np.zeros((1, 3))), basis={"H": [[(0.9, 1.0)]]}
+        )
+        engine = IntegralEngine(basis)
+        assert screened_q(engine).shape == (1, 1)
+        assert np.array_equal(screened_q(engine), scalar_q(engine))
+
+    def test_groups_cut_by_the_chunk_bound(self, monkeypatch):
+        # 36 * 36 = 1296 elements per 6x6 table: at 3000 a stack holds two
+        # of them and the 36-entry group is cut several times; at 1 every
+        # stack is a single table.
+        basis = build_basis(water_cluster(2, seed=3))
+        expected = scalar_q(IntegralEngine(basis))
+        for limit in (3000, 1):
+            monkeypatch.setattr(integrals, "_DIAGONAL_CHUNK", limit)
+            assert np.array_equal(screened_q(IntegralEngine(basis)), expected)
+
+    def test_any_pair_list(self, water_screen):
+        engine = IntegralEngine(water_screen.basis)
+        pairs = [(3, 1), (1, 3), (0, 0), (6, 2), (0, 0)]
+        values = engine.eri_diagonal(pairs)
+        for value, (i, j) in zip(values, pairs):
+            pd = engine.pair_data(i, j)
+            assert value == engine.eri_pair_pair(pd, pd)
+        assert engine.eri_diagonal([]).shape == (0,)
+
+    def test_diagonal_transient_is_bounded_by_the_chunk(self):
+        """Working memory is O(chunk), not O(sum of table sizes squared)."""
+        basis = build_basis(water_cluster(8, seed=5))
+        engine = IntegralEngine(basis)
+        pairs = upper_pairs(basis.n_basis)
+        batch = engine.pair_batch(pairs)
+        chunk_bytes = 8 * integrals._DIAGONAL_CHUNK
+        tracemalloc.start()
+        try:
+            engine.eri_diagonal(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # All interactions at once would be ~10 arrays of this many
+        # elements; make sure that is far beyond the 16 chunks allowed.
+        assert int((np.bincount(batch.seg) ** 2).sum()) > 8 * integrals._DIAGONAL_CHUNK
+        flat = batch.p.nbytes + batch.center.nbytes + batch.k.nbytes + batch.seg.nbytes
+        assert peak < 2 * flat + 16 * chunk_bytes, (peak, flat, chunk_bytes)
+
+
+class TestContentKey:
+    def test_cutoff_engine_is_not_served_the_exact_q(self):
+        """With a store on, Q is keyed by the engine's cutoff too."""
+        basis = build_basis(water_cluster(1))
+        before = default_store()
+        try:
+            configure_artifacts()
+            exact = SchwarzScreen(basis, IntegralEngine(basis))
+            loose = SchwarzScreen(basis, IntegralEngine(basis, prim_cutoff=1e-2))
+            again = SchwarzScreen(basis, IntegralEngine(basis, prim_cutoff=1e-2))
+        finally:
+            configure_artifacts(before, enabled=before is not None)
+        assert loose.content_key != exact.content_key
+        assert again.content_key == loose.content_key and again.q is loose.q
+        assert not np.array_equal(loose.q, exact.q)
+        assert np.array_equal(
+            loose.q, scalar_q(IntegralEngine(basis, prim_cutoff=1e-2))
+        )
+
+    def test_exact_engine_key_is_unchanged(self):
+        # The two-part key every stored artifact of a cutoff-0 engine sits
+        # under; folding the cutoff in must not move it.
+        from repro.core.cache import fingerprint
+
+        basis = build_basis(water_cluster(1))
+        screen = SchwarzScreen(basis, IntegralEngine(basis))
+        assert screen.content_key == fingerprint(("IntegralEngine", basis))
+
+
+def nested_block_qmax(q, blocks):
+    nb = blocks.n_blocks
+    out = np.empty((nb, nb))
+    for a in range(nb):
+        lo_a, hi_a = blocks.block_range(a)
+        for b in range(a, nb):
+            lo_b, hi_b = blocks.block_range(b)
+            out[a, b] = out[b, a] = float(q[lo_a:hi_a, lo_b:hi_b].max())
+    return out
+
+
+def nested_pair_weights(screen, blocks, tau):
+    n = screen.basis.n_basis
+    bound = tau / screen.q_max if screen.q_max > 0 else 0.0
+    alive = screen.q >= bound
+    prim_pairs = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            size = screen.engine.pair_data(i, j).nprim
+            prim_pairs[i, j] = prim_pairs[j, i] = size
+    prim_pairs = prim_pairs * alive
+    nb = blocks.n_blocks
+    out = np.zeros((nb, nb))
+    off = blocks.offsets
+    for a in range(nb):
+        for b in range(nb):
+            out[a, b] = prim_pairs[off[a] : off[a + 1], off[b] : off[b + 1]].sum()
+    return out
+
+
 class TestBlockAggregates:
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-3])
+    def test_aggregates_equal_the_nested_loops(self, cutoff):
+        """``reduceat`` over the offsets against the per-block-pair loops."""
+        basis = build_basis(linear_alkane(3))
+        with use_store(None):
+            screen = SchwarzScreen(basis, IntegralEngine(basis, cutoff))
+            n = basis.n_basis
+            for blocks in (
+                BlockStructure(np.array([0, 1, 4, 9, 10, n])),
+                BlockStructure.uniform(n, 4),
+                BlockStructure(np.array([0, n])),
+            ):
+                assert np.array_equal(
+                    screen.block_qmax(blocks), nested_block_qmax(screen.q, blocks)
+                )
+                for tau in (0.0, 1e-8, 1e-4):
+                    assert np.array_equal(
+                        screen.pair_weights(blocks, tau),
+                        nested_pair_weights(screen, blocks, tau),
+                    )
+
+    def test_pair_weights_build_the_tables_a_stored_q_skipped(self):
+        # Q from the store: no diagonal ran, the engine holds no tables yet.
+        basis = build_basis(water_cluster(1))
+        blocks = BlockStructure.uniform(basis.n_basis, 3)
+        before = default_store()
+        try:
+            configure_artifacts()
+            SchwarzScreen(basis, IntegralEngine(basis))
+            warm = SchwarzScreen(basis, IntegralEngine(basis))
+            assert not warm.engine._pair_cache
+            weights = warm.pair_weights(blocks, 1e-10)
+        finally:
+            configure_artifacts(before, enabled=before is not None)
+        assert np.array_equal(weights, nested_pair_weights(warm, blocks, 1e-10))
+
     def test_block_qmax_is_blockwise_max(self, water_screen):
         blocks = BlockStructure.uniform(water_screen.basis.n_basis, 3)
         qb = water_screen.block_qmax(blocks)

@@ -5,10 +5,15 @@ from hypothesis import given, settings, strategies as st
 from repro.chemistry.basis import BlockStructure, build_basis
 from repro.chemistry.molecules import linear_alkane, water_cluster
 from repro.chemistry.screening import SchwarzScreen
+import itertools
+from dataclasses import replace
+
 from repro.chemistry.tasks import (
     TaskGraph,
     TaskSpec,
+    _task_footprint,
     build_task_graph,
+    graph_from_arrays,
     synthetic_task_graph,
 )
 from repro.util import ConfigurationError
@@ -78,6 +83,45 @@ class TestBuildTaskGraph:
         basis, blocks, screen = water_setup
         with pytest.raises(ConfigurationError):
             build_task_graph(basis, blocks, screen, tau=-1.0)
+
+
+def deduped_footprint(a, b, c, d):
+    """The footprint as first written: list the refs, drop repeats in order."""
+    reads = tuple(dict.fromkeys([(c, d), (b, d)]))
+    writes = tuple(dict.fromkeys([(a, b), (a, c)]))
+    return reads, writes
+
+
+class TestFootprintExpression:
+    """One expression (``_task_footprint``) for the builder and the check."""
+
+    QUARTETS = list(itertools.product(range(4), repeat=4))
+
+    def test_identity_equals_the_dedupe_on_every_quartet(self):
+        # Includes b == c, c == d, a == b == c == d and every other
+        # coincidence four indices in range(4) can have.
+        for quartet in self.QUARTETS:
+            assert _task_footprint(*quartet) == deduped_footprint(*quartet)
+
+    def test_graph_from_arrays_builds_exactly_those(self):
+        quartets = np.array(self.QUARTETS, dtype=np.int64)
+        blocks = BlockStructure.uniform(8, 2)
+        graph = graph_from_arrays(quartets, np.ones(len(quartets)), blocks, 0.0)
+        for task, quartet in zip(graph.tasks, self.QUARTETS):
+            assert task.quartet == quartet
+            assert (task.reads, task.writes) == deduped_footprint(*quartet)
+        # The flag graph_from_arrays pre-seeds is what the property computes.
+        rebuilt = TaskGraph(graph.tasks, blocks, 0.0)
+        assert rebuilt.has_standard_footprints is True
+        assert graph.has_standard_footprints is True
+
+    def test_non_standard_footprint_is_detected(self):
+        graph = synthetic_task_graph(20, 3, seed=2)
+        first = graph.tasks[0]
+        # Same refs, the other order: not what the quartet derives.
+        a, b, c, d = first.quartet
+        odd = replace(first, reads=((b, d), (c, d)) if b != c else ((d, c),))
+        assert not TaskGraph((odd, *graph.tasks[1:]), graph.blocks, 0.0).has_standard_footprints
 
 
 class TestTaskGraph:
