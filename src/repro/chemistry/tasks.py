@@ -91,6 +91,13 @@ class TaskGraph:
                     f"task ids must be dense and ordered; task {idx} has tid {task.tid}"
                 )
 
+    def __getstate__(self) -> dict:
+        # The simulator's step tables (``exec_models.base._step_table``)
+        # are rebuilt where a run needs them, never shipped.
+        state = self.__dict__.copy()
+        state.pop("_step_tables", None)
+        return state
+
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)

@@ -2,8 +2,8 @@
 
 The :class:`Harness` wires one simulated run together: engine, network,
 trace recorder, and the distributed density/Fock matrices. Its
-:meth:`Harness.execute_task` generator is the *common task protocol* every
-model uses —
+:meth:`Harness.execute_task` is the *common task protocol* every model
+uses —
 
     get density blocks -> compute kernel -> accumulate Fock blocks
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.balance.metrics import footprint_owners
 from repro.chemistry.tasks import TaskGraph, TaskSpec
 from repro.faults import FailureDetector, FaultInjector, FaultPlan
 from repro.runtime.comm import RankContext
@@ -32,7 +33,7 @@ from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceReco
 from repro.simulate.engine import Process, Timeout, pooled_timeout
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
-from repro.simulate.network import Network
+from repro.simulate.network import Network, _FusedOp
 from repro.util import SchedulingError, SimulationError, derive_seed
 
 
@@ -92,13 +93,16 @@ class RunResult:
     batched_costs: int = 0
     #: Timeout requests consumed by the engines' resume fast paths. With
     #: the shared freelist these no longer cost one allocation each; the
-    #: counter measures how much traffic the freelist absorbs.
+    #: counter measures how much traffic the freelist absorbs. A task run
+    #: as one chained request counts its kernel step as the ``Timeout``
+    #: it stands for, so the count does not say which form ran.
     timeout_allocs: int = 0
     #: Resource grants delivered straight to a waiter's resume (NIC and
     #: atomic-counter queueing) without a generic callback frame.
     grant_resumes: int = 0
     #: Traced network ops served from the fused cost tables (no
-    #: generator frame); 0 when fault injection arms the traced path.
+    #: generator frame), one by one or as steps of a task's chain; 0
+    #: when fault injection arms the traced path.
     fused_ops: int = 0
 
     @property
@@ -141,6 +145,73 @@ class RunResult:
         return {cat: float(vals.sum() / total) for cat, vals in self.breakdown.items()}
 
 
+def _step_table(graph: TaskGraph, distribution: BlockDistribution, network: Network):
+    """Every task's communication as steps of one flat list, or None.
+
+    Returns ``(steps, bounds, totals)``: ``steps[bounds[t]:bounds[t + 1]]``
+    is task ``t`` as a :class:`~repro.simulate.network._FusedOp` chain
+    walks it — one ``(owner, (tier-0, tier-1, tier-2 program), COMM)``
+    step per density block read, ``None`` for the kernel, one step per
+    Fock block accumulated — and ``totals[t]`` its ``(gets, accumulates,
+    bytes)``. Tasks share one step per distinct (owner, nbytes, kind)
+    and one totals tuple per distinct triple; the programs are
+    :meth:`Network._tier_program`'s. None when the graph cannot be
+    tabulated by task id (ids not dense and ordered, or no tasks) or has
+    a negative cost, which only the per-task path rejects.
+
+    Memoised on the graph per ``(distribution, network model)`` — the
+    locality tier is resolved per step at run time, so one table serves
+    every topology — next to its cached properties but dropped by
+    ``TaskGraph.__getstate__``, and no part of ``content_key``.
+    """
+    tables = graph.__dict__.setdefault("_step_tables", {})
+    key = (distribution, network.model)
+    if key not in tables:
+        tables[key] = _build_step_table(graph, distribution, network)
+    return tables[key]
+
+
+def _build_step_table(graph: TaskGraph, distribution: BlockDistribution, network: Network):
+    n = graph.n_tasks
+    shape = np.array([(t.tid, len(t.reads)) for t in graph.tasks], dtype=np.int64)
+    if n == 0 or np.any(shape[:, 0] != np.arange(n)) or graph.costs.min() < 0.0:
+        return None
+    n_reads = shape[:, 1]
+    rows, cols, tids = graph.footprint_arrays  # per task: reads, then writes
+    owners, offsets = footprint_owners(graph, distribution)
+    first, n_refs = offsets[:-1], np.diff(offsets)
+    local = np.arange(rows.size) - first[tids]
+    accumulates = (local >= n_reads[tids]).astype(np.int64)
+    sizes = graph.blocks.sizes()
+    nbytes = sizes[rows] * sizes[cols] * 8
+
+    # One shared step per distinct (owner, nbytes, kind).
+    n_ranks = distribution.n_ranks
+    keys, inverse = np.unique(
+        (nbytes * n_ranks + owners) * 2 + accumulates, return_inverse=True
+    )
+    shared = np.empty(keys.size, dtype=object)
+    for i, key in enumerate(keys.tolist()):
+        kind = "accumulate" if key & 1 else "rma"
+        size, owner = divmod(key >> 1, n_ranks)
+        programs = tuple(network._tier_program(kind, tier, size) for tier in (0, 1, 2))
+        shared[i] = (owner, programs, COMM)
+
+    # Task t's refs sit after t kernels of earlier tasks, its accumulates
+    # after its own; the slots left None are the kernels.
+    steps = np.empty(rows.size + n, dtype=object)
+    steps[first[tids] + tids + local + accumulates] = shared[inverse]
+    bounds = np.append(first + np.arange(n), rows.size + n)
+
+    moved = np.bincount(tids, weights=nbytes, minlength=n).astype(np.int64)
+    triples, which = np.unique(
+        np.stack([n_reads, n_refs - n_reads, moved], axis=1), axis=0, return_inverse=True
+    )
+    triples = [tuple(triple) for triple in triples.tolist()]
+    totals = [triples[i] for i in which.reshape(-1).tolist()]
+    return tuple(steps.tolist()), bounds.tolist(), totals
+
+
 class Harness:
     """Shared per-run machinery: engine, network, trace, global arrays."""
 
@@ -148,6 +219,10 @@ class Harness:
     LOCAL_QUEUE_OP = 1.0e-7
     #: Bytes of one task descriptor when stolen/transferred.
     TASK_DESCRIPTOR_BYTES = 16
+    #: Fewest claimed tasks :meth:`execute_tasks` costs as one batch;
+    #: shorter claims (the E6 contention regime runs chunk=1) are cheaper
+    #: task by task than building the batch.
+    BURST_THRESHOLD = 4
 
     def __init__(
         self,
@@ -186,6 +261,29 @@ class Harness:
             self.injector = FaultInjector(faults, self.engine, self.network)
             self.network.faults = self.injector
             self.detector = FailureDetector(self.injector)
+        #: The ``_FusedOp`` chain every task of this run is a slice of,
+        #: else None and :meth:`_walk_task` runs it. Read from what this
+        #: run is: the engine walks fused ops, no fault plan is armed
+        #: (only generators know dead targets, stalls and failover),
+        #: kernel costs do not depend on start times, and no interval log
+        #: pins the sequence of records.
+        self._chain: tuple | None = None
+        variability = machine.variability
+        if (
+            self.engine.drives_fused_ops
+            and self.injector is None
+            and variability.time_independent
+            and self.trace.intervals is None
+        ):
+            table = _step_table(graph, dist, self.network)
+            if table is not None:
+                steps, self._bounds, self._totals = table
+                self._chain = self.network._chain(steps)
+                #: Per-rank divisor of ``MachineSpec.compute_seconds``.
+                self._rates = [
+                    machine.flops_per_second * variability.speed(rank, 0.0)
+                    for rank in range(machine.n_ranks)
+                ]
 
     @property
     def n_ranks(self) -> int:
@@ -236,24 +334,59 @@ class Harness:
 
     # ------------------------------------------------------------------
     def execute_task(self, ctx: RankContext, task: TaskSpec):
-        """The common task protocol: reads, kernel, accumulates."""
+        """The common task protocol: reads, kernel, accumulates.
+
+        Returns what the caller drives with ``yield from``: the whole
+        task as one request the engine walks (see ``_chain``), else the
+        :meth:`_walk_task` generator — the same gets, ``Timeout`` and
+        accumulates in the same order, so runs are bit-identical.
+        """
+        chain = self._chain
+        tid = task.tid
+        tasks = self.graph.tasks
+        if chain is None or tid >= len(tasks) or tasks[tid] is not task:
+            return self._walk_task(ctx, task)
+        rank = ctx.rank
+        self._count_ops(rank, *self._totals[tid])
+        bounds = self._bounds
+        duration = task.flops / self._rates[rank]
+        # Positional: keywords double the cost of the call. The chain
+        # supplies category, program and NIC step by step.
+        return _FusedOp(
+            self.trace, rank, None, (), None, None, (), None, 0,
+            chain, bounds[tid], bounds[tid + 1], duration, tid,
+        )  # fmt: skip
+
+    def _walk_task(self, ctx: RankContext, task: TaskSpec):
+        """The task protocol as a generator: the reference for the chain."""
         for ref in task.reads:
             yield from self.density.get(ctx, ref)
         yield from ctx.compute(task.flops, tid=task.tid)
         for ref in task.writes:
             yield from self.fock.accumulate(ctx, ref)
 
+    def _count_ops(self, rank: int, gets: int, accumulates: int, nbytes: int) -> None:
+        """What the traced entry points count per op, for whole tasks."""
+        stats = self.network.stats
+        stats.gets += gets
+        stats.accumulates += accumulates
+        stats.fused_ops += gets + accumulates
+        stats.bytes_moved += nbytes
+        stats.per_rank_bytes[rank] += nbytes
+
     def execute_tasks(self, ctx: RankContext, tids):
         """Burst variant of :meth:`execute_task` over ordered task ids.
 
-        Evaluates every compute cost in the burst with one vectorized
-        ``compute_seconds_batch`` call and folds the trace accounting into
-        one ``record_compute_batch`` call at the end, instead of a
-        ``compute_seconds`` + ``record_compute`` pair per task. Event
-        order — and therefore the simulation — is bit-for-bit the
-        per-task path: the same gets, Timeouts, and accumulates yield in
-        the same sequence, and the deferred COMPUTE accounting accumulates
-        per rank in the same order with the same float values.
+        Callers pass whatever range they claimed. From
+        :attr:`BURST_THRESHOLD` tasks up, every compute cost is evaluated
+        with one vectorized ``compute_seconds_batch`` call and the trace
+        accounting folded into one ``record_compute_batch`` call at the
+        end, instead of a ``compute_seconds`` + ``record_compute`` pair
+        per task. Event order — and therefore the simulation — is
+        bit-for-bit the per-task path: the same gets, Timeouts, and
+        accumulates in the same sequence, and the deferred COMPUTE
+        accounting accumulates per rank in the same order with the same
+        float values.
 
         Falls back to the per-task path whenever the deferral could be
         observable: time-dependent variability (costs sample the task's
@@ -266,33 +399,52 @@ class Harness:
         tasks = graph.tasks
         durations = (
             self.machine.compute_seconds_batch(ctx.rank, graph.costs[tids])
-            if len(tids) > 1
+            if len(tids) >= self.BURST_THRESHOLD
             and self.injector is None
             and self.trace.intervals is None
             else None
         )
         if durations is None or durations.min() < 0.0:
-            # Time-dependent costs, faults, interval log — or a negative
-            # flop count, which the per-task path rejects with the right
-            # error.
+            # A short claim, time-dependent costs, faults, interval log —
+            # or a negative flop count, which the per-task path rejects
+            # with the right error.
             for tid in tids:
                 yield from self.execute_task(ctx, tasks[tid])
             return
         durations = durations.tolist()
-        engine = self.engine
-        density_get = self.density.get
-        fock_accumulate = self.fock.accumulate
         spans: list[tuple[int, float, float]] = []
         append_span = spans.append
-        for tid, duration in zip(tids, durations):
-            task = tasks[tid]
-            for ref in task.reads:
-                yield from density_get(ctx, ref)
-            start = engine.now
-            yield pooled_timeout(duration)
-            append_span((task.tid, start, engine.now))
-            for ref in task.writes:
-                yield from fock_accumulate(ctx, ref)
+        chain = self._chain
+        if chain is not None:
+            rank = ctx.rank
+            trace = self.trace
+            bounds = self._bounds
+            totals = self._totals
+            gets = accumulates = nbytes = 0
+            for tid, duration in zip(tids, durations):
+                task_gets, task_accumulates, task_nbytes = totals[tid]
+                gets += task_gets
+                accumulates += task_accumulates
+                nbytes += task_nbytes
+                start, end = yield from _FusedOp(
+                    trace, rank, None, (), None, None, (), None, 0,
+                    chain, bounds[tid], bounds[tid + 1], duration,
+                )  # fmt: skip
+                append_span((tid, start, end))
+            self._count_ops(rank, gets, accumulates, nbytes)
+        else:
+            engine = self.engine
+            density_get = self.density.get
+            fock_accumulate = self.fock.accumulate
+            for tid, duration in zip(tids, durations):
+                task = tasks[tid]
+                for ref in task.reads:
+                    yield from density_get(ctx, ref)
+                start = engine.now
+                yield pooled_timeout(duration)
+                append_span((task.tid, start, engine.now))
+                for ref in task.writes:
+                    yield from fock_accumulate(ctx, ref)
         self.trace.record_compute_batch(ctx.rank, spans)
         self.batched_costs += len(spans)
 
@@ -377,9 +529,17 @@ class Harness:
 
         starts = np.zeros(self.graph.n_tasks)
         durations = np.zeros(self.graph.n_tasks)
-        for rec in self.trace.tasks:
-            starts[rec.tid] = rec.start
-            durations[rec.tid] = rec.end - rec.start
+        records = self.trace.tasks
+        if self.injector is None:
+            # Exactly one record per task (task_assignment just checked).
+            tids = [rec.tid for rec in records]
+            begun = np.array([rec.start for rec in records])
+            starts[tids] = begun
+            durations[tids] = np.array([rec.end for rec in records]) - begun
+        else:
+            for rec in records:  # replays: the last record wins
+                starts[rec.tid] = rec.start
+                durations[rec.tid] = rec.end - rec.start
 
         counters = dict(self.counters)
         if self.injector is not None:

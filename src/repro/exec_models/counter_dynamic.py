@@ -53,11 +53,6 @@ class CounterDynamic(ExecutionModel):
         harness.model_state["counter"] = GlobalCounter(self.home_rank)
         harness.counters["claims"] = 0.0
 
-    #: Minimum claimed-chunk length routed through the vectorized burst
-    #: path; short chunks (the E6 contention regime runs chunk=1) stay on
-    #: the per-task path, which is cheaper than building a batch.
-    BURST_THRESHOLD = 4
-
     def rank_process(self, harness: Harness, ctx: RankContext):
         sequence: np.ndarray = harness.model_state["sequence"]
         counter: GlobalCounter = harness.model_state["counter"]
@@ -68,11 +63,4 @@ class CounterDynamic(ExecutionModel):
             if first >= n_tasks:
                 break
             last = min(first + self.chunk, n_tasks)
-            if last - first >= self.BURST_THRESHOLD:
-                yield from harness.execute_tasks(
-                    ctx, sequence[first:last].tolist()
-                )
-            else:
-                for slot in range(first, last):
-                    tid = int(sequence[slot])
-                    yield from harness.execute_task(ctx, harness.graph.tasks[tid])
+            yield from harness.execute_tasks(ctx, sequence[first:last].tolist())

@@ -84,8 +84,4 @@ class CounterPerNode(ExecutionModel):
             if first >= hi:
                 return
             last = min(first + self.chunk, hi)
-            if last - first >= 4:
-                yield from harness.execute_tasks(ctx, range(first, last))
-            else:
-                for tid in range(first, last):
-                    yield from harness.execute_task(ctx, harness.graph.tasks[tid])
+            yield from harness.execute_tasks(ctx, range(first, last))

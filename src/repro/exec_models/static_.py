@@ -46,7 +46,7 @@ class StaticAssignment(ExecutionModel):
                 f"assignment references ranks outside [0, {harness.n_ranks})"
             )
         lists: list[list[int]] = [[] for _ in range(harness.n_ranks)]
-        for tid, rank in enumerate(self.assignment):
+        for tid, rank in enumerate(self.assignment.tolist()):
             lists[rank].append(tid)
         harness.model_state["task_lists"] = lists
 

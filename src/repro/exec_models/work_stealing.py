@@ -100,7 +100,7 @@ class WorkStealing(ExecutionModel):
         else:
             assignment = cyclic_assignment(n_tasks, n_ranks)
         queues: list[deque[int]] = [deque() for _ in range(n_ranks)]
-        for tid, rank in enumerate(assignment):
+        for tid, rank in enumerate(assignment.tolist()):
             queues[rank].append(tid)
         harness.model_state["queues"] = queues
         harness.model_state["locks"] = [Resource(1) for _ in range(n_ranks)]

@@ -89,6 +89,7 @@ static AttrName s_delay[1], s_name[1], s_value[1];
 static AttrName s_pre[1], s_nic[1], s_hold[1], s_post[1], s_trace[1], s_src[1];
 static AttrName s_category[1], s_counter[1], s_amount[1], s_proc[1], s_start[1];
 static AttrName s_phase[1], s_idx[1], s_holding[1], s_result[1], s_step[1];
+static AttrName s_chain[1], s_pos[1], s_end[1], s_duration[1], s_tid[1];
 static AttrName s_in_use[1], s_capacity[1], s_total_acquisitions[1];
 static AttrName s_total_waits[1], s_queue[1];
 static AttrName s_totals[1], s_intervals[1], s_records[1];
@@ -96,6 +97,7 @@ static AttrName s_totals[1], s_intervals[1], s_records[1];
 /* Interned method names: always looked up through the type. */
 static PyObject *s_popleft, *s_append, *s_finish, *s_activate, *s_release;
 static PyObject *s_resume_pub, *s_advance_name, *s_deliver_name, *s_record;
+static PyObject *s_load_step, *s_record_compute;
 
 /* What firing a C-held event means. */
 enum { EV_RESUME = 0, EV_FUSED = 1 };
@@ -599,9 +601,13 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
  * the Python engines each step is a bound-method callback plus an
  * engine.schedule() call; here the walk runs in C and timed steps go
  * straight into the C event heap -- no tuple, no boxed key, no Python
- * frame per delay. Every branch mirrors a line of _FusedOp.activate /
- * .resume / ._advance / ._complete, and every seq allocation happens at
- * exactly the same dispatch, so (time, seq) orders are unchanged. */
+ * frame per delay. An op with a `chain` is a whole task: when one step
+ * completes the walker arms the next from the run's flat step list, so
+ * the process's generator is re-entered once per task, not once per
+ * operation. Every branch mirrors a line of _FusedOp.activate /
+ * ._load_step / .resume / ._advance / ._complete / ._finish, and every
+ * seq allocation happens at exactly the same dispatch, so (time, seq)
+ * orders are unchanged. */
 
 /* The op's next step after `delay`: run-queue for zero delays, C event
  * heap otherwise. Mirrors _FusedOp._dispatch (engine == ctx->engine is
@@ -712,25 +718,13 @@ resource_release(PyObject *resource)
     return 0;
 }
 
-/* _FusedOp._complete: mark done, emit the trace record, resume the
- * waiting process with the op's result. */
+/* _FusedOp._finish: mark done, drop the bound method of itself (a
+ * finished op is freed by reference count), resume the waiting process
+ * with the op's result. */
 static int
-fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
+fused_finish(RunCtx *ctx, PyObject *op)
 {
-    if (set_attr(op, s_done, Py_True) < 0)
-        return -1;
-    PyObject *trace = get_attr(op, s_trace);
-    PyObject *src = trace ? get_attr(op, s_src) : NULL;
-    PyObject *cat = src ? get_attr(op, s_category) : NULL;
-    PyObject *start = cat ? get_attr(op, s_start) : NULL;
-    PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
-    int recorded = nowobj ? trace_record(trace, src, cat, start, nowobj) : -1;
-    Py_XDECREF(nowobj);
-    Py_XDECREF(start);
-    Py_XDECREF(cat);
-    Py_XDECREF(src);
-    Py_XDECREF(trace);
-    if (recorded < 0)
+    if (set_attr(op, s_done, Py_True) < 0 || set_attr(op, s_step, Py_None) < 0)
         return -1;
     PyObject *proc = get_attr(op, s_proc);
     if (proc == NULL)
@@ -751,6 +745,138 @@ fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
     Py_DECREF(result);
     Py_DECREF(proc);
     return rc;
+}
+
+/* A (pre, hold, post) program as the walker needs it: borrowed items of
+ * an exact 3-tuple whose pre is a non-empty exact tuple, whose hold is
+ * None or a float and whose post is an exact tuple; 0 otherwise. */
+static int
+program_items(PyObject *program, PyObject **pre, PyObject **hold, PyObject **post)
+{
+    if (!PyTuple_CheckExact(program) || PyTuple_GET_SIZE(program) != 3)
+        return 0;
+    *pre = PyTuple_GET_ITEM(program, 0);
+    *hold = PyTuple_GET_ITEM(program, 1);
+    *post = PyTuple_GET_ITEM(program, 2);
+    return PyTuple_CheckExact(*pre) && PyTuple_GET_SIZE(*pre) > 0 &&
+           PyFloat_CheckExact(PyTuple_GET_ITEM(*pre, 0)) &&
+           (*hold == Py_None || PyFloat_CheckExact(*hold)) &&
+           PyTuple_CheckExact(*post);
+}
+
+/* _FusedOp._load_step: arm the chain's next step, or finish. The walk
+ * below runs when the chain is what Harness builds -- exact tuples, int
+ * ranks, float delays, every index in range; anything else calls the
+ * Python method before a single store, so a malformed step raises that
+ * method's own error. */
+static int
+fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
+{
+    long long pos, end;
+    if (get_ll(op, s_pos, &pos) < 0 || get_ll(op, s_end, &end) < 0)
+        return -1;
+    if (pos >= end)
+        return fused_finish(ctx, op);
+    int rc = -1;
+    PyObject *chain = get_attr(op, s_chain);
+    PyObject *srcobj = chain ? get_attr(op, s_src) : NULL;
+    PyObject *nowobj = srcobj ? get_attr(engine, s_now) : NULL;
+    if (nowobj == NULL)
+        goto out;
+    PyObject *steps, *nics, *ids, *step;
+    if (!PyTuple_CheckExact(chain) || PyTuple_GET_SIZE(chain) != 3 ||
+        !PyTuple_CheckExact(steps = PyTuple_GET_ITEM(chain, 0)) || pos < 0 ||
+        pos >= PyTuple_GET_SIZE(steps))
+        goto python;
+    nics = PyTuple_GET_ITEM(chain, 1);
+    ids = PyTuple_GET_ITEM(chain, 2);
+    step = PyTuple_GET_ITEM(steps, pos);
+    if (step == Py_None) { /* the kernel */
+        double duration;
+        if (get_double(op, s_duration, &duration) < 0)
+            goto out;
+        if (set_ll(op, s_pos, pos + 1) < 0 || set_attr(op, s_start, nowobj) < 0 ||
+            set_ll(op, s_phase, 4) < 0)
+            goto out;
+        ctx->timeout_allocs++; /* engine.timeout_allocs += 1 */
+        rc = fused_dispatch(ctx, op, engine, duration);
+        goto out;
+    }
+    PyObject *dstobj, *programs, *pre, *hold, *post;
+    if (!PyTuple_CheckExact(step) || PyTuple_GET_SIZE(step) != 3 ||
+        !PyLong_CheckExact(dstobj = PyTuple_GET_ITEM(step, 0)) ||
+        !PyLong_CheckExact(srcobj) ||
+        !PyTuple_CheckExact(programs = PyTuple_GET_ITEM(step, 1)) ||
+        PyTuple_GET_SIZE(programs) != 3)
+        goto python;
+    Py_ssize_t src = PyLong_AsSsize_t(srcobj), dst = PyLong_AsSsize_t(dstobj);
+    if (PyErr_Occurred()) {
+        PyErr_Clear();
+        goto python;
+    }
+    int tier = 0;
+    if (src != dst) {
+        tier = 2;
+        if (ids != Py_None) {
+            if (!PyList_CheckExact(ids) || src < 0 || dst < 0 ||
+                src >= PyList_GET_SIZE(ids) || dst >= PyList_GET_SIZE(ids))
+                goto python;
+            int same = PyObject_RichCompareBool(PyList_GET_ITEM(ids, src),
+                                                PyList_GET_ITEM(ids, dst), Py_EQ);
+            if (same < 0)
+                goto out;
+            if (same)
+                tier = 1;
+        }
+    }
+    if (!program_items(PyTuple_GET_ITEM(programs, tier), &pre, &hold, &post))
+        goto python;
+    PyObject *nic = Py_None;
+    if (hold != Py_None) {
+        if (!PyList_CheckExact(nics) || dst < 0 || dst >= PyList_GET_SIZE(nics))
+            goto python;
+        nic = PyList_GET_ITEM(nics, dst);
+    }
+    if (set_ll(op, s_pos, pos + 1) < 0 || set_attr(op, s_start, nowobj) < 0 ||
+        set_attr(op, s_category, PyTuple_GET_ITEM(step, 2)) < 0 ||
+        set_attr(op, s_post, post) < 0 || set_attr(op, s_pre, pre) < 0 ||
+        set_attr(op, s_hold, hold) < 0 || set_attr(op, s_nic, nic) < 0 ||
+        set_ll(op, s_phase, 0) < 0 || set_ll(op, s_idx, 1) < 0)
+        goto out;
+    rc = fused_dispatch(ctx, op, engine,
+                        PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pre, 0)));
+    goto out;
+python: {
+    PyObject *r = PyObject_CallMethodNoArgs(op, s_load_step);
+    rc = r == NULL ? -1 : 0;
+    Py_XDECREF(r);
+}
+out:
+    Py_XDECREF(nowobj);
+    Py_XDECREF(srcobj);
+    Py_XDECREF(chain);
+    return rc;
+}
+
+/* _FusedOp._complete: one operation ran. Emit its trace record, then arm
+ * the next step (an op without a chain has none and finishes). */
+static int
+fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
+{
+    PyObject *trace = get_attr(op, s_trace);
+    PyObject *src = trace ? get_attr(op, s_src) : NULL;
+    PyObject *cat = src ? get_attr(op, s_category) : NULL;
+    PyObject *start = cat ? get_attr(op, s_start) : NULL;
+    PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
+    int recorded = nowobj ? trace_record(trace, src, cat, start, nowobj) : -1;
+    Py_XDECREF(nowobj);
+    Py_XDECREF(start);
+    Py_XDECREF(cat);
+    Py_XDECREF(src);
+    Py_XDECREF(trace);
+    if (recorded < 0)
+        return -1;
+    return fused_load_step(ctx, op, engine);
 }
 
 /* _FusedOp.resume: the NIC grant arrived. fetch_add's read-modify-write
@@ -959,6 +1085,39 @@ fused_advance(RunCtx *ctx, PyObject *op)
         }
         goto out;
     }
+    if (phase == 4) {
+        /* the kernel ran: record its interval where the generator
+         * resumed from the kernel's Timeout, then the accumulates. */
+        PyObject *tid = get_attr(op, s_tid);
+        PyObject *start = tid ? get_attr(op, s_start) : NULL;
+        PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
+        int recorded = -1;
+        if (nowobj != NULL && tid == Py_None) {
+            PyObject *span = PyTuple_Pack(2, start, nowobj);
+            if (span != NULL) {
+                recorded = set_attr(op, s_result, span);
+                Py_DECREF(span);
+            }
+        }
+        else if (nowobj != NULL) {
+            PyObject *trace = get_attr(op, s_trace);
+            PyObject *src = trace ? get_attr(op, s_src) : NULL;
+            PyObject *r = src ? PyObject_CallMethodObjArgs(
+                                    trace, s_record_compute, src, tid, start,
+                                    nowobj, NULL)
+                              : NULL;
+            recorded = r == NULL ? -1 : 0;
+            Py_XDECREF(r);
+            Py_XDECREF(src);
+            Py_XDECREF(trace);
+        }
+        Py_XDECREF(nowobj);
+        Py_XDECREF(start);
+        Py_XDECREF(tid);
+        if (recorded == 0)
+            rc = fused_load_step(ctx, op, engine);
+        goto out;
+    }
     /* phase 3: walk the remaining return-path delays */
     {
         PyObject *post = get_attr(op, s_post);
@@ -993,7 +1152,7 @@ out:
 }
 
 /* _FusedOp.activate: bind the op to its process and dispatch the first
- * pre-delay. */
+ * pre-delay, or arm the chain's first step. */
 static int
 fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
 {
@@ -1011,17 +1170,24 @@ fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
         return 0;
     }
     int rc = -1;
-    PyObject *nowobj = NULL, *step = NULL, *pre = NULL;
+    PyObject *nowobj = NULL, *step = NULL, *pre = NULL, *chain = NULL;
     if (set_attr(op, s_engine, engine) < 0 ||
         set_attr(op, s_proc, proc) < 0)
         goto out;
+    step = PyObject_GetAttr(op, s_advance_name); /* bound self._advance */
+    if (step == NULL || set_attr(op, s_step, step) < 0)
+        goto out;
+    chain = get_attr(op, s_chain);
+    if (chain == NULL)
+        goto out;
+    if (chain != Py_None) {
+        rc = fused_load_step(ctx, op, engine);
+        goto out;
+    }
     nowobj = get_attr(engine, s_now);
     if (nowobj == NULL || set_attr(op, s_start, nowobj) < 0)
         goto out;
     if (set_ll(op, s_phase, 0) < 0 || set_ll(op, s_idx, 1) < 0)
-        goto out;
-    step = PyObject_GetAttr(op, s_advance_name); /* bound self._advance */
-    if (step == NULL || set_attr(op, s_step, step) < 0)
         goto out;
     pre = get_attr(op, s_pre);
     if (pre == NULL)
@@ -1036,6 +1202,7 @@ fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
         goto out;
     rc = fused_dispatch(ctx, op, engine, d);
 out:
+    Py_XDECREF(chain);
     Py_XDECREF(pre);
     Py_XDECREF(step);
     Py_XDECREF(nowobj);
@@ -1110,8 +1277,10 @@ invoke_callback(RunCtx *ctx, PyObject *cb, PyObject *arg)
 /* Flush C-held events back into the Python heap as ordinary
  * (time, seq, callback) tuples -- run on every loop exit so the
  * engine's observable pending-event state matches the Python engine's.
- * Resume events carry proc._resume; fused-op steps carry the same bound
- * _advance the Python dispatcher stored in op._step.
+ * Resume events carry proc._resume; fused-op steps carry a bound
+ * _advance made here, because an op closed since has dropped its _step
+ * and its pending wake-up must still be dispatched (and dropped) like
+ * the reference engine's.
  * Returns -1 (with an exception set) if any event could not be moved. */
 static int
 flush_cheap(RunCtx *ctx)
@@ -1124,8 +1293,9 @@ flush_cheap(RunCtx *ctx)
             PyObject *seqobj = PyLong_FromLongLong(ev.seq);
             PyObject *cb = NULL;
             if (timeobj && seqobj)
-                cb = get_attr(ev.obj,
-                              ev.kind == EV_RESUME ? s_resume_attr : s_step);
+                cb = ev.kind == EV_RESUME
+                         ? get_attr(ev.obj, s_resume_attr)
+                         : PyObject_GetAttr(ev.obj, s_advance_name);
             PyObject *tup =
                 cb != NULL ? PyTuple_Pack(3, timeobj, seqobj, cb) : NULL;
             Py_XDECREF(timeobj);
@@ -1510,6 +1680,13 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_holding, "holding");
     INTERN_ATTR(s_result, "result");
     INTERN_ATTR(s_step, "_step");
+    INTERN_ATTR(s_chain, "chain");
+    INTERN_ATTR(s_pos, "pos");
+    INTERN_ATTR(s_end, "end");
+    INTERN_ATTR(s_duration, "duration");
+    INTERN_ATTR(s_tid, "tid");
+    INTERN(s_load_step, "_load_step");
+    INTERN(s_record_compute, "record_compute");
     INTERN(s_advance_name, "_advance");
     INTERN_ATTR(s_in_use, "in_use");
     INTERN_ATTR(s_capacity, "capacity");

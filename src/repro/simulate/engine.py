@@ -80,7 +80,9 @@ class Engine:
             same request mix report the same count. (Networks default
             fused ops on per :attr:`drives_fused_ops`, which *changes*
             the request mix — fused delays are bare callbacks, not
-            Timeouts.)
+            Timeouts. The kernel step of a chained task is the one
+            exception: it stands for the ``Timeout`` the per-task
+            generator yields and is counted as one.)
         grant_resumes: resource grants actually delivered to a waiting
             process or fused operation (``Resource._deliver_grant``
             wake-ups, excluding re-released grants to cancelled holders).

@@ -17,13 +17,15 @@ bottleneck the paper discusses (experiment E6).
 Two-sided messages (used by steal requests/responses and termination
 tokens) are active messages delivered into per-rank mailboxes.
 
-One cost table, two interpreters: :meth:`Network._fused_program` is the
-only place a one-sided operation's cost is written, as a ``(pre, hold,
-post)`` delay program per ``(kind, tier, nbytes)``. :meth:`Network._walk`
+One cost table, two interpreters: :meth:`Network._fused_program` (by
+endpoints; :meth:`Network._tier_program` by locality tier) is the only
+place a one-sided operation's cost is written, as a ``(pre, hold, post)``
+delay program per ``(kind, tier, nbytes)``. :meth:`Network._walk`
 interprets a program as a generator on the reference engine (and whenever
-fault injection is armed); :class:`_FusedOp` carries the same program as a
-single request the compiled engine walks in C. Both allocate every
-``(time, seq)`` at the same dispatch, so runs are bit-identical.
+fault injection is armed); :class:`_FusedOp` carries the same program —
+or a whole task's chain of them, kernel included — as a single request
+the compiled engine walks in C. Both allocate every ``(time, seq)`` at the
+same dispatch, so runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class NetworkStats:
 
 
 class _FusedOp(Request):
-    """One traced network operation as a single engine-driven request.
+    """Traced network operations as a single engine-driven request.
 
     Replaces the per-op ``rma_traced``/``accumulate_traced``/
     ``fetch_add_traced`` generator frame on the fault-free path: the
@@ -166,6 +168,18 @@ class _FusedOp(Request):
     trailing ``trace.record`` — so ``(time, seq)`` orders, resource
     counters, and trace intervals are bit-for-bit identical.
 
+    With a ``chain`` the request is a whole task — gets, kernel,
+    accumulates — instead of one operation: ``chain = (steps, nics,
+    node_ids)`` names a flat step list shared by every task of a run and
+    ``steps[pos:end]`` are this task's. A step is ``(dst, (tier-0,
+    tier-1, tier-2 program), category)``, or ``None`` for the kernel, a
+    single ``duration`` delay that counts as the ``Timeout`` it stands
+    for. :meth:`_load_step` arms a step in the dispatch in which the
+    process's generator would have yielded it — the one that completed
+    the step before — so the chain allocates the per-op path's ``seq``
+    numbers and records the per-op path's intervals, and the process is
+    resumed once, when the last step completes.
+
     The object is also the iterator callers drive with ``yield from``:
     ``__next__`` first yields the request itself, and once the operation
     completes the delegating generator is resumed with the result, which
@@ -173,18 +187,27 @@ class _FusedOp(Request):
     additional frames. ``close()`` mirrors the generator's ``finally``:
     a held NIC slot is released, a queued waiter is skipped by
     ``Resource.release`` via ``done``.
+
+    ``_step`` is a bound method of the op itself, so it is dropped when
+    the op completes or is closed: a finished op is freed by reference
+    count and costs the cyclic collector nothing.
     """
 
     __slots__ = (
+        "trace",
+        "src",
+        "category",
         "pre",
         "nic",
         "hold",
         "post",
-        "trace",
-        "src",
-        "category",
         "counter",
         "amount",
+        "chain",
+        "pos",
+        "end",
+        "duration",
+        "tid",
         "engine",
         "proc",
         "start",
@@ -194,29 +217,44 @@ class _FusedOp(Request):
         "done",
         "result",
         "_step",
+        "__weakref__",  # the lifetime tests watch ops die
     )
 
     def __init__(
         self,
-        pre: tuple,
-        nic: "Resource | None",
-        hold: float,
-        post: tuple,
         trace,
         src: int,
-        category: str,
+        category: "str | None" = None,
+        pre: tuple = (),
+        nic: "Resource | None" = None,
+        hold: "float | None" = None,
+        post: tuple = (),
         counter: "SharedCell | None" = None,
         amount: int = 0,
+        chain: "tuple | None" = None,
+        pos: int = 0,
+        end: int = 0,
+        duration: float = 0.0,
+        tid: "int | None" = None,
     ) -> None:
+        self.trace = trace
+        self.src = src
+        self.category = category
         self.pre = pre
         self.nic = nic
         self.hold = hold
         self.post = post
-        self.trace = trace
-        self.src = src
-        self.category = category
         self.counter = counter
         self.amount = amount
+        self.chain = chain
+        self.pos = pos
+        self.end = end
+        self.duration = duration
+        #: The kernel's task id: its interval goes to ``record_compute``.
+        #: None leaves the recording to the caller, who gets the kernel's
+        #: ``(start, end)`` as the request's result (a burst records all
+        #: its kernels in one ``record_compute_batch``).
+        self.tid = tid
         self.proc = None
         self.done = False
         self.holding = False
@@ -243,6 +281,7 @@ class _FusedOp(Request):
         if self.done:
             return
         self.done = True
+        self._step = None
         if self.holding:
             self.holding = False
             self.nic.release()
@@ -251,15 +290,48 @@ class _FusedOp(Request):
     def activate(self, engine: Engine, process) -> None:
         self.engine = engine
         self.proc = process
+        step = self._step = self._advance
+        if self.chain is not None:
+            self._load_step()
+            return
         self.start = engine.now
         self.phase = 0
         self.idx = 1
-        step = self._step = self._advance
         delay = self.pre[0]
         if delay == 0.0:
             engine.call_now(step, None)
         else:
             engine.schedule(delay, step)
+
+    def _load_step(self) -> None:
+        """Arm the chain's next step, or finish when there is none."""
+        pos = self.pos
+        if pos >= self.end:
+            self._finish()
+            return
+        steps, nics, node_ids = self.chain
+        step = steps[pos]
+        self.pos = pos + 1
+        engine = self.engine
+        self.start = engine.now
+        if step is None:  # the kernel
+            engine.timeout_allocs += 1
+            self.phase = 4
+            self._dispatch(self.duration)
+            return
+        dst, programs, self.category = step
+        src = self.src
+        if src == dst:
+            tier = 0
+        else:
+            tier = 1 if node_ids is not None and node_ids[src] == node_ids[dst] else 2
+        pre, hold, self.post = programs[tier]
+        self.pre = pre
+        self.hold = hold
+        self.nic = nics[dst] if hold is not None else None
+        self.phase = 0
+        self.idx = 1
+        self._dispatch(pre[0])
 
     # -- grant delivery (Resource._deliver_grant duck-types us as a Process)
     def resume(self, value=None) -> None:
@@ -318,6 +390,16 @@ class _FusedOp(Request):
             else:
                 self._complete()
             return
+        if phase == 4:
+            # The kernel ran: its interval is recorded where the
+            # generator resumed from the kernel's Timeout.
+            now = self.engine.now
+            if self.tid is None:
+                self.result = (self.start, now)
+            else:
+                self.trace.record_compute(self.src, self.tid, self.start, now)
+            self._load_step()
+            return
         post = self.post
         idx = self.idx
         if idx < len(post):
@@ -334,9 +416,14 @@ class _FusedOp(Request):
             engine.schedule(delay, self._step)
 
     def _complete(self) -> None:
+        """One operation ran: record its interval, then the next step
+        (an op without a chain has none and finishes)."""
+        self.trace.record(self.src, self.category, self.start, self.engine.now)
+        self._load_step()
+
+    def _finish(self) -> None:
         self.done = True
-        engine = self.engine
-        self.trace.record(self.src, self.category, self.start, engine.now)
+        self._step = None
         self.proc.resume(self.result)
 
 
@@ -435,19 +522,25 @@ class Network:
     def _fused_program(self, kind: str, src: int, dst: int, nbytes: int) -> tuple:
         """The (pre, hold, post) delay program for one operation.
 
-        ``pre`` delays run back to back, then the target NIC is held for
-        ``hold`` (None when the tier bypasses the NIC, which also ends
-        the program), then ``post`` delays. ``kind`` is ``"rma"`` (get or
-        put), ``"accumulate"`` or ``"fetch_add"``; the locality tier is
-        0 = self (memcpy), 1 = same node (shared memory), 2 = remote.
-        Memoized per ``(kind, tier, nbytes)``. The operand order of every
-        sum is pinned by the golden digests.
+        The locality tier is 0 = self (memcpy), 1 = same node (shared
+        memory), 2 = remote; :meth:`_tier_program` holds the costs.
         """
         if src == dst:
             tier = 0
         else:
             ids = self._node_ids
             tier = 1 if ids is not None and ids[src] == ids[dst] else 2
+        return self._tier_program(kind, tier, nbytes)
+
+    def _tier_program(self, kind: str, tier: int, nbytes: int) -> tuple:
+        """The one cost table: ``(kind, tier, nbytes) -> (pre, hold, post)``.
+
+        ``pre`` delays run back to back, then the target NIC is held for
+        ``hold`` (None when the tier bypasses the NIC, which also ends
+        the program), then ``post`` delays. ``kind`` is ``"rma"`` (get or
+        put), ``"accumulate"`` or ``"fetch_add"``. Memoized per key; the
+        operand order of every sum is pinned by the golden digests.
+        """
         key = (kind, tier, nbytes)
         program = self._fused_cache.get(key)
         if program is not None:
@@ -479,6 +572,10 @@ class Network:
                 program = ((cost,), None, ())
         self._fused_cache[key] = program
         return program
+
+    def _chain(self, steps: tuple) -> tuple:
+        """The ``chain`` of a :class:`_FusedOp` whose steps run here."""
+        return (steps, self.nics, self._node_ids)
 
     def _walk(
         self,
@@ -576,7 +673,7 @@ class Network:
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("rma", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
-        return _FusedOp(pre, nic, hold, post, trace, src, category)
+        return _FusedOp(trace, src, category, pre, nic, hold, post)
 
     def accumulate_traced(self, src: int, dst: int, nbytes: int, trace, category: str):
         """:meth:`accumulate` with the caller's interval tracing inlined."""
@@ -593,7 +690,7 @@ class Network:
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("accumulate", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
-        return _FusedOp(pre, nic, hold, post, trace, src, category)
+        return _FusedOp(trace, src, category, pre, nic, hold, post)
 
     def fetch_add_traced(
         self,
@@ -614,7 +711,7 @@ class Network:
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("fetch_add", src, dst, 0)
         return _FusedOp(
-            pre, self.nics[dst], hold, post, trace, src, category, counter, amount
+            trace, src, category, pre, self.nics[dst], hold, post, counter, amount
         )
 
     # ------------------------------------------------------------------

@@ -8,10 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.chemistry.tasks import synthetic_task_graph
-from repro.exec_models import make_model
+from repro.chemistry.tasks import TaskGraph, TaskSpec, graph_from_arrays, synthetic_task_graph
+from repro.exec_models import MODEL_NAMES, make_model
+from repro.exec_models.base import Harness
+from repro.faults import FaultPlan, StallWindow
+from repro.perf import run_counters
 from repro.runtime.trace import COMM, COMPUTE, IDLE, OVERHEAD
-from repro.simulate import RandomStaticVariability, commodity_cluster
+from repro.simulate import (
+    PeriodicThrottle,
+    RandomStaticVariability,
+    commodity_cluster,
+    hierarchical_cluster,
+)
+from repro.simulate.sched import compiled_available
+from repro.util import ConfigurationError
 
 MODELS = (
     "static_block",
@@ -101,3 +111,144 @@ def test_all_models_agree_on_what_was_executed():
     for model_name in MODELS:
         result = make_model(model_name).run(graph, machine, seed=0)
         assert result.n_tasks == 150
+
+
+# ----------------------------------------------------------------------
+# One task protocol, two forms: a chained request or the generator
+# ----------------------------------------------------------------------
+#
+# Under the compiled engine ``Harness.execute_task`` hands the engine a
+# whole task as one ``_FusedOp`` chain; the reference engine, and any run
+# whose records or costs the chain could not reproduce, drives the
+# ``_walk_task`` generator. Which form ran must not be readable from a
+# ``RunResult``, except in the two counters that say so.
+
+needs_compiled = pytest.mark.skipif(
+    not compiled_available(), reason="compiled engine core unavailable"
+)
+
+#: What the two engines report differently by design: how many delays
+#: were ``Timeout`` requests and how many ops skipped the generator.
+_ENGINE_COUNTERS = ("timeout_allocs", "fused_ops")
+
+
+def _observable(result):
+    counters = {
+        key: value
+        for key, value in run_counters(result).items()
+        if key not in _ENGINE_COUNTERS and not key.endswith("_seconds")  # host time
+    }
+    return (
+        result.makespan,
+        {cat: values.tobytes() for cat, values in result.breakdown.items()},
+        result.assignment.tobytes(),
+        result.task_starts.tobytes(),
+        result.task_durations.tobytes(),
+        counters,
+    )
+
+
+def _run_in(monkeypatch, mode, model_name, graph, machine, **harness_options):
+    """One run under ``REPRO_ENGINE=mode`` with the harness kept, so the
+    test can see which form of the task protocol it chose."""
+    monkeypatch.setenv("REPRO_ENGINE", mode)
+    monkeypatch.setenv("REPRO_ENGINE_REQUIRE", "1")
+    model = make_model(model_name)
+    harness = Harness(graph, machine, seed=7, **harness_options)
+    model.setup(harness)
+    harness.spawn_ranks(model.rank_process)
+    return harness, harness.finish(model.name)
+
+
+@needs_compiled
+@pytest.mark.parametrize("machine", [commodity_cluster(6), hierarchical_cluster(3, 2)],
+                         ids=["flat", "hierarchical"])
+@pytest.mark.parametrize("model_name", MODEL_NAMES)
+def test_engines_agree_for_every_registered_model(model_name, machine, monkeypatch):
+    graph = synthetic_task_graph(90, 7, seed=13, skew=1.2)
+    results = {}
+    for mode in ("python", "compiled"):
+        monkeypatch.setenv("REPRO_ENGINE", mode)
+        try:
+            results[mode] = make_model(model_name).run(graph, machine, seed=7)
+        except ConfigurationError as exc:  # counter_per_node on a flat machine
+            results[mode] = str(exc)
+    if isinstance(results["python"], str):
+        assert model_name.startswith("counter_per_node") and machine.cores_per_node is None
+        assert results["compiled"] == results["python"]
+        return
+    assert _observable(results["compiled"]) == _observable(results["python"])
+    assert results["python"].fused_ops == 0
+    # Every get and accumulate of the 90 tasks went through the chain.
+    assert results["compiled"].fused_ops >= results["compiled"].network["accumulates"] > 0
+    assert results["compiled"].timeout_allocs < results["python"].timeout_allocs
+
+
+class _ReversedIds(TaskGraph):
+    """Hand-built: task ``i`` of ``n`` carries tid ``n - 1 - i``, so the
+    graph cannot be tabulated by task id."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+def _reversed_id_graph():
+    dense = synthetic_task_graph(60, 6, seed=4, skew=1.0)
+    n = dense.n_tasks
+    tasks = tuple(
+        TaskSpec(n - 1 - t.tid, t.quartet, t.flops, t.reads, t.writes) for t in dense.tasks
+    )
+    return _ReversedIds(tasks, dense.blocks, dense.tau)
+
+
+_GENERATOR_PATH_CASES = {
+    "periodic-throttle": lambda: dict(
+        machine=commodity_cluster(
+            6, variability=PeriodicThrottle(6, period=1.0e-3, duty=0.4, factor=0.5, seed=1)
+        )
+    ),
+    "interval-log": lambda: dict(trace_intervals=True),
+    "fault-plan": lambda: dict(faults=FaultPlan(stalls=(StallWindow(2, 1.0e-4, 3.0e-4),))),
+    "ids-not-dense": lambda: dict(graph=_reversed_id_graph()),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("model_name", ["static_block", "counter_dynamic_chunk4", "work_stealing"])
+@pytest.mark.parametrize("case", _GENERATOR_PATH_CASES)
+def test_runs_the_chain_cannot_reproduce_take_the_generator(case, model_name, monkeypatch):
+    options = _GENERATOR_PATH_CASES[case]()
+    graph = options.pop("graph", None) or synthetic_task_graph(60, 6, seed=4, skew=1.0)
+    machine = options.pop("machine", commodity_cluster(6))
+    runs = {
+        mode: _run_in(monkeypatch, mode, model_name, graph, machine, **options)
+        for mode in ("python", "compiled")
+    }
+    harness, result = runs["compiled"]
+    assert harness._chain is None
+    assert _observable(result) == _observable(runs["python"][1])
+    if result.intervals is not None:
+        assert result.intervals == runs["python"][1].intervals
+    # An armed plan takes even the single ops off the fused path; the
+    # other three still issue them one fused request at a time.
+    assert (result.fused_ops == 0) == (case == "fault-plan")
+    # The same run without the obstacle does chain.
+    plain, _ = _run_in(
+        monkeypatch, "compiled", model_name, synthetic_task_graph(60, 6, seed=4, skew=1.0),
+        commodity_cluster(6),
+    )
+    assert plain._chain is not None
+
+
+@pytest.mark.parametrize("mode", ["python", "compiled"])
+@pytest.mark.parametrize("model_name", ["static_block", "counter_dynamic", "work_stealing"])
+def test_negative_flops_still_rejected(model_name, mode, monkeypatch):
+    if mode == "compiled" and not compiled_available():
+        pytest.skip("compiled engine core unavailable")
+    monkeypatch.setenv("REPRO_ENGINE", mode)
+    good = synthetic_task_graph(40, 5, seed=2, skew=1.0)
+    flops = np.array(good.costs)
+    flops[17] = -1.0
+    graph = graph_from_arrays(good.quartet_array, flops, good.blocks, good.tau)
+    with pytest.raises(ConfigurationError, match="flops must be >= 0"):
+        make_model(model_name).run(graph, commodity_cluster(4), seed=0)

@@ -7,11 +7,14 @@ accounting when a grant meets only cancelled waiters, registration-order
 resume for event waiters, and the exact semantics of bounded runs.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
 from repro.simulate.engine import Engine, Resource, SimEvent, Timeout
-from repro.simulate.network import Network, NetworkModel, SharedCell
+from repro.simulate.network import Network, NetworkModel, SharedCell, _FusedOp
 from repro.simulate.sched import CompiledEngine, compiled_available
 from repro.util import SimulationError
 
@@ -243,6 +246,9 @@ class _DuckRecorder:
     def record(self, src, category, start, end):
         self.calls.append((src, category, start, end))
 
+    def record_compute(self, src, tid, start, end):
+        self.calls.append((src, tid, start, end))
+
 
 class _LoudRecorder(TraceRecorder):
     __slots__ = ("seen",)
@@ -268,14 +274,32 @@ class _CountingNic(Resource):
         super().release()
 
 
+def _task_chain(net, trace, src, category=COMM, bad_step=False):
+    """A 64 KiB get from rank 1, a 1 us kernel and a 4 KiB accumulate
+    into rank 1 as one chained request — ``bad_step`` leaves the category
+    out of the accumulate's step."""
+
+    def step(kind, nbytes):
+        programs = tuple(net._tier_program(kind, tier, nbytes) for tier in (0, 1, 2))
+        return (1, programs, category)
+
+    steps = (step("rma", 1 << 16), None, step("accumulate", 4096))
+    if bad_step:
+        steps = (*steps[:2], steps[2][:2])
+    return _FusedOp(
+        trace, src, chain=net._chain(steps), end=3, duration=1.0e-6, tid=src
+    )
+
+
 def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM,
-             tamper=None, cancel_at=None, intervals=False):
+             tamper=None, cancel_at=None, intervals=False, chain=False, bad_step=False):
     """Three ranks issue traced ops at rank 1's NIC (one per rank, so two
     queue behind the first); returns everything observable afterwards.
 
     ``tamper(engine, net, ops)`` is called mid-flight, 2.2 us in, while the
     first op holds the NIC and the other two are queued; ``cancel_at``
-    lists ranks whose processes are cancelled at that same moment.
+    lists ranks whose processes are cancelled at that same moment. With
+    ``chain`` each rank's first op is a whole task (:func:`_task_chain`).
     """
     engine = engine_cls()
     net = Network(engine, NetworkModel(), 4)
@@ -289,7 +313,10 @@ def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM
     ops, log = [], []
 
     def rank(src):
-        op = net.rma_traced(src, 1, 1 << 16, trace, category)
+        if chain:
+            op = _task_chain(net, trace, src, category, bad_step)
+        else:
+            op = net.rma_traced(src, 1, 1 << 16, trace, category)
         ops.append(op)
         yield from op
         old = yield from net.fetch_add_traced(src, 1, cell, 1, trace, OVERHEAD)
@@ -318,7 +345,7 @@ def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM
         "releases": getattr(nic, "releases", None),
         "trace": [
             getattr(trace, name, None)
-            for name in ("_totals", "records", "intervals", "seen", "calls")
+            for name in ("_totals", "records", "intervals", "tasks", "seen", "calls")
         ],
         "cell": cell.value,
     }
@@ -348,6 +375,14 @@ class TestCompiledCoreFallbacks:
             pytest.param({"cancel_at": (2, 3)}, id="release-all-cancelled-queue"),
             pytest.param({"cancel_at": (0,)}, id="cancelled-holder-releases"),
             pytest.param({"tamper": _forget_acquire}, id="release-without-acquire"),
+            pytest.param({"chain": True}, id="chain"),
+            pytest.param({"chain": True, "nic_cls": _CountingNic}, id="chain-resource-subclass"),
+            pytest.param({"chain": True, "recorder_cls": _DuckRecorder}, id="chain-duck-recorder"),
+            pytest.param({"chain": True, "intervals": True}, id="chain-keep-intervals"),
+            pytest.param({"chain": True, "category": "bogus"}, id="chain-unknown-category"),
+            pytest.param({"chain": True, "tamper": _future_start}, id="chain-end-before-start"),
+            pytest.param({"chain": True, "cancel_at": (0, 3)}, id="chain-cancelled-holder-and-waiter"),
+            pytest.param({"chain": True, "bad_step": True}, id="chain-step-of-the-wrong-shape"),
         ],
     )
     def test_same_outcome_as_reference_engine(self, kwargs):
@@ -355,7 +390,9 @@ class TestCompiledCoreFallbacks:
         assert _outcome(CompiledEngine, **kwargs) == reference
         # The scenario did what its name says on the reference engine.
         error, log = reference["error"], reference["log"]
-        if "category" in kwargs:
+        if "bad_step" in kwargs:  # the Python method's own unpacking error
+            assert error == ("ValueError", "not enough values to unpack (expected 3, got 2)")
+        elif "category" in kwargs:
             assert error[0] == "ConfigurationError" and "bogus" in error[1]
         elif kwargs.get("tamper") is _future_start:
             assert error[0] == "SimulationError" and "ends before it starts" in error[1]
@@ -370,9 +407,12 @@ class TestCompiledCoreFallbacks:
 
     def test_subclass_methods_really_ran(self):
         """The parity above is not two engines skipping the override alike."""
-        outcome = _outcome(CompiledEngine, nic_cls=_CountingNic, recorder_cls=_LoudRecorder)
-        assert outcome["releases"] == 6  # three rma + three fetch_add holds
-        assert len(outcome["trace"][3]) == 6  # ...and as many records seen
+        for chain, ops in ((False, 6), (True, 9)):  # per rank: rma (+ accumulate) + fetch_add
+            outcome = _outcome(
+                CompiledEngine, nic_cls=_CountingNic, recorder_cls=_LoudRecorder, chain=chain
+            )
+            assert outcome["releases"] == ops  # one NIC hold each
+            assert len(outcome["trace"][4]) == ops  # ...and as many records seen
 
     @pytest.mark.parametrize("victim", ["op.pre", "proc._send"])
     def test_unset_slot_raises_the_attribute_protocols_error(self, victim):
@@ -458,19 +498,119 @@ class TestCompiledCoreFallbacks:
         assert outcome == _outcome(Engine, cancel_at=(2,))
 
 
+# ----------------------------------------------------------------------
+# A finished fused op is freed by reference count
+# ----------------------------------------------------------------------
+#
+# ``op._step`` is a bound method of the op, so while it is set the op is
+# cyclic garbage: it, its ``trace`` and its ``proc`` wait for the cyclic
+# collector. Both walkers drop it when the op completes or is closed.
+
+ENGINES = [Engine] + ([CompiledEngine] if compiled_available() else [])
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic collector off: what dies here dies by reference count."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("chain", [False, True], ids=["op", "chain"])
+@pytest.mark.parametrize("engine_cls", ENGINES)
+class TestFusedOpLifetime:
+    def _issue(self, net, trace, chain, refs):
+        op = _task_chain(net, trace, 0) if chain else net.rma_traced(0, 1, 1 << 16, trace, COMM)
+        refs.append(weakref.ref(op))
+        return op
+
+    def test_dead_once_it_completes(self, engine_cls, chain, no_gc):
+        engine = engine_cls()
+        net = Network(engine, NetworkModel(), 2)
+        net._fused = True
+        trace = TraceRecorder(2)
+        refs, alive = [], []
+
+        def rank():
+            yield from self._issue(net, trace, chain, refs)
+            yield Timeout(0.0)  # the dispatch that completed the op is over
+            alive.append(refs[0]() is not None)
+            yield Timeout(1.0)
+
+        engine.process(rank())
+        engine.run()
+        assert alive == [False]
+        assert trace.records == (3 if chain else 1)
+
+    def test_dead_once_closed_mid_hold(self, engine_cls, chain, no_gc):
+        engine = engine_cls()
+        net = Network(engine, NetworkModel(), 2)
+        net._fused = True
+        trace = TraceRecorder(2)
+        refs, seen = [], []
+
+        def rank():
+            yield from self._issue(net, trace, chain, refs)
+
+        proc = engine.process(rank())
+
+        def cancel():
+            seen.append((refs[0]().holding, net.nics[1].in_use))
+            proc.cancel()
+            seen.append(net.nics[1].in_use)
+
+        engine.schedule(5.0e-6, cancel)  # 1.9 us out, then a 13.3 us hold
+        engine.run(until=6.0e-6)
+        # Only the hold's pending wake-up still refers to the closed op.
+        assert seen == [(True, 1), 0] and refs[0]() is not None
+        engine.run()
+        assert refs[0]() is None
+        assert trace.records == 0
+
+
+@pytest.mark.parametrize("model_name", ["static_cyclic", "counter_dynamic", "work_stealing"])
+def test_a_finished_run_leaves_no_garbage_per_task(model_name, no_gc):
+    """What ``gc.collect()`` finds after a fault-free cell — the rank
+    processes, each a cycle through its cached ``_resume`` — does not
+    grow with the number of tasks: no op, trace record or task record is
+    left to the cyclic collector."""
+    from repro.chemistry.tasks import synthetic_task_graph
+    from repro.exec_models import make_model
+    from repro.simulate import commodity_cluster
+
+    def census(n_tasks):
+        graph = synthetic_task_graph(n_tasks, 12, seed=5, skew=1.2, mean_cost=2.0e5)
+        gc.collect()
+        result = make_model(model_name).run(graph, commodity_cluster(8), seed=3)
+        assert result.n_tasks == n_tasks
+        return gc.collect()
+
+    census(50)  # first-use caches (the engine build, interned names)
+    small, large = census(200), census(2000)
+    # Work stealing's steal and token messages each run a delivery
+    # process, and there are more of them in a longer run.
+    assert large <= small + (0 if model_name != "work_stealing" else 200), (small, large)
+
+
 @needs_compiled
-def test_compiled_core_holds_no_references_after_a_run():
+def test_compiled_core_holds_no_references_after_a_run(monkeypatch):
     """ROADMAP 5(b), first slice: the C core's reference counting.
 
-    A leaked reference per fused op, grant or pooled timeout shows as a
-    refcount that grows with the number of operations, so the same
-    64-rank ``work_stealing`` cell is run small and then large (> 10^5
-    fused ops) and every object the core touches on the per-event path
-    must end both runs with the same count; the interned category
-    strings, shared by every run, must not move between the two.
+    A leaked reference per fused op, chained step, grant or pooled
+    timeout shows as a refcount that grows with the number of
+    operations, so the same 64-rank ``work_stealing`` cell is run small
+    and then large (> 10^5 fused ops, > 10^5 chained steps) and every
+    object the core touches on the per-event path must end both runs
+    with the same count; the interned category strings, shared by every
+    run, must not move between the two.
     """
-    import gc
     import sys
+
+    monkeypatch.setenv("REPRO_ENGINE", "compiled")
 
     from repro.chemistry.tasks import synthetic_task_graph
     from repro.exec_models.base import Harness
@@ -478,7 +618,6 @@ def test_compiled_core_holds_no_references_after_a_run():
     from repro.runtime import trace as trace_mod
     from repro.simulate import commodity_cluster
     from repro.simulate.engine import _timeout_pool
-    from repro.simulate.network import _FusedOp
 
     categories = [getattr(trace_mod, name) for name in ("COMPUTE", "COMM", "OVERHEAD", "IDLE")]
     machine = commodity_cluster(64)
@@ -488,6 +627,8 @@ def test_compiled_core_holds_no_references_after_a_run():
         graph = synthetic_task_graph(n_tasks, 24, seed=5, skew=1.2, mean_cost=2.0e5)
         harness = Harness(graph, machine, seed=3)
         assert type(harness.engine) is CompiledEngine
+        # Every task runs as one chain: that many steps, walked in C.
+        assert len(harness._chain[0]) > 4 * n_tasks
         model.setup(harness)
         harness.spawn_ranks(model.rank_process)
         result = harness.finish(model.name)
@@ -516,7 +657,7 @@ def test_compiled_core_holds_no_references_after_a_run():
     timeouts_outside_pool = live(Timeout) - len(_timeout_pool)
     before = shared()
     large, large_counts = run(26000)
-    assert large.fused_ops >= 100_000 and large.timeout_allocs > 10_000
+    assert large.fused_ops >= 100_000 and large.timeout_allocs > 26_000
     assert large.grant_resumes > 100_000
     del large
     after = shared()

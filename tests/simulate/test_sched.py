@@ -8,7 +8,9 @@ equal timestamps, zero-delay wake-ups, horizon-bounded ``run(until=)``
 stages, cancellations, and deadlock truncation — and, for the network
 path, ``Engine`` + the ``_walk`` generator against ``CompiledEngine`` +
 the C-walked ``_FusedOp``: traced one-sided ops contending for NICs while
-other processes hold the same NICs, cancelled mid-op.
+other processes hold the same NICs, cancelled mid-op — single ops and
+whole tasks (gets, kernel, accumulates) chained into one request, the
+chain also walked by the pure-Python ``_FusedOp`` that is its spec.
 """
 
 import numpy as np
@@ -17,8 +19,16 @@ from hypothesis import given, settings, strategies as st
 
 import repro.simulate.sched as sched
 from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
-from repro.simulate.engine import Engine, Resource, SimEvent, SimulationError, Timeout, hold
-from repro.simulate.network import Network, NetworkModel, SharedCell
+from repro.simulate.engine import (
+    Engine,
+    Resource,
+    SimEvent,
+    SimulationError,
+    Timeout,
+    hold,
+    pooled_timeout,
+)
+from repro.simulate.network import Network, NetworkModel, SharedCell, _FusedOp
 from repro.simulate.sched import (
     ENGINE_MODES,
     CompiledEngine,
@@ -128,8 +138,38 @@ class TestModeSelection:
 # Cross-engine dispatch-order equivalence
 
 
+#: How a scenario's network steps are interpreted, whatever the engine:
+#: ``walk`` is the ``Network._walk`` generator per op (the reference),
+#: ``ops`` one ``_FusedOp`` per op, ``chain`` additionally runs each
+#: ``task`` step as one chained ``_FusedOp``.
+INTERPRETERS = ("walk", "ops", "chain")
+
+
+def _task_steps(net, gets, accumulates):
+    """A task's chain steps, as ``exec_models.base._step_table`` lays
+    them out: one three-tier step per op, ``None`` for the kernel."""
+
+    def step(kind, dst, nbytes):
+        programs = tuple(net._tier_program(kind, tier, nbytes) for tier in (0, 1, 2))
+        return (dst, programs, COMM)
+
+    return (
+        *(step("rma", dst, nbytes) for dst, nbytes in gets),
+        None,
+        *(step("accumulate", dst, nbytes) for dst, nbytes in accumulates),
+    )
+
+
 def _run_scenario(
-    engine_cls, delays, horizons, cancel_victim, net_plans=(), net_cancel=None
+    engine_cls,
+    delays,
+    horizons,
+    cancel_victim,
+    net_plans=(),
+    net_cancel=None,
+    interpreter=None,
+    late_cancel=False,
+    probe=None,
 ):
     """One mixed workload on ``engine_cls``; returns the dispatch log.
 
@@ -139,34 +179,77 @@ def _run_scenario(
     optionally cancels process 0 mid-run. The run is staged through the
     ``horizons`` prefixes before the final drain.
 
-    ``net_plans`` adds one rank process per plan on a 4-rank network
-    whose interpreter is the engine's own default (``_walk`` generators
-    on ``Engine``, C-walked ``_FusedOp``s on ``CompiledEngine``): traced
-    ``fetch_add``/``rma`` ops against shared home NICs, and plain
-    ``hold``s of those same NICs, so fused waiters queue behind process
-    waiters and the other way round. ``net_cancel = (rank, time)``
-    cancels one of them wherever it then is — in a pre-delay, queued,
-    granted-but-not-woken, holding, or on the return path. NIC counters,
-    the counter cell and the trace totals close the log.
+    ``net_plans`` adds one rank process per plan on a 4-rank, 2-node
+    network read by ``interpreter`` (default: the engine's own, ``walk``
+    on ``Engine`` and ``chain`` on ``CompiledEngine``): traced
+    ``fetch_add``/``rma`` ops against shared home NICs, plain ``hold``s
+    of those same NICs, so fused waiters queue behind process waiters
+    and the other way round, and ``task`` steps — gets, a kernel,
+    accumulates, the kernel recorded as it ends or, a burst, by the
+    caller afterwards (from the span a chain returns). ``net_cancel = (rank, time)`` cancels one of them
+    wherever it then is — in a pre-delay, queued, holding, on the return
+    path, in a later step of a task or inside its kernel — before
+    anything else due at that time, or with ``late_cancel`` after what
+    was already scheduled for it (a grant issued but not yet delivered).
+    ``probe(ops)`` is called just before the cancel with the chained
+    requests made so far. NIC counters, the counter cell, the trace and
+    ``grant_resumes`` close the log; its last entry, ``timeout_allocs``,
+    is equal only among the fused interpreters.
     """
     engine = engine_cls()
     log = []
     resource = Resource(capacity=1)
     gate = SimEvent()
-    net = Network(engine, NetworkModel(), 4)
+    net = Network(engine, NetworkModel(), 4, node_of=lambda rank: rank // 2)
+    if interpreter is None:
+        interpreter = "chain" if net._fused else "walk"
+    net._fused = interpreter != "walk"
     trace = TraceRecorder(4)
     cell = SharedCell()
+    chained = []
+
+    def task(src, tid, gets, kernel, accumulates, burst):
+        if interpreter == "chain":
+            steps = _task_steps(net, gets, accumulates)
+            op = _FusedOp(
+                trace,
+                src,
+                chain=net._chain(steps),
+                end=len(steps),
+                duration=kernel,
+                tid=None if burst else tid,
+            )
+            chained.append(op)
+            span = yield from op
+        else:
+            for dst, nbytes in gets:
+                yield from net.rma_traced(src, dst, nbytes, trace, COMM)
+            start = engine.now
+            yield pooled_timeout(kernel)
+            span = (start, engine.now)
+            if not burst:
+                trace.record_compute(src, tid, *span)
+            for dst, nbytes in accumulates:
+                yield from net.accumulate_traced(src, dst, nbytes, trace, COMM)
+        if burst:  # as Harness.execute_tasks: recorded once the task is over
+            trace.record_compute(src, tid, *span)
 
     def rank(src, plan):
-        for kind, dst, arg in plan:
+        for tid, (kind, *args) in enumerate(plan):
             if kind == "fetch_add":
-                old = yield from net.fetch_add_traced(src, dst, cell, arg, trace, OVERHEAD)
+                dst, amount = args
+                old = yield from net.fetch_add_traced(src, dst, cell, amount, trace, OVERHEAD)
                 log.append(("fetch_add", src, old, engine.now))
             elif kind == "rma":
-                yield from net.rma_traced(src, dst, arg, trace, COMM)
+                dst, nbytes = args
+                yield from net.rma_traced(src, dst, nbytes, trace, COMM)
                 log.append(("rma", src, engine.now))
+            elif kind == "task":
+                yield from task(src, 10 * src + tid, *args)
+                log.append(("task", src, engine.now))
             else:
-                yield from hold(net.nics[dst], arg * 1.0e-9)
+                dst, nanoseconds = args
+                yield from hold(net.nics[dst], nanoseconds * 1.0e-9)
                 log.append(("nic-held", src, engine.now))
 
     ranks = [
@@ -174,7 +257,25 @@ def _run_scenario(
         for src, plan in enumerate(net_plans)
     ]
     if net_cancel is not None and net_cancel[0] < len(ranks):
-        engine.schedule(net_cancel[1], ranks[net_cancel[0]].cancel)
+        victim, when = net_cancel
+
+        def cancel():
+            if probe is not None:
+                probe(chained)
+            ranks[victim].cancel()
+
+        def canceller():
+            # Scheduled from inside the run, after what the rank
+            # processes scheduled when they started: among events due at
+            # ``when``, theirs fire first.
+            yield Timeout(0.0)
+            yield Timeout(when)
+            cancel()
+
+        if late_cancel:
+            engine.process(canceller(), name="canceller")
+        else:
+            engine.schedule(when, cancel)
 
     def walker(pid, steps):
         for i, delay in enumerate(steps):
@@ -206,8 +307,25 @@ def _run_scenario(
     log.append(
         [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in net.nics]
     )
-    log.append((cell.value, trace.records, trace._totals, engine.grant_resumes))
+    log.append((cell.value, trace.records, trace._totals, trace.tasks, engine.grant_resumes))
+    log.append(engine.timeout_allocs)
     return log
+
+
+def _assert_interpreters_agree(*scenario, **kwargs):
+    """The reference log, after holding every other engine/interpreter
+    pair to it — and the fused ones to one ``timeout_allocs``: a chained
+    kernel counts as the ``Timeout`` it stands for."""
+    reference = _run_scenario(Engine, *scenario, interpreter="walk", **kwargs)
+    fused_timeouts = set()
+    for engine_cls in ENGINE_CLASSES:
+        for interpreter in INTERPRETERS:
+            log = _run_scenario(engine_cls, *scenario, interpreter=interpreter, **kwargs)
+            assert log[:-1] == reference[:-1], (engine_cls.__name__, interpreter)
+            if interpreter != "walk":
+                fused_timeouts.add(log[-1])
+    assert len(fused_timeouts) == 1
+    return reference
 
 
 _DELAY = st.sampled_from(
@@ -215,18 +333,51 @@ _DELAY = st.sampled_from(
 )
 
 #: One network step: (kind, home rank, amount | payload bytes | hold ns).
-#: Two home ranks for four initiators, so NICs are contended and some
-#: ops are self-ops (no NIC at all).
+#: Two home ranks for four initiators on two nodes, so NICs are
+#: contended, some ops are self-ops and some same-node (no NIC at all).
 _NET_OP = st.tuples(
     st.sampled_from(["fetch_add", "fetch_add", "rma", "rma", "hold"]),
     st.integers(min_value=0, max_value=1),
     st.sampled_from([1, 64, 4096, 1 << 20]),
+)
+_BLOCK = st.tuples(
+    st.integers(min_value=0, max_value=1), st.sampled_from([0, 288, 4096, 1 << 18])
+)
+#: ("task", gets, kernel seconds, accumulates, recorded by the caller?)
+_TASK_OP = st.tuples(
+    st.just("task"),
+    st.lists(_BLOCK, min_size=1, max_size=3),
+    st.sampled_from([0.0, 4.0e-7, 3.0e-6, 2.0e-4]),
+    st.lists(_BLOCK, min_size=1, max_size=3),
+    st.booleans(),
 )
 #: Cancel times from inside the first pre-delay out to past a 1 MiB hold.
 _NET_CANCEL = st.tuples(
     st.integers(min_value=0, max_value=3),
     st.sampled_from([1.0e-7, 6.0e-7, 1.5e-6, 2.0e-6, 2.6e-6, 4.0e-6, 1.0e-4, 3.0e-4]),
 )
+
+#: One task by rank 2 against rank 1's NIC, which rank 3 holds for the
+#: first 4 us: cancel ``(time, late)`` pairs that find the chained request
+#: in each state it passes through, as ``(phase, holding, queued, steps
+#: armed)``. LogGP defaults: o = 0.4 us, L = 1.5 us, the 64 KiB get
+#: occupies the NIC for 13.3072 us, the kernel runs 5 us.
+_VICTIM_PLANS = [
+    [],
+    [],
+    [("task", [(1, 1 << 16)], 5.0e-6, [(1, 4096)], False)],
+    [("hold", 1, 4000)],
+]
+_HELD_UNTIL = 4000 * 1.0e-9
+_CANCEL_PHASES = {
+    "pre-delay": (2.0e-7, False, (0, False, False, 1)),
+    "queued": (2.5e-6, False, (1, False, True, 1)),
+    "granted-not-woken": (_HELD_UNTIL, True, (1, False, False, 1)),
+    "holding": (9.0e-6, False, (2, True, False, 1)),
+    "return-path": (1.8e-5, False, (3, False, False, 1)),
+    "inside-the-kernel": (2.1e-5, False, (4, False, False, 2)),
+    "between-two-steps": (2.4e-5, False, (0, False, False, 3)),
+}
 
 
 class TestCrossEngineOrder:
@@ -240,16 +391,44 @@ class TestCrossEngineOrder:
             max_size=2,
         ).map(sorted),
         cancel_victim=st.booleans(),
-        net_plans=st.lists(st.lists(_NET_OP, min_size=1, max_size=6), max_size=4),
+        net_plans=st.lists(
+            st.lists(_NET_OP | _TASK_OP, min_size=1, max_size=6), max_size=4
+        ),
         net_cancel=st.none() | _NET_CANCEL,
+        late_cancel=st.booleans(),
     )
     def test_dispatch_order_identical_across_engines(
-        self, delays, horizons, cancel_victim, net_plans, net_cancel
+        self, delays, horizons, cancel_victim, net_plans, net_cancel, late_cancel
     ):
-        scenario = (delays, horizons, cancel_victim, net_plans, net_cancel)
-        reference = _run_scenario(Engine, *scenario)
-        for engine_cls in ENGINE_CLASSES[1:]:
-            assert _run_scenario(engine_cls, *scenario) == reference, engine_cls.__name__
+        _assert_interpreters_agree(
+            delays, horizons, cancel_victim, net_plans, net_cancel, late_cancel=late_cancel
+        )
+
+    @pytest.mark.parametrize("horizons", [(), (1.0e-6, 1.0e-5, 2.2e-5)], ids=["drain", "staged"])
+    @pytest.mark.parametrize("phase", _CANCEL_PHASES)
+    def test_chain_cancelled_in_every_phase(self, phase, horizons):
+        """A cancel landing in each state of a chained request leaves what
+        the generators leave — also when the run is staged, so the step
+        pending at a horizon is flushed to the heap and re-entered."""
+        when, late, expected = _CANCEL_PHASES[phase]
+        seen = []
+
+        def probe(ops):
+            (op,) = ops
+            seen.append((op.phase, op.holding, op in op.chain[1][1]._queue, op.pos))
+
+        scenario = ([[1.0e-6]], list(horizons), False, _VICTIM_PLANS, (2, when))
+        reference = _assert_interpreters_agree(*scenario, late_cancel=late)
+        for engine_cls in ENGINE_CLASSES:
+            _run_scenario(
+                engine_cls, *scenario, interpreter="chain", late_cancel=late, probe=probe
+            )
+        assert seen == [expected] * len(ENGINE_CLASSES)
+        # The victim never finished its task; rank 3 still got its hold,
+        # and rank 1's NIC came back whoever held or awaited it.
+        assert not any(entry[0] == "task" for entry in reference if isinstance(entry, tuple))
+        assert ("nic-held", 3, _HELD_UNTIL) in reference
+        assert reference[-3][1][0] == 0
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_deadlock_truncation_identical(self, engine_cls):
