@@ -195,12 +195,13 @@ class Hypergraph:
 def fock_hypergraph(graph: TaskGraph) -> Hypergraph:
     """Build the task/data-block hypergraph for a Fock task graph.
 
-    Vectorized: the four block refs of every task — ``(C,D), (B,D),
-    (A,B), (A,C)`` in footprint order, first-occurrence-deduplicated
-    within the task — are encoded as integers, grouped by one stable
-    sort, and split into CSR segments. Net order (sorted refs) and pin
-    order (ascending task id) are identical to the former dict-of-lists
-    construction.
+    Vectorized: the block refs of every task — ``(C,D), (B,D), (A,B),
+    (A,C)`` in footprint order for standard footprints, the graph's own
+    ``footprint_arrays`` otherwise (symmetry-folded, hand-built), each
+    first-occurrence-deduplicated within the task — are encoded as
+    integers, grouped by one stable sort, and split into CSR segments.
+    Net order (sorted refs) and pin order (ascending task id) are
+    identical to a dict-of-lists construction over ``(*reads, *writes)``.
     """
     store = _store()
     if store is not None:
@@ -232,7 +233,6 @@ def fock_hypergraph(graph: TaskGraph) -> Hypergraph:
 def _fock_hypergraph(graph: TaskGraph) -> Hypergraph:
     nb = graph.blocks.n_blocks
     n = graph.n_tasks
-    q = graph.quartet_array
     if n == 0:
         return Hypergraph.from_csr(
             graph.costs,
@@ -240,26 +240,24 @@ def _fock_hypergraph(graph: TaskGraph) -> Hypergraph:
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64),
         )
-    a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    # Ref columns in dict.fromkeys((*reads, *writes)) order.
-    r1 = np.stack([c, b, a, a], axis=1)
-    r2 = np.stack([d, d, b, c], axis=1)
-    code = r1 * nb + r2
-    keep = np.empty((n, 4), dtype=bool)
-    keep[:, 0] = True
-    keep[:, 1] = code[:, 1] != code[:, 0]
-    keep[:, 2] = (code[:, 2] != code[:, 0]) & (code[:, 2] != code[:, 1])
-    keep[:, 3] = (
-        (code[:, 3] != code[:, 0])
-        & (code[:, 3] != code[:, 1])
-        & (code[:, 3] != code[:, 2])
-    )
-    tids = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, 4))
-    codes_f = code[keep]
-    tids_f = tids[keep]
-    order = np.argsort(codes_f, kind="stable")
-    sorted_codes = codes_f[order]
-    pins = tids_f[order]
+    if graph.has_standard_footprints:
+        q = graph.quartet_array
+        a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+        # Ref columns in (*reads, *writes) order.
+        codes = (np.stack([c, b, a, a], axis=1) * nb + np.stack([d, d, b, c], axis=1)).ravel()
+        tids = np.repeat(np.arange(n, dtype=np.int64), 4)
+    else:
+        rows, cols, tids = graph.footprint_arrays
+        codes = rows * nb + cols
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    pins = tids[order]
+    # A ref one task names twice (B == C, a block read and written, two
+    # images of a folded quartet) sits in adjacent slots after the stable
+    # sort; the first stays.
+    first = np.ones(pins.size, dtype=bool)
+    first[1:] = (sorted_codes[1:] != sorted_codes[:-1]) | (pins[1:] != pins[:-1])
+    sorted_codes, pins = sorted_codes[first], pins[first]
     new_net = np.ones(sorted_codes.size, dtype=bool)
     new_net[1:] = sorted_codes[1:] != sorted_codes[:-1]
     starts = np.flatnonzero(new_net)

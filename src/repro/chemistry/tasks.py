@@ -123,19 +123,45 @@ class TaskGraph:
         arr.flags.writeable = False
         return arr
 
+    def to_arrays(self) -> dict[str, np.ndarray | float]:
+        """The dense form of this graph: its one payload and one identity.
+
+        ``quartets``, ``flops``, ``offsets`` and the scalar ``tau``, plus
+        the footprint CSR — ``fp_rows``, ``fp_cols`` (one entry per ref,
+        each task's reads then its writes) and ``fp_counts`` (``(n_tasks,
+        2)`` reads and writes per task) — only when the footprints are not
+        the standard derivation from the quartets. These are the keyword
+        arguments of :func:`graph_from_arrays`, what :attr:`content_key`
+        hashes, and the only form in which a graph is stored or crosses a
+        process boundary (artifact store, shared memory, sweep fabric).
+        """
+        arrays: dict[str, np.ndarray | float] = {
+            "quartets": self.quartet_array,
+            "flops": self.costs,
+            "offsets": self.blocks.offsets,
+            "tau": float(self.tau),
+        }
+        if not self.has_standard_footprints:
+            rows, cols, _tids = self.footprint_arrays
+            arrays.update(fp_rows=rows, fp_cols=cols, fp_counts=self.footprint_counts)
+        return arrays
+
     @cached_property
     def content_key(self) -> str:
-        """sha256 content address of this graph (artifact-store keying).
+        """sha256 content address of this graph: the one graph identity.
 
-        Hashes the dense array form — quartets, costs, block offsets,
-        tau — which determines every footprint and cost deterministically
-        (reads/writes derive from the quartet).
+        Hashes :meth:`to_arrays` in order — quartets, costs, block
+        offsets, tau, and the footprint CSR exactly when the footprints
+        are not derivable from the quartets (symmetry-folded and
+        hand-built graphs). Sweep cell keys, artifacts, shared-memory
+        handles and fabric blobs all name a graph by this key.
         """
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.quartet_array).tobytes())
-        h.update(np.ascontiguousarray(self.costs).tobytes())
-        h.update(np.ascontiguousarray(self.blocks.offsets).tobytes())
-        h.update(float(self.tau).hex().encode())
+        for value in self.to_arrays().values():
+            if isinstance(value, float):
+                h.update(value.hex().encode())
+            else:
+                h.update(np.ascontiguousarray(value).tobytes())
         return h.hexdigest()
 
     @cached_property
@@ -163,14 +189,19 @@ class TaskGraph:
         )
 
     @cached_property
+    def footprint_counts(self) -> np.ndarray:
+        """``(n_tasks, 2)`` reads and writes per task: with
+        :attr:`footprint_arrays`, the footprints in CSR form."""
+        counts = [(len(t.reads), len(t.writes)) for t in self.tasks]
+        return np.array(counts, dtype=np.int64).reshape(self.n_tasks, 2)
+
+    @cached_property
     def has_standard_footprints(self) -> bool:
         """True iff every footprint is the standard quartet derivation.
 
-        Standard-footprint graphs round-trip losslessly through their
-        dense array form (:func:`graph_from_arrays`) — the property the
-        artifact codec and the shared-memory worker handoff rely on.
-        Symmetry-folded graphs (multi-image footprints) and hand-built
-        test graphs are not representable that way and return False.
+        Such a graph's dense form needs no footprint CSR (see
+        :meth:`to_arrays`). Symmetry-folded graphs (multi-image
+        footprints) and hand-built test graphs return False and carry it.
         """
         return all(
             (t.reads, t.writes) == _task_footprint(*t.quartet)
@@ -244,29 +275,24 @@ def build_task_graph(
         )
     store = _store()
     if store is not None:
-        # The graph is a pure function of (screen, tiling, tau); its dense
-        # array form round-trips losslessly through graph_from_arrays.
+        # The graph is a pure function of (screen, tiling, tau); it is
+        # stored as its dense form, tau (no array) in the meta record.
         return store.fetch(
             store.key(
                 "task_graph", screen.content_key, blocks.offsets, float(tau)
             ),
             lambda: _build_task_graph(basis, blocks, screen, tau),
-            encode=lambda g: (
-                {
-                    "quartets": np.asarray(g.quartet_array),
-                    "flops": np.asarray(g.costs),
-                    "offsets": np.asarray(blocks.offsets),
-                },
-                {"tau": float(tau).hex()},
-            ),
+            encode=_encode_graph,
             decode=lambda arrays, meta: graph_from_arrays(
-                arrays["quartets"],
-                arrays["flops"],
-                BlockStructure(arrays["offsets"]),
-                float.fromhex(meta["tau"]),
+                **arrays, tau=float.fromhex(meta["tau"])
             ),
         )
     return _build_task_graph(basis, blocks, screen, tau)
+
+
+def _encode_graph(graph: TaskGraph) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    arrays = graph.to_arrays()
+    return arrays, {"tau": arrays.pop("tau").hex()}
 
 
 def _build_task_graph(
@@ -301,17 +327,38 @@ def _build_task_graph(
 
 
 def graph_from_arrays(
-    quartets: np.ndarray, flops: np.ndarray, blocks: BlockStructure, tau: float
+    quartets: np.ndarray,
+    flops: np.ndarray,
+    offsets: np.ndarray | BlockStructure,
+    tau: float,
+    fp_rows: np.ndarray | None = None,
+    fp_cols: np.ndarray | None = None,
+    fp_counts: np.ndarray | None = None,
 ) -> TaskGraph:
     """Materialize a :class:`TaskGraph` from its dense array form.
 
-    The inverse of ``(graph.quartet_array, graph.costs)``: footprints are
-    re-derived from the quartets, and the array caches are pre-seeded so
-    decoded graphs never pay the per-task rebuild. Used by the builder
-    above, the artifact-store codec, and the shared-memory worker handoff.
+    The inverse of :meth:`TaskGraph.to_arrays` (``offsets`` may also be
+    the :class:`BlockStructure` itself): footprints are read from the CSR
+    when one is given and derived from the quartets otherwise, and the
+    array caches are pre-seeded so decoded graphs never pay the per-task
+    rebuild. Used by the builder above, the artifact-store codec, the
+    shared-memory worker handoff and the sweep fabric's workers.
     """
     quartets = np.ascontiguousarray(quartets, dtype=np.int64).reshape(-1, 4)
     flops = np.ascontiguousarray(flops, dtype=np.float64)
+    blocks = offsets if isinstance(offsets, BlockStructure) else BlockStructure(offsets)
+    spans = None
+    if fp_counts is not None:
+        # Task t reads spans[2t] and writes spans[2t + 1], slices of the
+        # flat ref list cut at the running sum of the per-task counts.
+        refs = list(zip(fp_rows.tolist(), fp_cols.tolist()))
+        cut = [0, *np.cumsum(fp_counts, dtype=np.int64).tolist()]
+        if len(cut) != 2 * len(flops) + 1 or cut[-1] != len(refs):
+            raise ConfigurationError(
+                f"footprint CSR names {cut[-1]} refs over {(len(cut) - 1) // 2} tasks; "
+                f"the graph has {len(refs)} refs and {len(flops)} tasks"
+            )
+        spans = [tuple(refs[lo:hi]) for lo, hi in zip(cut, cut[1:])]
     tasks: list[TaskSpec] = []
     flops_list = flops.tolist()
     # Tasks with equal reads (or writes) hold one tuple between them: there
@@ -319,7 +366,10 @@ def graph_from_arrays(
     # alive are what the cyclic collector re-walks while this loop runs.
     shared: dict[tuple[BlockRef, ...], tuple[BlockRef, ...]] = {}
     for tid, (a, b, c, d) in enumerate(quartets.tolist()):
-        reads, writes = _task_footprint(a, b, c, d)
+        if spans is None:
+            reads, writes = _task_footprint(a, b, c, d)
+        else:
+            reads, writes = spans[2 * tid], spans[2 * tid + 1]
         tasks.append(
             TaskSpec(
                 tid,
@@ -334,7 +384,8 @@ def graph_from_arrays(
     flops.flags.writeable = False
     graph.__dict__["quartet_array"] = quartets
     graph.__dict__["costs"] = flops
-    graph.__dict__["has_standard_footprints"] = True
+    if fp_counts is None:
+        graph.__dict__["has_standard_footprints"] = True
     return graph
 
 

@@ -11,14 +11,17 @@ computation (pickle round-trips NumPy arrays and Python floats exactly).
 
 Key scheme (see ``docs/sweep.md``):
 
-    sha256(salt | graph fp | machine fp | model + options | seed |
+    sha256(salt | graph key | machine fp | model + options | seed |
            faults fp | cell kind | trace flag)
 
-where each fingerprint is itself a sha256 over a canonical encoding that
-is stable across processes and Python versions: floats are hex-encoded,
-sets are sorted, arrays hash their raw bytes, and dataclasses/objects
-fold in their class name and field values. ``hash()`` is never used (it
-is salted per process).
+where the graph key is ``TaskGraph.content_key`` (a sha256 over the
+graph's dense arrays) and each fingerprint is itself a sha256 over a
+canonical encoding that is stable across processes and Python versions:
+floats are hex-encoded, sets are sorted, arrays hash their raw bytes, and
+dataclasses fold in their class name and field values. Nothing else is
+encodable: an object that is not a dataclass raises ``TypeError`` rather
+than being keyed by whatever its instance dict holds. ``hash()`` is never
+used (it is salted per process).
 
 Invalidation is by *salt*: :data:`CACHE_SALT` must be bumped whenever a
 change alters simulation semantics (engine, network, models, seeding).
@@ -42,8 +45,10 @@ import numpy as np
 
 #: Code-version salt folded into every cache key. Bump when simulator or
 #: execution-model semantics change (anything that would alter a cell's
-#: result for identical inputs), so stale entries can never be served.
-CACHE_SALT = "repro-sweep-v1"
+#: result for identical inputs) or the key encoding does, so stale entries
+#: can never be served. v2: graphs keyed by ``content_key``, objects that
+#: are not dataclasses no longer encodable.
+CACHE_SALT = "repro-sweep-v2"
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -106,12 +111,6 @@ def _canonical(obj: Any, out: list[str], depth: int = 0) -> None:
         out.append(")")
     elif callable(obj) and hasattr(obj, "__qualname__"):
         out.append(f"fn:{obj.__module__}.{obj.__qualname__}")
-    elif hasattr(obj, "__dict__"):
-        out.append(f"obj:{type(obj).__module__}.{type(obj).__qualname__}(")
-        for key in sorted(vars(obj)):
-            out.append(key + "=")
-            _canonical(vars(obj)[key], out, depth + 1)
-        out.append(")")
     else:
         raise TypeError(
             f"cannot fingerprint {type(obj).__qualname__!r} deterministically"
@@ -122,9 +121,10 @@ def fingerprint(obj: Any) -> str:
     """A sha256 hex digest of ``obj``'s canonical encoding.
 
     Stable across processes, machines, and Python versions for the
-    library's value types (dataclasses, NumPy arrays, plain containers,
-    variability/fault models). Two objects with equal canonical content
-    share a fingerprint; any semantic difference changes it.
+    library's value types (dataclasses — variability and fault models
+    among them — NumPy arrays, plain containers); anything else raises
+    ``TypeError``. Two objects with equal canonical content share a
+    fingerprint; any semantic difference changes it.
     """
     out: list[str] = []
     _canonical(obj, out)

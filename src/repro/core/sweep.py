@@ -177,11 +177,13 @@ def study_cells(config: StudyConfig, graph: TaskGraph) -> list[SweepCell]:
     :func:`repro.core.study.run_study` exactly, so sweep results are
     bit-for-bit the serial driver's results.
     """
+    # One machine per rank count, shared by that row of cells.
+    machines = {n_ranks: config.machine_for(n_ranks) for n_ranks in config.n_ranks}
     return [
         SweepCell(
             model=model_name,
             graph=graph,
-            machine=config.machine_for(n_ranks),
+            machine=machines[n_ranks],
             seed=derive_seed(config.seed, "study", model_name, n_ranks),
             faults=config.faults,
             tag=model_name,
@@ -302,31 +304,42 @@ class SweepRunner:
         self.last_provenance: list[str] = []
         #: Quarantined cells of the last run_cells call.
         self.last_failures: list[CellFailure] = []
-        self._graph_fps: dict[int, tuple[TaskGraph, str]] = {}
 
     # ------------------------------------------------------------------
-    def _graph_fingerprint(self, graph: TaskGraph) -> str:
-        """Fingerprint a graph, memoized by identity within this runner."""
-        entry = self._graph_fps.get(id(graph))
-        if entry is not None and entry[0] is graph:
-            return entry[1]
-        fp = fingerprint(graph)
-        self._graph_fps[id(graph)] = (graph, fp)
-        return fp
-
     def cell_key(self, cell: SweepCell) -> str:
         """The content address of one cell under this runner's salt."""
-        return cache_key(
-            graph_fp=self._graph_fingerprint(cell.graph),
-            machine_fp=fingerprint(cell.machine),
-            model=cell.model,
-            seed=cell.seed,
-            faults_fp=fingerprint(cell.faults),
-            kind=cell.kind,
-            options_fp=fingerprint(cell.options),
-            trace_intervals=cell.trace_intervals,
-            salt=self.salt,
-        )
+        return self._cell_keys([cell])[0]
+
+    def _cell_keys(self, cells: Sequence[SweepCell]) -> list[str]:
+        """Content addresses of ``cells``, in order.
+
+        The graph is named by its ``content_key``. A study's cells share
+        a handful of machines, fault plans and option tuples, so each of
+        those is fingerprinted once per distinct object: ``cells`` keeps
+        them all alive, which makes ``id()`` a sound memo key here.
+        """
+        memo: dict[int, str] = {}
+
+        def fp(obj: Any) -> str:
+            got = memo.get(id(obj))
+            if got is None:
+                got = memo[id(obj)] = fingerprint(obj)
+            return got
+
+        return [
+            cache_key(
+                graph_fp=cell.graph.content_key,
+                machine_fp=fp(cell.machine),
+                model=cell.model,
+                seed=cell.seed,
+                faults_fp=fp(cell.faults),
+                kind=cell.kind,
+                options_fp=fp(cell.options),
+                trace_intervals=cell.trace_intervals,
+                salt=self.salt,
+            )
+            for cell in cells
+        ]
 
     # ------------------------------------------------------------------
     def _publish_graphs(
@@ -398,9 +411,9 @@ class SweepRunner:
         completed = 0
 
         need_keys = self.cache is not None or self.journal is not None
-        keys: list[str | None] = [
-            self.cell_key(cell) if need_keys else None for cell in cells
-        ]
+        keys: list[str | None] = [None] * total
+        if need_keys:
+            keys[:] = self._cell_keys(cells)
         journal = self._journal_for([k for k in keys if k is not None])
         store = self._store_for(journal)
         journaled: dict[str, JournalEntry] = {}

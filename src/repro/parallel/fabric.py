@@ -23,16 +23,18 @@ Design rules:
   :func:`~repro.parallel.supervisor.supervise` loop the forked pool
   runs under — requeue, deterministic jittered backoff, quarantine
   after ``max_attempts``.
-- **Content-keyed transfer, never pickled graphs per cell.** Task
-  graphs and the job function travel once per worker as content-keyed
-  blobs (the cross-host analogue of the shared-memory handoff in
-  :mod:`repro.parallel.shm`): cells are dispatched with a
-  :class:`GraphRef` in place of the graph, and workers ``fetch`` the
-  bytes by key on first use. Results come back tagged with a dispatch
-  key derived from the cell's content, so a **duplicate completion** —
-  a partitioned-then-healed worker pushing a result the server already
-  requeued and recomputed — is deduplicated idempotently (first valid
-  result wins, the rest are counted and dropped).
+- **Content-keyed transfer, never a graph per cell.** Task graphs and
+  the job function travel once per worker as content-keyed blobs (the
+  cross-host analogue of the shared-memory handoff in
+  :mod:`repro.parallel.shm`, and the same payload: the arrays of
+  ``TaskGraph.to_arrays()`` under the graph's ``content_key``): cells
+  are dispatched with a :class:`GraphRef` in place of the graph, and
+  workers ``fetch`` the bytes by key on first use. Results come back
+  tagged with a dispatch key derived from the cell's content, so a
+  **duplicate completion** — a partitioned-then-healed worker pushing a
+  result the server already requeued and recomputed — is deduplicated
+  idempotently (first valid result wins, the rest are counted and
+  dropped).
 - **Graceful degradation.** If no worker ever connects, or every remote
   worker is lost mid-sweep, the executor reroutes the unfinished cells
   through the fallback local executor after one structured
@@ -59,6 +61,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.chemistry.tasks import TaskGraph
 from repro.parallel.executor import CellExecutor, LocalExecutor, warn_degraded
 from repro.parallel.supervisor import (
     HOST_RETRY_POLICY,
@@ -74,7 +77,7 @@ from repro.util import ConfigurationError
 #: turned away at the handshake.
 PROTOCOL_VERSION = 1
 
-#: Hard cap on a single frame (a pickled TaskGraph blob fits well under
+#: Hard cap on a single frame (a task graph's array blob fits well under
 #: this; anything larger is a protocol violation, not a workload).
 MAX_FRAME_BYTES = 1 << 30
 
@@ -138,9 +141,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 class GraphRef:
     """A content-keyed stand-in for a task graph in a dispatched cell.
 
-    ``key`` is the sha256 of the graph's pickled bytes; workers resolve
-    it through the fabric's ``fetch`` channel, caching per process — the
-    cross-host analogue of :class:`repro.parallel.shm.GraphHandle`.
+    ``key`` is the graph's ``content_key``; workers resolve it through
+    the fabric's ``fetch`` channel to the graph's dense arrays, caching
+    the rebuilt graph per process — the cross-host analogue of
+    :class:`repro.parallel.shm.GraphHandle`.
     """
 
     key: str
@@ -155,27 +159,21 @@ def blob_key(data: bytes) -> str:
 def _swap_graph_refs(
     jobs: Sequence[Any], blobs: dict[str, bytes]
 ) -> list[tuple[Any, bytes, str]]:
-    """Prepare jobs for dispatch: pickle each with its graph replaced by
-    a :class:`GraphRef`, registering graph bytes in ``blobs`` once per
-    distinct graph. Returns ``(original_job, payload_bytes, key)`` per
-    job, where ``key`` is the dispatch content key.
+    """Prepare jobs for dispatch: pickle each with its task graph
+    replaced by a :class:`GraphRef`, registering the graph's arrays in
+    ``blobs`` under its ``content_key`` once per distinct graph. Returns
+    ``(original_job, payload_bytes, key)`` per job, where ``key`` is the
+    dispatch content key.
     """
-    graph_keys: dict[int, str] = {}
     out: list[tuple[Any, bytes, str]] = []
     for job in jobs:
         ship = job
         graph = getattr(job, "graph", None)
-        if (
-            graph is not None
-            and dataclasses.is_dataclass(job)
-            and not isinstance(graph, GraphRef)
-        ):
-            gkey = graph_keys.get(id(graph))
-            if gkey is None:
-                data = pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
-                gkey = blob_key(data)
-                blobs.setdefault(gkey, data)
-                graph_keys[id(graph)] = gkey
+        if isinstance(graph, TaskGraph) and dataclasses.is_dataclass(job):
+            gkey = graph.content_key
+            if gkey not in blobs:
+                arrays = graph.to_arrays()
+                blobs[gkey] = pickle.dumps(arrays, protocol=pickle.HIGHEST_PROTOCOL)
             ship = dataclasses.replace(
                 job, graph=GraphRef(key=gkey, nbytes=len(blobs[gkey]))
             )

@@ -5,20 +5,16 @@ a cell carries the full :class:`~repro.chemistry.tasks.TaskGraph` — so a
 16-cell sweep over one graph pickles the same thousands of ``TaskSpec``
 objects sixteen times and unpickles them sixteen more. This module
 replaces that payload with a :class:`GraphHandle`: the graph's dense
-array form (quartets, flops, block offsets) is published once by the
-parent into ``multiprocessing.shared_memory`` segments, and the handle —
-a content key plus segment names, a few hundred bytes — rides the pipe
-instead.
+form (``TaskGraph.to_arrays()``: quartets, flops, block offsets, and
+the footprint CSR of a symmetry-folded or hand-built graph) is published
+once by the parent into ``multiprocessing.shared_memory`` segments, and
+the handle — the graph's ``content_key`` plus segment names, a few
+hundred bytes — rides the pipe instead.
 
 Workers attach the segments read-only and rebuild the graph *once per
 process* (keyed by content address), mapping the NumPy arrays directly
 onto the shared buffers — no array copy crosses the pipe, and repeat
 cells on the same graph are a dict hit.
-
-Only graphs whose footprints are the standard quartet derivation are
-publishable (``TaskGraph.has_standard_footprints``): symmetry-folded and
-hand-built graphs carry footprint structure the dense form cannot
-represent, and fall back to ordinary pickling.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.chemistry.basis import BlockStructure
 from repro.chemistry.tasks import TaskGraph, graph_from_arrays
 
 #: Graphs below this task count pickle faster than they publish; the
@@ -61,9 +56,8 @@ class GraphHandle:
     """
 
     content_key: str
-    quartets: SegmentSpec
-    flops: SegmentSpec
-    offsets: SegmentSpec
+    #: ``(name, segment)`` per array of ``TaskGraph.to_arrays()``.
+    segments: tuple[tuple[str, SegmentSpec], ...]
     tau: float
 
 
@@ -101,21 +95,21 @@ class PublishedGraph:
     def close(self) -> None:
         """Release and unlink the segments (idempotent)."""
         segments, self._segments = self._segments, []
-        for shm in segments:
-            try:
-                shm.close()
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
+        _release(segments)
+
+
+def _release(segments: list[shared_memory.SharedMemory]) -> None:
+    for shm in segments:
+        try:
+            shm.close()
+            shm.unlink()
+        except OSError:  # pragma: no cover
+            pass
 
 
 def publishable(graph: object) -> bool:
     """Whether the zero-copy handoff applies to this graph."""
-    return (
-        isinstance(graph, TaskGraph)
-        and graph.n_tasks >= SHM_MIN_TASKS
-        and graph.has_standard_footprints
-    )
+    return isinstance(graph, TaskGraph) and graph.n_tasks >= SHM_MIN_TASKS
 
 
 def publish_graph(graph: TaskGraph) -> PublishedGraph:
@@ -124,29 +118,18 @@ def publish_graph(graph: TaskGraph) -> PublishedGraph:
     The caller owns the returned :class:`PublishedGraph` and must
     :meth:`~PublishedGraph.close` it once no worker can still attach.
     """
+    arrays = graph.to_arrays()
+    tau = arrays.pop("tau")
+    specs: dict[str, SegmentSpec] = {}
     segments: list[shared_memory.SharedMemory] = []
     try:
-        q_spec, q_shm = _share_array(graph.quartet_array)
-        segments.append(q_shm)
-        f_spec, f_shm = _share_array(graph.costs)
-        segments.append(f_shm)
-        o_spec, o_shm = _share_array(graph.blocks.offsets)
-        segments.append(o_shm)
+        for name, arr in arrays.items():
+            specs[name], shm = _share_array(arr)
+            segments.append(shm)
     except Exception:
-        for shm in segments:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover
-                pass
+        _release(segments)
         raise
-    handle = GraphHandle(
-        content_key=graph.content_key,
-        quartets=q_spec,
-        flops=f_spec,
-        offsets=o_spec,
-        tau=float(graph.tau),
-    )
+    handle = GraphHandle(graph.content_key, tuple(specs.items()), tau)
     return PublishedGraph(handle, segments)
 
 
@@ -161,11 +144,7 @@ def attach_graph(handle: GraphHandle) -> TaskGraph:
     cached = _ATTACHED_GRAPHS.get(handle.content_key)
     if cached is not None:
         return cached
-    quartets = _attach_array(handle.quartets)
-    flops = _attach_array(handle.flops)
-    offsets = _attach_array(handle.offsets)
-    graph = graph_from_arrays(
-        quartets, flops, BlockStructure(offsets), handle.tau
-    )
+    arrays = {name: _attach_array(spec) for name, spec in handle.segments}
+    graph = graph_from_arrays(**arrays, tau=handle.tau)
     _ATTACHED_GRAPHS[handle.content_key] = graph
     return graph

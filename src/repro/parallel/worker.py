@@ -3,8 +3,9 @@
 A worker connects to a :class:`repro.parallel.fabric.FabricServer`,
 introduces itself, and then loops: announce ``ready``, receive one
 cell, resolve any :class:`~repro.parallel.fabric.GraphRef` in it by
-fetching the content-keyed graph blob (cached per process, so a graph
-travels at most once per worker), execute the job function, and push
+fetching the graph's arrays under its ``content_key`` (the rebuilt graph
+is cached per process, so one travels at most once per worker), execute
+the job function, and push
 the result back tagged with the cell's dispatch key. While a cell is
 executing, a daemon thread streams ``heartbeat`` frames at the interval
 the server advertised in its ``welcome`` — the server treats silence as
@@ -44,6 +45,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.chemistry.tasks import graph_from_arrays
 from repro.parallel.fabric import (
     PROTOCOL_VERSION,
     GraphRef,
@@ -198,8 +200,7 @@ def _resolve_graph(
         return job
     graph = cache.get(ref.key)
     if graph is None:
-        graph = _fetch_blob(sock, lock, ref.key)
-        cache[ref.key] = graph
+        graph = cache[ref.key] = graph_from_arrays(**_fetch_blob(sock, lock, ref.key))
     return dataclasses.replace(job, graph=graph)
 
 

@@ -356,8 +356,11 @@ class JobManager:
         cell that settled before the kill. Malformed records are skipped
         (one lost record = one lost job *description*; the results
         themselves live in the content-addressed cache regardless).
-        Unfinished retention tombstones are completed first, so a crash
-        mid-GC cannot leave a half-deleted job resurrectable.
+        A record written under an older ``CACHE_SALT`` no longer matches
+        its spec's ``job_key``: unfinished, it is re-run under today's
+        key; finished, it is kept under its old id until retention
+        removes it. Unfinished retention tombstones are completed first,
+        so a crash mid-GC cannot leave a half-deleted job resurrectable.
         """
         from repro.service.retention import finish_tombstones
 
@@ -385,8 +388,19 @@ class JobManager:
                 continue
             if job.status not in JOB_STATUSES:
                 continue
-            if job.id != job.spec.job_key():
-                continue  # record does not match its own spec; distrust it
+            if job.id != path.stem:
+                continue  # record does not match its own file; distrust it
+            rekeyed = job.id != spec.job_key()
+            if rekeyed and not job.terminal:
+                # Recorded under another CACHE_SALT: the identity is stale
+                # but the request is not, so it re-runs under today's key.
+                # (A finished one stays, under its old id, as history the
+                # janitor expires along with the cells it recorded; a
+                # resubmission has a new key and recomputes.)
+                path.unlink()
+                job.id = spec.job_key()
+                if self.record_path(job.id).exists():
+                    continue  # already known under today's key
             job.weight = self._weight_for(spec)
             if not job.terminal:
                 job.status = "queued"
@@ -394,6 +408,8 @@ class JobManager:
                 job.rows = []
                 job.cells = []
                 self._queue.append(job.id)
+                if rekeyed:
+                    self._persist(job)
                 self.log(f"recovered unfinished job {job.id[:12]} -> requeued")
             self._jobs[job.id] = job
         if self._queue:

@@ -4,16 +4,29 @@ Experiment E7 injects rank slowdowns and measures how each execution model
 absorbs them. A variability model maps ``(rank, time) -> speed multiplier``
 (1.0 = nominal; 0.5 = half speed). Compute durations divide by the
 multiplier sampled at task start.
+
+Every model is a frozen dataclass whose fields are the parameters it was
+built from: that is what a sweep cell key hashes
+(:func:`repro.core.cache.fingerprint` encodes dataclasses field by field
+and rejects anything else), so tables derived from a seed stay out of the
+fields and equal parameters mean an equal key.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.util import ConfigurationError, check_positive, spawn_rng
+
+
+def _set(model: "VariabilityModel", **values: object) -> None:
+    """Normalise fields (or attach a derived table) on a frozen model."""
+    for name, value in values.items():
+        object.__setattr__(model, name, value)
 
 
 class VariabilityModel(ABC):
@@ -31,6 +44,7 @@ class VariabilityModel(ABC):
         """Speed multiplier for ``rank`` at ``time``; must be > 0."""
 
 
+@dataclass(frozen=True)
 class NoVariability(VariabilityModel):
     """Homogeneous machine: every rank runs at nominal speed."""
 
@@ -40,6 +54,7 @@ class NoVariability(VariabilityModel):
         return 1.0
 
 
+@dataclass(frozen=True)
 class StaticHeterogeneity(VariabilityModel):
     """A fixed set of ranks runs at a fixed fraction of nominal speed.
 
@@ -47,17 +62,24 @@ class StaticHeterogeneity(VariabilityModel):
     models thermally throttled sockets.
     """
 
+    slow_ranks: Iterable[int]
+    factor: float
+
     time_independent = True
 
-    def __init__(self, slow_ranks: Iterable[int], factor: float) -> None:
-        check_positive("factor", factor)
-        self.slow_ranks = frozenset(int(r) for r in slow_ranks)
-        self.factor = float(factor)
+    def __post_init__(self) -> None:
+        check_positive("factor", self.factor)
+        _set(
+            self,
+            slow_ranks=frozenset(int(r) for r in self.slow_ranks),
+            factor=float(self.factor),
+        )
 
     def speed(self, rank: int, time: float) -> float:
         return self.factor if rank in self.slow_ranks else 1.0
 
 
+@dataclass(frozen=True)
 class RandomStaticVariability(VariabilityModel):
     """Per-rank lognormal speed multipliers, fixed over time.
 
@@ -66,20 +88,25 @@ class RandomStaticVariability(VariabilityModel):
     only its distribution varies).
     """
 
+    n_ranks: int
+    sigma: float
+    seed: int = 0
+
     time_independent = True
 
-    def __init__(self, n_ranks: int, sigma: float, seed: int = 0) -> None:
-        check_positive("n_ranks", n_ranks)
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-        rng = spawn_rng(seed, "random_static_variability", n_ranks)
-        speeds = np.exp(rng.normal(0.0, sigma, size=n_ranks))
-        self._speeds = speeds / speeds.mean()
+    def __post_init__(self) -> None:
+        check_positive("n_ranks", self.n_ranks)
+        if self.sigma < 0:
+            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
+        rng = spawn_rng(self.seed, "random_static_variability", self.n_ranks)
+        speeds = np.exp(rng.normal(0.0, self.sigma, size=self.n_ranks))
+        _set(self, _speeds=speeds / speeds.mean())
 
     def speed(self, rank: int, time: float) -> float:
         return float(self._speeds[rank])
 
 
+@dataclass(frozen=True)
 class PeriodicThrottle(VariabilityModel):
     """DVFS-style duty cycling: ranks periodically drop to a lower speed.
 
@@ -91,28 +118,30 @@ class PeriodicThrottle(VariabilityModel):
     form.
     """
 
-    def __init__(
-        self,
-        n_ranks: int,
-        period: float,
-        duty: float,
-        factor: float,
-        seed: int = 0,
-        affected: Iterable[int] | None = None,
-    ) -> None:
-        check_positive("n_ranks", n_ranks)
-        check_positive("period", period)
-        check_positive("factor", factor)
-        if not 0.0 <= duty <= 1.0:
-            raise ConfigurationError(f"duty must be in [0, 1], got {duty}")
-        self.period = float(period)
-        self.duty = float(duty)
-        self.factor = float(factor)
-        self.affected = (
-            frozenset(range(n_ranks)) if affected is None else frozenset(affected)
+    n_ranks: int
+    period: float
+    duty: float
+    factor: float
+    seed: int = 0
+    affected: Iterable[int] | None = None
+
+    def __post_init__(self) -> None:
+        check_positive("n_ranks", self.n_ranks)
+        check_positive("period", self.period)
+        check_positive("factor", self.factor)
+        if not 0.0 <= self.duty <= 1.0:
+            raise ConfigurationError(f"duty must be in [0, 1], got {self.duty}")
+        rng = spawn_rng(self.seed, "periodic_throttle", self.n_ranks)
+        _set(
+            self,
+            period=float(self.period),
+            duty=float(self.duty),
+            factor=float(self.factor),
+            affected=frozenset(
+                range(self.n_ranks) if self.affected is None else self.affected
+            ),
+            _phases=rng.uniform(0.0, float(self.period), size=self.n_ranks),
         )
-        rng = spawn_rng(seed, "periodic_throttle", n_ranks)
-        self._phases = rng.uniform(0.0, self.period, size=n_ranks)
 
     def speed(self, rank: int, time: float) -> float:
         if rank not in self.affected:
@@ -121,6 +150,7 @@ class PeriodicThrottle(VariabilityModel):
         return self.factor if position < self.duty * self.period else 1.0
 
 
+@dataclass(frozen=True)
 class TransientSlowdown(VariabilityModel):
     """Time-windowed slowdowns: ``(rank, t_start, t_end, factor)`` tuples.
 
@@ -128,13 +158,16 @@ class TransientSlowdown(VariabilityModel):
     multiply (two 0.5x windows give 0.25x).
     """
 
-    def __init__(self, windows: Iterable[tuple[int, float, float, float]]) -> None:
-        self.windows: list[tuple[int, float, float, float]] = []
-        for rank, t0, t1, factor in windows:
+    windows: Iterable[tuple[int, float, float, float]]
+
+    def __post_init__(self) -> None:
+        windows = []
+        for rank, t0, t1, factor in self.windows:
             if t1 <= t0:
                 raise ConfigurationError(f"window end {t1} must exceed start {t0}")
             check_positive("factor", factor)
-            self.windows.append((int(rank), float(t0), float(t1), float(factor)))
+            windows.append((int(rank), float(t0), float(t1), float(factor)))
+        _set(self, windows=tuple(windows))
 
     def speed(self, rank: int, time: float) -> float:
         mult = 1.0

@@ -124,3 +124,66 @@ class TestFockHypergraph:
             for ref in (*task.reads, *task.writes):
                 net = hg.nets[blocks.index(ref)]
                 assert task.tid in net
+
+
+def dict_of_lists_hypergraph(graph):
+    """The construction ``fock_hypergraph`` vectorises: one net per data
+    block in sorted order, pinning the tasks that name it, ascending."""
+    nets = {}
+    for task in graph.tasks:
+        for ref in dict.fromkeys((*task.reads, *task.writes)):
+            nets.setdefault(ref, []).append(task.tid)
+    refs = sorted(nets)
+    weights = [float(graph.block_bytes(ref)) for ref in refs]
+    return [nets[ref] for ref in refs], weights
+
+
+class TestFockHypergraphFootprints:
+    """Nets come from the graph's footprints, not from what its quartets
+    would derive (they differ on symmetry-folded and hand-built graphs)."""
+
+    def check(self, graph):
+        hg = fock_hypergraph(graph)
+        nets, weights = dict_of_lists_hypergraph(graph)
+        assert [list(net) for net in hg.nets] == nets
+        assert hg.net_weights.tolist() == weights
+        assert np.array_equal(hg.vertex_weights, graph.costs)
+        return hg
+
+    def test_folded_graph(self, folded_graph):
+        hg = self.check(folded_graph)
+        # The quartets alone give 164 pins over 13 nets.
+        assert (hg.n_pins, hg.n_nets) == (292, 16)
+
+    def test_hand_built_graph(self, footprint_twins):
+        standard, twin = footprint_twins
+        assert self.check(twin).n_pins > self.check(standard).n_pins
+
+    def test_standard_graph(self, synthetic_graph, medium_graph):
+        self.check(synthetic_graph)
+        self.check(medium_graph)
+
+
+class TestArtifactsKeyedByFootprints:
+    """Two graphs equal in quartets, costs, offsets and tau but not in
+    footprints must never be served each other's stored artifact."""
+
+    def test_no_cross_serving(self, footprint_twins, tmp_path):
+        from repro.balance import hypergraph_balancer, semi_matching_balancer
+        from repro.core.artifacts import ArtifactStore, use_store
+
+        def products(graph):
+            hg = fock_hypergraph(graph)
+            return (
+                (hg.xpins.tolist(), hg.pins.tolist()),
+                hypergraph_balancer(graph, 4, seed=1).tolist(),
+                semi_matching_balancer(graph, 4, seed=1).tolist(),
+            )
+
+        with use_store(None):
+            expected = [products(graph) for graph in footprint_twins]
+        assert all(a != b for a, b in zip(*expected))  # the footprints matter
+        for root in (None, tmp_path):  # memo layer, then a cold memo over the disk
+            for _ in range(2):
+                with use_store(ArtifactStore(root)):
+                    assert [products(graph) for graph in footprint_twins] == expected

@@ -53,6 +53,50 @@ def stray_ref_graph(request, synthetic_graph):
     return TaskGraph((first, *synthetic_graph.tasks[1:]), synthetic_graph.blocks, 0.0)
 
 
+@pytest.fixture(scope="session")
+def folded_graph(small_problem):
+    """``small_problem``'s symmetry-folded graph: 55 canonical quartets
+    whose footprints cover every image, so no quartet derives them."""
+    from repro.chemistry.symmetry import build_symmetric_task_graph
+
+    return build_symmetric_task_graph(
+        small_problem.basis, small_problem.blocks, small_problem.screen
+    )
+
+
+@pytest.fixture(scope="session")
+def footprint_twins():
+    """Two graphs equal in quartets, costs, offsets and tau — one with the
+    standard footprints, one whose tasks also read block (0, 0)."""
+    standard = synthetic_task_graph(120, 6, seed=4)
+    tasks = tuple(
+        replace(t, reads=tuple(dict.fromkeys((*t.reads, (0, 0))))) for t in standard.tasks
+    )
+    return standard, TaskGraph(tasks, standard.blocks, standard.tau)
+
+
+@pytest.fixture(scope="session")
+def perturbed_graphs():
+    """``perturbed_graphs(graph)``: one rebuilt graph per entry of
+    ``graph.to_arrays()``, that entry alone changed."""
+    from repro.chemistry.tasks import graph_from_arrays
+
+    def perturbed(graph):
+        arrays = graph.to_arrays()
+        for name, value in arrays.items():
+            if name in ("tau", "offsets"):
+                changed = value * 2
+            elif name == "fp_counts":  # task 0's last read becomes a write
+                changed = value.copy()
+                changed[0] += (-1, 1)
+            else:
+                changed = value.copy()
+                changed.flat[-1] += 1
+            yield graph_from_arrays(**{**arrays, name: changed})
+
+    return perturbed
+
+
 @pytest.fixture
 def machine16():
     return commodity_cluster(16)

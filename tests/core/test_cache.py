@@ -45,6 +45,118 @@ class TestFingerprint:
         assert fingerprint(plain) != fingerprint(noisy)
 
 
+    def test_plain_objects_are_not_encodable(self):
+        class Plain:
+            def __init__(self):
+                self.factor = 0.5
+
+        with pytest.raises(TypeError, match=r"cannot fingerprint '.*Plain'"):
+            fingerprint(Plain())
+        with pytest.raises(TypeError, match="cannot fingerprint"):
+            fingerprint(commodity_cluster(4, variability=Plain()))
+
+    def test_noise_models_are_keyed_by_their_parameters(self):
+        from repro.simulate import (
+            NoVariability,
+            PeriodicThrottle,
+            RandomStaticVariability,
+            StaticHeterogeneity,
+            TransientSlowdown,
+        )
+
+        families = [
+            [lambda: NoVariability()],
+            [
+                lambda: StaticHeterogeneity([1, 0], 0.5),
+                lambda: StaticHeterogeneity(range(3), 0.5),
+                lambda: StaticHeterogeneity(range(2), 0.25),
+            ],
+            [
+                lambda: RandomStaticVariability(8, 0.3, seed=1),
+                lambda: RandomStaticVariability(9, 0.3, seed=1),
+                lambda: RandomStaticVariability(8, 0.2, seed=1),
+                lambda: RandomStaticVariability(8, 0.3, seed=2),
+            ],
+            [
+                lambda: PeriodicThrottle(8, 1.0e-3, 0.25, 0.5, seed=1),
+                lambda: PeriodicThrottle(8, 2.0e-3, 0.25, 0.5, seed=1),
+                lambda: PeriodicThrottle(8, 1.0e-3, 0.5, 0.5, seed=1),
+                lambda: PeriodicThrottle(8, 1.0e-3, 0.25, 0.75, seed=1),
+                lambda: PeriodicThrottle(8, 1.0e-3, 0.25, 0.5, seed=2),
+                lambda: PeriodicThrottle(8, 1.0e-3, 0.25, 0.5, seed=1, affected=[0, 1]),
+            ],
+            [
+                lambda: TransientSlowdown([(0, 0.0, 1.0, 0.5)]),
+                lambda: TransientSlowdown([(1, 0.0, 1.0, 0.5)]),
+                lambda: TransientSlowdown([(0, 0.0, 2.0, 0.5)]),
+            ],
+        ]
+        prints = [fingerprint(make()) for family in families for make in family]
+        assert len(set(prints)) == len(prints)  # every parameter matters
+        again = [fingerprint(make()) for family in families for make in family]
+        assert again == prints  # equal parameters, separately built: equal key
+        # Spelling does not matter, nor does the default spelled out.
+        assert fingerprint(StaticHeterogeneity(range(2), 0.5)) == prints[1]
+        assert fingerprint(
+            PeriodicThrottle(8, 1.0e-3, 0.25, 0.5, seed=1, affected=range(8))
+        ) == fingerprint(PeriodicThrottle(8, 1.0e-3, 0.25, 0.5, seed=1))
+
+
+class TestCellKey:
+    """A cell names its graph by ``content_key`` and nothing else."""
+
+    @staticmethod
+    def key_of(graph):
+        cell = SweepCell("work_stealing", graph, commodity_cluster(4), seed=3)
+        return SweepRunner().cell_key(cell)
+
+    def test_graph_part_is_the_content_key(self, synthetic_graph):
+        machine = commodity_cluster(4)
+        cell = SweepCell("work_stealing", synthetic_graph, machine, seed=3)
+        assert SweepRunner().cell_key(cell) == cache_key(
+            graph_fp=synthetic_graph.content_key,
+            machine_fp=fingerprint(machine),
+            model="work_stealing",
+            seed=3,
+            faults_fp=fingerprint(None),
+            options_fp=fingerprint(()),
+        )
+
+    def test_equal_graphs_built_apart_share_a_key(self, folded_graph):
+        from repro.chemistry.tasks import graph_from_arrays, synthetic_task_graph
+
+        a, b = (synthetic_task_graph(80, 5, seed=6) for _ in range(2))
+        assert a is not b and self.key_of(a) == self.key_of(b)
+        for graph in (a, folded_graph):
+            assert self.key_of(pickle.loads(pickle.dumps(graph))) == self.key_of(graph)
+            assert self.key_of(graph_from_arrays(**graph.to_arrays())) == self.key_of(graph)
+
+    def test_every_array_of_the_graph_moves_the_key(
+        self, folded_graph, footprint_twins, perturbed_graphs
+    ):
+        keys = {self.key_of(graph) for graph in perturbed_graphs(folded_graph)}
+        assert len(keys) == 7 and self.key_of(folded_graph) not in keys
+        standard, twin = footprint_twins
+        assert self.key_of(standard) != self.key_of(twin)
+
+    def test_shared_parts_are_fingerprinted_once_per_sweep(self, synthetic_graph, monkeypatch):
+        from repro.core import StudyConfig, study_cells, sweep as sweep_module
+
+        seen = []
+        real = sweep_module.fingerprint
+        monkeypatch.setattr(
+            sweep_module, "fingerprint", lambda obj: seen.append(obj) or real(obj)
+        )
+        config = StudyConfig(models=("static_block", "work_stealing"), n_ranks=(4, 8, 16))
+        cells = study_cells(config, synthetic_graph)
+        runner = SweepRunner()
+        keys = runner._cell_keys(cells)
+        # Three machines, one fault plan (None), one options tuple: not 3 x 6.
+        assert len(seen) == 5
+        assert keys == [runner.cell_key(cell) for cell in cells]
+        assert len(set(keys)) == len(cells)
+
+
 class TestCacheKey:
     def test_each_component_changes_key(self):
         base = dict(
@@ -133,6 +245,24 @@ class TestResultCache:
         bumped = SweepRunner(cache=tmp_path, salt="repro-sweep-v2-test")
         bumped.run_cell(cell)
         assert bumped.stats.cached == 0 and bumped.stats.computed == 1
+
+    def test_entries_of_the_previous_salt_only_ever_miss(self, synthetic_graph, tmp_path):
+        from repro.core import CACHE_SALT, StudyConfig
+
+        assert CACHE_SALT == "repro-sweep-v2"
+        config = StudyConfig(models=("static_block", "work_stealing"), n_ranks=(4, 8))
+        old = SweepRunner(cache=tmp_path, salt="repro-sweep-v1")
+        old_rows = old.run_study(config, synthetic_graph).rows()
+        assert len(old.cache) == 4
+
+        first = SweepRunner(cache=tmp_path)
+        assert first.run_study(config, synthetic_graph).rows() == old_rows
+        assert (first.stats.cached, first.stats.computed) == (0, 4)  # never a hit
+        assert len(first.cache) == 8  # refilled next to the stale entries
+
+        second = SweepRunner(cache=tmp_path)
+        assert second.run_study(config, synthetic_graph).rows() == old_rows
+        assert (second.stats.cached, second.stats.computed) == (4, 0)
 
     def test_corrupt_entry_is_miss_and_removed(self, synthetic_graph, tmp_path):
         runner = SweepRunner(cache=tmp_path)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.chemistry.tasks import graph_from_arrays, synthetic_task_graph
+from repro.core.sweep import SweepCell, execute_cell
 from repro.parallel.executor import (
     EXECUTOR_BACKENDS,
     CellExecutor,
@@ -36,7 +38,6 @@ from repro.parallel.fabric import (
     FabricServer,
     GraphRef,
     _swap_graph_refs,
-    blob_key,
     parse_endpoint,
     recv_frame,
     send_frame,
@@ -44,6 +45,7 @@ from repro.parallel.fabric import (
 from repro.parallel.supervisor import CellFailure, SupervisorStats
 from repro.parallel.worker import WorkerChaos, run_worker
 from repro.faults import RetryPolicy
+from repro.simulate import commodity_cluster
 from repro.util import ConfigurationError
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.0)
@@ -82,8 +84,8 @@ class FakeCell:
         return f"cell-{self.value}"
 
 
-def sum_graph(cell):
-    return sum(cell.graph) + cell.value
+def flops_plus_value(cell):
+    return cell.graph.total_flops + cell.value
 
 
 def start_workers(endpoint, n, *, chaos=None, reconnect_attempts=5):
@@ -245,22 +247,35 @@ class TestExecutorSpecStrings:
 
 class TestGraphRefs:
     def test_shared_graph_ships_once(self):
-        graph = [1.0] * 1000
-        jobs = [FakeCell(graph=graph, value=i) for i in range(4)]
+        graph = synthetic_task_graph(40, 5, seed=3)
+        twin = synthetic_task_graph(40, 5, seed=3)  # equal content, other object
+        jobs = [FakeCell(graph=graph, value=i) for i in range(3)]
+        jobs.append(FakeCell(graph=twin, value=3))
         blobs = {}
         prepared = _swap_graph_refs(jobs, blobs)
-        assert len(blobs) == 1  # one graph object -> one blob
+        assert list(blobs) == [graph.content_key]  # one content -> one blob
         keys = {k for _job, _payload, k in prepared}
         assert len(keys) == 4  # but four distinct dispatch keys
         shipped = pickle.loads(prepared[0][1])
-        assert isinstance(shipped.graph, GraphRef)
-        assert shipped.graph.key == blob_key(next(iter(blobs.values())))
+        assert shipped.graph == GraphRef(graph.content_key, len(blobs[graph.content_key]))
+        rebuilt = graph_from_arrays(**pickle.loads(blobs[graph.content_key]))
+        assert rebuilt.tasks == graph.tasks
+        assert rebuilt.content_key == graph.content_key
+
+    def test_blob_is_the_arrays_not_the_object(self, medium_graph):
+        assert medium_graph.n_tasks == 625
+        blobs = {}
+        _swap_graph_refs([FakeCell(graph=medium_graph, value=0)], blobs)
+        blob = blobs[medium_graph.content_key]
+        assert len(blob) < len(pickle.dumps(medium_graph, pickle.HIGHEST_PROTOCOL))
+        assert sorted(pickle.loads(blob)) == ["flops", "offsets", "quartets", "tau"]
 
     def test_graphless_jobs_untouched(self):
         blobs = {}
-        prepared = _swap_graph_refs(["a", "b"], blobs)
+        prepared = _swap_graph_refs(["a", "b", FakeCell(graph=[1.0], value=0)], blobs)
         assert blobs == {}
         assert pickle.loads(prepared[0][1]) == "a"
+        assert pickle.loads(prepared[2][1]).graph == [1.0]
 
 
 class TestDistributedRoundTrip:
@@ -278,12 +293,29 @@ class TestDistributedRoundTrip:
         assert stats.duplicates == 0
 
     def test_graph_fetched_by_key(self):
-        graph = list(range(200))
+        graph = synthetic_task_graph(200, 6, seed=5)
         jobs = [FakeCell(graph=graph, value=i) for i in range(5)]
         with FabricServer(connect_timeout=20.0) as server:
             start_workers(server.endpoint, 2)
-            got = collect(server.run(sum_graph, jobs, retry=FAST_RETRY), 5)
-        assert got == [sum_graph(j) for j in jobs]
+            got = collect(server.run(flops_plus_value, jobs, retry=FAST_RETRY), 5)
+        assert got == [flops_plus_value(j) for j in jobs]
+
+    def test_folded_graph_runs_to_the_serial_row(self, small_problem):
+        from repro.chemistry.symmetry import build_symmetric_task_graph
+
+        folded = build_symmetric_task_graph(
+            small_problem.basis, small_problem.blocks, small_problem.screen
+        )
+        assert not folded.has_standard_footprints
+        cells = [
+            SweepCell(model=model, graph=folded, machine=commodity_cluster(4), seed=9)
+            for model in ("static_block", "work_stealing")
+        ]
+        with FabricServer(connect_timeout=20.0) as server:
+            start_workers(server.endpoint, 1)
+            got = collect(server.run(execute_cell, cells, retry=FAST_RETRY), 2)
+        serial = collect(SerialExecutor().run(execute_cell, cells), 2)
+        assert [pickle.dumps(r) for r in got] == [pickle.dumps(r) for r in serial]
 
     def test_poison_job_quarantined(self):
         jobs = [f"job-{i}" for i in range(5)]

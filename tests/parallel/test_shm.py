@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.chemistry.basis import BlockStructure
 from repro.chemistry.tasks import synthetic_task_graph
 from repro.core.config import StudyConfig
 from repro.core.sweep import SweepCell, SweepRunner, execute_cell
@@ -22,6 +23,19 @@ from repro.simulate import commodity_cluster
 @pytest.fixture(scope="module")
 def big_graph():
     return synthetic_task_graph(SHM_MIN_TASKS + 50, 12, seed=11)
+
+
+@pytest.fixture(scope="module")
+def folded_graph(medium_problem):
+    """A symmetry-folded graph (non-standard footprints) above SHM_MIN_TASKS."""
+    from repro.chemistry.symmetry import build_symmetric_task_graph
+
+    return build_symmetric_task_graph(
+        medium_problem.basis,
+        BlockStructure.uniform(medium_problem.basis.n_basis, 3),
+        medium_problem.screen,
+        tau=1.0e-10,
+    )
 
 
 class TestPublishAttach:
@@ -69,20 +83,24 @@ class TestPublishAttach:
         assert not publishable(small)  # below the size threshold
         assert not publishable("not a graph")
 
-    def test_symmetry_folded_graph_not_publishable(self, medium_problem):
-        from repro.chemistry.symmetry import build_symmetric_task_graph
-
-        folded = build_symmetric_task_graph(
-            medium_problem.basis,
-            medium_problem.blocks,
-            medium_problem.screen,
-            tau=1.0e-10,
-        )
-        # Folded footprints carry multi-image refs the dense quartet form
-        # cannot represent; the handoff must refuse them regardless of
-        # size — has_standard_footprints is the gate.
+    def test_publish_attach_reproduces_folded_footprints(self, folded_graph):
+        folded = folded_graph
+        # Folded footprints carry multi-image refs the quartets do not
+        # determine; they travel as the footprint CSR, three more segments.
         assert not folded.has_standard_footprints
-        assert not publishable(folded)
+        assert publishable(folded)
+        pub = publish_graph(folded)
+        try:
+            assert [name for name, _spec in pub.handle.segments] == [
+                "quartets", "flops", "offsets", "fp_rows", "fp_cols", "fp_counts"
+            ]
+            assert len(pickle.dumps(pub.handle)) < 1024
+            got = attach_graph(pub.handle)
+            assert got.tasks == folded.tasks
+            assert not got.has_standard_footprints
+            assert got.content_key == folded.content_key == pub.handle.content_key
+        finally:
+            pub.close()
 
     def test_execute_cell_resolves_handle(self, big_graph):
         machine = commodity_cluster(4)
@@ -143,6 +161,10 @@ class TestSweepIntegration:
         jobs = runner._publish_graphs(cells, published)
         assert published == []
         assert jobs[0].graph is small
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork workers")
+    def test_folded_sweep_bit_identical_to_serial(self, folded_graph):
+        self.test_parallel_sweep_bit_identical_to_serial(folded_graph)
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork workers")
     def test_parallel_sweep_bit_identical_to_serial(self, big_graph):

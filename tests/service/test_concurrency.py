@@ -7,6 +7,7 @@ directly — the live-loopback equivalents, including the six fault
 scenarios, live in ``repro.chaos.service`` / ``repro chaos --service``.
 """
 
+import functools
 import json
 import threading
 import time
@@ -403,6 +404,64 @@ class TestRetention:
             RetentionPolicy(ttl_s=-1.0).validate()
         RetentionPolicy(ttl_s=None).validate()
         RetentionPolicy(ttl_s=60.0, interval_s=5.0).validate()
+
+
+class TestSaltBump:
+    def test_state_dir_from_an_older_salt_recovers(self, tmp_path, monkeypatch):
+        """Job ids and cell keys both fold in ``CACHE_SALT``: a state dir
+        written before a bump must neither strand its unfinished jobs nor
+        leak its finished ones past retention."""
+        from repro.core.cache import CACHE_SALT, ResultCache
+
+        state = tmp_path / "state"
+        done_spec, pending_spec = spec_for(21, size=2), spec_for(22, size=2)
+        with monkeypatch.context() as old:
+            old.setattr("repro.core.cache.CACHE_SALT", "repro-sweep-v1")
+            old.setattr(
+                api, "SweepRunner", functools.partial(api.SweepRunner, salt="repro-sweep-v1")
+            )
+            manager = JobManager(state)
+            try:
+                finished = wait_terminal(manager, manager.submit(done_spec)[0].id)
+                record = json.loads(manager.record_path(finished.id).read_text())
+            finally:
+                manager.close()
+            # A second job that daemon was killed in the middle of.
+            pending_id = pending_spec.job_key()
+            record.update(
+                id=pending_id, spec=pending_spec.to_json(), status="running", rows=[], cells=[]
+            )
+            (state / "jobs" / f"{pending_id}.json").write_text(json.dumps(record))
+        assert CACHE_SALT != "repro-sweep-v1"
+        old_keys = {cell["key"] for cell in finished.cells}
+        assert old_keys and finished.id != done_spec.job_key()
+
+        restarted = JobManager(state)
+        try:
+            cache = ResultCache(restarted.cache_dir)
+            # Unfinished: re-run under today's key, the old record gone.
+            job = wait_terminal(restarted, pending_spec.job_key())
+            assert job.status == "done", job.error
+            assert list(job.rows) == serial_rows(pending_spec)
+            assert restarted.get(pending_id) is None
+            assert not restarted.record_path(pending_id).exists()
+            # Finished: still listed under its old id, never deduped onto,
+            # and none of its cells is a hit for the same spec today.
+            assert restarted.get(finished.id).status == "done"
+            again, deduped = restarted.submit(done_spec)
+            assert not deduped and again.id == done_spec.job_key()
+            again = wait_terminal(restarted, again.id)
+            assert again.cached_cells == 0
+            assert list(again.rows) == list(finished.rows)
+            assert old_keys.isdisjoint(cell["key"] for cell in again.cells)
+            # Retention still finds what the old record names.
+            assert all(cache.path_for(key).exists() for key in old_keys)
+            Janitor(restarted, RetentionPolicy(ttl_s=0.0)).gc_now()
+            assert restarted.get(finished.id) is None
+            assert not restarted.record_path(finished.id).exists()
+            assert not any(cache.path_for(key).exists() for key in old_keys)
+        finally:
+            restarted.close()
 
 
 class TestServiceClientRetry:
