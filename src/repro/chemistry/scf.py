@@ -28,7 +28,7 @@ from repro.chemistry.integrals import (
 from repro.chemistry.molecules import Molecule, nuclear_repulsion
 from repro.chemistry.screening import SchwarzScreen
 from repro.chemistry.tasks import TaskGraph, build_task_graph
-from repro.util import ConfigurationError, check_positive
+from repro.util import ConfigurationError, check_positive, once_property
 
 #: Smallest overlap eigenvalue tolerated before declaring the basis
 #: numerically linearly dependent.
@@ -147,23 +147,48 @@ class ScfResult:
     energy_history: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
 class ScfProblem:
     """Precomputed, reusable SCF machinery for one molecule.
 
     Bundles the basis, block structure, screening, task graph, and kernel,
     so benchmarks can build the (comparatively expensive) integral
-    infrastructure once and sweep schedulers over it.
+    infrastructure once and sweep schedulers over it. ``hcore`` and
+    ``overlap`` are computed on first read and kept — a study sweeps the
+    graph and never runs an SCF, so :meth:`build` evaluates no
+    one-electron integral — unless the constructor was handed them.
     """
 
-    molecule: Molecule
-    basis: BasisSet
-    blocks: BlockStructure
-    screen: SchwarzScreen
-    graph: TaskGraph
-    kernel: TaskKernel
-    hcore: np.ndarray
-    overlap: np.ndarray
+    def __init__(
+        self,
+        molecule: Molecule,
+        basis: BasisSet,
+        blocks: BlockStructure,
+        screen: SchwarzScreen,
+        graph: TaskGraph,
+        kernel: TaskKernel,
+        hcore: np.ndarray | None = None,
+        overlap: np.ndarray | None = None,
+    ) -> None:
+        self.molecule = molecule
+        self.basis = basis
+        self.blocks = blocks
+        self.screen = screen
+        self.graph = graph
+        self.kernel = kernel
+        if hcore is not None:
+            self.hcore = hcore
+        if overlap is not None:
+            self.overlap = overlap
+
+    @once_property
+    def hcore(self) -> np.ndarray:
+        """Core Hamiltonian ``T + V`` (first read computes it)."""
+        return core_hamiltonian(self.basis, self.kernel.engine)
+
+    @once_property
+    def overlap(self) -> np.ndarray:
+        """Overlap matrix ``S`` (first read computes it)."""
+        return overlap_matrix(self.basis)
 
     @classmethod
     def build(
@@ -205,8 +230,6 @@ class ScfProblem:
             screen=screen,
             graph=graph,
             kernel=kernel,
-            hcore=core_hamiltonian(basis, engine),
-            overlap=overlap_matrix(basis),
         )
 
     @property

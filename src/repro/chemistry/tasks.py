@@ -25,13 +25,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from repro.chemistry.basis import BasisSet, BlockStructure
 from repro.chemistry.screening import SchwarzScreen
-from repro.util import ConfigurationError, check_non_negative, check_positive, spawn_rng
+from repro.util import (
+    ConfigurationError,
+    check_non_negative,
+    check_positive,
+    once_property,
+    spawn_rng,
+)
 
 #: Modeled floating-point cost of one primitive-product interaction in the
 #: vectorized ERI kernel (distance, Boys function, prefactor, accumulate).
@@ -70,58 +75,146 @@ class TaskSpec:
     writes: tuple[BlockRef, ...]
 
 
-@dataclass(frozen=True)
 class TaskGraph:
     """An immutable task set plus the block structure it is defined over.
 
     This is the interface between the chemistry substrate and everything
-    above it: execution models iterate ``tasks``, balancers consume
-    ``costs`` and footprints, the runtime sizes messages from
-    ``block_bytes``.
+    above it, and the dense arrays are its state: ``quartet_array``
+    (``(n_tasks, 4)`` int64 block quartets) and ``costs`` (``(n_tasks,)``
+    modeled flops), both read-only, ``blocks``, ``tau``, and the footprint
+    CSR exactly when ``has_standard_footprints`` is False. Balancers, step
+    tables, keys and every stored or shipped form read those and nothing
+    else. Computed on first read and kept: ``tasks`` (the per-task
+    :class:`TaskSpec` view execution models index), ``footprint_arrays``
+    and ``content_key``.
+
+    ``TaskGraph(tasks, blocks, tau)`` takes hand-built or symmetry-folded
+    specs, derives the arrays from them once and keeps the tuple as
+    ``tasks``; :func:`graph_from_arrays` takes the dense form and builds
+    no :class:`TaskSpec` until somebody reads ``tasks``.
     """
 
-    tasks: tuple[TaskSpec, ...]
-    blocks: BlockStructure
-    tau: float
-
-    def __post_init__(self) -> None:
-        for idx, task in enumerate(self.tasks):
+    def __init__(self, tasks: tuple[TaskSpec, ...], blocks: BlockStructure, tau: float) -> None:
+        tasks = tuple(tasks)
+        for idx, task in enumerate(tasks):
             if task.tid != idx:
                 raise ConfigurationError(
                     f"task ids must be dense and ordered; task {idx} has tid {task.tid}"
                 )
+        refs = [ref for t in tasks for ref in (*t.reads, *t.writes)]
+        rows, cols = np.array(refs, dtype=np.int64).reshape(-1, 2).T
+        self._init_arrays(
+            np.array([t.quartet for t in tasks], dtype=np.int64),
+            np.array([t.flops for t in tasks], dtype=np.float64),
+            blocks,
+            tau,
+            rows,
+            cols,
+            np.array([(len(t.reads), len(t.writes)) for t in tasks], dtype=np.int64),
+        )
+        self.__dict__["tasks"] = tasks
 
-    def __getstate__(self) -> dict:
-        # The simulator's step tables (``exec_models.base._step_table``)
-        # are rebuilt where a run needs them, never shipped.
-        state = self.__dict__.copy()
-        state.pop("_step_tables", None)
-        return state
+    def _init_arrays(self, quartets, flops, blocks, tau, fp_rows, fp_cols, fp_counts) -> None:
+        """Validate the dense form once, vectorised, and make it the state.
+
+        These arrays also arrive from disk, shared memory and the network,
+        and ``tasks`` is built long after: a bad shape is refused here.
+        """
+        quartets = np.ascontiguousarray(quartets, dtype=np.int64)
+        flops = np.ascontiguousarray(flops, dtype=np.float64).reshape(-1)
+        n = len(flops)
+        if quartets.size != 4 * n:
+            raise ConfigurationError(
+                f"{quartets.size} quartet indices cannot name {n} tasks (4 per task cost)"
+            )
+        quartets = quartets.reshape(n, 4)
+        csr = (fp_rows, fp_cols, fp_counts)
+        footprints = None
+        if any(part is not None for part in csr):
+            if any(part is None for part in csr):
+                raise ConfigurationError(
+                    "footprint CSR needs fp_rows, fp_cols and fp_counts together"
+                )
+            rows, cols, counts = (np.ascontiguousarray(p, dtype=np.int64) for p in csr)
+            if (
+                not rows.shape == cols.shape == (counts.sum(),)
+                or counts.size != 2 * n
+                or counts.min(initial=0) < 0
+            ):
+                raise ConfigurationError(
+                    f"footprint CSR names {counts.sum()} refs over {counts.size // 2} "
+                    f"tasks; the graph has {rows.shape} rows, {cols.shape} columns "
+                    f"and {n} tasks"
+                )
+            footprints = (rows, cols, counts.reshape(n, 2))
+            if all(map(np.array_equal, footprints, _standard_footprints(quartets))):
+                footprints = None  # the standard derivation: nothing to carry
+        if n and not 0 <= quartets.min() <= quartets.max() < blocks.n_blocks:
+            raise ConfigurationError(
+                f"quartets name blocks {quartets.min()}..{quartets.max()}; "
+                f"the tiling has {blocks.n_blocks}"
+            )
+        for arr in (quartets, flops, *(footprints or ())):
+            arr.flags.writeable = False
+        self.__dict__.update(
+            quartet_array=quartets,
+            costs=flops,
+            blocks=blocks,
+            tau=tau,
+            has_standard_footprints=footprints is None,
+        )
+        if footprints is not None:
+            self.__dict__["_footprints"] = footprints
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TaskGraph is immutable; cannot assign {name!r}")
+
+    def __reduce__(self):
+        # A pickled graph is its dense form: no TaskSpec, no step table.
+        return graph_from_arrays, tuple(self.to_arrays().values())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TaskGraph) and self.content_key == other.content_key
+
+    def __hash__(self) -> int:
+        return hash(self.content_key)
 
     @property
     def n_tasks(self) -> int:
-        return len(self.tasks)
+        return len(self.costs)
 
-    @cached_property
-    def costs(self) -> np.ndarray:
-        """``(n_tasks,)`` modeled flops per task (cached, read-only).
-
-        Balancers and the simulator read this array on every call; the
-        cache turns an O(n) Python rebuild per access into a one-time
-        cost. ``cached_property`` writes straight into ``__dict__``, so
-        it works on this frozen dataclass.
-        """
-        arr = np.array([t.flops for t in self.tasks], dtype=np.float64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def quartet_array(self) -> np.ndarray:
-        """``(n_tasks, 4)`` block quartets as one int64 array (read-only)."""
-        arr = np.array([t.quartet for t in self.tasks], dtype=np.int64)
-        arr = arr.reshape(self.n_tasks, 4)
-        arr.flags.writeable = False
-        return arr
+    @once_property
+    def tasks(self) -> tuple[TaskSpec, ...]:
+        """The per-task view, task ``t`` at index ``t`` (built on first read)."""
+        spans = None
+        if not self.has_standard_footprints:
+            # Task t reads spans[2t] and writes spans[2t + 1], slices of the
+            # flat ref list cut at the running sum of the per-task counts.
+            rows, cols, counts = self._footprints
+            refs = list(zip(rows.tolist(), cols.tolist()))
+            cut = [0, *np.cumsum(counts).tolist()]
+            spans = [tuple(refs[lo:hi]) for lo, hi in zip(cut, cut[1:])]
+        tasks: list[TaskSpec] = []
+        flops = self.costs.tolist()
+        # Tasks with equal reads (or writes) hold one tuple between them: there
+        # are only n_blocks^3 distinct ones, and the containers a task keeps
+        # alive are what the cyclic collector re-walks while this loop runs.
+        shared: dict[tuple[BlockRef, ...], tuple[BlockRef, ...]] = {}
+        for tid, (a, b, c, d) in enumerate(self.quartet_array.tolist()):
+            if spans is None:
+                reads, writes = _task_footprint(a, b, c, d)
+            else:
+                reads, writes = spans[2 * tid], spans[2 * tid + 1]
+            tasks.append(
+                TaskSpec(
+                    tid,
+                    (a, b, c, d),
+                    flops[tid],
+                    shared.setdefault(reads, reads),
+                    shared.setdefault(writes, writes),
+                )
+            )
+        return tuple(tasks)
 
     def to_arrays(self) -> dict[str, np.ndarray | float]:
         """The dense form of this graph: its one payload and one identity.
@@ -130,10 +223,11 @@ class TaskGraph:
         the footprint CSR — ``fp_rows``, ``fp_cols`` (one entry per ref,
         each task's reads then its writes) and ``fp_counts`` (``(n_tasks,
         2)`` reads and writes per task) — only when the footprints are not
-        the standard derivation from the quartets. These are the keyword
-        arguments of :func:`graph_from_arrays`, what :attr:`content_key`
-        hashes, and the only form in which a graph is stored or crosses a
-        process boundary (artifact store, shared memory, sweep fabric).
+        the standard derivation from the quartets. These are the arguments
+        of :func:`graph_from_arrays` in order, what :attr:`content_key`
+        hashes, and the only form in which a graph is stored, pickled or
+        crosses a process boundary (artifact store, shared memory, sweep
+        fabric).
         """
         arrays: dict[str, np.ndarray | float] = {
             "quartets": self.quartet_array,
@@ -142,11 +236,10 @@ class TaskGraph:
             "tau": float(self.tau),
         }
         if not self.has_standard_footprints:
-            rows, cols, _tids = self.footprint_arrays
-            arrays.update(fp_rows=rows, fp_cols=cols, fp_counts=self.footprint_counts)
+            arrays.update(zip(("fp_rows", "fp_cols", "fp_counts"), self._footprints))
         return arrays
 
-    @cached_property
+    @once_property
     def content_key(self) -> str:
         """sha256 content address of this graph: the one graph identity.
 
@@ -164,49 +257,30 @@ class TaskGraph:
                 h.update(np.ascontiguousarray(value).tobytes())
         return h.hexdigest()
 
-    @cached_property
+    @once_property
+    def _footprints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Footprint CSR ``(rows, cols, counts)``: stored by the constructor
+        when it is not the standard derivation, derived here when it is."""
+        return _standard_footprints(self.quartet_array)
+
+    @once_property
     def footprint_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened footprints: ``(rows, cols, tids)``, one entry per ref.
 
         Every task's refs appear in ``(*reads, *writes)`` order with the
         owning task id alongside — the dense form the vectorized
-        communication-volume and eligibility builders index with. Built
-        from the actual footprints (NOT re-derived from quartets), so
-        symmetry-folded graphs and hand-built tasks stay correct.
+        communication-volume and eligibility builders index with. The
+        actual footprints (the stored CSR of a symmetry-folded or
+        hand-built graph), never a walk over ``tasks``.
         """
-        rows: list[int] = []
-        cols: list[int] = []
-        tids: list[int] = []
-        for t in self.tasks:
-            for i, j in (*t.reads, *t.writes):
-                rows.append(i)
-                cols.append(j)
-                tids.append(t.tid)
-        return (
-            np.array(rows, dtype=np.int64),
-            np.array(cols, dtype=np.int64),
-            np.array(tids, dtype=np.int64),
-        )
+        rows, cols, counts = self._footprints
+        return rows, cols, np.repeat(np.arange(self.n_tasks), counts.sum(axis=1))
 
-    @cached_property
+    @property
     def footprint_counts(self) -> np.ndarray:
         """``(n_tasks, 2)`` reads and writes per task: with
         :attr:`footprint_arrays`, the footprints in CSR form."""
-        counts = [(len(t.reads), len(t.writes)) for t in self.tasks]
-        return np.array(counts, dtype=np.int64).reshape(self.n_tasks, 2)
-
-    @cached_property
-    def has_standard_footprints(self) -> bool:
-        """True iff every footprint is the standard quartet derivation.
-
-        Such a graph's dense form needs no footprint CSR (see
-        :meth:`to_arrays`). Symmetry-folded graphs (multi-image
-        footprints) and hand-built test graphs return False and carry it.
-        """
-        return all(
-            (t.reads, t.writes) == _task_footprint(*t.quartet)
-            for t in self.tasks
-        )
+        return self._footprints[2]
 
     @property
     def total_flops(self) -> float:
@@ -219,11 +293,8 @@ class TaskGraph:
 
     def data_blocks(self) -> set[BlockRef]:
         """All distinct matrix blocks appearing in any footprint."""
-        out: set[BlockRef] = set()
-        for t in self.tasks:
-            out.update(t.reads)
-            out.update(t.writes)
-        return out
+        rows, cols, _tids = self.footprint_arrays
+        return set(zip(rows.tolist(), cols.tolist()))
 
     def cost_summary(self) -> dict[str, float]:
         """Descriptive statistics of the task-cost distribution."""
@@ -248,6 +319,24 @@ def _task_footprint(a: int, b: int, c: int, d: int) -> tuple[tuple[BlockRef, ...
     if b == c:
         return ((c, d),), ((a, b),)
     return ((c, d), (b, d)), ((a, b), (a, c))
+
+
+def _standard_footprints(quartets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_task_footprint` of every row at once, as ``(rows, cols, counts)``.
+
+    Each task's candidate refs ``D[C, D]``, ``D[B, D]``, ``F[A, B]``,
+    ``F[A, C]`` in that order, the second of each pair masked out where
+    ``B == C``.
+    """
+    a, b, c, d = quartets.T
+    keep = np.ones(quartets.shape, dtype=bool)
+    keep[:, 1] = keep[:, 3] = b != c
+    per_kind = keep[:, :2].sum(axis=1)
+    return (
+        np.stack([c, b, a, a], axis=1)[keep],
+        np.stack([d, d, b, c], axis=1)[keep],
+        np.stack([per_kind, per_kind], axis=1),
+    )
 
 
 def build_task_graph(
@@ -335,57 +424,20 @@ def graph_from_arrays(
     fp_cols: np.ndarray | None = None,
     fp_counts: np.ndarray | None = None,
 ) -> TaskGraph:
-    """Materialize a :class:`TaskGraph` from its dense array form.
+    """A :class:`TaskGraph` over its dense array form; builds no task.
 
     The inverse of :meth:`TaskGraph.to_arrays` (``offsets`` may also be
-    the :class:`BlockStructure` itself): footprints are read from the CSR
-    when one is given and derived from the quartets otherwise, and the
-    array caches are pre-seeded so decoded graphs never pay the per-task
-    rebuild. Used by the builder above, the artifact-store codec, the
-    shared-memory worker handoff and the sweep fabric's workers.
+    the :class:`BlockStructure` itself): footprints are the CSR when one
+    is given and the standard derivation from the quartets otherwise. A
+    quartet count that is not the cost count, a block index outside the
+    tiling or a partial or inconsistent CSR raises
+    :class:`ConfigurationError`. Used by the builder above, the
+    artifact-store codec, the shared-memory worker handoff, the sweep
+    fabric's workers and ``pickle``.
     """
-    quartets = np.ascontiguousarray(quartets, dtype=np.int64).reshape(-1, 4)
-    flops = np.ascontiguousarray(flops, dtype=np.float64)
     blocks = offsets if isinstance(offsets, BlockStructure) else BlockStructure(offsets)
-    spans = None
-    if fp_counts is not None:
-        # Task t reads spans[2t] and writes spans[2t + 1], slices of the
-        # flat ref list cut at the running sum of the per-task counts.
-        refs = list(zip(fp_rows.tolist(), fp_cols.tolist()))
-        cut = [0, *np.cumsum(fp_counts, dtype=np.int64).tolist()]
-        if len(cut) != 2 * len(flops) + 1 or cut[-1] != len(refs):
-            raise ConfigurationError(
-                f"footprint CSR names {cut[-1]} refs over {(len(cut) - 1) // 2} tasks; "
-                f"the graph has {len(refs)} refs and {len(flops)} tasks"
-            )
-        spans = [tuple(refs[lo:hi]) for lo, hi in zip(cut, cut[1:])]
-    tasks: list[TaskSpec] = []
-    flops_list = flops.tolist()
-    # Tasks with equal reads (or writes) hold one tuple between them: there
-    # are only n_blocks^3 distinct ones, and the containers a task keeps
-    # alive are what the cyclic collector re-walks while this loop runs.
-    shared: dict[tuple[BlockRef, ...], tuple[BlockRef, ...]] = {}
-    for tid, (a, b, c, d) in enumerate(quartets.tolist()):
-        if spans is None:
-            reads, writes = _task_footprint(a, b, c, d)
-        else:
-            reads, writes = spans[2 * tid], spans[2 * tid + 1]
-        tasks.append(
-            TaskSpec(
-                tid,
-                (a, b, c, d),
-                flops_list[tid],
-                shared.setdefault(reads, reads),
-                shared.setdefault(writes, writes),
-            )
-        )
-    graph = TaskGraph(tuple(tasks), blocks, tau)
-    quartets.flags.writeable = False
-    flops.flags.writeable = False
-    graph.__dict__["quartet_array"] = quartets
-    graph.__dict__["costs"] = flops
-    if fp_counts is None:
-        graph.__dict__["has_standard_footprints"] = True
+    graph = object.__new__(TaskGraph)
+    graph._init_arrays(quartets, flops, blocks, tau, fp_rows, fp_cols, fp_counts)
     return graph
 
 

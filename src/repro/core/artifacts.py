@@ -23,8 +23,9 @@ Two layers, same key:
 Keying composes the same canonical-fingerprint machinery as the result
 cache: ``key = sha256(salt | kind | input fingerprints...)``. Corruption
 semantics mirror :class:`~repro.core.cache.ResultCache`: a zero-byte,
-truncated, foreign, or wrong-key entry degrades to a miss, the file is
-unlinked, and the artifact is rebuilt — ``get`` never raises.
+truncated, foreign, or wrong-key entry — or one whose arrays its decoder
+refuses — degrades to a miss, the file is unlinked, and the artifact is
+rebuilt; ``get_arrays`` never raises.
 
 Invalidation is by salt (:data:`ARTIFACT_SALT`): bump it whenever a
 build's semantics change (screening math, cost model, partitioner
@@ -249,10 +250,17 @@ class ArtifactStore:
         if decode is not None:
             entry = self.get_arrays(key)
             if entry is not None:
-                value = decode(entry[0], entry[1])
-                self.stats.disk_hits += 1
-                self._memo_put(key, value)
-                return copy_on_hit(value) if copy_on_hit is not None else value
+                try:
+                    value = decode(entry[0], entry[1])
+                except Exception:
+                    # A sound archive whose arrays do not make the value
+                    # (a name missing, a shape the decoder refuses) is the
+                    # same corrupt miss as a truncated one: drop, rebuild.
+                    self._corrupt_miss(self.path_for(key))
+                else:
+                    self.stats.disk_hits += 1
+                    self._memo_put(key, value)
+                    return copy_on_hit(value) if copy_on_hit is not None else value
         self.stats.misses += 1
         value = build()
         self._memo_put(key, value)

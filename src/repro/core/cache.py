@@ -109,6 +109,9 @@ def _canonical(obj: Any, out: list[str], depth: int = 0) -> None:
             out.append(f.name + "=")
             _canonical(getattr(obj, f.name), out, depth + 1)
         out.append(")")
+    elif isinstance(getattr(obj, "content_key", None), str):
+        # A TaskGraph is named by the content address of its arrays.
+        out.append(f"key:{type(obj).__qualname__}:{obj.content_key}")
     elif callable(obj) and hasattr(obj, "__qualname__"):
         out.append(f"fn:{obj.__module__}.{obj.__qualname__}")
     else:

@@ -155,14 +155,15 @@ def _step_table(graph: TaskGraph, distribution: BlockDistribution, network: Netw
     Fock block accumulated — and ``totals[t]`` its ``(gets, accumulates,
     bytes)``. Tasks share one step per distinct (owner, nbytes, kind)
     and one totals tuple per distinct triple; the programs are
-    :meth:`Network._tier_program`'s. None when the graph cannot be
-    tabulated by task id (ids not dense and ordered, or no tasks) or has
-    a negative cost, which only the per-task path rejects.
+    :meth:`Network._tier_program`'s. None when the graph has no tasks or
+    a negative cost, which only the per-task path rejects (task ids are
+    dense and ordered by construction).
 
     Memoised on the graph per ``(distribution, network model)`` — the
     locality tier is resolved per step at run time, so one table serves
-    every topology — next to its cached properties but dropped by
-    ``TaskGraph.__getstate__``, and no part of ``content_key``.
+    every topology — next to its first-read attributes; a pickled graph
+    is its arrays, so a table is never shipped, and it is no part of
+    ``content_key``.
     """
     tables = graph.__dict__.setdefault("_step_tables", {})
     key = (distribution, network.model)
@@ -173,10 +174,9 @@ def _step_table(graph: TaskGraph, distribution: BlockDistribution, network: Netw
 
 def _build_step_table(graph: TaskGraph, distribution: BlockDistribution, network: Network):
     n = graph.n_tasks
-    shape = np.array([(t.tid, len(t.reads)) for t in graph.tasks], dtype=np.int64)
-    if n == 0 or np.any(shape[:, 0] != np.arange(n)) or graph.costs.min() < 0.0:
+    if n == 0 or graph.costs.min() < 0.0:
         return None
-    n_reads = shape[:, 1]
+    n_reads = graph.footprint_counts[:, 0]
     rows, cols, tids = graph.footprint_arrays  # per task: reads, then writes
     owners, offsets = footprint_owners(graph, distribution)
     first, n_refs = offsets[:-1], np.diff(offsets)

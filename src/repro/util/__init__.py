@@ -15,6 +15,7 @@ from repro.util.validation import (
     check_in,
 )
 from repro.util.rng import spawn_rng, derive_seed
+from repro.util.lazy import once_property
 
 __all__ = [
     "ReproError",
@@ -29,4 +30,5 @@ __all__ = [
     "check_in",
     "spawn_rng",
     "derive_seed",
+    "once_property",
 ]

@@ -21,6 +21,34 @@ class TestScfProblem:
             _ = problem.n_occupied
 
 
+class TestOneElectronOnFirstRead:
+    """``hcore`` and ``overlap`` are computed when somebody reads them."""
+
+    @pytest.mark.parametrize("basis_set, block_size", [("s-only", 3), ("sto-3g", 4)])
+    def test_energy_equals_the_eager_build_to_the_bit(self, basis_set, block_size):
+        from repro.chemistry.integrals import overlap_matrix
+
+        lazy = ScfProblem.build(water_cluster(1), block_size, basis_set=basis_set)
+        assert not {"hcore", "overlap"} & set(lazy.__dict__)
+        eager = ScfProblem(
+            molecule=lazy.molecule, basis=lazy.basis, blocks=lazy.blocks, screen=lazy.screen,
+            graph=lazy.graph, kernel=lazy.kernel,
+            hcore=core_hamiltonian(lazy.basis, lazy.kernel.engine),
+            overlap=overlap_matrix(lazy.basis),
+        )
+        ours = run_scf(lazy.molecule, problem=lazy, accelerator="diis")
+        theirs = run_scf(eager.molecule, problem=eager, accelerator="diis")
+        assert ours.energy.hex() == theirs.energy.hex()
+        assert [e.hex() for e in ours.energy_history] == [e.hex() for e in theirs.energy_history]
+        assert lazy.hcore is lazy.hcore and lazy.overlap is lazy.overlap
+        assert np.array_equal(lazy.hcore, eager.hcore)
+
+    def test_first_readers_of_hcore_share_one_matrix(self, racing_reads):
+        problem = ScfProblem.build(water_cluster(2), block_size=4)
+        seen = racing_reads(lambda: problem.hcore)
+        assert all(hcore is problem.hcore for hcore in seen)
+
+
 class TestRunScf:
     def test_water_converges(self, tiny_problem):
         result = run_scf(tiny_problem.molecule, problem=tiny_problem)

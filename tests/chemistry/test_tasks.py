@@ -213,6 +213,214 @@ class TestDenseForm:
         assert same_tasks(loaded, built) and loaded.content_key == built.content_key
 
 
+# ----------------------------------------------------------------------
+# Task-walk oracles: the bodies TaskGraph had while ``tasks`` was its
+# state. The class now derives all of these from its arrays.
+# ----------------------------------------------------------------------
+def walked_footprint_arrays(tasks):
+    rows, cols, tids = [], [], []
+    for t in tasks:
+        for i, j in (*t.reads, *t.writes):
+            rows.append(i)
+            cols.append(j)
+            tids.append(t.tid)
+    return tuple(np.array(x, dtype=np.int64) for x in (rows, cols, tids))
+
+
+def walked_footprint_counts(tasks):
+    counts = [(len(t.reads), len(t.writes)) for t in tasks]
+    return np.array(counts, dtype=np.int64).reshape(len(tasks), 2)
+
+
+def walked_has_standard_footprints(tasks):
+    return all((t.reads, t.writes) == deduped_footprint(*t.quartet) for t in tasks)
+
+
+def walked_data_blocks(tasks):
+    out = set()
+    for t in tasks:
+        out.update(t.reads)
+        out.update(t.writes)
+    return out
+
+
+def eager_standard_tasks(quartets, flops):
+    """The loop ``graph_from_arrays`` ran on every decode of a standard graph."""
+    shared = {}
+    tasks = []
+    for tid, quartet in enumerate(quartets.tolist()):
+        reads, writes = deduped_footprint(*quartet)
+        tasks.append(
+            TaskSpec(
+                tid,
+                tuple(quartet),
+                flops.tolist()[tid],
+                shared.setdefault(reads, reads),
+                shared.setdefault(writes, writes),
+            )
+        )
+    return tuple(tasks)
+
+
+def task_rows(tasks):
+    return [(t.tid, t.quartet, t.flops.hex(), t.reads, t.writes) for t in tasks]
+
+
+@pytest.fixture(params=["standard", "folded", "hand_built", "empty"])
+def graph_and_oracle(request, synthetic_graph, folded_graph, footprint_twins):
+    """``(graph, tasks)``: a graph of each kind and the task tuple an eager
+    build of it holds, made without asking the graph."""
+    if request.param == "standard":
+        graph = synthetic_graph
+        return graph, eager_standard_tasks(graph.quartet_array, graph.costs)
+    if request.param == "folded":
+        return folded_graph, folded_graph.tasks  # the tuple symmetry.py handed in
+    if request.param == "hand_built":
+        return footprint_twins[1], footprint_twins[1].tasks
+    return TaskGraph((), BlockStructure.uniform(4, 4), 0.0), ()
+
+
+class TestArrayFirst:
+    """Everything but ``tasks`` comes from the arrays; ``tasks`` is built
+    on first read and equals what an eager build held."""
+
+    def test_array_derived_views_equal_the_task_walk(self, graph_and_oracle):
+        graph, tasks = graph_and_oracle
+        decoded = graph_from_arrays(**graph.to_arrays())
+        for g in (graph, decoded):
+            for mine, walked in zip(g.footprint_arrays, walked_footprint_arrays(tasks)):
+                assert mine.dtype == walked.dtype and np.array_equal(mine, walked)
+            assert g.footprint_counts.shape == (len(tasks), 2)
+            assert np.array_equal(g.footprint_counts, walked_footprint_counts(tasks))
+            assert g.has_standard_footprints is walked_has_standard_footprints(tasks)
+            assert g.data_blocks() == walked_data_blocks(tasks)
+            assert g.n_tasks == len(tasks)
+        assert "tasks" not in decoded.__dict__  # none of the above walked them
+
+    def test_lazy_tasks_equal_the_eager_build(self, graph_and_oracle):
+        graph, tasks = graph_and_oracle
+        decoded = graph_from_arrays(**graph.to_arrays())
+        assert task_rows(decoded.tasks) == task_rows(tasks)
+        assert decoded.tasks is decoded.tasks
+        # Equal reads (or writes) are one tuple between tasks, as in PR 19.
+        for side in ("reads", "writes"):
+            held = [getattr(t, side) for t in decoded.tasks]
+            assert len({id(refs) for refs in held}) == len(set(held))
+
+    def test_constructor_keeps_the_tuple_it_was_given(self, folded_graph):
+        tasks = folded_graph.tasks
+        graph = TaskGraph(tasks, folded_graph.blocks, folded_graph.tau)
+        assert graph.tasks is tasks
+        assert graph.content_key == folded_graph.content_key
+
+    def test_pickle_is_the_dense_form(self, graph_and_oracle):
+        graph, tasks = graph_and_oracle
+        graph.tasks, graph.footprint_arrays  # noqa: B018 - caches that must not ship
+        blob = pickle.dumps(graph)
+        assert len(blob) <= len(pickle.dumps(graph.to_arrays())) + 256
+        copy = pickle.loads(blob)
+        assert set(copy.__dict__) <= {
+            "quartet_array", "costs", "blocks", "tau", "has_standard_footprints", "_footprints",
+        }
+        assert copy == graph and copy.content_key == graph.content_key
+        assert task_rows(copy.tasks) == task_rows(tasks)
+
+    def test_step_tables_are_not_pickled(self, synthetic_graph):
+        from repro.exec_models import make_model
+        from repro.simulate import commodity_cluster
+
+        make_model("static_block").run(synthetic_graph, commodity_cluster(4))
+        assert "_step_tables" not in pickle.loads(pickle.dumps(synthetic_graph)).__dict__
+
+    def test_content_keys_are_the_parents(self, folded_graph, small_problem):
+        # Literal pins taken from the commit before ``tasks`` became lazy:
+        # a cache or artifact directory it filled stays 100 % hits.
+        assert small_problem.graph.content_key == (
+            "4b586bc1f871c37c843c8eb63856cd0f7458e38aa2b7a25ad815ac2acf3988aa"
+        )
+        assert folded_graph.content_key == (
+            "8b475f7cc7bbffa7221bd532c81b4207bcee7369c289dabdc1e575c683758227"
+        )
+
+    def test_graph_is_immutable(self, synthetic_graph):
+        with pytest.raises(AttributeError, match="immutable"):
+            synthetic_graph.tau = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            synthetic_graph.costs[0] = 0.0
+
+    def test_first_readers_of_tasks_share_one_tuple(self, racing_reads):
+        """``parallel/pool.py`` workers race into the first ``graph.tasks``;
+        ``Harness.execute_task`` compares ``tasks[tid] is task``."""
+        graph = synthetic_task_graph(4000, 8, seed=3)
+        seen = racing_reads(lambda: graph.tasks)
+        assert all(tasks is graph.tasks for tasks in seen)
+
+
+class TestArrayValidation:
+    """``graph_from_arrays`` input comes from disk, shm and the network."""
+
+    BLOCKS = BlockStructure.uniform(8, 2)
+    QUARTETS = np.array([[0, 1, 2, 3], [1, 1, 2, 0]])
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            (dict(flops=np.ones(3)), "quartet indices"),  # was n_tasks 2, costs (3,)
+            (dict(flops=np.ones(1)), "quartet indices"),  # was a bare IndexError
+            (dict(quartets=np.arange(7), flops=np.ones(2)), "quartet indices"),
+            (dict(quartets=np.array([[0, 1, 2, 9], [0, 0, 0, 0]])), "blocks 0..9"),
+            (dict(quartets=np.array([[0, -1, 2, 3], [0, 0, 0, 0]])), "blocks -1..3"),
+            (dict(fp_counts=np.ones((2, 2), dtype=np.int64)), "together"),  # AttributeError
+            (dict(fp_rows=np.zeros(4, dtype=np.int64)), "together"),
+            (
+                dict(
+                    fp_rows=np.zeros(4, dtype=np.int64),
+                    fp_cols=np.zeros(4, dtype=np.int64),
+                    fp_counts=np.array([[3, 3], [-1, -1]]),
+                ),
+                "footprint CSR",
+            ),
+        ],
+    )
+    def test_bad_shapes_raise_configuration_error(self, arrays, message):
+        good = dict(quartets=self.QUARTETS, flops=np.ones(2), offsets=self.BLOCKS, tau=0.0)
+        assert graph_from_arrays(**good).n_tasks == 2
+        with pytest.raises(ConfigurationError, match=message):
+            graph_from_arrays(**{**good, **arrays})
+
+    def test_a_csr_that_is_the_standard_one_is_dropped(self, synthetic_graph):
+        rows, cols, _tids = synthetic_graph.footprint_arrays
+        graph = graph_from_arrays(
+            **synthetic_graph.to_arrays(),
+            fp_rows=rows, fp_cols=cols, fp_counts=synthetic_graph.footprint_counts,
+        )
+        assert graph.has_standard_footprints
+        assert list(graph.to_arrays()) == ["quartets", "flops", "offsets", "tau"]
+        assert graph.content_key == synthetic_graph.content_key
+
+    def test_store_heals_an_entry_its_decoder_refuses(self, water_setup, tmp_path):
+        """A sound archive with a short ``flops`` array is a corrupt miss."""
+        from repro.core.artifacts import ArtifactStore, use_store
+
+        basis, blocks, screen = water_setup
+        with use_store(ArtifactStore(tmp_path)) as store:
+            built = build_task_graph(basis, blocks, screen, tau=1.0e-10)
+        (key,) = [
+            path.stem
+            for path in tmp_path.glob("*/*.npz")
+            if "quartets" in store.get_arrays(path.stem)[0]
+        ]
+        arrays, meta = store.get_arrays(key)
+        store.put_arrays(key, {**arrays, "flops": arrays["flops"][:-1]}, meta)
+        with use_store(ArtifactStore(tmp_path)) as fresh:
+            healed = build_task_graph(basis, blocks, screen, tau=1.0e-10)
+            assert fresh.stats.errors == 1 and fresh.stats.disk_hits == fresh.stats.lookups - 1
+        assert healed.content_key == built.content_key
+        with use_store(ArtifactStore(tmp_path)) as again:
+            build_task_graph(basis, blocks, screen, tau=1.0e-10)
+            assert again.stats.errors == 0 and again.stats.misses == 0
+
+
 class TestTaskGraph:
     def test_block_bytes(self):
         graph = synthetic_task_graph(10, 4, seed=0, block_size=8)

@@ -89,12 +89,47 @@ def perturbed_graphs():
             elif name == "fp_counts":  # task 0's last read becomes a write
                 changed = value.copy()
                 changed[0] += (-1, 1)
-            else:
+            elif name == "flops":
                 changed = value.copy()
-                changed.flat[-1] += 1
+                changed[-1] += 1
+            else:  # the last block index moves to its neighbour, in range
+                changed = value.copy()
+                changed.flat[-1] = (changed.flat[-1] + 1) % graph.blocks.n_blocks
             yield graph_from_arrays(**{**arrays, name: changed})
 
     return perturbed
+
+
+@pytest.fixture
+def racing_reads():
+    """``racing_reads(read)``: eight threads released by one barrier into
+    ``read()`` under a shortened switch interval; the eight results."""
+    import sys
+    import threading
+
+    def race(read, n_threads=8):
+        barrier = threading.Barrier(n_threads)
+        seen = []
+
+        def body():
+            barrier.wait(timeout=30)
+            seen.append(read())
+
+        threads = [threading.Thread(target=body) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == n_threads
+        return seen
+
+    return race
 
 
 @pytest.fixture

@@ -176,3 +176,60 @@ class TestWorkloadLabels:
         a = api.build_workload(api.water_cluster(2, seed=0), block_size=3)
         b = api.build_workload(api.water_cluster(2, seed=1), block_size=3)
         assert a.name != b.name
+
+
+class TestAJobPaysForWhatItReads:
+    """A study reads a graph's arrays, never its ``TaskSpec``s or the SCF's
+    one-electron matrices: a warm job builds neither."""
+
+    @pytest.fixture
+    def unread(self, monkeypatch):
+        from repro.chemistry import scf
+        from repro.chemistry.tasks import TaskSpec
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("built something no line of the job reads")
+
+        def arm():
+            monkeypatch.setattr(TaskSpec, "__init__", boom)
+            monkeypatch.setattr(scf, "core_hamiltonian", boom)
+            monkeypatch.setattr(scf, "overlap_matrix", boom)
+
+        return arm
+
+    def test_warm_source_build_and_cached_job(self, unread, tmp_path):
+        spec = api.JobSpec(
+            source=api.SourceSpec(size=2),
+            models=("static_block", "work_stealing"),
+            ranks=(4, 8),
+            executor="serial",
+            cache_dir=str(tmp_path),
+        )
+        with api.use_store(None):
+            cold = api.run_job(spec)
+            unread()
+            api.configure_artifacts(tmp_path / "artifacts")  # nothing memoised
+            problem = spec.source.build()
+            assert "tasks" not in problem.graph.__dict__
+            assert not {"hcore", "overlap"} & set(problem.__dict__)
+            warm = api.run_job(spec)
+        assert set(warm.provenance.values()) == {"cached"}
+        assert warm.rows() == cold.rows()
+
+    def test_cold_build_constructs_no_task_either(self, unread):
+        unread()
+        with api.use_store(None):
+            problem = api.ScfProblem.build(api.water_cluster(1), block_size=3)
+        assert problem.graph.n_tasks > 0 and "tasks" not in problem.graph.__dict__
+
+    def test_balancers_read_arrays_only(self, unread):
+        from repro.balance import hypergraph_balancer, semi_matching_balancer
+        from repro.chemistry.tasks import synthetic_task_graph
+
+        unread()
+        graph = synthetic_task_graph(400, 8, seed=9)
+        with api.use_store(None):
+            for balancer in (semi_matching_balancer, hypergraph_balancer):
+                assignment = balancer(graph, 4)
+                assert len(assignment) == graph.n_tasks
+        assert "tasks" not in graph.__dict__

@@ -195,6 +195,18 @@ class TestCorruption:
         assert ArtifactStore(tmp_path).get_arrays(key) is not None
 
 
+    def test_fetch_rebuilds_an_entry_its_decoder_refuses(self, tmp_path):
+        """A sound archive with the wrong arrays is a corrupt miss too."""
+        store, key, path = self._seeded(tmp_path)  # holds "a" and "b", not "q"
+        enc = lambda v: ({"q": v}, {})
+        dec = lambda arrays, _meta: arrays["q"]
+        healed = store.fetch(key, lambda: np.arange(4), encode=enc, decode=dec)
+        assert np.array_equal(healed, np.arange(4))
+        assert (store.stats.errors, store.stats.disk_hits, store.stats.misses) == (1, 0, 1)
+        reread = ArtifactStore(tmp_path).fetch(key, lambda: 1 / 0, encode=enc, decode=dec)
+        assert np.array_equal(reread, healed)
+
+
 class TestInvalidation:
     def test_salt_changes_address(self, tmp_path):
         v1 = ArtifactStore(tmp_path, salt="art-v1")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.chemistry.tasks import TaskGraph, TaskSpec, graph_from_arrays, synthetic_task_graph
+from repro.chemistry.tasks import graph_from_arrays, synthetic_task_graph
 from repro.exec_models import MODEL_NAMES, make_model
 from repro.exec_models.base import Harness
 from repro.faults import FaultPlan, StallWindow
@@ -184,23 +184,6 @@ def test_engines_agree_for_every_registered_model(model_name, machine, monkeypat
     assert results["compiled"].timeout_allocs < results["python"].timeout_allocs
 
 
-class _ReversedIds(TaskGraph):
-    """Hand-built: task ``i`` of ``n`` carries tid ``n - 1 - i``, so the
-    graph cannot be tabulated by task id."""
-
-    def __post_init__(self) -> None:
-        pass
-
-
-def _reversed_id_graph():
-    dense = synthetic_task_graph(60, 6, seed=4, skew=1.0)
-    n = dense.n_tasks
-    tasks = tuple(
-        TaskSpec(n - 1 - t.tid, t.quartet, t.flops, t.reads, t.writes) for t in dense.tasks
-    )
-    return _ReversedIds(tasks, dense.blocks, dense.tau)
-
-
 _GENERATOR_PATH_CASES = {
     "periodic-throttle": lambda: dict(
         machine=commodity_cluster(
@@ -209,7 +192,6 @@ _GENERATOR_PATH_CASES = {
     ),
     "interval-log": lambda: dict(trace_intervals=True),
     "fault-plan": lambda: dict(faults=FaultPlan(stalls=(StallWindow(2, 1.0e-4, 3.0e-4),))),
-    "ids-not-dense": lambda: dict(graph=_reversed_id_graph()),
 }
 
 
@@ -218,7 +200,7 @@ _GENERATOR_PATH_CASES = {
 @pytest.mark.parametrize("case", _GENERATOR_PATH_CASES)
 def test_runs_the_chain_cannot_reproduce_take_the_generator(case, model_name, monkeypatch):
     options = _GENERATOR_PATH_CASES[case]()
-    graph = options.pop("graph", None) or synthetic_task_graph(60, 6, seed=4, skew=1.0)
+    graph = synthetic_task_graph(60, 6, seed=4, skew=1.0)
     machine = options.pop("machine", commodity_cluster(6))
     runs = {
         mode: _run_in(monkeypatch, mode, model_name, graph, machine, **options)
@@ -230,7 +212,7 @@ def test_runs_the_chain_cannot_reproduce_take_the_generator(case, model_name, mo
     if result.intervals is not None:
         assert result.intervals == runs["python"][1].intervals
     # An armed plan takes even the single ops off the fused path; the
-    # other three still issue them one fused request at a time.
+    # other two still issue them one fused request at a time.
     assert (result.fused_ops == 0) == (case == "fault-plan")
     # The same run without the obstacle does chain.
     plain, _ = _run_in(
