@@ -16,7 +16,7 @@ import numpy as np
 from repro.balance.metrics import footprint_owners
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
-from repro.util import ConfigurationError, check_positive
+from repro.util import ConfigurationError, check_non_negative, check_positive
 
 
 def lpt(costs: np.ndarray, n_ranks: int) -> np.ndarray:
@@ -35,11 +35,13 @@ def lpt(costs: np.ndarray, n_ranks: int) -> np.ndarray:
     cost_list: list[float] = costs.tolist()
     heap: list[tuple[float, int]] = [(0.0, r) for r in range(n_ranks)]
     heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heapreplace = heapq.heapreplace
+    # The (load, rank) entries are unique and totally ordered, so replacing
+    # the top in one sift pops in the same order as a pop and a push.
     for tid in np.argsort(-costs, kind="stable").tolist():
-        load, rank = heappop(heap)
+        load, rank = heap[0]
         assignment[tid] = rank
-        heappush(heap, (load + cost_list[tid], rank))
+        heapreplace(heap, (load + cost_list[tid], rank))
     return assignment
 
 
@@ -88,32 +90,47 @@ def locality_greedy(
     owner is already loaded beyond ``(1 + slack) * ideal``.
     """
     check_positive("n_ranks", n_ranks)
+    check_non_negative("slack", slack)
     if distribution is None:
         return lpt(graph.costs, n_ranks)
     costs = graph.costs
     ideal = float(costs.sum()) / n_ranks if costs.size else 0.0
-    limit = (1.0 + slack) * ideal
-    # Loads as a plain-float list: every task does several keyed lookups
-    # plus an argmin over loads, and ndarray scalar indexing would box a
-    # np.float64 per touch. ``min(range(n), key=...)`` returns the first
-    # minimum, exactly like np.argmin. Values are identical IEEE doubles,
-    # so the assignment is unchanged.
+    # No work, no limit: every task stays with an owner.
+    limit = float("inf") if ideal == 0.0 else (1.0 + slack) * ideal
+    # Loads as a plain-float list: every task does several keyed lookups,
+    # and ndarray scalar indexing would box a np.float64 per touch. Values
+    # are identical IEEE doubles, so the assignment is unchanged.
     loads: list[float] = [0.0] * n_ranks
     cost_list: list[float] = costs.tolist()
-    all_ranks = range(n_ranks)
     assignment = np.empty(graph.n_tasks, dtype=np.int64)
+    # A spill goes to the first least-loaded rank, the smallest (load, rank).
+    # The heap gets the current pair of every rank loaded since the last
+    # spill only when the next one happens; a pair whose load is out of date
+    # is dropped when it surfaces (loads only grow, so it sorts before its
+    # rank's current pair). O(log n_ranks) amortised per spill; with more
+    # ranks than owned blocks most tasks spill (docs/perf.md, "Balancers:
+    # semi-matching over CSR").
+    heap: list[tuple[float, int]] = [(0.0, r) for r in range(n_ranks)]
+    loaded: set[int] = set()
+    heappush, heappop = heapq.heappush, heapq.heappop
     # One checked lookup; sets fill in footprint order, like per-ref owner() calls.
-    owners_flat, offsets = (a.tolist() for a in footprint_owners(graph, distribution))
+    owners_flat, offsets = (
+        a.tolist() for a in footprint_owners(graph, distribution, n_ranks)
+    )
     for tid in np.argsort(-costs, kind="stable").tolist():
         owners = set(owners_flat[offsets[tid] : offsets[tid + 1]])
-        best_owner = min(owners, key=loads.__getitem__)
+        rank = min(owners, key=loads.__getitem__)
         cost = cost_list[tid]
-        if loads[best_owner] + cost <= limit or ideal == 0.0:
-            rank = best_owner
-        else:
-            rank = min(all_ranks, key=loads.__getitem__)
+        if not loads[rank] + cost <= limit:
+            for r in loaded:
+                heappush(heap, (loads[r], r))
+            loaded.clear()
+            while heap[0][0] < loads[heap[0][1]]:
+                heappop(heap)
+            rank = heap[0][1]
         assignment[tid] = rank
         loads[rank] += cost
+        loaded.add(rank)
     return assignment
 
 

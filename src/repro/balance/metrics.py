@@ -40,13 +40,15 @@ def makespan_lower_bound(costs: np.ndarray, n_ranks: int) -> float:
 
 
 def footprint_owners(
-    graph: TaskGraph, distribution: BlockDistribution
+    graph: TaskGraph, distribution: BlockDistribution, n_ranks: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds-checked owner rank of every footprint ref, as CSR over tasks.
 
     Returns ``(owners, offsets)``: ``owners`` lines up with
     ``graph.footprint_arrays`` and task ``tid``'s refs, in ``(*reads,
-    *writes)`` order, are ``owners[offsets[tid]:offsets[tid + 1]]``.
+    *writes)`` order, are ``owners[offsets[tid]:offsets[tid + 1]]``. A
+    balancer that indexes by owner passes its ``n_ranks``, and an owner
+    outside it (a ``distribution`` over more ranks) is refused.
     """
     rows, cols, tids = graph.footprint_arrays
     nb = distribution.n_blocks
@@ -55,8 +57,14 @@ def footprint_owners(
         k = int(np.flatnonzero(bad)[0])
         ref = (int(rows[k]), int(cols[k]))
         raise ConfigurationError(f"block {ref} out of range for {nb} blocks")
+    owners = distribution.owner_matrix()[rows, cols]
+    if n_ranks is not None and owners.max(initial=0) >= n_ranks:
+        k = int(np.argmax(owners >= n_ranks))
+        raise ConfigurationError(
+            f"task {tids[k]} eligible for rank {owners[k]} outside [0, {n_ranks})"
+        )
     offsets = np.cumsum(np.bincount(tids, minlength=graph.n_tasks))
-    return distribution.owner_matrix()[rows, cols], np.concatenate([[0], offsets])
+    return owners, np.concatenate([[0], offsets])
 
 
 def communication_volume(

@@ -124,7 +124,7 @@ def build_eligibility(
     if extra_degree < 0:
         raise ConfigurationError(f"extra_degree must be >= 0, got {extra_degree}")
     rng = spawn_rng(seed, "eligibility", n_ranks)
-    owners = footprint_owners(graph, distribution)[0]
+    owners = footprint_owners(graph, distribution, n_ranks)[0]
     extras = _draw_extras(rng, graph.n_tasks, n_ranks, min(extra_degree, n_ranks))
     # The sorted distinct keys task * n_ranks + rank are the CSR. Sorted in
     # place: np.unique's hash table (NumPy >= 2.3) costs as much resident
@@ -291,6 +291,10 @@ def weighted_semi_matching(
     for tid, rank in enumerate(assignment.tolist()):
         tasks_on[rank].append(tid)
 
+    # rank -> its (tids, task, dst, cost) arrays in visit order. Under 1 % of
+    # visits move a task, so an entry outlives most of the up to 4 * n_ranks
+    # visits; a move drops the source's and the destination's.
+    pairs: dict[int, tuple[np.ndarray, ...]] = {}
     for _ in range(sweeps):
         moved = False
         for rank in np.argsort(-loads).tolist():
@@ -298,15 +302,17 @@ def weighted_semi_matching(
             # (task, other eligible rank) pairs move, so one array test over
             # the pairs in visit order finds the next task that can; it alone
             # runs the scalar choice; the tail is tested again on the new loads.
-            tids = np.array(tasks_on[rank], dtype=np.int64)
-            tids = tids[np.argsort(-costs[tids], kind="stable")]
-            starts = offsets[tids]
-            lens = offsets[tids + 1] - starts
-            task = np.repeat(np.arange(tids.size), lens)
-            dst = ranks[np.arange(task.size) + (starts - np.cumsum(lens) + lens)[task]]
-            other = dst != rank
-            task, dst = task[other], dst[other]
-            cost = costs[tids][task]
+            if rank not in pairs:
+                tids = np.array(tasks_on[rank], dtype=np.int64)
+                tids = tids[np.argsort(-costs[tids], kind="stable")]
+                starts = offsets[tids]
+                lens = offsets[tids + 1] - starts
+                task = np.repeat(np.arange(tids.size), lens)
+                dst = ranks[np.arange(task.size) + (starts - np.cumsum(lens) + lens)[task]]
+                other = dst != rank
+                task, dst = task[other], dst[other]
+                pairs[rank] = tids, task, dst, costs[tids][task]
+            tids, task, dst, cost = pairs[rank]
             at = 0
             while True:
                 load_r = loads[rank]
@@ -327,6 +333,8 @@ def weighted_semi_matching(
                 loads[rank] = load_r - c
                 loads[best_dst] += c
                 assignment[tid] = best_dst
+                pairs.pop(rank, None)
+                pairs.pop(best_dst, None)
                 moved = True
                 at = end
         if not moved:

@@ -366,9 +366,9 @@ class Timeout(Request):
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        # `delay < 0` is the only rejected case (matching
-        # check_non_negative); anything else skips the helper call.
-        if delay < 0:
+        # `not delay >= 0` (negative or NaN) is the only rejected case
+        # (matching check_non_negative); anything else skips the helper call.
+        if not delay >= 0:
             check_non_negative("delay", delay)
         self.delay = delay
 
@@ -388,7 +388,7 @@ def pooled_timeout(delay: float) -> Timeout:
     """
     if _timeout_pool:
         timeout = _timeout_pool.pop()
-        if delay < 0:
+        if not delay >= 0:
             check_non_negative("delay", delay)
         timeout.delay = delay
         return timeout

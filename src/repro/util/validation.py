@@ -21,8 +21,8 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Return ``value`` if it is >= 0, else raise."""
-    if value < 0:
+    """Return ``value`` if it is >= 0, else raise (NaN is not)."""
+    if not value >= 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
 

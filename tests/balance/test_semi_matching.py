@@ -138,6 +138,14 @@ class TestBuildEligibility:
         with pytest.raises(ConfigurationError, match="out of range for 16 blocks"):
             build_eligibility(stray_ref_graph, 8, dist)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distribution_over_more_ranks_rejected(self, seed):
+        # Unchecked, owner 8 of task t packs to the key of rank 0 of task t + 1.
+        graph = synthetic_task_graph(200, 12, seed=seed)
+        stray = r"task \d+ eligible for rank 8 outside \[0, 8\)$"
+        with pytest.raises(ConfigurationError, match=stray):
+            build_eligibility(graph, 8, BlockDistribution(12, 9))
+
     def test_owners_included(self, synthetic_graph):
         dist = BlockDistribution(synthetic_graph.blocks.n_blocks, 8)
         elig = build_eligibility(synthetic_graph, 8, dist, extra_degree=0)
@@ -294,6 +302,42 @@ class TestWeightedSemiMatching:
                 got, reference_weighted_semi_matching(costs, lists, 3, sweeps)
             )
 
+    def test_a_rank_that_lost_a_task_is_rebuilt_before_its_next_visit(self):
+        # Greedy loads are [8, 3, 1]. Sweep 1: rank 0 sends task 0 (cost 6) to
+        # rank 2, which on its own visit sends task 2 on to rank 1: [2, 4, 6].
+        # Sweep 2 visits rank 2 first. Its pair arrays from sweep 1 still
+        # list task 2, and at the new loads that task "could move" once more;
+        # rebuilt, rank 2 holds task 0 alone and keeps it. Rank 1 then sends
+        # task 1 to rank 0, which is what sweeps=1 lacks.
+        costs = np.array([6.0, 1.0, 1.0, 2.0, 2.0])
+        lists = [[0, 1, 2], [0, 1], [1, 2], [0], [1]]
+        assert greedy_semi_matching(costs, lists, 3).tolist() == [0, 1, 2, 0, 1]
+        assert weighted_semi_matching(costs, lists, 3, sweeps=1).tolist() == [2, 1, 1, 0, 1]
+        for sweeps in (2, 4):
+            got = weighted_semi_matching(costs, lists, 3, sweeps)
+            assert got.tolist() == [2, 0, 1, 0, 1]
+            np.testing.assert_array_equal(
+                got, reference_weighted_semi_matching(costs, lists, 3, sweeps)
+            )
+
+    def test_a_rank_that_gained_a_task_is_rebuilt_before_its_next_visit(self):
+        # Greedy loads are [14, 4, 5, 5, 3]. Sweep 1 visits ranks 2 and 3
+        # without a move (their pair arrays are kept) and ends at [7, 7, 5, 9,
+        # 3]. Sweep 2 starts on rank 3, which sends task 5 (cost 3) to rank 2
+        # and task 0 to rank 4: [7, 7, 8, 4, 5]. Rank 2 is visited later in the
+        # same sweep and has to see task 5, which it sends back to the now
+        # lighter rank 3; on its sweep-1 arrays task 5 would stay.
+        costs = np.array([2.0, 5.0, 4.0, 7.0, 7.0, 3.0, 3.0])
+        lists = [[1, 3, 4], [2, 4], [0, 1, 3], [0, 1, 2], [0], [0, 2, 3], [0, 3, 4]]
+        assert greedy_semi_matching(costs, lists, 5).tolist() == [3, 2, 1, 0, 0, 3, 4]
+        assert weighted_semi_matching(costs, lists, 5, sweeps=1).tolist() == [3, 2, 3, 1, 0, 3, 4]
+        for sweeps in (2, 4):
+            got = weighted_semi_matching(costs, lists, 5, sweeps)
+            assert got.tolist() == [4, 2, 3, 1, 0, 3, 4]
+            np.testing.assert_array_equal(
+                got, reference_weighted_semi_matching(costs, lists, 5, sweeps)
+            )
+
     def test_equals_scalar_sweep_on_a_built_eligibility(self, synthetic_graph):
         for n_ranks in (8, 32):
             dist = BlockDistribution(synthetic_graph.blocks.n_blocks, n_ranks)
@@ -323,6 +367,12 @@ class TestBalancerEntryPoint:
     def test_unknown_mode_rejected(self, synthetic_graph):
         with pytest.raises(ConfigurationError):
             semi_matching_balancer(synthetic_graph, 8, mode="perfect")
+
+    def test_distribution_over_more_ranks_rejected(self, synthetic_graph):
+        dist = BlockDistribution(synthetic_graph.blocks.n_blocks, 9)
+        for mode in ("weighted", "greedy", "optimal_unit"):
+            with pytest.raises(ConfigurationError, match=r"eligible for rank 8 outside \[0, 8\)"):
+                semi_matching_balancer(synthetic_graph, 8, dist, mode=mode)
 
     def test_default_distribution_constructed(self, synthetic_graph):
         a = semi_matching_balancer(synthetic_graph, 8, distribution=None)

@@ -59,6 +59,13 @@ class TestCompute:
         with pytest.raises(ValueError):
             drive(engine, ctx.compute(-1.0))
 
+    def test_nan_delays_rejected(self):
+        ctx, engine = make_ctx()
+        nan = float("nan")
+        for gen in (ctx.compute(nan), ctx.sleep(nan), ctx.overhead_delay(nan)):
+            with pytest.raises(ValueError, match="got nan"):
+                drive(engine, gen)
+
 
 class TestTracedCategories:
     def test_get_traced_as_comm(self):

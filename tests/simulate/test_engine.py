@@ -1,6 +1,14 @@
 import pytest
 
-from repro.simulate.engine import Engine, Resource, SimEvent, Timeout, hold
+from repro.simulate.engine import (
+    Engine,
+    Resource,
+    SimEvent,
+    Timeout,
+    _timeout_pool,
+    hold,
+    pooled_timeout,
+)
 from repro.util import SimulationError
 
 
@@ -35,6 +43,16 @@ class TestEngineScheduling:
         engine = Engine()
         with pytest.raises(ValueError):
             engine.schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected_by_schedule_and_both_timeout_paths(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="got nan"):
+            Engine().schedule(nan, lambda: None)
+        with pytest.raises(ValueError, match="got nan"):
+            Timeout(nan)
+        _timeout_pool.append(Timeout(0.0))  # a banked Timeout is re-checked on reuse
+        with pytest.raises(ValueError, match="got nan"):
+            pooled_timeout(nan)
 
     def test_now_advances_to_event_time(self):
         engine = Engine()

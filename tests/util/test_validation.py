@@ -34,6 +34,11 @@ class TestCheckNonNegative:
         with pytest.raises(ConfigurationError, match=">= 0"):
             check_non_negative("x", -0.001)
 
+    def test_rejects_nan_like_check_positive(self):
+        for check in (check_non_negative, check_positive):
+            with pytest.raises(ConfigurationError, match="got nan"):
+                check("x", float("nan"))
+
 
 class TestCheckProbability:
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
