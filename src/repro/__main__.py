@@ -268,6 +268,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_chaos
 
     report = run_chaos(
+        only=args.only,
         quick=args.quick,
         jobs=args.jobs,
         seed=args.seed,
@@ -275,29 +276,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         log=print,
     )
-    if args.distributed:
-        from repro.chaos.distributed import run_distributed_chaos
-
-        dist_report = run_distributed_chaos(
-            quick=args.quick,
-            seed=args.seed,
-            workdir=args.workdir,
-            log=print,
-        )
-        report.scenarios.extend(dist_report.scenarios)
-    if args.service:
-        from repro.chaos.service import run_service_chaos
-
-        svc_report = run_service_chaos(
-            quick=args.quick,
-            seed=args.seed,
-            workdir=args.workdir,
-            log=print,
-        )
-        report.scenarios.extend(svc_report.scenarios)
     print()
     print(report.format())
     return 0 if report.passed else 1
+
+
+class _ChaosNames:
+    """``repro chaos --only`` choices, read from the scenario table when
+    argparse first looks: building the parser, which every ``repro serve``,
+    ``study`` and ``worker`` start does, must not import :mod:`repro.chaos`."""
+
+    def __iter__(self):
+        from repro.chaos.harness import SCENARIOS, SUITES
+
+        return iter([*SUITES, *(row.key for row in SCENARIOS)])
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -638,16 +630,11 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of a throwaway temp dir",
     )
     p_chaos.add_argument(
-        "--distributed", action="store_true",
-        help="also run the distributed-fabric scenarios (SIGKILLed / "
-        "frozen / severed / duplicating TCP workers, full remote loss)",
-    )
-    p_chaos.add_argument(
-        "--service", action="store_true",
-        help="also run the service-layer scenarios against a live "
-        "loopback daemon (overload bursts, dedupe storms, cancel races, "
-        "SIGTERM drain + restart resume, GC vs live streams, stalled "
-        "readers) — each verified bit-for-bit against a fault-free run",
+        "--only", action="append", default=[], metavar="NAME",
+        choices=_ChaosNames(),
+        help="run only this suite (host, distributed, service) or this "
+        "scenario (its key: docs/sweep.md, 'The chaos harness'); "
+        "repeatable. Default: the host suite",
     )
     p_chaos.set_defaults(func=cmd_chaos)
 

@@ -1,119 +1,107 @@
-"""Distributed-fabric chaos: real TCP workers, real network failures.
+"""The ``distributed`` suite: real TCP workers, real network failures.
 
-:mod:`repro.chaos.harness` disturbs the *forked* sweep backend; this
-module disturbs the *distributed* one (:mod:`repro.parallel.fabric`)
-with the failure modes only a network can produce — and demands the
-same verdict: every disturbed sweep's result rows must be
-**bit-for-bit identical** to a fault-free serial reference.
-
-Scenarios (each against live ``python -m repro worker`` subprocesses on
-loopback TCP):
-
-1. **remote worker SIGKILL mid-cell** — the worker SIGKILLs itself
-   inside a cell (via the shared :class:`~repro.chaos.harness.ChaosPlan`
-   kill fault); the server sees the connection drop, requeues exactly
-   that cell through the shared
-   :class:`~repro.parallel.supervisor.AttemptLedger`, and the surviving
-   worker finishes the sweep.
-2. **frozen worker past its lease** — a cell sleeps well past the lease;
-   the server revokes the lease and requeues, and the frozen worker's
-   eventual late result is deduplicated idempotently.
-3. **severed socket mid-result-upload** — the worker writes half a
-   result frame and hard-closes the socket (the
-   ``REPRO_WORKER_CHAOS`` hook); the server discards the torn upload,
-   requeues, and the reconnected worker keeps serving.
-4. **duplicate delivery** — a worker pushes the same result frame twice;
-   the second is dropped by dispatch-key dedupe, counted, and changes
-   nothing.
-5. **full remote loss → local degradation** — every remote worker is
-   SIGKILLed mid-sweep; the executor reroutes the unfinished cells to
-   the fallback local pool after one structured
-   :class:`~repro.parallel.DegradedExecutionWarning`.
-6. **killed worker + interrupt + resume** — a journaled distributed
-   sweep loses a worker to SIGKILL *and* is interrupted; a fresh fabric
-   resumes from the journal and completes with 100% row parity.
+:mod:`repro.chaos.host` disturbs the *forked* sweep backend; these rows
+disturb the *distributed* one (:mod:`repro.parallel.fabric`) with the
+failure modes only a network can produce, each against live
+``python -m repro worker`` subprocesses on loopback TCP — and demand the
+same verdict: every disturbed sweep's result rows must be **bit-for-bit
+identical** to the fault-free serial reference.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
-import os
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 import warnings
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.chaos.harness import (
+    ChaosContext,
     ChaosPlan,
-    ChaosReport,
     _compare_rows,
-    _scenario,
+    _interrupt_after,
+    _verdict,
     chaos_execute_cell,
+    child_env,
+    scenario,
 )
-from repro.chemistry.tasks import synthetic_task_graph
-from repro.core.config import StudyConfig
-from repro.core.sweep import SweepCell, SweepRunner, execute_cell, study_cells
-from repro.faults.retry import RetryPolicy
+from repro.core.sweep import SweepCell, SweepRunner, execute_cell
 from repro.parallel.executor import DegradedExecutionWarning
 from repro.parallel.fabric import DistributedExecutor
 from repro.parallel.worker import CHAOS_ENV
 
 
-def _worker_env(extra: dict[str, str] | None = None) -> dict[str, str]:
-    """Subprocess env that can import this repo (and chaos hooks)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [p for p in sys.path if p] + [env.get("PYTHONPATH", "")]
-    ).strip(os.pathsep)
-    if extra:
-        env.update(extra)
-    return env
-
-
-def _spawn_workers(
-    endpoint: tuple[str, int],
+@contextlib.contextmanager
+def fleet(
     n: int,
     *,
-    env_extra: dict[str, str] | None = None,
+    env: dict[str, str] | None = None,
     reconnect_attempts: int = 10,
-) -> list[subprocess.Popen]:
-    host, port = endpoint
-    return [
-        subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "worker",
-                "--connect",
-                f"{host}:{port}",
-                "--id",
-                f"chaos-w{i}",
-                "--reconnect-attempts",
-                str(reconnect_attempts),
-                "--reconnect-delay",
-                "0.2",
-            ],
-            env=_worker_env(env_extra),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        for i in range(n)
-    ]
+    **fabric_kwargs: Any,
+) -> Iterator[tuple[DistributedExecutor, list[subprocess.Popen]]]:
+    """A fabric server with ``n`` worker subprocesses attached to it.
+
+    Yields ``(executor, workers)`` and owns both ends: on every exit
+    path the server is closed first (workers are told to leave and see
+    the hang-up), then every worker is reaped, killed if it lingers.
+    """
+    fabric_kwargs = {
+        "lease": 15.0,
+        "connect_timeout": 30.0,
+        "degrade_after": 10.0,
+        **fabric_kwargs,
+    }
+    executor = DistributedExecutor(**fabric_kwargs)
+    workers: list[subprocess.Popen] = []
+    try:
+        host, port = executor.endpoint
+        for i in range(n):
+            workers.append(
+                subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro", "worker",
+                        "--connect", f"{host}:{port}",
+                        "--id", f"chaos-w{i}",
+                        "--reconnect-attempts", str(reconnect_attempts),
+                        "--reconnect-delay", "0.2",
+                    ],
+                    env=child_env(**(env or {})),
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL,
+                )
+            )
+        yield executor, workers
+    finally:
+        executor.close()
+        for proc in workers:
+            try:
+                proc.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=10.0)
 
 
-def _reap_workers(workers: Sequence[subprocess.Popen]) -> None:
-    for proc in workers:
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=10.0)
+def _worker_chaos(ctx: ChaosContext, fault: str, label: str) -> dict[str, str]:
+    """Worker env arming the ``REPRO_WORKER_CHAOS`` hook for one label."""
+    return {CHAOS_ENV: json.dumps({"marker_dir": ctx.markers(), fault: [label]})}
+
+
+def _disturbed_sweep(
+    ctx: ChaosContext, executor: DistributedExecutor, **runner_kwargs: Any
+) -> tuple[SweepRunner, list[Any]]:
+    runner = SweepRunner(
+        jobs=2,
+        retry=ctx.retry,
+        on_error="quarantine",
+        executor=executor,
+        **runner_kwargs,
+    )
+    return runner, runner.run_cells(ctx.cells)
 
 
 def _slow_cell(delay: float, cell: SweepCell) -> Any:
@@ -124,330 +112,6 @@ def _slow_cell(delay: float, cell: SweepCell) -> Any:
     """
     time.sleep(delay)
     return execute_cell(cell)
-
-
-def run_distributed_chaos(
-    quick: bool = True,
-    seed: int = 0,
-    workdir: str | os.PathLike | None = None,
-    log: Callable[[str], None] | None = None,
-) -> ChaosReport:
-    """Run the distributed chaos suite; returns per-scenario verdicts.
-
-    Mirrors :func:`repro.chaos.run_chaos` (and extends its report when
-    invoked via ``python -m repro chaos --distributed``), but every
-    disturbed sweep runs on the ``distributed`` executor with real
-    worker subprocesses over loopback TCP.
-    """
-    say = log if log is not None else (lambda _msg: None)
-    base = Path(workdir) if workdir is not None else Path(
-        tempfile.mkdtemp(prefix="repro-chaos-dist-")
-    )
-    base = base / "distributed"
-    base.mkdir(parents=True, exist_ok=True)
-
-    if quick:
-        graph = synthetic_task_graph(150, 8, seed=3, skew=1.2)
-        config = StudyConfig(
-            models=("static_block", "counter_dynamic", "work_stealing"),
-            n_ranks=(4, 8),
-            seed=seed,
-        )
-    else:
-        graph = synthetic_task_graph(600, 16, seed=3, skew=1.3)
-        config = StudyConfig(
-            models=("static_block", "counter_dynamic", "work_stealing"),
-            n_ranks=(4, 8, 16),
-            seed=seed,
-        )
-    cells = study_cells(config, graph)
-    labels = [cell.label for cell in cells]
-    retry = RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.2, jitter=0.0)
-    report = ChaosReport(cells=len(cells))
-
-    say(f"chaos[distributed]: {len(cells)} cells, loopback TCP workers")
-    say("chaos[distributed]: computing fault-free serial reference ...")
-    reference = SweepRunner(jobs=1, cache=None).run_cells(cells)
-
-    def fabric(**kwargs: Any) -> DistributedExecutor:
-        kwargs.setdefault("lease", 15.0)
-        kwargs.setdefault("connect_timeout", 30.0)
-        kwargs.setdefault("degrade_after", 10.0)
-        return DistributedExecutor(**kwargs)
-
-    def run_disturbed(
-        executor: DistributedExecutor,
-        *,
-        cell_fn: Callable[[SweepCell], Any] | None = None,
-        lease: float | None = None,
-        **runner_kwargs: Any,
-    ) -> tuple[SweepRunner, list[Any]]:
-        runner = SweepRunner(
-            jobs=2,
-            retry=retry,
-            on_error="quarantine",
-            cell_fn=cell_fn,
-            executor=executor,
-            timeout=lease,
-            **runner_kwargs,
-        )
-        return runner, runner.run_cells(cells)
-
-    # -- D1: remote worker SIGKILL mid-cell -----------------------------
-    def remote_sigkill() -> str:
-        markers = base / "d1-markers"
-        markers.mkdir(parents=True, exist_ok=True)
-        plan = ChaosPlan(marker_dir=str(markers), kill=(labels[1],))
-        with fabric() as ex:
-            workers = _spawn_workers(ex.endpoint, 2, reconnect_attempts=0)
-            try:
-                runner, disturbed = run_disturbed(
-                    ex, cell_fn=functools.partial(chaos_execute_cell, plan)
-                )
-            finally:
-                ex.close()
-                _reap_workers(workers)
-        problems = _compare_rows(reference, disturbed)
-        stats = runner.supervisor_stats
-        if stats.disconnects < 1:
-            problems.append("no disconnect observed (SIGKILL not injected?)")
-        if stats.crashes < 1:
-            problems.append("worker death not counted as a crash")
-        if stats.retries < 1:
-            problems.append("killed cell was never requeued")
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"{stats.crashes} crash(es), {stats.disconnects} disconnect(s), "
-            f"{stats.retries} requeue(s); rows identical"
-        )
-
-    # -- D2: frozen worker past its lease -------------------------------
-    def lease_expiry_freeze() -> str:
-        markers = base / "d2-markers"
-        markers.mkdir(parents=True, exist_ok=True)
-        lease = 1.0
-        plan = ChaosPlan(
-            marker_dir=str(markers),
-            hang=(labels[2],),
-            hang_seconds=lease * 3.0,
-        )
-        with fabric(lease=lease) as ex:
-            workers = _spawn_workers(ex.endpoint, 2)
-            try:
-                runner, disturbed = run_disturbed(
-                    ex,
-                    cell_fn=functools.partial(chaos_execute_cell, plan),
-                    lease=lease,
-                )
-            finally:
-                ex.close()
-                _reap_workers(workers)
-        problems = _compare_rows(reference, disturbed)
-        stats = runner.supervisor_stats
-        if stats.lease_expiries < 1:
-            problems.append("no lease expiry observed (freeze not injected?)")
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"{stats.lease_expiries} lease expiry(ies), {stats.duplicates} "
-            f"late duplicate(s) deduped; rows identical"
-        )
-
-    # -- D3: severed socket mid-result-upload ---------------------------
-    def severed_upload() -> str:
-        markers = base / "d3-markers"
-        markers.mkdir(parents=True, exist_ok=True)
-        spec = json.dumps({"marker_dir": str(markers), "sever": [labels[0]]})
-        with fabric() as ex:
-            workers = _spawn_workers(
-                ex.endpoint, 2, env_extra={CHAOS_ENV: spec}
-            )
-            try:
-                runner, disturbed = run_disturbed(ex)
-            finally:
-                ex.close()
-                _reap_workers(workers)
-        problems = _compare_rows(reference, disturbed)
-        stats = runner.supervisor_stats
-        if stats.disconnects < 1:
-            problems.append("no disconnect observed (sever not injected?)")
-        if stats.retries < 1:
-            problems.append("torn-upload cell was never requeued")
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"torn upload dropped, {stats.retries} requeue(s), "
-            f"{stats.disconnects} disconnect(s); rows identical"
-        )
-
-    # -- D4: duplicate delivery -----------------------------------------
-    def duplicate_delivery() -> str:
-        markers = base / "d4-markers"
-        markers.mkdir(parents=True, exist_ok=True)
-        # Duplicate an early cell so the sweep is still consuming events
-        # when the second copy lands.
-        spec = json.dumps({"marker_dir": str(markers), "dup": [labels[0]]})
-        with fabric() as ex:
-            workers = _spawn_workers(
-                ex.endpoint, 2, env_extra={CHAOS_ENV: spec}
-            )
-            try:
-                runner, disturbed = run_disturbed(ex)
-            finally:
-                ex.close()
-                _reap_workers(workers)
-        problems = _compare_rows(reference, disturbed)
-        stats = runner.supervisor_stats
-        if stats.duplicates < 1:
-            problems.append("no duplicate observed (dup not injected?)")
-        if stats.completed != len(cells):
-            problems.append(
-                f"completed {stats.completed} != {len(cells)} "
-                "(duplicate was double-counted?)"
-            )
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return f"{stats.duplicates} duplicate(s) deduped; rows identical"
-
-    # -- D5: full remote loss -> local degradation ----------------------
-    def full_remote_loss() -> str:
-        with fabric(degrade_after=1.0) as ex:
-            workers = _spawn_workers(ex.endpoint, 2, reconnect_attempts=0)
-            killed = {"n": 0}
-
-            def kill_all_after_first(_index: int, _pid: int) -> None:
-                # First dispatches land, then the whole fleet dies: the
-                # executor must reroute everything unfinished locally.
-                if killed["n"] == 0:
-                    killed["n"] = 1
-                    for proc in workers:
-                        proc.send_signal(signal.SIGKILL)
-
-            runner = SweepRunner(
-                jobs=2,
-                retry=retry,
-                on_error="quarantine",
-                cell_fn=functools.partial(_slow_cell, 0.5),
-                executor=ex,
-            )
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    disturbed = _run_with_dispatch_hook(
-                        runner, cells, kill_all_after_first
-                    )
-            finally:
-                ex.close()
-                _reap_workers(workers)
-        problems = _compare_rows(reference, disturbed)
-        stats = runner.supervisor_stats
-        degradations = [
-            w for w in caught if isinstance(w.message, DegradedExecutionWarning)
-        ]
-        if stats.degraded < 1:
-            problems.append("no cells were rerouted to the local fallback")
-        if not degradations:
-            problems.append("no DegradedExecutionWarning emitted")
-        elif degradations[0].message.backend != "distributed":
-            problems.append(
-                f"warning names backend {degradations[0].message.backend!r}"
-            )
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"fleet killed, {stats.degraded} cell(s) rerouted locally with "
-            f"a structured warning; rows identical"
-        )
-
-    # -- D6: killed worker + interrupt + resume -------------------------
-    def kill_interrupt_resume() -> str:
-        markers = base / "d6-markers"
-        markers.mkdir(parents=True, exist_ok=True)
-        cache_dir = base / "d6-cache"
-        journal_dir = base / "d6-journal"
-        plan = ChaosPlan(marker_dir=str(markers), kill=(labels[1],))
-        stop_after = max(2, len(cells) // 2)
-        ticks = {"n": 0}
-
-        def interrupter(_event: Any) -> None:
-            ticks["n"] += 1
-            if ticks["n"] >= stop_after:
-                raise KeyboardInterrupt
-
-        with fabric() as ex:
-            workers = _spawn_workers(ex.endpoint, 2, reconnect_attempts=0)
-            first = SweepRunner(
-                jobs=2,
-                cache=cache_dir,
-                journal=journal_dir,
-                retry=retry,
-                on_error="quarantine",
-                cell_fn=functools.partial(chaos_execute_cell, plan),
-                executor=ex,
-                progress=interrupter,
-            )
-            interrupted = False
-            try:
-                first.run_cells(cells)
-            except KeyboardInterrupt:
-                interrupted = True
-            finally:
-                ex.close()
-                _reap_workers(workers)
-        if not interrupted:
-            raise AssertionError("sweep was not interrupted")
-        if first.stats.computed < 1:
-            raise AssertionError("nothing journaled before the interrupt")
-
-        # A fresh fabric + fresh workers, as a restarted driver would.
-        with fabric() as ex2:
-            workers = _spawn_workers(ex2.endpoint, 2)
-            try:
-                second = SweepRunner(
-                    jobs=2,
-                    cache=cache_dir,
-                    journal=journal_dir,
-                    retry=retry,
-                    on_error="quarantine",
-                    executor=ex2,
-                    resume=True,
-                )
-                resumed = second.run_cells(cells)
-            finally:
-                ex2.close()
-                _reap_workers(workers)
-        problems = _compare_rows(reference, resumed)
-        if second.stats.resumed < 1:
-            problems.append("resume recomputed everything (journal unused)")
-        if second.stats.resumed + second.stats.cached + second.stats.computed != len(
-            cells
-        ):
-            problems.append("row count does not add up to the full grid")
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"worker killed + interrupt after {first.stats.computed}, "
-            f"resumed {second.stats.resumed}, recomputed "
-            f"{second.stats.computed}; 100% row parity"
-        )
-
-    for name, fn in (
-        ("distributed: remote worker SIGKILL mid-cell, bit-for-bit", remote_sigkill),
-        ("distributed: frozen worker past lease, late result deduped", lease_expiry_freeze),
-        ("distributed: socket severed mid-result-upload", severed_upload),
-        ("distributed: duplicate delivery deduped idempotently", duplicate_delivery),
-        ("distributed: full remote loss degrades to local pool", full_remote_loss),
-        ("distributed: killed worker + interrupt + resume, 100% parity", kill_interrupt_resume),
-    ):
-        say(f"chaos[distributed]: scenario: {name} ...")
-        _scenario(report, name, fn)
-        say(
-            f"chaos[distributed]:   -> "
-            f"{'PASS' if report.scenarios[-1].passed else 'FAIL'} "
-            f"{report.scenarios[-1].detail}"
-        )
-    return report
 
 
 def _run_with_dispatch_hook(
@@ -468,3 +132,202 @@ def _run_with_dispatch_hook(
         return runner.run_cells(cells)
     finally:
         executor.run = original_run  # type: ignore[method-assign]
+
+
+# ----------------------------------------------------------------------
+# Scenarios
+# ----------------------------------------------------------------------
+
+@scenario("distributed", "distributed: remote worker SIGKILL mid-cell, bit-for-bit")
+def remote_sigkill(ctx: ChaosContext) -> str:
+    """The worker SIGKILLs itself inside a cell (the shared
+    :class:`ChaosPlan` kill fault); the server sees the connection drop,
+    requeues exactly that cell through the shared
+    :class:`~repro.parallel.supervisor.AttemptLedger`, and the surviving
+    worker finishes the sweep."""
+    plan = ChaosPlan(marker_dir=ctx.markers(), kill=(ctx.labels[1],))
+    with fleet(2, reconnect_attempts=0) as (ex, _workers):
+        runner, disturbed = _disturbed_sweep(
+            ctx, ex, cell_fn=functools.partial(chaos_execute_cell, plan)
+        )
+    problems = _compare_rows(ctx.reference, disturbed)
+    stats = runner.supervisor_stats
+    if stats.disconnects < 1:
+        problems.append("no disconnect observed (SIGKILL not injected?)")
+    if stats.crashes < 1:
+        problems.append("worker death not counted as a crash")
+    if stats.retries < 1:
+        problems.append("killed cell was never requeued")
+    return _verdict(
+        problems,
+        f"{stats.crashes} crash(es), {stats.disconnects} disconnect(s), "
+        f"{stats.retries} requeue(s); rows identical",
+    )
+
+
+@scenario("distributed", "distributed: frozen worker past lease, late result deduped")
+def lease_expiry_freeze(ctx: ChaosContext) -> str:
+    """A cell sleeps well past the lease; the server revokes the lease and
+    requeues, and the frozen worker's eventual late result is deduplicated
+    idempotently."""
+    lease = 1.0
+    plan = ChaosPlan(
+        marker_dir=ctx.markers(),
+        hang=(ctx.labels[2],),
+        hang_seconds=lease * 3.0,
+    )
+    with fleet(2, lease=lease) as (ex, _workers):
+        runner, disturbed = _disturbed_sweep(
+            ctx,
+            ex,
+            cell_fn=functools.partial(chaos_execute_cell, plan),
+            timeout=lease,
+        )
+    problems = _compare_rows(ctx.reference, disturbed)
+    stats = runner.supervisor_stats
+    if stats.lease_expiries < 1:
+        problems.append("no lease expiry observed (freeze not injected?)")
+    return _verdict(
+        problems,
+        f"{stats.lease_expiries} lease expiry(ies), {stats.duplicates} "
+        f"late duplicate(s) deduped; rows identical",
+    )
+
+
+@scenario("distributed", "distributed: socket severed mid-result-upload")
+def severed_upload(ctx: ChaosContext) -> str:
+    """The worker writes half a result frame and hard-closes the socket
+    (the ``REPRO_WORKER_CHAOS`` hook); the server discards the torn upload,
+    requeues, and the reconnected worker keeps serving."""
+    with fleet(2, env=_worker_chaos(ctx, "sever", ctx.labels[0])) as (ex, _workers):
+        runner, disturbed = _disturbed_sweep(ctx, ex)
+    problems = _compare_rows(ctx.reference, disturbed)
+    stats = runner.supervisor_stats
+    if stats.disconnects < 1:
+        problems.append("no disconnect observed (sever not injected?)")
+    if stats.retries < 1:
+        problems.append("torn-upload cell was never requeued")
+    return _verdict(
+        problems,
+        f"torn upload dropped, {stats.retries} requeue(s), "
+        f"{stats.disconnects} disconnect(s); rows identical",
+    )
+
+
+@scenario("distributed", "distributed: duplicate delivery deduped idempotently")
+def duplicate_delivery(ctx: ChaosContext) -> str:
+    """A worker pushes the same result frame twice; the second is dropped
+    by dispatch-key dedupe, counted, and changes nothing."""
+    # Duplicate an early cell so the sweep is still consuming events
+    # when the second copy lands.
+    with fleet(2, env=_worker_chaos(ctx, "dup", ctx.labels[0])) as (ex, _workers):
+        runner, disturbed = _disturbed_sweep(ctx, ex)
+    problems = _compare_rows(ctx.reference, disturbed)
+    stats = runner.supervisor_stats
+    if stats.duplicates < 1:
+        problems.append("no duplicate observed (dup not injected?)")
+    if stats.completed != len(ctx.cells):
+        problems.append(
+            f"completed {stats.completed} != {len(ctx.cells)} "
+            "(duplicate was double-counted?)"
+        )
+    return _verdict(problems, f"{stats.duplicates} duplicate(s) deduped; rows identical")
+
+
+@scenario("distributed", "distributed: full remote loss degrades to local pool")
+def full_remote_loss(ctx: ChaosContext) -> str:
+    """Every remote worker is SIGKILLed mid-sweep; the executor reroutes
+    the unfinished cells to the fallback local pool after one structured
+    :class:`~repro.parallel.DegradedExecutionWarning`."""
+    with fleet(2, reconnect_attempts=0, degrade_after=1.0) as (ex, workers):
+        killed = {"n": 0}
+
+        def kill_all_after_first(_index: int, _pid: int) -> None:
+            # First dispatches land, then the whole fleet dies: the
+            # executor must reroute everything unfinished locally.
+            if killed["n"] == 0:
+                killed["n"] = 1
+                for proc in workers:
+                    proc.send_signal(signal.SIGKILL)
+
+        runner = SweepRunner(
+            jobs=2,
+            retry=ctx.retry,
+            on_error="quarantine",
+            cell_fn=functools.partial(_slow_cell, 0.5),
+            executor=ex,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            disturbed = _run_with_dispatch_hook(
+                runner, ctx.cells, kill_all_after_first
+            )
+    problems = _compare_rows(ctx.reference, disturbed)
+    stats = runner.supervisor_stats
+    degradations = [
+        w for w in caught if isinstance(w.message, DegradedExecutionWarning)
+    ]
+    if stats.degraded < 1:
+        problems.append("no cells were rerouted to the local fallback")
+    if not degradations:
+        problems.append("no DegradedExecutionWarning emitted")
+    elif degradations[0].message.backend != "distributed":
+        problems.append(
+            f"warning names backend {degradations[0].message.backend!r}"
+        )
+    return _verdict(
+        problems,
+        f"fleet killed, {stats.degraded} cell(s) rerouted locally with "
+        f"a structured warning; rows identical",
+    )
+
+
+@scenario(
+    "distributed", "distributed: killed worker + interrupt + resume, 100% parity"
+)
+def kill_interrupt_resume(ctx: ChaosContext) -> str:
+    """A journaled distributed sweep loses a worker to SIGKILL *and* is
+    interrupted; a fresh fabric resumes from the journal and completes
+    with 100% row parity."""
+    cells = ctx.cells
+    durable = {
+        "cache": ctx.workdir / "cache",
+        "journal": ctx.workdir / "journal",
+    }
+    plan = ChaosPlan(marker_dir=ctx.markers(), kill=(ctx.labels[1],))
+    interrupted = False
+    with fleet(2, reconnect_attempts=0) as (ex, _workers):
+        first = SweepRunner(
+            jobs=2,
+            retry=ctx.retry,
+            on_error="quarantine",
+            cell_fn=functools.partial(chaos_execute_cell, plan),
+            executor=ex,
+            progress=_interrupt_after(max(2, len(cells) // 2)),
+            **durable,
+        )
+        try:
+            first.run_cells(cells)
+        except KeyboardInterrupt:
+            interrupted = True
+    if not interrupted:
+        raise AssertionError("sweep was not interrupted")
+    if first.stats.computed < 1:
+        raise AssertionError("nothing journaled before the interrupt")
+
+    # A fresh fabric + fresh workers, as a restarted driver would.
+    with fleet(2) as (ex2, _workers):
+        second, resumed = _disturbed_sweep(ctx, ex2, resume=True, **durable)
+    problems = _compare_rows(ctx.reference, resumed)
+    if second.stats.resumed < 1:
+        problems.append("resume recomputed everything (journal unused)")
+    if second.stats.resumed + second.stats.cached + second.stats.computed != len(
+        cells
+    ):
+        problems.append("row count does not add up to the full grid")
+    return _verdict(
+        problems,
+        f"worker killed + interrupt after {first.stats.computed}, "
+        f"resumed {second.stats.resumed}, recomputed "
+        f"{second.stats.computed}; 100% row parity",
+    )

@@ -1,12 +1,12 @@
-"""Chaos scenarios: real host faults against the real sweep stack.
+"""The chaos harness: one scenario table, one runner, shared fixtures.
 
-Every scenario shares one shape: compute a fault-free serial *reference*
-sweep, disturb a second sweep with genuine host-level faults, and demand
-the disturbed sweep's results be **bit-for-bit identical** (every field
+Every scenario shares one shape: take a fault-free serial *reference*,
+disturb a second run with genuine host-level faults, and demand the
+disturbed run's results be **bit-for-bit identical** (every field
 of every :class:`~repro.exec_models.base.RunResult`, NumPy arrays
-included) to the reference. No tolerance windows, no "close enough" —
-the execution layer either preserved the computation exactly or it
-failed.
+included; every row a service serves) to the reference. No tolerance
+windows, no "close enough" — the execution layer either preserved the
+computation exactly or it failed.
 
 Fault injection is *real*, not mocked: the kill fault SIGKILLs the live
 worker process from inside the cell it is executing, the hang fault
@@ -15,29 +15,35 @@ must kill the worker from outside), and corruption faults rewrite actual
 cache/journal bytes on disk. First-attempt-only faults coordinate across
 processes through marker files created with ``O_CREAT | O_EXCL`` — a
 mechanism that survives the worker being SIGKILLed a microsecond later.
+
+A scenario is a module-level function ``run(ctx) -> str`` registered by
+:func:`scenario` into :data:`SCENARIOS` (the rows live in
+:mod:`~repro.chaos.host`, :mod:`~repro.chaos.distributed` and
+:mod:`~repro.chaos.service`). It receives a :class:`ChaosContext` —
+its own work directory plus the grid and the serial reference, each
+built on first read — and returns its verdict detail, or raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import functools
 import os
 import signal
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.chemistry.tasks import synthetic_task_graph
-from repro.core.cache import ResultCache
+from repro.chemistry.tasks import TaskGraph, synthetic_task_graph
 from repro.core.config import StudyConfig
-from repro.core.journal import SweepJournal
 from repro.core.sweep import SweepCell, SweepRunner, execute_cell, study_cells
 from repro.faults.retry import RetryPolicy
 from repro.parallel.supervisor import CellFailure
+from repro.util import ConfigurationError, once_property
 
 
 # ----------------------------------------------------------------------
@@ -169,44 +175,139 @@ def _compare_rows(
     return problems
 
 
+def _interrupt_after(n: int) -> Callable[[Any], None]:
+    """A progress callback raising KeyboardInterrupt at the ``n``-th event."""
+    ticks = {"n": 0}
+
+    def interrupter(_event: Any) -> None:
+        ticks["n"] += 1
+        if ticks["n"] >= n:
+            raise KeyboardInterrupt
+
+    return interrupter
+
+
+def _verdict(problems: list[str], detail: str) -> str:
+    """A scenario's last line: every problem found fails it, together."""
+    if problems:
+        raise AssertionError("; ".join(problems))
+    return detail
+
+
 # ----------------------------------------------------------------------
-# Disk corruption helpers (run in the parent, between sweep phases)
+# The scenario table
 # ----------------------------------------------------------------------
 
-def _truncate_file(path: Path, keep_fraction: float = 0.5) -> None:
-    data = path.read_bytes()
-    path.write_bytes(data[: max(1, int(len(data) * keep_fraction))])
+SUITES = ("host", "distributed", "service")
 
 
-def _corrupt_cache_entries(cache: ResultCache, keys: Sequence[str]) -> int:
-    """Truncate / zero / garbage the on-disk entries for ``keys``."""
-    corruptions = 0
-    for index, key in enumerate(keys):
-        path = cache.path_for(key)
-        if not path.exists():
-            continue
-        if index % 3 == 0:
-            _truncate_file(path)
-        elif index % 3 == 1:
-            path.write_bytes(b"")
-        else:
-            path.write_bytes(b'{"not": "a pickle"}')
-        corruptions += 1
-    return corruptions
+class Scenario(NamedTuple):
+    key: str  #: the row function's name; what ``--only`` selects
+    suite: str  #: one of :data:`SUITES`
+    title: str  #: the line the report prints
+    run: Callable[["ChaosContext"], str]
 
 
-def _corrupt_journal(journal_path: Path) -> None:
-    """Append a garbage line and tear the last valid line in half."""
-    data = journal_path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    torn = lines[-1][: max(1, len(lines[-1]) // 2)] if lines else b""
-    journal_path.write_bytes(
-        b"".join(lines[:-1]) + b"#### chaos garbage, not json ####\n" + torn
+#: Every scenario, in definition order (host, distributed, service).
+SCENARIOS: list[Scenario] = []
+
+
+def scenario(suite: str, title: str) -> Callable[[Callable], Callable]:
+    """Register ``run(ctx) -> str`` as the next row of :data:`SCENARIOS`."""
+    assert suite in SUITES, suite
+
+    def register(run: Callable[["ChaosContext"], str]) -> Callable:
+        SCENARIOS.append(Scenario(run.__name__, suite, title, run))
+        return run
+
+    return register
+
+
+def select(only: Sequence[str] = ()) -> list[Scenario]:
+    """The rows ``only`` names — suites or scenario keys — in table order.
+
+    No names selects the ``host`` suite.
+    """
+    names = set(only) or {"host"}
+    unknown = names.difference(SUITES, (row.key for row in SCENARIOS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown chaos scenario or suite: {', '.join(sorted(unknown))}"
+        )
+    return [row for row in SCENARIOS if row.key in names or row.suite in names]
+
+
+@dataclass
+class ChaosContext:
+    """What one run's scenarios share: knobs, work directory, fixtures.
+
+    The grid and its fault-free serial reference are built on first
+    read, so a run that selects only service rows never pays for them.
+    """
+
+    quick: bool
+    seed: int
+    jobs: int
+    timeout: float
+    log: Callable[[str], None]
+    #: This scenario's own directory, set by the runner before each row:
+    #: caches, journals, markers and state dirs go here.
+    workdir: Path = field(init=False)
+
+    retry: ClassVar[RetryPolicy] = RetryPolicy(
+        max_attempts=3, base_delay=0.05, max_delay=0.2, jitter=0.0
     )
 
+    def markers(self) -> str:
+        """This scenario's directory for first-attempt marker files."""
+        path = self.workdir / "markers"
+        path.mkdir(parents=True, exist_ok=True)
+        return str(path)
+
+    @once_property
+    def graph(self) -> TaskGraph:
+        if self.quick:
+            return synthetic_task_graph(150, 8, seed=3, skew=1.2)
+        return synthetic_task_graph(600, 16, seed=3, skew=1.3)
+
+    @once_property
+    def config(self) -> StudyConfig:
+        return StudyConfig(
+            models=("static_block", "counter_dynamic", "work_stealing"),
+            n_ranks=(4, 8) if self.quick else (4, 8, 16),
+            seed=self.seed,
+        )
+
+    @once_property
+    def cells(self) -> list[SweepCell]:
+        return study_cells(self.config, self.graph)
+
+    @once_property
+    def labels(self) -> list[str]:
+        return [cell.label for cell in self.cells]
+
+    @once_property
+    def reference(self) -> list[Any]:
+        self.log(f"chaos: fault-free serial reference, {len(self.cells)} cells ...")
+        return SweepRunner(jobs=1, cache=None).run_cells(self.cells)
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment in which ``python -m repro`` imports *this* checkout."""
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    env["PYTHONUNBUFFERED"] = "1"  # a daemon's endpoint line must cross its pipe
+    env.update(extra)
+    return env
+
 
 # ----------------------------------------------------------------------
-# Scenarios
+# The runner
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -218,17 +319,16 @@ class ScenarioResult:
 
 @dataclass
 class ChaosReport:
-    """Outcome of one chaos run: per-scenario verdicts + fault counts."""
+    """Outcome of one chaos run: a verdict per scenario."""
 
     scenarios: list[ScenarioResult] = field(default_factory=list)
-    cells: int = 0  #: grid size the scenarios ran against
 
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.scenarios)
 
     def format(self) -> str:
-        lines = [f"chaos report: {self.cells}-cell grid"]
+        lines = [f"chaos report: {len(self.scenarios)} scenario(s)"]
         for s in self.scenarios:
             status = "PASS" if s.passed else "FAIL"
             lines.append(f"  [{status}] {s.name}" + (f" — {s.detail}" if s.detail else ""))
@@ -236,21 +336,8 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _scenario(
-    report: ChaosReport, name: str, fn: Callable[[], str]
-) -> None:
-    """Run one scenario; any exception or problem string fails it."""
-    try:
-        detail = fn()
-    except Exception as exc:  # noqa: BLE001 - verdict, not crash
-        report.scenarios.append(
-            ScenarioResult(name, False, f"{type(exc).__name__}: {exc}")
-        )
-        return
-    report.scenarios.append(ScenarioResult(name, True, detail))
-
-
 def run_chaos(
+    only: Sequence[str] = (),
     quick: bool = True,
     jobs: int = 3,
     seed: int = 0,
@@ -258,289 +345,41 @@ def run_chaos(
     timeout: float = 2.0,
     log: Callable[[str], None] | None = None,
 ) -> ChaosReport:
-    """Run the full chaos suite; returns a verdict per scenario.
-
-    Scenarios (all compare bit-for-bit against one fault-free serial
-    reference sweep):
-
-    1. **crash + hang + corrupt cache** — pre-warmed cache entries are
-       truncated/zeroed/garbage'd, one worker is SIGKILLed mid-cell, one
-       cell hangs past the timeout; the sweep must self-heal and match.
-    2. **interrupt + corrupt journal + resume** — a sweep is interrupted
-       partway (KeyboardInterrupt), its journal gets a garbage line and
-       a torn final line, then ``resume=True`` must restore exactly the
-       journaled cells (minus the torn one) and recompute only the rest.
-    3. **poison quarantine** — a cell failing every attempt must end up
-       quarantined as a :class:`CellFailure` while every other cell
-       still matches the reference.
-    4. **corrupted artifact store** — every on-disk artifact entry
-       (hypergraph, semi-matching assignment) is truncated/zeroed/
-       garbage'd; rebuilds must detect each corruption, reproduce the
-       uncached reference bit for bit, and re-store servable entries.
+    """Run the selected scenarios; returns a verdict per scenario.
 
     Args:
-        quick: CI-sized grid (6 cells) vs the fuller 9-cell grid.
-        jobs: supervised workers for the disturbed sweeps.
+        only: suite names and/or scenario keys (see :data:`SCENARIOS`;
+            ``docs/sweep.md`` has the table). Empty = the ``host`` suite.
+        quick: CI-sized grid (6 cells) vs the fuller 9-cell grid, and
+            fewer rounds where a scenario repeats a race.
+        jobs: supervised workers for the host suite's disturbed sweeps.
         seed: study seed (any value works; determinism is per-seed).
-        workdir: where caches/journals/markers live (a fresh temp dir by
-            default; pass a path to inspect artifacts afterwards).
-        timeout: per-cell wall-clock budget for the disturbed sweeps.
+        workdir: where caches/journals/markers/state dirs live, one
+            sub-directory per scenario; kept. Default: a temporary
+            directory removed once the report is built.
+        timeout: per-cell wall-clock budget for the host suite's
+            disturbed sweeps.
         log: optional progress sink (e.g. ``print``).
     """
-    say = log if log is not None else (lambda _msg: None)
-    base = Path(workdir) if workdir is not None else Path(
-        tempfile.mkdtemp(prefix="repro-chaos-")
-    )
-    base.mkdir(parents=True, exist_ok=True)
-
-    if quick:
-        graph = synthetic_task_graph(150, 8, seed=3, skew=1.2)
-        config = StudyConfig(
-            models=("static_block", "counter_dynamic", "work_stealing"),
-            n_ranks=(4, 8),
-            seed=seed,
-        )
-    else:
-        graph = synthetic_task_graph(600, 16, seed=3, skew=1.3)
-        config = StudyConfig(
-            models=("static_block", "counter_dynamic", "work_stealing"),
-            n_ranks=(4, 8, 16),
-            seed=seed,
-        )
-    cells = study_cells(config, graph)
-    labels = [cell.label for cell in cells]
-    retry = RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.2, jitter=0.0)
-    report = ChaosReport(cells=len(cells))
-
-    say(f"chaos: {len(cells)} cells, jobs={jobs}, timeout={timeout:g}s")
-    say("chaos: computing fault-free serial reference ...")
-    reference = SweepRunner(jobs=1, cache=None).run_cells(cells)
-
-    # -- scenario 1: crash + hang + corrupted cache ---------------------
-    def crash_hang_corrupt() -> str:
-        work = base / "s1"
-        markers = work / "markers"
-        markers.mkdir(parents=True, exist_ok=True)
-        warm = SweepRunner(cache=work / "cache")
-        warm.run_cells(cells[:3])
-        corrupted = _corrupt_cache_entries(
-            warm.cache, [warm.cell_key(c) for c in cells[:3]]
-        )
-        plan = ChaosPlan(
-            marker_dir=str(markers),
-            kill=(labels[1],),
-            hang=(labels[2],),
-            hang_seconds=max(10.0, timeout * 5),
-        )
-        runner = SweepRunner(
-            jobs=jobs,
-            cache=work / "cache",
-            timeout=timeout,
-            retry=retry,
-            on_error="quarantine",
-            journal=work / "journal",
-            cell_fn=functools.partial(chaos_execute_cell, plan),
-        )
-        disturbed = runner.run_cells(cells)
-        problems = _compare_rows(reference, disturbed)
-        stats = runner.supervisor_stats
-        if corrupted < 3:
-            problems.append(f"only corrupted {corrupted}/3 cache entries")
-        if runner.cache.stats.errors < corrupted:
-            problems.append(
-                f"cache detected {runner.cache.stats.errors} corruptions, "
-                f"expected >= {corrupted}"
+    rows = select(only)
+    ctx = ChaosContext(quick, seed, jobs, timeout, log or (lambda _msg: None))
+    report = ChaosReport()
+    with contextlib.ExitStack() as cleanup:
+        if workdir is None:
+            workdir = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-chaos-")
             )
-        if stats.crashes < 1:
-            problems.append("no worker crash observed (SIGKILL not injected?)")
-        if stats.timeouts < 1:
-            problems.append("no cell timeout observed (hang not injected?)")
-        if runner.last_failures:
-            problems.append(f"unexpected quarantines: {runner.last_failures}")
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"{corrupted} corrupt entries healed, {stats.crashes} crash(es), "
-            f"{stats.timeouts} timeout(s), {stats.retries} retries; rows identical"
-        )
-
-    # -- scenario 2: interrupt + corrupt journal + resume ---------------
-    def interrupt_resume() -> str:
-        work = base / "s2"
-        cache_dir = work / "cache"
-        journal_dir = work / "journal"
-        stop_after = max(2, len(cells) // 2)
-        ticks = {"n": 0}
-
-        def interrupter(event) -> None:
-            ticks["n"] += 1
-            if ticks["n"] >= stop_after:
-                raise KeyboardInterrupt
-
-        first = SweepRunner(
-            cache=cache_dir, journal=journal_dir, progress=interrupter
-        )
-        interrupted = False
-        try:
-            first.run_cells(cells)
-        except KeyboardInterrupt:
-            interrupted = True
-        if not interrupted:
-            raise AssertionError("sweep was not interrupted")
-        done_before = first.stats.computed
-        if done_before < stop_after:
-            raise AssertionError(
-                f"only {done_before} cells journaled before interrupt"
+        for row in rows:
+            ctx.log(f"chaos[{row.suite}]: {row.title} ...")
+            ctx.workdir = Path(workdir) / row.key
+            ctx.workdir.mkdir(parents=True, exist_ok=True)
+            try:  # any exception is a verdict, not a crash
+                result = ScenarioResult(row.title, True, row.run(ctx))
+            except Exception as exc:  # noqa: BLE001
+                result = ScenarioResult(row.title, False, f"{type(exc).__name__}: {exc}")
+            report.scenarios.append(result)
+            ctx.log(
+                f"chaos[{row.suite}]:   -> "
+                f"{'PASS' if result.passed else 'FAIL'} {result.detail}"
             )
-        pending = first.last_provenance.count("pending")
-        if pending == 0:
-            raise AssertionError("interrupt left nothing pending")
-
-        journal_files = sorted(journal_dir.glob("sweep-*.jsonl"))
-        if len(journal_files) != 1:
-            raise AssertionError(f"expected 1 journal, found {journal_files}")
-        _corrupt_journal(journal_files[0])
-
-        second = SweepRunner(
-            jobs=jobs,
-            cache=cache_dir,
-            timeout=timeout,
-            retry=retry,
-            journal=journal_dir,
-            resume=True,
-        )
-        resumed_results = second.run_cells(cells)
-        problems = _compare_rows(reference, resumed_results)
-        # The torn final journal line loses exactly one entry; that cell
-        # falls back to the cache. Nothing already-complete recomputes.
-        if second.stats.resumed != done_before - 1:
-            problems.append(
-                f"resumed {second.stats.resumed}, expected {done_before - 1}"
-            )
-        if second.stats.cached != 1:
-            problems.append(
-                f"cache hits {second.stats.cached}, expected 1 (torn line)"
-            )
-        if second.stats.computed != len(cells) - done_before:
-            problems.append(
-                f"recomputed {second.stats.computed}, expected "
-                f"{len(cells) - done_before} unfinished cells"
-            )
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"interrupted after {done_before}, resumed {second.stats.resumed} "
-            f"from corrupted journal + 1 from cache, recomputed "
-            f"{second.stats.computed}; rows identical"
-        )
-
-    # -- scenario 3: poison-cell quarantine -----------------------------
-    def poison_quarantine() -> str:
-        work = base / "s3"
-        markers = work / "markers"
-        markers.mkdir(parents=True, exist_ok=True)
-        poison_label = labels[-1]
-        plan = ChaosPlan(marker_dir=str(markers), fail=(poison_label,))
-        runner = SweepRunner(
-            jobs=jobs,
-            cache=None,
-            timeout=timeout,
-            retry=retry,
-            on_error="quarantine",
-            cell_fn=functools.partial(chaos_execute_cell, plan),
-        )
-        disturbed = runner.run_cells(cells)
-        poison_index = labels.index(poison_label)
-        problems = _compare_rows(reference, disturbed, skip={poison_index})
-        failure = disturbed[poison_index]
-        if not isinstance(failure, CellFailure):
-            problems.append(f"poison cell not quarantined: {failure!r}")
-        else:
-            if failure.attempts != retry.max_attempts:
-                problems.append(
-                    f"poison retried {failure.attempts} times, expected "
-                    f"{retry.max_attempts}"
-                )
-            if failure.label != poison_label:
-                problems.append(f"failure label {failure.label!r}")
-        if runner.stats.failed != 1:
-            problems.append(f"stats.failed == {runner.stats.failed}")
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"poison cell {poison_label} quarantined after "
-            f"{retry.max_attempts} attempts; other rows identical"
-        )
-
-    # -- scenario 4: corrupted artifact store ---------------------------
-    def corrupted_artifacts() -> str:
-        from repro.balance.hypergraph import fock_hypergraph
-        from repro.balance.semi_matching import semi_matching_balancer
-        from repro.core.artifacts import ArtifactStore, use_store
-
-        root = base / "s4" / "artifacts"
-        n_ranks = config.n_ranks[-1]
-        with use_store(None):  # ground truth: no memoization at all
-            ref_hg = fock_hypergraph(graph)
-            ref_assign = semi_matching_balancer(graph, n_ranks, seed=seed)
-        seeded = ArtifactStore(root)
-        with use_store(seeded):
-            fock_hypergraph(graph)
-            semi_matching_balancer(graph, n_ranks, seed=seed)
-        entries = sorted(root.glob("*/*.npz"))
-        if len(entries) < 2:
-            raise AssertionError(f"expected >= 2 artifact entries, got {len(entries)}")
-        for index, path in enumerate(entries):
-            if index % 3 == 0:
-                _truncate_file(path)
-            elif index % 3 == 1:
-                path.write_bytes(b"")
-            else:
-                path.write_bytes(b"PK\x03\x04 chaos garbage, not an npz")
-        healed = ArtifactStore(root)  # fresh memo: must consult the disk
-        with use_store(healed):
-            hg = fock_hypergraph(graph)
-            assign = semi_matching_balancer(graph, n_ranks, seed=seed)
-        problems: list[str] = []
-        if healed.stats.errors < len(entries):
-            problems.append(
-                f"detected {healed.stats.errors} corruptions, "
-                f"expected >= {len(entries)}"
-            )
-        if healed.stats.disk_hits:
-            problems.append(
-                f"{healed.stats.disk_hits} disk hit(s) served from corrupt entries"
-            )
-        if not (
-            np.array_equal(hg.pins, ref_hg.pins)
-            and np.array_equal(hg.xpins, ref_hg.xpins)
-            and np.array_equal(hg.net_weights, ref_hg.net_weights)
-            and np.array_equal(assign, ref_assign)
-        ):
-            problems.append("rebuilt artifacts differ from uncached reference")
-        warm = ArtifactStore(root)  # the rebuild must have re-stored cleanly
-        with use_store(warm):
-            fock_hypergraph(graph)
-            semi_matching_balancer(graph, n_ranks, seed=seed)
-        if warm.stats.disk_hits < 2:
-            problems.append(
-                f"re-stored entries not servable ({warm.stats.disk_hits} disk hits)"
-            )
-        if problems:
-            raise AssertionError("; ".join(problems))
-        return (
-            f"{len(entries)} corrupt artifact entries healed, rebuilds "
-            f"bit-identical, re-stored entries warm-servable"
-        )
-
-    for name, fn in (
-        ("worker SIGKILL + hung cell + corrupted cache, bit-for-bit", crash_hang_corrupt),
-        ("SIGINT interrupt + corrupted journal + --resume, bit-for-bit", interrupt_resume),
-        ("poison cell quarantined, sweep completes", poison_quarantine),
-        ("corrupted artifact store heals to bit-identical rebuilds", corrupted_artifacts),
-    ):
-        say(f"chaos: scenario: {name} ...")
-        _scenario(report, name, fn)
-        say(f"chaos:   -> {'PASS' if report.scenarios[-1].passed else 'FAIL'}"
-            f" {report.scenarios[-1].detail}")
     return report

@@ -1,9 +1,9 @@
-"""Service-layer chaos: live loopback daemons under operational faults.
+"""The ``service`` suite: live loopback daemons under operational faults.
 
-:func:`repro.chaos.run_chaos` disturbs the *sweep* (killed workers,
-corrupted caches); :func:`repro.chaos.distributed.run_distributed_chaos`
-disturbs the *fabric* (lost TCP workers). This module disturbs the
-*service*: a real :class:`~repro.service.StudyService` (in-process or a
+:mod:`repro.chaos.host` disturbs the *sweep* (killed workers, corrupted
+caches), :mod:`repro.chaos.distributed` the *fabric* (lost TCP workers).
+These rows disturb the *service*: a real
+:class:`~repro.service.StudyService` (in-process or a
 ``python -m repro serve`` subprocess) is driven over actual HTTP while
 the operational failure modes of PR 9 fire — overload bursts, racing
 identical submissions, cancels racing promotion, SIGTERM drains, the
@@ -14,28 +14,23 @@ uses: **the rows the service eventually serves are bit-for-bit identical
 to a fault-free serial in-process run of the same spec**. Overload may
 delay a study and a drain may checkpoint it across a restart, but
 nothing the service layer does is allowed to change a single value.
-
-Entry points: :func:`run_service_chaos` (library) and
-``python -m repro chaos --service`` (CLI; ``--quick`` is the CI smoke
-configuration).
 """
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
-import os
 import pathlib
 import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Iterator
 
-from repro.chaos.harness import ChaosReport, _scenario
+from repro.chaos.harness import ChaosContext, child_env, scenario
 from repro.core.jobspec import JobSpec, SourceSpec
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobManager
@@ -117,32 +112,90 @@ def _request(
         conn.close()
 
 
-def _fetch_rows(host: str, port: int, job_id: str) -> list[dict[str, Any]]:
-    client = ServiceClient(host, port)
-    return client.rows(job_id)
-
-
-def _wait_terminal(
-    host: str, port: int, job_id: str, timeout: float = 120.0
+def _done_with_serial_rows(
+    client: ServiceClient,
+    job_id: str,
+    spec: JobSpec,
+    when: str,
+    timeout: float | None = 120.0,
 ) -> dict[str, Any]:
-    client = ServiceClient(host, port)
-    return client.wait(job_id, timeout=timeout)
+    """Every row's last check: the job ends ``done`` and what the service
+    serves for it equals the serial reference. Returns the final snapshot."""
+    snapshot = client.wait(job_id, timeout=timeout)
+    assert snapshot["status"] == "done", snapshot.get("error")
+    assert client.rows(job_id) == _serial_rows(spec), f"row drift {when}"
+    return snapshot
+
+
+@contextlib.contextmanager
+def daemon(
+    state_dir: pathlib.Path, *, drain_grace: float = 1.0
+) -> Iterator[tuple[subprocess.Popen, str, int]]:
+    """A ``python -m repro serve`` subprocess on a loopback port.
+
+    Yields ``(proc, host, port)`` once the endpoint it announced accepts
+    connections. The caller may signal or kill ``proc``; on every exit
+    path a daemon still running is SIGTERMed (killed if it outlives the
+    drain), reaped, and its stdout pipe drained and closed.
+    """
+    state_dir.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--bind", "127.0.0.1:0",
+            "--state-dir", str(state_dir),
+            "--drain-grace", str(drain_grace),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=child_env(),
+        cwd=str(state_dir),
+    )
+    # Keeps the pipe from filling while the daemon logs job lifecycle.
+    drain = threading.Thread(target=proc.stdout.read, daemon=True)
+    try:
+        endpoint = None
+        for line in proc.stdout:  # ends at EOF if the daemon dies first
+            if "listening on http://" in line:
+                endpoint = line.split("http://", 1)[1].split()[0]
+                break
+        assert endpoint is not None, "daemon never reported its endpoint"
+        drain.start()
+        host, _, port = endpoint.rpartition(":")
+        assert wait_ready(host, int(port)), "daemon endpoint never became reachable"
+        yield proc, host, int(port)
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=30)
+        if drain.is_alive():
+            drain.join(timeout=10)
+        proc.stdout.close()
 
 
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
 
-def _scenario_overload_burst(workdir: pathlib.Path, seed: int) -> str:
+def _service(ctx: ChaosContext, **kwargs: Any) -> StudyService:
+    """An in-process service on this scenario's state dir, any free port."""
+    return StudyService(str(ctx.workdir / "state"), bind="127.0.0.1:0", **kwargs)
+
+
+@scenario("service", "service: overload burst -> 503 + Retry-After -> retried to parity")
+def overload_burst(ctx: ChaosContext) -> str:
     """A submit burst against a 1-deep queue: 503s carry Retry-After and
     the scheduler snapshot; retrying clients land every job; parity."""
-    specs = [_spec(seed + i) for i in range(6)]
+    specs = [_spec(ctx.seed + i) for i in range(6)]
     manager = JobManager(
-        workdir / "state", max_queued=1, capacity=1, workers=1
+        ctx.workdir / "state", max_queued=1, capacity=1, workers=1
     )
-    with StudyService(
-        str(workdir / "state"), bind="127.0.0.1:0", manager=manager
-    ) as svc:
+    with _service(ctx, manager=manager) as svc:
         host, port = svc.endpoint
         rejected = 0
         for spec in specs:
@@ -158,26 +211,20 @@ def _scenario_overload_burst(workdir: pathlib.Path, seed: int) -> str:
                 assert status in (200, 202), f"unexpected status {status}"
         assert rejected, "burst never tripped the bounded queue"
         # Retrying clients (what `repro submit` does) must land them all.
-        ids = []
-        for spec in specs:
-            client = ServiceClient(
-                host, port, backoff_base=0.05, max_retries=30
-            )
-            ids.append(client.submit(spec)["job_id"])
+        client = ServiceClient(host, port, backoff_base=0.05, max_retries=30)
+        ids = [client.submit(spec)["job_id"] for spec in specs]
         for spec, job_id in zip(specs, ids):
-            snapshot = _wait_terminal(host, port, job_id)
-            assert snapshot["status"] == "done", snapshot.get("error")
-            got = _fetch_rows(host, port, job_id)
-            assert got == _serial_rows(spec), f"row drift in job {job_id[:12]}"
+            _done_with_serial_rows(client, job_id, spec, f"in job {job_id[:12]}")
     return f"{rejected}/6 rejected with Retry-After, all landed on retry"
 
 
-def _scenario_dedupe_storm(workdir: pathlib.Path, seed: int) -> str:
+@scenario("service", "service: 32-thread identical-submit dedupe storm")
+def dedupe_storm(ctx: ChaosContext) -> str:
     """32 threads race identical submits: exactly one job exists."""
-    spec = _spec(seed)
+    spec = _spec(ctx.seed + 1000)
     outcomes: list[tuple[int, str]] = []
     errors: list[str] = []
-    with StudyService(str(workdir / "state"), bind="127.0.0.1:0") as svc:
+    with _service(ctx) as svc:
         host, port = svc.endpoint
         barrier = threading.Barrier(32)
 
@@ -204,16 +251,14 @@ def _scenario_dedupe_storm(workdir: pathlib.Path, seed: int) -> str:
         assert len(fresh) == 1, f"{len(fresh)} threads created the job"
         _status, _headers, listing = _request(host, port, "GET", "/v1/jobs")
         assert len(listing["jobs"]) == 1, "storm left more than one job"
-        snapshot = _wait_terminal(host, port, spec.job_key())
-        assert snapshot["status"] == "done", snapshot.get("error")
-        got = _fetch_rows(host, port, spec.job_key())
-        assert got == _serial_rows(spec), "row drift after dedupe storm"
+        _done_with_serial_rows(
+            ServiceClient(host, port), spec.job_key(), spec, "after dedupe storm"
+        )
     return "32 racing submits -> 1 job (1x 202, 31x dedupe), rows identical"
 
 
-def _scenario_cancel_race(
-    workdir: pathlib.Path, seed: int, rounds: int
-) -> str:
+@scenario("service", "service: cancel racing queued->running promotion")
+def cancel_race(ctx: ChaosContext) -> str:
     """Cancel racing queued->running promotion: no phantom slots, no
     cancelled spec ever executing, revival runs to parity.
 
@@ -222,11 +267,12 @@ def _scenario_cancel_race(
     strike jobs still in the queue (the branch the PR 9 race fix
     guards), some strike the job the runner just promoted.
     """
-    manager = JobManager(workdir / "state", capacity=1, workers=1)
-    with StudyService(
-        str(workdir / "state"), bind="127.0.0.1:0", manager=manager
-    ) as svc:
+    seed = ctx.seed + 2000
+    rounds = 4 if ctx.quick else 12
+    manager = JobManager(ctx.workdir / "state", capacity=1, workers=1)
+    with _service(ctx, manager=manager) as svc:
         host, port = svc.endpoint
+        client = ServiceClient(host, port)
         pre = post = 0
         for i in range(rounds):
             specs = [
@@ -249,7 +295,7 @@ def _scenario_cancel_race(
                 else:
                     post += 1
             for spec in specs:
-                snapshot = _wait_terminal(host, port, spec.job_key())
+                snapshot = client.wait(spec.job_key(), timeout=120.0)
                 assert snapshot["status"] in ("cancelled", "done"), (
                     f"round {i}: {snapshot['status']!r}"
                 )
@@ -277,80 +323,21 @@ def _scenario_cancel_race(
         assert stats["running_weight"] == 0, f"leaked running weight: {stats}"
         # Revival: resubmitting a cancelled spec requeues and completes.
         revive = _spec(seed + 100, size=2)
-        status, _h, body = _request(
-            host, port, "POST", "/v1/jobs", revive.to_json()
-        )
-        snapshot = _wait_terminal(host, port, revive.job_key())
-        assert snapshot["status"] == "done", snapshot.get("error")
-        got = _fetch_rows(host, port, revive.job_key())
-        assert got == _serial_rows(revive), "row drift after revival"
+        _request(host, port, "POST", "/v1/jobs", revive.to_json())
+        _done_with_serial_rows(client, revive.job_key(), revive, "after revival")
     return (
         f"{rounds * 4} cancels ({pre} pre-promotion, {post} post), "
         "no phantom slots, revival identical"
     )
 
 
-def _spawn_daemon(
-    state_dir: pathlib.Path, *, drain_grace: float = 1.0
-) -> tuple[subprocess.Popen, str, int]:
-    import repro
-
-    state_dir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ)
-    src = pathlib.Path(repro.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONUNBUFFERED"] = "1"  # the endpoint line must cross the pipe
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--bind",
-            "127.0.0.1:0",
-            "--state-dir",
-            str(state_dir),
-            "--drain-grace",
-            str(drain_grace),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-        cwd=str(state_dir),
-    )
-    endpoint = None
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        if "listening on http://" in line:
-            endpoint = line.split("http://", 1)[1].split()[0]
-            break
-    if endpoint is None:
-        proc.kill()
-        raise AssertionError("daemon never reported its endpoint")
-    host, _, port_text = endpoint.rpartition(":")
-    port = int(port_text)
-    assert wait_ready(host, port), "daemon endpoint never became reachable"
-    return proc, host, port
-
-
-def _drain_stdout(proc: subprocess.Popen) -> None:
-    # Keep the pipe from filling while the daemon logs job lifecycle.
-    threading.Thread(
-        target=lambda: proc.stdout.read(), daemon=True
-    ).start()
-
-
-def _scenario_drain_restart(workdir: pathlib.Path, seed: int) -> str:
-    """SIGTERM mid-sweep: clean drain, restart resumes, rows identical."""
-    spec = _spec(seed, wide=True)
-    state = workdir / "state"
-    proc, host, port = _spawn_daemon(state, drain_grace=0.2)
-    _drain_stdout(proc)
-    try:
+@scenario("service", "service: SIGTERM drain mid-sweep -> restart resumes")
+def drain_restart(ctx: ChaosContext) -> str:
+    """SIGTERM mid-sweep: clean drain (exit 0), the restarted daemon
+    resumes from the journal, rows identical."""
+    spec = _spec(ctx.seed + 3000, wide=True)
+    state = ctx.workdir / "state"
+    with daemon(state, drain_grace=0.2) as (proc, host, port):
         status, _h, accepted = _request(
             host, port, "POST", "/v1/jobs", spec.to_json()
         )
@@ -371,44 +358,30 @@ def _scenario_drain_restart(workdir: pathlib.Path, seed: int) -> str:
         proc.send_signal(signal.SIGTERM)
         exit_code = proc.wait(timeout=60)
         assert exit_code == 0, f"drain exit code {exit_code}"
-    finally:
-        if proc.poll() is None:
-            proc.kill()
     # The drained record must be resumable, not terminal.
     record = json.loads(
         (state / "jobs" / f"{job_id}.json").read_text(encoding="utf-8")
     )
     assert record["status"] in ("queued", "running", "done"), record["status"]
     # Restart on the same state dir: the job finishes on its own.
-    proc2, host2, port2 = _spawn_daemon(state, drain_grace=5.0)
-    _drain_stdout(proc2)
-    try:
-        snapshot = _wait_terminal(host2, port2, job_id, timeout=180)
-        assert snapshot["status"] == "done", snapshot.get("error")
-        resumed = snapshot["progress"]["cached"]
-        got = _fetch_rows(host2, port2, job_id)
-        assert got == _serial_rows(spec), "row drift across drain+restart"
-    finally:
-        proc2.send_signal(signal.SIGTERM)
-        try:
-            proc2.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc2.kill()
+    with daemon(state, drain_grace=5.0) as (_proc, host, port):
+        snapshot = _done_with_serial_rows(
+            ServiceClient(host, port), job_id, spec, "across drain+restart", 180
+        )
+    resumed = snapshot["progress"]["cached"]
     return f"drained cleanly, restart resumed {resumed} journaled cell(s)"
 
 
-def _scenario_gc_vs_stream(workdir: pathlib.Path, seed: int) -> str:
+@scenario("service", "service: retention GC racing a live row stream")
+def gc_vs_stream(ctx: ChaosContext) -> str:
     """A zero-TTL janitor racing a live row stream: the watched record
     survives every pass; the moment the stream closes, it is collected
     tombstone-clean."""
-    spec = _spec(seed, size=2)
-    manager = JobManager(workdir / "state")
+    spec = _spec(ctx.seed + 4000, size=2)
+    manager = JobManager(ctx.workdir / "state")
     janitor = Janitor(manager, RetentionPolicy(ttl_s=0.0, interval_s=0.05))
-    with StudyService(
-        str(workdir / "state"), bind="127.0.0.1:0", manager=manager
-    ) as svc:
-        host, port = svc.endpoint
-        client = ServiceClient(host, port)
+    with _service(ctx, manager=manager) as svc:
+        client = ServiceClient(*svc.endpoint)
         job_id = client.submit(spec)["job_id"]
         snapshot = client.wait(job_id)
         assert snapshot["status"] == "done", snapshot.get("error")
@@ -426,7 +399,7 @@ def _scenario_gc_vs_stream(workdir: pathlib.Path, seed: int) -> str:
         assert removed["jobs"] == 1, f"expired job not collected: {removed}"
         assert manager.get(job_id) is None
         assert not manager.record_path(job_id).exists()
-        tombs = list((workdir / "state" / "jobs").glob("*.tomb"))
+        tombs = list((ctx.workdir / "state" / "jobs").glob("*.tomb"))
         assert not tombs, f"tombstones left behind: {tombs}"
         # And the service recomputes the same rows on resubmission.
         job_id2 = client.submit(spec)["job_id"]
@@ -435,17 +408,15 @@ def _scenario_gc_vs_stream(workdir: pathlib.Path, seed: int) -> str:
     return "10 zero-TTL passes skipped the live stream; collected after"
 
 
-def _scenario_stalled_reader(workdir: pathlib.Path, seed: int) -> str:
-    """A reader that stops reading: its connection is bounded away and
-    the sweep, other readers, and the daemon never notice."""
-    spec = _spec(seed, wide=True)
-    manager = JobManager(workdir / "state")
-    with StudyService(
-        str(workdir / "state"),
-        bind="127.0.0.1:0",
-        manager=manager,
-        stream_write_timeout=0.5,
-        stream_sndbuf=2048,
+@scenario("service", "service: stalled NDJSON reader bounded away")
+def stalled_reader(ctx: ChaosContext) -> str:
+    """A reader that stops reading: its connection is bounded away by the
+    per-write timeout and the sweep, other readers, and the daemon never
+    notice."""
+    spec = _spec(ctx.seed + 5000, wide=True)
+    manager = JobManager(ctx.workdir / "state")
+    with _service(
+        ctx, manager=manager, stream_write_timeout=0.5, stream_sndbuf=2048
     ) as svc:
         host, port = svc.endpoint
         client = ServiceClient(host, port)
@@ -464,10 +435,8 @@ def _scenario_stalled_reader(workdir: pathlib.Path, seed: int) -> str:
         )
         time.sleep(0.2)  # let the handler enter the stream
         # Meanwhile the job and a well-behaved reader proceed untouched.
-        snapshot = client.wait(job_id)
-        assert snapshot["status"] == "done", snapshot.get("error")
-        assert client.rows(job_id) == _serial_rows(spec), (
-            "row drift with a stalled subscriber attached"
+        _done_with_serial_rows(
+            client, job_id, spec, "with a stalled subscriber attached", None
         )
         # The daemon stays healthy and sheds the stalled connection:
         # reading the already-buffered bytes must hit EOF (server-side
@@ -496,78 +465,3 @@ def _scenario_stalled_reader(workdir: pathlib.Path, seed: int) -> str:
             time.sleep(0.05)
         assert job.active_streams == 0, "stalled stream leaked a refcount"
     return "stalled subscriber dropped by write timeout; sweep unaffected"
-
-
-# ----------------------------------------------------------------------
-# The suite
-# ----------------------------------------------------------------------
-
-def run_service_chaos(
-    quick: bool = True,
-    seed: int = 0,
-    workdir: "str | os.PathLike | None" = None,
-    log: Callable[[str], None] | None = None,
-) -> ChaosReport:
-    """Run the six service chaos scenarios; returns per-scenario verdicts.
-
-    Mirrors :func:`repro.chaos.run_chaos` (and extends its report when
-    invoked via ``python -m repro chaos --service``), but every scenario
-    drives a *live* service over loopback HTTP:
-
-    1. **overload burst** — a submit burst against a 1-deep queue; 503s
-       must carry ``Retry-After`` + the scheduler snapshot, and retrying
-       clients must land every job with identical rows.
-    2. **dedupe storm** — 32 threads race identical submits; exactly one
-       job may exist, rows identical.
-    3. **cancel race** — cancels fired straight after submit race the
-       queued->running promotion; no phantom queue slots, no cancelled
-       spec ever executes, revival completes identically.
-    4. **drain + restart** — SIGTERM mid-sweep; the daemon drains
-       cleanly (exit 0), the restarted daemon resumes from the journal,
-       rows identical.
-    5. **GC vs live stream** — a zero-TTL janitor must skip a record
-       with an open row stream, then collect it tombstone-clean.
-    6. **stalled reader** — a subscriber that stops reading is dropped
-       by the per-write timeout; the sweep and other readers never
-       stall.
-    """
-    emit = log if log is not None else (lambda _msg: None)
-    report = ChaosReport()
-    rounds = 4 if quick else 12
-    base = pathlib.Path(
-        workdir if workdir is not None else tempfile.mkdtemp(prefix="repro-chaos-svc-")
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    scenarios: list[tuple[str, Callable[[pathlib.Path], str]]] = [
-        (
-            "service: overload burst -> 503 + Retry-After -> retried to parity",
-            lambda d: _scenario_overload_burst(d, seed),
-        ),
-        (
-            "service: 32-thread identical-submit dedupe storm",
-            lambda d: _scenario_dedupe_storm(d, seed + 1000),
-        ),
-        (
-            "service: cancel racing queued->running promotion",
-            lambda d: _scenario_cancel_race(d, seed + 2000, rounds),
-        ),
-        (
-            "service: SIGTERM drain mid-sweep -> restart resumes",
-            lambda d: _scenario_drain_restart(d, seed + 3000),
-        ),
-        (
-            "service: retention GC racing a live row stream",
-            lambda d: _scenario_gc_vs_stream(d, seed + 4000),
-        ),
-        (
-            "service: stalled NDJSON reader bounded away",
-            lambda d: _scenario_stalled_reader(d, seed + 5000),
-        ),
-    ]
-    for index, (name, fn) in enumerate(scenarios):
-        emit(f"[service-chaos] {name}")
-        scenario_dir = base / f"s{index}"
-        scenario_dir.mkdir(parents=True, exist_ok=True)
-        _scenario(report, name, lambda d=scenario_dir, f=fn: f(d))
-        emit(f"[service-chaos]   -> {report.scenarios[-1].detail or 'FAILED'}")
-    return report

@@ -1,16 +1,20 @@
 """Chaos harness: real host faults must not change sweep results."""
 
 import functools
+import pathlib
+import re
+import tempfile
 
 import pytest
 
 from repro.chaos import (
+    SCENARIOS,
     ChaosPlan,
     chaos_execute_cell,
     results_identical,
     run_chaos,
 )
-from repro.chaos.harness import diff_results
+from repro.chaos.harness import ChaosContext, diff_results
 from repro.chemistry.tasks import synthetic_task_graph
 from repro.core import StudyConfig, SweepRunner, study_cells
 from repro.faults import RetryPolicy
@@ -117,8 +121,107 @@ class TestChaosSweeps:
         assert results_identical(reference[0], got[0])
 
 
+#: The sixteen scenarios the three former runners held, in their order.
+#: Rows added since (folded-in smoke scripts) are listed after them.
+SIXTEEN = [
+    "worker SIGKILL + hung cell + corrupted cache, bit-for-bit",
+    "SIGINT interrupt + corrupted journal + --resume, bit-for-bit",
+    "poison cell quarantined, sweep completes",
+    "corrupted artifact store heals to bit-identical rebuilds",
+    "distributed: remote worker SIGKILL mid-cell, bit-for-bit",
+    "distributed: frozen worker past lease, late result deduped",
+    "distributed: socket severed mid-result-upload",
+    "distributed: duplicate delivery deduped idempotently",
+    "distributed: full remote loss degrades to local pool",
+    "distributed: killed worker + interrupt + resume, 100% parity",
+    "service: overload burst -> 503 + Retry-After -> retried to parity",
+    "service: 32-thread identical-submit dedupe storm",
+    "service: cancel racing queued->running promotion",
+    "service: SIGTERM drain mid-sweep -> restart resumes",
+    "service: retention GC racing a live row stream",
+    "service: stalled NDJSON reader bounded away",
+]
+SMOKE_ROWS = {"artifact_warm_rebuild"}
+
+
+class TestScenarioTable:
+    def test_the_sixteen_titles_in_order(self):
+        original = [s for s in SCENARIOS if s.key not in SMOKE_ROWS]
+        assert [s.title for s in original] == SIXTEEN
+        suites = [s.suite for s in original]
+        assert [suites.count(name) for name in ("host", "distributed", "service")] == [4, 6, 6]
+        assert suites == sorted(suites, key=("host", "distributed", "service").index)
+
+    def test_keys_are_the_function_names_and_unique(self):
+        keys = [s.key for s in SCENARIOS]
+        assert len(set(keys)) == len(keys)
+        assert all(s.key == s.run.__name__ for s in SCENARIOS)
+        assert SMOKE_ROWS <= set(keys)
+
+    def test_docs_table_lists_every_scenario(self):
+        """docs/sweep.md holds the one scenario list: a row per key, its
+        suite beside it."""
+        doc = pathlib.Path(__file__).parents[2] / "docs" / "sweep.md"
+        rows = dict(
+            re.findall(r"^\| `(\w+)` \| (\w+) \|", doc.read_text("utf-8"), re.M)
+        )
+        assert rows == {s.key: s.suite for s in SCENARIOS}
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="nope"):
+            run_chaos(only=["host", "nope"])
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Fail the test if anything builds the sweep grid or its reference."""
+    for name in ("cells", "reference"):
+        monkeypatch.setattr(
+            ChaosContext, name, property(lambda self, n=name: pytest.fail(f"built {n}"))
+        )
+
+
+@pytest.mark.slow
+class TestOneRowAlone:
+    """A scenario depends on the context, not on its neighbours."""
+
+    def test_temp_workdir_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_chaos(only=["poison_quarantine"])
+        assert [s.passed for s in report.scenarios] == [True], report.format()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_explicit_workdir_is_kept(self, tmp_path):
+        report = run_chaos(only=["poison_quarantine"], workdir=tmp_path)
+        assert report.passed, report.format()
+        assert [p.name for p in tmp_path.iterdir()] == ["poison_quarantine"]
+
+    def test_duplicate_delivery_alone(self, tmp_path, monkeypatch):
+        # The service suite's fixture must stay untouched.
+        import repro.chaos.service as service_rows
+
+        monkeypatch.setattr(
+            service_rows, "daemon", lambda *a, **k: pytest.fail("spawned a daemon")
+        )
+        report = run_chaos(only=["duplicate_delivery"], workdir=tmp_path)
+        assert [(s.name, s.passed) for s in report.scenarios] == [
+            ("distributed: duplicate delivery deduped idempotently", True)
+        ], report.format()
+
+    def test_drain_restart_alone(self, tmp_path, no_grid):
+        # Two daemon subprocesses: CI's dev-mode leg fails this test on an
+        # unclosed stdout pipe or an unreaped child.
+        report = run_chaos(only=["drain_restart"], workdir=tmp_path)
+        assert [(s.name, s.passed) for s in report.scenarios] == [
+            ("service: SIGTERM drain mid-sweep -> restart resumes", True)
+        ], report.format()
+
+
 @pytest.mark.slow
 def test_full_quick_chaos_suite(tmp_path):
     report = run_chaos(quick=True, workdir=tmp_path)
     assert report.passed, report.format()
-    assert len(report.scenarios) == 4
+    assert len(report.scenarios) == 5
+    assert [s.name for s in report.scenarios] == [
+        s.title for s in SCENARIOS if s.suite == "host"
+    ]

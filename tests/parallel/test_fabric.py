@@ -4,7 +4,7 @@ Workers here are :func:`repro.parallel.worker.run_worker` driven in
 daemon *threads* against an in-process :class:`FabricServer` — the real
 wire protocol over loopback TCP without subprocess spawn cost. Full
 subprocess workers are exercised by the distributed chaos suite
-(``python -m repro chaos --quick --distributed``).
+(``python -m repro chaos --quick --only distributed``).
 """
 
 import pickle

@@ -4,7 +4,7 @@ retention GC, and the retrying client (PR 9).
 Everything here drives the :class:`~repro.service.jobs.JobManager` (and
 occasionally a full :class:`~repro.service.server.StudyService`)
 directly — the live-loopback equivalents, including the six fault
-scenarios, live in ``repro.chaos.service`` / ``repro chaos --service``.
+scenarios, live in ``repro.chaos.service`` / ``repro chaos --only service``.
 """
 
 import functools

@@ -2,17 +2,13 @@
 
 import http.client
 import json
-import os
-import pathlib
-import signal
-import subprocess
-import sys
 import time
 
 import pytest
 
 import repro
 from repro import api
+from repro.chaos.service import daemon
 from repro.core.jobspec import JobSpec, SourceSpec
 from repro.service import JobManager, QueueFull, StudyService
 
@@ -259,34 +255,6 @@ class TestDaemonRestart:
     """The flagship durability property: SIGKILL the daemon mid-job,
     restart it on the same state dir, and the job finishes bit-for-bit."""
 
-    def _spawn(self, state_dir):
-        env = dict(os.environ)
-        src = pathlib.Path(repro.__file__).resolve().parent.parent
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--bind", "127.0.0.1:0", "--state-dir", str(state_dir)],
-            env=env, cwd=str(state_dir),
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        endpoint = None
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            if "listening on http://" in line:
-                endpoint = line.split("http://", 1)[1].split(" ", 1)[0].strip()
-                break
-        assert endpoint, "daemon never announced its endpoint"
-        host, port = endpoint.rsplit(":", 1)
-        return proc, host, int(port)
-
-    def _stop(self, proc):
-        proc.kill()
-        proc.wait(timeout=30)
-        proc.stdout.close()
-
     def _request(self, host, port, method, path, body=None):
         conn = http.client.HTTPConnection(host, port, timeout=120)
         try:
@@ -300,9 +268,7 @@ class TestDaemonRestart:
 
     def test_kill_and_restart_resumes_bit_for_bit(self, tmp_path):
         state = tmp_path / "state"
-        state.mkdir()
-        proc, host, port = self._spawn(state)
-        try:
+        with daemon(state) as (proc, host, port):
             status, sub = self._request(
                 host, port, "POST", "/v1/jobs", body=INTERRUPTIBLE
             )
@@ -317,11 +283,9 @@ class TestDaemonRestart:
                 conn.close()
             assert first, "no row ever streamed"
             json.loads(first)
-        finally:
-            self._stop(proc)
+            proc.kill()
 
-        proc, host, port = self._spawn(state)
-        try:
+        with daemon(state) as (proc, host, port):
             deadline = time.monotonic() + 180
             body = None
             while time.monotonic() < deadline:
@@ -345,5 +309,3 @@ class TestDaemonRestart:
             assert sorted(rows, key=lambda r: (r["P"], r["model"])) == serial_rows(
                 INTERRUPTIBLE
             )
-        finally:
-            self._stop(proc)

@@ -171,6 +171,46 @@ class TestFaultToleranceFlags:
         assert args.jobs == 3
         assert args.timeout == 2.0
         assert args.workdir is None
+        assert args.only == []
+        assert sorted(vars(args)) == [
+            "command", "func", "jobs", "only", "quick", "seed", "timeout", "workdir",
+        ]
+
+    def test_chaos_only_selects_suites_and_scenarios(self):
+        from repro.chaos.harness import select
+
+        args = build_parser().parse_args(
+            ["chaos", "--only", "service", "--only", "remote_sigkill"]
+        )
+        rows = select(args.only)
+        assert len(rows) == 7
+        assert rows[0].key == "remote_sigkill"  # table order, not argument order
+        assert {row.suite for row in rows[1:]} == {"service"}
+
+    def test_chaos_only_rejects_unknown_names(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["chaos", "--only", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err
+        assert "'distributed'" in err and "'drain_restart'" in err
+
+    @pytest.mark.parametrize("flag", ["--distributed", "--service"])
+    def test_chaos_suite_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["chaos", "--quick", flag])
+        assert exc.value.code == 2
+
+    def test_parser_does_not_import_chaos(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; from repro.__main__ import build_parser; "
+            "build_parser().parse_args(['info']); "
+            "sys.exit('repro.chaos' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestPerfCommands:
