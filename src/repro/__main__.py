@@ -57,6 +57,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_study(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.core.artifacts import configure_job_artifacts
 
     # Every surface (this CLI, the HTTP service, api.run_job callers)
     # reduces to one validated JobSpec, so e.g. the --jobs/--executor
@@ -71,12 +72,10 @@ def cmd_study(args: argparse.Namespace) -> int:
         print("error: --resume needs the cache (drop --no-cache)", file=sys.stderr)
         return 2
     cache = (spec.cache_dir or api.default_cache_dir()) if spec.cache else None
-    # Configure the artifact store before the problem builds: screening,
-    # task-graph, and balancer intermediates all route through it.
-    if not spec.artifact_cache:
-        api.configure_artifacts(enabled=False)
-    elif cache is not None:
-        api.configure_artifacts(pathlib.Path(cache) / "artifacts")
+    # The store run_job would install, installed before the problem
+    # builds (screening and task-graph intermediates route through it);
+    # run_job then keeps it.
+    configure_job_artifacts(cache, enabled=spec.artifact_cache)
     problem = spec.source.build()
     print(
         f"{args.molecule}({args.size}): {problem.basis.n_basis} basis functions, "

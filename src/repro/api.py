@@ -40,6 +40,7 @@ from repro.core.artifacts import (
     ArtifactStore,
     artifact_key,
     configure_artifacts,
+    configure_job_artifacts,
     default_store,
     use_store,
 )
@@ -362,10 +363,7 @@ def run_job(
     if cache is None and spec.cache:
         cache = spec.cache_dir or default_cache_dir()
     cache_root = cache.root if isinstance(cache, ResultCache) else cache
-    if not spec.artifact_cache:
-        configure_artifacts(enabled=False)
-    elif cache_root is not None:
-        configure_artifacts(pathlib.Path(cache_root) / "artifacts")
+    configure_job_artifacts(cache_root, enabled=spec.artifact_cache)
     problem = source if source is not None else spec.source.build()
     config = spec.study_config(problem)
     if journal is None and cache_root is not None:

@@ -13,6 +13,7 @@ diffuse valence shells; hydrogen gets a light two-shell description.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +125,22 @@ def _normalize_shell(
     powers: tuple[int, int, int] = (0, 0, 0),
 ) -> Shell:
     """Build a :class:`Shell` with normalized contraction coefficients."""
+    key = tuple((float(e), float(c)) for e, c in prims)
+    exps, coefs = _contraction(key, tuple(powers))
+    return Shell(center, exps, coefs, atom, powers)
+
+
+@functools.lru_cache(maxsize=1024)
+def _contraction(
+    prims: tuple[tuple[float, float], ...], powers: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(exponents, normalized coefficients)`` of one shell
+    definition: independent of the centre, so every atom of an element
+    shares the arrays of its first."""
     exps = np.array([p[0] for p in prims], dtype=np.float64)
     raw = np.array([p[1] for p in prims], dtype=np.float64)
+    if np.any(exps <= 0):
+        raise ConfigurationError("all primitive exponents must be positive")
     if powers == (0, 0, 0):
         # s functions: closed forms (fast path, no Hermite machinery).
         coefs = raw * (2.0 * exps / np.pi) ** 0.75
@@ -141,7 +156,9 @@ def _normalize_shell(
             for cb, b in zip(coefs, exps):
                 s_self += ca * cb * overlap_prim(powers, powers, a, b, origin, origin)
     coefs = coefs / np.sqrt(s_self)
-    return Shell(center, exps, coefs, atom, powers)
+    exps.setflags(write=False)
+    coefs.setflags(write=False)
+    return exps, coefs
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,13 @@ def _store():
     return default_store()
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    # Q and its aggregates live on in the artifact memo across jobs and
+    # threads: nobody may write into them.
+    array.setflags(write=False)
+    return array
+
+
 class SchwarzScreen:
     """Schwarz bounds for a basis, with block-level aggregates.
 
@@ -56,7 +63,7 @@ class SchwarzScreen:
                 store.key("schwarz_q", self.content_key),
                 self._build_q,
                 encode=lambda q: ({"q": q}, {}),
-                decode=lambda arrays, _meta: arrays["q"],
+                decode=lambda arrays, _meta: _frozen(arrays["q"]),
             )
 
     @cached_property
@@ -78,7 +85,7 @@ class SchwarzScreen:
         n = self.basis.n_basis
         diagonal = self.engine.eri_diagonal(upper_pairs(n))
         # (ij|ij) is non-negative analytically; clamp fp noise.
-        return unfold_upper(np.sqrt(np.maximum(diagonal, 0.0)), n)
+        return _frozen(unfold_upper(np.sqrt(np.maximum(diagonal, 0.0)), n))
 
     @property
     def q_max(self) -> float:
@@ -94,11 +101,11 @@ class SchwarzScreen:
             store.key("block_qmax", self.content_key, blocks.offsets),
             lambda: self._block_qmax(blocks),
             encode=lambda out: ({"out": out}, {}),
-            decode=lambda arrays, _meta: arrays["out"],
+            decode=lambda arrays, _meta: _frozen(arrays["out"]),
         )
 
     def _block_qmax(self, blocks: BlockStructure) -> np.ndarray:
-        return _block_reduce(np.maximum, self.q, blocks)
+        return _frozen(_block_reduce(np.maximum, self.q, blocks))
 
     def surviving_pairs(
         self,
@@ -139,7 +146,7 @@ class SchwarzScreen:
             ),
             lambda: self._pair_weights(blocks, tau),
             encode=lambda out: ({"out": out}, {}),
-            decode=lambda arrays, _meta: arrays["out"],
+            decode=lambda arrays, _meta: _frozen(arrays["out"]),
         )
 
     def _pair_weights(self, blocks: BlockStructure, tau: float) -> np.ndarray:
@@ -154,7 +161,7 @@ class SchwarzScreen:
         batch = self.engine.pair_batch(upper_pairs(n))
         sizes = unfold_upper(np.bincount(batch.seg, minlength=batch.n_pairs), n)
         # Whole numbers: the block sums are exact in any order.
-        return _block_reduce(np.add, sizes * alive, blocks)
+        return _frozen(_block_reduce(np.add, sizes * alive, blocks))
 
 
 def _block_reduce(ufunc: np.ufunc, matrix: np.ndarray, blocks: BlockStructure) -> np.ndarray:

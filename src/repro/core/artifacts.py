@@ -40,6 +40,7 @@ import io
 import json
 import os
 import pathlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -56,6 +57,7 @@ __all__ = [
     "ArtifactStore",
     "artifact_key",
     "configure_artifacts",
+    "configure_job_artifacts",
     "default_store",
     "use_store",
 ]
@@ -139,6 +141,9 @@ class ArtifactStore:
         self.memo_limit = int(memo_limit)
         self.stats = ArtifactStats()
         self._memo: OrderedDict[str, Any] = OrderedDict()
+        # Jobs on the service's run-loop threads share one store; the
+        # FIFO eviction is the one read-modify-write on the memo.
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Keys and paths
@@ -156,10 +161,11 @@ class ArtifactStore:
     # In-process memo layer
     # ------------------------------------------------------------------
     def _memo_put(self, key: str, value: Any) -> None:
-        self._memo[key] = value
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.memo_limit:
-            self._memo.popitem(last=False)
+        with self._memo_lock:
+            self._memo[key] = value
+            self._memo.move_to_end(key)
+            while len(self._memo) > self.memo_limit:
+                self._memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # On-disk layer
@@ -333,6 +339,29 @@ def configure_artifacts(
         _default = ArtifactStore(store)
     _configured = True
     return _default
+
+
+def configure_job_artifacts(
+    cache_root: pathlib.Path | str | None, *, enabled: bool = True
+) -> ArtifactStore | None:
+    """Install the store a job builds and runs against: the one rule for
+    ``repro study`` and :func:`repro.api.run_job`.
+
+    ``enabled=False`` disables the store. With a result-cache root the
+    store lives at ``<cache_root>/artifacts``: the current default is kept
+    when it is already rooted there — its memo of decoded values outlives
+    the job, so the next job on that root reads no ``.npz`` — and a fresh
+    one is installed otherwise. ``cache_root=None`` leaves the default.
+    """
+    if not enabled:
+        return configure_artifacts(enabled=False)
+    current = default_store()
+    if cache_root is None:
+        return current
+    root = pathlib.Path(cache_root) / "artifacts"
+    if current is not None and current.root == root:
+        return current
+    return configure_artifacts(root)
 
 
 @contextlib.contextmanager

@@ -71,18 +71,28 @@ def default_cache_dir() -> pathlib.Path:
 # Canonical encoding + fingerprints
 # ----------------------------------------------------------------------
 
+#: Per dataclass type: the ``dc:`` header and field names ``_canonical``
+#: writes, so a walk over many instances of one type reads ``fields()``
+#: once.
+_DATACLASS_LAYOUT: dict[type, tuple[str, tuple[str, ...]]] = {}
+
+
 def _canonical(obj: Any, out: list[str], depth: int = 0) -> None:
-    """Append a canonical, process-stable encoding of ``obj`` to ``out``."""
+    """Append a canonical, process-stable encoding of ``obj`` to ``out``.
+
+    The tests are ordered by how often a key walk meets each type: exact
+    ``float``, ``int``, ``str``, ``bool`` and ``None`` first, then arrays
+    and sequences, then dataclasses already seen. Subclasses (an
+    ``IntEnum``, a NumPy scalar) fall through to the ``isinstance``
+    tests, which write the same bytes their base type would.
+    """
     if depth > 32:
         raise ValueError("fingerprint recursion too deep (cyclic object?)")
-    if obj is None or isinstance(obj, (bool, str)):
+    cls = type(obj)
+    if cls is float:
+        out.append(obj.hex())
+    elif cls is int or cls is str or cls is bool or obj is None:
         out.append(repr(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(repr(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(float(obj).hex())
-    elif isinstance(obj, bytes):
-        out.append("b" + hashlib.sha256(obj).hexdigest())
     elif isinstance(obj, np.ndarray):
         arr = np.ascontiguousarray(obj)
         out.append(f"nd{arr.dtype.str}{arr.shape}")
@@ -92,6 +102,21 @@ def _canonical(obj: Any, out: list[str], depth: int = 0) -> None:
         for item in obj:
             _canonical(item, out, depth + 1)
         out.append("]")
+    elif cls in _DATACLASS_LAYOUT:
+        header, names = _DATACLASS_LAYOUT[cls]
+        out.append(header)
+        for name in names:
+            out.append(name + "=")
+            _canonical(getattr(obj, name), out, depth + 1)
+        out.append(")")
+    elif isinstance(obj, (bool, str)):
+        out.append(repr(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(repr(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(float(obj).hex())
+    elif isinstance(obj, bytes):
+        out.append("b" + hashlib.sha256(obj).hexdigest())
     elif isinstance(obj, (set, frozenset)):
         out.append("{")
         for item in sorted(obj, key=repr):
@@ -104,11 +129,11 @@ def _canonical(obj: Any, out: list[str], depth: int = 0) -> None:
             _canonical(obj[key], out, depth + 1)
         out.append(">")
     elif is_dataclass(obj) and not isinstance(obj, type):
-        out.append(f"dc:{type(obj).__module__}.{type(obj).__qualname__}(")
-        for f in fields(obj):
-            out.append(f.name + "=")
-            _canonical(getattr(obj, f.name), out, depth + 1)
-        out.append(")")
+        _DATACLASS_LAYOUT[cls] = (
+            f"dc:{cls.__module__}.{cls.__qualname__}(",
+            tuple(f.name for f in fields(obj)),
+        )
+        _canonical(obj, out, depth)
     elif isinstance(getattr(obj, "content_key", None), str):
         # A TaskGraph is named by the content address of its arrays.
         out.append(f"key:{type(obj).__qualname__}:{obj.content_key}")

@@ -123,3 +123,84 @@ class TestBlockStructure:
         b = blocks.block_of(idx)
         lo, hi = blocks.block_range(b)
         assert lo <= idx < hi
+
+
+def reference_contraction(prims, powers=(0, 0, 0)):
+    """The per-call normalisation ``_normalize_shell`` did before it was
+    memoised per shell definition: the oracle for ``_contraction``."""
+    exps = np.array([p[0] for p in prims], dtype=np.float64)
+    raw = np.array([p[1] for p in prims], dtype=np.float64)
+    if powers == (0, 0, 0):
+        coefs = raw * (2.0 * exps / np.pi) ** 0.75
+        p_sum = exps[:, None] + exps[None, :]
+        s_self = (coefs[:, None] * coefs[None, :] * (np.pi / p_sum) ** 1.5).sum()
+    else:
+        from repro.chemistry.mcmurchie import overlap_prim, primitive_norm
+
+        coefs = raw * np.array([primitive_norm(powers, a) for a in exps])
+        origin = np.zeros(3)
+        s_self = 0.0
+        for ca, a in zip(coefs, exps):
+            for cb, b in zip(coefs, exps):
+                s_self += ca * cb * overlap_prim(powers, powers, a, b, origin, origin)
+    return exps, coefs / np.sqrt(s_self)
+
+
+def every_shell_definition():
+    """(prims, powers) of each DEFAULT_BASIS shell and STO-3G s/p shell."""
+    from repro.chemistry import basis_sets as sto
+    from repro.chemistry.basis import DEFAULT_BASIS
+
+    defs = [(prims, (0, 0, 0)) for shells in DEFAULT_BASIS.values() for prims in shells]
+    for entries in sto._STO3G_EXPONENTS.values():
+        for shell_type, exponents in entries:
+            if shell_type == "1s":
+                defs.append((list(zip(exponents, sto._S_COEFS_1S)), (0, 0, 0)))
+            else:
+                defs.append((list(zip(exponents, sto._S_COEFS_2S)), (0, 0, 0)))
+                defs += [(list(zip(exponents, sto._P_COEFS_2P)), p) for p in sto._P_POWERS]
+    return defs
+
+
+class TestContractionMemo:
+    """Normalisation runs once per (primitives, powers); the arrays it
+    returns are the per-call oracle's, bit for bit, and read-only."""
+
+    @pytest.mark.parametrize("prims, powers", every_shell_definition())
+    def test_equals_per_call_normalisation(self, prims, powers):
+        from repro.chemistry.basis import _contraction
+
+        key = tuple((float(e), float(c)) for e, c in prims)
+        exps, coefs = _contraction(key, powers)
+        ref_exps, ref_coefs = reference_contraction(prims, powers)
+        assert np.array_equal(exps, ref_exps) and np.array_equal(coefs, ref_coefs)
+        assert not exps.flags.writeable and not coefs.flags.writeable
+        assert _contraction(key, powers)[1] is coefs
+
+    def test_atoms_of_one_element_share_arrays(self):
+        from repro.chemistry.basis_sets import build_basis_sto3g
+
+        mol = water_cluster(2, seed=1)
+        hydrogens = [i for i, symbol in enumerate(mol.symbols) if symbol == "H"]
+        for build in (build_basis, build_basis_sto3g):
+            shells = build(mol).shells
+            first, second = (
+                next(sh for sh in shells if sh.atom_index == atom) for atom in hydrogens[:2]
+            )
+            assert first.coefficients is second.coefficients
+            assert first.exponents is second.exponents
+            assert not np.array_equal(first.center, second.center)
+
+    def test_user_basis_as_lists_of_lists(self):
+        table = {"O": [[[5.0, 0.4], [1.0, 0.7]]], "H": [[[1.2, 1.0]]]}
+        basis = build_basis(water_cluster(1), basis=table)
+        ref_exps, ref_coefs = reference_contraction(table["O"][0])
+        assert np.array_equal(basis.shells[0].exponents, ref_exps)
+        assert np.array_equal(basis.shells[0].coefficients, ref_coefs)
+        assert basis.n_basis == 3
+
+    def test_non_positive_exponent_raises_every_time(self):
+        table = {"O": [[(0.0, 1.0)]], "H": [[(1.0, 1.0)]]}
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match="positive"):
+                build_basis(water_cluster(1), basis=table)

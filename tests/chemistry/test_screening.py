@@ -168,6 +168,37 @@ class TestContentKey:
         assert screen.content_key == fingerprint(("IntegralEngine", basis))
 
 
+class TestReadOnly:
+    """Q and its block aggregates outlive a job in the artifact memo, so
+    whichever path produced them, nobody may write into them."""
+
+    @staticmethod
+    def outputs(store):
+        basis = build_basis(water_cluster(1))
+        blocks = BlockStructure.uniform(basis.n_basis, 3)
+        with use_store(store):
+            screen = SchwarzScreen(basis)
+            return screen.q, screen.block_qmax(blocks), screen.pair_weights(blocks, 1e-10)
+
+    def test_every_path(self, tmp_path):
+        from repro.core.artifacts import ArtifactStore
+
+        built = self.outputs(None)
+        cold = ArtifactStore(tmp_path)
+        self.outputs(cold)
+        memo = self.outputs(cold)
+        disk_store = ArtifactStore(tmp_path)
+        disk = self.outputs(disk_store)
+        assert cold.stats.memo_hits == 3 and disk_store.stats.disk_hits == 3
+        for arrays in (built, memo, disk):
+            for array, reference in zip(arrays, built):
+                assert np.array_equal(array, reference)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    array *= 2.0
+
+
 def nested_block_qmax(q, blocks):
     nb = blocks.n_blocks
     out = np.empty((nb, nb))

@@ -233,3 +233,96 @@ class TestAJobPaysForWhatItReads:
                 assignment = balancer(graph, 4)
                 assert len(assignment) == graph.n_tasks
         assert "tasks" not in graph.__dict__
+
+
+class TestOneJobStore:
+    """A job's artifact store is decided in one place: the default store
+    is kept across jobs on one cache root, so its memo outlives a job."""
+
+    @staticmethod
+    def spec(cache_dir, **overrides):
+        return api.JobSpec(
+            **{
+                "source": api.SourceSpec(size=1, block_size=3),
+                "models": ("static_block", "work_stealing"),
+                "ranks": (4,),
+                "executor": "serial",
+                "cache_dir": str(cache_dir),
+                **overrides,
+            }
+        )
+
+    def test_second_job_on_a_root_is_served_from_the_memo(self, tmp_path):
+        with api.use_store(None):
+            api.run_job(self.spec(tmp_path))
+            store = api.default_store()
+            assert store.root == tmp_path / "artifacts"
+            before = (store.stats.memo_hits, store.stats.disk_hits)
+            api.run_job(self.spec(tmp_path))
+            assert api.default_store() is store
+            assert store.stats.memo_hits > before[0]
+            assert store.stats.disk_hits == before[1] == 0
+
+    def test_other_root_or_no_artifacts_replaces_the_store(self, tmp_path):
+        with api.use_store(None):
+            api.run_job(self.spec(tmp_path / "a"))
+            first = api.default_store()
+            api.run_job(self.spec(tmp_path / "b"))
+            second = api.default_store()
+            assert second is not first and second.root == tmp_path / "b" / "artifacts"
+            api.run_job(self.spec(tmp_path / "b", artifact_cache=False))
+            assert api.default_store() is None
+
+    def test_the_cli_installs_one_store(self, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main
+        from repro.core import artifacts
+
+        installed = []
+        real = artifacts.configure_artifacts
+        monkeypatch.setattr(
+            artifacts,
+            "configure_artifacts",
+            lambda *a, **k: installed.append(real(*a, **k)) or installed[-1],
+        )
+        argv = ["study", "--size", "1", "--block-size", "3", "--ranks", "4",
+                "--models", "static_block", "--cache-dir", str(tmp_path)]
+        with api.use_store(None):
+            assert main(argv) == 0
+            assert len(installed) == 1 and api.default_store() is installed[0]
+            assert main(argv) == 0
+            assert len(installed) == 1
+        capsys.readouterr()
+
+    def test_concurrent_jobs_share_an_evicting_store(self, tmp_path):
+        import threading
+
+        specs = [
+            self.spec(tmp_path, source=api.SourceSpec(size=size, block_size=3))
+            for size in (1, 2)
+        ]
+        with api.use_store(None):
+            serial = [api.run_job(spec.with_overrides(cache=False)).rows() for spec in specs]
+        rows, errors = {}, []
+
+        def worker(index):
+            try:
+                for round_ in range(3):
+                    spec = specs[(index + round_) % 2]
+                    rows[index, round_] = (specs.index(spec), api.run_job(spec).rows())
+            except Exception as exc:  # pragma: no cover - the failure case
+                errors.append(exc)
+
+        with api.use_store(None):
+            store = api.configure_artifacts(
+                api.ArtifactStore(tmp_path / "artifacts", memo_limit=2)
+            )
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert api.default_store() is store
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(rows) == 6 and all(got == serial[which] for which, got in rows.values())
+        assert len(store._memo) <= 2

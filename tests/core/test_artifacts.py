@@ -72,6 +72,40 @@ class TestRoundtrip:
         assert first is second  # memo layer shares the instance
         assert store.stats.misses == 1 and store.stats.memo_hits == 1
 
+    def test_threads_sharing_an_evicting_memo(self):
+        """Jobs on the service's run-loop threads share one store: more
+        threads than cores hammering a two-entry memo with switches forced
+        every microsecond lose no value and never overfill the memo."""
+        import sys
+        import threading
+
+        store = ArtifactStore(None, memo_limit=2)
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(3000):
+                    key = f"k{(i + offset) % 5}"
+                    if store.fetch(key, lambda: key) != key:
+                        errors.append(f"{key} served another key's value")
+            except Exception as exc:  # pragma: no cover - the failure case
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(store._memo) <= 2
+        assert all(key == value for key, value in store._memo.items())
+
     def test_fetch_disk_hit_across_stores(self, tmp_path):
         enc = lambda v: ({"a": v}, {})
         dec = lambda arrays, _meta: arrays["a"]
