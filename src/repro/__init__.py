@@ -24,7 +24,6 @@ from repro.chemistry import (
     Molecule,
     water_cluster,
     linear_alkane,
-    random_cluster,
     ScfProblem,
     run_scf,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "Molecule",
     "water_cluster",
     "linear_alkane",
-    "random_cluster",
     "ScfProblem",
     "run_scf",
     "__version__",

@@ -7,7 +7,6 @@ Commands:
 - ``scf``      — converge an SCF and report the energy.
 - ``validate`` — simulate one model and numerically validate its schedule.
 - ``workload`` — build a task graph and print its cost-distribution report.
-- ``profile``  — cProfile a study and print the top-N hotspots.
 - ``chaos``    — inject real host faults into a sweep and verify recovery.
 - ``worker``   — join a distributed sweep fabric as a leased TCP worker.
 - ``serve``    — run the persistent study daemon (HTTP job API).
@@ -186,81 +185,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
     print("\ncost distribution (flops, log bins):")
     print(ascii_histogram(graph.costs, bins=10, width=44))
     return 0
-
-
-#: Canned workloads for ``python -m repro profile <study>``.
-_PROFILE_PRESETS: dict[str, dict] = {
-    # One hot cell: enough events to dominate profile noise, done in seconds.
-    "quick": {"size": 4, "models": ("work_stealing",), "ranks": (16,)},
-    # The full E1 sweep (the headline experiment): slower, complete picture.
-    "e1": {
-        "size": 8,
-        "models": ("static_block", "static_cyclic", "counter_dynamic", "work_stealing"),
-        "ranks": (16, 64, 256),
-    },
-}
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    from repro import api, water_cluster
-
-    preset = _PROFILE_PRESETS[args.study]
-    problem = api.ScfProblem.build(
-        water_cluster(preset["size"], seed=0), block_size=6, tau=1.0e-10
-    )
-    config = api.StudyConfig(
-        models=preset["models"], n_ranks=preset["ranks"], seed=args.seed
-    )
-    print(
-        f"profiling study {args.study!r}: {len(preset['models'])} model(s) x "
-        f"ranks {preset['ranks']} on water_cluster({preset['size']}) "
-        f"({problem.graph.n_tasks} tasks)"
-    )
-    if args.counters:
-        report = api.sweep(config, problem, jobs=1, cache=None)
-        _print_hotpath_counters(report)
-        return 0
-    profiler = cProfile.Profile()
-    profiler.enable()
-    api.sweep(config, problem, jobs=1, cache=None)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort)
-    stats.print_stats(args.top)
-    if args.output:
-        stats.dump_stats(args.output)
-        print(f"full profile written to {args.output} (open with pstats/snakeviz)")
-    return 0
-
-
-def _print_hotpath_counters(report) -> None:
-    """Per-cell hot-path volume table (``profile --counters``).
-
-    Reports where the generator-free fast paths engage: Timeout requests
-    consumed by the resume fast path (all freelist-recycled), resource
-    grants delivered without a callback frame, and traced network ops
-    dispatched as fused requests instead of generator frames. These
-    are deterministic volumes, not timings — identical across engines and
-    hosts for a given workload/seed.
-    """
-    header = (
-        f"{'model':24s} {'ranks':>5s} {'sim_events':>11s} {'timeouts':>9s} "
-        f"{'grants':>8s} {'fused_ops':>9s} {'gen_frames_avoided':>18s}"
-    )
-    print("\nhot-path counters (deterministic volumes, not timings):")
-    print(header)
-    for (model, n_ranks), result in sorted(report.results.items()):
-        # Every fused op replaces one traced-op generator frame; every
-        # fast-pathed Timeout/grant resume skips a Python frame too.
-        avoided = result.fused_ops + result.timeout_allocs + result.grant_resumes
-        print(
-            f"{model:24s} {n_ranks:5d} {result.sim_events:11d} "
-            f"{result.timeout_allocs:9d} {result.grant_resumes:8d} "
-            f"{result.fused_ops:9d} {avoided:18d}"
-        )
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -583,30 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wl = sub.add_parser("workload", help="task-graph cost report")
     _add_molecule_args(p_wl)
     p_wl.set_defaults(func=cmd_workload)
-
-    p_prof = sub.add_parser(
-        "profile", help="cProfile a study, print top-N cumulative hotspots"
-    )
-    p_prof.add_argument(
-        "study", choices=tuple(_PROFILE_PRESETS),
-        help="canned study: 'quick' (one work-stealing cell) or 'e1' (full sweep)",
-    )
-    p_prof.add_argument("--top", type=int, default=25, help="rows to print")
-    p_prof.add_argument(
-        "--sort", default="cumulative",
-        choices=("cumulative", "tottime", "ncalls"), help="pstats sort key",
-    )
-    p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump the raw pstats profile here",
-    )
-    p_prof.add_argument(
-        "--counters", action="store_true",
-        help="skip cProfile; print per-cell hot-path volume counters "
-        "(timeout fast-path resumes, direct grant resumes, fused network ops)",
-    )
-    p_prof.set_defaults(func=cmd_profile)
 
     p_chaos = sub.add_parser(
         "chaos",

@@ -1,8 +1,8 @@
-"""Post-run analysis: timelines, distributions, structured export.
+"""Post-run analysis: timelines and cost distributions.
 
 Everything here consumes :class:`~repro.exec_models.base.RunResult` (or a
-plain cost array) and produces either terminal-friendly text or
-JSON-serializable dictionaries — no plotting dependencies.
+plain cost array) and produces terminal-friendly text or plain
+dictionaries — no plotting dependencies.
 """
 
 from repro.analysis.timeline import ascii_gantt, rank_timeline
@@ -11,36 +11,11 @@ from repro.analysis.distribution import (
     cost_statistics,
     gini_coefficient,
 )
-from repro.analysis.export import (
-    load_report_json,
-    load_result_json,
-    merge_reports,
-    report_from_dict,
-    report_to_dict,
-    result_to_dict,
-    save_report_json,
-    save_result_json,
-)
-from repro.analysis.bounds import MakespanBounds, makespan_bounds, bound_efficiency
-from repro.analysis.svg import timeline_svg, save_timeline_svg
 
 __all__ = [
-    "timeline_svg",
-    "save_timeline_svg",
-    "MakespanBounds",
-    "makespan_bounds",
-    "bound_efficiency",
     "ascii_gantt",
     "rank_timeline",
     "ascii_histogram",
     "cost_statistics",
     "gini_coefficient",
-    "result_to_dict",
-    "save_result_json",
-    "load_result_json",
-    "report_to_dict",
-    "report_from_dict",
-    "save_report_json",
-    "load_report_json",
-    "merge_reports",
 ]

@@ -8,7 +8,7 @@ under a single consistent calling convention:
 - every tuning knob is keyword-only;
 - model options use one shared vocabulary
   (:func:`~repro.exec_models.registry.normalize_model_options`) across
-  :func:`make_model`, :func:`run_model`, and :func:`simulate_scf`.
+  :func:`make_model`, :func:`run_model`, and :class:`ScfSimulation`.
 
 The sweep entry points (:func:`sweep`, :class:`SweepRunner`) add
 process-parallel execution and content-addressed result caching on top;
@@ -26,12 +26,7 @@ from typing import Any, Callable
 
 from repro import __version__
 
-from repro.chemistry.molecules import (
-    Molecule,
-    linear_alkane,
-    random_cluster,
-    water_cluster,
-)
+from repro.chemistry.molecules import Molecule, linear_alkane, water_cluster
 from repro.chemistry.scf import ScfProblem, ScfResult
 from repro.chemistry.scf import run_scf as _run_scf
 from repro.chemistry.tasks import TaskGraph
@@ -82,11 +77,9 @@ from repro.parallel.executor import (
     CellExecutor,
     DegradedExecutionWarning,
     WorkerError,
-    executor_names,
     format_executor_spec,
     make_executor,
     parse_executor_spec,
-    register_executor,
 )
 from repro.parallel.fabric import DistributedExecutor
 from repro.parallel.supervisor import HOST_RETRY_POLICY, CellFailure
@@ -105,7 +98,6 @@ __all__ = [
     "Molecule",
     "water_cluster",
     "linear_alkane",
-    "random_cluster",
     "ScfProblem",
     "TaskGraph",
     "Workload",
@@ -121,7 +113,6 @@ __all__ = [
     "run_scf",
     "ScfResult",
     "run_model",
-    "simulate_scf",
     "make_model",
     "normalize_model_options",
     "MODEL_NAMES",
@@ -169,8 +160,6 @@ __all__ = [
     "DistributedExecutor",
     "DegradedExecutionWarning",
     "make_executor",
-    "register_executor",
-    "executor_names",
     "parse_executor_spec",
     "format_executor_spec",
     # rendering
@@ -221,26 +210,6 @@ def run_model(
         seed=seed,
         faults=faults,
         trace_intervals=trace_intervals,
-    )
-
-
-def simulate_scf(
-    mode: str,
-    source: Any,
-    machine: MachineSpec,
-    *,
-    n_iterations: int = 5,
-    seed: int = 0,
-    **options: Any,
-) -> ScfSimResult:
-    """Simulate a whole multi-iteration SCF under one discipline.
-
-    Facade spelling of :class:`~repro.exec_models.ScfSimulation` with the
-    same ``source`` polymorphism and option vocabulary as
-    :func:`run_model`.
-    """
-    return ScfSimulation(mode, **options).run(
-        resolve_source(source), machine, n_iterations=n_iterations, seed=seed
     )
 
 

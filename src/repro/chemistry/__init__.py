@@ -8,7 +8,7 @@ and a blocked shell-quartet task decomposition.
 The public surface:
 
 - :mod:`repro.chemistry.molecules` -- geometry generators (water clusters,
-  alkanes, random clusters) and the :class:`Molecule` container.
+  alkanes), XYZ text I/O and the :class:`Molecule` container.
 - :mod:`repro.chemistry.basis` -- contracted shells, the built-in s-only
   basis, and shell-block tilings.
 - :mod:`repro.chemistry.integrals` -- closed-form one- and two-electron
@@ -26,7 +26,6 @@ from repro.chemistry.molecules import (
     Molecule,
     water_cluster,
     linear_alkane,
-    random_cluster,
     nuclear_repulsion,
     to_xyz,
     from_xyz,
@@ -61,7 +60,6 @@ __all__ = [
     "Molecule",
     "water_cluster",
     "linear_alkane",
-    "random_cluster",
     "nuclear_repulsion",
     "to_xyz",
     "from_xyz",

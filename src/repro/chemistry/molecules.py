@@ -1,13 +1,12 @@
 """Molecular geometries for the case-study workloads.
 
 The paper's kernel operates on medium-sized molecular systems whose spatial
-extent creates screening-induced sparsity (and hence task-cost skew). Three
+extent creates screening-induced sparsity (and hence task-cost skew). Two
 generators cover the regimes used throughout the benchmarks:
 
 - :func:`water_cluster` -- compact 3-D clusters (the classic SCF-benchmark
   input family at PNNL);
-- :func:`linear_alkane` -- quasi-1-D chains, maximal screening sparsity;
-- :func:`random_cluster` -- randomized dense blobs for property tests.
+- :func:`linear_alkane` -- quasi-1-D chains, maximal screening sparsity.
 
 Coordinates are in Bohr (atomic units) throughout the library.
 """
@@ -218,40 +217,6 @@ def linear_alkane(n_carbons: int) -> Molecule:
     symbols.append("H")
     coords.append(last_c + np.array([r_ch, 0.0, 0.0]))
     return Molecule(tuple(symbols), np.vstack(coords))
-
-
-def random_cluster(
-    n_atoms: int,
-    seed: int = 0,
-    elements: tuple[str, ...] = ("H", "C", "N", "O"),
-    min_dist: float = 1.8,
-    box: float | None = None,
-) -> Molecule:
-    """Random cluster of ``n_atoms`` with a minimum inter-atomic distance.
-
-    Atoms are drawn uniformly in a cube sized for roughly liquid-like
-    density (or ``box`` Bohr if given) and resampled until all pairs are at
-    least ``min_dist`` apart. Used by property tests to exercise integral
-    and screening code on unstructured geometries.
-    """
-    check_positive("n_atoms", n_atoms)
-    check_positive("min_dist", min_dist)
-    rng = spawn_rng(seed, "random_cluster", n_atoms)
-    side = box if box is not None else max(2.5 * min_dist, 1.6 * n_atoms ** (1.0 / 3.0) * min_dist)
-    coords: list[np.ndarray] = []
-    attempts = 0
-    while len(coords) < n_atoms:
-        candidate = rng.uniform(0.0, side, size=3)
-        if all(np.linalg.norm(candidate - c) >= min_dist for c in coords):
-            coords.append(candidate)
-        attempts += 1
-        if attempts > 2000 * n_atoms:
-            # The box is too tight for the requested separation; grow it.
-            side *= 1.3
-            coords.clear()
-            attempts = 0
-    symbols = tuple(rng.choice(elements) for _ in range(n_atoms))
-    return Molecule(symbols, np.vstack(coords))
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:

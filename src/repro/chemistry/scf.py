@@ -86,11 +86,6 @@ class _DiisAccelerator:
         self._focks: list[np.ndarray] = []
         self._errors: list[np.ndarray] = []
 
-    def error_norm(self) -> float:
-        if not self._errors:
-            return float("inf")
-        return float(np.abs(self._errors[-1]).max())
-
     def extrapolate(self, fock: np.ndarray, density: np.ndarray) -> np.ndarray:
         commutator = fock @ density @ self.overlap - self.overlap @ density @ fock
         error = self.x.T @ commutator @ self.x

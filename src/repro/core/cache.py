@@ -246,14 +246,6 @@ class CacheStats:
     stores: int = 0
     errors: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 @dataclass
 class ResultCache:

@@ -400,9 +400,6 @@ class JobSpec:
         data["ranks"] = list(self.ranks)
         return {"v": JOBSPEC_VERSION, **data}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
     # ------------------------------------------------------------------
     # Identity.
     # ------------------------------------------------------------------

@@ -69,18 +69,6 @@ class StudyReport:
         if provenance is not None:
             self.provenance[(result.model, result.n_ranks)] = provenance
 
-    def merge(self, other: "StudyReport") -> "StudyReport":
-        """Fold ``other``'s cells into this report (other wins ties).
-
-        The sweep path uses this to combine cached and freshly computed
-        cells — and callers use it to stitch partial sweeps (e.g. two
-        benchmark shards) into one table. Returns ``self`` for chaining.
-        """
-        self.results.update(other.results)
-        self.provenance.update(other.provenance)
-        self.failures.extend(other.failures)
-        return self
-
     @property
     def complete(self) -> bool:
         """Whether every attempted cell produced a result (no failures)."""
@@ -100,10 +88,6 @@ class StudyReport:
         for model, _ in self.results:
             seen.setdefault(model)
         return list(seen)
-
-    @property
-    def rank_counts(self) -> list[int]:
-        return sorted({p for _, p in self.results})
 
     # ------------------------------------------------------------------
     def rows(self) -> list[dict[str, float | str | int]]:

@@ -2,8 +2,12 @@
 
 Ties the full stack together: molecule -> basis/screening/task graph ->
 (model x rank-count) sweep on the simulated machine -> uniform report.
-This is what the benchmarks and examples call (through the
-:mod:`repro.api` facade).
+Every study runs through :meth:`SweepRunner.run_study
+<repro.core.sweep.SweepRunner.run_study>`: the benchmarks call it
+directly, ``repro study`` and the service reach it through
+:func:`repro.api.run_job` (which builds its problem with
+``SourceSpec.build``), and :func:`run_study` here is its one-call
+spelling, which the examples use.
 
 :func:`run_study` takes the workload as a single positional ``source``
 accepting any of ``Workload | ScfProblem | TaskGraph``.

@@ -593,7 +593,3 @@ class SweepRunner:
     def run_cell(self, cell: SweepCell) -> Any:
         """Convenience: execute a single cell through the cache."""
         return self.run_cells([cell])[0]
-
-    def variant(self, cell: SweepCell, **changes: Any) -> SweepCell:
-        """A copy of ``cell`` with fields replaced (dataclass replace)."""
-        return replace(cell, **changes)

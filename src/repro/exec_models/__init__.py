@@ -28,7 +28,7 @@ from repro.exec_models.counter_dynamic import CounterDynamic
 from repro.exec_models.node_counter import CounterPerNode
 from repro.exec_models.work_stealing import WorkStealing
 from repro.exec_models.inspector import InspectorExecutor
-from repro.exec_models.persistence import PersistenceModel, run_persistence
+from repro.exec_models.persistence import run_persistence
 from repro.exec_models.scf_simulation import ScfSimulation, ScfSimResult
 from repro.exec_models.registry import make_model, MODEL_NAMES
 
@@ -43,7 +43,6 @@ __all__ = [
     "CounterPerNode",
     "WorkStealing",
     "InspectorExecutor",
-    "PersistenceModel",
     "run_persistence",
     "ScfSimulation",
     "ScfSimResult",

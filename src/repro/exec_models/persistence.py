@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.balance.greedy import capacity_lpt
 from repro.chemistry.tasks import TaskGraph
-from repro.exec_models.base import ExecutionModel, Harness, RunResult
+from repro.exec_models.base import RunResult
 from repro.exec_models.static_ import StaticAssignment, block_assignment, cyclic_assignment
-from repro.runtime.comm import RankContext
 from repro.simulate.machine import MachineSpec
 from repro.util import ConfigurationError, check_positive, derive_seed
 
@@ -70,10 +69,6 @@ class PersistenceHistory:
         return np.array([r.makespan for r in self.results])
 
     @property
-    def first_iteration(self) -> RunResult:
-        return self.results[0]
-
-    @property
     def steady_state(self) -> RunResult:
         return self.results[-1]
 
@@ -105,53 +100,3 @@ def run_persistence(
         results.append(result)
         assignment = rebalance_from_measurements(result, graph, capacity_aware)
     return PersistenceHistory(results)
-
-
-class PersistenceModel(ExecutionModel):
-    """Registry-friendly wrapper: runs the iteration loop, reports steady state.
-
-    The returned :class:`RunResult` is the final iteration's, with
-    ``counters`` extended by first-iteration makespan and the improvement
-    ratio so single-result reports still show the adaptation.
-    """
-
-    def __init__(
-        self, n_iterations: int = 4, initial: str = "block", capacity_aware: bool = True
-    ) -> None:
-        check_positive("n_iterations", n_iterations)
-        self.n_iterations = int(n_iterations)
-        self.initial = initial
-        self.capacity_aware = capacity_aware
-        self.name = f"persistence(iters={n_iterations})"
-
-    def run(
-        self,
-        graph: TaskGraph,
-        machine: MachineSpec,
-        seed: int = 0,
-        trace_intervals: bool = False,
-        faults=None,
-    ) -> RunResult:
-        if faults is not None and not faults.empty:
-            raise ConfigurationError(
-                "the persistence model does not support fault injection; "
-                "use ft_work_stealing or ft_static_block for fault studies"
-            )
-        history = run_persistence(
-            graph,
-            machine,
-            n_iterations=self.n_iterations,
-            seed=seed,
-            initial=self.initial,
-            capacity_aware=self.capacity_aware,
-        )
-        final = history.steady_state
-        final.model = self.name
-        final.counters["first_iteration_makespan"] = history.first_iteration.makespan
-        final.counters["improvement"] = history.improvement
-        return final
-
-    def rank_process(self, harness: Harness, ctx: RankContext):
-        raise NotImplementedError(
-            "PersistenceModel orchestrates whole runs; it has no single rank process"
-        )

@@ -22,7 +22,6 @@ from repro.exec_models.counter_dynamic import CounterDynamic
 from repro.exec_models.ft import FaultTolerantStatic, FaultTolerantWorkStealing
 from repro.exec_models.node_counter import CounterPerNode
 from repro.exec_models.inspector import InspectorExecutor
-from repro.exec_models.persistence import PersistenceModel
 from repro.exec_models.static_ import StaticBlock, StaticCyclic
 from repro.exec_models.work_stealing import WorkStealing
 from repro.util import ConfigurationError
@@ -53,8 +52,6 @@ OPTION_ALIASES: dict[str, str] = {
     "name": "name",
     "retry": "retry",
     "token_timeout": "token_timeout",
-    "n_iterations": "n_iterations",
-    "capacity_aware": "capacity_aware",
 }
 
 
@@ -110,20 +107,9 @@ _SPECS: dict[str, tuple[Callable[..., ExecutionModel], dict[str, Any]]] = {
         InspectorExecutor,
         {"balancer": hypergraph_balancer, "name": "inspector(hypergraph)"},
     ),
-    "persistence": (PersistenceModel, {}),
 }
 
 MODEL_NAMES: tuple[str, ...] = tuple(sorted(_SPECS))
-
-
-def model_defaults(name: str) -> dict[str, Any]:
-    """The registry's configured options for ``name`` (a copy)."""
-    try:
-        return dict(_SPECS[name][1])
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown execution model {name!r}; known: {', '.join(MODEL_NAMES)}"
-        ) from None
 
 
 def make_model(name: str, **options: Any) -> ExecutionModel:

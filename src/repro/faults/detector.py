@@ -55,7 +55,3 @@ class FailureDetector:
             return True
         since = self.injector.dead_since.get(rank)
         return since is not None and self.injector.engine.now >= since + self.detection_latency
-
-    def undetected(self, rank: int) -> bool:
-        """Dead but not yet suspected (the dangerous window)."""
-        return self.injector.is_dead(rank) and not self.is_suspected(rank)

@@ -27,12 +27,10 @@ from repro.parallel.executor import (
     LocalExecutor,
     SerialExecutor,
     WorkerError,
-    executor_names,
     fork_available,
     format_executor_spec,
     make_executor,
     parse_executor_spec,
-    register_executor,
 )
 from repro.parallel.supervisor import (
     HOST_RETRY_POLICY,
@@ -67,8 +65,6 @@ __all__ = [
     "DistributedExecutor",
     "DegradedExecutionWarning",
     "make_executor",
-    "register_executor",
-    "executor_names",
     "parse_executor_spec",
     "format_executor_spec",
     "FabricServer",

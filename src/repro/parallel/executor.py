@@ -263,27 +263,12 @@ def _make_distributed(**options: Any) -> CellExecutor:
     return DistributedExecutor(**options)
 
 
-#: Backend factories by registry name. Extend with
-#: :func:`register_executor`.
+#: Backend factories by spec name.
 EXECUTOR_BACKENDS: dict[str, Callable[..., CellExecutor]] = {
     "local": LocalExecutor,
     "serial": SerialExecutor,
     "distributed": _make_distributed,
 }
-
-
-def executor_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(EXECUTOR_BACKENDS))
-
-
-def register_executor(
-    name: str, factory: Callable[..., CellExecutor], *, replace: bool = False
-) -> None:
-    """Register a backend factory under ``name`` (keyword options only)."""
-    if not replace and name in EXECUTOR_BACKENDS:
-        raise ConfigurationError(f"executor backend {name!r} already registered")
-    EXECUTOR_BACKENDS[name] = factory
 
 
 def _coerce_option(value: str) -> Any:
@@ -336,7 +321,7 @@ def parse_executor_spec(spec: str) -> tuple[str, dict[str, Any]]:
     if name not in EXECUTOR_BACKENDS:
         raise ConfigurationError(
             f"unknown executor backend {name!r}; registered: "
-            f"{', '.join(executor_names())}"
+            f"{', '.join(sorted(EXECUTOR_BACKENDS))}"
         )
     options: dict[str, Any] = {}
     if query:

@@ -4,8 +4,7 @@
 count on every :class:`~repro.exec_models.base.RunResult` (events
 dispatched, zero-delay run-queue share, trace intervals, model and
 network counters). Host wall-clock is measured from outside the
-package, by ``bench/run.py``; ``python -m repro profile`` prints
-hotspots. See ``docs/perf.md``.
+package, by ``bench/run.py``. See ``docs/perf.md``.
 """
 
 from repro.perf.counters import run_counters

@@ -108,31 +108,3 @@ def allreduce(ctx: RankContext, n_ranks: int, nbytes: int, epoch: int = 0):
     """Reduce-to-0 then broadcast (2 log P depth, any P)."""
     yield from reduce(ctx, n_ranks, nbytes, epoch)
     yield from broadcast(ctx, n_ranks, nbytes, epoch)
-
-
-def collective_cost(
-    collective,
-    machine,
-    nbytes: int = 0,
-) -> float:
-    """Simulated wall time of one collective on an otherwise idle machine.
-
-    Builds a throwaway engine/network, runs ``collective`` on every rank,
-    and returns the completion time — the per-iteration synchronization
-    cost an SCF driver would add between Fock builds.
-    """
-    from repro.runtime.trace import TraceRecorder
-    from repro.simulate.engine import Engine
-    from repro.simulate.network import Network
-
-    engine = Engine()
-    node_of = machine.node_of if machine.cores_per_node is not None else None
-    network = Network(engine, machine.network, machine.n_ranks, node_of)
-    trace = TraceRecorder(machine.n_ranks)
-    for rank in range(machine.n_ranks):
-        ctx = RankContext(rank, engine, network, machine, trace)
-        if nbytes:
-            engine.process(collective(ctx, machine.n_ranks, nbytes), name=f"coll{rank}")
-        else:
-            engine.process(collective(ctx, machine.n_ranks), name=f"coll{rank}")
-    return engine.run()

@@ -99,11 +99,6 @@ class RankContext:
         net.stats.gets += 1
         return net.rma_traced(self.rank, owner, nbytes, self.trace, COMM)
 
-    def put(self, owner: int, nbytes: int):
-        net = self.network
-        net.stats.puts += 1
-        return net.rma_traced(self.rank, owner, nbytes, self.trace, COMM)
-
     def accumulate(self, owner: int, nbytes: int):
         return self.network.accumulate_traced(
             self.rank, owner, nbytes, self.trace, COMM

@@ -85,43 +85,13 @@ class TraceRecorder:
         if self.intervals is not None:
             self.intervals.append((rank, category, start, end))
 
-    def record_batch(
-        self, rank: int, category: str, spans: Iterable[tuple[float, float]]
-    ) -> None:
-        """Account many ``(start, end)`` intervals on one rank at once.
-
-        Equivalent to calling :meth:`record` per span in order (same
-        accumulation order, same interval log), amortizing the per-call
-        validation for hot paths that buffer a few intervals.
-        """
-        totals = self._totals.get(category)
-        if totals is None:
-            raise ConfigurationError(
-                f"category must be one of {_CATEGORIES}, got {category!r}"
-            )
-        acc = totals[rank]
-        n = 0
-        intervals = self.intervals
-        for start, end in spans:
-            if end < start:
-                totals[rank] = acc
-                self.records += n
-                raise SimulationError(
-                    f"interval ends before it starts: [{start}, {end})"
-                )
-            acc += end - start
-            n += 1
-            if intervals is not None:
-                intervals.append((rank, category, start, end))
-        totals[rank] = acc
-        self.records += n
-
     def record_compute(self, rank: int, tid: int | None, start: float, end: float) -> None:
         """Fused hot path: one kernel interval plus its task record.
 
         Identical to ``record(rank, COMPUTE, start, end)`` followed by
-        ``record_task(tid, rank, start, end)`` (skipped for ``tid=None``),
-        saving a dispatch and re-validation per executed task.
+        appending ``TaskRecord(tid, rank, start, end)`` to :attr:`tasks`
+        (skipped for ``tid=None``), saving a dispatch and re-validation per
+        executed task.
         """
         if end < start:
             raise SimulationError(f"interval ends before it starts: [{start}, {end})")
@@ -163,9 +133,6 @@ class TraceRecorder:
             record_task(TaskRecord(tid, rank, start, end))
         totals[rank] = acc
         self.records += n
-
-    def record_task(self, tid: int, rank: int, start: float, end: float) -> None:
-        self.tasks.append(TaskRecord(tid, rank, start, end))
 
     # ------------------------------------------------------------------
     def total(self, category: str) -> np.ndarray:

@@ -254,23 +254,3 @@ class ServiceClient:
     def rows(self, job_id: str) -> list[dict[str, Any]]:
         """Every row for one job, fully drained."""
         return list(self.stream_rows(job_id))
-
-    def submit_and_wait(
-        self,
-        spec: Any,
-        *,
-        timeout: float | None = None,
-        poll: float = 0.2,
-        on_progress: Callable[[dict[str, Any]], None] | None = None,
-    ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-        """Submit, wait for a terminal state, fetch rows: the whole trip.
-
-        The convenience path ``repro submit --watch`` uses; returns the
-        final snapshot and the rows.
-        """
-        accepted = self.submit(spec)
-        job_id = accepted["job_id"]
-        snapshot = self.wait(
-            job_id, timeout=timeout, poll=poll, on_progress=on_progress
-        )
-        return snapshot, self.rows(job_id)

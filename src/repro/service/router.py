@@ -27,7 +27,6 @@ from repro.core.jobspec import JobSpec
 from repro.parallel.executor import (
     EXECUTOR_BACKENDS,
     CellExecutor,
-    executor_names,
     make_executor,
     parse_executor_spec,
 )
@@ -96,8 +95,7 @@ class BackendRouter:
     def backends(self) -> list[dict[str, Any]]:
         """The ``GET /v1/backends`` inventory."""
         out: list[dict[str, Any]] = []
-        for name in executor_names():
-            factory = EXECUTOR_BACKENDS[name]
+        for name, factory in sorted(EXECUTOR_BACKENDS.items()):
             entry: dict[str, Any] = {
                 "name": name,
                 "graph_handoff": getattr(factory, "graph_handoff", None)

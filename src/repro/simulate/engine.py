@@ -220,11 +220,6 @@ class Engine:
         """
         return [p for p in self._processes if not p.done and not p.daemon]
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still scheduled (0 = everything has drained)."""
-        return len(self._heap) + len(self._ready)
-
 
 class Process:
     """A generator-driven simulated activity.
@@ -243,7 +238,6 @@ class Process:
         "done",
         "cancelled",
         "result",
-        "_completion",
         "_resume",
         "_send",
         "_on_finish",
@@ -264,7 +258,6 @@ class Process:
         self.done = False
         self.cancelled = False
         self.result: Any = None
-        self._completion: SimEvent | None = None
         # One bound method reused for every wake-up of this process,
         # instead of a fresh lambda per scheduled event — and the
         # generator's send cached the same way.
@@ -282,15 +275,13 @@ class Process:
         (NIC slots, queue locks) are released rather than leaked — and
         marks the process done. Late wake-ups (a queued resource grant, a
         message delivery) find ``cancelled`` set and are ignored instead
-        of deadlocking the heap. Joiners are resumed with ``None``.
+        of deadlocking the heap.
         """
         if self.done:
             return
         self.done = True
         self.cancelled = True
         self.generator.close()
-        if self._completion is not None and not self._completion.fired:
-            self._completion.fire(None)
 
     def resume(self, value: Any = None) -> None:
         """Advance the generator; route the next request or finish."""
@@ -327,8 +318,8 @@ class Process:
         request.activate(self.engine, self)
 
     def _finish(self, value: Any) -> None:
-        """Complete the process: run ``on_finish``, record the result, fire
-        joiners. Shared by :meth:`resume` and the compiled resume path
+        """Complete the process: run ``on_finish``, record the result.
+        Shared by :meth:`resume` and the compiled resume path
         (``repro.simulate._engine_core``), which must stay semantically
         identical to this method.
         """
@@ -336,16 +327,6 @@ class Process:
             self._on_finish()
         self.done = True
         self.result = value
-        if self._completion is not None:
-            self._completion.fire(value)
-
-    def join(self) -> Request:
-        """Request that completes when this process finishes."""
-        if self._completion is None:
-            self._completion = SimEvent()
-            if self.done:
-                self._completion.fire(self.result)
-        return self._completion.wait()
 
 
 #: Freelist of consumed ``Timeout`` instances. A Timeout normally lives
@@ -506,12 +487,3 @@ class _ResourceAcquire(Request):
         else:
             res.total_waits += 1
             res._queue.append(process)
-
-
-def hold(resource: Resource, duration: float) -> Generator[Request, Any, None]:
-    """Acquire ``resource``, hold it for ``duration``, release it."""
-    yield resource.acquire()
-    try:
-        yield pooled_timeout(duration)
-    finally:
-        resource.release()

@@ -7,10 +7,35 @@ from repro.chemistry.molecules import (
     Molecule,
     linear_alkane,
     nuclear_repulsion,
-    random_cluster,
     water_cluster,
 )
-from repro.util import ConfigurationError
+from repro.util import ConfigurationError, spawn_rng
+
+
+def random_cluster(n_atoms, seed=0, elements=("H", "C", "N", "O"), min_dist=1.8):
+    """Random cluster of ``n_atoms`` at least ``min_dist`` Bohr apart.
+
+    Atoms are drawn uniformly in a cube sized for roughly liquid-like
+    density and resampled until every pair is far enough apart; the
+    property tests use it to exercise integral and screening code on
+    unstructured geometries.
+    """
+    rng = spawn_rng(seed, "random_cluster", n_atoms)
+    side = max(2.5 * min_dist, 1.6 * n_atoms ** (1.0 / 3.0) * min_dist)
+    coords = []
+    attempts = 0
+    while len(coords) < n_atoms:
+        candidate = rng.uniform(0.0, side, size=3)
+        if all(np.linalg.norm(candidate - c) >= min_dist for c in coords):
+            coords.append(candidate)
+        attempts += 1
+        if attempts > 2000 * n_atoms:
+            # The box is too tight for the requested separation; grow it.
+            side *= 1.3
+            coords.clear()
+            attempts = 0
+    symbols = tuple(rng.choice(elements) for _ in range(n_atoms))
+    return Molecule(symbols, np.vstack(coords))
 
 
 class TestMolecule:

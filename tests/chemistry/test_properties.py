@@ -12,8 +12,8 @@ from repro.chemistry.integrals import (
     kinetic_matrix,
     overlap_matrix,
 )
-from repro.chemistry.molecules import random_cluster
 from repro.chemistry.screening import SchwarzScreen
+from tests.chemistry.test_molecules import random_cluster
 
 
 @pytest.fixture(scope="module")

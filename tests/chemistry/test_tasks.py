@@ -153,6 +153,14 @@ class TestDenseForm:
         assert rebuilt.content_key == graph.content_key
         assert pickle.loads(pickle.dumps(graph)).content_key == graph.content_key
 
+    def test_equal_graphs_hash_alike(self, synthetic_graph):
+        """``__eq__`` is content equality, so ``__hash__`` must follow it:
+        a decoded copy is the same dict key and set member."""
+        copy = graph_from_arrays(**synthetic_graph.to_arrays())
+        assert copy is not synthetic_graph and copy == synthetic_graph
+        assert hash(copy) == hash(synthetic_graph)
+        assert len({synthetic_graph, copy}) == 1
+
     def test_footprint_csr_is_reads_then_writes_per_task(self, folded_graph):
         arrays = folded_graph.to_arrays()
         refs = list(zip(arrays["fp_rows"].tolist(), arrays["fp_cols"].tolist()))

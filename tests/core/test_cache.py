@@ -215,7 +215,7 @@ class TestResultCache:
         runner.run_cell(cell)
         if change.get("machine", "") is None:
             change = {"machine": commodity_cluster(8)}
-        runner.run_cell(runner.variant(cell, **change))
+        runner.run_cell(dataclasses.replace(cell, **change))
         assert runner.stats.cached == 0
         assert runner.stats.computed == 2
 

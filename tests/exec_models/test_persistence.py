@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.chemistry.tasks import synthetic_task_graph
-from repro.exec_models import PersistenceModel, run_persistence
+from repro.exec_models import run_persistence
 from repro.exec_models.persistence import rebalance_from_measurements
 from repro.exec_models.static_ import StaticBlock
 from repro.simulate import StaticHeterogeneity, commodity_cluster
@@ -17,7 +17,7 @@ class TestRunPersistence:
     def test_improves_over_first_iteration(self, machine16):
         graph = synthetic_task_graph(400, 16, seed=6, skew=1.5)
         history = run_persistence(graph, machine16, n_iterations=4)
-        assert history.steady_state.makespan < history.first_iteration.makespan
+        assert history.steady_state.makespan < history.results[0].makespan
         assert history.improvement > 1.0
 
     def test_converges_quickly(self, machine16):
@@ -32,7 +32,7 @@ class TestRunPersistence:
         graph = synthetic_task_graph(600, 16, seed=1, skew=0.8)
         machine = commodity_cluster(16, variability=StaticHeterogeneity([0, 1], 0.4))
         history = run_persistence(graph, machine, n_iterations=4, capacity_aware=True)
-        first, last = history.first_iteration, history.steady_state
+        first, last = history.results[0], history.steady_state
         assert last.makespan < 0.7 * first.makespan
         # Slow ranks end with less modeled work than the mean.
         loads = np.bincount(last.assignment, weights=graph.costs, minlength=16)
@@ -68,16 +68,3 @@ class TestRebalanceFromMeasurements:
             assignment, weights=result.task_durations, minlength=16
         )
         assert loads.max() / loads.mean() < 1.1
-
-
-class TestPersistenceModel:
-    def test_reports_steady_state(self, machine16):
-        graph = synthetic_task_graph(400, 16, seed=6, skew=1.5)
-        result = PersistenceModel(n_iterations=3).run(graph, machine16)
-        assert result.model == "persistence(iters=3)"
-        assert result.counters["first_iteration_makespan"] >= result.makespan
-        assert result.counters["improvement"] >= 1.0
-
-    def test_rank_process_not_callable(self):
-        with pytest.raises(NotImplementedError):
-            PersistenceModel().rank_process(None, None)

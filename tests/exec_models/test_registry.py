@@ -24,7 +24,6 @@ class TestRegistry:
             "work_stealing",
             "inspector_semi_matching",
             "inspector_hypergraph",
-            "persistence",
         ):
             assert required in MODEL_NAMES
 

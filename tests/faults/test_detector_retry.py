@@ -34,10 +34,8 @@ class TestFailureDetector:
         engine.run(until=1.2)
         assert injector.is_dead(1)
         assert not detector.is_suspected(1)  # dead but inside the window
-        assert detector.undetected(1)
         engine.run(until=2.0)
         assert detector.is_suspected(1)
-        assert not detector.undetected(1)
         assert detector.suspects() == {1}
 
     def test_report_makes_death_immediately_visible(self):

@@ -26,11 +26,9 @@ from repro.parallel.executor import (
     LocalExecutor,
     SerialExecutor,
     WorkerError,
-    executor_names,
     format_executor_spec,
     make_executor,
     parse_executor_spec,
-    register_executor,
 )
 from repro.parallel.fabric import (
     DistributedExecutor,
@@ -161,7 +159,7 @@ class TestParseEndpoint:
 
 class TestExecutorRegistry:
     def test_builtin_names(self):
-        assert set(executor_names()) >= {"local", "serial", "distributed"}
+        assert set(EXECUTOR_BACKENDS) == {"local", "serial", "distributed"}
 
     def test_make_by_name(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
@@ -178,19 +176,6 @@ class TestExecutorRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
             make_executor("carrier-pigeon")
-
-    def test_register_and_replace(self):
-        class Custom(SerialExecutor):
-            name = "custom-test"
-
-        try:
-            register_executor("custom-test", Custom)
-            assert isinstance(make_executor("custom-test"), Custom)
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_executor("custom-test", Custom)
-            register_executor("custom-test", Custom, replace=True)
-        finally:
-            EXECUTOR_BACKENDS.pop("custom-test", None)
 
     def test_graph_handoff_attributes(self):
         assert LocalExecutor.graph_handoff == "shm"
@@ -522,3 +507,10 @@ class TestDegradation:
             assert port > 0
         finally:
             ex.close()
+
+    def test_context_manager_closes_the_fabric(self):
+        with DistributedExecutor(connect_timeout=0.1, degrade_after=0.1) as ex:
+            assert ex.endpoint[1] > 0
+            assert not ex.server._closed
+        assert ex.server._closed
+        assert ex.server._listener.fileno() == -1  # the port is released

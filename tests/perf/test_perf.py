@@ -1,4 +1,4 @@
-"""The `repro.perf` layer (counters), the `profile` command, doc pointers."""
+"""The `repro.perf` layer (counters), the retired measuring commands, doc pointers."""
 
 import re
 from pathlib import Path
@@ -44,13 +44,14 @@ class TestSurface:
     def test_package_exports_only_run_counters(self):
         assert repro.perf.__all__ == ["run_counters"]
 
-    def test_bench_command_is_gone_profile_stays(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench"])
-        assert exc.value.code == 2  # argparse: invalid choice
+    def test_bench_and_profile_commands_are_gone(self, capsys):
+        # `python3 bench/run.py` measures; `python -m cProfile -m repro
+        # study ...` profiles; `repro.perf.run_counters` counts.
+        for command in ("bench", "profile"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2  # argparse: invalid choice
         capsys.readouterr()
-        assert main(["profile", "quick", "--counters"]) == 0
-        assert "hot-path counters" in capsys.readouterr().out
 
 
 def _slug(heading: str) -> str:
@@ -106,4 +107,32 @@ class TestPointers:
                 title = " ".join(title.split())
                 if (ROOT / path).exists() and title not in _headings(ROOT / path):
                     stale.append(f'{where}: {path}, "{title}"')
+        assert not stale, "\n".join(stale)
+
+    IMPORT = re.compile(r"^\s*from (repro[\w.]*) import (\([^)]*\)|.*)$", re.M)
+    API_NAME = re.compile(r"\bapi\.(?!py\b)([A-Za-z_]\w*)")  # not the file api.py
+
+    def test_documented_names_resolve(self):
+        """A doc cannot name a deleted symbol: every ``from repro... import``
+        name and every ``api.<name>`` in README, DESIGN and docs/ exists."""
+        import importlib
+
+        from repro import api
+
+        stale, checked = [], 0
+        for doc in [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]:
+            text = re.sub(r"#.*", "", doc.read_text(encoding="utf-8"))
+            for module, names in self.IMPORT.findall(text):
+                mod = importlib.import_module(module)
+                for name in names.strip("()").replace("\n", " ").split(","):
+                    name = name.split(" as ")[0].strip()
+                    if name:
+                        checked += 1
+                        if not hasattr(mod, name):
+                            stale.append(f"{doc.name}: from {module} import {name}")
+            for name in set(self.API_NAME.findall(text)):
+                checked += 1
+                if not hasattr(api, name):
+                    stale.append(f"{doc.name}: api.{name}")
+        assert checked > 50
         assert not stale, "\n".join(stale)

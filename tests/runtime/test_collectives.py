@@ -7,7 +7,6 @@ from repro.runtime.collectives import (
     allreduce,
     barrier,
     broadcast,
-    collective_cost,
     reduce,
     _tree_children,
     _tree_parent,
@@ -17,6 +16,21 @@ from repro.runtime.trace import TraceRecorder
 from repro.simulate import MachineSpec, commodity_cluster, hierarchical_cluster
 from repro.simulate.engine import Engine
 from repro.simulate.network import Network
+
+
+def collective_cost(collective, machine, nbytes=0):
+    """Simulated wall time of one collective on an otherwise idle machine."""
+    engine = Engine()
+    node_of = machine.node_of if machine.cores_per_node is not None else None
+    network = Network(engine, machine.network, machine.n_ranks, node_of)
+    trace = TraceRecorder(machine.n_ranks)
+    for rank in range(machine.n_ranks):
+        ctx = RankContext(rank, engine, network, machine, trace)
+        if nbytes:
+            engine.process(collective(ctx, machine.n_ranks, nbytes), name=f"coll{rank}")
+        else:
+            engine.process(collective(ctx, machine.n_ranks), name=f"coll{rank}")
+    return engine.run()
 
 
 def run_collective(n_ranks, collective, nbytes=None, record=None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.trace import COMM, COMPUTE, IDLE, OVERHEAD, TraceRecorder
+from repro.runtime.trace import COMM, COMPUTE, IDLE, OVERHEAD, TaskRecord, TraceRecorder
 from repro.util import ConfigurationError, SimulationError
 
 
@@ -72,56 +72,32 @@ class TestBreakdown:
 class TestTaskAssignment:
     def test_exactly_once_passes(self):
         trace = TraceRecorder(2)
-        trace.record_task(0, 1, 0.0, 1.0)
-        trace.record_task(1, 0, 0.0, 1.0)
+        trace.record_compute(1, 0, 0.0, 1.0)
+        trace.record_compute(0, 1, 0.0, 1.0)
         np.testing.assert_array_equal(trace.task_assignment(2), [1, 0])
 
     def test_duplicate_execution_detected(self):
         trace = TraceRecorder(2)
-        trace.record_task(0, 0, 0.0, 1.0)
-        trace.record_task(0, 1, 1.0, 2.0)
+        trace.record_compute(0, 0, 0.0, 1.0)
+        trace.record_compute(1, 0, 1.0, 2.0)
         with pytest.raises(SimulationError, match="more than once"):
             trace.task_assignment(1)
 
     def test_missing_task_detected(self):
         trace = TraceRecorder(2)
-        trace.record_task(0, 0, 0.0, 1.0)
+        trace.record_compute(0, 0, 0.0, 1.0)
         with pytest.raises(SimulationError, match="never executed"):
             trace.task_assignment(2)
 
     def test_out_of_range_tid_detected(self):
         trace = TraceRecorder(1)
-        trace.record_task(7, 0, 0.0, 1.0)
+        trace.record_compute(0, 7, 0.0, 1.0)
         with pytest.raises(SimulationError, match="out of range"):
             trace.task_assignment(2)
 
 
 class TestBatchAndFusedRecording:
-    """record_batch / record_compute equal their per-call expansions."""
-
-    def test_record_batch_matches_per_span_records(self):
-        spans = [(0.0, 0.5), (1.0, 1.25), (2.0, 2.0), (3.0, 4.5)]
-        batched = TraceRecorder(4)
-        batched.keep_intervals()
-        batched.record_batch(2, COMM, spans)
-        singles = TraceRecorder(4)
-        singles.keep_intervals()
-        for start, end in spans:
-            singles.record(2, COMM, start, end)
-        # Same accumulation order => identical to the last ulp.
-        assert batched.total(COMM).tolist() == singles.total(COMM).tolist()
-        assert batched.intervals == singles.intervals
-        assert batched.records == singles.records == len(spans)
-
-    def test_record_batch_rejects_bad_category_and_span(self):
-        trace = TraceRecorder(2)
-        with pytest.raises(ConfigurationError):
-            trace.record_batch(0, "nonsense", [(0.0, 1.0)])
-        with pytest.raises(SimulationError):
-            trace.record_batch(0, COMM, [(0.0, 1.0), (2.0, 1.0)])
-        # The valid prefix before the bad span is kept, like per-call.
-        assert trace.total(COMM)[0] == 1.0
-        assert trace.records == 1
+    """record_compute equals its per-call expansion."""
 
     def test_record_compute_matches_record_plus_task(self):
         fused = TraceRecorder(2)
@@ -130,7 +106,7 @@ class TestBatchAndFusedRecording:
         manual = TraceRecorder(2)
         manual.keep_intervals()
         manual.record(1, COMPUTE, 2.0, 3.5)
-        manual.record_task(7, 1, 2.0, 3.5)
+        manual.tasks.append(TaskRecord(7, 1, 2.0, 3.5))
         assert fused.total(COMPUTE).tolist() == manual.total(COMPUTE).tolist()
         assert fused.intervals == manual.intervals
         assert fused.tasks == manual.tasks

@@ -40,7 +40,7 @@ class TestRoundTrip:
             tag="round-trip",
         )
         assert JobSpec.from_json(spec.to_json()) == spec
-        assert JobSpec.from_json(spec.dumps()) == spec
+        assert JobSpec.from_json(json.dumps(spec.to_json())) == spec
 
     def test_cli_to_json_to_spec(self):
         ns = cli_namespace(models=["work_stealing"], ranks=[8], jobs=2)

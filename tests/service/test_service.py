@@ -10,7 +10,7 @@ import repro
 from repro import api
 from repro.chaos.service import daemon
 from repro.core.jobspec import JobSpec, SourceSpec
-from repro.service import JobManager, QueueFull, StudyService
+from repro.service import JobManager, QueueFull, ServiceClient, ServiceError, StudyService
 
 #: A grid small enough that every HTTP test stays fast.
 SMALL = {"source": {"size": 2}, "models": ["work_stealing"], "ranks": [8, 16]}
@@ -80,7 +80,7 @@ class TestEndpoints:
         status, body = request(service, "GET", "/v1/backends")
         assert status == 200
         names = {b["name"] for b in body["backends"]}
-        assert names == set(api.executor_names())
+        assert names == {"local", "serial", "distributed"}
         local = next(b for b in body["backends"] if b["name"] == "local")
         assert local["default"] is True
         distributed = next(b for b in body["backends"] if b["name"] == "distributed")
@@ -134,6 +134,16 @@ class TestJobLifecycle:
         assert body["status"] == "done"
         assert body["progress"]["completed"] == body["progress"]["total"] == 2
         assert body["error"] == ""
+
+    def test_client_cancel_is_the_delete_route(self, service):
+        client = ServiceClient(*service.endpoint)
+        job_id = client.submit(SMALL)["job_id"]
+        body = client.cancel(job_id)
+        assert body["job_id"] == job_id
+        assert client.wait(job_id, timeout=60)["status"] in ("cancelled", "done")
+        with pytest.raises(ServiceError) as err:
+            client.cancel("deadbeef")
+        assert err.value.status == 404
 
     def test_rows_replay_after_completion(self, service):
         _, sub = request(service, "POST", "/v1/jobs", body=SMALL)

@@ -6,10 +6,18 @@ from repro.simulate.engine import (
     SimEvent,
     Timeout,
     _timeout_pool,
-    hold,
     pooled_timeout,
 )
 from repro.util import SimulationError
+
+
+def hold(resource, duration):
+    """Acquire ``resource``, hold it for ``duration``, release it."""
+    yield resource.acquire()
+    try:
+        yield pooled_timeout(duration)
+    finally:
+        resource.release()
 
 
 class TestEngineScheduling:
@@ -87,23 +95,6 @@ class TestProcesses:
         p = engine.process(proc())
         engine.run()
         assert p.done and p.result == 42
-
-    def test_join_waits_for_completion(self):
-        engine = Engine()
-        got = []
-
-        def worker():
-            yield Timeout(5.0)
-            return "done"
-
-        def waiter(w):
-            value = yield w.join()
-            got.append((engine.now, value))
-
-        w = engine.process(worker())
-        engine.process(waiter(w))
-        engine.run()
-        assert got == [(5.0, "done")]
 
     def test_yield_from_composes(self):
         engine = Engine()

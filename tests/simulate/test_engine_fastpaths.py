@@ -173,7 +173,7 @@ class TestRunUntilEdges:
         final = engine.run(until=5.0)
         assert log == [5.0]
         assert final == 5.0 and engine.now == 5.0
-        assert engine.pending_events == 1  # the event past the horizon
+        assert len(engine._heap) == 1 and not engine._ready  # the event past the horizon
 
     def test_blocked_after_bounded_run_is_not_deadlock(self):
         engine = Engine()

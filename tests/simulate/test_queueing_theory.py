@@ -67,10 +67,11 @@ class TestPerfectScalingLimit:
         assert result.efficiency > 0.95
 
     def test_makespan_never_below_work_bound(self):
-        from repro.analysis import makespan_bounds
+        from repro.balance import makespan_lower_bound
 
         for seed in range(3):
             graph = synthetic_task_graph(200, 8, seed=seed, skew=1.0)
             machine = commodity_cluster(8)
             result = StaticBlock().run(graph, machine, seed=seed)
-            assert result.makespan >= makespan_bounds(graph, machine).tightest * 0.999
+            bound = makespan_lower_bound(graph.costs, 8) / machine.flops_per_second
+            assert result.makespan >= bound * 0.999

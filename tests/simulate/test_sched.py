@@ -25,7 +25,6 @@ from repro.simulate.engine import (
     SimEvent,
     SimulationError,
     Timeout,
-    hold,
     pooled_timeout,
 )
 from repro.simulate.network import Network, NetworkModel, SharedCell, _FusedOp
@@ -39,6 +38,7 @@ from repro.simulate.sched import (
     set_engine_mode,
 )
 from repro.util import ConfigurationError
+from tests.simulate.test_engine import hold
 
 #: Engine classes under test; the compiled loop only where buildable.
 ENGINE_CLASSES = [Engine] + ([CompiledEngine] if compiled_available() else [])
@@ -301,7 +301,7 @@ def _run_scenario(
         engine.schedule(3.0e-7, procs[0].cancel)
     for horizon in horizons:
         engine.run(until=horizon)
-        log.append(("horizon", engine.now, engine.pending_events))
+        log.append(("horizon", engine.now, len(engine._heap) + len(engine._ready)))
     engine.run()
     log.append(("end", engine.now, engine.events_dispatched, engine.ready_dispatched))
     log.append(

@@ -147,10 +147,12 @@ class TestFaultToleranceFlags:
     ):
         import repro.core.sweep as sweep_mod
 
+        execute_cell = sweep_mod.execute_cell
+
         def fail_work_stealing(cell):
             if cell.model == "work_stealing":
                 raise RuntimeError("injected CLI failure")
-            return sweep_mod.execute_cell(cell)
+            return execute_cell(cell)
 
         monkeypatch.setattr(sweep_mod, "execute_cell", fail_work_stealing)
         code = main(
@@ -162,6 +164,7 @@ class TestFaultToleranceFlags:
         captured = capsys.readouterr()
         assert "quarantined cells" in captured.out
         assert "work_stealing@P=4" in captured.out
+        assert "static_block@P=4" not in captured.out  # it ran, not quarantined
         assert "static_block" in captured.out  # partial results still shown
         assert "partial" in captured.err
 
@@ -211,16 +214,3 @@ class TestFaultToleranceFlags:
             "sys.exit('repro.chaos' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
-
-
-class TestPerfCommands:
-    def test_profile_requires_known_study(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "nope"])
-
-    def test_profile_quick(self, capsys):
-        rc = main(["profile", "quick", "--top", "5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "profiling study 'quick'" in out
-        assert "cumulative" in out
