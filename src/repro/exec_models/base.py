@@ -28,6 +28,7 @@ from repro.balance.metrics import footprint_owners
 from repro.chemistry.tasks import TaskGraph, TaskSpec
 from repro.faults import FailureDetector, FaultInjector, FaultPlan
 from repro.runtime.comm import RankContext
+from repro.runtime.counter import GlobalCounter
 from repro.runtime.garrays import BlockDistribution, GlobalBlockedMatrix
 from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceRecorder
 from repro.simulate.engine import Process, Timeout, pooled_timeout
@@ -95,13 +96,14 @@ class RunResult:
     #: the shared freelist these no longer cost one allocation each; the
     #: counter measures how much traffic the freelist absorbs. A task run
     #: as one chained request counts its kernel step as the ``Timeout``
-    #: it stands for, so the count does not say which form ran.
+    #: it stands for, and a drain's pop step its ``overhead_delay``
+    #: ``Timeout``, so the count does not say which form ran.
     timeout_allocs: int = 0
     #: Resource grants delivered straight to a waiter's resume (NIC and
     #: atomic-counter queueing) without a generic callback frame.
     grant_resumes: int = 0
     #: Traced network ops served from the fused cost tables (no
-    #: generator frame), one by one or as steps of a task's chain; 0
+    #: generator frame), one by one or as steps of a chained request; 0
     #: when fault injection arms the traced path.
     fused_ops: int = 0
 
@@ -346,16 +348,91 @@ class Harness:
         tasks = self.graph.tasks
         if chain is None or tid >= len(tasks) or tasks[tid] is not task:
             return self._walk_task(ctx, task)
+        op = _FusedOp(self.trace, ctx.rank)
+        self._arm_task(op, tid)
+        return op
+
+    def claim_loop(self, ctx: RankContext, counter: GlobalCounter, sequence: np.ndarray):
+        """``counter_dynamic``'s chunk-1 loop as one request, else None.
+
+        Fetch-add ``counter``, run task ``sequence[value]``, fetch-add
+        again, until a claim reads ``n_tasks`` or more; ``counters
+        ["claims"]`` counts every fetch-add. None when tasks do not run as
+        chains (see :meth:`execute_task`): the caller drives the generator
+        loop, the reference, which this request reproduces event by event.
+        """
+        if self._chain is None:
+            return None
+        network = self.network
+        stats = network.stats
+        cell = counter.cell
+        programs = tuple(network._tier_program("fetch_add", tier, 0) for tier in (0, 1, 2))
+        fetch_add = network._chain(((counter.home_rank, programs, OVERHEAD),))
+        n_tasks = self.graph.n_tasks
+
+        def claim(op: _FusedOp) -> bool:
+            if op.chain is fetch_add:  # the fetch-add ran: the task it read
+                self.counters["claims"] += 1.0
+                first = op.result
+                if first >= n_tasks:
+                    return False
+                op.counter = None
+                self._arm_task(op, int(sequence[first]))
+            else:  # a task ran: the next fetch-add
+                stats.fetch_adds += 1
+                stats.fused_ops += 1
+                op.chain, op.pos, op.end, op.counter = fetch_add, 0, 1, cell
+            return True
+
+        stats.fetch_adds += 1
+        stats.fused_ops += 1
+        return _FusedOp(
+            self.trace, ctx.rank, counter=cell, amount=1, chain=fetch_add, end=1, claim=claim
+        )
+
+    def local_drain(self, ctx: RankContext, queue, locks: list):
+        """``work_stealing``'s local drain as one request, else None.
+
+        Pop the head of ``queue`` holding ``locks[rank]`` for
+        :attr:`LOCAL_QUEUE_OP`, run the task, repeat while the queue holds
+        tasks; the result is how many ran (0 when a thief emptied the
+        queue under the lock). None as for :meth:`claim_loop`; the
+        generator is ``WorkStealing._pop_local`` plus :meth:`execute_task`.
+        """
+        if self._chain is None:
+            return None
         rank = ctx.rank
+        program = ((), self.LOCAL_QUEUE_OP, ())
+        pop = (((rank, (program, program, program), OVERHEAD),), locks, None)
+
+        def claim(op: _FusedOp) -> bool:
+            if op.chain is pop:  # the pop step ran: the head, if a thief left one
+                if not queue:
+                    return False
+                self._arm_task(op, queue.popleft())
+                return True
+            op.result += 1  # a task ran: pop again while the queue holds any
+            if not queue:
+                return False
+            op.chain, op.pos, op.end = pop, 0, 1
+            return True
+
+        op = _FusedOp(self.trace, rank, chain=pop, end=1, claim=claim)
+        op.result = 0
+        return op
+
+    def _arm_task(self, op: _FusedOp, tid: int) -> None:
+        """Make task ``tid``'s slice of the step table ``op``'s chain,
+        counting its operations; the chain supplies category, program
+        and NIC step by step."""
+        rank = op.src
         self._count_ops(rank, *self._totals[tid])
         bounds = self._bounds
-        duration = task.flops / self._rates[rank]
-        # Positional: keywords double the cost of the call. The chain
-        # supplies category, program and NIC step by step.
-        return _FusedOp(
-            self.trace, rank, None, (), None, None, (), None, 0,
-            chain, bounds[tid], bounds[tid + 1], duration, tid,
-        )  # fmt: skip
+        op.chain = self._chain
+        op.pos = bounds[tid]
+        op.end = bounds[tid + 1]
+        op.duration = self.graph.tasks[tid].flops / self._rates[rank]
+        op.tid = tid
 
     def _walk_task(self, ctx: RankContext, task: TaskSpec):
         """The task protocol as a generator: the reference for the chain."""

@@ -56,6 +56,12 @@ class CounterDynamic(ExecutionModel):
     def rank_process(self, harness: Harness, ctx: RankContext):
         sequence: np.ndarray = harness.model_state["sequence"]
         counter: GlobalCounter = harness.model_state["counter"]
+        # Claiming one task at a time, the whole loop below can be one
+        # request the engine walks.
+        loop = harness.claim_loop(ctx, counter, sequence) if self.chunk == 1 else None
+        if loop is not None:
+            yield from loop
+            return
         n_tasks = harness.graph.n_tasks
         while True:
             first = yield from counter.next(ctx, self.chunk)

@@ -23,6 +23,7 @@ against 10 us tasks: exactly the granularity trade-off of experiment E5.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,7 +44,8 @@ class WorkStealing(ExecutionModel):
 
     Args:
         initial: initial task distribution — ``"block"``, ``"cyclic"``, or
-            an explicit ``(n_tasks,)`` assignment array.
+            an explicit ``(n_tasks,)`` rank per task (array or sequence),
+            checked against the run at setup.
         steal: amount policy — ``"half"`` (ceil of half the victim's
             queue, TASCEL default) or ``"one"``.
         victim: victim selection — ``"random"`` or ``"ring"`` (cyclic scan
@@ -54,7 +56,7 @@ class WorkStealing(ExecutionModel):
 
     def __init__(
         self,
-        initial: str | np.ndarray = "block",
+        initial: str | np.ndarray | Sequence[int] = "block",
         steal: str = "half",
         victim: str = "random",
         min_backoff: float = 1.0e-6,
@@ -77,7 +79,7 @@ class WorkStealing(ExecutionModel):
             raise ConfigurationError("max_backoff must be >= min_backoff")
         check_positive("park_after", park_after)
         self.park_after = int(park_after)
-        self.initial = initial
+        self.initial = initial if isinstance(initial, str) else np.asarray(initial, dtype=np.int64)
         self.steal = steal
         self.victim = victim
         self.min_backoff = float(min_backoff)
@@ -89,11 +91,15 @@ class WorkStealing(ExecutionModel):
     def setup(self, harness: Harness) -> None:
         n_tasks = harness.graph.n_tasks
         n_ranks = harness.n_ranks
-        if isinstance(self.initial, np.ndarray):
-            assignment = np.asarray(self.initial, dtype=np.int64)
+        if not isinstance(self.initial, str):
+            assignment = self.initial
             if assignment.shape != (n_tasks,):
                 raise ConfigurationError(
                     f"initial assignment must be ({n_tasks},), got {assignment.shape}"
+                )
+            if n_tasks and (assignment.min() < 0 or assignment.max() >= n_ranks):
+                raise ConfigurationError(
+                    f"initial assignment references ranks outside [0, {n_ranks})"
                 )
         elif self.initial == "block":
             assignment = block_assignment(n_tasks, n_ranks)
@@ -196,6 +202,7 @@ class WorkStealing(ExecutionModel):
     # ------------------------------------------------------------------
     def rank_process(self, harness: Harness, ctx: RankContext):
         queues: list[deque[int]] = harness.model_state["queues"]
+        locks: list[Resource] = harness.model_state["locks"]
         ring: TokenRing = harness.model_state["ring"]
         queue = queues[ctx.rank]
         n_ranks = harness.n_ranks
@@ -205,7 +212,12 @@ class WorkStealing(ExecutionModel):
         consecutive_failures = 0
 
         while True:
-            # Drain the local queue.
+            # Drain the local queue: one request when the engine walks
+            # the drain, which leaves the queue empty; else the loop.
+            drain = harness.local_drain(ctx, queue, locks) if queue else None
+            if drain is not None and (yield from drain):
+                backoff = self.min_backoff
+                consecutive_failures = 0
             while queue:
                 tid = yield from self._pop_local(harness, ctx)
                 if tid is None:

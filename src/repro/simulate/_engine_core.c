@@ -89,7 +89,7 @@ static AttrName s_delay[1], s_name[1], s_value[1];
 static AttrName s_pre[1], s_nic[1], s_hold[1], s_post[1], s_trace[1], s_src[1];
 static AttrName s_category[1], s_counter[1], s_amount[1], s_proc[1], s_start[1];
 static AttrName s_phase[1], s_idx[1], s_holding[1], s_result[1], s_step[1];
-static AttrName s_chain[1], s_pos[1], s_end[1], s_duration[1], s_tid[1];
+static AttrName s_chain[1], s_pos[1], s_end[1], s_duration[1], s_tid[1], s_claim[1];
 static AttrName s_in_use[1], s_capacity[1], s_total_acquisitions[1];
 static AttrName s_total_waits[1], s_queue[1];
 static AttrName s_totals[1], s_intervals[1], s_records[1];
@@ -604,8 +604,10 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
  * frame per delay. An op with a `chain` is a whole task: when one step
  * completes the walker arms the next from the run's flat step list, so
  * the process's generator is re-entered once per task, not once per
- * operation. Every branch mirrors a line of _FusedOp.activate /
- * ._load_step / .resume / ._advance / ._complete / ._finish, and every
+ * operation -- or once per claim loop, when the op's `claim` loads the
+ * next slice each time one runs out. Every branch mirrors a line of
+ * _FusedOp.activate / ._load_step / ._acquire / .resume / ._advance /
+ * ._complete / ._finish, and every
  * seq allocation happens at exactly the same dispatch, so (time, seq)
  * orders are unchanged. */
 
@@ -748,8 +750,9 @@ fused_finish(RunCtx *ctx, PyObject *op)
 }
 
 /* A (pre, hold, post) program as the walker needs it: borrowed items of
- * an exact 3-tuple whose pre is a non-empty exact tuple, whose hold is
- * None or a float and whose post is an exact tuple; 0 otherwise. */
+ * an exact 3-tuple whose pre is an exact tuple, whose hold is None or a
+ * float and whose post is an exact tuple, with a float first pre-delay
+ * or, for a lock hold, no pre-delay and a float hold; 0 otherwise. */
 static int
 program_items(PyObject *program, PyObject **pre, PyObject **hold, PyObject **post)
 {
@@ -758,25 +761,90 @@ program_items(PyObject *program, PyObject **pre, PyObject **hold, PyObject **pos
     *pre = PyTuple_GET_ITEM(program, 0);
     *hold = PyTuple_GET_ITEM(program, 1);
     *post = PyTuple_GET_ITEM(program, 2);
-    return PyTuple_CheckExact(*pre) && PyTuple_GET_SIZE(*pre) > 0 &&
-           PyFloat_CheckExact(PyTuple_GET_ITEM(*pre, 0)) &&
-           (*hold == Py_None || PyFloat_CheckExact(*hold)) &&
-           PyTuple_CheckExact(*post);
+    if (!PyTuple_CheckExact(*pre) || !PyTuple_CheckExact(*post) ||
+        !(*hold == Py_None || PyFloat_CheckExact(*hold)))
+        return 0;
+    return PyTuple_GET_SIZE(*pre) > 0 ? PyFloat_CheckExact(PyTuple_GET_ITEM(*pre, 0))
+                                      : *hold != Py_None;
 }
 
-/* _FusedOp._load_step: arm the chain's next step, or finish. The walk
- * below runs when the chain is what Harness builds -- exact tuples, int
- * ranks, float delays, every index in range; anything else calls the
- * Python method before a single store, so a malformed step raises that
- * method's own error. */
+/* _FusedOp._acquire: nic.acquire() for the op, inline
+ * _ResourceAcquire.activate. */
+static int
+fused_acquire(RunCtx *ctx, PyObject *op, PyObject *engine, PyObject *nic)
+{
+    long long in_use, capacity;
+    if (set_ll(op, s_phase, 1) < 0 || get_ll(nic, s_in_use, &in_use) < 0 ||
+        get_ll(nic, s_capacity, &capacity) < 0)
+        return -1;
+    PyObject *r;
+    if (in_use < capacity) {
+        long long acq, seq;
+        if (set_ll(nic, s_in_use, in_use + 1) < 0 ||
+            get_ll(nic, s_total_acquisitions, &acq) < 0 ||
+            set_ll(nic, s_total_acquisitions, acq + 1) < 0 ||
+            get_ll(engine, s_seq, &seq) < 0 || set_ll(engine, s_seq, seq + 1) < 0)
+            return -1;
+        /* engine.call_now(nic._deliver_grant, op) */
+        PyObject *seqobj = PyLong_FromLongLong(seq);
+        PyObject *deliver =
+            seqobj == NULL ? NULL : PyObject_GetAttr(nic, s_deliver_name);
+        PyObject *tup =
+            deliver == NULL ? NULL : PyTuple_Pack(3, seqobj, deliver, op);
+        Py_XDECREF(deliver);
+        Py_XDECREF(seqobj);
+        if (tup == NULL)
+            return -1;
+        r = PyObject_CallOneArg(ctx->ready_append, tup);
+        Py_DECREF(tup);
+    }
+    else {
+        long long waits;
+        if (get_ll(nic, s_total_waits, &waits) < 0 ||
+            set_ll(nic, s_total_waits, waits + 1) < 0)
+            return -1;
+        PyObject *queue = get_attr(nic, s_queue);
+        if (queue == NULL)
+            return -1;
+        r = PyObject_CallMethodOneArg(queue, s_append, op);
+        Py_DECREF(queue);
+    }
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* _FusedOp._load_step: arm the chain's next step, or the first of the
+ * slice the op's claim loads next, or finish. The walk below runs when
+ * the chain is what Harness builds -- exact tuples, int ranks, float
+ * delays, every index in range; anything else calls the Python method
+ * before a single store, so a malformed step raises that method's own
+ * error. */
 static int
 fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
 {
     long long pos, end;
     if (get_ll(op, s_pos, &pos) < 0 || get_ll(op, s_end, &end) < 0)
         return -1;
-    if (pos >= end)
-        return fused_finish(ctx, op);
+    while (pos >= end) {
+        PyObject *claim = get_attr(op, s_claim);
+        if (claim == NULL)
+            return -1;
+        int more = 0;
+        if (claim != Py_None) {
+            PyObject *r = PyObject_CallOneArg(claim, op);
+            more = r == NULL ? -1 : PyObject_IsTrue(r);
+            Py_XDECREF(r);
+        }
+        Py_DECREF(claim);
+        if (more < 0)
+            return -1;
+        if (!more)
+            return fused_finish(ctx, op);
+        if (get_ll(op, s_pos, &pos) < 0 || get_ll(op, s_end, &end) < 0)
+            return -1;
+    }
     int rc = -1;
     PyObject *chain = get_attr(op, s_chain);
     PyObject *srcobj = chain ? get_attr(op, s_src) : NULL;
@@ -837,14 +905,17 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
             goto python;
         nic = PyList_GET_ITEM(nics, dst);
     }
-    if (set_ll(op, s_pos, pos + 1) < 0 || set_attr(op, s_start, nowobj) < 0 ||
+    int lock = PyTuple_GET_SIZE(pre) == 0; /* its interval begins at the grant */
+    if (set_ll(op, s_pos, pos + 1) < 0 ||
+        set_attr(op, s_start, lock ? Py_None : nowobj) < 0 ||
         set_attr(op, s_category, PyTuple_GET_ITEM(step, 2)) < 0 ||
         set_attr(op, s_post, post) < 0 || set_attr(op, s_pre, pre) < 0 ||
         set_attr(op, s_hold, hold) < 0 || set_attr(op, s_nic, nic) < 0 ||
         set_ll(op, s_phase, 0) < 0 || set_ll(op, s_idx, 1) < 0)
         goto out;
-    rc = fused_dispatch(ctx, op, engine,
-                        PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pre, 0)));
+    rc = lock ? fused_acquire(ctx, op, engine, nic)
+              : fused_dispatch(ctx, op, engine,
+                               PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pre, 0)));
     goto out;
 python: {
     PyObject *r = PyObject_CallMethodNoArgs(op, s_load_step);
@@ -880,8 +951,8 @@ fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
 }
 
 /* _FusedOp.resume: the NIC grant arrived. fetch_add's read-modify-write
- * happens here (while the home NIC is held), then the held occupancy is
- * scheduled. */
+ * happens here (while the home NIC is held), a lock hold's interval and
+ * Timeout begin here, then the held occupancy is scheduled. */
 static int
 fused_resume(RunCtx *ctx, PyObject *op)
 {
@@ -908,13 +979,35 @@ fused_resume(RunCtx *ctx, PyObject *op)
     }
     else
         Py_DECREF(counter);
-    if (set_attr(op, s_holding, Py_True) < 0)
-        return -1;
-    if (set_ll(op, s_phase, 2) < 0)
-        return -1;
     PyObject *engine = get_attr(op, s_engine);
     if (engine == NULL)
         return -1;
+    PyObject *start = get_attr(op, s_start);
+    if (start == NULL) {
+        Py_DECREF(engine);
+        return -1;
+    }
+    Py_DECREF(start); /* only compared */
+    if (start == Py_None) {
+        PyObject *nowobj = get_attr(engine, s_now);
+        int set = nowobj == NULL ? -1 : set_attr(op, s_start, nowobj);
+        Py_XDECREF(nowobj);
+        if (set < 0) {
+            Py_DECREF(engine);
+            return -1;
+        }
+        /* engine.timeout_allocs += 1 */
+        if (engine == ctx->engine)
+            ctx->timeout_allocs++;
+        else if (bump_ll_attr(engine, s_timeout_allocs) < 0) {
+            Py_DECREF(engine);
+            return -1;
+        }
+    }
+    if (set_attr(op, s_holding, Py_True) < 0 || set_ll(op, s_phase, 2) < 0) {
+        Py_DECREF(engine);
+        return -1;
+    }
     PyObject *holdobj = get_attr(op, s_hold);
     if (holdobj == NULL) {
         Py_DECREF(engine);
@@ -987,67 +1080,9 @@ fused_advance(RunCtx *ctx, PyObject *op)
         PyObject *nic = get_attr(op, s_nic);
         if (nic == NULL)
             goto out;
-        if (nic == Py_None) {
-            Py_DECREF(nic);
-            rc = fused_complete(ctx, op, engine);
-            goto out;
-        }
-        /* nic.acquire(): inline _ResourceAcquire.activate */
-        if (set_ll(op, s_phase, 1) < 0) {
-            Py_DECREF(nic);
-            goto out;
-        }
-        long long in_use, capacity;
-        if (get_ll(nic, s_in_use, &in_use) < 0 ||
-            get_ll(nic, s_capacity, &capacity) < 0) {
-            Py_DECREF(nic);
-            goto out;
-        }
-        if (in_use < capacity) {
-            long long acq, seq;
-            if (set_ll(nic, s_in_use, in_use + 1) < 0 ||
-                get_ll(nic, s_total_acquisitions, &acq) < 0 ||
-                set_ll(nic, s_total_acquisitions, acq + 1) < 0 ||
-                get_ll(engine, s_seq, &seq) < 0 ||
-                set_ll(engine, s_seq, seq + 1) < 0) {
-                Py_DECREF(nic);
-                goto out;
-            }
-            /* engine.call_now(nic._deliver_grant, op) */
-            PyObject *seqobj = PyLong_FromLongLong(seq);
-            PyObject *deliver =
-                seqobj == NULL ? NULL : PyObject_GetAttr(nic, s_deliver_name);
-            PyObject *tup =
-                deliver == NULL ? NULL : PyTuple_Pack(3, seqobj, deliver, op);
-            Py_XDECREF(deliver);
-            Py_XDECREF(seqobj);
-            Py_DECREF(nic);
-            if (tup == NULL)
-                goto out;
-            PyObject *r = PyObject_CallOneArg(ctx->ready_append, tup);
-            Py_DECREF(tup);
-            if (r == NULL)
-                goto out;
-            Py_DECREF(r);
-            rc = 0;
-            goto out;
-        }
-        long long waits;
-        if (get_ll(nic, s_total_waits, &waits) < 0 ||
-            set_ll(nic, s_total_waits, waits + 1) < 0) {
-            Py_DECREF(nic);
-            goto out;
-        }
-        PyObject *queue = get_attr(nic, s_queue);
+        rc = nic == Py_None ? fused_complete(ctx, op, engine)
+                            : fused_acquire(ctx, op, engine, nic);
         Py_DECREF(nic);
-        if (queue == NULL)
-            goto out;
-        PyObject *r = PyObject_CallMethodOneArg(queue, s_append, op);
-        Py_DECREF(queue);
-        if (r == NULL)
-            goto out;
-        Py_DECREF(r);
-        rc = 0;
         goto out;
     }
     if (phase == 2) {
@@ -1685,6 +1720,7 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_end, "end");
     INTERN_ATTR(s_duration, "duration");
     INTERN_ATTR(s_tid, "tid");
+    INTERN_ATTR(s_claim, "claim");
     INTERN(s_load_step, "_load_step");
     INTERN(s_record_compute, "record_compute");
     INTERN(s_advance_name, "_advance");

@@ -80,9 +80,9 @@ class Engine:
             same request mix report the same count. (Networks default
             fused ops on per :attr:`drives_fused_ops`, which *changes*
             the request mix — fused delays are bare callbacks, not
-            Timeouts. The kernel step of a chained task is the one
-            exception: it stands for the ``Timeout`` the per-task
-            generator yields and is counted as one.)
+            Timeouts. The kernel step of a chained task and the hold of
+            a lock step are the exceptions: each stands for a
+            ``Timeout`` the generator yields and is counted as one.)
         grant_resumes: resource grants actually delivered to a waiting
             process or fused operation (``Resource._deliver_grant``
             wake-ups, excluding re-released grants to cancelled holders).

@@ -23,9 +23,9 @@ place a one-sided operation's cost is written, as a ``(pre, hold, post)``
 delay program per ``(kind, tier, nbytes)``. :meth:`Network._walk`
 interprets a program as a generator on the reference engine (and whenever
 fault injection is armed); :class:`_FusedOp` carries the same program —
-or a whole task's chain of them, kernel included — as a single request
-the compiled engine walks in C. Both allocate every ``(time, seq)`` at the
-same dispatch, so runs are bit-identical.
+or a whole task's chain of them, kernel included, or a claim loop of such
+tasks — as a single request the compiled engine walks in C. Both allocate
+every ``(time, seq)`` at the same dispatch, so runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -177,8 +177,17 @@ class _FusedOp(Request):
     for. :meth:`_load_step` arms a step in the dispatch in which the
     process's generator would have yielded it — the one that completed
     the step before — so the chain allocates the per-op path's ``seq``
-    numbers and records the per-op path's intervals, and the process is
-    resumed once, when the last step completes.
+    numbers and records the per-op path's intervals.
+
+    A ``claim`` makes the request a whole claim loop: when a slice runs
+    out, ``claim(op)`` either loads the next one (a task's slice, or a
+    one-step chain of its own for the claim itself) and returns True, or
+    returns False and the op finishes. A step whose program has no
+    ``pre`` delays is a lock hold: the lock (``nics[dst]``) is acquired
+    as the step is armed, and its interval starts at the grant, where the
+    generator's ``overhead_delay`` began — its hold counts as that
+    ``Timeout``. The process is resumed once, when the last step completes
+    and no claim loads another.
 
     The object is also the iterator callers drive with ``yield from``:
     ``__next__`` first yields the request itself, and once the operation
@@ -208,6 +217,7 @@ class _FusedOp(Request):
         "end",
         "duration",
         "tid",
+        "claim",
         "engine",
         "proc",
         "start",
@@ -236,6 +246,7 @@ class _FusedOp(Request):
         end: int = 0,
         duration: float = 0.0,
         tid: "int | None" = None,
+        claim: "Callable[[_FusedOp], bool] | None" = None,
     ) -> None:
         self.trace = trace
         self.src = src
@@ -255,6 +266,7 @@ class _FusedOp(Request):
         #: ``(start, end)`` as the request's result (a burst records all
         #: its kernels in one ``record_compute_batch``).
         self.tid = tid
+        self.claim = claim
         self.proc = None
         self.done = False
         self.holding = False
@@ -304,11 +316,15 @@ class _FusedOp(Request):
             engine.schedule(delay, step)
 
     def _load_step(self) -> None:
-        """Arm the chain's next step, or finish when there is none."""
+        """Arm the chain's next step, or the first of the slice the claim
+        loads next, or finish when there is none."""
         pos = self.pos
-        if pos >= self.end:
-            self._finish()
-            return
+        while pos >= self.end:
+            claim = self.claim
+            if claim is None or not claim(self):
+                self._finish()
+                return
+            pos = self.pos
         steps, nics, node_ids = self.chain
         step = steps[pos]
         self.pos = pos + 1
@@ -328,10 +344,25 @@ class _FusedOp(Request):
         pre, hold, self.post = programs[tier]
         self.pre = pre
         self.hold = hold
-        self.nic = nics[dst] if hold is not None else None
+        nic = self.nic = nics[dst] if hold is not None else None
         self.phase = 0
         self.idx = 1
-        self._dispatch(pre[0])
+        if pre:
+            self._dispatch(pre[0])
+        else:  # a lock hold: acquired now, its interval begins at the grant
+            self.start = None
+            self._acquire(nic)
+
+    def _acquire(self, nic: Resource) -> None:
+        """``nic.acquire()``: inline ``_ResourceAcquire.activate``."""
+        self.phase = 1
+        if nic.in_use < nic.capacity:
+            nic.in_use += 1
+            nic.total_acquisitions += 1
+            self.engine.call_now(nic._deliver_grant, self)
+        else:
+            nic.total_waits += 1
+            nic._queue.append(self)
 
     # -- grant delivery (Resource._deliver_grant duck-types us as a Process)
     def resume(self, value=None) -> None:
@@ -342,6 +373,11 @@ class _FusedOp(Request):
             # home NIC, so concurrent updates serialize identically.
             self.result = counter.value
             counter.value += self.amount
+        if self.start is None:
+            # A lock hold starts here, as the ``overhead_delay`` the
+            # holding generator yields, and its hold is that Timeout.
+            self.start = self.engine.now
+            self.engine.timeout_allocs += 1
         self.holding = True
         self.phase = 2
         delay = self.hold
@@ -365,16 +401,8 @@ class _FusedOp(Request):
             nic = self.nic
             if nic is None:
                 self._complete()
-                return
-            # nic.acquire(): inline _ResourceAcquire.activate
-            self.phase = 1
-            if nic.in_use < nic.capacity:
-                nic.in_use += 1
-                nic.total_acquisitions += 1
-                self.engine.call_now(nic._deliver_grant, self)
             else:
-                nic.total_waits += 1
-                nic._queue.append(self)
+                self._acquire(nic)
             return
         if phase == 2:
             # The hold expired: release first (the next waiter's grant

@@ -112,6 +112,35 @@ class TestConfigurations:
                 synthetic_graph, machine4
             )
 
+    def test_initial_list_is_the_assignment_it_names(self, synthetic_graph, machine4):
+        """A list of ranks is honoured like the array, not read as cyclic."""
+        n = synthetic_graph.n_tasks
+        from_list = WorkStealing(initial=[0] * n).run(synthetic_graph, machine4, seed=3)
+        from_array = WorkStealing(initial=np.zeros(n, dtype=np.int64)).run(
+            synthetic_graph, machine4, seed=3
+        )
+        cyclic = WorkStealing(initial="cyclic").run(synthetic_graph, machine4, seed=3)
+        assert from_list.makespan == from_array.makespan
+        assert from_list.counters == from_array.counters
+        np.testing.assert_array_equal(from_list.assignment, from_array.assignment)
+        assert from_list.counters["tasks_stolen"] > cyclic.counters["tasks_stolen"]
+
+    def test_initial_list_of_wrong_length_rejected(self, synthetic_graph, machine4):
+        with pytest.raises(ConfigurationError, match="must be"):
+            WorkStealing(initial=[0, 1, 2]).run(synthetic_graph, machine4)
+
+    def test_initial_negative_rank_rejected(self, synthetic_graph, machine4):
+        initial = [0] * synthetic_graph.n_tasks
+        initial[5] = -1  # would have landed on the last rank's queue
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 4\)"):
+            WorkStealing(initial=initial).run(synthetic_graph, machine4)
+
+    def test_initial_rank_past_the_machine_rejected(self, synthetic_graph, machine4):
+        initial = np.zeros(synthetic_graph.n_tasks, dtype=np.int64)
+        initial[-1] = 4
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 4\)"):
+            WorkStealing(initial=initial).run(synthetic_graph, machine4)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

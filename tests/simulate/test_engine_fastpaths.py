@@ -575,25 +575,108 @@ class TestFusedOpLifetime:
 @pytest.mark.parametrize("model_name", ["static_cyclic", "counter_dynamic", "work_stealing"])
 def test_a_finished_run_leaves_no_garbage_per_task(model_name, no_gc):
     """What ``gc.collect()`` finds after a fault-free cell — the rank
-    processes, each a cycle through its cached ``_resume`` — does not
-    grow with the number of tasks: no op, trace record or task record is
-    left to the cyclic collector."""
+    processes, each a cycle through its cached ``_resume`` — grows with
+    the number of ranks and not with the number of tasks: no op, claim
+    state, trace record or task record is left to the cyclic collector."""
     from repro.chemistry.tasks import synthetic_task_graph
     from repro.exec_models import make_model
     from repro.simulate import commodity_cluster
 
-    def census(n_tasks):
+    def census(n_tasks, n_ranks=8):
         graph = synthetic_task_graph(n_tasks, 12, seed=5, skew=1.2, mean_cost=2.0e5)
         gc.collect()
-        result = make_model(model_name).run(graph, commodity_cluster(8), seed=3)
+        result = make_model(model_name).run(graph, commodity_cluster(n_ranks), seed=3)
         assert result.n_tasks == n_tasks
         return gc.collect()
 
     census(50)  # first-use caches (the engine build, interned names)
-    small, large = census(200), census(2000)
+    small, large, wide = census(200), census(2000), census(200, n_ranks=16)
     # Work stealing's steal and token messages each run a delivery
     # process, and there are more of them in a longer run.
     assert large <= small + (0 if model_name != "work_stealing" else 200), (small, large)
+    assert small < wide <= 2 * small, (small, wide)
+
+
+def _claim_loop_harness(source, n_tasks=120, n_ranks=4):
+    """A compiled-engine harness set up for the model whose claim loop
+    ``source`` names, the loop not yet started."""
+    from repro.chemistry.tasks import synthetic_task_graph
+    from repro.exec_models import make_model
+    from repro.exec_models.base import Harness
+    from repro.simulate import commodity_cluster
+
+    graph = synthetic_task_graph(n_tasks, 8, seed=5, skew=1.2, mean_cost=2.0e5)
+    model = make_model("counter_dynamic" if source == "claims" else "work_stealing")
+    harness = Harness(graph, commodity_cluster(n_ranks), seed=3)
+    assert type(harness.engine) is CompiledEngine and harness._chain is not None
+    model.setup(harness)
+    return harness
+
+
+def _start_claim_loop(harness, source, ctx):
+    state = harness.model_state
+    if source == "claims":
+        return harness.claim_loop(ctx, state["counter"], state["sequence"])
+    return harness.local_drain(ctx, state["queues"][ctx.rank], state["locks"])
+
+
+@needs_compiled
+@pytest.mark.parametrize("source", ["claims", "drain"])
+def test_a_claim_loop_dies_with_its_rank(source, monkeypatch, no_gc):
+    """Each rank runs its loop as one op; once the loop is over the op is
+    freed by reference count — its claim state refers to the harness, and
+    nothing the run keeps refers to the op or its state. A drain returns
+    how many tasks it ran, a counter loop the claim that ended it."""
+    monkeypatch.setenv("REPRO_ENGINE", "compiled")
+    harness = _claim_loop_harness(source)
+    queued = [len(queue) for queue in harness.model_state.get("queues", ())]
+    outcomes = []
+
+    def rank_process(harness, ctx):
+        op = _start_claim_loop(harness, source, ctx)
+        ref = weakref.ref(op)
+        result = yield from op
+        del op
+        yield Timeout(0.0)  # the dispatch that finished the loop is over
+        outcomes.append((ctx.rank, result, ref() is None))
+
+    harness.spawn_ranks(rank_process)
+    result = harness.finish("claim-loop")
+    assert sorted(alive for _, _, alive in outcomes) == [True] * 4
+    ends = sorted(end for _, end, _ in outcomes)
+    if source == "claims":
+        assert ends == [120, 121, 122, 123]  # one claim past the last task each
+        assert result.counters["claims"] == 124
+    else:
+        assert ends == sorted(queued) and sum(ends) == 120
+
+
+@needs_compiled
+@pytest.mark.parametrize("source", ["claims", "drain"])
+def test_a_claim_loop_is_reference_neutral(source, monkeypatch):
+    """Every object a claim loop's op touches — trace, locks, queues, the
+    counter cell, the harness its claim state holds — has the reference
+    count it had before the loop ran, and no op outlives it."""
+    import sys
+
+    monkeypatch.setenv("REPRO_ENGINE", "compiled")
+    harness = _claim_loop_harness(source)
+    state = harness.model_state
+
+    def counts():
+        gc.collect()
+        watched = [harness, harness.trace, harness.counters, *harness.network.nics]
+        if source == "claims":
+            watched.append(state["counter"].cell)
+        else:
+            watched += [*state["locks"], *state["queues"]]
+        return [sys.getrefcount(obj) for obj in watched]
+
+    before = counts()
+    harness.spawn_ranks(lambda harness, ctx: (yield from _start_claim_loop(harness, source, ctx)))
+    harness.finish("claim-loop")
+    assert counts() == before
+    assert sum(type(obj) is _FusedOp for obj in gc.get_objects()) == 0
 
 
 @needs_compiled

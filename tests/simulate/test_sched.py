@@ -9,9 +9,13 @@ stages, cancellations, and deadlock truncation — and, for the network
 path, ``Engine`` + the ``_walk`` generator against ``CompiledEngine`` +
 the C-walked ``_FusedOp``: traced one-sided ops contending for NICs while
 other processes hold the same NICs, cancelled mid-op — single ops and
-whole tasks (gets, kernel, accumulates) chained into one request, the
-chain also walked by the pure-Python ``_FusedOp`` that is its spec.
+whole tasks (gets, kernel, accumulates) chained into one request, and
+the exec models' claim loops (counter claims, queue drains under a lock)
+chained into one request each, the chain also walked by the pure-Python
+``_FusedOp`` that is its spec.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -141,7 +145,7 @@ class TestModeSelection:
 #: How a scenario's network steps are interpreted, whatever the engine:
 #: ``walk`` is the ``Network._walk`` generator per op (the reference),
 #: ``ops`` one ``_FusedOp`` per op, ``chain`` additionally runs each
-#: ``task`` step as one chained ``_FusedOp``.
+#: ``task`` step and each claim loop as one chained ``_FusedOp``.
 INTERPRETERS = ("walk", "ops", "chain")
 
 
@@ -160,6 +164,10 @@ def _task_steps(net, gets, accumulates):
     )
 
 
+#: ``Harness.LOCAL_QUEUE_OP``: a pop from a rank's own queue.
+_POP_SECONDS = 1.0e-7
+
+
 def _run_scenario(
     engine_cls,
     delays,
@@ -170,6 +178,7 @@ def _run_scenario(
     interpreter=None,
     late_cancel=False,
     probe=None,
+    claimable=(),
 ):
     """One mixed workload on ``engine_cls``; returns the dispatch log.
 
@@ -186,15 +195,22 @@ def _run_scenario(
     of those same NICs, so fused waiters queue behind process waiters
     and the other way round, and ``task`` steps — gets, a kernel,
     accumulates, the kernel recorded as it ends or, a burst, by the
-    caller afterwards (from the span a chain returns). ``net_cancel = (rank, time)`` cancels one of them
+    caller afterwards (from the span a chain returns). Two claim loops,
+    as the exec models run them: ``claims`` fetch-adds a shared counter
+    at a home NIC and runs the ``claimable`` task it reads until it reads
+    past them; ``drain`` queues tasks on the rank and pops them one by
+    one holding the rank's lock for ``_POP_SECONDS``, while a ``steal``
+    holds a victim's lock and takes tasks from its tail under it. The
+    ``chain`` interpreter runs each loop as one ``_FusedOp`` whose claim
+    loads the next slice. ``net_cancel = (rank, time)`` cancels one of them
     wherever it then is — in a pre-delay, queued, holding, on the return
     path, in a later step of a task or inside its kernel — before
     anything else due at that time, or with ``late_cancel`` after what
     was already scheduled for it (a grant issued but not yet delivered).
     ``probe(ops)`` is called just before the cancel with the chained
-    requests made so far. NIC counters, the counter cell, the trace and
-    ``grant_resumes`` close the log; its last entry, ``timeout_allocs``,
-    is equal only among the fused interpreters.
+    requests made so far. Lock and NIC counters, the queues, the counter
+    cells, the trace and ``grant_resumes`` close the log; its last entry,
+    ``timeout_allocs``, is equal only among the fused interpreters.
     """
     engine = engine_cls()
     log = []
@@ -206,7 +222,101 @@ def _run_scenario(
     net._fused = interpreter != "walk"
     trace = TraceRecorder(4)
     cell = SharedCell()
+    claim_cell = SharedCell()
+    locks = [Resource(capacity=1) for _ in range(4)]
+    queues = [deque() for _ in range(4)]
     chained = []
+
+    def load(op, tid, gets, kernel, accumulates):
+        """Make a task the claim loop's next slice."""
+        steps = _task_steps(net, gets, accumulates)
+        op.chain = net._chain(steps)
+        op.pos = 0
+        op.end = len(steps)
+        op.duration = kernel
+        op.tid = tid
+
+    def claims(src, home):
+        if interpreter != "chain":
+            while True:
+                value = yield from net.fetch_add_traced(src, home, claim_cell, 1, trace, OVERHEAD)
+                log.append(("claimed", src, value, engine.now))
+                if value >= len(claimable):
+                    return
+                yield from task(src, 100 + value, *claimable[value], False)
+                log.append(("task", src, engine.now))
+        programs = tuple(net._tier_program("fetch_add", tier, 0) for tier in (0, 1, 2))
+        fetch_add = net._chain(((home, programs, OVERHEAD),))
+
+        def claim(op):
+            if op.chain is fetch_add:
+                value = op.result
+                log.append(("claimed", src, value, engine.now))
+                if value >= len(claimable):
+                    return False
+                op.counter = None
+                load(op, 100 + value, *claimable[value])
+                return True
+            log.append(("task", src, engine.now))
+            op.chain, op.pos, op.end, op.counter = fetch_add, 0, 1, claim_cell
+            return True
+
+        op = _FusedOp(
+            trace, src, counter=claim_cell, amount=1, chain=fetch_add, end=1, claim=claim
+        )
+        chained.append(op)
+        yield from op
+
+    def drain(src):
+        queue, lock = queues[src], locks[src]
+        if interpreter != "chain":
+            ran = 0
+            while queue:  # WorkStealing._pop_local, then the task
+                yield lock.acquire()
+                try:
+                    start = engine.now
+                    yield pooled_timeout(_POP_SECONDS)
+                    trace.record(src, OVERHEAD, start, engine.now)
+                    head = queue.popleft() if queue else None
+                finally:
+                    lock.release()
+                if head is None:
+                    break
+                yield from task(src, *head, False)
+                log.append(("task", src, engine.now))
+                ran += 1
+            return ran
+        program = ((), _POP_SECONDS, ())
+        pop = (((src, (program, program, program), OVERHEAD),), locks, None)
+
+        def claim(op):
+            if op.chain is pop:
+                if not queue:
+                    return False
+                load(op, *queue.popleft())
+                return True
+            log.append(("task", src, engine.now))
+            op.result += 1
+            if not queue:
+                return False
+            op.chain, op.pos, op.end = pop, 0, 1
+            return True
+
+        op = _FusedOp(trace, src, chain=pop, end=1, claim=claim)
+        op.result = 0
+        chained.append(op)
+        return (yield from op)
+
+    def steal(src, victim, nanoseconds, take):
+        lock = locks[victim]
+        yield lock.acquire()
+        try:
+            yield pooled_timeout(nanoseconds * 1.0e-9)
+            queue = queues[victim]
+            stolen = [queue.pop() for _ in range(min(take, len(queue)))]
+        finally:
+            lock.release()
+        log.append(("stole", src, victim, len(stolen), engine.now))
 
     def task(src, tid, gets, kernel, accumulates, burst):
         if interpreter == "chain":
@@ -247,6 +357,17 @@ def _run_scenario(
             elif kind == "task":
                 yield from task(src, 10 * src + tid, *args)
                 log.append(("task", src, engine.now))
+            elif kind == "claims":
+                yield from claims(src, *args)
+            elif kind == "drain":
+                (tasks,) = args
+                queues[src].extend(
+                    (1000 + 100 * src + 10 * tid + i, *spec) for i, spec in enumerate(tasks)
+                )
+                ran = yield from drain(src)
+                log.append(("drained", src, ran, engine.now))
+            elif kind == "steal":
+                yield from steal(src, *args)
             else:
                 dst, nanoseconds = args
                 yield from hold(net.nics[dst], nanoseconds * 1.0e-9)
@@ -305,11 +426,23 @@ def _run_scenario(
     engine.run()
     log.append(("end", engine.now, engine.events_dispatched, engine.ready_dispatched))
     log.append(
+        (
+            [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in locks],
+            [list(queue) for queue in queues],
+            claim_cell.value,
+        )
+    )
+    log.append(
         [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in net.nics]
     )
     log.append((cell.value, trace.records, trace._totals, trace.tasks, engine.grant_resumes))
     log.append(engine.timeout_allocs)
     return log
+
+
+def _entries(log, kind):
+    """The log's ``kind`` events, in dispatch order."""
+    return [entry for entry in log if isinstance(entry, tuple) and entry[0] == kind]
 
 
 def _assert_interpreters_agree(*scenario, **kwargs):
@@ -379,6 +512,43 @@ _CANCEL_PHASES = {
     "between-two-steps": (2.4e-5, False, (0, False, False, 3)),
 }
 
+#: A task a claim loop runs: (gets, kernel seconds, accumulates).
+_LOOP_TASK = st.tuples(
+    st.lists(_BLOCK, min_size=1, max_size=2),
+    st.sampled_from([0.0, 4.0e-7, 3.0e-6]),
+    st.lists(_BLOCK, min_size=1, max_size=2),
+)
+#: A counter claim loop at home rank 0 or 1, a drain of the rank's own
+#: queue, or a steal holding a victim's lock for some ns and taking up to
+#: two tasks from its tail under it.
+_LOOP_OP = st.one_of(
+    st.tuples(st.just("claims"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("drain"), st.lists(_LOOP_TASK, min_size=1, max_size=3)),
+    st.tuples(
+        st.just("steal"),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([100, 1500, 4000]),
+        st.integers(min_value=0, max_value=2),
+    ),
+)
+
+def _thief_plans(take):
+    """Rank 0 holds rank 1's NIC for 0.5 us, then drains two tasks; rank 1
+    holds rank 0's lock from the start until 2 us (taking ``take`` tasks
+    under it), so the drain's first pop step arms while the lock is held."""
+    tasks = [([(1, 288)], 3.0e-6, [(1, 288)]), ([(0, 4096)], 4.0e-7, [(1, 4096)])]
+    return [[("hold", 1, 500), ("drain", tasks)], [("steal", 0, 2000, take)]]
+
+
+_THIEF_UNTIL = 2000 * 1.0e-9
+#: Cancel ``(time, late)`` pairs that find the drain's pop step in each
+#: state it passes through, as ``(phase, holding, queued)``.
+_DRAIN_CANCEL_PHASES = {
+    "queued-for-the-lock": (1.0e-6, False, (1, False, True)),
+    "granted-not-woken": (_THIEF_UNTIL, True, (1, False, False)),
+    "holding-the-lock": (_THIEF_UNTIL + 0.5 * _POP_SECONDS, False, (2, True, False)),
+}
+
 
 class TestCrossEngineOrder:
     @settings(max_examples=60, deadline=None)
@@ -429,6 +599,80 @@ class TestCrossEngineOrder:
         assert not any(entry[0] == "task" for entry in reference if isinstance(entry, tuple))
         assert ("nic-held", 3, _HELD_UNTIL) in reference
         assert reference[-3][1][0] == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        net_plans=st.lists(
+            st.lists(_LOOP_OP | _NET_OP, min_size=1, max_size=4), min_size=1, max_size=4
+        ),
+        claimable=st.lists(_LOOP_TASK, max_size=6),
+        net_cancel=st.none() | _NET_CANCEL,
+        late_cancel=st.booleans(),
+    )
+    def test_claim_loops_identical_across_engines(
+        self, net_plans, claimable, net_cancel, late_cancel
+    ):
+        """A claim loop chained into one request dispatches as its
+        generator: counter claims against contended home NICs, drains
+        racing steals for the same locks, cancels anywhere in either."""
+        _assert_interpreters_agree(
+            [[1.0e-6]], [], False, net_plans, net_cancel,
+            late_cancel=late_cancel, claimable=claimable,
+        )  # fmt: skip
+
+    def test_counter_claims_at_a_contended_home(self):
+        """Three claim loops on rank 1's counter while rank 1 holds its own
+        NIC for 3 us: every claim queues, each task runs once, and every
+        loop stops at its first claim past the last task."""
+        claimable = [([(0, 288)], 4.0e-7, [(1, 288)])] * 5
+        plans = [[("claims", 1)], [("hold", 1, 3000)], [("claims", 1)], [("claims", 1)]]
+        log = _assert_interpreters_agree(
+            [[1.0e-6]], [], False, plans, claimable=claimable
+        )
+        claimed = _entries(log, "claimed")
+        assert sorted(value for _, _, value, _ in claimed) == list(range(8))
+        assert min(time for *_, time in claimed) > 3.0e-6  # all waited for the hold
+        assert len(_entries(log, "task")) == 5
+        assert log[-3][1][2] >= 3  # rank 1's NIC: waits
+
+    @pytest.mark.parametrize("take", [0, 9], ids=["lock-held", "queue-emptied"])
+    def test_drain_pop_armed_under_a_held_lock(self, take):
+        """The pop step queues behind the thief; its OVERHEAD interval is
+        the hold after the grant, not the wait since it armed. A thief
+        that took every task under the lock leaves the pop nothing: the
+        drain finishes having run none."""
+        log = _assert_interpreters_agree([[1.0e-6]], [], False, _thief_plans(take))
+        pops = 2 if take == 0 else 1
+        assert log[-4][0][0] == (0, 1 + pops, 1, 0)  # the thief, then every pop
+        overhead = log[-2][2][OVERHEAD]
+        assert overhead[0] == pytest.approx(pops * _POP_SECONDS, rel=1e-6)
+        ((_, rank, ran, _),) = _entries(log, "drained")
+        assert (rank, ran) == (0, pops if take == 0 else 0)
+        assert ("stole", 1, 0, 0 if take == 0 else 2, _THIEF_UNTIL) in log
+
+    @pytest.mark.parametrize("phase", _DRAIN_CANCEL_PHASES)
+    def test_drain_closed_waiting_for_or_holding_its_lock(self, phase):
+        """Cancelling the draining rank closes its op where the generator
+        is closed: a queued pop is passed by, a granted or held lock is
+        released, and the thief and the lock carry on as without it."""
+        when, late, expected = _DRAIN_CANCEL_PHASES[phase]
+        seen = []
+
+        def probe(ops):
+            (op,) = ops
+            seen.append((op.phase, op.holding, op in op.chain[1][0]._queue))
+
+        scenario = ([[1.0e-6]], [], False, _thief_plans(0), (0, when))
+        log = _assert_interpreters_agree(*scenario, late_cancel=late)
+        for engine_cls in ENGINE_CLASSES:
+            _run_scenario(
+                engine_cls, *scenario, interpreter="chain", late_cancel=late, probe=probe
+            )
+        assert seen == [expected] * len(ENGINE_CLASSES)
+        assert not _entries(log, "task") and not _entries(log, "drained")
+        assert ("stole", 1, 0, 0, _THIEF_UNTIL) in log
+        assert log[-4][0][0][0] == 0  # lock 0 came back
+        assert len(log[-4][1][0]) == 2  # closed before its pop took the head
 
     @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_deadlock_truncation_identical(self, engine_cls):
