@@ -117,7 +117,7 @@ class TaskGraph:
     def _init_arrays(self, quartets, flops, blocks, tau, fp_rows, fp_cols, fp_counts) -> None:
         """Validate the dense form once, vectorised, and make it the state.
 
-        These arrays also arrive from disk, shared memory and the network,
+        These arrays also arrive from disk, a pickle and the network,
         and ``tasks`` is built long after: a bad shape is refused here.
         """
         quartets = np.ascontiguousarray(quartets, dtype=np.int64)
@@ -226,7 +226,7 @@ class TaskGraph:
         the standard derivation from the quartets. These are the arguments
         of :func:`graph_from_arrays` in order, what :attr:`content_key`
         hashes, and the only form in which a graph is stored, pickled or
-        crosses a process boundary (artifact store, shared memory, sweep
+        crosses a process boundary (artifact store, pickle, sweep
         fabric).
         """
         arrays: dict[str, np.ndarray | float] = {
@@ -246,8 +246,8 @@ class TaskGraph:
         Hashes :meth:`to_arrays` in order — quartets, costs, block
         offsets, tau, and the footprint CSR exactly when the footprints
         are not derivable from the quartets (symmetry-folded and
-        hand-built graphs). Sweep cell keys, artifacts, shared-memory
-        handles and fabric blobs all name a graph by this key.
+        hand-built graphs). Sweep cell keys, artifacts and fabric blobs
+        all name a graph by this key.
         """
         h = hashlib.sha256()
         for value in self.to_arrays().values():
@@ -432,8 +432,7 @@ def graph_from_arrays(
     quartet count that is not the cost count, a block index outside the
     tiling or a partial or inconsistent CSR raises
     :class:`ConfigurationError`. Used by the builder above, the
-    artifact-store codec, the shared-memory worker handoff, the sweep
-    fabric's workers and ``pickle``.
+    artifact-store codec, the sweep fabric's workers and ``pickle``.
     """
     blocks = offsets if isinstance(offsets, BlockStructure) else BlockStructure(offsets)
     graph = object.__new__(TaskGraph)

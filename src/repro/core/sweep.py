@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import pathlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.cache import CACHE_SALT, ResultCache, cache_key, fingerprint
@@ -103,12 +103,6 @@ class SweepCell:
 
 def execute_cell(cell: SweepCell) -> Any:
     """Run one cell to completion (in-process; also the worker entry)."""
-    from repro.parallel.shm import GraphHandle, attach_graph
-
-    if isinstance(cell.graph, GraphHandle):
-        # Zero-copy handoff: the runner shipped a shared-memory handle
-        # instead of the pickled graph; resolve it (cached per process).
-        cell = replace(cell, graph=attach_graph(cell.graph))
     options = dict(cell.options)
     if cell.kind == "model":
         from repro.exec_models.registry import make_model
@@ -163,7 +157,6 @@ class SweepStats:
     resumed: int = 0  #: restored from the checkpoint journal
     computed: int = 0  #: executed this session
     failed: int = 0  #: quarantined after exhausting retries
-    shm_graphs: int = 0  #: distinct graphs published to shared memory
 
     @property
     def hit_rate(self) -> float:
@@ -342,37 +335,6 @@ class SweepRunner:
         ]
 
     # ------------------------------------------------------------------
-    def _publish_graphs(
-        self, jobs: list[SweepCell], published: list[Any]
-    ) -> list[SweepCell]:
-        """Swap large graphs for shared-memory handles in worker jobs.
-
-        Each distinct publishable graph (by identity) is published once;
-        ``published`` receives the parent-side ownership records so
-        ``run_cells`` can unlink the segments when the sweep settles.
-        Publication failure (e.g. no usable /dev/shm) degrades silently
-        to the ordinary pickled-graph path.
-        """
-        from repro.parallel.shm import publish_graph, publishable
-
-        handles: dict[int, Any] = {}
-        out: list[SweepCell] = []
-        for cell in jobs:
-            graph = cell.graph
-            handle = handles.get(id(graph))
-            if handle is None and publishable(graph):
-                try:
-                    pub = publish_graph(graph)
-                except OSError:
-                    handles[id(graph)] = False
-                else:
-                    published.append(pub)
-                    self.stats.shm_graphs += 1
-                    handle = handles[id(graph)] = pub.handle
-            out.append(replace(cell, graph=handle) if handle else cell)
-        return out
-
-    # ------------------------------------------------------------------
     def _journal_for(self, keys: Sequence[str]) -> SweepJournal | None:
         """Resolve the journal spec against this sweep's cell keys."""
         if self.journal is None:
@@ -442,7 +404,6 @@ class SweepRunner:
                 )
 
         misses: list[int] = []
-        published: list[Any] = []
         try:
             for index, cell in enumerate(cells):
                 key = keys[index]
@@ -474,14 +435,6 @@ class SweepRunner:
             if misses:
                 jobs = [cells[index] for index in misses]
                 labels = [cells[index].label for index in misses]
-                if self.jobs > 1 and self.executor.graph_handoff == "shm":
-                    # Zero-copy handoff: publish each distinct large graph
-                    # to shared memory once and ship workers a GraphHandle
-                    # instead of re-pickling the graph per dispatch. Only
-                    # the local forked backend can attach these segments;
-                    # the distributed backend ships its own content-keyed
-                    # graph references instead (graph_handoff == "ref").
-                    jobs = self._publish_graphs(jobs, published)
                 # Hold SIGINT/SIGTERM across the store-write +
                 # journal-append pair so the journal never names a result
                 # that didn't land (no-op guard when not checkpointing).
@@ -548,10 +501,6 @@ class SweepRunner:
                         index,
                     )
         finally:
-            # The parent owns the shared segments: unlink them now that no
-            # worker can still attach (workers hold their own mappings).
-            for pub in published:
-                pub.close()
             # Flush accounting even when a cell raised or the sweep was
             # interrupted: completed work stays reported and journaled.
             self.stats.cells += completed

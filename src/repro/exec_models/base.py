@@ -19,7 +19,7 @@ model-specific counters, and network statistics.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +31,7 @@ from repro.runtime.comm import RankContext
 from repro.runtime.counter import GlobalCounter
 from repro.runtime.garrays import BlockDistribution, GlobalBlockedMatrix
 from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceRecorder
-from repro.simulate.engine import Process, Timeout, pooled_timeout
+from repro.simulate.engine import Process
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
 from repro.simulate.network import Network, _FusedOp
@@ -85,13 +85,12 @@ class RunResult:
     #: total events dispatched, events dispatched via the zero-delay
     #: run-queue, and trace intervals recorded. Kept out of ``counters``
     #: so experiment tables are unaffected. Plain defaults keep cached
-    #: result pickles from older revisions loadable.
+    #: result pickles from older revisions loadable, and one that still
+    #: carries a removed counter (``batched_costs``) loads with it as a
+    #: stray attribute.
     sim_events: int = 0
     sim_ready_events: int = 0
     trace_records: int = 0
-    #: Task compute costs evaluated through the vectorized batch path
-    #: (``MachineSpec.compute_seconds_batch``) rather than per-task.
-    batched_costs: int = 0
     #: Timeout requests consumed by the engines' resume fast paths. With
     #: the shared freelist these no longer cost one allocation each; the
     #: counter measures how much traffic the freelist absorbs. A task run
@@ -221,10 +220,6 @@ class Harness:
     LOCAL_QUEUE_OP = 1.0e-7
     #: Bytes of one task descriptor when stolen/transferred.
     TASK_DESCRIPTOR_BYTES = 16
-    #: Fewest claimed tasks :meth:`execute_tasks` costs as one batch;
-    #: shorter claims (the E6 contention regime runs chunk=1) are cheaper
-    #: task by task than building the batch.
-    BURST_THRESHOLD = 4
 
     def __init__(
         self,
@@ -249,8 +244,6 @@ class Harness:
         self.fock = GlobalBlockedMatrix("F", graph.blocks, dist)
         #: Scratch for model-specific statistics, folded into RunResult.
         self.counters: dict[str, float] = {}
-        #: Task costs evaluated via the vectorized burst path.
-        self.batched_costs = 0
         #: Per-run model state (schedules, queues, shared counters).
         self.model_state: dict = {}
         self._finish_times = np.full(machine.n_ranks, np.nan)
@@ -452,78 +445,34 @@ class Harness:
         stats.per_rank_bytes[rank] += nbytes
 
     def execute_tasks(self, ctx: RankContext, tids):
-        """Burst variant of :meth:`execute_task` over ordered task ids.
+        """Run the claimed task ids ``tids`` in order, as one claim loop.
 
-        Callers pass whatever range they claimed. From
-        :attr:`BURST_THRESHOLD` tasks up, every compute cost is evaluated
-        with one vectorized ``compute_seconds_batch`` call and the trace
-        accounting folded into one ``record_compute_batch`` call at the
-        end, instead of a ``compute_seconds`` + ``record_compute`` pair
-        per task. Event order — and therefore the simulation — is
-        bit-for-bit the per-task path: the same gets, Timeouts, and
-        accumulates in the same sequence, and the deferred COMPUTE
-        accounting accumulates per rank in the same order with the same
-        float values.
-
-        Falls back to the per-task path whenever the deferral could be
-        observable: time-dependent variability (costs sample the task's
-        start time), an armed fault injector (stall windows, and replay
-        resolves duplicate task records last-record-wins, so cross-rank
-        record order matters), or a retained interval log (the interval
-        *sequence* is pinned by golden digests).
+        A list is the third claim source beside :meth:`claim_loop`'s
+        fetch-add and :meth:`local_drain`'s pop: ``claim`` arms the next
+        id's slice of the chain, and the process resumes once, when the
+        list is exhausted. Without a chain (see :meth:`execute_task`) the
+        caller drives the per-task generator, the reference; so it does
+        for an empty list, since an op with no slice to load would finish
+        inside ``activate`` and resume its process re-entrantly.
         """
-        graph = self.graph
-        tasks = graph.tasks
-        durations = (
-            self.machine.compute_seconds_batch(ctx.rank, graph.costs[tids])
-            if len(tids) >= self.BURST_THRESHOLD
-            and self.injector is None
-            and self.trace.intervals is None
-            else None
-        )
-        if durations is None or durations.min() < 0.0:
-            # A short claim, time-dependent costs, faults, interval log —
-            # or a negative flop count, which the per-task path rejects
-            # with the right error.
-            for tid in tids:
-                yield from self.execute_task(ctx, tasks[tid])
-            return
-        durations = durations.tolist()
-        spans: list[tuple[int, float, float]] = []
-        append_span = spans.append
-        chain = self._chain
-        if chain is not None:
-            rank = ctx.rank
-            trace = self.trace
-            bounds = self._bounds
-            totals = self._totals
-            gets = accumulates = nbytes = 0
-            for tid, duration in zip(tids, durations):
-                task_gets, task_accumulates, task_nbytes = totals[tid]
-                gets += task_gets
-                accumulates += task_accumulates
-                nbytes += task_nbytes
-                start, end = yield from _FusedOp(
-                    trace, rank, None, (), None, None, (), None, 0,
-                    chain, bounds[tid], bounds[tid + 1], duration,
-                )  # fmt: skip
-                append_span((tid, start, end))
-            self._count_ops(rank, gets, accumulates, nbytes)
-        else:
-            engine = self.engine
-            density_get = self.density.get
-            fock_accumulate = self.fock.accumulate
-            for tid, duration in zip(tids, durations):
-                task = tasks[tid]
-                for ref in task.reads:
-                    yield from density_get(ctx, ref)
-                start = engine.now
-                yield pooled_timeout(duration)
-                append_span((task.tid, start, engine.now))
-                for ref in task.writes:
-                    yield from fock_accumulate(ctx, ref)
-        self.trace.record_compute_batch(ctx.rank, spans)
-        self.batched_costs += len(spans)
+        if self._chain is None or not tids:
+            tasks = self.graph.tasks
+
+            def each_task():
+                for tid in tids:
+                    yield from self.execute_task(ctx, tasks[tid])
+
+            return each_task()
+        pending = iter(tids)
+
+        def claim(op: _FusedOp) -> bool:
+            tid = next(pending, None)
+            if tid is None:
+                return False
+            self._arm_task(op, tid)
+            return True
+
+        return _FusedOp(self.trace, ctx.rank, chain=self._chain, claim=claim)
 
     def spawn_ranks(self, process_factory) -> None:
         """Start one process per rank; records per-rank finish times.
@@ -654,7 +603,6 @@ class Harness:
             sim_events=self.engine.events_dispatched,
             sim_ready_events=self.engine.ready_dispatched,
             trace_records=self.trace.records,
-            batched_costs=self.batched_costs,
             timeout_allocs=self.engine.timeout_allocs,
             grant_resumes=self.engine.grant_resumes,
             fused_ops=self.network.stats.fused_ops,

@@ -28,7 +28,13 @@ class StaticAssignment(ExecutionModel):
     """
 
     def __init__(self, assignment: np.ndarray, name: str = "static_assignment") -> None:
-        self.assignment = np.asarray(assignment, dtype=np.int64)
+        given = np.asarray(assignment)
+        if given.dtype.kind not in "iu":
+            # Casting would truncate 1.7 to rank 1 and read True as rank 1.
+            raise ConfigurationError(
+                f"assignment must hold integer ranks, got dtype {given.dtype}"
+            )
+        self.assignment = given.astype(np.int64)
         if self.assignment.ndim != 1:
             raise ConfigurationError("assignment must be a 1-D task->rank array")
         self.name = name
@@ -51,8 +57,8 @@ class StaticAssignment(ExecutionModel):
         harness.model_state["task_lists"] = lists
 
     def rank_process(self, harness: Harness, ctx: RankContext):
-        # The whole schedule is known up front: one burst per rank, so
-        # every compute cost is evaluated in a single vectorized call.
+        # The whole schedule is known up front: the rank's list is one
+        # claim loop the engine walks.
         yield from harness.execute_tasks(
             ctx, harness.model_state["task_lists"][ctx.rank]
         )

@@ -10,8 +10,8 @@ on pipes and in-process; :mod:`repro.parallel.fabric` and
 :mod:`repro.parallel.worker` supply the third, leased TCP workers.
 :mod:`repro.parallel.executor` is the :class:`CellExecutor` contract,
 registry and spec grammar the sweep orchestrator programs against
-(``local`` / ``serial`` / ``distributed``); :mod:`repro.parallel.shm`
-hands large task graphs to forked workers through shared memory.
+(``local`` / ``serial`` / ``distributed``). A forked worker reads its
+cells from the memory it inherits; only the fabric ships task graphs.
 
 **Is any of this real?** :mod:`repro.parallel.pool` executes the same
 task kernels, claimed by the same three scheduling disciplines the

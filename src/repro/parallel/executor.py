@@ -148,12 +148,6 @@ class CellExecutor(abc.ABC):
     #: Registry name of this backend.
     name: str = ""
 
-    #: How large task graphs travel to workers: ``"shm"`` (the runner
-    #: publishes shared-memory handles — local forked workers), ``"ref"``
-    #: (the executor ships content-keyed references and workers fetch
-    #: blobs over its own channel), or None (no handoff — in-process).
-    graph_handoff: str | None = None
-
     @abc.abstractmethod
     def run(
         self,
@@ -184,7 +178,6 @@ class LocalExecutor(CellExecutor):
     """Supervised forked workers, as a backend."""
 
     name = "local"
-    graph_handoff = "shm"
 
     def run(
         self,
@@ -226,7 +219,6 @@ class SerialExecutor(CellExecutor):
     """
 
     name = "serial"
-    graph_handoff = None
 
     def run(
         self,

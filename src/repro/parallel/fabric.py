@@ -24,10 +24,10 @@ Design rules:
   runs under — requeue, deterministic jittered backoff, quarantine
   after ``max_attempts``.
 - **Content-keyed transfer, never a graph per cell.** Task graphs and
-  the job function travel once per worker as content-keyed blobs (the
-  cross-host analogue of the shared-memory handoff in
-  :mod:`repro.parallel.shm`, and the same payload: the arrays of
-  ``TaskGraph.to_arrays()`` under the graph's ``content_key``): cells
+  the job function travel once per worker as content-keyed blobs (a
+  remote worker shares no memory with this process, unlike a forked
+  local one; the payload is the arrays of ``TaskGraph.to_arrays()``
+  under the graph's ``content_key``): cells
   are dispatched with a :class:`GraphRef` in place of the graph, and
   workers ``fetch`` the bytes by key on first use. Results come back
   tagged with a dispatch key derived from the cell's content, so a
@@ -143,8 +143,7 @@ class GraphRef:
 
     ``key`` is the graph's ``content_key``; workers resolve it through
     the fabric's ``fetch`` channel to the graph's dense arrays, caching
-    the rebuilt graph per process — the cross-host analogue of
-    :class:`repro.parallel.shm.GraphHandle`.
+    the rebuilt graph per process.
     """
 
     key: str
@@ -616,7 +615,6 @@ class DistributedExecutor(CellExecutor):
     """
 
     name = "distributed"
-    graph_handoff = "ref"
 
     def __init__(
         self,

@@ -423,18 +423,22 @@ def supervise(
 # Transport: forked children on duplex pipes
 # ----------------------------------------------------------------------
 
-def _worker_main(fn: Callable[[Any], Any], conn) -> None:
-    """Worker child: serve one job at a time over the duplex pipe."""
+def _worker_main(fn: Callable[[Any], Any], jobs: Sequence[Any], conn) -> None:
+    """Worker child: serve one job at a time over the duplex pipe.
+
+    The child is forked after ``jobs`` exists, so it already holds every
+    job in its own copy of the parent's memory: the pipe carries the
+    job's index, never the job.
+    """
     while True:
         try:
-            msg = conn.recv()
+            index = conn.recv()
         except (EOFError, OSError):
             return
-        if msg is None:  # orderly shutdown sentinel
+        if index is None:  # orderly shutdown sentinel
             return
-        index, job = msg
         try:
-            payload = (index, "ok", fn(job), True)
+            payload = (index, "ok", fn(jobs[index]), True)
         except (KeyboardInterrupt, SystemExit):
             return
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
@@ -479,12 +483,20 @@ class ForkTransport(Transport):
     (or the process sentinel), never as a poisoned pool, and a hung job
     can be killed without touching its neighbours. Forks eagerly: a pool
     that cannot start raises ``OSError`` here, before any job has run.
+    Every worker, a respawned one included, is forked after ``jobs``
+    exists and reads its jobs from inherited memory, so a job need not
+    pickle and a large task graph is never copied down a pipe.
     """
 
     def __init__(
-        self, fn: Callable[[Any], Any], n_workers: int, stats: SupervisorStats
+        self,
+        fn: Callable[[Any], Any],
+        jobs: Sequence[Any],
+        n_workers: int,
+        stats: SupervisorStats,
     ) -> None:
         self.fn = fn
+        self.jobs = jobs
         self.stats = stats
         self._ctx = multiprocessing.get_context("fork")
         self._slots = [_Slot() for _ in range(n_workers)]
@@ -497,7 +509,9 @@ class ForkTransport(Transport):
     def _spawn(self, slot: _Slot) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_worker_main, args=(self.fn, child_conn), daemon=True
+            target=_worker_main,
+            args=(self.fn, self.jobs, child_conn),
+            daemon=True,
         )
         try:
             process.start()
@@ -537,7 +551,7 @@ class ForkTransport(Transport):
             self._retire(slot)
             self._spawn(slot)
         try:
-            slot.conn.send((task.index, task.job))
+            slot.conn.send(task.index)
         except OSError:
             self.stats.crashes += 1
             self._retire(slot, kill=True)
@@ -687,7 +701,7 @@ def supervised_imap(
             warn_degraded("local", reason)
         else:
             try:
-                transport = ForkTransport(fn, n_workers, stats)
+                transport = ForkTransport(fn, jobs, n_workers, stats)
             except OSError as exc:
                 warn_degraded(
                     "local", f"worker pool failed to start: {exc}", once=False

@@ -2,8 +2,8 @@
 
 The engine and trace recorder count *how much work the simulator did* —
 events dispatched (split by heap vs. zero-delay run-queue; heap
-dispatches are ``sim_events - sim_ready_events``), task costs evaluated
-through the vectorized batch path, and trace intervals recorded —
+dispatches are ``sim_events - sim_ready_events``), timeout requests,
+resource grants, fused network ops, and trace intervals recorded —
 independent of how fast the host ran it. Those volumes are pure functions
 of the workload/seed, so they serve two jobs:
 
@@ -34,7 +34,6 @@ def run_counters(result: "RunResult") -> dict[str, float]:
     out: dict[str, float] = {
         "sim_events": float(result.sim_events),
         "sim_ready_events": float(result.sim_ready_events),
-        "batched_costs": float(result.batched_costs),
         "timeout_allocs": float(result.timeout_allocs),
         "grant_resumes": float(result.grant_resumes),
         "fused_ops": float(result.fused_ops),

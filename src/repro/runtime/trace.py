@@ -22,7 +22,6 @@ ndarray updates, so recorded totals are unchanged to the last ulp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -101,38 +100,6 @@ class TraceRecorder:
             self.intervals.append((rank, COMPUTE, start, end))
         if tid is not None:
             self.tasks.append(TaskRecord(tid, rank, start, end))
-
-    def record_compute_batch(
-        self, rank: int, spans: Iterable[tuple[int, float, float]]
-    ) -> None:
-        """Fused burst path: many ``(tid, start, end)`` kernels on one rank.
-
-        Equivalent to :meth:`record_compute` per span in order — the same
-        sequential float accumulation, the same interval log entries, the
-        same task records — amortizing the per-call dispatch for execution
-        models that run a whole claimed burst of tasks back to back.
-        Callers that need task records interleaved across ranks (fault
-        plans replay on last-record-wins) must stay on the per-task path.
-        """
-        totals = self._totals[COMPUTE]
-        acc = totals[rank]
-        n = 0
-        intervals = self.intervals
-        record_task = self.tasks.append
-        for tid, start, end in spans:
-            if end < start:
-                totals[rank] = acc
-                self.records += n
-                raise SimulationError(
-                    f"interval ends before it starts: [{start}, {end})"
-                )
-            acc += end - start
-            n += 1
-            if intervals is not None:
-                intervals.append((rank, COMPUTE, start, end))
-            record_task(TaskRecord(tid, rank, start, end))
-        totals[rank] = acc
-        self.records += n
 
     # ------------------------------------------------------------------
     def total(self, category: str) -> np.ndarray:

@@ -9,9 +9,9 @@ service-side policy questions on top of it:
   ``"auto"``);
 - when the daemon-lifetime distributed fabric is preferred (remote
   workers are attached) versus the in-process pool (nobody is);
-- what ``GET /v1/backends`` reports: every registered backend name, how
-  it ships graphs, and — for the fabric — how many workers are attached
-  right now.
+- what ``GET /v1/backends`` reports: every registered backend name,
+  which is the default, and — for the fabric — how many workers are
+  attached right now.
 
 Jobs on *per-job* executors (local/serial) run concurrently under the
 manager's weighted scheduler; jobs routed to the shared daemon-lifetime
@@ -95,12 +95,9 @@ class BackendRouter:
     def backends(self) -> list[dict[str, Any]]:
         """The ``GET /v1/backends`` inventory."""
         out: list[dict[str, Any]] = []
-        for name, factory in sorted(EXECUTOR_BACKENDS.items()):
+        for name in sorted(EXECUTOR_BACKENDS):
             entry: dict[str, Any] = {
                 "name": name,
-                "graph_handoff": getattr(factory, "graph_handoff", None)
-                if isinstance(factory, type)
-                else ("ref" if name == "distributed" else None),
                 "default": name == parse_executor_spec(self.default)[0],
             }
             if name == "distributed":

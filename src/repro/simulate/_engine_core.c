@@ -1127,14 +1127,7 @@ fused_advance(RunCtx *ctx, PyObject *op)
         PyObject *start = tid ? get_attr(op, s_start) : NULL;
         PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
         int recorded = -1;
-        if (nowobj != NULL && tid == Py_None) {
-            PyObject *span = PyTuple_Pack(2, start, nowobj);
-            if (span != NULL) {
-                recorded = set_attr(op, s_result, span);
-                Py_DECREF(span);
-            }
-        }
-        else if (nowobj != NULL) {
+        if (nowobj != NULL) {
             PyObject *trace = get_attr(op, s_trace);
             PyObject *src = trace ? get_attr(op, s_src) : NULL;
             PyObject *r = src ? PyObject_CallMethodObjArgs(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.simulate.network import NetworkModel
 from repro.simulate.noise import NoVariability, VariabilityModel
 from repro.util import check_positive
@@ -70,21 +68,6 @@ class MachineSpec:
         """
         speed = self.variability.speed(rank, time)
         return flops / (self.flops_per_second * speed)
-
-    def compute_seconds_batch(self, rank: int, flops: np.ndarray) -> np.ndarray | None:
-        """Vectorized :meth:`compute_seconds` for a burst of tasks on one rank.
-
-        Only valid when the variability model is time-independent (the
-        multiplier does not depend on each task's start time); returns
-        None otherwise and the caller must fall back to per-task
-        evaluation. The element-wise float64 division is bit-for-bit the
-        scalar path: same operand order, same IEEE-754 double arithmetic.
-        """
-        variability = self.variability
-        if not variability.time_independent:
-            return None
-        denominator = self.flops_per_second * variability.speed(rank, 0.0)
-        return np.asarray(flops, dtype=np.float64) / denominator
 
     def with_ranks(self, n_ranks: int) -> "MachineSpec":
         """Copy of this spec with a different rank count."""

@@ -262,9 +262,6 @@ class _FusedOp(Request):
         self.end = end
         self.duration = duration
         #: The kernel's task id: its interval goes to ``record_compute``.
-        #: None leaves the recording to the caller, who gets the kernel's
-        #: ``(start, end)`` as the request's result (a burst records all
-        #: its kernels in one ``record_compute_batch``).
         self.tid = tid
         self.claim = claim
         self.proc = None
@@ -421,11 +418,7 @@ class _FusedOp(Request):
         if phase == 4:
             # The kernel ran: its interval is recorded where the
             # generator resumed from the kernel's Timeout.
-            now = self.engine.now
-            if self.tid is None:
-                self.result = (self.start, now)
-            else:
-                self.trace.record_compute(self.src, self.tid, self.start, now)
+            self.trace.record_compute(self.src, self.tid, self.start, self.engine.now)
             self._load_step()
             return
         post = self.post

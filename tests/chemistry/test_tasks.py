@@ -365,7 +365,7 @@ class TestArrayFirst:
 
 
 class TestArrayValidation:
-    """``graph_from_arrays`` input comes from disk, shm and the network."""
+    """``graph_from_arrays`` input comes from disk, a pickle and the network."""
 
     BLOCKS = BlockStructure.uniform(8, 2)
     QUARTETS = np.array([[0, 1, 2, 3], [1, 1, 2, 0]])

@@ -1,6 +1,7 @@
 """Sweep orchestrator: grid expansion, ordering, parallel equivalence."""
 
 import functools
+import pickle
 
 import pytest
 
@@ -320,10 +321,52 @@ class TestExecutorSelection:
         with pytest.raises(ConfigurationError, match="unknown executor"):
             SweepRunner(executor="telepathy")
 
-    def test_shm_handoff_gated_on_backend(self, synthetic_graph):
-        # The shared-memory graph publish is a local-pool optimization;
-        # the serial backend (graph_handoff=None) must not trigger it.
-        from repro.parallel import SerialExecutor
 
-        assert SweepRunner(executor="local").executor.graph_handoff == "shm"
-        assert SweepRunner(executor=SerialExecutor()).executor.graph_handoff is None
+@pytest.mark.skipif(not fork_available(), reason="needs fork workers")
+class TestForkedWorkersInheritCells:
+    """A forked worker reads its cells, task graph included, from the
+    memory it inherits; ``jobs=2`` is bit for bit ``jobs=1`` for graphs
+    the size of real studies and for symmetry-folded footprints."""
+
+    CFG = dict(
+        models=("static_block", "counter_dynamic", "work_stealing"),
+        n_ranks=(4, 8),
+        seed=7,
+    )
+
+    @pytest.fixture(scope="class")
+    def big_graph(self):
+        from repro.chemistry.tasks import synthetic_task_graph
+
+        return synthetic_task_graph(306, 12, seed=11)
+
+    @pytest.fixture(scope="class")
+    def folded_graph(self, medium_problem):
+        from repro.chemistry.basis import BlockStructure
+        from repro.chemistry.symmetry import build_symmetric_task_graph
+
+        return build_symmetric_task_graph(
+            medium_problem.basis,
+            BlockStructure.uniform(medium_problem.basis.n_basis, 3),
+            medium_problem.screen,
+            tau=1.0e-10,
+        )
+
+    def _assert_parallel_equals_serial(self, graph):
+        config = StudyConfig(**self.CFG)
+        report1 = SweepRunner(jobs=1).run_study(config, graph)
+        report2 = SweepRunner(jobs=2).run_study(config, graph)
+        assert report1.results.keys() == report2.results.keys()
+        for key, r1 in report1.results.items():
+            assert pickle.dumps(r1) == pickle.dumps(report2.results[key]), key
+
+    def test_parallel_sweep_bit_identical_to_serial(self, big_graph):
+        assert big_graph.n_tasks >= 256
+        self._assert_parallel_equals_serial(big_graph)
+
+    def test_folded_sweep_bit_identical_to_serial(self, folded_graph):
+        # Folded footprints carry multi-image refs the quartets do not
+        # determine.
+        assert not folded_graph.has_standard_footprints
+        assert folded_graph.n_tasks >= 256
+        self._assert_parallel_equals_serial(folded_graph)

@@ -5,7 +5,7 @@ from repro.chemistry.tasks import synthetic_task_graph
 from repro.exec_models import StaticAssignment, StaticBlock, StaticCyclic
 from repro.exec_models.static_ import block_assignment, cyclic_assignment
 from repro.simulate import commodity_cluster
-from repro.util import SchedulingError
+from repro.util import ConfigurationError, SchedulingError
 
 
 class TestAssignmentHelpers:
@@ -83,6 +83,27 @@ class TestStaticModels:
         bad = np.full(synthetic_graph.n_tasks, 99, dtype=np.int64)
         with pytest.raises(SchedulingError, match="ranks outside"):
             StaticAssignment(bad).run(synthetic_graph, machine4)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0.9, 0.2, 1.7, 1.1, 0.5, 1.99]),
+            np.array([True, False, True, True, False, True]),
+            np.array(["0", "1", "0", "1", "0", "1"]),
+            np.array([0, 1, 0, 1, 0, 1], dtype=object),
+        ],
+        ids=["float", "bool", "string", "object"],
+    )
+    def test_non_integer_assignment_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="integer ranks"):
+            StaticAssignment(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_every_integer_width_accepted(self, dtype, machine4):
+        graph = synthetic_task_graph(6, 4, seed=1)
+        ranks = [0, 0, 1, 1, 0, 1]
+        result = StaticAssignment(np.array(ranks, dtype=dtype)).run(graph, machine4)
+        assert result.assignment.tolist() == ranks
 
     def test_single_rank(self, synthetic_graph):
         result = StaticBlock().run(synthetic_graph, commodity_cluster(1))

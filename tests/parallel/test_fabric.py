@@ -177,11 +177,6 @@ class TestExecutorRegistry:
         with pytest.raises(ConfigurationError, match="unknown executor"):
             make_executor("carrier-pigeon")
 
-    def test_graph_handoff_attributes(self):
-        assert LocalExecutor.graph_handoff == "shm"
-        assert SerialExecutor.graph_handoff is None
-        assert DistributedExecutor.graph_handoff == "ref"
-
 
 class TestExecutorSpecStrings:
     """One grammar for --executor, api.sweep(executor=...), and the service."""

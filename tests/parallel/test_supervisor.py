@@ -2,6 +2,7 @@
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -76,6 +77,16 @@ def flaky_then_ok(job):
     return value + 100
 
 
+def behind_lock(job):
+    """A job that cannot pickle: its value sits behind a lock. With a
+    marker, the first attempt of job 0 SIGKILLs its worker."""
+    value, lock, marker = job
+    if value == 0 and marker and _first_attempt(marker):
+        os.kill(os.getpid(), signal.SIGKILL)
+    with lock:
+        return value * 10
+
+
 def collect(iterator, n):
     """Materialize (index, outcome) pairs into a results list."""
     results = [None] * n
@@ -89,6 +100,22 @@ class TestSupervisedImapParallel:
         jobs = list(range(8))
         got = collect(supervised_imap(square, jobs, n_workers=4), len(jobs))
         assert got == [square(x) for x in jobs]
+
+    @pytest.mark.parametrize("respawn", [False, True], ids=["forked", "respawned"])
+    def test_the_pipe_carries_an_index(self, respawn, tmp_path):
+        """Workers are forked once the batch exists and read their jobs
+        from inherited memory, so a job need not pickle — also on a
+        worker forked again after a SIGKILL."""
+        marker = str(tmp_path / "kill") if respawn else ""
+        jobs = [(i, threading.Lock(), marker) for i in range(6)]
+        stats = SupervisorStats()
+        got = collect(
+            supervised_imap(behind_lock, jobs, 2, retry=FAST_RETRY, stats=stats),
+            len(jobs),
+        )
+        serial = collect(supervised_imap(behind_lock, jobs, 1), len(jobs))
+        assert got == serial == [i * 10 for i in range(6)]
+        assert stats.crashes == int(respawn)
 
     def test_worker_sigkill_recovered(self, tmp_path):
         jobs = [(i, str(tmp_path / "kill")) for i in range(6)]

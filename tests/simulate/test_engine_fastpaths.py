@@ -606,7 +606,8 @@ def _claim_loop_harness(source, n_tasks=120, n_ranks=4):
     from repro.simulate import commodity_cluster
 
     graph = synthetic_task_graph(n_tasks, 8, seed=5, skew=1.2, mean_cost=2.0e5)
-    model = make_model("counter_dynamic" if source == "claims" else "work_stealing")
+    models = {"claims": "counter_dynamic", "drain": "work_stealing", "list": "static_cyclic"}
+    model = make_model(models[source])
     harness = Harness(graph, commodity_cluster(n_ranks), seed=3)
     assert type(harness.engine) is CompiledEngine and harness._chain is not None
     model.setup(harness)
@@ -617,16 +618,19 @@ def _start_claim_loop(harness, source, ctx):
     state = harness.model_state
     if source == "claims":
         return harness.claim_loop(ctx, state["counter"], state["sequence"])
+    if source == "list":
+        return harness.execute_tasks(ctx, state["task_lists"][ctx.rank])
     return harness.local_drain(ctx, state["queues"][ctx.rank], state["locks"])
 
 
 @needs_compiled
-@pytest.mark.parametrize("source", ["claims", "drain"])
+@pytest.mark.parametrize("source", ["claims", "drain", "list"])
 def test_a_claim_loop_dies_with_its_rank(source, monkeypatch, no_gc):
     """Each rank runs its loop as one op; once the loop is over the op is
     freed by reference count — its claim state refers to the harness, and
     nothing the run keeps refers to the op or its state. A drain returns
-    how many tasks it ran, a counter loop the claim that ended it."""
+    how many tasks it ran, a counter loop the claim that ended it, a
+    static list nothing."""
     monkeypatch.setenv("REPRO_ENGINE", "compiled")
     harness = _claim_loop_harness(source)
     queued = [len(queue) for queue in harness.model_state.get("queues", ())]
@@ -634,6 +638,7 @@ def test_a_claim_loop_dies_with_its_rank(source, monkeypatch, no_gc):
 
     def rank_process(harness, ctx):
         op = _start_claim_loop(harness, source, ctx)
+        assert type(op) is _FusedOp
         ref = weakref.ref(op)
         result = yield from op
         del op
@@ -643,6 +648,10 @@ def test_a_claim_loop_dies_with_its_rank(source, monkeypatch, no_gc):
     harness.spawn_ranks(rank_process)
     result = harness.finish("claim-loop")
     assert sorted(alive for _, _, alive in outcomes) == [True] * 4
+    if source == "list":
+        assert [end for _, end, _ in outcomes] == [None] * 4
+        assert result.assignment.tolist() == [tid % 4 for tid in range(120)]
+        return
     ends = sorted(end for _, end, _ in outcomes)
     if source == "claims":
         assert ends == [120, 121, 122, 123]  # one claim past the last task each
@@ -652,7 +661,7 @@ def test_a_claim_loop_dies_with_its_rank(source, monkeypatch, no_gc):
 
 
 @needs_compiled
-@pytest.mark.parametrize("source", ["claims", "drain"])
+@pytest.mark.parametrize("source", ["claims", "drain", "list"])
 def test_a_claim_loop_is_reference_neutral(source, monkeypatch):
     """Every object a claim loop's op touches — trace, locks, queues, the
     counter cell, the harness its claim state holds — has the reference
@@ -668,6 +677,8 @@ def test_a_claim_loop_is_reference_neutral(source, monkeypatch):
         watched = [harness, harness.trace, harness.counters, *harness.network.nics]
         if source == "claims":
             watched.append(state["counter"].cell)
+        elif source == "list":
+            watched += state["task_lists"]
         else:
             watched += [*state["locks"], *state["queues"]]
         return [sys.getrefcount(obj) for obj in watched]

@@ -10,14 +10,13 @@ path, ``Engine`` + the ``_walk`` generator against ``CompiledEngine`` +
 the C-walked ``_FusedOp``: traced one-sided ops contending for NICs while
 other processes hold the same NICs, cancelled mid-op — single ops and
 whole tasks (gets, kernel, accumulates) chained into one request, and
-the exec models' claim loops (counter claims, queue drains under a lock)
-chained into one request each, the chain also walked by the pure-Python
-``_FusedOp`` that is its spec.
+the exec models' claim loops (counter claims, queue drains under a lock,
+a static rank's list) chained into one request each, the chain also
+walked by the pure-Python ``_FusedOp`` that is its spec.
 """
 
 from collections import deque
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,16 +192,16 @@ def _run_scenario(
     on ``Engine`` and ``chain`` on ``CompiledEngine``): traced
     ``fetch_add``/``rma`` ops against shared home NICs, plain ``hold``s
     of those same NICs, so fused waiters queue behind process waiters
-    and the other way round, and ``task`` steps — gets, a kernel,
-    accumulates, the kernel recorded as it ends or, a burst, by the
-    caller afterwards (from the span a chain returns). Two claim loops,
-    as the exec models run them: ``claims`` fetch-adds a shared counter
-    at a home NIC and runs the ``claimable`` task it reads until it reads
-    past them; ``drain`` queues tasks on the rank and pops them one by
-    one holding the rank's lock for ``_POP_SECONDS``, while a ``steal``
-    holds a victim's lock and takes tasks from its tail under it. The
-    ``chain`` interpreter runs each loop as one ``_FusedOp`` whose claim
-    loads the next slice. ``net_cancel = (rank, time)`` cancels one of them
+    and the other way round, and ``task`` steps — gets, a kernel
+    recorded as it ends, accumulates. Three claim loops, as the exec
+    models run them: ``claims`` fetch-adds a shared counter at a home NIC
+    and runs the ``claimable`` task it reads until it reads past them;
+    ``drain`` queues tasks on the rank and pops them one by one holding
+    the rank's lock for ``_POP_SECONDS``, while a ``steal`` holds a
+    victim's lock and takes tasks from its tail under it; ``tasks`` runs
+    a list of the rank's own in order. The ``chain`` interpreter runs
+    each loop as one ``_FusedOp`` whose claim loads the next slice, a
+    list only when it is not empty (as ``Harness.execute_tasks``). ``net_cancel = (rank, time)`` cancels one of them
     wherever it then is — in a pre-delay, queued, holding, on the return
     path, in a later step of a task or inside its kernel — before
     anything else due at that time, or with ``late_cancel`` after what
@@ -243,7 +242,7 @@ def _run_scenario(
                 log.append(("claimed", src, value, engine.now))
                 if value >= len(claimable):
                     return
-                yield from task(src, 100 + value, *claimable[value], False)
+                yield from task(src, 100 + value, *claimable[value])
                 log.append(("task", src, engine.now))
         programs = tuple(net._tier_program("fetch_add", tier, 0) for tier in (0, 1, 2))
         fetch_add = net._chain(((home, programs, OVERHEAD),))
@@ -282,7 +281,7 @@ def _run_scenario(
                     lock.release()
                 if head is None:
                     break
-                yield from task(src, *head, False)
+                yield from task(src, *head)
                 log.append(("task", src, engine.now))
                 ran += 1
             return ran
@@ -318,7 +317,28 @@ def _run_scenario(
             lock.release()
         log.append(("stole", src, victim, len(stolen), engine.now))
 
-    def task(src, tid, gets, kernel, accumulates, burst):
+    def task_list(src, listed):
+        if interpreter != "chain" or not listed:
+            for head in listed:
+                yield from task(src, *head)
+                log.append(("task", src, engine.now))
+            return
+        pending = iter(listed)
+
+        def claim(op):
+            if op.tid is not None:  # a task ran
+                log.append(("task", src, engine.now))
+            head = next(pending, None)
+            if head is None:
+                return False
+            load(op, *head)
+            return True
+
+        op = _FusedOp(trace, src, chain=net._chain(()), claim=claim)
+        chained.append(op)
+        yield from op
+
+    def task(src, tid, gets, kernel, accumulates):
         if interpreter == "chain":
             steps = _task_steps(net, gets, accumulates)
             op = _FusedOp(
@@ -327,22 +347,18 @@ def _run_scenario(
                 chain=net._chain(steps),
                 end=len(steps),
                 duration=kernel,
-                tid=None if burst else tid,
+                tid=tid,
             )
             chained.append(op)
-            span = yield from op
-        else:
-            for dst, nbytes in gets:
-                yield from net.rma_traced(src, dst, nbytes, trace, COMM)
-            start = engine.now
-            yield pooled_timeout(kernel)
-            span = (start, engine.now)
-            if not burst:
-                trace.record_compute(src, tid, *span)
-            for dst, nbytes in accumulates:
-                yield from net.accumulate_traced(src, dst, nbytes, trace, COMM)
-        if burst:  # as Harness.execute_tasks: recorded once the task is over
-            trace.record_compute(src, tid, *span)
+            yield from op
+            return
+        for dst, nbytes in gets:
+            yield from net.rma_traced(src, dst, nbytes, trace, COMM)
+        start = engine.now
+        yield pooled_timeout(kernel)
+        trace.record_compute(src, tid, start, engine.now)
+        for dst, nbytes in accumulates:
+            yield from net.accumulate_traced(src, dst, nbytes, trace, COMM)
 
     def rank(src, plan):
         for tid, (kind, *args) in enumerate(plan):
@@ -366,6 +382,12 @@ def _run_scenario(
                 )
                 ran = yield from drain(src)
                 log.append(("drained", src, ran, engine.now))
+            elif kind == "tasks":
+                (listed,) = args
+                yield from task_list(
+                    src, [(2000 + 100 * src + 10 * tid + i, *spec) for i, spec in enumerate(listed)]
+                )
+                log.append(("listed", src, engine.now))
             elif kind == "steal":
                 yield from steal(src, *args)
             else:
@@ -476,13 +498,12 @@ _NET_OP = st.tuples(
 _BLOCK = st.tuples(
     st.integers(min_value=0, max_value=1), st.sampled_from([0, 288, 4096, 1 << 18])
 )
-#: ("task", gets, kernel seconds, accumulates, recorded by the caller?)
+#: ("task", gets, kernel seconds, accumulates)
 _TASK_OP = st.tuples(
     st.just("task"),
     st.lists(_BLOCK, min_size=1, max_size=3),
     st.sampled_from([0.0, 4.0e-7, 3.0e-6, 2.0e-4]),
     st.lists(_BLOCK, min_size=1, max_size=3),
-    st.booleans(),
 )
 #: Cancel times from inside the first pre-delay out to past a 1 MiB hold.
 _NET_CANCEL = st.tuples(
@@ -498,7 +519,7 @@ _NET_CANCEL = st.tuples(
 _VICTIM_PLANS = [
     [],
     [],
-    [("task", [(1, 1 << 16)], 5.0e-6, [(1, 4096)], False)],
+    [("task", [(1, 1 << 16)], 5.0e-6, [(1, 4096)])],
     [("hold", 1, 4000)],
 ]
 _HELD_UNTIL = 4000 * 1.0e-9
@@ -518,11 +539,16 @@ _LOOP_TASK = st.tuples(
     st.sampled_from([0.0, 4.0e-7, 3.0e-6]),
     st.lists(_BLOCK, min_size=1, max_size=2),
 )
+#: A list of the rank's own tasks, as ``StaticAssignment`` hands one to
+#: ``Harness.execute_tasks``: ranks' lists differ in length, some are
+#: empty, and their gets and accumulates contend for two home NICs.
+_LIST_OP = st.tuples(st.just("tasks"), st.lists(_LOOP_TASK, max_size=3))
 #: A counter claim loop at home rank 0 or 1, a drain of the rank's own
-#: queue, or a steal holding a victim's lock for some ns and taking up to
-#: two tasks from its tail under it.
+#: queue, a list, or a steal holding a victim's lock for some ns and
+#: taking up to two tasks from its tail under it.
 _LOOP_OP = st.one_of(
     st.tuples(st.just("claims"), st.integers(min_value=0, max_value=1)),
+    _LIST_OP,
     st.tuples(st.just("drain"), st.lists(_LOOP_TASK, min_size=1, max_size=3)),
     st.tuples(
         st.just("steal"),
@@ -562,7 +588,7 @@ class TestCrossEngineOrder:
         ).map(sorted),
         cancel_victim=st.booleans(),
         net_plans=st.lists(
-            st.lists(_NET_OP | _TASK_OP, min_size=1, max_size=6), max_size=4
+            st.lists(_NET_OP | _TASK_OP | _LIST_OP, min_size=1, max_size=6), max_size=4
         ),
         net_cancel=st.none() | _NET_CANCEL,
         late_cancel=st.booleans(),
@@ -634,6 +660,30 @@ class TestCrossEngineOrder:
         assert min(time for *_, time in claimed) > 3.0e-6  # all waited for the hold
         assert len(_entries(log, "task")) == 5
         assert log[-3][1][2] >= 3  # rank 1's NIC: waits
+
+    def test_task_lists_at_a_contended_nic(self):
+        """Lists of two, none, three and one tasks, all reading and
+        accumulating rank 1's blocks, while rank 0 holds rank 1's NIC for
+        3 us: ranks 2 and 3, on the other node, queue for it. Each list
+        runs in order, once, and its rank moves on when the last of its
+        tasks is done — an empty list at once."""
+        spec = ([(1, 4096)], 4.0e-7, [(1, 288)])
+        plans = [
+            [("hold", 1, 3000), ("tasks", [spec] * 2)],
+            [("tasks", [])],
+            [("tasks", [spec] * 3)],
+            [("tasks", [spec])],
+        ]
+        log = _assert_interpreters_agree([[1.0e-6]], [], False, plans)
+        tasks = _entries(log, "task")
+        assert sorted(rank for _, rank, _ in tasks) == [0, 0, 2, 2, 2, 3]
+        listed = {rank: time for _, rank, time in _entries(log, "listed")}
+        assert listed[1] == 0.0
+        for rank in (0, 2, 3):
+            assert listed[rank] == max(time for _, src, time in tasks if src == rank)
+        assert min(time for *_, time in tasks) > 3.0e-6  # all waited for the hold
+        assert [rec.tid for rec in log[-2][3] if rec.rank == 2] == [2200, 2201, 2202]
+        assert log[-3][1][2] >= 2  # rank 1's NIC: waits
 
     @pytest.mark.parametrize("take", [0, 9], ids=["lock-held", "queue-emptied"])
     def test_drain_pop_armed_under_a_held_lock(self, take):
@@ -727,60 +777,6 @@ class TestCrossEngineOrder:
 
 
 # --------------------------------------------------------------------------
-# Vectorized cost evaluation
-
-
-class TestBatchCostEvaluation:
-    def test_batch_matches_scalar_bitwise(self):
-        from repro.core import MACHINE_PRESETS
-        from repro.simulate.noise import RandomStaticVariability, StaticHeterogeneity
-
-        rng = np.random.default_rng(7)
-        flops = rng.uniform(1.0e5, 1.0e9, size=64)
-        for variability in (
-            None,
-            StaticHeterogeneity(slow_ranks=(1, 3), factor=0.5),
-            RandomStaticVariability(n_ranks=8, sigma=0.1, seed=3),
-        ):
-            machine = MACHINE_PRESETS["commodity"](8)
-            if variability is not None:
-                machine = machine.with_variability(variability)
-            for rank in (0, 3, 7):
-                batch = machine.compute_seconds_batch(rank, flops)
-                assert batch is not None
-                scalar = [machine.compute_seconds(rank, f, 0.0) for f in flops]
-                assert batch.tolist() == scalar  # bit-for-bit
-
-    def test_time_dependent_models_opt_out(self):
-        from repro.core import MACHINE_PRESETS
-        from repro.simulate.noise import PeriodicThrottle
-
-        machine = MACHINE_PRESETS["commodity"](4).with_variability(
-            PeriodicThrottle(n_ranks=4, period=1.0, duty=0.5, factor=0.5)
-        )
-        assert machine.compute_seconds_batch(0, np.ones(4)) is None
-
-    def test_record_batch_matches_sequential(self):
-        from repro.runtime.trace import COMPUTE, TraceRecorder
-
-        spans = [(0, 0.0, 1.0e-4), (1, 1.0e-4, 3.0e-4), (2, 3.0e-4, 3.0e-4)]
-        a, b = TraceRecorder(4), TraceRecorder(4)
-        for tid, start, end in spans:
-            a.record_compute(2, tid, start, end)
-        b.record_compute_batch(2, spans)
-        assert b.records == a.records
-        assert b.total(COMPUTE).tolist() == a.total(COMPUTE).tolist()
-        assert b.tasks == a.tasks
-
-    def test_record_batch_rejects_negative_span(self):
-        from repro.runtime.trace import TraceRecorder
-
-        trace = TraceRecorder(2)
-        with pytest.raises(SimulationError):
-            trace.record_compute_batch(0, [(0, 1.0, 0.5)])
-
-
-# --------------------------------------------------------------------------
 # Whole-run equivalence across modes
 
 
@@ -799,25 +795,50 @@ def _digest(result):
     )
 
 
+def _variability(name):
+    from repro.simulate.noise import RandomStaticVariability, StaticHeterogeneity
+
+    if name == "heterogeneous":
+        return StaticHeterogeneity(slow_ranks=(1, 3), factor=0.5)
+    return RandomStaticVariability(n_ranks=8, sigma=0.1, seed=3)
+
+
+#: ``(model, tasks, ranks, variability)``: the three claim disciplines,
+#: then static lists of which some are empty, and static lists on the
+#: two time-independent variability models, whose per-rank divisor the
+#: chain takes once per run.
+_CROSS_MODE_CASES = {
+    "static_block": ("static_block", 300, 8, None),
+    "counter_dynamic": ("counter_dynamic", 300, 8, None),
+    "work_stealing": ("work_stealing", 300, 8, None),
+    "static_block-empty-lists": ("static_block", 5, 8, None),
+    "static_cyclic-heterogeneous": ("static_cyclic", 300, 8, "heterogeneous"),
+    "static_cyclic-random-static": ("static_cyclic", 300, 8, "random-static"),
+}
+
+
 class TestCrossModeRunResults:
-    @pytest.mark.parametrize("model_name", ["static_block", "counter_dynamic", "work_stealing"])
-    def test_results_identical_across_modes(self, model_name, monkeypatch):
+    @pytest.mark.parametrize("case", _CROSS_MODE_CASES)
+    def test_results_identical_across_modes(self, case, monkeypatch):
         from repro.chemistry.tasks import synthetic_task_graph
         from repro.core import MACHINE_PRESETS
         from repro.exec_models import make_model
 
-        graph = synthetic_task_graph(300, 12, seed=5, skew=1.1)
-        machine = MACHINE_PRESETS["commodity"](8)
+        model_name, n_tasks, n_ranks, variability = _CROSS_MODE_CASES[case]
+        graph = synthetic_task_graph(n_tasks, 12, seed=5, skew=1.1)
+        machine = MACHINE_PRESETS["commodity"](n_ranks)
+        if variability is not None:
+            machine = machine.with_variability(_variability(variability))
         modes = ["python"] + (["compiled"] if compiled_available() else [])
         digests = {}
-        batched = {}
         for mode in modes:
             monkeypatch.setenv("REPRO_ENGINE", mode)
             result = make_model(model_name).run(graph, machine, seed=11)
             digests[mode] = _digest(result)
-            batched[mode] = result.batched_costs
         assert len(set(digests.values())) == 1, digests.keys()
-        # The batch path is mode-independent (decided by model/machine).
-        assert len(set(batched.values())) == 1
-        if model_name == "static_block":
-            assert batched["python"] > 0
+        if variability is not None:
+            # Every kernel lasts flops / (nominal rate x the rank's speed),
+            # up to the rounding of its start and end times.
+            for tid, rank in enumerate(result.assignment.tolist()):
+                expected = machine.compute_seconds(rank, graph.costs[tid], 0.0)
+                assert result.task_durations[tid] == pytest.approx(expected, rel=1e-12)
