@@ -24,38 +24,38 @@ from repro.simulate.machine import MachineSpec
 from repro.util import ConfigurationError, check_positive, derive_seed
 
 
-def _measured_capacities(result: RunResult, graph: TaskGraph) -> np.ndarray:
-    """Per-rank throughput estimate: modeled flops done / compute seconds.
+def persistence_assignment(
+    assignment: np.ndarray, durations: np.ndarray, costs: np.ndarray, n_ranks: int
+) -> np.ndarray:
+    """Capacity-aware LPT from one iteration's measurements.
 
-    Ranks that ran no tasks get the mean capacity (no evidence either way).
+    Each rank's throughput is estimated as modeled flops done / compute
+    seconds; ranks that ran no tasks get the mean capacity (no evidence
+    either way).
     """
-    flops_done = np.bincount(
-        result.assignment, weights=graph.costs, minlength=result.n_ranks
-    )
-    seconds = np.bincount(
-        result.assignment, weights=result.task_durations, minlength=result.n_ranks
-    )
-    capacities = np.ones(result.n_ranks)
+    flops_done = np.bincount(assignment, weights=costs, minlength=n_ranks)
+    seconds = np.bincount(assignment, weights=durations, minlength=n_ranks)
+    capacities = np.ones(n_ranks)
     ran = seconds > 0
     capacities[ran] = flops_done[ran] / seconds[ran]
     if ran.any():
         capacities[~ran] = capacities[ran].mean()
-    return capacities
+    # Predicted cost of a task is speed-independent (flops); measured
+    # duration folds in the executing rank's speed, so convert back to a
+    # rank-neutral cost before capacity-aware placement.
+    neutral = durations * capacities[assignment]
+    return capacity_lpt(neutral, capacities)
 
 
 def rebalance_from_measurements(
     result: RunResult, graph: TaskGraph, capacity_aware: bool = True
 ) -> np.ndarray:
     """Next-iteration assignment from one iteration's measurements."""
-    durations = result.task_durations
     if capacity_aware:
-        capacities = _measured_capacities(result, graph)
-        # Predicted cost of a task is speed-independent (flops); measured
-        # duration folds in the executing rank's speed, so convert back to
-        # a rank-neutral cost before capacity-aware placement.
-        neutral = durations * capacities[result.assignment]
-        return capacity_lpt(neutral, capacities)
-    return capacity_lpt(durations, np.ones(result.n_ranks))
+        return persistence_assignment(
+            result.assignment, result.task_durations, graph.costs, result.n_ranks
+        )
+    return capacity_lpt(result.task_durations, np.ones(result.n_ranks))
 
 
 @dataclass

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.balance.greedy import capacity_lpt
 from repro.chemistry.tasks import TaskGraph, TaskSpec
 from repro.exec_models.base import Harness
+from repro.exec_models.persistence import persistence_assignment
 from repro.exec_models.static_ import block_assignment, cyclic_assignment
 from repro.exec_models.termination import TokenRing
 from repro.runtime.collectives import allreduce, barrier, broadcast
@@ -324,23 +324,11 @@ class _IterationState:
             assignment = block_assignment(n_tasks, self._n_ranks)
         else:
             # Persistence: capacity-aware LPT on last iteration's
-            # measurements (same estimator as exec_models.persistence).
+            # measurements.
             prev = iteration - 1
-            durations = self.durations[prev]
-            prev_assignment = self.assignments[prev]
-            flops_done = np.bincount(
-                prev_assignment, weights=self.graph.costs, minlength=self._n_ranks
+            assignment = persistence_assignment(
+                self.assignments[prev], self.durations[prev], self.graph.costs, self._n_ranks
             )
-            seconds = np.bincount(
-                prev_assignment, weights=durations, minlength=self._n_ranks
-            )
-            capacities = np.ones(self._n_ranks)
-            ran = seconds > 0
-            capacities[ran] = flops_done[ran] / seconds[ran]
-            if ran.any():
-                capacities[~ran] = capacities[ran].mean()
-            neutral = durations * capacities[prev_assignment]
-            assignment = capacity_lpt(neutral, capacities)
         lists = self._assignment_to_lists(assignment)
         self._schedules[iteration] = lists
         return lists

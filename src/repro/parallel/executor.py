@@ -19,6 +19,7 @@ and failure isolation only.
 from __future__ import annotations
 
 import abc
+import inspect
 import multiprocessing
 import signal as _signal
 import warnings
@@ -263,12 +264,23 @@ EXECUTOR_BACKENDS: dict[str, Callable[..., CellExecutor]] = {
 }
 
 
+def _option_names(name: str) -> list[str]:
+    """The keyword options the ``name`` backend's constructor takes."""
+    factory = EXECUTOR_BACKENDS[name]
+    if factory is _make_distributed:  # the fabric imports this module
+        from repro.parallel.fabric import DistributedExecutor as factory
+    return [
+        param.name
+        for param in inspect.signature(factory).parameters.values()
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+    ]
+
+
 def _coerce_option(value: str) -> Any:
     """Type an option value from a spec string: int, float, bool, or str.
 
     Endpoint-shaped values (``host:port``) contain a colon and fall
-    through to str; ``yes/no/true/false`` become booleans so flags like
-    ``?fallback=no`` read naturally.
+    through to str; ``yes/no/true/false`` become booleans.
     """
     lowered = value.lower()
     if lowered in ("true", "yes", "on"):
@@ -296,8 +308,9 @@ def parse_executor_spec(spec: str) -> tuple[str, dict[str, Any]]:
     router — so a spec like ``"distributed?bind=0.0.0.0:7070&lease=45"``
     means the same thing everywhere. Option values are typed by shape
     (int, then float, then bool words, else string; ``host:port`` stays a
-    string). The name must be registered; options are validated by the
-    backend's constructor, not here.
+    string). The name must be registered, and each option must be a
+    keyword its backend's constructor takes; the values are the
+    constructor's to check (:func:`make_executor`).
     """
     if not isinstance(spec, str) or not spec.strip():
         raise ConfigurationError(
@@ -317,6 +330,7 @@ def parse_executor_spec(spec: str) -> tuple[str, dict[str, Any]]:
         )
     options: dict[str, Any] = {}
     if query:
+        accepted = _option_names(name)
         for term in query.split("&"):
             term = term.strip()
             if not term:
@@ -330,6 +344,11 @@ def parse_executor_spec(spec: str) -> tuple[str, dict[str, Any]]:
             if key in options:
                 raise ConfigurationError(
                     f"executor option {key!r} given more than once in {spec!r}"
+                )
+            if key not in accepted:
+                raise ConfigurationError(
+                    f"executor backend {name!r} takes no option {key!r}"
+                    + (f"; it takes {', '.join(accepted)}" if accepted else "")
                 )
             options[key] = _coerce_option(value)
     return name, options
@@ -349,7 +368,9 @@ def make_executor(
     """Resolve an executor spec: an instance passes through; a string is
     parsed with :func:`parse_executor_spec` (``"name"`` or
     ``"name?opt=val"``) and constructed from the registry, with keyword
-    ``options`` layered over (and overriding) the spec's own options."""
+    ``options`` layered over (and overriding) the spec's own options. A
+    value the backend's constructor rejects raises
+    :class:`ConfigurationError`."""
     if isinstance(spec, CellExecutor):
         if options:
             raise ConfigurationError(
@@ -359,4 +380,7 @@ def make_executor(
         return spec
     name, spec_options = parse_executor_spec(spec)
     spec_options.update(options)
-    return EXECUTOR_BACKENDS[name](**spec_options)
+    try:
+        return EXECUTOR_BACKENDS[name](**spec_options)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"executor {spec!r}: {err}") from err

@@ -603,7 +603,7 @@ class _FabricTransport(Transport):
 # ----------------------------------------------------------------------
 
 class DistributedExecutor(CellExecutor):
-    """The ``distributed`` backend: a :class:`FabricServer` plus fallback.
+    """The ``distributed`` backend: a :class:`FabricServer` plus a local fallback.
 
     Construct (optionally via ``make_executor("distributed", ...)``),
     read :attr:`endpoint`, point ``python -m repro worker --connect
@@ -626,7 +626,6 @@ class DistributedExecutor(CellExecutor):
         heartbeat: float | None = None,
         connect_timeout: float = 10.0,
         degrade_after: float = 5.0,
-        fallback: CellExecutor | None = None,
     ) -> None:
         if bind is not None:
             host, port = parse_endpoint(bind) if isinstance(bind, str) else bind
@@ -638,7 +637,6 @@ class DistributedExecutor(CellExecutor):
             connect_timeout=connect_timeout,
             degrade_after=degrade_after,
         )
-        self.fallback = fallback if fallback is not None else LocalExecutor()
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -682,7 +680,7 @@ class DistributedExecutor(CellExecutor):
         except NoWorkersError as exc:
             warn_degraded("distributed", exc.reason, once=False)
             pending = exc.pending
-            for position, outcome in self.fallback.run(
+            for position, outcome in LocalExecutor().run(
                 fn,
                 [jobs[i] for i in pending],
                 n_workers=n_workers,

@@ -7,9 +7,8 @@
  * (time, seq, callback) tuples, the `_ready` deque of (seq, callback,
  * arg) tuples, the `_seq` counter, the `now` float and the dispatch
  * counters), so Python-side scheduling (SimEvent.fire, Resource grants,
- * call_now from callbacks, fused network ops scheduling their own delay
- * steps) interleaves with the C loop exactly as it does with the Python
- * loop. Attributes are read and written where Python keeps them: a
+ * call_now from callbacks) interleaves with the C loop exactly as it does
+ * with the Python loop. Attributes are read and written where Python keeps them: a
  * `__slots__` member is loaded and stored at the byte offset its class's
  * own member descriptor states (get_attr/set_attr below); everything
  * else -- an unset slot, a shadowed name, a duck-typed collaborator, a
@@ -97,7 +96,7 @@ static AttrName s_totals[1], s_intervals[1], s_records[1];
 /* Interned method names: always looked up through the type. */
 static PyObject *s_popleft, *s_append, *s_finish, *s_activate, *s_release;
 static PyObject *s_resume_pub, *s_advance_name, *s_deliver_name, *s_record;
-static PyObject *s_load_step, *s_record_compute;
+static PyObject *s_record_compute;
 
 /* What firing a C-held event means. */
 enum { EV_RESUME = 0, EV_FUSED = 1 };
@@ -121,9 +120,9 @@ typedef struct {
     int ch_owned; /* buffer is ours to free (spare was busy) */
     /* Fast-path counter *deltas*, folded into the engine attributes on
      * exit. Deltas, not absolutes: Python code running inside a
-     * dispatched callback (e.g. a fused network op resuming its process
-     * through Python Process.resume) bumps the attributes directly, and
-     * an absolute writeback would erase those increments. */
+     * dispatched callback (e.g. Resource._deliver_grant resuming a
+     * process through Python Process.resume) bumps the attributes
+     * directly, and an absolute writeback would erase those increments. */
     long long timeout_allocs;
     long long grants;
 } RunCtx;
@@ -595,25 +594,24 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
     return 0;
 }
 
-/* ---- fused network operations (network._FusedOp), compiled ----
+/* ---- fused network operations (network._FusedOp): the only walker ----
  *
- * A fused op walks a precomputed (pre, hold, post) delay program. Under
- * the Python engines each step is a bound-method callback plus an
- * engine.schedule() call; here the walk runs in C and timed steps go
- * straight into the C event heap -- no tuple, no boxed key, no Python
- * frame per delay. An op with a `chain` is a whole task: when one step
+ * A fused op is a precomputed (pre, hold, post) delay program that the
+ * reference engine runs as the Network._walk generator. Here the walk
+ * runs in C, with the op's slots as its state: timed steps go straight
+ * into the C event heap -- no tuple, no boxed key, no Python frame, no
+ * Timeout per delay. An op with a `chain` is a whole task: when one step
  * completes the walker arms the next from the run's flat step list, so
  * the process's generator is re-entered once per task, not once per
  * operation -- or once per claim loop, when the op's `claim` loads the
- * next slice each time one runs out. Every branch mirrors a line of
- * _FusedOp.activate / ._load_step / ._acquire / .resume / ._advance /
- * ._complete / ._finish, and every
- * seq allocation happens at exactly the same dispatch, so (time, seq)
- * orders are unchanged. */
+ * next slice each time one runs out. Every seq is allocated and every
+ * trace record made at the dispatch where the generators (Network._walk,
+ * Harness._walk_task and the models' claim loops) make theirs, so
+ * (time, seq) orders are unchanged; tests/simulate/test_sched.py holds
+ * the walker to them. */
 
 /* The op's next step after `delay`: run-queue for zero delays, C event
- * heap otherwise. Mirrors _FusedOp._dispatch (engine == ctx->engine is
- * guaranteed by the callers). */
+ * heap otherwise (engine == ctx->engine is guaranteed by the callers). */
 static int
 fused_dispatch(RunCtx *ctx, PyObject *op, PyObject *engine, double delay)
 {
@@ -720,7 +718,7 @@ resource_release(PyObject *resource)
     return 0;
 }
 
-/* _FusedOp._finish: mark done, drop the bound method of itself (a
+/* The op is over: mark it done, drop the bound method of itself (a
  * finished op is freed by reference count), resume the waiting process
  * with the op's result. */
 static int
@@ -768,8 +766,8 @@ program_items(PyObject *program, PyObject **pre, PyObject **hold, PyObject **pos
                                       : *hold != Py_None;
 }
 
-/* _FusedOp._acquire: nic.acquire() for the op, inline
- * _ResourceAcquire.activate. */
+/* nic.acquire() for the op: _ResourceAcquire.activate with the op
+ * queued in place of a process. */
 static int
 fused_acquire(RunCtx *ctx, PyObject *op, PyObject *engine, PyObject *nic)
 {
@@ -815,12 +813,10 @@ fused_acquire(RunCtx *ctx, PyObject *op, PyObject *engine, PyObject *nic)
     return 0;
 }
 
-/* _FusedOp._load_step: arm the chain's next step, or the first of the
- * slice the op's claim loads next, or finish. The walk below runs when
- * the chain is what Harness builds -- exact tuples, int ranks, float
- * delays, every index in range; anything else calls the Python method
- * before a single store, so a malformed step raises that method's own
- * error. */
+/* Arm the chain's next step, or the first of the slice the op's claim
+ * loads next, or finish. A chain is what Harness builds -- exact tuples,
+ * int ranks, float delays, every index in range; anything else raises
+ * TypeError naming the step before a single store. */
 static int
 fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
 {
@@ -851,11 +847,11 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
     PyObject *nowobj = srcobj ? get_attr(engine, s_now) : NULL;
     if (nowobj == NULL)
         goto out;
-    PyObject *steps, *nics, *ids, *step;
+    PyObject *steps, *nics, *ids, *step = NULL;
     if (!PyTuple_CheckExact(chain) || PyTuple_GET_SIZE(chain) != 3 ||
         !PyTuple_CheckExact(steps = PyTuple_GET_ITEM(chain, 0)) || pos < 0 ||
         pos >= PyTuple_GET_SIZE(steps))
-        goto python;
+        goto malformed;
     nics = PyTuple_GET_ITEM(chain, 1);
     ids = PyTuple_GET_ITEM(chain, 2);
     step = PyTuple_GET_ITEM(steps, pos);
@@ -876,11 +872,11 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
         !PyLong_CheckExact(srcobj) ||
         !PyTuple_CheckExact(programs = PyTuple_GET_ITEM(step, 1)) ||
         PyTuple_GET_SIZE(programs) != 3)
-        goto python;
+        goto malformed;
     Py_ssize_t src = PyLong_AsSsize_t(srcobj), dst = PyLong_AsSsize_t(dstobj);
     if (PyErr_Occurred()) {
         PyErr_Clear();
-        goto python;
+        goto malformed;
     }
     int tier = 0;
     if (src != dst) {
@@ -888,7 +884,7 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
         if (ids != Py_None) {
             if (!PyList_CheckExact(ids) || src < 0 || dst < 0 ||
                 src >= PyList_GET_SIZE(ids) || dst >= PyList_GET_SIZE(ids))
-                goto python;
+                goto malformed;
             int same = PyObject_RichCompareBool(PyList_GET_ITEM(ids, src),
                                                 PyList_GET_ITEM(ids, dst), Py_EQ);
             if (same < 0)
@@ -898,11 +894,11 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
         }
     }
     if (!program_items(PyTuple_GET_ITEM(programs, tier), &pre, &hold, &post))
-        goto python;
+        goto malformed;
     PyObject *nic = Py_None;
     if (hold != Py_None) {
         if (!PyList_CheckExact(nics) || dst < 0 || dst >= PyList_GET_SIZE(nics))
-            goto python;
+            goto malformed;
         nic = PyList_GET_ITEM(nics, dst);
     }
     int lock = PyTuple_GET_SIZE(pre) == 0; /* its interval begins at the grant */
@@ -917,11 +913,11 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
               : fused_dispatch(ctx, op, engine,
                                PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pre, 0)));
     goto out;
-python: {
-    PyObject *r = PyObject_CallMethodNoArgs(op, s_load_step);
-    rc = r == NULL ? -1 : 0;
-    Py_XDECREF(r);
-}
+malformed:
+    if (step == NULL)
+        PyErr_Format(PyExc_TypeError, "fused op chain has no step %lld", pos);
+    else
+        PyErr_Format(PyExc_TypeError, "malformed fused op step %lld: %R", pos, step);
 out:
     Py_XDECREF(nowobj);
     Py_XDECREF(srcobj);
@@ -929,8 +925,8 @@ out:
     return rc;
 }
 
-/* _FusedOp._complete: one operation ran. Emit its trace record, then arm
- * the next step (an op without a chain has none and finishes). */
+/* One operation ran: emit its trace record, then arm the next step (an
+ * op without a chain has none and finishes). */
 static int
 fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
 {
@@ -950,7 +946,7 @@ fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
     return fused_load_step(ctx, op, engine);
 }
 
-/* _FusedOp.resume: the NIC grant arrived. fetch_add's read-modify-write
+/* The NIC grant arrived. fetch_add's read-modify-write
  * happens here (while the home NIC is held), a lock hold's interval and
  * Timeout begin here, then the held occupancy is scheduled. */
 static int
@@ -1024,7 +1020,7 @@ fused_resume(RunCtx *ctx, PyObject *op)
     return rc;
 }
 
-/* _FusedOp._advance: one step of the delay program. */
+/* One step of the delay program: the op's `_advance` callback. */
 static int
 fused_advance(RunCtx *ctx, PyObject *op)
 {
@@ -1041,13 +1037,10 @@ fused_advance(RunCtx *ctx, PyObject *op)
     if (engine == NULL)
         return -1;
     if (engine != ctx->engine) {
-        /* not this loop's engine: take the Python path verbatim */
         Py_DECREF(engine);
-        PyObject *r = PyObject_CallMethodOneArg(op, s_advance_name, Py_None);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
+        PyErr_SetString(g_sim_error, "a fused network op is walked only by "
+                                     "the engine running its process");
+        return -1;
     }
     int rc = -1;
     long long phase;
@@ -1179,8 +1172,8 @@ out:
     return rc;
 }
 
-/* _FusedOp.activate: bind the op to its process and dispatch the first
- * pre-delay, or arm the chain's first step. */
+/* A process yielded the op: bind it to the process and dispatch the
+ * first pre-delay, or arm the chain's first step. */
 static int
 fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
 {
@@ -1188,14 +1181,10 @@ fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
     if (engine == NULL)
         return -1;
     if (engine != ctx->engine) {
-        /* cross-engine: take the Python path verbatim */
-        PyObject *r =
-            PyObject_CallMethodObjArgs(op, s_activate, engine, proc, NULL);
         Py_DECREF(engine);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
+        PyErr_SetString(g_sim_error, "a fused network op is walked only by "
+                                     "the engine running its process");
+        return -1;
     }
     int rc = -1;
     PyObject *nowobj = NULL, *step = NULL, *pre = NULL, *chain = NULL;
@@ -1307,8 +1296,8 @@ invoke_callback(RunCtx *ctx, PyObject *cb, PyObject *arg)
  * engine's observable pending-event state matches the Python engine's.
  * Resume events carry proc._resume; fused-op steps carry a bound
  * _advance made here, because an op closed since has dropped its _step
- * and its pending wake-up must still be dispatched (and dropped) like
- * the reference engine's.
+ * and its pending wake-up must still be dispatched (and dropped), as the
+ * reference engine dispatches a cancelled generator's pending Timeout.
  * Returns -1 (with an exception set) if any event could not be moved. */
 static int
 flush_cheap(RunCtx *ctx)
@@ -1714,7 +1703,6 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_duration, "duration");
     INTERN_ATTR(s_tid, "tid");
     INTERN_ATTR(s_claim, "claim");
-    INTERN(s_load_step, "_load_step");
     INTERN(s_record_compute, "record_compute");
     INTERN(s_advance_name, "_advance");
     INTERN_ATTR(s_in_use, "in_use");

@@ -101,10 +101,10 @@ class Engine:
     )
 
     #: Whether Networks built on this engine dispatch traced ops as
-    #: generator-free ``_FusedOp`` requests. False here: a pure-Python
-    #: step through a delay program is slower than the generator that
-    #: interprets the same program; only the compiled engine (which walks
-    #: programs in C) flips this.
+    #: generator-free ``_FusedOp`` requests. False here: this engine runs
+    #: the generators that interpret each delay program, the reference
+    #: for the compiled engine, whose C core is the only ``_FusedOp``
+    #: walker and flips this.
     drives_fused_ops = False
 
     def __init__(self) -> None:

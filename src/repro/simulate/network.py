@@ -39,6 +39,7 @@ from repro.simulate.engine import Engine, Request, Resource, SimEvent, Timeout, 
 from repro.util import (
     ConfigurationError,
     RankFailedError,
+    SimulationError,
     check_non_negative,
     check_positive,
 )
@@ -150,23 +151,29 @@ class NetworkStats:
 
 
 class _FusedOp(Request):
-    """Traced network operations as a single engine-driven request.
+    """Traced network operations as a single request the compiled core walks.
 
     Replaces the per-op ``rma_traced``/``accumulate_traced``/
-    ``fetch_add_traced`` generator frame on the fault-free path: the
-    operation's delay sequence is precomputed (``pre`` delays, an
-    optional NIC hold, ``post`` delays), and this object walks it with
-    one bound-method callback per event instead of resuming a generator
-    through ``Process.resume`` -> ``send`` -> frame -> fresh ``Timeout``.
+    ``fetch_add_traced`` generator frame on the fault-free path of
+    :class:`~repro.simulate.sched.CompiledEngine`: the operation's delay
+    sequence is precomputed (``pre`` delays, an optional NIC hold,
+    ``post`` delays) and the C core (``_engine_core.c``, ``fused_*``)
+    walks it, one C event per delay instead of a generator resume and a
+    ``Timeout`` each. This class holds the walk's state in its slots and
+    the core is its only walker: the reference :class:`Engine` never
+    builds one (``drives_fused_ops`` is False), and activating one there
+    raises :class:`SimulationError`.
 
-    Event-order contract (pinned by the golden digests): every schedule/
-    call_now below allocates its sequence number at exactly the dispatch
-    where the generator path allocated one, the NIC acquire/grant/release
-    protocol reuses :class:`~repro.simulate.engine.Resource` verbatim by
-    duck-typing the waiting process (``done``/``engine``/``resume``), and
-    the trace record is emitted at the same event as the generator's
-    trailing ``trace.record`` — so ``(time, seq)`` orders, resource
-    counters, and trace intervals are bit-for-bit identical.
+    Event-order contract (pinned by the golden digests and by
+    ``tests/simulate/test_sched.py`` against the :meth:`Network._walk`
+    and ``Harness._walk_task`` generators): every event is scheduled, and
+    takes its sequence number, at exactly the dispatch where the
+    generator path took one; the NIC acquire/grant/release protocol is
+    :class:`~repro.simulate.engine.Resource`'s own, with the op queued in
+    place of a waiting process (it has ``done`` and ``engine``); and each
+    trace record is emitted at the event of the generator's trailing
+    ``trace.record`` — so ``(time, seq)`` orders, resource counters and
+    trace intervals are bit-for-bit identical.
 
     With a ``chain`` the request is a whole task — gets, kernel,
     accumulates — instead of one operation: ``chain = (steps, nics,
@@ -174,20 +181,17 @@ class _FusedOp(Request):
     ``steps[pos:end]`` are this task's. A step is ``(dst, (tier-0,
     tier-1, tier-2 program), category)``, or ``None`` for the kernel, a
     single ``duration`` delay that counts as the ``Timeout`` it stands
-    for. :meth:`_load_step` arms a step in the dispatch in which the
-    process's generator would have yielded it — the one that completed
-    the step before — so the chain allocates the per-op path's ``seq``
-    numbers and records the per-op path's intervals.
-
-    A ``claim`` makes the request a whole claim loop: when a slice runs
-    out, ``claim(op)`` either loads the next one (a task's slice, or a
-    one-step chain of its own for the claim itself) and returns True, or
-    returns False and the op finishes. A step whose program has no
-    ``pre`` delays is a lock hold: the lock (``nics[dst]``) is acquired
-    as the step is armed, and its interval starts at the grant, where the
-    generator's ``overhead_delay`` began — its hold counts as that
-    ``Timeout``. The process is resumed once, when the last step completes
-    and no claim loads another.
+    for. Each step is armed in the dispatch in which the process's
+    generator would have yielded it — the one that completed the step
+    before. A ``claim`` makes the request a whole claim loop: when a
+    slice runs out, ``claim(op)`` either loads the next one (a task's
+    slice, or a one-step chain of its own for the claim itself) and
+    returns True, or returns False and the op finishes. A step whose
+    program has no ``pre`` delays is a lock hold: the lock
+    (``nics[dst]``) is acquired as the step is armed, and its interval
+    and its ``Timeout`` begin at the grant, where the generator's
+    ``overhead_delay`` began. The process is resumed once, when the last
+    step completes and no claim loads another.
 
     The object is also the iterator callers drive with ``yield from``:
     ``__next__`` first yields the request itself, and once the operation
@@ -197,9 +201,10 @@ class _FusedOp(Request):
     a held NIC slot is released, a queued waiter is skipped by
     ``Resource.release`` via ``done``.
 
-    ``_step`` is a bound method of the op itself, so it is dropped when
-    the op completes or is closed: a finished op is freed by reference
-    count and costs the cyclic collector nothing.
+    ``_step`` is the op's bound :meth:`_advance`, the callback the core
+    queues for a zero delay and recognises by its function; it is dropped
+    when the op completes or is closed, so a finished op is freed by
+    reference count and costs the cyclic collector nothing.
     """
 
     __slots__ = (
@@ -295,157 +300,19 @@ class _FusedOp(Request):
             self.holding = False
             self.nic.release()
 
-    # -- request protocol
+    # -- request protocol: the compiled core walks the op. ``_advance``
+    # stays a function: the core knows a queued step by its identity.
     def activate(self, engine: Engine, process) -> None:
-        self.engine = engine
-        self.proc = process
-        step = self._step = self._advance
-        if self.chain is not None:
-            self._load_step()
-            return
-        self.start = engine.now
-        self.phase = 0
-        self.idx = 1
-        delay = self.pre[0]
-        if delay == 0.0:
-            engine.call_now(step, None)
-        else:
-            engine.schedule(delay, step)
-
-    def _load_step(self) -> None:
-        """Arm the chain's next step, or the first of the slice the claim
-        loads next, or finish when there is none."""
-        pos = self.pos
-        while pos >= self.end:
-            claim = self.claim
-            if claim is None or not claim(self):
-                self._finish()
-                return
-            pos = self.pos
-        steps, nics, node_ids = self.chain
-        step = steps[pos]
-        self.pos = pos + 1
-        engine = self.engine
-        self.start = engine.now
-        if step is None:  # the kernel
-            engine.timeout_allocs += 1
-            self.phase = 4
-            self._dispatch(self.duration)
-            return
-        dst, programs, self.category = step
-        src = self.src
-        if src == dst:
-            tier = 0
-        else:
-            tier = 1 if node_ids is not None and node_ids[src] == node_ids[dst] else 2
-        pre, hold, self.post = programs[tier]
-        self.pre = pre
-        self.hold = hold
-        nic = self.nic = nics[dst] if hold is not None else None
-        self.phase = 0
-        self.idx = 1
-        if pre:
-            self._dispatch(pre[0])
-        else:  # a lock hold: acquired now, its interval begins at the grant
-            self.start = None
-            self._acquire(nic)
-
-    def _acquire(self, nic: Resource) -> None:
-        """``nic.acquire()``: inline ``_ResourceAcquire.activate``."""
-        self.phase = 1
-        if nic.in_use < nic.capacity:
-            nic.in_use += 1
-            nic.total_acquisitions += 1
-            self.engine.call_now(nic._deliver_grant, self)
-        else:
-            nic.total_waits += 1
-            nic._queue.append(self)
-
-    # -- grant delivery (Resource._deliver_grant duck-types us as a Process)
-    def resume(self, value=None) -> None:
-        counter = self.counter
-        if counter is not None:
-            # fetch_add's read-modify-write happens at the grant wake-up,
-            # exactly where the generator executed it while holding the
-            # home NIC, so concurrent updates serialize identically.
-            self.result = counter.value
-            counter.value += self.amount
-        if self.start is None:
-            # A lock hold starts here, as the ``overhead_delay`` the
-            # holding generator yields, and its hold is that Timeout.
-            self.start = self.engine.now
-            self.engine.timeout_allocs += 1
-        self.holding = True
-        self.phase = 2
-        delay = self.hold
-        engine = self.engine
-        if delay == 0.0:
-            engine.call_now(self._step, None)
-        else:
-            engine.schedule(delay, self._step)
+        raise SimulationError(_NOT_WALKED)
 
     def _advance(self, _arg=None) -> None:
-        if self.done:
-            return  # a late wake-up raced with cancellation; drop it
-        phase = self.phase
-        if phase == 0:
-            pre = self.pre
-            idx = self.idx
-            if idx < len(pre):
-                self.idx = idx + 1
-                self._dispatch(pre[idx])
-                return
-            nic = self.nic
-            if nic is None:
-                self._complete()
-            else:
-                self._acquire(nic)
-            return
-        if phase == 2:
-            # The hold expired: release first (the next waiter's grant
-            # takes its seq here, as the generator's ``finally`` did),
-            # then schedule the return-path delays.
-            self.holding = False
-            self.nic.release()
-            post = self.post
-            if post:
-                self.phase = 3
-                self.idx = 1
-                self._dispatch(post[0])
-            else:
-                self._complete()
-            return
-        if phase == 4:
-            # The kernel ran: its interval is recorded where the
-            # generator resumed from the kernel's Timeout.
-            self.trace.record_compute(self.src, self.tid, self.start, self.engine.now)
-            self._load_step()
-            return
-        post = self.post
-        idx = self.idx
-        if idx < len(post):
-            self.idx = idx + 1
-            self._dispatch(post[idx])
-        else:
-            self._complete()
+        raise SimulationError(_NOT_WALKED)
 
-    def _dispatch(self, delay: float) -> None:
-        engine = self.engine
-        if delay == 0.0:
-            engine.call_now(self._step, None)
-        else:
-            engine.schedule(delay, self._step)
 
-    def _complete(self) -> None:
-        """One operation ran: record its interval, then the next step
-        (an op without a chain has none and finishes)."""
-        self.trace.record(self.src, self.category, self.start, self.engine.now)
-        self._load_step()
-
-    def _finish(self) -> None:
-        self.done = True
-        self._step = None
-        self.proc.resume(self.result)
+_NOT_WALKED = (
+    "a fused network op is walked only by the compiled engine core; "
+    "on any other engine the Network runs its generators"
+)
 
 
 class Network:
@@ -497,11 +364,10 @@ class Network:
         )
         #: Whether fault-free traced operations are dispatched as
         #: :class:`_FusedOp` requests instead of :meth:`_walk` generators.
-        #: Taken from the engine: only the compiled core walks a program
-        #: in C; a pure-Python ``_FusedOp`` step loses to a generator
-        #: resume (docs/perf.md, "Simulator: `REPRO_ENGINE`, the C core,
-        #: fused ops"). Both are (time, seq)-order identical, so this
-        #: never changes results.
+        #: Taken from the engine: the compiled core is the only walker of
+        #: a ``_FusedOp``, and the generators are the reference it is held
+        #: to. Both are (time, seq)-order identical, so this never
+        #: changes results.
         self._fused = bool(getattr(engine, "drives_fused_ops", False))
         #: ``(kind, tier, nbytes) -> (pre, hold, post)`` delay programs,
         #: memoized per distinct size class (block sizes give a handful).

@@ -170,11 +170,9 @@ class CompiledEngine(Engine):
     __slots__ = ()
 
     #: Networks built on this engine dispatch traced ops as ``_FusedOp``
-    #: requests: the C core walks the delay programs, which is where
-    #: skipping the generator frame actually pays. The reference engine
-    #: interprets the same programs with a generator (a Python
-    #: state-machine step is slower than a generator resume).
-    #: Order-identical either way.
+    #: requests, which only the C core walks: no generator frame and no
+    #: ``Timeout`` per delay. The reference engine interprets the same
+    #: programs with the generators. Order-identical either way.
     drives_fused_ops = True
 
     def run(self, until: float = math.inf) -> float:

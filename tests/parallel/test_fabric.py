@@ -26,6 +26,7 @@ from repro.parallel.executor import (
     LocalExecutor,
     SerialExecutor,
     WorkerError,
+    _coerce_option,
     format_executor_spec,
     make_executor,
     parse_executor_spec,
@@ -193,8 +194,18 @@ class TestExecutorSpecStrings:
         assert isinstance(options["degrade_after"], int)
 
     def test_bool_words(self):
-        _, options = parse_executor_spec("serial?flag=true&other=no")
-        assert options == {"flag": True, "other": False}
+        words = ("true", "yes", "On", "false", "no", "OFF")
+        assert [_coerce_option(word) for word in words] == [True] * 3 + [False] * 3
+
+    @pytest.mark.parametrize("spec", ["local?foo=1", "serial?jobs=2", "distributed?fallback=no"])
+    def test_options_the_backend_does_not_take_rejected(self, spec):
+        """The names come from the backend constructor's signature."""
+        with pytest.raises(ConfigurationError, match="takes no option"):
+            parse_executor_spec(spec)
+
+    def test_option_value_the_backend_rejects_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="lease=abc"):
+            make_executor("distributed?bind=127.0.0.1:0&lease=abc")
 
     def test_format_is_canonical_inverse(self):
         spec = "distributed?bind=127.0.0.1:0&lease=7.5"
@@ -470,9 +481,7 @@ class TestDegradation:
     def test_no_workers_falls_back_with_warning(self):
         jobs = [f"job-{i}" for i in range(3)]
         stats = SupervisorStats()
-        ex = DistributedExecutor(
-            connect_timeout=0.3, degrade_after=0.3, fallback=SerialExecutor()
-        )
+        ex = DistributedExecutor(connect_timeout=0.3, degrade_after=0.3)
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

@@ -205,6 +205,21 @@ class TestCliFrontDoor:
             JobSpec.from_cli_args(cli_namespace(executor="bogus"))
         assert err.value.field == "executor"
 
+    @pytest.mark.parametrize("executor", ["local?foo=1", "distributed?fallback=no"])
+    def test_executor_option_the_backend_does_not_take_exits_2(self, executor, capsys):
+        from repro.__main__ import main
+
+        assert main(["study", "--executor", executor, "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: executor:") and "takes no option" in err
+
+    @pytest.mark.parametrize("executor", ["local?foo=1", "distributed?fallback=no"])
+    def test_executor_option_the_backend_does_not_take_is_refused(self, executor):
+        with pytest.raises(JobSpecError) as err:
+            JobSpec(executor=executor, jobs=2).validate()
+        assert err.value.field == "executor"
+        assert "takes no option" in err.value.reason
+
     def test_no_cache_flag(self):
         assert JobSpec.from_cli_args(cli_namespace(no_cache=True)).cache is False
 

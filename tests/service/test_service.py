@@ -101,6 +101,16 @@ class TestEndpoints:
         assert body["field"] == "models"
         assert "nope" in body["reason"]
 
+    @pytest.mark.parametrize("executor", ["local?foo=1", "distributed?fallback=no"])
+    def test_executor_option_the_backend_does_not_take_is_400(self, service, executor):
+        """Refused at submission, not when the job starts."""
+        status, body = request(
+            service, "POST", "/v1/jobs", body={**SMALL, "executor": executor, "jobs": 2}
+        )
+        assert status == 400
+        assert body["field"] == "executor"
+        assert "takes no option" in body["reason"]
+
     def test_unknown_field_is_400(self, service):
         status, body = request(
             service, "POST", "/v1/jobs", body={**SMALL, "modles": []}

@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
-from repro.simulate.engine import Engine, Resource, SimEvent, Timeout
+from repro.simulate.engine import Engine, Resource, SimEvent, Timeout, pooled_timeout
 from repro.simulate.network import Network, NetworkModel, SharedCell, _FusedOp
 from repro.simulate.sched import CompiledEngine, compiled_available
 from repro.util import SimulationError
@@ -228,9 +228,10 @@ class TestRunUntilEdges:
 # member descriptors state, and runs ``TraceRecorder.record`` and
 # ``Resource.release`` itself when they would do nothing but add. Every
 # other case must reach the attribute protocol or the Python method, so
-# each test here runs one scenario on the reference ``Engine`` and on
-# ``CompiledEngine`` -- both walking ``_FusedOp`` requests, the reference
-# in Python line by line -- and requires the same observable outcome.
+# each test here runs one scenario on ``CompiledEngine``, whose core walks
+# ``_FusedOp`` requests, and on the reference ``Engine``, which runs the
+# same operations as the ``Network`` generators, and requires the same
+# observable outcome.
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(), reason="compiled engine core unavailable"
@@ -291,8 +292,40 @@ def _task_chain(net, trace, src, category=COMM, bad_step=False):
     )
 
 
+def _task_walk(engine, net, trace, src, category=COMM):
+    """:func:`_task_chain`'s task as the generators run it."""
+    yield from net.rma_traced(src, 1, 1 << 16, trace, category)
+    start = engine.now
+    yield pooled_timeout(1.0e-6)
+    trace.record_compute(src, src, start, engine.now)
+    yield from net.accumulate_traced(src, 1, 4096, trace, category)
+
+
+class _Halted(Exception):
+    """Stops a reference run where the compiled run under test fails."""
+
+
+class _HaltingRecorder(TraceRecorder):
+    """Raises :class:`_Halted` as rank 0's first interval is recorded
+    (``at="interval"``, before it counts) or once its first kernel
+    interval has been (``at="kernel"``)."""
+
+    __slots__ = ("at",)
+
+    def record(self, rank, category, start, end):
+        if rank == 0 and self.at == "interval":
+            raise _Halted
+        super().record(rank, category, start, end)
+
+    def record_compute(self, rank, tid, start, end):
+        super().record_compute(rank, tid, start, end)
+        if rank == 0 and self.at == "kernel":
+            raise _Halted
+
+
 def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM,
-             tamper=None, cancel_at=None, intervals=False, chain=False, bad_step=False):
+             tamper=None, cancel_at=None, intervals=False, chain=False, bad_step=False,
+             halt=None):
     """Three ranks issue traced ops at rank 1's NIC (one per rank, so two
     queue behind the first); returns everything observable afterwards.
 
@@ -300,21 +333,28 @@ def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM
     first op holds the NIC and the other two are queued; ``cancel_at``
     lists ranks whose processes are cancelled at that same moment. With
     ``chain`` each rank's first op is a whole task (:func:`_task_chain`).
+    On ``CompiledEngine`` the ops are ``_FusedOp``s, on ``Engine`` the
+    generators; ``halt`` stops the run with a :class:`_HaltingRecorder`.
     """
     engine = engine_cls()
     net = Network(engine, NetworkModel(), 4)
-    net._fused = True  # the reference walks the same _FusedOp, in Python
     if nic_cls is not None:
         net.nics[1] = nic_cls(1)
-    trace = recorder_cls(4)
+    if halt is None:
+        trace = recorder_cls(4)
+    else:
+        trace = _HaltingRecorder(4)
+        trace.at = halt
     if intervals:
         trace.keep_intervals()
     cell = SharedCell()
     ops, log = [], []
 
     def rank(src):
-        if chain:
+        if chain and net._fused:
             op = _task_chain(net, trace, src, category, bad_step)
+        elif chain:
+            op = _task_walk(engine, net, trace, src, category)
         else:
             op = net.rma_traced(src, 1, 1 << 16, trace, category)
         ops.append(op)
@@ -355,6 +395,12 @@ def _future_start(engine, net, ops):
     ops[0].start = 1.0  # completes at ~15 us: the interval ends before it starts
 
 
+def _malformed_step():
+    """The step :func:`_task_chain` writes with ``bad_step``."""
+    op = _task_chain(Network(Engine(), NetworkModel(), 4), None, 0, bad_step=True)
+    return op.chain[0][2]
+
+
 def _forget_acquire(engine, net, ops):
     net.nics[1].in_use = 0  # the holder's release() is now unmatched
 
@@ -386,16 +432,30 @@ class TestCompiledCoreFallbacks:
         ],
     )
     def test_same_outcome_as_reference_engine(self, kwargs):
+        outcome = _outcome(CompiledEngine, **kwargs)
+        if kwargs.get("tamper") is _future_start or "bad_step" in kwargs:
+            # Only the fused op has a start to move or a step to break:
+            # the generators stop where the compiled run fails, as rank
+            # 0's get records its interval or once its kernel has.
+            if "bad_step" in kwargs:
+                reference = _outcome(Engine, chain=True, halt="kernel")
+                # The core's own error, raised before it touched the NIC
+                # or the trace for the step.
+                expected = ("TypeError", f"malformed fused op step 2: {_malformed_step()!r}")
+            else:
+                reference = _outcome(Engine, **{**kwargs, "tamper": None}, halt="interval")
+                end = outcome["engine"][0]
+                expected = ("SimulationError", f"interval ends before it starts: [1.0, {end})")
+            assert reference.pop("error") == ("_Halted", "")
+            assert outcome.pop("error") == expected
+            assert outcome == reference
+            return
         reference = _outcome(Engine, **kwargs)
-        assert _outcome(CompiledEngine, **kwargs) == reference
+        assert outcome == reference
         # The scenario did what its name says on the reference engine.
         error, log = reference["error"], reference["log"]
-        if "bad_step" in kwargs:  # the Python method's own unpacking error
-            assert error == ("ValueError", "not enough values to unpack (expected 3, got 2)")
-        elif "category" in kwargs:
+        if "category" in kwargs:
             assert error[0] == "ConfigurationError" and "bogus" in error[1]
-        elif kwargs.get("tamper") is _future_start:
-            assert error[0] == "SimulationError" and "ends before it starts" in error[1]
         elif kwargs.get("tamper") is _forget_acquire:
             assert error == ("SimulationError", "release() without a matching acquire()")
         else:
@@ -419,7 +479,6 @@ class TestCompiledCoreFallbacks:
         def message(engine_cls):
             engine = engine_cls()
             net = Network(engine, NetworkModel(), 2)
-            net._fused = True
 
             def rank():
                 op = net.rma_traced(0, 1, 64, TraceRecorder(2), COMM)
@@ -434,7 +493,14 @@ class TestCompiledCoreFallbacks:
                 engine.run()
             return str(caught.value)
 
-        assert message(CompiledEngine) == message(Engine)
+        if victim == "proc._send":
+            assert message(CompiledEngine) == message(Engine)
+            return
+        unset = _FusedOp(None, 0)
+        del unset.pre
+        with pytest.raises(AttributeError) as cpython:
+            unset.pre
+        assert message(CompiledEngine) == str(cpython.value)
 
     def test_class_mutated_after_first_use_is_resolved_again(self, monkeypatch):
         """An offset the core has already used holds only while the class
@@ -504,9 +570,8 @@ class TestCompiledCoreFallbacks:
 #
 # ``op._step`` is a bound method of the op, so while it is set the op is
 # cyclic garbage: it, its ``trace`` and its ``proc`` wait for the cyclic
-# collector. Both walkers drop it when the op completes or is closed.
-
-ENGINES = [Engine] + ([CompiledEngine] if compiled_available() else [])
+# collector. The core drops it when the op completes, ``close`` when the
+# op is closed.
 
 
 @pytest.fixture
@@ -520,8 +585,9 @@ def no_gc():
         gc.enable()
 
 
+@needs_compiled
 @pytest.mark.parametrize("chain", [False, True], ids=["op", "chain"])
-@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize("engine_cls", [CompiledEngine])
 class TestFusedOpLifetime:
     def _issue(self, net, trace, chain, refs):
         op = _task_chain(net, trace, 0) if chain else net.rma_traced(0, 1, 1 << 16, trace, COMM)
@@ -531,7 +597,6 @@ class TestFusedOpLifetime:
     def test_dead_once_it_completes(self, engine_cls, chain, no_gc):
         engine = engine_cls()
         net = Network(engine, NetworkModel(), 2)
-        net._fused = True
         trace = TraceRecorder(2)
         refs, alive = [], []
 
@@ -549,7 +614,6 @@ class TestFusedOpLifetime:
     def test_dead_once_closed_mid_hold(self, engine_cls, chain, no_gc):
         engine = engine_cls()
         net = Network(engine, NetworkModel(), 2)
-        net._fused = True
         trace = TraceRecorder(2)
         refs, seen = [], []
 

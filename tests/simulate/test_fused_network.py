@@ -17,6 +17,9 @@ These tests pin that from four directions:
 - the cancellation protocol: closing a mid-hold fused op releases the
   NIC slot exactly like the generator's ``finally``.
 
+Only the compiled core walks a fused op, so the fused side of each runs
+on ``CompiledEngine`` and skips where the core cannot be built.
+
 Plus the operational bits that ride on the same hot path: the Timeout
 freelist, the hot-path counters, and the strict-compiled-engine switch
 (``REPRO_ENGINE_REQUIRE``) with the compiler-stderr diagnostics.
@@ -31,7 +34,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulate.engine import Engine, Resource, Timeout
 from repro.simulate.network import Network, NetworkModel, _FusedOp
-from repro.util import ConfigurationError
+from repro.simulate.sched import CompiledEngine, compiled_available
+from repro.util import ConfigurationError, SimulationError
+
+needs_compiled = pytest.mark.skipif(
+    not compiled_available(), reason="compiled engine core unavailable"
+)
+
+
+def _engine(fused: bool) -> Engine:
+    """The engine whose Network takes the fused path, or the reference."""
+    if fused and not compiled_available():
+        pytest.skip("compiled engine core unavailable")
+    return CompiledEngine() if fused else Engine()
 
 
 class _Recorder:
@@ -195,9 +210,9 @@ def test_dead_target_fails_uncounted(entry, fused):
     from repro.simulate.network import SharedCell
     from repro.util import RankFailedError
 
-    engine = Engine()
+    engine = _engine(fused)
     net = Network(engine, NetworkModel(), 4)
-    net._fused = fused  # a fault-armed network takes the generator either way
+    assert net._fused == fused  # a fault-armed network takes the generator either way
     plan = FaultPlan(crashes=(RankCrash(2, 0.0),), rma_timeout=1.0)
     net.faults = injector = FaultInjector(plan, engine, net)
     injector.arm({})
@@ -243,18 +258,16 @@ def test_fused_program_memoized():
 
 
 def _run_counter_case(monkeypatch, fused: bool):
-    """One contention-heavy counter_dynamic run with the fused knob set.
-
-    Forced both ways (the default depends on the engine's
-    ``drives_fused_ops``) so the comparison is meaningful on any engine:
-    the pure-Python ``_FusedOp`` walk must match the generators too.
-    """
+    """One contention-heavy counter_dynamic run on the compiled engine,
+    with its Network's fused path left on or forced off: the C walker
+    against the generators on one engine."""
     original = Network.__init__
 
     def forced(self, *args, **kwargs):
         original(self, *args, **kwargs)
         self._fused = fused
 
+    monkeypatch.setenv("REPRO_ENGINE", "compiled")
     monkeypatch.setattr(Network, "__init__", forced)
     from repro.chemistry.tasks import synthetic_task_graph
     from repro.exec_models import make_model
@@ -269,6 +282,7 @@ def _run_counter_case(monkeypatch, fused: bool):
     )
 
 
+@needs_compiled
 def test_fused_run_equals_generator_run(monkeypatch):
     import numpy as np
 
@@ -303,9 +317,8 @@ def test_fused_run_equals_generator_run(monkeypatch):
 
 
 def _cancel_mid_hold_makespan(fused: bool) -> tuple[float, int]:
-    engine = Engine()
+    engine = _engine(fused)
     net = Network(engine, NetworkModel(), 3)
-    net._fused = fused
     rec = _Recorder()
     done = []
 
@@ -343,6 +356,22 @@ def test_fused_op_rejects_nonnone_send_before_start():
     assert iter(op) is op
     with pytest.raises(TypeError):
         op.send(42)
+
+
+def test_fused_op_yielded_on_the_reference_engine_raises():
+    """The reference engine never builds a fused op (its Networks take
+    the generators); one yielded to it anyway is refused, not walked."""
+    engine = Engine()
+    net = Network(engine, NetworkModel(), 2)
+    assert not net._fused
+    net._fused = True
+
+    def rank():
+        yield from net.rma_traced(0, 1, 64, _Recorder(), "get")
+
+    engine.process(rank(), name="rank")
+    with pytest.raises(SimulationError, match="only by the compiled engine core"):
+        engine.run()
 
 
 # ----------------------------------------------------------------------
