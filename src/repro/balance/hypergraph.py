@@ -56,11 +56,11 @@ class Hypergraph:
         nets: list[np.ndarray],
         net_weights: np.ndarray,
     ) -> None:
-        self.vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
+        self.vertex_weights = np.asarray(vertex_weights, dtype=np.float64, order="C")
         if self.vertex_weights.ndim != 1:
             raise ConfigurationError("vertex_weights must be 1-D")
-        if np.any(self.vertex_weights < 0):
-            raise ConfigurationError("vertex weights must be non-negative")
+        if not _finite_non_negative(self.vertex_weights):
+            raise ConfigurationError("vertex weights must be finite and non-negative")
         n = self.vertex_weights.size
         pin_arrays = [np.asarray(net, dtype=np.int64).reshape(-1) for net in nets]
         sizes = np.fromiter(
@@ -92,13 +92,13 @@ class Hypergraph:
         self.xpins = xpins
         self._reset_caches()
         self._nets = pin_arrays
-        self.net_weights = np.asarray(net_weights, dtype=np.float64)
+        self.net_weights = np.asarray(net_weights, dtype=np.float64, order="C")
         if self.net_weights.shape != (len(pin_arrays),):
             raise ConfigurationError(
                 f"{len(pin_arrays)} nets but net_weights has shape {self.net_weights.shape}"
             )
-        if np.any(self.net_weights < 0):
-            raise ConfigurationError("net weights must be non-negative")
+        if not _finite_non_negative(self.net_weights):
+            raise ConfigurationError("net weights must be finite and non-negative")
 
     def _reset_caches(self) -> None:
         """Declare the lazily built views (all derived from the CSR)."""
@@ -120,14 +120,15 @@ class Hypergraph:
         """Trusted constructor from CSR arrays (no validation).
 
         For internal producers whose output is correct by construction
-        (the vectorized Fock builder, contraction, induction, the
-        artifact-store codec); skips the per-net validation pass.
+        (the vectorized Fock builder, contraction, induction) and the
+        artifact-store codec, which checks the arrays first; skips the
+        per-net validation pass.
         """
         hg = cls.__new__(cls)
-        hg.vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
-        hg.xpins = np.asarray(xpins, dtype=np.int64)
-        hg.pins = np.asarray(pins, dtype=np.int64)
-        hg.net_weights = np.asarray(net_weights, dtype=np.float64)
+        hg.vertex_weights = np.asarray(vertex_weights, dtype=np.float64, order="C")
+        hg.xpins = np.asarray(xpins, dtype=np.int64, order="C")
+        hg.pins = np.asarray(pins, dtype=np.int64, order="C")
+        hg.net_weights = np.asarray(net_weights, dtype=np.float64, order="C")
         hg._reset_caches()
         return hg
 
@@ -220,14 +221,41 @@ def fock_hypergraph(graph: TaskGraph) -> Hypergraph:
                 },
                 {},
             ),
-            decode=lambda arrays, _meta: Hypergraph.from_csr(
-                arrays["vertex_weights"],
-                arrays["xpins"],
-                arrays["pins"],
-                arrays["net_weights"],
-            ),
+            decode=lambda arrays, _meta: _decode_csr(arrays, graph.n_tasks),
         )
     return _fock_hypergraph(graph)
+
+
+def _finite_non_negative(weights: np.ndarray) -> bool:
+    return bool(np.isfinite(weights).all() and (weights >= 0).all())
+
+
+def _decode_csr(arrays: dict[str, np.ndarray], n_vertices: int) -> Hypergraph:
+    """A stored hypergraph, checked before ``from_csr`` trusts it.
+
+    Anything a well-formed ``.npz`` can still get wrong — dtypes, lengths,
+    offsets, a pin out of range, a bad weight — raises, which the store
+    turns into a corrupt miss and a rebuild.
+    """
+    vw, xpins, pins, nw = (
+        arrays[name] for name in ("vertex_weights", "xpins", "pins", "net_weights")
+    )
+    if not (vw.dtype == nw.dtype == np.float64 and xpins.dtype == pins.dtype == np.int64):
+        raise ValueError("hypergraph artifact: wrong dtypes")
+    if (
+        vw.shape != (n_vertices,)
+        or nw.ndim != 1
+        or xpins.shape != (nw.size + 1,)
+        or pins.ndim != 1
+    ):
+        raise ValueError("hypergraph artifact: wrong shapes")
+    if xpins[0] != 0 or xpins[-1] != pins.size or (np.diff(xpins) < 1).any():
+        raise ValueError("hypergraph artifact: bad net offsets")
+    if pins.size and (pins.min() < 0 or pins.max() >= n_vertices):
+        raise ValueError("hypergraph artifact: pin out of range")
+    if not (_finite_non_negative(vw) and _finite_non_negative(nw)):
+        raise ValueError("hypergraph artifact: bad weights")
+    return Hypergraph.from_csr(vw, xpins, pins, nw)
 
 
 def _fock_hypergraph(graph: TaskGraph) -> Hypergraph:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from bisect import insort
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from repro.balance.hypergraph import Hypergraph, fock_hypergraph
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
-from repro.util import PartitionError, check_positive, spawn_rng
+from repro.util import ConfigurationError, PartitionError, spawn_rng
 
 #: Stop coarsening at this many vertices.
 _COARSEN_TARGET = 80
@@ -51,6 +52,14 @@ def _store():
     return default_store()
 
 
+def _core():
+    # Call-time import, like ``_store``: the compiled core the engine mode
+    # selects (``repro.simulate.sched``), or None for the Python FM pass.
+    from repro.simulate.sched import _selected_core
+
+    return _selected_core()
+
+
 def partition_hypergraph(
     hg: Hypergraph, k: int, eps: float = 0.05, seed: int = 0
 ) -> np.ndarray:
@@ -62,9 +71,7 @@ def partition_hypergraph(
     Returns:
         ``(n_vertices,)`` part ids in ``[0, k)``.
     """
-    check_positive("k", k)
-    if eps < 0:
-        raise PartitionError(f"eps must be >= 0, got {eps}")
+    _check_k_eps(k, eps)
     parts = np.zeros(hg.n_vertices, dtype=np.int64)
     rng = spawn_rng(seed, "hypergraph_partition", k)
     # Bisection slack compounds multiplicatively down the recursion tree;
@@ -75,6 +82,15 @@ def partition_hypergraph(
     if k > 1:
         _kway_repair(hg, parts, k, eps)
     return parts
+
+
+def _check_k_eps(k: int, eps: float) -> None:
+    """``k`` an integer >= 1 (a float k never reaches ``k == 1`` in the
+    recursion), ``eps`` finite and >= 0 (NaN and inf disable balance)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise PartitionError(f"eps must be finite and >= 0, got {eps!r}")
 
 
 def _kway_repair(hg: Hypergraph, parts: np.ndarray, k: int, eps: float) -> None:
@@ -159,6 +175,7 @@ def hypergraph_balancer(
     per process — and not at all on a warm on-disk store. Hits return a
     fresh copy (callers may mutate the parts array).
     """
+    _check_k_eps(n_ranks, eps)
     store = _store()
     if store is None:
         return partition_hypergraph(fock_hypergraph(graph), n_ranks, eps=eps, seed=seed)
@@ -562,6 +579,26 @@ def _fm_pass(
     hi: float,
     target0: float,
 ) -> tuple[bool, np.ndarray]:
+    core = _core()
+    if core is not None:
+        # The same pass over the CSR arrays in the compiled core, bit for
+        # bit; the body below is its reference. ``w0`` stays NumPy's
+        # pairwise sum, which a C loop would round differently.
+        out = np.array(side, dtype=np.int8)
+        improved = core.fm_pass(
+            hg.vertex_weights,
+            hg.net_weights,
+            hg.xpins,
+            hg.pins,
+            hg.xnets,
+            hg.vnets,
+            out,
+            float(hg.vertex_weights[side == 0].sum()),
+            lo,
+            hi,
+            target0,
+        )
+        return improved, out
     n = hg.n_vertices
     incidence = hg.vertex_nets()
     vw_arr = hg.vertex_weights

@@ -40,13 +40,20 @@
  * globally unique). The golden-digest suites are run under
  * REPRO_ENGINE=compiled in CI to pin this.
  *
+ * The same extension carries the partitioner's FM refinement pass
+ * (fm_pass, at the end of this file): plain arrays in, nothing shared
+ * with the engine but the build, selected by the same REPRO_ENGINE mode.
+ *
  * Built on demand by repro.simulate.sched (cc -O2 -fPIC -shared); no
  * third-party headers, C99 + Python.h only.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <structmember.h> /* T_OBJECT_EX */
 
 /* Registered by setup(): the engine's collaborator classes. */
@@ -1616,10 +1623,539 @@ core_setup(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* ------------------------------------------------------------------------
+ * One Fiduccia-Mattheyses pass of repro.balance.partition._fm_pass over
+ * plain arrays. The Python body is the reference and every line below
+ * mirrors one of its lines, so the returned partition is bit-identical:
+ *
+ * - initial gains add vertex-major, nets ascending, `+w` or a literal
+ *   `+0.0` then `-w` or `+0.0` from 0.0: the order np.add.at applies;
+ * - heap entries are (-gain, v, stamp) compared as Python tuples (first
+ *   unequal field decides, so -0.0 == 0.0 falls to v); they are unique
+ *   and, with finite weights, no gain is NaN, so the order is total and
+ *   pop order does not depend on heap layout;
+ * - the deferred list, its merge with the heap, the `insort`
+ *   (bisect_right) and the may_unblock slack are the reference's;
+ * - state keys compare as the (int, float, float) tuple.
+ *
+ * There is no multiply-add anywhere, so FP contraction cannot reorder a
+ * rounding. Every input is checked before it is dereferenced (dtypes,
+ * lengths, both CSRs, pins and net ids in range, finite weights, sides
+ * in {0, 1}); scratch comes from PyMem_* and a failed allocation is a
+ * MemoryError. `side` is read into private memory and written back once
+ * at the end. */
+
+typedef struct {
+    double neg_gain;
+    long long v;
+    long long stamp;
+} FmEntry;
+
+typedef struct {
+    FmEntry *a;
+    Py_ssize_t len, cap;
+} FmVec;
+
+typedef struct {
+    int infeasible;
+    double neg_cum;
+    double dev;
+} FmKey;
+
+/* Python tuple `<` on (neg_gain, v, stamp). */
+static inline int
+fm_lt(const FmEntry *a, const FmEntry *b)
+{
+    if (!(a->neg_gain == b->neg_gain))
+        return a->neg_gain < b->neg_gain;
+    if (a->v != b->v)
+        return a->v < b->v;
+    return a->stamp < b->stamp;
+}
+
+/* Python tuple `<=` on (neg_gain, v, stamp). */
+static inline int
+fm_le(const FmEntry *a, const FmEntry *b)
+{
+    if (!(a->neg_gain == b->neg_gain))
+        return a->neg_gain <= b->neg_gain;
+    if (a->v != b->v)
+        return a->v < b->v;
+    return a->stamp <= b->stamp;
+}
+
+static inline int
+fm_key_lt(const FmKey *a, const FmKey *b)
+{
+    if (a->infeasible != b->infeasible)
+        return a->infeasible < b->infeasible;
+    if (!(a->neg_cum == b->neg_cum))
+        return a->neg_cum < b->neg_cum;
+    if (!(a->dev == b->dev))
+        return a->dev < b->dev;
+    return 0;
+}
+
+static int
+fm_reserve(FmVec *x, Py_ssize_t need)
+{
+    if (need <= x->cap)
+        return 0;
+    Py_ssize_t cap = x->cap ? x->cap : 64;
+    while (cap < need) {
+        if (cap > PY_SSIZE_T_MAX / 2)
+            goto nomem;
+        cap *= 2;
+    }
+    FmEntry *a = PyMem_Resize(x->a, FmEntry, (size_t)cap);
+    if (a == NULL)
+        goto nomem;
+    x->a = a;
+    x->cap = cap;
+    return 0;
+nomem:
+    PyErr_NoMemory();
+    return -1;
+}
+
+static inline int
+fm_append(FmVec *x, FmEntry e)
+{
+    if (x->len == x->cap && fm_reserve(x, x->len + 1) < 0)
+        return -1;
+    x->a[x->len++] = e;
+    return 0;
+}
+
+/* heapq._siftdown / _siftup / heappush / heappop, line for line. */
+static void
+fm_siftdown(FmEntry *h, Py_ssize_t startpos, Py_ssize_t pos)
+{
+    FmEntry newitem = h[pos];
+    while (pos > startpos) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        if (!fm_lt(&newitem, &h[parentpos]))
+            break;
+        h[pos] = h[parentpos];
+        pos = parentpos;
+    }
+    h[pos] = newitem;
+}
+
+static void
+fm_siftup(FmEntry *h, Py_ssize_t endpos, Py_ssize_t pos)
+{
+    Py_ssize_t startpos = pos;
+    FmEntry newitem = h[pos];
+    Py_ssize_t childpos = 2 * pos + 1;
+    while (childpos < endpos) {
+        Py_ssize_t rightpos = childpos + 1;
+        if (rightpos < endpos && !fm_lt(&h[childpos], &h[rightpos]))
+            childpos = rightpos;
+        h[pos] = h[childpos];
+        pos = childpos;
+        childpos = 2 * pos + 1;
+    }
+    h[pos] = newitem;
+    fm_siftdown(h, startpos, pos);
+}
+
+static inline int
+fm_heappush(FmVec *h, FmEntry e)
+{
+    if (fm_append(h, e) < 0)
+        return -1;
+    fm_siftdown(h->a, 0, h->len - 1);
+    return 0;
+}
+
+static inline FmEntry
+fm_heappop(FmVec *h)
+{
+    FmEntry last = h->a[--h->len];
+    if (h->len == 0)
+        return last;
+    FmEntry top = h->a[0];
+    h->a[0] = last;
+    fm_siftup(h->a, h->len, 0);
+    return top;
+}
+
+/* bisect.insort (bisect_right) into the sorted deferred list. */
+static int
+fm_insort(FmVec *x, FmEntry e)
+{
+    Py_ssize_t lo = 0, hi = x->len;
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi) / 2;
+        if (fm_lt(&e, &x->a[mid]))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    if (fm_append(x, e) < 0)
+        return -1;
+    memmove(&x->a[lo + 1], &x->a[lo], (size_t)(x->len - 1 - lo) * sizeof(FmEntry));
+    x->a[lo] = e;
+    return 0;
+}
+
+/* A 1-D C-contiguous buffer of `itemsize`-byte items whose one-character
+ * struct format is in `formats`. */
+static int
+fm_buffer(PyObject *obj, Py_buffer *view, const char *name, const char *formats,
+          Py_ssize_t itemsize, int writable)
+{
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    const char *f = view->format;
+    if (view->ndim != 1 || view->itemsize != itemsize || f == NULL || f[0] == '\0'
+        || f[1] != '\0' || strchr(formats, f[0]) == NULL) {
+        PyErr_Format(PyExc_TypeError,
+                     "fm_pass: %s must be a 1-D contiguous array of %zd-byte '%s' items",
+                     name, itemsize, formats);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* `off` has rows + 1 entries starting at 0 and ending at nval, each row
+ * at least `min_row` long; every value lies in [0, bound). */
+static int
+fm_check_csr(const char *name, const int64_t *off, Py_ssize_t rows,
+             const int64_t *val, Py_ssize_t nval, Py_ssize_t bound, int min_row)
+{
+    if (off[0] != 0 || off[rows] != nval) {
+        PyErr_Format(PyExc_ValueError,
+                     "fm_pass: %s offsets must run from 0 to %zd", name, nval);
+        return -1;
+    }
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        /* off[r] is in [0, nval] by induction, so the sum cannot overflow. */
+        if (off[r + 1] < off[r] + min_row || off[r + 1] > nval) {
+            PyErr_Format(PyExc_ValueError,
+                         "fm_pass: %s offsets are out of order at row %zd", name, r);
+            return -1;
+        }
+    }
+    for (Py_ssize_t i = 0; i < nval; i++) {
+        if (val[i] < 0 || val[i] >= bound) {
+            PyErr_Format(PyExc_ValueError,
+                         "fm_pass: %s value %lld at %zd is outside [0, %zd)", name,
+                         (long long)val[i], i, bound);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static int
+fm_check_finite(const char *name, const double *x, Py_ssize_t len)
+{
+    for (Py_ssize_t i = 0; i < len; i++) {
+        if (!isfinite(x[i])) {
+            PyErr_Format(PyExc_ValueError, "fm_pass: %s[%zd] is not finite", name, i);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static inline FmKey
+fm_state_key(double w0, double cum, double lo, double hi, double target0)
+{
+    FmKey key;
+    key.infeasible = !(lo - 1e-12 <= w0 && w0 <= hi + 1e-12);
+    key.neg_cum = -cum;
+    key.dev = fabs(w0 - target0);
+    return key;
+}
+
+/* The pass itself on validated arrays; 1 if improved, 0 if not, -1 on a
+ * failed allocation. `side` is updated in place to the best prefix. */
+static int
+fm_run(Py_ssize_t n, Py_ssize_t m, const double *vw, const double *nw,
+       const int64_t *xpins, const int64_t *pins, const int64_t *xnets,
+       const int64_t *vnets, signed char *side, double w0, double lo, double hi,
+       double target0)
+{
+    int rc = -1;
+    Py_ssize_t *cnt0 = PyMem_New(Py_ssize_t, (size_t)m);
+    Py_ssize_t *cnt1 = PyMem_New(Py_ssize_t, (size_t)m);
+    double *gains = PyMem_New(double, (size_t)n);
+    long long *stamps = PyMem_Calloc((size_t)n, sizeof(long long));
+    signed char *side_l = PyMem_New(signed char, (size_t)n);
+    char *locked = PyMem_Calloc((size_t)n, 1);
+    char *is_touched = PyMem_Calloc((size_t)n, 1);
+    Py_ssize_t *touched = PyMem_New(Py_ssize_t, (size_t)n);
+    Py_ssize_t *moves = PyMem_New(Py_ssize_t, (size_t)n);
+    FmVec heap = {NULL, 0, 0}, deferred = {NULL, 0, 0}, redeferred = {NULL, 0, 0};
+    if (!cnt0 || !cnt1 || !gains || !stamps || !side_l || !locked || !is_touched
+        || !touched || !moves || fm_reserve(&heap, n) < 0) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    memcpy(side_l, side, (size_t)n);
+
+    for (Py_ssize_t e = 0; e < m; e++) {
+        Py_ssize_t ones = 0;
+        for (int64_t p = xpins[e]; p < xpins[e + 1]; p++)
+            ones += side_l[pins[p]];
+        cnt1[e] = ones;
+        cnt0[e] = (Py_ssize_t)(xpins[e + 1] - xpins[e]) - ones;
+    }
+    for (Py_ssize_t v = 0; v < n; v++) {
+        double g = 0.0;
+        for (int64_t k = xnets[v]; k < xnets[v + 1]; k++) {
+            int64_t e = vnets[k];
+            Py_ssize_t same = side_l[v] ? cnt1[e] : cnt0[e];
+            Py_ssize_t oth = side_l[v] ? cnt0[e] : cnt1[e];
+            double w = nw[e];
+            g = g + (same == 1 ? w : 0.0);
+            g = g + (oth == 0 ? -w : 0.0);
+        }
+        gains[v] = g;
+        heap.a[v].neg_gain = -g;
+        heap.a[v].v = v;
+        heap.a[v].stamp = 0;
+    }
+    heap.len = n;
+    for (Py_ssize_t i = n / 2 - 1; i >= 0; i--)
+        fm_siftup(heap.a, n, i);
+
+    Py_ssize_t n_moves = 0, n_touched = 0;
+    double cum = 0.0;
+    FmKey initial_key = fm_state_key(w0, 0.0, lo, hi, target0);
+    FmKey best_key = initial_key;
+    Py_ssize_t best_idx = 0;
+    Py_ssize_t dptr = 0;
+    double dev0 = fabs(w0 - target0);
+    double d0_min = INFINITY, d1_min = INFINITY;
+    double d0_max = -INFINITY, d1_max = -INFINITY;
+    int scan_deferred = 1;
+    double slack = 1e-9 * (fabs(target0) + fabs(lo) + fabs(hi) + 1.0);
+
+    for (;;) {
+        FmEntry entry;
+        if (scan_deferred && dptr < deferred.len
+            && (heap.len == 0 || fm_le(&deferred.a[dptr], &heap.a[0])))
+            entry = deferred.a[dptr++];
+        else if (heap.len)
+            entry = fm_heappop(&heap);
+        else
+            break;
+        Py_ssize_t v = (Py_ssize_t)entry.v;
+        if (locked[v] || entry.stamp != stamps[v])
+            continue;
+        double new_w0 = side_l[v] == 0 ? w0 - vw[v] : w0 + vw[v];
+        if (!(lo <= new_w0 && new_w0 <= hi) && !(fabs(new_w0 - target0) < dev0)) {
+            double wv = vw[v];
+            if (side_l[v] == 0) {
+                if (wv < d0_min)
+                    d0_min = wv;
+                if (wv > d0_max)
+                    d0_max = wv;
+            }
+            else {
+                if (wv < d1_min)
+                    d1_min = wv;
+                if (wv > d1_max)
+                    d1_max = wv;
+            }
+            if (scan_deferred ? fm_append(&redeferred, entry) : fm_insort(&deferred, entry))
+                goto out;
+            continue;
+        }
+        /* Apply the move. */
+        int src = side_l[v];
+        int dst = 1 - src;
+        Py_ssize_t *cnt_src = src ? cnt1 : cnt0;
+        Py_ssize_t *cnt_dst = src ? cnt0 : cnt1;
+        for (int64_t k = xnets[v]; k < xnets[v + 1]; k++) {
+            int64_t e = vnets[k];
+            double w = nw[e];
+            const int64_t *net = pins + xpins[e], *net_end = pins + xpins[e + 1];
+            Py_ssize_t cd = cnt_dst[e];
+#define FM_TOUCH(u, op)                                                        \
+    do {                                                                       \
+        gains[u] = gains[u] op w;                                              \
+        if (!is_touched[u]) {                                                  \
+            is_touched[u] = 1;                                                 \
+            touched[n_touched++] = (Py_ssize_t)(u);                            \
+        }                                                                      \
+    } while (0)
+            if (cd == 0) {
+                for (const int64_t *u = net; u < net_end; u++)
+                    if (!locked[*u] && *u != v)
+                        FM_TOUCH(*u, +);
+            }
+            else if (cd == 1) {
+                for (const int64_t *u = net; u < net_end; u++)
+                    if (side_l[*u] == dst && !locked[*u])
+                        FM_TOUCH(*u, -);
+            }
+            Py_ssize_t cs = cnt_src[e] - 1;
+            cnt_src[e] = cs;
+            cnt_dst[e] = cd + 1;
+            if (cs == 0) {
+                for (const int64_t *u = net; u < net_end; u++)
+                    if (!locked[*u] && *u != v)
+                        FM_TOUCH(*u, -);
+            }
+            else if (cs == 1) {
+                for (const int64_t *u = net; u < net_end; u++)
+                    if (side_l[*u] == src && !locked[*u] && *u != v)
+                        FM_TOUCH(*u, +);
+            }
+#undef FM_TOUCH
+        }
+        for (Py_ssize_t i = 0; i < n_touched; i++) {
+            Py_ssize_t u = touched[i];
+            is_touched[u] = 0;
+            FmEntry fresh = {-gains[u], (long long)u, ++stamps[u]};
+            if (fm_heappush(&heap, fresh) < 0)
+                goto out;
+        }
+        n_touched = 0;
+        cum += -entry.neg_gain;
+        side_l[v] = (signed char)dst;
+        w0 = new_w0;
+        dev0 = fabs(w0 - target0);
+        locked[v] = 1;
+        moves[n_moves++] = v;
+        FmKey key = fm_state_key(w0, cum, lo, hi, target0);
+        if (fm_key_lt(&key, &best_key)) {
+            best_key = key;
+            best_idx = n_moves;
+        }
+        if (redeferred.len || dptr) {
+            Py_ssize_t tail = deferred.len - dptr;
+            if (tail) {
+                if (fm_reserve(&redeferred, redeferred.len + tail) < 0)
+                    goto out;
+                memcpy(&redeferred.a[redeferred.len], &deferred.a[dptr],
+                       (size_t)tail * sizeof(FmEntry));
+                redeferred.len += tail;
+            }
+            FmVec swap = deferred;
+            deferred = redeferred;
+            redeferred = swap;
+            redeferred.len = 0;
+            dptr = 0;
+        }
+        /* may_unblock(), verbatim. */
+        int unblock = deferred.len == 0;
+        if (!unblock && d0_max >= d0_min) {
+            if (d0_max >= w0 - hi - slack && d0_min <= w0 - lo + slack)
+                unblock = 1;
+            else {
+                double delta = w0 - target0;
+                if (d0_max > delta - dev0 - slack && d0_min < delta + dev0 + slack)
+                    unblock = 1;
+            }
+        }
+        if (!unblock && d1_max >= d1_min) {
+            if (d1_max >= lo - w0 - slack && d1_min <= hi - w0 + slack)
+                unblock = 1;
+            else {
+                double delta = target0 - w0;
+                if (d1_max > delta - dev0 - slack && d1_min < delta + dev0 + slack)
+                    unblock = 1;
+            }
+        }
+        scan_deferred = unblock;
+    }
+
+    /* Roll back to the best prefix. */
+    for (Py_ssize_t i = best_idx; i < n_moves; i++)
+        side_l[moves[i]] = (signed char)(1 - side_l[moves[i]]);
+    memcpy(side, side_l, (size_t)n);
+    rc = fm_key_lt(&best_key, &initial_key);
+out:
+    PyMem_Free(cnt0);
+    PyMem_Free(cnt1);
+    PyMem_Free(gains);
+    PyMem_Free(stamps);
+    PyMem_Free(side_l);
+    PyMem_Free(locked);
+    PyMem_Free(is_touched);
+    PyMem_Free(touched);
+    PyMem_Free(moves);
+    PyMem_Free(heap.a);
+    PyMem_Free(deferred.a);
+    PyMem_Free(redeferred.a);
+    return rc;
+}
+
+/* fm_pass(vertex_weights, net_weights, xpins, pins, xnets, vnets, side,
+ *         w0, lo, hi, target0) -> bool */
+static PyObject *
+core_fm_pass(PyObject *self, PyObject *args)
+{
+    static const struct {
+        const char *name, *formats;
+        Py_ssize_t itemsize;
+        int writable;
+    } spec[7] = {
+        {"vertex_weights", "d", 8, 0}, {"net_weights", "d", 8, 0},
+        {"xpins", "lq", 8, 0},         {"pins", "lq", 8, 0},
+        {"xnets", "lq", 8, 0},         {"vnets", "lq", 8, 0},
+        {"side", "b", 1, 1},
+    };
+    PyObject *obj[7];
+    Py_buffer buf[7];
+    double w0, lo, hi, target0;
+    if (!PyArg_ParseTuple(args, "OOOOOOOdddd:fm_pass", &obj[0], &obj[1], &obj[2],
+                          &obj[3], &obj[4], &obj[5], &obj[6], &w0, &lo, &hi, &target0))
+        return NULL;
+    PyObject *result = NULL;
+    int got = 0;
+    for (; got < 7; got++)
+        if (fm_buffer(obj[got], &buf[got], spec[got].name, spec[got].formats,
+                      spec[got].itemsize, spec[got].writable) < 0)
+            goto done;
+    const double *vw = buf[0].buf, *nw = buf[1].buf;
+    const int64_t *xpins = buf[2].buf, *pins = buf[3].buf;
+    const int64_t *xnets = buf[4].buf, *vnets = buf[5].buf;
+    signed char *side = buf[6].buf;
+    Py_ssize_t n = buf[0].shape[0], m = buf[1].shape[0], npins = buf[3].shape[0];
+    if (buf[2].shape[0] != m + 1 || buf[4].shape[0] != n + 1
+        || buf[5].shape[0] != npins || buf[6].shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError, "fm_pass: array lengths disagree");
+        goto done;
+    }
+    if (fm_check_csr("xpins/pins", xpins, m, pins, npins, n, 1) < 0
+        || fm_check_csr("xnets/vnets", xnets, n, vnets, npins, m, 0) < 0
+        || fm_check_finite("vertex_weights", vw, n) < 0
+        || fm_check_finite("net_weights", nw, m) < 0)
+        goto done;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        if (side[v] != 0 && side[v] != 1) {
+            PyErr_Format(PyExc_ValueError, "fm_pass: side[%zd] is %d, not 0 or 1", v,
+                         (int)side[v]);
+            goto done;
+        }
+    }
+    int improved = fm_run(n, m, vw, nw, xpins, pins, xnets, vnets, side, w0, lo, hi,
+                          target0);
+    if (improved >= 0)
+        result = PyBool_FromLong(improved);
+done:
+    while (got-- > 0)
+        PyBuffer_Release(&buf[got]);
+    return result;
+}
+
 static PyMethodDef core_methods[] = {
     {"run", core_run, METH_VARARGS,
      "run(engine, until) -> int: drain the engine's event structures in "
      "(time, seq) order; 1 when stopped at the horizon, 0 when drained."},
+    {"fm_pass", core_fm_pass, METH_VARARGS,
+     "fm_pass(vertex_weights, net_weights, xpins, pins, xnets, vnets, side, "
+     "w0, lo, hi, target0) -> bool: one FM refinement pass, side updated in "
+     "place; the compiled form of repro.balance.partition._fm_pass."},
     {"setup", core_setup, METH_VARARGS,
      "setup(Process, Timeout, Request, SimulationError, Resource, "
      "timeout_pool, FusedOp, TraceRecorder): register the engine's "

@@ -26,6 +26,11 @@ and run-queue, so simulations are bit-for-bit identical across modes
 (pinned by ``tests/test_bitwise_equivalence.py`` run under each mode in
 CI, and by a randomized property test in ``tests/simulate/test_sched.py``).
 
+The same mode selects the partitioner's FM refinement pass: under a
+loaded core ``repro.balance.partition._fm_pass`` runs the core's
+``fm_pass`` kernel, under ``python`` (or with no core) its Python body,
+which is the reference the kernel is held to partition for partition.
+
 The engine mode is an execution-layer knob, like the executor choice: it
 must never change results, so it is excluded from ``JobSpec.job_key()``
 and result caching.
@@ -106,13 +111,22 @@ def set_engine_mode(mode: str) -> str:
 
 def make_engine() -> Engine:
     """Construct an engine honoring the current ``REPRO_ENGINE`` mode."""
+    return Engine() if _selected_core() is None else CompiledEngine()
+
+
+def _selected_core():
+    """The compiled core the current ``REPRO_ENGINE`` mode selects, or None.
+
+    ``python`` selects none; ``auto`` the core when it loads; ``compiled``
+    the core, else None with a one-time :class:`DegradedEngineWarning`
+    (or a :class:`ConfigurationError` under ``REPRO_ENGINE_REQUIRE=1``).
+    The engine and the partitioner's FM pass both choose by it.
+    """
     mode = engine_mode()
     if mode == "python":
-        return Engine()
+        return None
     core = _load_engine_core()
-    if core is not None:
-        return CompiledEngine()
-    if mode == "compiled":
+    if core is None and mode == "compiled":
         if os.environ.get("REPRO_ENGINE_REQUIRE", "").strip() == "1":
             raise ConfigurationError(
                 "REPRO_ENGINE=compiled with REPRO_ENGINE_REQUIRE=1, but the "
@@ -120,7 +134,7 @@ def make_engine() -> Engine:
                 + (f": {_last_build_error}" if _last_build_error else "")
             )
         _warn_degraded()
-    return Engine()
+    return core
 
 
 _degraded_warned = False
@@ -149,7 +163,7 @@ def _warn_degraded() -> None:
         "falling back to the pure-Python engine. Results are identical."
         + detail,
         DegradedEngineWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 

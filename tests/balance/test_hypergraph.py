@@ -187,3 +187,78 @@ class TestArtifactsKeyedByFootprints:
             for _ in range(2):
                 with use_store(ArtifactStore(root)):
                     assert [products(graph) for graph in footprint_twins] == expected
+
+
+def _set(name, index, value):
+    def damage(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
+    return damage
+
+
+def _replace(name, make):
+    def damage(arrays):
+        arrays[name] = make(arrays[name])
+    return damage
+
+
+class TestStoredHypergraphIsChecked:
+    """A sound archive holding a malformed CSR is a corrupt miss: the
+    decoder refuses it and the graph is rebuilt, never trusted."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _set("pins", 0, 10_000),
+            _set("pins", -1, -1),
+            _set("xpins", 0, 1),
+            _set("xpins", -1, 3),
+            _set("xpins", 2, 0),
+            _replace("pins", lambda a: a.astype(np.int32)),
+            _replace("vertex_weights", lambda a: a[:-1]),
+            _replace("net_weights", lambda a: a[:-1]),
+            _set("net_weights", 0, np.nan),
+            _set("vertex_weights", 0, -1.0),
+        ],
+        ids=[
+            "pin_out_of_range",
+            "negative_pin",
+            "xpins_not_from_zero",
+            "xpins_short_of_pins",
+            "xpins_not_increasing",
+            "pins_int32",
+            "vertex_weights_short",
+            "net_weights_short",
+            "net_weight_nan",
+            "vertex_weight_negative",
+        ],
+    )
+    def test_malformed_artifact_is_rebuilt(self, damage, tmp_path):
+        from repro.balance import hypergraph_balancer
+        from repro.core.artifacts import ArtifactStore, use_store
+
+        graph = synthetic_task_graph(120, 8, seed=3)
+        with use_store(None):
+            expected = fock_hypergraph(graph)
+            expected_parts = hypergraph_balancer(graph, 4, seed=1)
+        store = ArtifactStore(tmp_path)
+        with use_store(store):
+            fock_hypergraph(graph)
+        key = store.key("fock_hypergraph", graph.content_key)
+        arrays, meta = store.get_arrays(key)
+        damage(arrays)
+        store.put_arrays(key, arrays, meta)
+        cold = ArtifactStore(tmp_path)
+        with use_store(cold):
+            rebuilt = fock_hypergraph(graph)
+            parts = hypergraph_balancer(graph, 4, seed=1)
+        assert (cold.stats.errors, cold.stats.disk_hits) == (1, 0)
+        for name in ("vertex_weights", "xpins", "pins", "net_weights"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(expected, name))
+        np.testing.assert_array_equal(parts, expected_parts)
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Hypergraph(np.array([1.0, np.inf]), [np.array([0, 1])], np.ones(1))
+        with pytest.raises(ConfigurationError):
+            Hypergraph(np.ones(2), [np.array([0, 1])], np.array([np.nan]))

@@ -1,3 +1,8 @@
+import contextlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -16,6 +21,7 @@ from repro.balance.hypergraph import part_weights
 from repro.balance.partition import (
     _COARSEN_TARGET,
     _MAX_NET_MATCH,
+    _fm_pass,
     _fm_refine,
     _grow_region,
     _heavy_connectivity_matching,
@@ -25,7 +31,28 @@ from repro.balance.partition import (
     _pin_views,
 )
 from repro.chemistry.tasks import synthetic_task_graph
-from repro.util import PartitionError
+from repro.simulate import sched
+from repro.util import ConfigurationError, PartitionError
+
+#: Tests that hold the compiled FM pass to the Python reference.
+requires_core = pytest.mark.skipif(
+    not sched.compiled_available(), reason="compiled engine core unavailable"
+)
+
+
+@contextlib.contextmanager
+def engine_mode(mode):
+    """``REPRO_ENGINE=mode`` for the block, restored exactly afterwards
+    (usable inside hypothesis tests, unlike ``monkeypatch``)."""
+    previous = os.environ.get("REPRO_ENGINE")
+    os.environ["REPRO_ENGINE"] = mode
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_ENGINE"]
+        else:
+            os.environ["REPRO_ENGINE"] = previous
 
 
 def chain_hypergraph(n=40, weight=1.0):
@@ -60,6 +87,30 @@ class TestPartitionValidity:
     def test_negative_eps_rejected(self):
         with pytest.raises(PartitionError):
             partition_hypergraph(chain_hypergraph(), 2, eps=-0.1)
+
+    # A float k never reached ``k == 1`` in the recursion (RecursionError)
+    # and keyed the balancer's artifact under int(k).
+    @pytest.mark.parametrize("k", [2.5, 2.0, 0, -3, True, "2", None])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ConfigurationError):
+            partition_hypergraph(chain_hypergraph(), k)
+        with pytest.raises(ConfigurationError):
+            hypergraph_balancer(synthetic_task_graph(40, 6, seed=0), k)
+
+    # NaN passed ``eps < 0`` and spent the whole repair budget; inf put
+    # every vertex in one part.
+    @pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf"), -float("inf")])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(PartitionError):
+            partition_hypergraph(chain_hypergraph(), 2, eps=eps)
+        with pytest.raises(PartitionError):
+            hypergraph_balancer(synthetic_task_graph(40, 6, seed=0), 2, eps=eps)
+
+    def test_integral_k_types_accepted(self):
+        hg = chain_hypergraph()
+        np.testing.assert_array_equal(
+            partition_hypergraph(hg, np.int64(3)), partition_hypergraph(hg, 3)
+        )
 
 
 class TestPartitionQuality:
@@ -402,6 +453,180 @@ class TestArrayKernelsAgainstOracles:
         np.testing.assert_array_equal(parts, expected)
 
 
+def fm_bounds(hg, frac0, eps):
+    """``_fm_refine``'s balance window for one bisection."""
+    total = hg.total_vertex_weight
+    target0 = frac0 * total
+    return max(target0 - eps * total, 0.0), min(target0 + eps * total, total), target0
+
+
+def assert_same_pass(hg, side, frac0, eps):
+    """The compiled pass returns the reference's (improved, side) exactly."""
+    bounds = fm_bounds(hg, frac0, eps)
+    with engine_mode("python"):
+        expected_improved, expected = _fm_pass(hg, side, *bounds)
+    with engine_mode("compiled"):
+        improved, got = _fm_pass(hg, side, *bounds)
+    assert improved is expected_improved
+    assert got.dtype == np.int8
+    assert got.tobytes() == expected.tobytes()
+    return improved, got
+
+
+def kernel_args(hg, side, frac0=0.5, eps=0.05):
+    """The core's ``fm_pass`` arguments, as ``_fm_pass`` builds them."""
+    lo, hi, target0 = fm_bounds(hg, frac0, eps)
+    w0 = float(hg.vertex_weights[side == 0].sum())
+    arrays = [hg.vertex_weights, hg.net_weights, hg.xpins, hg.pins, hg.xnets, hg.vnets]
+    return [*arrays, side, w0, lo, hi, target0]
+
+
+#: Hand-built FM cases: (vertex weights, nets, net weights, side).
+_FM_CASES = {
+    "no_nets": ([1.0, 2.0, 3.0, 0.5], [], [], [0, 0, 0, 1]),
+    "one_vertex": ([2.0], [[0]], [1.0], [0]),
+    "single_pin_nets": (
+        [1.0, 1.0, 2.0, 0.5],
+        [[0], [1], [2], [3], [2, 3], [0]],
+        [0.3, 0.1, 0.2, 1.0, 0.7, 0.3],
+        [0, 1, 0, 1],
+    ),
+    "zero_weight_vertices": (
+        [0.0, 0.0, 1.0, 0.0, 2.0, 0.0],
+        [[0, 1], [1, 2], [2, 3, 4], [4, 5], [0, 5]],
+        [1.0, 0.1, 0.2, 0.3, 1.0 / 3.0],
+        [0, 1, 0, 1, 0, 1],
+    ),
+    "all_on_side_0": ([1.0] * 8, [[i, i + 1] for i in range(7)], [1.0] * 7, [0] * 8),
+    "all_on_side_1": ([1.0] * 8, [[i, i + 1] for i in range(7)], [1.0] * 7, [1] * 8),
+    # Vertex 5's single-pin 0.1 net adds +0.1 then -0.1 after 0.2 from
+    # its other nets: the order np.add.at applies. Either order alone
+    # is exact; swapped, the gain moves by an ulp and a tie breaks the
+    # other way.
+    "single_pin_net_order": (
+        [1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 2.0],
+        [
+            [2, 5, 3, 1, 0], [3, 0, 5, 4, 1, 2], [5, 3], [0, 2, 4, 3, 6, 5, 1], [5],
+            [3, 1, 0, 5, 6], [5, 3, 6, 0, 4, 2], [0, 3], [4, 5, 1, 6, 2, 3],
+        ],
+        [0.3, 0.3, 0.2, 0.1, 0.1, 0.1, 0.2, 0.2, 0.1],
+        [0, 1, 0, 0, 1, 1, 0],
+    ),
+    # Tenths: w0 drifts by rounding as vertices move, and only the
+    # ``may_unblock`` slack keeps the rescan guard from skipping a
+    # deferred entry that has become movable.
+    "rescan_guard_slack": (
+        [0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.1, 0.1],
+        [[1, 3, 4, 7, 2, 6, 5], [2, 6, 5, 7], [2, 0, 4, 1, 3], [6, 3]],
+        [1.0, 1.0, 1.0, 1.0],
+        [1, 0, 1, 0, 0, 1, 1, 0],
+    ),
+    # At frac0 = 0.7 a move lands w0 a rounding error outside the
+    # window, which only the state key's 1e-12 tolerance calls feasible.
+    "feasibility_tolerance": ([0.1, 0.3], [[1, 0], [1], [1, 0], [1, 0]], [2.0, 1.0, 2.0, 1.0], [0, 0]),
+    # Every vertex of an alternating ring has the same gain, so each pop
+    # is decided by the vertex id; zero-weight nets make 0.0 == -0.0 ties.
+    "equal_gain_ties": (
+        [1.0] * 10,
+        [[i, (i + 1) % 10] for i in range(10)] + [[0, 5], [2, 7]],
+        [1.0] * 10 + [0.0, 0.0],
+        [i % 2 for i in range(10)],
+    ),
+}
+
+
+@requires_core
+class TestCompiledFmPass:
+    """The core's ``fm_pass`` against the Python body of ``_fm_pass``."""
+
+    @given(
+        awkward_hypergraphs(),
+        st.sampled_from([None, [1.0, 2.0], [0.1, 0.2, 0.3]]),
+        st.sampled_from([0.0, 0.015, 0.05, 0.3]),
+        st.sampled_from([0.25, 1.0 / 3.0, 0.5, 0.7]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, hg, vertex_palette, eps, frac0, seed):
+        # Few distinct vertex weights make moves that cancel exactly, so
+        # later prefixes tie the best state key.
+        gen = np.random.default_rng(seed)
+        if vertex_palette is not None:
+            hg = Hypergraph(gen.choice(vertex_palette, hg.n_vertices), hg.nets, hg.net_weights)
+        side = gen.integers(0, 2, hg.n_vertices).astype(np.int8)
+        assert_same_pass(hg, side, frac0, eps)
+
+    @pytest.mark.parametrize("case", sorted(_FM_CASES))
+    @pytest.mark.parametrize("frac0", [0.25, 0.5, 0.7])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
+    def test_hand_built(self, case, frac0, eps):
+        vertex_weights, nets, net_weights, side = _FM_CASES[case]
+        hg = Hypergraph(
+            np.array(vertex_weights), [np.array(net) for net in nets], np.array(net_weights)
+        )
+        assert_same_pass(hg, np.array(side, dtype=np.int8), frac0, eps)
+
+    def test_partitions_identical_across_modes(self):
+        hg = fock_hypergraph(synthetic_task_graph(300, 10, seed=7, skew=1.0))
+        for k in (2, 3, 8):
+            with engine_mode("python"):
+                expected = partition_hypergraph(hg, k, seed=k)
+            with engine_mode("compiled"):
+                np.testing.assert_array_equal(partition_hypergraph(hg, k, seed=k), expected)
+
+    def test_releases_its_buffers(self):
+        hg = chain_hypergraph(30)
+        arrays = (hg.vertex_weights, hg.net_weights, hg.xpins, hg.pins, hg.xnets, hg.vnets)
+        before = [sys.getrefcount(a) for a in arrays]
+        with engine_mode("compiled"):
+            _, side = _fm_pass(hg, np.zeros(30, dtype=np.int8), *fm_bounds(hg, 0.5, 0.05))
+        assert [sys.getrefcount(a) for a in arrays] == before
+        side.resize(31)  # refused while an export of ``side`` is held
+        # The same after an error raised with every buffer acquired.
+        bad = np.full(30, 2, dtype=np.int8)
+        with pytest.raises(ValueError):
+            sched._load_engine_core().fm_pass(*kernel_args(hg, bad))
+        assert [sys.getrefcount(a) for a in arrays] == before
+        bad.resize(31)
+
+    @pytest.mark.parametrize(
+        "field, bad, error",
+        [
+            ("pins", lambda a: np.where(np.arange(a.size) == 0, 6, a), ValueError),
+            ("pins", lambda a: np.where(np.arange(a.size) == 3, -1, a), ValueError),
+            ("vnets", lambda a: np.where(np.arange(a.size) == 2, 5, a), ValueError),
+            ("xpins", lambda a: np.where(np.arange(a.size) == 2, 1, a), ValueError),
+            ("xpins", lambda a: a + 1, ValueError),
+            ("xnets", lambda a: a[::-1].copy(), ValueError),
+            ("xnets", lambda a: a[:-1].copy(), ValueError),
+            ("pins", lambda a: a.astype(np.int32), TypeError),
+            ("pins", lambda a: a.reshape(-1, 2), TypeError),
+            ("vertex_weights", lambda a: a[::2], (TypeError, ValueError)),
+            ("net_weights", lambda a: np.where(np.arange(a.size) == 1, np.nan, a), ValueError),
+            ("vertex_weights", lambda a: np.where(np.arange(a.size) == 1, np.inf, a), ValueError),
+            ("side", lambda a: np.where(np.arange(a.size) == 4, 2, a).astype(np.int8), ValueError),
+            ("side", lambda a: a[:-1].copy(), ValueError),
+            ("side", lambda a: np.broadcast_to(a, a.shape), ValueError),
+        ],
+    )
+    def test_rejects_malformed_input(self, field, bad, error):
+        hg = chain_hypergraph(6)
+        args = kernel_args(hg, np.zeros(6, dtype=np.int8))
+        names = ["vertex_weights", "net_weights", "xpins", "pins", "xnets", "vnets", "side"]
+        i = names.index(field)
+        args[i] = bad(args[i])
+        with pytest.raises(error):
+            sched._load_engine_core().fm_pass(*args)
+
+    def test_bad_trusted_graph_raises_instead_of_crashing(self):
+        # ``from_csr`` skips validation: a pin past the last vertex and
+        # offsets past the pin array reach ``_fm_pass`` unchecked.
+        for xpins, pins in (([0, 2, 4], [0, 1, 1, 9]), ([0, 2, 9], [0, 1, 1, 2])):
+            hg = Hypergraph.from_csr(np.ones(3), np.array(xpins), np.array(pins), np.ones(2))
+            with engine_mode("compiled"), pytest.raises(ValueError):
+                _fm_pass(hg, np.zeros(3, dtype=np.int8), *fm_bounds(hg, 0.5, 0.05))
+
+
 class TestWorkingMemory:
     def test_matching_and_bisection_stay_linear_in_pins(self):
         """Working state is O(pins) per level.
@@ -426,3 +651,75 @@ class TestWorkingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * hg.pins.nbytes, (peak, hg.pins.nbytes)
+
+    @requires_core
+    def test_compiled_fm_pass_stays_linear_in_pins(self):
+        """The kernel's scratch (``PyMem_*``, so traced) is O(pins) on the
+        same dense shape, where the gain updates of one pass touch every
+        vertex many times over."""
+        n = 320
+        residue = np.arange(n) % 10
+        nets = [np.flatnonzero((residue - e) % 10 < 4) for e in range(10)]
+        hg = Hypergraph(np.linspace(0.5, 1.5, n), nets, np.linspace(1.0, 2.0, 10))
+        hg.xnets, hg.vnets  # the hypergraph's own cached views
+        side = (np.arange(n) % 2).astype(np.int8)
+        with engine_mode("compiled"):
+            tracemalloc.start()
+            try:
+                _fm_pass(hg, side, *fm_bounds(hg, 0.5, 0.05))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * hg.pins.nbytes, (peak, hg.pins.nbytes)
+
+    @requires_core
+    def test_compiled_fm_pass_out_of_memory_is_a_memory_error(self):
+        """Failing each allocation in turn never crashes: the call raises
+        MemoryError or returns the unfailed result. Run in a child, so a
+        crash fails this test instead of the test session."""
+        pytest.importorskip("_testcapi")
+        script = textwrap.dedent(
+            """
+            import gc
+            import numpy as np
+            import _testcapi
+            from repro.balance import Hypergraph
+            from repro.simulate import sched
+
+            n = 60
+            nets = [np.arange(i, i + 4) % n for i in range(0, n, 2)]
+            hg = Hypergraph(np.linspace(0.5, 1.5, n), nets, np.ones(len(nets)))
+            side = (np.arange(n) % 2).astype(np.int8)
+            total = hg.total_vertex_weight
+            w0 = float(hg.vertex_weights[side == 0].sum())
+            core = sched._load_engine_core()
+            arrays = (hg.vertex_weights, hg.net_weights, hg.xpins, hg.pins,
+                      hg.xnets, hg.vnets)
+            bounds = (w0, 0.45 * total, 0.55 * total, 0.5 * total)
+            out = side.copy()
+            expected = (core.fm_pass(*arrays, out, *bounds), out.tobytes())
+            failed = 0
+            gc.disable()
+            for k in range(200):
+                out = side.copy()
+                _testcapi.set_nomemory(k, k + 1)
+                try:
+                    result = core.fm_pass(*arrays, out, *bounds)
+                except MemoryError:
+                    failed += 1
+                    continue
+                finally:
+                    _testcapi.remove_mem_hooks()
+                assert (result, out.tobytes()) == expected, k
+            assert failed >= 10, failed
+            print("ok", failed)
+            """
+        )
+        env = dict(os.environ, REPRO_ENGINE="compiled", REPRO_ENGINE_REQUIRE="1")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(sched.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.startswith("ok")

@@ -99,6 +99,31 @@ class TestModeSelection:
             warnings_mod.simplefilter("error")
             assert type(make_engine()) is Engine  # second call is silent
 
+    def test_fm_pass_selects_its_core_like_make_engine(self, monkeypatch):
+        """The partitioner's FM pass resolves the mode the same way: the
+        reference under a missing core, with the same one-time warning,
+        and the same error under REPRO_ENGINE_REQUIRE=1."""
+        import numpy as np
+
+        from repro.balance import Hypergraph
+        from repro.balance.partition import _fm_pass
+
+        hg = Hypergraph(np.ones(6), [np.array([i, i + 1]) for i in range(5)], np.ones(5))
+        args = (hg, np.zeros(6, dtype=np.int8), 2.5, 3.5, 3.0)
+        monkeypatch.setenv("REPRO_ENGINE", "python")
+        expected_improved, expected = _fm_pass(*args)
+        monkeypatch.setenv("REPRO_ENGINE", "compiled")
+        monkeypatch.delenv("REPRO_ENGINE_REQUIRE", raising=False)
+        monkeypatch.setattr(sched, "_load_engine_core", lambda: None)
+        monkeypatch.setattr(sched, "_degraded_warned", False)
+        with pytest.warns(DegradedEngineWarning):
+            improved, side = _fm_pass(*args)
+        assert improved is expected_improved
+        assert side.tobytes() == expected.tobytes()
+        monkeypatch.setenv("REPRO_ENGINE_REQUIRE", "1")
+        with pytest.raises(ConfigurationError, match="REPRO_ENGINE_REQUIRE=1"):
+            _fm_pass(*args)
+
     def test_auto_degrades_silently(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "auto")
         monkeypatch.delenv("REPRO_ENGINE_REQUIRE", raising=False)
