@@ -35,7 +35,7 @@ from repro.simulate.engine import Process
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
 from repro.simulate.network import Network, _FusedOp
-from repro.util import SchedulingError, SimulationError, derive_seed
+from repro.util import SchedulingError, derive_seed
 
 
 @dataclass
@@ -149,31 +149,36 @@ class RunResult:
 def _step_table(graph: TaskGraph, distribution: BlockDistribution, network: Network):
     """Every task's communication as steps of one flat list, or None.
 
-    Returns ``(steps, bounds, totals)``: ``steps[bounds[t]:bounds[t + 1]]``
-    is task ``t`` as a :class:`~repro.simulate.network._FusedOp` chain
-    walks it — one ``(owner, (tier-0, tier-1, tier-2 program), COMM)``
-    step per density block read, ``None`` for the kernel, one step per
-    Fock block accumulated — and ``totals[t]`` its ``(gets, accumulates,
-    bytes)``. Tasks share one step per distinct (owner, nbytes, kind)
-    and one totals tuple per distinct triple; the programs are
-    :meth:`Network._tier_program`'s. None when the graph has no tasks or
-    a negative cost, which only the per-task path rejects (task ids are
-    dense and ordered by construction).
+    Returns ``(steps, bounds, costs, totals)``:
+    ``steps[bounds[t]:bounds[t + 1]]`` is task ``t`` as a
+    :class:`~repro.simulate.network._FusedOp` chain walks it — one
+    ``(owner, (tier-0, tier-1, tier-2 program), COMM)`` step per density
+    block read, ``None`` for the kernel, one step per Fock block
+    accumulated — ``costs[t]`` its flops as a float and ``totals[t]``
+    its ``(gets, accumulates, bytes)``, an ``(n_tasks, 3)`` int64 array.
+    Tasks share one step per distinct (owner, nbytes, kind); the
+    programs are :meth:`Network._tier_program`'s. None when the graph
+    has no tasks or a negative cost, which only the per-task path
+    rejects (task ids are dense and ordered by construction).
 
     Memoised on the graph per ``(distribution, network model)`` — the
     locality tier is resolved per step at run time, so one table serves
     every topology — next to its first-read attributes; a pickled graph
     is its arrays, so a table is never shipped, and it is no part of
-    ``content_key``.
+    ``content_key``. ``bounds``, ``costs`` and ``totals`` are the
+    graph's alone, so every table of a graph holds the same ones.
     """
     tables = graph.__dict__.setdefault("_step_tables", {})
     key = (distribution, network.model)
     if key not in tables:
-        tables[key] = _build_step_table(graph, distribution, network)
+        sibling = next(iter(tables.values()), None)
+        tables[key] = _build_step_table(graph, distribution, network, sibling)
     return tables[key]
 
 
-def _build_step_table(graph: TaskGraph, distribution: BlockDistribution, network: Network):
+def _build_step_table(
+    graph: TaskGraph, distribution: BlockDistribution, network: Network, sibling: tuple | None
+):
     n = graph.n_tasks
     if n == 0 or graph.costs.min() < 0.0:
         return None
@@ -202,15 +207,12 @@ def _build_step_table(graph: TaskGraph, distribution: BlockDistribution, network
     # after its own; the slots left None are the kernels.
     steps = np.empty(rows.size + n, dtype=object)
     steps[first[tids] + tids + local + accumulates] = shared[inverse]
+    if sibling is not None:  # the graph's bounds, costs and totals
+        return (tuple(steps.tolist()), *sibling[1:])
     bounds = np.append(first + np.arange(n), rows.size + n)
-
     moved = np.bincount(tids, weights=nbytes, minlength=n).astype(np.int64)
-    triples, which = np.unique(
-        np.stack([n_reads, n_refs - n_reads, moved], axis=1), axis=0, return_inverse=True
-    )
-    triples = [tuple(triple) for triple in triples.tolist()]
-    totals = [triples[i] for i in which.reshape(-1).tolist()]
-    return tuple(steps.tolist()), bounds.tolist(), totals
+    totals = np.stack([n_reads, n_refs - n_reads, moved], axis=1).astype(np.int64)
+    return tuple(steps.tolist()), bounds.tolist(), graph.costs.tolist(), totals
 
 
 class Harness:
@@ -272,8 +274,11 @@ class Harness:
         ):
             table = _step_table(graph, dist, self.network)
             if table is not None:
-                steps, self._bounds, self._totals = table
+                steps, self._bounds, self._costs, self._totals = table
                 self._chain = self.network._chain(steps)
+                #: Tasks :meth:`execute_task` walked all the same: their
+                #: operations counted themselves (see :meth:`finish`).
+                self._walked: list[int] = []
                 #: Per-rank divisor of ``MachineSpec.compute_seconds``.
                 self._rates = [
                     machine.flops_per_second * variability.speed(rank, 0.0)
@@ -336,10 +341,12 @@ class Harness:
         :meth:`_walk_task` generator — the same gets, ``Timeout`` and
         accumulates in the same order, so runs are bit-identical.
         """
-        chain = self._chain
+        if self._chain is None:
+            return self._walk_task(ctx, task)
         tid = task.tid
         tasks = self.graph.tasks
-        if chain is None or tid >= len(tasks) or tasks[tid] is not task:
+        if tid >= len(tasks) or tasks[tid] is not task:  # not the graph's own task
+            self._walked.append(tid)
             return self._walk_task(ctx, task)
         op = _FusedOp(self.trace, ctx.rank)
         self._arm_task(op, tid)
@@ -415,16 +422,14 @@ class Harness:
         return op
 
     def _arm_task(self, op: _FusedOp, tid: int) -> None:
-        """Make task ``tid``'s slice of the step table ``op``'s chain,
-        counting its operations; the chain supplies category, program
-        and NIC step by step."""
-        rank = op.src
-        self._count_ops(rank, *self._totals[tid])
+        """Make task ``tid``'s slice of the step table ``op``'s chain; the
+        chain supplies category, program and NIC step by step. Its
+        operations are counted once per run, by :meth:`finish`."""
         bounds = self._bounds
         op.chain = self._chain
         op.pos = bounds[tid]
         op.end = bounds[tid + 1]
-        op.duration = self.graph.tasks[tid].flops / self._rates[rank]
+        op.duration = self._costs[tid] / self._rates[op.src]
         op.tid = tid
 
     def _walk_task(self, ctx: RankContext, task: TaskSpec):
@@ -434,15 +439,6 @@ class Harness:
         yield from ctx.compute(task.flops, tid=task.tid)
         for ref in task.writes:
             yield from self.fock.accumulate(ctx, ref)
-
-    def _count_ops(self, rank: int, gets: int, accumulates: int, nbytes: int) -> None:
-        """What the traced entry points count per op, for whole tasks."""
-        stats = self.network.stats
-        stats.gets += gets
-        stats.accumulates += accumulates
-        stats.fused_ops += gets + accumulates
-        stats.bytes_moved += nbytes
-        stats.per_rank_bytes[rank] += nbytes
 
     def execute_tasks(self, ctx: RankContext, tids):
         """Run the claimed task ids ``tids`` in order, as one claim loop.
@@ -456,11 +452,10 @@ class Harness:
         inside ``activate`` and resume its process re-entrantly.
         """
         if self._chain is None or not tids:
-            tasks = self.graph.tasks
 
             def each_task():
                 for tid in tids:
-                    yield from self.execute_task(ctx, tasks[tid])
+                    yield from self.execute_task(ctx, self.graph.tasks[tid])
 
             return each_task()
         pending = iter(tids)
@@ -506,26 +501,40 @@ class Harness:
         if self.injector is not None:
             self.injector.arm(procs)
 
-    def _tolerant_assignment(self) -> tuple[np.ndarray, int, int]:
+    def _tolerant_assignment(self) -> tuple[np.ndarray, int, int, np.ndarray]:
         """Task assignment under faults: last record wins.
 
         Replay makes duplicate task records legitimate (tasks are
         idempotent; re-execution overwrites), and a crash can lose tasks
         outright under non-recovering models. Returns
-        ``(assignment, tasks_lost, tasks_replayed)`` — lost tasks keep
-        rank -1.
+        ``(assignment, tasks_lost, tasks_replayed, last)`` — lost tasks
+        keep rank -1, and ``last`` indexes each executed task's last
+        record in the trace's task columns.
         """
         n_tasks = self.graph.n_tasks
+        tids = self.trace.checked_task_ids(n_tasks, repeats=True)
+        # A task's last record is its first in reverse recording order.
+        ran, first_back = np.unique(tids[::-1], return_index=True)
+        last = tids.size - 1 - first_back
         assignment = np.full(n_tasks, -1, dtype=np.int64)
-        replays = 0
-        for rec in self.trace.tasks:
-            if not 0 <= rec.tid < n_tasks:
-                raise SimulationError(f"task id {rec.tid} out of range")
-            if assignment[rec.tid] != -1:
-                replays += 1
-            assignment[rec.tid] = rec.rank
+        assignment[ran] = np.array(self.trace.task_ranks, dtype=np.int64)[last]
         lost = int(np.count_nonzero(assignment < 0))
-        return assignment, lost, replays
+        return assignment, lost, tids.size - ran.size, last
+
+    def _count_chained_ops(self) -> None:
+        """Add the operations of every task run as a chain to the network
+        stats, as the traced entry points count them op by op — once per
+        run, after :meth:`TraceRecorder.task_assignment` has seen each
+        task run exactly once; the tasks :meth:`execute_task` walked
+        counted their own."""
+        ran = np.ones(self.graph.n_tasks, dtype=bool)
+        ran[self._walked] = False
+        gets, accumulates, nbytes = self._totals[ran].sum(axis=0).tolist()
+        stats = self.network.stats
+        stats.gets += gets
+        stats.accumulates += accumulates
+        stats.fused_ops += gets + accumulates
+        stats.bytes_moved += nbytes
 
     def finish(self, model_name: str) -> RunResult:
         """Drain the engine, validate invariants, assemble the result."""
@@ -541,47 +550,44 @@ class Harness:
                 f"model {model_name!r}: some ranks never finished"
             )
         makespan = float(np.max(self._finish_times))
+        trace = self.trace
         if self.injector is not None:
             # A crashed rank's remaining makespan is failed time, not idle.
             for rank in crashed:
                 since = self.injector.dead_since[rank]
                 if makespan > since:
-                    self.trace.record(rank, FAILED, since, makespan)
+                    trace.record(rank, FAILED, since, makespan)
+        n_tasks = self.graph.n_tasks
         if self.injector is None:
-            assignment = self.trace.task_assignment(self.graph.n_tasks)
+            assignment = trace.task_assignment(n_tasks)
             tasks_lost = tasks_replayed = 0
+            kept = slice(None)  # exactly one record per task
+            if self._chain is not None:
+                self._count_chained_ops()
         else:
-            assignment, tasks_lost, tasks_replayed = self._tolerant_assignment()
+            assignment, tasks_lost, tasks_replayed, kept = self._tolerant_assignment()
 
-        starts = np.zeros(self.graph.n_tasks)
-        durations = np.zeros(self.graph.n_tasks)
-        records = self.trace.tasks
-        if self.injector is None:
-            # Exactly one record per task (task_assignment just checked).
-            tids = [rec.tid for rec in records]
-            begun = np.array([rec.start for rec in records])
-            starts[tids] = begun
-            durations[tids] = np.array([rec.end for rec in records]) - begun
-        else:
-            for rec in records:  # replays: the last record wins
-                starts[rec.tid] = rec.start
-                durations[rec.tid] = rec.end - rec.start
+        tids = np.array(trace.task_ids, dtype=np.int64)[kept]
+        begun = np.array(trace.task_starts, dtype=np.float64)[kept]
+        starts = np.zeros(n_tasks)
+        durations = np.zeros(n_tasks)
+        starts[tids] = begun
+        durations[tids] = np.array(trace.task_ends, dtype=np.float64)[kept] - begun
 
         counters = dict(self.counters)
         if self.injector is not None:
             counters.update(self.injector.stats)
             counters["tasks_lost"] = float(tasks_lost)
             counters["tasks_replayed"] = float(tasks_replayed)
-        n_tasks = self.graph.n_tasks
         completion = 1.0 if n_tasks == 0 else (n_tasks - tasks_lost) / n_tasks
 
         stats = self.network.stats
         return RunResult(
             model=model_name,
             n_ranks=self.n_ranks,
-            n_tasks=self.graph.n_tasks,
+            n_tasks=n_tasks,
             makespan=makespan,
-            breakdown=self.trace.breakdown(makespan),
+            breakdown=trace.breakdown(makespan),
             assignment=assignment,
             task_starts=starts,
             task_durations=durations,
@@ -599,13 +605,13 @@ class Harness:
             nominal_flops_per_second=self.machine.flops_per_second,
             failed_ranks=crashed,
             completion_rate=float(completion),
-            intervals=self.trace.intervals,
+            intervals=trace.intervals,
             sim_events=self.engine.events_dispatched,
             sim_ready_events=self.engine.ready_dispatched,
-            trace_records=self.trace.records,
+            trace_records=trace.records,
             timeout_allocs=self.engine.timeout_allocs,
             grant_resumes=self.engine.grant_resumes,
-            fused_ops=self.network.stats.fused_ops,
+            fused_ops=stats.fused_ops,
         )
 
 

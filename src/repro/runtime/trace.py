@@ -17,11 +17,18 @@ and is folded into NumPy arrays only when :meth:`TraceRecorder.breakdown`
 or :meth:`TraceRecorder.total` is read. Python float arithmetic *is*
 IEEE-754 double arithmetic, identical bit-for-bit to the former per-element
 ndarray updates, so recorded totals are unchanged to the last ulp.
+
+Executed tasks are recorded the same way: four plain lists, one entry
+per kernel interval with a task id — :attr:`TraceRecorder.task_ids`,
+``task_ranks``, ``task_starts`` and ``task_ends`` — and no object per
+task. The compiled core appends to them itself (``_engine_core.c``,
+``trace_record``) whenever :meth:`TraceRecorder.record_compute` would do
+nothing else. :meth:`TraceRecorder.task_assignment` and the run harness
+read the columns as arrays (docs/perf.md, "A task leaves no object
+behind").
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,20 +45,13 @@ FAILED = "failed"
 _CATEGORIES = (COMPUTE, COMM, OVERHEAD, IDLE, FAILED)
 
 
-@dataclass(frozen=True, slots=True)
-class TaskRecord:
-    """One executed task: who ran it and when the kernel computed."""
-
-    tid: int
-    rank: int
-    start: float
-    end: float
-
-
 class TraceRecorder:
     """Accumulates activity intervals and task records for all ranks."""
 
-    __slots__ = ("n_ranks", "_totals", "tasks", "intervals", "records")
+    __slots__ = (
+        "n_ranks", "_totals", "task_ids", "task_ranks", "task_starts", "task_ends",
+        "intervals", "records",
+    )
 
     def __init__(self, n_ranks: int) -> None:
         check_positive("n_ranks", n_ranks)
@@ -59,7 +59,12 @@ class TraceRecorder:
         self._totals: dict[str, list[float]] = {
             cat: [0.0] * self.n_ranks for cat in _CATEGORIES
         }
-        self.tasks: list[TaskRecord] = []
+        #: Executed tasks, one entry per kernel interval with a task id:
+        #: which task, on which rank, when its kernel started and ended.
+        self.task_ids: list[int] = []
+        self.task_ranks: list[int] = []
+        self.task_starts: list[float] = []
+        self.task_ends: list[float] = []
         #: Optional full interval log (enabled via `keep_intervals`).
         self.intervals: list[tuple[int, str, float, float]] | None = None
         #: Total intervals recorded (deterministic volume counter).
@@ -88,9 +93,9 @@ class TraceRecorder:
         """Fused hot path: one kernel interval plus its task record.
 
         Identical to ``record(rank, COMPUTE, start, end)`` followed by
-        appending ``TaskRecord(tid, rank, start, end)`` to :attr:`tasks`
-        (skipped for ``tid=None``), saving a dispatch and re-validation per
-        executed task.
+        appending ``tid``, ``rank``, ``start`` and ``end`` to the task
+        columns (skipped for ``tid=None``), saving a dispatch and
+        re-validation per executed task.
         """
         if end < start:
             raise SimulationError(f"interval ends before it starts: [{start}, {end})")
@@ -99,7 +104,10 @@ class TraceRecorder:
         if self.intervals is not None:
             self.intervals.append((rank, COMPUTE, start, end))
         if tid is not None:
-            self.tasks.append(TaskRecord(tid, rank, start, end))
+            self.task_ids.append(tid)
+            self.task_ranks.append(rank)
+            self.task_starts.append(start)
+            self.task_ends.append(end)
 
     # ------------------------------------------------------------------
     def total(self, category: str) -> np.ndarray:
@@ -132,6 +140,28 @@ class TraceRecorder:
             return np.zeros(self.n_ranks)
         return np.array(self._totals[COMPUTE]) / makespan
 
+    def checked_task_ids(self, n_tasks: int, repeats: bool = False) -> np.ndarray:
+        """:attr:`task_ids` as an int64 array, each id in ``[0, n_tasks)``
+        and, unless ``repeats``, recorded once.
+
+        Raises:
+            SimulationError: naming the first offending record's id, in
+                recording order.
+        """
+        tids = np.array(self.task_ids, dtype=np.int64)
+        bad = (tids < 0) | (tids >= n_tasks)
+        if not repeats and (bad.any() or np.bincount(tids, minlength=n_tasks).max(initial=0) > 1):
+            repeat = np.ones(tids.size, dtype=bool)
+            repeat[np.unique(tids, return_index=True)[1]] = False  # first occurrences
+            bad |= repeat
+        if bad.any():
+            first = int(np.argmax(bad))
+            tid = self.task_ids[first]
+            if 0 <= tids[first] < n_tasks:
+                raise SimulationError(f"task {tid} executed more than once")
+            raise SimulationError(f"task id {tid} out of range")
+        return tids
+
     def task_assignment(self, n_tasks: int) -> np.ndarray:
         """``(n_tasks,)`` executing rank per task.
 
@@ -140,12 +170,7 @@ class TraceRecorder:
                 times — the core scheduling invariant.
         """
         assignment = np.full(n_tasks, -1, dtype=np.int64)
-        for rec in self.tasks:
-            if not 0 <= rec.tid < n_tasks:
-                raise SimulationError(f"task id {rec.tid} out of range")
-            if assignment[rec.tid] != -1:
-                raise SimulationError(f"task {rec.tid} executed more than once")
-            assignment[rec.tid] = rec.rank
+        assignment[self.checked_task_ids(n_tasks)] = self.task_ranks
         missing = np.nonzero(assignment < 0)[0]
         if missing.size:
             raise SimulationError(

@@ -99,11 +99,12 @@ static AttrName s_chain[1], s_pos[1], s_end[1], s_duration[1], s_tid[1], s_claim
 static AttrName s_in_use[1], s_capacity[1], s_total_acquisitions[1];
 static AttrName s_total_waits[1], s_queue[1];
 static AttrName s_totals[1], s_intervals[1], s_records[1];
+static AttrName s_task_ids[1], s_task_ranks[1], s_task_starts[1], s_task_ends[1];
 
 /* Interned method names: always looked up through the type. */
 static PyObject *s_popleft, *s_append, *s_finish, *s_activate, *s_release;
 static PyObject *s_resume_pub, *s_advance_name, *s_deliver_name, *s_record;
-static PyObject *s_record_compute;
+static PyObject *s_record_compute, *s_compute;
 
 /* What firing a C-held event means. */
 enum { EV_RESUME = 0, EV_FUSED = 1 };
@@ -646,20 +647,41 @@ fused_dispatch(RunCtx *ctx, PyObject *op, PyObject *engine, double delay)
     return cheap_push(ctx, now + delay, seq, op, EV_FUSED);
 }
 
-/* trace.record(src, cat, start, end). TraceRecorder.record itself runs
- * here -- `totals[rank] += end - start; records += 1`, the same IEEE add
- * -- when it would do only that: the exact class, no interval log, a
- * known category, exact float bounds with end >= start and an in-range
- * rank. Any other case calls the method, which validates, logs and
- * raises as ever. Nothing is written before every check has passed. */
+/* The four task columns of a TraceRecorder (ids, ranks, starts, ends)
+ * into `cols`, borrowed: 1 when each is a native slot holding an exact
+ * list, else 0. */
 static int
-trace_record(PyObject *trace, PyObject *src, PyObject *cat, PyObject *start,
-             PyObject *end)
+task_columns(PyObject *trace, PyObject **cols)
+{
+    AttrName *names[4] = {s_task_ids, s_task_ranks, s_task_starts, s_task_ends};
+    for (int i = 0; i < 4; i++) {
+        PyObject **p = slot_addr(trace, names[i]);
+        if (p == NULL || *p == NULL || !PyList_CheckExact(*p))
+            return 0;
+        cols[i] = *p;
+    }
+    return 1;
+}
+
+/* trace.record(src, cat, start, end), or with a `tid` (cat is then
+ * "compute") trace.record_compute(src, tid, start, end). The method
+ * itself runs here -- `totals[rank] += end - start; records += 1`, the
+ * same IEEE add, plus for a tid one append to each task column -- when
+ * it would do only that: the exact class, no interval log, a known
+ * category, exact float bounds with end >= start, an in-range rank and
+ * an exact int tid. Any other case calls the method, which validates,
+ * logs and raises as ever. Nothing is written before every check has
+ * passed. */
+static int
+trace_record(PyObject *trace, PyObject *src, PyObject *cat, PyObject *tid,
+             PyObject *start, PyObject *end)
 {
     PyObject **totals_p, **intervals_p, **records_p;
+    PyObject *cols[4];
     if ((PyObject *)Py_TYPE(trace) == g_trace_cls && PyLong_CheckExact(src) &&
         PyUnicode_CheckExact(cat) && PyFloat_CheckExact(start) &&
         PyFloat_CheckExact(end) &&
+        (tid == NULL || (PyLong_CheckExact(tid) && task_columns(trace, cols))) &&
         (totals_p = slot_addr(trace, s_totals)) != NULL &&
         (intervals_p = slot_addr(trace, s_intervals)) != NULL &&
         (records_p = slot_addr(trace, s_records)) != NULL &&
@@ -682,13 +704,26 @@ trace_record(PyObject *trace, PyObject *src, PyObject *cat, PyObject *start,
                 Py_XDECREF(sum);
                 return -1;
             }
+            if (tid != NULL) {
+                PyObject *row[4] = {tid, src, start, end};
+                for (int i = 0; i < 4; i++) {
+                    if (PyList_Append(cols[i], row[i]) < 0) {
+                        Py_DECREF(sum);
+                        Py_DECREF(count);
+                        return -1;
+                    }
+                }
+            }
             PyList_SetItem(totals, rank, sum); /* steals sum; index checked */
             Py_SETREF(*records_p, count);
             return 0;
         }
     }
-    PyObject *r = PyObject_CallMethodObjArgs(trace, s_record, src, cat,
-                                             start, end, NULL);
+    PyObject *r = tid == NULL
+                      ? PyObject_CallMethodObjArgs(trace, s_record, src, cat,
+                                                   start, end, NULL)
+                      : PyObject_CallMethodObjArgs(trace, s_record_compute, src,
+                                                   tid, start, end, NULL);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
@@ -942,7 +977,7 @@ fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
     PyObject *cat = src ? get_attr(op, s_category) : NULL;
     PyObject *start = cat ? get_attr(op, s_start) : NULL;
     PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
-    int recorded = nowobj ? trace_record(trace, src, cat, start, nowobj) : -1;
+    int recorded = nowobj ? trace_record(trace, src, cat, NULL, start, nowobj) : -1;
     Py_XDECREF(nowobj);
     Py_XDECREF(start);
     Py_XDECREF(cat);
@@ -1130,12 +1165,8 @@ fused_advance(RunCtx *ctx, PyObject *op)
         if (nowobj != NULL) {
             PyObject *trace = get_attr(op, s_trace);
             PyObject *src = trace ? get_attr(op, s_src) : NULL;
-            PyObject *r = src ? PyObject_CallMethodObjArgs(
-                                    trace, s_record_compute, src, tid, start,
-                                    nowobj, NULL)
-                              : NULL;
-            recorded = r == NULL ? -1 : 0;
-            Py_XDECREF(r);
+            if (src != NULL)
+                recorded = trace_record(trace, src, s_compute, tid, start, nowobj);
             Py_XDECREF(src);
             Py_XDECREF(trace);
         }
@@ -2240,6 +2271,7 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_tid, "tid");
     INTERN_ATTR(s_claim, "claim");
     INTERN(s_record_compute, "record_compute");
+    INTERN(s_compute, "compute");
     INTERN(s_advance_name, "_advance");
     INTERN_ATTR(s_in_use, "in_use");
     INTERN_ATTR(s_capacity, "capacity");
@@ -2251,6 +2283,10 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_totals, "_totals");
     INTERN_ATTR(s_intervals, "intervals");
     INTERN_ATTR(s_records, "records");
+    INTERN_ATTR(s_task_ids, "task_ids");
+    INTERN_ATTR(s_task_ranks, "task_ranks");
+    INTERN_ATTR(s_task_starts, "task_starts");
+    INTERN_ATTR(s_task_ends, "task_ends");
 #undef INTERN_ATTR
 #undef INTERN
 

@@ -31,7 +31,7 @@ every ``(time, seq)`` at the same dispatch, so runs are bit-identical.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.faults.injector import DELIVER, DROP, DUPLICATE
@@ -146,8 +146,6 @@ class NetworkStats:
     #: (a subset of gets+puts+accumulates+fetch_adds). Deterministic; not
     #: part of the digested ``RunResult.network`` dict.
     fused_ops: int = 0
-    #: Per-rank bytes initiated, as a plain float list (cheap ``+=``).
-    per_rank_bytes: list[float] = field(default_factory=list)
 
 
 class _FusedOp(Request):
@@ -352,7 +350,7 @@ class Network:
         self.node_of = node_of
         self.nics = [Resource(1) for _ in range(n_ranks)]
         self._mailboxes = [_Mailbox() for _ in range(n_ranks)]
-        self.stats = NetworkStats(per_rank_bytes=[0.0] * n_ranks)
+        self.stats = NetworkStats()
         #: Optional :class:`repro.faults.FaultInjector`; ``None`` (the
         #: default) keeps every fault check on a single attribute test, so
         #: fault-free runs take exactly the pre-fault-subsystem code path.
@@ -504,7 +502,6 @@ class Network:
             if kind == "accumulate":
                 stats.accumulates += 1
             stats.bytes_moved += nbytes
-            stats.per_rank_bytes[src] += nbytes
         pre, hold, post = self._fused_program(kind, src, dst, nbytes)
         for delay in pre:
             yield pooled_timeout(delay)
@@ -556,7 +553,6 @@ class Network:
             self._check_rank(dst)
         stats = self.stats
         stats.bytes_moved += nbytes
-        stats.per_rank_bytes[src] += nbytes
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("rma", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
@@ -573,7 +569,6 @@ class Network:
         stats = self.stats
         stats.accumulates += 1
         stats.bytes_moved += nbytes
-        stats.per_rank_bytes[src] += nbytes
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("accumulate", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
@@ -620,7 +615,6 @@ class Network:
         m = self.model
         self.stats.messages += 1
         self.stats.bytes_moved += nbytes
-        self.stats.per_rank_bytes[src] += nbytes
         message = Message(src=src, tag=tag, payload=payload)
         intra = self.same_node(src, dst)
         fate = DELIVER if self.faults is None else self.faults.message_fate(src, dst)

@@ -46,13 +46,13 @@ class TestCompute:
     def test_task_recording(self):
         ctx, engine = make_ctx()
         drive(engine, ctx.compute(1.0e9, tid=5))
-        assert ctx.trace.tasks[0].tid == 5
-        assert ctx.trace.tasks[0].rank == 0
+        assert ctx.trace.task_ids == [5]
+        assert ctx.trace.task_ranks == [0]
 
     def test_no_tid_no_task_record(self):
         ctx, engine = make_ctx()
         drive(engine, ctx.compute(1.0e9))
-        assert ctx.trace.tasks == []
+        assert ctx.trace.task_ids == []
 
     def test_negative_flops_rejected(self):
         ctx, engine = make_ctx()

@@ -206,13 +206,36 @@ class TestLiveStream:
         assert sorted(streamed, key=cell) == job.rows == serial_rows(job.spec)
 
 
+def stall_after_first_cell(seconds):
+    """A serial backend that sleeps ``seconds`` once a first cell has
+    settled, so a job is mid-grid for at least that long on any host.
+
+    The serial backend checks the deadline before starting each cell, so
+    with a job deadline of ``seconds`` the second cell's check provably
+    comes after expiry: the job misses its deadline mid-grid, fast host
+    or slow.
+    """
+
+    class StallAfterFirstCell(SerialExecutor):
+        def run(self, fn, jobs, **kwargs):
+            for settled, item in enumerate(super().run(fn, jobs, **kwargs)):
+                yield item
+                if settled == 0:
+                    time.sleep(seconds)
+
+    return StallAfterFirstCell
+
+
 class TestDeadline:
-    def test_deadline_exceeded_is_terminal_failed(self, tmp_path):
+    def test_deadline_exceeded_is_terminal_failed(self, tmp_path, monkeypatch):
+        budget = 0.2
         manager = JobManager(tmp_path / "state", workers=1)
         try:
-            spec = spec_for(7, slow=True, deadline_s=0.2)
-            job, _ = manager.submit(spec)
-            job = wait_terminal(manager, job.id)
+            spec = spec_for(7, slow=True, deadline_s=budget)
+            with monkeypatch.context() as patched:
+                patched.setitem(EXECUTOR_BACKENDS, "serial", stall_after_first_cell(budget))
+                job, _ = manager.submit(spec)
+                job = wait_terminal(manager, job.id)
             assert job.status == "failed"
             assert job.error.startswith("deadline")
             assert "unsettled" in job.error
@@ -221,26 +244,11 @@ class TestDeadline:
 
     def test_resubmission_resumes_past_deadline_failure(self, tmp_path, monkeypatch):
         budget = 2.0  # ample for the build plus a first cell of this grid
-
-        class StallAfterFirstCell(SerialExecutor):
-            """Sleeps out the whole budget once a first cell has settled.
-
-            The serial backend checks the deadline before starting each
-            cell, so the second cell's check provably comes after expiry:
-            the job lands mid-grid on any host, fast or slow.
-            """
-
-            def run(self, fn, jobs, **kwargs):
-                for settled, item in enumerate(super().run(fn, jobs, **kwargs)):
-                    yield item
-                    if settled == 0:
-                        time.sleep(budget)
-
         manager = JobManager(tmp_path / "state", workers=1)
         try:
             tight = spec_for(8, deadline_s=budget)
             with monkeypatch.context() as patched:
-                patched.setitem(EXECUTOR_BACKENDS, "serial", StallAfterFirstCell)
+                patched.setitem(EXECUTOR_BACKENDS, "serial", stall_after_first_cell(budget))
                 job, _ = manager.submit(tight)
                 job = wait_terminal(manager, job.id)
             assert job.status == "failed"
@@ -266,21 +274,27 @@ class TestDeadline:
 
 
 class TestDrainRestart:
-    def test_drain_requeues_and_restart_resumes(self, tmp_path):
+    def test_drain_requeues_and_restart_resumes(self, tmp_path, monkeypatch):
         state = tmp_path / "state"
         manager = JobManager(state, workers=1)
         spec = spec_for(9, slow=True)
         try:
-            job, _ = manager.submit(spec)
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                if job.status == "running" and job.completed_cells >= 1:
-                    break
-                time.sleep(0.01)
-            else:
-                raise AssertionError("job never settled a first cell")
-            manager.drain(grace=0.05)
-            assert manager.stats()["draining"] is True
+            with monkeypatch.context() as patched:
+                # The job sleeps 0.5 s after its first cell, so it is
+                # still running when the 0.05 s grace expires however fast
+                # its other cells are, and its next cell settles well
+                # inside the drain's 2 s unwind.
+                patched.setitem(EXECUTOR_BACKENDS, "serial", stall_after_first_cell(0.5))
+                job, _ = manager.submit(spec)
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    if job.status == "running" and job.completed_cells >= 1:
+                        break
+                    time.sleep(0.01)
+                else:
+                    raise AssertionError("job never settled a first cell")
+                manager.drain(grace=0.05)
+                assert manager.stats()["draining"] is True
         finally:
             manager.close()
         record = json.loads(

@@ -10,6 +10,7 @@ resume for event waiters, and the exact semantics of bounded runs.
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
@@ -383,10 +384,13 @@ def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM
         "engine": (engine.now, engine.events_dispatched, engine.grant_resumes),
         "nic": (nic.in_use, nic.total_acquisitions, nic.total_waits, len(nic._queue)),
         "releases": getattr(nic, "releases", None),
-        "trace": [
-            getattr(trace, name, None)
-            for name in ("_totals", "records", "intervals", "tasks", "seen", "calls")
-        ],
+        "trace": {
+            name: getattr(trace, name, None)
+            for name in (
+                "_totals", "records", "intervals", "task_ids", "task_ranks", "task_starts",
+                "task_ends", "seen", "calls",
+            )
+        },
         "cell": cell.value,
     }
 
@@ -472,7 +476,7 @@ class TestCompiledCoreFallbacks:
                 CompiledEngine, nic_cls=_CountingNic, recorder_cls=_LoudRecorder, chain=chain
             )
             assert outcome["releases"] == ops  # one NIC hold each
-            assert len(outcome["trace"][4]) == ops  # ...and as many records seen
+            assert len(outcome["trace"]["seen"]) == ops  # ...and as many records seen
 
     @pytest.mark.parametrize("victim", ["op.pre", "proc._send"])
     def test_unset_slot_raises_the_attribute_protocols_error(self, victim):
@@ -562,6 +566,132 @@ class TestCompiledCoreFallbacks:
             core.setup(*roles, _FusedOp, TraceRecorder)
         monkeypatch.undo()
         assert outcome == _outcome(Engine, cancel_at=(2,))
+
+
+# ----------------------------------------------------------------------
+# The kernel's record: the core's append against record_compute
+# ----------------------------------------------------------------------
+#
+# A chained op's kernel interval is recorded by the core itself when
+# ``TraceRecorder.record_compute`` would only add it to the rank's compute
+# total and append one entry to each task column; every other case calls
+# the method. Either way the recorder must end as the reference engine,
+# which always calls the method, leaves it.
+
+
+class _RecorderSubclass(TraceRecorder):
+    """Overrides nothing but counts its ``record_compute`` calls."""
+
+    __slots__ = ("computed",)
+
+    def __init__(self, n_ranks):
+        super().__init__(n_ranks)
+        self.computed = 0
+
+    def record_compute(self, rank, tid, start, end):
+        self.computed += 1
+        super().record_compute(rank, tid, start, end)
+
+
+def _kernel_outcome(engine_cls, recorder_cls=TraceRecorder, intervals=False, tid=7, rank=1,
+                    late_start=False):
+    """Task ``tid``'s 1 us kernel on ``rank`` of four, after one already
+    recorded on rank 0: a chained request where the engine walks them,
+    else the generator. ``late_start`` moves the kernel's start past its
+    end while it runs. Returns the error and the recorder's state."""
+    engine = engine_cls()
+    net = Network(engine, NetworkModel(), 4)
+    trace = recorder_cls(4)
+    if intervals:
+        trace.keep_intervals()
+    trace.record_compute(0, 3, 0.0, 0.0)
+    held = {}
+
+    def kernel():
+        if net._fused:
+            held["op"] = _FusedOp(
+                trace, rank, chain=net._chain((None,)), end=1, duration=1.0e-6, tid=tid
+            )
+            yield from held["op"]
+        else:
+            held["start"] = engine.now
+            yield pooled_timeout(1.0e-6)
+            trace.record_compute(rank, tid, held["start"], engine.now)
+
+    def move_start():
+        if "op" in held:
+            held["op"].start = 1.0
+        else:
+            held["start"] = 1.0
+
+    engine.process(kernel(), name="kernel")
+    if late_start:
+        engine.schedule(0.5e-6, move_start)
+    error = None
+    try:
+        engine.run()
+    except Exception as exc:  # compared, not swallowed: part of the outcome
+        error = (type(exc).__name__, str(exc))
+    columns = (trace.task_ids, trace.task_ranks, trace.task_starts, trace.task_ends)
+    return {
+        "error": error,
+        "totals": trace._totals,
+        "records": trace.records,
+        "intervals": trace.intervals,
+        "columns": columns,
+        "id_types": [type(tid) for tid in trace.task_ids],
+        "computed": getattr(trace, "computed", None),
+    }
+
+
+@needs_compiled
+class TestKernelRecordFastPath:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({}, id="native"),
+            pytest.param({"recorder_cls": _RecorderSubclass}, id="recorder-subclass"),
+            pytest.param({"intervals": True}, id="keep-intervals"),
+            pytest.param({"tid": np.int64(7)}, id="numpy-tid"),
+            pytest.param({"tid": True}, id="bool-tid"),
+            pytest.param({"tid": None}, id="no-tid"),
+            pytest.param({"rank": 4}, id="rank-past-the-end"),
+            pytest.param({"rank": -1}, id="negative-rank"),
+            pytest.param({"late_start": True}, id="end-before-start"),
+        ],
+    )
+    def test_same_state_as_the_method(self, kwargs):
+        outcome = _kernel_outcome(CompiledEngine, **kwargs)
+        assert outcome == _kernel_outcome(Engine, **kwargs)
+        error, columns = outcome["error"], outcome["columns"]
+        if kwargs.get("late_start"):
+            assert error == (
+                "SimulationError", "interval ends before it starts: [1.0, 1e-06)"
+            )
+        elif kwargs.get("rank") == 4:
+            assert error == ("IndexError", "list index out of range")
+        else:
+            assert error is None
+            tid = kwargs.get("tid", 7)
+            assert columns[0] == [3] + ([] if tid is None else [tid])
+            assert outcome["records"] == 2
+        if "recorder_cls" in kwargs:
+            assert outcome["computed"] == 2  # the core called the override
+
+    def test_the_native_record_skips_the_method(self, monkeypatch):
+        """On the exact class the core records the kernel itself: the
+        method only sees the set-up record, and the state is the same."""
+        reference = _kernel_outcome(Engine)
+        method = TraceRecorder.record_compute
+        calls = []
+
+        def watched(self, *args):
+            calls.append(args)
+            method(self, *args)
+
+        monkeypatch.setattr(TraceRecorder, "record_compute", watched)
+        assert _kernel_outcome(CompiledEngine) == reference
+        assert calls == [(0, 3, 0.0, 0.0)]
 
 
 # ----------------------------------------------------------------------

@@ -241,5 +241,4 @@ class TestStats:
 
         engine.process(proc())
         engine.run()
-        assert net.stats.per_rank_bytes[2] == 100
         assert net.stats.bytes_moved == 100

@@ -487,7 +487,13 @@ def _run_scenario(
     log.append(
         [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in net.nics]
     )
-    log.append((cell.value, trace.records, trace._totals, trace.tasks, engine.grant_resumes))
+    log.append(
+        (
+            cell.value, trace.records, trace._totals,
+            trace.task_ids, trace.task_ranks, trace.task_starts, trace.task_ends,
+            engine.grant_resumes,
+        )
+    )
     log.append(engine.timeout_allocs)
     return log
 
@@ -716,7 +722,8 @@ class TestCrossEngineOrder:
         for rank in (0, 2, 3):
             assert listed[rank] == max(time for _, src, time in tasks if src == rank)
         assert min(time for *_, time in tasks) > 3.0e-6  # all waited for the hold
-        assert [rec.tid for rec in log[-2][3] if rec.rank == 2] == [2200, 2201, 2202]
+        tids, ranks = log[-2][3:5]
+        assert [tid for tid, rank in zip(tids, ranks) if rank == 2] == [2200, 2201, 2202]
         assert log[-3][1][2] >= 2  # rank 1's NIC: waits
 
     @pytest.mark.parametrize("take", [0, 9], ids=["lock-held", "queue-emptied"])
