@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from bisect import insort
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from repro.balance.hypergraph import Hypergraph, fock_hypergraph
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
-from repro.util import ConfigurationError, PartitionError, spawn_rng
+from repro.util import PartitionError, check_integer, spawn_rng
 
 #: Stop coarsening at this many vertices.
 _COARSEN_TARGET = 80
@@ -87,8 +86,7 @@ def partition_hypergraph(
 def _check_k_eps(k: int, eps: float) -> None:
     """``k`` an integer >= 1 (a float k never reaches ``k == 1`` in the
     recursion), ``eps`` finite and >= 0 (NaN and inf disable balance)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
+    check_integer("k", k, 1)
     if not (eps >= 0 and math.isfinite(eps)):
         raise PartitionError(f"eps must be finite and >= 0, got {eps!r}")
 

@@ -34,7 +34,7 @@ from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceReco
 from repro.simulate.engine import Process
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
-from repro.simulate.network import Network, _FusedOp
+from repro.simulate.network import Network
 from repro.util import SchedulingError, derive_seed
 
 
@@ -151,7 +151,8 @@ def _step_table(graph: TaskGraph, distribution: BlockDistribution, network: Netw
 
     Returns ``(steps, bounds, costs, totals)``:
     ``steps[bounds[t]:bounds[t + 1]]`` is task ``t`` as a
-    :class:`~repro.simulate.network._FusedOp` chain walks it — one
+    ``FusedOp`` chain (:attr:`~repro.simulate.network.Network.op_type`)
+    walks it — one
     ``(owner, (tier-0, tier-1, tier-2 program), COMM)`` step per density
     block read, ``None`` for the kernel, one step per Fock block
     accumulated — ``costs[t]`` its flops as a float and ``totals[t]``
@@ -258,16 +259,17 @@ class Harness:
             self.injector = FaultInjector(faults, self.engine, self.network)
             self.network.faults = self.injector
             self.detector = FailureDetector(self.injector)
-        #: The ``_FusedOp`` chain every task of this run is a slice of,
+        #: The ``FusedOp`` chain every task of this run is a slice of,
         #: else None and :meth:`_walk_task` runs it. Read from what this
-        #: run is: the engine walks fused ops, no fault plan is armed
+        #: run is: the network has an op type (the engine walks fused
+        #: ops, and ``_op`` is that type), no fault plan is armed
         #: (only generators know dead targets, stalls and failover),
         #: kernel costs do not depend on start times, and no interval log
         #: pins the sequence of records.
         self._chain: tuple | None = None
         variability = machine.variability
         if (
-            self.engine.drives_fused_ops
+            self.network.op_type is not None
             and self.injector is None
             and variability.time_independent
             and self.trace.intervals is None
@@ -276,6 +278,7 @@ class Harness:
             if table is not None:
                 steps, self._bounds, self._costs, self._totals = table
                 self._chain = self.network._chain(steps)
+                self._op = self.network.op_type
                 #: Tasks :meth:`execute_task` walked all the same: their
                 #: operations counted themselves (see :meth:`finish`).
                 self._walked: list[int] = []
@@ -348,7 +351,7 @@ class Harness:
         if tid >= len(tasks) or tasks[tid] is not task:  # not the graph's own task
             self._walked.append(tid)
             return self._walk_task(ctx, task)
-        op = _FusedOp(self.trace, ctx.rank)
+        op = self._op(self.trace, ctx.rank)
         self._arm_task(op, tid)
         return op
 
@@ -370,7 +373,7 @@ class Harness:
         fetch_add = network._chain(((counter.home_rank, programs, OVERHEAD),))
         n_tasks = self.graph.n_tasks
 
-        def claim(op: _FusedOp) -> bool:
+        def claim(op) -> bool:
             if op.chain is fetch_add:  # the fetch-add ran: the task it read
                 self.counters["claims"] += 1.0
                 first = op.result
@@ -386,7 +389,7 @@ class Harness:
 
         stats.fetch_adds += 1
         stats.fused_ops += 1
-        return _FusedOp(
+        return self._op(
             self.trace, ctx.rank, counter=cell, amount=1, chain=fetch_add, end=1, claim=claim
         )
 
@@ -405,7 +408,7 @@ class Harness:
         program = ((), self.LOCAL_QUEUE_OP, ())
         pop = (((rank, (program, program, program), OVERHEAD),), locks, None)
 
-        def claim(op: _FusedOp) -> bool:
+        def claim(op) -> bool:
             if op.chain is pop:  # the pop step ran: the head, if a thief left one
                 if not queue:
                     return False
@@ -417,11 +420,11 @@ class Harness:
             op.chain, op.pos, op.end = pop, 0, 1
             return True
 
-        op = _FusedOp(self.trace, rank, chain=pop, end=1, claim=claim)
+        op = self._op(self.trace, rank, chain=pop, end=1, claim=claim)
         op.result = 0
         return op
 
-    def _arm_task(self, op: _FusedOp, tid: int) -> None:
+    def _arm_task(self, op, tid: int) -> None:
         """Make task ``tid``'s slice of the step table ``op``'s chain; the
         chain supplies category, program and NIC step by step. Its
         operations are counted once per run, by :meth:`finish`."""
@@ -460,14 +463,14 @@ class Harness:
             return each_task()
         pending = iter(tids)
 
-        def claim(op: _FusedOp) -> bool:
+        def claim(op) -> bool:
             tid = next(pending, None)
             if tid is None:
                 return False
             self._arm_task(op, tid)
             return True
 
-        return _FusedOp(self.trace, ctx.rank, chain=self._chain, claim=claim)
+        return self._op(self.trace, ctx.rank, chain=self._chain, claim=claim)
 
     def spawn_ranks(self, process_factory) -> None:
         """Start one process per rank; records per-rank finish times.

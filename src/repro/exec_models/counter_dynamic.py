@@ -17,7 +17,7 @@ import numpy as np
 from repro.exec_models.base import ExecutionModel, Harness
 from repro.runtime.comm import RankContext
 from repro.runtime.counter import GlobalCounter
-from repro.util import ConfigurationError, check_positive
+from repro.util import ConfigurationError, check_integer
 
 
 class CounterDynamic(ExecutionModel):
@@ -32,13 +32,14 @@ class CounterDynamic(ExecutionModel):
     """
 
     def __init__(self, chunk: int = 1, order: str = "native", home_rank: int = 0) -> None:
-        check_positive("chunk", chunk)
+        self.chunk = check_integer("chunk", chunk, 1)
         if order not in ("native", "desc_cost"):
             raise ConfigurationError(f"order must be 'native' or 'desc_cost', got {order!r}")
-        self.chunk = int(chunk)
         self.order = order
-        self.home_rank = int(home_rank)
-        self.name = f"counter_dynamic(chunk={chunk})" if chunk != 1 else "counter_dynamic"
+        self.home_rank = check_integer("home_rank", home_rank, 0)
+        self.name = (
+            f"counter_dynamic(chunk={self.chunk})" if self.chunk != 1 else "counter_dynamic"
+        )
 
     def setup(self, harness: Harness) -> None:
         if not 0 <= self.home_rank < harness.n_ranks:

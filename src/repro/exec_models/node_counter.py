@@ -22,7 +22,7 @@ import numpy as np
 from repro.exec_models.base import ExecutionModel, Harness
 from repro.runtime.comm import RankContext
 from repro.runtime.counter import GlobalCounter
-from repro.util import ConfigurationError, check_positive
+from repro.util import ConfigurationError, check_integer
 
 
 class CounterPerNode(ExecutionModel):
@@ -37,12 +37,11 @@ class CounterPerNode(ExecutionModel):
     """
 
     def __init__(self, chunk: int = 1, partition: str = "block") -> None:
-        check_positive("chunk", chunk)
+        self.chunk = check_integer("chunk", chunk, 1)
         if partition not in ("block", "cost"):
             raise ConfigurationError(
                 f"partition must be 'block' or 'cost', got {partition!r}"
             )
-        self.chunk = int(chunk)
         self.partition = partition
         self.name = f"counter_per_node({partition})"
 

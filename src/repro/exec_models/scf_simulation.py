@@ -44,6 +44,7 @@ from repro.simulate.network import Network
 from repro.util import (
     ConfigurationError,
     SchedulingError,
+    check_integer,
     check_positive,
     derive_seed,
     spawn_rng,
@@ -101,11 +102,10 @@ class ScfSimulation:
                 f"ScfSimulation({mode!r}) does not accept options "
                 f"{sorted(normalized)}"
             )
-        check_positive("chunk", chunk)
+        self.chunk = check_integer("chunk", chunk, 1)
         if steal not in ("half", "one"):
             raise ConfigurationError(f"steal must be 'half' or 'one', got {steal!r}")
         self.mode = mode
-        self.chunk = int(chunk)
         self.steal = steal
 
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ eventually idles, forwards, and the count reaches 2P.
 from __future__ import annotations
 
 from repro.runtime.comm import RankContext
-from repro.util import check_positive
+from repro.util import check_integer, check_positive
 
 TOKEN_TAG = "token"
 TERMINATE_TAG = "terminate"
@@ -43,10 +43,9 @@ class TokenRing:
     """
 
     def __init__(self, n_ranks: int, epoch: int | None = None) -> None:
-        check_positive("n_ranks", n_ranks)
-        self.n_ranks = int(n_ranks)
+        self.n_ranks = check_integer("n_ranks", n_ranks, 1)
         self.epoch = epoch
-        self.dirty = [False] * n_ranks
+        self.dirty = [False] * self.n_ranks
         self.launched = False
         self.terminated = False
         #: Total token forwards (protocol-cost statistic).

@@ -32,7 +32,7 @@ from repro.exec_models.static_ import block_assignment, cyclic_assignment
 from repro.exec_models.termination import TERMINATE_TAG, TOKEN_TAG, TokenRing
 from repro.runtime.comm import RankContext
 from repro.simulate.engine import Resource
-from repro.util import ConfigurationError, check_positive, spawn_rng
+from repro.util import ConfigurationError, check_integer, check_positive, spawn_rng
 
 #: Bytes of the lock word / queue metadata moved by protocol operations.
 _LOCK_BYTES = 8
@@ -64,7 +64,7 @@ class WorkStealing(ExecutionModel):
         park_after: int = 8,
     ) -> None:
         if isinstance(initial, str) and initial not in ("block", "cyclic"):
-            raise ConfigurationError(f"initial must be 'block', 'cyclic', or an array")
+            raise ConfigurationError("initial must be 'block', 'cyclic', or an array")
         if steal not in ("half", "one", "half_cost"):
             raise ConfigurationError(
                 f"steal must be 'half', 'one', or 'half_cost', got {steal!r}"
@@ -77,8 +77,7 @@ class WorkStealing(ExecutionModel):
         check_positive("max_backoff", max_backoff)
         if max_backoff < min_backoff:
             raise ConfigurationError("max_backoff must be >= min_backoff")
-        check_positive("park_after", park_after)
-        self.park_after = int(park_after)
+        self.park_after = check_integer("park_after", park_after, 1)
         self.initial = initial if isinstance(initial, str) else np.asarray(initial, dtype=np.int64)
         self.steal = steal
         self.victim = victim

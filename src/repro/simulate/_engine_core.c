@@ -1,36 +1,54 @@
 /* Compiled run loop for repro.simulate.engine.Engine.
  *
  * This extension moves the hottest frames of the discrete-event
- * simulator -- Engine.run(), the Process.resume() Timeout fast path, and
- * Resource._deliver_grant() -- out of the interpreter. It operates on
- * the *same* data layout as the pure-Python engine (the `_heap` list of
+ * simulator -- Engine.run(), the Process.resume() Timeout fast path,
+ * Resource._deliver_grant() and the walk of fused network operations (the
+ * FusedOp type defined here) -- out of the interpreter. Between runs the
+ * engine's data layout is the pure-Python engine's (the `_heap` list of
  * (time, seq, callback) tuples, the `_ready` deque of (seq, callback,
  * arg) tuples, the `_seq` counter, the `now` float and the dispatch
  * counters), so Python-side scheduling (SimEvent.fire, Resource grants,
  * call_now from callbacks) interleaves with the C loop exactly as it does
- * with the Python loop. Attributes are read and written where Python keeps them: a
- * `__slots__` member is loaded and stored at the byte offset its class's
- * own member descriptor states (get_attr/set_attr below); everything
- * else -- an unset slot, a shadowed name, a duck-typed collaborator, a
- * class mutated since -- goes through PyObject_GetAttr/SetAttr, so
- * errors and fallbacks are the attribute protocol's own.
+ * with the Python loop. Attributes of the engine's collaborators are read
+ * and written where Python keeps them: a `__slots__` member is loaded and
+ * stored at the byte offset its class's own member descriptor states
+ * (get_attr/set_attr below); everything else -- an unset slot, a shadowed
+ * name, a duck-typed collaborator, a class mutated since -- goes through
+ * PyObject_GetAttr/SetAttr, so errors and fallbacks are the attribute
+ * protocol's own.
  *
- * Two C-side structures exist only *inside* one core_run() call:
+ * For the whole of one core_run() call the engine's state lives in C,
+ * and Python sees it only at a *call out* (call_out below: a generator
+ * send, _finish, activate, a claim, a fallback method, a generic
+ * callback, an append to a non-deque queue):
+ *
+ * - the **clock and the seq counter** are C scalars. call_out publishes
+ *   both to `engine.now` / `engine._seq` before it calls (writing only
+ *   what changed, one float per timestamp) and reads them back after.
+ *   Python that runs between two calls out (a finalizer the core
+ *   triggers) and schedules an event would make the core reuse a seq;
+ *   call_out finds the attributes no longer hold what it published and
+ *   raises SimulationError instead.
  *
  * - the **timeout-event heap**: a binary heap of plain C structs
- *   {time, seq, process} fed by the resume fast path. A timed Timeout
- *   wake-up costs no tuple, no PyFloat/PyLong boxing for the key, and
- *   no heapq call; the struct array doubles as its own freelist (slots
- *   are reused in place and the buffer is recycled across runs). Events
- *   still pending when the loop exits (horizon stop, exception) are
- *   flushed back into the Python heap as ordinary tuples, so the
- *   engine's observable state after run() is identical to the Python
- *   engine's.
+ *   {time, seq, obj, kind} for timed Timeout wake-ups and timed fused-op
+ *   steps: no tuple, no boxed key, no heapq call. The buffer is
+ *   recycled across runs.
  *
- * - consumed ``Timeout`` *request objects* are recycled into the
- *   Python-side freelist shared with ``Timeout.__new__`` when their
- *   refcount proves sole ownership -- the C half of the allocation-free
- *   Timeout cycle.
+ * - the **run-queue**: a FIFO of {seq, kind, obj, arg} for zero-delay
+ *   fused-op steps, fused-op NIC grants on an exact Resource and
+ *   Timeout(0) resumes: no tuple, no bound method, no deque call. The
+ *   loop fires the lowest seq across it, `engine._ready` and the due
+ *   heap head, so both queues stay in seq order and merge exactly.
+ *
+ * On every exit (drained, horizon, raised) the heap is flushed into
+ * `engine._heap` and the run-queue merged into `engine._ready` by seq,
+ * as ordinary tuples, and the clock and counter are published: the
+ * engine's observable state after run() is the Python engine's.
+ *
+ * Consumed ``Timeout`` request objects are recycled into the Python-side
+ * freelist shared with ``pooled_timeout`` when their refcount proves
+ * sole ownership -- the C half of the allocation-free Timeout cycle.
  *
  * Bit-for-bit contract: every control-flow branch here mirrors a line of
  * Engine.run / Process.resume / Resource._deliver_grant; `now + delay`
@@ -50,6 +68,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -64,12 +83,11 @@ static PyObject *g_sim_error = NULL;
 static PyObject *g_resume_func = NULL;  /* Process.resume, the plain function */
 static PyObject *g_deliver_func = NULL; /* Resource._deliver_grant, plain function */
 static PyObject *g_timeout_pool = NULL; /* engine._timeout_pool, shared freelist */
-static PyObject *g_fusedop_cls = NULL;  /* network._FusedOp */
-static PyObject *g_advance_func = NULL; /* _FusedOp._advance, plain function */
 static PyObject *g_resource_cls = NULL; /* engine.Resource */
 static PyObject *g_trace_cls = NULL;    /* runtime.trace.TraceRecorder */
 static PyObject *g_heappush = NULL;
 static PyObject *g_heappop = NULL;
+static PyTypeObject *g_deque_type = NULL; /* collections.deque */
 
 /* Where instances of `type` keep one `__slots__` member. */
 typedef struct {
@@ -79,9 +97,9 @@ typedef struct {
 } SlotWay;
 
 /* An interned attribute name plus where the two types last seen with it
- * keep it (`done` and `engine` are read on Process and on _FusedOp; no
- * name is hot on three). Declared as one-element arrays so a name is
- * passed by pointer without `&`. */
+ * keep it (`value` is read on a SharedCell and a StopIteration, `in_use`
+ * on a Resource and its subclass; no name is hot on three). Declared as
+ * one-element arrays so a name is passed by pointer without `&`. */
 typedef struct {
     PyObject *str;
     SlotWay way[2];
@@ -92,40 +110,55 @@ static AttrName s_events_dispatched[1], s_ready_dispatched[1];
 static AttrName s_timeout_allocs[1], s_grant_resumes[1];
 static AttrName s_done[1], s_cancelled[1], s_send[1], s_resume_attr[1], s_engine[1];
 static AttrName s_delay[1], s_name[1], s_value[1];
-static AttrName s_pre[1], s_nic[1], s_hold[1], s_post[1], s_trace[1], s_src[1];
-static AttrName s_category[1], s_counter[1], s_amount[1], s_proc[1], s_start[1];
-static AttrName s_phase[1], s_idx[1], s_holding[1], s_result[1], s_step[1];
-static AttrName s_chain[1], s_pos[1], s_end[1], s_duration[1], s_tid[1], s_claim[1];
 static AttrName s_in_use[1], s_capacity[1], s_total_acquisitions[1];
 static AttrName s_total_waits[1], s_queue[1];
 static AttrName s_totals[1], s_intervals[1], s_records[1];
 static AttrName s_task_ids[1], s_task_ranks[1], s_task_starts[1], s_task_ends[1];
 
 /* Interned method names: always looked up through the type. */
-static PyObject *s_popleft, *s_append, *s_finish, *s_activate, *s_release;
+static PyObject *s_popleft, *s_append, *s_clear, *s_finish, *s_activate, *s_release;
 static PyObject *s_resume_pub, *s_advance_name, *s_deliver_name, *s_record;
 static PyObject *s_record_compute, *s_compute;
 
-/* What firing a C-held event means. */
-enum { EV_RESUME = 0, EV_FUSED = 1 };
+/* What firing a C-held event means: resume a Process, advance a fused
+ * network op, or deliver a NIC grant to a fused op (run-queue only). */
+enum { EV_RESUME = 0, EV_FUSED = 1, EV_GRANT = 2 };
 
 /* One timed wake-up held C-side: at (time, seq), either resume a
  * Process (EV_RESUME) or advance a fused network op (EV_FUSED). */
 typedef struct {
     double time;
     long long seq;
-    PyObject *obj; /* owned: the Process or the _FusedOp */
+    PyObject *obj; /* owned: the Process or the FusedOp */
     int kind;
 } CEvent;
+
+/* One zero-delay entry of the core's run-queue: at seq, resume `obj`
+ * (EV_RESUME), advance op `obj` (EV_FUSED) or deliver Resource `obj`'s
+ * grant to op `arg` (EV_GRANT). */
+typedef struct {
+    long long seq;
+    PyObject *obj; /* owned */
+    PyObject *arg; /* owned, or NULL */
+    int kind;
+} QEntry;
 
 typedef struct {
     PyObject *engine;       /* borrowed */
     PyObject *heap;         /* owned; the engine's _heap list */
     PyObject *ready;        /* owned; the engine's _ready deque */
-    PyObject *ready_append; /* owned; bound _ready.append */
     CEvent *ch;             /* C timeout-event heap (binary heap array) */
     Py_ssize_t ch_len, ch_cap;
     int ch_owned; /* buffer is ours to free (spare was busy) */
+    QEntry *q;    /* the run-queue: a ring of capacity q_cap (a power of 2) */
+    Py_ssize_t q_head, q_len, q_cap;
+    /* engine.now and engine._seq while the run lasts. now_obj is a float
+     * equal to `now` (NULL until one is needed); pub_now and pub_seq are
+     * the objects the attributes held at the last publish or read-back. */
+    double now;
+    long long seq;
+    PyObject *now_obj, *pub_now, *pub_seq; /* owned */
+    long long pub_seq_val;                 /* the value of pub_seq */
     /* Fast-path counter *deltas*, folded into the engine attributes on
      * exit. Deltas, not absolutes: Python code running inside a
      * dispatched callback (e.g. Resource._deliver_grant resuming a
@@ -201,6 +234,43 @@ cheap_pop(RunCtx *ctx)
         ch[i] = last;
     }
     return top;
+}
+
+/* Append to the run-queue; takes new references to obj and arg. */
+static int
+q_push(RunCtx *ctx, long long seq, int kind, PyObject *obj, PyObject *arg)
+{
+    if (ctx->q_len == ctx->q_cap) {
+        Py_ssize_t cap = ctx->q_cap ? ctx->q_cap * 2 : 64;
+        QEntry *data = (QEntry *)malloc((size_t)cap * sizeof(QEntry));
+        if (data == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < ctx->q_len; i++)
+            data[i] = ctx->q[(ctx->q_head + i) & (ctx->q_cap - 1)];
+        free(ctx->q);
+        ctx->q = data;
+        ctx->q_head = 0;
+        ctx->q_cap = cap;
+    }
+    QEntry *e = &ctx->q[(ctx->q_head + ctx->q_len++) & (ctx->q_cap - 1)];
+    e->seq = seq;
+    e->kind = kind;
+    e->obj = Py_NewRef(obj);
+    e->arg = Py_XNewRef(arg);
+    return 0;
+}
+
+/* Pop the run-queue head; the caller owns its references. Only call
+ * with q_len > 0. */
+static QEntry
+q_pop(RunCtx *ctx)
+{
+    QEntry e = ctx->q[ctx->q_head];
+    ctx->q_head = (ctx->q_head + 1) & (ctx->q_cap - 1);
+    ctx->q_len--;
+    return e;
 }
 
 /* ---- native slot access ---- */
@@ -340,17 +410,6 @@ get_double(PyObject *obj, AttrName *name, double *out)
     return 0;
 }
 
-static int
-set_double(PyObject *obj, AttrName *name, double value)
-{
-    PyObject *v = PyFloat_FromDouble(value);
-    if (v == NULL)
-        return -1;
-    int rc = set_attr(obj, name, v);
-    Py_DECREF(v);
-    return rc;
-}
-
 /* obj.<name> += 1 through attribute access (the rare cross-engine path). */
 static int
 bump_ll_attr(PyObject *obj, AttrName *name)
@@ -379,9 +438,166 @@ entry_key(PyObject *entry, double *time, long long *seq)
     return 0;
 }
 
-static int fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc);
-static int fused_advance(RunCtx *ctx, PyObject *op);
-static int fused_resume(RunCtx *ctx, PyObject *op);
+/* ---- the hand-off: the only two ways the core calls an object ---- */
+
+/* engine.now as an object, borrowed: the one made for this timestamp,
+ * or the one Python stored. */
+static PyObject *
+now_obj(RunCtx *ctx)
+{
+    if (ctx->now_obj == NULL)
+        ctx->now_obj = PyFloat_FromDouble(ctx->now);
+    return ctx->now_obj;
+}
+
+/* Write the clock and the counter to engine.now / engine._seq where they
+ * changed, after checking that the attributes still hold what the core
+ * last published or read back. Anything else is Python that ran between
+ * two calls out; continuing would reuse a seq. */
+static int
+publish(RunCtx *ctx)
+{
+    PyObject *cur_now = get_attr(ctx->engine, s_now);
+    if (cur_now == NULL)
+        return -1;
+    Py_DECREF(cur_now); /* the engine keeps it alive; only compared */
+    PyObject *cur_seq = get_attr(ctx->engine, s_seq);
+    if (cur_seq == NULL)
+        return -1;
+    Py_DECREF(cur_seq);
+    if (cur_now != ctx->pub_now || cur_seq != ctx->pub_seq) {
+        PyErr_SetString(g_sim_error,
+                        "engine.now or engine._seq changed while the compiled "
+                        "core held them: Python ran outside a call out (a "
+                        "finalizer that scheduled an event?)");
+        return -1;
+    }
+    PyObject *now = now_obj(ctx);
+    if (now == NULL)
+        return -1;
+    if (now != ctx->pub_now) {
+        if (set_attr(ctx->engine, s_now, now) < 0)
+            return -1;
+        Py_SETREF(ctx->pub_now, Py_NewRef(now));
+    }
+    if (ctx->seq != ctx->pub_seq_val) {
+        PyObject *seq = PyLong_FromLongLong(ctx->seq);
+        if (seq == NULL || set_attr(ctx->engine, s_seq, seq) < 0) {
+            Py_XDECREF(seq);
+            return -1;
+        }
+        Py_SETREF(ctx->pub_seq, seq);
+        ctx->pub_seq_val = ctx->seq;
+    }
+    return 0;
+}
+
+/* Take back engine.now / engine._seq after Python ran. */
+static int
+read_back(RunCtx *ctx)
+{
+    PyObject *v = get_attr(ctx->engine, s_now);
+    if (v == NULL)
+        return -1;
+    if (v != ctx->pub_now) {
+        double now = PyFloat_AsDouble(v);
+        if (now == -1.0 && PyErr_Occurred()) {
+            Py_DECREF(v);
+            return -1;
+        }
+        ctx->now = now;
+        Py_XSETREF(ctx->now_obj, Py_NewRef(v));
+        Py_SETREF(ctx->pub_now, v);
+    }
+    else
+        Py_DECREF(v);
+    v = get_attr(ctx->engine, s_seq);
+    if (v == NULL)
+        return -1;
+    if (v != ctx->pub_seq) {
+        long long seq = PyLong_AsLongLong(v);
+        if (seq == -1 && PyErr_Occurred()) {
+            Py_DECREF(v);
+            return -1;
+        }
+        ctx->seq = ctx->pub_seq_val = seq;
+        Py_SETREF(ctx->pub_seq, v);
+    }
+    else
+        Py_DECREF(v);
+    return 0;
+}
+
+/* Call into Python: `callable(*args)`, or with `name` the method
+ * args[0].name(*args[1:]). Publishes the clock and counter first and
+ * reads them back after, also when the call raised. Every call that may
+ * run Python code goes through here (tests/simulate/test_engine_core_lint.py). */
+static PyObject *
+call_out(RunCtx *ctx, PyObject *callable, PyObject *name, PyObject *const *args,
+         size_t nargs)
+{
+    if (publish(ctx) < 0)
+        return NULL;
+    PyObject *r = name != NULL ? PyObject_VectorcallMethod(name, args, nargs, NULL)
+                               : PyObject_Vectorcall(callable, args, nargs, NULL);
+    if (r == NULL) {
+        PyObject *et, *ev, *etb;
+        PyErr_Fetch(&et, &ev, &etb);
+        if (read_back(ctx) < 0)
+            PyErr_Clear(); /* the call's own error wins */
+        PyErr_Restore(et, ev, etb);
+        return NULL;
+    }
+    if (read_back(ctx) < 0) {
+        Py_DECREF(r);
+        return NULL;
+    }
+    return r;
+}
+
+/* call_out's result discarded: 0, or -1 with the exception set. */
+static int
+call_out_void(RunCtx *ctx, PyObject *callable, PyObject *name,
+              PyObject *const *args, size_t nargs)
+{
+    PyObject *r = call_out(ctx, callable, name, args, nargs);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* A call that runs no Python code and so needs no hand-off: heapq's C
+ * heappush/heappop on a heap of (float, int, callback) tuples (seqs are
+ * unique, so no compare reaches a callback) or a method of an exact
+ * collections.deque. The lint test holds every use to that list. */
+static PyObject *
+call_c(PyObject *callable, PyObject *name, PyObject *const *args, size_t nargs)
+{
+    return name != NULL ? PyObject_VectorcallMethod(name, args, nargs, NULL)
+                        : PyObject_Vectorcall(callable, args, nargs, NULL);
+}
+
+/* queue.append(item): a call out unless `queue` is an exact deque. */
+static int
+queue_append(RunCtx *ctx, PyObject *queue, PyObject *item)
+{
+    PyObject *args[2] = {queue, item};
+    if (!Py_IS_TYPE(queue, g_deque_type))
+        return call_out_void(ctx, NULL, s_append, args, 2);
+    PyObject *r = call_c(NULL, s_append, args, 2);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+typedef struct FusedOp FusedOp;
+static PyTypeObject FusedOpType;
+#define IS_OP(o) Py_IS_TYPE(o, &FusedOpType)
+
+static int fused_activate(RunCtx *ctx, FusedOp *op, PyObject *proc);
+static int fused_advance(RunCtx *ctx, FusedOp *op);
 
 /* Process.resume(value), compiled. Returns 0 on success, -1 with an
  * exception set on failure. Mirrors the Python method line for line. */
@@ -417,7 +633,7 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
     PyObject *send = get_attr(proc, s_send);
     if (send == NULL)
         return -1;
-    PyObject *request = PyObject_CallOneArg(send, value);
+    PyObject *request = call_out(ctx, send, NULL, &value, 1);
     Py_DECREF(send);
 
     if (request == NULL) {
@@ -438,118 +654,92 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
         Py_XDECREF(et);
         Py_XDECREF(ev);
         Py_XDECREF(etb);
-        PyObject *finish = PyObject_GetAttr(proc, s_finish);
-        if (finish == NULL) {
-            Py_DECREF(stop_value);
-            return -1;
-        }
-        PyObject *r = PyObject_CallOneArg(finish, stop_value);
-        Py_DECREF(finish);
+        PyObject *args[2] = {proc, stop_value};
+        int rc = call_out_void(ctx, NULL, s_finish, args, 2);
         Py_DECREF(stop_value);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
+        return rc;
     }
 
     /* if request.__class__ is Timeout: inline dispatch */
     if ((PyObject *)Py_TYPE(request) == g_timeout_cls) {
         int rc = -1;
-        PyObject *engine = NULL, *seqobj = NULL, *newseq = NULL;
-        PyObject *delayobj = NULL, *resume_cb = NULL, *tup = NULL;
+        PyObject *engine = NULL, *seqobj = NULL, *resume_cb = NULL, *tup = NULL;
         engine = get_attr(proc, s_engine);
         if (engine == NULL)
             goto timeout_done;
         int own_engine = (engine == ctx->engine);
-        /* engine.timeout_allocs += 1 */
-        if (own_engine)
+        /* engine.timeout_allocs += 1; seq = engine._seq; engine._seq += 1 */
+        long long seq;
+        double now;
+        if (own_engine) {
             ctx->timeout_allocs++;
-        else if (bump_ll_attr(engine, s_timeout_allocs) < 0)
+            seq = ctx->seq++;
+            now = ctx->now;
+        }
+        else if (bump_ll_attr(engine, s_timeout_allocs) < 0 ||
+                 get_ll(engine, s_seq, &seq) < 0 ||
+                 set_ll(engine, s_seq, seq + 1) < 0 ||
+                 get_double(engine, s_now, &now) < 0)
             goto timeout_done;
-        seqobj = get_attr(engine, s_seq);
-        if (seqobj == NULL)
-            goto timeout_done;
-        long long seq = PyLong_AsLongLong(seqobj);
-        if (seq == -1 && PyErr_Occurred())
-            goto timeout_done;
-        newseq = PyLong_FromLongLong(seq + 1);
-        if (newseq == NULL || set_attr(engine, s_seq, newseq) < 0)
-            goto timeout_done;
-        delayobj = get_attr(request, s_delay);
-        if (delayobj == NULL)
-            goto timeout_done;
-        double delay = PyFloat_AsDouble(delayobj);
-        if (delay == -1.0 && PyErr_Occurred())
+        double delay;
+        if (get_double(request, s_delay, &delay) < 0)
             goto timeout_done;
         /* The request's delay is consumed; recycle the object into the
-         * freelist shared with Timeout.__new__ when we hold the only
+         * freelist shared with pooled_timeout when we hold the only
          * reference (the generator yielded a fresh instance). */
         if (Py_REFCNT(request) == 1 && g_timeout_pool != NULL) {
             if (PyList_Append(g_timeout_pool, request) < 0)
                 PyErr_Clear(); /* best-effort: recycling is an optimization */
         }
-        if (delay == 0.0) {
-            resume_cb = get_attr(proc, s_resume_attr);
-            if (resume_cb == NULL)
-                goto timeout_done;
-            tup = PyTuple_Pack(3, seqobj, resume_cb, Py_None);
-            if (tup == NULL)
-                goto timeout_done;
-            PyObject *r;
-            if (own_engine) {
-                r = PyObject_CallOneArg(ctx->ready_append, tup);
-            }
-            else {
-                PyObject *ready = get_attr(engine, s_ready);
-                if (ready == NULL)
-                    goto timeout_done;
-                r = PyObject_CallMethodOneArg(ready, s_append, tup);
-                Py_DECREF(ready);
-            }
-            if (r == NULL)
-                goto timeout_done;
-            Py_DECREF(r);
+        if (own_engine && delay != 0.0) {
+            /* The C timeout-event heap, flushed to engine._heap on loop
+             * exit. */
+            rc = cheap_push(ctx, now + delay, seq, proc, EV_RESUME);
+            goto timeout_done;
         }
-        else if (own_engine) {
-            /* The C timeout-event heap: no tuple, no boxed key, no
-             * heapq call. Flushed back to engine._heap on loop exit. */
-            double now;
-            if (get_double(engine, s_now, &now) < 0)
+        resume_cb = get_attr(proc, s_resume_attr);
+        if (resume_cb == NULL)
+            goto timeout_done;
+        if (own_engine) {
+            if (PyMethod_Check(resume_cb) &&
+                PyMethod_GET_FUNCTION(resume_cb) == g_resume_func &&
+                PyMethod_GET_SELF(resume_cb) == proc) {
+                /* the core's run-queue: (seq, proc._resume, None) */
+                rc = q_push(ctx, seq, EV_RESUME, proc, NULL);
                 goto timeout_done;
-            if (cheap_push(ctx, now + delay, seq, proc, EV_RESUME) < 0)
+            }
+        }
+        seqobj = PyLong_FromLongLong(seq);
+        if (seqobj == NULL)
+            goto timeout_done;
+        if (delay == 0.0) {
+            tup = PyTuple_Pack(3, seqobj, resume_cb, Py_None);
+            PyObject *ready = tup ? get_attr(engine, s_ready) : NULL;
+            if (ready == NULL)
                 goto timeout_done;
+            rc = queue_append(ctx, ready, tup);
+            Py_DECREF(ready);
         }
         else {
-            double now;
-            if (get_double(engine, s_now, &now) < 0)
-                goto timeout_done;
             PyObject *timeobj = PyFloat_FromDouble(now + delay);
             if (timeobj == NULL)
                 goto timeout_done;
-            resume_cb = get_attr(proc, s_resume_attr);
-            if (resume_cb == NULL) {
-                Py_DECREF(timeobj);
-                goto timeout_done;
-            }
             tup = PyTuple_Pack(3, timeobj, seqobj, resume_cb);
             Py_DECREF(timeobj);
-            if (tup == NULL)
-                goto timeout_done;
-            PyObject *heap = get_attr(engine, s_heap);
+            PyObject *heap = tup ? get_attr(engine, s_heap) : NULL;
             if (heap == NULL)
                 goto timeout_done;
-            PyObject *r = PyObject_CallFunctionObjArgs(g_heappush, heap, tup, NULL);
+            PyObject *args[2] = {heap, tup};
+            PyObject *r = call_c(g_heappush, NULL, args, 2);
             Py_DECREF(heap);
             if (r == NULL)
                 goto timeout_done;
             Py_DECREF(r);
+            rc = 0;
         }
-        rc = 0;
     timeout_done:
         Py_XDECREF(tup);
         Py_XDECREF(resume_cb);
-        Py_XDECREF(delayobj);
-        Py_XDECREF(newseq);
         Py_XDECREF(seqobj);
         Py_XDECREF(engine);
         Py_DECREF(request);
@@ -558,8 +748,8 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
 
     /* Fused network op: run its activation (and the whole program walk)
      * compiled. Exact-type check, like the Timeout branch. */
-    if ((PyObject *)Py_TYPE(request) == g_fusedop_cls) {
-        int rc = fused_activate(ctx, request, proc);
+    if (IS_OP(request)) {
+        int rc = fused_activate(ctx, (FusedOp *)request, proc);
         Py_DECREF(request);
         return rc;
     }
@@ -587,64 +777,81 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
         Py_DECREF(request);
         return -1;
     }
-    PyObject *activate = PyObject_GetAttr(request, s_activate);
+    PyObject *args[3] = {request, engine, proc};
+    int rc = call_out_void(ctx, NULL, s_activate, args, 3);
     Py_DECREF(request);
-    if (activate == NULL) {
-        Py_DECREF(engine);
-        return -1;
-    }
-    PyObject *r = PyObject_CallFunctionObjArgs(activate, engine, proc, NULL);
-    Py_DECREF(activate);
     Py_DECREF(engine);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    return rc;
 }
 
-/* ---- fused network operations (network._FusedOp): the only walker ----
+/* ---- fused network operations (FusedOp): the only walker ----
  *
  * A fused op is a precomputed (pre, hold, post) delay program that the
  * reference engine runs as the Network._walk generator. Here the walk
- * runs in C, with the op's slots as its state: timed steps go straight
- * into the C event heap -- no tuple, no boxed key, no Python frame, no
- * Timeout per delay. An op with a `chain` is a whole task: when one step
- * completes the walker arms the next from the run's flat step list, so
- * the process's generator is re-entered once per task, not once per
- * operation -- or once per claim loop, when the op's `claim` loads the
- * next slice each time one runs out. Every seq is allocated and every
- * trace record made at the dispatch where the generators (Network._walk,
- * Harness._walk_task and the models' claim loops) make theirs, so
- * (time, seq) orders are unchanged; tests/simulate/test_sched.py holds
- * the walker to them. */
+ * runs in C, with the op's C fields as its state: timed steps go straight
+ * into the C event heap, zero-delay ones into the run-queue -- no tuple,
+ * no boxed key, no Python frame, no Timeout per delay. An op with a
+ * `chain` is a whole task: when one step completes the walker arms the
+ * next from the run's flat step list, so the process's generator is
+ * re-entered once per task, not once per operation -- or once per claim
+ * loop, when the op's `claim` loads the next slice each time one runs
+ * out. Every seq is allocated and every trace record made at the
+ * dispatch where the generators (Network._walk, Harness._walk_task and
+ * the models' claim loops) make theirs, so (time, seq) orders are
+ * unchanged; tests/simulate/test_sched.py holds the walker to them.
+ *
+ * A chain is (steps, nics, node_ids): a flat step list shared by every
+ * task of a run, of which steps[pos:end] are the op's. A step is (dst,
+ * (tier-0, tier-1, tier-2 program), category), or None for the kernel, a
+ * single `duration` delay that counts as the Timeout it stands for. A
+ * program with no pre-delays is a lock hold: nics[dst] is acquired as the
+ * step is armed, and its interval and Timeout begin at the grant. The NIC
+ * protocol is Resource's own, with the op queued in place of a process
+ * (it has `done` and `engine`). The process is resumed once, when the
+ * last step completes and no claim loads another.
+ *
+ * The op is a type of this module, FusedOp (the type definition follows
+ * the walker). Its fields keep the names the Python side reads and
+ * writes: the program (trace, src, category, pre, nic, hold, post,
+ * counter, amount, chain, pos, end, duration, tid, claim) and the walk
+ * (engine, proc, start, phase, idx, holding, done, result). Object fields
+ * may be deleted from Python; the walker then raises the attribute
+ * protocol's own AttributeError. The core queues the op itself, never a
+ * bound method of it, so a finished op is freed by reference count. */
 
-/* The op's next step after `delay`: run-queue for zero delays, C event
- * heap otherwise (engine == ctx->engine is guaranteed by the callers). */
-static int
-fused_dispatch(RunCtx *ctx, PyObject *op, PyObject *engine, double delay)
+struct FusedOp {
+    PyObject_HEAD
+    PyObject *trace, *src, *category, *pre, *nic, *hold, *post;
+    PyObject *counter, *amount, *chain, *tid, *claim;
+    PyObject *engine, *proc, *start, *result; /* start None: a lock hold's, unset */
+    long long pos, end, idx;
+    double duration;
+    int phase; /* 0 pre-delays, 1 queued, 2 holding, 3 post-delays, 4 kernel */
+    char holding, done;
+    PyObject *weakreflist;
+};
+
+/* op.<name>, borrowed, or NULL with the attribute protocol's error for a
+ * deleted field. */
+static PyObject *
+op_field(FusedOp *op, PyObject *value, const char *name)
 {
-    long long seq;
-    if (get_ll(engine, s_seq, &seq) < 0 || set_ll(engine, s_seq, seq + 1) < 0)
-        return -1;
-    if (delay == 0.0) {
-        PyObject *seqobj = PyLong_FromLongLong(seq);
-        PyObject *step = seqobj ? get_attr(op, s_step) : NULL;
-        PyObject *tup = step ? PyTuple_Pack(3, seqobj, step, Py_None) : NULL;
-        Py_XDECREF(step);
-        Py_XDECREF(seqobj);
-        if (tup == NULL)
-            return -1;
-        PyObject *r = PyObject_CallOneArg(ctx->ready_append, tup);
-        Py_DECREF(tup);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
-    }
-    double now;
-    if (get_double(engine, s_now, &now) < 0)
-        return -1;
-    return cheap_push(ctx, now + delay, seq, op, EV_FUSED);
+    if (value == NULL)
+        Py_XDECREF(PyObject_GetAttrString((PyObject *)op, name)); /* raises */
+    return value;
+}
+#define OP_GET(op, field) op_field(op, (op)->field, #field)
+
+/* The op's next step after `delay`: the core's run-queue for zero
+ * delays, its event heap otherwise (the op's engine is ctx's, as the
+ * callers guarantee). */
+static int
+fused_dispatch(RunCtx *ctx, FusedOp *op, double delay)
+{
+    long long seq = ctx->seq++;
+    if (delay == 0.0)
+        return q_push(ctx, seq, EV_FUSED, (PyObject *)op, NULL);
+    return cheap_push(ctx, ctx->now + delay, seq, (PyObject *)op, EV_FUSED);
 }
 
 /* The four task columns of a TraceRecorder (ids, ranks, starts, ends)
@@ -673,8 +880,8 @@ task_columns(PyObject *trace, PyObject **cols)
  * logs and raises as ever. Nothing is written before every check has
  * passed. */
 static int
-trace_record(PyObject *trace, PyObject *src, PyObject *cat, PyObject *tid,
-             PyObject *start, PyObject *end)
+trace_record(RunCtx *ctx, PyObject *trace, PyObject *src, PyObject *cat,
+             PyObject *tid, PyObject *start, PyObject *end)
 {
     PyObject **totals_p, **intervals_p, **records_p;
     PyObject *cols[4];
@@ -719,15 +926,16 @@ trace_record(PyObject *trace, PyObject *src, PyObject *cat, PyObject *tid,
             return 0;
         }
     }
-    PyObject *r = tid == NULL
-                      ? PyObject_CallMethodObjArgs(trace, s_record, src, cat,
-                                                   start, end, NULL)
-                      : PyObject_CallMethodObjArgs(trace, s_record_compute, src,
-                                                   tid, start, end, NULL);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    /* held across the call: they may be an op's fields, which Python
+     * may rebind while it runs */
+    PyObject *args[5] = {trace, src, tid == NULL ? cat : tid, start, end};
+    for (int i = 0; i < 5; i++)
+        Py_INCREF(args[i]);
+    int rc = call_out_void(ctx, NULL, tid == NULL ? s_record : s_record_compute,
+                           args, 5);
+    for (int i = 0; i < 5; i++)
+        Py_DECREF(args[i]);
+    return rc;
 }
 
 /* resource.release(). Resource.release itself runs here -- `in_use -= 1`
@@ -735,7 +943,7 @@ trace_record(PyObject *trace, PyObject *src, PyObject *cat, PyObject *tid,
  * waiter (live or cancelled) or an unmatched release takes the method,
  * so grant order, seq allocation and the error stay where they are. */
 static int
-resource_release(PyObject *resource)
+resource_release(RunCtx *ctx, PyObject *resource)
 {
     PyObject **in_use_p, **queue_p;
     if ((PyObject *)Py_TYPE(resource) == g_resource_cls &&
@@ -753,36 +961,27 @@ resource_release(PyObject *resource)
                 return set_ll(resource, s_in_use, in_use - 1);
         }
     }
-    PyObject *r = PyObject_CallMethodNoArgs(resource, s_release);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    return call_out_void(ctx, NULL, s_release, &resource, 1);
 }
 
-/* The op is over: mark it done, drop the bound method of itself (a
- * finished op is freed by reference count), resume the waiting process
- * with the op's result. */
+/* The op is over: mark it done, resume the waiting process with the
+ * op's result. */
 static int
-fused_finish(RunCtx *ctx, PyObject *op)
+fused_finish(RunCtx *ctx, FusedOp *op)
 {
-    if (set_attr(op, s_done, Py_True) < 0 || set_attr(op, s_step, Py_None) < 0)
+    op->done = 1;
+    PyObject *proc = OP_GET(op, proc);
+    PyObject *result = proc ? OP_GET(op, result) : NULL;
+    if (result == NULL)
         return -1;
-    PyObject *proc = get_attr(op, s_proc);
-    if (proc == NULL)
-        return -1;
-    PyObject *result = get_attr(op, s_result);
-    if (result == NULL) {
-        Py_DECREF(proc);
-        return -1;
-    }
+    Py_INCREF(proc);
+    Py_INCREF(result);
     int rc;
     if ((PyObject *)Py_TYPE(proc) == g_process_cls)
         rc = resume_fast(ctx, proc, result);
     else {
-        PyObject *rr = PyObject_CallMethodOneArg(proc, s_resume_pub, result);
-        rc = rr == NULL ? -1 : 0;
-        Py_XDECREF(rr);
+        PyObject *args[2] = {proc, result};
+        rc = call_out_void(ctx, NULL, s_resume_pub, args, 2);
     }
     Py_DECREF(result);
     Py_DECREF(proc);
@@ -811,48 +1010,45 @@ program_items(PyObject *program, PyObject **pre, PyObject **hold, PyObject **pos
 /* nic.acquire() for the op: _ResourceAcquire.activate with the op
  * queued in place of a process. */
 static int
-fused_acquire(RunCtx *ctx, PyObject *op, PyObject *engine, PyObject *nic)
+fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic)
 {
     long long in_use, capacity;
-    if (set_ll(op, s_phase, 1) < 0 || get_ll(nic, s_in_use, &in_use) < 0 ||
-        get_ll(nic, s_capacity, &capacity) < 0)
+    op->phase = 1;
+    if (get_ll(nic, s_in_use, &in_use) < 0 || get_ll(nic, s_capacity, &capacity) < 0)
         return -1;
-    PyObject *r;
     if (in_use < capacity) {
-        long long acq, seq;
+        long long acq;
         if (set_ll(nic, s_in_use, in_use + 1) < 0 ||
             get_ll(nic, s_total_acquisitions, &acq) < 0 ||
-            set_ll(nic, s_total_acquisitions, acq + 1) < 0 ||
-            get_ll(engine, s_seq, &seq) < 0 || set_ll(engine, s_seq, seq + 1) < 0)
+            set_ll(nic, s_total_acquisitions, acq + 1) < 0)
             return -1;
         /* engine.call_now(nic._deliver_grant, op) */
+        long long seq = ctx->seq++;
+        if ((PyObject *)Py_TYPE(nic) == g_resource_cls)
+            return q_push(ctx, seq, EV_GRANT, nic, (PyObject *)op);
         PyObject *seqobj = PyLong_FromLongLong(seq);
         PyObject *deliver =
             seqobj == NULL ? NULL : PyObject_GetAttr(nic, s_deliver_name);
         PyObject *tup =
-            deliver == NULL ? NULL : PyTuple_Pack(3, seqobj, deliver, op);
+            deliver == NULL ? NULL : PyTuple_Pack(3, seqobj, deliver, (PyObject *)op);
         Py_XDECREF(deliver);
         Py_XDECREF(seqobj);
         if (tup == NULL)
             return -1;
-        r = PyObject_CallOneArg(ctx->ready_append, tup);
+        int rc = queue_append(ctx, ctx->ready, tup);
         Py_DECREF(tup);
+        return rc;
     }
-    else {
-        long long waits;
-        if (get_ll(nic, s_total_waits, &waits) < 0 ||
-            set_ll(nic, s_total_waits, waits + 1) < 0)
-            return -1;
-        PyObject *queue = get_attr(nic, s_queue);
-        if (queue == NULL)
-            return -1;
-        r = PyObject_CallMethodOneArg(queue, s_append, op);
-        Py_DECREF(queue);
-    }
-    if (r == NULL)
+    long long waits;
+    if (get_ll(nic, s_total_waits, &waits) < 0 ||
+        set_ll(nic, s_total_waits, waits + 1) < 0)
         return -1;
-    Py_DECREF(r);
-    return 0;
+    PyObject *queue = get_attr(nic, s_queue);
+    if (queue == NULL)
+        return -1;
+    int rc = queue_append(ctx, queue, (PyObject *)op);
+    Py_DECREF(queue);
+    return rc;
 }
 
 /* Arm the chain's next step, or the first of the slice the op's claim
@@ -860,35 +1056,32 @@ fused_acquire(RunCtx *ctx, PyObject *op, PyObject *engine, PyObject *nic)
  * int ranks, float delays, every index in range; anything else raises
  * TypeError naming the step before a single store. */
 static int
-fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
+fused_load_step(RunCtx *ctx, FusedOp *op)
 {
-    long long pos, end;
-    if (get_ll(op, s_pos, &pos) < 0 || get_ll(op, s_end, &end) < 0)
-        return -1;
-    while (pos >= end) {
-        PyObject *claim = get_attr(op, s_claim);
+    while (op->pos >= op->end) {
+        PyObject *claim = OP_GET(op, claim);
         if (claim == NULL)
             return -1;
         int more = 0;
         if (claim != Py_None) {
-            PyObject *r = PyObject_CallOneArg(claim, op);
+            PyObject *arg = (PyObject *)op;
+            Py_INCREF(claim);
+            PyObject *r = call_out(ctx, claim, NULL, &arg, 1);
+            Py_DECREF(claim);
             more = r == NULL ? -1 : PyObject_IsTrue(r);
             Py_XDECREF(r);
         }
-        Py_DECREF(claim);
         if (more < 0)
             return -1;
         if (!more)
             return fused_finish(ctx, op);
-        if (get_ll(op, s_pos, &pos) < 0 || get_ll(op, s_end, &end) < 0)
-            return -1;
     }
-    int rc = -1;
-    PyObject *chain = get_attr(op, s_chain);
-    PyObject *srcobj = chain ? get_attr(op, s_src) : NULL;
-    PyObject *nowobj = srcobj ? get_attr(engine, s_now) : NULL;
+    long long pos = op->pos;
+    PyObject *chain = OP_GET(op, chain);
+    PyObject *srcobj = chain ? OP_GET(op, src) : NULL;
+    PyObject *nowobj = srcobj ? now_obj(ctx) : NULL; /* borrowed, all three */
     if (nowobj == NULL)
-        goto out;
+        return -1;
     PyObject *steps, *nics, *ids, *step = NULL;
     if (!PyTuple_CheckExact(chain) || PyTuple_GET_SIZE(chain) != 3 ||
         !PyTuple_CheckExact(steps = PyTuple_GET_ITEM(chain, 0)) || pos < 0 ||
@@ -898,15 +1091,11 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
     ids = PyTuple_GET_ITEM(chain, 2);
     step = PyTuple_GET_ITEM(steps, pos);
     if (step == Py_None) { /* the kernel */
-        double duration;
-        if (get_double(op, s_duration, &duration) < 0)
-            goto out;
-        if (set_ll(op, s_pos, pos + 1) < 0 || set_attr(op, s_start, nowobj) < 0 ||
-            set_ll(op, s_phase, 4) < 0)
-            goto out;
+        op->pos = pos + 1;
+        Py_XSETREF(op->start, Py_NewRef(nowobj));
+        op->phase = 4;
         ctx->timeout_allocs++; /* engine.timeout_allocs += 1 */
-        rc = fused_dispatch(ctx, op, engine, duration);
-        goto out;
+        return fused_dispatch(ctx, op, op->duration);
     }
     PyObject *dstobj, *programs, *pre, *hold, *post;
     if (!PyTuple_CheckExact(step) || PyTuple_GET_SIZE(step) != 3 ||
@@ -930,7 +1119,7 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
             int same = PyObject_RichCompareBool(PyList_GET_ITEM(ids, src),
                                                 PyList_GET_ITEM(ids, dst), Py_EQ);
             if (same < 0)
-                goto out;
+                return -1;
             if (same)
                 tier = 1;
         }
@@ -944,325 +1133,208 @@ fused_load_step(RunCtx *ctx, PyObject *op, PyObject *engine)
         nic = PyList_GET_ITEM(nics, dst);
     }
     int lock = PyTuple_GET_SIZE(pre) == 0; /* its interval begins at the grant */
-    if (set_ll(op, s_pos, pos + 1) < 0 ||
-        set_attr(op, s_start, lock ? Py_None : nowobj) < 0 ||
-        set_attr(op, s_category, PyTuple_GET_ITEM(step, 2)) < 0 ||
-        set_attr(op, s_post, post) < 0 || set_attr(op, s_pre, pre) < 0 ||
-        set_attr(op, s_hold, hold) < 0 || set_attr(op, s_nic, nic) < 0 ||
-        set_ll(op, s_phase, 0) < 0 || set_ll(op, s_idx, 1) < 0)
-        goto out;
-    rc = lock ? fused_acquire(ctx, op, engine, nic)
-              : fused_dispatch(ctx, op, engine,
-                               PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pre, 0)));
-    goto out;
+    op->pos = pos + 1;
+    Py_XSETREF(op->start, Py_NewRef(lock ? Py_None : nowobj));
+    Py_XSETREF(op->category, Py_NewRef(PyTuple_GET_ITEM(step, 2)));
+    Py_XSETREF(op->post, Py_NewRef(post));
+    Py_XSETREF(op->pre, Py_NewRef(pre));
+    Py_XSETREF(op->hold, Py_NewRef(hold));
+    Py_XSETREF(op->nic, Py_NewRef(nic));
+    op->phase = 0;
+    op->idx = 1;
+    return lock ? fused_acquire(ctx, op, nic)
+                : fused_dispatch(ctx, op, PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pre, 0)));
 malformed:
     if (step == NULL)
         PyErr_Format(PyExc_TypeError, "fused op chain has no step %lld", pos);
     else
         PyErr_Format(PyExc_TypeError, "malformed fused op step %lld: %R", pos, step);
-out:
-    Py_XDECREF(nowobj);
-    Py_XDECREF(srcobj);
-    Py_XDECREF(chain);
-    return rc;
+    return -1;
 }
 
 /* One operation ran: emit its trace record, then arm the next step (an
  * op without a chain has none and finishes). */
 static int
-fused_complete(RunCtx *ctx, PyObject *op, PyObject *engine)
+fused_complete(RunCtx *ctx, FusedOp *op)
 {
-    PyObject *trace = get_attr(op, s_trace);
-    PyObject *src = trace ? get_attr(op, s_src) : NULL;
-    PyObject *cat = src ? get_attr(op, s_category) : NULL;
-    PyObject *start = cat ? get_attr(op, s_start) : NULL;
-    PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
-    int recorded = nowobj ? trace_record(trace, src, cat, NULL, start, nowobj) : -1;
-    Py_XDECREF(nowobj);
-    Py_XDECREF(start);
-    Py_XDECREF(cat);
-    Py_XDECREF(src);
-    Py_XDECREF(trace);
-    if (recorded < 0)
+    PyObject *trace = OP_GET(op, trace);
+    PyObject *src = trace ? OP_GET(op, src) : NULL;
+    PyObject *cat = src ? OP_GET(op, category) : NULL;
+    PyObject *start = cat ? OP_GET(op, start) : NULL;
+    PyObject *nowobj = start ? now_obj(ctx) : NULL;
+    if (nowobj == NULL || trace_record(ctx, trace, src, cat, NULL, start, nowobj) < 0)
         return -1;
-    return fused_load_step(ctx, op, engine);
+    return fused_load_step(ctx, op);
 }
 
-/* The NIC grant arrived. fetch_add's read-modify-write
- * happens here (while the home NIC is held), a lock hold's interval and
- * Timeout begin here, then the held occupancy is scheduled. */
+/* The NIC grant arrived. fetch_add's read-modify-write happens here
+ * (while the home NIC is held), a lock hold's interval and Timeout begin
+ * here, then the held occupancy is scheduled. */
 static int
-fused_resume(RunCtx *ctx, PyObject *op)
+fused_resume(RunCtx *ctx, FusedOp *op)
 {
-    PyObject *counter = get_attr(op, s_counter);
+    PyObject *counter = OP_GET(op, counter);
     if (counter == NULL)
         return -1;
     if (counter != Py_None) {
+        Py_INCREF(counter);
         PyObject *value = get_attr(counter, s_value);
-        if (value == NULL || set_attr(op, s_result, value) < 0) {
-            Py_XDECREF(value);
-            Py_DECREF(counter);
-            return -1;
-        }
-        PyObject *amount = get_attr(op, s_amount);
-        PyObject *newval =
-            amount == NULL ? NULL : PyNumber_InPlaceAdd(value, amount);
-        Py_XDECREF(amount);
-        Py_DECREF(value);
-        int rc2 = newval == NULL ? -1 : set_attr(counter, s_value, newval);
+        PyObject *amount = value ? OP_GET(op, amount) : NULL;
+        PyObject *newval = amount ? PyNumber_InPlaceAdd(value, amount) : NULL;
+        int rc = newval ? set_attr(counter, s_value, newval) : -1;
         Py_XDECREF(newval);
         Py_DECREF(counter);
-        if (rc2 < 0)
+        if (rc < 0) {
+            Py_XDECREF(value);
             return -1;
+        }
+        Py_XSETREF(op->result, value);
     }
-    else
-        Py_DECREF(counter);
-    PyObject *engine = get_attr(op, s_engine);
-    if (engine == NULL)
+    PyObject *start = OP_GET(op, start);
+    if (start == NULL)
         return -1;
-    PyObject *start = get_attr(op, s_start);
-    if (start == NULL) {
-        Py_DECREF(engine);
-        return -1;
-    }
-    Py_DECREF(start); /* only compared */
     if (start == Py_None) {
-        PyObject *nowobj = get_attr(engine, s_now);
-        int set = nowobj == NULL ? -1 : set_attr(op, s_start, nowobj);
-        Py_XDECREF(nowobj);
-        if (set < 0) {
-            Py_DECREF(engine);
+        PyObject *nowobj = now_obj(ctx);
+        if (nowobj == NULL)
             return -1;
-        }
-        /* engine.timeout_allocs += 1 */
-        if (engine == ctx->engine)
-            ctx->timeout_allocs++;
-        else if (bump_ll_attr(engine, s_timeout_allocs) < 0) {
-            Py_DECREF(engine);
-            return -1;
-        }
+        Py_SETREF(op->start, Py_NewRef(nowobj));
+        ctx->timeout_allocs++; /* engine.timeout_allocs += 1 */
     }
-    if (set_attr(op, s_holding, Py_True) < 0 || set_ll(op, s_phase, 2) < 0) {
-        Py_DECREF(engine);
+    op->holding = 1;
+    op->phase = 2;
+    PyObject *holdobj = OP_GET(op, hold);
+    double hold = holdobj ? PyFloat_AsDouble(holdobj) : -1.0;
+    if (hold == -1.0 && (holdobj == NULL || PyErr_Occurred()))
         return -1;
+    return fused_dispatch(ctx, op, hold);
+}
+
+/* op.pre or op.post, borrowed, if it is a tuple; else NULL with an
+ * exception set. */
+static PyObject *
+fused_delays(FusedOp *op, PyObject *delays, const char *name)
+{
+    if (op_field(op, delays, name) == NULL)
+        return NULL;
+    if (!PyTuple_Check(delays)) {
+        PyErr_SetString(PyExc_TypeError, "fused op delays must be tuples");
+        return NULL;
     }
-    PyObject *holdobj = get_attr(op, s_hold);
-    if (holdobj == NULL) {
-        Py_DECREF(engine);
-        return -1;
-    }
-    double hold = PyFloat_AsDouble(holdobj);
-    Py_DECREF(holdobj);
-    if (hold == -1.0 && PyErr_Occurred()) {
-        Py_DECREF(engine);
-        return -1;
-    }
-    int rc = fused_dispatch(ctx, op, engine, hold);
-    Py_DECREF(engine);
-    return rc;
+    return delays;
+}
+
+static int
+not_walked(void)
+{
+    PyErr_SetString(g_sim_error, "a fused network op is walked only by the "
+                                 "engine running its process");
+    return -1;
 }
 
 /* One step of the delay program: the op's `_advance` callback. */
 static int
-fused_advance(RunCtx *ctx, PyObject *op)
+fused_advance(RunCtx *ctx, FusedOp *op)
 {
-    PyObject *done = get_attr(op, s_done);
-    if (done == NULL)
-        return -1;
-    int is_done = PyObject_IsTrue(done);
-    Py_DECREF(done);
-    if (is_done < 0)
-        return -1;
-    if (is_done)
+    if (op->done)
         return 0; /* late wake-up raced with cancellation */
-    PyObject *engine = get_attr(op, s_engine);
-    if (engine == NULL)
-        return -1;
-    if (engine != ctx->engine) {
-        Py_DECREF(engine);
-        PyErr_SetString(g_sim_error, "a fused network op is walked only by "
-                                     "the engine running its process");
-        return -1;
-    }
-    int rc = -1;
-    long long phase;
-    if (get_ll(op, s_phase, &phase) < 0)
-        goto out;
-    if (phase == 0) {
-        PyObject *pre = get_attr(op, s_pre);
-        if (pre == NULL || !PyTuple_Check(pre)) {
-            Py_XDECREF(pre);
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "fused op delays must be tuples");
-            goto out;
-        }
-        long long idx;
-        if (get_ll(op, s_idx, &idx) < 0) {
-            Py_DECREF(pre);
-            goto out;
-        }
-        if (idx < PyTuple_GET_SIZE(pre)) {
-            double d = PyFloat_AsDouble(PyTuple_GET_ITEM(pre, idx));
-            Py_DECREF(pre);
+    if (op->engine != ctx->engine)
+        return not_walked();
+    if (op->phase == 0 || op->phase == 3) {
+        /* the next pre-delay (or return-path delay), else the NIC (pre
+         * only) or the end of the operation */
+        PyObject *delays = op->phase == 0 ? fused_delays(op, op->pre, "pre")
+                                          : fused_delays(op, op->post, "post");
+        if (delays == NULL)
+            return -1;
+        if (op->idx < PyTuple_GET_SIZE(delays)) {
+            double d = PyFloat_AsDouble(PyTuple_GET_ITEM(delays, op->idx));
             if (d == -1.0 && PyErr_Occurred())
-                goto out;
-            if (set_ll(op, s_idx, idx + 1) < 0)
-                goto out;
-            rc = fused_dispatch(ctx, op, engine, d);
-            goto out;
+                return -1;
+            op->idx++;
+            return fused_dispatch(ctx, op, d);
         }
-        Py_DECREF(pre);
-        PyObject *nic = get_attr(op, s_nic);
+        if (op->phase == 3)
+            return fused_complete(ctx, op);
+        PyObject *nic = OP_GET(op, nic);
         if (nic == NULL)
-            goto out;
-        rc = nic == Py_None ? fused_complete(ctx, op, engine)
-                            : fused_acquire(ctx, op, engine, nic);
+            return -1;
+        if (nic == Py_None)
+            return fused_complete(ctx, op);
+        Py_INCREF(nic); /* its attributes may run Python that rebinds op.nic */
+        int rc = fused_acquire(ctx, op, nic);
         Py_DECREF(nic);
-        goto out;
+        return rc;
     }
-    if (phase == 2) {
+    if (op->phase == 2) {
         /* hold expired: release first (the next waiter's grant takes
          * its seq here, as the generator's finally did), then the
          * return-path delays. */
-        if (set_attr(op, s_holding, Py_False) < 0)
-            goto out;
-        PyObject *nic = get_attr(op, s_nic);
+        op->holding = 0;
+        PyObject *nic = OP_GET(op, nic);
         if (nic == NULL)
-            goto out;
-        int released = resource_release(nic);
+            return -1;
+        Py_INCREF(nic);
+        int released = resource_release(ctx, nic);
         Py_DECREF(nic);
-        if (released < 0)
-            goto out;
-        PyObject *post = get_attr(op, s_post);
-        if (post == NULL || !PyTuple_Check(post)) {
-            Py_XDECREF(post);
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "fused op delays must be tuples");
-            goto out;
-        }
-        if (PyTuple_GET_SIZE(post) > 0) {
-            double d = PyFloat_AsDouble(PyTuple_GET_ITEM(post, 0));
-            Py_DECREF(post);
-            if (d == -1.0 && PyErr_Occurred())
-                goto out;
-            if (set_ll(op, s_phase, 3) < 0 || set_ll(op, s_idx, 1) < 0)
-                goto out;
-            rc = fused_dispatch(ctx, op, engine, d);
-        }
-        else {
-            Py_DECREF(post);
-            rc = fused_complete(ctx, op, engine);
-        }
-        goto out;
+        PyObject *post = released < 0 ? NULL : fused_delays(op, op->post, "post");
+        if (post == NULL)
+            return -1;
+        if (PyTuple_GET_SIZE(post) == 0)
+            return fused_complete(ctx, op);
+        double d = PyFloat_AsDouble(PyTuple_GET_ITEM(post, 0));
+        if (d == -1.0 && PyErr_Occurred())
+            return -1;
+        op->phase = 3;
+        op->idx = 1;
+        return fused_dispatch(ctx, op, d);
     }
-    if (phase == 4) {
-        /* the kernel ran: record its interval where the generator
-         * resumed from the kernel's Timeout, then the accumulates. */
-        PyObject *tid = get_attr(op, s_tid);
-        PyObject *start = tid ? get_attr(op, s_start) : NULL;
-        PyObject *nowobj = start ? get_attr(engine, s_now) : NULL;
-        int recorded = -1;
-        if (nowobj != NULL) {
-            PyObject *trace = get_attr(op, s_trace);
-            PyObject *src = trace ? get_attr(op, s_src) : NULL;
-            if (src != NULL)
-                recorded = trace_record(trace, src, s_compute, tid, start, nowobj);
-            Py_XDECREF(src);
-            Py_XDECREF(trace);
-        }
-        Py_XDECREF(nowobj);
-        Py_XDECREF(start);
-        Py_XDECREF(tid);
-        if (recorded == 0)
-            rc = fused_load_step(ctx, op, engine);
-        goto out;
-    }
-    /* phase 3: walk the remaining return-path delays */
-    {
-        PyObject *post = get_attr(op, s_post);
-        if (post == NULL || !PyTuple_Check(post)) {
-            Py_XDECREF(post);
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "fused op delays must be tuples");
-            goto out;
-        }
-        long long idx;
-        if (get_ll(op, s_idx, &idx) < 0) {
-            Py_DECREF(post);
-            goto out;
-        }
-        if (idx < PyTuple_GET_SIZE(post)) {
-            double d = PyFloat_AsDouble(PyTuple_GET_ITEM(post, idx));
-            Py_DECREF(post);
-            if (d == -1.0 && PyErr_Occurred())
-                goto out;
-            if (set_ll(op, s_idx, idx + 1) < 0)
-                goto out;
-            rc = fused_dispatch(ctx, op, engine, d);
-        }
-        else {
-            Py_DECREF(post);
-            rc = fused_complete(ctx, op, engine);
-        }
-    }
-out:
-    Py_DECREF(engine);
-    return rc;
+    /* phase 4, the kernel ran: record its interval where the generator
+     * resumed from the kernel's Timeout, then the accumulates. */
+    PyObject *tid = OP_GET(op, tid);
+    PyObject *start = tid ? OP_GET(op, start) : NULL;
+    PyObject *trace = start ? OP_GET(op, trace) : NULL;
+    PyObject *src = trace ? OP_GET(op, src) : NULL;
+    PyObject *nowobj = src ? now_obj(ctx) : NULL;
+    if (nowobj == NULL || trace_record(ctx, trace, src, s_compute, tid, start, nowobj) < 0)
+        return -1;
+    return fused_load_step(ctx, op);
 }
 
 /* A process yielded the op: bind it to the process and dispatch the
  * first pre-delay, or arm the chain's first step. */
 static int
-fused_activate(RunCtx *ctx, PyObject *op, PyObject *proc)
+fused_activate(RunCtx *ctx, FusedOp *op, PyObject *proc)
 {
     PyObject *engine = get_attr(proc, s_engine);
     if (engine == NULL)
         return -1;
-    if (engine != ctx->engine) {
-        Py_DECREF(engine);
-        PyErr_SetString(g_sim_error, "a fused network op is walked only by "
-                                     "the engine running its process");
-        return -1;
-    }
-    int rc = -1;
-    PyObject *nowobj = NULL, *step = NULL, *pre = NULL, *chain = NULL;
-    if (set_attr(op, s_engine, engine) < 0 ||
-        set_attr(op, s_proc, proc) < 0)
-        goto out;
-    step = PyObject_GetAttr(op, s_advance_name); /* bound self._advance */
-    if (step == NULL || set_attr(op, s_step, step) < 0)
-        goto out;
-    chain = get_attr(op, s_chain);
+    Py_DECREF(engine); /* the process keeps it alive */
+    if (engine != ctx->engine)
+        return not_walked();
+    Py_XSETREF(op->engine, Py_NewRef(engine));
+    Py_XSETREF(op->proc, Py_NewRef(proc));
+    PyObject *chain = OP_GET(op, chain);
     if (chain == NULL)
-        goto out;
-    if (chain != Py_None) {
-        rc = fused_load_step(ctx, op, engine);
-        goto out;
-    }
-    nowobj = get_attr(engine, s_now);
-    if (nowobj == NULL || set_attr(op, s_start, nowobj) < 0)
-        goto out;
-    if (set_ll(op, s_phase, 0) < 0 || set_ll(op, s_idx, 1) < 0)
-        goto out;
-    pre = get_attr(op, s_pre);
+        return -1;
+    if (chain != Py_None)
+        return fused_load_step(ctx, op);
+    PyObject *nowobj = now_obj(ctx);
+    if (nowobj == NULL)
+        return -1;
+    Py_XSETREF(op->start, Py_NewRef(nowobj));
+    op->phase = 0;
+    op->idx = 1;
+    PyObject *pre = OP_GET(op, pre);
     if (pre == NULL)
-        goto out;
+        return -1;
     if (!PyTuple_Check(pre) || PyTuple_GET_SIZE(pre) < 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fused op pre-delays must be a non-empty tuple");
-        goto out;
+        PyErr_SetString(PyExc_TypeError, "fused op pre-delays must be a non-empty tuple");
+        return -1;
     }
     double d = PyFloat_AsDouble(PyTuple_GET_ITEM(pre, 0));
     if (d == -1.0 && PyErr_Occurred())
-        goto out;
-    rc = fused_dispatch(ctx, op, engine, d);
-out:
-    Py_XDECREF(chain);
-    Py_XDECREF(pre);
-    Py_XDECREF(step);
-    Py_XDECREF(nowobj);
-    Py_DECREF(engine);
-    return rc;
+        return -1;
+    return fused_dispatch(ctx, op, d);
 }
 
 /* Resource._deliver_grant(proc), compiled: the done-check plus dispatch
@@ -1271,6 +1343,15 @@ out:
 static int
 deliver_grant_fast(RunCtx *ctx, PyObject *resource, PyObject *proc)
 {
+    if (IS_OP(proc)) {
+        FusedOp *op = (FusedOp *)proc;
+        if (op->done) /* cancelled between grant and wake-up: re-offer */
+            return resource_release(ctx, resource);
+        if (op->engine != ctx->engine)
+            return not_walked();
+        ctx->grants++; /* proc.engine.grant_resumes += 1 */
+        return fused_resume(ctx, op);
+    }
     PyObject *done = get_attr(proc, s_done);
     if (done == NULL)
         return -1;
@@ -1278,36 +1359,270 @@ deliver_grant_fast(RunCtx *ctx, PyObject *resource, PyObject *proc)
     Py_DECREF(done);
     if (is_done < 0)
         return -1;
-    if (is_done) {
-        /* cancelled between grant and wake-up: the slot is re-offered */
-        return resource_release(resource);
-    }
+    if (is_done)
+        return resource_release(ctx, resource);
     /* proc.engine.grant_resumes += 1 */
     PyObject *engine = get_attr(proc, s_engine);
     if (engine == NULL)
         return -1;
-    if (engine == ctx->engine)
-        ctx->grants++;
-    else if (bump_ll_attr(engine, s_grant_resumes) < 0) {
-        Py_DECREF(engine);
-        return -1;
-    }
+    int own_engine = engine == ctx->engine;
+    int rc = own_engine ? 0 : bump_ll_attr(engine, s_grant_resumes);
     Py_DECREF(engine);
+    if (rc < 0)
+        return -1;
+    if (own_engine)
+        ctx->grants++;
     if ((PyObject *)Py_TYPE(proc) == g_process_cls)
         return resume_fast(ctx, proc, Py_None);
-    if ((PyObject *)Py_TYPE(proc) == g_fusedop_cls)
-        return fused_resume(ctx, proc);
-    PyObject *r = PyObject_CallMethodOneArg(proc, s_resume_pub, Py_None);
-    if (r == NULL)
+    PyObject *args[2] = {proc, Py_None};
+    return call_out_void(ctx, NULL, s_resume_pub, args, 2);
+}
+
+/* ---- the FusedOp type ----
+ *
+ * What the Python side sees of an op: its fields as attributes, and the
+ * iterator a caller drives with `yield from` -- `__next__` first yields
+ * the op itself (the request the process hands the core), and once the
+ * operation completes the delegating generator is resumed with the
+ * result, which the op turns into StopIteration(result): no generator
+ * frame. `close()` mirrors the generator's `finally`: a held NIC slot is
+ * released, a queued op is skipped by Resource.release via `done`. Only
+ * engines that drive fused ops build them (Network.op_type). */
+
+static int
+fusedop_init(FusedOp *op, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"trace", "src", "category", "pre", "nic", "hold",
+                             "post", "counter", "amount", "chain", "pos", "end",
+                             "duration", "tid", "claim", NULL};
+    PyObject *trace, *src, *category = Py_None, *pre = NULL, *nic = Py_None;
+    PyObject *hold = Py_None, *post = NULL, *counter = Py_None, *amount = NULL;
+    PyObject *chain = Py_None, *tid = Py_None, *claim = Py_None;
+    long long pos = 0, end = 0;
+    double duration = 0.0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|OOOOOOOOLLdOO:FusedOp", kwlist,
+                                     &trace, &src, &category, &pre, &nic, &hold,
+                                     &post, &counter, &amount, &chain, &pos, &end,
+                                     &duration, &tid, &claim))
         return -1;
-    Py_DECREF(r);
+    PyObject *empty = PyTuple_New(0), *zero = PyLong_FromLong(0);
+    if (empty == NULL || zero == NULL) {
+        Py_XDECREF(empty);
+        Py_XDECREF(zero);
+        return -1;
+    }
+    Py_XSETREF(op->trace, Py_NewRef(trace));
+    Py_XSETREF(op->src, Py_NewRef(src));
+    Py_XSETREF(op->category, Py_NewRef(category));
+    Py_XSETREF(op->pre, Py_NewRef(pre ? pre : empty));
+    Py_XSETREF(op->nic, Py_NewRef(nic));
+    Py_XSETREF(op->hold, Py_NewRef(hold));
+    Py_XSETREF(op->post, Py_NewRef(post ? post : empty));
+    Py_XSETREF(op->counter, Py_NewRef(counter));
+    Py_XSETREF(op->amount, Py_NewRef(amount ? amount : zero));
+    Py_XSETREF(op->chain, Py_NewRef(chain));
+    Py_XSETREF(op->tid, Py_NewRef(tid));
+    Py_XSETREF(op->claim, Py_NewRef(claim));
+    Py_XSETREF(op->proc, Py_NewRef(Py_None));
+    Py_XSETREF(op->result, Py_NewRef(Py_None));
+    Py_DECREF(empty);
+    Py_DECREF(zero);
+    op->pos = pos;
+    op->end = end;
+    op->duration = duration;
+    op->holding = op->done = 0;
     return 0;
 }
 
+static int
+fusedop_traverse(FusedOp *op, visitproc visit, void *arg)
+{
+    Py_VISIT(op->trace);
+    Py_VISIT(op->src);
+    Py_VISIT(op->category);
+    Py_VISIT(op->pre);
+    Py_VISIT(op->nic);
+    Py_VISIT(op->hold);
+    Py_VISIT(op->post);
+    Py_VISIT(op->counter);
+    Py_VISIT(op->amount);
+    Py_VISIT(op->chain);
+    Py_VISIT(op->tid);
+    Py_VISIT(op->claim);
+    Py_VISIT(op->engine);
+    Py_VISIT(op->proc);
+    Py_VISIT(op->start);
+    Py_VISIT(op->result);
+    return 0;
+}
+
+static int
+fusedop_clear(FusedOp *op)
+{
+    Py_CLEAR(op->trace);
+    Py_CLEAR(op->src);
+    Py_CLEAR(op->category);
+    Py_CLEAR(op->pre);
+    Py_CLEAR(op->nic);
+    Py_CLEAR(op->hold);
+    Py_CLEAR(op->post);
+    Py_CLEAR(op->counter);
+    Py_CLEAR(op->amount);
+    Py_CLEAR(op->chain);
+    Py_CLEAR(op->tid);
+    Py_CLEAR(op->claim);
+    Py_CLEAR(op->engine);
+    Py_CLEAR(op->proc);
+    Py_CLEAR(op->start);
+    Py_CLEAR(op->result);
+    return 0;
+}
+
+static void
+fusedop_dealloc(FusedOp *op)
+{
+    PyObject_GC_UnTrack(op);
+    if (op->weakreflist != NULL)
+        PyObject_ClearWeakRefs((PyObject *)op);
+    fusedop_clear(op);
+    Py_TYPE(op)->tp_free((PyObject *)op);
+}
+
+/* StopIteration(value), the operation's end as `yield from` sees it. */
+static PyObject *
+fusedop_stop(PyObject *value)
+{
+    PyObject *args = PyTuple_Pack(1, value);
+    if (args != NULL) {
+        PyErr_SetObject(PyExc_StopIteration, args);
+        Py_DECREF(args);
+    }
+    return NULL;
+}
+
+static PyObject *
+fusedop_iternext(FusedOp *op)
+{
+    if (op->proc == Py_None)
+        return Py_NewRef(op); /* first advance: hand the request to the process */
+    PyObject *result = OP_GET(op, result);
+    return result == NULL ? NULL : fusedop_stop(result);
+}
+
+static PyObject *
+fusedop_send(FusedOp *op, PyObject *value)
+{
+    if (op->proc != Py_None)
+        return fusedop_stop(value);
+    if (value != Py_None) {
+        PyErr_SetString(PyExc_TypeError,
+                        "can't send non-None value to a just-started operation");
+        return NULL;
+    }
+    return Py_NewRef(op);
+}
+
+/* Abort mid-operation (process cancelled): release a held slot. Python
+ * calls this (a generator's close), so the core, if it is running, has
+ * published its clock and counter already. */
+static PyObject *
+fusedop_close(FusedOp *op, PyObject *Py_UNUSED(ignored))
+{
+    if (!op->done) {
+        op->done = 1;
+        if (op->holding) {
+            op->holding = 0;
+            PyObject *nic = OP_GET(op, nic);
+            if (nic == NULL)
+                return NULL;
+            Py_INCREF(nic);
+            PyObject *r = PyObject_CallMethodNoArgs(nic, s_release);
+            Py_DECREF(nic);
+            if (r == NULL)
+                return NULL;
+            Py_DECREF(r);
+        }
+    }
+    Py_RETURN_NONE;
+}
+
+/* The callback a pending step stands for once it leaves the core (see
+ * flush_events); only the core, which recognises it, may run it. */
+static PyObject *
+fusedop_advance(FusedOp *op, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyErr_SetString(g_sim_error ? g_sim_error : PyExc_RuntimeError, "a fused network op is walked only by the "
+                                 "compiled engine core; on any other engine "
+                                 "the Network runs its generators");
+    return NULL;
+}
+
+static PyMethodDef fusedop_methods[] = {
+    {"send", (PyCFunction)fusedop_send, METH_O,
+     "send(value): StopIteration(value) once walked."},
+    {"close", (PyCFunction)fusedop_close, METH_NOARGS,
+     "close(): abort the operation, releasing a held NIC slot."},
+    {"_advance", (PyCFunction)(void (*)(void))fusedop_advance, METH_FASTCALL,
+     "_advance(arg=None): one step of the walk; the core's callback."},
+    {NULL, NULL, 0, NULL},
+};
+
+#define OP_MEMBER(name, type)                                                  \
+    {#name, type, offsetof(FusedOp, name), 0, NULL}
+static PyMemberDef fusedop_members[] = {
+    OP_MEMBER(trace, T_OBJECT_EX),
+    OP_MEMBER(src, T_OBJECT_EX),
+    OP_MEMBER(category, T_OBJECT_EX),
+    OP_MEMBER(pre, T_OBJECT_EX),
+    OP_MEMBER(nic, T_OBJECT_EX),
+    OP_MEMBER(hold, T_OBJECT_EX),
+    OP_MEMBER(post, T_OBJECT_EX),
+    OP_MEMBER(counter, T_OBJECT_EX),
+    OP_MEMBER(amount, T_OBJECT_EX),
+    OP_MEMBER(chain, T_OBJECT_EX),
+    OP_MEMBER(pos, T_LONGLONG),
+    OP_MEMBER(end, T_LONGLONG),
+    OP_MEMBER(duration, T_DOUBLE),
+    OP_MEMBER(tid, T_OBJECT_EX),
+    OP_MEMBER(claim, T_OBJECT_EX),
+    OP_MEMBER(engine, T_OBJECT_EX),
+    OP_MEMBER(proc, T_OBJECT_EX),
+    OP_MEMBER(start, T_OBJECT_EX),
+    OP_MEMBER(phase, T_INT),
+    OP_MEMBER(idx, T_LONGLONG),
+    OP_MEMBER(holding, T_BOOL),
+    OP_MEMBER(done, T_BOOL),
+    OP_MEMBER(result, T_OBJECT_EX),
+    {NULL, 0, 0, 0, NULL},
+};
+#undef OP_MEMBER
+
+static PyTypeObject FusedOpType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simulate._engine_core.FusedOp",
+    .tp_doc = "FusedOp(trace, src, category=None, pre=(), nic=None, hold=None, "
+              "post=(), counter=None, amount=0, chain=None, pos=0, end=0, "
+              "duration=0.0, tid=None, claim=None): traced network operations "
+              "-- one, a whole task's chain, or a claim loop of tasks -- as a "
+              "single request the compiled core walks.",
+    .tp_basicsize = sizeof(FusedOp),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)fusedop_init,
+    .tp_dealloc = (destructor)fusedop_dealloc,
+    .tp_traverse = (traverseproc)fusedop_traverse,
+    .tp_clear = (inquiry)fusedop_clear,
+    .tp_weaklistoffset = offsetof(FusedOp, weakreflist),
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)fusedop_iternext,
+    .tp_methods = fusedop_methods,
+    .tp_members = fusedop_members,
+};
+
 /* Call a dispatched callback. `arg == NULL` means the heap convention
  * (no-argument call); otherwise the run-queue convention cb(arg). Bound
- * Process.resume / Resource._deliver_grant methods short-circuit into
- * the compiled fast paths. */
+ * Process.resume / Resource._deliver_grant / FusedOp._advance methods
+ * short-circuit into the compiled fast paths. */
 static int
 invoke_callback(RunCtx *ctx, PyObject *cb, PyObject *arg)
 {
@@ -1318,27 +1633,48 @@ invoke_callback(RunCtx *ctx, PyObject *cb, PyObject *arg)
                                arg != NULL ? arg : Py_None);
         if (func == g_deliver_func && arg != NULL && arg != Py_None)
             return deliver_grant_fast(ctx, PyMethod_GET_SELF(cb), arg);
-        if (func == g_advance_func)
-            return fused_advance(ctx, PyMethod_GET_SELF(cb));
     }
-    PyObject *r = arg != NULL ? PyObject_CallOneArg(cb, arg)
-                              : PyObject_CallNoArgs(cb);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    else if (PyCFunction_Check(cb) &&
+             PyCFunction_GET_FUNCTION(cb) == (PyCFunction)(void (*)(void))fusedop_advance &&
+             IS_OP(PyCFunction_GET_SELF(cb)))
+        return fused_advance(ctx, (FusedOp *)PyCFunction_GET_SELF(cb));
+    return call_out_void(ctx, cb, NULL, &arg, arg != NULL ? 1 : 0);
 }
 
-/* Flush C-held events back into the Python heap as ordinary
- * (time, seq, callback) tuples -- run on every loop exit so the
- * engine's observable pending-event state matches the Python engine's.
- * Resume events carry proc._resume; fused-op steps carry a bound
- * _advance made here, because an op closed since has dropped its _step
- * and its pending wake-up must still be dispatched (and dropped), as the
- * reference engine dispatches a cancelled generator's pending Timeout.
- * Returns -1 (with an exception set) if any event could not be moved. */
+/* Fire one C-held event: the caller's references to obj and arg are
+ * released here. */
 static int
-flush_cheap(RunCtx *ctx)
+fire(RunCtx *ctx, int kind, PyObject *obj, PyObject *arg)
+{
+    int rc = kind == EV_RESUME  ? resume_fast(ctx, obj, Py_None)
+             : kind == EV_FUSED ? fused_advance(ctx, (FusedOp *)obj)
+                                : deliver_grant_fast(ctx, obj, arg);
+    Py_DECREF(obj);
+    Py_XDECREF(arg);
+    return rc;
+}
+
+/* The bound method a C-held event stands for: proc._resume,
+ * op._advance or resource._deliver_grant (a new reference). */
+static PyObject *
+event_callback(int kind, PyObject *obj)
+{
+    if (kind == EV_FUSED)
+        return PyObject_GetAttr(obj, s_advance_name);
+    return PyMethod_New(kind == EV_RESUME ? g_resume_func : g_deliver_func, obj);
+}
+
+/* Flush C-held events back into the Python structures -- the heap as
+ * (time, seq, callback) tuples, the run-queue merged into engine._ready
+ * by seq as (seq, callback, arg) tuples -- on every loop exit, so the
+ * engine's pending-event state matches the Python engine's. A fused-op
+ * step carries a bound _advance made here, and its pending wake-up is
+ * dispatched (and dropped) also when the op was closed since, as the
+ * reference engine dispatches a cancelled generator's pending Timeout.
+ * Returns -1 (with an exception set) if any event could not be moved;
+ * every C-held reference is released either way. */
+static int
+flush_events(RunCtx *ctx)
 {
     int rc = 0;
     while (ctx->ch_len > 0) {
@@ -1346,36 +1682,98 @@ flush_cheap(RunCtx *ctx)
         if (rc == 0) {
             PyObject *timeobj = PyFloat_FromDouble(ev.time);
             PyObject *seqobj = PyLong_FromLongLong(ev.seq);
-            PyObject *cb = NULL;
-            if (timeobj && seqobj)
-                cb = ev.kind == EV_RESUME
-                         ? get_attr(ev.obj, s_resume_attr)
-                         : PyObject_GetAttr(ev.obj, s_advance_name);
-            PyObject *tup =
-                cb != NULL ? PyTuple_Pack(3, timeobj, seqobj, cb) : NULL;
+            PyObject *cb = timeobj && seqobj ? event_callback(ev.kind, ev.obj) : NULL;
+            PyObject *tup = cb != NULL ? PyTuple_Pack(3, timeobj, seqobj, cb) : NULL;
             Py_XDECREF(timeobj);
             Py_XDECREF(seqobj);
             Py_XDECREF(cb);
-            if (tup == NULL)
+            PyObject *args[2] = {ctx->heap, tup};
+            PyObject *r = tup != NULL ? call_c(g_heappush, NULL, args, 2) : NULL;
+            Py_XDECREF(tup);
+            if (r == NULL)
                 rc = -1;
-            else {
-                PyObject *r =
-                    PyObject_CallFunctionObjArgs(g_heappush, ctx->heap, tup, NULL);
-                Py_DECREF(tup);
-                if (r == NULL)
-                    rc = -1;
-                else
-                    Py_DECREF(r);
-            }
+            Py_XDECREF(r);
         }
         Py_DECREF(ev.obj);
     }
+    /* Merge: engine._ready's entries come out and go back in seq order
+     * with the core's. */
+    PyObject *pending = ctx->q_len > 0 ? PySequence_List(ctx->ready) : NULL;
+    if (ctx->q_len > 0 && pending == NULL)
+        rc = -1;
+    if (pending != NULL && rc == 0) {
+        PyObject *r = call_c(NULL, s_clear, &ctx->ready, 1);
+        if (r == NULL)
+            rc = -1;
+        Py_XDECREF(r);
+    }
+    Py_ssize_t i = 0, n = pending != NULL ? PyList_GET_SIZE(pending) : 0;
+    while (ctx->q_len > 0 || (rc == 0 && i < n)) {
+        PyObject *item = NULL;
+        if (rc == 0 && i < n) {
+            PyObject *head = PyList_GET_ITEM(pending, i);
+            long long seq = LLONG_MIN; /* a malformed entry keeps its place */
+            if (ctx->q_len > 0 && PyTuple_Check(head) && PyTuple_GET_SIZE(head) == 3) {
+                seq = PyLong_AsLongLong(PyTuple_GET_ITEM(head, 0));
+                if (seq == -1 && PyErr_Occurred()) {
+                    PyErr_Clear();
+                    seq = LLONG_MIN;
+                }
+            }
+            if (ctx->q_len == 0 || seq < ctx->q[ctx->q_head].seq) {
+                item = Py_NewRef(head);
+                i++;
+            }
+        }
+        if (item == NULL) {
+            QEntry e = q_pop(ctx);
+            if (rc == 0) {
+                PyObject *seqobj = PyLong_FromLongLong(e.seq);
+                PyObject *cb = seqobj ? event_callback(e.kind, e.obj) : NULL;
+                item = cb ? PyTuple_Pack(3, seqobj, cb, e.arg ? e.arg : Py_None)
+                          : NULL;
+                Py_XDECREF(cb);
+                Py_XDECREF(seqobj);
+                if (item == NULL)
+                    rc = -1;
+            }
+            Py_DECREF(e.obj);
+            Py_XDECREF(e.arg);
+        }
+        if (item != NULL) {
+            PyObject *args[2] = {ctx->ready, item};
+            PyObject *r = call_c(NULL, s_append, args, 2);
+            Py_DECREF(item);
+            if (r == NULL)
+                rc = -1;
+            Py_XDECREF(r);
+        }
+    }
+    Py_XDECREF(pending);
     return rc;
 }
 
+/* The seq of engine._ready's head entry, or -1 with an exception. */
+static int
+ready_head_seq(PyObject *ready, long long *seq)
+{
+    PyObject *r0 = PySequence_GetItem(ready, 0);
+    if (r0 == NULL || !PyTuple_Check(r0) || PyTuple_GET_SIZE(r0) != 3) {
+        Py_XDECREF(r0);
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "run-queue entry is not a (seq, cb, arg) tuple");
+        return -1;
+    }
+    *seq = PyLong_AsLongLong(PyTuple_GET_ITEM(r0, 0));
+    Py_DECREF(r0);
+    return *seq == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
 /* run(engine, until) -> 1 if stopped at the horizon, 0 if drained.
- * Counters and `now` are written back on every exit path (the Python
- * loop's `finally`), and callback exceptions propagate unchanged. */
+ * Counters, the clock and the seq counter are written back on every exit
+ * path (the Python loop's `finally`), and callback exceptions propagate
+ * unchanged. */
 static PyObject *
 core_run(PyObject *self, PyObject *args)
 {
@@ -1389,55 +1787,52 @@ core_run(PyObject *self, PyObject *args)
     }
 
     RunCtx ctx;
+    memset(&ctx, 0, sizeof ctx);
     ctx.engine = engine;
     ctx.heap = get_attr(engine, s_heap);
-    ctx.ready = get_attr(engine, s_ready);
-    ctx.ready_append = ctx.ready ? PyObject_GetAttr(ctx.ready, s_append) : NULL;
+    ctx.ready = ctx.heap ? get_attr(engine, s_ready) : NULL;
     PyObject *pop_ready =
         ctx.ready ? PyObject_GetAttr(ctx.ready, s_popleft) : NULL;
+    ctx.pub_now = pop_ready ? get_attr(engine, s_now) : NULL;
+    ctx.pub_seq = ctx.pub_now ? get_attr(engine, s_seq) : NULL;
     if (!g_spare_busy) {
         ctx.ch = g_spare;
         ctx.ch_cap = g_spare_cap;
-        ctx.ch_owned = 0;
         g_spare_busy = 1;
     }
-    else {
-        ctx.ch = NULL;
-        ctx.ch_cap = 0;
+    else
         ctx.ch_owned = 1;
-    }
-    ctx.ch_len = 0;
-    ctx.timeout_allocs = 0;
-    ctx.grants = 0;
 
     long long dispatched = 0, from_ready = 0;
-    double now = 0.0;
+    double now = 0.0; /* the loop's own clock: engine.now as it last set it */
     int err = 0, horizon = 0;
 
-    if (ctx.heap == NULL || ctx.ready == NULL || ctx.ready_append == NULL ||
-        pop_ready == NULL || !PyList_Check(ctx.heap) ||
+    if (ctx.pub_seq == NULL || !PyList_Check(ctx.heap) ||
+        !Py_IS_TYPE(ctx.ready, g_deque_type) ||
         get_ll(engine, s_events_dispatched, &dispatched) < 0 ||
         get_ll(engine, s_ready_dispatched, &from_ready) < 0 ||
-        get_double(engine, s_now, &now) < 0) {
+        (ctx.now = PyFloat_AsDouble(ctx.pub_now), ctx.now == -1.0 && PyErr_Occurred()) ||
+        (ctx.seq = PyLong_AsLongLong(ctx.pub_seq), ctx.seq == -1 && PyErr_Occurred())) {
         if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "engine._heap must be a list");
+            PyErr_SetString(PyExc_TypeError, "engine._heap must be a list and "
+                                             "engine._ready a collections.deque");
         Py_XDECREF(ctx.heap);
         Py_XDECREF(ctx.ready);
-        Py_XDECREF(ctx.ready_append);
         Py_XDECREF(pop_ready);
+        Py_XDECREF(ctx.pub_now);
+        Py_XDECREF(ctx.pub_seq);
         if (ctx.ch_owned)
             free(ctx.ch);
         else
             g_spare_busy = 0;
         return NULL;
     }
+    now = ctx.now;
+    ctx.pub_seq_val = ctx.seq;
+    ctx.now_obj = Py_NewRef(ctx.pub_now);
 
     for (;;) {
-        Py_ssize_t nready = PyObject_Size(ctx.ready);
-        if (nready < 0) {
-            err = 1;
-            break;
-        }
+        Py_ssize_t nready = Py_SIZE(ctx.ready); /* a deque's length */
 
         /* best pending timed event across the Python and C heaps */
         int have_best = 0, best_c = 0;
@@ -1459,56 +1854,50 @@ core_run(PyObject *self, PyObject *args)
             }
             have_best = 1;
         }
+        int due = have_best && bt <= now;
 
-        if (nready > 0) {
-            int use_heap = 0;
-            if (have_best && bt <= now) {
-                PyObject *r0 = PySequence_GetItem(ctx.ready, 0);
-                if (r0 == NULL || !PyTuple_Check(r0) ||
-                    PyTuple_GET_SIZE(r0) != 3) {
-                    Py_XDECREF(r0);
-                    if (!PyErr_Occurred())
-                        PyErr_SetString(
-                            PyExc_TypeError,
-                            "run-queue entry is not a (seq, cb, arg) tuple");
+        if (nready > 0 || ctx.q_len > 0) {
+            /* the lower seq of the two run-queue heads, unless a due heap
+             * event has a lower one still */
+            int from_c = ctx.q_len > 0;
+            long long rs = from_c ? ctx.q[ctx.q_head].seq : 0;
+            if (nready > 0 && (from_c || due)) {
+                long long ps;
+                if (ready_head_seq(ctx.ready, &ps) < 0) {
                     err = 1;
                     break;
                 }
-                long long rs = PyLong_AsLongLong(PyTuple_GET_ITEM(r0, 0));
-                Py_DECREF(r0);
-                if (rs == -1 && PyErr_Occurred()) {
-                    err = 1;
-                    break;
+                if (!from_c || ps < rs) {
+                    rs = ps;
+                    from_c = 0;
                 }
-                if (bs < rs)
-                    use_heap = 1;
             }
-            if (use_heap) {
-                dispatched++;
-                int rc;
+            int rc;
+            if (due && bs < rs) {
                 if (best_c) {
+                    dispatched++;
                     CEvent ev = cheap_pop(&ctx);
-                    rc = ev.kind == EV_RESUME
-                             ? resume_fast(&ctx, ev.obj, Py_None)
-                             : fused_advance(&ctx, ev.obj);
-                    Py_DECREF(ev.obj);
+                    rc = fire(&ctx, ev.kind, ev.obj, NULL);
                 }
                 else {
-                    PyObject *item = PyObject_CallOneArg(g_heappop, ctx.heap);
+                    PyObject *item = call_c(g_heappop, NULL, &ctx.heap, 1);
                     if (item == NULL) {
                         err = 1;
                         break;
                     }
+                    dispatched++;
                     rc = invoke_callback(&ctx, PyTuple_GET_ITEM(item, 2), NULL);
                     Py_DECREF(item);
                 }
-                if (rc < 0) {
-                    err = 1;
-                    break;
-                }
+            }
+            else if (from_c) {
+                dispatched++;
+                from_ready++;
+                QEntry e = q_pop(&ctx);
+                rc = fire(&ctx, e.kind, e.obj, e.arg);
             }
             else {
-                PyObject *item = PyObject_CallNoArgs(pop_ready);
+                PyObject *item = call_c(pop_ready, NULL, NULL, 0);
                 if (item == NULL || !PyTuple_Check(item) ||
                     PyTuple_GET_SIZE(item) != 3) {
                     Py_XDECREF(item);
@@ -1521,39 +1910,37 @@ core_run(PyObject *self, PyObject *args)
                 }
                 dispatched++;
                 from_ready++;
-                int rc = invoke_callback(&ctx, PyTuple_GET_ITEM(item, 1),
-                                         PyTuple_GET_ITEM(item, 2));
+                rc = invoke_callback(&ctx, PyTuple_GET_ITEM(item, 1),
+                                     PyTuple_GET_ITEM(item, 2));
                 Py_DECREF(item);
-                if (rc < 0) {
-                    err = 1;
-                    break;
-                }
+            }
+            if (rc < 0) {
+                err = 1;
+                break;
             }
         }
         else if (have_best) {
             if (bt > until) {
                 now = until;
-                if (set_double(engine, s_now, until) < 0)
-                    err = 1;
-                else
-                    horizon = 1;
-                break;
+                horizon = 1;
             }
-            now = bt;
-            if (set_double(engine, s_now, now) < 0) {
-                err = 1;
-                break;
+            else
+                now = bt;
+            if (ctx.now != now || ctx.now_obj == NULL ||
+                !PyFloat_CheckExact(ctx.now_obj)) {
+                ctx.now = now;
+                Py_CLEAR(ctx.now_obj); /* made when first needed */
             }
+            if (horizon)
+                break;
             dispatched++;
             int rc;
             if (best_c) {
                 CEvent ev = cheap_pop(&ctx);
-                rc = ev.kind == EV_RESUME ? resume_fast(&ctx, ev.obj, Py_None)
-                                          : fused_advance(&ctx, ev.obj);
-                Py_DECREF(ev.obj);
+                rc = fire(&ctx, ev.kind, ev.obj, NULL);
             }
             else {
-                PyObject *item = PyObject_CallOneArg(g_heappop, ctx.heap);
+                PyObject *item = call_c(g_heappop, NULL, &ctx.heap, 1);
                 if (item == NULL) {
                     err = 1;
                     break;
@@ -1572,35 +1959,46 @@ core_run(PyObject *self, PyObject *args)
     }
 
     /* finally: restore the engine's observable state -- flush C-held
-     * events into the Python heap and write the counters back --
-     * preserving any pending exception. */
+     * events into the Python structures, publish the clock and counter,
+     * write the counters back. Every step runs; the first exception (the
+     * loop's, if it raised) is the one run() raises. */
     PyObject *et = NULL, *ev = NULL, *etb = NULL;
     if (err)
         PyErr_Fetch(&et, &ev, &etb);
-    if (flush_cheap(&ctx) < 0 && !err)
-        err = 1;
-    if (set_ll(engine, s_events_dispatched, dispatched) < 0 && !err)
-        err = 1;
-    else if (set_ll(engine, s_ready_dispatched, from_ready) < 0 && !err)
-        err = 1;
+#define KEEP_FIRST_ERROR(failed)                                               \
+    do {                                                                       \
+        if (failed) {                                                          \
+            if (err)                                                           \
+                PyErr_Clear();                                                 \
+            else                                                               \
+                PyErr_Fetch(&et, &ev, &etb);                                   \
+            err = 1;                                                           \
+        }                                                                      \
+    } while (0)
+    KEEP_FIRST_ERROR(flush_events(&ctx) < 0);
+    KEEP_FIRST_ERROR(publish(&ctx) < 0);
+    KEEP_FIRST_ERROR(set_ll(engine, s_events_dispatched, dispatched) < 0);
+    KEEP_FIRST_ERROR(set_ll(engine, s_ready_dispatched, from_ready) < 0);
     /* Fold the fast-path deltas into whatever Python-side callbacks
      * already accumulated on the attributes during this run -- also when
      * a callback raised: the Python engine counted those events too. */
     long long base;
-    if (ctx.timeout_allocs != 0 &&
-        (get_ll(engine, s_timeout_allocs, &base) < 0 ||
-         set_ll(engine, s_timeout_allocs, base + ctx.timeout_allocs) < 0))
-        err = 1;
-    if (ctx.grants != 0 &&
-        (get_ll(engine, s_grant_resumes, &base) < 0 ||
-         set_ll(engine, s_grant_resumes, base + ctx.grants) < 0))
-        err = 1;
+    KEEP_FIRST_ERROR(ctx.timeout_allocs != 0 &&
+                     (get_ll(engine, s_timeout_allocs, &base) < 0 ||
+                      set_ll(engine, s_timeout_allocs, base + ctx.timeout_allocs) < 0));
+    KEEP_FIRST_ERROR(ctx.grants != 0 &&
+                     (get_ll(engine, s_grant_resumes, &base) < 0 ||
+                      set_ll(engine, s_grant_resumes, base + ctx.grants) < 0));
+#undef KEEP_FIRST_ERROR
     if (et != NULL || ev != NULL || etb != NULL)
         PyErr_Restore(et, ev, etb);
     Py_DECREF(ctx.heap);
     Py_DECREF(ctx.ready);
-    Py_DECREF(ctx.ready_append);
     Py_DECREF(pop_ready);
+    Py_XDECREF(ctx.now_obj);
+    Py_DECREF(ctx.pub_now);
+    Py_DECREF(ctx.pub_seq);
+    free(ctx.q);
     if (ctx.ch_owned)
         free(ctx.ch);
     else {
@@ -1617,10 +2015,10 @@ static PyObject *
 core_setup(PyObject *self, PyObject *args)
 {
     PyObject *process_cls, *timeout_cls, *request_cls, *sim_error;
-    PyObject *resource_cls, *timeout_pool, *fusedop_cls, *trace_cls;
-    if (!PyArg_ParseTuple(args, "OOOOOOOO:setup", &process_cls, &timeout_cls,
-                          &request_cls, &sim_error, &resource_cls,
-                          &timeout_pool, &fusedop_cls, &trace_cls))
+    PyObject *resource_cls, *timeout_pool, *trace_cls;
+    if (!PyArg_ParseTuple(args, "OOOOOOO:setup", &process_cls, &timeout_cls,
+                          &request_cls, &sim_error, &resource_cls, &timeout_pool,
+                          &trace_cls))
         return NULL;
     if (!PyList_Check(timeout_pool)) {
         PyErr_SetString(PyExc_TypeError, "timeout_pool must be a list");
@@ -1634,12 +2032,6 @@ core_setup(PyObject *self, PyObject *args)
         Py_DECREF(resume);
         return NULL;
     }
-    PyObject *advance = PyObject_GetAttrString(fusedop_cls, "_advance");
-    if (advance == NULL) {
-        Py_DECREF(resume);
-        Py_DECREF(deliver);
-        return NULL;
-    }
     Py_XSETREF(g_process_cls, Py_NewRef(process_cls));
     Py_XSETREF(g_timeout_cls, Py_NewRef(timeout_cls));
     Py_XSETREF(g_request_cls, Py_NewRef(request_cls));
@@ -1647,8 +2039,6 @@ core_setup(PyObject *self, PyObject *args)
     Py_XSETREF(g_resume_func, resume);
     Py_XSETREF(g_deliver_func, deliver);
     Py_XSETREF(g_timeout_pool, Py_NewRef(timeout_pool));
-    Py_XSETREF(g_fusedop_cls, Py_NewRef(fusedop_cls));
-    Py_XSETREF(g_advance_func, advance);
     Py_XSETREF(g_resource_cls, Py_NewRef(resource_cls));
     Py_XSETREF(g_trace_cls, Py_NewRef(trace_cls));
     Py_RETURN_NONE;
@@ -2189,8 +2579,8 @@ static PyMethodDef core_methods[] = {
      "place; the compiled form of repro.balance.partition._fm_pass."},
     {"setup", core_setup, METH_VARARGS,
      "setup(Process, Timeout, Request, SimulationError, Resource, "
-     "timeout_pool, FusedOp, TraceRecorder): register the engine's "
-     "collaborator classes and the shared Timeout freelist."},
+     "timeout_pool, TraceRecorder): register the engine's collaborator "
+     "classes and the shared Timeout freelist."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2217,6 +2607,13 @@ PyInit__engine_core(void)
     Py_DECREF(heapq);
     if (g_heappush == NULL || g_heappop == NULL)
         return NULL;
+    PyObject *collections = PyImport_ImportModule("collections");
+    if (collections == NULL)
+        return NULL;
+    g_deque_type = (PyTypeObject *)PyObject_GetAttrString(collections, "deque");
+    Py_DECREF(collections);
+    if (g_deque_type == NULL)
+        return NULL;
 
 #define INTERN(var, text)                                                      \
     do {                                                                       \
@@ -2236,6 +2633,7 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_grant_resumes, "grant_resumes");
     INTERN(s_popleft, "popleft");
     INTERN(s_append, "append");
+    INTERN(s_clear, "clear");
     INTERN_ATTR(s_done, "done");
     INTERN_ATTR(s_cancelled, "cancelled");
     INTERN_ATTR(s_send, "_send");
@@ -2248,28 +2646,6 @@ PyInit__engine_core(void)
     INTERN(s_activate, "activate");
     INTERN(s_release, "release");
     INTERN(s_resume_pub, "resume");
-    INTERN_ATTR(s_pre, "pre");
-    INTERN_ATTR(s_nic, "nic");
-    INTERN_ATTR(s_hold, "hold");
-    INTERN_ATTR(s_post, "post");
-    INTERN_ATTR(s_trace, "trace");
-    INTERN_ATTR(s_src, "src");
-    INTERN_ATTR(s_category, "category");
-    INTERN_ATTR(s_counter, "counter");
-    INTERN_ATTR(s_amount, "amount");
-    INTERN_ATTR(s_proc, "proc");
-    INTERN_ATTR(s_start, "start");
-    INTERN_ATTR(s_phase, "phase");
-    INTERN_ATTR(s_idx, "idx");
-    INTERN_ATTR(s_holding, "holding");
-    INTERN_ATTR(s_result, "result");
-    INTERN_ATTR(s_step, "_step");
-    INTERN_ATTR(s_chain, "chain");
-    INTERN_ATTR(s_pos, "pos");
-    INTERN_ATTR(s_end, "end");
-    INTERN_ATTR(s_duration, "duration");
-    INTERN_ATTR(s_tid, "tid");
-    INTERN_ATTR(s_claim, "claim");
     INTERN(s_record_compute, "record_compute");
     INTERN(s_compute, "compute");
     INTERN(s_advance_name, "_advance");
@@ -2290,5 +2666,15 @@ PyInit__engine_core(void)
 #undef INTERN_ATTR
 #undef INTERN
 
-    return PyModule_Create(&core_module);
+    if (PyType_Ready(&FusedOpType) < 0)
+        return NULL;
+    PyObject *module = PyModule_Create(&core_module);
+    if (module == NULL)
+        return NULL;
+    if (PyModule_AddObject(module, "FusedOp", Py_NewRef(&FusedOpType)) < 0) {
+        Py_DECREF(&FusedOpType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

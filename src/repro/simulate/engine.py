@@ -2,8 +2,12 @@
 
 A tiny SimPy-like engine, purpose-built for this study. :class:`Engine` is
 the readable statement of the dispatch order; the only other engine, the
-compiled core selected by ``repro.simulate.sched``, runs this same heap
-and run-queue from C and must reproduce it event for event.
+compiled core selected by ``repro.simulate.sched``, runs the same order
+from C and must reproduce it event for event. While its ``run()`` lasts
+it keeps ``now``, ``_seq`` and events of its own (a timed-event heap and
+a zero-delay run-queue) in C, publishes ``now`` and ``_seq`` here
+whenever it calls into Python and reads them back after, and on return
+leaves ``_heap`` and ``_ready`` holding exactly what this loop would.
 
 - **Deterministic.** Events at equal timestamps fire in schedule order (a
   monotone sequence number breaks ties), so a run is a pure function of its
@@ -101,9 +105,9 @@ class Engine:
     )
 
     #: Whether Networks built on this engine dispatch traced ops as
-    #: generator-free ``_FusedOp`` requests. False here: this engine runs
+    #: generator-free ``FusedOp`` requests. False here: this engine runs
     #: the generators that interpret each delay program, the reference
-    #: for the compiled engine, whose C core is the only ``_FusedOp``
+    #: for the compiled engine, whose C core is the only ``FusedOp``
     #: walker and flips this.
     drives_fused_ops = False
 

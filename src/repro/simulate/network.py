@@ -22,10 +22,11 @@ endpoints; :meth:`Network._tier_program` by locality tier) is the only
 place a one-sided operation's cost is written, as a ``(pre, hold, post)``
 delay program per ``(kind, tier, nbytes)``. :meth:`Network._walk`
 interprets a program as a generator on the reference engine (and whenever
-fault injection is armed); :class:`_FusedOp` carries the same program —
-or a whole task's chain of them, kernel included, or a claim loop of such
-tasks — as a single request the compiled engine walks in C. Both allocate
-every ``(time, seq)`` at the same dispatch, so runs are bit-identical.
+fault injection is armed); the compiled core's ``FusedOp``
+(:attr:`Network.op_type`) carries the same program — or a whole task's
+chain of them, kernel included, or a claim loop of such tasks — as a
+single request the core walks in C. Both allocate every ``(time, seq)``
+at the same dispatch, so runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.faults.injector import DELIVER, DROP, DUPLICATE
-from repro.simulate.engine import Engine, Request, Resource, SimEvent, Timeout, pooled_timeout
+from repro.simulate.engine import Engine, Resource, SimEvent, pooled_timeout
+from repro.simulate.sched import fused_op_type
 from repro.util import (
     ConfigurationError,
     RankFailedError,
-    SimulationError,
     check_non_negative,
     check_positive,
 )
@@ -148,171 +149,6 @@ class NetworkStats:
     fused_ops: int = 0
 
 
-class _FusedOp(Request):
-    """Traced network operations as a single request the compiled core walks.
-
-    Replaces the per-op ``rma_traced``/``accumulate_traced``/
-    ``fetch_add_traced`` generator frame on the fault-free path of
-    :class:`~repro.simulate.sched.CompiledEngine`: the operation's delay
-    sequence is precomputed (``pre`` delays, an optional NIC hold,
-    ``post`` delays) and the C core (``_engine_core.c``, ``fused_*``)
-    walks it, one C event per delay instead of a generator resume and a
-    ``Timeout`` each. This class holds the walk's state in its slots and
-    the core is its only walker: the reference :class:`Engine` never
-    builds one (``drives_fused_ops`` is False), and activating one there
-    raises :class:`SimulationError`.
-
-    Event-order contract (pinned by the golden digests and by
-    ``tests/simulate/test_sched.py`` against the :meth:`Network._walk`
-    and ``Harness._walk_task`` generators): every event is scheduled, and
-    takes its sequence number, at exactly the dispatch where the
-    generator path took one; the NIC acquire/grant/release protocol is
-    :class:`~repro.simulate.engine.Resource`'s own, with the op queued in
-    place of a waiting process (it has ``done`` and ``engine``); and each
-    trace record is emitted at the event of the generator's trailing
-    ``trace.record`` — so ``(time, seq)`` orders, resource counters and
-    trace intervals are bit-for-bit identical.
-
-    With a ``chain`` the request is a whole task — gets, kernel,
-    accumulates — instead of one operation: ``chain = (steps, nics,
-    node_ids)`` names a flat step list shared by every task of a run and
-    ``steps[pos:end]`` are this task's. A step is ``(dst, (tier-0,
-    tier-1, tier-2 program), category)``, or ``None`` for the kernel, a
-    single ``duration`` delay that counts as the ``Timeout`` it stands
-    for. Each step is armed in the dispatch in which the process's
-    generator would have yielded it — the one that completed the step
-    before. A ``claim`` makes the request a whole claim loop: when a
-    slice runs out, ``claim(op)`` either loads the next one (a task's
-    slice, or a one-step chain of its own for the claim itself) and
-    returns True, or returns False and the op finishes. A step whose
-    program has no ``pre`` delays is a lock hold: the lock
-    (``nics[dst]``) is acquired as the step is armed, and its interval
-    and its ``Timeout`` begin at the grant, where the generator's
-    ``overhead_delay`` began. The process is resumed once, when the last
-    step completes and no claim loads another.
-
-    The object is also the iterator callers drive with ``yield from``:
-    ``__next__`` first yields the request itself, and once the operation
-    completes the delegating generator is resumed with the result, which
-    this iterator converts into ``StopIteration(result)`` — zero
-    additional frames. ``close()`` mirrors the generator's ``finally``:
-    a held NIC slot is released, a queued waiter is skipped by
-    ``Resource.release`` via ``done``.
-
-    ``_step`` is the op's bound :meth:`_advance`, the callback the core
-    queues for a zero delay and recognises by its function; it is dropped
-    when the op completes or is closed, so a finished op is freed by
-    reference count and costs the cyclic collector nothing.
-    """
-
-    __slots__ = (
-        "trace",
-        "src",
-        "category",
-        "pre",
-        "nic",
-        "hold",
-        "post",
-        "counter",
-        "amount",
-        "chain",
-        "pos",
-        "end",
-        "duration",
-        "tid",
-        "claim",
-        "engine",
-        "proc",
-        "start",
-        "phase",
-        "idx",
-        "holding",
-        "done",
-        "result",
-        "_step",
-        "__weakref__",  # the lifetime tests watch ops die
-    )
-
-    def __init__(
-        self,
-        trace,
-        src: int,
-        category: "str | None" = None,
-        pre: tuple = (),
-        nic: "Resource | None" = None,
-        hold: "float | None" = None,
-        post: tuple = (),
-        counter: "SharedCell | None" = None,
-        amount: int = 0,
-        chain: "tuple | None" = None,
-        pos: int = 0,
-        end: int = 0,
-        duration: float = 0.0,
-        tid: "int | None" = None,
-        claim: "Callable[[_FusedOp], bool] | None" = None,
-    ) -> None:
-        self.trace = trace
-        self.src = src
-        self.category = category
-        self.pre = pre
-        self.nic = nic
-        self.hold = hold
-        self.post = post
-        self.counter = counter
-        self.amount = amount
-        self.chain = chain
-        self.pos = pos
-        self.end = end
-        self.duration = duration
-        #: The kernel's task id: its interval goes to ``record_compute``.
-        self.tid = tid
-        self.claim = claim
-        self.proc = None
-        self.done = False
-        self.holding = False
-        self.result = None
-
-    # -- iterator protocol (PEP 380 delegation without a generator frame)
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self.proc is None:
-            return self  # first advance: hand the request to the process
-        raise StopIteration(self.result)
-
-    def send(self, value):
-        if self.proc is None:
-            if value is not None:
-                raise TypeError("can't send non-None value to a just-started operation")
-            return self
-        raise StopIteration(value)
-
-    def close(self) -> None:
-        """Abort mid-operation (process cancelled): release a held slot."""
-        if self.done:
-            return
-        self.done = True
-        self._step = None
-        if self.holding:
-            self.holding = False
-            self.nic.release()
-
-    # -- request protocol: the compiled core walks the op. ``_advance``
-    # stays a function: the core knows a queued step by its identity.
-    def activate(self, engine: Engine, process) -> None:
-        raise SimulationError(_NOT_WALKED)
-
-    def _advance(self, _arg=None) -> None:
-        raise SimulationError(_NOT_WALKED)
-
-
-_NOT_WALKED = (
-    "a fused network op is walked only by the compiled engine core; "
-    "on any other engine the Network runs its generators"
-)
-
-
 class Network:
     """The simulated interconnect: one NIC resource + mailbox per rank.
 
@@ -332,7 +168,7 @@ class Network:
         "stats",
         "faults",
         "_node_ids",
-        "_fused",
+        "op_type",
         "_fused_cache",
     )
 
@@ -360,13 +196,13 @@ class Network:
         self._node_ids = (
             [node_of(r) for r in range(self.n_ranks)] if node_of is not None else None
         )
-        #: Whether fault-free traced operations are dispatched as
-        #: :class:`_FusedOp` requests instead of :meth:`_walk` generators.
-        #: Taken from the engine: the compiled core is the only walker of
-        #: a ``_FusedOp``, and the generators are the reference it is held
-        #: to. Both are (time, seq)-order identical, so this never
-        #: changes results.
-        self._fused = bool(getattr(engine, "drives_fused_ops", False))
+        #: The type fault-free traced operations are dispatched as
+        #: instead of :meth:`_walk` generators: the compiled core's
+        #: ``FusedOp`` when the engine walks them (``drives_fused_ops``),
+        #: else None. The core is the only walker of a ``FusedOp``, and
+        #: the generators are the reference it is held to. Both are
+        #: (time, seq)-order identical, so this never changes results.
+        self.op_type = fused_op_type() if getattr(engine, "drives_fused_ops", False) else None
         #: ``(kind, tier, nbytes) -> (pre, hold, post)`` delay programs,
         #: memoized per distinct size class (block sizes give a handful).
         self._fused_cache: dict = {}
@@ -397,7 +233,7 @@ class Network:
     # cost table below. The ``*_traced`` entry points fold
     # :class:`repro.runtime.comm.RankContext`'s interval recording into
     # the operation and hand the program to whichever interpreter fits
-    # what they observe: a :class:`_FusedOp` when the engine walks
+    # what they observe: an :attr:`op_type` request when the engine walks
     # programs in C and no fault plan is armed (no generator frame, no
     # ``Timeout`` per event — the dominant per-event cost, see the same
     # section of docs/perf.md), else the :meth:`_walk` generator, which
@@ -459,7 +295,7 @@ class Network:
         return program
 
     def _chain(self, steps: tuple) -> tuple:
-        """The ``chain`` of a :class:`_FusedOp` whose steps run here."""
+        """The ``chain`` of a ``FusedOp`` whose steps run here."""
         return (steps, self.nics, self._node_ids)
 
     def _walk(
@@ -545,7 +381,7 @@ class Network:
 
     def rma_traced(self, src: int, dst: int, nbytes: int, trace, category: str):
         """A get/put (the caller counts which) with interval tracing inlined."""
-        if self.faults is not None or not self._fused:
+        if self.faults is not None or self.op_type is None:
             return self._walk("rma", src, dst, nbytes, trace, category)
         n = self.n_ranks
         if not (0 <= src < n and 0 <= dst < n):
@@ -556,11 +392,11 @@ class Network:
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("rma", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
-        return _FusedOp(trace, src, category, pre, nic, hold, post)
+        return self.op_type(trace, src, category, pre, nic, hold, post)
 
     def accumulate_traced(self, src: int, dst: int, nbytes: int, trace, category: str):
         """:meth:`accumulate` with the caller's interval tracing inlined."""
-        if self.faults is not None or not self._fused:
+        if self.faults is not None or self.op_type is None:
             return self._walk("accumulate", src, dst, nbytes, trace, category)
         n = self.n_ranks
         if not (0 <= src < n and 0 <= dst < n):
@@ -572,7 +408,7 @@ class Network:
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("accumulate", src, dst, nbytes)
         nic = self.nics[dst] if hold is not None else None
-        return _FusedOp(trace, src, category, pre, nic, hold, post)
+        return self.op_type(trace, src, category, pre, nic, hold, post)
 
     def fetch_add_traced(
         self,
@@ -584,7 +420,7 @@ class Network:
         category: str,
     ):
         """:meth:`fetch_add` with the caller's interval tracing inlined."""
-        if self.faults is not None or not self._fused:
+        if self.faults is not None or self.op_type is None:
             return self._walk("fetch_add", src, dst, 0, trace, category, counter, amount)
         self._check_rank(src)
         self._check_rank(dst)
@@ -592,7 +428,7 @@ class Network:
         stats.fetch_adds += 1
         stats.fused_ops += 1
         pre, hold, post = self._fused_program("fetch_add", src, dst, 0)
-        return _FusedOp(
+        return self.op_type(
             trace, src, category, pre, self.nics[dst], hold, post, counter, amount
         )
 

@@ -8,8 +8,9 @@ One behaviour, two engines, selected at runtime via ``REPRO_ENGINE``:
     available, and the readable statement of the dispatch order.
 
 ``compiled``
-    :class:`CompiledEngine`: the run loop and the ``Process.resume``
-    fast path execute inside a small C extension
+    :class:`CompiledEngine`: the run loop, the ``Process.resume`` fast
+    path and the walker of fused network operations (the core's
+    ``FusedOp`` type) execute inside a small C extension
     (``repro.simulate._engine_core``), removing the interpreter from the
     per-event path entirely. The extension is built on demand with the
     system C compiler and cached; when no compiler/headers are available
@@ -21,8 +22,8 @@ One behaviour, two engines, selected at runtime via ``REPRO_ENGINE``:
     else ``python`` — silently, so environments without a toolchain
     behave exactly as before.
 
-Both engines dispatch in exact ``(time, seq)`` order over the same heap
-and run-queue, so simulations are bit-for-bit identical across modes
+Both engines dispatch in exact ``(time, seq)`` order, so simulations are
+bit-for-bit identical across modes
 (pinned by ``tests/test_bitwise_equivalence.py`` run under each mode in
 CI, and by a randomized property test in ``tests/simulate/test_sched.py``).
 
@@ -174,17 +175,25 @@ def _warn_degraded() -> None:
 class CompiledEngine(Engine):
     """:class:`Engine` whose run loop executes in ``_engine_core``.
 
-    The data layout (heap, run-queue, seq counter, counters) is exactly
-    the base engine's — only the loop and the ``Process.resume`` fast
-    path move to C, so any Python-side scheduling (SimEvent.fire,
-    Resource grants, nested ``call_now``) interleaves identically and
-    the heap stays inspectable mid-run.
+    Between ``run()`` calls the state is the base engine's, attribute
+    for attribute. During one, the core holds the clock, the seq counter
+    and the events it makes itself (timed wake-ups in a C heap; zero-delay
+    fused-op steps, fused-op NIC grants and ``Timeout(0)`` resumes in its
+    own run-queue) in C. Every call into Python — a generator ``send``,
+    a claim, a callback, a subclass's ``release`` or ``record`` — first
+    publishes ``now`` and ``_seq`` to the attributes and reads them back
+    after, so Python-side scheduling (``SimEvent.fire``, ``Resource``
+    grants, ``call_now``) takes the seqs the reference engine would; on
+    every exit the C heap is flushed into ``_heap`` and the run-queue
+    merged into ``_ready`` by seq. Python that runs between two calls out
+    (a finalizer the core triggers) and schedules an event raises
+    :class:`SimulationError`, rather than let a seq be reused.
     """
 
     __slots__ = ()
 
-    #: Networks built on this engine dispatch traced ops as ``_FusedOp``
-    #: requests, which only the C core walks: no generator frame and no
+    #: Networks built on this engine dispatch traced ops as the core's
+    #: ``FusedOp`` requests, which only it walks: no generator frame and no
     #: ``Timeout`` per delay. The reference engine interprets the same
     #: programs with the generators. Order-identical either way.
     drives_fused_ops = True
@@ -208,6 +217,16 @@ _CORE_UNSET = object()
 _core: Any = _CORE_UNSET
 
 
+def fused_op_type():
+    """The compiled core's ``FusedOp`` type, or None without a core.
+
+    A ``Network`` on an engine that ``drives_fused_ops`` dispatches its
+    traced operations as instances; the core is their only walker.
+    """
+    core = _load_engine_core()
+    return None if core is None else core.FusedOp
+
+
 def compiled_available() -> bool:
     """True when the compiled engine core can be imported or built."""
     return _load_engine_core() is not None
@@ -226,21 +245,12 @@ def _load_engine_core():
     try:
         module = _import_or_build()
         if module is not None:
-            # Imported here, not at module scope: network.py pulls in the
-            # cost-model machinery, which the engine-only users of this
-            # module never need, and repro.runtime sits above this package.
+            # Imported here, not at module scope: repro.runtime sits above
+            # this package.
             from repro.runtime.trace import TraceRecorder
-            from repro.simulate.network import _FusedOp
 
             module.setup(
-                Process,
-                Timeout,
-                Request,
-                SimulationError,
-                Resource,
-                _timeout_pool,
-                _FusedOp,
-                TraceRecorder,
+                Process, Timeout, Request, SimulationError, Resource, _timeout_pool, TraceRecorder
             )
             _core = module
     except Exception as exc:

@@ -10,6 +10,7 @@ from repro.util.errors import (
 )
 from repro.util.validation import (
     check_positive,
+    check_integer,
     check_non_negative,
     check_probability,
     check_in,
@@ -25,6 +26,7 @@ __all__ = [
     "PartitionError",
     "RankFailedError",
     "check_positive",
+    "check_integer",
     "check_non_negative",
     "check_probability",
     "check_in",

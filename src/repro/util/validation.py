@@ -7,6 +7,7 @@ consistent and tests can assert on it.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Container
 from typing import Any
 
@@ -18,6 +19,15 @@ def check_positive(name: str, value: float) -> float:
     if not value > 0:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
     return value
+
+
+def check_integer(name: str, value: Any, minimum: int) -> int:
+    """Return ``value`` as an ``int`` if it is an integer (any
+    ``numbers.Integral`` but ``bool``) >= ``minimum``, else raise: a float
+    or a string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_non_negative(name: str, value: float) -> float:

@@ -118,7 +118,7 @@ def test_all_models_agree_on_what_was_executed():
 # ----------------------------------------------------------------------
 #
 # Under the compiled engine ``Harness.execute_task`` hands the engine a
-# whole task as one ``_FusedOp`` chain; the reference engine, and any run
+# whole task as one ``FusedOp`` chain; the reference engine, and any run
 # whose records or costs the chain could not reproduce, drives the
 # ``_walk_task`` generator. Which form ran must not be readable from a
 # ``RunResult``, except in the two counters that say so.

@@ -15,9 +15,13 @@ import pytest
 
 from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
 from repro.simulate.engine import Engine, Resource, SimEvent, Timeout, pooled_timeout
-from repro.simulate.network import Network, NetworkModel, SharedCell, _FusedOp
-from repro.simulate.sched import CompiledEngine, compiled_available
+from repro.simulate.network import Network, NetworkModel, SharedCell
+from repro.simulate.sched import CompiledEngine, compiled_available, fused_op_type
 from repro.util import SimulationError
+
+
+#: The compiled core's op type; None without a core.
+FusedOp = fused_op_type()
 
 
 class TestResourceReleaseCancelledQueue:
@@ -230,7 +234,7 @@ class TestRunUntilEdges:
 # ``Resource.release`` itself when they would do nothing but add. Every
 # other case must reach the attribute protocol or the Python method, so
 # each test here runs one scenario on ``CompiledEngine``, whose core walks
-# ``_FusedOp`` requests, and on the reference ``Engine``, which runs the
+# ``FusedOp`` requests, and on the reference ``Engine``, which runs the
 # same operations as the ``Network`` generators, and requires the same
 # observable outcome.
 
@@ -288,7 +292,7 @@ def _task_chain(net, trace, src, category=COMM, bad_step=False):
     steps = (step("rma", 1 << 16), None, step("accumulate", 4096))
     if bad_step:
         steps = (*steps[:2], steps[2][:2])
-    return _FusedOp(
+    return FusedOp(
         trace, src, chain=net._chain(steps), end=3, duration=1.0e-6, tid=src
     )
 
@@ -334,7 +338,7 @@ def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM
     first op holds the NIC and the other two are queued; ``cancel_at``
     lists ranks whose processes are cancelled at that same moment. With
     ``chain`` each rank's first op is a whole task (:func:`_task_chain`).
-    On ``CompiledEngine`` the ops are ``_FusedOp``s, on ``Engine`` the
+    On ``CompiledEngine`` the ops are ``FusedOp``s, on ``Engine`` the
     generators; ``halt`` stops the run with a :class:`_HaltingRecorder`.
     """
     engine = engine_cls()
@@ -352,7 +356,7 @@ def _outcome(engine_cls, recorder_cls=TraceRecorder, nic_cls=None, category=COMM
     ops, log = [], []
 
     def rank(src):
-        if chain and net._fused:
+        if chain and net.op_type is not None:
             op = _task_chain(net, trace, src, category, bad_step)
         elif chain:
             op = _task_walk(engine, net, trace, src, category)
@@ -500,7 +504,7 @@ class TestCompiledCoreFallbacks:
         if victim == "proc._send":
             assert message(CompiledEngine) == message(Engine)
             return
-        unset = _FusedOp(None, 0)
+        unset = FusedOp(None, 0)
         del unset.pre
         with pytest.raises(AttributeError) as cpython:
             unset.pre
@@ -534,38 +538,31 @@ class TestCompiledCoreFallbacks:
         assert _outcome(CompiledEngine) == reference
         assert len(grabs) == 2 * from_python
 
-    def test_core_declines_a_class_that_lacks_a_slot(self, monkeypatch):
-        """Offsets come from the class in hand, never from a layout the
-        core assumed: registered against a stand-in ``_FusedOp`` whose
-        ``pre`` and ``done`` live in a ``__dict__`` (and whose remaining
-        slots therefore sit at other offsets), the core must read them
-        through the attribute protocol and agree with the reference."""
-        import repro.simulate.network as network
-        from repro.simulate import sched
-        from repro.simulate.engine import Process, Request, Timeout, _timeout_pool
-        from repro.simulate.network import _FusedOp
+    def test_core_refuses_a_malformed_chain(self):
+        """The op's fields are the core's own: a chain of the wrong shape
+        fails with the core's TypeError naming the step before the op
+        takes a seq or touches a NIC or the trace, and a numeric field
+        refuses a non-integer, or deletion, as it is written."""
+        engine = CompiledEngine()
+        net = Network(engine, NetworkModel(), 4)
+        trace = TraceRecorder(4)
+        op = _task_chain(net, trace, 0)
+        op.chain = op.chain[:2]  # (steps, nics): no node ids
 
-        body = {
-            name: value
-            for name, value in vars(_FusedOp).items()
-            if name not in _FusedOp.__slots__ and name not in ("__slots__", "__dict__")
-        }
-        body["__slots__"] = tuple(
-            name for name in _FusedOp.__slots__ if name not in ("pre", "done")
-        ) + ("__dict__",)
-        stand_in = type("_FusedOp", (Request,), body)
-        assert "pre" not in vars(stand_in) and "nic" in vars(stand_in)
+        def rank():
+            yield from op
 
-        core = sched._load_engine_core()
-        roles = [Process, Timeout, Request, SimulationError, Resource, _timeout_pool]
-        monkeypatch.setattr(network, "_FusedOp", stand_in)
-        core.setup(*roles, stand_in, TraceRecorder)
-        try:
-            outcome = _outcome(CompiledEngine, cancel_at=(2,))
-        finally:
-            core.setup(*roles, _FusedOp, TraceRecorder)
-        monkeypatch.undo()
-        assert outcome == _outcome(Engine, cancel_at=(2,))
+        engine.process(rank())
+        with pytest.raises(TypeError, match="^fused op chain has no step 0$"):
+            engine.run()
+        assert engine._seq == 1  # the process start's, and no more
+        assert trace.records == 0 and net.nics[1].total_acquisitions == 0
+        for value in (1.5, "1", None):
+            with pytest.raises(TypeError):
+                op.pos = value
+        with pytest.raises(TypeError):
+            del op.end
+        assert op.end == 3
 
 
 # ----------------------------------------------------------------------
@@ -608,8 +605,8 @@ def _kernel_outcome(engine_cls, recorder_cls=TraceRecorder, intervals=False, tid
     held = {}
 
     def kernel():
-        if net._fused:
-            held["op"] = _FusedOp(
+        if net.op_type is not None:
+            held["op"] = FusedOp(
                 trace, rank, chain=net._chain((None,)), end=1, duration=1.0e-6, tid=tid
             )
             yield from held["op"]
@@ -832,7 +829,7 @@ def test_a_claim_loop_dies_with_its_rank(source, monkeypatch, no_gc):
 
     def rank_process(harness, ctx):
         op = _start_claim_loop(harness, source, ctx)
-        assert type(op) is _FusedOp
+        assert type(op) is FusedOp
         ref = weakref.ref(op)
         result = yield from op
         del op
@@ -881,7 +878,7 @@ def test_a_claim_loop_is_reference_neutral(source, monkeypatch):
     harness.spawn_ranks(lambda harness, ctx: (yield from _start_claim_loop(harness, source, ctx)))
     harness.finish("claim-loop")
     assert counts() == before
-    assert sum(type(obj) is _FusedOp for obj in gc.get_objects()) == 0
+    assert sum(type(obj) is FusedOp for obj in gc.get_objects()) == 0
 
 
 @needs_compiled
@@ -956,5 +953,5 @@ def test_compiled_core_holds_no_references_after_a_run(monkeypatch):
     # the interpreter's own caches, 10^5 may not.
     assert after[:4] == before[:4]
     assert all(abs(a - b) < 64 for a, b in zip(after[4:], before[4:]))
-    assert live(_FusedOp) == 0
+    assert live(FusedOp) == 0
     assert live(Timeout) - len(_timeout_pool) <= timeouts_outside_pool

@@ -3,7 +3,7 @@
 Every one-sided operation is a (pre, hold, post) delay program from
 ``Network._fused_program``, interpreted either by the ``Network._walk``
 generator (reference engine, fault-armed networks) or by a
-:class:`~repro.simulate.network._FusedOp` the compiled engine walks in C.
+``FusedOp`` (``Network.op_type``) the compiled engine walks in C.
 These tests pin that from four directions:
 
 - a table test that every ``(kind, tier)`` program equals the closed-form
@@ -33,8 +33,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulate.engine import Engine, Resource, Timeout
-from repro.simulate.network import Network, NetworkModel, _FusedOp
-from repro.simulate.sched import CompiledEngine, compiled_available
+from repro.simulate.network import Network, NetworkModel
+from repro.simulate.sched import CompiledEngine, compiled_available, fused_op_type
 from repro.util import ConfigurationError, SimulationError
 
 needs_compiled = pytest.mark.skipif(
@@ -212,7 +212,7 @@ def test_dead_target_fails_uncounted(entry, fused):
 
     engine = _engine(fused)
     net = Network(engine, NetworkModel(), 4)
-    assert net._fused == fused  # a fault-armed network takes the generator either way
+    assert (net.op_type is not None) == fused  # a fault-armed network takes the generator either way
     plan = FaultPlan(crashes=(RankCrash(2, 0.0),), rma_timeout=1.0)
     net.faults = injector = FaultInjector(plan, engine, net)
     injector.arm({})
@@ -265,7 +265,8 @@ def _run_counter_case(monkeypatch, fused: bool):
 
     def forced(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        self._fused = fused
+        if not fused:
+            self.op_type = None
 
     monkeypatch.setenv("REPRO_ENGINE", "compiled")
     monkeypatch.setattr(Network, "__init__", forced)
@@ -312,7 +313,7 @@ def test_fused_run_equals_generator_run(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Cancellation: _FusedOp.close() must behave like the generator finally
+# Cancellation: FusedOp.close() must behave like the generator finally
 # ----------------------------------------------------------------------
 
 
@@ -348,30 +349,36 @@ def test_fused_cancel_releases_nic_like_generator():
     assert fused_acq == plain_acq == 2
 
 
+@needs_compiled
 def test_fused_op_rejects_nonnone_send_before_start():
     net = Network(Engine(), NetworkModel(), 2)
-    net._fused = True  # default is engine-dependent; force the fused path
+    net.op_type = fused_op_type()  # default is engine-dependent; force the fused path
     op = net.rma_traced(0, 1, 64, _Recorder(), "get")
-    assert isinstance(op, _FusedOp)
+    assert type(op) is fused_op_type()
     assert iter(op) is op
     with pytest.raises(TypeError):
         op.send(42)
 
 
+@needs_compiled
 def test_fused_op_yielded_on_the_reference_engine_raises():
     """The reference engine never builds a fused op (its Networks take
-    the generators); one yielded to it anyway is refused, not walked."""
+    the generators); one yielded to it anyway is refused, not walked,
+    and so is a call of the step callback the core alone recognises."""
     engine = Engine()
     net = Network(engine, NetworkModel(), 2)
-    assert not net._fused
-    net._fused = True
+    assert net.op_type is None
+    net.op_type = fused_op_type()
 
     def rank():
         yield from net.rma_traced(0, 1, 64, _Recorder(), "get")
 
     engine.process(rank(), name="rank")
-    with pytest.raises(SimulationError, match="only by the compiled engine core"):
+    with pytest.raises(SimulationError, match="must yield Request instances"):
         engine.run()
+    op = net.op_type(None, 0)
+    with pytest.raises(SimulationError, match="only by the compiled engine core"):
+        op._advance()
 
 
 # ----------------------------------------------------------------------

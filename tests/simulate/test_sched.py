@@ -7,12 +7,12 @@ property test here exercises the order-sensitive corners directly:
 equal timestamps, zero-delay wake-ups, horizon-bounded ``run(until=)``
 stages, cancellations, and deadlock truncation — and, for the network
 path, ``Engine`` + the ``_walk`` generator against ``CompiledEngine`` +
-the C-walked ``_FusedOp``: traced one-sided ops contending for NICs while
+the C-walked ``FusedOp``: traced one-sided ops contending for NICs while
 other processes hold the same NICs, cancelled mid-op — single ops and
 whole tasks (gets, kernel, accumulates) chained into one request, and
 the exec models' claim loops (counter claims, queue drains under a lock,
 a static rank's list) chained into one request each. The C core is the
-only walker of a ``_FusedOp``; the generators on ``Engine`` are the
+only walker of a ``FusedOp``; the generators on ``Engine`` are the
 reference it is held to.
 """
 
@@ -31,7 +31,7 @@ from repro.simulate.engine import (
     Timeout,
     pooled_timeout,
 )
-from repro.simulate.network import Network, NetworkModel, SharedCell, _FusedOp
+from repro.simulate.network import Network, NetworkModel, SharedCell
 from repro.simulate.sched import (
     ENGINE_MODES,
     CompiledEngine,
@@ -46,7 +46,7 @@ from tests.simulate.test_engine import hold
 
 #: Engine classes under test; the compiled loop only where buildable.
 ENGINE_CLASSES = [Engine] + ([CompiledEngine] if compiled_available() else [])
-#: The engines that walk a ``_FusedOp``: the compiled core alone.
+#: The engines that walk a ``FusedOp``: the compiled core alone.
 FUSED_ENGINE_CLASSES = ENGINE_CLASSES[1:]
 
 
@@ -171,8 +171,8 @@ class TestModeSelection:
 
 #: How a scenario's network steps are interpreted: ``walk`` is the
 #: ``Network._walk`` generator per op (the reference, on either engine),
-#: ``ops`` one ``_FusedOp`` per op, ``chain`` additionally runs each
-#: ``task`` step and each claim loop as one chained ``_FusedOp``; the two
+#: ``ops`` one ``FusedOp`` per op, ``chain`` additionally runs each
+#: ``task`` step and each claim loop as one chained ``FusedOp``; the two
 #: fused interpreters run on ``CompiledEngine`` only.
 INTERPRETERS = ("walk", "ops", "chain")
 
@@ -229,26 +229,38 @@ def _run_scenario(
     the rank's lock for ``_POP_SECONDS``, while a ``steal`` holds a
     victim's lock and takes tasks from its tail under it; ``tasks`` runs
     a list of the rank's own in order. The ``chain`` interpreter runs
-    each loop as one ``_FusedOp`` whose claim loads the next slice, a
+    each loop as one ``FusedOp`` whose claim loads the next slice, a
     list only when it is not empty (as ``Harness.execute_tasks``). ``net_cancel = (rank, time)`` cancels one of them
     wherever it then is — in a pre-delay, queued, holding, on the return
     path, in a later step of a task or inside its kernel — before
     anything else due at that time, or with ``late_cancel`` after what
     was already scheduled for it (a grant issued but not yet delivered).
     ``probe(ops)`` is called just before the cancel with the chained
-    requests made so far. Lock and NIC counters, the queues, the counter
+    requests made so far. Every entry Python logs during the run is
+    followed by ``("at", engine.now, engine._seq)``, also from inside a
+    claim, where the compiled core has called out to Python: the clock
+    and counter it publishes are held to the reference's at the same
+    dispatch, as are the ``(time, seq)`` keys pending at each horizon.
+    Lock and NIC counters, the queues, the counter
     cells, the trace and ``grant_resumes`` close the log; its last entry,
     ``timeout_allocs``, differs between the generators and the fused
     interpreters (a fused delay is no ``Timeout``).
     """
     engine = engine_cls()
     log = []
+
+    def note(*entry):
+        """Log ``entry``, then the clock and seq counter Python sees."""
+        log.append(entry)
+        log.append(("at", engine.now, engine._seq))
     resource = Resource(capacity=1)
     gate = SimEvent()
     net = Network(engine, NetworkModel(), 4, node_of=lambda rank: rank // 2)
     if interpreter is None:
-        interpreter = "chain" if net._fused else "walk"
-    net._fused = interpreter != "walk"
+        interpreter = "walk" if net.op_type is None else "chain"
+    if interpreter == "walk":
+        net.op_type = None
+    FusedOp = net.op_type
     trace = TraceRecorder(4)
     cell = SharedCell()
     claim_cell = SharedCell()
@@ -269,28 +281,28 @@ def _run_scenario(
         if interpreter != "chain":
             while True:
                 value = yield from net.fetch_add_traced(src, home, claim_cell, 1, trace, OVERHEAD)
-                log.append(("claimed", src, value, engine.now))
+                note("claimed", src, value, engine.now)
                 if value >= len(claimable):
                     return
                 yield from task(src, 100 + value, *claimable[value])
-                log.append(("task", src, engine.now))
+                note("task", src, engine.now)
         programs = tuple(net._tier_program("fetch_add", tier, 0) for tier in (0, 1, 2))
         fetch_add = net._chain(((home, programs, OVERHEAD),))
 
         def claim(op):
             if op.chain is fetch_add:
                 value = op.result
-                log.append(("claimed", src, value, engine.now))
+                note("claimed", src, value, engine.now)
                 if value >= len(claimable):
                     return False
                 op.counter = None
                 load(op, 100 + value, *claimable[value])
                 return True
-            log.append(("task", src, engine.now))
+            note("task", src, engine.now)
             op.chain, op.pos, op.end, op.counter = fetch_add, 0, 1, claim_cell
             return True
 
-        op = _FusedOp(
+        op = FusedOp(
             trace, src, counter=claim_cell, amount=1, chain=fetch_add, end=1, claim=claim
         )
         chained.append(op)
@@ -312,7 +324,7 @@ def _run_scenario(
                 if head is None:
                     break
                 yield from task(src, *head)
-                log.append(("task", src, engine.now))
+                note("task", src, engine.now)
                 ran += 1
             return ran
         program = ((), _POP_SECONDS, ())
@@ -324,14 +336,14 @@ def _run_scenario(
                     return False
                 load(op, *queue.popleft())
                 return True
-            log.append(("task", src, engine.now))
+            note("task", src, engine.now)
             op.result += 1
             if not queue:
                 return False
             op.chain, op.pos, op.end = pop, 0, 1
             return True
 
-        op = _FusedOp(trace, src, chain=pop, end=1, claim=claim)
+        op = FusedOp(trace, src, chain=pop, end=1, claim=claim)
         op.result = 0
         chained.append(op)
         return (yield from op)
@@ -345,33 +357,33 @@ def _run_scenario(
             stolen = [queue.pop() for _ in range(min(take, len(queue)))]
         finally:
             lock.release()
-        log.append(("stole", src, victim, len(stolen), engine.now))
+        note("stole", src, victim, len(stolen), engine.now)
 
     def task_list(src, listed):
         if interpreter != "chain" or not listed:
             for head in listed:
                 yield from task(src, *head)
-                log.append(("task", src, engine.now))
+                note("task", src, engine.now)
             return
         pending = iter(listed)
 
         def claim(op):
             if op.tid is not None:  # a task ran
-                log.append(("task", src, engine.now))
+                note("task", src, engine.now)
             head = next(pending, None)
             if head is None:
                 return False
             load(op, *head)
             return True
 
-        op = _FusedOp(trace, src, chain=net._chain(()), claim=claim)
+        op = FusedOp(trace, src, chain=net._chain(()), claim=claim)
         chained.append(op)
         yield from op
 
     def task(src, tid, gets, kernel, accumulates):
         if interpreter == "chain":
             steps = _task_steps(net, gets, accumulates)
-            op = _FusedOp(
+            op = FusedOp(
                 trace,
                 src,
                 chain=net._chain(steps),
@@ -395,14 +407,14 @@ def _run_scenario(
             if kind == "fetch_add":
                 dst, amount = args
                 old = yield from net.fetch_add_traced(src, dst, cell, amount, trace, OVERHEAD)
-                log.append(("fetch_add", src, old, engine.now))
+                note("fetch_add", src, old, engine.now)
             elif kind == "rma":
                 dst, nbytes = args
                 yield from net.rma_traced(src, dst, nbytes, trace, COMM)
-                log.append(("rma", src, engine.now))
+                note("rma", src, engine.now)
             elif kind == "task":
                 yield from task(src, 10 * src + tid, *args)
-                log.append(("task", src, engine.now))
+                note("task", src, engine.now)
             elif kind == "claims":
                 yield from claims(src, *args)
             elif kind == "drain":
@@ -411,19 +423,19 @@ def _run_scenario(
                     (1000 + 100 * src + 10 * tid + i, *spec) for i, spec in enumerate(tasks)
                 )
                 ran = yield from drain(src)
-                log.append(("drained", src, ran, engine.now))
+                note("drained", src, ran, engine.now)
             elif kind == "tasks":
                 (listed,) = args
                 yield from task_list(
                     src, [(2000 + 100 * src + 10 * tid + i, *spec) for i, spec in enumerate(listed)]
                 )
-                log.append(("listed", src, engine.now))
+                note("listed", src, engine.now)
             elif kind == "steal":
                 yield from steal(src, *args)
             else:
                 dst, nanoseconds = args
                 yield from hold(net.nics[dst], nanoseconds * 1.0e-9)
-                log.append(("nic-held", src, engine.now))
+                note("nic-held", src, engine.now)
 
     ranks = [
         engine.process(rank(src, plan), name=f"r{src}")
@@ -453,16 +465,16 @@ def _run_scenario(
     def walker(pid, steps):
         for i, delay in enumerate(steps):
             yield Timeout(delay)
-            log.append(("walk", pid, i, engine.now))
+            note("walk", pid, i, engine.now)
 
     def holder():
         yield from hold(resource, 2.0e-7)
-        log.append(("held", engine.now))
+        note("held", engine.now)
         gate.fire("open")
 
     def waiter():
         value = yield gate.wait()
-        log.append(("gate", value, engine.now))
+        note("gate", value, engine.now)
 
     procs = [
         engine.process(walker(pid, steps), name=f"w{pid}")
@@ -474,9 +486,11 @@ def _run_scenario(
         engine.schedule(3.0e-7, procs[0].cancel)
     for horizon in horizons:
         engine.run(until=horizon)
-        log.append(("horizon", engine.now, len(engine._heap) + len(engine._ready)))
+        log.append(("horizon", engine.now, engine._seq, *_pending_keys(engine)))
     engine.run()
-    log.append(("end", engine.now, engine.events_dispatched, engine.ready_dispatched))
+    log.append(
+        ("end", engine.now, engine._seq, engine.events_dispatched, engine.ready_dispatched)
+    )
     log.append(
         (
             [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in locks],
@@ -496,6 +510,12 @@ def _run_scenario(
     )
     log.append(engine.timeout_allocs)
     return log
+
+
+def _pending_keys(engine):
+    """The ``(time, seq)`` keys of the engine's heap, in key order, and
+    the seqs of its run-queue, in queue order."""
+    return sorted(entry[:2] for entry in engine._heap), [entry[0] for entry in engine._ready]
 
 
 def _entries(log, kind):
@@ -783,10 +803,10 @@ class TestCrossEngineOrder:
             yield from net.rma_traced(0, 2, 4096, trace, COMM)
 
         def task(engine, net, trace):
-            if net._fused:
+            if net.op_type is not None:
                 steps = _task_steps(net, [(2, 4096)], [(2, 288)])
                 chain = net._chain(steps)
-                yield from _FusedOp(trace, 0, chain=chain, end=3, duration=1.0e-6, tid=0)
+                yield from net.op_type(trace, 0, chain=chain, end=3, duration=1.0e-6, tid=0)
                 return
             yield from net.rma_traced(0, 2, 4096, trace, COMM)
             start = engine.now

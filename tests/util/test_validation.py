@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from repro.util import (
     ConfigurationError,
     check_in,
+    check_integer,
     check_non_negative,
     check_positive,
     check_probability,
@@ -24,6 +26,24 @@ class TestCheckPositive:
     def test_is_a_value_error(self):
         with pytest.raises(ValueError):
             check_positive("x", -1)
+
+
+class TestCheckInteger:
+    def test_returns_a_plain_int(self):
+        value = check_integer("x", np.int64(4), 1)
+        assert value == 4 and type(value) is int
+
+    def test_accepts_the_minimum(self):
+        assert check_integer("x", 0, 0) == 0
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, 2.0, True, "2", None])
+    def test_refuses_what_int_would_truncate(self, value):
+        with pytest.raises(ConfigurationError, match=r"x must be an integer >= 1"):
+            check_integer("x", value, 1)
+
+    def test_refuses_below_the_minimum(self):
+        with pytest.raises(ConfigurationError, match=r"x must be an integer >= 1, got 0"):
+            check_integer("x", 0, 1)
 
 
 class TestCheckNonNegative:
