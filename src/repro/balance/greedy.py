@@ -5,6 +5,12 @@ makespan heuristic and the quality yardstick the fancier balancers must at
 least match on pure balance; :func:`locality_greedy` adds a locality
 preference, and :func:`capacity_lpt` handles heterogeneous rank speeds
 (used by persistence-based rebalancing under variability).
+
+``lpt``'s loop has a compiled form, the core's ``lpt`` kernel, which runs
+whenever the engine mode selects a core (``REPRO_ENGINE``, see
+``repro.simulate.sched``); the Python body is the reference it is held to,
+assignment for assignment. ``locality_greedy`` and ``capacity_lpt`` have
+none (``docs/perf.md``, "The cheap balancers in the compiled core").
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ import heapq
 
 import numpy as np
 
-from repro.balance.metrics import footprint_owners
+from repro.balance.metrics import compiled_core, finite_costs, footprint_owners
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
-from repro.util import ConfigurationError, check_non_negative, check_positive
+from repro.util import ConfigurationError, check_integer, check_non_negative
 
 
 def lpt(costs: np.ndarray, n_ranks: int) -> np.ndarray:
@@ -24,9 +30,16 @@ def lpt(costs: np.ndarray, n_ranks: int) -> np.ndarray:
 
     Tasks in decreasing cost, each to the currently least-loaded rank.
     """
-    check_positive("n_ranks", n_ranks)
-    costs = np.asarray(costs, dtype=np.float64)
+    n_ranks = check_integer("n_ranks", n_ranks, 1)
+    costs = finite_costs(costs)
     assignment = np.empty(costs.size, dtype=np.int64)
+    order = np.argsort(-costs, kind="stable")
+    core = compiled_core()
+    if core is not None:
+        # The same loop in the compiled core, bit for bit; the body below
+        # is its reference.
+        core.lpt(costs, order, assignment, n_ranks)
+        return assignment
     # Plain-float heap entries: ``costs[tid]`` is an ndarray scalar, and
     # carrying it into the heap tuples makes every sift comparison box
     # and dispatch through np.float64 richcompare — the dominant cost of
@@ -38,7 +51,7 @@ def lpt(costs: np.ndarray, n_ranks: int) -> np.ndarray:
     heapreplace = heapq.heapreplace
     # The (load, rank) entries are unique and totally ordered, so replacing
     # the top in one sift pops in the same order as a pop and a push.
-    for tid in np.argsort(-costs, kind="stable").tolist():
+    for tid in order.tolist():
         load, rank = heap[0]
         assignment[tid] = rank
         heapreplace(heap, (load + cost_list[tid], rank))
@@ -51,12 +64,12 @@ def capacity_lpt(costs: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     ``capacities[r]`` is rank *r*'s relative speed; each task goes to the
     rank with the smallest ``(load + cost) / capacity``.
     """
-    costs = np.asarray(costs, dtype=np.float64)
+    costs = finite_costs(costs)
     capacities = np.asarray(capacities, dtype=np.float64)
     if capacities.ndim != 1 or capacities.size == 0:
         raise ConfigurationError("capacities must be a non-empty 1-D array")
-    if np.any(capacities <= 0):
-        raise ConfigurationError("all capacities must be positive")
+    if not np.all((capacities > 0) & np.isfinite(capacities)):
+        raise ConfigurationError("all capacities must be positive and finite")
     n_ranks = capacities.size
     assignment = np.empty(costs.size, dtype=np.int64)
     loads = np.zeros(n_ranks)
@@ -89,7 +102,7 @@ def locality_greedy(
     blocks; it spills to the globally least-loaded rank only when every
     owner is already loaded beyond ``(1 + slack) * ideal``.
     """
-    check_positive("n_ranks", n_ranks)
+    n_ranks = check_integer("n_ranks", n_ranks, 1)
     check_non_negative("slack", slack)
     if distribution is None:
         return lpt(graph.costs, n_ranks)

@@ -1,4 +1,6 @@
-"""Schedule-quality metrics shared by all balancers and benchmarks."""
+"""Schedule-quality metrics shared by all balancers and benchmarks, and two
+helpers of the balancers' entry points: the cost check and the lookup of
+the compiled core that runs their kernels."""
 
 from __future__ import annotations
 
@@ -7,6 +9,30 @@ import numpy as np
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
 from repro.util import ConfigurationError, check_positive
+
+
+def finite_costs(costs) -> np.ndarray:
+    """``costs`` as a contiguous 1-D ``float64`` array, refused unless every
+    entry is finite: the contract of the compiled kernels, kept by the
+    Python bodies too."""
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 1:
+        raise ConfigurationError(f"costs must be 1-D, got shape {costs.shape}")
+    bad = np.flatnonzero(~np.isfinite(costs))[:1]
+    if bad.size:
+        raise ConfigurationError(f"costs[{bad[0]}] is {costs[bad[0]]!r}, not finite")
+    return np.ascontiguousarray(costs)
+
+
+def compiled_core():
+    """The compiled core the engine mode selects (``repro.simulate.sched``),
+    or None. A balancer loop with a kernel there runs it; its Python body
+    runs otherwise and is the reference the kernel is held to."""
+    # Call-time import: repro.core's package init reaches back into this
+    # layer, so a module-level import would be circular.
+    from repro.simulate.sched import _selected_core
+
+    return _selected_core()
 
 
 def rank_loads(costs: np.ndarray, assignment: np.ndarray, n_ranks: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from bisect import insort
 import numpy as np
 
 from repro.balance.hypergraph import Hypergraph, fock_hypergraph
+from repro.balance.metrics import compiled_core
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
 from repro.util import PartitionError, check_integer, spawn_rng
@@ -49,14 +50,6 @@ def _store():
     from repro.core.artifacts import default_store
 
     return default_store()
-
-
-def _core():
-    # Call-time import, like ``_store``: the compiled core the engine mode
-    # selects (``repro.simulate.sched``), or None for the Python FM pass.
-    from repro.simulate.sched import _selected_core
-
-    return _selected_core()
 
 
 def partition_hypergraph(
@@ -577,7 +570,7 @@ def _fm_pass(
     hi: float,
     target0: float,
 ) -> tuple[bool, np.ndarray]:
-    core = _core()
+    core = compiled_core()
     if core is not None:
         # The same pass over the CSR arrays in the compiled core, bit for
         # bit; the body below is its reference. ``w0`` stays NumPy's

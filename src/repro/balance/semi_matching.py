@@ -18,20 +18,29 @@ Three solvers:
   flipping cost-reducing paths found with BFS.
 - :func:`weighted_semi_matching` -- greedy + relocation/swap refinement
   sweeps for real-valued costs (optimality is NP-hard there).
+
+The greedy loop and one refinement sweep have compiled forms, the core's
+``greedy_semi_matching`` and ``semi_matching_sweep`` kernels over the
+:class:`Eligibility` CSR, which run whenever the engine mode selects a core
+(``REPRO_ENGINE``, see ``repro.simulate.sched``). The Python bodies are the
+reference they are held to, assignment for assignment. The optimal solver
+has none: its BFS is steered by set iteration order (``docs/perf.md``, "The
+cheap balancers in the compiled core").
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from repro.balance.metrics import footprint_owners
+from repro.balance.metrics import compiled_core, finite_costs, footprint_owners
 from repro.chemistry.tasks import TaskGraph
 from repro.runtime.garrays import BlockDistribution
-from repro.util import ConfigurationError, PartitionError, check_positive, spawn_rng
+from repro.util import ConfigurationError, PartitionError, check_integer, spawn_rng
 
 
 def _store():
@@ -46,8 +55,9 @@ class Eligibility(Sequence):
     """CSR task -> eligible ranks, checked against ``n_ranks``; not to be mutated.
 
     Row ``tid`` is ``ranks[offsets[tid]:offsets[tid + 1]]``. ``len()``,
-    ``[tid]`` and iteration answer like the ``list[list[int]]`` it replaces,
-    from ``rows`` (which the solvers' per-task Python loops read directly).
+    ``[tid]`` and iteration answer like the ``list[list[int]]`` it replaces;
+    the last two read ``rows``, the row lists the solvers' per-task Python
+    loops use, built on first read (the compiled kernels read the arrays).
     """
 
     def __init__(self, offsets: np.ndarray, ranks: np.ndarray, n_ranks: int):
@@ -63,8 +73,11 @@ class Eligibility(Sequence):
                 f"outside [0, {n_ranks})"
             )
         self.offsets, self.ranks, self.n_ranks = offsets, ranks, n_ranks
-        flat, offs = ranks.tolist(), offsets.tolist()
-        self.rows = [flat[a:b] for a, b in zip(offs, offs[1:])]
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        flat, offs = self.ranks.tolist(), self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(offs, offs[1:])]
 
     @classmethod
     def of(cls, eligibility: Sequence[Sequence[int]], n_ranks: int) -> Eligibility:
@@ -76,7 +89,7 @@ class Eligibility(Sequence):
         return cls(offsets, ranks, n_ranks)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.offsets) - 1
 
     def __getitem__(self, tid):
         return self.rows[tid]
@@ -120,9 +133,8 @@ def build_eligibility(
     loosening locality to guarantee balance feasibility on adversarial
     footprint distributions (the paper's bounded-degree relaxation).
     """
-    check_positive("n_ranks", n_ranks)
-    if extra_degree < 0:
-        raise ConfigurationError(f"extra_degree must be >= 0, got {extra_degree}")
+    n_ranks = check_integer("n_ranks", n_ranks, 1)
+    extra_degree = check_integer("extra_degree", extra_degree, 0)
     rng = spawn_rng(seed, "eligibility", n_ranks)
     owners = footprint_owners(graph, distribution, n_ranks)[0]
     extras = _draw_extras(rng, graph.n_tasks, n_ranks, min(extra_degree, n_ranks))
@@ -146,20 +158,30 @@ def greedy_semi_matching(
     costs: np.ndarray, eligibility: Sequence[Sequence[int]], n_ranks: int
 ) -> np.ndarray:
     """Decreasing-cost greedy: each task to its least-loaded eligible rank."""
-    check_positive("n_ranks", n_ranks)
-    costs = np.asarray(costs, dtype=np.float64)
+    n_ranks = check_integer("n_ranks", n_ranks, 1)
+    costs = finite_costs(costs)
     if costs.size != len(eligibility):
         raise ConfigurationError(
             f"{costs.size} costs but {len(eligibility)} eligibility lists"
         )
-    rows = Eligibility.of(eligibility, n_ranks).rows
+    eligibility = Eligibility.of(eligibility, n_ranks)
+    assignment = np.empty(costs.size, dtype=np.int64)
+    order = np.argsort(-costs, kind="stable")
+    core = compiled_core()
+    if core is not None:
+        # The same loop over the CSR in the compiled core, bit for bit; the
+        # body below is its reference.
+        core.greedy_semi_matching(
+            costs, eligibility.offsets, eligibility.ranks, order, assignment, n_ranks
+        )
+        return assignment
+    rows = eligibility.rows
     # Python-list load state: the loop reads/writes single elements only,
     # where ndarray scalar indexing dominates. Same doubles, same
     # first-minimum tie-break, so the assignment is unchanged.
     loads = [0.0] * n_ranks
     costs_l = costs.tolist()
-    assignment = np.empty(costs.size, dtype=np.int64)
-    for tid in np.argsort(-costs, kind="stable").tolist():
+    for tid in order.tolist():
         rank = min(rows[tid], key=loads.__getitem__)
         assignment[tid] = rank
         loads[rank] += costs_l[tid]
@@ -185,7 +207,9 @@ def optimal_semi_matching(
         PartitionError: if the flip cap is hit (would indicate a bug —
             the potential argument guarantees termination).
     """
-    check_positive("n_ranks", n_ranks)
+    n_ranks = check_integer("n_ranks", n_ranks, 1)
+    if max_flips is not None:
+        max_flips = check_integer("max_flips", max_flips, 0)
     eligibility = Eligibility.of(eligibility, n_ranks)
     n_tasks = len(eligibility)
     unit = np.ones(n_tasks)
@@ -279,14 +303,29 @@ def weighted_semi_matching(
     tasks off the heaviest ranks onto lighter eligible ranks whenever that
     lowers the maximum of the pair; sweeps stop early at a fixed point.
     """
-    check_positive("n_ranks", n_ranks)
-    if sweeps < 0:
-        raise ConfigurationError(f"sweeps must be >= 0, got {sweeps}")
-    costs = np.asarray(costs, dtype=np.float64)
+    n_ranks = check_integer("n_ranks", n_ranks, 1)
+    sweeps = check_integer("sweeps", sweeps, 0)
+    costs = finite_costs(costs)
     eligibility = Eligibility.of(eligibility, n_ranks)
     assignment = greedy_semi_matching(costs, eligibility, n_ranks)
     offsets, ranks = eligibility.offsets, eligibility.ranks
+    # Summed afresh: the greedy's running sums round differently.
     loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
+    core = compiled_core()
+    if core is not None:
+        # One sweep per call, bit for bit the loop below: the visit order
+        # stays NumPy's (unstable) argsort, and ``arrival`` carries the order
+        # ``tasks_on`` would hold across sweeps (ascending tid, then moved-in
+        # tasks in the order they moved).
+        arrival = np.arange(costs.size, dtype=np.int64)
+        loads = loads.astype(np.float64, copy=False)  # bincount of no tasks is int
+        for _ in range(sweeps):
+            visit = np.argsort(-loads)
+            if not core.semi_matching_sweep(
+                costs, offsets, ranks, visit, assignment, loads, arrival
+            ):
+                break
+        return assignment
     tasks_on: list[list[int]] = [[] for _ in range(n_ranks)]
     for tid, rank in enumerate(assignment.tolist()):
         tasks_on[rank].append(tid)
@@ -360,6 +399,10 @@ def semi_matching_balancer(
     """
     if mode not in ("weighted", "greedy", "optimal_unit"):
         raise ConfigurationError(f"unknown semi-matching mode {mode!r}")
+    # Checked before the artifact key, which holds them as ints.
+    n_ranks = check_integer("n_ranks", n_ranks, 1)
+    extra_degree = check_integer("extra_degree", extra_degree, 0)
+    sweeps = check_integer("sweeps", sweeps, 0)
     if distribution is None:
         distribution = BlockDistribution(graph.blocks.n_blocks, n_ranks)
 

@@ -58,8 +58,10 @@
  * globally unique). The golden-digest suites are run under
  * REPRO_ENGINE=compiled in CI to pin this.
  *
- * The same extension carries the partitioner's FM refinement pass
- * (fm_pass, at the end of this file): plain arrays in, nothing shared
+ * The same extension carries the balancers' array kernels, at the end of
+ * this file: the partitioner's FM refinement pass (fm_pass), the greedy
+ * semi-matching loop, one refinement sweep of the weighted semi-matching
+ * and the LPT loop. Plain arrays in, no call into Python, nothing shared
  * with the engine but the build, selected by the same REPRO_ENGINE mode.
  *
  * Built on demand by repro.simulate.sched (cc -O2 -fPIC -shared); no
@@ -2148,39 +2150,42 @@ fm_append(FmVec *x, FmEntry e)
     return 0;
 }
 
-/* heapq._siftdown / _siftup / heappush / heappop, line for line. */
-static void
-fm_siftdown(FmEntry *h, Py_ssize_t startpos, Py_ssize_t pos)
-{
-    FmEntry newitem = h[pos];
-    while (pos > startpos) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        if (!fm_lt(&newitem, &h[parentpos]))
-            break;
-        h[pos] = h[parentpos];
-        pos = parentpos;
+/* heapq._siftdown and _siftup, line for line, over entries of type T
+ * ordered by lt: _siftup moves the smaller child up to a leaf, then
+ * _siftdown bubbles the item back towards startpos. */
+#define DEFINE_HEAPQ_SIFTS(prefix, T, lt)                                      \
+    static void prefix##_siftdown(T *h, Py_ssize_t startpos, Py_ssize_t pos)    \
+    {                                                                          \
+        T newitem = h[pos];                                                    \
+        while (pos > startpos) {                                               \
+            Py_ssize_t parentpos = (pos - 1) >> 1;                             \
+            if (!lt(&newitem, &h[parentpos]))                                  \
+                break;                                                         \
+            h[pos] = h[parentpos];                                             \
+            pos = parentpos;                                                   \
+        }                                                                      \
+        h[pos] = newitem;                                                      \
+    }                                                                          \
+    static void prefix##_siftup(T *h, Py_ssize_t endpos, Py_ssize_t pos)        \
+    {                                                                          \
+        Py_ssize_t startpos = pos;                                             \
+        T newitem = h[pos];                                                    \
+        Py_ssize_t childpos = 2 * pos + 1;                                     \
+        while (childpos < endpos) {                                            \
+            Py_ssize_t rightpos = childpos + 1;                                \
+            if (rightpos < endpos && !lt(&h[childpos], &h[rightpos]))          \
+                childpos = rightpos;                                           \
+            h[pos] = h[childpos];                                              \
+            pos = childpos;                                                    \
+            childpos = 2 * pos + 1;                                            \
+        }                                                                      \
+        h[pos] = newitem;                                                      \
+        prefix##_siftdown(h, startpos, pos);                                   \
     }
-    h[pos] = newitem;
-}
 
-static void
-fm_siftup(FmEntry *h, Py_ssize_t endpos, Py_ssize_t pos)
-{
-    Py_ssize_t startpos = pos;
-    FmEntry newitem = h[pos];
-    Py_ssize_t childpos = 2 * pos + 1;
-    while (childpos < endpos) {
-        Py_ssize_t rightpos = childpos + 1;
-        if (rightpos < endpos && !fm_lt(&h[childpos], &h[rightpos]))
-            childpos = rightpos;
-        h[pos] = h[childpos];
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    h[pos] = newitem;
-    fm_siftdown(h, startpos, pos);
-}
+DEFINE_HEAPQ_SIFTS(fm, FmEntry, fm_lt)
 
+/* heappush / heappop, line for line. */
 static inline int
 fm_heappush(FmVec *h, FmEntry e)
 {
@@ -2222,10 +2227,10 @@ fm_insort(FmVec *x, FmEntry e)
 }
 
 /* A 1-D C-contiguous buffer of `itemsize`-byte items whose one-character
- * struct format is in `formats`. */
+ * struct format is in `formats`; `fn` names the kernel in errors. */
 static int
-fm_buffer(PyObject *obj, Py_buffer *view, const char *name, const char *formats,
-          Py_ssize_t itemsize, int writable)
+k_buffer(const char *fn, PyObject *obj, Py_buffer *view, const char *name,
+         const char *formats, Py_ssize_t itemsize, int writable)
 {
     int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
     if (PyObject_GetBuffer(obj, view, flags) < 0)
@@ -2234,50 +2239,85 @@ fm_buffer(PyObject *obj, Py_buffer *view, const char *name, const char *formats,
     if (view->ndim != 1 || view->itemsize != itemsize || f == NULL || f[0] == '\0'
         || f[1] != '\0' || strchr(formats, f[0]) == NULL) {
         PyErr_Format(PyExc_TypeError,
-                     "fm_pass: %s must be a 1-D contiguous array of %zd-byte '%s' items",
-                     name, itemsize, formats);
+                     "%s: %s must be a 1-D contiguous array of %zd-byte '%s' items",
+                     fn, name, itemsize, formats);
         PyBuffer_Release(view);
         return -1;
     }
     return 0;
 }
 
-/* `off` has rows + 1 entries starting at 0 and ending at nval, each row
- * at least `min_row` long; every value lies in [0, bound). */
+/* Every value lies in [0, bound). */
 static int
-fm_check_csr(const char *name, const int64_t *off, Py_ssize_t rows,
-             const int64_t *val, Py_ssize_t nval, Py_ssize_t bound, int min_row)
+k_check_range(const char *fn, const char *name, const int64_t *val, Py_ssize_t len,
+              Py_ssize_t bound)
 {
-    if (off[0] != 0 || off[rows] != nval) {
-        PyErr_Format(PyExc_ValueError,
-                     "fm_pass: %s offsets must run from 0 to %zd", name, nval);
-        return -1;
-    }
-    for (Py_ssize_t r = 0; r < rows; r++) {
-        /* off[r] is in [0, nval] by induction, so the sum cannot overflow. */
-        if (off[r + 1] < off[r] + min_row || off[r + 1] > nval) {
-            PyErr_Format(PyExc_ValueError,
-                         "fm_pass: %s offsets are out of order at row %zd", name, r);
-            return -1;
-        }
-    }
-    for (Py_ssize_t i = 0; i < nval; i++) {
+    for (Py_ssize_t i = 0; i < len; i++) {
         if (val[i] < 0 || val[i] >= bound) {
-            PyErr_Format(PyExc_ValueError,
-                         "fm_pass: %s value %lld at %zd is outside [0, %zd)", name,
-                         (long long)val[i], i, bound);
+            PyErr_Format(PyExc_ValueError, "%s: %s value %lld at %zd is outside [0, %zd)",
+                         fn, name, (long long)val[i], i, bound);
             return -1;
         }
     }
     return 0;
 }
 
+typedef struct {
+    const char *name, *formats;
+    Py_ssize_t itemsize;
+    int writable;
+} KSpec;
+
+/* k_buffer for each of `count` objects: all acquired, or none. */
 static int
-fm_check_finite(const char *name, const double *x, Py_ssize_t len)
+k_buffers(const char *fn, const KSpec *spec, PyObject **obj, Py_buffer *buf, int count)
+{
+    for (int i = 0; i < count; i++) {
+        if (k_buffer(fn, obj[i], &buf[i], spec[i].name, spec[i].formats,
+                     spec[i].itemsize, spec[i].writable) < 0) {
+            while (i-- > 0)
+                PyBuffer_Release(&buf[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static void
+k_release(Py_buffer *buf, int count)
+{
+    while (count-- > 0)
+        PyBuffer_Release(&buf[count]);
+}
+
+/* `off` has rows + 1 entries starting at 0 and ending at nval, each row
+ * at least `min_row` long; every value lies in [0, bound). */
+static int
+k_check_csr(const char *fn, const char *name, const int64_t *off, Py_ssize_t rows,
+            const int64_t *val, Py_ssize_t nval, Py_ssize_t bound, int min_row)
+{
+    if (off[0] != 0 || off[rows] != nval) {
+        PyErr_Format(PyExc_ValueError, "%s: %s offsets must run from 0 to %zd", fn,
+                     name, nval);
+        return -1;
+    }
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        /* off[r] is in [0, nval] by induction, so the sum cannot overflow. */
+        if (off[r + 1] < off[r] + min_row || off[r + 1] > nval) {
+            PyErr_Format(PyExc_ValueError, "%s: %s offsets are out of order at row %zd",
+                         fn, name, r);
+            return -1;
+        }
+    }
+    return k_check_range(fn, name, val, nval, bound);
+}
+
+static int
+k_check_finite(const char *fn, const char *name, const double *x, Py_ssize_t len)
 {
     for (Py_ssize_t i = 0; i < len; i++) {
         if (!isfinite(x[i])) {
-            PyErr_Format(PyExc_ValueError, "fm_pass: %s[%zd] is not finite", name, i);
+            PyErr_Format(PyExc_ValueError, "%s: %s[%zd] is not finite", fn, name, i);
             return -1;
         }
     }
@@ -2515,11 +2555,7 @@ out:
 static PyObject *
 core_fm_pass(PyObject *self, PyObject *args)
 {
-    static const struct {
-        const char *name, *formats;
-        Py_ssize_t itemsize;
-        int writable;
-    } spec[7] = {
+    static const KSpec spec[7] = {
         {"vertex_weights", "d", 8, 0}, {"net_weights", "d", 8, 0},
         {"xpins", "lq", 8, 0},         {"pins", "lq", 8, 0},
         {"xnets", "lq", 8, 0},         {"vnets", "lq", 8, 0},
@@ -2531,12 +2567,9 @@ core_fm_pass(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOOOOOOdddd:fm_pass", &obj[0], &obj[1], &obj[2],
                           &obj[3], &obj[4], &obj[5], &obj[6], &w0, &lo, &hi, &target0))
         return NULL;
+    if (k_buffers("fm_pass", spec, obj, buf, 7) < 0)
+        return NULL;
     PyObject *result = NULL;
-    int got = 0;
-    for (; got < 7; got++)
-        if (fm_buffer(obj[got], &buf[got], spec[got].name, spec[got].formats,
-                      spec[got].itemsize, spec[got].writable) < 0)
-            goto done;
     const double *vw = buf[0].buf, *nw = buf[1].buf;
     const int64_t *xpins = buf[2].buf, *pins = buf[3].buf;
     const int64_t *xnets = buf[4].buf, *vnets = buf[5].buf;
@@ -2547,10 +2580,10 @@ core_fm_pass(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "fm_pass: array lengths disagree");
         goto done;
     }
-    if (fm_check_csr("xpins/pins", xpins, m, pins, npins, n, 1) < 0
-        || fm_check_csr("xnets/vnets", xnets, n, vnets, npins, m, 0) < 0
-        || fm_check_finite("vertex_weights", vw, n) < 0
-        || fm_check_finite("net_weights", nw, m) < 0)
+    if (k_check_csr("fm_pass", "xpins/pins", xpins, m, pins, npins, n, 1) < 0
+        || k_check_csr("fm_pass", "xnets/vnets", xnets, n, vnets, npins, m, 0) < 0
+        || k_check_finite("fm_pass", "vertex_weights", vw, n) < 0
+        || k_check_finite("fm_pass", "net_weights", nw, m) < 0)
         goto done;
     for (Py_ssize_t v = 0; v < n; v++) {
         if (side[v] != 0 && side[v] != 1) {
@@ -2564,8 +2597,360 @@ core_fm_pass(PyObject *self, PyObject *args)
     if (improved >= 0)
         result = PyBool_FromLong(improved);
 done:
-    while (got-- > 0)
-        PyBuffer_Release(&buf[got]);
+    k_release(buf, 7);
+    return result;
+}
+
+/* ------------------------------------------------------------------------
+ * The cheap balancers' per-task loops over plain arrays: the compiled
+ * forms of repro.balance.semi_matching.greedy_semi_matching, of one
+ * refinement sweep of weighted_semi_matching, and of
+ * repro.balance.greedy.lpt. As with fm_pass the Python bodies are the
+ * reference, and each rule below is one of their lines, so every
+ * assignment is bit-identical:
+ *
+ * - greedy: tasks in the order given (the caller's stable argsort of
+ *   -costs), each to the first least-loaded rank of its row in row order,
+ *   by a strict `<` (how min(key=) keeps the first minimum). Rows are read
+ *   as given, unsorted and duplicated ones too.
+ * - sweep: ranks in the order given (NumPy's argsort of -loads, which is
+ *   unstable, so no C sort may stand in for it); a rank's tasks by (-cost,
+ *   arrival), where arrival is a per-task stamp: ascending tid, then
+ *   moved-in tasks in the order they moved, which is the order the
+ *   reference's tasks_on lists hold them. Each task is tested on the loads
+ *   as they are when it comes up (a move re-tests the tail on the new
+ *   loads) and goes to the first rank d != its own whose peak
+ *   max(load_r - c, load_d + c), Python's max (the first argument unless
+ *   the second is greater), beats the best so far by more than 1e-12.
+ * - lpt: a heap of (load, rank) compared as Python tuples; heapreplace is
+ *   heapq's: the new top sifts to a leaf (_siftup), then back (_siftdown).
+ *
+ * No multiply-add, so FP contraction cannot reorder a rounding. Every
+ * input is checked before it is used as an index (dtypes, lengths, the
+ * CSR, ranks and assignments in range, orders being permutations, finite
+ * costs); scratch comes from PyMem_* before anything is written, so a
+ * MemoryError leaves the caller's arrays as they were. */
+
+typedef struct {
+    double load;
+    int64_t rank;
+} LptEntry;
+
+/* Python tuple `<` on (load, rank). */
+static inline int
+lpt_lt(const LptEntry *a, const LptEntry *b)
+{
+    if (!(a->load == b->load))
+        return a->load < b->load;
+    return a->rank < b->rank;
+}
+
+DEFINE_HEAPQ_SIFTS(lpt, LptEntry, lpt_lt)
+
+/* `p` holds each of 0 .. n-1 once. */
+static int
+k_check_permutation(const char *fn, const char *name, const int64_t *p, Py_ssize_t n)
+{
+    if (k_check_range(fn, name, p, n, n) < 0)
+        return -1;
+    char *seen = PyMem_Calloc((size_t)n + 1, 1);
+    if (seen == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (seen[p[i]]) {
+            PyErr_Format(PyExc_ValueError, "%s: %s repeats %lld at %zd", fn, name,
+                         (long long)p[i], i);
+            rc = -1;
+            break;
+        }
+        seen[p[i]] = 1;
+    }
+    PyMem_Free(seen);
+    return rc;
+}
+
+static int
+greedy_run(Py_ssize_t n, Py_ssize_t n_ranks, const double *costs, const int64_t *offsets,
+           const int64_t *ranks, const int64_t *order, int64_t *assignment)
+{
+    double *loads = PyMem_Calloc((size_t)n_ranks, sizeof(double));
+    if (loads == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t tid = order[i];
+        const int64_t *r = ranks + offsets[tid], *end = ranks + offsets[tid + 1];
+        int64_t best = *r;
+        double best_load = loads[best];
+        for (r++; r < end; r++) {
+            if (loads[*r] < best_load) {
+                best = *r;
+                best_load = loads[best];
+            }
+        }
+        assignment[tid] = best;
+        loads[best] += costs[tid];
+    }
+    PyMem_Free(loads);
+    return 0;
+}
+
+/* greedy_semi_matching(costs, offsets, ranks, order, assignment, n_ranks) */
+static PyObject *
+core_greedy_semi_matching(PyObject *self, PyObject *args)
+{
+    static const char fn[] = "greedy_semi_matching";
+    static const KSpec spec[5] = {
+        {"costs", "d", 8, 0}, {"offsets", "lq", 8, 0}, {"ranks", "lq", 8, 0},
+        {"order", "lq", 8, 0}, {"assignment", "lq", 8, 1},
+    };
+    PyObject *obj[5];
+    Py_buffer buf[5];
+    Py_ssize_t n_ranks;
+    if (!PyArg_ParseTuple(args, "OOOOOn:greedy_semi_matching", &obj[0], &obj[1],
+                          &obj[2], &obj[3], &obj[4], &n_ranks))
+        return NULL;
+    if (n_ranks < 1) {
+        PyErr_Format(PyExc_ValueError, "%s: n_ranks must be >= 1, got %zd", fn, n_ranks);
+        return NULL;
+    }
+    if (k_buffers(fn, spec, obj, buf, 5) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    const double *costs = buf[0].buf;
+    const int64_t *offsets = buf[1].buf, *ranks = buf[2].buf, *order = buf[3].buf;
+    Py_ssize_t n = buf[0].shape[0];
+    if (buf[1].shape[0] != n + 1 || buf[3].shape[0] != n || buf[4].shape[0] != n) {
+        PyErr_Format(PyExc_ValueError, "%s: array lengths disagree", fn);
+        goto done;
+    }
+    if (k_check_finite(fn, "costs", costs, n) < 0
+        || k_check_csr(fn, "offsets/ranks", offsets, n, ranks, buf[2].shape[0], n_ranks,
+                       1) < 0
+        || k_check_permutation(fn, "order", order, n) < 0)
+        goto done;
+    if (greedy_run(n, n_ranks, costs, offsets, ranks, order, buf[4].buf) == 0)
+        result = Py_NewRef(Py_None);
+done:
+    k_release(buf, 5);
+    return result;
+}
+
+/* A task as a sweep visits it. Stamps are unique, so (-cost, stamp) is a
+ * total order and qsort's instability cannot show. */
+typedef struct {
+    double cost;
+    int64_t stamp, tid;
+} SmTask;
+
+static int
+sm_cmp(const void *pa, const void *pb)
+{
+    const SmTask *a = pa, *b = pb;
+    if (a->cost != b->cost)
+        return a->cost > b->cost ? -1 : 1;
+    return (a->stamp > b->stamp) - (a->stamp < b->stamp);
+}
+
+/* One sweep; 1 if a task moved, 0 if none did, -1 on a failed allocation.
+ * At its visit a rank holds the tasks it held when the sweep began (its
+ * segment of `resident`: only a rank's own visit moves its tasks out) and
+ * those that moved in since, in the order they did (its list through
+ * head/tail/nxt). The visit gathers both, sorts them by (-cost, stamp) and
+ * empties the list: a rank is visited once a sweep, and a task that moves
+ * on from it must not stay linked to it. So the lists are disjoint and the
+ * gathered tasks fit in n. */
+static int
+sweep_run(Py_ssize_t n, Py_ssize_t n_ranks, const double *costs, const int64_t *offsets,
+          const int64_t *ranks, const int64_t *visit, int64_t *assignment, double *loads,
+          int64_t *stamps, int64_t next_stamp)
+{
+    int rc = -1;
+    int64_t *resident = PyMem_New(int64_t, (size_t)n + 1);
+    SmTask *on = PyMem_New(SmTask, (size_t)n + 1);
+    Py_ssize_t *start = PyMem_Calloc((size_t)n_ranks + 1, sizeof(Py_ssize_t));
+    int64_t *head = PyMem_New(int64_t, (size_t)n_ranks);
+    int64_t *tail = PyMem_New(int64_t, (size_t)n_ranks);
+    int64_t *nxt = PyMem_New(int64_t, (size_t)n + 1);
+    if (!resident || !on || !start || !head || !tail || !nxt) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    for (Py_ssize_t t = 0; t < n; t++)
+        start[assignment[t] + 1]++;
+    for (Py_ssize_t r = 0; r < n_ranks; r++) {
+        start[r + 1] += start[r];
+        tail[r] = start[r]; /* the fill cursor, for now */
+    }
+    for (Py_ssize_t t = 0; t < n; t++)
+        resident[tail[assignment[t]]++] = t;
+    for (Py_ssize_t r = 0; r < n_ranks; r++)
+        head[r] = tail[r] = -1;
+
+    int moved = 0;
+    for (Py_ssize_t i = 0; i < n_ranks; i++) {
+        int64_t rank = visit[i];
+        Py_ssize_t k = 0;
+        for (Py_ssize_t j = start[rank]; j < start[rank + 1]; j++) {
+            int64_t t = resident[j];
+            on[k++] = (SmTask){costs[t], stamps[t], t};
+        }
+        for (int64_t t = head[rank]; t >= 0; t = nxt[t])
+            on[k++] = (SmTask){costs[t], stamps[t], t};
+        head[rank] = tail[rank] = -1;
+        qsort(on, (size_t)k, sizeof(SmTask), sm_cmp);
+        for (Py_ssize_t j = 0; j < k; j++) {
+            int64_t t = on[j].tid;
+            double c = costs[t], load_r = loads[rank], up = load_r - c;
+            double best_peak = load_r;
+            int64_t best = -1;
+            for (int64_t e = offsets[t]; e < offsets[t + 1]; e++) {
+                int64_t d = ranks[e];
+                if (d == rank)
+                    continue;
+                double down = loads[d] + c;
+                double peak = down > up ? down : up;
+                if (peak < best_peak - 1e-12) {
+                    best = d;
+                    best_peak = peak;
+                }
+            }
+            if (best < 0)
+                continue;
+            loads[rank] = up;
+            loads[best] += c;
+            assignment[t] = best;
+            stamps[t] = next_stamp++;
+            nxt[t] = -1;
+            if (tail[best] < 0)
+                head[best] = t;
+            else
+                nxt[tail[best]] = t;
+            tail[best] = t;
+            moved = 1;
+        }
+    }
+    rc = moved;
+out:
+    PyMem_Free(resident);
+    PyMem_Free(on);
+    PyMem_Free(start);
+    PyMem_Free(head);
+    PyMem_Free(tail);
+    PyMem_Free(nxt);
+    return rc;
+}
+
+/* semi_matching_sweep(costs, offsets, ranks, visit, assignment, loads,
+ *                     stamps) -> bool */
+static PyObject *
+core_semi_matching_sweep(PyObject *self, PyObject *args)
+{
+    static const char fn[] = "semi_matching_sweep";
+    static const KSpec spec[7] = {
+        {"costs", "d", 8, 0},      {"offsets", "lq", 8, 0},   {"ranks", "lq", 8, 0},
+        {"visit", "lq", 8, 0},     {"assignment", "lq", 8, 1}, {"loads", "d", 8, 1},
+        {"stamps", "lq", 8, 1},
+    };
+    PyObject *obj[7];
+    Py_buffer buf[7];
+    if (!PyArg_ParseTuple(args, "OOOOOOO:semi_matching_sweep", &obj[0], &obj[1],
+                          &obj[2], &obj[3], &obj[4], &obj[5], &obj[6]))
+        return NULL;
+    if (k_buffers(fn, spec, obj, buf, 7) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    const double *costs = buf[0].buf;
+    const int64_t *offsets = buf[1].buf, *ranks = buf[2].buf, *visit = buf[3].buf;
+    int64_t *assignment = buf[4].buf, *stamps = buf[6].buf;
+    Py_ssize_t n = buf[0].shape[0], n_ranks = buf[5].shape[0];
+    if (buf[1].shape[0] != n + 1 || buf[3].shape[0] != n_ranks
+        || buf[4].shape[0] != n || buf[6].shape[0] != n) {
+        PyErr_Format(PyExc_ValueError, "%s: array lengths disagree", fn);
+        goto done;
+    }
+    if (k_check_finite(fn, "costs", costs, n) < 0
+        || k_check_csr(fn, "offsets/ranks", offsets, n, ranks, buf[2].shape[0], n_ranks,
+                       1) < 0
+        || k_check_permutation(fn, "visit", visit, n_ranks) < 0
+        || k_check_range(fn, "assignment", assignment, n, n_ranks) < 0
+        || k_check_range(fn, "stamps", stamps, n, INT64_MAX) < 0)
+        goto done;
+    /* A task moves at most once per rank visit, so a sweep hands out at
+     * most n * n_ranks new stamps. */
+    int64_t next_stamp = 0;
+    for (Py_ssize_t t = 0; t < n; t++)
+        if (stamps[t] >= next_stamp)
+            next_stamp = stamps[t] + 1;
+    if (n_ranks && n > (INT64_MAX - next_stamp) / n_ranks) {
+        PyErr_Format(PyExc_OverflowError, "%s: stamps too large", fn);
+        goto done;
+    }
+    int moved = sweep_run(n, n_ranks, costs, offsets, ranks, visit, assignment,
+                          buf[5].buf, stamps, next_stamp);
+    if (moved >= 0)
+        result = PyBool_FromLong(moved);
+done:
+    k_release(buf, 7);
+    return result;
+}
+
+/* lpt(costs, order, assignment, n_ranks) */
+static PyObject *
+core_lpt(PyObject *self, PyObject *args)
+{
+    static const char fn[] = "lpt";
+    static const KSpec spec[3] = {
+        {"costs", "d", 8, 0}, {"order", "lq", 8, 0}, {"assignment", "lq", 8, 1},
+    };
+    PyObject *obj[3];
+    Py_buffer buf[3];
+    Py_ssize_t n_ranks;
+    if (!PyArg_ParseTuple(args, "OOOn:lpt", &obj[0], &obj[1], &obj[2], &n_ranks))
+        return NULL;
+    if (n_ranks < 1) {
+        PyErr_Format(PyExc_ValueError, "%s: n_ranks must be >= 1, got %zd", fn, n_ranks);
+        return NULL;
+    }
+    if (k_buffers(fn, spec, obj, buf, 3) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    const double *costs = buf[0].buf;
+    const int64_t *order = buf[1].buf;
+    int64_t *assignment = buf[2].buf;
+    Py_ssize_t n = buf[0].shape[0];
+    if (buf[1].shape[0] != n || buf[2].shape[0] != n) {
+        PyErr_Format(PyExc_ValueError, "%s: array lengths disagree", fn);
+        goto done;
+    }
+    if (k_check_finite(fn, "costs", costs, n) < 0
+        || k_check_permutation(fn, "order", order, n) < 0)
+        goto done;
+    LptEntry *heap = PyMem_New(LptEntry, (size_t)n_ranks);
+    if (heap == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* [(0.0, r) for r in range(n_ranks)] is sorted, so heapify leaves it
+     * as it is. */
+    for (Py_ssize_t r = 0; r < n_ranks; r++) {
+        heap[r].load = 0.0;
+        heap[r].rank = r;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t tid = order[i];
+        assignment[tid] = heap[0].rank;
+        heap[0].load = heap[0].load + costs[tid];
+        lpt_siftup(heap, n_ranks, 0);
+    }
+    PyMem_Free(heap);
+    result = Py_NewRef(Py_None);
+done:
+    k_release(buf, 3);
     return result;
 }
 
@@ -2577,6 +2962,18 @@ static PyMethodDef core_methods[] = {
      "fm_pass(vertex_weights, net_weights, xpins, pins, xnets, vnets, side, "
      "w0, lo, hi, target0) -> bool: one FM refinement pass, side updated in "
      "place; the compiled form of repro.balance.partition._fm_pass."},
+    {"greedy_semi_matching", core_greedy_semi_matching, METH_VARARGS,
+     "greedy_semi_matching(costs, offsets, ranks, order, assignment, n_ranks): "
+     "fill assignment; the compiled loop of "
+     "repro.balance.semi_matching.greedy_semi_matching."},
+    {"semi_matching_sweep", core_semi_matching_sweep, METH_VARARGS,
+     "semi_matching_sweep(costs, offsets, ranks, visit, assignment, loads, "
+     "stamps) -> bool: one refinement sweep of "
+     "repro.balance.semi_matching.weighted_semi_matching, arrays updated in "
+     "place; True if a task moved."},
+    {"lpt", core_lpt, METH_VARARGS,
+     "lpt(costs, order, assignment, n_ranks): fill assignment; the compiled "
+     "loop of repro.balance.greedy.lpt."},
     {"setup", core_setup, METH_VARARGS,
      "setup(Process, Timeout, Request, SimulationError, Resource, "
      "timeout_pool, TraceRecorder): register the engine's collaborator "

@@ -27,10 +27,12 @@ bit-for-bit identical across modes
 (pinned by ``tests/test_bitwise_equivalence.py`` run under each mode in
 CI, and by a randomized property test in ``tests/simulate/test_sched.py``).
 
-The same mode selects the partitioner's FM refinement pass: under a
-loaded core ``repro.balance.partition._fm_pass`` runs the core's
-``fm_pass`` kernel, under ``python`` (or with no core) its Python body,
-which is the reference the kernel is held to partition for partition.
+The same mode selects the balancers' loops: under a loaded core
+``repro.balance.partition._fm_pass``, ``greedy_semi_matching``, the
+sweeps of ``weighted_semi_matching`` and ``lpt`` run the core's
+``fm_pass``, ``greedy_semi_matching``, ``semi_matching_sweep`` and ``lpt``
+kernels, under ``python`` (or with no core) their Python bodies, which
+are the references the kernels are held to, result for result.
 
 The engine mode is an execution-layer knob, like the executor choice: it
 must never change results, so it is excluded from ``JobSpec.job_key()``
@@ -121,7 +123,7 @@ def _selected_core():
     ``python`` selects none; ``auto`` the core when it loads; ``compiled``
     the core, else None with a one-time :class:`DegradedEngineWarning`
     (or a :class:`ConfigurationError` under ``REPRO_ENGINE_REQUIRE=1``).
-    The engine and the partitioner's FM pass both choose by it.
+    The engine and the balancers' kernels all choose by it.
     """
     mode = engine_mode()
     if mode == "python":

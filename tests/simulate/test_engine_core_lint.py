@@ -6,6 +6,11 @@ or ``PyObject_Vectorcall*`` anywhere else in the engine part of
 ``_engine_core.c`` could run Python that reads a stale ``engine.now`` or
 takes a seq the core hands out again, and no digest would show it until
 some model happened to do so. This reads the source instead.
+
+Below the engine, the array kernels (the FM pass and the balancers' loops)
+call no Python at all: they are pure C over buffers, and an attribute
+lookup or a call in one of their loops would put the interpreter back on
+the per-task path they exist to leave.
 """
 
 import pathlib
@@ -13,8 +18,12 @@ import re
 
 SOURCE = pathlib.Path(__file__).parents[2] / "src" / "repro" / "simulate" / "_engine_core.c"
 
-#: Where the engine ends and the partitioner's FM kernel begins.
+#: Where the engine ends and the array kernels begin: the partitioner's FM
+#: pass, then the semi-matching and LPT loops.
 FM_BANNER = "One Fiduccia-Mattheyses pass"
+
+#: Where the array kernels end: the module's method table and init.
+KERNELS_END = "static PyMethodDef core_methods"
 
 #: The functions allowed to call an object: the hand-off itself,
 #: ``call_c`` for callees that run no Python code, and ``FusedOp.close``,
@@ -38,6 +47,10 @@ C_ONLY = {
 }
 
 CALL = re.compile(r"\b_?(PyObject_(Call|Vectorcall)\w*|PyEval_Call\w*)\s*\(")
+#: What the array kernels may not use: a call or an attribute lookup.
+PYTHON = re.compile(
+    r"\b_?(PyObject_(Call|Vectorcall|GetAttr)\w*|PyEval_Call\w*)\s*\("
+)
 CALL_C = re.compile(r"\bcall_c\(\s*([^,]+?)\s*,\s*([^,]+?)\s*,")
 DEFINITION = re.compile(r"^(\w+)\(")
 
@@ -85,3 +98,12 @@ def test_call_c_reaches_only_c():
         for callable_, name in CALL_C.findall(body)
     }
     assert uses and uses <= C_ONLY, sorted(uses - C_ONLY)
+
+
+def test_array_kernels_call_no_python():
+    text = SOURCE.read_text(encoding="utf-8")
+    kernels = text[text.index(FM_BANNER) : text.index(KERNELS_END)]
+    for name in ("fm_run", "greedy_run", "sweep_run", "core_lpt", "core_semi_matching_sweep"):
+        assert f"\n{name}(" in kernels, name
+    offenders = sorted({m.group(0) for m in PYTHON.finditer(kernels)})
+    assert offenders == [], f"the array kernels reach into the interpreter: {offenders}"
