@@ -7,8 +7,12 @@ When a C toolchain is present, the optional engine core
 ``REPRO_ENGINE=auto`` starts fast without a runtime build. The extension
 is strictly optional: any build failure falls back to a pure-Python
 install (the engine then builds the core lazily at runtime, or degrades
-to the pure-Python loop — results are identical either way).
+to the pure-Python loop — results are identical either way). The build
+carries the source's sha256 as ``SOURCE_DIGEST``, so the engine ignores
+it once the source is edited and builds the current one instead.
 """
+
+import hashlib
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -30,11 +34,16 @@ class _OptionalBuildExt(build_ext):
             pass
 
 
+_CORE_SOURCE = "src/repro/simulate/_engine_core.c"
+with open(_CORE_SOURCE, "rb") as _fh:
+    _CORE_DIGEST = hashlib.sha256(_fh.read()).hexdigest()
+
 setup(
     ext_modules=[
         Extension(
             "repro.simulate._engine_core",
-            sources=["src/repro/simulate/_engine_core.c"],
+            sources=[_CORE_SOURCE],
+            define_macros=[("REPRO_SOURCE_DIGEST", f'"{_CORE_DIGEST}"')],
             optional=True,
         )
     ],

@@ -76,13 +76,12 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.parallel.executor import (
     CellExecutor,
     DegradedExecutionWarning,
-    WorkerError,
     format_executor_spec,
     make_executor,
     parse_executor_spec,
 )
 from repro.parallel.fabric import DistributedExecutor
-from repro.parallel.supervisor import HOST_RETRY_POLICY, CellFailure
+from repro.parallel.supervisor import HOST_RETRY_POLICY, CellFailure, WorkerError
 from repro.simulate.machine import (
     MachineSpec,
     commodity_cluster,

@@ -11,12 +11,11 @@ itself:
   picklable, and content-addressable.
 - :class:`SweepRunner` — expands a :class:`~repro.core.config.StudyConfig`
   (or an explicit list of cells) into jobs, serves already-computed cells
-  from a :class:`~repro.core.cache.ResultCache`, and fans the rest out
-  across *supervised* worker processes
-  (:func:`repro.parallel.supervised_imap`): per-cell wall-clock
-  timeouts, crash detection and worker respawn, bounded retry with
-  backoff, and poison-cell quarantine
-  (:class:`~repro.parallel.CellFailure`).
+  from a :class:`~repro.core.cache.ResultCache`, and hands the rest to
+  a :class:`~repro.parallel.CellExecutor`, whose ``run`` drives the one
+  supervision loop: per-cell wall-clock timeouts, crash detection and
+  worker respawn, bounded retry with backoff, and poison-cell
+  quarantine (:class:`~repro.parallel.CellFailure`).
 - an optional durable checkpoint journal
   (:class:`~repro.core.journal.SweepJournal`): every completed cell is
   fsynced to an append-only JSONL log, so an interrupted sweep resumes

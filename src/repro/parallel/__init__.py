@@ -9,9 +9,11 @@ duplicate handling) and two of its three transports, forked workers
 on pipes and in-process; :mod:`repro.parallel.fabric` and
 :mod:`repro.parallel.worker` supply the third, leased TCP workers.
 :mod:`repro.parallel.executor` is the :class:`CellExecutor` contract,
-registry and spec grammar the sweep orchestrator programs against
-(``local`` / ``serial`` / ``distributed``). A forked worker reads its
-cells from the memory it inherits; only the fabric ships task graphs.
+registry and spec grammar the sweep orchestrator programs against:
+``CellExecutor.run`` checks a batch and runs the loop once over the
+transport its backend (``local`` / ``serial`` / ``distributed``)
+builds. A forked worker reads its cells from the memory it inherits;
+only the fabric ships task graphs.
 
 **Is any of this real?** :mod:`repro.parallel.pool` executes the same
 task kernels, claimed by the same three scheduling disciplines the
@@ -26,7 +28,6 @@ from repro.parallel.executor import (
     DegradedExecutionWarning,
     LocalExecutor,
     SerialExecutor,
-    WorkerError,
     fork_available,
     format_executor_spec,
     make_executor,
@@ -36,7 +37,7 @@ from repro.parallel.supervisor import (
     HOST_RETRY_POLICY,
     CellFailure,
     SupervisorStats,
-    supervised_imap,
+    WorkerError,
 )
 from repro.parallel.fabric import (
     DistributedExecutor,
@@ -55,7 +56,6 @@ from repro.parallel.pool import (
 __all__ = [
     "fork_available",
     "WorkerError",
-    "supervised_imap",
     "SupervisorStats",
     "CellFailure",
     "HOST_RETRY_POLICY",

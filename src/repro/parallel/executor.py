@@ -1,14 +1,14 @@
 """The executor layer: how a sweep's cache-miss cells get run on a host.
 
 :class:`CellExecutor` is the contract the sweep orchestrator programs
-against; the three built-in backends (``local``, ``serial``,
-``distributed``) are thin constructors of a transport handed to the one
-supervision loop in :mod:`repro.parallel.supervisor`, so retry, backoff,
-quarantine, deadlines and duplicate handling are the same code whichever
-backend runs a cell. This module also holds what every backend shares
-without depending on any of them: :class:`WorkerError` (a job failure
-that crossed a process boundary), the structured
-:class:`DegradedExecutionWarning`, and the executor spec-string grammar
+against, and :meth:`CellExecutor.run` is the one way into the
+supervision loop (:func:`repro.parallel.supervisor.supervise`): it
+checks the batch's arguments, asks the backend for a transport, and runs
+the loop over it once. The three built-in backends (``local``,
+``serial``, ``distributed``) only build that transport, so retry,
+backoff, quarantine, deadlines and duplicate handling are the same code
+whichever backend runs a cell. This module also holds the structured
+:class:`DegradedExecutionWarning` and the executor spec-string grammar
 (:func:`parse_executor_spec`) and registry (:func:`make_executor`).
 
 Simulated runs are deterministic functions of their inputs, so every
@@ -25,36 +25,16 @@ import signal as _signal
 import warnings
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.util import ConfigurationError, ReproError
-
-
-class WorkerError(ReproError, RuntimeError):
-    """A job raised inside a pool worker process.
-
-    Exceptions that cross a process boundary lose their real traceback
-    (the re-raised object points into executor plumbing), so this wrapper
-    preserves what the caller actually needs: which job failed (``label``
-    and ``index`` into the submitted job list), the original exception
-    class name, and the remote traceback text as captured in the worker.
-    The unpickled original (when available) is chained as ``__cause__``.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        index: int,
-        error_type: str,
-        message: str,
-        remote_traceback: str = "",
-    ) -> None:
-        super().__init__(
-            f"job {label!r} (index {index}) failed in worker: "
-            f"{error_type}: {message}"
-        )
-        self.label = label
-        self.index = int(index)
-        self.error_type = error_type
-        self.remote_traceback = remote_traceback
+from repro.parallel.supervisor import (
+    HOST_RETRY_POLICY,
+    ForkTransport,
+    InProcessTransport,
+    SupervisorStats,
+    Transport,
+    check_on_error,
+    supervise,
+)
+from repro.util import ConfigurationError, check_integer, check_positive
 
 
 def fork_available() -> bool:
@@ -124,16 +104,17 @@ class CellExecutor(abc.ABC):
     request — run these jobs through ``fn``, yield ``(index, outcome)``
     in completion order, where an outcome is the job's result or a
     :class:`~repro.parallel.supervisor.CellFailure` for jobs that
-    exhausted their retry budget. Fault-tolerance semantics (bounded
-    retry with deterministic jittered backoff, poison-job quarantine,
-    non-retryable ``ConfigurationError``, the job deadline) are the one
-    loop's (:func:`~repro.parallel.supervisor.supervise`), not
-    reimplemented per backend.
+    exhausted their retry budget. A backend implements only
+    :meth:`transport`; the fault-tolerance semantics (bounded retry with
+    deterministic jittered backoff, poison-job quarantine, non-retryable
+    ``ConfigurationError``, the job deadline) are the one loop's
+    (:func:`~repro.parallel.supervisor.supervise`), which :meth:`run`
+    drives.
 
     Built-in backends (see :func:`make_executor`):
 
     - ``"local"`` — supervised forked workers
-      (:func:`~repro.parallel.supervisor.supervised_imap`): per-job
+      (:class:`~repro.parallel.supervisor.ForkTransport`): per-job
       wall-clock timeouts, SIGKILL + respawn of hung workers, crash
       re-dispatch. Degrades to in-process execution where ``fork`` is
       unavailable.
@@ -150,6 +131,18 @@ class CellExecutor(abc.ABC):
     name: str = ""
 
     @abc.abstractmethod
+    def transport(
+        self,
+        fn: Callable[[Any], Any],
+        jobs: Sequence[Any],
+        n_workers: int,
+        timeout: float | None,
+        stats: SupervisorStats,
+    ) -> tuple[Transport, float | None]:
+        """The transport this batch runs over, and its per-job budget in
+        seconds (None: no budget). Called once per batch, with checked
+        arguments; the loop closes the transport when the batch ends."""
+
     def run(
         self,
         fn: Callable[[Any], Any],
@@ -161,53 +154,68 @@ class CellExecutor(abc.ABC):
         on_error: str = "quarantine",
         labels: Sequence[str] | None = None,
         on_dispatch: Callable[[int, int], None] | None = None,
-        stats: Any | None = None,
+        stats: SupervisorStats | None = None,
         deadline: float | None = None,
     ) -> Iterator[tuple[int, Any]]:
         """Yield ``(index, result-or-CellFailure)`` in completion order.
 
+        ``timeout`` is the per-job wall-clock budget (a hung local worker
+        is SIGKILLed and respawned, a remote lease revoked); ``retry``
+        defaults to :data:`~repro.parallel.supervisor.HOST_RETRY_POLICY`.
         ``deadline`` is an absolute ``time.monotonic()`` instant: past
         it, every unfinished job settles as a terminal
         ``CellFailure(error_type="DeadlineExceeded")`` and whatever is
-        still running is taken back (local workers are killed, remote
-        leases revoked). In-process execution cannot interrupt a running
-        cell, so there the deadline takes effect between cells.
+        still running is taken back. In-process execution cannot
+        interrupt a running cell, so there the deadline takes effect
+        between cells. Pass a :class:`SupervisorStats` as ``stats`` to
+        receive the fault accounting. A bad argument raises
+        :class:`ConfigurationError` before any worker is forked or leased.
         """
-
-
-class LocalExecutor(CellExecutor):
-    """Supervised forked workers, as a backend."""
-
-    name = "local"
-
-    def run(
-        self,
-        fn,
-        jobs,
-        *,
-        n_workers=1,
-        timeout=None,
-        retry=None,
-        on_error="quarantine",
-        labels=None,
-        on_dispatch=None,
-        stats=None,
-        deadline=None,
-    ):
-        from repro.parallel.supervisor import HOST_RETRY_POLICY, supervised_imap
-
-        yield from supervised_imap(
-            fn,
+        check_integer("n_workers", n_workers, 1)
+        if timeout is not None:
+            check_positive("timeout", timeout)
+        check_on_error(on_error)
+        stats = stats if stats is not None else SupervisorStats()
+        transport, budget = self.transport(fn, jobs, n_workers, timeout, stats)
+        yield from supervise(
+            transport,
             jobs,
-            n_workers,
-            timeout=timeout,
+            budget=budget,
             retry=retry if retry is not None else HOST_RETRY_POLICY,
             on_error=on_error,
             labels=labels,
             on_dispatch=on_dispatch,
-            stats=stats,
             deadline=deadline,
         )
+
+
+class LocalExecutor(CellExecutor):
+    """Supervised forked workers, as a backend.
+
+    With one worker or one job the batch runs in this process
+    (:class:`~repro.parallel.supervisor.InProcessTransport`: identical
+    retry and quarantine, no isolation and therefore no timeouts). So it
+    does, after one structured :class:`DegradedExecutionWarning` naming
+    the reason (never a silent fallback), when the platform lacks
+    ``fork``/``SIGKILL`` or the pool fails to start.
+    """
+
+    name = "local"
+
+    def transport(self, fn, jobs, n_workers, timeout, stats):
+        n_workers = min(n_workers, len(jobs))
+        if n_workers > 1:
+            reason = serial_fallback_reason()
+            if reason is not None:
+                warn_degraded("local", reason)
+            else:
+                try:
+                    return ForkTransport(fn, jobs, n_workers, stats), timeout
+                except OSError as exc:
+                    warn_degraded(
+                        "local", f"worker pool failed to start: {exc}", once=False
+                    )
+        return InProcessTransport(fn, stats), None
 
 
 class SerialExecutor(CellExecutor):
@@ -221,33 +229,8 @@ class SerialExecutor(CellExecutor):
 
     name = "serial"
 
-    def run(
-        self,
-        fn,
-        jobs,
-        *,
-        n_workers=1,
-        timeout=None,
-        retry=None,
-        on_error="quarantine",
-        labels=None,
-        on_dispatch=None,
-        stats=None,
-        deadline=None,
-    ):
-        from repro.parallel.supervisor import HOST_RETRY_POLICY, supervised_imap
-
-        yield from supervised_imap(
-            fn,
-            jobs,
-            1,
-            retry=retry if retry is not None else HOST_RETRY_POLICY,
-            on_error=on_error,
-            labels=labels,
-            on_dispatch=on_dispatch,
-            stats=stats,
-            deadline=deadline,
-        )
+    def transport(self, fn, jobs, n_workers, timeout, stats):
+        return InProcessTransport(fn, stats), None
 
 
 def _make_distributed(**options: Any) -> CellExecutor:

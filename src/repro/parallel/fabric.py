@@ -59,19 +59,12 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.chemistry.tasks import TaskGraph
 from repro.parallel.executor import CellExecutor, LocalExecutor, warn_degraded
-from repro.parallel.supervisor import (
-    HOST_RETRY_POLICY,
-    Event,
-    SupervisorStats,
-    Transport,
-    job_label,
-    supervise,
-)
-from repro.util import ConfigurationError
+from repro.parallel.supervisor import Event, SupervisorStats, Transport, job_label
+from repro.util import ConfigurationError, check_non_negative, check_positive
 
 #: Fabric wire-protocol version; a worker with a different version is
 #: turned away at the handshake.
@@ -89,13 +82,9 @@ class FabricProtocolError(ConfigurationError):
 
 
 class NoWorkersError(RuntimeError):
-    """The fabric has no live workers left; ``pending`` holds the
-    indices of jobs that still need a home."""
-
-    def __init__(self, reason: str, pending: list[int]) -> None:
-        super().__init__(reason)
-        self.reason = reason
-        self.pending = pending
+    """The fabric has no live workers left (raised out of
+    :meth:`_FabricTransport.wait`; :meth:`DistributedExecutor.run` turns
+    it into local fallback)."""
 
 
 # ----------------------------------------------------------------------
@@ -219,20 +208,21 @@ class _WorkerConn:
 
 
 class FabricServer:
-    """TCP sweep supervisor: accepts workers, leases cells, collects results.
+    """The fabric's TCP end: accepts workers and holds their connections;
+    a batch leases cells to them through a :class:`_FabricTransport`.
 
     Args:
         host, port: bind address (``port=0`` picks an ephemeral port;
             read :attr:`endpoint` afterwards).
-        lease: default per-cell wall-clock lease in seconds. A cell not
-            completed within its lease is revoked and requeued.
-        heartbeat: heartbeat interval advertised to workers (default
+        lease: default per-cell wall-clock lease in seconds (> 0). A
+            cell not completed within its lease is revoked and requeued.
+        heartbeat: heartbeat interval advertised to workers (> 0; default
             ``lease / 4``, clamped to [0.05, 2.0]).
-        connect_timeout: how long :meth:`run` waits for the *first*
-            worker before giving up on the fabric entirely.
+        connect_timeout: how long a batch waits for the *first* worker
+            before giving up on the fabric entirely (>= 0).
         degrade_after: grace period with zero live workers (after at
-            least one had connected) before :meth:`run` abandons the
-            fabric mid-sweep.
+            least one had connected) before a batch abandons the fabric
+            mid-sweep (>= 0).
     """
 
     def __init__(
@@ -245,16 +235,14 @@ class FabricServer:
         connect_timeout: float = 10.0,
         degrade_after: float = 5.0,
     ) -> None:
-        if lease <= 0:
-            raise ConfigurationError(f"lease must be > 0, got {lease}")
-        self.lease = float(lease)
+        self.lease = float(check_positive("lease", lease))
         self.heartbeat = (
-            float(heartbeat)
+            float(check_positive("heartbeat", heartbeat))
             if heartbeat is not None
             else min(2.0, max(0.05, self.lease / 4.0))
         )
-        self.connect_timeout = float(connect_timeout)
-        self.degrade_after = float(degrade_after)
+        self.connect_timeout = float(check_non_negative("connect_timeout", connect_timeout))
+        self.degrade_after = float(check_non_negative("degrade_after", degrade_after))
         self._listener = socket.create_server((host, port), backlog=16)
         self._listener.settimeout(0.25)
         self._conns: list[_WorkerConn] = []
@@ -291,12 +279,6 @@ class FabricServer:
             except OSError:
                 pass
             conn.close()
-
-    def __enter__(self) -> "FabricServer":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
     # -- connection plumbing (accept + reader threads) ------------------
     def _accept_loop(self) -> None:
@@ -345,49 +327,6 @@ class FabricServer:
         with self._conns_lock:
             if conn in self._conns:
                 self._conns.remove(conn)
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        jobs: Sequence[Any],
-        *,
-        lease: float | None = None,
-        retry: Any = None,
-        on_error: str = "quarantine",
-        labels: Sequence[str] | None = None,
-        on_dispatch: Callable[[int, int], None] | None = None,
-        stats: SupervisorStats | None = None,
-        deadline: float | None = None,
-    ) -> Iterator[tuple[int, Any]]:
-        """Yield ``(index, result-or-CellFailure)`` in completion order:
-        :func:`~repro.parallel.supervisor.supervise` over this server's
-        workers, ``lease`` (default: the server's) being the per-cell
-        budget.
-
-        Raises :class:`NoWorkersError` (carrying the unfinished indices)
-        when the fabric is or becomes workerless — the executor layer
-        turns that into local fallback, so callers of the executor never
-        see it.
-        """
-        stats = stats if stats is not None else SupervisorStats()
-        pending = set(range(len(jobs)))
-        try:
-            for index, outcome in supervise(
-                _FabricTransport(self, fn, jobs, stats),
-                jobs,
-                budget=float(lease) if lease is not None else self.lease,
-                retry=retry if retry is not None else HOST_RETRY_POLICY,
-                on_error=on_error,
-                labels=labels,
-                on_dispatch=on_dispatch,
-                deadline=deadline,
-            ):
-                pending.discard(index)
-                yield index, outcome
-        except NoWorkersError as exc:
-            exc.pending = sorted(pending)
-            stats.degraded += len(pending)
-            raise
 
 
 #: What follows the kind in each frame a worker may send. Anything else
@@ -516,7 +455,7 @@ class _FabricTransport(Transport):
             grace = self.server.degrade_after if ever else self.server.connect_timeout
             if now - (self._last_alive if ever else self._started) > grace:
                 raise NoWorkersError(
-                    "no remote workers " + ("left" if ever else "ever connected"), []
+                    "no remote workers " + ("left" if ever else "ever connected")
                 )
         return events
 
@@ -651,48 +590,36 @@ class DistributedExecutor(CellExecutor):
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def run(
-        self,
-        fn,
-        jobs,
-        *,
-        n_workers=1,
-        timeout=None,
-        retry=None,
-        on_error="quarantine",
-        labels=None,
-        on_dispatch=None,
-        stats=None,
-        deadline=None,
-    ):
+    def transport(self, fn, jobs, n_workers, timeout, stats):
+        budget = timeout if timeout is not None else self.server.lease
+        return _FabricTransport(self.server, fn, jobs, stats), budget
+
+    def run(self, fn, jobs, *, n_workers=1, labels=None, stats=None, **options):
+        """:meth:`CellExecutor.run` over the fabric; if it is or becomes
+        workerless, the unfinished jobs rerun through a fresh
+        :class:`LocalExecutor` (fresh retry budget, counted in
+        ``stats.degraded``) after one warning."""
+        stats = stats if stats is not None else SupervisorStats()
+        pending = set(range(len(jobs)))
         try:
-            yield from self.server.run(
-                fn,
-                jobs,
-                lease=timeout,
-                retry=retry,
-                on_error=on_error,
-                labels=labels,
-                on_dispatch=on_dispatch,
-                stats=stats,
-                deadline=deadline,
-            )
+            for index, outcome in super().run(
+                fn, jobs, n_workers=n_workers, labels=labels, stats=stats, **options
+            ):
+                pending.discard(index)
+                yield index, outcome
         except NoWorkersError as exc:
-            warn_degraded("distributed", exc.reason, once=False)
-            pending = exc.pending
+            rest = sorted(pending)
+            stats.degraded += len(rest)
+            warn_degraded("distributed", str(exc), once=False)
             for position, outcome in LocalExecutor().run(
                 fn,
-                [jobs[i] for i in pending],
+                [jobs[i] for i in rest],
                 n_workers=n_workers,
-                timeout=timeout,
-                retry=retry,
-                on_error=on_error,
-                labels=[job_label(labels, i) for i in pending],
-                on_dispatch=on_dispatch,
+                labels=[job_label(labels, i) for i in rest],
                 stats=stats,
-                deadline=deadline,
+                **options,
             ):
-                yield pending[position], outcome
+                yield rest[position], outcome
 
 
 def parse_endpoint(spec: str) -> tuple[str, int]:

@@ -3,7 +3,8 @@
 Running a batch of jobs on workers is a *policy* — who gets which job,
 when a failed attempt is retried, when a job is given up — and a
 *transport* that carries it. :func:`supervise` is the only copy of the
-policy; the forked pool, in-process execution and the TCP fabric
+policy, and ``CellExecutor.run`` (:mod:`repro.parallel.executor`) its
+only caller; the forked pool, in-process execution and the TCP fabric
 (:mod:`repro.parallel.fabric`) are :class:`Transport` implementations
 under it, the host-layer mirror of the *simulated* fault tolerance in
 :mod:`repro.faults`:
@@ -21,7 +22,7 @@ under it, the host-layer mirror of the *simulated* fault tolerance in
 - **Poison-job quarantine.** A job that fails ``max_attempts`` times is
   reported as a structured :class:`CellFailure` result instead of
   aborting the batch (``on_error="quarantine"``), or re-raised as a
-  :class:`~repro.parallel.executor.WorkerError` (``on_error="raise"``).
+  :class:`WorkerError` (``on_error="raise"``).
 - **Job deadline.** Past ``deadline`` every unfinished job — running,
   queued or awaiting a retry — settles at once as ``DeadlineExceeded``.
 - **Idempotent completions.** A completion for a job already settled, or
@@ -48,12 +49,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.faults.retry import RetryPolicy
-from repro.parallel.executor import (
-    WorkerError,
-    serial_fallback_reason,
-    warn_degraded,
-)
-from repro.util import ConfigurationError, check_positive
+from repro.util import ConfigurationError, ReproError
 
 #: Default host-side retry policy: three attempts, capped ~0.5 s backoff.
 #: (The simulated models use microsecond-scale delays; host faults —
@@ -75,6 +71,35 @@ def check_on_error(on_error: str) -> None:
         raise ConfigurationError(
             f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
         )
+
+
+class WorkerError(ReproError, RuntimeError):
+    """A job raised inside a pool worker process.
+
+    Exceptions that cross a process boundary lose their real traceback
+    (the re-raised object points into executor plumbing), so this wrapper
+    preserves what the caller actually needs: which job failed (``label``
+    and ``index`` into the submitted job list), the original exception
+    class name, and the remote traceback text as captured in the worker.
+    The unpickled original (when available) is chained as ``__cause__``.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        index: int,
+        error_type: str,
+        message: str,
+        remote_traceback: str = "",
+    ) -> None:
+        super().__init__(
+            f"job {label!r} (index {index}) failed in worker: "
+            f"{error_type}: {message}"
+        )
+        self.label = label
+        self.index = int(index)
+        self.error_type = error_type
+        self.remote_traceback = remote_traceback
 
 
 @dataclass(frozen=True)
@@ -653,68 +678,3 @@ class InProcessTransport(Transport):
             time.sleep(timeout)
         events, self._done = self._done, []
         return events
-
-
-def supervised_imap(
-    fn: Callable[[Any], Any],
-    jobs: Sequence[Any],
-    n_workers: int = 1,
-    *,
-    timeout: float | None = None,
-    retry: RetryPolicy = HOST_RETRY_POLICY,
-    on_error: str = "quarantine",
-    labels: Sequence[str] | None = None,
-    on_dispatch: Callable[[int, int], None] | None = None,
-    stats: SupervisorStats | None = None,
-    deadline: float | None = None,
-) -> Iterator[tuple[int, Any]]:
-    """Run ``jobs`` through ``fn`` on ``n_workers`` supervised forked
-    workers (:func:`supervise` over a :class:`ForkTransport`).
-
-    Yields ``(index, outcome)`` in completion order, where ``outcome`` is
-    the job's result or a :class:`CellFailure` for quarantined jobs.
-    ``timeout`` is the per-job wall-clock budget (a hung job's worker is
-    SIGKILLed and respawned); ``deadline`` an absolute
-    ``time.monotonic()`` instant past which every unfinished job settles
-    as ``DeadlineExceeded`` — busy workers are killed, not waited for.
-    Pass a :class:`SupervisorStats` as ``stats`` to receive the fault
-    accounting (crashes, timeouts, retries, quarantines).
-
-    With ``n_workers <= 1`` or a single job the same loop runs the jobs
-    in this process (:class:`InProcessTransport`: identical retry and
-    quarantine, no isolation and therefore no timeouts). So it does,
-    after one structured :class:`~repro.parallel.executor.
-    DegradedExecutionWarning` naming the reason (never a silent
-    fallback), when the platform lacks ``fork``/``SIGKILL`` or the pool
-    fails to start.
-    """
-    check_positive("n_workers", n_workers)
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-    check_on_error(on_error)  # before any worker is forked
-    stats = stats if stats is not None else SupervisorStats()
-    n_workers = min(int(n_workers), len(jobs))
-    transport: Transport | None = None
-    if n_workers > 1:
-        reason = serial_fallback_reason()
-        if reason is not None:
-            warn_degraded("local", reason)
-        else:
-            try:
-                transport = ForkTransport(fn, jobs, n_workers, stats)
-            except OSError as exc:
-                warn_degraded(
-                    "local", f"worker pool failed to start: {exc}", once=False
-                )
-    if transport is None:
-        transport, timeout = InProcessTransport(fn, stats), None
-    yield from supervise(
-        transport,
-        jobs,
-        budget=timeout,
-        retry=retry,
-        on_error=on_error,
-        labels=labels,
-        on_dispatch=on_dispatch,
-        deadline=deadline,
-    )

@@ -77,6 +77,12 @@
 #include <string.h>
 #include <structmember.h> /* T_OBJECT_EX */
 
+/* The sha256 of this file, as setup.py and sched._build_extension pass
+ * it; the loader uses a build only when it matches the shipped source. */
+#ifndef REPRO_SOURCE_DIGEST
+#define REPRO_SOURCE_DIGEST ""
+#endif
+
 /* Registered by setup(): the engine's collaborator classes. */
 static PyObject *g_process_cls = NULL;
 static PyObject *g_timeout_cls = NULL;
@@ -3070,6 +3076,10 @@ PyInit__engine_core(void)
         return NULL;
     if (PyModule_AddObject(module, "FusedOp", Py_NewRef(&FusedOpType)) < 0) {
         Py_DECREF(&FusedOpType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    if (PyModule_AddStringConstant(module, "SOURCE_DIGEST", REPRO_SOURCE_DIGEST) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -263,16 +263,18 @@ def _load_engine_core():
 
 def _import_or_build():
     # A pre-built extension (pip install with a toolchain, see setup.py)
-    # takes precedence over the runtime-build cache.
+    # takes precedence over the runtime-build cache while it was built
+    # from the source shipped beside it; an in-place build left behind by
+    # an edit of the source does not.
     try:
-        from repro.simulate import _engine_core  # type: ignore[attr-defined]
-
-        return _engine_core
+        from repro.simulate import _engine_core as prebuilt  # type: ignore[attr-defined]
     except ImportError:
-        pass
+        prebuilt = None
     source = os.path.join(os.path.dirname(__file__), "_engine_core.c")
     if not os.path.exists(source):
-        return None
+        return prebuilt
+    if getattr(prebuilt, "SOURCE_DIGEST", None) == _source_digest(source):
+        return prebuilt
     cache_dir = os.environ.get("REPRO_ENGINE_CACHE") or os.path.join(
         os.path.expanduser("~"), ".cache", "repro-engine"
     )
@@ -294,6 +296,13 @@ def _import_or_build():
 
 
 _BUILD_FLAGS = ("-O2", "-fPIC", "-shared", "-fvisibility=hidden")
+
+
+def _source_digest(source: str) -> str:
+    """The sha256 of the core's source, which a build exposes as
+    ``SOURCE_DIGEST``."""
+    with open(source, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _cache_path(source: str, cache_dir: str) -> str:
@@ -332,7 +341,8 @@ def _build_extension(source: str, path: str, cache_dir: str) -> bool:
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
     os.close(fd)
-    cmd = [compiler, *_BUILD_FLAGS, f"-I{include}", "-o", tmp, source]
+    define = f'-DREPRO_SOURCE_DIGEST="{_source_digest(source)}"'
+    cmd = [compiler, *_BUILD_FLAGS, define, f"-I{include}", "-o", tmp, source]
     try:
         proc = subprocess.run(
             cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120

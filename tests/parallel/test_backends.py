@@ -3,10 +3,10 @@
 Every test here runs through the ``CellExecutor`` surface of the
 ``serial``, ``local`` (2 forked workers) and ``distributed`` (two
 ``run_worker`` threads on loopback TCP) backends and demands identical
-accounting and failure shapes — they share
-:func:`repro.parallel.supervisor.supervise`, so anything else is a bug in
-a transport. The loop's own duplicate handling is pinned against a
-scripted transport at the end.
+accounting and failure shapes — each only builds a transport for
+``CellExecutor.run`` to hand :func:`repro.parallel.supervisor.supervise`,
+so anything else is a bug in a transport. The loop's own duplicate
+handling is pinned against a scripted transport at the end.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ import pytest
 
 from repro.faults import RetryPolicy
 from repro.parallel import (
+    CellExecutor,
     CellFailure,
     DistributedExecutor,
     SupervisorStats,
@@ -25,7 +26,9 @@ from repro.parallel import (
     make_executor,
     run_worker,
 )
-from repro.parallel.supervisor import Event, Transport, supervise
+from repro.parallel.executor import EXECUTOR_BACKENDS
+from repro.parallel.supervisor import Event, InProcessTransport, Transport, supervise
+from repro.util import ConfigurationError
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.0)
 
@@ -94,6 +97,53 @@ def test_stats_agree_across_backends(name, tmp_path):
     # 1 and 3 are retried once each, the poison job twice before it is
     # given up on: the same ledger, so the same counts, on every backend.
     assert (stats.completed, stats.retries, stats.quarantined) == (4, 4, 1)
+
+
+class Inline(CellExecutor):
+    """A backend that only says which transport a batch runs over."""
+
+    name = "inline"
+
+    def transport(self, fn, jobs, n_workers, timeout, stats):
+        return InProcessTransport(fn, stats), None
+
+
+def test_a_backend_is_only_a_transport(tmp_path):
+    jobs = [(value, str(tmp_path)) for value in range(5)]
+    stats = SupervisorStats()
+    got = run(Inline(), flaky_or_poison, jobs, stats=stats)
+    assert [g for i, g in enumerate(got) if i != 2] == [0, 10, 30, 40]
+    assert isinstance(got[2], CellFailure) and got[2].attempts == 3
+    assert (stats.completed, stats.retries, stats.quarantined) == (4, 4, 1)
+
+
+#: Arguments every backend refuses, the same way.
+BAD_ARGUMENTS = {
+    "timeout=0": {"timeout": 0},
+    "timeout=-1": {"timeout": -1},
+    "timeout=nan": {"timeout": float("nan")},
+    "n_workers=0": {"n_workers": 0},
+    "n_workers=2.7": {"n_workers": 2.7},
+    "on_error=explode": {"on_error": "explode"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+@pytest.mark.parametrize("name", sorted(EXECUTOR_BACKENDS))
+def test_bad_arguments_refused_before_a_transport_exists(name, case, monkeypatch):
+    """Refused before any worker is forked or leased: the backend is
+    never asked for a transport (so ``distributed`` needs no worker)."""
+    executor = make_executor(name)
+    monkeypatch.setattr(
+        executor, "transport", lambda *args: pytest.fail("a transport was built")
+    )
+    kwargs = {"n_workers": 2, **BAD_ARGUMENTS[case]}
+    try:
+        with pytest.raises(ConfigurationError):
+            next(executor.run(nap_if_odd, [0, 2, 4], **kwargs))
+    finally:
+        if isinstance(executor, DistributedExecutor):
+            executor.close()
 
 
 @pytest.mark.parametrize("name", BACKENDS)

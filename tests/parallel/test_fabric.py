@@ -25,7 +25,6 @@ from repro.parallel.executor import (
     DegradedExecutionWarning,
     LocalExecutor,
     SerialExecutor,
-    WorkerError,
     _coerce_option,
     format_executor_spec,
     make_executor,
@@ -34,14 +33,13 @@ from repro.parallel.executor import (
 from repro.parallel.fabric import (
     DistributedExecutor,
     FabricProtocolError,
-    FabricServer,
     GraphRef,
     _swap_graph_refs,
     parse_endpoint,
     recv_frame,
     send_frame,
 )
-from repro.parallel.supervisor import CellFailure, SupervisorStats
+from repro.parallel.supervisor import CellFailure, SupervisorStats, WorkerError
 from repro.parallel.worker import WorkerChaos, run_worker
 from repro.faults import RetryPolicy
 from repro.simulate import commodity_cluster
@@ -113,6 +111,14 @@ def collect(iterator, n):
     for index, outcome in iterator:
         results[index] = outcome
     return results
+
+
+def remote(ex, fn, jobs, stats=None, **kwargs):
+    """``ex.run`` collected, with no cell rerouted to the local fallback."""
+    stats = stats if stats is not None else SupervisorStats()
+    got = collect(ex.run(fn, jobs, retry=FAST_RETRY, stats=stats, **kwargs), len(jobs))
+    assert stats.degraded == 0
+    return got
 
 
 class TestFraming:
@@ -207,6 +213,24 @@ class TestExecutorSpecStrings:
         with pytest.raises(ConfigurationError, match="lease=abc"):
             make_executor("distributed?bind=127.0.0.1:0&lease=abc")
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "heartbeat=0",
+            "heartbeat=-1",
+            "heartbeat=nan",
+            "lease=nan",
+            "connect_timeout=-1",
+            "degrade_after=-5",
+        ],
+    )
+    def test_fabric_timing_options_are_checked(self, option):
+        """A worker told to sleep a negative or NaN heartbeat dies in its
+        heartbeat thread; such a value is refused before a port is bound."""
+        name = option.partition("=")[0]
+        with pytest.raises(ConfigurationError, match=f"{name} must be"):
+            make_executor(f"distributed?bind=127.0.0.1:0&{option}")
+
     def test_format_is_canonical_inverse(self):
         spec = "distributed?bind=127.0.0.1:0&lease=7.5"
         name, options = parse_executor_spec(spec)
@@ -273,12 +297,9 @@ class TestDistributedRoundTrip:
     def test_matches_serial(self):
         jobs = [f"job-{i}" for i in range(8)]
         stats = SupervisorStats()
-        with FabricServer(connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 2)
-            got = collect(
-                server.run(shout, jobs, retry=FAST_RETRY, stats=stats),
-                len(jobs),
-            )
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 2)
+            got = remote(ex, shout, jobs, stats=stats)
         assert got == [shout(j) for j in jobs]
         assert stats.completed == len(jobs)
         assert stats.duplicates == 0
@@ -286,9 +307,9 @@ class TestDistributedRoundTrip:
     def test_graph_fetched_by_key(self):
         graph = synthetic_task_graph(200, 6, seed=5)
         jobs = [FakeCell(graph=graph, value=i) for i in range(5)]
-        with FabricServer(connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 2)
-            got = collect(server.run(flops_plus_value, jobs, retry=FAST_RETRY), 5)
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 2)
+            got = remote(ex, flops_plus_value, jobs)
         assert got == [flops_plus_value(j) for j in jobs]
 
     def test_folded_graph_runs_to_the_serial_row(self, small_problem):
@@ -302,27 +323,19 @@ class TestDistributedRoundTrip:
             SweepCell(model=model, graph=folded, machine=commodity_cluster(4), seed=9)
             for model in ("static_block", "work_stealing")
         ]
-        with FabricServer(connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 1)
-            got = collect(server.run(execute_cell, cells, retry=FAST_RETRY), 2)
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 1)
+            got = remote(ex, execute_cell, cells)
         serial = collect(SerialExecutor().run(execute_cell, cells), 2)
         assert [pickle.dumps(r) for r in got] == [pickle.dumps(r) for r in serial]
 
     def test_poison_job_quarantined(self):
         jobs = [f"job-{i}" for i in range(5)]
         stats = SupervisorStats()
-        with FabricServer(connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 2)
-            got = collect(
-                server.run(
-                    poison,
-                    jobs,
-                    retry=FAST_RETRY,
-                    on_error="quarantine",
-                    labels=jobs,
-                    stats=stats,
-                ),
-                len(jobs),
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 2)
+            got = remote(
+                ex, poison, jobs, stats=stats, on_error="quarantine", labels=jobs
             )
         failure = got[2]
         assert isinstance(failure, CellFailure)
@@ -336,10 +349,10 @@ class TestDistributedRoundTrip:
 
     def test_non_retryable_raises(self):
         jobs = [f"job-{i}" for i in range(3)]
-        with FabricServer(connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 1)
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 1)
             with pytest.raises(WorkerError) as excinfo:
-                collect(server.run(bad_config, jobs, retry=FAST_RETRY), 3)
+                remote(ex, bad_config, jobs)
         assert excinfo.value.error_type == "ConfigurationError"
 
     def test_lease_expiry_requeues(self):
@@ -347,12 +360,9 @@ class TestDistributedRoundTrip:
         # requeued to the other worker, and the late result dedupes.
         jobs = [f"job-{i}" for i in range(3)]
         stats = SupervisorStats()
-        with FabricServer(lease=0.5, connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 2)
-            got = collect(
-                server.run(slow_shout, jobs, retry=FAST_RETRY, stats=stats),
-                len(jobs),
-            )
+        with DistributedExecutor(lease=0.5, connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 2)
+            got = remote(ex, slow_shout, jobs, stats=stats)
         assert got == [shout(j) for j in jobs]
         assert stats.lease_expiries >= 1
         assert stats.retries >= 1
@@ -363,12 +373,9 @@ class TestChaosHooks:
         jobs = [f"job-{i}" for i in range(4)]
         stats = SupervisorStats()
         chaos = WorkerChaos(dup=["job-0"])  # no marker_dir: fires on match
-        with FabricServer(connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 1, chaos=chaos)
-            got = collect(
-                server.run(shout, jobs, retry=FAST_RETRY, stats=stats),
-                len(jobs),
-            )
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 1, chaos=chaos)
+            got = remote(ex, shout, jobs, stats=stats)
         assert got == [shout(j) for j in jobs]
         assert stats.duplicates >= 1
         assert stats.completed == len(jobs)
@@ -377,12 +384,9 @@ class TestChaosHooks:
         jobs = [f"job-{i}" for i in range(4)]
         stats = SupervisorStats()
         chaos = WorkerChaos(marker_dir=str(tmp_path), sever=["job-1"])
-        with FabricServer(connect_timeout=20.0) as server:
-            start_workers(server.endpoint, 2, chaos=chaos)
-            got = collect(
-                server.run(shout, jobs, retry=FAST_RETRY, stats=stats),
-                len(jobs),
-            )
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 2, chaos=chaos)
+            got = remote(ex, shout, jobs, stats=stats)
         assert got == [shout(j) for j in jobs]
         assert stats.disconnects >= 1
         assert stats.retries >= 1
@@ -424,21 +428,15 @@ class TestRoguePeer:
 
         def misbehave(index, _pid):
             if index == 0:  # mid-sweep: seven 50 ms cells are still to run
-                rogue.connect(server.endpoint)
+                rogue.connect(ex.endpoint)
                 rogue.sendall(data)
                 if hang_up:
                     rogue.close()
 
         try:
-            with FabricServer(connect_timeout=20.0) as server:
-                start_workers(server.endpoint, 1)
-                got = collect(
-                    server.run(
-                        dawdle, jobs, retry=FAST_RETRY, stats=stats,
-                        on_dispatch=misbehave,
-                    ),
-                    len(jobs),
-                )
+            with DistributedExecutor(connect_timeout=20.0) as ex:
+                start_workers(ex.endpoint, 1)
+                got = remote(ex, dawdle, jobs, stats=stats, on_dispatch=misbehave)
         finally:
             rogue.close()
         assert got == [dawdle(j) for j in jobs]
@@ -462,15 +460,13 @@ class TestRoguePeer:
                 with pytest.raises((EOFError, OSError)):
                     recv_frame(sock)  # the server hangs up on us
 
-        with FabricServer(connect_timeout=20.0) as server:
+        with DistributedExecutor(connect_timeout=20.0) as ex:
             thread = threading.Thread(
-                target=rogue_worker, args=(server.endpoint,), daemon=True
+                target=rogue_worker, args=(ex.endpoint,), daemon=True
             )
             thread.start()
-            start_workers(server.endpoint, 1)
-            got = collect(
-                server.run(dawdle, jobs, retry=FAST_RETRY, stats=stats), len(jobs)
-            )
+            start_workers(ex.endpoint, 1)
+            got = remote(ex, dawdle, jobs, stats=stats)
             thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert got == [dawdle(j) for j in jobs]

@@ -1,4 +1,5 @@
-"""Supervised pool: crash recovery, timeouts, retry, quarantine."""
+"""The local backend under the supervision loop: crash recovery,
+timeouts, retry, quarantine."""
 
 import os
 import signal
@@ -10,9 +11,9 @@ import pytest
 from repro.faults import RetryPolicy
 from repro.parallel import (
     CellFailure,
+    LocalExecutor,
     SupervisorStats,
     WorkerError,
-    supervised_imap,
 )
 from repro.util import ConfigurationError
 
@@ -96,9 +97,11 @@ def collect(iterator, n):
 
 
 class TestSupervisedImapParallel:
+    """``LocalExecutor.run`` on forked workers (``n_workers > 1``)."""
+
     def test_matches_serial(self):
         jobs = list(range(8))
-        got = collect(supervised_imap(square, jobs, n_workers=4), len(jobs))
+        got = collect(LocalExecutor().run(square, jobs, n_workers=4), len(jobs))
         assert got == [square(x) for x in jobs]
 
     @pytest.mark.parametrize("respawn", [False, True], ids=["forked", "respawned"])
@@ -110,10 +113,12 @@ class TestSupervisedImapParallel:
         jobs = [(i, threading.Lock(), marker) for i in range(6)]
         stats = SupervisorStats()
         got = collect(
-            supervised_imap(behind_lock, jobs, 2, retry=FAST_RETRY, stats=stats),
+            LocalExecutor().run(
+                behind_lock, jobs, n_workers=2, retry=FAST_RETRY, stats=stats
+            ),
             len(jobs),
         )
-        serial = collect(supervised_imap(behind_lock, jobs, 1), len(jobs))
+        serial = collect(LocalExecutor().run(behind_lock, jobs, n_workers=1), len(jobs))
         assert got == serial == [i * 10 for i in range(6)]
         assert stats.crashes == int(respawn)
 
@@ -121,7 +126,7 @@ class TestSupervisedImapParallel:
         jobs = [(i, str(tmp_path / "kill")) for i in range(6)]
         stats = SupervisorStats()
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 crash_once, jobs, n_workers=3, retry=FAST_RETRY, stats=stats
             ),
             len(jobs),
@@ -136,7 +141,7 @@ class TestSupervisedImapParallel:
         stats = SupervisorStats()
         start = time.monotonic()
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 hang_once,
                 jobs,
                 n_workers=2,
@@ -160,7 +165,7 @@ class TestSupervisedImapParallel:
         stats = SupervisorStats()
         start = time.monotonic()
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 hang_always,
                 jobs,
                 n_workers=2,
@@ -183,7 +188,7 @@ class TestSupervisedImapParallel:
         jobs = list(range(5))
         stats = SupervisorStats()
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 poison,
                 jobs,
                 n_workers=2,
@@ -206,7 +211,7 @@ class TestSupervisedImapParallel:
     def test_poison_job_raises_worker_error(self):
         with pytest.raises(WorkerError) as excinfo:
             collect(
-                supervised_imap(
+                LocalExecutor().run(
                     poison,
                     list(range(4)),
                     n_workers=2,
@@ -224,7 +229,7 @@ class TestSupervisedImapParallel:
         stats = SupervisorStats()
         with pytest.raises(WorkerError) as excinfo:
             collect(
-                supervised_imap(
+                LocalExecutor().run(
                     bad_config,
                     [0, 1, 2],
                     n_workers=2,
@@ -241,7 +246,7 @@ class TestSupervisedImapParallel:
         jobs = [(i, str(tmp_path / f"flake-{i}")) for i in range(4)]
         stats = SupervisorStats()
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 flaky_then_ok, jobs, n_workers=2, retry=FAST_RETRY, stats=stats
             ),
             len(jobs),
@@ -252,7 +257,7 @@ class TestSupervisedImapParallel:
     def test_on_dispatch_reports_worker_pids(self):
         seen = []
         collect(
-            supervised_imap(
+            LocalExecutor().run(
                 square,
                 list(range(6)),
                 n_workers=2,
@@ -266,12 +271,12 @@ class TestSupervisedImapParallel:
 
 class TestSerialFallback:
     def test_single_worker_is_serial(self):
-        got = collect(supervised_imap(square, [1, 2, 3], n_workers=1), 3)
+        got = collect(LocalExecutor().run(square, [1, 2, 3], n_workers=1), 3)
         assert got == [1, 4, 9]
 
     def test_serial_retry_and_quarantine(self):
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 poison,
                 list(range(4)),
                 n_workers=1,
@@ -287,7 +292,7 @@ class TestSerialFallback:
     def test_serial_raise_mode_raises_original(self):
         with pytest.raises(ValueError, match="poison"):
             collect(
-                supervised_imap(
+                LocalExecutor().run(
                     poison, list(range(4)), n_workers=1,
                     retry=FAST_RETRY, on_error="raise",
                 ),
@@ -297,7 +302,7 @@ class TestSerialFallback:
     def test_serial_configuration_error_propagates(self):
         with pytest.raises(ConfigurationError):
             collect(
-                supervised_imap(
+                LocalExecutor().run(
                     bad_config, [0, 1], n_workers=1, retry=FAST_RETRY
                 ),
                 2,
@@ -309,13 +314,16 @@ class TestSupervisedPoolValidation:
         stats = SupervisorStats()
         with pytest.raises(ConfigurationError):
             collect(
-                supervised_imap(square, [1, 2], 2, on_error="explode", stats=stats), 2
+                LocalExecutor().run(
+                    square, [1, 2], n_workers=2, on_error="explode", stats=stats
+                ),
+                2,
             )
         assert stats.respawns == 0  # rejected before any worker was forked
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ConfigurationError):
-            collect(supervised_imap(square, [1, 2], 2, timeout=0.0), 2)
+            collect(LocalExecutor().run(square, [1, 2], n_workers=2, timeout=0.0), 2)
 
     def test_cell_failure_str(self):
         failure = CellFailure(
@@ -371,7 +379,7 @@ class TestJobDeadline:
         stats = SupervisorStats()
         start = time.monotonic()
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 sleep_if_odd,
                 list(range(4)),
                 n_workers=2,
@@ -394,7 +402,7 @@ class TestJobDeadline:
     def test_parallel_deadline_raise_mode(self):
         with pytest.raises(WorkerError) as excinfo:
             collect(
-                supervised_imap(
+                LocalExecutor().run(
                     sleep_if_odd,
                     [1, 3],
                     n_workers=2,
@@ -408,7 +416,7 @@ class TestJobDeadline:
 
     def test_serial_deadline_checked_between_cells(self):
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 brief_sleep,
                 list(range(4)),
                 n_workers=1,
@@ -425,7 +433,7 @@ class TestJobDeadline:
     def test_expired_deadline_settles_everything_immediately(self):
         start = time.monotonic()
         got = collect(
-            supervised_imap(
+            LocalExecutor().run(
                 sleep_if_odd,
                 [1, 3, 5],
                 n_workers=2,
@@ -443,20 +451,18 @@ class TestJobDeadline:
 
 class TestDegradationWarning:
     def test_forkless_platform_warns_once(self, monkeypatch):
-        from repro.parallel import executor, supervisor
+        from repro.parallel import executor
 
         reason = "no 'fork' start method on this platform (test)"
-        monkeypatch.setattr(
-            supervisor, "serial_fallback_reason", lambda: reason
-        )
+        monkeypatch.setattr(executor, "serial_fallback_reason", lambda: reason)
         monkeypatch.setattr(executor, "_WARNED_DEGRADATIONS", set())
         import warnings as warnings_mod
 
         with warnings_mod.catch_warnings(record=True) as caught:
             warnings_mod.simplefilter("always")
-            got = collect(supervised_imap(square, [1, 2, 3], n_workers=2), 3)
+            got = collect(LocalExecutor().run(square, [1, 2, 3], n_workers=2), 3)
             # Second batch on the same degraded platform: no new warning.
-            collect(supervised_imap(square, [4, 5], n_workers=2), 2)
+            collect(LocalExecutor().run(square, [4, 5], n_workers=2), 2)
         assert got == [1, 4, 9]
         degradations = [
             w.message

@@ -567,3 +567,49 @@ def test_unloadable_cached_core_is_rebuilt(tmp_path):
     assert done.returncode == 0, done.stderr
     assert planted.stat().st_size > len(garbage) and planted.read_bytes() != garbage
     assert [p.name for p in tmp_path.iterdir()] == [planted.name]  # no temp left behind
+
+
+@pytest.mark.parametrize("matches", [False, True], ids=["stale", "current"])
+def test_prebuilt_core_is_used_only_for_its_own_source(monkeypatch, tmp_path, matches):
+    """A pre-built core (``setup.py build_ext --inplace``) stands for the
+    source it was built from: once ``_engine_core.c`` is edited, the
+    build cached under the source's hash is loaded instead."""
+    import hashlib
+    import os
+    import sys
+    import types
+
+    import repro.simulate
+    from repro.simulate import sched
+
+    source = os.path.join(os.path.dirname(sched.__file__), "_engine_core.c")
+    with open(source, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    prebuilt = types.ModuleType("repro.simulate._engine_core")
+    prebuilt.SOURCE_DIGEST = digest if matches else "0" * 64
+    monkeypatch.setitem(sys.modules, "repro.simulate._engine_core", prebuilt)
+    monkeypatch.setattr(repro.simulate, "_engine_core", prebuilt, raising=False)
+    cached = tmp_path / "cached.so"
+    cached.write_bytes(b"")
+    monkeypatch.setattr(sched, "_cache_path", lambda source, cache_dir: str(cached))
+    monkeypatch.setattr(sched, "_load_extension", lambda path: ("cache", path))
+    expected = prebuilt if matches else ("cache", str(cached))
+    assert sched._import_or_build() == expected
+
+
+@needs_cc
+def test_runtime_build_carries_its_source_digest(monkeypatch, tmp_path):
+    import hashlib
+    import os
+    import sys
+
+    from repro.simulate import sched
+
+    # Loading a second copy re-registers the module name; put it back.
+    name = "repro.simulate._engine_core"
+    monkeypatch.setitem(sys.modules, name, sys.modules.get(name))
+    source = os.path.join(os.path.dirname(sched.__file__), "_engine_core.c")
+    path = str(tmp_path / "core.so")
+    assert sched._build_extension(source, path, str(tmp_path))
+    with open(source, "rb") as fh:
+        assert sched._load_extension(path).SOURCE_DIGEST == hashlib.sha256(fh.read()).hexdigest()
