@@ -20,15 +20,16 @@
  * For the whole of one core_run() call the engine's state lives in C,
  * and Python sees it only at a *call out* (call_out below: a generator
  * send, _finish, activate, a claim, a fallback method, a generic
- * callback, an append to a non-deque queue):
+ * callback):
  *
  * - the **clock and the seq counter** are C scalars. call_out publishes
  *   both to `engine.now` / `engine._seq` before it calls (writing only
- *   what changed, one float per timestamp) and reads them back after.
- *   Python that runs between two calls out (a finalizer the core
- *   triggers) and schedules an event would make the core reuse a seq;
- *   call_out finds the attributes no longer hold what it published and
- *   raises SimulationError instead.
+ *   what changed, one float per timestamp) and reads the counter back
+ *   after. Python that runs between two calls out (a finalizer the core
+ *   triggers) and schedules an event would make the core reuse a seq, and
+ *   a call out that sets `engine.now` would move a clock only the loop
+ *   moves; call_out finds the attributes no longer hold what it published
+ *   and raises SimulationError instead.
  *
  * - the **timeout-event heap**: a binary heap of plain C structs
  *   {time, seq, obj, kind} for timed Timeout wake-ups and timed fused-op
@@ -49,6 +50,10 @@
  * Consumed ``Timeout`` request objects are recycled into the Python-side
  * freelist shared with ``pooled_timeout`` when their refcount proves
  * sole ownership -- the C half of the allocation-free Timeout cycle.
+ *
+ * The core runs the processes and fused ops of the engine it was handed
+ * and no other: a Process or FusedOp whose `engine` is another engine
+ * raises SimulationError where it would take a seq (foreign_engine).
  *
  * Bit-for-bit contract: every control-flow branch here mirrors a line of
  * Engine.run / Process.resume / Resource._deliver_grant; `now + delay`
@@ -84,7 +89,6 @@
 #endif
 
 /* Registered by setup(): the engine's collaborator classes. */
-static PyObject *g_process_cls = NULL;
 static PyObject *g_timeout_cls = NULL;
 static PyObject *g_request_cls = NULL;
 static PyObject *g_sim_error = NULL;
@@ -116,7 +120,7 @@ typedef struct {
 static AttrName s_heap[1], s_ready[1], s_seq[1], s_now[1];
 static AttrName s_events_dispatched[1], s_ready_dispatched[1];
 static AttrName s_timeout_allocs[1], s_grant_resumes[1];
-static AttrName s_done[1], s_cancelled[1], s_send[1], s_resume_attr[1], s_engine[1];
+static AttrName s_done[1], s_cancelled[1], s_send[1], s_engine[1];
 static AttrName s_delay[1], s_name[1], s_value[1];
 static AttrName s_in_use[1], s_capacity[1], s_total_acquisitions[1];
 static AttrName s_total_waits[1], s_queue[1];
@@ -125,7 +129,7 @@ static AttrName s_task_ids[1], s_task_ranks[1], s_task_starts[1], s_task_ends[1]
 
 /* Interned method names: always looked up through the type. */
 static PyObject *s_popleft, *s_append, *s_clear, *s_finish, *s_activate, *s_release;
-static PyObject *s_resume_pub, *s_advance_name, *s_deliver_name, *s_record;
+static PyObject *s_advance_name, *s_deliver_name, *s_record;
 static PyObject *s_record_compute, *s_compute;
 
 /* What firing a C-held event means: resume a Process, advance a fused
@@ -405,29 +409,6 @@ set_ll(PyObject *obj, AttrName *name, long long value)
     return rc;
 }
 
-static int
-get_double(PyObject *obj, AttrName *name, double *out)
-{
-    PyObject *v = get_attr(obj, name);
-    if (v == NULL)
-        return -1;
-    *out = PyFloat_AsDouble(v);
-    Py_DECREF(v);
-    if (*out == -1.0 && PyErr_Occurred())
-        return -1;
-    return 0;
-}
-
-/* obj.<name> += 1 through attribute access (the rare cross-engine path). */
-static int
-bump_ll_attr(PyObject *obj, AttrName *name)
-{
-    long long v;
-    if (get_ll(obj, name, &v) < 0)
-        return -1;
-    return set_ll(obj, name, v + 1);
-}
-
 /* Extract (time, seq) from a heap entry; rejects malformed entries. */
 static int
 entry_key(PyObject *entry, double *time, long long *seq)
@@ -477,7 +458,7 @@ publish(RunCtx *ctx)
         PyErr_SetString(g_sim_error,
                         "engine.now or engine._seq changed while the compiled "
                         "core held them: Python ran outside a call out (a "
-                        "finalizer that scheduled an event?)");
+                        "finalizer that scheduled an event?) or set engine.now");
         return -1;
     }
     PyObject *now = now_obj(ctx);
@@ -500,26 +481,13 @@ publish(RunCtx *ctx)
     return 0;
 }
 
-/* Take back engine.now / engine._seq after Python ran. */
+/* Take back engine._seq after Python ran (it schedules events). Only the
+ * run loop moves engine.now, as in Engine.run; a call out that set it is
+ * caught by the next publish. */
 static int
 read_back(RunCtx *ctx)
 {
-    PyObject *v = get_attr(ctx->engine, s_now);
-    if (v == NULL)
-        return -1;
-    if (v != ctx->pub_now) {
-        double now = PyFloat_AsDouble(v);
-        if (now == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(v);
-            return -1;
-        }
-        ctx->now = now;
-        Py_XSETREF(ctx->now_obj, Py_NewRef(v));
-        Py_SETREF(ctx->pub_now, v);
-    }
-    else
-        Py_DECREF(v);
-    v = get_attr(ctx->engine, s_seq);
+    PyObject *v = get_attr(ctx->engine, s_seq);
     if (v == NULL)
         return -1;
     if (v != ctx->pub_seq) {
@@ -538,7 +506,7 @@ read_back(RunCtx *ctx)
 
 /* Call into Python: `callable(*args)`, or with `name` the method
  * args[0].name(*args[1:]). Publishes the clock and counter first and
- * reads them back after, also when the call raised. Every call that may
+ * reads the counter back after, also when the call raised. Every call that may
  * run Python code goes through here (tests/simulate/test_engine_core_lint.py). */
 static PyObject *
 call_out(RunCtx *ctx, PyObject *callable, PyObject *name, PyObject *const *args,
@@ -586,13 +554,17 @@ call_c(PyObject *callable, PyObject *name, PyObject *const *args, size_t nargs)
                         : PyObject_Vectorcall(callable, args, nargs, NULL);
 }
 
-/* queue.append(item): a call out unless `queue` is an exact deque. */
+/* queue.append(item) for engine._ready, which core_run checks is an
+ * exact deque, or a Resource's _queue, which Resource builds as one; any
+ * other queue is refused rather than called. */
 static int
-queue_append(RunCtx *ctx, PyObject *queue, PyObject *item)
+queue_append(PyObject *queue, PyObject *item)
 {
+    if (!Py_IS_TYPE(queue, g_deque_type)) {
+        PyErr_SetString(PyExc_TypeError, "a Resource's _queue must be a collections.deque");
+        return -1;
+    }
     PyObject *args[2] = {queue, item};
-    if (!Py_IS_TYPE(queue, g_deque_type))
-        return call_out_void(ctx, NULL, s_append, args, 2);
     PyObject *r = call_c(NULL, s_append, args, 2);
     if (r == NULL)
         return -1;
@@ -606,6 +578,16 @@ static PyTypeObject FusedOpType;
 
 static int fused_activate(RunCtx *ctx, FusedOp *op, PyObject *proc);
 static int fused_advance(RunCtx *ctx, FusedOp *op);
+
+/* A process or fused op of another engine reached this one's core: its
+ * seqs and wake-ups belong to that engine, which the core does not hold. */
+static int
+foreign_engine(void)
+{
+    PyErr_SetString(g_sim_error, "the compiled core runs only the processes and "
+                                 "fused network ops of the engine it is running");
+    return -1;
+}
 
 /* Process.resume(value), compiled. Returns 0 on success, -1 with an
  * exception set on failure. Mirrors the Python method line for line. */
@@ -671,26 +653,21 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
     /* if request.__class__ is Timeout: inline dispatch */
     if ((PyObject *)Py_TYPE(request) == g_timeout_cls) {
         int rc = -1;
-        PyObject *engine = NULL, *seqobj = NULL, *resume_cb = NULL, *tup = NULL;
-        engine = get_attr(proc, s_engine);
+        PyObject *engine = get_attr(proc, s_engine);
         if (engine == NULL)
             goto timeout_done;
-        int own_engine = (engine == ctx->engine);
-        /* engine.timeout_allocs += 1; seq = engine._seq; engine._seq += 1 */
-        long long seq;
-        double now;
-        if (own_engine) {
-            ctx->timeout_allocs++;
-            seq = ctx->seq++;
-            now = ctx->now;
-        }
-        else if (bump_ll_attr(engine, s_timeout_allocs) < 0 ||
-                 get_ll(engine, s_seq, &seq) < 0 ||
-                 set_ll(engine, s_seq, seq + 1) < 0 ||
-                 get_double(engine, s_now, &now) < 0)
+        Py_DECREF(engine); /* the process keeps it alive; only compared */
+        if (engine != ctx->engine) {
+            foreign_engine();
             goto timeout_done;
-        double delay;
-        if (get_double(request, s_delay, &delay) < 0)
+        }
+        /* engine.timeout_allocs += 1; seq = engine._seq; engine._seq += 1 */
+        ctx->timeout_allocs++;
+        long long seq = ctx->seq++;
+        PyObject *delayobj = get_attr(request, s_delay);
+        double delay = delayobj ? PyFloat_AsDouble(delayobj) : -1.0;
+        Py_XDECREF(delayobj);
+        if (delay == -1.0 && PyErr_Occurred())
             goto timeout_done;
         /* The request's delay is consumed; recycle the object into the
          * freelist shared with pooled_timeout when we hold the only
@@ -699,57 +676,12 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
             if (PyList_Append(g_timeout_pool, request) < 0)
                 PyErr_Clear(); /* best-effort: recycling is an optimization */
         }
-        if (own_engine && delay != 0.0) {
-            /* The C timeout-event heap, flushed to engine._heap on loop
-             * exit. */
-            rc = cheap_push(ctx, now + delay, seq, proc, EV_RESUME);
-            goto timeout_done;
-        }
-        resume_cb = get_attr(proc, s_resume_attr);
-        if (resume_cb == NULL)
-            goto timeout_done;
-        if (own_engine) {
-            if (PyMethod_Check(resume_cb) &&
-                PyMethod_GET_FUNCTION(resume_cb) == g_resume_func &&
-                PyMethod_GET_SELF(resume_cb) == proc) {
-                /* the core's run-queue: (seq, proc._resume, None) */
-                rc = q_push(ctx, seq, EV_RESUME, proc, NULL);
-                goto timeout_done;
-            }
-        }
-        seqobj = PyLong_FromLongLong(seq);
-        if (seqobj == NULL)
-            goto timeout_done;
-        if (delay == 0.0) {
-            tup = PyTuple_Pack(3, seqobj, resume_cb, Py_None);
-            PyObject *ready = tup ? get_attr(engine, s_ready) : NULL;
-            if (ready == NULL)
-                goto timeout_done;
-            rc = queue_append(ctx, ready, tup);
-            Py_DECREF(ready);
-        }
-        else {
-            PyObject *timeobj = PyFloat_FromDouble(now + delay);
-            if (timeobj == NULL)
-                goto timeout_done;
-            tup = PyTuple_Pack(3, timeobj, seqobj, resume_cb);
-            Py_DECREF(timeobj);
-            PyObject *heap = tup ? get_attr(engine, s_heap) : NULL;
-            if (heap == NULL)
-                goto timeout_done;
-            PyObject *args[2] = {heap, tup};
-            PyObject *r = call_c(g_heappush, NULL, args, 2);
-            Py_DECREF(heap);
-            if (r == NULL)
-                goto timeout_done;
-            Py_DECREF(r);
-            rc = 0;
-        }
+        /* (seq, self._resume, None) into the core's run-queue, or
+         * (now + delay, seq, self._resume) into its event heap; the exit
+         * flush hands either to engine._ready / engine._heap. */
+        rc = delay == 0.0 ? q_push(ctx, seq, EV_RESUME, proc, NULL)
+                          : cheap_push(ctx, ctx->now + delay, seq, proc, EV_RESUME);
     timeout_done:
-        Py_XDECREF(tup);
-        Py_XDECREF(resume_cb);
-        Py_XDECREF(seqobj);
-        Py_XDECREF(engine);
         Py_DECREF(request);
         return rc;
     }
@@ -984,13 +916,7 @@ fused_finish(RunCtx *ctx, FusedOp *op)
         return -1;
     Py_INCREF(proc);
     Py_INCREF(result);
-    int rc;
-    if ((PyObject *)Py_TYPE(proc) == g_process_cls)
-        rc = resume_fast(ctx, proc, result);
-    else {
-        PyObject *args[2] = {proc, result};
-        rc = call_out_void(ctx, NULL, s_resume_pub, args, 2);
-    }
+    int rc = resume_fast(ctx, proc, result);
     Py_DECREF(result);
     Py_DECREF(proc);
     return rc;
@@ -1043,7 +969,7 @@ fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic)
         Py_XDECREF(seqobj);
         if (tup == NULL)
             return -1;
-        int rc = queue_append(ctx, ctx->ready, tup);
+        int rc = queue_append(ctx->ready, tup);
         Py_DECREF(tup);
         return rc;
     }
@@ -1054,7 +980,7 @@ fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic)
     PyObject *queue = get_attr(nic, s_queue);
     if (queue == NULL)
         return -1;
-    int rc = queue_append(ctx, queue, (PyObject *)op);
+    int rc = queue_append(queue, (PyObject *)op);
     Py_DECREF(queue);
     return rc;
 }
@@ -1231,14 +1157,6 @@ fused_delays(FusedOp *op, PyObject *delays, const char *name)
     return delays;
 }
 
-static int
-not_walked(void)
-{
-    PyErr_SetString(g_sim_error, "a fused network op is walked only by the "
-                                 "engine running its process");
-    return -1;
-}
-
 /* One step of the delay program: the op's `_advance` callback. */
 static int
 fused_advance(RunCtx *ctx, FusedOp *op)
@@ -1246,7 +1164,7 @@ fused_advance(RunCtx *ctx, FusedOp *op)
     if (op->done)
         return 0; /* late wake-up raced with cancellation */
     if (op->engine != ctx->engine)
-        return not_walked();
+        return foreign_engine();
     if (op->phase == 0 || op->phase == 3) {
         /* the next pre-delay (or return-path delay), else the NIC (pre
          * only) or the end of the operation */
@@ -1318,7 +1236,7 @@ fused_activate(RunCtx *ctx, FusedOp *op, PyObject *proc)
         return -1;
     Py_DECREF(engine); /* the process keeps it alive */
     if (engine != ctx->engine)
-        return not_walked();
+        return foreign_engine();
     Py_XSETREF(op->engine, Py_NewRef(engine));
     Py_XSETREF(op->proc, Py_NewRef(proc));
     PyObject *chain = OP_GET(op, chain);
@@ -1346,8 +1264,8 @@ fused_activate(RunCtx *ctx, FusedOp *op, PyObject *proc)
 }
 
 /* Resource._deliver_grant(proc), compiled: the done-check plus dispatch
- * to the resume fast path (Process) or the waiter's own resume (fused
- * network ops), without the Python frame. */
+ * to the resume fast path (a process) or the op's grant (a fused network
+ * op), without the Python frame. */
 static int
 deliver_grant_fast(RunCtx *ctx, PyObject *resource, PyObject *proc)
 {
@@ -1356,7 +1274,7 @@ deliver_grant_fast(RunCtx *ctx, PyObject *resource, PyObject *proc)
         if (op->done) /* cancelled between grant and wake-up: re-offer */
             return resource_release(ctx, resource);
         if (op->engine != ctx->engine)
-            return not_walked();
+            return foreign_engine();
         ctx->grants++; /* proc.engine.grant_resumes += 1 */
         return fused_resume(ctx, op);
     }
@@ -1369,21 +1287,14 @@ deliver_grant_fast(RunCtx *ctx, PyObject *resource, PyObject *proc)
         return -1;
     if (is_done)
         return resource_release(ctx, resource);
-    /* proc.engine.grant_resumes += 1 */
     PyObject *engine = get_attr(proc, s_engine);
     if (engine == NULL)
         return -1;
-    int own_engine = engine == ctx->engine;
-    int rc = own_engine ? 0 : bump_ll_attr(engine, s_grant_resumes);
-    Py_DECREF(engine);
-    if (rc < 0)
-        return -1;
-    if (own_engine)
-        ctx->grants++;
-    if ((PyObject *)Py_TYPE(proc) == g_process_cls)
-        return resume_fast(ctx, proc, Py_None);
-    PyObject *args[2] = {proc, Py_None};
-    return call_out_void(ctx, NULL, s_resume_pub, args, 2);
+    Py_DECREF(engine); /* the process keeps it alive; only compared */
+    if (engine != ctx->engine)
+        return foreign_engine();
+    ctx->grants++; /* proc.engine.grant_resumes += 1 */
+    return resume_fast(ctx, proc, Py_None);
 }
 
 /* ---- the FusedOp type ----
@@ -1799,10 +1710,31 @@ core_run(PyObject *self, PyObject *args)
     ctx.engine = engine;
     ctx.heap = get_attr(engine, s_heap);
     ctx.ready = ctx.heap ? get_attr(engine, s_ready) : NULL;
+    if (ctx.ready != NULL &&
+        (!PyList_Check(ctx.heap) || !Py_IS_TYPE(ctx.ready, g_deque_type)))
+        PyErr_SetString(PyExc_TypeError, "engine._heap must be a list and "
+                                         "engine._ready a collections.deque");
     PyObject *pop_ready =
-        ctx.ready ? PyObject_GetAttr(ctx.ready, s_popleft) : NULL;
+        PyErr_Occurred() ? NULL : PyObject_GetAttr(ctx.ready, s_popleft);
     ctx.pub_now = pop_ready ? get_attr(engine, s_now) : NULL;
     ctx.pub_seq = ctx.pub_now ? get_attr(engine, s_seq) : NULL;
+
+    long long dispatched = 0, from_ready = 0;
+    int err = 0, horizon = 0;
+    if (ctx.pub_seq == NULL ||
+        get_ll(engine, s_events_dispatched, &dispatched) < 0 ||
+        get_ll(engine, s_ready_dispatched, &from_ready) < 0 ||
+        (ctx.now = PyFloat_AsDouble(ctx.pub_now), ctx.now == -1.0 && PyErr_Occurred()) ||
+        (ctx.seq = PyLong_AsLongLong(ctx.pub_seq), ctx.seq == -1 && PyErr_Occurred())) {
+        Py_XDECREF(ctx.heap);
+        Py_XDECREF(ctx.ready);
+        Py_XDECREF(pop_ready);
+        Py_XDECREF(ctx.pub_now);
+        Py_XDECREF(ctx.pub_seq);
+        return NULL;
+    }
+    /* Nothing is held before this point, so the refusal above has no
+     * buffer to give back. */
     if (!g_spare_busy) {
         ctx.ch = g_spare;
         ctx.ch_cap = g_spare_cap;
@@ -1810,32 +1742,7 @@ core_run(PyObject *self, PyObject *args)
     }
     else
         ctx.ch_owned = 1;
-
-    long long dispatched = 0, from_ready = 0;
-    double now = 0.0; /* the loop's own clock: engine.now as it last set it */
-    int err = 0, horizon = 0;
-
-    if (ctx.pub_seq == NULL || !PyList_Check(ctx.heap) ||
-        !Py_IS_TYPE(ctx.ready, g_deque_type) ||
-        get_ll(engine, s_events_dispatched, &dispatched) < 0 ||
-        get_ll(engine, s_ready_dispatched, &from_ready) < 0 ||
-        (ctx.now = PyFloat_AsDouble(ctx.pub_now), ctx.now == -1.0 && PyErr_Occurred()) ||
-        (ctx.seq = PyLong_AsLongLong(ctx.pub_seq), ctx.seq == -1 && PyErr_Occurred())) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "engine._heap must be a list and "
-                                             "engine._ready a collections.deque");
-        Py_XDECREF(ctx.heap);
-        Py_XDECREF(ctx.ready);
-        Py_XDECREF(pop_ready);
-        Py_XDECREF(ctx.pub_now);
-        Py_XDECREF(ctx.pub_seq);
-        if (ctx.ch_owned)
-            free(ctx.ch);
-        else
-            g_spare_busy = 0;
-        return NULL;
-    }
-    now = ctx.now;
+    double now = ctx.now; /* the loop's own clock: engine.now as it last set it */
     ctx.pub_seq_val = ctx.seq;
     ctx.now_obj = Py_NewRef(ctx.pub_now);
 
@@ -2040,7 +1947,6 @@ core_setup(PyObject *self, PyObject *args)
         Py_DECREF(resume);
         return NULL;
     }
-    Py_XSETREF(g_process_cls, Py_NewRef(process_cls));
     Py_XSETREF(g_timeout_cls, Py_NewRef(timeout_cls));
     Py_XSETREF(g_request_cls, Py_NewRef(request_cls));
     Py_XSETREF(g_sim_error, Py_NewRef(sim_error));
@@ -2998,13 +2904,9 @@ static struct PyModuleDef core_module = {
 PyMODINIT_FUNC
 PyInit__engine_core(void)
 {
-    PyObject *heapq = PyImport_ImportModule("_heapq");
-    if (heapq == NULL) {
-        PyErr_Clear();
-        heapq = PyImport_ImportModule("heapq");
-        if (heapq == NULL)
-            return NULL;
-    }
+    PyObject *heapq = PyImport_ImportModule("_heapq"); /* C only: see call_c */
+    if (heapq == NULL)
+        return NULL;
     g_heappush = PyObject_GetAttrString(heapq, "heappush");
     g_heappop = PyObject_GetAttrString(heapq, "heappop");
     Py_DECREF(heapq);
@@ -3040,7 +2942,6 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_done, "done");
     INTERN_ATTR(s_cancelled, "cancelled");
     INTERN_ATTR(s_send, "_send");
-    INTERN_ATTR(s_resume_attr, "_resume");
     INTERN_ATTR(s_engine, "engine");
     INTERN_ATTR(s_delay, "delay");
     INTERN_ATTR(s_name, "name");
@@ -3048,7 +2949,6 @@ PyInit__engine_core(void)
     INTERN(s_finish, "_finish");
     INTERN(s_activate, "activate");
     INTERN(s_release, "release");
-    INTERN(s_resume_pub, "resume");
     INTERN(s_record_compute, "record_compute");
     INTERN(s_compute, "compute");
     INTERN(s_advance_name, "_advance");

@@ -6,7 +6,7 @@ compiled core selected by ``repro.simulate.sched``, runs the same order
 from C and must reproduce it event for event. While its ``run()`` lasts
 it keeps ``now``, ``_seq`` and events of its own (a timed-event heap and
 a zero-delay run-queue) in C, publishes ``now`` and ``_seq`` here
-whenever it calls into Python and reads them back after, and on return
+whenever it calls into Python and reads ``_seq`` back after, and on return
 leaves ``_heap`` and ``_ready`` holding exactly what this loop would.
 
 - **Deterministic.** Events at equal timestamps fire in schedule order (a

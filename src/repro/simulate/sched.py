@@ -183,13 +183,15 @@ class CompiledEngine(Engine):
     fused-op steps, fused-op NIC grants and ``Timeout(0)`` resumes in its
     own run-queue) in C. Every call into Python — a generator ``send``,
     a claim, a callback, a subclass's ``release`` or ``record`` — first
-    publishes ``now`` and ``_seq`` to the attributes and reads them back
-    after, so Python-side scheduling (``SimEvent.fire``, ``Resource``
+    publishes ``now`` and ``_seq`` to the attributes and reads ``_seq``
+    back after, so Python-side scheduling (``SimEvent.fire``, ``Resource``
     grants, ``call_now``) takes the seqs the reference engine would; on
     every exit the C heap is flushed into ``_heap`` and the run-queue
     merged into ``_ready`` by seq. Python that runs between two calls out
-    (a finalizer the core triggers) and schedules an event raises
-    :class:`SimulationError`, rather than let a seq be reused.
+    (a finalizer the core triggers) and schedules an event, a call out
+    that sets ``now``, and a process or fused op of another engine raise
+    :class:`SimulationError`, rather than let a seq be reused or a clock
+    move that only the run loop moves.
     """
 
     __slots__ = ()

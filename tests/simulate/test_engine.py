@@ -8,7 +8,20 @@ from repro.simulate.engine import (
     _timeout_pool,
     pooled_timeout,
 )
+from repro.simulate.sched import CompiledEngine, compiled_available
 from repro.util import SimulationError
+
+#: The reference engine and the compiled one, which is skipped where its
+#: core cannot be built.
+ENGINES = [
+    Engine,
+    pytest.param(
+        CompiledEngine,
+        marks=pytest.mark.skipif(
+            not compiled_available(), reason="compiled engine core unavailable"
+        ),
+    ),
+]
 
 
 def hold(resource, duration):
@@ -112,14 +125,29 @@ class TestProcesses:
         engine.run()
         assert marks == [(1.0, "inner-value")]
 
-    def test_yielding_non_request_raises(self):
-        engine = Engine()
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_yielding_non_request_raises(self, engine_cls):
+        engine = engine_cls()
 
         def bad():
             yield 17
 
         engine.process(bad())
         with pytest.raises(SimulationError, match="must yield Request"):
+            engine.run()
+
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_resuming_a_finished_process_raises(self, engine_cls):
+        engine = engine_cls()
+
+        def once():
+            yield Timeout(1.0)
+
+        proc = engine.process(once(), name="once")
+        engine.run()
+        assert proc.done and not proc.cancelled
+        engine.call_now(proc._resume)
+        with pytest.raises(SimulationError, match="^process 'once' resumed after completion$"):
             engine.run()
 
     def test_deterministic_across_runs(self):

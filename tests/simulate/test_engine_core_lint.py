@@ -98,6 +98,11 @@ def test_call_c_reaches_only_c():
         for callable_, name in CALL_C.findall(body)
     }
     assert uses and uses <= C_ONLY, sorted(uses - C_ONLY)
+    # heappush/heappop are C only when they come from _heapq: the plain
+    # heapq module would hand them over as Python functions where _heapq
+    # is missing, so the core imports _heapq alone and fails without it.
+    text = SOURCE.read_text(encoding="utf-8")
+    assert 'PyImport_ImportModule("_heapq")' in text and '"heapq"' not in text
 
 
 def test_array_kernels_call_no_python():

@@ -7,16 +7,36 @@ accounting when a grant meets only cancelled waiters, registration-order
 resume for event waiters, and the exact semantics of bounded runs.
 """
 
+import collections
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
 import pytest
 
+import repro
 from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
-from repro.simulate.engine import Engine, Resource, SimEvent, Timeout, pooled_timeout
+from repro.simulate.engine import (
+    Engine,
+    Process,
+    Request,
+    Resource,
+    SimEvent,
+    Timeout,
+    _timeout_pool,
+    pooled_timeout,
+)
 from repro.simulate.network import Network, NetworkModel, SharedCell
-from repro.simulate.sched import CompiledEngine, compiled_available, fused_op_type
+from repro.simulate.sched import (
+    CompiledEngine,
+    _load_engine_core,
+    compiled_available,
+    fused_op_type,
+)
 from repro.util import SimulationError
 
 
@@ -563,6 +583,275 @@ class TestCompiledCoreFallbacks:
         with pytest.raises(TypeError):
             del op.end
         assert op.end == 3
+
+    def test_a_nic_queue_that_is_not_a_deque_is_refused(self):
+        """The core appends a waiting op to a NIC's ``_queue`` itself,
+        which only an exact deque lets it do without running Python.
+        Resource builds one; a queue replaced by anything else is refused
+        where the first op would wait on it."""
+
+        class _Queue(collections.deque):
+            pass
+
+        class _QueueNic(Resource):
+            __slots__ = ()
+
+            def __init__(self, capacity=1):
+                super().__init__(capacity)
+                self._queue = _Queue()
+
+        assert _outcome(Engine, nic_cls=_QueueNic)["error"] is None
+        outcome = _outcome(CompiledEngine, nic_cls=_QueueNic)
+        assert outcome["error"] == (
+            "TypeError", "a Resource's _queue must be a collections.deque"
+        )
+        assert outcome["nic"][2:] == (1, 0)  # counted as a wait, never queued
+
+
+# ----------------------------------------------------------------------
+# What the core refuses before or instead of running
+# ----------------------------------------------------------------------
+
+
+def _foreign(kind):
+    """A callback and its argument that hand engine A's process or fused
+    op to whichever engine runs them: its resume (the process then yields
+    a Timeout, or a fused op), a Resource grant to it, or a step or a grant
+    of an op A has begun to walk."""
+    a = CompiledEngine()
+    net = Network(a, NetworkModel(), 2)
+    op = net.rma_traced(0, 1, 64, TraceRecorder(2), COMM)
+
+    def walks():
+        yield from op
+
+    def sleeps():
+        yield Timeout(1.0)
+
+    proc = a.process(walks() if kind in ("op", "op-step", "op-grant") else sleeps())
+    if kind in ("op-step", "op-grant"):
+        a.run(until=1e-9)  # the op's first pre-delay is pending
+        assert op.engine is a
+        return (op._advance, None) if kind == "op-step" else (net.nics[1]._deliver_grant, op)
+    return (Resource(1)._deliver_grant, proc) if kind == "grant" else (proc._resume, None)
+
+
+@needs_compiled
+@pytest.mark.parametrize("kind", ["timeout", "op", "grant", "op-step", "op-grant"])
+def test_a_process_or_op_of_another_engine_is_refused(kind):
+    """Engine B's core takes its seqs and wake-ups for B: one for A's
+    process or op is refused where it would be taken, B's own pending
+    wake-ups go back to its queues as the reference keeps them, and both B
+    and a fresh engine run on."""
+    callback, arg = _foreign(kind)
+    engine = CompiledEngine()
+
+    def timed():
+        yield Timeout(2.0)
+
+    def zero():
+        yield Timeout(0.0)
+
+    own = [engine.process(timed(), name="timed"), engine.process(zero(), name="zero")]
+    engine.call_now(callback, arg)  # seq 2, after both starts
+    with pytest.raises(SimulationError, match="runs only the processes and fused network ops"):
+        engine.run()
+    # timed's wake-up (seq 3) in the heap, zero's Timeout(0) (seq 4) in the
+    # run-queue, no seq taken for the refused one
+    assert [entry[:2] for entry in engine._heap] == [(2.0, 3)]
+    assert [entry[0] for entry in engine._ready] == [4]
+    assert (engine.now, engine._seq, engine.timeout_allocs) == (0.0, 5, 2)
+    assert engine.run() == 2.0 and all(proc.done for proc in own)
+    fresh = CompiledEngine()
+    proc = fresh.process(timed())
+    assert fresh.run() == 2.0 and proc.done
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        pytest.param("_ready", [], "engine._ready a collections.deque", id="ready-list"),
+        pytest.param("_heap", (), "engine._heap must be a list", id="heap-tuple"),
+        pytest.param("now", "0", "must be real number", id="clock-str"),
+    ],
+)
+def test_run_refuses_engine_state_of_the_wrong_type(name, value, match):
+    """The core checks the engine's queues and clock before it holds
+    anything: the run raises TypeError, the engine is left as it was, and
+    the next run, on it or a fresh engine, works."""
+    engine = CompiledEngine()
+
+    def sleeps():
+        for _ in range(3):
+            yield Timeout(1.0)
+
+    good = getattr(engine, name)
+    setattr(engine, name, value)
+    with pytest.raises(TypeError, match=match):
+        engine.run()
+    setattr(engine, name, good)
+    assert engine.run() == 0.0
+    fresh = CompiledEngine()
+    # more timed wake-ups at once than the C heap's first buffer holds
+    procs = [fresh.process(sleeps()) for _ in range(300)]
+    assert fresh.run() == 3.0 and all(proc.done for proc in procs)
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        pytest.param({}, "pre-delays must be a non-empty tuple", id="no-pre-delay"),
+        pytest.param({"hold": 1e-6, "post": [1e-6]}, "delays must be tuples", id="post-list"),
+    ],
+)
+def test_an_op_without_a_chain_refuses_delays_of_the_wrong_shape(fields, match):
+    """An op built by hand, not by Network: no first pre-delay is refused
+    as it is yielded, and return-path delays that are not a tuple once
+    the NIC hold ends."""
+    engine = CompiledEngine()
+    if "hold" in fields:
+        fields = {"pre": (1e-6,), "nic": Resource(1), **fields}
+    op = FusedOp(TraceRecorder(2), 0, **fields)
+
+    def rank():
+        yield from op
+
+    engine.process(rank())
+    with pytest.raises(TypeError, match=match):
+        engine.run()
+
+
+def _nothing():
+    pass
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "heap, ready, match",
+    [
+        pytest.param(["junk"], [], "heap entry is not a", id="heap-not-a-tuple"),
+        pytest.param([("1", 0, _nothing)], [], "must be real number", id="heap-time-str"),
+        pytest.param([(1.0, "0", _nothing)], [], "cannot be interpreted as an integer", id="heap-seq-str"),
+        pytest.param(
+            [(0.0, 0, _nothing)], ["junk"], "run-queue entry is not a", id="ready-head-beside-due"
+        ),
+        pytest.param([], ["junk"], "run-queue entry is not a", id="ready-popped"),
+        pytest.param(
+            [(1.0, 0, _nothing), (2.0, 1, _nothing), "junk"], [], "'<' not supported",
+            id="heap-pop-compares",
+        ),
+        pytest.param(
+            [(0.0, 0, _nothing), (2.0, 1, _nothing), "junk"], [(5, _nothing, None)],
+            "'<' not supported", id="due-heap-pop-compares",
+        ),
+    ],
+)
+def test_run_refuses_a_malformed_queue_entry(heap, ready, match):
+    """Python's own ``_heap`` and ``_ready`` entries are read where the
+    loop meets them; one that is not a ``(time, seq, callback)`` or
+    ``(seq, callback, arg)`` tuple of a float and ints raises TypeError
+    there, also when ``heappop`` has to compare it."""
+    engine = CompiledEngine()
+    engine._heap.extend(heap)
+    engine._ready.extend(ready)
+    with pytest.raises(TypeError, match=match):
+        engine.run()
+
+
+@needs_compiled
+def test_the_core_entry_points_refuse_bad_arguments():
+    """``setup`` and ``run`` as ``sched`` calls them, the balancers'
+    kernels and the op type's constructor, each given what it cannot
+    take, raise before they store anything: the core afterwards runs as
+    before."""
+    core = _load_engine_core()
+    good = (Process, Timeout, Request, SimulationError, Resource, _timeout_pool, TraceRecorder)
+    for args, error, match in [
+        (good[:6], TypeError, "takes exactly 7 arguments"),
+        ((*good[:5], (), good[6]), TypeError, "timeout_pool must be a list"),
+        ((object, *good[1:]), AttributeError, "resume"),
+        ((*good[:4], object, *good[5:]), AttributeError, "_deliver_grant"),
+    ]:
+        with pytest.raises(error, match=match):
+            core.setup(*args)
+    with pytest.raises(TypeError):
+        core.run(CompiledEngine())  # no horizon
+    for kernel in ("lpt", "greedy_semi_matching", "semi_matching_sweep"):
+        with pytest.raises(TypeError, match=kernel):
+            getattr(core, kernel)()
+    with pytest.raises(TypeError):
+        FusedOp()  # no trace, no source rank
+    def sleeps():
+        yield Timeout(1.0)
+
+    engine = CompiledEngine()
+    proc = engine.process(sleeps())
+    assert engine.run() == 1.0 and proc.done
+
+
+@needs_compiled
+def test_out_of_memory_in_a_run_is_a_memory_error():
+    """Failing each Python allocation of a run in turn (fused ops with a
+    NIC hold and a fetch-add, timed and zero-delay Timeouts) never
+    crashes: the run raises MemoryError, or completes as an unfailed run
+    does when the failed allocation was one the core may do without (the
+    Timeout freelist). Run in a child, so a crash fails this test instead
+    of the test session."""
+    pytest.importorskip("_testcapi")
+    script = textwrap.dedent(
+        """
+        import gc
+        import _testcapi
+        from repro.runtime.trace import COMM, TraceRecorder
+        from repro.simulate.engine import Timeout
+        from repro.simulate.network import Network, NetworkModel, SharedCell
+        from repro.simulate.sched import CompiledEngine
+
+        def scenario():
+            engine = CompiledEngine()
+            net = Network(engine, NetworkModel(), 4)
+            trace, cell = TraceRecorder(4), SharedCell()
+
+            def rank(src):
+                for _ in range(3):
+                    yield from net.rma_traced(src, 1, 1 << 16, trace, COMM)
+                    yield Timeout(1e-6)
+                    yield Timeout(0.0)
+                    yield from net.fetch_add_traced(src, 1, cell, 1, trace, COMM)
+
+            for src in range(4):
+                engine.process(rank(src), name=f"r{src}")
+            return engine
+
+        reference = scenario()
+        reference.run()
+        expected = (reference.now, reference._seq, reference.events_dispatched)
+        gc.disable()
+        failed = 0
+        for k in range(400):
+            engine = scenario()
+            _testcapi.set_nomemory(k, k + 1)
+            try:
+                engine.run()
+            except MemoryError:
+                failed += 1
+                continue
+            finally:
+                _testcapi.remove_mem_hooks()
+            assert (engine.now, engine._seq, engine.events_dispatched) == expected, k
+        assert failed >= 100, failed
+        print("ok")
+        """
+    )
+    env = dict(os.environ, REPRO_ENGINE="compiled", REPRO_ENGINE_REQUIRE="1")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]
 
 
 # ----------------------------------------------------------------------

@@ -358,6 +358,7 @@ def test_fused_op_rejects_nonnone_send_before_start():
     assert iter(op) is op
     with pytest.raises(TypeError):
         op.send(42)
+    assert op.send(None) is op  # what next(op) hands the process
 
 
 @needs_compiled

@@ -206,3 +206,16 @@ def test_core_refuses_a_seq_taken_outside_a_call_out():
     engine.schedule(2.0, lambda: None)
     with pytest.raises(SimulationError, match="outside a call out"):
         engine.run()
+
+
+@needs_core
+def test_core_refuses_a_clock_set_in_a_call_out():
+    """Only the run loop moves ``engine.now`` (the reference loop keeps its
+    own copy and overwrites the attribute at its next timed event), so the
+    core never takes the clock back from a call out: one that set it is
+    found at the next publish, and the core raises."""
+    engine = CompiledEngine()
+    engine.schedule(1.0, lambda: setattr(engine, "now", 5.0))
+    engine.schedule(2.0, lambda: None)
+    with pytest.raises(SimulationError, match="set engine.now"):
+        engine.run()
