@@ -15,8 +15,8 @@ array plus ``xpins`` segment offsets, and its transpose ``vnets`` /
 ``xnets`` (the nets of each vertex), built lazily by one stable argsort.
 Construction, validation, incidence and the cut metrics all run as NumPy
 segment operations; ``nets`` and ``vertex_nets()`` (the list views the
-partitioner's inner loops iterate) are materialized lazily from the two
-CSRs.
+partitioner's Python loops iterate; its compiled kernels read the CSRs)
+are materialized lazily from the two CSRs.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ class Hypergraph:
     @property
     def nets(self) -> list[np.ndarray]:
         if self._nets is None:
-            self._nets = np.split(self.pins, self.xpins[1:-1])
+            # np.split of a net-less pin array still yields one empty piece.
+            self._nets = np.split(self.pins, self.xpins[1:-1]) if self.n_nets else []
         return self._nets
 
     @property

@@ -276,6 +276,8 @@ def _pin_views(hg: Hypergraph, per_net: np.ndarray) -> list[np.ndarray]:
     (pin, contribution) event stream of a per-net, per-pin loop. One
     O(pins) array per level, shared by every vertex.
     """
+    if hg.n_nets == 0:
+        return []
     return np.split(np.repeat(per_net, hg.net_sizes), hg.xpins[1:-1])
 
 
@@ -297,12 +299,31 @@ def _heavy_connectivity_matching(
     n = hg.n_vertices
     match = -np.ones(n, dtype=np.int64)
     sizes = hg.net_sizes
+    net_shares = hg.net_weights / np.maximum(sizes - 1, 1)
+    vertex_weights = hg.vertex_weights
+    weight_cap = 1.5 * hg.total_vertex_weight / max(_COARSEN_TARGET, 1)
+    core = compiled_core()
+    if core is not None:
+        # The same visit loop over the CSR arrays in the compiled core, bit
+        # for bit; the body below is its reference. The rng draw and the
+        # share division stay here.
+        core.hc_matching(
+            vertex_weights,
+            net_shares,
+            hg.xpins,
+            hg.pins,
+            hg.xnets,
+            hg.vnets,
+            rng.permutation(n),
+            match,
+            weight_cap,
+            _MAX_NET_MATCH,
+        )
+        return match
     scored = ((sizes >= 2) & (sizes <= _MAX_NET_MATCH)).tolist()
     incidence = hg.vertex_nets()
     nets = hg.nets
-    shares = _pin_views(hg, hg.net_weights / np.maximum(sizes - 1, 1))
-    vertex_weights = hg.vertex_weights
-    weight_cap = 1.5 * hg.total_vertex_weight / max(_COARSEN_TARGET, 1)
+    shares = _pin_views(hg, net_shares)
     free = np.ones(n, dtype=bool)
     for v in rng.permutation(n).tolist():
         if not free[v]:
@@ -399,7 +420,8 @@ def _initial_bisection(
     the hypergraph has no locality)."""
     total = hg.total_vertex_weight
     target0 = frac0 * total
-    pin_weights = _pin_views(hg, hg.net_weights)
+    # Shared by the Python body's restarts; the compiled core reads the CSR.
+    pin_weights = _pin_views(hg, hg.net_weights) if compiled_core() is None else None
     candidates = [
         _grow_region(hg, target0, rng, pin_weights) for _ in range(_INIT_TRIES)
     ]
@@ -420,16 +442,46 @@ def _grow_region(
     hg: Hypergraph,
     target0: float,
     rng: np.random.Generator,
-    pin_weights: list[np.ndarray],
+    pin_weights: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Grow side 0 from a random seed by strongest net connectivity.
 
     Highest connectivity score wins each absorption step; ties break
     toward the smaller vertex id. ``pin_weights`` is
-    ``_pin_views(hg, hg.net_weights)``, shared by the restarts.
+    ``_pin_views(hg, hg.net_weights)``, shared by the restarts; the
+    Python body builds it when it is not given.
     """
     n = hg.n_vertices
     side = np.ones(n, dtype=np.int8)
+    core = compiled_core()
+    if core is not None:
+        # The absorption loop in the compiled core, bit for bit; the body
+        # below is its reference. The core returns when w0 reaches the
+        # target or the frontier runs empty, and the fallback seed is
+        # drawn here, from the same rng in the same order.
+        w0 = 0.0
+        current = int(rng.integers(0, n))
+        while True:
+            w0 = core.grow_region(
+                hg.vertex_weights,
+                hg.net_weights,
+                hg.xpins,
+                hg.pins,
+                hg.xnets,
+                hg.vnets,
+                side,
+                current,
+                w0,
+                target0,
+            )
+            if w0 >= target0:
+                return side
+            remaining = np.flatnonzero(side)
+            if remaining.size == 0:
+                return side
+            current = int(remaining[rng.integers(0, remaining.size)])
+    if pin_weights is None:
+        pin_weights = _pin_views(hg, hg.net_weights)
     incidence = hg.vertex_nets()
     nets = hg.nets
     vertex_weights = hg.vertex_weights

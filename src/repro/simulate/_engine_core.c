@@ -2236,6 +2236,31 @@ k_check_finite(const char *fn, const char *name, const double *x, Py_ssize_t len
     return 0;
 }
 
+/* `p` holds each of 0 .. n-1 once. */
+static int
+k_check_permutation(const char *fn, const char *name, const int64_t *p, Py_ssize_t n)
+{
+    if (k_check_range(fn, name, p, n, n) < 0)
+        return -1;
+    char *seen = PyMem_Calloc((size_t)n + 1, 1);
+    if (seen == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (seen[p[i]]) {
+            PyErr_Format(PyExc_ValueError, "%s: %s repeats %lld at %zd", fn, name,
+                         (long long)p[i], i);
+            rc = -1;
+            break;
+        }
+        seen[p[i]] = 1;
+    }
+    PyMem_Free(seen);
+    return rc;
+}
+
 static inline FmKey
 fm_state_key(double w0, double cum, double lo, double hi, double target0)
 {
@@ -2462,6 +2487,45 @@ out:
     return rc;
 }
 
+/* The hypergraph a partitioner kernel takes first, as buf[0..5]: vertex
+ * weights, one value per net (named `per_net` in errors), xpins/pins and
+ * xnets/vnets. The lengths agree, both CSRs hold and the weights are
+ * finite. */
+static int
+k_check_hypergraph(const char *fn, const char *per_net, const Py_buffer *buf)
+{
+    Py_ssize_t n = buf[0].shape[0], m = buf[1].shape[0], npins = buf[3].shape[0];
+    if (buf[2].shape[0] != m + 1 || buf[4].shape[0] != n + 1 || buf[5].shape[0] != npins) {
+        PyErr_Format(PyExc_ValueError, "%s: array lengths disagree", fn);
+        return -1;
+    }
+    if (k_check_csr(fn, "xpins/pins", buf[2].buf, m, buf[3].buf, npins, n, 1) < 0
+        || k_check_csr(fn, "xnets/vnets", buf[4].buf, n, buf[5].buf, npins, m, 0) < 0
+        || k_check_finite(fn, "vertex_weights", buf[0].buf, n) < 0
+        || k_check_finite(fn, per_net, buf[1].buf, m) < 0)
+        return -1;
+    return 0;
+}
+
+/* n sides, each 0 or 1. */
+static int
+k_check_side(const char *fn, const Py_buffer *side, Py_ssize_t n)
+{
+    const signed char *s = side->buf;
+    if (side->shape[0] != n) {
+        PyErr_Format(PyExc_ValueError, "%s: array lengths disagree", fn);
+        return -1;
+    }
+    for (Py_ssize_t v = 0; v < n; v++) {
+        if (s[v] != 0 && s[v] != 1) {
+            PyErr_Format(PyExc_ValueError, "%s: side[%zd] is %d, not 0 or 1", fn, v,
+                         (int)s[v]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
 /* fm_pass(vertex_weights, net_weights, xpins, pins, xnets, vnets, side,
  *         w0, lo, hi, target0) -> bool */
 static PyObject *
@@ -2482,32 +2546,284 @@ core_fm_pass(PyObject *self, PyObject *args)
     if (k_buffers("fm_pass", spec, obj, buf, 7) < 0)
         return NULL;
     PyObject *result = NULL;
-    const double *vw = buf[0].buf, *nw = buf[1].buf;
-    const int64_t *xpins = buf[2].buf, *pins = buf[3].buf;
-    const int64_t *xnets = buf[4].buf, *vnets = buf[5].buf;
-    signed char *side = buf[6].buf;
-    Py_ssize_t n = buf[0].shape[0], m = buf[1].shape[0], npins = buf[3].shape[0];
-    if (buf[2].shape[0] != m + 1 || buf[4].shape[0] != n + 1
-        || buf[5].shape[0] != npins || buf[6].shape[0] != n) {
-        PyErr_SetString(PyExc_ValueError, "fm_pass: array lengths disagree");
+    Py_ssize_t n = buf[0].shape[0], m = buf[1].shape[0];
+    if (k_check_hypergraph("fm_pass", "net_weights", buf) < 0
+        || k_check_side("fm_pass", &buf[6], n) < 0)
+        goto done;
+    int improved = fm_run(n, m, buf[0].buf, buf[1].buf, buf[2].buf, buf[3].buf,
+                          buf[4].buf, buf[5].buf, buf[6].buf, w0, lo, hi, target0);
+    if (improved >= 0)
+        result = PyBool_FromLong(improved);
+done:
+    k_release(buf, 7);
+    return result;
+}
+
+/* ------------------------------------------------------------------------
+ * The partitioner's two other loops over the same CSRs: the visit loop of
+ * repro.balance.partition._heavy_connectivity_matching and the absorption
+ * loop of _grow_region. As with fm_pass the Python bodies are the
+ * reference, and each rule below is one of their lines, so every
+ * partition is bit-identical:
+ *
+ * - hc_matching: vertices in the order given (the caller's
+ *   rng.permutation). For a free one, each pin of each of its nets of 2 to
+ *   max_net pins adds the net's share (the caller's NumPy division) into a
+ *   slot that starts at 0.0, nets in vnets order, then pins: the order
+ *   np.bincount(weights=) adds in. Over the same pins in the same order a
+ *   pin scores its slot if it is free and the pair stays under the weight
+ *   cap, -1.0 if not, and the first pin to beat the best so far takes
+ *   over: np.argmax's first maximum. (Finite shares cannot sum to a NaN: a
+ *   slot that overflows to an infinity stays there.) A best above 0.0
+ *   pairs the two.
+ * - grow_region: from the seed given, absorb a vertex (w0 += its weight;
+ *   stop once w0 >= target0), add each of its nets' weight to every
+ *   unabsorbed pin, net then pin (np.add.at's order), and absorb next the
+ *   highest score, smallest id among the touched, unabsorbed vertices:
+ *   cand.argmax()'s first maximum. Weights are finite and >= 0, so a score
+ *   only grows and is never NaN, and the frontier is a heap of vertex ids
+ *   ordered by (-score, id) with a slot index per vertex: an add sifts its
+ *   vertex up, and the heap never holds more than n entries. When it runs
+ *   empty the kernel returns w0 and Python draws the next seed from its
+ *   rng (or stops) and calls again. Every vertex touched before then has
+ *   been absorbed, so a call starts with each unabsorbed score at 0.0 and
+ *   needs only side and w0.
+ *
+ * No multiply-add, so FP contraction cannot reorder a rounding. Every
+ * input is checked before it is used as an index (dtypes, lengths, both
+ * CSRs, the order being a permutation, finite weights and, for
+ * grow_region, net weights >= 0, sides in {0, 1} and an unabsorbed seed);
+ * scratch comes from PyMem_* before anything is written, so a MemoryError
+ * leaves the caller's arrays as they were. */
+
+static int
+hc_run(Py_ssize_t n, const double *vw, const double *share, const int64_t *xpins,
+       const int64_t *pins, const int64_t *xnets, const int64_t *vnets,
+       const int64_t *order, int64_t *match, double weight_cap, Py_ssize_t max_net)
+{
+    double *totals = PyMem_Calloc((size_t)n + 1, sizeof(double));
+    char *is_free = PyMem_Malloc((size_t)n + 1);
+    if (totals == NULL || is_free == NULL) {
+        PyMem_Free(totals);
+        PyMem_Free(is_free);
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(is_free, 1, (size_t)n);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t v = order[i];
+        if (!is_free[v])
+            continue;
+        is_free[v] = 0;
+        int64_t partner = v;
+        const int64_t *first = vnets + xnets[v], *last = vnets + xnets[v + 1];
+        int scored = 0;
+        for (const int64_t *e = first; e < last; e++) {
+            int64_t size = xpins[*e + 1] - xpins[*e];
+            if (size < 2 || size > max_net)
+                continue;
+            scored = 1;
+            for (int64_t p = xpins[*e]; p < xpins[*e + 1]; p++)
+                totals[pins[p]] += share[*e];
+        }
+        if (scored) {
+            double best = 0.0;
+            int64_t best_u = -1;
+            for (const int64_t *e = first; e < last; e++) {
+                int64_t size = xpins[*e + 1] - xpins[*e];
+                if (size < 2 || size > max_net)
+                    continue;
+                for (int64_t p = xpins[*e]; p < xpins[*e + 1]; p++) {
+                    int64_t u = pins[p];
+                    double s = is_free[u] && vw[v] + vw[u] <= weight_cap ? totals[u] : -1.0;
+                    if (best_u < 0 || s > best) {
+                        best = s;
+                        best_u = u;
+                    }
+                }
+            }
+            if (best > 0.0) {
+                partner = best_u;
+                is_free[partner] = 0;
+            }
+            for (const int64_t *e = first; e < last; e++)
+                for (int64_t p = xpins[*e]; p < xpins[*e + 1]; p++)
+                    totals[pins[p]] = 0.0;
+        }
+        match[v] = partner;
+        match[partner] = v;
+    }
+    PyMem_Free(totals);
+    PyMem_Free(is_free);
+    return 0;
+}
+
+/* hc_matching(vertex_weights, shares, xpins, pins, xnets, vnets, order,
+ *             match, weight_cap, max_net) */
+static PyObject *
+core_hc_matching(PyObject *self, PyObject *args)
+{
+    static const char fn[] = "hc_matching";
+    static const KSpec spec[8] = {
+        {"vertex_weights", "d", 8, 0}, {"shares", "d", 8, 0}, {"xpins", "lq", 8, 0},
+        {"pins", "lq", 8, 0},          {"xnets", "lq", 8, 0}, {"vnets", "lq", 8, 0},
+        {"order", "lq", 8, 0},         {"match", "lq", 8, 1},
+    };
+    PyObject *obj[8];
+    Py_buffer buf[8];
+    double weight_cap;
+    Py_ssize_t max_net;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOdn:hc_matching", &obj[0], &obj[1], &obj[2],
+                          &obj[3], &obj[4], &obj[5], &obj[6], &obj[7], &weight_cap,
+                          &max_net))
+        return NULL;
+    if (k_buffers(fn, spec, obj, buf, 8) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t n = buf[0].shape[0];
+    if (k_check_hypergraph(fn, "shares", buf) < 0)
+        goto done;
+    if (buf[6].shape[0] != n || buf[7].shape[0] != n) {
+        PyErr_Format(PyExc_ValueError, "%s: array lengths disagree", fn);
         goto done;
     }
-    if (k_check_csr("fm_pass", "xpins/pins", xpins, m, pins, npins, n, 1) < 0
-        || k_check_csr("fm_pass", "xnets/vnets", xnets, n, vnets, npins, m, 0) < 0
-        || k_check_finite("fm_pass", "vertex_weights", vw, n) < 0
-        || k_check_finite("fm_pass", "net_weights", nw, m) < 0)
+    if (k_check_permutation(fn, "order", buf[6].buf, n) < 0)
         goto done;
-    for (Py_ssize_t v = 0; v < n; v++) {
-        if (side[v] != 0 && side[v] != 1) {
-            PyErr_Format(PyExc_ValueError, "fm_pass: side[%zd] is %d, not 0 or 1", v,
-                         (int)side[v]);
+    if (hc_run(n, buf[0].buf, buf[1].buf, buf[2].buf, buf[3].buf, buf[4].buf, buf[5].buf,
+               buf[6].buf, buf[7].buf, weight_cap, max_net) == 0)
+        result = Py_NewRef(Py_None);
+done:
+    k_release(buf, 8);
+    return result;
+}
+
+/* Whether vertex a leaves the frontier before b: higher score, then
+ * smaller id. */
+static inline int
+gr_before(const double *score, int64_t a, int64_t b)
+{
+    if (score[a] != score[b])
+        return score[a] > score[b];
+    return a < b;
+}
+
+/* Absorb from `start` until w0 reaches target0 or the frontier is empty;
+ * 0, or -1 on a failed allocation. */
+static int
+grow_run(Py_ssize_t n, const double *vw, const double *nw, const int64_t *xpins,
+         const int64_t *pins, const int64_t *xnets, const int64_t *vnets,
+         signed char *side, int64_t start, double *w0, double target0)
+{
+    double *score = PyMem_Calloc((size_t)n + 1, sizeof(double));
+    int64_t *heap = PyMem_New(int64_t, (size_t)n + 1);
+    Py_ssize_t *slot = PyMem_New(Py_ssize_t, (size_t)n + 1);
+    if (score == NULL || heap == NULL || slot == NULL) {
+        PyMem_Free(score);
+        PyMem_Free(heap);
+        PyMem_Free(slot);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t v = 0; v < n; v++)
+        slot[v] = -1;
+    Py_ssize_t len = 0;
+    int64_t cur = start;
+    double w = *w0;
+    for (;;) {
+        side[cur] = 0;
+        w += vw[cur];
+        if (w >= target0)
+            break;
+        for (int64_t k = xnets[cur]; k < xnets[cur + 1]; k++) {
+            int64_t e = vnets[k];
+            for (int64_t p = xpins[e]; p < xpins[e + 1]; p++) {
+                int64_t u = pins[p];
+                if (!side[u])
+                    continue;
+                score[u] += nw[e];
+                Py_ssize_t i = slot[u] < 0 ? len++ : slot[u];
+                while (i > 0) {
+                    Py_ssize_t parent = (i - 1) >> 1;
+                    if (!gr_before(score, u, heap[parent]))
+                        break;
+                    heap[i] = heap[parent];
+                    slot[heap[i]] = i;
+                    i = parent;
+                }
+                heap[i] = u;
+                slot[u] = i;
+            }
+        }
+        if (len == 0)
+            break;
+        cur = heap[0];
+        int64_t moved = heap[--len];
+        Py_ssize_t i = 0;
+        for (;;) {
+            Py_ssize_t child = 2 * i + 1;
+            if (child >= len)
+                break;
+            if (child + 1 < len && gr_before(score, heap[child + 1], heap[child]))
+                child++;
+            if (!gr_before(score, heap[child], moved))
+                break;
+            heap[i] = heap[child];
+            slot[heap[i]] = i;
+            i = child;
+        }
+        if (len > 0) {
+            heap[i] = moved;
+            slot[moved] = i;
+        }
+    }
+    *w0 = w;
+    PyMem_Free(score);
+    PyMem_Free(heap);
+    PyMem_Free(slot);
+    return 0;
+}
+
+/* grow_region(vertex_weights, net_weights, xpins, pins, xnets, vnets, side,
+ *             start, w0, target0) -> float: w0 when the kernel stopped */
+static PyObject *
+core_grow_region(PyObject *self, PyObject *args)
+{
+    static const char fn[] = "grow_region";
+    static const KSpec spec[7] = {
+        {"vertex_weights", "d", 8, 0}, {"net_weights", "d", 8, 0},
+        {"xpins", "lq", 8, 0},         {"pins", "lq", 8, 0},
+        {"xnets", "lq", 8, 0},         {"vnets", "lq", 8, 0},
+        {"side", "b", 1, 1},
+    };
+    PyObject *obj[7];
+    Py_buffer buf[7];
+    Py_ssize_t start;
+    double w0, target0;
+    if (!PyArg_ParseTuple(args, "OOOOOOOndd:grow_region", &obj[0], &obj[1], &obj[2],
+                          &obj[3], &obj[4], &obj[5], &obj[6], &start, &w0, &target0))
+        return NULL;
+    if (k_buffers(fn, spec, obj, buf, 7) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    const double *nw = buf[1].buf;
+    signed char *side = buf[6].buf;
+    Py_ssize_t n = buf[0].shape[0], m = buf[1].shape[0];
+    if (k_check_hypergraph(fn, "net_weights", buf) < 0 || k_check_side(fn, &buf[6], n) < 0)
+        goto done;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        if (nw[e] < 0) {
+            PyErr_Format(PyExc_ValueError, "%s: net_weights[%zd] is negative", fn, e);
             goto done;
         }
     }
-    int improved = fm_run(n, m, vw, nw, xpins, pins, xnets, vnets, side, w0, lo, hi,
-                          target0);
-    if (improved >= 0)
-        result = PyBool_FromLong(improved);
+    if (start < 0 || start >= n || side[start] != 1) {
+        PyErr_Format(PyExc_ValueError, "%s: start %zd is not an unabsorbed vertex", fn,
+                     start);
+        goto done;
+    }
+    if (grow_run(n, buf[0].buf, nw, buf[2].buf, buf[3].buf, buf[4].buf, buf[5].buf, side,
+                 start, &w0, target0) == 0)
+        result = PyFloat_FromDouble(w0);
 done:
     k_release(buf, 7);
     return result;
@@ -2558,31 +2874,6 @@ lpt_lt(const LptEntry *a, const LptEntry *b)
 }
 
 DEFINE_HEAPQ_SIFTS(lpt, LptEntry, lpt_lt)
-
-/* `p` holds each of 0 .. n-1 once. */
-static int
-k_check_permutation(const char *fn, const char *name, const int64_t *p, Py_ssize_t n)
-{
-    if (k_check_range(fn, name, p, n, n) < 0)
-        return -1;
-    char *seen = PyMem_Calloc((size_t)n + 1, 1);
-    if (seen == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    int rc = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (seen[p[i]]) {
-            PyErr_Format(PyExc_ValueError, "%s: %s repeats %lld at %zd", fn, name,
-                         (long long)p[i], i);
-            rc = -1;
-            break;
-        }
-        seen[p[i]] = 1;
-    }
-    PyMem_Free(seen);
-    return rc;
-}
 
 static int
 greedy_run(Py_ssize_t n, Py_ssize_t n_ranks, const double *costs, const int64_t *offsets,
@@ -2874,6 +3165,15 @@ static PyMethodDef core_methods[] = {
      "fm_pass(vertex_weights, net_weights, xpins, pins, xnets, vnets, side, "
      "w0, lo, hi, target0) -> bool: one FM refinement pass, side updated in "
      "place; the compiled form of repro.balance.partition._fm_pass."},
+    {"hc_matching", core_hc_matching, METH_VARARGS,
+     "hc_matching(vertex_weights, shares, xpins, pins, xnets, vnets, order, "
+     "match, weight_cap, max_net): fill match; the compiled visit loop of "
+     "repro.balance.partition._heavy_connectivity_matching."},
+    {"grow_region", core_grow_region, METH_VARARGS,
+     "grow_region(vertex_weights, net_weights, xpins, pins, xnets, vnets, "
+     "side, start, w0, target0) -> float: absorb from start into side 0 until "
+     "w0 >= target0 or the frontier is empty, return w0; the compiled "
+     "absorption loop of repro.balance.partition._grow_region."},
     {"greedy_semi_matching", core_greedy_semi_matching, METH_VARARGS,
      "greedy_semi_matching(costs, offsets, ranks, order, assignment, n_ranks): "
      "fill assignment; the compiled loop of "

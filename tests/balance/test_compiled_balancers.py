@@ -37,7 +37,7 @@ from repro.chemistry.tasks import synthetic_task_graph
 from repro.runtime.garrays import BlockDistribution
 from repro.simulate import sched
 from repro.util import ConfigurationError
-from tests.balance.test_partition import engine_mode, requires_core
+from tests.balance.test_partition import at, engine_mode, requires_core
 
 REFERENCE = pathlib.Path(__file__).parents[2] / "bench" / "reference.json"
 
@@ -217,16 +217,6 @@ KERNEL_FIELDS = {
     ],
     "lpt": ["costs", "order", "assignment", "n_ranks"],
 }
-
-
-def at(i, value):
-    """The array with entry ``i`` replaced by ``value``."""
-    def bad(a):
-        a = a.copy()
-        a[i] = value
-        return a
-
-    return bad
 
 
 _MALFORMED = [

@@ -21,6 +21,7 @@ from repro.balance.hypergraph import part_weights
 from repro.balance.partition import (
     _COARSEN_TARGET,
     _MAX_NET_MATCH,
+    _contract,
     _fm_pass,
     _fm_refine,
     _grow_region,
@@ -38,6 +39,11 @@ from repro.util import ConfigurationError, PartitionError
 requires_core = pytest.mark.skipif(
     not sched.compiled_available(), reason="compiled engine core unavailable"
 )
+
+
+#: The engine modes this host can run: the Python reference bodies, and the
+#: compiled core's kernels when it builds.
+AVAILABLE_MODES = ["python"] + (["compiled"] if sched.compiled_available() else [])
 
 
 @contextlib.contextmanager
@@ -184,6 +190,34 @@ class TestInduce:
         # Net {2,3} and {0,3} lose a pin and drop below 2 pins -> removed.
         assert sub.n_nets == 1
         np.testing.assert_array_equal(sub.nets[0], [0, 1, 2])
+
+
+class TestNetless:
+    """A hypergraph with no nets has no net views (``np.split`` of an empty
+    pin array still yields one empty piece)."""
+
+    def test_every_producer(self):
+        weights = np.array([1.0, 2.0, 3.0])
+        graphs = {
+            "constructor": Hypergraph(weights, [], np.empty(0)),
+            "from_csr": Hypergraph.from_csr(
+                weights, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+            ),
+            # Every net loses a pin and drops.
+            "induce": _induce(
+                Hypergraph(np.ones(4), [np.array([0, 1]), np.array([2, 3])], np.ones(2)),
+                np.array([True, False, True, False]),
+            ),
+            # No pins to contract.
+            "contract": _contract(
+                Hypergraph(weights, [], np.empty(0)), np.array([1, 0, 2])
+            )[0],
+        }
+        for name, hg in graphs.items():
+            assert hg.n_nets == 0, name
+            assert len(hg.nets) == 0, name
+            assert _pin_views(hg, hg.net_weights) == [], name
+            assert hg.vertex_nets() == [[]] * hg.n_vertices, name
 
 
 class TestBalancerEntryPoint:
@@ -354,11 +388,12 @@ class TestArrayKernelsAgainstOracles:
     @given(awkward_hypergraphs(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matching(self, hg, seed):
-        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        np.testing.assert_array_equal(
-            _heavy_connectivity_matching(hg, rng), matching_oracle(hg, rng_ref)
-        )
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        for mode in AVAILABLE_MODES:
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            with engine_mode(mode):
+                match = _heavy_connectivity_matching(hg, rng)
+            np.testing.assert_array_equal(match, matching_oracle(hg, rng_ref))
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_matching_sums_shares_in_net_order(self):
         # 40 hubs h, each sharing three nets with b (0.3, 0.2, 0.1: sums
@@ -372,14 +407,18 @@ class TestArrayKernelsAgainstOracles:
                 nets += [np.array([hub, leaf])] * 3
                 net_weights += weights
         hg = Hypergraph(np.append(np.full(120, 0.1), 100.0), nets, np.array(net_weights))
-        match = _heavy_connectivity_matching(hg, np.random.default_rng(0))
-        np.testing.assert_array_equal(match, matching_oracle(hg, np.random.default_rng(0)))
         rank = np.argsort(np.random.default_rng(0).permutation(121))
         hub_first = [
             h for h in range(0, 120, 3) if rank[h] < min(rank[h + 1], rank[h + 2])
         ]
         assert len(hub_first) >= 8
-        assert all(match[h] == h + 1 for h in hub_first)
+        for mode in AVAILABLE_MODES:
+            with engine_mode(mode):
+                match = _heavy_connectivity_matching(hg, np.random.default_rng(0))
+            np.testing.assert_array_equal(
+                match, matching_oracle(hg, np.random.default_rng(0))
+            )
+            assert all(match[h] == h + 1 for h in hub_first)
 
     def test_grow_region_adds_each_net_separately(self):
         # From x: y scores 5e16, u and v 1e16 each. Absorbing y adds 1.0
@@ -393,13 +432,16 @@ class TestArrayKernelsAgainstOracles:
             np.array([5.0e16, 1.0e16, 1.0, 1.0]),
         )
         from_x = 0
-        for seed in range(12):
-            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            side = _grow_region(hg, 3.0, rng, _pin_views(hg, hg.net_weights))
-            np.testing.assert_array_equal(side, grow_region_oracle(hg, 3.0, rng_ref))
-            if np.random.default_rng(seed).integers(0, 4) == x:
-                from_x += 1
-                np.testing.assert_array_equal(side, [0, 0, 0, 1])
+        for mode in AVAILABLE_MODES:
+            for seed in range(12):
+                rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                with engine_mode(mode):
+                    side = _grow_region(hg, 3.0, rng, _pin_views(hg, hg.net_weights))
+                np.testing.assert_array_equal(side, grow_region_oracle(hg, 3.0, rng_ref))
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+                if np.random.default_rng(seed).integers(0, 4) == x:
+                    from_x += 1
+                    np.testing.assert_array_equal(side, [0, 0, 0, 1])
         assert from_x
 
     def test_kway_repair_damage_adds_then_subtracts(self):
@@ -433,10 +475,12 @@ class TestArrayKernelsAgainstOracles:
         # component, taking the rng fallback draw at each exhausted
         # frontier, and stops on the empty remainder.
         target0 = frac0 * hg.total_vertex_weight
-        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        side = _grow_region(hg, target0, rng, _pin_views(hg, hg.net_weights))
-        np.testing.assert_array_equal(side, grow_region_oracle(hg, target0, rng_ref))
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        for mode in AVAILABLE_MODES:
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            with engine_mode(mode):
+                side = _grow_region(hg, target0, rng)
+            np.testing.assert_array_equal(side, grow_region_oracle(hg, target0, rng_ref))
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     @given(awkward_hypergraphs(), st.integers(2, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -627,6 +671,170 @@ class TestCompiledFmPass:
                 _fm_pass(hg, np.zeros(3, dtype=np.int8), *fm_bounds(hg, 0.5, 0.05))
 
 
+def partition_kernel_args(kernel, hg=None):
+    """Valid arguments for the core's ``hc_matching`` or ``grow_region``, as
+    ``_heavy_connectivity_matching`` and ``_grow_region`` build them (a
+    weight cap every pair of the chain's vertices stays under)."""
+    hg = chain_hypergraph(6) if hg is None else hg
+    n = hg.n_vertices
+    csr = [hg.xpins, hg.pins, hg.xnets, hg.vnets]
+    if kernel == "hc_matching":
+        shares = hg.net_weights / np.maximum(hg.net_sizes - 1, 1)
+        order = np.arange(n)[::-1].copy()
+        return [hg.vertex_weights, shares, *csr, order, np.full(n, -1), 2.0, _MAX_NET_MATCH]
+    return [hg.vertex_weights, hg.net_weights, *csr, np.ones(n, dtype=np.int8), 2, 0.0, 4.0]
+
+
+#: The arguments each partitioner kernel names, in order.
+PARTITION_KERNEL_FIELDS = {
+    "hc_matching": [
+        "vertex_weights", "shares", "xpins", "pins", "xnets", "vnets", "order", "match",
+        "weight_cap", "max_net",
+    ],
+    "grow_region": [
+        "vertex_weights", "net_weights", "xpins", "pins", "xnets", "vnets", "side", "start",
+        "w0", "target0",
+    ],
+}
+
+
+def at(i, value):
+    """The array with entry ``i`` replaced by ``value``."""
+    def bad(a):
+        a = a.copy()
+        a[i] = value
+        return a
+
+    return bad
+
+
+_PARTITION_MALFORMED = [
+    ("pins", at(0, 6), ValueError),
+    ("pins", at(3, -1), ValueError),
+    ("pins", lambda a: a.astype(np.int32), TypeError),
+    ("pins", lambda a: a.reshape(-1, 2), TypeError),
+    ("vnets", at(2, 5), ValueError),
+    ("xpins", at(2, 1), ValueError),
+    ("xpins", lambda a: a + 1, ValueError),
+    ("xnets", lambda a: a[::-1].copy(), ValueError),
+    ("xnets", lambda a: a[:-1].copy(), ValueError),
+    ("vertex_weights", lambda a: a[::2], (TypeError, ValueError)),
+    ("vertex_weights", at(1, np.inf), ValueError),
+    ("shares", at(1, np.nan), ValueError),
+    ("net_weights", at(1, np.nan), ValueError),
+    ("net_weights", at(1, -1.0), ValueError),  # a score could fall
+    ("order", at(0, 1), ValueError),
+    ("order", at(5, 6), ValueError),
+    ("order", lambda a: a[:-1].copy(), ValueError),
+    ("match", lambda a: a[:-1].copy(), ValueError),
+    ("match", lambda a: np.broadcast_to(a, a.shape), ValueError),
+    ("match", lambda a: a.astype(np.float64), TypeError),
+    ("side", at(4, 2), ValueError),
+    ("side", at(2, 0), ValueError),  # the start is already absorbed
+    ("side", lambda a: a[:-1].copy(), ValueError),
+    ("side", lambda a: np.broadcast_to(a, a.shape), ValueError),
+    ("start", lambda start: 6, ValueError),
+    ("start", lambda start: -1, ValueError),
+]
+
+
+def partition_malformed_cases():
+    """(kernel, field, bad, error) for every kernel that takes the field."""
+    for field, bad, error in _PARTITION_MALFORMED:
+        for kernel, fields in PARTITION_KERNEL_FIELDS.items():
+            if field in fields:
+                yield kernel, field, bad, error
+
+
+@requires_core
+class TestCompiledPartitionKernels:
+    """The core's ``hc_matching`` and ``grow_region`` refuse what they cannot
+    use and hold nothing after a call (the oracles above hold their
+    answers to the Python bodies)."""
+
+    @pytest.mark.parametrize("kernel, field, bad, error", list(partition_malformed_cases()))
+    def test_rejects_malformed_input(self, kernel, field, bad, error):
+        args = partition_kernel_args(kernel)
+        i = PARTITION_KERNEL_FIELDS[kernel].index(field)
+        args[i] = bad(args[i])
+        before = [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+        with pytest.raises(error):
+            getattr(sched._load_engine_core(), kernel)(*args)
+        # Refused before anything was written.
+        assert [a.tobytes() for a in args if isinstance(a, np.ndarray)] == before
+
+    def test_bad_trusted_graph_raises_instead_of_crashing(self):
+        # ``from_csr`` skips validation: a pin past the last vertex and
+        # offsets past the pin array reach both callers unchecked.
+        for xpins, pins in (([0, 2, 4], [0, 1, 1, 9]), ([0, 2, 9], [0, 1, 1, 2])):
+            hg = Hypergraph.from_csr(np.ones(3), np.array(xpins), np.array(pins), np.ones(2))
+            with engine_mode("compiled"):
+                with pytest.raises(ValueError):
+                    _heavy_connectivity_matching(hg, np.random.default_rng(0))
+                with pytest.raises(ValueError):
+                    _grow_region(hg, 2.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kernel", sorted(PARTITION_KERNEL_FIELDS))
+    def test_releases_its_buffers(self, kernel):
+        core = sched._load_engine_core()
+        args = partition_kernel_args(kernel)
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        before = [sys.getrefcount(a) for a in arrays]
+        getattr(core, kernel)(*args)
+        assert [sys.getrefcount(a) for a in arrays] == before
+        # The same after an error raised with every buffer acquired.
+        args[0] = at(0, np.nan)(args[0])
+        with pytest.raises(ValueError):
+            getattr(core, kernel)(*args)
+        assert [sys.getrefcount(a) for a in arrays][1:] == before[1:]
+        for a in arrays[1:]:
+            a.resize(a.size + 1, refcheck=False)  # refused while an export is held
+
+    def test_grow_region_returns_at_the_target_or_an_empty_frontier(self):
+        core = sched._load_engine_core()
+        # Two chains of three: from vertex 1 the region takes 1, then 0 and
+        # 2 by id, and stops when the frontier runs out short of 4.0.
+        hg = Hypergraph(
+            np.ones(6), [np.array([0, 1]), np.array([1, 2]), np.array([3, 4]), np.array([4, 5])],
+            np.ones(4),
+        )
+        args = partition_kernel_args("grow_region", hg)
+        args[7] = 1
+        assert core.grow_region(*args) == 3.0
+        assert args[6].tolist() == [0, 0, 0, 1, 1, 1]
+        # Called again from a new seed, it carries w0 on and stops at 4.0.
+        args[7], args[8] = 5, 3.0
+        assert core.grow_region(*args) == 4.0
+        assert args[6].tolist() == [0, 0, 0, 1, 1, 0]
+
+    def test_compiled_partition_builds_no_list_views(self, monkeypatch):
+        """No level below the input hypergraph builds ``nets``,
+        ``vertex_nets()`` or ``_pin_views``: the kernels read the CSRs."""
+        from repro.balance import partition
+
+        levels = []
+
+        def recording(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                levels.append(out[0] if isinstance(out, tuple) else out)
+                return out
+
+            return wrapper
+
+        def no_views(*args):
+            raise AssertionError("_pin_views called")
+
+        monkeypatch.setattr(partition, "_contract", recording(partition._contract))
+        monkeypatch.setattr(partition, "_induce", recording(partition._induce))
+        monkeypatch.setattr(partition, "_pin_views", no_views)
+        hg = fock_hypergraph(synthetic_task_graph(600, 12, seed=7, skew=1.0))
+        with engine_mode("compiled"):
+            partition_hypergraph(hg, 8, seed=1)
+        assert sum(level.n_vertices > _COARSEN_TARGET for level in levels) >= 4
+        assert all(level._nets is None and level._vertex_nets is None for level in levels)
+
+
 class TestWorkingMemory:
     def test_matching_and_bisection_stay_linear_in_pins(self):
         """Working state is O(pins) per level.
@@ -642,15 +850,18 @@ class TestWorkingMemory:
         assert all(net.size == 128 for net in nets)
         hg = Hypergraph(np.linspace(0.5, 1.5, n), nets, np.linspace(1.0, 2.0, 10))
         hg.nets, hg.vertex_nets()  # the hypergraph's own cached views
-        rng = np.random.default_rng(1)
-        tracemalloc.start()
-        try:
-            _heavy_connectivity_matching(hg, rng)
-            _initial_bisection(hg, 0.5, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * hg.pins.nbytes, (peak, hg.pins.nbytes)
+        # The kernels' scratch comes from PyMem_*, so tracemalloc sees it.
+        for mode in AVAILABLE_MODES:
+            rng = np.random.default_rng(1)
+            with engine_mode(mode):
+                tracemalloc.start()
+                try:
+                    _heavy_connectivity_matching(hg, rng)
+                    _initial_bisection(hg, 0.5, rng)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert peak < 4 * hg.pins.nbytes, (mode, peak, hg.pins.nbytes)
 
     @requires_core
     def test_compiled_fm_pass_stays_linear_in_pins(self):
@@ -713,6 +924,69 @@ class TestWorkingMemory:
                 assert (result, out.tobytes()) == expected, k
             assert failed >= 10, failed
             print("ok", failed)
+            """
+        )
+        env = dict(os.environ, REPRO_ENGINE="compiled", REPRO_ENGINE_REQUIRE="1")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(sched.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.startswith("ok")
+
+    @requires_core
+    def test_compiled_matching_and_growth_out_of_memory_is_a_memory_error(self):
+        """``hc_matching`` and ``grow_region`` under each allocation failed in
+        turn: MemoryError with the output array as it was, or the unfailed
+        result. Run in a child, so a crash fails this test instead of the
+        test session."""
+        pytest.importorskip("_testcapi")
+        script = textwrap.dedent(
+            """
+            import gc
+            import numpy as np
+            import _testcapi
+            from repro.balance import Hypergraph
+            from repro.simulate import sched
+
+            n = 60
+            nets = [np.arange(i, i + 4) % n for i in range(0, n, 2)]
+            hg = Hypergraph(np.linspace(0.5, 1.5, n), nets, np.ones(len(nets)))
+            csr = (hg.xpins, hg.pins, hg.xnets, hg.vnets)
+            shares = hg.net_weights / np.maximum(hg.net_sizes - 1, 1)
+            order = np.random.default_rng(2).permutation(n)
+            core = sched._load_engine_core()
+
+            def fresh(kernel):
+                if kernel == "hc_matching":
+                    return (hg.vertex_weights, shares, *csr, order, np.full(n, -1), 4.0, 64)
+                return (hg.vertex_weights, hg.net_weights, *csr, np.ones(n, dtype=np.int8),
+                        7, 0.0, 0.5 * hg.total_vertex_weight)
+
+            def state(result, args):
+                return result, [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+
+            gc.disable()
+            for kernel in ("hc_matching", "grow_region"):
+                args = fresh(kernel)
+                expected = state(getattr(core, kernel)(*args), args)
+                untouched = state(None, fresh(kernel))
+                failed = 0
+                for k in range(200):
+                    args = fresh(kernel)
+                    _testcapi.set_nomemory(k, k + 1)
+                    try:
+                        result = getattr(core, kernel)(*args)
+                    except MemoryError:
+                        failed += 1
+                        assert state(None, args) == untouched, (kernel, k)
+                        continue
+                    finally:
+                        _testcapi.remove_mem_hooks()
+                    assert state(result, args) == expected, (kernel, k)
+                assert failed >= 3, (kernel, failed)
+            print("ok")
             """
         )
         env = dict(os.environ, REPRO_ENGINE="compiled", REPRO_ENGINE_REQUIRE="1")

@@ -7,10 +7,11 @@ or ``PyObject_Vectorcall*`` anywhere else in the engine part of
 takes a seq the core hands out again, and no digest would show it until
 some model happened to do so. This reads the source instead.
 
-Below the engine, the array kernels (the FM pass and the balancers' loops)
-call no Python at all: they are pure C over buffers, and an attribute
-lookup or a call in one of their loops would put the interpreter back on
-the per-task path they exist to leave.
+Below the engine, the array kernels (the partitioner's FM pass, matching
+and region growing, and the cheap balancers' loops) call no Python at
+all: they are pure C over buffers, and an attribute lookup or a call in
+one of their loops would put the interpreter back on the per-task path
+they exist to leave.
 """
 
 import pathlib
@@ -19,7 +20,7 @@ import re
 SOURCE = pathlib.Path(__file__).parents[2] / "src" / "repro" / "simulate" / "_engine_core.c"
 
 #: Where the engine ends and the array kernels begin: the partitioner's FM
-#: pass, then the semi-matching and LPT loops.
+#: pass, matching and region growing, then the semi-matching and LPT loops.
 FM_BANNER = "One Fiduccia-Mattheyses pass"
 
 #: Where the array kernels end: the module's method table and init.
@@ -108,7 +109,17 @@ def test_call_c_reaches_only_c():
 def test_array_kernels_call_no_python():
     text = SOURCE.read_text(encoding="utf-8")
     kernels = text[text.index(FM_BANNER) : text.index(KERNELS_END)]
-    for name in ("fm_run", "greedy_run", "sweep_run", "core_lpt", "core_semi_matching_sweep"):
+    for name in (
+        "fm_run",
+        "hc_run",
+        "core_hc_matching",
+        "grow_run",
+        "core_grow_region",
+        "greedy_run",
+        "sweep_run",
+        "core_lpt",
+        "core_semi_matching_sweep",
+    ):
         assert f"\n{name}(" in kernels, name
     offenders = sorted({m.group(0) for m in PYTHON.finditer(kernels)})
     assert offenders == [], f"the array kernels reach into the interpreter: {offenders}"
