@@ -234,7 +234,7 @@ def _finite_non_negative(weights: np.ndarray) -> bool:
 def _decode_csr(arrays: dict[str, np.ndarray], n_vertices: int) -> Hypergraph:
     """A stored hypergraph, checked before ``from_csr`` trusts it.
 
-    Anything a well-formed ``.npz`` can still get wrong — dtypes, lengths,
+    Anything an intact store entry can still get wrong — dtypes, lengths,
     offsets, a pin out of range, a bad weight — raises, which the store
     turns into a corrupt miss and a rebuild.
     """

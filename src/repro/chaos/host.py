@@ -49,8 +49,9 @@ def _corrupt_files(paths: Sequence[Path], garbage: bytes) -> None:
 
 def _corrupt_cache_entries(cache: ResultCache, keys: Sequence[str]) -> int:
     """Corrupt the on-disk entries for ``keys``; returns how many it found."""
-    paths = [path for path in map(cache.path_for, keys) if path.exists()]
-    _corrupt_files(paths, b'{"not": "a pickle"}')
+    wanted = set(keys)
+    paths = [path for path in cache.entries() if path.stem in wanted]
+    _corrupt_files(paths, b'{"not": "a cache entry"}')
     return len(paths)
 
 
@@ -236,10 +237,10 @@ def corrupted_artifacts(ctx: ChaosContext) -> str:
 
     ref_hg, ref_assign = build(None)  # ground truth: no memoization at all
     build(ArtifactStore(root))
-    entries = sorted(root.glob("*/*.npz"))
+    entries = ArtifactStore(root).entries()
     if len(entries) < 2:
         raise AssertionError(f"expected >= 2 artifact entries, got {len(entries)}")
-    _corrupt_files(entries, b"PK\x03\x04 chaos garbage, not an npz")
+    _corrupt_files(entries, b"PK\x03\x04 chaos garbage, not an entry")
     healed = ArtifactStore(root)  # fresh memo: must consult the disk
     hg, assign = build(healed)
     problems: list[str] = []

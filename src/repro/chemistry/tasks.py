@@ -372,9 +372,7 @@ def build_task_graph(
             ),
             lambda: _build_task_graph(basis, blocks, screen, tau),
             encode=_encode_graph,
-            decode=lambda arrays, meta: graph_from_arrays(
-                **arrays, tau=float.fromhex(meta["tau"])
-            ),
+            decode=_decode_graph,
         )
     return _build_task_graph(basis, blocks, screen, tau)
 
@@ -382,6 +380,10 @@ def build_task_graph(
 def _encode_graph(graph: TaskGraph) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     arrays = graph.to_arrays()
     return arrays, {"tau": arrays.pop("tau").hex()}
+
+
+def _decode_graph(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> TaskGraph:
+    return graph_from_arrays(**arrays, tau=float.fromhex(meta["tau"]))
 
 
 def _build_task_graph(

@@ -15,17 +15,18 @@ Two layers, same key:
   keyed by sha256 content address, FIFO-bounded. This is what
   deduplicates rebuilds *within* one run.
 - an optional **on-disk store** (``root`` directory): NumPy arrays
-  persisted via ``np.savez`` — each entry is a zip of plain ``.npy``
-  members plus a JSON meta record, loaded with ``allow_pickle=False``
-  (no object-graph pickling, by design). This is what makes *reruns*
-  warm, including sweep workers in other processes.
+  and a JSON meta record per entry, in the entry format the result
+  cache writes too (:class:`~repro.core.cache.EntryStore`: raw
+  little-endian ``float64``/``int64`` bytes behind a JSON header, no
+  object-graph pickling). This is what makes *reruns* warm, including
+  sweep workers in other processes.
 
 Keying composes the same canonical-fingerprint machinery as the result
 cache: ``key = sha256(salt | kind | input fingerprints...)``. Corruption
-semantics mirror :class:`~repro.core.cache.ResultCache`: a zero-byte,
-truncated, foreign, or wrong-key entry — or one whose arrays its decoder
-refuses — degrades to a miss, the file is unlinked, and the artifact is
-rebuilt; ``get_arrays`` never raises.
+semantics are the result cache's, since the disk layer is one: a
+zero-byte, truncated, bit-flipped, foreign, or wrong-key entry — or one
+whose arrays its decoder refuses — degrades to a miss, the file is
+unlinked, and the artifact is rebuilt; ``get_arrays`` never raises.
 
 Invalidation is by salt (:data:`ARTIFACT_SALT`): bump it whenever a
 build's semantics change (screening math, cost model, partitioner
@@ -36,18 +37,16 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
-import json
 import os
 import pathlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.core.cache import atomic_write, fingerprint
+from repro.core.cache import EntryStore, fingerprint
 
 __all__ = [
     "ARTIFACT_SALT",
@@ -73,10 +72,6 @@ ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
 #: Set to ``0`` to disable artifact memoization entirely.
 ARTIFACT_DISABLE_ENV = "REPRO_ARTIFACTS"
-
-#: Envelope magic recorded inside every on-disk entry; entries whose
-#: magic or recorded key disagree with their address are rejected.
-_ENTRY_MAGIC = "repro-artifact-v1"
 
 #: FIFO bound on in-process memo entries (a workload's decoded graph and
 #: hypergraph are a few MB; this keeps worst-case residency modest).
@@ -120,8 +115,11 @@ def artifact_key(kind: str, *parts: Any, salt: str = ARTIFACT_SALT) -> str:
     return hashlib.sha256("|".join(folded).encode("utf-8")).hexdigest()
 
 
-class ArtifactStore:
+class ArtifactStore(EntryStore):
     """Two-layer (memo + optional disk) content-addressed artifact store.
+
+    The disk layer is :class:`~repro.core.cache.EntryStore`, the one the
+    result cache uses too.
 
     Args:
         root: directory for the on-disk layer; None = in-process only.
@@ -151,12 +149,6 @@ class ArtifactStore:
     def key(self, kind: str, *parts: Any) -> str:
         return artifact_key(kind, *parts, salt=self.salt)
 
-    def path_for(self, key: str) -> pathlib.Path:
-        if self.root is None:
-            raise ValueError("store has no on-disk root")
-        # Same two-level fan-out as ResultCache.
-        return self.root / key[:2] / f"{key}.npz"
-
     # ------------------------------------------------------------------
     # In-process memo layer
     # ------------------------------------------------------------------
@@ -166,68 +158,6 @@ class ArtifactStore:
             self._memo.move_to_end(key)
             while len(self._memo) > self.memo_limit:
                 self._memo.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # On-disk layer
-    # ------------------------------------------------------------------
-    def get_arrays(
-        self, key: str
-    ) -> tuple[dict[str, np.ndarray], dict[str, Any]] | None:
-        """Load one on-disk entry: ``(arrays, meta)`` or None on miss.
-
-        Every corruption shape — zero-byte, truncated, non-zip bytes, a
-        foreign archive without the envelope, an entry copied under the
-        wrong key — degrades to a miss and unlinks the file. Never raises.
-        """
-        if self.root is None:
-            return None
-        path = self.path_for(key)
-        try:
-            # Opened here, not by np.load: given a path it loses the handle
-            # when the archive turns out to be truncated.
-            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-                header = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
-                if (
-                    header.get("magic") != _ENTRY_MAGIC
-                    or header.get("key") != key
-                ):
-                    return self._corrupt_miss(path)
-                arrays = {
-                    name: npz[name] for name in npz.files if name != "__meta__"
-                }
-        except FileNotFoundError:
-            return None
-        except Exception:
-            return self._corrupt_miss(path)
-        return arrays, header.get("meta", {})
-
-    def _corrupt_miss(self, path: pathlib.Path) -> None:
-        self.stats.errors += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-
-    def put_arrays(
-        self, key: str, arrays: dict[str, np.ndarray], meta: dict[str, Any] | None = None
-    ) -> None:
-        """Persist ``arrays`` (+ JSON-able ``meta``) atomically under ``key``."""
-        if self.root is None:
-            return
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        header = json.dumps({"magic": _ENTRY_MAGIC, "key": key, "meta": meta or {}})
-        payload = dict(arrays)
-        payload["__meta__"] = np.frombuffer(header.encode("utf-8"), dtype=np.uint8)
-        buf = io.BytesIO()
-        np.savez(buf, **payload)
-        # Same collision-free temp-name scheme as ResultCache.put(), so
-        # concurrent writers — threads, processes, or remote workers on a
-        # shared filesystem — can never collide on a temp path.
-        with atomic_write(path, suffix=".npz") as tmp:
-            tmp.write_bytes(buf.getvalue())
-        self.stats.stores += 1
 
     # ------------------------------------------------------------------
     # The full protocol
@@ -254,19 +184,13 @@ class ArtifactStore:
             self.stats.memo_hits += 1
             return copy_on_hit(hit) if copy_on_hit is not None else hit
         if decode is not None:
-            entry = self.get_arrays(key)
-            if entry is not None:
-                try:
-                    value = decode(entry[0], entry[1])
-                except Exception:
-                    # A sound archive whose arrays do not make the value
-                    # (a name missing, a shape the decoder refuses) is the
-                    # same corrupt miss as a truncated one: drop, rebuild.
-                    self._corrupt_miss(self.path_for(key))
-                else:
-                    self.stats.disk_hits += 1
-                    self._memo_put(key, value)
-                    return copy_on_hit(value) if copy_on_hit is not None else value
+            # An entry whose arrays do not make the value (a name missing,
+            # a shape the decoder refuses) is a corrupt miss: drop, rebuild.
+            value = self.get_arrays(key, decode)
+            if value is not None:
+                self.stats.disk_hits += 1
+                self._memo_put(key, value)
+                return copy_on_hit(value) if copy_on_hit is not None else value
         self.stats.misses += 1
         value = build()
         self._memo_put(key, value)
@@ -276,21 +200,11 @@ class ArtifactStore:
         return copy_on_hit(value) if copy_on_hit is not None else value
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        if self.root is None or not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.npz"))
-
     def clear(self) -> int:
         """Drop the memo and delete every on-disk entry."""
         removed = len(self._memo)
         self._memo.clear()
-        if self.root is not None and self.root.is_dir():
-            for entry in self.root.glob("*/*.npz"):
-                with contextlib.suppress(OSError):
-                    entry.unlink()
-                    removed += 1
-        return removed
+        return removed + super().clear()
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +264,7 @@ def configure_job_artifacts(
     ``enabled=False`` disables the store. With a result-cache root the
     store lives at ``<cache_root>/artifacts``: the current default is kept
     when it is already rooted there — its memo of decoded values outlives
-    the job, so the next job on that root reads no ``.npz`` — and a fresh
+    the job, so the next job on that root reads no entry — and a fresh
     one is installed otherwise. ``cache_root=None`` leaves the default.
     """
     if not enabled:

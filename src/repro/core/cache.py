@@ -7,7 +7,8 @@ every cell result cacheable under a *content address*: a stable hash of
 the canonical form of all inputs plus a code-version salt. Re-running a
 benchmark with unchanged inputs loads the stored result instead of
 re-simulating, and the loaded result is bit-for-bit identical to a fresh
-computation (pickle round-trips NumPy arrays and Python floats exactly).
+computation: an entry holds the result's arrays as raw bytes and its
+scalars as JSON, which round-trips Python floats exactly.
 
 Key scheme (see ``docs/sweep.md``):
 
@@ -32,16 +33,21 @@ deleted at any time with no effect other than recomputation.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
+import json
 import os
 import pathlib
-import pickle
 import secrets
+import struct
+import zlib
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
+
+from repro.util import ConfigurationError
 
 #: Code-version salt folded into every cache key. Bump when simulator or
 #: execution-model semantics change (anything that would alter a cell's
@@ -187,14 +193,22 @@ def cache_key(
 
 
 # ----------------------------------------------------------------------
-# The on-disk store
+# The on-disk entry format and disk layer of both stores
 # ----------------------------------------------------------------------
 
-#: Envelope magic written with every entry. ``get`` rejects any payload
-#: that is not ``(_ENTRY_MAGIC, key, value)`` with a matching key, so a
-#: wrong-schema file (hand-edited, renamed, foreign pickle, JSON text)
-#: degrades to a miss instead of returning garbage as a result.
-_ENTRY_MAGIC = "repro-cache-entry-v1"
+#: Suffix of every entry of both content-addressed stores: this cache
+#: and :class:`~repro.core.artifacts.ArtifactStore`.
+ENTRY_SUFFIX = ".entry"
+
+#: An entry opens with this magic, the header length and a CRC-32 over
+#: the length and every byte after the CRC (``docs/sweep.md``, "On-disk
+#: layout").
+_MAGIC = b"REPROEN1"
+_PREFIX = struct.Struct("<8sII")
+
+#: The only array dtypes an entry may hold. Both are 8 bytes wide, so
+#: arrays packed back to back from an aligned start stay aligned.
+_DTYPES = ("<f8", "<i8")
 
 #: Per-process counter distinguishing temp files of concurrent writers in
 #: the same process (threads) — pid alone is not unique there.
@@ -206,35 +220,186 @@ _tmp_counter = itertools.count()
 _writer_token = secrets.token_hex(4)
 
 
-def atomic_tmp_path(path: pathlib.Path, suffix: str = "") -> pathlib.Path:
+def atomic_tmp_path(path: pathlib.Path) -> pathlib.Path:
     """A collision-free temp path next to ``path`` for atomic replace.
 
-    The single temp-naming scheme for every store in the repo
-    (:class:`ResultCache`, :class:`~repro.core.artifacts.ArtifactStore`):
-    ``<name>.tmp.<pid>-<token>.<n><suffix>``, unique across threads
+    The single temp-naming scheme for every file the repo replaces
+    atomically: ``<name>.tmp.<pid>-<token>.<n>``, unique across threads
     (counter), processes (pid), and hosts sharing a filesystem (random
-    per-process token). :func:`atomic_write` is the write protocol.
+    per-process token). It never ends in :data:`ENTRY_SUFFIX`, so a
+    store's listing never counts a temp file. :func:`atomic_write` is
+    the write protocol.
     """
     return path.parent / (
-        f"{path.name}.tmp.{os.getpid()}-{_writer_token}"
-        f".{next(_tmp_counter)}{suffix}"
+        f"{path.name}.tmp.{os.getpid()}-{_writer_token}.{next(_tmp_counter)}"
     )
 
 
 @contextlib.contextmanager
-def atomic_write(path: pathlib.Path, suffix: str = "") -> Iterator[pathlib.Path]:
+def atomic_write(path: pathlib.Path) -> Iterator[pathlib.Path]:
     """Yield a temp path; ``os.replace`` it onto ``path`` if the body succeeds.
 
     Readers only ever see a complete file, and the temp file never
     outlives the block, whether the body raised or the replace did.
     """
-    tmp = atomic_tmp_path(path, suffix)
+    tmp = atomic_tmp_path(path)
     try:
         yield tmp
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+
+
+def encode_entry(key: str, arrays: dict[str, Any], meta: Any) -> bytes:
+    """One entry's bytes: prefix, JSON header padded to 8 bytes, arrays.
+
+    The header is ``{"key", "meta", "arrays": [[name, dtype, shape,
+    offset], ...]}``; each offset counts from the end of the header.
+    """
+    table, chunks, offset = [], [], 0
+    for name, value in arrays.items():
+        array = np.ascontiguousarray(value)
+        table.append([name, array.dtype.str, list(array.shape), offset])
+        chunks.append(array)
+        offset += array.nbytes
+    header = json.dumps({"key": key, "meta": meta, "arrays": table}, separators=(",", ":")).encode()
+    header += b" " * (-len(header) % 8)
+    crc = zlib.crc32(header, zlib.crc32(len(header).to_bytes(4, "little")))
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return b"".join([_PREFIX.pack(_MAGIC, len(header), crc), header, *chunks])
+
+
+def decode_entry(buf: bytearray, key: str) -> tuple[dict[str, np.ndarray], Any]:
+    """``(arrays, meta)`` of the entry bytes ``buf`` stored under ``key``.
+
+    The arrays are aligned, writable views into ``buf``. A wrong magic or
+    key, a CRC mismatch, a dtype outside :data:`_DTYPES`, more than two
+    dimensions, or an offset or shape that is negative, unaligned or runs
+    past the end raises.
+    """
+    magic, length, crc = _PREFIX.unpack_from(buf)
+    view = memoryview(buf)
+    start = _PREFIX.size + length
+    if (
+        magic != _MAGIC
+        or start % 8
+        or start > len(buf)
+        or zlib.crc32(view[_PREFIX.size :], zlib.crc32(view[8:12])) != crc
+    ):
+        raise ValueError("not an intact entry")
+    header = json.loads(buf[_PREFIX.size : start])
+    if header["key"] != key:
+        raise ValueError("entry stored under another key")
+    arrays = {}
+    for name, dtype, shape, offset in header["arrays"]:
+        # ndarray refuses every other negative or non-integer dimension
+        # and a view that runs past the end of ``buf``; a lone -1 it
+        # would read as "the rest".
+        if dtype not in _DTYPES or len(shape) > 2 or -1 in shape:
+            raise ValueError(f"entry array {name!r}: dtype {dtype!r}, shape {shape!r}")
+        if type(offset) is not int or offset < 0 or offset % 8:
+            raise ValueError(f"entry array {name!r}: offset {offset!r}")
+        arrays[name] = np.ndarray(shape, dtype, buf, start + offset)
+    return arrays, header["meta"]
+
+
+class EntryStore:
+    """The disk layer both content-addressed stores share.
+
+    One file per key at ``<root>/<key[:2]>/<key>.entry`` (the two-level
+    fan-out keeps directory listings manageable), written atomically
+    (:func:`atomic_write`), so concurrent writers — threads, processes,
+    or hosts sharing the filesystem — never expose a partial entry. A
+    subclass sets ``root`` (None: no disk, every read a miss and every
+    write a no-op) and ``stats`` (counting ``errors`` and ``stores``).
+    """
+
+    def path_for(self, key: str) -> pathlib.Path:
+        if self.root is None:
+            raise ValueError("store has no on-disk root")
+        return pathlib.Path(self._path(key))
+
+    def _path(self, key: str) -> str:
+        return f"{self.root}/{key[:2]}/{key}{ENTRY_SUFFIX}"
+
+    def get_arrays(self, key: str, decode: Callable[[dict, Any], Any] | None = None) -> Any:
+        """The entry at ``key`` as ``(arrays, meta)``, or as ``decode(arrays,
+        meta)`` when given; None on a miss.
+
+        A missing file is a plain miss. Anything :func:`decode_entry` or
+        ``decode`` refuses — a zero-byte, truncated or bit-flipped entry,
+        a foreign file, an entry under the wrong key, a field the decoder
+        does not know — is a corrupt miss: counted in ``stats.errors``,
+        the file unlinked so the next put heals it. Never raises.
+        """
+        if self.root is None:
+            return None
+        path = self._path(key)
+        try:
+            with open(path, "rb") as fh:
+                buf = bytearray(os.fstat(fh.fileno()).st_size)
+                fh.readinto(buf)
+            entry = decode_entry(buf, key)
+            return entry if decode is None else decode(*entry)
+        except FileNotFoundError:
+            return None
+        except Exception:
+            self.stats.errors += 1
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+            return None
+
+    def put_arrays(
+        self, key: str, arrays: dict[str, np.ndarray], meta: Any = None
+    ) -> None:
+        """Store ``arrays`` and JSON-able ``meta`` under ``key`` atomically;
+        for equal inputs the last rename wins with identical bytes."""
+        if self.root is None:
+            return
+        path = pathlib.Path(self._path(key))
+        blob = encode_entry(key, arrays, {} if meta is None else meta)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_write(path) as tmp:
+            tmp.write_bytes(blob)
+        self.stats.stores += 1
+
+    def entries(self) -> list[pathlib.Path]:
+        """Every entry file, sorted; temp files of unfinished writes excluded."""
+        if self.root is None:
+            return []
+        return sorted(self.root.glob(f"??/*{ENTRY_SUFFIX}"))
+
+    def __len__(self) -> int:
+        return len(self.entries())
+
+    def clear(self) -> int:
+        """Delete every entry; returns the number removed."""
+        removed = 0
+        for entry in self.entries():
+            with contextlib.suppress(OSError):
+                entry.unlink()
+                removed += 1
+        return removed
+
+
+@functools.cache
+def _outcome_types() -> dict[str, type]:
+    """The cell outcomes :func:`~repro.core.sweep.execute_cell` returns."""
+    from repro.exec_models.base import RunResult
+    from repro.exec_models.persistence import PersistenceHistory
+    from repro.exec_models.scf_simulation import ScfSimResult
+
+    return {cls.__name__: cls for cls in (RunResult, ScfSimResult, PersistenceHistory)}
+
+
+def decode_outcome(arrays: dict[str, np.ndarray], meta: dict[str, Any]) -> Any:
+    """The cell outcome a :class:`ResultCache` entry holds; the ``type``
+    tag in ``meta`` picks its ``from_arrays``, which raises on any field
+    it does not expect."""
+    meta = dict(meta)
+    return _outcome_types()[meta.pop("type")].from_arrays(arrays, meta)
 
 
 @dataclass
@@ -248,15 +413,14 @@ class CacheStats:
 
 
 @dataclass
-class ResultCache:
-    """Content-addressed pickle store under one directory.
+class ResultCache(EntryStore):
+    """Content-addressed store of cell outcomes under one directory.
 
-    Entries are written atomically (temp file + rename), so concurrent
-    sweep workers and even concurrent benchmark processes can share one
-    cache directory; a torn or corrupt entry reads as a miss and is
-    removed. Values round-trip through pickle, which preserves NumPy
-    arrays and floats exactly — a cache hit is bit-for-bit identical to
-    the fresh computation it replaced.
+    An outcome — a ``RunResult``, ``ScfSimResult`` or
+    ``PersistenceHistory`` — is stored as its ``to_arrays()`` form in
+    the shared entry format, so a hit is bit-for-bit identical to the
+    fresh computation it replaced. A torn or corrupt entry reads as a
+    miss and is removed (:meth:`EntryStore.get_arrays`).
     """
 
     root: pathlib.Path = field(default_factory=default_cache_dir)
@@ -265,82 +429,22 @@ class ResultCache:
     def __post_init__(self) -> None:
         self.root = pathlib.Path(self.root)
 
-    def path_for(self, key: str) -> pathlib.Path:
-        # Two-level fan-out keeps directory listings manageable.
-        return self.root / key[:2] / f"{key}.pkl"
-
     def get(self, key: str) -> Any | None:
-        """The stored value for ``key``, or None on miss/corruption.
-
-        "Corruption" covers every observed failure shape: a zero-byte or
-        truncated entry, non-pickle bytes (e.g. JSON text), a valid
-        pickle that is not this cache's ``(magic, key, value)`` envelope,
-        and an envelope recorded under the wrong key. All degrade to a
-        miss, the offending file is unlinked so it cannot keep failing,
-        and the next ``put`` self-heals the entry. ``get`` never raises.
-        """
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except FileNotFoundError:
+        """The stored outcome for ``key``, or None on a miss; never raises."""
+        value = self.get_arrays(key, decode_outcome)
+        if value is None:
             self.stats.misses += 1
-            return None
-        except Exception:
-            # Torn write, truncation, or an entry from an incompatible
-            # code state: treat as a miss and clear it.
-            return self._corrupt_miss(path)
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 3
-            or payload[0] != _ENTRY_MAGIC
-            or payload[1] != key
-        ):
-            return self._corrupt_miss(path)
-        self.stats.hits += 1
-        return payload[2]
-
-    def _corrupt_miss(self, path: pathlib.Path) -> None:
-        self.stats.misses += 1
-        self.stats.errors += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
+        else:
+            self.stats.hits += 1
+        return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` atomically.
-
-        Concurrent writers of the same key are safe — including writers
-        on *different hosts* sharing the filesystem: each writes its own
-        temp file (:func:`atomic_write`) and the final ``rename`` is
-        atomic, so readers only ever observe a complete entry — the last
-        rename wins, with identical bytes for identical inputs.
-        """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_write(path) as tmp, open(tmp, "wb") as fh:
-            pickle.dump(
-                (_ENTRY_MAGIC, key, value),
-                fh,
-                protocol=pickle.HIGHEST_PROTOCOL,
+        """Store one cell outcome under ``key`` atomically; any other value
+        raises :class:`~repro.util.ConfigurationError`."""
+        kind = type(value).__name__
+        if _outcome_types().get(kind) is not type(value):
+            raise ConfigurationError(
+                f"the result cache stores {', '.join(_outcome_types())}, not {kind}"
             )
-        self.stats.stores += 1
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*/*.pkl"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        arrays, meta = value.to_arrays()
+        self.put_arrays(key, arrays, {"type": kind, **meta})

@@ -24,7 +24,8 @@ itself:
 
 Determinism guarantees (tested): cell seeds are derived exactly as the
 serial study driver derives them, simulation never reads the wall clock,
-and cached results pickle round-trip bit-for-bit — so serial, parallel,
+and cached results round-trip bit-for-bit through the cache's entry
+format (``to_arrays``/``from_arrays``) — so serial, parallel,
 cold, warm, chaos-disturbed, and resumed sweeps all produce identical
 :class:`~repro.core.results.StudyReport` rows.
 """

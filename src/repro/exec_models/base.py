@@ -21,6 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from repro.simulate.engine import Process
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
 from repro.simulate.network import Network
-from repro.util import SchedulingError, derive_seed
+from repro.util import ConfigurationError, SchedulingError, derive_seed
 
 
 @dataclass
@@ -84,10 +85,7 @@ class RunResult:
     #: Deterministic engine/trace volume counters (see ``repro.perf``):
     #: total events dispatched, events dispatched via the zero-delay
     #: run-queue, and trace intervals recorded. Kept out of ``counters``
-    #: so experiment tables are unaffected. Plain defaults keep cached
-    #: result pickles from older revisions loadable, and one that still
-    #: carries a removed counter (``batched_costs``) loads with it as a
-    #: stray attribute.
+    #: so experiment tables are unaffected.
     sim_events: int = 0
     sim_ready_events: int = 0
     trace_records: int = 0
@@ -144,6 +142,90 @@ class RunResult:
         if total <= 0:
             return {cat: 0.0 for cat in (COMPUTE, COMM, OVERHEAD, IDLE, FAILED)}
         return {cat: float(vals.sum() / total) for cat, vals in self.breakdown.items()}
+
+    def to_arrays(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        """This result as named arrays plus a JSON-able meta record.
+
+        The arrays are the four per-task/per-rank ones, ``breakdown``
+        stacked into one ``(categories, n_ranks)`` array and, when traced,
+        the intervals as ``intervals.ints`` (rank and category code rows)
+        and ``intervals.times`` (start and end rows). Every other field is
+        in the meta, with ``categories`` naming the breakdown rows and
+        ``intervals`` the interval categories (None when untraced).
+        :meth:`from_arrays` is the exact inverse; the result cache stores
+        this form.
+        """
+        arrays = {name: getattr(self, name) for name in _RESULT_ARRAYS}  # then breakdown, stacked
+        arrays["breakdown"] = np.array([*self.breakdown.values()], dtype=np.float64).reshape(
+            len(self.breakdown), self.n_ranks
+        )
+        meta = {name: getattr(self, name) for name in _RESULT_FIELDS}
+        meta["categories"] = list(self.breakdown)
+        meta["failed_ranks"] = list(self.failed_ranks)
+        meta["intervals"] = None
+        if self.intervals is not None:
+            ranks, cats, starts, ends = list(zip(*self.intervals)) or [()] * 4
+            meta["intervals"] = names = list(dict.fromkeys(cats))
+            codes = list(map(names.index, cats))
+            arrays["intervals.ints"] = np.array([ranks, codes], dtype=np.int64)
+            arrays["intervals.times"] = np.array([starts, ends], dtype=np.float64)
+        return arrays, meta
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], meta: dict[str, Any]) -> RunResult:
+        """The result :meth:`to_arrays` encoded. A missing or unknown field
+        or a value of another type raises :class:`ConfigurationError`."""
+        arrays, meta = dict(arrays), dict(meta)
+        names, categories = meta.pop("intervals", ()), meta.pop("categories", None)
+        fields = {**take_fields(arrays, _RESULT_ARRAYS), **take_fields(meta, _RESULT_FIELDS)}
+        if type(categories) is not list:
+            raise ConfigurationError("stored field 'categories' is not a list")
+        fields["failed_ranks"] = tuple(fields["failed_ranks"])
+        fields["intervals"] = None
+        if type(names) is list:
+            ints = take_fields(arrays, _INTERVAL_ARRAYS)
+            (ranks, codes), (starts, ends) = (a.tolist() for a in ints.values())
+            fields["intervals"] = list(zip(ranks, [names[c] for c in codes], starts, ends))
+        elif names is not None:
+            raise ConfigurationError("stored field 'intervals' is not a list or None")
+        if (
+            arrays
+            or meta
+            or fields["breakdown"].shape != (len(categories), fields["n_ranks"])
+            or not set(map(type, fields["failed_ranks"])) <= {int}
+            or not {*map(type, categories), *map(type, names or ())} <= {str}
+            or not {*map(type, fields["counters"].values()), *map(type, fields["network"].values())}
+            <= {int, float}
+        ):
+            raise ConfigurationError(f"not a stored RunResult: {sorted([*arrays, *meta])}")
+        fields["breakdown"] = dict(zip(categories, fields["breakdown"]))
+        return cls(**fields)
+
+
+#: How :meth:`RunResult.to_arrays` stores each field: arrays by dtype,
+#: meta values by the exact type they decode to.
+_F8, _I8 = np.dtype("<f8"), np.dtype("<i8")
+_RESULT_ARRAYS = dict(
+    assignment=_I8, task_starts=_F8, task_durations=_F8, finish_times=_F8, breakdown=_F8
+)
+_INTERVAL_ARRAYS = {"intervals.ints": _I8, "intervals.times": _F8}
+_RESULT_FIELDS = dict(
+    model=str, n_ranks=int, n_tasks=int, makespan=float, counters=dict, network=dict,
+    total_flops=float, nominal_flops_per_second=float, failed_ranks=list,
+    completion_rate=float, sim_events=int, sim_ready_events=int, trace_records=int,
+    timeout_allocs=int, grant_resumes=int, fused_ops=int,
+)
+
+
+def take_fields(source: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
+    """Pop ``spec``'s fields from ``source``: each an array of the dtype
+    or a value of exactly the type ``spec`` names, else
+    :class:`ConfigurationError` (the decoders of stored results)."""
+    values = [source.pop(name, None) for name in spec]
+    kinds = [v.dtype if type(v) is np.ndarray else type(v) for v in values]
+    if kinds != [*spec.values()]:
+        raise ConfigurationError(f"stored fields are missing or mistyped: {list(spec)}")
+    return dict(zip(spec, values))
 
 
 def _step_table(graph: TaskGraph, distribution: BlockDistribution, network: Network):

@@ -13,12 +13,13 @@ without any runtime scheduling overhead at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.balance.greedy import capacity_lpt
 from repro.chemistry.tasks import TaskGraph
-from repro.exec_models.base import RunResult
+from repro.exec_models.base import RunResult, take_fields
 from repro.exec_models.static_ import StaticAssignment, block_assignment, cyclic_assignment
 from repro.simulate.machine import MachineSpec
 from repro.util import ConfigurationError, check_positive, derive_seed
@@ -63,6 +64,29 @@ class PersistenceHistory:
     """All iterations of a persistence-balanced run."""
 
     results: list[RunResult]
+
+    def to_arrays(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        """Each iteration's :meth:`RunResult.to_arrays`, its arrays named
+        ``<i>.<name>`` and its meta the ``i``-th of ``results``."""
+        arrays, metas = {}, []
+        for i, result in enumerate(self.results):
+            sub, meta = result.to_arrays()
+            arrays.update((f"{i}.{name}", array) for name, array in sub.items())
+            metas.append(meta)
+        return arrays, {"results": metas}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], meta: dict[str, Any]) -> PersistenceHistory:
+        """The history :meth:`to_arrays` encoded; raises on any field it
+        does not expect."""
+        (metas,) = take_fields(dict(meta), {"results": list}).values()
+        if len(meta) != 1:
+            raise ConfigurationError(f"unknown stored fields {sorted(meta)}")
+        groups: dict[str, dict[str, np.ndarray]] = {str(i): {} for i in range(len(metas))}
+        for name, array in arrays.items():
+            prefix, _, field = name.partition(".")
+            groups[prefix][field] = array
+        return cls([RunResult.from_arrays(*pair) for pair in zip(groups.values(), metas)])
 
     @property
     def makespans(self) -> np.ndarray:

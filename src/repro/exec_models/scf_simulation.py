@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.chemistry.tasks import TaskGraph, TaskSpec
-from repro.exec_models.base import Harness
+from repro.exec_models.base import Harness, take_fields
 from repro.exec_models.persistence import persistence_assignment
 from repro.exec_models.static_ import block_assignment, cyclic_assignment
 from repro.exec_models.termination import TokenRing
@@ -52,6 +53,12 @@ from repro.util import (
 
 MODES = ("static_block", "static_cyclic", "persistence", "counter", "work_stealing")
 
+#: How :meth:`ScfSimResult.to_arrays` stores each field.
+_SCF_ARRAYS = dict(
+    iteration_times=np.dtype("<f8"), assignments=np.dtype("<i8"), compute_seconds=np.dtype("<f8")
+)
+_SCF_FIELDS = dict(mode=str, n_ranks=int, n_iterations=int, total_time=float, counters=dict)
+
 
 @dataclass
 class ScfSimResult:
@@ -65,6 +72,30 @@ class ScfSimResult:
     assignments: list[np.ndarray]
     compute_seconds: np.ndarray
     counters: dict[str, float] = field(default_factory=dict)
+
+    def to_arrays(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        """This result as named arrays (``assignments`` stacked into one
+        ``(n_iterations, n_tasks)`` array) plus a JSON-able meta record;
+        :meth:`from_arrays` is the exact inverse."""
+        arrays = {name: getattr(self, name) for name in _SCF_ARRAYS}  # then assignments, stacked
+        arrays["assignments"] = np.array(self.assignments, dtype=np.int64)
+        return arrays, {name: getattr(self, name) for name in _SCF_FIELDS}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], meta: dict[str, Any]) -> ScfSimResult:
+        """The result :meth:`to_arrays` encoded. A missing or unknown field
+        or a value of another type raises :class:`ConfigurationError`."""
+        arrays, meta = dict(arrays), dict(meta)
+        fields = {**take_fields(arrays, _SCF_ARRAYS), **take_fields(meta, _SCF_FIELDS)}
+        if (
+            arrays
+            or meta
+            or fields["assignments"].ndim != 2
+            or not set(map(type, fields["counters"].values())) <= {int, float}
+        ):
+            raise ConfigurationError(f"not a stored ScfSimResult: {sorted([*arrays, *meta])}")
+        fields["assignments"] = list(fields["assignments"])
+        return cls(**fields)
 
     @property
     def steady_state_time(self) -> float:

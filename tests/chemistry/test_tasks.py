@@ -210,7 +210,7 @@ class TestDenseForm:
             built = build_task_graph(basis, blocks, screen, tau=1.0e-10)
         (entry,) = [
             store.get_arrays(path.stem)
-            for path in tmp_path.glob("*/*.npz")
+            for path in store.entries()
             if "quartets" in store.get_arrays(path.stem)[0]
         ]
         # The on-disk names predate this test: old stores stay readable.
@@ -415,7 +415,7 @@ class TestArrayValidation:
             built = build_task_graph(basis, blocks, screen, tau=1.0e-10)
         (key,) = [
             path.stem
-            for path in tmp_path.glob("*/*.npz")
+            for path in store.entries()
             if "quartets" in store.get_arrays(path.stem)[0]
         ]
         arrays, meta = store.get_arrays(key)

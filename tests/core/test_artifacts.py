@@ -177,7 +177,7 @@ class TestCorruption:
 
     def test_json_text_entry_is_miss(self, tmp_path):
         store, key, path = self._seeded(tmp_path)
-        path.write_bytes(b'{"looks": "like json, not an npz"}')
+        path.write_bytes(b'{"looks": "like json, not an entry"}')
         assert store.get_arrays(key) is None
         assert not path.exists()
 
@@ -185,7 +185,8 @@ class TestCorruption:
         # A perfectly valid .npz that was not written by the store: loads
         # fine but has no envelope, so it must be rejected, not served.
         store, key, path = self._seeded(tmp_path)
-        np.savez(path, a=np.arange(3))
+        with open(path, "wb") as fh:  # given a name, savez would add ".npz"
+            np.savez(fh, a=np.arange(3))
         assert store.get_arrays(key) is None
         assert not path.exists()
         assert store.stats.errors == 1

@@ -178,6 +178,16 @@ class TestCacheKey:
             assert cache_key(**{**base, **change}) != reference, change
 
 
+@pytest.fixture(scope="module")
+def outcome(synthetic_graph):
+    """A real cell outcome: what the cache stores."""
+    from repro.core.sweep import execute_cell
+
+    return execute_cell(
+        SweepCell(model="work_stealing", graph=synthetic_graph, machine=commodity_cluster(4))
+    )
+
+
 class TestResultCache:
     def test_roundtrip_identical_row(self, synthetic_graph, tmp_path):
         cell = SweepCell(
@@ -274,13 +284,13 @@ class TestResultCache:
         runner.run_cell(cell)
         key = runner.cell_key(cell)
         path = runner.cache.path_for(key)
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(b"not a cache entry")
         assert runner.cache.get(key) is None
         assert not path.exists()
         # And the runner recomputes + re-stores transparently.
         runner.run_cell(cell)
         assert runner.stats.computed == 2
-        assert pickle.loads(path.read_bytes()) is not None
+        assert ResultCache(tmp_path).get(key) is not None
 
     def test_truncated_entry_is_miss_and_removed(self, synthetic_graph, tmp_path):
         runner = SweepRunner(cache=tmp_path)
@@ -317,11 +327,11 @@ class TestResultCache:
         assert runner.cache.stats.errors == errors_before + 1
         assert not path.exists()
 
-    def test_json_text_entry_is_miss(self, tmp_path):
+    def test_json_text_entry_is_miss(self, outcome, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("k" * 64, {"x": 1})
+        cache.put("k" * 64, outcome)
         path = cache.path_for("k" * 64)
-        path.write_bytes(b'{"looks": "like json, not pickle"}')
+        path.write_bytes(b'{"looks": "like json, not a cache entry"}')
         assert cache.get("k" * 64) is None
         assert not path.exists()
 
@@ -337,17 +347,17 @@ class TestResultCache:
         assert not path.exists()
         assert cache.stats.errors == 1
 
-    def test_wrong_key_envelope_is_miss(self, tmp_path):
-        # An entry copied/renamed to another key's path: the envelope's
+    def test_wrong_key_envelope_is_miss(self, outcome, tmp_path):
+        # An entry copied/renamed to another key's path: the header's
         # recorded key disagrees with the address, so it must not be
         # served (it would be the wrong cell's result).
         cache = ResultCache(tmp_path)
-        cache.put("b" * 64, "value-for-b")
+        cache.put("b" * 64, outcome)
         wrong = cache.path_for("c" * 64)
         wrong.parent.mkdir(parents=True, exist_ok=True)
         wrong.write_bytes(cache.path_for("b" * 64).read_bytes())
         assert cache.get("c" * 64) is None
-        assert cache.get("b" * 64) == "value-for-b"
+        assert_results_identical(cache.get("b" * 64), outcome)
 
     def test_get_never_raises_on_corruption(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -358,7 +368,7 @@ class TestResultCache:
             path.write_bytes(garbage)
             assert cache.get(key) is None  # must not raise
 
-    def test_concurrent_writers_same_key(self, tmp_path):
+    def test_concurrent_writers_same_key(self, outcome, tmp_path):
         # Many threads racing put() on one key: every temp file is
         # unique (pid + counter), the final rename is atomic, and get()
         # always observes a complete, valid entry.
@@ -366,7 +376,7 @@ class TestResultCache:
 
         cache = ResultCache(tmp_path)
         key = "e" * 64
-        value = {"arr": np.arange(512), "tag": "race"}
+        value = outcome
         errors = []
 
         def writer():
@@ -374,7 +384,7 @@ class TestResultCache:
                 for _ in range(20):
                     cache.put(key, value)
                     got = cache.get(key)
-                    if got is not None and got["tag"] != "race":
+                    if got is None or got.makespan != value.makespan:
                         errors.append("partial read")
             except Exception as exc:  # pragma: no cover - the failure case
                 errors.append(exc)
@@ -385,8 +395,8 @@ class TestResultCache:
         for t in threads:
             t.join()
         assert not errors
-        got = cache.get(key)
-        assert got is not None and (got["arr"] == value["arr"]).all()
+        assert_results_identical(cache.get(key), value)
+        assert cache.stats.errors == 0
         # No temp-file litter left behind.
         assert not list(tmp_path.glob("**/*.tmp.*"))
 
@@ -414,31 +424,34 @@ class TestAtomicTmpPath:
 
         from repro.core.cache import atomic_tmp_path
 
-        target = tmp_path / "ab" / "abcdef.pkl"
+        target = tmp_path / "ab" / "abcdef.entry"
         names = {atomic_tmp_path(target).name for _ in range(10)}
         assert len(names) == 10  # counter makes every call distinct
         pattern = re.compile(
-            rf"^abcdef\.pkl\.tmp\.{os.getpid()}-[0-9a-f]{{8}}\.\d+$"
+            rf"^abcdef\.entry\.tmp\.{os.getpid()}-[0-9a-f]{{8}}\.\d+$"
         )
         for name in names:
             assert pattern.match(name), name
 
-    def test_suffix_and_parent_preserved(self, tmp_path):
-        from repro.core.cache import atomic_tmp_path
+    def test_parent_preserved_and_never_an_entry_name(self, tmp_path):
+        from repro.core.cache import ENTRY_SUFFIX, atomic_tmp_path
 
-        target = tmp_path / "cd" / "entry.npz"
-        tmp = atomic_tmp_path(target, suffix=".npz")
+        target = tmp_path / "cd" / f"key{ENTRY_SUFFIX}"
+        tmp = atomic_tmp_path(target)
         assert tmp.parent == target.parent
-        assert tmp.name.endswith(".npz")
-        assert tmp.name.startswith("entry.npz.tmp.")
+        assert tmp.name.startswith(f"key{ENTRY_SUFFIX}.tmp.")
+        assert not tmp.name.endswith(ENTRY_SUFFIX)
 
     def test_artifact_store_shares_the_scheme(self):
         # ResultCache.put and ArtifactStore.put_arrays must never drift
-        # apart: both atomic writers go through the same helper.
+        # apart: both stores write through the one disk layer, and it and
+        # the service's job records use the same atomic-write helper.
         from repro.core import artifacts, cache
         from repro.service import jobs
 
-        assert artifacts.atomic_write is cache.atomic_write is jobs.atomic_write
+        assert artifacts.ArtifactStore.put_arrays is cache.ResultCache.put_arrays
+        assert artifacts.ArtifactStore.get_arrays is cache.ResultCache.get_arrays
+        assert cache.atomic_write is jobs.atomic_write
 
     def test_atomic_write_replaces_or_leaves_nothing(self, tmp_path):
         from repro.core.cache import atomic_write
@@ -450,8 +463,7 @@ class TestAtomicTmpPath:
                 tmp.write_text("half")
                 raise RuntimeError("writer died")
         assert target.read_text() == "old"
-        with atomic_write(target, suffix=".npz") as tmp:
-            assert tmp.name.endswith(".npz")
+        with atomic_write(target) as tmp:
             tmp.write_text("new")
         assert target.read_text() == "new"
         assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]

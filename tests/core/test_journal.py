@@ -227,7 +227,14 @@ class TestDeferredSignals:
 class TestDeferredSignalsDurability:
     """The guard exists for one pair: store-write + journal-append."""
 
-    def test_sigterm_held_across_store_and_journal(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def outcome(self, synthetic_graph):
+        from repro.exec_models.registry import make_model
+        from repro.simulate import commodity_cluster
+
+        return make_model("static_block").run(synthetic_graph, commodity_cluster(4))
+
+    def test_sigterm_held_across_store_and_journal(self, outcome, tmp_path):
         from repro.core import ResultCache
 
         hits = []
@@ -236,7 +243,7 @@ class TestDeferredSignalsDurability:
             cache = ResultCache(tmp_path / "cache")
             journal = SweepJournal(tmp_path / "j.jsonl")
             with deferred_signals():
-                cache.put("deadbeef" * 8, {"row": 1})
+                cache.put("deadbeef" * 8, outcome)
                 signal.raise_signal(signal.SIGTERM)  # lands mid-pair
                 journal.append(entry("deadbeef" * 8))
                 assert hits == []  # held through the critical section
@@ -244,20 +251,20 @@ class TestDeferredSignalsDurability:
         finally:
             signal.signal(signal.SIGTERM, previous)
         # Both halves of the pair are durable despite the signal.
-        assert cache.get("deadbeef" * 8) == {"row": 1}
+        assert cache.get("deadbeef" * 8).makespan == outcome.makespan
         assert set(journal.load()) == {"deadbeef" * 8}
 
-    def test_sigint_reraised_after_durable_append(self, tmp_path):
+    def test_sigint_reraised_after_durable_append(self, outcome, tmp_path):
         from repro.core import ResultCache
 
         cache = ResultCache(tmp_path / "cache")
         journal = SweepJournal(tmp_path / "j.jsonl")
         with pytest.raises(KeyboardInterrupt):
             with deferred_signals():
-                cache.put("cafef00d" * 8, {"row": 2})
+                cache.put("cafef00d" * 8, outcome)
                 signal.raise_signal(signal.SIGINT)
                 journal.append(entry("cafef00d" * 8))
-        assert cache.get("cafef00d" * 8) == {"row": 2}
+        assert cache.get("cafef00d" * 8).makespan == outcome.makespan
         assert set(journal.load()) == {"cafef00d" * 8}
 
     def test_torn_tail_from_killed_appender_heals(self, tmp_path):

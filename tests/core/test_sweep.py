@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.core import (
+    ResultCache,
     StudyConfig,
     SweepCell,
     SweepRunner,
@@ -260,7 +261,7 @@ class TestJournalResume:
         with pytest.raises(KeyboardInterrupt):
             first.run_study(config, synthetic_graph)
         # Results land in the journal's sidecar object store.
-        assert list((journal / "objects").glob("*/*.pkl"))
+        assert len(ResultCache(journal / "objects")) == 1
 
         second = SweepRunner(cache=None, journal=journal, resume=True)
         report = second.run_study(config, synthetic_graph)

@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro import api
 from repro.chaos.service import daemon
+from repro.core.cache import decode_entry, decode_outcome
 from repro.core.jobspec import JobSpec, SourceSpec
 from repro.service import JobManager, QueueFull, ServiceClient, ServiceError, StudyService
 
@@ -199,9 +200,17 @@ class TestJobLifecycle:
             response = conn.getresponse()
             assert response.status == 200
             assert response.getheader("Content-Type") == "application/octet-stream"
-            assert len(response.read()) > 0
+            blob = response.read()
         finally:
             conn.close()
+        # The body is the cache entry itself: the store's own decoder reads
+        # it, no pickle involved, and it is the cached cell.
+        served = decode_outcome(*decode_entry(bytearray(blob), keys[0]))
+        cached = service.manager.result_store().get(keys[0])
+        (served_arrays, served_meta), (arrays, meta) = served.to_arrays(), cached.to_arrays()
+        assert type(served) is type(cached) and served_meta == meta
+        assert served_arrays.keys() == arrays.keys()
+        assert all(served_arrays[k].tobytes() == arrays[k].tobytes() for k in arrays)
         status, _ = request(
             service, "GET", f"/v1/jobs/{sub['job_id']}/artifacts/{'0' * 64}"
         )
