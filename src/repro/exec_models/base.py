@@ -35,7 +35,7 @@ from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceReco
 from repro.simulate.engine import Process
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
-from repro.simulate.network import Network
+from repro.simulate.network import KEEP_LOCK, MOVE_TASKS, Network, SharedCell
 from repro.util import ConfigurationError, SchedulingError, derive_seed
 
 
@@ -237,8 +237,9 @@ def _step_table(graph: TaskGraph, distribution: BlockDistribution, network: Netw
     walks it — one
     ``(owner, (tier-0, tier-1, tier-2 program), COMM)`` step per density
     block read, ``None`` for the kernel, one step per Fock block
-    accumulated — ``costs[t]`` its flops as a float and ``totals[t]``
-    its ``(gets, accumulates, bytes)``, an ``(n_tasks, 3)`` int64 array.
+    accumulated — ``costs[t]`` its flops and ``totals[t]`` its
+    ``(gets, accumulates, bytes)``: ``bounds`` an int64 array,
+    ``costs`` a float64 one, ``totals`` an ``(n_tasks, 3)`` int64 array.
     Tasks share one step per distinct (owner, nbytes, kind); the
     programs are :meth:`Network._tier_program`'s. None when the graph
     has no tasks or a negative cost, which only the per-task path
@@ -292,10 +293,11 @@ def _build_step_table(
     steps[first[tids] + tids + local + accumulates] = shared[inverse]
     if sibling is not None:  # the graph's bounds, costs and totals
         return (tuple(steps.tolist()), *sibling[1:])
-    bounds = np.append(first + np.arange(n), rows.size + n)
+    bounds = np.append(first + np.arange(n), rows.size + n).astype(np.int64)
     moved = np.bincount(tids, weights=nbytes, minlength=n).astype(np.int64)
     totals = np.stack([n_reads, n_refs - n_reads, moved], axis=1).astype(np.int64)
-    return tuple(steps.tolist()), bounds.tolist(), graph.costs.tolist(), totals
+    costs = np.ascontiguousarray(graph.costs, dtype=np.float64)
+    return tuple(steps.tolist()), bounds, costs, totals
 
 
 class Harness:
@@ -305,6 +307,10 @@ class Harness:
     LOCAL_QUEUE_OP = 1.0e-7
     #: Bytes of one task descriptor when stolen/transferred.
     TASK_DESCRIPTOR_BYTES = 16
+    #: Bytes of a queue's lock word and of its metadata, as a thief reads
+    #: (and writes back) them.
+    LOCK_WORD_BYTES = 8
+    QUEUE_META_BYTES = 16
 
     def __init__(
         self,
@@ -358,17 +364,28 @@ class Harness:
         ):
             table = _step_table(graph, dist, self.network)
             if table is not None:
-                steps, self._bounds, self._costs, self._totals = table
+                steps, bounds, costs, self._totals = table
                 self._chain = self.network._chain(steps)
                 self._op = self.network.op_type
-                #: Tasks :meth:`execute_task` walked all the same: their
-                #: operations counted themselves (see :meth:`finish`).
-                self._walked: list[int] = []
-                #: Per-rank divisor of ``MachineSpec.compute_seconds``.
-                self._rates = [
+                #: The task table of the ops' native claim sources: task
+                #: ``t`` is ``steps[bounds[t]:bounds[t + 1]]`` of the
+                #: chain, its kernel ``costs[t] / rates[rank]`` — the
+                #: per-rank divisor of ``MachineSpec.compute_seconds``.
+                rates = [
                     machine.flops_per_second * variability.speed(rank, 0.0)
                     for rank in range(machine.n_ranks)
                 ]
+                self._tasks = (self._chain, bounds, costs, np.array(rates, dtype=np.float64))
+                #: Tasks :meth:`execute_task` walked all the same: their
+                #: operations counted themselves (see :meth:`finish`).
+                self._walked: list[int] = []
+                #: Fetch-adds of every :meth:`claim_loop`, which each loop
+                #: adds as it ends.
+                self._loop_claims = SharedCell()
+                #: Per victim: a steal attempt's head chain (lock-word
+                #: read, lock kept, metadata read) and its unlock write.
+                self._steal_steps: dict[int, tuple] = {}
+                self._steal_failed = self.network._chain((MOVE_TASKS, IDLE))
 
     @property
     def n_ranks(self) -> int:
@@ -433,46 +450,33 @@ class Harness:
         if tid >= len(tasks) or tasks[tid] is not task:  # not the graph's own task
             self._walked.append(tid)
             return self._walk_task(ctx, task)
-        op = self._op(self.trace, ctx.rank)
-        self._arm_task(op, tid)
-        return op
+        source = ("list", self._tasks, [tid])
+        return self._op(self.trace, ctx.rank, chain=self._chain, claim=source)
 
     def claim_loop(self, ctx: RankContext, counter: GlobalCounter, sequence: np.ndarray):
         """``counter_dynamic``'s chunk-1 loop as one request, else None.
 
         Fetch-add ``counter``, run task ``sequence[value]``, fetch-add
-        again, until a claim reads ``n_tasks`` or more; ``counters
-        ["claims"]`` counts every fetch-add. None when tasks do not run as
-        chains (see :meth:`execute_task`): the caller drives the generator
-        loop, the reference, which this request reproduces event by event.
+        again, until a claim reads ``n_tasks`` or more, which the request
+        returns. The core reads each claim itself (the op's ``"counter"``
+        claim source); the loop's fetch-adds reach ``counters["claims"]``
+        and the network stats once, in :meth:`finish`. None when tasks do
+        not run as chains (see :meth:`execute_task`): the caller drives
+        the generator loop, the reference, which this request reproduces
+        event by event.
         """
         if self._chain is None:
             return None
         network = self.network
-        stats = network.stats
         cell = counter.cell
         programs = tuple(network._tier_program("fetch_add", tier, 0) for tier in (0, 1, 2))
         fetch_add = network._chain(((counter.home_rank, programs, OVERHEAD),))
-        n_tasks = self.graph.n_tasks
-
-        def claim(op) -> bool:
-            if op.chain is fetch_add:  # the fetch-add ran: the task it read
-                self.counters["claims"] += 1.0
-                first = op.result
-                if first >= n_tasks:
-                    return False
-                op.counter = None
-                self._arm_task(op, int(sequence[first]))
-            else:  # a task ran: the next fetch-add
-                stats.fetch_adds += 1
-                stats.fused_ops += 1
-                op.chain, op.pos, op.end, op.counter = fetch_add, 0, 1, cell
-            return True
-
-        stats.fetch_adds += 1
-        stats.fused_ops += 1
+        source = (
+            "counter", self._tasks, fetch_add, cell,
+            np.ascontiguousarray(sequence, dtype=np.int64), self._loop_claims,
+        )  # fmt: skip
         return self._op(
-            self.trace, ctx.rank, counter=cell, amount=1, chain=fetch_add, end=1, claim=claim
+            self.trace, ctx.rank, counter=cell, amount=1, chain=fetch_add, end=1, claim=source
         )
 
     def local_drain(self, ctx: RankContext, queue, locks: list):
@@ -480,42 +484,77 @@ class Harness:
 
         Pop the head of ``queue`` holding ``locks[rank]`` for
         :attr:`LOCAL_QUEUE_OP`, run the task, repeat while the queue holds
-        tasks; the result is how many ran (0 when a thief emptied the
-        queue under the lock). None as for :meth:`claim_loop`; the
-        generator is ``WorkStealing._pop_local`` plus :meth:`execute_task`.
+        tasks (the op's ``"drain"`` claim source); the result is how many
+        ran (0 when a thief emptied the queue under the lock). None as
+        for :meth:`claim_loop`; the generator is
+        ``WorkStealing._pop_local`` plus :meth:`execute_task`.
         """
         if self._chain is None:
             return None
         rank = ctx.rank
         program = ((), self.LOCAL_QUEUE_OP, ())
         pop = (((rank, (program, program, program), OVERHEAD),), locks, None)
+        source = ("drain", self._tasks, queue, pop)
+        return self._op(self.trace, rank, chain=pop, end=1, claim=source)
 
-        def claim(op) -> bool:
-            if op.chain is pop:  # the pop step ran: the head, if a thief left one
-                if not queue:
-                    return False
-                self._arm_task(op, queue.popleft())
+    def steal_attempt(
+        self, ctx: RankContext, victim: int, locks: list, queues: list, take, backoff: float
+    ):
+        """One steal attempt on ``victim`` as one request, else None.
+
+        Read ``victim``'s lock word (the CAS), take ``locks[victim]`` and
+        keep it, read its queue metadata, then ask ``take(queues[victim])``
+        — the model's decision and the request's one call into Python —
+        how many tasks ``k`` to take from the tail. For ``k > 0``: read
+        ``k`` descriptors, move the tasks to the tail of the thief's own
+        queue in order, release the lock and write the lock word back;
+        for none: release the lock and sleep ``backoff`` (IDLE, the
+        ``Timeout`` the generator yields). The request returns ``k``.
+        None as for :meth:`claim_loop`; the generator is
+        ``WorkStealing._attempt_steal`` and the backoff sleep after it.
+        """
+        if self._chain is None:
+            return None
+        network = self.network
+        stats = network.stats
+        steps = self._steal_steps.get(victim)
+        if steps is None:
+
+            def rma(nbytes):
+                programs = tuple(network._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
+                return (victim, programs, OVERHEAD)
+
+            lock_word = rma(self.LOCK_WORD_BYTES)
+            head = network._chain((lock_word, KEEP_LOCK, rma(self.QUEUE_META_BYTES)))
+            steps = self._steal_steps[victim] = (head, lock_word)
+        head, unlock = steps
+        stats.gets += 2
+        stats.bytes_moved += self.LOCK_WORD_BYTES + self.QUEUE_META_BYTES
+        stats.fused_ops += 2
+        queue = queues[victim]
+
+        def decide(op) -> bool:
+            k = take(queue)
+            op.claim = None  # the slice loaded here is the attempt's last
+            op.result = k
+            op.pos = 0
+            if not k:
+                op.chain, op.end, op.duration = self._steal_failed, 2, backoff
                 return True
-            op.result += 1  # a task ran: pop again while the queue holds any
-            if not queue:
-                return False
-            op.chain, op.pos, op.end = pop, 0, 1
+            nbytes = k * self.TASK_DESCRIPTOR_BYTES
+            programs = tuple(network._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
+            stats.gets += 1
+            stats.puts += 1
+            stats.bytes_moved += nbytes + self.LOCK_WORD_BYTES
+            stats.fused_ops += 2
+            op.chain = network._chain(((victim, programs, OVERHEAD), MOVE_TASKS, unlock))
+            op.end = 3
             return True
 
-        op = self._op(self.trace, rank, chain=pop, end=1, claim=claim)
-        op.result = 0
-        return op
-
-    def _arm_task(self, op, tid: int) -> None:
-        """Make task ``tid``'s slice of the step table ``op``'s chain; the
-        chain supplies category, program and NIC step by step. Its
-        operations are counted once per run, by :meth:`finish`."""
-        bounds = self._bounds
-        op.chain = self._chain
-        op.pos = bounds[tid]
-        op.end = bounds[tid + 1]
-        op.duration = self._costs[tid] / self._rates[op.src]
-        op.tid = tid
+        return self._op(
+            self.trace, ctx.rank, chain=head, end=3, claim=decide,
+            steal=(locks[victim], queue, queues[ctx.rank]),
+        )  # fmt: skip
 
     def _walk_task(self, ctx: RankContext, task: TaskSpec):
         """The task protocol as a generator: the reference for the chain."""
@@ -529,12 +568,13 @@ class Harness:
         """Run the claimed task ids ``tids`` in order, as one claim loop.
 
         A list is the third claim source beside :meth:`claim_loop`'s
-        fetch-add and :meth:`local_drain`'s pop: ``claim`` arms the next
-        id's slice of the chain, and the process resumes once, when the
-        list is exhausted. Without a chain (see :meth:`execute_task`) the
-        caller drives the per-task generator, the reference; so it does
-        for an empty list, since an op with no slice to load would finish
-        inside ``activate`` and resume its process re-entrantly.
+        fetch-add and :meth:`local_drain`'s pop: the core arms the next
+        id's slice of the chain itself (the op's ``"list"`` claim source),
+        and the process resumes once, when the list is exhausted. Without
+        a chain (see :meth:`execute_task`) the caller drives the per-task
+        generator, the reference; so it does for an empty list, since an
+        op with no slice to load would finish inside ``activate`` and
+        resume its process re-entrantly.
         """
         if self._chain is None or not tids:
 
@@ -543,16 +583,8 @@ class Harness:
                     yield from self.execute_task(ctx, self.graph.tasks[tid])
 
             return each_task()
-        pending = iter(tids)
-
-        def claim(op) -> bool:
-            tid = next(pending, None)
-            if tid is None:
-                return False
-            self._arm_task(op, tid)
-            return True
-
-        return self._op(self.trace, ctx.rank, chain=self._chain, claim=claim)
+        source = ("list", self._tasks, tids if type(tids) is list else list(tids))
+        return self._op(self.trace, ctx.rank, chain=self._chain, claim=source)
 
     def spawn_ranks(self, process_factory) -> None:
         """Start one process per rank; records per-rank finish times.
@@ -611,7 +643,8 @@ class Harness:
         stats, as the traced entry points count them op by op — once per
         run, after :meth:`TraceRecorder.task_assignment` has seen each
         task run exactly once; the tasks :meth:`execute_task` walked
-        counted their own."""
+        counted their own. So with the claim loops' fetch-adds, which
+        ``counters["claims"]`` counts too."""
         ran = np.ones(self.graph.n_tasks, dtype=bool)
         ran[self._walked] = False
         gets, accumulates, nbytes = self._totals[ran].sum(axis=0).tolist()
@@ -620,6 +653,11 @@ class Harness:
         stats.accumulates += accumulates
         stats.fused_ops += gets + accumulates
         stats.bytes_moved += nbytes
+        claims = self._loop_claims.value
+        if claims:
+            self.counters["claims"] += float(claims)
+            stats.fetch_adds += claims
+            stats.fused_ops += claims
 
     def finish(self, model_name: str) -> RunResult:
         """Drain the engine, validate invariants, assemble the result."""

@@ -32,7 +32,7 @@ from repro.exec_models.termination import (
     TOKEN_TAG,
     FaultTolerantTokenRing,
 )
-from repro.exec_models.work_stealing import _META_BYTES, WorkStealing
+from repro.exec_models.work_stealing import WorkStealing
 from repro.faults import RetryPolicy, with_retries
 from repro.runtime.comm import RankContext
 from repro.util import RankFailedError, spawn_rng
@@ -149,7 +149,7 @@ class FaultTolerantWorkStealing(WorkStealing):
             # Pay for re-reading the dead rank's scheduler state from the
             # replica holder: queue metadata plus the orphan descriptors.
             replica = harness.next_alive((dead + 1) % harness.n_ranks)
-            yield from ctx.protocol_get(replica, _META_BYTES)
+            yield from ctx.protocol_get(replica, Harness.QUEUE_META_BYTES)
             if moved:
                 yield from ctx.protocol_get(
                     replica, moved * Harness.TASK_DESCRIPTOR_BYTES

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -33,10 +34,6 @@ from repro.exec_models.termination import TERMINATE_TAG, TOKEN_TAG, TokenRing
 from repro.runtime.comm import RankContext
 from repro.simulate.engine import Resource
 from repro.util import ConfigurationError, check_integer, check_positive, spawn_rng
-
-#: Bytes of the lock word / queue metadata moved by protocol operations.
-_LOCK_BYTES = 8
-_META_BYTES = 16
 
 
 class WorkStealing(ExecutionModel):
@@ -132,18 +129,65 @@ class WorkStealing(ExecutionModel):
             locks[ctx.rank].release()
         return tid
 
-    def _choose_victim(self, ctx: RankContext, rng: np.random.Generator, scan: int) -> int:
+    def _choose_victim(
+        self, ctx: RankContext, rng: np.random.Generator, scan: int, peers=None
+    ) -> int:
+        """The next victim; ``peers`` are the rank's node peers for
+        ``"hierarchical"`` (:meth:`_peers`, computed here if None)."""
         n = ctx.machine.n_ranks
         if self.victim == "ring":
             return (ctx.rank + 1 + scan % (n - 1)) % n
         if self.victim == "hierarchical":
             # Two same-node attempts (cheap shared-memory steals), then
             # one remote attempt, repeating — locality-first stealing.
-            peers = [r for r in ctx.machine.node_peers(ctx.rank) if r != ctx.rank]
+            if peers is None:
+                peers = self._peers(ctx)
             if peers and scan % 3 < 2:
                 return int(peers[rng.integers(0, len(peers))])
         victim = int(rng.integers(0, n - 1))
         return victim if victim < ctx.rank else victim + 1
+
+    @staticmethod
+    def _peers(ctx: RankContext) -> list[int]:
+        """The other ranks on this rank's node."""
+        return [r for r in ctx.machine.node_peers(ctx.rank) if r != ctx.rank]
+
+    def _steal_count(self, harness: Harness, queue: deque[int]) -> int:
+        """How many tasks to take from the tail of a non-empty ``queue``."""
+        available = len(queue)
+        if self.steal == "half":
+            return (available + 1) // 2
+        if self.steal == "one":
+            return 1
+        # half_cost: take tail tasks until half the victim's remaining
+        # modeled *cost* moves (cost-aware splitting; the metadata read
+        # covers the extra bookkeeping word).
+        costs = harness.graph.costs
+        total = sum(costs[tid] for tid in queue)
+        taken = 0.0
+        k = 0
+        for tid in reversed(queue):
+            if k > 0 and taken >= total / 2.0:
+                break
+            taken += costs[tid]
+            k += 1
+        return min(k, available)
+
+    def _take(self, harness: Harness, ctx: RankContext, queue: deque[int]) -> int:
+        """A steal attempt's decision once it holds the victim's lock and
+        has read its metadata: how many tasks to take from ``queue``'s
+        tail (0 fails the attempt), counted, and the thief marked dirty
+        when it gains work. Only the thief reads its dirty bit and only
+        once the attempt is over, so marking it here is marking it at the
+        transfer."""
+        if not queue:
+            harness.counters["failed_steals"] += 1.0
+            return 0
+        k = self._steal_count(harness, queue)
+        harness.model_state["ring"].mark_dirty(ctx.rank)
+        harness.counters["steal_successes"] += 1.0
+        harness.counters["tasks_stolen"] += float(k)
+        return k
 
     def _attempt_steal(self, harness: Harness, ctx: RankContext, victim: int):
         """One steal attempt; returns number of tasks stolen (generator)."""
@@ -153,33 +197,15 @@ class WorkStealing(ExecutionModel):
         harness.counters["steal_attempts"] += 1.0
 
         # Remote lock acquisition: one CAS round-trip, then wait if held.
-        yield from ctx.protocol_get(victim, _LOCK_BYTES)
+        yield from ctx.protocol_get(victim, Harness.LOCK_WORD_BYTES)
         yield locks[victim].acquire()
         try:
             # Queue metadata read.
-            yield from ctx.protocol_get(victim, _META_BYTES)
-            available = len(queues[victim])
-            if available == 0:
+            yield from ctx.protocol_get(victim, Harness.QUEUE_META_BYTES)
+            if not queues[victim]:
                 harness.counters["failed_steals"] += 1.0
                 return 0
-            if self.steal == "half":
-                k = (available + 1) // 2
-            elif self.steal == "one":
-                k = 1
-            else:
-                # half_cost: take tail tasks until half the victim's
-                # remaining modeled *cost* moves (cost-aware splitting; the
-                # metadata read above covers the extra bookkeeping word).
-                costs = harness.graph.costs
-                total = sum(costs[tid] for tid in queues[victim])
-                taken = 0.0
-                k = 0
-                for tid in reversed(queues[victim]):
-                    if k > 0 and taken >= total / 2.0:
-                        break
-                    taken += costs[tid]
-                    k += 1
-                k = min(k, available)
+            k = self._steal_count(harness, queues[victim])
             # Descriptor transfer; tasks move atomically at completion.
             yield from ctx.protocol_get(victim, k * Harness.TASK_DESCRIPTOR_BYTES)
             stolen = [queues[victim].pop() for _ in range(k)]
@@ -195,7 +221,7 @@ class WorkStealing(ExecutionModel):
         harness.counters["steal_successes"] += 1.0
         harness.counters["tasks_stolen"] += float(k)
         # Unlock write (after release so a waiting thief proceeds now).
-        yield from ctx.protocol_put(victim, _LOCK_BYTES)
+        yield from ctx.protocol_put(victim, Harness.LOCK_WORD_BYTES)
         return k
 
     # ------------------------------------------------------------------
@@ -206,6 +232,8 @@ class WorkStealing(ExecutionModel):
         queue = queues[ctx.rank]
         n_ranks = harness.n_ranks
         rng = spawn_rng(harness.rank_seed(ctx.rank, "steal"))
+        peers = self._peers(ctx) if self.victim == "hierarchical" else None
+        take = partial(self._take, harness, ctx)
         backoff = self.min_backoff
         scan = 0
         consecutive_failures = 0
@@ -238,25 +266,33 @@ class WorkStealing(ExecutionModel):
                 # follows every token wake-up, so residual work elsewhere
                 # is still reachable.
                 message = yield from ctx.recv(traced=False)
-            if message is not None:
-                if message.tag == TERMINATE_TAG:
-                    return
-                if message.tag == TOKEN_TAG:
-                    declared = yield from ring.handle_token(ctx, message.payload)
-                    harness.counters["token_hops"] = float(ring.hops)
-                    if declared:
-                        return
-            yield from ring.maybe_launch(ctx)
-            harness.counters["token_hops"] = float(ring.hops)
+            if message is not None and (
+                message.tag == TERMINATE_TAG
+                or message.tag == TOKEN_TAG
+                and (yield from ring.handle_token(ctx, message.payload))
+            ):
+                # The ring moves no more once termination is declared, so
+                # every rank leaving writes the run's final hop count.
+                harness.counters["token_hops"] = float(ring.hops)
+                return
+            if not ring.launched and ctx.rank == 0:  # the launcher, once
+                yield from ring.maybe_launch(ctx)
 
-            # Steal.
-            victim = self._choose_victim(ctx, rng, scan)
+            # Steal: one request when the engine walks it, backoff
+            # included; else the generator, then the backoff sleep.
+            victim = self._choose_victim(ctx, rng, scan, peers)
             scan += 1
-            got = yield from self._attempt_steal(harness, ctx, victim)
+            attempt = harness.steal_attempt(ctx, victim, locks, queues, take, backoff)
+            if attempt is None:
+                got = yield from self._attempt_steal(harness, ctx, victim)
+            else:
+                harness.counters["steal_attempts"] += 1.0
+                got = yield from attempt
             if got:
                 backoff = self.min_backoff
                 consecutive_failures = 0
             else:
                 consecutive_failures += 1
-                yield from ctx.sleep(backoff)
+                if attempt is None:
+                    yield from ctx.sleep(backoff)
                 backoff = min(backoff * 2.0, self.max_backoff)

@@ -19,8 +19,8 @@
  *
  * For the whole of one core_run() call the engine's state lives in C,
  * and Python sees it only at a *call out* (call_out below: a generator
- * send, _finish, activate, a claim, a fallback method, a generic
- * callback):
+ * send, _finish, activate, a claim callable such as a steal's decision, a
+ * fallback method, a generic callback):
  *
  * - the **clock and the seq counter** are C scalars. call_out publishes
  *   both to `engine.now` / `engine._seq` before it calls (writing only
@@ -37,8 +37,9 @@
  *   recycled across runs.
  *
  * - the **run-queue**: a FIFO of {seq, kind, obj, arg} for zero-delay
- *   fused-op steps, fused-op NIC grants on an exact Resource and
- *   Timeout(0) resumes: no tuple, no bound method, no deque call. The
+ *   fused-op steps, fused-op NIC grants on an exact Resource, the grants
+ *   an exact Resource's release hands to its next waiter, and Timeout(0)
+ *   resumes: no tuple, no bound method, no deque call. The
  *   loop fires the lowest seq across it, `engine._ready` and the due
  *   heap head, so both queues stay in seq order and merge exactly.
  *
@@ -96,6 +97,7 @@ static PyObject *g_resume_func = NULL;  /* Process.resume, the plain function */
 static PyObject *g_deliver_func = NULL; /* Resource._deliver_grant, plain function */
 static PyObject *g_timeout_pool = NULL; /* engine._timeout_pool, shared freelist */
 static PyObject *g_resource_cls = NULL; /* engine.Resource */
+static PyObject *g_process_cls = NULL;  /* engine.Process */
 static PyObject *g_trace_cls = NULL;    /* runtime.trace.TraceRecorder */
 static PyObject *g_heappush = NULL;
 static PyObject *g_heappop = NULL;
@@ -129,6 +131,7 @@ static AttrName s_task_ids[1], s_task_ranks[1], s_task_starts[1], s_task_ends[1]
 
 /* Interned method names: always looked up through the type. */
 static PyObject *s_popleft, *s_append, *s_clear, *s_finish, *s_activate, *s_release;
+static PyObject *s_pop, *s_extend;
 static PyObject *s_advance_name, *s_deliver_name, *s_record;
 static PyObject *s_record_compute, *s_compute;
 
@@ -572,6 +575,57 @@ queue_append(PyObject *queue, PyObject *item)
     return 0;
 }
 
+/* A 1-D C-contiguous buffer of `itemsize`-byte items whose one-character
+ * struct format is in `formats`; `fn` names the kernel (or the claim
+ * source) in errors. Shared by the array kernels and a fused op's task
+ * table. */
+static int
+k_buffer(const char *fn, PyObject *obj, Py_buffer *view, const char *name,
+         const char *formats, Py_ssize_t itemsize, int writable)
+{
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    const char *f = view->format;
+    if (view->ndim != 1 || view->itemsize != itemsize || f == NULL || f[0] == '\0'
+        || f[1] != '\0' || strchr(formats, f[0]) == NULL) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: %s must be a 1-D contiguous array of %zd-byte '%s' items",
+                     fn, name, itemsize, formats);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+typedef struct {
+    const char *name, *formats;
+    Py_ssize_t itemsize;
+    int writable;
+} KSpec;
+
+/* k_buffer for each of `count` objects: all acquired, or none. */
+static int
+k_buffers(const char *fn, const KSpec *spec, PyObject **obj, Py_buffer *buf, int count)
+{
+    for (int i = 0; i < count; i++) {
+        if (k_buffer(fn, obj[i], &buf[i], spec[i].name, spec[i].formats,
+                     spec[i].itemsize, spec[i].writable) < 0) {
+            while (i-- > 0)
+                PyBuffer_Release(&buf[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static void
+k_release(Py_buffer *buf, int count)
+{
+    while (count-- > 0)
+        PyBuffer_Release(&buf[count]);
+}
+
 typedef struct FusedOp FusedOp;
 static PyTypeObject FusedOpType;
 #define IS_OP(o) Py_IS_TYPE(o, &FusedOpType)
@@ -734,18 +788,23 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
  * `chain` is a whole task: when one step completes the walker arms the
  * next from the run's flat step list, so the process's generator is
  * re-entered once per task, not once per operation -- or once per claim
- * loop, when the op's `claim` loads the next slice each time one runs
- * out. Every seq is allocated and every trace record made at the
- * dispatch where the generators (Network._walk, Harness._walk_task and
- * the models' claim loops) make theirs, so (time, seq) orders are
- * unchanged; tests/simulate/test_sched.py holds the walker to them.
+ * loop, when the op's claim source (read here, see Claims) loads the
+ * next slice each time one runs out, or once per steal attempt. Every
+ * seq is allocated and every trace record made at the dispatch where the
+ * generators (Network._walk, Harness._walk_task, the models' claim loops
+ * and WorkStealing._attempt_steal) make theirs, so (time, seq) orders
+ * are unchanged; tests/simulate/test_sched.py holds the walker to them.
  *
  * A chain is (steps, nics, node_ids): a flat step list shared by every
  * task of a run, of which steps[pos:end] are the op's. A step is (dst,
  * (tier-0, tier-1, tier-2 program), category), or None for the kernel, a
- * single `duration` delay that counts as the Timeout it stands for. A
- * program with no pre-delays is a lock hold: nics[dst] is acquired as the
- * step is armed, and its interval and Timeout begin at the grant. The NIC
+ * single `duration` delay that counts as the Timeout it stands for, or a
+ * category string for a timed wait recorded under it, also a `duration`
+ * counted as a Timeout (a failed steal's backoff). A program with no
+ * pre-delays is a lock hold: nics[dst] is acquired as the step is armed,
+ * and its interval and Timeout begin at the grant. The steps KEEP_LOCK
+ * (0) and MOVE_TASKS (1) are a steal's: the lock in op.steal is taken and
+ * kept across the steps between them (fused_lock_step). The NIC and lock
  * protocol is Resource's own, with the op queued in place of a process
  * (it has `done` and `engine`). The process is resumed once, when the
  * last step completes and no claim loads another.
@@ -753,21 +812,28 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
  * The op is a type of this module, FusedOp (the type definition follows
  * the walker). Its fields keep the names the Python side reads and
  * writes: the program (trace, src, category, pre, nic, hold, post,
- * counter, amount, chain, pos, end, duration, tid, claim) and the walk
- * (engine, proc, start, phase, idx, holding, done, result). Object fields
+ * counter, amount, chain, pos, end, duration, tid, claim, steal) and the
+ * walk (engine, proc, start, phase, idx, count, holding, kept, done,
+ * result). Object fields
  * may be deleted from Python; the walker then raises the attribute
  * protocol's own AttributeError. The core queues the op itself, never a
  * bound method of it, so a finished op is freed by reference count. */
 
+typedef struct Claims Claims;
+
 struct FusedOp {
     PyObject_HEAD
     PyObject *trace, *src, *category, *pre, *nic, *hold, *post;
-    PyObject *counter, *amount, *chain, *tid, *claim;
+    PyObject *counter, *amount, *chain, *tid, *claim, *steal;
     PyObject *engine, *proc, *start, *result; /* start None: a lock hold's, unset */
     long long pos, end, idx;
+    long long count; /* tasks a native claim source armed (a drain: ran) */
     double duration;
-    int phase; /* 0 pre-delays, 1 queued, 2 holding, 3 post-delays, 4 kernel */
-    char holding, done;
+    /* 0 pre-delays, 1 queued, 2 holding, 3 post-delays, 4 kernel, 5 a
+     * timed wait, 6 queued for the lock it keeps */
+    int phase;
+    char holding, kept, done; /* kept: holds steal[0] across steps */
+    Claims *claims; /* the native claim source `claim` was built from, or NULL */
     PyObject *weakreflist;
 };
 
@@ -878,37 +944,108 @@ trace_record(RunCtx *ctx, PyObject *trace, PyObject *src, PyObject *cat,
     return rc;
 }
 
-/* resource.release(). Resource.release itself runs here -- `in_use -= 1`
- * -- when nobody waits: the exact class, in_use > 0, an empty queue. A
- * waiter (live or cancelled) or an unmatched release takes the method,
- * so grant order, seq allocation and the error stay where they are. */
+/* How resource_release treats `waiter`, the head of a Resource's queue:
+ * 1 passes it by (it is done), 0 grants it here (a live process or fused
+ * op of this engine), 2 leaves it to the method (any other waiter); -1
+ * with an exception. */
+static int
+waiter_kind(RunCtx *ctx, PyObject *waiter)
+{
+    if (IS_OP(waiter)) {
+        FusedOp *op = (FusedOp *)waiter;
+        return op->done ? 1 : op->engine == ctx->engine ? 0 : 2;
+    }
+    if ((PyObject *)Py_TYPE(waiter) != g_process_cls)
+        return 2;
+    PyObject *done = get_attr(waiter, s_done);
+    if (done == NULL)
+        return -1;
+    int is_done = PyObject_IsTrue(done);
+    Py_DECREF(done);
+    if (is_done != 0)
+        return is_done < 0 ? -1 : 1;
+    PyObject *engine = get_attr(waiter, s_engine);
+    if (engine == NULL)
+        return -1;
+    Py_DECREF(engine); /* the process keeps it alive; only compared */
+    return engine == ctx->engine ? 0 : 2;
+}
+
+/* Resource.release's `while queue:` loop over an exact deque: waiters
+ * that are done are popped and passed by; the first live one is popped,
+ * counted in total_acquisitions and its grant queued with the seq
+ * engine.call_now would give it (the FIFO hand-off); with nobody left
+ * in_use drops. Returns 0 or -1 as resource_release, or 1 when the head
+ * is a waiter the method must grant (waiter_kind's 2). */
+static int
+hand_off(RunCtx *ctx, PyObject *resource, PyObject *queue, long long in_use)
+{
+    for (;;) {
+        if (Py_SIZE(queue) == 0)
+            return set_ll(resource, s_in_use, in_use - 1);
+        PyObject *head = PySequence_GetItem(queue, 0);
+        int kind = head == NULL ? -1 : waiter_kind(ctx, head);
+        if (kind == 2) {
+            Py_DECREF(head);
+            return 1;
+        }
+        PyObject *popped = kind < 0 ? NULL : call_c(NULL, s_popleft, &queue, 1);
+        Py_XDECREF(popped); /* head, which is still held */
+        if (popped == NULL) {
+            Py_XDECREF(head);
+            return -1;
+        }
+        if (kind == 1) { /* done: passed by */
+            Py_DECREF(head);
+            continue;
+        }
+        long long acq;
+        int rc = get_ll(resource, s_total_acquisitions, &acq) < 0 ||
+                         set_ll(resource, s_total_acquisitions, acq + 1) < 0
+                     ? -1
+                     : q_push(ctx, ctx->seq++, EV_GRANT, resource, head);
+        Py_DECREF(head);
+        return rc;
+    }
+}
+
+/* resource.release(): the hand-off above for the exact class holding a
+ * slot (in_use > 0) over an exact deque. An unmatched release, a
+ * subclass, or a waiter of another kind or engine takes the method, so
+ * its error and its grant stay where they are. */
 static int
 resource_release(RunCtx *ctx, PyObject *resource)
 {
     PyObject **in_use_p, **queue_p;
     if ((PyObject *)Py_TYPE(resource) == g_resource_cls &&
         (in_use_p = slot_addr(resource, s_in_use)) != NULL &&
-        (queue_p = slot_addr(resource, s_queue)) != NULL &&
-        *in_use_p != NULL && PyLong_CheckExact(*in_use_p) && *queue_p != NULL) {
+        (queue_p = slot_addr(resource, s_queue)) != NULL && *in_use_p != NULL &&
+        PyLong_CheckExact(*in_use_p) && *queue_p != NULL &&
+        Py_IS_TYPE(*queue_p, g_deque_type)) {
         long long in_use = PyLong_AsLongLong(*in_use_p);
         if (in_use == -1 && PyErr_Occurred())
             PyErr_Clear();
         else if (in_use > 0) {
-            int waiting = PyObject_IsTrue(*queue_p); /* `while queue:` */
-            if (waiting < 0)
-                return -1;
-            if (!waiting)
-                return set_ll(resource, s_in_use, in_use - 1);
+            PyObject *queue = Py_NewRef(*queue_p);
+            int rc = hand_off(ctx, resource, queue, in_use);
+            Py_DECREF(queue);
+            if (rc <= 0)
+                return rc;
         }
     }
     return call_out_void(ctx, NULL, s_release, &resource, 1);
 }
 
 /* The op is over: mark it done, resume the waiting process with the
- * op's result. */
+ * op's result. A steal's program that ends keeping its lock is
+ * malformed. */
 static int
 fused_finish(RunCtx *ctx, FusedOp *op)
 {
+    if (op->kept) {
+        PyErr_SetString(PyExc_TypeError, "a fused op's steps end keeping its lock");
+        return -1;
+    }
     op->done = 1;
     PyObject *proc = OP_GET(op, proc);
     PyObject *result = proc ? OP_GET(op, result) : NULL;
@@ -942,12 +1079,13 @@ program_items(PyObject *program, PyObject **pre, PyObject **hold, PyObject **pos
 }
 
 /* nic.acquire() for the op: _ResourceAcquire.activate with the op
- * queued in place of a process. */
+ * queued in place of a process, which waits in `phase` (1, or 6 for the
+ * lock a steal keeps). */
 static int
-fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic)
+fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic, int phase)
 {
     long long in_use, capacity;
-    op->phase = 1;
+    op->phase = phase;
     if (get_ll(nic, s_in_use, &in_use) < 0 || get_ll(nic, s_capacity, &capacity) < 0)
         return -1;
     if (in_use < capacity) {
@@ -985,6 +1123,289 @@ fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic)
     return rc;
 }
 
+/* ---- native claim sources ----
+ *
+ * The claim slot of a claim loop's op may hold, instead of a callable,
+ * one of three tuples the core reads itself whenever a slice runs out, so
+ * a chained task costs no call into Python:
+ *
+ *   ("list", tasks, tids): the next id of the exact list `tids`
+ *       (Harness.execute_tasks);
+ *   ("drain", tasks, queue, pop): after the `pop` chain's lock-hold step,
+ *       the head of the exact deque `queue`, until it is empty
+ *       (Harness.local_drain; the op's result is how many tasks ran);
+ *   ("counter", tasks, fetch_add, cell, sequence, tally): after the
+ *       `fetch_add` chain's step on `cell`, its result r -- r >= n_tasks
+ *       ends the loop, else task sequence[r] runs and the fetch-add
+ *       follows (Harness.claim_loop; a loop adds its fetch-adds to the
+ *       int tally.value once, as it ends).
+ *
+ * tasks = (chain, bounds, costs, rates) is the run's task table: task t
+ * is steps[bounds[t]:bounds[t + 1]] of `chain`, and its kernel lasts
+ * costs[t] / rates[src] -- int64, float64 and float64 arrays (sequence is
+ * int64 too) whose buffers the op holds while it lives. The tuple is
+ * read once, when the op is made; a claim slot rebound since is called. */
+
+enum { CLAIM_LIST, CLAIM_DRAIN, CLAIM_COUNTER };
+
+struct Claims {
+    int kind;
+    PyObject *spec; /* owned; the objects below are its items */
+    PyObject *chain, *items, *loop, *cell, *tally;
+    Py_buffer buf[4]; /* bounds, costs, rates, and a counter's sequence */
+    int nbuf;
+    Py_ssize_t n_tasks, n_ranks;
+};
+
+static void
+claims_free(Claims *c)
+{
+    if (c == NULL)
+        return;
+    k_release(c->buf, c->nbuf);
+    Py_XDECREF(c->spec);
+    PyMem_Free(c);
+}
+
+/* The claim source `spec` describes, its buffers acquired; NULL with a
+ * TypeError or ValueError naming what is malformed. */
+static Claims *
+claims_new(PyObject *spec)
+{
+    static const KSpec table[4] = {
+        {"bounds", "lq", 8, 0},
+        {"costs", "d", 8, 0},
+        {"rates", "d", 8, 0},
+        {"sequence", "lq", 8, 0},
+    };
+    static const char *kinds[3] = {"list", "drain", "counter"};
+    static const Py_ssize_t sizes[3] = {3, 4, 6};
+    int kind = -1;
+    if (PyTuple_CheckExact(spec) && PyTuple_GET_SIZE(spec) > 0 &&
+        PyUnicode_Check(PyTuple_GET_ITEM(spec, 0)))
+        for (int i = 0; i < 3; i++)
+            if (PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(spec, 0), kinds[i]) == 0)
+                kind = i;
+    PyObject *tasks = NULL, *items = NULL, *loop = NULL;
+    if (kind >= 0 && PyTuple_GET_SIZE(spec) == sizes[kind]) {
+        tasks = PyTuple_GET_ITEM(spec, 1);
+        items = kind == CLAIM_COUNTER ? NULL : PyTuple_GET_ITEM(spec, 2);
+        loop = kind == CLAIM_LIST ? NULL : PyTuple_GET_ITEM(spec, kind == CLAIM_DRAIN ? 3 : 2);
+    }
+    if (tasks == NULL || !PyTuple_CheckExact(tasks) || PyTuple_GET_SIZE(tasks) != 4 ||
+        !PyTuple_CheckExact(PyTuple_GET_ITEM(tasks, 0)) ||
+        (kind == CLAIM_LIST && !PyList_CheckExact(items)) ||
+        (kind == CLAIM_DRAIN && !Py_IS_TYPE(items, g_deque_type)) ||
+        (loop != NULL && !PyTuple_CheckExact(loop))) {
+        PyErr_Format(PyExc_TypeError, "malformed claim source: %R", spec);
+        return NULL;
+    }
+    Claims *c = (Claims *)PyMem_Calloc(1, sizeof(Claims));
+    if (c == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    PyObject *arrays[4] = {PyTuple_GET_ITEM(tasks, 1), PyTuple_GET_ITEM(tasks, 2),
+                           PyTuple_GET_ITEM(tasks, 3),
+                           kind == CLAIM_COUNTER ? PyTuple_GET_ITEM(spec, 4) : NULL};
+    int nbuf = kind == CLAIM_COUNTER ? 4 : 3;
+    if (k_buffers("claim source", table, arrays, c->buf, nbuf) < 0) {
+        PyMem_Free(c);
+        return NULL;
+    }
+    c->nbuf = nbuf;
+    c->n_tasks = c->buf[1].len / 8;
+    c->n_ranks = c->buf[2].len / 8;
+    if (c->buf[0].len / 8 != c->n_tasks + 1 ||
+        (kind == CLAIM_COUNTER && c->buf[3].len / 8 != c->n_tasks)) {
+        PyErr_SetString(PyExc_ValueError, "claim source: bounds must hold one entry more "
+                                          "than costs, and a sequence as many");
+        claims_free(c);
+        return NULL;
+    }
+    c->kind = kind;
+    c->spec = Py_NewRef(spec);
+    c->chain = PyTuple_GET_ITEM(tasks, 0);
+    c->items = items;
+    c->loop = loop;
+    if (kind == CLAIM_COUNTER) {
+        c->cell = PyTuple_GET_ITEM(spec, 3);
+        c->tally = PyTuple_GET_ITEM(spec, 5);
+    }
+    return c;
+}
+
+/* Make task `tid` (a reference this takes) the op's slice of the task
+ * chain, its kernel costs[tid] / rates[src]. */
+static int
+claims_arm(FusedOp *op, Claims *c, PyObject *tid)
+{
+    PyObject *srcobj = OP_GET(op, src);
+    long long t = PyLong_CheckExact(tid) ? PyLong_AsLongLong(tid) : -1;
+    Py_ssize_t src = srcobj != NULL && PyLong_CheckExact(srcobj) ? PyLong_AsSsize_t(srcobj) : -1;
+    if (srcobj == NULL || PyErr_Occurred() || t < 0 || t >= c->n_tasks || src < 0 ||
+        src >= c->n_ranks) {
+        if (srcobj != NULL) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_ValueError, "claimed task %R of rank %R is outside the task table",
+                         tid, srcobj);
+        }
+        Py_DECREF(tid);
+        return -1;
+    }
+    const int64_t *bounds = (const int64_t *)c->buf[0].buf;
+    Py_XSETREF(op->chain, Py_NewRef(c->chain));
+    op->pos = bounds[t];
+    op->end = bounds[t + 1];
+    op->duration = ((const double *)c->buf[1].buf)[t] / ((const double *)c->buf[2].buf)[src];
+    Py_XSETREF(op->tid, tid);
+    op->count++;
+    return 1;
+}
+
+/* The source is spent: a drain's result becomes how many tasks ran, a
+ * counter loop adds its fetch-adds (one per task, and the one that ended
+ * it) to the tally. Returns 0, or -1 with an exception. */
+static int
+claims_spent(FusedOp *op)
+{
+    Claims *c = op->claims;
+    if (c->kind == CLAIM_DRAIN) {
+        PyObject *ran = PyLong_FromLongLong(op->count);
+        if (ran == NULL)
+            return -1;
+        Py_XSETREF(op->result, ran);
+    }
+    else if (c->kind == CLAIM_COUNTER) {
+        long long total;
+        if (get_ll(c->tally, s_value, &total) < 0 ||
+            set_ll(c->tally, s_value, total + op->count + 1) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The native claim source's next slice: 1 with it armed, 0 when the
+ * source is spent, -1 with an exception. */
+static int
+claims_next(FusedOp *op)
+{
+    Claims *c = op->claims;
+    PyObject *tid;
+    if (c->kind == CLAIM_LIST) {
+        if (op->count >= PyList_GET_SIZE(c->items))
+            return claims_spent(op);
+        tid = Py_NewRef(PyList_GET_ITEM(c->items, op->count));
+    }
+    else if (op->chain != c->loop) { /* a task ran: the pop or fetch-add again */
+        if (c->kind == CLAIM_DRAIN && Py_SIZE(c->items) == 0)
+            return claims_spent(op);
+        Py_XSETREF(op->chain, Py_NewRef(c->loop));
+        op->pos = 0;
+        op->end = 1;
+        if (c->kind == CLAIM_COUNTER)
+            Py_XSETREF(op->counter, Py_NewRef(c->cell));
+        return 1;
+    }
+    else if (c->kind == CLAIM_DRAIN) { /* the pop step ran: the head, if a thief left one */
+        if (Py_SIZE(c->items) == 0)
+            return claims_spent(op);
+        tid = call_c(NULL, s_popleft, &c->items, 1);
+        if (tid == NULL)
+            return -1;
+    }
+    else { /* the fetch-add ran: the task at the position it read */
+        PyObject *read = OP_GET(op, result);
+        if (read == NULL)
+            return -1;
+        long long first = PyLong_CheckExact(read) ? PyLong_AsLongLong(read) : -1;
+        if (first < 0) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "a claim read position %R", read);
+            return -1;
+        }
+        if (first >= c->n_tasks)
+            return claims_spent(op);
+        tid = PyLong_FromLongLong(((const int64_t *)c->buf[3].buf)[first]);
+        if (tid == NULL)
+            return -1;
+        Py_XSETREF(op->counter, Py_NewRef(Py_None));
+    }
+    return claims_arm(op, c, tid);
+}
+
+static int fused_load_step(RunCtx *ctx, FusedOp *op);
+
+/* Move the k tail tasks of deque `victim` to the tail of deque `thief`,
+ * in their order: 0, or -1 with an exception. */
+static int
+move_tasks(PyObject *victim, PyObject *thief, Py_ssize_t k)
+{
+    PyObject *stolen = PyList_New(k);
+    for (Py_ssize_t i = k - 1; i >= 0 && stolen != NULL; i--) {
+        PyObject *task = call_c(NULL, s_pop, &victim, 1);
+        if (task == NULL)
+            Py_CLEAR(stolen);
+        else
+            PyList_SET_ITEM(stolen, i, task);
+    }
+    if (stolen == NULL)
+        return -1;
+    PyObject *args[2] = {thief, stolen};
+    PyObject *r = call_c(NULL, s_extend, args, 2);
+    Py_DECREF(stolen);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* A steal's lock step on op.steal = (lock, victim queue, thief queue),
+ * the queues exact deques: KEEP_LOCK (0) takes the lock and keeps it, the
+ * next step armed at the grant; MOVE_TASKS (1) moves the op's `result`
+ * tasks from the victim queue's tail to the thief queue's, releases the
+ * lock, and arms the next step. */
+static int
+fused_lock_step(RunCtx *ctx, FusedOp *op, PyObject *step)
+{
+    PyObject *steal = OP_GET(op, steal);
+    if (steal == NULL)
+        return -1;
+    long code = PyLong_AsLong(step);
+    if (code == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    if (!PyTuple_CheckExact(steal) || PyTuple_GET_SIZE(steal) != 3 ||
+        !Py_IS_TYPE(PyTuple_GET_ITEM(steal, 1), g_deque_type) ||
+        !Py_IS_TYPE(PyTuple_GET_ITEM(steal, 2), g_deque_type) ||
+        (code != 0 && code != 1) || op->kept != code) {
+        PyErr_Format(PyExc_TypeError, "malformed fused op step %lld: %R for steal %R",
+                     op->pos - 1, step, steal);
+        return -1;
+    }
+    Py_INCREF(steal); /* held: Python a release or a grant runs may rebind op.steal */
+    PyObject *lock = PyTuple_GET_ITEM(steal, 0), *victim = PyTuple_GET_ITEM(steal, 1);
+    int rc = -1;
+    if (code == 0)
+        rc = fused_acquire(ctx, op, lock, 6);
+    else {
+        PyObject *result = OP_GET(op, result);
+        Py_ssize_t k = result != NULL && PyLong_CheckExact(result) ? PyLong_AsSsize_t(result) : -1;
+        if (k >= 0 && k <= Py_SIZE(victim))
+            rc = k == 0 ? 0 : move_tasks(victim, PyTuple_GET_ITEM(steal, 2), k);
+        else if (result != NULL) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_ValueError, "a steal takes %R tasks from a queue of %zd",
+                         result, Py_SIZE(victim));
+        }
+        if (rc == 0) {
+            op->kept = 0;
+            rc = resource_release(ctx, lock);
+        }
+        if (rc == 0)
+            rc = fused_load_step(ctx, op);
+    }
+    Py_DECREF(steal);
+    return rc;
+}
+
 /* Arm the chain's next step, or the first of the slice the op's claim
  * loads next, or finish. A chain is what Harness builds -- exact tuples,
  * int ranks, float delays, every index in range; anything else raises
@@ -997,7 +1418,9 @@ fused_load_step(RunCtx *ctx, FusedOp *op)
         if (claim == NULL)
             return -1;
         int more = 0;
-        if (claim != Py_None) {
+        if (op->claims != NULL && claim == op->claims->spec)
+            more = claims_next(op);
+        else if (claim != Py_None) {
             PyObject *arg = (PyObject *)op;
             Py_INCREF(claim);
             PyObject *r = call_out(ctx, claim, NULL, &arg, 1);
@@ -1024,12 +1447,20 @@ fused_load_step(RunCtx *ctx, FusedOp *op)
     nics = PyTuple_GET_ITEM(chain, 1);
     ids = PyTuple_GET_ITEM(chain, 2);
     step = PyTuple_GET_ITEM(steps, pos);
-    if (step == Py_None) { /* the kernel */
+    if (step == Py_None || PyUnicode_CheckExact(step)) { /* the kernel, or a timed wait */
         op->pos = pos + 1;
         Py_XSETREF(op->start, Py_NewRef(nowobj));
         op->phase = 4;
+        if (step != Py_None) { /* recorded under its category as it ends */
+            Py_XSETREF(op->category, Py_NewRef(step));
+            op->phase = 5;
+        }
         ctx->timeout_allocs++; /* engine.timeout_allocs += 1 */
         return fused_dispatch(ctx, op, op->duration);
+    }
+    if (PyLong_CheckExact(step)) {
+        op->pos = pos + 1;
+        return fused_lock_step(ctx, op, step);
     }
     PyObject *dstobj, *programs, *pre, *hold, *post;
     if (!PyTuple_CheckExact(step) || PyTuple_GET_SIZE(step) != 3 ||
@@ -1076,7 +1507,7 @@ fused_load_step(RunCtx *ctx, FusedOp *op)
     Py_XSETREF(op->nic, Py_NewRef(nic));
     op->phase = 0;
     op->idx = 1;
-    return lock ? fused_acquire(ctx, op, nic)
+    return lock ? fused_acquire(ctx, op, nic, 1)
                 : fused_dispatch(ctx, op, PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pre, 0)));
 malformed:
     if (step == NULL)
@@ -1107,6 +1538,10 @@ fused_complete(RunCtx *ctx, FusedOp *op)
 static int
 fused_resume(RunCtx *ctx, FusedOp *op)
 {
+    if (op->phase == 6) { /* the lock a steal keeps: on to the next step */
+        op->kept = 1;
+        return fused_load_step(ctx, op);
+    }
     PyObject *counter = OP_GET(op, counter);
     if (counter == NULL)
         return -1;
@@ -1187,7 +1622,7 @@ fused_advance(RunCtx *ctx, FusedOp *op)
         if (nic == Py_None)
             return fused_complete(ctx, op);
         Py_INCREF(nic); /* its attributes may run Python that rebinds op.nic */
-        int rc = fused_acquire(ctx, op, nic);
+        int rc = fused_acquire(ctx, op, nic, 1);
         Py_DECREF(nic);
         return rc;
     }
@@ -1214,6 +1649,8 @@ fused_advance(RunCtx *ctx, FusedOp *op)
         op->idx = 1;
         return fused_dispatch(ctx, op, d);
     }
+    if (op->phase == 5) /* a timed wait ended: its interval, then the next step */
+        return fused_complete(ctx, op);
     /* phase 4, the kernel ran: record its interval where the generator
      * resumed from the kernel's Timeout, then the accumulates. */
     PyObject *tid = OP_GET(op, tid);
@@ -1313,21 +1750,25 @@ fusedop_init(FusedOp *op, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"trace", "src", "category", "pre", "nic", "hold",
                              "post", "counter", "amount", "chain", "pos", "end",
-                             "duration", "tid", "claim", NULL};
+                             "duration", "tid", "claim", "steal", NULL};
     PyObject *trace, *src, *category = Py_None, *pre = NULL, *nic = Py_None;
     PyObject *hold = Py_None, *post = NULL, *counter = Py_None, *amount = NULL;
-    PyObject *chain = Py_None, *tid = Py_None, *claim = Py_None;
+    PyObject *chain = Py_None, *tid = Py_None, *claim = Py_None, *steal = Py_None;
     long long pos = 0, end = 0;
     double duration = 0.0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|OOOOOOOOLLdOO:FusedOp", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|OOOOOOOOLLdOOO:FusedOp", kwlist,
                                      &trace, &src, &category, &pre, &nic, &hold,
                                      &post, &counter, &amount, &chain, &pos, &end,
-                                     &duration, &tid, &claim))
+                                     &duration, &tid, &claim, &steal))
+        return -1;
+    Claims *claims = NULL; /* a native claim source, read once, here */
+    if (PyTuple_Check(claim) && (claims = claims_new(claim)) == NULL)
         return -1;
     PyObject *empty = PyTuple_New(0), *zero = PyLong_FromLong(0);
     if (empty == NULL || zero == NULL) {
         Py_XDECREF(empty);
         Py_XDECREF(zero);
+        claims_free(claims);
         return -1;
     }
     Py_XSETREF(op->trace, Py_NewRef(trace));
@@ -1342,14 +1783,18 @@ fusedop_init(FusedOp *op, PyObject *args, PyObject *kwds)
     Py_XSETREF(op->chain, Py_NewRef(chain));
     Py_XSETREF(op->tid, Py_NewRef(tid));
     Py_XSETREF(op->claim, Py_NewRef(claim));
+    Py_XSETREF(op->steal, Py_NewRef(steal));
     Py_XSETREF(op->proc, Py_NewRef(Py_None));
     Py_XSETREF(op->result, Py_NewRef(Py_None));
     Py_DECREF(empty);
     Py_DECREF(zero);
+    claims_free(op->claims);
+    op->claims = claims;
     op->pos = pos;
     op->end = end;
+    op->count = 0;
     op->duration = duration;
-    op->holding = op->done = 0;
+    op->holding = op->kept = op->done = 0;
     return 0;
 }
 
@@ -1368,6 +1813,9 @@ fusedop_traverse(FusedOp *op, visitproc visit, void *arg)
     Py_VISIT(op->chain);
     Py_VISIT(op->tid);
     Py_VISIT(op->claim);
+    Py_VISIT(op->steal);
+    if (op->claims != NULL)
+        Py_VISIT(op->claims->spec);
     Py_VISIT(op->engine);
     Py_VISIT(op->proc);
     Py_VISIT(op->start);
@@ -1390,6 +1838,10 @@ fusedop_clear(FusedOp *op)
     Py_CLEAR(op->chain);
     Py_CLEAR(op->tid);
     Py_CLEAR(op->claim);
+    Py_CLEAR(op->steal);
+    Claims *claims = op->claims;
+    op->claims = NULL;
+    claims_free(claims);
     Py_CLEAR(op->engine);
     Py_CLEAR(op->proc);
     Py_CLEAR(op->start);
@@ -1441,26 +1893,37 @@ fusedop_send(FusedOp *op, PyObject *value)
     return Py_NewRef(op);
 }
 
-/* Abort mid-operation (process cancelled): release a held slot. Python
- * calls this (a generator's close), so the core, if it is running, has
- * published its clock and counter already. */
+/* Abort mid-operation (process cancelled): release a held slot, then a
+ * kept lock, as the generators' `finally` blocks do, innermost first.
+ * Python calls this (a generator's close), so the core, if it is running,
+ * has published its clock and counter already. */
 static PyObject *
 fusedop_close(FusedOp *op, PyObject *Py_UNUSED(ignored))
 {
-    if (!op->done) {
-        op->done = 1;
-        if (op->holding) {
-            op->holding = 0;
-            PyObject *nic = OP_GET(op, nic);
-            if (nic == NULL)
+    if (op->done)
+        Py_RETURN_NONE;
+    op->done = 1;
+    for (int lock = 0; lock < 2; lock++) { /* the held NIC, then the kept lock */
+        char *held = lock ? &op->kept : &op->holding;
+        if (!*held)
+            continue;
+        *held = 0;
+        PyObject *slot = lock ? OP_GET(op, steal) : OP_GET(op, nic);
+        if (slot == NULL)
+            return NULL;
+        if (lock) {
+            if (!PyTuple_Check(slot) || PyTuple_GET_SIZE(slot) == 0) {
+                PyErr_Format(PyExc_TypeError, "a steal's lock is steal[0], not in %R", slot);
                 return NULL;
-            Py_INCREF(nic);
-            PyObject *r = PyObject_CallMethodNoArgs(nic, s_release);
-            Py_DECREF(nic);
-            if (r == NULL)
-                return NULL;
-            Py_DECREF(r);
+            }
+            slot = PyTuple_GET_ITEM(slot, 0);
         }
+        Py_INCREF(slot); /* its release may run Python that rebinds the op's fields */
+        PyObject *r = PyObject_CallMethodNoArgs(slot, s_release);
+        Py_DECREF(slot);
+        if (r == NULL)
+            return NULL;
+        Py_DECREF(r);
     }
     Py_RETURN_NONE;
 }
@@ -1504,12 +1967,15 @@ static PyMemberDef fusedop_members[] = {
     OP_MEMBER(duration, T_DOUBLE),
     OP_MEMBER(tid, T_OBJECT_EX),
     OP_MEMBER(claim, T_OBJECT_EX),
+    OP_MEMBER(steal, T_OBJECT_EX),
+    OP_MEMBER(count, T_LONGLONG),
     OP_MEMBER(engine, T_OBJECT_EX),
     OP_MEMBER(proc, T_OBJECT_EX),
     OP_MEMBER(start, T_OBJECT_EX),
     OP_MEMBER(phase, T_INT),
     OP_MEMBER(idx, T_LONGLONG),
     OP_MEMBER(holding, T_BOOL),
+    OP_MEMBER(kept, T_BOOL),
     OP_MEMBER(done, T_BOOL),
     OP_MEMBER(result, T_OBJECT_EX),
     {NULL, 0, 0, 0, NULL},
@@ -1521,9 +1987,9 @@ static PyTypeObject FusedOpType = {
     .tp_name = "repro.simulate._engine_core.FusedOp",
     .tp_doc = "FusedOp(trace, src, category=None, pre=(), nic=None, hold=None, "
               "post=(), counter=None, amount=0, chain=None, pos=0, end=0, "
-              "duration=0.0, tid=None, claim=None): traced network operations "
-              "-- one, a whole task's chain, or a claim loop of tasks -- as a "
-              "single request the compiled core walks.",
+              "duration=0.0, tid=None, claim=None, steal=None): traced network "
+              "operations -- one, a whole task's chain, a claim loop of tasks, "
+              "or a steal attempt -- as a single request the compiled core walks.",
     .tp_basicsize = sizeof(FusedOp),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = PyType_GenericNew,
@@ -1954,6 +2420,7 @@ core_setup(PyObject *self, PyObject *args)
     Py_XSETREF(g_deliver_func, deliver);
     Py_XSETREF(g_timeout_pool, Py_NewRef(timeout_pool));
     Py_XSETREF(g_resource_cls, Py_NewRef(resource_cls));
+    Py_XSETREF(g_process_cls, Py_NewRef(process_cls));
     Py_XSETREF(g_trace_cls, Py_NewRef(trace_cls));
     Py_RETURN_NONE;
 }
@@ -2138,27 +2605,6 @@ fm_insort(FmVec *x, FmEntry e)
     return 0;
 }
 
-/* A 1-D C-contiguous buffer of `itemsize`-byte items whose one-character
- * struct format is in `formats`; `fn` names the kernel in errors. */
-static int
-k_buffer(const char *fn, PyObject *obj, Py_buffer *view, const char *name,
-         const char *formats, Py_ssize_t itemsize, int writable)
-{
-    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return -1;
-    const char *f = view->format;
-    if (view->ndim != 1 || view->itemsize != itemsize || f == NULL || f[0] == '\0'
-        || f[1] != '\0' || strchr(formats, f[0]) == NULL) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s: %s must be a 1-D contiguous array of %zd-byte '%s' items",
-                     fn, name, itemsize, formats);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return 0;
-}
-
 /* Every value lies in [0, bound). */
 static int
 k_check_range(const char *fn, const char *name, const int64_t *val, Py_ssize_t len,
@@ -2172,34 +2618,6 @@ k_check_range(const char *fn, const char *name, const int64_t *val, Py_ssize_t l
         }
     }
     return 0;
-}
-
-typedef struct {
-    const char *name, *formats;
-    Py_ssize_t itemsize;
-    int writable;
-} KSpec;
-
-/* k_buffer for each of `count` objects: all acquired, or none. */
-static int
-k_buffers(const char *fn, const KSpec *spec, PyObject **obj, Py_buffer *buf, int count)
-{
-    for (int i = 0; i < count; i++) {
-        if (k_buffer(fn, obj[i], &buf[i], spec[i].name, spec[i].formats,
-                     spec[i].itemsize, spec[i].writable) < 0) {
-            while (i-- > 0)
-                PyBuffer_Release(&buf[i]);
-            return -1;
-        }
-    }
-    return 0;
-}
-
-static void
-k_release(Py_buffer *buf, int count)
-{
-    while (count-- > 0)
-        PyBuffer_Release(&buf[count]);
 }
 
 /* `off` has rows + 1 entries starting at 0 and ending at nval, each row
@@ -3239,6 +3657,8 @@ PyInit__engine_core(void)
     INTERN(s_popleft, "popleft");
     INTERN(s_append, "append");
     INTERN(s_clear, "clear");
+    INTERN(s_pop, "pop");
+    INTERN(s_extend, "extend");
     INTERN_ATTR(s_done, "done");
     INTERN_ATTR(s_cancelled, "cancelled");
     INTERN_ATTR(s_send, "_send");

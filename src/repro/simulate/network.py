@@ -24,8 +24,8 @@ delay program per ``(kind, tier, nbytes)``. :meth:`Network._walk`
 interprets a program as a generator on the reference engine (and whenever
 fault injection is armed); the compiled core's ``FusedOp``
 (:attr:`Network.op_type`) carries the same program — or a whole task's
-chain of them, kernel included, or a claim loop of such tasks — as a
-single request the core walks in C. Both allocate every ``(time, seq)``
+chain of them, kernel included, a claim loop of such tasks, or a steal
+attempt — as a single request the core walks in C. Both allocate every ``(time, seq)``
 at the same dispatch, so runs are bit-identical.
 """
 
@@ -44,6 +44,14 @@ from repro.util import (
     check_non_negative,
     check_positive,
 )
+
+#: The two lock steps of a steal attempt's chain
+#: (``Harness.steal_attempt``), on the op's ``steal = (lock, victim queue,
+#: thief queue)``: take the lock and keep it past the step; move the op's
+#: ``result`` tasks from the victim queue's tail to the thief queue's, in
+#: their order, and release the lock.
+KEEP_LOCK = 0
+MOVE_TASKS = 1
 
 #: Trace category for time lost discovering a dead target. Must match
 #: :data:`repro.runtime.trace.FAILED`; a literal here keeps ``simulate``

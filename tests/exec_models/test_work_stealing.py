@@ -178,3 +178,35 @@ class TestTermination:
         graph = synthetic_task_graph(1, 2, seed=0)
         result = WorkStealing().run(graph, commodity_cluster(8))
         assert result.n_tasks == 1
+
+
+class TestStealRequests:
+    """Under the compiled engine a steal attempt is one request (the
+    model's decision its one call into Python) and the FIFO hand-off of
+    every lock runs in the core; under the reference engine it is
+    ``_attempt_steal`` and the backoff sleep after it."""
+
+    @pytest.mark.parametrize("steal", ["half", "one", "half_cost"])
+    @pytest.mark.parametrize("victim", ["random", "ring", "hierarchical"])
+    def test_every_policy_runs_alike_under_both_engines(self, steal, victim, monkeypatch):
+        from repro.simulate import hierarchical_cluster
+        from repro.simulate.sched import compiled_available
+
+        graph = synthetic_task_graph(300, 12, seed=5, skew=1.5)
+        machine = hierarchical_cluster(4, cores_per_node=4)
+        model = WorkStealing(steal=steal, victim=victim)
+        modes = ["python"] + (["compiled"] if compiled_available() else [])
+        runs = {}
+        for mode in modes:
+            monkeypatch.setenv("REPRO_ENGINE", mode)
+            result = model.run(graph, machine, seed=7)
+            runs[mode] = (
+                result.makespan, result.assignment.tobytes(), result.task_starts.tobytes(),
+                sorted(result.counters.items()), sorted(result.network.items()),
+                result.sim_events, result.trace_records, result.grant_resumes,
+            )
+        assert len(set(map(repr, runs.values()))) == 1, list(runs)
+        counters = dict(runs[modes[-1]][3])
+        assert counters["steal_successes"] > 0 and counters["failed_steals"] > 0
+        assert counters["token_hops"] >= 2 * machine.n_ranks
+

@@ -38,13 +38,18 @@ CALLERS = {"call_out", "call_c", "fusedop_close"}
 #: callback, and methods of an exact ``collections.deque`` (``pop_ready``
 #: is the bound ``popleft`` of ``engine._ready``, which ``core_run``
 #: requires to be one; ``append`` and ``clear`` go to ``engine._ready`` or,
-#: through ``queue_append``, to a queue checked to be one).
+#: through ``queue_append``, to a queue checked to be one; ``popleft``,
+#: ``pop`` and ``extend`` to a Resource's waiters, a drain's queue or a
+#: steal's two queues, each checked to be one, ``extend`` with a list).
 C_ONLY = {
     ("g_heappush", "NULL"),
     ("g_heappop", "NULL"),
     ("pop_ready", "NULL"),
     ("NULL", "s_append"),
     ("NULL", "s_clear"),
+    ("NULL", "s_popleft"),
+    ("NULL", "s_pop"),
+    ("NULL", "s_extend"),
 }
 
 CALL = re.compile(r"\b_?(PyObject_(Call|Vectorcall)\w*|PyEval_Call\w*)\s*\(")

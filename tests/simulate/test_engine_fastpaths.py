@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
+from repro.runtime.trace import COMM, IDLE, OVERHEAD, TraceRecorder
 from repro.simulate.engine import (
     Engine,
     Process,
@@ -30,7 +30,7 @@ from repro.simulate.engine import (
     _timeout_pool,
     pooled_timeout,
 )
-from repro.simulate.network import Network, NetworkModel, SharedCell
+from repro.simulate.network import KEEP_LOCK, MOVE_TASKS, Network, NetworkModel, SharedCell
 from repro.simulate.sched import (
     CompiledEngine,
     _load_engine_core,
@@ -1168,6 +1168,244 @@ def test_a_claim_loop_is_reference_neutral(source, monkeypatch):
     harness.finish("claim-loop")
     assert counts() == before
     assert sum(type(obj) is FusedOp for obj in gc.get_objects()) == 0
+
+
+# ----------------------------------------------------------------------
+# The core's claim sources and a steal's lock steps: what they refuse,
+# and where the FIFO hand-off leaves a release to the method
+# ----------------------------------------------------------------------
+
+
+def _table(net, n_tasks=3, n_ranks=4):
+    """A task table (``Harness._tasks``) of ``n_tasks`` tasks, each a 64
+    B get from rank 1 and a 1 us kernel."""
+    programs = tuple(net._tier_program("rma", tier, 64) for tier in (0, 1, 2))
+    steps = ((1, programs, COMM), None) * n_tasks
+    bounds = np.arange(0, 2 * n_tasks + 1, 2, dtype=np.int64)
+    return net._chain(steps), bounds, np.full(n_tasks, 1.0e-6), np.ones(n_ranks)
+
+
+def _walk_one(make_op, until=float("inf")):
+    """Run the op ``make_op(net, trace)`` makes as rank 0's one request
+    on a fresh compiled engine, up to ``until``; returns ``(engine, net,
+    op)``."""
+    engine = CompiledEngine()
+    net = Network(engine, NetworkModel(), 4)
+    op = make_op(net, TraceRecorder(4))
+
+    def rank():
+        yield from op
+
+    engine.process(rank(), name="r0")
+    engine.run(until=until)
+    return engine, net, op
+
+
+_MALFORMED_SOURCES = {
+    "unknown-kind": (lambda t: ("queue", t, []), TypeError, "malformed claim source"),
+    "short": (lambda t: ("list", t), TypeError, "malformed claim source"),
+    "table-of-three": (lambda t: ("list", t[:3], [0]), TypeError, "malformed claim source"),
+    "ids-in-a-tuple": (lambda t: ("list", t, (0,)), TypeError, "malformed claim source"),
+    "drain-of-a-list": (lambda t: ("drain", t, [0], t[0]), TypeError, "malformed claim source"),
+    "loop-not-a-chain": (
+        lambda t: ("counter", t, [], SharedCell(), np.arange(3), SharedCell()),
+        TypeError, "malformed claim source",
+    ),
+    "float32-costs": (
+        lambda t: ("list", (t[0], t[1], t[2].astype(np.float32), t[3]), [0]),
+        TypeError, "costs must be",
+    ),
+    "bounds-too-short": (
+        lambda t: ("list", (t[0], t[1][:-1], t[2], t[3]), [0]), ValueError, "one entry more"
+    ),
+    "sequence-too-short": (
+        lambda t: ("counter", t, t[0], SharedCell(), np.arange(2), SharedCell()),
+        ValueError, "one entry more",
+    ),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", _MALFORMED_SOURCES)
+def test_a_malformed_claim_source_is_refused_where_the_op_is_made(case):
+    """The core reads a claim source once, when the op is made: a tuple
+    of the wrong shape, kind or item types, or whose arrays disagree in
+    length, is refused there, before any run."""
+    make, error, match = _MALFORMED_SOURCES[case]
+    net = Network(CompiledEngine(), NetworkModel(), 4)
+    with pytest.raises(error, match=match):
+        FusedOp(TraceRecorder(4), 0, chain=(), claim=make(_table(net)))
+
+
+def _counter_op(cell_value, tally_value):
+    """A counter claim loop over a three-task table whose counter cell
+    starts at ``cell_value`` and whose tally holds ``tally_value``."""
+
+    def make(net, trace):
+        programs = tuple(net._tier_program("fetch_add", tier, 0) for tier in (0, 1, 2))
+        fetch_add = net._chain(((1, programs, OVERHEAD),))
+        cell = SharedCell(cell_value)
+        source = ("counter", _table(net), fetch_add, cell, np.arange(3), SharedCell(tally_value))
+        return FusedOp(trace, 0, counter=cell, amount=1, chain=fetch_add, end=1, claim=source)
+
+    return make
+
+
+_REFUSED_CLAIMS = {
+    "id-outside-the-table": (
+        lambda net, trace: FusedOp(trace, 0, chain=(), claim=("list", _table(net), [3])),
+        ValueError, "claimed task 3 of rank 0 is outside the task table",
+    ),
+    "rank-without-a-rate": (
+        lambda net, trace: FusedOp(
+            trace, 0, chain=(), claim=("list", _table(net, n_ranks=0), [0])
+        ),
+        ValueError, "claimed task 0 of rank 0 is outside",
+    ),
+    "negative-position": (_counter_op(-1, 0), ValueError, "a claim read position -1"),
+    "tally-not-an-int": (_counter_op(5, "none"), TypeError, "integer"),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", _REFUSED_CLAIMS)
+def test_a_claim_the_table_cannot_serve_is_refused(case):
+    """A claimed id outside the task table, a rank with no rate, a
+    counter position below zero and a tally that is not an int each
+    raise from the run, where the claim is read."""
+    make, error, match = _REFUSED_CLAIMS[case]
+    with pytest.raises(error, match=match):
+        _walk_one(make)
+
+
+def _steal_op(steps, result=None, steal=True, victim=(), thief=(), duration=0.0):
+    """A steal-shaped op of ``steps`` on a lock of its own (the victim's
+    queue ``victim``, the thief's ``thief``), its result ``result``."""
+
+    def make(net, trace):
+        queues = (collections.deque(victim), collections.deque(thief))
+        op = FusedOp(
+            trace, 0, chain=net._chain(tuple(steps)), end=len(steps), duration=duration,
+            steal=(Resource(1), *queues) if steal is True else steal,
+        )  # fmt: skip
+        op.result = result
+        return op
+
+    return make
+
+
+_REFUSED_LOCK_STEPS = {
+    "no-steal": (_steal_op([KEEP_LOCK], steal=None), TypeError, "malformed fused op step 0"),
+    "queues-not-deques": (
+        _steal_op([KEEP_LOCK], steal=(Resource(1), [], [])), TypeError, "for steal"
+    ),
+    "unknown-step": (_steal_op([2]), TypeError, "malformed fused op step 0: 2"),
+    "move-without-the-lock": (_steal_op([MOVE_TASKS], 0), TypeError, "step 0: 1 for"),
+    "keep-it-twice": (_steal_op([KEEP_LOCK, KEEP_LOCK]), TypeError, "step 1: 0 for"),
+    "end-keeping-it": (_steal_op([KEEP_LOCK]), TypeError, "end keeping its lock"),
+    "take-more-than-queued": (
+        _steal_op([KEEP_LOCK, MOVE_TASKS], 3, victim=[7, 8]), ValueError,
+        "a steal takes 3 tasks from a queue of 2",
+    ),
+    "take-a-non-int": (
+        _steal_op([KEEP_LOCK, MOVE_TASKS], 1.0, victim=[7]), ValueError, "takes 1.0 tasks"
+    ),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", _REFUSED_LOCK_STEPS)
+def test_a_lock_step_out_of_place_is_refused(case):
+    """A steal's lock steps need ``steal = (lock, victim deque, thief
+    deque)``, keep the lock once and move only while keeping it, and move
+    a non-negative int of tasks the victim holds: anything else raises
+    before a task moves."""
+    make, error, match = _REFUSED_LOCK_STEPS[case]
+    with pytest.raises(error, match=match):
+        _walk_one(make)
+
+
+@needs_compiled
+def test_a_steal_moves_its_tasks_in_order_and_lets_go_of_the_lock():
+    """Keep, move two, and the lock is free again: the victim's two tail
+    tasks land at the thief's tail in their order, and the kernel-less
+    wait that follows is recorded under its category, as one Timeout."""
+    steps = [KEEP_LOCK, MOVE_TASKS, IDLE]
+    engine, net, op = _walk_one(_steal_op(steps, 2, victim=[5, 6, 7], thief=[1]))
+    lock, victim, thief = op.steal
+    assert (list(victim), list(thief), op.kept, op.done) == ([5], [1, 6, 7], False, True)
+    assert (lock.in_use, lock.total_acquisitions, engine.timeout_allocs) == (0, 1, 1)
+    assert op.trace.records == 1 and engine.grant_resumes == 1
+
+
+@needs_compiled
+def test_closing_an_op_that_keeps_a_lock():
+    """``close`` lets go of a kept lock as the generator's ``finally``
+    does, once: a closed op closes again as a no-op, and a steal rebound
+    to something without the lock in it is refused."""
+    held = _steal_op([KEEP_LOCK, IDLE, MOVE_TASKS], 0, victim=[1], duration=1.0)
+    for rebind in (False, True):
+        engine, net, op = _walk_one(held, until=0.0)
+        lock = op.steal[0]
+        assert op.kept and lock.in_use == 1
+        if rebind:
+            op.steal = None
+            with pytest.raises(TypeError, match="steal\\[0\\]"):
+                op.close()
+            continue
+        assert op.close() is None and lock.in_use == 0
+        assert op.close() is None and lock.in_use == 0
+
+
+class _SubProcess(Process):
+    """A waiter of a kind the core's hand-off leaves to the method."""
+
+    __slots__ = ()
+
+
+def _handoff(engine_cls):
+    """Rank 0 holds a lock for 1 us, through a lock-hold step of a fused
+    op where the engine walks one, while a process queued for it is
+    cancelled and a ``Process`` subclass queues behind that: the release
+    passes the cancelled one by and leaves the subclass to
+    ``Resource.release``. Returns what both engines must agree on."""
+    engine = engine_cls()
+    net = Network(engine, NetworkModel(), 4)
+    lock, log = Resource(1), []
+    program = ((), 1.0e-6, ())
+    trace = TraceRecorder(4)
+
+    def holder():
+        if net.op_type is None:
+            yield lock.acquire()
+            yield Timeout(1.0e-6)
+            lock.release()
+        else:
+            chain = (((0, (program,) * 3, OVERHEAD),), [lock], None)
+            yield net.op_type(trace, 0, chain=chain, end=1)
+        log.append(("released", engine.now, engine._seq))
+
+    def waiter(name):
+        yield lock.acquire()
+        log.append((name, engine.now, engine._seq))
+        lock.release()
+
+    engine.process(holder(), name="holder")
+    doomed = engine.process(waiter("doomed"), name="doomed")
+    late = _SubProcess(engine, waiter("subclass"), name="subclass")
+    engine._processes.append(late)
+    engine.call_now(late._resume, None)
+    engine.schedule(5.0e-7, doomed.cancel)
+    engine.run()
+    return log, (lock.in_use, lock.total_acquisitions, lock.total_waits), engine.grant_resumes
+
+
+@needs_compiled
+def test_the_hand_off_passes_a_cancelled_waiter_by_and_leaves_a_subclass_to_the_method():
+    log, counts, grants = _handoff(CompiledEngine)
+    assert (log, counts, grants) == _handoff(Engine)
+    assert [entry[0] for entry in log] == ["released", "subclass"]
+    assert counts == (0, 2, 2)
 
 
 @needs_compiled

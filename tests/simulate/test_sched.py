@@ -9,20 +9,26 @@ stages, cancellations, and deadlock truncation — and, for the network
 path, ``Engine`` + the ``_walk`` generator against ``CompiledEngine`` +
 the C-walked ``FusedOp``: traced one-sided ops contending for NICs while
 other processes hold the same NICs, cancelled mid-op — single ops and
-whole tasks (gets, kernel, accumulates) chained into one request, and
-the exec models' claim loops (counter claims, queue drains under a lock,
-a static rank's list) chained into one request each. The C core is the
-only walker of a ``FusedOp``; the generators on ``Engine`` are the
-reference it is held to.
+whole tasks (gets, kernel, accumulates) chained into one request, the
+exec models' claim loops (counter claims, queue drains under a lock, a
+static rank's list) chained into one request each, with their claims
+made in Python or read by the core itself, and work stealing's steal
+attempt (lock word, lock kept, metadata, decision, descriptors, task
+move, unlock, or the backoff) as one request. The C core is the only
+walker of a ``FusedOp``; the generators on ``Engine`` are the reference
+it is held to.
 """
 
 from collections import deque
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.simulate.sched as sched
-from repro.runtime.trace import COMM, OVERHEAD, TraceRecorder
+from repro.exec_models.work_stealing import WorkStealing
+from repro.runtime.trace import COMM, IDLE, OVERHEAD, TraceRecorder
 from repro.simulate.engine import (
     Engine,
     Resource,
@@ -31,7 +37,13 @@ from repro.simulate.engine import (
     Timeout,
     pooled_timeout,
 )
-from repro.simulate.network import Network, NetworkModel, SharedCell
+from repro.simulate.network import (
+    KEEP_LOCK,
+    MOVE_TASKS,
+    Network,
+    NetworkModel,
+    SharedCell,
+)
 from repro.simulate.sched import (
     ENGINE_MODES,
     CompiledEngine,
@@ -172,9 +184,11 @@ class TestModeSelection:
 #: How a scenario's network steps are interpreted: ``walk`` is the
 #: ``Network._walk`` generator per op (the reference, on either engine),
 #: ``ops`` one ``FusedOp`` per op, ``chain`` additionally runs each
-#: ``task`` step and each claim loop as one chained ``FusedOp``; the two
+#: ``task`` step, each claim loop and each steal attempt as one chained
+#: ``FusedOp``, its claims made in Python, and ``native`` runs the claim
+#: loops on the core's own claim sources (as ``Harness`` does); the three
 #: fused interpreters run on ``CompiledEngine`` only.
-INTERPRETERS = ("walk", "ops", "chain")
+INTERPRETERS = ("walk", "ops", "chain", "native")
 
 
 def _task_steps(net, gets, accumulates):
@@ -194,6 +208,34 @@ def _task_steps(net, gets, accumulates):
 
 #: ``Harness.LOCAL_QUEUE_OP``: a pop from a rank's own queue.
 _POP_SECONDS = 1.0e-7
+
+#: Where a plan's queued or listed tasks number from, by plan kind: task
+#: ``i`` of the rank's step ``pos`` is ``base + 100 * rank + 10 * pos + i``.
+_TID_BASE = {"drain": 1000, "tasks": 2000, "queue": 3000}
+
+
+def _task_table(net, specs, n_tasks):
+    """The ``tasks`` of a native claim source (``Harness._tasks``): task
+    ``t`` of ``specs`` as the chain's slice ``bounds[t]:bounds[t + 1]``,
+    its kernel ``costs[t]`` seconds at rate 1 on every rank."""
+    steps, bounds, costs = [], [], []
+    for tid in range(n_tasks):
+        gets, kernel, accumulates = specs.get(tid, ((), 0.0, ()))
+        bounds.append(len(steps))
+        if tid in specs:
+            steps += _task_steps(net, gets, accumulates)
+        costs.append(kernel)
+    bounds.append(len(steps))
+    chain = net._chain(tuple(steps))
+    return chain, np.array(bounds, dtype=np.int64), np.array(costs), np.ones(4)
+
+
+def _steal_count(policy, queue, kernel):
+    """``WorkStealing._steal_count`` under ``policy`` on a queue of this
+    scenario's tasks, each task's ``kernel`` seconds its modeled cost."""
+    costs = [kernel(task) for task in queue]
+    harness = SimpleNamespace(graph=SimpleNamespace(costs=costs))
+    return WorkStealing(steal=policy)._steal_count(harness, deque(range(len(costs))))
 
 
 def _run_scenario(
@@ -230,8 +272,15 @@ def _run_scenario(
     victim's lock and takes tasks from its tail under it; ``tasks`` runs
     a list of the rank's own in order. The ``chain`` interpreter runs
     each loop as one ``FusedOp`` whose claim loads the next slice, a
-    list only when it is not empty (as ``Harness.execute_tasks``). ``net_cancel = (rank, time)`` cancels one of them
-    wherever it then is — in a pre-delay, queued, holding, on the return
+    list only when it is not empty (as ``Harness.execute_tasks``), and
+    ``native`` as one whose claim source the core reads. An ``attempt``
+    is ``WorkStealing``'s steal attempt on a victim under a steal policy
+    — lock word, the victim's lock kept, metadata, the decision, then
+    descriptors, the task move and the unlock, or the backoff sleep —
+    as one request under both (``Harness.steal_attempt``); ``queue``
+    puts tasks on the rank's queue for thieves. ``net_cancel = (rank,
+    time)`` cancels one of them wherever it then is — in a pre-delay,
+    queued, holding (a NIC or a kept lock), on the return
     path, in a later step of a task or inside its kernel — before
     anything else due at that time, or with ``late_cancel`` after what
     was already scheduled for it (a grant issued but not yet delivered).
@@ -261,12 +310,34 @@ def _run_scenario(
     if interpreter == "walk":
         net.op_type = None
     FusedOp = net.op_type
+    native = interpreter == "native"
+    chained_loops = interpreter in ("chain", "native")
     trace = TraceRecorder(4)
     cell = SharedCell()
     claim_cell = SharedCell()
+    tally = SharedCell()
     locks = [Resource(capacity=1) for _ in range(4)]
     queues = [deque() for _ in range(4)]
     chained = []
+    # Every task a claim loop or queue may hold, by tid: claimed ones are
+    # the counter's positions, the rank's own numbered from _TID_BASE.
+    own = {}
+    for src, plan in enumerate(net_plans):
+        for pos, (kind, *args) in enumerate(plan):
+            if kind in _TID_BASE:
+                base = _TID_BASE[kind] + 100 * src + 10 * pos
+                own.update((base + i, spec) for i, spec in enumerate(args[0]))
+    if native:
+        claim_table = _task_table(net, dict(enumerate(claimable)), len(claimable))
+        own_table = _task_table(net, own, max(own, default=-1) + 1)
+
+    def item(tid):
+        """What a queue or list holds of task ``tid``: the task itself,
+        or under ``native`` its id in the task table."""
+        return tid if native else (tid, *own[tid])
+
+    def kernel_of(queued):
+        return own[queued][1] if native else queued[2]
 
     def load(op, tid, gets, kernel, accumulates):
         """Make a task the claim loop's next slice."""
@@ -278,13 +349,13 @@ def _run_scenario(
         op.tid = tid
 
     def claims(src, home):
-        if interpreter != "chain":
+        if not chained_loops:
             while True:
                 value = yield from net.fetch_add_traced(src, home, claim_cell, 1, trace, OVERHEAD)
                 note("claimed", src, value, engine.now)
                 if value >= len(claimable):
                     return
-                yield from task(src, 100 + value, *claimable[value])
+                yield from task(src, value, *claimable[value])
                 note("task", src, engine.now)
         programs = tuple(net._tier_program("fetch_add", tier, 0) for tier in (0, 1, 2))
         fetch_add = net._chain(((home, programs, OVERHEAD),))
@@ -296,12 +367,15 @@ def _run_scenario(
                 if value >= len(claimable):
                     return False
                 op.counter = None
-                load(op, 100 + value, *claimable[value])
+                load(op, value, *claimable[value])
                 return True
             note("task", src, engine.now)
             op.chain, op.pos, op.end, op.counter = fetch_add, 0, 1, claim_cell
             return True
 
+        if native:
+            sequence = np.arange(len(claimable), dtype=np.int64)
+            claim = ("counter", claim_table, fetch_add, claim_cell, sequence, tally)
         op = FusedOp(
             trace, src, counter=claim_cell, amount=1, chain=fetch_add, end=1, claim=claim
         )
@@ -310,7 +384,7 @@ def _run_scenario(
 
     def drain(src):
         queue, lock = queues[src], locks[src]
-        if interpreter != "chain":
+        if not chained_loops:
             ran = 0
             while queue:  # WorkStealing._pop_local, then the task
                 yield lock.acquire()
@@ -343,6 +417,8 @@ def _run_scenario(
             op.chain, op.pos, op.end = pop, 0, 1
             return True
 
+        if native:
+            claim = ("drain", own_table, queue, pop)
         op = FusedOp(trace, src, chain=pop, end=1, claim=claim)
         op.result = 0
         chained.append(op)
@@ -359,8 +435,59 @@ def _run_scenario(
             lock.release()
         note("stole", src, victim, len(stolen), engine.now)
 
+    def attempt(src, victim, policy, backoff_ns):
+        lock, queue = locks[victim], queues[victim]
+        backoff = backoff_ns * 1.0e-9
+
+        def take(queue):
+            k = _steal_count(policy, queue, kernel_of) if queue else 0
+            note("decided", src, victim, k)
+            return k
+
+        if not chained_loops:  # WorkStealing._attempt_steal, then the backoff
+            yield from net.rma_traced(src, victim, 8, trace, OVERHEAD)
+            yield lock.acquire()
+            try:
+                yield from net.rma_traced(src, victim, 16, trace, OVERHEAD)
+                got = take(queue)
+                if got:
+                    yield from net.rma_traced(src, victim, 16 * got, trace, OVERHEAD)
+                    stolen = [queue.pop() for _ in range(got)]
+            finally:
+                lock.release()
+            if got:
+                stolen.reverse()
+                queues[src].extend(stolen)
+                yield from net.rma_traced(src, victim, 8, trace, OVERHEAD)
+            else:
+                start = engine.now
+                yield pooled_timeout(backoff)
+                trace.record(src, IDLE, start, engine.now)
+        else:  # as Harness.steal_attempt builds it
+
+            def rma(nbytes):
+                programs = tuple(net._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
+                return (victim, programs, OVERHEAD)
+
+            def decide(op):
+                k = take(queue)
+                op.claim, op.result, op.pos = None, k, 0
+                if not k:
+                    op.chain, op.end, op.duration = net._chain((MOVE_TASKS, IDLE)), 2, backoff
+                else:
+                    op.chain, op.end = net._chain((rma(16 * k), MOVE_TASKS, rma(8))), 3
+                return True
+
+            op = FusedOp(
+                trace, src, chain=net._chain((rma(8), KEEP_LOCK, rma(16))), end=3,
+                claim=decide, steal=(lock, queue, queues[src]),
+            )  # fmt: skip
+            chained.append(op)
+            got = yield from op
+        note("attempted", src, victim, got, engine.now)
+
     def task_list(src, listed):
-        if interpreter != "chain" or not listed:
+        if not chained_loops or not listed:
             for head in listed:
                 yield from task(src, *head)
                 note("task", src, engine.now)
@@ -376,12 +503,14 @@ def _run_scenario(
             load(op, *head)
             return True
 
+        if native:
+            claim = ("list", own_table, listed)
         op = FusedOp(trace, src, chain=net._chain(()), claim=claim)
         chained.append(op)
         yield from op
 
     def task(src, tid, gets, kernel, accumulates):
-        if interpreter == "chain":
+        if chained_loops:
             steps = _task_steps(net, gets, accumulates)
             op = FusedOp(
                 trace,
@@ -403,7 +532,7 @@ def _run_scenario(
             yield from net.accumulate_traced(src, dst, nbytes, trace, COMM)
 
     def rank(src, plan):
-        for tid, (kind, *args) in enumerate(plan):
+        for pos, (kind, *args) in enumerate(plan):
             if kind == "fetch_add":
                 dst, amount = args
                 old = yield from net.fetch_add_traced(src, dst, cell, amount, trace, OVERHEAD)
@@ -413,25 +542,26 @@ def _run_scenario(
                 yield from net.rma_traced(src, dst, nbytes, trace, COMM)
                 note("rma", src, engine.now)
             elif kind == "task":
-                yield from task(src, 10 * src + tid, *args)
+                yield from task(src, 10 * src + pos, *args)
                 note("task", src, engine.now)
             elif kind == "claims":
                 yield from claims(src, *args)
-            elif kind == "drain":
-                (tasks,) = args
-                queues[src].extend(
-                    (1000 + 100 * src + 10 * tid + i, *spec) for i, spec in enumerate(tasks)
-                )
-                ran = yield from drain(src)
-                note("drained", src, ran, engine.now)
-            elif kind == "tasks":
-                (listed,) = args
-                yield from task_list(
-                    src, [(2000 + 100 * src + 10 * tid + i, *spec) for i, spec in enumerate(listed)]
-                )
-                note("listed", src, engine.now)
+            elif kind in _TID_BASE:
+                base = _TID_BASE[kind] + 100 * src + 10 * pos
+                items = [item(base + i) for i in range(len(args[0]))]
+                if kind == "queue":
+                    queues[src].extend(items)
+                elif kind == "drain":
+                    queues[src].extend(items)
+                    ran = yield from drain(src)
+                    note("drained", src, ran, engine.now)
+                else:
+                    yield from task_list(src, items)
+                    note("listed", src, engine.now)
             elif kind == "steal":
                 yield from steal(src, *args)
+            elif kind == "attempt":
+                yield from attempt(src, *args)
             else:
                 dst, nanoseconds = args
                 yield from hold(net.nics[dst], nanoseconds * 1.0e-9)
@@ -488,13 +618,15 @@ def _run_scenario(
         engine.run(until=horizon)
         log.append(("horizon", engine.now, engine._seq, *_pending_keys(engine)))
     engine.run()
+    if native and net_cancel is None:  # every loop ended: one fetch-add each past the last
+        assert tally.value == claim_cell.value
     log.append(
         ("end", engine.now, engine._seq, engine.events_dispatched, engine.ready_dispatched)
     )
     log.append(
         (
             [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in locks],
-            [list(queue) for queue in queues],
+            [[(t, *own[t]) if native else t for t in queue] for queue in queues],
             claim_cell.value,
         )
     )
@@ -523,18 +655,38 @@ def _entries(log, kind):
     return [entry for entry in log if isinstance(entry, tuple) and entry[0] == kind]
 
 
+def _without_claim_notes(log):
+    """``log`` less the ``claimed`` and ``task`` entries, and the clock
+    after each: what a claim made in Python notes and a claim source the
+    core reads cannot."""
+    kept, dropped = [], False
+    for entry in log:
+        if dropped and entry[0] == "at":  # the clock after a dropped note
+            dropped = False
+            continue
+        dropped = isinstance(entry, tuple) and entry[:1] in (("claimed",), ("task",))
+        if not dropped:
+            kept.append(entry)
+    return kept
+
+
 def _assert_interpreters_agree(*scenario, **kwargs):
     """The reference log of ``(Engine, "walk")``, after holding every
     compiled-engine interpreter to it: the generators to its
     ``timeout_allocs`` as well, the fused ones to one ``timeout_allocs``
-    of their own — a chained kernel counts as the ``Timeout`` it stands
-    for."""
+    of their own — a chained kernel or backoff counts as the ``Timeout``
+    it stands for — and the core's claim sources to all of it but what
+    claims in Python note."""
     reference = _run_scenario(Engine, *scenario, interpreter="walk", **kwargs)
     fused_timeouts = set()
     for engine_cls in FUSED_ENGINE_CLASSES:
         for interpreter in INTERPRETERS:
             log = _run_scenario(engine_cls, *scenario, interpreter=interpreter, **kwargs)
-            assert log[:-1] == reference[:-1], (engine_cls.__name__, interpreter)
+            if interpreter == "native":
+                expected = _without_claim_notes(reference[:-1])
+                assert _without_claim_notes(log[:-1]) == expected, engine_cls.__name__
+            else:
+                assert log[:-1] == reference[:-1], (engine_cls.__name__, interpreter)
             if interpreter == "walk":
                 assert log[-1] == reference[-1], engine_cls.__name__
             else:
@@ -573,9 +725,10 @@ _NET_CANCEL = st.tuples(
 
 #: One task by rank 2 against rank 1's NIC, which rank 3 holds for the
 #: first 4 us: cancel ``(time, late)`` pairs that find the chained request
-#: in each state it passes through, as ``(phase, holding, queued, steps
-#: armed)``. LogGP defaults: o = 0.4 us, L = 1.5 us, the 64 KiB get
-#: occupies the NIC for 13.3072 us, the kernel runs 5 us.
+#: in each state it passes through, as ``(phase, holding, kept, queued at
+#: the NIC, queued for the lock, steps armed)``. LogGP defaults: o = 0.4
+#: us, L = 1.5 us, the 64 KiB get occupies the NIC for 13.3072 us, the
+#: kernel runs 5 us.
 _VICTIM_PLANS = [
     [],
     [],
@@ -583,14 +736,64 @@ _VICTIM_PLANS = [
     [("hold", 1, 4000)],
 ]
 _HELD_UNTIL = 4000 * 1.0e-9
+
+
+def _steal_victim_plans(queued):
+    """Rank 2's steal attempt on rank 1 (another node), halving its queue
+    of three, or finding it empty and backing off 8 us: rank 3 holds rank
+    1's NIC for the first 4 us, so the lock word's read queues there, and
+    rank 0 holds rank 1's lock for the first 8 us, so the attempt then
+    queues for the lock it keeps. The lock is granted at 8 us, the
+    metadata read holds the NIC at ~10 us, the decision at ~11.6 us takes
+    two tasks (or none, then the backoff), the descriptor read is back at
+    ~15.2 us, the unlock write done at ~18.8 us."""
+    spec = ([(1, 288)], 3.0e-6, [(1, 288)])
+    queue = [("queue", [spec] * 3)] if queued else []
+    return [[("steal", 1, 8000, 0)], queue, [("attempt", 1, "half", 8000)], [("hold", 1, 4000)]]
+
+
+_LOCK_HELD_UNTIL = 8000 * 1.0e-9
 _CANCEL_PHASES = {
-    "pre-delay": (2.0e-7, False, (0, False, False, 1)),
-    "queued": (2.5e-6, False, (1, False, True, 1)),
-    "granted-not-woken": (_HELD_UNTIL, True, (1, False, False, 1)),
-    "holding": (9.0e-6, False, (2, True, False, 1)),
-    "return-path": (1.8e-5, False, (3, False, False, 1)),
-    "inside-the-kernel": (2.1e-5, False, (4, False, False, 2)),
-    "between-two-steps": (2.4e-5, False, (0, False, False, 3)),
+    "pre-delay": (_VICTIM_PLANS, 2.0e-7, False, (0, False, False, False, False, 1)),
+    "queued": (_VICTIM_PLANS, 2.5e-6, False, (1, False, False, True, False, 1)),
+    "granted-not-woken": (
+        _VICTIM_PLANS, _HELD_UNTIL, True, (1, False, False, False, False, 1)
+    ),
+    "holding": (_VICTIM_PLANS, 9.0e-6, False, (2, True, False, False, False, 1)),
+    "return-path": (_VICTIM_PLANS, 1.8e-5, False, (3, False, False, False, False, 1)),
+    "inside-the-kernel": (
+        _VICTIM_PLANS, 2.1e-5, False, (4, False, False, False, False, 2)
+    ),
+    "between-two-steps": (
+        _VICTIM_PLANS, 2.4e-5, False, (0, False, False, False, False, 3)
+    ),
+    "steal-lock-word-pre-delay": (
+        _steal_victim_plans(True), 1.0e-6, False, (0, False, False, False, False, 1)
+    ),
+    "steal-lock-word-queued": (
+        _steal_victim_plans(True), 3.0e-6, False, (1, False, False, True, False, 1)
+    ),
+    "steal-queued-for-the-lock": (
+        _steal_victim_plans(True), 7.0e-6, False, (6, False, False, False, True, 2)
+    ),
+    "steal-lock-granted-not-woken": (
+        _steal_victim_plans(True), _LOCK_HELD_UNTIL, True, (6, False, False, False, False, 2)
+    ),
+    "steal-metadata-under-the-lock": (
+        _steal_victim_plans(True), 9.0e-6, False, (0, False, True, False, False, 3)
+    ),
+    "steal-metadata-holding-the-nic": (
+        _steal_victim_plans(True), 1.0e-5, False, (2, True, True, False, False, 3)
+    ),
+    "steal-descriptors-under-the-lock": (
+        _steal_victim_plans(True), 1.4e-5, False, (3, False, True, False, False, 1)
+    ),
+    "steal-unlock-write": (
+        _steal_victim_plans(True), 1.7e-5, False, (0, False, False, False, False, 3)
+    ),
+    "steal-backoff": (
+        _steal_victim_plans(False), 1.4e-5, False, (5, False, False, False, False, 2)
+    ),
 }
 
 #: A task a claim loop runs: (gets, kernel seconds, accumulates).
@@ -603,9 +806,12 @@ _LOOP_TASK = st.tuples(
 #: ``Harness.execute_tasks``: ranks' lists differ in length, some are
 #: empty, and their gets and accumulates contend for two home NICs.
 _LIST_OP = st.tuples(st.just("tasks"), st.lists(_LOOP_TASK, max_size=3))
+#: A steal policy of ``WorkStealing``.
+_POLICY = st.sampled_from(["one", "half", "half_cost"])
 #: A counter claim loop at home rank 0 or 1, a drain of the rank's own
-#: queue, a list, or a steal holding a victim's lock for some ns and
-#: taking up to two tasks from its tail under it.
+#: queue, a list, a steal holding a victim's lock for some ns and taking
+#: up to two tasks from its tail under it, tasks queued for thieves, or a
+#: steal attempt on a victim under a policy, with its backoff in ns.
 _LOOP_OP = st.one_of(
     st.tuples(st.just("claims"), st.integers(min_value=0, max_value=1)),
     _LIST_OP,
@@ -616,7 +822,20 @@ _LOOP_OP = st.one_of(
         st.sampled_from([100, 1500, 4000]),
         st.integers(min_value=0, max_value=2),
     ),
+    st.tuples(st.just("queue"), st.lists(_LOOP_TASK, min_size=1, max_size=4)),
+    st.tuples(
+        st.just("attempt"),
+        st.integers(min_value=0, max_value=3),
+        _POLICY,
+        st.sampled_from([1000, 8000]),
+    ),
 )
+
+#: Two queued tasks: a 3 us kernel on rank 1's blocks, and a 0.4 us one
+#: reading rank 0's.
+_SLOW = ([(1, 288)], 3.0e-6, [(1, 288)])
+_FAST = ([(0, 4096)], 4.0e-7, [(1, 4096)])
+
 
 def _thief_plans(take):
     """Rank 0 holds rank 1's NIC for 0.5 us, then drains two tasks; rank 1
@@ -625,6 +844,18 @@ def _thief_plans(take):
     tasks = [([(1, 288)], 3.0e-6, [(1, 288)]), ([(0, 4096)], 4.0e-7, [(1, 4096)])]
     return [[("hold", 1, 500), ("drain", tasks)], [("steal", 0, 2000, take)]]
 
+
+#: Rank 0 drains six tasks under its lock; ranks 1 (same node) and 2
+#: (the other node) try to steal from it at once, halving and taking one;
+#: rank 3 queues four tasks of its own and then steals half of what rank
+#: 0 has left; rank 1 then finds rank 2's queue empty and backs off 1 us,
+#: and rank 2 steals by half the cost from what rank 1 took.
+_STEAL_RACE_PLANS = [
+    [("drain", [_SLOW, _FAST] * 3)],
+    [("attempt", 0, "half", 1000), ("attempt", 2, "one", 1000)],
+    [("attempt", 0, "one", 1000), ("attempt", 1, "half_cost", 1000)],
+    [("queue", [_FAST, _SLOW, _FAST, _FAST]), ("attempt", 0, "half", 1000)],
+]
 
 _THIEF_UNTIL = 2000 * 1.0e-9
 #: Cancel ``(time, late)`` pairs that find the drain's pop step in each
@@ -663,28 +894,36 @@ class TestCrossEngineOrder:
     @pytest.mark.parametrize("horizons", [(), (1.0e-6, 1.0e-5, 2.2e-5)], ids=["drain", "staged"])
     @pytest.mark.parametrize("phase", _CANCEL_PHASES)
     def test_chain_cancelled_in_every_phase(self, phase, horizons):
-        """A cancel landing in each state of a chained request leaves what
-        the generators leave — also when the run is staged, so the step
-        pending at a horizon is flushed to the heap and re-entered."""
-        when, late, expected = _CANCEL_PHASES[phase]
+        """A cancel landing in each state of a chained request — a task's,
+        or a steal attempt's, the victim's lock kept or awaited included —
+        leaves what the generators leave, also when the run is staged, so
+        the step pending at a horizon is flushed to the heap and
+        re-entered."""
+        plans, when, late, expected = _CANCEL_PHASES[phase]
         seen = []
 
         def probe(ops):
             (op,) = ops
-            seen.append((op.phase, op.holding, op in op.chain[1][1]._queue, op.pos))
+            lock = op.steal[0] if op.steal is not None else None
+            nic = op.chain[1][1]
+            seen.append(
+                (op.phase, op.holding, op.kept, op in nic._queue,
+                 lock is not None and op in lock._queue, op.pos)
+            )  # fmt: skip
 
-        scenario = ([[1.0e-6]], list(horizons), False, _VICTIM_PLANS, (2, when))
+        scenario = ([[1.0e-6]], list(horizons), False, plans, (2, when))
         reference = _assert_interpreters_agree(*scenario, late_cancel=late)
         for engine_cls in FUSED_ENGINE_CLASSES:
             _run_scenario(
                 engine_cls, *scenario, interpreter="chain", late_cancel=late, probe=probe
             )
         assert seen == [expected] * len(FUSED_ENGINE_CLASSES)
-        # The victim never finished its task; rank 3 still got its hold,
-        # and rank 1's NIC came back whoever held or awaited it.
-        assert not any(entry[0] == "task" for entry in reference if isinstance(entry, tuple))
+        # The victim never finished its task or attempt; rank 3 still got
+        # its hold, and rank 1's NIC and lock came back whoever held or
+        # awaited them.
+        assert not _entries(reference, "task") and not _entries(reference, "attempted")
         assert ("nic-held", 3, _HELD_UNTIL) in reference
-        assert reference[-3][1][0] == 0
+        assert reference[-3][1][0] == 0 and reference[-4][0][1][0] == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -699,8 +938,9 @@ class TestCrossEngineOrder:
         self, net_plans, claimable, net_cancel, late_cancel
     ):
         """A claim loop chained into one request dispatches as its
-        generator: counter claims against contended home NICs, drains
-        racing steals for the same locks, cancels anywhere in either."""
+        generator, its claims made in Python or read by the core:
+        counter claims against contended home NICs, drains racing steals
+        and steal attempts for the same locks, cancels anywhere in any."""
         _assert_interpreters_agree(
             [[1.0e-6]], [], False, net_plans, net_cancel,
             late_cancel=late_cancel, claimable=claimable,
@@ -760,6 +1000,27 @@ class TestCrossEngineOrder:
         ((_, rank, ran, _),) = _entries(log, "drained")
         assert (rank, ran) == (0, pops if take == 0 else 0)
         assert ("stole", 1, 0, 0 if take == 0 else 2, _THIEF_UNTIL) in log
+
+    def test_steal_attempts_race_a_drain_for_its_lock(self):
+        """Each steal attempt is one request that dispatches as its
+        generators: two thieves queue for the lock of a victim draining
+        under it, and every decision — half, one, half the cost, and an
+        empty victim's, whose backoff sleep ends the request — moves its
+        tasks from the victim's tail to the thief's, in order."""
+        log = _assert_interpreters_agree([[1.0e-6]], [], False, _STEAL_RACE_PLANS)
+        decided = [entry[1:] for entry in _entries(log, "decided")]
+        assert decided == [(1, 0, 3), (2, 0, 1), (1, 2, 0), (3, 0, 1), (2, 1, 2)]
+        assert [entry[1:4] for entry in _entries(log, "attempted")] == [
+            (1, 0, 3), (1, 2, 0), (2, 0, 1), (3, 0, 1), (2, 1, 2)
+        ]  # fmt: skip
+        ((_, rank, ran, _),) = _entries(log, "drained")
+        assert (rank, ran) == (0, 1)  # the thieves took the other five
+        locks, queues, _ = log[-4]
+        assert locks[0] == (0, 5, 2, 0)  # a pop, four attempts; two waited
+        assert [[task[0] for task in queue] for queue in queues] == [
+            [], [1003], [1002, 1004, 1005], [3300, 3301, 3302, 3303, 1001]
+        ]  # fmt: skip
+        assert log[-2][2][IDLE][1] == pytest.approx(1.0e-6)  # the backoff
 
     @pytest.mark.parametrize("phase", _DRAIN_CANCEL_PHASES)
     def test_drain_closed_waiting_for_or_holding_its_lock(self, phase):
