@@ -140,6 +140,33 @@ CASES = {
         "machine": {"n_ranks": 32, "cores_per_node": 8, "slow_ranks": 3, "slow_factor": 0.6},
         "seed": 9,
     },
+    # Whole-SCF runs (ScfSimulation): several Fock builds in one engine
+    # with the allreduce, broadcast and barrier between them. Persistence
+    # plans iteration i + 1 from iteration i's measured durations (its
+    # first iteration is static_block); counter claims chunks; stealing
+    # runs one token ring per iteration on a two-tier machine.
+    "scf_persistence_variability_p16": {
+        "scf_mode": "persistence",
+        "graph": {"n_tasks": 700, "n_blocks": 12, "seed": 21, "skew": 1.2},
+        "machine": {"n_ranks": 16, "slow_ranks": 3, "slow_factor": 0.5},
+        "seed": 2,
+        "n_iterations": 3,
+    },
+    "scf_counter_chunk4_p16": {
+        "scf_mode": "counter",
+        "options": {"chunk": 4},
+        "graph": {"n_tasks": 700, "n_blocks": 12, "seed": 21, "skew": 1.2},
+        "machine": {"n_ranks": 16},
+        "seed": 1,
+        "n_iterations": 3,
+    },
+    "scf_work_stealing_hier_p32": {
+        "scf_mode": "work_stealing",
+        "graph": {"n_tasks": 900, "n_blocks": 12, "seed": 23, "skew": 1.0},
+        "machine": {"n_ranks": 32, "cores_per_node": 8},
+        "seed": 4,
+        "n_iterations": 3,
+    },
 }
 
 
@@ -147,6 +174,8 @@ def run_case(case: dict) -> dict:
     """Execute one pinned run and return its digest record."""
     from repro.exec_models import make_model
 
+    if "scf_mode" in case:
+        return run_scf_case(case)
     graph = _build_graph(case["graph"])
     machine = _build_machine(case["machine"])
     result = make_model(case["model"]).run(
@@ -175,6 +204,25 @@ def run_case(case: dict) -> dict:
         record["intervals"] = hashlib.sha256(payload).hexdigest()[:20]
         record["n_intervals"] = len(result.intervals)
     return record
+
+
+def run_scf_case(case: dict) -> dict:
+    """Execute one pinned whole-SCF run and return its digest record."""
+    from repro.exec_models import ScfSimulation
+
+    result = ScfSimulation(case["scf_mode"], **case.get("options", {})).run(
+        _build_graph(case["graph"]),
+        _build_machine(case["machine"]),
+        n_iterations=case["n_iterations"],
+        seed=case["seed"],
+    )
+    return {
+        "total_time": result.total_time.hex(),
+        "iteration_times": _sha(result.iteration_times),
+        "assignments": _sha(np.array(result.assignments)),
+        "compute_seconds": _sha(result.compute_seconds),
+        "counters": {k: repr(v) for k, v in sorted(result.counters.items())},
+    }
 
 
 @pytest.fixture(scope="module")
