@@ -68,8 +68,10 @@ class SweepCell:
             variability).
         seed: the cell's own seed (already derived; the runner does not
             re-derive).
-        faults: optional fault plan (``kind="model"`` only).
-        trace_intervals: keep raw trace intervals (timeline rendering).
+        faults: optional fault plan (``kind="model"`` only; another kind
+            refuses a non-empty plan).
+        trace_intervals: keep raw trace intervals (timeline rendering;
+            ``kind="model"`` only).
         kind: one of :data:`CELL_KINDS`.
         options: extra model/simulation options as a sorted tuple of
             ``(name, value)`` pairs — tuple, not dict, so the cell stays
@@ -91,6 +93,14 @@ class SweepCell:
         if self.kind not in CELL_KINDS:
             raise ConfigurationError(
                 f"cell kind must be one of {CELL_KINDS}, got {self.kind!r}"
+            )
+        # execute_cell runs only a model cell with these two; on another
+        # kind they would enter the cache key and change nothing.
+        if self.kind != "model" and (
+            self.trace_intervals or (self.faults is not None and not self.faults.empty)
+        ):
+            raise ConfigurationError(
+                f"a {self.kind!r} cell takes no fault plan and no trace_intervals"
             )
         if self.options != tuple(sorted(self.options)):
             object.__setattr__(self, "options", tuple(sorted(self.options)))

@@ -34,20 +34,15 @@ OPTION_ALIASES: dict[str, str] = {
     "chunk": "chunk",
     "chunk_size": "chunk",
     "order": "order",
-    "claim_order": "order",
     "home_rank": "home_rank",
     "steal": "steal",
     "steal_policy": "steal",
-    "steal_amount": "steal",
     "victim": "victim",
-    "victim_policy": "victim",
     "initial": "initial",
-    "initial_distribution": "initial",
     "min_backoff": "min_backoff",
     "max_backoff": "max_backoff",
     "park_after": "park_after",
     "partition": "partition",
-    "partition_policy": "partition",
     "balancer": "balancer",
     "name": "name",
     "retry": "retry",

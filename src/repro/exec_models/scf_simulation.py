@@ -3,9 +3,10 @@
 The single-shot harness answers "how long does one Fock build take?";
 real SCF interleaves Fock builds with machine-wide synchronization
 (Fock reduction, density broadcast, convergence check). This module
-simulates ``n_iterations`` of that loop inside **one** engine, so
-iteration-boundary costs and cross-iteration adaptation (persistence)
-are modeled faithfully:
+simulates ``n_iterations`` of that loop inside **one** run of the
+:class:`~repro.exec_models.base.Harness` (the engine, task protocol and
+claim loops of the single-shot models), so iteration-boundary costs and
+cross-iteration adaptation (persistence) are modeled faithfully:
 
     per iteration:  claim & execute tasks (per the chosen discipline)
                     -> allreduce(Fock bytes)     (binomial reduce+bcast)
@@ -29,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.chemistry.tasks import TaskGraph, TaskSpec
+from repro.chemistry.tasks import TaskGraph
 from repro.exec_models.base import Harness, take_fields
 from repro.exec_models.persistence import persistence_assignment
 from repro.exec_models.static_ import block_assignment, cyclic_assignment
@@ -37,11 +38,9 @@ from repro.exec_models.termination import TokenRing
 from repro.runtime.collectives import allreduce, barrier, broadcast
 from repro.runtime.comm import RankContext
 from repro.runtime.counter import GlobalCounter
-from repro.runtime.garrays import BlockDistribution, GlobalBlockedMatrix
-from repro.runtime.trace import COMPUTE, TraceRecorder
-from repro.simulate.engine import Engine, Resource
+from repro.runtime.trace import COMPUTE
+from repro.simulate.engine import Resource
 from repro.simulate.machine import MachineSpec
-from repro.simulate.network import Network
 from repro.util import (
     ConfigurationError,
     SchedulingError,
@@ -117,7 +116,8 @@ class ScfSimulation:
         **options: discipline knobs in the same spellings
             :func:`~repro.exec_models.registry.make_model` accepts
             (``chunk``/``chunk_size`` for ``counter`` mode,
-            ``steal``/``steal_policy`` for ``work_stealing`` mode).
+            ``steal``/``steal_policy`` for ``work_stealing`` mode); an
+            option the mode does not use is refused.
     """
 
     def __init__(self, mode: str = "work_stealing", **options) -> None:
@@ -126,14 +126,11 @@ class ScfSimulation:
         if mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
         normalized = normalize_model_options(options)
-        chunk = normalized.pop("chunk", 1)
-        steal = normalized.pop("steal", "half")
-        if normalized:
-            raise ConfigurationError(
-                f"ScfSimulation({mode!r}) does not accept options "
-                f"{sorted(normalized)}"
-            )
-        self.chunk = check_integer("chunk", chunk, 1)
+        refused = sorted(set(normalized) - {_MODE_OPTIONS.get(mode)})
+        if refused:
+            raise ConfigurationError(f"ScfSimulation({mode!r}) does not accept options {refused}")
+        self.chunk = check_integer("chunk", normalized.get("chunk", 1), 1)
+        steal = normalized.get("steal", "half")
         if steal not in ("half", "one"):
             raise ConfigurationError(f"steal must be 'half' or 'one', got {steal!r}")
         self.mode = mode
@@ -150,79 +147,42 @@ class ScfSimulation:
         check_positive("n_iterations", n_iterations)
         n_ranks = machine.n_ranks
         n_tasks = graph.n_tasks
-        engine = Engine()
-        node_of = machine.node_of if machine.cores_per_node is not None else None
-        network = Network(engine, machine.network, n_ranks, node_of)
-        trace = TraceRecorder(n_ranks)
-        dist = BlockDistribution(graph.blocks.n_blocks, n_ranks)
-        density_ga = GlobalBlockedMatrix("D", graph.blocks, dist)
-        fock_ga = GlobalBlockedMatrix("F", graph.blocks, dist)
+        harness = Harness(graph, machine, seed=seed)
+        harness.counters.update(steals=0.0, claims=0.0, token_hops=0.0)
+        state = _IterationState(self.mode, harness)
+        nxtval = [GlobalCounter(0) for _ in range(n_iterations)]  # counter mode's NXTVAL
         matrix_bytes = graph.blocks.n_basis**2 * 8
-
-        executed = np.zeros((n_iterations, n_tasks), dtype=np.int64)
-        assignments = [np.full(n_tasks, -1, dtype=np.int64) for _ in range(n_iterations)]
-        durations = [np.zeros(n_tasks) for _ in range(n_iterations)]
         iteration_marks: list[float] = []
-        counters: dict[str, float] = {"steals": 0.0, "claims": 0.0, "token_hops": 0.0}
 
-        state = _IterationState(
-            graph=graph,
-            machine=machine,
-            n_iterations=n_iterations,
-            seed=seed,
-            executed=executed,
-            assignments=assignments,
-            durations=durations,
-            counters=counters,
-        )
-        state.prepare(self.mode, self.chunk, n_ranks)
-
-        def execute(ctx: RankContext, task: TaskSpec, iteration: int):
-            for ref in task.reads:
-                yield from density_ga.get(ctx, ref)
-            start = ctx.now
-            yield from ctx.compute(task.flops)
-            durations[iteration][task.tid] = ctx.now - start
-            for ref in task.writes:
-                yield from fock_ga.accumulate(ctx, ref)
-            executed[iteration, task.tid] += 1
-            assignments[iteration][task.tid] = ctx.rank
-
-        def rank_process(rank: int):
-            ctx = RankContext(rank, engine, network, machine, trace)
+        def rank_process(harness: Harness, ctx: RankContext):
             for iteration in range(n_iterations):
-                if self.mode in ("static_block", "static_cyclic", "persistence"):
-                    for tid in state.schedule(iteration)[rank]:
-                        yield from execute(ctx, graph.tasks[tid], iteration)
-                elif self.mode == "counter":
-                    counter = state.counter(iteration)
+                if self.mode == "counter":
                     while True:
-                        first = yield from counter.next(ctx, self.chunk)
-                        counters["claims"] += 1.0
+                        first = yield from nxtval[iteration].next(ctx, self.chunk)
+                        harness.counters["claims"] += 1.0
                         if first >= n_tasks:
                             break
-                        for tid in range(first, min(first + self.chunk, n_tasks)):
-                            yield from execute(ctx, graph.tasks[tid], iteration)
+                        chunk = range(first, min(first + self.chunk, n_tasks))
+                        yield from harness.execute_tasks(ctx, chunk)
+                elif self.mode == "work_stealing":
+                    yield from self._steal_iteration(harness, ctx, state, iteration)
                 else:
-                    yield from self._steal_iteration(
-                        ctx, state, iteration, execute, counters
-                    )
+                    yield from harness.execute_tasks(ctx, state.schedule(iteration)[ctx.rank])
                 # Iteration boundary: Fock reduction, density broadcast,
                 # convergence barrier.
                 yield from allreduce(ctx, n_ranks, matrix_bytes, epoch=3 * iteration)
                 yield from broadcast(ctx, n_ranks, matrix_bytes, epoch=3 * iteration + 1)
                 yield from barrier(ctx, n_ranks, epoch=3 * iteration + 2)
-                if rank == 0:
-                    iteration_marks.append(engine.now)
+                if ctx.rank == 0:
+                    iteration_marks.append(ctx.now)
 
-        for rank in range(n_ranks):
-            engine.process(rank_process(rank), name=f"scf-rank{rank}")
-        total = engine.run()
-
-        if not np.all(executed == 1):
-            bad = np.argwhere(executed != 1)[:5]
+        harness.spawn_ranks(rank_process)
+        total = harness.engine.run()
+        assignments = [state.records(iteration)[0] for iteration in range(n_iterations)]
+        if len(harness.trace.task_ids) != n_iterations * n_tasks:
             raise SchedulingError(
-                f"iterative run broke exactly-once execution at (iter, tid) {bad.tolist()}"
+                f"iterative run recorded {len(harness.trace.task_ids)} tasks, "
+                f"not {n_iterations} x {n_tasks}"
             )
         marks = np.array(iteration_marks)
         iteration_times = np.diff(np.concatenate([[0.0], marks]))
@@ -233,23 +193,28 @@ class ScfSimulation:
             total_time=total,
             iteration_times=iteration_times,
             assignments=assignments,
-            compute_seconds=trace.total(COMPUTE),
-            counters=dict(counters),
+            compute_seconds=harness.trace.total(COMPUTE),
+            counters=dict(harness.counters),
         )
 
     # ------------------------------------------------------------------
-    def _steal_iteration(self, ctx, state: "_IterationState", iteration, execute, counters):
+    def _steal_iteration(
+        self, harness: Harness, ctx: RankContext, state: _IterationState, iteration: int
+    ):
         """One iteration of poll-based work stealing with an epoch ring."""
-        graph = state.graph
-        n_ranks = state.machine.n_ranks
-        queues = state.steal_queues(iteration)
-        locks = state.steal_locks(iteration)
-        ring = state.ring(iteration)
+        n_ranks = harness.n_ranks
+        counters = harness.counters
+        queues, locks, ring = state.stealing(iteration)
         queue = queues[ctx.rank]
-        rng = spawn_rng(derive_seed(state.seed, "scfsim", iteration, ctx.rank))
+        rng = spawn_rng(derive_seed(harness.seed, "scfsim", iteration, ctx.rank))
         backoff = 1.0e-6
 
         while True:
+            # Drain the local queue: one request when the engine walks
+            # the drain, which leaves the queue empty; else the loop.
+            drain = harness.local_drain(ctx, queue, locks) if queue else None
+            if drain is not None and (yield from drain):
+                backoff = 1.0e-6
             while queue:
                 yield locks[ctx.rank].acquire()
                 try:
@@ -259,7 +224,7 @@ class ScfSimulation:
                     locks[ctx.rank].release()
                 if tid is None:
                     break
-                yield from execute(ctx, graph.tasks[tid], iteration)
+                yield from harness.execute_task(ctx, harness.graph.tasks[tid])
                 backoff = 1.0e-6
             if n_ranks == 1:
                 return
@@ -271,7 +236,7 @@ class ScfSimulation:
             message = ctx.try_recv(ring.token_tag)
             if message is not None:
                 declared = yield from ring.handle_token(ctx, message.payload)
-                counters["token_hops"] = counters.get("token_hops", 0.0) + 1.0
+                counters["token_hops"] += 1.0
                 if declared:
                     return
             yield from ring.maybe_launch(ctx)
@@ -286,6 +251,9 @@ class ScfSimulation:
                 backoff = min(backoff * 2.0, 8.0e-6)
 
     def _attempt_steal(self, ctx, queues, locks, ring, victim, counters):
+        # Not WorkStealing._attempt_steal nor Harness.steal_attempt: both
+        # move the loot to the thief's queue *before* the unlock put, and
+        # this one after it, so sharing either would change E13.
         yield from ctx.protocol_get(victim, 8)
         yield locks[victim].acquire()
         try:
@@ -302,88 +270,84 @@ class ScfSimulation:
         loot.reverse()
         queues[ctx.rank].extend(loot)
         ring.mark_dirty(ctx.rank)
-        counters["steals"] = counters.get("steals", 0.0) + 1.0
+        counters["steals"] += 1.0
         return k
 
 
+#: The one option each mode uses, if any.
+_MODE_OPTIONS = {"counter": "chunk", "work_stealing": "steal"}
+
+
 class _IterationState:
-    """Lazily-built per-iteration scheduling state.
+    """Lazily built per-iteration scheduling state of one run.
 
     Iteration boundaries are global sync points, so by the time any rank
-    asks for iteration *i*'s schedule, iteration *i-1*'s measurements are
-    complete — lazy construction is race-free inside the deterministic
-    simulation.
+    asks for iteration *i*'s state, every task of iteration *i-1* has run
+    and no task of iteration *i* has: the trace's task columns hold
+    exactly the records of iterations ``0 .. i-1``, one slice of
+    ``n_tasks`` each, and lazy construction is race-free inside the
+    deterministic simulation.
     """
 
-    def __init__(self, graph, machine, n_iterations, seed, executed, assignments, durations, counters):
-        self.graph = graph
-        self.machine = machine
-        self.n_iterations = n_iterations
-        self.seed = seed
-        self.executed = executed
-        self.assignments = assignments
-        self.durations = durations
-        self.counters = counters
+    def __init__(self, mode: str, harness: Harness) -> None:
+        self.mode = mode
+        self.harness = harness
         self._schedules: dict[int, list[list[int]]] = {}
-        self._counters: dict[int, GlobalCounter] = {}
-        self._queues: dict[int, list[deque[int]]] = {}
-        self._locks: dict[int, list[Resource]] = {}
-        self._rings: dict[int, TokenRing] = {}
-        self._mode = "static_block"
-        self._chunk = 1
-        self._n_ranks = machine.n_ranks
+        self._stealing: dict[int, tuple[list[deque[int]], list[Resource], TokenRing]] = {}
 
-    def prepare(self, mode: str, chunk: int, n_ranks: int) -> None:
-        self._mode = mode
-        self._chunk = chunk
-        self._n_ranks = n_ranks
+    def records(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        """Iteration ``iteration``'s ``(assignment, durations)``: the rank
+        and kernel seconds of each task, read from its slice of the
+        trace's task columns.
 
-    def _assignment_to_lists(self, assignment: np.ndarray) -> list[list[int]]:
-        lists: list[list[int]] = [[] for _ in range(self._n_ranks)]
-        for tid, rank in enumerate(assignment):
-            lists[rank].append(tid)
-        return lists
+        Raises:
+            SchedulingError: unless every task ran exactly once in it.
+        """
+        trace = self.harness.trace
+        n_tasks = self.harness.graph.n_tasks
+        window = slice(iteration * n_tasks, (iteration + 1) * n_tasks)
+        tids = np.array(trace.task_ids[window], dtype=np.int64)
+        counts = np.bincount(tids, minlength=n_tasks)
+        if tids.size != n_tasks or np.any(counts != 1):
+            bad = np.flatnonzero(counts != 1)[:5]
+            raise SchedulingError(
+                f"iterative run broke exactly-once execution in iteration {iteration} "
+                f"at tids {bad.tolist()}"
+            )
+        assignment = np.empty(n_tasks, dtype=np.int64)
+        assignment[tids] = trace.task_ranks[window]
+        durations = np.empty(n_tasks)
+        durations[tids] = np.subtract(trace.task_ends[window], trace.task_starts[window])
+        return assignment, durations
 
     def schedule(self, iteration: int) -> list[list[int]]:
-        cached = self._schedules.get(iteration)
-        if cached is not None:
-            return cached
-        n_tasks = self.graph.n_tasks
-        if self._mode == "static_cyclic":
-            assignment = cyclic_assignment(n_tasks, self._n_ranks)
-        elif self._mode == "static_block" or iteration == 0:
-            assignment = block_assignment(n_tasks, self._n_ranks)
-        else:
-            # Persistence: capacity-aware LPT on last iteration's
-            # measurements.
-            prev = iteration - 1
-            assignment = persistence_assignment(
-                self.assignments[prev], self.durations[prev], self.graph.costs, self._n_ranks
-            )
-        lists = self._assignment_to_lists(assignment)
-        self._schedules[iteration] = lists
-        return lists
+        """Each rank's task list for ``iteration`` (static modes and
+        persistence, which plans from iteration *i-1*'s records)."""
+        if iteration not in self._schedules:
+            graph, n_ranks = self.harness.graph, self.harness.n_ranks
+            if self.mode == "static_cyclic":
+                assignment = cyclic_assignment(graph.n_tasks, n_ranks)
+            elif self.mode == "static_block" or iteration == 0:
+                assignment = block_assignment(graph.n_tasks, n_ranks)
+            else:
+                # Persistence: capacity-aware LPT on last iteration's
+                # measurements.
+                previous = self.records(iteration - 1)
+                assignment = persistence_assignment(*previous, graph.costs, n_ranks)
+            lists: list[list[int]] = [[] for _ in range(n_ranks)]
+            for tid, rank in enumerate(assignment.tolist()):
+                lists[rank].append(tid)
+            self._schedules[iteration] = lists
+        return self._schedules[iteration]
 
-    def counter(self, iteration: int) -> GlobalCounter:
-        if iteration not in self._counters:
-            self._counters[iteration] = GlobalCounter(0)
-        return self._counters[iteration]
-
-    def steal_queues(self, iteration: int) -> list[deque[int]]:
-        if iteration not in self._queues:
-            assignment = block_assignment(self.graph.n_tasks, self._n_ranks)
-            queues: list[deque[int]] = [deque() for _ in range(self._n_ranks)]
-            for tid, rank in enumerate(assignment):
+    def stealing(self, iteration: int) -> tuple[list[deque[int]], list[Resource], TokenRing]:
+        """``iteration``'s block-distributed task queues, their locks and
+        its termination ring."""
+        if iteration not in self._stealing:
+            n_ranks = self.harness.n_ranks
+            queues: list[deque[int]] = [deque() for _ in range(n_ranks)]
+            for tid, rank in enumerate(block_assignment(self.harness.graph.n_tasks, n_ranks)):
                 queues[rank].append(tid)
-            self._queues[iteration] = queues
-        return self._queues[iteration]
-
-    def steal_locks(self, iteration: int) -> list[Resource]:
-        if iteration not in self._locks:
-            self._locks[iteration] = [Resource(1) for _ in range(self._n_ranks)]
-        return self._locks[iteration]
-
-    def ring(self, iteration: int) -> TokenRing:
-        if iteration not in self._rings:
-            self._rings[iteration] = TokenRing(self._n_ranks, epoch=iteration)
-        return self._rings[iteration]
+            locks = [Resource(1) for _ in range(n_ranks)]
+            self._stealing[iteration] = (queues, locks, TokenRing(n_ranks, epoch=iteration))
+        return self._stealing[iteration]

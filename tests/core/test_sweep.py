@@ -14,7 +14,7 @@ from repro.core import (
     run_study,
     study_cells,
 )
-from repro.faults import RetryPolicy
+from repro.faults import FaultPlan, RankCrash, RetryPolicy
 from repro.parallel import fork_available
 from repro.simulate import commodity_cluster
 from repro.util import ConfigurationError
@@ -40,6 +40,38 @@ class TestSweepCell:
                 machine=commodity_cluster(4),
                 kind="nope",
             )
+
+    @pytest.mark.parametrize("kind", ["scf_sim", "persistence"])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"faults": FaultPlan(crashes=(RankCrash(1, 0.001),))},
+            {"trace_intervals": True},
+        ],
+        ids=["faults", "trace_intervals"],
+    )
+    def test_a_setting_only_models_run_is_refused(self, synthetic_graph, kind, setting):
+        # execute_cell would drop it, yet it would enter the cache key:
+        # a "faulty" cell would cache a fault-free result.
+        with pytest.raises(ConfigurationError, match="no fault plan and no trace_intervals"):
+            SweepCell(
+                model="counter",
+                graph=synthetic_graph,
+                machine=commodity_cluster(4),
+                kind=kind,
+                **setting,
+            )
+
+    @pytest.mark.parametrize("kind", ["scf_sim", "persistence"])
+    def test_an_empty_fault_plan_is_inert(self, synthetic_graph, kind):
+        cell = SweepCell(
+            model="counter",
+            graph=synthetic_graph,
+            machine=commodity_cluster(4),
+            kind=kind,
+            faults=FaultPlan(),
+        )
+        assert cell.faults.empty
 
     def test_label(self, synthetic_graph):
         cell = SweepCell(

@@ -1,6 +1,8 @@
 """Integer model options are integers: a float, a bool or a string is
 refused at construction instead of being truncated by ``int()``."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ SITES = [
     pytest.param(CounterDynamic, "chunk", 1, id="counter_dynamic-chunk"),
     pytest.param(CounterDynamic, "home_rank", 0, id="counter_dynamic-home_rank"),
     pytest.param(CounterPerNode, "chunk", 1, id="counter_per_node-chunk"),
-    pytest.param(ScfSimulation, "chunk", 1, id="scf_simulation-chunk"),
+    pytest.param(partial(ScfSimulation, "counter"), "chunk", 1, id="scf_simulation-chunk"),
     pytest.param(WorkStealing, "park_after", 1, id="work_stealing-park_after"),
 ]
 

@@ -102,6 +102,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ScfSimulation("work_stealing", steal="all")
 
+    @pytest.mark.parametrize("mode", [m for m in ALL_MODES if m != "counter"])
+    @pytest.mark.parametrize("spelling", ["chunk", "chunk_size"])
+    def test_chunk_outside_counter_rejected(self, mode, spelling):
+        with pytest.raises(ConfigurationError, match="does not accept options .'chunk'."):
+            ScfSimulation(mode, **{spelling: 4})
+
+    @pytest.mark.parametrize("mode", [m for m in ALL_MODES if m != "work_stealing"])
+    @pytest.mark.parametrize("spelling", ["steal", "steal_policy"])
+    def test_steal_outside_work_stealing_rejected(self, mode, spelling):
+        with pytest.raises(ConfigurationError, match="does not accept options .'steal'."):
+            ScfSimulation(mode, **{spelling: "one"})
+
+    def test_each_mode_takes_its_own_option(self):
+        assert ScfSimulation("counter", chunk=4).chunk == 4
+        assert ScfSimulation("work_stealing", steal="one").steal == "one"
+
     def test_bad_iterations_rejected(self, graph, machine):
         with pytest.raises(ValueError):
             ScfSimulation("counter").run(graph, machine, n_iterations=0)
