@@ -62,10 +62,14 @@ def _build_machine(spec: dict):
 def _build_faults(spec: dict | None):
     if spec is None:
         return None
-    from repro.faults import FaultPlan, RankCrash
+    from repro.faults import FaultPlan, MessageFaults, RankCrash, StallWindow
 
+    message_faults = spec.get("message_faults")
     return FaultPlan(
         crashes=tuple(RankCrash(r, t) for r, t in spec["crashes"]),
+        stalls=tuple(StallWindow(r, start, end) for r, start, end in spec.get("stalls", ())),
+        message_faults=MessageFaults(**message_faults) if message_faults else None,
+        seed=spec.get("seed", 0),
     )
 
 
@@ -114,6 +118,27 @@ CASES = {
         "machine": {"n_ranks": 16},
         "seed": 2,
         "faults": {"crashes": [[3, 0.004]]},
+    },
+    # Every fault at once: a crash, a stall, and dropped and duplicated
+    # messages under a seeded plan, so parked ranks wake on the
+    # heartbeat, the token is regenerated and duplicate tokens circulate.
+    "ft_work_stealing_combined_p16": {
+        "model": "ft_work_stealing",
+        "graph": {"n_tasks": 700, "n_blocks": 12, "seed": 9, "skew": 1.0},
+        "machine": {"n_ranks": 16},
+        "seed": 2,
+        "faults": {
+            "crashes": [[5, 0.003]],
+            "stalls": [[9, 0.002, 0.004]],
+            "message_faults": {"drop": 0.02, "duplicate": 0.01},
+            "seed": 3,
+        },
+    },
+    "work_stealing_half_cost_p32": {
+        "model": "work_stealing_half_cost",
+        "graph": {"n_tasks": 1200, "n_blocks": 16, "seed": 7, "skew": 1.0},
+        "machine": {"n_ranks": 32},
+        "seed": 3,
     },
     "work_stealing_intervals_p16": {
         "model": "work_stealing",
@@ -165,6 +190,14 @@ CASES = {
         "graph": {"n_tasks": 900, "n_blocks": 12, "seed": 23, "skew": 1.0},
         "machine": {"n_ranks": 32, "cores_per_node": 8},
         "seed": 4,
+        "n_iterations": 3,
+    },
+    "scf_work_stealing_one_p16": {
+        "scf_mode": "work_stealing",
+        "options": {"steal": "one"},
+        "graph": {"n_tasks": 700, "n_blocks": 12, "seed": 21, "skew": 1.2},
+        "machine": {"n_ranks": 16},
+        "seed": 5,
         "n_iterations": 3,
     },
 }
