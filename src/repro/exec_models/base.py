@@ -19,6 +19,7 @@ model-specific counters, and network statistics.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -35,7 +36,7 @@ from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceReco
 from repro.simulate.engine import Process
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
-from repro.simulate.network import KEEP_LOCK, MOVE_TASKS, Network, SharedCell
+from repro.simulate.network import KEEP_LOCK, LAND_TASKS, MOVE_TASKS, Network, SharedCell
 from repro.util import ConfigurationError, SchedulingError, derive_seed
 
 
@@ -383,7 +384,9 @@ class Harness:
                 #: adds as it ends.
                 self._loop_claims = SharedCell()
                 #: Per victim: a steal attempt's head chain (lock-word
-                #: read, lock kept, metadata read) and its unlock write.
+                #: read, lock kept, metadata read) and its tail after the
+                #: move: the unlock write, then in the after-unlock order
+                #: the landing.
                 self._steal_steps: dict[int, tuple] = {}
                 self._steal_failed = self.network._chain((MOVE_TASKS, IDLE))
 
@@ -479,18 +482,19 @@ class Harness:
             self.trace, ctx.rank, counter=cell, amount=1, chain=fetch_add, end=1, claim=source
         )
 
-    def local_drain(self, ctx: RankContext, queue, locks: list):
-        """``work_stealing``'s local drain as one request, else None.
+    def local_drain(self, ctx: RankContext, queue, locks: list, run_task=None):
+        """``work_stealing``'s local drain, to drive with ``yield from``.
 
         Pop the head of ``queue`` holding ``locks[rank]`` for
         :attr:`LOCAL_QUEUE_OP`, run the task, repeat while the queue holds
-        tasks (the op's ``"drain"`` claim source); the result is how many
-        ran (0 when a thief emptied the queue under the lock). None as
-        for :meth:`claim_loop`; the generator is
-        ``WorkStealing._pop_local`` plus :meth:`execute_task`.
+        tasks; the result is how many ran (0 when a thief emptied the
+        queue under the lock). One request (the op's ``"drain"`` claim
+        source) when tasks run as chains (see :meth:`execute_task`) and no
+        ``run_task(tid)`` generator stands in for :meth:`execute_task`;
+        else :meth:`_walk_drain`, the reference.
         """
-        if self._chain is None:
-            return None
+        if self._chain is None or run_task is not None:
+            return self._walk_drain(ctx, queue, locks[ctx.rank], run_task)
         rank = ctx.rank
         program = ((), self.LOCAL_QUEUE_OP, ())
         pop = (((rank, (program, program, program), OVERHEAD),), locks, None)
@@ -498,7 +502,7 @@ class Harness:
         return self._op(self.trace, rank, chain=pop, end=1, claim=source)
 
     def steal_attempt(
-        self, ctx: RankContext, victim: int, locks: list, queues: list, take, backoff: float
+        self, ctx: RankContext, victim: int, locks, queues, take, backoff, after_unlock=False
     ):
         """One steal attempt on ``victim`` as one request, else None.
 
@@ -509,8 +513,11 @@ class Harness:
         ``k`` descriptors, move the tasks to the tail of the thief's own
         queue in order, release the lock and write the lock word back;
         for none: release the lock and sleep ``backoff`` (IDLE, the
-        ``Timeout`` the generator yields). The request returns ``k``.
-        None as for :meth:`claim_loop`; the generator is
+        ``Timeout`` the generator yields). With ``after_unlock`` the tasks
+        leave the victim's queue as the lock is released but reach the
+        thief's only once the lock word is written back: they wait in a
+        staging queue of the op's (``LAND_TASKS``). The request returns
+        ``k``. None as for :meth:`claim_loop`; the generator is
         ``WorkStealing._attempt_steal`` and the backoff sleep after it.
         """
         if self._chain is None:
@@ -524,14 +531,18 @@ class Harness:
                 programs = tuple(network._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
                 return (victim, programs, OVERHEAD)
 
-            lock_word = rma(self.LOCK_WORD_BYTES)
-            head = network._chain((lock_word, KEEP_LOCK, rma(self.QUEUE_META_BYTES)))
-            steps = self._steal_steps[victim] = (head, lock_word)
-        head, unlock = steps
+            unlock = rma(self.LOCK_WORD_BYTES)
+            head = network._chain((unlock, KEEP_LOCK, rma(self.QUEUE_META_BYTES)))
+            steps = self._steal_steps[victim] = (head, (unlock,), (unlock, LAND_TASKS))
+        head, before, after = steps
         stats.gets += 2
         stats.bytes_moved += self.LOCK_WORD_BYTES + self.QUEUE_META_BYTES
         stats.fused_ops += 2
         queue = queues[victim]
+        if after_unlock:
+            steal, tail = (locks[victim], queue, deque(), queues[ctx.rank]), after
+        else:
+            steal, tail = (locks[victim], queue, queues[ctx.rank]), before
 
         def decide(op) -> bool:
             k = take(queue)
@@ -547,14 +558,30 @@ class Harness:
             stats.puts += 1
             stats.bytes_moved += nbytes + self.LOCK_WORD_BYTES
             stats.fused_ops += 2
-            op.chain = network._chain(((victim, programs, OVERHEAD), MOVE_TASKS, unlock))
-            op.end = 3
+            op.chain = network._chain(((victim, programs, OVERHEAD), MOVE_TASKS) + tail)
+            op.end = 2 + len(tail)
             return True
 
-        return self._op(
-            self.trace, ctx.rank, chain=head, end=3, claim=decide,
-            steal=(locks[victim], queue, queues[ctx.rank]),
-        )  # fmt: skip
+        return self._op(self.trace, ctx.rank, chain=head, end=3, claim=decide, steal=steal)
+
+    def _walk_drain(self, ctx: RankContext, queue, lock, run_task):
+        """The local drain as a generator: the reference for the op."""
+        ran = 0
+        while queue:
+            yield lock.acquire()
+            try:
+                yield from ctx.overhead_delay(self.LOCAL_QUEUE_OP)
+                tid = queue.popleft() if queue else None
+            finally:
+                lock.release()
+            if tid is None:
+                break
+            if run_task is None:
+                yield from self.execute_task(ctx, self.graph.tasks[tid])
+            else:
+                yield from run_task(tid)
+            ran += 1
+        return ran
 
     def _walk_task(self, ctx: RankContext, task: TaskSpec):
         """The task protocol as a generator: the reference for the chain."""

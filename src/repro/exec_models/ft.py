@@ -23,19 +23,17 @@ armed, so zero-fault runs are bit-for-bit identical to the baseline.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.exec_models.base import Harness
 from repro.exec_models.static_ import StaticBlock
-from repro.exec_models.termination import (
-    TERMINATE_TAG,
-    TOKEN_TAG,
-    FaultTolerantTokenRing,
-)
+from repro.exec_models.termination import FaultTolerantTokenRing
 from repro.exec_models.work_stealing import WorkStealing
 from repro.faults import RetryPolicy, with_retries
 from repro.runtime.comm import RankContext
-from repro.util import RankFailedError, spawn_rng
+from repro.util import ConfigurationError, RankFailedError, check_positive, spawn_rng
 
 
 class FaultTolerantWorkStealing(WorkStealing):
@@ -58,8 +56,10 @@ class FaultTolerantWorkStealing(WorkStealing):
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
+        if retry is not None and not isinstance(retry, RetryPolicy):
+            raise ConfigurationError(f"retry must be a RetryPolicy, got {retry!r}")
         self.retry = retry if retry is not None else RetryPolicy(max_attempts=5)
-        self.token_timeout = float(token_timeout)
+        self.token_timeout = float(check_positive("token_timeout", token_timeout))
         self.name = "ft_work_stealing"
 
     # ------------------------------------------------------------------
@@ -95,26 +95,27 @@ class FaultTolerantWorkStealing(WorkStealing):
             harness.counters[key] = 0.0
 
     # ------------------------------------------------------------------
-    def _execute_with_replay(
-        self, harness: Harness, ctx: RankContext, tid: int, rng: np.random.Generator
-    ):
-        """Run one task, retrying through owner failures (generator)."""
-        detector = harness.detector
+    def _report(self, harness: Harness, rank: int) -> None:
+        """A contact with ``rank`` failed: report makes the death visible
+        everywhere; the data-failover hook then redirects a retry to the
+        replica holder."""
+        harness.detector.report(rank)
+        harness.counters["failed_contacts"] += 1.0
+
+    def _execute_with_replay(self, harness: Harness, ctx: RankContext, in_flight, rng, tid):
+        """Run one task, retrying through owner failures (generator). It is
+        in ``in_flight`` meanwhile, so a crash mid-task leaves a
+        replayable record."""
         task = harness.graph.tasks[tid]
-
-        def on_failure(rank: int) -> None:
-            # Report makes the death visible everywhere; the data-failover
-            # hook then redirects the retry to the replica holder.
-            detector.report(rank)
-            harness.counters["failed_contacts"] += 1.0
-
+        in_flight.append(tid)
         yield from with_retries(
             ctx,
             lambda: harness.execute_task(ctx, task),
             self.retry,
             rng,
-            on_failure=on_failure,
+            on_failure=partial(self._report, harness),
         )
+        in_flight.remove(tid)
 
     def _recover_orphans(self, harness: Harness, ctx: RankContext):
         """Adopt queued + in-flight tasks of newly suspected ranks.
@@ -156,103 +157,56 @@ class FaultTolerantWorkStealing(WorkStealing):
                 )
         return adopted
 
+    def _attempt_steal(self, harness: Harness, ctx: RankContext, victim: int, *args):
+        try:
+            return (yield from super()._attempt_steal(harness, ctx, victim, *args))
+        except RankFailedError as err:
+            # Victim died between selection and contact: the failed CAS
+            # is itself the detection.
+            self._report(harness, err.rank)
+            harness.counters["failed_steals"] += 1.0
+            return 0
+
     def _choose_live_victim(
         self, ctx: RankContext, detector, rng: np.random.Generator, scan: int
     ) -> int | None:
         """A victim not currently suspected dead (None if none exists)."""
         n = ctx.machine.n_ranks
         for offset in range(n):
-            victim = self._choose_victim(ctx, rng, scan + offset)
+            victim = self._choose_victim(ctx, rng, None, scan + offset)
             if not detector.is_suspected(victim):
                 return victim
         return None
+
+    def _regenerate(self, harness: Harness, ctx: RankContext, ring: FaultTolerantTokenRing):
+        """A parked rank's heartbeat passed with no message: a token or
+        terminate lost to message faults (or a dying holder) must not
+        strand it. Returns whether the run is over (generator)."""
+        if ring.terminated:
+            return True
+        yield from ring.maybe_regenerate(ctx)
+        harness.counters["token_regenerations"] = float(ring.regenerations)
+        harness.counters["token_hops"] = float(ring.hops)
+        return False
 
     # ------------------------------------------------------------------
     def rank_process(self, harness: Harness, ctx: RankContext):
         if harness.injector is None:
             # Zero-fault runs take the plain path, bit for bit.
-            yield from super().rank_process(harness, ctx)
-            return
-        queues = harness.model_state["queues"]
-        ring: FaultTolerantTokenRing = harness.model_state["ring"]
-        in_flight = harness.model_state["in_flight"]
-        detector = harness.detector
-        queue = queues[ctx.rank]
-        mine = in_flight[ctx.rank]
-        n_ranks = harness.n_ranks
+            return super().rank_process(harness, ctx)
+        state = harness.model_state
+        ring: FaultTolerantTokenRing = state["ring"]
         rng = spawn_rng(harness.rank_seed(ctx.rank, "steal"))
         retry_rng = spawn_rng(harness.rank_seed(ctx.rank, "retry"))
-        heartbeat = detector.detection_latency
-        backoff = self.min_backoff
-        scan = 0
-        consecutive_failures = 0
-
-        while True:
-            # Drain the local queue; track in-flight so a crash mid-task
-            # leaves a replayable record.
-            while queue:
-                tid = yield from self._pop_local(harness, ctx)
-                if tid is None:
-                    break
-                mine.append(tid)
-                yield from self._execute_with_replay(harness, ctx, tid, retry_rng)
-                mine.remove(tid)
-                backoff = self.min_backoff
-                consecutive_failures = 0
-
-            if n_ranks == 1:
-                return
-
-            # Adopt orphans of any newly suspected rank.
-            adopted = yield from self._recover_orphans(harness, ctx)
-            if adopted:
-                backoff = self.min_backoff
-                consecutive_failures = 0
-                continue
-
-            message = ctx.try_recv()
-            if message is None and consecutive_failures >= self.park_after:
-                # Park, but wake every heartbeat: a token or terminate
-                # lost to message faults (or a dying holder) must not
-                # strand a parked rank.
-                message = yield from ctx.recv(traced=False, timeout=heartbeat)
-                if message is None:
-                    if ring.terminated:
-                        return
-                    yield from ring.maybe_regenerate(ctx)
-                    harness.counters["token_regenerations"] = float(
-                        ring.regenerations
-                    )
-            if message is not None:
-                if message.tag == TERMINATE_TAG:
-                    return
-                if message.tag == TOKEN_TAG:
-                    declared = yield from ring.handle_token(ctx, message.payload)
-                    harness.counters["token_hops"] = float(ring.hops)
-                    if declared:
-                        return
-            yield from ring.maybe_launch(ctx)
-            harness.counters["token_hops"] = float(ring.hops)
-
-            victim = self._choose_live_victim(ctx, detector, rng, scan)
-            scan += 1
-            got = 0
-            if victim is not None:
-                try:
-                    got = yield from self._attempt_steal(harness, ctx, victim)
-                except RankFailedError as err:
-                    # Victim died between selection and contact: the
-                    # failed CAS is itself the detection.
-                    detector.report(err.rank)
-                    harness.counters["failed_contacts"] += 1.0
-                    harness.counters["failed_steals"] += 1.0
-            if got:
-                backoff = self.min_backoff
-                consecutive_failures = 0
-            else:
-                consecutive_failures += 1
-                yield from ctx.sleep(backoff)
-                backoff = min(backoff * 2.0, self.max_backoff)
+        in_flight = state["in_flight"][ctx.rank]
+        return self._steal_loop(
+            harness, ctx, state["queues"], state["locks"], ring,
+            partial(self._choose_live_victim, ctx, harness.detector, rng),
+            heartbeat=harness.detector.detection_latency,
+            on_silence=partial(self._regenerate, harness, ctx, ring),
+            run_task=partial(self._execute_with_replay, harness, ctx, in_flight, retry_rng),
+            recover=partial(self._recover_orphans, harness, ctx),
+        )  # fmt: skip
 
 
 class FaultTolerantStatic(StaticBlock):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.exec_models.base import Harness, take_fields
 from repro.exec_models.persistence import persistence_assignment
 from repro.exec_models.static_ import block_assignment, cyclic_assignment
 from repro.exec_models.termination import TokenRing
+from repro.exec_models.work_stealing import STEAL_COUNTERS, WorkStealing
 from repro.runtime.collectives import allreduce, barrier, broadcast
 from repro.runtime.comm import RankContext
 from repro.runtime.counter import GlobalCounter
@@ -135,6 +137,8 @@ class ScfSimulation:
             raise ConfigurationError(f"steal must be 'half' or 'one', got {steal!r}")
         self.mode = mode
         self.steal = steal
+        #: The stealing discipline's rank loop and steal attempt.
+        self._stealing = WorkStealing(steal=steal)
 
     # ------------------------------------------------------------------
     def run(
@@ -148,7 +152,7 @@ class ScfSimulation:
         n_ranks = machine.n_ranks
         n_tasks = graph.n_tasks
         harness = Harness(graph, machine, seed=seed)
-        harness.counters.update(steals=0.0, claims=0.0, token_hops=0.0)
+        harness.counters.update(dict.fromkeys(STEAL_COUNTERS, 0.0), claims=0.0)
         state = _IterationState(self.mode, harness)
         nxtval = [GlobalCounter(0) for _ in range(n_iterations)]  # counter mode's NXTVAL
         matrix_bytes = graph.blocks.n_basis**2 * 8
@@ -165,7 +169,19 @@ class ScfSimulation:
                         chunk = range(first, min(first + self.chunk, n_tasks))
                         yield from harness.execute_tasks(ctx, chunk)
                 elif self.mode == "work_stealing":
-                    yield from self._steal_iteration(harness, ctx, state, iteration)
+                    # Poll-based stealing over the iteration's epoch ring.
+                    # Its messages are polled by tag and a rank never
+                    # parks: a parked recv would swallow collective traffic
+                    # from ranks already past termination.
+                    queues, locks, ring = state.stealing(iteration)
+                    rng = spawn_rng(derive_seed(harness.seed, "scfsim", iteration, ctx.rank))
+                    terminate, token = ring.terminate_tag, ring.token_tag
+                    yield from self._stealing._steal_loop(
+                        harness, ctx, queues, locks, ring,
+                        partial(self._stealing._choose_victim, ctx, rng, None),
+                        poll=lambda: ctx.try_recv(terminate) or ctx.try_recv(token),
+                        park=False, after_unlock=True,
+                    )  # fmt: skip
                 else:
                     yield from harness.execute_tasks(ctx, state.schedule(iteration)[ctx.rank])
                 # Iteration boundary: Fock reduction, density broadcast,
@@ -194,85 +210,13 @@ class ScfSimulation:
             iteration_times=iteration_times,
             assignments=assignments,
             compute_seconds=harness.trace.total(COMPUTE),
-            counters=dict(harness.counters),
+            counters={
+                "steals": harness.counters["steal_successes"],
+                "claims": harness.counters["claims"],
+                # One token per ring, and each forward is handled once.
+                "token_hops": float(sum(ring.hops for *_, ring in state._stealing.values())),
+            },
         )
-
-    # ------------------------------------------------------------------
-    def _steal_iteration(
-        self, harness: Harness, ctx: RankContext, state: _IterationState, iteration: int
-    ):
-        """One iteration of poll-based work stealing with an epoch ring."""
-        n_ranks = harness.n_ranks
-        counters = harness.counters
-        queues, locks, ring = state.stealing(iteration)
-        queue = queues[ctx.rank]
-        rng = spawn_rng(derive_seed(harness.seed, "scfsim", iteration, ctx.rank))
-        backoff = 1.0e-6
-
-        while True:
-            # Drain the local queue: one request when the engine walks
-            # the drain, which leaves the queue empty; else the loop.
-            drain = harness.local_drain(ctx, queue, locks) if queue else None
-            if drain is not None and (yield from drain):
-                backoff = 1.0e-6
-            while queue:
-                yield locks[ctx.rank].acquire()
-                try:
-                    yield from ctx.overhead_delay(Harness.LOCAL_QUEUE_OP)
-                    tid = queue.popleft() if queue else None
-                finally:
-                    locks[ctx.rank].release()
-                if tid is None:
-                    break
-                yield from harness.execute_task(ctx, harness.graph.tasks[tid])
-                backoff = 1.0e-6
-            if n_ranks == 1:
-                return
-            # Poll protocol messages (tag-filtered: collective traffic from
-            # ranks already past termination must not be consumed here).
-            message = ctx.try_recv(ring.terminate_tag)
-            if message is not None:
-                return
-            message = ctx.try_recv(ring.token_tag)
-            if message is not None:
-                declared = yield from ring.handle_token(ctx, message.payload)
-                counters["token_hops"] += 1.0
-                if declared:
-                    return
-            yield from ring.maybe_launch(ctx)
-            victim = int(rng.integers(0, n_ranks - 1))
-            if victim >= ctx.rank:
-                victim += 1
-            got = yield from self._attempt_steal(ctx, queues, locks, ring, victim, counters)
-            if got:
-                backoff = 1.0e-6
-            else:
-                yield from ctx.sleep(backoff)
-                backoff = min(backoff * 2.0, 8.0e-6)
-
-    def _attempt_steal(self, ctx, queues, locks, ring, victim, counters):
-        # Not WorkStealing._attempt_steal nor Harness.steal_attempt: both
-        # move the loot to the thief's queue *before* the unlock put, and
-        # this one after it, so sharing either would change E13.
-        yield from ctx.protocol_get(victim, 8)
-        yield locks[victim].acquire()
-        try:
-            yield from ctx.protocol_get(victim, 16)
-            available = len(queues[victim])
-            if available == 0:
-                return 0
-            k = (available + 1) // 2 if self.steal == "half" else 1
-            yield from ctx.protocol_get(victim, k * Harness.TASK_DESCRIPTOR_BYTES)
-            loot = [queues[victim].pop() for _ in range(k)]
-        finally:
-            locks[victim].release()
-        yield from ctx.protocol_put(victim, 8)
-        loot.reverse()
-        queues[ctx.rank].extend(loot)
-        ring.mark_dirty(ctx.rank)
-        counters["steals"] += 1.0
-        return k
-
 
 #: The one option each mode uses, if any.
 _MODE_OPTIONS = {"counter": "chunk", "work_stealing": "steal"}

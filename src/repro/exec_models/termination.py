@@ -50,6 +50,8 @@ class TokenRing:
         self.terminated = False
         #: Total token forwards (protocol-cost statistic).
         self.hops = 0
+        #: Simulated time the token was last launched or handled.
+        self.last_seen = 0.0
 
     @property
     def token_tag(self):
@@ -63,11 +65,23 @@ class TokenRing:
         """Call when ``rank`` gains work (successful steal)."""
         self.dirty[rank] = True
 
+    def next_alive(self, rank: int) -> int:
+        """The ring member after ``rank``."""
+        return (rank + 1) % self.n_ranks
+
+    def lowest_alive(self) -> int:
+        """The rank that launches the token."""
+        return 0
+
+    def _work_remains(self) -> bool:
+        return False
+
     def maybe_launch(self, ctx: RankContext):
-        """Rank 0 launches the token on first idleness (generator)."""
-        if ctx.rank == 0 and not self.launched and self.n_ranks > 1:
+        """The launcher launches the token on first idleness (generator)."""
+        if not self.launched and self.n_ranks > 1 and ctx.rank == self.lowest_alive():
             self.launched = True
-            yield from ctx.send((ctx.rank + 1) % self.n_ranks, self.token_tag, 0)
+            self.last_seen = ctx.now
+            yield from ctx.send(self.next_alive(ctx.rank), self.token_tag, 0)
             self.hops += 1
 
     def handle_token(self, ctx: RankContext, count: int):
@@ -77,16 +91,17 @@ class TokenRing:
         value; drive with ``yield from``).
         """
         rank = ctx.rank
-        if self.dirty[rank]:
+        self.last_seen = ctx.now
+        if self.dirty[rank] or self._work_remains():
             count = 0
             self.dirty[rank] = False
         else:
             count += 1
-        if count >= 2 * self.n_ranks:
+        if count >= 2 * self.n_ranks and not self._work_remains():
             self.terminated = True
             yield from self.broadcast_terminate(ctx)
             return True
-        yield from ctx.send((rank + 1) % self.n_ranks, self.token_tag, count)
+        yield from ctx.send(self.next_alive(rank), self.token_tag, count)
         self.hops += 1
         return False
 
@@ -137,8 +152,6 @@ class FaultTolerantTokenRing(TokenRing):
         self.work_remains = work_remains
         check_positive("token_timeout", token_timeout)
         self.token_timeout = float(token_timeout)
-        #: Simulated time the token was last launched/handled/reissued.
-        self.last_seen = 0.0
         #: Tokens reissued after a timeout (observability counter).
         self.regenerations = 0
 
@@ -161,34 +174,6 @@ class FaultTolerantTokenRing(TokenRing):
         return self.work_remains is not None and bool(self.work_remains())
 
     # ------------------------------------------------------------------
-    def maybe_launch(self, ctx: RankContext):
-        """The lowest live rank launches the token on first idleness."""
-        if (
-            not self.launched
-            and self.n_ranks > 1
-            and ctx.rank == self.lowest_alive()
-        ):
-            self.launched = True
-            self.last_seen = ctx.now
-            yield from ctx.send(self.next_alive(ctx.rank), self.token_tag, 0)
-            self.hops += 1
-
-    def handle_token(self, ctx: RankContext, count: int):
-        rank = ctx.rank
-        self.last_seen = ctx.now
-        if self.dirty[rank] or self._work_remains():
-            count = 0
-            self.dirty[rank] = False
-        else:
-            count += 1
-        if count >= 2 * self.n_ranks and not self._work_remains():
-            self.terminated = True
-            yield from self.broadcast_terminate(ctx)
-            return True
-        yield from ctx.send(self.next_alive(rank), self.token_tag, count)
-        self.hops += 1
-        return False
-
     def maybe_regenerate(self, ctx: RankContext):
         """Reissue the token if it has been silent too long (generator)."""
         if (

@@ -30,10 +30,15 @@ import numpy as np
 
 from repro.exec_models.base import ExecutionModel, Harness
 from repro.exec_models.static_ import block_assignment, cyclic_assignment
-from repro.exec_models.termination import TERMINATE_TAG, TOKEN_TAG, TokenRing
+from repro.exec_models.termination import TokenRing
 from repro.runtime.comm import RankContext
 from repro.simulate.engine import Resource
 from repro.util import ConfigurationError, check_integer, check_positive, spawn_rng
+
+#: The counters :meth:`WorkStealing._steal_loop` keeps.
+STEAL_COUNTERS = (
+    "steal_attempts", "steal_successes", "tasks_stolen", "failed_steals", "token_hops"
+)
 
 
 class WorkStealing(ExecutionModel):
@@ -107,30 +112,11 @@ class WorkStealing(ExecutionModel):
         harness.model_state["queues"] = queues
         harness.model_state["locks"] = [Resource(1) for _ in range(n_ranks)]
         harness.model_state["ring"] = TokenRing(n_ranks)
-        for key in (
-            "steal_attempts",
-            "steal_successes",
-            "tasks_stolen",
-            "failed_steals",
-            "token_hops",
-        ):
-            harness.counters[key] = 0.0
+        harness.counters.update(dict.fromkeys(STEAL_COUNTERS, 0.0))
 
     # ------------------------------------------------------------------
-    def _pop_local(self, harness: Harness, ctx: RankContext):
-        """Pop one task id from the rank's own queue head (or None)."""
-        locks: list[Resource] = harness.model_state["locks"]
-        queue: deque[int] = harness.model_state["queues"][ctx.rank]
-        yield locks[ctx.rank].acquire()
-        try:
-            yield from ctx.overhead_delay(Harness.LOCAL_QUEUE_OP)
-            tid = queue.popleft() if queue else None
-        finally:
-            locks[ctx.rank].release()
-        return tid
-
     def _choose_victim(
-        self, ctx: RankContext, rng: np.random.Generator, scan: int, peers=None
+        self, ctx: RankContext, rng: np.random.Generator, peers: list[int] | None, scan: int
     ) -> int:
         """The next victim; ``peers`` are the rank's node peers for
         ``"hierarchical"`` (:meth:`_peers`, computed here if None)."""
@@ -173,27 +159,27 @@ class WorkStealing(ExecutionModel):
             k += 1
         return min(k, available)
 
-    def _take(self, harness: Harness, ctx: RankContext, queue: deque[int]) -> int:
+    def _take(self, harness: Harness, ring: TokenRing, rank: int, queue: deque[int]) -> int:
         """A steal attempt's decision once it holds the victim's lock and
         has read its metadata: how many tasks to take from ``queue``'s
-        tail (0 fails the attempt), counted, and the thief marked dirty
-        when it gains work. Only the thief reads its dirty bit and only
-        once the attempt is over, so marking it here is marking it at the
-        transfer."""
+        tail (0 fails the attempt), counted, and the thief ``rank`` marked
+        dirty in ``ring`` when it gains work. Only the thief reads its
+        dirty bit and only once the attempt is over, so marking it here is
+        marking it at the transfer."""
         if not queue:
             harness.counters["failed_steals"] += 1.0
             return 0
         k = self._steal_count(harness, queue)
-        harness.model_state["ring"].mark_dirty(ctx.rank)
+        ring.mark_dirty(rank)
         harness.counters["steal_successes"] += 1.0
         harness.counters["tasks_stolen"] += float(k)
         return k
 
-    def _attempt_steal(self, harness: Harness, ctx: RankContext, victim: int):
-        """One steal attempt; returns number of tasks stolen (generator)."""
-        locks: list[Resource] = harness.model_state["locks"]
-        queues: list[deque[int]] = harness.model_state["queues"]
-        ring: TokenRing = harness.model_state["ring"]
+    def _attempt_steal(
+        self, harness: Harness, ctx: RankContext, victim: int, queues, locks, ring, after_unlock
+    ):
+        """One steal attempt; returns number of tasks stolen (generator).
+        The reference for :meth:`Harness.steal_attempt`, in its order."""
         harness.counters["steal_attempts"] += 1.0
 
         # Remote lock acquisition: one CAS round-trip, then wait if held.
@@ -206,88 +192,124 @@ class WorkStealing(ExecutionModel):
                 harness.counters["failed_steals"] += 1.0
                 return 0
             k = self._steal_count(harness, queues[victim])
-            # Descriptor transfer; tasks move atomically at completion.
+            # Descriptor transfer; tasks leave the victim at completion.
             yield from ctx.protocol_get(victim, k * Harness.TASK_DESCRIPTOR_BYTES)
             stolen = [queues[victim].pop() for _ in range(k)]
         finally:
             locks[victim].release()
-        # Commit the transfer before the unlock write: the descriptors are
-        # already local after the get above, and a thief or victim dying
-        # under the unlock must not leave tasks outside every queue
-        # (crash recovery only scans queues and in-flight lists).
         stolen.reverse()
+        # Unlock write (after release so a waiting thief proceeds now).
+        # Unless ``after_unlock``, the transfer is committed before it: the
+        # descriptors are already local, and a thief or victim dying under
+        # the unlock must not leave tasks outside every queue (crash
+        # recovery only scans queues and in-flight lists).
+        if after_unlock:
+            yield from ctx.protocol_put(victim, Harness.LOCK_WORD_BYTES)
         queues[ctx.rank].extend(stolen)
         ring.mark_dirty(ctx.rank)
         harness.counters["steal_successes"] += 1.0
         harness.counters["tasks_stolen"] += float(k)
-        # Unlock write (after release so a waiting thief proceeds now).
-        yield from ctx.protocol_put(victim, Harness.LOCK_WORD_BYTES)
+        if not after_unlock:
+            yield from ctx.protocol_put(victim, Harness.LOCK_WORD_BYTES)
         return k
 
     # ------------------------------------------------------------------
     def rank_process(self, harness: Harness, ctx: RankContext):
-        queues: list[deque[int]] = harness.model_state["queues"]
-        locks: list[Resource] = harness.model_state["locks"]
-        ring: TokenRing = harness.model_state["ring"]
-        queue = queues[ctx.rank]
-        n_ranks = harness.n_ranks
+        state = harness.model_state
         rng = spawn_rng(harness.rank_seed(ctx.rank, "steal"))
         peers = self._peers(ctx) if self.victim == "hierarchical" else None
-        take = partial(self._take, harness, ctx)
+        choose = partial(self._choose_victim, ctx, rng, peers)
+        queues, locks, ring = state["queues"], state["locks"], state["ring"]
+        return self._steal_loop(harness, ctx, queues, locks, ring, choose)
+
+    def _steal_loop(
+        self,
+        harness: Harness,
+        ctx: RankContext,
+        queues: list[deque[int]],
+        locks: list[Resource],
+        ring: TokenRing,
+        choose,
+        poll=None,
+        park=True,
+        heartbeat=None,
+        on_silence=None,
+        run_task=None,
+        recover=None,
+        after_unlock=False,
+    ):
+        """A stealing rank until ``ring`` terminates (generator): drain its
+        queue, ``poll()`` for a message (default ``ctx.try_recv``: any),
+        park in a ``recv`` after ``park_after`` failed attempts in a row
+        if ``park`` (``on_silence()`` says whether to stop when
+        ``heartbeat`` ends it empty), steal from ``choose(scan)`` (None:
+        no victim), back off. Fault tolerance adds ``run_task(tid)`` and
+        ``recover()`` (tasks adopted before each poll); ``after_unlock``
+        orders the attempt (:meth:`_attempt_steal`).
+        """
+        counters = harness.counters
+        queue = queues[ctx.rank]
+        poll = poll or ctx.try_recv
+        n_ranks = harness.n_ranks
+        take = partial(self._take, harness, ring, ctx.rank)
+        terminate_tag, token_tag = ring.terminate_tag, ring.token_tag
         backoff = self.min_backoff
         scan = 0
         consecutive_failures = 0
 
         while True:
-            # Drain the local queue: one request when the engine walks
-            # the drain, which leaves the queue empty; else the loop.
-            drain = harness.local_drain(ctx, queue, locks) if queue else None
-            if drain is not None and (yield from drain):
+            # Drain the local queue: one request when the engine walks it.
+            if queue and (yield from harness.local_drain(ctx, queue, locks, run_task)):
                 backoff = self.min_backoff
                 consecutive_failures = 0
-            while queue:
-                tid = yield from self._pop_local(harness, ctx)
-                if tid is None:
-                    break
-                yield from harness.execute_task(ctx, harness.graph.tasks[tid])
-                backoff = self.min_backoff
-                consecutive_failures = 0
-
             if n_ranks == 1:
                 return
+            if recover is not None and (yield from recover()):
+                backoff = self.min_backoff
+                consecutive_failures = 0
+                continue
 
             # Idle: handle protocol messages.
-            message = ctx.try_recv()
-            if message is None and consecutive_failures >= self.park_after:
+            message = poll()
+            if message is None and park and consecutive_failures >= self.park_after:
                 # Park: the local neighbourhood looks drained, so wait for
                 # the circulating token (or terminate) instead of burning
                 # NIC time on hopeless steals. The wait is untraced: it
                 # shows up as idle, which is what it is. One steal attempt
                 # follows every token wake-up, so residual work elsewhere
                 # is still reachable.
-                message = yield from ctx.recv(traced=False)
-            if message is not None and (
-                message.tag == TERMINATE_TAG
-                or message.tag == TOKEN_TAG
-                and (yield from ring.handle_token(ctx, message.payload))
-            ):
-                # The ring moves no more once termination is declared, so
-                # every rank leaving writes the run's final hop count.
-                harness.counters["token_hops"] = float(ring.hops)
-                return
-            if not ring.launched and ctx.rank == 0:  # the launcher, once
+                message = yield from ctx.recv(traced=False, timeout=heartbeat)
+                if message is None and (yield from on_silence()):
+                    return
+            if message is not None:
+                if message.tag == terminate_tag:
+                    return
+                if message.tag == token_tag:
+                    declared = yield from ring.handle_token(ctx, message.payload)
+                    counters["token_hops"] = float(ring.hops)
+                    if declared:
+                        return
+            if not ring.launched and ctx.rank == ring.lowest_alive():  # the launcher, once
                 yield from ring.maybe_launch(ctx)
+                counters["token_hops"] = float(ring.hops)
 
             # Steal: one request when the engine walks it, backoff
             # included; else the generator, then the backoff sleep.
-            victim = self._choose_victim(ctx, rng, scan, peers)
+            victim = choose(scan)
             scan += 1
-            attempt = harness.steal_attempt(ctx, victim, locks, queues, take, backoff)
-            if attempt is None:
-                got = yield from self._attempt_steal(harness, ctx, victim)
+            if victim is None:
+                attempt, got = None, 0
             else:
-                harness.counters["steal_attempts"] += 1.0
-                got = yield from attempt
+                attempt = harness.steal_attempt(
+                    ctx, victim, locks, queues, take, backoff, after_unlock
+                )
+                if attempt is None:
+                    got = yield from self._attempt_steal(
+                        harness, ctx, victim, queues, locks, ring, after_unlock
+                    )
+                else:
+                    counters["steal_attempts"] += 1.0
+                    got = yield from attempt
             if got:
                 backoff = self.min_backoff
                 consecutive_failures = 0

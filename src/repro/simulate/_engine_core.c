@@ -803,8 +803,10 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
  * counted as a Timeout (a failed steal's backoff). A program with no
  * pre-delays is a lock hold: nics[dst] is acquired as the step is armed,
  * and its interval and Timeout begin at the grant. The steps KEEP_LOCK
- * (0) and MOVE_TASKS (1) are a steal's: the lock in op.steal is taken and
- * kept across the steps between them (fused_lock_step). The NIC and lock
+ * (0), MOVE_TASKS (1) and LAND_TASKS (2) are a steal's: the lock in
+ * op.steal is taken and kept across the steps between the first two, and
+ * loot moved to a staging queue lands after the unlock write with the
+ * third (fused_lock_step). The NIC and lock
  * protocol is Resource's own, with the op queued in place of a process
  * (it has `done` and `engine`). The process is resumed once, when the
  * last step completes and no claim loads another.
@@ -1358,11 +1360,13 @@ move_tasks(PyObject *victim, PyObject *thief, Py_ssize_t k)
     return r == NULL ? -1 : 0;
 }
 
-/* A steal's lock step on op.steal = (lock, victim queue, thief queue),
- * the queues exact deques: KEEP_LOCK (0) takes the lock and keeps it, the
- * next step armed at the grant; MOVE_TASKS (1) moves the op's `result`
- * tasks from the victim queue's tail to the thief queue's, releases the
- * lock, and arms the next step. */
+/* A steal's lock step on op.steal = (lock, victim queue, thief queue)
+ * or (lock, victim queue, staging queue, thief queue), the queues exact
+ * deques: KEEP_LOCK (0) takes the lock and keeps it, the next step armed
+ * at the grant; MOVE_TASKS (1) moves the op's `result` tasks from the
+ * victim queue's tail to steal[2]'s, releases the lock, and arms the next
+ * step; LAND_TASKS (2) moves the staged tasks on to the thief queue's
+ * tail, in their order, and arms the next step. */
 static int
 fused_lock_step(RunCtx *ctx, FusedOp *op, PyObject *step)
 {
@@ -1372,10 +1376,12 @@ fused_lock_step(RunCtx *ctx, FusedOp *op, PyObject *step)
     long code = PyLong_AsLong(step);
     if (code == -1 && PyErr_Occurred())
         PyErr_Clear();
-    if (!PyTuple_CheckExact(steal) || PyTuple_GET_SIZE(steal) != 3 ||
-        !Py_IS_TYPE(PyTuple_GET_ITEM(steal, 1), g_deque_type) ||
-        !Py_IS_TYPE(PyTuple_GET_ITEM(steal, 2), g_deque_type) ||
-        (code != 0 && code != 1) || op->kept != code) {
+    Py_ssize_t n = PyTuple_CheckExact(steal) ? PyTuple_GET_SIZE(steal) : 0;
+    int deques = n >= 3;
+    for (Py_ssize_t i = 1; i < n && deques; i++)
+        deques = Py_IS_TYPE(PyTuple_GET_ITEM(steal, i), g_deque_type);
+    if (!deques || n > 4 || code < 0 || code > 2 || (code == 2 && n != 4) ||
+        op->kept != (code == 1)) {
         PyErr_Format(PyExc_TypeError, "malformed fused op step %lld: %R for steal %R",
                      op->pos - 1, step, steal);
         return -1;
@@ -1385,7 +1391,12 @@ fused_lock_step(RunCtx *ctx, FusedOp *op, PyObject *step)
     int rc = -1;
     if (code == 0)
         rc = fused_acquire(ctx, op, lock, 6);
-    else {
+    else if (code == 2) {
+        PyObject *staged = PyTuple_GET_ITEM(steal, 2);
+        rc = move_tasks(staged, PyTuple_GET_ITEM(steal, 3), Py_SIZE(staged));
+        if (rc == 0)
+            rc = fused_load_step(ctx, op);
+    } else {
         PyObject *result = OP_GET(op, result);
         Py_ssize_t k = result != NULL && PyLong_CheckExact(result) ? PyLong_AsSsize_t(result) : -1;
         if (k >= 0 && k <= Py_SIZE(victim))

@@ -45,13 +45,16 @@ from repro.util import (
     check_positive,
 )
 
-#: The two lock steps of a steal attempt's chain
-#: (``Harness.steal_attempt``), on the op's ``steal = (lock, victim queue,
-#: thief queue)``: take the lock and keep it past the step; move the op's
-#: ``result`` tasks from the victim queue's tail to the thief queue's, in
-#: their order, and release the lock.
+#: The lock steps of a steal attempt's chain (``Harness.steal_attempt``),
+#: on the op's ``steal = (lock, victim queue, thief queue)``: take the lock
+#: and keep it past the step; move the op's ``result`` tasks from the
+#: victim queue's tail to the thief queue's, in their order, and release
+#: the lock. With ``steal = (lock, victim queue, staging queue, thief
+#: queue)`` the move fills the staging queue and a later ``LAND_TASKS``
+#: moves its tasks on to the thief queue's tail.
 KEEP_LOCK = 0
 MOVE_TASKS = 1
+LAND_TASKS = 2
 
 #: Trace category for time lost discovering a dead target. Must match
 #: :data:`repro.runtime.trace.FAILED`; a literal here keeps ``simulate``

@@ -15,8 +15,13 @@ from repro.util.errors import ConfigurationError
 
 
 def check_positive(name: str, value: float) -> float:
-    """Return ``value`` if it is strictly positive, else raise."""
-    if not value > 0:
+    """Return ``value`` if it is strictly positive, else raise (also for
+    a value that does not compare with 0, such as a string)."""
+    try:
+        positive = value > 0
+    except TypeError:
+        positive = False
+    if not positive:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
     return value
 

@@ -89,6 +89,59 @@ class TestShapes:
         assert result.n_ranks == 16
 
 
+class TestStealRequests:
+    """Whole-SCF stealing runs ``WorkStealing``'s rank loop with the loot
+    landing after the unlock write: under the compiled engine each steal
+    attempt is one request (``Harness.steal_attempt``), under the
+    reference engine the generator attempt, and the runs are the same."""
+
+    @pytest.mark.parametrize("steal", ["half", "one"])
+    @pytest.mark.parametrize("tiers", ["flat", "two-tier"])
+    @pytest.mark.parametrize("n_ranks", [1, 2, 32])
+    def test_every_policy_runs_alike_under_both_engines(
+        self, steal, tiers, n_ranks, monkeypatch
+    ):
+        from repro.exec_models.work_stealing import WorkStealing
+        from repro.simulate.sched import compiled_available
+
+        graph = synthetic_task_graph(300, 12, seed=5, skew=1.5)
+        if tiers == "flat":
+            machine = commodity_cluster(n_ranks)
+        else:  # nodes of up to four cores
+            cores = min(n_ranks, 4)
+            machine = hierarchical_cluster(n_ranks // cores, cores_per_node=cores)
+        attempts = []
+        original = WorkStealing._attempt_steal
+
+        def counted(*args, **kwargs):
+            attempts.append(args[3])  # the victim
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(WorkStealing, "_attempt_steal", counted)
+        modes = ["python"] + (["compiled"] if compiled_available() else [])
+        runs = {}
+        for mode in modes:
+            monkeypatch.setenv("REPRO_ENGINE", mode)
+            attempts.clear()
+            result = ScfSimulation("work_stealing", steal=steal).run(
+                graph, machine, n_iterations=3, seed=7
+            )
+            runs[mode] = (
+                result.total_time, result.iteration_times.tobytes(),
+                np.array(result.assignments).tobytes(), result.compute_seconds.tobytes(),
+                sorted(result.counters.items()),
+            )  # fmt: skip
+            if mode == "compiled":
+                assert attempts == []  # every attempt was one request
+        assert len(set(map(repr, runs.values()))) == 1, list(runs)
+        counters = dict(runs[modes[-1]][-1])
+        assert list(counters) == ["claims", "steals", "token_hops"]
+        if n_ranks == 1:
+            assert counters == {"claims": 0.0, "steals": 0.0, "token_hops": 0.0}
+        else:
+            assert counters["steals"] > 0 and counters["token_hops"] >= 3 * 2 * n_ranks
+
+
 class TestValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):

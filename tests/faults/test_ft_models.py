@@ -14,6 +14,7 @@ from repro.exec_models import make_model
 from repro.exec_models.ft import FaultTolerantStatic, FaultTolerantWorkStealing
 from repro.faults import FaultPlan, MessageFaults, RankCrash, StallWindow
 from repro.simulate import commodity_cluster
+from repro.util import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +177,26 @@ class TestRegistry:
     def test_ft_models_registered(self):
         assert make_model("ft_work_stealing").name == "ft_work_stealing"
         assert make_model("ft_static_block").name == "ft_static_block"
+
+
+class TestValidation:
+    """Bad options are refused where the model is made, not at its first
+    run under a fault plan."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"token_timeout": -1.0}, {"token_timeout": 0.0}, {"token_timeout": "abc"}, {"retry": "x"}],
+        ids=["negative-timeout", "zero-timeout", "string-timeout", "retry-not-a-policy"],
+    )
+    def test_bad_options_refused_at_construction(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            FaultTolerantWorkStealing(**kwargs)
+        with pytest.raises(ConfigurationError):
+            make_model("ft_work_stealing", **kwargs)
+
+    def test_good_options_kept(self):
+        from repro.faults import RetryPolicy
+
+        retry = RetryPolicy(max_attempts=2)
+        model = FaultTolerantWorkStealing(retry=retry, token_timeout=2.0e-3)
+        assert model.retry is retry and model.token_timeout == 2.0e-3

@@ -30,7 +30,14 @@ from repro.simulate.engine import (
     _timeout_pool,
     pooled_timeout,
 )
-from repro.simulate.network import KEEP_LOCK, MOVE_TASKS, Network, NetworkModel, SharedCell
+from repro.simulate.network import (
+    KEEP_LOCK,
+    LAND_TASKS,
+    MOVE_TASKS,
+    Network,
+    NetworkModel,
+    SharedCell,
+)
 from repro.simulate.sched import (
     CompiledEngine,
     _load_engine_core,
@@ -1278,15 +1285,18 @@ def test_a_claim_the_table_cannot_serve_is_refused(case):
         _walk_one(make)
 
 
-def _steal_op(steps, result=None, steal=True, victim=(), thief=(), duration=0.0):
+def _steal_op(
+    steps, result=None, steal=True, victim=(), thief=(), duration=0.0, staged=False
+):
     """A steal-shaped op of ``steps`` on a lock of its own (the victim's
-    queue ``victim``, the thief's ``thief``), its result ``result``."""
+    queue ``victim``, the thief's ``thief``, with ``staged`` an empty
+    staging queue between them), its result ``result``."""
 
     def make(net, trace):
-        queues = (collections.deque(victim), collections.deque(thief))
+        queues = (victim, (), thief) if staged else (victim, thief)
         op = FusedOp(
             trace, 0, chain=net._chain(tuple(steps)), end=len(steps), duration=duration,
-            steal=(Resource(1), *queues) if steal is True else steal,
+            steal=(Resource(1), *map(collections.deque, queues)) if steal is True else steal,
         )  # fmt: skip
         op.result = result
         return op
@@ -1299,7 +1309,7 @@ _REFUSED_LOCK_STEPS = {
     "queues-not-deques": (
         _steal_op([KEEP_LOCK], steal=(Resource(1), [], [])), TypeError, "for steal"
     ),
-    "unknown-step": (_steal_op([2]), TypeError, "malformed fused op step 0: 2"),
+    "unknown-step": (_steal_op([3]), TypeError, "malformed fused op step 0: 3"),
     "move-without-the-lock": (_steal_op([MOVE_TASKS], 0), TypeError, "step 0: 1 for"),
     "keep-it-twice": (_steal_op([KEEP_LOCK, KEEP_LOCK]), TypeError, "step 1: 0 for"),
     "end-keeping-it": (_steal_op([KEEP_LOCK]), TypeError, "end keeping its lock"),
@@ -1310,6 +1320,18 @@ _REFUSED_LOCK_STEPS = {
     "take-a-non-int": (
         _steal_op([KEEP_LOCK, MOVE_TASKS], 1.0, victim=[7]), ValueError, "takes 1.0 tasks"
     ),
+    "land-without-staging": (_steal_op([LAND_TASKS]), TypeError, "step 0: 2 for"),
+    "land-keeping-the-lock": (
+        _steal_op([KEEP_LOCK, LAND_TASKS], staged=True), TypeError, "step 1: 2 for"
+    ),
+    "staging-not-a-deque": (
+        _steal_op([KEEP_LOCK], steal=(Resource(1), collections.deque(), [], collections.deque())),
+        TypeError, "for steal",
+    ),
+    "five-slots": (
+        _steal_op([KEEP_LOCK], steal=(Resource(1), *[collections.deque()] * 4)),
+        TypeError, "for steal",
+    ),
 }
 
 
@@ -1317,9 +1339,10 @@ _REFUSED_LOCK_STEPS = {
 @pytest.mark.parametrize("case", _REFUSED_LOCK_STEPS)
 def test_a_lock_step_out_of_place_is_refused(case):
     """A steal's lock steps need ``steal = (lock, victim deque, thief
-    deque)``, keep the lock once and move only while keeping it, and move
-    a non-negative int of tasks the victim holds: anything else raises
-    before a task moves."""
+    deque)`` or ``(lock, victim deque, staging deque, thief deque)``, keep
+    the lock once, move only while keeping it and land only staged tasks
+    after letting go of it, and move a non-negative int of tasks the
+    victim holds: anything else raises before a task moves."""
     make, error, match = _REFUSED_LOCK_STEPS[case]
     with pytest.raises(error, match=match):
         _walk_one(make)
@@ -1336,6 +1359,21 @@ def test_a_steal_moves_its_tasks_in_order_and_lets_go_of_the_lock():
     assert (list(victim), list(thief), op.kept, op.done) == ([5], [1, 6, 7], False, True)
     assert (lock.in_use, lock.total_acquisitions, engine.timeout_allocs) == (0, 1, 1)
     assert op.trace.records == 1 and engine.grant_resumes == 1
+
+
+@needs_compiled
+def test_a_staged_steal_lands_after_the_steps_between():
+    """Keep, move two into the staging queue, wait 1 s, land: during the
+    wait the victim's two tail tasks are out of its queue, the lock is
+    free and the thief's queue is as it was; then they land at its tail
+    in their order."""
+    steps = [KEEP_LOCK, MOVE_TASKS, IDLE, LAND_TASKS]
+    make = _steal_op(steps, 2, victim=[5, 6, 7], thief=[1], duration=1.0, staged=True)
+    for until, staged, thief, done in ((0.5, [6, 7], [1], False), (2.0, [], [1, 6, 7], True)):
+        engine, net, op = _walk_one(make, until=until)
+        lock, victim, staging, thief_queue = op.steal
+        assert (list(victim), list(staging), list(thief_queue)) == ([5], staged, thief)
+        assert (lock.in_use, op.kept, op.done) == (0, False, done)
 
 
 @needs_compiled

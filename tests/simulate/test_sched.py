@@ -39,6 +39,7 @@ from repro.simulate.engine import (
 )
 from repro.simulate.network import (
     KEEP_LOCK,
+    LAND_TASKS,
     MOVE_TASKS,
     Network,
     NetworkModel,
@@ -277,7 +278,9 @@ def _run_scenario(
     is ``WorkStealing``'s steal attempt on a victim under a steal policy
     — lock word, the victim's lock kept, metadata, the decision, then
     descriptors, the task move and the unlock, or the backoff sleep —
-    as one request under both (``Harness.steal_attempt``); ``queue``
+    as one request under both (``Harness.steal_attempt``), its tasks
+    landing in the thief's queue before the unlock write or, given
+    ``after_unlock``, after it (from a staging queue); ``queue``
     puts tasks on the rank's queue for thieves. ``net_cancel = (rank,
     time)`` cancels one of them wherever it then is — in a pre-delay,
     queued, holding (a NIC or a kept lock), on the return
@@ -435,7 +438,7 @@ def _run_scenario(
             lock.release()
         note("stole", src, victim, len(stolen), engine.now)
 
-    def attempt(src, victim, policy, backoff_ns):
+    def attempt(src, victim, policy, backoff_ns, after_unlock=False):
         lock, queue = locks[victim], queues[victim]
         backoff = backoff_ns * 1.0e-9
 
@@ -457,8 +460,11 @@ def _run_scenario(
                 lock.release()
             if got:
                 stolen.reverse()
+                if after_unlock:
+                    yield from net.rma_traced(src, victim, 8, trace, OVERHEAD)
                 queues[src].extend(stolen)
-                yield from net.rma_traced(src, victim, 8, trace, OVERHEAD)
+                if not after_unlock:
+                    yield from net.rma_traced(src, victim, 8, trace, OVERHEAD)
             else:
                 start = engine.now
                 yield pooled_timeout(backoff)
@@ -475,12 +481,15 @@ def _run_scenario(
                 if not k:
                     op.chain, op.end, op.duration = net._chain((MOVE_TASKS, IDLE)), 2, backoff
                 else:
-                    op.chain, op.end = net._chain((rma(16 * k), MOVE_TASKS, rma(8))), 3
+                    tail = (rma(8), LAND_TASKS) if after_unlock else (rma(8),)
+                    op.chain = net._chain((rma(16 * k), MOVE_TASKS, *tail))
+                    op.end = 2 + len(tail)
                 return True
 
+            staging = (deque(),) if after_unlock else ()
             op = FusedOp(
                 trace, src, chain=net._chain((rma(8), KEEP_LOCK, rma(16))), end=3,
-                claim=decide, steal=(lock, queue, queues[src]),
+                claim=decide, steal=(lock, queue, *staging, queues[src]),
             )  # fmt: skip
             chained.append(op)
             got = yield from op
@@ -738,7 +747,7 @@ _VICTIM_PLANS = [
 _HELD_UNTIL = 4000 * 1.0e-9
 
 
-def _steal_victim_plans(queued):
+def _steal_victim_plans(queued, after_unlock=False):
     """Rank 2's steal attempt on rank 1 (another node), halving its queue
     of three, or finding it empty and backing off 8 us: rank 3 holds rank
     1's NIC for the first 4 us, so the lock word's read queues there, and
@@ -746,10 +755,12 @@ def _steal_victim_plans(queued):
     queues for the lock it keeps. The lock is granted at 8 us, the
     metadata read holds the NIC at ~10 us, the decision at ~11.6 us takes
     two tasks (or none, then the backoff), the descriptor read is back at
-    ~15.2 us, the unlock write done at ~18.8 us."""
+    ~15.2 us, the unlock write done at ~18.8 us; ``after_unlock``, the two
+    tasks land in rank 2's queue only then."""
     spec = ([(1, 288)], 3.0e-6, [(1, 288)])
     queue = [("queue", [spec] * 3)] if queued else []
-    return [[("steal", 1, 8000, 0)], queue, [("attempt", 1, "half", 8000)], [("hold", 1, 4000)]]
+    thief = [("attempt", 1, "half", 8000, after_unlock)]
+    return [[("steal", 1, 8000, 0)], queue, thief, [("hold", 1, 4000)]]
 
 
 _LOCK_HELD_UNTIL = 8000 * 1.0e-9
@@ -794,6 +805,12 @@ _CANCEL_PHASES = {
     "steal-backoff": (
         _steal_victim_plans(False), 1.4e-5, False, (5, False, False, False, False, 2)
     ),
+    "steal-after-unlock-loot-popped-not-landed": (
+        _steal_victim_plans(True, True), 1.55e-5, False, (0, False, False, False, False, 3)
+    ),
+    "steal-after-unlock-write-before-landing": (
+        _steal_victim_plans(True, True), 1.8e-5, False, (3, False, False, False, False, 3)
+    ),
 }
 
 #: A task a claim loop runs: (gets, kernel seconds, accumulates).
@@ -811,7 +828,8 @@ _POLICY = st.sampled_from(["one", "half", "half_cost"])
 #: A counter claim loop at home rank 0 or 1, a drain of the rank's own
 #: queue, a list, a steal holding a victim's lock for some ns and taking
 #: up to two tasks from its tail under it, tasks queued for thieves, or a
-#: steal attempt on a victim under a policy, with its backoff in ns.
+#: steal attempt on a victim under a policy, with its backoff in ns and
+#: whether its tasks land after the unlock write.
 _LOOP_OP = st.one_of(
     st.tuples(st.just("claims"), st.integers(min_value=0, max_value=1)),
     _LIST_OP,
@@ -828,6 +846,7 @@ _LOOP_OP = st.one_of(
         st.integers(min_value=0, max_value=3),
         _POLICY,
         st.sampled_from([1000, 8000]),
+        st.booleans(),
     ),
 )
 
@@ -924,6 +943,9 @@ class TestCrossEngineOrder:
         assert not _entries(reference, "task") and not _entries(reference, "attempted")
         assert ("nic-held", 3, _HELD_UNTIL) in reference
         assert reference[-3][1][0] == 0 and reference[-4][0][1][0] == 0
+        if phase.startswith("steal-after-unlock"):
+            # The loot had left the victim's queue and not reached the thief's.
+            assert [len(queue) for queue in reference[-4][1]] == [0, 1, 0, 0]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1021,6 +1043,29 @@ class TestCrossEngineOrder:
             [], [1003], [1002, 1004, 1005], [3300, 3301, 3302, 3303, 1001]
         ]  # fmt: skip
         assert log[-2][2][IDLE][1] == pytest.approx(1.0e-6)  # the backoff
+
+    @pytest.mark.parametrize(
+        "after_unlock, hold_ns, found",
+        [(False, 10000, 1), (True, 10000, 0), (True, 15000, 1)],
+        ids=["before-unlock", "after-unlock-during-the-write", "after-unlock-once-landed"],
+    )
+    def test_a_thief_of_a_thief_sees_what_the_order_landed(self, after_unlock, hold_ns, found):
+        """Rank 2 steals two of rank 1's three tasks; rank 3, on rank 2's
+        node, reads rank 2's queue while rank 2 writes rank 1's lock word
+        back (a 10 us hold first) or once it is done (15 us). During the
+        write the tasks are in rank 2's queue unless they land after the
+        unlock write, so rank 3 takes one or finds none."""
+        spec = ([(1, 288)], 3.0e-6, [(1, 288)])
+        plans = [
+            [],
+            [("queue", [spec] * 3)],
+            [("attempt", 1, "half", 1000, after_unlock)],
+            [("hold", 0, hold_ns), ("attempt", 2, "one", 1000)],
+        ]
+        log = _assert_interpreters_agree([[1.0e-6]], [], False, plans)
+        assert [entry[1:] for entry in _entries(log, "decided")] == [(2, 1, 2), (3, 2, found)]
+        _, queues, _ = log[-4]
+        assert [len(queue) for queue in queues] == [0, 1, 2 - found, found]
 
     @pytest.mark.parametrize("phase", _DRAIN_CANCEL_PHASES)
     def test_drain_closed_waiting_for_or_holding_its_lock(self, phase):
