@@ -67,9 +67,6 @@ def cmd_study(args: argparse.Namespace) -> int:
     except api.JobSpecError as exc:
         print(f"error: {exc.field}: {exc.reason}", file=sys.stderr)
         return 2
-    if args.resume and not spec.cache:
-        print("error: --resume needs the cache (drop --no-cache)", file=sys.stderr)
-        return 2
     cache = (spec.cache_dir or api.default_cache_dir()) if spec.cache else None
     # The store run_job would install, installed before the problem
     # builds (screening and task-graph intermediates route through it);
@@ -100,16 +97,13 @@ def cmd_study(args: argparse.Namespace) -> int:
             source=problem,
             executor=executor,
             progress=progress,
-            resume=args.resume,
         )
     finally:
         if executor is not None:
             executor.close()
     print(api.format_table(report.rows(), title="study results"))
     if cache is not None:
-        reused = sum(
-            1 for p in report.provenance.values() if p in ("cached", "resumed")
-        )
+        reused = sum(1 for p in report.provenance.values() if p == "cached")
         print(f"cache: {reused}/{len(report.provenance)} cells reused from {cache}")
     if report.failures:
         print()
@@ -271,8 +265,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     # SIGTERM = graceful drain: keep answering HTTP (new submits 503
     # with Retry-After) while running jobs finish or checkpoint within
-    # the grace budget, then exit cleanly — the restart resumes queued
-    # and checkpointed jobs from their journals. The drain runs on a
+    # the grace budget, then exit cleanly — the restart reruns queued
+    # and checkpointed jobs over the result cache. The drain runs on a
     # helper thread so the accept loop keeps serving the 503s.
     def _drain_then_exit() -> None:
         print(f"SIGTERM: draining (grace {args.drain_grace:.1f}s)")
@@ -451,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print one line per cell as it completes (cached/done counts)",
     )
     p_study.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted sweep from its checkpoint journal "
-        "(stored next to the cache; requires caching)",
-    )
-    p_study.add_argument(
         "--timeout", type=float, default=None, metavar="SEC",
         help="per-cell wall-clock budget with --jobs > 1; a hung worker "
         "is killed and the cell retried (default: unlimited)",
@@ -463,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument(
         "--deadline", type=float, default=None, metavar="SEC",
         help="whole-study wall-clock budget; cells not settled by then "
-        "quarantine as DeadlineExceeded (journaled progress survives, "
-        "so --resume continues; default: unlimited)",
+        "quarantine as DeadlineExceeded (settled cells stay cached, so "
+        "a rerun continues; default: unlimited)",
     )
     p_study.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
@@ -525,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--workdir", default=None, metavar="DIR",
-        help="keep chaos artifacts (caches, journals, markers) here "
+        help="keep chaos artifacts (caches, markers, state dirs) here "
         "instead of a throwaway temp dir",
     )
     p_chaos.add_argument(
@@ -550,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--state-dir", default="benchmarks/results/service", metavar="DIR",
         help="durable service state: job records under DIR/jobs, the "
-        "result cache + journals under DIR/cache (default: %(default)s). "
-        "Restarting the daemon on the same state dir resumes unfinished "
-        "jobs from their journals.",
+        "result cache under DIR/cache (default: %(default)s). "
+        "Restarting the daemon on the same state dir reruns unfinished "
+        "jobs over the cache.",
     )
     p_serve.add_argument(
         "--executor", default="local", metavar="SPEC",
@@ -586,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--ttl", type=float, default=None, metavar="SEC",
-        help="retention TTL: terminal job records (and their journals "
-        "and unreferenced cache entries) are garbage-collected this many "
+        help="retention TTL: terminal job records (and their "
+        "unreferenced cache entries) are garbage-collected this many "
         "seconds after finishing (default: keep forever)",
     )
     p_serve.add_argument(

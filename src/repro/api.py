@@ -222,8 +222,6 @@ def sweep(
     timeout: float | None = None,
     retry: RetryPolicy | None = None,
     on_error: str = "raise",
-    journal: SweepJournal | str | None = None,
-    resume: bool = False,
     executor: CellExecutor | str = "local",
     on_result: Callable[..., None] | None = None,
     deadline: float | None = None,
@@ -241,9 +239,9 @@ def sweep(
     bounds each cell's wall clock (hung workers are killed and the cell
     retried), ``retry`` sets the attempt budget/backoff,
     ``on_error="quarantine"`` records poison cells on
-    ``report.failures`` instead of aborting, and ``journal``/``resume``
-    checkpoint completed cells so an interrupted sweep continues where
-    it stopped.
+    ``report.failures`` instead of aborting, and the cache is the
+    checkpoint: rerunning an interrupted sweep over the same cache
+    computes only the cells that never settled.
 
     ``executor`` selects the execution backend via the canonical spec
     string (:func:`parse_executor_spec`): ``"local"`` (supervised forked
@@ -260,8 +258,8 @@ def sweep(
     ``deadline`` is an absolute ``time.monotonic()`` instant bounding
     the whole sweep: cells not settled by then quarantine as
     ``DeadlineExceeded`` failures (or raise under ``on_error="raise"``).
-    Completed cells stay cached/journaled, so an expired sweep resumes
-    bit-for-bit.
+    Completed cells stay cached, so a rerun of an expired sweep is
+    bit-for-bit the uninterrupted one.
     """
     runner = SweepRunner(
         jobs=jobs,
@@ -270,8 +268,6 @@ def sweep(
         timeout=timeout,
         retry=retry,
         on_error=on_error,
-        journal=journal,
-        resume=resume,
         executor=executor,
         on_result=on_result,
         deadline=deadline,
@@ -286,8 +282,6 @@ def run_job(
     executor: CellExecutor | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
     on_result: Callable[..., None] | None = None,
-    journal: SweepJournal | str | None = None,
-    resume: bool = False,
     cache: ResultCache | str | None = None,
     deadline: float | None = None,
 ) -> StudyReport:
@@ -304,9 +298,9 @@ def run_job(
 
     ``executor`` overrides the spec's executor string with a live
     instance (the service's backend router does this — e.g. to reuse a
-    daemon-lifetime distributed fabric). ``cache``/``journal``/``resume``
-    override the spec's cache settings the same way (the service owns
-    its state directory; the CLI derives them from ``--cache-dir``).
+    daemon-lifetime distributed fabric). ``cache`` overrides the spec's
+    cache settings the same way (the service owns its state directory;
+    the CLI derives it from ``--cache-dir``).
     ``source`` supplies an already-built problem for the spec's source
     recipe — callers that need the built graph for their own reporting
     (the CLI prints basis/task counts) pass it to avoid a double build.
@@ -316,7 +310,6 @@ def run_job(
     execution knob outside the job identity) is converted to an
     absolute deadline at entry.
     """
-    import pathlib
     import time
 
     from repro.simulate.sched import set_engine_mode
@@ -334,8 +327,6 @@ def run_job(
     configure_job_artifacts(cache_root, enabled=spec.artifact_cache)
     problem = source if source is not None else spec.source.build()
     config = spec.study_config(problem)
-    if journal is None and cache_root is not None:
-        journal = str(pathlib.Path(cache_root) / "journal")
     return sweep(
         config,
         problem,
@@ -345,8 +336,6 @@ def run_job(
         timeout=spec.timeout,
         retry=spec.retry_policy(),
         on_error="quarantine",
-        journal=journal,
-        resume=resume,
         executor=executor if executor is not None else spec.executor,
         on_result=on_result,
         deadline=deadline,

@@ -3,7 +3,7 @@
 Where :mod:`repro.faults` injects failures into the *simulated* machine,
 this package injects them into the *host* machine actually running the
 sweep: live worker processes are SIGKILLed mid-cell, cells are hung past
-their wall-clock timeout, on-disk cache entries and journal lines are
+their wall-clock timeout, on-disk cache and artifact entries are
 truncated or corrupted, TCP workers freeze, sever and duplicate, a daemon
 is drained and restarted under load. The harness then asserts the one
 property the whole fault-tolerant layer exists to provide: **the

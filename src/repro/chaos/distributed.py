@@ -30,6 +30,7 @@ from repro.chaos.harness import (
     child_env,
     scenario,
 )
+from repro.chaos.host import _corrupt_cache_entries
 from repro.core.sweep import SweepCell, SweepRunner, execute_cell
 from repro.parallel.executor import DegradedExecutionWarning
 from repro.parallel.fabric import DistributedExecutor
@@ -283,28 +284,26 @@ def full_remote_loss(ctx: ChaosContext) -> str:
 
 
 @scenario(
-    "distributed", "distributed: killed worker + interrupt + resume, 100% parity"
+    "distributed", "distributed: killed worker + interrupt + cached rerun, 100% parity"
 )
 def kill_interrupt_resume(ctx: ChaosContext) -> str:
-    """A journaled distributed sweep loses a worker to SIGKILL *and* is
-    interrupted; a fresh fabric resumes from the journal and completes
-    with 100% row parity."""
+    """A cached distributed sweep loses a worker to SIGKILL *and* is
+    interrupted, and one entry it settled is corrupted; a rerun on a
+    fresh fabric serves every other settled cell as ``cached``,
+    recomputes the corrupt one and the rest, with 100% row parity."""
     cells = ctx.cells
-    durable = {
-        "cache": ctx.workdir / "cache",
-        "journal": ctx.workdir / "journal",
-    }
+    cache = ctx.workdir / "cache"
     plan = ChaosPlan(marker_dir=ctx.markers(), kill=(ctx.labels[1],))
     interrupted = False
     with fleet(2, reconnect_attempts=0) as (ex, _workers):
         first = SweepRunner(
             jobs=2,
+            cache=cache,
             retry=ctx.retry,
             on_error="quarantine",
             cell_fn=functools.partial(chaos_execute_cell, plan),
             executor=ex,
             progress=_interrupt_after(max(2, len(cells) // 2)),
-            **durable,
         )
         try:
             first.run_cells(cells)
@@ -312,22 +311,29 @@ def kill_interrupt_resume(ctx: ChaosContext) -> str:
             interrupted = True
     if not interrupted:
         raise AssertionError("sweep was not interrupted")
-    if first.stats.computed < 1:
-        raise AssertionError("nothing journaled before the interrupt")
+    settled = [c for c, how in zip(cells, first.last_provenance) if how == "fresh"]
+    if len(settled) < 2:
+        raise AssertionError(f"only {len(settled)} cell(s) cached before the interrupt")
+    if _corrupt_cache_entries(first.cache, [first.cell_key(settled[-1])]) != 1:
+        raise AssertionError("the last settled cell has no cache entry")
 
     # A fresh fabric + fresh workers, as a restarted driver would.
     with fleet(2) as (ex2, _workers):
-        second, resumed = _disturbed_sweep(ctx, ex2, resume=True, **durable)
-    problems = _compare_rows(ctx.reference, resumed)
-    if second.stats.resumed < 1:
-        problems.append("resume recomputed everything (journal unused)")
-    if second.stats.resumed + second.stats.cached + second.stats.computed != len(
-        cells
-    ):
+        second, rerun = _disturbed_sweep(ctx, ex2, cache=cache)
+    problems = _compare_rows(ctx.reference, rerun)
+    if second.stats.cached != len(settled) - 1:
+        problems.append(
+            f"cache hits {second.stats.cached}, expected {len(settled) - 1}"
+        )
+    if second.cache.stats.errors != 1:
+        problems.append(
+            f"cache detected {second.cache.stats.errors} corruptions, expected 1"
+        )
+    if second.stats.cached + second.stats.computed != len(cells):
         problems.append("row count does not add up to the full grid")
     return _verdict(
         problems,
-        f"worker killed + interrupt after {first.stats.computed}, "
-        f"resumed {second.stats.resumed}, recomputed "
+        f"worker killed + interrupt after {len(settled)}, "
+        f"{second.stats.cached} cached, 1 corrupt entry healed, recomputed "
         f"{second.stats.computed}; 100% row parity",
     )

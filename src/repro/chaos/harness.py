@@ -12,7 +12,7 @@ Fault injection is *real*, not mocked: the kill fault SIGKILLs the live
 worker process from inside the cell it is executing, the hang fault
 sleeps a cell past the supervisor's wall-clock budget (so the supervisor
 must kill the worker from outside), and corruption faults rewrite actual
-cache/journal bytes on disk. First-attempt-only faults coordinate across
+cache bytes on disk. First-attempt-only faults coordinate across
 processes through marker files created with ``O_CREAT | O_EXCL`` — a
 mechanism that survives the worker being SIGKILLed a microsecond later.
 
@@ -251,7 +251,7 @@ class ChaosContext:
     timeout: float
     log: Callable[[str], None]
     #: This scenario's own directory, set by the runner before each row:
-    #: caches, journals, markers and state dirs go here.
+    #: caches, markers and state dirs go here.
     workdir: Path = field(init=False)
 
     retry: ClassVar[RetryPolicy] = RetryPolicy(
@@ -354,7 +354,7 @@ def run_chaos(
             fewer rounds where a scenario repeats a race.
         jobs: supervised workers for the host suite's disturbed sweeps.
         seed: study seed (any value works; determinism is per-seed).
-        workdir: where caches/journals/markers/state dirs live, one
+        workdir: where caches/markers/state dirs live, one
             sub-directory per scenario; kept. Default: a temporary
             directory removed once the report is built.
         timeout: per-cell wall-clock budget for the host suite's

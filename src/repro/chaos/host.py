@@ -1,5 +1,5 @@
-"""The ``host`` suite: the forked sweep backend, its cache, journal and
-artifact store under crashes, hangs, interrupts and rewritten disk bytes.
+"""The ``host`` suite: the forked sweep backend, its cache and artifact
+store under crashes, hangs, interrupts and rewritten disk bytes.
 
 Disturbed sweeps run on :attr:`ChaosContext.jobs` supervised workers and
 are compared with :attr:`ChaosContext.reference` field by field.
@@ -55,16 +55,6 @@ def _corrupt_cache_entries(cache: ResultCache, keys: Sequence[str]) -> int:
     return len(paths)
 
 
-def _corrupt_journal(journal_path: Path) -> None:
-    """Append a garbage line and tear the last valid line in half."""
-    data = journal_path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    torn = lines[-1][: max(1, len(lines[-1]) // 2)] if lines else b""
-    journal_path.write_bytes(
-        b"".join(lines[:-1]) + b"#### chaos garbage, not json ####\n" + torn
-    )
-
-
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
@@ -92,7 +82,6 @@ def crash_hang_corrupt(ctx: ChaosContext) -> str:
         timeout=ctx.timeout,
         retry=ctx.retry,
         on_error="quarantine",
-        journal=ctx.workdir / "journal",
         cell_fn=functools.partial(chaos_execute_cell, plan),
     )
     problems = _compare_rows(ctx.reference, runner.run_cells(cells))
@@ -117,19 +106,16 @@ def crash_hang_corrupt(ctx: ChaosContext) -> str:
     )
 
 
-@scenario("host", "SIGINT interrupt + corrupted journal + --resume, bit-for-bit")
+@scenario("host", "SIGINT interrupt + corrupted entry + cached rerun, bit-for-bit")
 def interrupt_resume(ctx: ChaosContext) -> str:
-    """A sweep is interrupted partway (KeyboardInterrupt), its journal gets
-    a garbage line and a torn final line, then ``resume=True`` must restore
-    exactly the journaled cells (minus the torn one) and recompute only the
-    rest."""
+    """A sweep is interrupted partway (KeyboardInterrupt) and one entry it
+    settled is corrupted; a rerun over the same cache must serve every
+    other settled cell as ``cached``, recompute the corrupt one and the
+    unfinished ones, and match."""
     cells = ctx.cells
     cache_dir = ctx.workdir / "cache"
-    journal_dir = ctx.workdir / "journal"
     stop_after = max(2, len(cells) // 2)
-    first = SweepRunner(
-        cache=cache_dir, journal=journal_dir, progress=_interrupt_after(stop_after)
-    )
+    first = SweepRunner(cache=cache_dir, progress=_interrupt_after(stop_after))
     interrupted = False
     try:
         first.run_cells(cells)
@@ -139,40 +125,35 @@ def interrupt_resume(ctx: ChaosContext) -> str:
         raise AssertionError("sweep was not interrupted")
     done_before = first.stats.computed
     if done_before < stop_after:
-        raise AssertionError(f"only {done_before} cells journaled before interrupt")
+        raise AssertionError(f"only {done_before} cells cached before interrupt")
     if first.last_provenance.count("pending") == 0:
         raise AssertionError("interrupt left nothing pending")
-
-    journal_files = sorted(journal_dir.glob("sweep-*.jsonl"))
-    if len(journal_files) != 1:
-        raise AssertionError(f"expected 1 journal, found {journal_files}")
-    _corrupt_journal(journal_files[0])
+    settled = [c for c, how in zip(cells, first.last_provenance) if how == "fresh"]
+    if _corrupt_cache_entries(first.cache, [first.cell_key(settled[-1])]) != 1:
+        raise AssertionError("the last settled cell has no cache entry")
 
     second = SweepRunner(
-        jobs=ctx.jobs,
-        cache=cache_dir,
-        timeout=ctx.timeout,
-        retry=ctx.retry,
-        journal=journal_dir,
-        resume=True,
+        jobs=ctx.jobs, cache=cache_dir, timeout=ctx.timeout, retry=ctx.retry
     )
     problems = _compare_rows(ctx.reference, second.run_cells(cells))
-    # The torn final journal line loses exactly one entry; that cell
-    # falls back to the cache. Nothing already-complete recomputes.
-    if second.stats.resumed != done_before - 1:
-        problems.append(f"resumed {second.stats.resumed}, expected {done_before - 1}")
-    if second.stats.cached != 1:
-        problems.append(f"cache hits {second.stats.cached}, expected 1 (torn line)")
-    if second.stats.computed != len(cells) - done_before:
+    # The corrupt entry is a counted miss that recomputes; every other
+    # settled cell comes back from the cache.
+    if second.stats.cached != done_before - 1:
+        problems.append(f"cache hits {second.stats.cached}, expected {done_before - 1}")
+    if second.cache.stats.errors != 1:
+        problems.append(
+            f"cache detected {second.cache.stats.errors} corruptions, expected 1"
+        )
+    if second.stats.computed != len(cells) - done_before + 1:
         problems.append(
             f"recomputed {second.stats.computed}, expected "
-            f"{len(cells) - done_before} unfinished cells"
+            f"{len(cells) - done_before + 1} (unfinished + corrupt)"
         )
     return _verdict(
         problems,
-        f"interrupted after {done_before}, resumed {second.stats.resumed} "
-        f"from corrupted journal + 1 from cache, recomputed "
-        f"{second.stats.computed}; rows identical",
+        f"interrupted after {done_before}, {second.stats.cached} cached, "
+        f"1 corrupt entry healed, recomputed {second.stats.computed}; "
+        f"rows identical",
     )
 
 

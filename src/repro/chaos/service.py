@@ -334,7 +334,7 @@ def cancel_race(ctx: ChaosContext) -> str:
 @scenario("service", "service: SIGTERM drain mid-sweep -> restart resumes")
 def drain_restart(ctx: ChaosContext) -> str:
     """SIGTERM mid-sweep: clean drain (exit 0), the restarted daemon
-    resumes from the journal, rows identical."""
+    reruns the job over the result cache, rows identical."""
     spec = _spec(ctx.seed + 3000, wide=True)
     state = ctx.workdir / "state"
     with daemon(state, drain_grace=0.2) as (proc, host, port):
@@ -368,8 +368,8 @@ def drain_restart(ctx: ChaosContext) -> str:
         snapshot = _done_with_serial_rows(
             ServiceClient(host, port), job_id, spec, "across drain+restart", 180
         )
-    resumed = snapshot["progress"]["cached"]
-    return f"drained cleanly, restart resumed {resumed} journaled cell(s)"
+    cached = snapshot["progress"]["cached"]
+    return f"drained cleanly, restart served {cached} cell(s) from the cache"
 
 
 @scenario("service", "service: retention GC racing a live row stream")

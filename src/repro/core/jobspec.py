@@ -152,9 +152,9 @@ class JobSpec:
         deadline_s: whole-job wall-clock budget in seconds (None =
             none). Cells not settled when it expires quarantine as
             ``DeadlineExceeded`` failures and the job reaches a
-            ``failed/deadline`` terminal state in the service; journaled
-            progress survives, so a resubmission resumes. An execution
-            knob, so excluded from :meth:`job_key`.
+            ``failed/deadline`` terminal state in the service; settled
+            cells stay cached, so a resubmission computes only the rest.
+            An execution knob, so excluded from :meth:`job_key`.
         max_attempts: tries per cell before quarantine (None = policy
             default).
         cache: reuse/populate the content-addressed result cache.

@@ -1,33 +1,23 @@
-"""Durable sweep checkpoint journal: append-only, fsynced JSONL.
+"""Append-only, fsynced JSONL log of a sweep's settled cells.
 
-The result cache (:mod:`repro.core.cache`) makes individual cell results
-durable; the journal makes *sweep progress* durable. Each completed cell
-appends one JSON line — the cell's content key, label, status, attempt
-count, and a pointer to the stored result — flushed and fsynced before
-the sweep moves on. An interrupted sweep (SIGINT, SIGTERM, power loss,
-crash) can then be resumed bit-for-bit: ``--resume`` replays the journal,
-loads the recorded results from the store, and recomputes only the cells
-with no valid entry.
+The result cache (:mod:`repro.core.cache`) is the sweep's only
+checkpoint: a rerun over the same cache serves every settled cell from
+it. :class:`SweepJournal` is a write-only record next to it, one JSON
+line per settled cell (content key, label, status, attempt count, a
+pointer to the stored result), flushed and fsynced before the sweep
+moves on. Nothing in the package reads it back; ``bench/`` times its
+appends.
 
-Robustness properties (all tested):
-
-- **Torn writes are harmless.** A kill mid-append leaves at most one
-  partial trailing line; :meth:`SweepJournal.load` skips any line that
-  is not valid JSON or fails schema validation, so a corrupted or
-  truncated journal degrades to "fewer cells resumed", never an error.
-- **Entries are content-addressed.** A journal line names a cell by the
-  same sha256 content key the cache uses, so resuming with a *different*
-  grid, seed, or code salt simply matches nothing — stale journals
-  cannot inject wrong results.
-- **Append is signal-deferred.** The sweep wraps each
-  store-write + journal-append in :func:`deferred_signals`, so SIGINT
-  and SIGTERM are held until the entry is durable and then re-raised —
-  the journal never records a cell whose result did not reach the store.
+- **Torn writes stay contained.** A kill mid-append leaves at most one
+  partial trailing line; the next :meth:`SweepJournal.append` seals it
+  off with a newline, so later lines are never merged into it.
+- **Append is signal-deferred.** The sweep wraps each store-write +
+  journal-append in :func:`deferred_signals`, so SIGINT and SIGTERM are
+  held until both land and are then re-raised.
 
 File naming: one journal per sweep, keyed by :func:`sweep_id` (a sha256
-over the sorted cell keys), so concurrent different sweeps sharing one
-cache directory never collide and ``--resume`` needs no bookkeeping from
-the user.
+over the sorted cell keys), so different sweeps sharing a directory
+never collide.
 """
 
 from __future__ import annotations
@@ -45,20 +35,11 @@ from typing import Iterable, Iterator
 #: Journal format version; bump on incompatible line-schema changes.
 JOURNAL_VERSION = 1
 
-#: Statuses a journal entry may carry.
-ENTRY_STATUSES = ("done", "failed")
-
-#: Default size past which a resumed journal is compacted in place.
-#: Journals grow one line per settled cell *per run*; a long-lived
-#: service state dir replays the same grids many times, so the file can
-#: dwarf its useful content. 64 KiB keeps small sweeps untouched.
-COMPACT_MIN_BYTES = 64 * 1024
-
 
 def sweep_id(keys: Iterable[str]) -> str:
     """A stable identity for one sweep: sha256 over its sorted cell keys.
 
-    Order-independent, so the same grid always resumes the same journal
+    Order-independent, so the same grid always names the same journal
     regardless of cell enumeration order.
     """
     digest = sha256()
@@ -72,9 +53,8 @@ def sweep_id(keys: Iterable[str]) -> str:
 class JournalEntry:
     """One durable fact: cell ``key`` reached ``status``.
 
-    ``result_path`` is informational — the pointer into the result store
-    where the value was written; resume loads through the store's own
-    (validating) ``get``, never by trusting this path blindly.
+    ``result_path`` is informational: the pointer into the result cache
+    where the value was written.
     """
 
     key: str
@@ -86,7 +66,7 @@ class JournalEntry:
 
 
 class SweepJournal:
-    """Append-only JSONL checkpoint log for one sweep.
+    """Append-only JSONL log of one sweep's settled cells.
 
     Args:
         path: the journal file (created on first append; parent
@@ -133,106 +113,13 @@ class SweepJournal:
             os.fsync(fh.fileno())
         self.appended += 1
 
-    def load(self) -> dict[str, JournalEntry]:
-        """Valid entries by cell key (later lines win); missing file = {}.
-
-        Malformed lines — torn trailing writes, corruption, foreign
-        schema versions — are skipped silently: the journal is a
-        performance artifact, and the worst case of a lost line is one
-        recomputed cell.
-        """
-        entries: dict[str, JournalEntry] = {}
-        try:
-            text = self.path.read_text(encoding="utf-8", errors="replace")
-        except (FileNotFoundError, OSError):
-            return entries
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if record.get("v") != JOURNAL_VERSION:
-                continue
-            key = record.get("key")
-            status = record.get("status")
-            if not isinstance(key, str) or status not in ENTRY_STATUSES:
-                continue
-            try:
-                entries[key] = JournalEntry(
-                    key=key,
-                    label=str(record.get("label", "")),
-                    status=status,
-                    attempts=int(record.get("attempts", 1)),
-                    result_path=str(record.get("result_path", "")),
-                    error=str(record.get("error", "")),
-                )
-            except (TypeError, ValueError):
-                continue
-        return entries
-
-    def compact(
-        self,
-        relevant_keys: "Iterable[str] | None" = None,
-        *,
-        min_bytes: int = COMPACT_MIN_BYTES,
-    ) -> int:
-        """Rewrite the journal to only its load-bearing lines.
-
-        Keeps exactly one line per cell key — the one :meth:`load`
-        would have honoured (later lines win) — and, when
-        ``relevant_keys`` is given, only keys in that set (entries for
-        other grids sharing the file are dead weight for this sweep).
-        Garbage lines, torn tails, and superseded duplicates are
-        dropped.
-
-        The rewrite is crash-safe: the surviving lines are written to a
-        sibling temp file, flushed and fsynced, then atomically
-        ``os.replace``d over the original — a kill at any point leaves
-        either the old journal or the new one, never a torn hybrid. The
-        compacted file always ends with a newline, so the torn-tail
-        healing in :meth:`append` keeps working afterwards.
-
-        A no-op (returns 0) while the file is smaller than
-        ``min_bytes`` — compaction exists to bound growth, not to churn
-        tiny files. Returns the number of bytes reclaimed.
-        """
-        try:
-            before = self.path.stat().st_size
-        except (FileNotFoundError, OSError):
-            return 0
-        if before < min_bytes:
-            return 0
-        entries = self.load()
-        if relevant_keys is not None:
-            keep = set(relevant_keys)
-            entries = {k: e for k, e in entries.items() if k in keep}
-        tmp = self.path.with_name(self.path.name + ".compact")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for entry in entries.values():
-                record = {"v": JOURNAL_VERSION, **asdict(entry)}
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._tail_checked = True  # we just wrote the (clean) tail
-        after = self.path.stat().st_size
-        return max(0, before - after)
-
     def rotate(self) -> None:
-        """Discard any prior journal (fresh, non-resumed sweeps)."""
+        """Discard any prior journal: each run starts a fresh file."""
         try:
             self.path.unlink()
         except FileNotFoundError:
             pass
         self.appended = 0
-
-    def __len__(self) -> int:
-        return len(self.load())
 
 
 @contextlib.contextmanager

@@ -49,10 +49,9 @@ class StudyReport:
     """All runs of one study, keyed by (model name, rank count).
 
     ``provenance`` optionally records, per key, how the result was
-    obtained: computed fresh, served from the sweep cache, or restored
-    from a checkpoint journal (``"fresh"`` / ``"cached"`` /
-    ``"resumed"``). It is bookkeeping only: all three are bit-for-bit
-    identical, so nothing downstream may branch on it.
+    obtained: computed fresh or served from the sweep cache
+    (``"fresh"`` / ``"cached"``). It is bookkeeping only: both are
+    bit-for-bit identical, so nothing downstream may branch on it.
 
     ``failures`` collects quarantined sweep cells
     (:class:`~repro.parallel.CellFailure`): cells that exhausted their

@@ -1,4 +1,4 @@
-"""Parallel sweep orchestration: caching, supervision, checkpointing.
+"""Parallel sweep orchestration: caching and supervision.
 
 The paper's claims are all *sweep-shaped*: model x rank-count x machine x
 granularity grids of independent simulation cells. This module is the
@@ -16,24 +16,22 @@ itself:
   supervision loop: per-cell wall-clock timeouts, crash detection and
   worker respawn, bounded retry with backoff, and poison-cell
   quarantine (:class:`~repro.parallel.CellFailure`).
-- an optional durable checkpoint journal
-  (:class:`~repro.core.journal.SweepJournal`): every completed cell is
-  fsynced to an append-only JSONL log, so an interrupted sweep resumes
-  (``resume=True`` / ``python -m repro study --resume``) recomputing
-  only unfinished cells.
+
+The result cache is the one checkpoint: every computed cell is stored as
+it settles, so rerunning an interrupted sweep over the same cache serves
+the settled cells as ``"cached"`` and computes only the rest.
 
 Determinism guarantees (tested): cell seeds are derived exactly as the
 serial study driver derives them, simulation never reads the wall clock,
 and cached results round-trip bit-for-bit through the cache's entry
 format (``to_arrays``/``from_arrays``) — so serial, parallel,
-cold, warm, chaos-disturbed, and resumed sweeps all produce identical
-:class:`~repro.core.results.StudyReport` rows.
+cold, warm, chaos-disturbed, and interrupted-then-rerun sweeps all
+produce identical :class:`~repro.core.results.StudyReport` rows.
 """
 
 from __future__ import annotations
 
 import contextlib
-import pathlib
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -141,10 +139,10 @@ def execute_cell(cell: SweepCell) -> Any:
 class SweepProgress:
     """One progress event handed to the runner's ``progress`` callback."""
 
-    status: str  #: "cached" | "resumed" | "done" | "failed"
+    status: str  #: "cached" | "done" | "failed"
     label: str  #: the cell's display label
-    completed: int  #: cells finished so far (cached + resumed + computed)
-    cached: int  #: of those, served from cache or journal resume
+    completed: int  #: cells finished so far (cached + computed + failed)
+    cached: int  #: of those, served from the result cache
     running: int  #: cells still outstanding
     total: int  #: cells in this sweep
 
@@ -162,9 +160,8 @@ def print_progress(event: SweepProgress) -> None:
 class SweepStats:
     """Cumulative cell accounting across a runner's lifetime."""
 
-    cells: int = 0  #: cells settled (cached + resumed + computed + failed)
+    cells: int = 0  #: cells settled (cached + computed + failed)
     cached: int = 0  #: served from the result cache
-    resumed: int = 0  #: restored from the checkpoint journal
     computed: int = 0  #: executed this session
     failed: int = 0  #: quarantined after exhausting retries
 
@@ -197,7 +194,7 @@ def study_cells(config: StudyConfig, graph: TaskGraph) -> list[SweepCell]:
 
 
 class SweepRunner:
-    """Executes sweep cells with caching, supervision, and checkpointing.
+    """Executes sweep cells with caching and supervision.
 
     Args:
         jobs: worker processes for cache-miss cells (1 = in-process
@@ -219,12 +216,10 @@ class SweepRunner:
             ``"quarantine"`` records a
             :class:`~repro.parallel.CellFailure` in the results instead,
             so one poison cell cannot abort the sweep.
-        journal: checkpoint journal — a :class:`SweepJournal`, a
-            ``*.jsonl`` file path, or a directory (one journal per sweep
-            grid is derived inside it); None disables checkpointing.
-        resume: replay the journal before executing: cells already
-            recorded as done are restored from the result store and only
-            the rest run. Requires ``journal``.
+        journal: a directory for a write-only log of settled cells,
+            one fsynced line each (one :class:`SweepJournal` per sweep
+            grid is derived inside it); None writes none. Nothing reads
+            it back: the cache is the checkpoint.
         cell_fn: the worker entry (default :func:`execute_cell`). Must
             compute exactly what ``execute_cell`` computes — this hook
             exists for wrappers that add host-fault injection or
@@ -242,19 +237,19 @@ class SweepRunner:
             how)`` where ``key`` is the cell's content address (None
             when neither cache nor journal is configured), ``outcome``
             is the result or a :class:`~repro.parallel.CellFailure`, and
-            ``how`` is ``"cached" | "resumed" | "fresh" | "failed"``.
+            ``how`` is ``"cached" | "fresh" | "failed"``.
             Unlike ``progress`` it carries the actual result — this is
             the streaming hook the job service uses to emit rows while a
             sweep is still running. An exception raised by the callback
-            aborts the sweep (completed cells stay journaled).
+            aborts the sweep (completed cells stay cached).
         deadline: absolute ``time.monotonic()`` instant past which no
             further cell may run. Enforced by the executor (the local
             backend kills in-flight cells; serial and distributed stop
             between cells); expired cells settle as ``CellFailure`` with
             ``error_type="DeadlineExceeded"`` (quarantine mode) or raise
-            a :class:`~repro.parallel.WorkerError`. Journaled progress
-            is preserved, so a deadline-expired sweep resumes cleanly.
-            None disables.
+            a :class:`~repro.parallel.WorkerError`. Settled cells stay
+            cached, so a rerun of a deadline-expired sweep computes only
+            the rest. None disables.
     """
 
     def __init__(
@@ -267,8 +262,7 @@ class SweepRunner:
         timeout: float | None = None,
         retry: RetryPolicy | None = None,
         on_error: str = "raise",
-        journal: SweepJournal | str | Any | None = None,
-        resume: bool = False,
+        journal: str | Any | None = None,
         cell_fn: Callable[[SweepCell], Any] | None = None,
         executor: CellExecutor | str = "local",
         on_result: Callable[[int, SweepCell, str | None, Any, str], None]
@@ -277,11 +271,6 @@ class SweepRunner:
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if resume and journal is None:
-            raise ConfigurationError(
-                "resume=True requires a journal (a SweepJournal, file, or "
-                "directory) to replay"
-            )
         self.jobs = int(jobs)
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
@@ -292,7 +281,6 @@ class SweepRunner:
         self.retry = retry if retry is not None else HOST_RETRY_POLICY
         self.on_error = on_error
         self.journal = journal
-        self.resume = resume
         self.cell_fn = cell_fn if cell_fn is not None else execute_cell
         self.executor = make_executor(executor)
         self.on_result = on_result
@@ -301,7 +289,7 @@ class SweepRunner:
         #: Host-fault accounting from the supervised pool (crashes,
         #: timeouts, retries, quarantines), cumulative over this runner.
         self.supervisor_stats = SupervisorStats()
-        #: Provenance ("cached" | "resumed" | "fresh" | "failed" |
+        #: Provenance ("cached" | "fresh" | "failed" |
         #: "pending") per cell of the *last* run_cells call, in cell
         #: order. "pending" appears only when the sweep was interrupted.
         self.last_provenance: list[str] = []
@@ -345,29 +333,9 @@ class SweepRunner:
         ]
 
     # ------------------------------------------------------------------
-    def _journal_for(self, keys: Sequence[str]) -> SweepJournal | None:
-        """Resolve the journal spec against this sweep's cell keys."""
-        if self.journal is None:
-            return None
-        if isinstance(self.journal, SweepJournal):
-            return self.journal
-        path = pathlib.Path(self.journal)
-        if path.suffix == ".jsonl":
-            return SweepJournal(path)
-        return SweepJournal.for_sweep(path, keys)
-
-    def _store_for(self, journal: SweepJournal | None) -> ResultCache | None:
-        """Where durable results live: the cache, or a journal sidecar."""
-        if self.cache is not None:
-            return self.cache
-        if journal is not None:
-            return ResultCache(journal.path.parent / "objects")
-        return None
-
-    # ------------------------------------------------------------------
     def run_cells(self, cells: Sequence[SweepCell]) -> list[Any]:
-        """Execute every cell (journal/cache-first), returning results in
-        cell order; quarantined cells yield a
+        """Execute every cell (cache-first), returning results in cell
+        order; quarantined cells yield a
         :class:`~repro.parallel.CellFailure` in place of a result.
 
         Progress, provenance, and :class:`SweepStats` are flushed in a
@@ -379,26 +347,17 @@ class SweepRunner:
         total = len(cells)
         results: list[Any] = [None] * total
         provenance = ["pending"] * total
-        settled = {"cached": 0, "resumed": 0, "computed": 0, "failed": 0}
+        settled = {"cached": 0, "computed": 0, "failed": 0}
         completed = 0
 
         need_keys = self.cache is not None or self.journal is not None
         keys: list[str | None] = [None] * total
         if need_keys:
             keys[:] = self._cell_keys(cells)
-        journal = self._journal_for([k for k in keys if k is not None])
-        store = self._store_for(journal)
-        journaled: dict[str, JournalEntry] = {}
-        if journal is not None:
-            if self.resume:
-                journaled = journal.load()
-                # A long-lived journal (service state dirs replay the
-                # same grids many times) accumulates superseded and
-                # foreign-grid lines; rewrite it down to this sweep's
-                # own entries once it crosses the size threshold.
-                journal.compact(k for k in keys if k is not None)
-            else:
-                journal.rotate()
+        journal = None
+        if self.journal is not None:
+            journal = SweepJournal.for_sweep(self.journal, keys)
+            journal.rotate()
 
         def emit(status: str, index: int) -> None:
             if self.progress is not None:
@@ -407,7 +366,7 @@ class SweepRunner:
                         status=status,
                         label=cells[index].label,
                         completed=completed,
-                        cached=settled["cached"] + settled["resumed"],
+                        cached=settled["cached"],
                         running=total - completed,
                         total=total,
                     )
@@ -418,36 +377,25 @@ class SweepRunner:
             for index, cell in enumerate(cells):
                 key = keys[index]
                 hit = None
-                how = ""
-                if key is not None:
-                    entry = journaled.get(key)
-                    if (
-                        entry is not None
-                        and entry.status == "done"
-                        and store is not None
-                    ):
-                        hit = store.get(key)
-                        how = "resumed"
-                    if hit is None and self.cache is not None:
-                        hit = self.cache.get(key)
-                        how = "cached"
+                if self.cache is not None and key is not None:
+                    hit = self.cache.get(key)
                 if hit is None:
                     misses.append(index)
                     continue
                 results[index] = hit
-                provenance[index] = how
-                settled[how] += 1
+                provenance[index] = "cached"
+                settled["cached"] += 1
                 completed += 1
                 if self.on_result is not None:
-                    self.on_result(index, cell, key, hit, how)
-                emit(how, index)
+                    self.on_result(index, cell, key, hit, "cached")
+                emit("cached", index)
 
             if misses:
                 jobs = [cells[index] for index in misses]
                 labels = [cells[index].label for index in misses]
-                # Hold SIGINT/SIGTERM across the store-write +
+                # Hold SIGINT/SIGTERM across the cache-write +
                 # journal-append pair so the journal never names a result
-                # that didn't land (no-op guard when not checkpointing).
+                # that didn't land (no-op guard without a journal).
                 guard = deferred_signals if journal is not None else contextlib.nullcontext
                 for position, outcome in self.executor.run(
                     self.cell_fn,
@@ -482,16 +430,16 @@ class SweepRunner:
                             results[index] = outcome
                             provenance[index] = "fresh"
                             settled["computed"] += 1
-                            if store is not None and key is not None:
-                                store.put(key, outcome)
+                            if self.cache is not None and key is not None:
+                                self.cache.put(key, outcome)
                             if journal is not None and key is not None:
                                 journal.append(
                                     JournalEntry(
                                         key=key,
                                         label=cells[index].label,
                                         status="done",
-                                        result_path=str(store.path_for(key))
-                                        if store is not None
+                                        result_path=str(self.cache.path_for(key))
+                                        if self.cache is not None
                                         else "",
                                     )
                                 )
@@ -512,10 +460,9 @@ class SweepRunner:
                     )
         finally:
             # Flush accounting even when a cell raised or the sweep was
-            # interrupted: completed work stays reported and journaled.
+            # interrupted: completed work stays reported and cached.
             self.stats.cells += completed
             self.stats.cached += settled["cached"]
-            self.stats.resumed += settled["resumed"]
             self.stats.computed += settled["computed"]
             self.stats.failed += settled["failed"]
             self.last_provenance = provenance

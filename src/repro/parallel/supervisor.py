@@ -56,7 +56,7 @@ from repro.util import ConfigurationError, ReproError
 #: crashed workers, killed cells — deserve human-scale ones.) Jitter is
 #: deterministic — every ledger seeds its own backoff RNG — and non-zero
 #: so a batch of cells requeued by one dead worker does not retry in
-#: lockstep against the shared cache/journal (thundering herd).
+#: lockstep against the shared cache (thundering herd).
 HOST_RETRY_POLICY = RetryPolicy(
     max_attempts=3, base_delay=0.05, max_delay=0.5, jitter=0.25
 )

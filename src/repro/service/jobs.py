@@ -23,20 +23,20 @@ One :class:`JobManager` owns every job the daemon has ever accepted:
   executor-deep (the local pool kills in-flight cells; serial and
   distributed stop between cells). An expired job reaches the terminal
   ``failed`` state with an error starting ``"deadline"``; its settled
-  cells stay journaled, so resubmission resumes rather than restarts.
+  cells stay cached, so a resubmission computes only the rest.
 - **Durability.** Every job writes a JSON record under
   ``<state_dir>/jobs/`` (spec + status + cells + rows when finished),
-  and every sweep checkpoints through the journal machinery from PR 4.
+  and the result cache under ``<state_dir>/cache/`` is the checkpoint.
   A daemon kill + restart reloads the records, re-enqueues anything
-  unfinished with ``resume=True``, and the journal restores
-  already-computed cells bit-for-bit — restart costs only the cells
-  that never settled.
+  unfinished, and the rerun serves already-computed cells from the
+  cache bit-for-bit — restart costs only the cells that never settled.
+  A ``cache=False`` job keeps no store at all and recomputes.
 - **Graceful drain.** :meth:`JobManager.drain` (the SIGTERM path) flips
   the manager into *draining*: new submissions get a structured
   :class:`Draining` (503 + ``Retry-After``), queued jobs stay queued on
   disk, and running jobs get ``grace`` seconds to finish before being
   interrupted at their next checkpoint and persisted back as
-  ``queued`` — so a restarted daemon resumes them journal-consistently.
+  ``queued`` — so a restarted daemon reruns them over the cache.
 - **Row streaming.** Completed rows are appended (and watchers woken)
   as cells settle, via the sweep's ``on_result`` hook — this is what
   ``GET /v1/jobs/{id}/rows`` serves as NDJSON while the job still runs.
@@ -87,7 +87,7 @@ class JobDrained(Exception):
 
     Unlike :class:`JobCancelled` this is not an operator verdict on the
     job — the job goes back to ``queued`` (in memory and on disk) so a
-    restarted daemon resumes it from its journal.
+    restarted daemon reruns it over the result cache.
     """
 
 
@@ -253,10 +253,10 @@ class JobManager:
 
     Args:
         state_dir: the service's durable root — job records under
-            ``jobs/``, the shared result cache under ``cache/``, sweep
-            journals under ``cache/journal``. The layout matches what
-            ``repro study --cache-dir <state_dir>/cache`` produces, so a
-            hand-run study pointed there shares cells with the daemon.
+            ``jobs/``, the shared result cache under ``cache/``. The
+            layout matches what ``repro study --cache-dir
+            <state_dir>/cache`` produces, so a hand-run study pointed
+            there shares cells with the daemon.
         router: backend routing policy (default: local in-process).
         max_queued: bound on jobs waiting to run.
         capacity: weighted admission budget (default: one slot per host
@@ -352,10 +352,11 @@ class JobManager:
         """Reload job records; re-enqueue anything the crash interrupted.
 
         A ``running`` record means the previous daemon died mid-sweep;
-        it goes back on the queue and the sweep's journal restores every
-        cell that settled before the kill. Malformed records are skipped
-        (one lost record = one lost job *description*; the results
-        themselves live in the content-addressed cache regardless).
+        it goes back on the queue and the rerun serves every cell that
+        settled before the kill from the cache. Malformed records are
+        skipped (one lost record = one lost job *description*; the
+        results themselves live in the content-addressed cache
+        regardless).
         A record written under an older ``CACHE_SALT`` no longer matches
         its spec's ``job_key``: unfinished, it is re-run under today's
         key; finished, it is kept under its old id until retention
@@ -434,8 +435,8 @@ class JobManager:
         untouched. A *cancelled* or *failed* identical job is revived
         instead (requeued): cancellation was an operator choice and
         failure is a circumstance (a deadline, a poison host), neither a
-        property of the spec — and the revived run resumes from the
-        journaled cells the earlier attempt settled.
+        property of the spec — and the revived run serves the cells the
+        earlier attempt settled from the cache.
 
         Raises :class:`Draining` while the daemon drains (dedupe hits on
         already-known jobs still answer — they cost nothing) and
@@ -502,8 +503,8 @@ class JobManager:
         """Cancel a job: dequeue if waiting, interrupt if running.
 
         Already-terminal jobs are returned unchanged (cancel is
-        idempotent). Cells that settled before the cancel stay journaled
-        and cached — a revived job resumes from them.
+        idempotent). Cells that settled before the cancel stay cached —
+        a revived job reuses them.
 
         Race-free by construction: the queued->running transition
         happens under the manager lock (in :meth:`_promote_locked`), so
@@ -574,8 +575,8 @@ class JobManager:
         picks them up. Running jobs get ``grace`` seconds to complete;
         whatever is still running then is interrupted at its next
         checkpoint (:class:`JobDrained`), put back to ``queued``, and
-        persisted that way. Either way the journal already holds every
-        settled cell, so the restart resumes bit-for-bit.
+        persisted that way. Either way the cache already holds every
+        settled cell, so the restart is bit-for-bit.
 
         Call :meth:`close` afterwards to join the runner threads.
         """
@@ -732,7 +733,7 @@ class JobManager:
             check_stop()
             with job._lock:
                 job.completed_cells += 1
-                if how in ("cached", "resumed"):
+                if how == "cached":
                     job.cached_cells += 1
                 cell_info = {
                     "label": cell.label,
@@ -770,8 +771,6 @@ class JobManager:
                     on_result=on_result,
                     progress=progress,
                     cache=ResultCache(self.cache_dir) if spec.cache else None,
-                    journal=str(self.cache_dir / "journal"),
-                    resume=True,
                     deadline=deadline,
                 )
         except JobCancelled:
@@ -780,8 +779,8 @@ class JobManager:
                 job.finished_at = time.time()
             self.log(f"job {job.id[:12]} cancelled mid-run")
         except JobDrained:
-            # Not a verdict on the job: back to queued, journal intact,
-            # so the restarted daemon resumes it.
+            # Not a verdict on the job: back to queued, cache intact,
+            # so the restarted daemon reruns it.
             with self._lock:
                 self._queue.insert(0, job.id)
                 job.status = "queued"

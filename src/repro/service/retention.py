@@ -1,8 +1,7 @@
 """Retention for the study service: TTL garbage collection of job state.
 
-A long-lived daemon accretes three kinds of state per finished job: the
-JSON job record under ``<state_dir>/jobs/``, the sweep's checkpoint
-journal under ``<state_dir>/cache/journal/``, and the job's cell results
+A long-lived daemon accretes two kinds of state per finished job: the
+JSON job record under ``<state_dir>/jobs/`` and the job's cell results
 in the shared content-addressed cache. None of it expires on its own —
 PR 7's service would grow its state dir forever. This module adds the
 missing half of the lifecycle:
@@ -11,7 +10,7 @@ missing half of the lifecycle:
   records live (``ttl_s``), how often the janitor wakes
   (``interval_s``).
 - :class:`Janitor` — a daemon thread that periodically expires terminal
-  jobs past their TTL: the record, its journal, and any cache entries
+  jobs past their TTL: the record and any cache entries
   no *surviving* job references. Jobs with live row streams
   (:meth:`~repro.service.jobs.Job.active_streams`) are skipped — GC
   never truncates a reader.
@@ -119,7 +118,7 @@ class Janitor:
     """TTL garbage collector for one :class:`~repro.service.jobs.JobManager`.
 
     Args:
-        manager: the owning job manager (records, cache, journal layout).
+        manager: the owning job manager (records and cache layout).
         policy: what to expire and how often to look.
         log: optional ``print``-like callable for GC lines.
 
@@ -172,7 +171,7 @@ class Janitor:
         two-phase tombstone protocol (see module docstring).
         """
         if self.policy.ttl_s is None:
-            return {"jobs": 0, "journals": 0, "cache_entries": 0}
+            return {"jobs": 0, "cache_entries": 0}
         now = time.time() if now is None else now
         jobs = self.manager.list_jobs()
         expired = [
@@ -184,7 +183,7 @@ class Janitor:
             and job.active_streams == 0
         ]
         if not expired:
-            return {"jobs": 0, "journals": 0, "cache_entries": 0}
+            return {"jobs": 0, "cache_entries": 0}
         expired_ids = {job.id for job in expired}
         # Cache keys still referenced by any surviving record stay.
         live_keys: set[str] = set()
@@ -192,7 +191,7 @@ class Janitor:
             if job.id in expired_ids:
                 continue
             live_keys.update(self._cell_keys(job))
-        removed = {"jobs": 0, "journals": 0, "cache_entries": 0}
+        removed = {"jobs": 0, "cache_entries": 0}
         for job in expired:
             counts = self._expire(job, live_keys)
             if counts is None:
@@ -203,7 +202,6 @@ class Janitor:
         if removed["jobs"]:
             self.log(
                 f"retention: expired {removed['jobs']} job(s), "
-                f"{removed['journals']} journal(s), "
                 f"{removed['cache_entries']} cache entr(ies)"
             )
         return removed
@@ -220,28 +218,16 @@ class Janitor:
     def _paths_for(self, job: Any, live_keys: set[str]) -> dict[str, list[pathlib.Path]]:
         """Everything one expired job owns exclusively."""
         from repro.core.cache import ResultCache
-        from repro.core.journal import SweepJournal
 
         paths: dict[str, list[pathlib.Path]] = {
             "jobs": [self.manager.record_path(job.id)],
-            "journals": [],
             "cache_entries": [],
         }
-        keys = self._cell_keys(job)
-        if keys:
-            # The journal file is derived from the sweep's cell keys —
-            # identical grids share a job_key (hence a record), so an
-            # expired job's journal has no other owner.
-            journal = SweepJournal.for_sweep(
-                self.manager.cache_dir / "journal", sorted(keys)
-            )
-            if journal.path.exists():
-                paths["journals"].append(journal.path)
-            cache = ResultCache(self.manager.cache_dir)
-            for key in sorted(keys - live_keys):
-                entry = cache.path_for(key)
-                if entry.exists():
-                    paths["cache_entries"].append(entry)
+        cache = ResultCache(self.manager.cache_dir)
+        for key in sorted(self._cell_keys(job) - live_keys):
+            entry = cache.path_for(key)
+            if entry.exists():
+                paths["cache_entries"].append(entry)
         return paths
 
     def _expire(

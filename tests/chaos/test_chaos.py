@@ -125,7 +125,7 @@ class TestChaosSweeps:
 #: Rows added since (folded-in smoke scripts) are listed after them.
 SIXTEEN = [
     "worker SIGKILL + hung cell + corrupted cache, bit-for-bit",
-    "SIGINT interrupt + corrupted journal + --resume, bit-for-bit",
+    "SIGINT interrupt + corrupted entry + cached rerun, bit-for-bit",
     "poison cell quarantined, sweep completes",
     "corrupted artifact store heals to bit-identical rebuilds",
     "distributed: remote worker SIGKILL mid-cell, bit-for-bit",
@@ -133,7 +133,7 @@ SIXTEEN = [
     "distributed: socket severed mid-result-upload",
     "distributed: duplicate delivery deduped idempotently",
     "distributed: full remote loss degrades to local pool",
-    "distributed: killed worker + interrupt + resume, 100% parity",
+    "distributed: killed worker + interrupt + cached rerun, 100% parity",
     "service: overload burst -> 503 + Retry-After -> retried to parity",
     "service: 32-thread identical-submit dedupe storm",
     "service: cancel racing queued->running promotion",

@@ -1,7 +1,8 @@
-"""Checkpoint journal: durability, corruption tolerance, resume."""
+"""Sweep journal: durable appends, torn-tail healing, signal guard."""
 
 import json
 import signal
+from dataclasses import asdict
 
 import pytest
 
@@ -11,6 +12,23 @@ from repro.core.journal import deferred_signals
 
 def entry(key, status="done", **kw):
     return JournalEntry(key=key, label=f"label-{key}", status=status, **kw)
+
+
+def parsed_lines(path):
+    """The journal's lines that parse as JSON objects, in file order."""
+    records = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
+
+
+def keys_of(path):
+    return [record["key"] for record in parsed_lines(path)]
 
 
 class TestSweepId:
@@ -27,21 +45,11 @@ class TestSweepJournal:
         journal = SweepJournal(tmp_path / "j.jsonl")
         journal.append(entry("k1", attempts=2, result_path="/tmp/x"))
         journal.append(entry("k2", status="failed", error="ValueError: boom"))
-        loaded = journal.load()
-        assert set(loaded) == {"k1", "k2"}
-        assert loaded["k1"].attempts == 2
-        assert loaded["k1"].result_path == "/tmp/x"
-        assert loaded["k2"].status == "failed"
-        assert loaded["k2"].error == "ValueError: boom"
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert SweepJournal(tmp_path / "nope.jsonl").load() == {}
-
-    def test_later_lines_win(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append(entry("k", status="failed", error="first try"))
-        journal.append(entry("k", status="done"))
-        assert journal.load()["k"].status == "done"
+        first, second = parsed_lines(journal.path)
+        assert first == {"v": 1, **asdict(entry("k1", attempts=2, result_path="/tmp/x"))}
+        assert second["status"] == "failed"
+        assert second["error"] == "ValueError: boom"
+        assert journal.appended == 2
 
     def test_torn_trailing_line_skipped(self, tmp_path):
         journal = SweepJournal(tmp_path / "j.jsonl")
@@ -49,18 +57,7 @@ class TestSweepJournal:
         journal.append(entry("k2"))
         data = journal.path.read_bytes()
         journal.path.write_bytes(data[:-15])  # tear the final line
-        assert set(journal.load()) == {"k1"}
-
-    def test_garbage_lines_skipped(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append(entry("k1"))
-        with open(journal.path, "a") as fh:
-            fh.write("#### not json ####\n")
-            fh.write('"a json string, not an object"\n')
-            fh.write('{"v": 99, "key": "alien", "status": "done"}\n')
-            fh.write('{"v": 1, "key": "k3", "status": "exploded"}\n')
-        journal.append(entry("k2"))
-        assert set(journal.load()) == {"k1", "k2"}
+        assert keys_of(journal.path) == ["k1"]
 
     def test_append_heals_torn_tail(self, tmp_path):
         # A torn write leaves no trailing newline; the next append must
@@ -72,14 +69,14 @@ class TestSweepJournal:
         path.write_bytes(data + b'{"v":1,"key":"torn')  # no newline
         second = SweepJournal(path)
         second.append(entry("k2"))
-        assert set(second.load()) == {"k1", "k2"}
+        assert keys_of(path) == ["k1", "k2"]
 
     def test_rotate_discards(self, tmp_path):
         journal = SweepJournal(tmp_path / "j.jsonl")
         journal.append(entry("k1"))
         journal.rotate()
-        assert journal.load() == {}
-        assert len(journal) == 0
+        assert not journal.path.exists()
+        assert journal.appended == 0
         journal.rotate()  # idempotent on a missing file
 
     def test_for_sweep_keyed_by_grid(self, tmp_path):
@@ -97,106 +94,6 @@ class TestSweepJournal:
         assert record["v"] == 1
         assert record["key"] == "k1"
         assert record["status"] == "done"
-
-
-class TestJournalCompaction:
-    def test_noop_below_min_bytes(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append(entry("k1"))
-        journal.append(entry("k1", status="failed"))
-        before = journal.path.read_bytes()
-        assert journal.compact() == 0  # default threshold: leave it alone
-        assert journal.path.read_bytes() == before
-
-    def test_superseded_and_garbage_lines_dropped(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append(entry("k1", status="failed", error="first try"))
-        journal.append(entry("k1", status="done"))
-        journal.append(entry("k2"))
-        with open(journal.path, "a") as fh:
-            fh.write("#### not json ####\n")
-            fh.write('{"v":1,"key":"torn')  # no newline: torn tail
-        reclaimed = journal.compact(min_bytes=0)
-        assert reclaimed > 0
-        lines = journal.path.read_text().splitlines()
-        assert len(lines) == 2  # one line per surviving key, nothing else
-        loaded = journal.load()
-        assert set(loaded) == {"k1", "k2"}
-        assert loaded["k1"].status == "done"  # the later line won
-
-    def test_relevant_keys_filter_other_grids(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append(entry("mine"))
-        journal.append(entry("other-grid"))
-        journal.compact(["mine"], min_bytes=0)
-        assert set(journal.load()) == {"mine"}
-
-    def test_compacted_file_ends_with_newline(self, tmp_path):
-        # append()'s torn-tail healing keys off the trailing newline; a
-        # compacted journal must keep that contract.
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append(entry("k1"))
-        journal.compact(min_bytes=0)
-        assert journal.path.read_bytes().endswith(b"\n")
-        journal.append(entry("k2"))
-        assert set(journal.load()) == {"k1", "k2"}
-
-    def test_missing_file_is_noop(self, tmp_path):
-        assert SweepJournal(tmp_path / "nope.jsonl").compact(min_bytes=0) == 0
-
-    def test_append_after_compaction_with_torn_tail(self, tmp_path):
-        # compact() then a crash-torn append then resume: the heal path
-        # must survive the rewrite.
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append(entry("k1"))
-        journal.append(entry("k2"))
-        journal.compact(min_bytes=0)
-        with open(journal.path, "a") as fh:
-            fh.write('{"v":1,"key":"half')  # killed mid-write
-        resumed = SweepJournal(journal.path)
-        assert set(resumed.load()) == {"k1", "k2"}
-        resumed.append(entry("k3"))
-        assert set(resumed.load()) == {"k1", "k2", "k3"}
-
-
-class TestResumeCompaction:
-    """Resume-time compaction (SweepRunner) preserves bit-for-bit rows."""
-
-    def _spec(self, tmp_path):
-        from repro.core.jobspec import JobSpec, SourceSpec
-
-        return JobSpec(
-            source=SourceSpec(size=2),
-            models=("static_block", "work_stealing"),
-            ranks=(8, 16),
-            executor="serial",
-            cache_dir=str(tmp_path / "cache"),
-        )
-
-    def test_resume_after_compaction_identical(self, tmp_path):
-        from repro import api
-
-        spec = self._spec(tmp_path)
-        calls = []
-
-        def bomb(info):
-            calls.append(info)
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            api.run_job(spec, progress=bomb, resume=True)
-        journals = list((tmp_path / "cache" / "journal").glob("sweep-*.jsonl"))
-        assert journals, "interrupted sweep left no journal"
-        # Force the resume path to actually compact (bypass min_bytes).
-        SweepJournal(journals[0]).compact(min_bytes=0)
-        events = []
-        resumed = api.run_job(spec, resume=True, progress=events.append)
-        reference = api.run_job(spec.with_overrides(cache=False), cache=None)
-        assert resumed.rows() == reference.rows()
-        # The resumed run reused settled cells from the compacted
-        # journal/cache instead of recomputing them.
-        assert events and events[-1].cached >= 1
 
 
 class TestDeferredSignals:
@@ -252,7 +149,7 @@ class TestDeferredSignalsDurability:
             signal.signal(signal.SIGTERM, previous)
         # Both halves of the pair are durable despite the signal.
         assert cache.get("deadbeef" * 8).makespan == outcome.makespan
-        assert set(journal.load()) == {"deadbeef" * 8}
+        assert keys_of(journal.path) == ["deadbeef" * 8]
 
     def test_sigint_reraised_after_durable_append(self, outcome, tmp_path):
         from repro.core import ResultCache
@@ -265,11 +162,11 @@ class TestDeferredSignalsDurability:
                 signal.raise_signal(signal.SIGINT)
                 journal.append(entry("cafef00d" * 8))
         assert cache.get("cafef00d" * 8).makespan == outcome.makespan
-        assert set(journal.load()) == {"cafef00d" * 8}
+        assert keys_of(journal.path) == ["cafef00d" * 8]
 
     def test_torn_tail_from_killed_appender_heals(self, tmp_path):
-        # A writer killed mid-append leaves a newline-less fragment; a
-        # resumed sweep must both skip it on load and append past it.
+        # A writer killed mid-append leaves a newline-less fragment; the
+        # next writer must append past it, not into it.
         path = tmp_path / "j.jsonl"
         first = SweepJournal(path)
         first.append(entry("k1"))
@@ -278,7 +175,7 @@ class TestDeferredSignalsDurability:
         )
         with open(path, "a") as fh:
             fh.write(full_line[: len(full_line) // 2])  # killed mid-write
-        resumed = SweepJournal(path)
-        assert set(resumed.load()) == {"k1"}  # fragment skipped
-        resumed.append(entry("k3"))
-        assert set(resumed.load()) == {"k1", "k3"}  # fragment sealed off
+        assert keys_of(path) == ["k1"]  # the fragment is no record
+        SweepJournal(path).append(entry("k3"))
+        assert keys_of(path) == ["k1", "k3"]  # fragment sealed off
+        assert len(path.read_text().splitlines()) == 3

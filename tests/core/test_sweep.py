@@ -189,10 +189,6 @@ class TestSweepRunner:
         with pytest.raises(ConfigurationError, match="jobs"):
             SweepRunner(jobs=0)
 
-    def test_resume_requires_journal(self):
-        with pytest.raises(ConfigurationError, match="resume"):
-            SweepRunner(resume=True)
-
 
 def _fail_label(label):
     """Picklable cell_fn factory: poison exactly one cell label."""
@@ -259,72 +255,51 @@ class TestJournalResume:
     def test_interrupt_then_resume_recomputes_only_unfinished(
         self, synthetic_graph, tmp_path
     ):
+        # The cache is the checkpoint: a rerun over it serves the cells
+        # the interrupted sweep settled and computes only the rest.
         config = StudyConfig(
             models=("static_block", "counter_dynamic", "work_stealing"),
             n_ranks=(4, 8),
             seed=4,
         )
         cache = tmp_path / "cache"
-        journal = tmp_path / "journal"
-        first = self._interrupting_runner(3, cache=cache, journal=journal)
+        first = self._interrupting_runner(3, cache=cache)
         with pytest.raises(KeyboardInterrupt):
             first.run_study(config, synthetic_graph)
         assert first.stats.computed == 3
-        assert first.last_provenance.count("pending") == 3
+        assert first.last_provenance == ["fresh"] * 3 + ["pending"] * 3
 
-        second = SweepRunner(cache=cache, journal=journal, resume=True)
+        second = SweepRunner(cache=cache)
         report = second.run_study(config, synthetic_graph)
-        assert second.stats.resumed == 3
+        assert second.stats.cached == 3
         assert second.stats.computed == 3
-        assert second.stats.cached == 0
-        assert sorted(report.provenance.values()) == [
-            "fresh", "fresh", "fresh", "resumed", "resumed", "resumed",
-        ]
-        clean = run_study(config, synthetic_graph)
-        for key in clean.results:
-            assert_results_identical(clean.results[key], report.results[key])
-
-    def test_journal_without_cache_uses_sidecar_store(
-        self, synthetic_graph, tmp_path
-    ):
-        config = StudyConfig(models=("static_block",), n_ranks=(4, 8), seed=4)
-        journal = tmp_path / "journal"
-        first = self._interrupting_runner(1, cache=None, journal=journal)
-        with pytest.raises(KeyboardInterrupt):
-            first.run_study(config, synthetic_graph)
-        # Results land in the journal's sidecar object store.
-        assert len(ResultCache(journal / "objects")) == 1
-
-        second = SweepRunner(cache=None, journal=journal, resume=True)
-        report = second.run_study(config, synthetic_graph)
-        assert second.stats.resumed == 1
-        assert second.stats.computed == 1
+        assert second.last_provenance == ["cached"] * 3 + ["fresh"] * 3
         clean = run_study(config, synthetic_graph)
         for key in clean.results:
             assert_results_identical(clean.results[key], report.results[key])
 
     def test_fresh_run_rotates_stale_journal(self, synthetic_graph, tmp_path):
-        config = StudyConfig(models=("static_block",), n_ranks=(4,), seed=4)
+        config = StudyConfig(models=("static_block",), n_ranks=(4, 8), seed=4)
         journal = tmp_path / "journal"
         SweepRunner(journal=journal).run_study(config, synthetic_graph)
-        # Without resume=True, the second run starts a fresh journal and
-        # recomputes (the journal is a checkpoint, not a cache).
+        # Each run starts its journal afresh: one line per cell it settled.
         runner = SweepRunner(journal=journal)
         runner.run_study(config, synthetic_graph)
-        assert runner.stats.resumed == 0
-        assert runner.stats.computed == 1
+        assert runner.stats.computed == 2
+        (path,) = journal.glob("sweep-*.jsonl")
+        assert len(path.read_text().splitlines()) == 2
 
     def test_stale_journal_matches_nothing(self, synthetic_graph, tmp_path):
         journal = tmp_path / "journal"
         old = StudyConfig(models=("static_block",), n_ranks=(4,), seed=4)
         SweepRunner(journal=journal).run_study(old, synthetic_graph)
-        # A different grid resumes a *different* (empty) journal file:
-        # content-addressed naming means no cross-grid contamination.
+        # A different grid writes a *different* journal file: content-
+        # addressed naming means no cross-grid contamination.
         new = StudyConfig(models=("static_block",), n_ranks=(8,), seed=4)
-        runner = SweepRunner(journal=journal, resume=True)
+        runner = SweepRunner(journal=journal)
         runner.run_study(new, synthetic_graph)
-        assert runner.stats.resumed == 0
         assert runner.stats.computed == 1
+        assert len(list(journal.glob("sweep-*.jsonl"))) == 2
 
 
 class TestExecutorSelection:

@@ -256,8 +256,8 @@ class TestDeadline:
             settled_first = job.completed_cells - job.failed_cells
             assert settled_first < job.total_cells
             # Same grid, no deadline: deadline_s is outside the job
-            # identity, so this *revives* the failed record and resumes
-            # from the journaled cells instead of deduping onto it.
+            # identity, so this *revives* the failed record and reuses
+            # the cached cells instead of deduping onto it.
             relaxed = tight.with_overrides(deadline_s=None)
             assert relaxed.job_key() == tight.job_key()
             revived, deduped = manager.submit(relaxed)
@@ -265,8 +265,8 @@ class TestDeadline:
             revived = wait_terminal(manager, revived.id)
             assert revived.status == "done", revived.error
             # Every cell the first attempt settled is served from the
-            # journal, not recomputed (on very slow hosts the deadline
-            # can beat the first cell; then there is nothing to resume).
+            # cache, not recomputed (on very slow hosts the deadline
+            # can beat the first cell; then there is nothing to reuse).
             assert revived.cached_cells >= settled_first
         finally:
             manager.close()
@@ -274,10 +274,10 @@ class TestDeadline:
 
 
 class TestDrainRestart:
-    def test_drain_requeues_and_restart_resumes(self, tmp_path, monkeypatch):
-        state = tmp_path / "state"
+    @staticmethod
+    def _drain_after_first_cell(state, spec, monkeypatch):
+        """Run ``spec`` until a first cell settles, then drain the manager."""
         manager = JobManager(state, workers=1)
-        spec = spec_for(9, slow=True)
         try:
             with monkeypatch.context() as patched:
                 # The job sleeps 0.5 s after its first cell, so it is
@@ -301,15 +301,38 @@ class TestDrainRestart:
             (state / "jobs" / f"{spec.job_key()}.json").read_text()
         )
         assert record["status"] == "queued", "drain must preserve the job"
+
+    def test_drain_requeues_and_restart_resumes(self, tmp_path, monkeypatch):
+        state = tmp_path / "state"
+        spec = spec_for(9, slow=True)
+        self._drain_after_first_cell(state, spec, monkeypatch)
         # A fresh manager on the same state dir resumes it unasked.
         restarted = JobManager(state, workers=1)
         try:
             job = wait_terminal(restarted, spec.job_key())
             assert job.status == "done", job.error
-            assert job.cached_cells >= 1  # journaled cells were reused
+            assert job.cached_cells >= 1  # cells settled before the drain
             rows = list(job.rows)
         finally:
             restarted.close()
+        assert rows == serial_rows(spec)
+
+    def test_uncached_job_keeps_no_store_and_recomputes(self, tmp_path, monkeypatch):
+        # A cache=False job writes no result entry anywhere under the
+        # state dir, so after a drain and a restart it recomputes.
+        state = tmp_path / "state"
+        spec = spec_for(17, slow=True, cache=False)
+        self._drain_after_first_cell(state, spec, monkeypatch)
+        assert not list(state.rglob("*.entry"))
+        restarted = JobManager(state, workers=1)
+        try:
+            job = wait_terminal(restarted, spec.job_key())
+            assert job.status == "done", job.error
+            assert job.cached_cells == 0
+            rows = list(job.rows)
+        finally:
+            restarted.close()
+        assert not list(state.rglob("*.entry"))
         assert rows == serial_rows(spec)
 
     def test_draining_rejects_new_submits(self, tmp_path):
@@ -368,7 +391,7 @@ class TestRetention:
             job = self._finished_job(manager, seed=15)
             janitor = Janitor(manager, RetentionPolicy(ttl_s=3600.0))
             removed = janitor.gc_now()
-            assert removed == {"jobs": 0, "journals": 0, "cache_entries": 0}
+            assert removed == {"jobs": 0, "cache_entries": 0}
             assert manager.get(job.id) is not None
         finally:
             manager.close()

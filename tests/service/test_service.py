@@ -242,11 +242,8 @@ class TestJobLifecycle:
             INTERRUPTIBLE
         )
         _, body = request(service, "GET", f"/v1/jobs/{job_id}")
-        # Cells settled before the cancel came back from journal/cache.
-        restored = {
-            c["status"] for c in body["cells"] if c["status"] in ("resumed", "cached")
-        }
-        assert restored
+        # Cells settled before the cancel came back from the cache.
+        assert any(c["status"] == "cached" for c in body["cells"])
 
 
 class TestManager:
@@ -325,10 +322,9 @@ class TestDaemonRestart:
                 time.sleep(0.25)
             assert body["status"] == "done", body
             # Cells settled before the kill were restored, not recomputed.
-            restored = [
-                c for c in body["cells"] if c["status"] in ("resumed", "cached")
-            ]
-            assert restored, body["cells"]
+            assert any(
+                c["status"] == "cached" for c in body["cells"]
+            ), body["cells"]
             conn = http.client.HTTPConnection(host, port, timeout=120)
             try:
                 conn.request("GET", f"/v1/jobs/{job_id}/rows")

@@ -112,22 +112,20 @@ class TestCommands:
 
 
 class TestFaultToleranceFlags:
-    def test_resume_flag_defaults(self):
+    def test_fault_flag_defaults(self):
         args = build_parser().parse_args(["study"])
-        assert args.resume is False
         assert args.timeout is None
         assert args.max_attempts is None
 
-    def test_resume_needs_cache(self, capsys):
-        code = main(
-            ["study", "--size", "1", "--block-size", "3",
-             "--ranks", "4", "--models", "static_block",
-             "--no-cache", "--resume"]
-        )
-        assert code == 2
-        assert "--resume" in capsys.readouterr().err
+    def test_resume_is_an_argparse_error(self, capsys):
+        # The cache is the only checkpoint: a plain rerun resumes.
+        for extra in ([], ["--no-cache"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["study", "--size", "1", "--ranks", "4", *extra, "--resume"])
+            assert exc.value.code == 2
+            assert "--resume" in capsys.readouterr().err
 
-    def test_study_resume_reuses_journal(self, capsys, tmp_path):
+    def test_cached_rerun_reports_every_cell_cached(self, capsys, tmp_path):
         argv = [
             "study", "--size", "1", "--block-size", "3",
             "--ranks", "4", "--models", "static_block", "work_stealing",
@@ -135,12 +133,12 @@ class TestFaultToleranceFlags:
         ]
         assert main(argv) == 0
         capsys.readouterr()
-        # The journal lives next to the cache, one file per sweep grid.
-        assert list((tmp_path / "journal").glob("sweep-*.jsonl"))
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "resumed" in out
+        statuses = [line.split()[1] for line in out.splitlines() if line.startswith("[")]
+        assert statuses == ["cached", "cached"]  # one progress line per cell
         assert "cache: 2/2" in out
+        assert not (tmp_path / "journal").exists()
 
     def test_quarantine_renders_and_exits_nonzero(
         self, capsys, tmp_path, monkeypatch

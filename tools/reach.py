@@ -159,10 +159,10 @@ def tier_product(run: Runner) -> None:
     """(ii) the CLI commands with their flags, and the 16 chaos rows."""
     small = ("--size", "2", "--ranks", "8", "16")
     run.repro("info")
-    # Default cache (no --cache-dir), then the same study warm, then resumed.
+    # Default cache (no --cache-dir), then the same study warm: the rerun
+    # that continues an interrupted study.
     run.repro("study", *small)
     run.repro("study", *small, "--progress")
-    run.repro("study", *small, "--resume")
     run.repro("study", *small, "--jobs", "2", "--timeout", "60", "--max-attempts", "2",
               "--deadline", "300", "--no-cache", "--no-artifact-cache")
     run.repro("study", *small, "--executor", "serial", "--machine", "fast_network",
