@@ -33,6 +33,62 @@ def _add_molecule_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_spec_args(parser: argparse.ArgumentParser, *, executor: str) -> None:
+    """The study flags ``repro study`` and ``repro submit`` share; only
+    the executor default differs."""
+    from repro.core import MACHINE_PRESETS
+    from repro.exec_models import MODEL_NAMES
+
+    _add_molecule_args(parser)
+    parser.add_argument("--ranks", type=int, nargs="+", default=[16, 64])
+    parser.add_argument(
+        "--models", nargs="+", choices=MODEL_NAMES, metavar="MODEL",
+        default=["static_block", "counter_dynamic", "work_stealing"],
+    )
+    parser.add_argument("--machine", choices=tuple(MACHINE_PRESETS), default="commodity")
+    parser.add_argument(
+        "--faults", default=None, metavar="SPEC",
+        help="fault scenario, e.g. 'crash:2@0.3,stall:1@0.2-0.4,drop:0.01' "
+        "(crash/stall times are fractions of the estimated ideal makespan)",
+    )
+    parser.add_argument(
+        "--executor", default=executor, metavar="SPEC",
+        help="execution backend for cache-miss cells, as a spec string: "
+        "'local' supervised forked workers, 'serial' in-process, "
+        "'distributed' leased TCP workers (attach them with "
+        "'python -m repro worker'); options inline as "
+        "'name?opt=val&opt2=val', e.g. "
+        "'distributed?bind=0.0.0.0:9100&lease=10' (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--engine", default="auto", metavar="MODE",
+        help="simulation-engine mode: 'auto' (compiled loop when a C "
+        "toolchain is available, else pure Python), 'python' (the "
+        "reference heap engine), or 'compiled'; all modes are "
+        "bit-for-bit equivalent (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="run sweep cells across N worker processes (default: 1, serial)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None, metavar="SEC",
+        help="per-cell wall-clock budget with --jobs > 1; a hung worker "
+        "is killed and the cell retried (default: unlimited)",
+    )
+    parser.add_argument(
+        "--deadline", type=float, default=None, metavar="SEC",
+        help="whole-study wall-clock budget; cells not settled by then "
+        "quarantine as DeadlineExceeded (settled cells stay cached, so "
+        "a rerun continues; default: unlimited)",
+    )
+    parser.add_argument(
+        "--max-attempts", type=int, default=None, metavar="N",
+        help="tries per cell before it is quarantined (default: "
+        "%(default)s -> policy default of 3)",
+    )
+
+
 def _build_molecule(args: argparse.Namespace):
     from repro import linear_alkane, water_cluster
 
@@ -223,7 +279,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     fabric = None
     if args.fabric:
-        fabric = api.DistributedExecutor(bind=args.fabric, lease=args.lease)
+        fabric = api.DistributedExecutor(bind=args.fabric)
         host, port = fabric.endpoint
         print(
             f"distributed fabric listening on {host}:{port} — attach workers "
@@ -291,7 +347,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.jobspec import JobSpec, JobSpecError, SourceSpec
+    from repro.core.jobspec import JobSpec, JobSpecError
     from repro.parallel.fabric import parse_endpoint
     from repro.service.client import ServiceClient, ServiceError
 
@@ -303,26 +359,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 text = pathlib.Path(text[1:]).read_text(encoding="utf-8")
             spec = JobSpec.from_json(text)
         else:
-            spec = JobSpec(
-                source=SourceSpec(
-                    molecule=args.molecule,
-                    size=args.size,
-                    block_size=args.block_size,
-                    tau=args.tau,
-                    seed=args.seed,
-                ),
-                models=tuple(args.models),
-                ranks=tuple(args.ranks),
-                machine=args.machine,
-                seed=args.seed,
-                faults=args.faults or "",
-                executor=args.executor,
-                engine=args.engine,
-                jobs=args.jobs,
-                timeout=args.timeout,
-                deadline_s=args.deadline,
-                max_attempts=args.max_attempts,
-            )
+            spec = JobSpec.from_cli_args(args)
         # "auto" is service-side vocabulary (the daemon's router resolves
         # it); validate the rest of the spec against a neutral backend so
         # field errors still fail fast client-side.
@@ -402,29 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="library inventory").set_defaults(func=cmd_info)
 
     p_study = sub.add_parser("study", help="execution-model sweep")
-    _add_molecule_args(p_study)
-    p_study.add_argument("--ranks", type=int, nargs="+", default=[16, 64])
-    p_study.add_argument(
-        "--models", nargs="+", choices=MODEL_NAMES, metavar="MODEL",
-        default=["static_block", "counter_dynamic", "work_stealing"],
-    )
-    p_study.add_argument("--machine", choices=tuple(MACHINE_PRESETS), default="commodity")
-    p_study.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault scenario, e.g. 'crash:2@0.3,stall:1@0.2-0.4,drop:0.01' "
-        "(crash/stall times are fractions of the estimated ideal makespan)",
-    )
-    p_study.add_argument(
-        "--engine", default="auto", metavar="MODE",
-        help="simulation-engine mode: 'auto' (compiled loop when a C "
-        "toolchain is available, else pure Python), 'python' (the "
-        "reference heap engine), or 'compiled'; all modes are "
-        "bit-for-bit equivalent (default: %(default)s)",
-    )
-    p_study.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run sweep cells across N worker processes (default: 1, serial)",
-    )
+    _add_spec_args(p_study, executor="local")
     p_study.add_argument(
         "--no-cache", action="store_true",
         help="recompute every cell instead of reusing the result cache",
@@ -443,40 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument(
         "--progress", action="store_true",
         help="print one line per cell as it completes (cached/done counts)",
-    )
-    p_study.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC",
-        help="per-cell wall-clock budget with --jobs > 1; a hung worker "
-        "is killed and the cell retried (default: unlimited)",
-    )
-    p_study.add_argument(
-        "--deadline", type=float, default=None, metavar="SEC",
-        help="whole-study wall-clock budget; cells not settled by then "
-        "quarantine as DeadlineExceeded (settled cells stay cached, so "
-        "a rerun continues; default: unlimited)",
-    )
-    p_study.add_argument(
-        "--max-attempts", type=int, default=None, metavar="N",
-        help="tries per cell before it is quarantined (default: "
-        "%(default)s -> policy default of 3)",
-    )
-    p_study.add_argument(
-        "--executor", default="local", metavar="SPEC",
-        help="execution backend for cache-miss cells, as a spec string: "
-        "'local' supervised forked workers (default), 'serial' "
-        "in-process, 'distributed' leased TCP workers (attach them with "
-        "'python -m repro worker'); options inline as "
-        "'name?opt=val&opt2=val', e.g. 'distributed?lease=10'",
-    )
-    p_study.add_argument(
-        "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="with --executor distributed: fabric listen address "
-        "(default: %(default)s, ephemeral loopback port)",
-    )
-    p_study.add_argument(
-        "--lease", type=float, default=30.0, metavar="SEC",
-        help="with --executor distributed: per-cell lease; a cell not "
-        "finished within it is revoked and requeued (default: %(default)s)",
     )
     p_study.set_defaults(func=cmd_study)
 
@@ -555,10 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         "every job routed to the 'distributed' backend",
     )
     p_serve.add_argument(
-        "--lease", type=float, default=30.0, metavar="SEC",
-        help="with --fabric: per-cell worker lease (default: %(default)s)",
-    )
-    p_serve.add_argument(
         "--max-queued", type=int, default=64, metavar="N",
         help="bound on jobs waiting to run; past it, submits get 503 + "
         "Retry-After (default: %(default)s)",
@@ -608,25 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="full JobSpec as inline JSON or @path-to-file; overrides "
         "the study flags below",
     )
-    _add_molecule_args(p_submit)
-    p_submit.add_argument("--ranks", type=int, nargs="+", default=[16, 64])
-    p_submit.add_argument(
-        "--models", nargs="+", choices=MODEL_NAMES, metavar="MODEL",
-        default=["static_block", "counter_dynamic", "work_stealing"],
-    )
-    p_submit.add_argument(
-        "--machine", choices=tuple(MACHINE_PRESETS), default="commodity"
-    )
-    p_submit.add_argument("--faults", default=None, metavar="SPEC")
-    p_submit.add_argument("--executor", default="auto", metavar="SPEC")
-    p_submit.add_argument("--engine", default="auto", metavar="MODE")
-    p_submit.add_argument("--jobs", type=int, default=1, metavar="N")
-    p_submit.add_argument("--timeout", type=float, default=None, metavar="SEC")
-    p_submit.add_argument(
-        "--deadline", type=float, default=None, metavar="SEC",
-        help="whole-job wall-clock budget enforced by the daemon",
-    )
-    p_submit.add_argument("--max-attempts", type=int, default=None, metavar="N")
+    _add_spec_args(p_submit, executor="auto")
     p_submit.add_argument(
         "--no-watch", dest="watch", action="store_false",
         help="print the job id and return instead of waiting for rows",

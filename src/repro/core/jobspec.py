@@ -8,7 +8,7 @@ side channels; ``--jobs``/``--executor`` interplay was never checked
 anywhere). A :class:`JobSpec` is the single normal form all three
 surfaces reduce to:
 
-- :meth:`JobSpec.from_cli_args` — the ``repro study``/``repro serve``
+- :meth:`JobSpec.from_cli_args` — the ``repro study``/``repro submit``
   argparse namespace;
 - :meth:`JobSpec.from_json` / :meth:`JobSpec.to_json` — the HTTP job
   API body (and the service's on-disk job records);
@@ -299,28 +299,9 @@ class JobSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_cli_args(cls, args: Any) -> "JobSpec":
-        """Normalize a ``repro study`` argparse namespace into a spec.
-
-        Folds the historical ``--bind``/``--lease`` side channels into
-        the canonical executor spec string (they only apply to the
-        distributed backend, matching the old CLI behaviour).
-        """
-        from repro.parallel.executor import (
-            format_executor_spec,
-            parse_executor_spec,
-        )
-
-        try:
-            name, options = parse_executor_spec(args.executor)
-        except ConfigurationError as err:
-            raise JobSpecError("executor", str(err)) from None
-        if name == "distributed":
-            bind = getattr(args, "bind", None)
-            lease = getattr(args, "lease", None)
-            if bind is not None:
-                options.setdefault("bind", bind)
-            if lease is not None:
-                options.setdefault("lease", lease)
+        """Normalize a ``repro study`` / ``repro submit`` argparse
+        namespace into a spec. The executor string passes through as
+        given; :meth:`validate` is the one place that parses it."""
         return cls(
             source=SourceSpec(
                 molecule=args.molecule,
@@ -334,15 +315,15 @@ class JobSpec:
             machine=args.machine,
             seed=args.seed,
             faults=args.faults or "",
-            executor=format_executor_spec(name, options),
-            engine=getattr(args, "engine", "auto") or "auto",
+            executor=args.executor,
+            engine=args.engine,
             jobs=args.jobs,
             timeout=args.timeout,
-            deadline_s=getattr(args, "deadline", None),
+            deadline_s=args.deadline,
             max_attempts=args.max_attempts,
-            cache=not args.no_cache,
-            cache_dir=args.cache_dir or "",
-            artifact_cache=args.artifact_cache,
+            cache=not getattr(args, "no_cache", False),
+            cache_dir=getattr(args, "cache_dir", None) or "",
+            artifact_cache=getattr(args, "artifact_cache", True),
         )
 
     @classmethod

@@ -175,7 +175,9 @@ def _swap_graph_refs(
 # ----------------------------------------------------------------------
 
 class _WorkerConn:
-    """One connected worker daemon: socket, identity, and what it owes."""
+    """One connected worker daemon: socket, identity, and what it owes.
+    The server's reader thread writes its identity and ``last_seen`` (the
+    time of its last frame); a sweep's transport writes ``cell``."""
 
     __slots__ = ("sock", "wlock", "worker_id", "pid", "state", "cell", "last_seen")
 
@@ -208,16 +210,21 @@ class _WorkerConn:
 
 
 class FabricServer:
-    """The fabric's TCP end: accepts workers and holds their connections;
+    """The fabric's TCP end: accepts workers and owns their connections;
     a batch leases cells to them through a :class:`_FabricTransport`.
+
+    Each connection's reader thread runs its lifecycle whether or not a
+    sweep is running: the handshake, the ``last_seen`` stamp of every
+    frame, heartbeats and blob fetches. Only ``ready``, ``result``,
+    ``error`` and the connection's end reach the sweep, in wire order.
 
     Args:
         host, port: bind address (``port=0`` picks an ephemeral port;
             read :attr:`endpoint` afterwards).
         lease: default per-cell wall-clock lease in seconds (> 0). A
             cell not completed within its lease is revoked and requeued.
-        heartbeat: heartbeat interval advertised to workers (> 0; default
-            ``lease / 4``, clamped to [0.05, 2.0]).
+            Workers are told to heartbeat every ``lease / 4`` seconds,
+            clamped to [0.05, 2.0].
         connect_timeout: how long a batch waits for the *first* worker
             before giving up on the fabric entirely (>= 0).
         degrade_after: grace period with zero live workers (after at
@@ -231,15 +238,14 @@ class FabricServer:
         port: int = 0,
         *,
         lease: float = 30.0,
-        heartbeat: float | None = None,
         connect_timeout: float = 10.0,
         degrade_after: float = 5.0,
     ) -> None:
         self.lease = float(check_positive("lease", lease))
-        self.heartbeat = (
-            float(check_positive("heartbeat", heartbeat))
-            if heartbeat is not None
-            else min(2.0, max(0.05, self.lease / 4.0))
+        self.heartbeat = min(2.0, max(0.05, self.lease / 4.0))
+        self._welcome = (
+            "welcome",
+            {"version": PROTOCOL_VERSION, "lease": self.lease, "heartbeat": self.heartbeat},
         )
         self.connect_timeout = float(check_non_negative("connect_timeout", connect_timeout))
         self.degrade_after = float(check_non_negative("degrade_after", degrade_after))
@@ -308,10 +314,33 @@ class FabricServer:
                 # EOF, a reset, an over-cap length, or bytes that do not
                 # unpickle here (any exception: a peer on another code
                 # version is enough). Whatever it was, this connection is
-                # over and the coordinator must hear about it.
-                self._events.put(("gone", conn, repr(exc)))
+                # over and the sweep must hear about it.
+                self._events.put((conn, ("gone", repr(exc))))
                 return
-            self._events.put(("frame", conn, frame))
+            conn.last_seen = time.monotonic()
+            kind = frame[0] if _well_formed(frame) else "malformed"
+            # A hello is the first frame of a connection and only that.
+            if kind == "malformed" or (kind == "hello") != (conn.state == "new"):
+                self._events.put((conn, ("gone", "malformed frame from worker")))
+                return
+            try:
+                if kind == "hello" and frame[2] != PROTOCOL_VERSION:
+                    try:
+                        conn.send(("shutdown",))
+                    finally:
+                        self._drop(conn)
+                    return
+                if kind == "hello":
+                    conn.worker_id, conn.pid, conn.state = frame[1], frame[3], "busy"
+                    self._ever_connected = True
+                    conn.send(self._welcome)
+                elif kind == "fetch":
+                    data = self._blobs.get(frame[1])
+                    conn.send(("blob", frame[1], data) if data else ("no-blob", frame[1]))
+                elif kind != "heartbeat":  # its last_seen stamp is all it asks
+                    self._events.put((conn, frame))
+            except OSError:
+                pass  # the next recv surfaces the loss
 
     def live_workers(self) -> list[_WorkerConn]:
         """Connections that have completed the handshake and not died."""
@@ -358,13 +387,13 @@ def _well_formed(frame: Any) -> bool:
 class _FabricTransport(Transport):
     """One sweep's view of a :class:`FabricServer`: frames in, events out.
 
-    Handles the handshake, ``ready``, heartbeats and blob fetches itself
-    and hands the loop only completions and losses. The loop's per-cell
-    budget is the lease; the second clock — heartbeat silence — is this
-    transport's, checked on every :meth:`wait`. A peer that sends a frame
-    that cannot be decoded or is not one of :data:`_WORKER_FRAMES` loses
-    its connection, and its leased cell goes back through the loop like
-    any lost worker's.
+    Turns ``ready`` into rotation and hands the loop only completions
+    and losses. The loop's per-cell budget is the lease; the second
+    clock — heartbeat silence — is this transport's, checked on every
+    :meth:`wait`. A peer the server's reader thread gave up on (a frame
+    that cannot be decoded, or is not one of :data:`_WORKER_FRAMES` in
+    order) loses its connection, and its leased cell goes back through
+    the loop like any lost worker's.
     """
 
     def __init__(
@@ -384,6 +413,8 @@ class _FabricTransport(Transport):
         self.keys = [key for _job, _payload, key in prepared]
         self._hb_timeout = max(3.0 * server.heartbeat, 0.5)
         self._started = self._last_alive = time.monotonic()
+        # A busy worker's heartbeat clock also restarts at each dispatch.
+        self._sent_at: dict[_WorkerConn, float] = {}
 
     def idle(self) -> list[_WorkerConn]:
         return [c for c in self.server.live_workers() if c.state == "idle"]
@@ -400,7 +431,7 @@ class _FabricTransport(Transport):
             self.server._drop(conn)
             raise
         conn.state, conn.cell = "busy", index
-        conn.last_seen = time.monotonic()
+        self._sent_at[conn] = time.monotonic()
         return conn.pid
 
     def expire(self, conn: _WorkerConn) -> tuple[str, str]:
@@ -419,25 +450,26 @@ class _FabricTransport(Transport):
                 timeout=0.05 if timeout is None else min(timeout, 0.05)
             )
             while True:
-                kind, conn, body = item
-                if kind == "gone":
+                conn, frame = item
+                if frame[0] == "gone":
                     events += self._lose(
-                        conn, "WorkerCrash", f"connection lost mid-cell ({body})"
+                        conn, "WorkerCrash", f"connection lost mid-cell ({frame[1]})"
                     )
                 else:
-                    events += self._on_frame(conn, body)
+                    events += self._on_frame(conn, frame)
                 item = self.server._events.get_nowait()
         except queue_mod.Empty:
             pass
         # Heartbeats flow while a cell executes, so a busy worker gone
         # silent is dead or partitioned (SIGKILL, SIGSTOP, network), with
         # or without a live lease, and must not keep the fabric looking
-        # alive. Checked after the queue is drained: frames that arrived
-        # between sweeps count as signs of life.
+        # alive. Checked after the queue is drained: a worker whose ready
+        # waited there since before this sweep is idle, not silent.
         now = time.monotonic()
         alive = False
         for conn in self.server.live_workers():
-            if conn.state == "busy" and now - conn.last_seen > self._hb_timeout:
+            heard = max(conn.last_seen, self._sent_at.get(conn, 0.0))
+            if conn.state == "busy" and now - heard > self._hb_timeout:
                 if conn.cell is not None:
                     self.stats.lease_expiries += 1
                 events += self._lose(
@@ -477,64 +509,27 @@ class _FabricTransport(Transport):
         self.stats.crashes += 1
         return [Event("lost", conn, payload=(error_type, message, ""))]
 
-    def _on_frame(self, conn: _WorkerConn, frame: Any) -> list[Event]:
+    def _on_frame(self, conn: _WorkerConn, frame: tuple) -> list[Event]:
         if conn.state == "dead":
             return []
-        if not _well_formed(frame):
-            return self._lose(conn, "WorkerCrash", "malformed frame from worker")
         kind = frame[0]
-        conn.last_seen = time.monotonic()
-        if kind == "hello":
-            _, worker_id, version, pid = frame
-            if version != PROTOCOL_VERSION:
-                try:
-                    conn.send(("shutdown",))
-                except OSError:
-                    pass
-                self.server._drop(conn)
-                return []
-            conn.worker_id, conn.pid, conn.state = worker_id, pid, "busy"
-            self.server._ever_connected = True
-            try:
-                conn.send(
-                    (
-                        "welcome",
-                        {
-                            "version": PROTOCOL_VERSION,
-                            "lease": self.server.lease,
-                            "heartbeat": self.server.heartbeat,
-                        },
-                    )
-                )
-            except OSError:
-                self.server._drop(conn)
-        elif kind == "ready":
+        if kind == "ready":
             # Sent after the handshake and after each completion. A peer
             # that says it while it owes a cell does not get a second one.
             if conn.state == "busy" and conn.cell is None:
                 conn.state = "idle"
-        elif kind == "fetch":
-            data = self.server._blobs.get(frame[1])
-            try:
-                if data is None:
-                    conn.send(("no-blob", frame[1]))
-                else:
-                    conn.send(("blob", frame[1], data))
-            except OSError:
-                pass  # reader thread will surface the loss
-        elif kind in ("result", "error"):
-            index, key = frame[1], frame[2]
-            if conn.cell == index and self.keys[index] == key:
-                conn.cell = None
-            if kind == "error":
-                return [Event("error", conn, index, key, frame[3], frame[4])]
-            try:
-                value = pickle.loads(frame[3])
-            except Exception as exc:  # noqa: BLE001 - costs the cell an attempt
-                error = ("ResultDecodeError", f"undecodable result: {exc}", "")
-                return [Event("error", conn, index, key, error)]
-            return [Event("result", conn, index, key, value)]
-        return []  # heartbeat: last_seen is already refreshed
+            return []
+        index, key = frame[1], frame[2]
+        if conn.cell == index and self.keys[index] == key:
+            conn.cell = None
+        if kind == "error":
+            return [Event("error", conn, index, key, frame[3], frame[4])]
+        try:
+            value = pickle.loads(frame[3])
+        except Exception as exc:  # noqa: BLE001 - costs the cell an attempt
+            error = ("ResultDecodeError", f"undecodable result: {exc}", "")
+            return [Event("error", conn, index, key, error)]
+        return [Event("result", conn, index, key, value)]
 
 
 # ----------------------------------------------------------------------
@@ -551,28 +546,23 @@ class DistributedExecutor(CellExecutor):
     ``timeout`` knob becomes the per-cell lease. If the fabric is or
     becomes workerless, unfinished cells rerun through the fallback
     local executor (fresh retry budget) after a structured warning.
+    ``bind`` is the ``HOST:PORT`` the server listens on (port 0: an
+    ephemeral one); the other options are :class:`FabricServer`'s.
     """
 
     name = "distributed"
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: int = 0,
         *,
-        bind: tuple[str, int] | str | None = None,
+        bind: str = "127.0.0.1:0",
         lease: float = 30.0,
-        heartbeat: float | None = None,
         connect_timeout: float = 10.0,
         degrade_after: float = 5.0,
     ) -> None:
-        if bind is not None:
-            host, port = parse_endpoint(bind) if isinstance(bind, str) else bind
         self.server = FabricServer(
-            host,
-            port,
+            *parse_endpoint(bind),
             lease=lease,
-            heartbeat=heartbeat,
             connect_timeout=connect_timeout,
             degrade_after=degrade_after,
         )

@@ -150,10 +150,6 @@ class Job:
     started_at: float = 0.0
     finished_at: float = 0.0
     error: str = ""
-    total_cells: int = 0
-    completed_cells: int = 0
-    cached_cells: int = 0
-    failed_cells: int = 0
     executor: str = ""  #: resolved executor spec the job ran (or runs) under
     rows: list[dict[str, Any]] = field(default_factory=list)
     cells: list[dict[str, Any]] = field(default_factory=list)
@@ -172,6 +168,23 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.status in ("done", "failed", "cancelled")
+
+    # Progress reads the record itself, so it survives a restart.
+    @property
+    def total_cells(self) -> int:
+        return len(self.spec.models) * len(self.spec.ranks)
+
+    @property
+    def completed_cells(self) -> int:
+        return len(self.cells)
+
+    @property
+    def cached_cells(self) -> int:
+        return sum(1 for cell in self.cells if cell["status"] == "cached")
+
+    @property
+    def failed_cells(self) -> int:
+        return len(self.failures)
 
     @property
     def active_streams(self) -> int:
@@ -408,6 +421,7 @@ class JobManager:
                 job.started_at = 0.0
                 job.rows = []
                 job.cells = []
+                job.failures = []
                 self._queue.append(job.id)
                 if rekeyed:
                     self._persist(job)
@@ -706,7 +720,6 @@ class JobManager:
         executor, owned = self.router.executor_for(spec)
         with job._lock:
             job.executor = self.router.resolve_spec(spec)
-            job.total_cells = len(spec.models) * len(spec.ranks)
         self._persist(job)
         job._notify()
         self.log(f"job {job.id[:12]} running on {job.executor!r}")
@@ -732,17 +745,10 @@ class JobManager:
         def on_result(index, cell, key, outcome, how):
             check_stop()
             with job._lock:
-                job.completed_cells += 1
-                if how == "cached":
-                    job.cached_cells += 1
-                cell_info = {
-                    "label": cell.label,
-                    "key": key or "",
-                    "status": how,
-                }
-                job.cells.append(cell_info)
+                job.cells.append(
+                    {"label": cell.label, "key": key or "", "status": how}
+                )
                 if isinstance(outcome, CellFailure):
-                    job.failed_cells += 1
                     job.failures.append(
                         {
                             "label": outcome.label,
@@ -788,9 +794,6 @@ class JobManager:
             with job._lock:
                 job.rows = []
                 job.cells = []
-                job.completed_cells = 0
-                job.cached_cells = 0
-                job.failed_cells = 0
                 job.failures = []
             self.log(f"job {job.id[:12]} checkpointed for drain -> queued")
         else:

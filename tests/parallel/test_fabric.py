@@ -31,6 +31,7 @@ from repro.parallel.executor import (
     parse_executor_spec,
 )
 from repro.parallel.fabric import (
+    PROTOCOL_VERSION,
     DistributedExecutor,
     FabricProtocolError,
     GraphRef,
@@ -215,18 +216,12 @@ class TestExecutorSpecStrings:
 
     @pytest.mark.parametrize(
         "option",
-        [
-            "heartbeat=0",
-            "heartbeat=-1",
-            "heartbeat=nan",
-            "lease=nan",
-            "connect_timeout=-1",
-            "degrade_after=-5",
-        ],
+        ["lease=nan", "connect_timeout=-1", "degrade_after=-5"],
     )
     def test_fabric_timing_options_are_checked(self, option):
-        """A worker told to sleep a negative or NaN heartbeat dies in its
-        heartbeat thread; such a value is refused before a port is bound."""
+        """A NaN lease would advertise a NaN heartbeat, which a worker's
+        heartbeat thread dies on; such a value is refused before a port
+        is bound."""
         name = option.partition("=")[0]
         with pytest.raises(ConfigurationError, match=f"{name} must be"):
             make_executor(f"distributed?bind=127.0.0.1:0&{option}")
@@ -413,6 +408,9 @@ ROGUE_BYTES = {
     "one-element hello": (_framed(("hello",)), False),
     "two-element result": (_framed(("result", 1)), False),
     "result with a list as index": (_framed(("result", [0], "key", b"")), False),
+    "second hello on a welcomed connection": (
+        _framed(("hello", "rogue", 1, 1)) * 2, False,
+    ),
 }
 
 
@@ -471,6 +469,27 @@ class TestRoguePeer:
         assert not thread.is_alive()
         assert got == [dawdle(j) for j in jobs]
         assert (stats.disconnects, stats.crashes, stats.retries) == (1, 1, 1)
+
+
+class TestAttach:
+    """A connection's handshake is the server's, not a sweep's."""
+
+    def test_worker_attaches_while_no_sweep_runs(self):
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            start_workers(ex.endpoint, 1)
+            deadline = time.monotonic() + 5.0
+            while not ex.server.worker_pids() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert ex.server.worker_pids() != []
+
+    def test_version_mismatch_is_turned_away(self):
+        with DistributedExecutor(connect_timeout=20.0) as ex:
+            with socket.create_connection(ex.endpoint, timeout=5.0) as sock:
+                send_frame(sock, ("hello", "stale", PROTOCOL_VERSION + 1, 1))
+                assert recv_frame(sock) == ("shutdown",)
+                with pytest.raises((EOFError, OSError)):
+                    recv_frame(sock)  # the server hangs up on us
+            assert ex.server.live_workers() == []
 
 
 class TestDegradation:

@@ -16,8 +16,8 @@ def cli_namespace(**overrides):
         models=["static_block", "counter_dynamic", "work_stealing"],
         ranks=[16, 64], machine="commodity", faults=None, jobs=1,
         no_cache=False, artifact_cache=True, cache_dir=None,
-        timeout=None, max_attempts=None, executor="local",
-        bind="127.0.0.1:0", lease=30.0,
+        timeout=None, deadline=None, max_attempts=None, executor="local",
+        engine="auto",
     )
     for key, value in overrides.items():
         setattr(ns, key, value)
@@ -181,29 +181,30 @@ class TestValidation:
 
 
 class TestCliFrontDoor:
-    def test_bind_and_lease_fold_into_distributed_spec(self):
-        ns = cli_namespace(
-            executor="distributed", jobs=2, bind="0.0.0.0:9999", lease=7.5
-        )
-        spec = JobSpec.from_cli_args(ns)
-        name, options = api.parse_executor_spec(spec.executor)
-        assert name == "distributed"
-        assert options == {"bind": "0.0.0.0:9999", "lease": 7.5}
-
     def test_inline_spec_options_win_over_flags(self):
-        ns = cli_namespace(executor="distributed?lease=3", jobs=2, lease=30.0)
+        ns = cli_namespace(executor="distributed?lease=3", jobs=2)
         spec = JobSpec.from_cli_args(ns)
         _, options = api.parse_executor_spec(spec.executor)
         assert options["lease"] == 3
 
-    def test_bind_lease_ignored_for_local(self):
-        spec = JobSpec.from_cli_args(cli_namespace(executor="local"))
-        assert spec.executor == "local"
+    def test_executor_passes_through_unparsed(self):
+        """``auto`` is the service's word; validate() alone parses it."""
+        spec = JobSpec.from_cli_args(cli_namespace(executor="auto"))
+        assert spec.executor == "auto"
 
     def test_bad_executor_is_structured(self):
         with pytest.raises(JobSpecError) as err:
-            JobSpec.from_cli_args(cli_namespace(executor="bogus"))
+            JobSpec.from_cli_args(cli_namespace(executor="bogus")).validate()
         assert err.value.field == "executor"
+
+    @pytest.mark.parametrize("flag", ["--bind", "--lease"])
+    def test_fabric_flags_are_spelled_in_the_executor(self, flag, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["study", flag, "1", "--executor", "distributed", "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("executor", ["local?foo=1", "distributed?fallback=no"])
     def test_executor_option_the_backend_does_not_take_exits_2(self, executor, capsys):

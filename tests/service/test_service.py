@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import threading
 import time
 
 import pytest
@@ -11,7 +12,16 @@ from repro import api
 from repro.chaos.service import daemon
 from repro.core.cache import decode_entry, decode_outcome
 from repro.core.jobspec import JobSpec, SourceSpec
-from repro.service import JobManager, QueueFull, ServiceClient, ServiceError, StudyService
+from repro.parallel.fabric import DistributedExecutor
+from repro.parallel.worker import run_worker
+from repro.service import (
+    BackendRouter,
+    JobManager,
+    QueueFull,
+    ServiceClient,
+    ServiceError,
+    StudyService,
+)
 
 #: A grid small enough that every HTTP test stays fast.
 SMALL = {"source": {"size": 2}, "models": ["work_stealing"], "ranks": [8, 16]}
@@ -265,6 +275,63 @@ class TestManager:
                 manager.submit(JobSpec(executor="serial", jobs=4))
         finally:
             manager.close()
+
+    def test_auto_job_runs_on_an_attached_fabric(self, tmp_path):
+        # The worker attaches while no sweep runs; the router must see it
+        # and send an "auto" job to the fabric rather than the default.
+        fabric = DistributedExecutor(connect_timeout=20.0)
+        worker = threading.Thread(
+            target=run_worker,
+            args=fabric.endpoint,
+            kwargs=dict(worker_id="t0", reconnect_attempts=0),
+            daemon=True,
+        )
+        worker.start()
+        router = BackendRouter("local", fabric=fabric)
+        manager = JobManager(tmp_path / "state", router=router)
+        try:
+            deadline = time.monotonic() + 5.0
+            while router.fabric_workers() == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            inventory = {b["name"]: b for b in router.backends()}
+            assert inventory["distributed"]["workers"] == 1
+            payload = {**SMALL, "executor": "auto"}
+            job, _ = manager.submit(JobSpec.from_json(payload))
+            deadline = time.monotonic() + 120.0
+            while not job.terminal and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert job.status == "done", job.error
+            assert job.executor == "distributed"
+            assert job.rows == serial_rows(SMALL)
+        finally:
+            manager.close()
+            fabric.close()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+
+    def test_finished_job_reads_the_same_progress_after_a_restart(self, tmp_path):
+        state = tmp_path / "state"
+        payload = {**SMALL, "ranks": [8, 16, 32]}
+        # One cell of the job is already in the service's result cache.
+        api.run_job(
+            JobSpec.from_json({**SMALL, "ranks": [16]}),
+            cache=api.ResultCache(state / "cache"),
+        )
+        manager = JobManager(state)
+        try:
+            job, _ = manager.submit(JobSpec.from_json(payload))
+            deadline = time.monotonic() + 120.0
+            while not job.terminal and time.monotonic() < deadline:
+                time.sleep(0.02)
+            before = job.snapshot()["progress"]
+        finally:
+            manager.close()
+        assert before == {"total": 3, "completed": 3, "cached": 1, "failed": 0}
+        restarted = JobManager(state)
+        try:
+            assert restarted.get(job.id).snapshot()["progress"] == before
+        finally:
+            restarted.close()
 
     def test_close_cancels_queued_jobs(self, tmp_path):
         manager = JobManager(tmp_path / "state")

@@ -173,9 +173,9 @@ def tier_product(run: Runner) -> None:
     # A distributed study with one attached worker.
     port = _free_port()
     out = pathlib.Path(run.log).with_suffix(".fabric.txt")
-    study = run.start(*_python("-m", "repro", "study", *small, "--no-cache",
-                               "--jobs", "2", "--executor", "distributed", "--bind", f"127.0.0.1:{port}",
-                               "--lease", "30"), out=out)
+    study = run.start(*_python("-m", "repro", "study", *small, "--no-cache", "--jobs", "2",
+                               "--executor", f"distributed?bind=127.0.0.1:{port}&lease=30"),
+                      out=out)
     _wait_for(out, "listening on")
     run.repro("worker", "--connect", f"127.0.0.1:{port}", "--reconnect-attempts", "1",
               "--reconnect-delay", "0.2", "--verbose")
