@@ -140,6 +140,23 @@ CASES = {
         "machine": {"n_ranks": 32},
         "seed": 3,
     },
+    # The ring victim walk with one-task steals, and a rank that parks
+    # after its first failed attempt (the early-park return), on plain
+    # work stealing.
+    "work_stealing_one_ring_p64": {
+        "model": "work_stealing",
+        "options": {"steal": "one", "victim": "ring"},
+        "graph": {"n_tasks": 1500, "n_blocks": 16, "seed": 25, "skew": 1.1},
+        "machine": {"n_ranks": 64},
+        "seed": 7,
+    },
+    "work_stealing_park1_p128": {
+        "model": "work_stealing",
+        "options": {"park_after": 1},
+        "graph": {"n_tasks": 1600, "n_blocks": 16, "seed": 27, "skew": 1.3},
+        "machine": {"n_ranks": 128},
+        "seed": 9,
+    },
     "work_stealing_intervals_p16": {
         "model": "work_stealing",
         "graph": {"n_tasks": 600, "n_blocks": 12, "seed": 13, "skew": 0.9},
@@ -211,7 +228,7 @@ def run_case(case: dict) -> dict:
         return run_scf_case(case)
     graph = _build_graph(case["graph"])
     machine = _build_machine(case["machine"])
-    result = make_model(case["model"]).run(
+    result = make_model(case["model"], **case.get("options", {})).run(
         graph,
         machine,
         seed=case["seed"],
