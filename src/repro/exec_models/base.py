@@ -36,7 +36,7 @@ from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceReco
 from repro.simulate.engine import Process
 from repro.simulate.machine import MachineSpec
 from repro.simulate.sched import make_engine
-from repro.simulate.network import KEEP_LOCK, LAND_TASKS, MOVE_TASKS, Network, SharedCell
+from repro.simulate.network import MOVE_TASKS, Network, SharedCell
 from repro.util import ConfigurationError, SchedulingError, derive_seed
 
 
@@ -383,12 +383,12 @@ class Harness:
                 #: Fetch-adds of every :meth:`claim_loop`, which each loop
                 #: adds as it ends.
                 self._loop_claims = SharedCell()
-                #: Per victim: a steal attempt's head chain (lock-word
-                #: read, lock kept, metadata read) and its tail after the
-                #: move: the unlock write, then in the after-unlock order
-                #: the landing.
-                self._steal_steps: dict[int, tuple] = {}
-                self._steal_failed = self.network._chain((MOVE_TASKS, IDLE))
+                #: The idle passes' steal tally (attempts, successes, tasks
+                #: stolen, failures), which the core counts and
+                #: :meth:`count_steals` folds; what they share, made by
+                #: the first (:meth:`idle_pass`).
+                self._steals = np.zeros(4, dtype=np.int64)
+                self._idle_shared: tuple | None = None
 
     @property
     def n_ranks(self) -> int:
@@ -501,68 +501,60 @@ class Harness:
         source = ("drain", self._tasks, queue, pop)
         return self._op(self.trace, rank, chain=pop, end=1, claim=source)
 
-    def steal_attempt(
-        self, ctx: RankContext, victim: int, locks, queues, take, backoff, after_unlock=False
-    ):
-        """One steal attempt on ``victim`` as one request, else None.
+    def idle_pass(
+        self, ctx: RankContext, queues, locks, ring, rng, victim: str, peers, steal: str,
+        tags, park_after: int, min_backoff: float, max_backoff: float, after_unlock: bool,
+    ):  # fmt: skip
+        """A stealing rank's idle pass as one request, else None.
 
-        Read ``victim``'s lock word (the CAS), take ``locks[victim]`` and
-        keep it, read its queue metadata, then ask ``take(queues[victim])``
-        — the model's decision and the request's one call into Python —
-        how many tasks ``k`` to take from the tail. For ``k > 0``: read
-        ``k`` descriptors, move the tasks to the tail of the thief's own
-        queue in order, release the lock and write the lock word back;
-        for none: release the lock and sleep ``backoff`` (IDLE, the
-        ``Timeout`` the generator yields). With ``after_unlock`` the tasks
-        leave the victim's queue as the lock is released but reach the
-        thief's only once the lock word is written back: they wait in a
-        staging queue of the op's (``LAND_TASKS``). The request returns
-        ``k``. None as for :meth:`claim_loop`; the generator is
-        ``WorkStealing._attempt_steal`` and the backoff sleep after it.
+        Returns ``start(backoff, scan, failures)``, which makes the
+        request from the rank loop's state: choose a victim (``victim``
+        over ``peers``, drawn on ``rng``), attempt a steal on it (lock
+        word, ``locks[victim]`` kept, metadata, then ``steal``'s decision:
+        the descriptors, the move from the tail of ``queues[victim]`` to
+        the thief's and the unlock write, the landing after it if
+        ``after_unlock``, or the release and the backoff sleep), poll the
+        rank's mailbox for ``tags`` (None: any message), again, until an
+        attempt took tasks, a message waits or ``park_after`` failures in
+        a row (0: never) call for a park. The request returns the loop's
+        ``(backoff, scan, failures)``; the core marks the thief in
+        ``ring.dirty`` as it gains tasks and tallies the attempts, which
+        :meth:`count_steals` folds. Call it with the rank's queue empty,
+        the token launched or the rank not its launcher. None as for
+        :meth:`claim_loop`; the generators are
+        ``WorkStealing._steal_loop``'s attempt loop, the reference.
         """
         if self._chain is None:
             return None
-        network = self.network
-        stats = network.stats
-        steps = self._steal_steps.get(victim)
-        if steps is None:
+        if self._idle_shared is None:
+            # No closure here may hold the harness: the shared tuple would
+            # then keep the whole run alive until a full collection.
+            tier_program, descriptor_bytes = self.network._tier_program, self.TASK_DESCRIPTOR_BYTES
 
-            def rma(nbytes):
-                programs = tuple(network._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
-                return (victim, programs, OVERHEAD)
+            def programs(nbytes):
+                return tuple(tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
 
-            unlock = rma(self.LOCK_WORD_BYTES)
-            head = network._chain((unlock, KEEP_LOCK, rma(self.QUEUE_META_BYTES)))
-            steps = self._steal_steps[victim] = (head, (unlock,), (unlock, LAND_TASKS))
-        head, before, after = steps
-        stats.gets += 2
-        stats.bytes_moved += self.LOCK_WORD_BYTES + self.QUEUE_META_BYTES
-        stats.fused_ops += 2
-        queue = queues[victim]
-        if after_unlock:
-            steal, tail = (locks[victim], queue, deque(), queues[ctx.rank]), after
-        else:
-            steal, tail = (locks[victim], queue, queues[ctx.rank]), before
+            def descriptors(k):
+                return programs(k * descriptor_bytes)
 
-        def decide(op) -> bool:
-            k = take(queue)
-            op.claim = None  # the slice loaded here is the attempt's last
-            op.result = k
-            op.pos = 0
-            if not k:
-                op.chain, op.end, op.duration = self._steal_failed, 2, backoff
-                return True
-            nbytes = k * self.TASK_DESCRIPTOR_BYTES
-            programs = tuple(network._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
-            stats.gets += 1
-            stats.puts += 1
-            stats.bytes_moved += nbytes + self.LOCK_WORD_BYTES
-            stats.fused_ops += 2
-            op.chain = network._chain(((victim, programs, OVERHEAD), MOVE_TASKS) + tail)
-            op.end = 2 + len(tail)
-            return True
+            self._idle_shared = (
+                [None] * self.n_ranks, programs(self.LOCK_WORD_BYTES),
+                programs(self.QUEUE_META_BYTES), OVERHEAD, {}, descriptors,
+                self.network._chain((MOVE_TASKS, IDLE)), self._steals,
+            )  # fmt: skip
+        rank = ctx.rank
+        source = (
+            "idle", self._tasks, self._idle_shared, queues, locks, ring.dirty, rank,
+            deque() if after_unlock else None, rng.bit_generator, victim, tuple(peers or ()),
+            steal, tags, self.network._mailboxes[rank].messages, park_after,
+            float(min_backoff), float(max_backoff),
+        )  # fmt: skip
+        op, trace, chain = self._op, self.trace, self._chain
 
-        return self._op(self.trace, ctx.rank, chain=head, end=3, claim=decide, steal=steal)
+        def start(backoff: float, scan: int, failures: int):
+            return op(trace, rank, chain=chain, claim=(*source, backoff, scan, failures))
+
+        return start
 
     def _walk_drain(self, ctx: RankContext, queue, lock, run_task):
         """The local drain as a generator: the reference for the op."""
@@ -685,6 +677,34 @@ class Harness:
             self.counters["claims"] += float(claims)
             stats.fetch_adds += claims
             stats.fused_ops += claims
+        self.count_steals()
+
+    def count_steals(self) -> None:
+        """Fold the idle passes' tally into the steal counters and the
+        network stats, as each attempt's generator counts its operations:
+        per attempt two gets (lock word, metadata), per success a
+        descriptor get of its tasks and the unlock put. Once per run
+        (:meth:`finish`, ``ScfSimulation.run``); a no-op without a chain."""
+        if self._chain is None:
+            return
+        attempts, successes, stolen, failed = self._steals.tolist()
+        self._steals[:] = 0
+        if not attempts:
+            return
+        counters = self.counters
+        counters["steal_attempts"] += float(attempts)
+        counters["steal_successes"] += float(successes)
+        counters["tasks_stolen"] += float(stolen)
+        counters["failed_steals"] += float(failed)
+        stats = self.network.stats
+        stats.gets += 2 * attempts + successes
+        stats.puts += successes
+        stats.bytes_moved += (
+            (self.LOCK_WORD_BYTES + self.QUEUE_META_BYTES) * attempts
+            + self.TASK_DESCRIPTOR_BYTES * stolen
+            + self.LOCK_WORD_BYTES * successes
+        )
+        stats.fused_ops += 2 * (attempts + successes)
 
     def finish(self, model_name: str) -> RunResult:
         """Drain the engine, validate invariants, assemble the result."""

@@ -200,8 +200,8 @@ class FaultTolerantWorkStealing(WorkStealing):
         retry_rng = spawn_rng(harness.rank_seed(ctx.rank, "retry"))
         in_flight = state["in_flight"][ctx.rank]
         return self._steal_loop(
-            harness, ctx, state["queues"], state["locks"], ring,
-            partial(self._choose_live_victim, ctx, harness.detector, rng),
+            harness, ctx, state["queues"], state["locks"], ring, rng,
+            choose=partial(self._choose_live_victim, ctx, harness.detector, rng),
             heartbeat=harness.detector.detection_latency,
             on_silence=partial(self._regenerate, harness, ctx, ring),
             run_task=partial(self._execute_with_replay, harness, ctx, in_flight, retry_rng),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -175,12 +174,9 @@ class ScfSimulation:
                     # from ranks already past termination.
                     queues, locks, ring = state.stealing(iteration)
                     rng = spawn_rng(derive_seed(harness.seed, "scfsim", iteration, ctx.rank))
-                    terminate, token = ring.terminate_tag, ring.token_tag
                     yield from self._stealing._steal_loop(
-                        harness, ctx, queues, locks, ring,
-                        partial(self._stealing._choose_victim, ctx, rng, None),
-                        poll=lambda: ctx.try_recv(terminate) or ctx.try_recv(token),
-                        park=False, after_unlock=True,
+                        harness, ctx, queues, locks, ring, rng,
+                        tags=(ring.terminate_tag, ring.token_tag), park=False, after_unlock=True,
                     )  # fmt: skip
                 else:
                     yield from harness.execute_tasks(ctx, state.schedule(iteration)[ctx.rank])
@@ -194,6 +190,7 @@ class ScfSimulation:
 
         harness.spawn_ranks(rank_process)
         total = harness.engine.run()
+        harness.count_steals()
         assignments = [state.records(iteration)[0] for iteration in range(n_iterations)]
         if len(harness.trace.task_ids) != n_iterations * n_tasks:
             raise SchedulingError(

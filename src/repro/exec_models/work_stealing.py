@@ -49,11 +49,16 @@ class WorkStealing(ExecutionModel):
             an explicit ``(n_tasks,)`` rank per task (array or sequence),
             checked against the run at setup.
         steal: amount policy — ``"half"`` (ceil of half the victim's
-            queue, TASCEL default) or ``"one"``.
-        victim: victim selection — ``"random"`` or ``"ring"`` (cyclic scan
-            starting after self).
+            queue, TASCEL default), ``"one"``, or ``"half_cost"`` (tail
+            tasks until half the queue's modeled cost has moved).
+        victim: victim selection — ``"random"``, ``"ring"`` (cyclic scan
+            starting after self), or ``"hierarchical"`` (two attempts on
+            a random peer of the rank's node, then one on any rank).
         min_backoff / max_backoff: failed-steal exponential backoff bounds
             (simulated seconds).
+        park_after: failed attempts in a row after which an idle rank
+            stops stealing and waits for a message (the token, or
+            terminate); one attempt follows each message.
     """
 
     def __init__(
@@ -159,27 +164,12 @@ class WorkStealing(ExecutionModel):
             k += 1
         return min(k, available)
 
-    def _take(self, harness: Harness, ring: TokenRing, rank: int, queue: deque[int]) -> int:
-        """A steal attempt's decision once it holds the victim's lock and
-        has read its metadata: how many tasks to take from ``queue``'s
-        tail (0 fails the attempt), counted, and the thief ``rank`` marked
-        dirty in ``ring`` when it gains work. Only the thief reads its
-        dirty bit and only once the attempt is over, so marking it here is
-        marking it at the transfer."""
-        if not queue:
-            harness.counters["failed_steals"] += 1.0
-            return 0
-        k = self._steal_count(harness, queue)
-        ring.mark_dirty(rank)
-        harness.counters["steal_successes"] += 1.0
-        harness.counters["tasks_stolen"] += float(k)
-        return k
-
     def _attempt_steal(
         self, harness: Harness, ctx: RankContext, victim: int, queues, locks, ring, after_unlock
     ):
         """One steal attempt; returns number of tasks stolen (generator).
-        The reference for :meth:`Harness.steal_attempt`, in its order."""
+        With the backoff sleep after a failure, the reference for an
+        attempt of :meth:`Harness.idle_pass`, in its order."""
         harness.counters["steal_attempts"] += 1.0
 
         # Remote lock acquisition: one CAS round-trip, then wait if held.
@@ -217,10 +207,7 @@ class WorkStealing(ExecutionModel):
     def rank_process(self, harness: Harness, ctx: RankContext):
         state = harness.model_state
         rng = spawn_rng(harness.rank_seed(ctx.rank, "steal"))
-        peers = self._peers(ctx) if self.victim == "hierarchical" else None
-        choose = partial(self._choose_victim, ctx, rng, peers)
-        queues, locks, ring = state["queues"], state["locks"], state["ring"]
-        return self._steal_loop(harness, ctx, queues, locks, ring, choose)
+        return self._steal_loop(harness, ctx, state["queues"], state["locks"], state["ring"], rng)
 
     def _steal_loop(
         self,
@@ -229,9 +216,10 @@ class WorkStealing(ExecutionModel):
         queues: list[deque[int]],
         locks: list[Resource],
         ring: TokenRing,
-        choose,
-        poll=None,
+        rng: np.random.Generator,
+        tags: tuple | None = None,
         park=True,
+        choose=None,
         heartbeat=None,
         on_silence=None,
         run_task=None,
@@ -239,23 +227,34 @@ class WorkStealing(ExecutionModel):
         after_unlock=False,
     ):
         """A stealing rank until ``ring`` terminates (generator): drain its
-        queue, ``poll()`` for a message (default ``ctx.try_recv``: any),
-        park in a ``recv`` after ``park_after`` failed attempts in a row
-        if ``park`` (``on_silence()`` says whether to stop when
-        ``heartbeat`` ends it empty), steal from ``choose(scan)`` (None:
-        no victim), back off. Fault tolerance adds ``run_task(tid)`` and
-        ``recover()`` (tasks adopted before each poll); ``after_unlock``
-        orders the attempt (:meth:`_attempt_steal`).
+        queue, poll for a message matching one of ``tags`` in turn
+        (default: any), park in a ``recv`` after ``park_after`` failed
+        attempts in a row if ``park`` (``on_silence()`` says whether to
+        stop when ``heartbeat`` ends it empty), steal from the victim
+        :meth:`_choose_victim` draws on ``rng`` (or ``choose(scan)``'s,
+        None: no victim), back off. Fault tolerance adds ``choose``,
+        ``run_task(tid)`` and ``recover()`` (tasks adopted before each
+        poll); ``after_unlock`` orders the attempt (:meth:`_attempt_steal`).
+        Without ``choose``, the attempts from an empty queue up to the
+        next success, message or park are one request when the engine
+        walks it (:meth:`Harness.idle_pass`).
         """
         counters = harness.counters
         queue = queues[ctx.rank]
-        poll = poll or ctx.try_recv
         n_ranks = harness.n_ranks
-        take = partial(self._take, harness, ring, ctx.rank)
         terminate_tag, token_tag = ring.terminate_tag, ring.token_tag
+        polled = tags or (None,)
         backoff = self.min_backoff
         scan = 0
         consecutive_failures = 0
+        idle = None
+        if choose is None:
+            peers = self._peers(ctx) if self.victim == "hierarchical" else None
+            choose = partial(self._choose_victim, ctx, rng, peers)
+            idle = harness.idle_pass(
+                ctx, queues, locks, ring, rng, self.victim, peers, self.steal, tags,
+                self.park_after if park else 0, self.min_backoff, self.max_backoff, after_unlock,
+            )  # fmt: skip
 
         while True:
             # Drain the local queue: one request when the engine walks it.
@@ -270,7 +269,10 @@ class WorkStealing(ExecutionModel):
                 continue
 
             # Idle: handle protocol messages.
-            message = poll()
+            for tag in polled:
+                message = ctx.try_recv(tag)
+                if message is not None:
+                    break
             if message is None and park and consecutive_failures >= self.park_after:
                 # Park: the local neighbourhood looks drained, so wait for
                 # the circulating token (or terminate) instead of burning
@@ -293,28 +295,25 @@ class WorkStealing(ExecutionModel):
                 yield from ring.maybe_launch(ctx)
                 counters["token_hops"] = float(ring.hops)
 
-            # Steal: one request when the engine walks it, backoff
-            # included; else the generator, then the backoff sleep.
+            # Steal: the attempts up to the next success, message or park
+            # as one request when the engine walks it; else one attempt's
+            # generator, then the backoff sleep.
+            if idle is not None:
+                backoff, scan, consecutive_failures = yield from idle(
+                    backoff, scan, consecutive_failures
+                )
+                continue
             victim = choose(scan)
             scan += 1
-            if victim is None:
-                attempt, got = None, 0
-            else:
-                attempt = harness.steal_attempt(
-                    ctx, victim, locks, queues, take, backoff, after_unlock
+            got = 0
+            if victim is not None:
+                got = yield from self._attempt_steal(
+                    harness, ctx, victim, queues, locks, ring, after_unlock
                 )
-                if attempt is None:
-                    got = yield from self._attempt_steal(
-                        harness, ctx, victim, queues, locks, ring, after_unlock
-                    )
-                else:
-                    counters["steal_attempts"] += 1.0
-                    got = yield from attempt
             if got:
                 backoff = self.min_backoff
                 consecutive_failures = 0
             else:
                 consecutive_failures += 1
-                if attempt is None:
-                    yield from ctx.sleep(backoff)
+                yield from ctx.sleep(backoff)
                 backoff = min(backoff * 2.0, self.max_backoff)

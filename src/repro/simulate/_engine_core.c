@@ -19,7 +19,7 @@
  *
  * For the whole of one core_run() call the engine's state lives in C,
  * and Python sees it only at a *call out* (call_out below: a generator
- * send, _finish, activate, a claim callable such as a steal's decision, a
+ * send, _finish, activate, a claim callable, a
  * fallback method, a generic callback):
  *
  * - the **clock and the seq counter** are C scalars. call_out publishes
@@ -123,7 +123,7 @@ static AttrName s_heap[1], s_ready[1], s_seq[1], s_now[1];
 static AttrName s_events_dispatched[1], s_ready_dispatched[1];
 static AttrName s_timeout_allocs[1], s_grant_resumes[1];
 static AttrName s_done[1], s_cancelled[1], s_send[1], s_engine[1];
-static AttrName s_delay[1], s_name[1], s_value[1];
+static AttrName s_delay[1], s_name[1], s_value[1], s_tag[1];
 static AttrName s_in_use[1], s_capacity[1], s_total_acquisitions[1];
 static AttrName s_total_waits[1], s_queue[1];
 static AttrName s_totals[1], s_intervals[1], s_records[1];
@@ -131,7 +131,7 @@ static AttrName s_task_ids[1], s_task_ranks[1], s_task_starts[1], s_task_ends[1]
 
 /* Interned method names: always looked up through the type. */
 static PyObject *s_popleft, *s_append, *s_clear, *s_finish, *s_activate, *s_release;
-static PyObject *s_pop, *s_extend;
+static PyObject *s_pop, *s_extend, *s_capsule;
 static PyObject *s_advance_name, *s_deliver_name, *s_record;
 static PyObject *s_record_compute, *s_compute;
 
@@ -789,10 +789,11 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
  * next from the run's flat step list, so the process's generator is
  * re-entered once per task, not once per operation -- or once per claim
  * loop, when the op's claim source (read here, see Claims) loads the
- * next slice each time one runs out, or once per steal attempt. Every
- * seq is allocated and every trace record made at the dispatch where the
- * generators (Network._walk, Harness._walk_task, the models' claim loops
- * and WorkStealing._attempt_steal) make theirs, so (time, seq) orders
+ * next slice each time one runs out, or once per idle pass of steal
+ * attempts. Every seq is allocated and every trace record made at the
+ * dispatch where the generators (Network._walk, Harness._walk_task, the
+ * models' claim loops and WorkStealing._attempt_steal) make theirs, so
+ * (time, seq) orders
  * are unchanged; tests/simulate/test_sched.py holds the walker to them.
  *
  * A chain is (steps, nics, node_ids): a flat step list shared by every
@@ -1128,7 +1129,7 @@ fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic, int phase)
 /* ---- native claim sources ----
  *
  * The claim slot of a claim loop's op may hold, instead of a callable,
- * one of three tuples the core reads itself whenever a slice runs out, so
+ * one of four tuples the core reads itself whenever a slice runs out, so
  * a chained task costs no call into Python:
  *
  *   ("list", tasks, tids): the next id of the exact list `tids`
@@ -1140,7 +1141,10 @@ fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic, int phase)
  *       `fetch_add` chain's step on `cell`, its result r -- r >= n_tasks
  *       ends the loop, else task sequence[r] runs and the fetch-add
  *       follows (Harness.claim_loop; a loop adds its fetch-adds to the
- *       int tally.value once, as it ends).
+ *       int tally.value once, as it ends);
+ *   ("idle", tasks, ...): a stealing rank's idle pass, its attempts
+ *       chained one after another (Harness.idle_pass; see "the idle pass"
+ *       below).
  *
  * tasks = (chain, bounds, costs, rates) is the run's task table: task t
  * is steps[bounds[t]:bounds[t + 1]] of `chain`, and its kernel lasts
@@ -1148,15 +1152,45 @@ fused_acquire(RunCtx *ctx, FusedOp *op, PyObject *nic, int phase)
  * int64 too) whose buffers the op holds while it lives. The tuple is
  * read once, when the op is made; a claim slot rebound since is called. */
 
-enum { CLAIM_LIST, CLAIM_DRAIN, CLAIM_COUNTER };
+enum { CLAIM_LIST, CLAIM_DRAIN, CLAIM_COUNTER, CLAIM_IDLE };
+
+/* numpy/random/bitgen.h's bitgen_t: what a BitGenerator's `capsule`
+ * (named "BitGenerator") points to, a public NumPy ABI since 1.17. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} BitGen;
+
+enum { VICTIM_RANDOM, VICTIM_RING, VICTIM_HIERARCHICAL };
+enum { STEAL_HALF, STEAL_ONE, STEAL_HALF_COST };
+/* Where an idle pass is: about to attempt, its head chain walked (the
+ * decision next), or the attempt's rest walked. */
+enum { IDLE_ATTEMPT, IDLE_DECIDE, IDLE_DONE };
+
+/* The idle pass's spec items (borrowed from it) and the loop's state. */
+typedef struct {
+    PyObject *heads, *lockword, *meta, *category, *descriptors, *make, *failed;
+    PyObject *queues, *locks, *dirty, *staging, *peers, *tags, *messages;
+    BitGen *bitgen;
+    Py_ssize_t rank, n_ranks, victim;
+    int kind, policy, stage;
+    long long park_after, scan, failures, k;
+    double min_backoff, max_backoff, backoff;
+} Idle;
 
 struct Claims {
     int kind;
     PyObject *spec; /* owned; the objects below are its items */
     PyObject *chain, *items, *loop, *cell, *tally;
-    Py_buffer buf[4]; /* bounds, costs, rates, and a counter's sequence */
+    /* bounds, costs, rates, and a counter's sequence or an idle pass's
+     * steal tally */
+    Py_buffer buf[4];
     int nbuf;
     Py_ssize_t n_tasks, n_ranks;
+    Idle idle;
 };
 
 static void
@@ -1169,30 +1203,149 @@ claims_free(Claims *c)
     PyMem_Free(c);
 }
 
+/* Generator.integers(0, rng + 1) for rng < 2**32, as NumPy draws it:
+ * random_bounded_uint64_fill for one value, whose 32-bit branch is
+ * buffered_bounded_lemire_uint32 (Lemire's multiply and reject). rng == 0
+ * draws nothing. */
+static uint64_t
+bounded_draw(BitGen *bg, uint32_t rng)
+{
+    if (rng == 0)
+        return 0;
+    if (rng == 0xFFFFFFFFUL)
+        return bg->next_uint32(bg->state);
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+    uint32_t leftover = (uint32_t)(m & 0xFFFFFFFFUL);
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+            leftover = (uint32_t)(m & 0xFFFFFFFFUL);
+        }
+    }
+    return m >> 32;
+}
+
+/* WorkStealing._choose_victim(ctx, rng, peers, scan) for `rank` of
+ * `n_ranks` (>= 2): the ring's next rank, a node peer on two scans of
+ * three for "hierarchical" (a tuple of ints), else a uniform other rank.
+ * The victim, or -1 with a ValueError for a peer out of range. */
+static Py_ssize_t
+pick_victim(BitGen *bg, int kind, Py_ssize_t rank, Py_ssize_t n_ranks, PyObject *peers,
+            long long scan)
+{
+    if (kind == VICTIM_RING)
+        return (rank + 1 + (Py_ssize_t)(scan % (n_ranks - 1))) % n_ranks;
+    Py_ssize_t n_peers = PyTuple_GET_SIZE(peers);
+    if (kind == VICTIM_HIERARCHICAL && n_peers > 0 && scan % 3 < 2) {
+        PyObject *peer = PyTuple_GET_ITEM(peers, bounded_draw(bg, (uint32_t)(n_peers - 1)));
+        Py_ssize_t v = PyLong_CheckExact(peer) ? PyLong_AsSsize_t(peer) : -1;
+        if (v < 0 || v >= n_ranks) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_ValueError, "a node peer %R is no rank of %zd", peer, n_ranks);
+            return -1;
+        }
+        return v;
+    }
+    Py_ssize_t v = (Py_ssize_t)bounded_draw(bg, (uint32_t)(n_ranks - 2));
+    return v < rank ? v : v + 1;
+}
+
+/* The victim policy named `victim` into *kind, the Generator's bitgen_t
+ * (not needed for the ring) into *bg, with the draw's ranges checked:
+ * 0, or -1 with a TypeError or ValueError. */
+static int
+victim_policy(const char *victim, PyObject *bit_generator, Py_ssize_t n_ranks,
+              PyObject *peers, int *kind, BitGen **bg)
+{
+    static const char *names[3] = {"random", "ring", "hierarchical"};
+    *kind = -1;
+    for (int i = 0; i < 3; i++)
+        if (strcmp(victim, names[i]) == 0)
+            *kind = i;
+    if (*kind < 0 || n_ranks < 2 || (uint64_t)(n_ranks - 2) > UINT32_MAX ||
+        (uint64_t)PyTuple_GET_SIZE(peers) > (uint64_t)UINT32_MAX + 1) {
+        PyErr_Format(PyExc_ValueError, "no victim draw %s among %zd ranks and %zd peers",
+                     victim, n_ranks, PyTuple_GET_SIZE(peers));
+        return -1;
+    }
+    *bg = NULL;
+    if (*kind == VICTIM_RING)
+        return 0;
+    PyObject *capsule = PyObject_GetAttr(bit_generator, s_capsule);
+    if (capsule == NULL)
+        return -1;
+    /* The pointer is into the BitGenerator, which the caller holds. */
+    *bg = (BitGen *)PyCapsule_GetPointer(capsule, "BitGenerator");
+    Py_DECREF(capsule);
+    return *bg == NULL ? -1 : 0;
+}
+
+/* An idle pass's spec into `s` (see "the idle pass" below), its tally
+ * array into *tally: 0, or -1 with a TypeError or ValueError. */
+static int
+idle_parse(PyObject *spec, Idle *s, PyObject **tally)
+{
+    static const char *policies[3] = {"half", "one", "half_cost"};
+    PyObject *name, *tasks, *shared, *bit_generator;
+    const char *victim, *steal;
+    if (!PyArg_ParseTuple(spec, "UO!O!O!O!O!nOOsO!sOO!LdddLL:idle claim source", &name,
+                          &PyTuple_Type, &tasks, &PyTuple_Type, &shared, &PyList_Type,
+                          &s->queues, &PyList_Type, &s->locks, &PyList_Type, &s->dirty,
+                          &s->rank, &s->staging, &bit_generator, &victim, &PyTuple_Type,
+                          &s->peers, &steal, &s->tags, g_deque_type, &s->messages,
+                          &s->park_after, &s->min_backoff, &s->max_backoff, &s->backoff,
+                          &s->scan, &s->failures) ||
+        !PyArg_ParseTuple(shared, "O!OOUO!OOO:idle claim source", &PyList_Type, &s->heads,
+                          &s->lockword, &s->meta, &s->category, &PyDict_Type,
+                          &s->descriptors, &s->make, &s->failed, tally))
+        return -1;
+    s->n_ranks = PyList_GET_SIZE(s->queues);
+    s->policy = -1;
+    for (int i = 0; i < 3; i++)
+        if (strcmp(steal, policies[i]) == 0)
+            s->policy = i;
+    PyObject *chain = PyTuple_GET_ITEM(tasks, 0);
+    if (s->policy < 0 || PyList_GET_SIZE(s->locks) != s->n_ranks ||
+        PyList_GET_SIZE(s->dirty) != s->n_ranks || PyList_GET_SIZE(s->heads) != s->n_ranks ||
+        s->rank < 0 || s->rank >= s->n_ranks ||
+        !(s->staging == Py_None || Py_IS_TYPE(s->staging, g_deque_type)) ||
+        !(s->tags == Py_None || PyTuple_CheckExact(s->tags)) || !PyTuple_CheckExact(chain) ||
+        PyTuple_GET_SIZE(chain) != 3 || s->park_after < 0 || s->scan < 0 || s->failures < 0) {
+        PyErr_Format(PyExc_ValueError, "malformed idle claim source: %R", spec);
+        return -1;
+    }
+    return victim_policy(victim, bit_generator, s->n_ranks, s->peers, &s->kind, &s->bitgen);
+}
+
 /* The claim source `spec` describes, its buffers acquired; NULL with a
  * TypeError or ValueError naming what is malformed. */
 static Claims *
 claims_new(PyObject *spec)
 {
-    static const KSpec table[4] = {
+    static const KSpec table[5] = {
         {"bounds", "lq", 8, 0},
         {"costs", "d", 8, 0},
         {"rates", "d", 8, 0},
         {"sequence", "lq", 8, 0},
+        {"tally", "lq", 8, 1},
     };
-    static const char *kinds[3] = {"list", "drain", "counter"};
-    static const Py_ssize_t sizes[3] = {3, 4, 6};
+    static const char *kinds[4] = {"list", "drain", "counter", "idle"};
+    static const Py_ssize_t sizes[4] = {3, 4, 6, 20};
     int kind = -1;
     if (PyTuple_CheckExact(spec) && PyTuple_GET_SIZE(spec) > 0 &&
         PyUnicode_Check(PyTuple_GET_ITEM(spec, 0)))
-        for (int i = 0; i < 3; i++)
+        for (int i = 0; i < 4; i++)
             if (PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(spec, 0), kinds[i]) == 0)
                 kind = i;
     PyObject *tasks = NULL, *items = NULL, *loop = NULL;
     if (kind >= 0 && PyTuple_GET_SIZE(spec) == sizes[kind]) {
         tasks = PyTuple_GET_ITEM(spec, 1);
-        items = kind == CLAIM_COUNTER ? NULL : PyTuple_GET_ITEM(spec, 2);
-        loop = kind == CLAIM_LIST ? NULL : PyTuple_GET_ITEM(spec, kind == CLAIM_DRAIN ? 3 : 2);
+        items = kind == CLAIM_COUNTER || kind == CLAIM_IDLE ? NULL : PyTuple_GET_ITEM(spec, 2);
+        loop = kind == CLAIM_LIST || kind == CLAIM_IDLE
+                   ? NULL
+                   : PyTuple_GET_ITEM(spec, kind == CLAIM_DRAIN ? 3 : 2);
     }
     if (tasks == NULL || !PyTuple_CheckExact(tasks) || PyTuple_GET_SIZE(tasks) != 4 ||
         !PyTuple_CheckExact(PyTuple_GET_ITEM(tasks, 0)) ||
@@ -1210,8 +1363,18 @@ claims_new(PyObject *spec)
     PyObject *arrays[4] = {PyTuple_GET_ITEM(tasks, 1), PyTuple_GET_ITEM(tasks, 2),
                            PyTuple_GET_ITEM(tasks, 3),
                            kind == CLAIM_COUNTER ? PyTuple_GET_ITEM(spec, 4) : NULL};
-    int nbuf = kind == CLAIM_COUNTER ? 4 : 3;
-    if (k_buffers("claim source", table, arrays, c->buf, nbuf) < 0) {
+    if (kind == CLAIM_IDLE && idle_parse(spec, &c->idle, &arrays[3]) < 0) {
+        PyMem_Free(c);
+        return NULL;
+    }
+    int nbuf = kind == CLAIM_COUNTER || kind == CLAIM_IDLE ? 4 : 3;
+    if (k_buffers("claim source", table, arrays, c->buf, 3) < 0) {
+        PyMem_Free(c);
+        return NULL;
+    }
+    if (nbuf == 4 && k_buffers("claim source", &table[kind == CLAIM_IDLE ? 4 : 3], &arrays[3],
+                               &c->buf[3], 1) < 0) {
+        k_release(c->buf, 3);
         PyMem_Free(c);
         return NULL;
     }
@@ -1219,9 +1382,11 @@ claims_new(PyObject *spec)
     c->n_tasks = c->buf[1].len / 8;
     c->n_ranks = c->buf[2].len / 8;
     if (c->buf[0].len / 8 != c->n_tasks + 1 ||
-        (kind == CLAIM_COUNTER && c->buf[3].len / 8 != c->n_tasks)) {
+        (kind == CLAIM_COUNTER && c->buf[3].len / 8 != c->n_tasks) ||
+        (kind == CLAIM_IDLE && c->buf[3].len / 8 != 4)) {
         PyErr_SetString(PyExc_ValueError, "claim source: bounds must hold one entry more "
-                                          "than costs, and a sequence as many");
+                                          "than costs, a sequence as many, and a tally "
+                                          "four");
         claims_free(c);
         return NULL;
     }
@@ -1287,13 +1452,271 @@ claims_spent(FusedOp *op)
     return 0;
 }
 
+/* ---- the idle pass ----
+ *
+ *   ("idle", tasks, shared, queues, locks, dirty, rank, staging,
+ *    bit_generator, victim, peers, steal, tags, messages, park_after,
+ *    min_backoff, max_backoff, backoff, scan, failures)
+ *
+ * is WorkStealing._steal_loop's idle pass for `rank`, whose queue is
+ * empty (Harness.idle_pass): choose a victim, attempt a steal, back off,
+ * poll, again, until an attempt took tasks, a message matching one of
+ * `tags` (None: any) waits in the rank's mailbox deque `messages`, or
+ * `park_after` failed attempts in a row (0: never) call for a park. Then
+ * the op returns the loop's (backoff, scan, failures).
+ *
+ * The victim is WorkStealing._choose_victim's (`victim` is "random",
+ * "ring" or "hierarchical", `peers` the rank's node peers), drawn on the
+ * rank Generator's own bitgen_t (`bit_generator`), bit for bit. An
+ * attempt on victim v is the chain heads[v] -- its lock word read (the
+ * CAS), KEEP_LOCK on locks[v], its metadata read -- which the pass builds
+ * the first time from the `lockword` and `meta` programs. Its decision
+ * reads queues[v]: k tasks by the `steal` policy ("half", "one", or
+ * "half_cost", which sums `costs` in queue order as
+ * WorkStealing._steal_count does), counted in the int64 `tally`
+ * (attempts, successes, tasks stolen, failures), which Harness folds once
+ * per run. For k > 0 the thief is marked in `dirty` and the rest is the
+ * descriptor read (descriptors[k], which make_descriptors(k) makes the
+ * first time), MOVE_TASKS, the lock word written back and, with a
+ * `staging` deque, LAND_TASKS after it; op.steal is (locks[v], queues[v],
+ * [staging,] queues[rank]). For none it is the `failed` chain: MOVE_TASKS
+ * releasing the lock, then the backoff as a timed IDLE step of `backoff`,
+ * which doubles after it up to `max_backoff`. shared = (heads, lockword,
+ * meta, category, descriptors, make_descriptors, failed, tally) is the
+ * run's, the same for every rank. Every seq is taken where the
+ * generators take theirs: the resumes the pass saves between attempts
+ * are calls, not events. */
+
+/* The loop's state is the op's result, and the pass is over. */
+static int
+idle_spent(FusedOp *op, Idle *s)
+{
+    PyObject *state = Py_BuildValue("(dLL)", s->backoff, s->scan, s->failures);
+    if (state == NULL)
+        return -1;
+    Py_XSETREF(op->result, state);
+    return 0;
+}
+
+/* Whether a message matching the pass's tags waits in the mailbox: 1, 0,
+ * or -1 with an exception (the tags are the model's own, compared with
+ * `==` as _Mailbox.take does). */
+static int
+idle_polled(Idle *s)
+{
+    if (Py_SIZE(s->messages) == 0 || s->tags == Py_None)
+        return Py_SIZE(s->messages) > 0;
+    PyObject *it = PyObject_GetIter(s->messages), *message;
+    if (it == NULL)
+        return -1;
+    int found = 0;
+    while (!found && (message = PyIter_Next(it)) != NULL) {
+        PyObject *tag = get_attr(message, s_tag);
+        Py_DECREF(message);
+        if (tag == NULL) {
+            found = -1;
+            break;
+        }
+        for (Py_ssize_t i = 0; !found && i < PyTuple_GET_SIZE(s->tags); i++)
+            found = PyObject_RichCompareBool(tag, PyTuple_GET_ITEM(s->tags, i), Py_EQ);
+        Py_DECREF(tag);
+    }
+    Py_DECREF(it);
+    return found < 0 || PyErr_Occurred() ? -1 : found;
+}
+
+/* Draw the next victim and arm the attempt's head chain on it. */
+static int
+idle_attempt(FusedOp *op, Claims *c)
+{
+    Idle *s = &c->idle;
+    Py_ssize_t v = pick_victim(s->bitgen, s->kind, s->rank, s->n_ranks, s->peers, s->scan);
+    if (v < 0)
+        return -1;
+    s->scan++;
+    PyObject *head = PyList_GET_ITEM(s->heads, v);
+    if (head == Py_None) { /* (lock word, KEEP_LOCK, metadata) on v */
+        PyObject *steps = Py_BuildValue("((nOO)i(nOO))", v, s->lockword, s->category,
+                                        0, v, s->meta, s->category);
+        head = steps == NULL ? NULL
+                             : PyTuple_Pack(3, steps, PyTuple_GET_ITEM(c->chain, 1),
+                                            PyTuple_GET_ITEM(c->chain, 2));
+        Py_XDECREF(steps);
+        if (head == NULL)
+            return -1;
+        PyList_SetItem(s->heads, v, head); /* steals head; v is in range */
+    }
+    PyObject *lock = PyList_GET_ITEM(s->locks, v), *victim = PyList_GET_ITEM(s->queues, v);
+    PyObject *thief = PyList_GET_ITEM(s->queues, s->rank);
+    PyObject *steal = s->staging == Py_None ? PyTuple_Pack(3, lock, victim, thief)
+                                            : PyTuple_Pack(4, lock, victim, s->staging, thief);
+    if (steal == NULL)
+        return -1;
+    Py_XSETREF(op->steal, steal);
+    Py_XSETREF(op->chain, Py_NewRef(head));
+    op->pos = 0;
+    op->end = 3;
+    s->victim = v;
+    s->stage = IDLE_DECIDE;
+    ((int64_t *)c->buf[3].buf)[0]++;
+    return 1;
+}
+
+/* How many tail tasks of the victim's `queue` (of `n` > 0) half_cost
+ * takes: tail tasks until half the queue's modeled cost, summed in queue
+ * order, has moved. -1 with an exception for a task outside the table. */
+static long long
+half_cost(Claims *c, PyObject *queue, Py_ssize_t n)
+{
+    const double *costs = (const double *)c->buf[1].buf;
+    int64_t *tids = PyMem_Malloc((size_t)n * sizeof(int64_t));
+    if (tids == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    PyObject *it = PyObject_GetIter(queue), *task;
+    if (it == NULL) {
+        PyMem_Free(tids);
+        return -1;
+    }
+    double total = 0.0, taken = 0.0;
+    Py_ssize_t i = 0;
+    while (i < n && (task = PyIter_Next(it)) != NULL) {
+        long long t = PyLong_CheckExact(task) ? PyLong_AsLongLong(task) : -1;
+        Py_DECREF(task);
+        if (t < 0 || t >= c->n_tasks) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_ValueError, "a queued task %lld is outside the task table", t);
+            break;
+        }
+        tids[i++] = t;
+        total += costs[t];
+    }
+    Py_DECREF(it);
+    long long k = -1;
+    if (i == n && !PyErr_Occurred()) {
+        for (k = 0; k < n; k++) {
+            if (k > 0 && taken >= total / 2.0)
+                break;
+            taken += costs[tids[n - 1 - k]];
+        }
+    }
+    PyMem_Free(tids);
+    return k;
+}
+
+/* The attempt holds the victim's lock and has read its metadata: decide
+ * (see "the idle pass") and load the attempt's rest. */
+static int
+idle_decide(RunCtx *ctx, FusedOp *op, Claims *c)
+{
+    Idle *s = &c->idle;
+    int64_t *tally = (int64_t *)c->buf[3].buf;
+    PyObject *queue = PyList_GET_ITEM(s->queues, s->victim);
+    if (!Py_IS_TYPE(queue, g_deque_type)) {
+        PyErr_Format(PyExc_TypeError, "a steal's victim queue %R is not a deque", queue);
+        return -1;
+    }
+    Py_ssize_t n = Py_SIZE(queue);
+    long long k = n == 0 ? 0
+                  : s->policy == STEAL_HALF ? (n + 1) / 2
+                  : s->policy == STEAL_ONE  ? 1
+                                            : half_cost(c, queue, n);
+    PyObject *result = k < 0 ? NULL : PyLong_FromLongLong(k);
+    if (result == NULL)
+        return -1;
+    Py_XSETREF(op->result, result);
+    s->k = k;
+    s->stage = IDLE_DONE;
+    op->pos = 0;
+    if (k == 0) {
+        tally[3]++;
+        Py_XSETREF(op->chain, Py_NewRef(s->failed));
+        op->end = 2;
+        op->duration = s->backoff;
+        return 1;
+    }
+    tally[1]++;
+    tally[2] += k;
+    if (s->rank >= PyList_GET_SIZE(s->dirty)) {
+        PyErr_SetString(PyExc_ValueError, "a thief outside the ring's dirty bits");
+        return -1;
+    }
+    PyList_SetItem(s->dirty, s->rank, Py_NewRef(Py_True));
+    /* the unlock write is the head's lock word read again */
+    PyObject *head = PyList_GET_ITEM(s->heads, s->victim);
+    if (!PyTuple_CheckExact(head) || PyTuple_GET_SIZE(head) != 3 ||
+        !PyTuple_CheckExact(PyTuple_GET_ITEM(head, 0)) ||
+        PyTuple_GET_SIZE(PyTuple_GET_ITEM(head, 0)) != 3) {
+        PyErr_Format(PyExc_TypeError, "malformed steal head %R", head);
+        return -1;
+    }
+    /* held: make_descriptors may rebind heads[victim] */
+    PyObject *word = Py_NewRef(PyTuple_GET_ITEM(PyTuple_GET_ITEM(head, 0), 0));
+    PyObject *key = PyLong_FromLongLong(k);
+    PyObject *programs = key == NULL ? NULL : PyDict_GetItemWithError(s->descriptors, key);
+    if (programs != NULL)
+        Py_INCREF(programs);
+    else if (key != NULL && !PyErr_Occurred()) {
+        programs = call_out(ctx, s->make, NULL, &key, 1);
+        if (programs != NULL && PyDict_SetItem(s->descriptors, key, programs) < 0)
+            Py_CLEAR(programs);
+    }
+    Py_XDECREF(key);
+    PyObject *steps = programs == NULL ? NULL
+                      : s->staging == Py_None
+                          ? Py_BuildValue("((nOO)iO)", s->victim, programs, s->category, 1, word)
+                          : Py_BuildValue("((nOO)iOi)", s->victim, programs, s->category, 1,
+                                          word, 2);
+    Py_XDECREF(programs);
+    Py_DECREF(word);
+    PyObject *chain = steps == NULL ? NULL
+                                    : PyTuple_Pack(3, steps, PyTuple_GET_ITEM(c->chain, 1),
+                                                   PyTuple_GET_ITEM(c->chain, 2));
+    Py_XDECREF(steps);
+    if (chain == NULL)
+        return -1;
+    Py_XSETREF(op->chain, chain);
+    op->end = s->staging == Py_None ? 3 : 4;
+    return 1;
+}
+
+/* The idle pass's next slice: the first attempt, the decision after an
+ * attempt's head, or, after its rest, the next attempt unless the pass is
+ * over. */
+static int
+idle_next(RunCtx *ctx, FusedOp *op, Claims *c)
+{
+    Idle *s = &c->idle;
+    if (s->stage == IDLE_DECIDE)
+        return idle_decide(ctx, op, c);
+    if (s->stage == IDLE_DONE) {
+        if (s->k > 0) { /* the queue holds tasks now */
+            s->backoff = s->min_backoff;
+            s->failures = 0;
+            return idle_spent(op, s);
+        }
+        s->failures++;
+        double doubled = s->backoff * 2.0;
+        s->backoff = s->max_backoff < doubled ? s->max_backoff : doubled;
+        int polled = idle_polled(s);
+        if (polled < 0)
+            return -1;
+        if (polled || (s->park_after > 0 && s->failures >= s->park_after))
+            return idle_spent(op, s);
+    }
+    return idle_attempt(op, c);
+}
+
 /* The native claim source's next slice: 1 with it armed, 0 when the
  * source is spent, -1 with an exception. */
 static int
-claims_next(FusedOp *op)
+claims_next(RunCtx *ctx, FusedOp *op)
 {
     Claims *c = op->claims;
     PyObject *tid;
+    if (c->kind == CLAIM_IDLE)
+        return idle_next(ctx, op, c);
     if (c->kind == CLAIM_LIST) {
         if (op->count >= PyList_GET_SIZE(c->items))
             return claims_spent(op);
@@ -1430,7 +1853,7 @@ fused_load_step(RunCtx *ctx, FusedOp *op)
             return -1;
         int more = 0;
         if (op->claims != NULL && claim == op->claims->spec)
-            more = claims_next(op);
+            more = claims_next(ctx, op);
         else if (claim != Py_None) {
             PyObject *arg = (PyObject *)op;
             Py_INCREF(claim);
@@ -2000,7 +2423,8 @@ static PyTypeObject FusedOpType = {
               "post=(), counter=None, amount=0, chain=None, pos=0, end=0, "
               "duration=0.0, tid=None, claim=None, steal=None): traced network "
               "operations -- one, a whole task's chain, a claim loop of tasks, "
-              "or a steal attempt -- as a single request the compiled core walks.",
+              "or a stealing rank's idle pass -- as a single request the compiled "
+              "core walks.",
     .tp_basicsize = sizeof(FusedOp),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = PyType_GenericNew,
@@ -2401,6 +2825,38 @@ core_run(PyObject *self, PyObject *args)
     if (err)
         return NULL;
     return PyLong_FromLong(horizon);
+}
+
+/* victims(bit_generator, victim, rank, n_ranks, peers, scan, count): the
+ * `count` victims an idle pass draws from scan `scan` on, as a list; the
+ * draw's own test entry (tests/simulate/test_victim_draw.py). */
+static PyObject *
+core_victims(PyObject *self, PyObject *args)
+{
+    PyObject *bit_generator, *peers;
+    const char *victim;
+    Py_ssize_t rank, n_ranks, count;
+    long long scan;
+    int kind;
+    BitGen *bg;
+    if (!PyArg_ParseTuple(args, "OsnnO!Ln:victims", &bit_generator, &victim, &rank, &n_ranks,
+                          &PyTuple_Type, &peers, &scan, &count) ||
+        victim_policy(victim, bit_generator, n_ranks, peers, &kind, &bg) < 0)
+        return NULL;
+    if (rank < 0 || rank >= n_ranks || scan < 0 || count < 0) {
+        PyErr_SetString(PyExc_ValueError, "victims: a rank of n_ranks, scan and count >= 0");
+        return NULL;
+    }
+    PyObject *out = PyList_New(count);
+    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
+        Py_ssize_t v = pick_victim(bg, kind, rank, n_ranks, peers, scan + i);
+        PyObject *item = v < 0 ? NULL : PyLong_FromSsize_t(v);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, item);
+    }
+    return out;
 }
 
 static PyObject *
@@ -3615,6 +4071,10 @@ static PyMethodDef core_methods[] = {
     {"lpt", core_lpt, METH_VARARGS,
      "lpt(costs, order, assignment, n_ranks): fill assignment; the compiled "
      "loop of repro.balance.greedy.lpt."},
+    {"victims", core_victims, METH_VARARGS,
+     "victims(bit_generator, victim, rank, n_ranks, peers, scan, count) -> list: the "
+     "victims a stealing rank's idle pass draws, WorkStealing._choose_victim's on "
+     "the Generator's own bit generator."},
     {"setup", core_setup, METH_VARARGS,
      "setup(Process, Timeout, Request, SimulationError, Resource, "
      "timeout_pool, TraceRecorder): register the engine's collaborator "
@@ -3670,6 +4130,7 @@ PyInit__engine_core(void)
     INTERN(s_clear, "clear");
     INTERN(s_pop, "pop");
     INTERN(s_extend, "extend");
+    INTERN(s_capsule, "capsule");
     INTERN_ATTR(s_done, "done");
     INTERN_ATTR(s_cancelled, "cancelled");
     INTERN_ATTR(s_send, "_send");
@@ -3677,6 +4138,7 @@ PyInit__engine_core(void)
     INTERN_ATTR(s_delay, "delay");
     INTERN_ATTR(s_name, "name");
     INTERN_ATTR(s_value, "value");
+    INTERN_ATTR(s_tag, "tag");
     INTERN(s_finish, "_finish");
     INTERN(s_activate, "activate");
     INTERN(s_release, "release");

@@ -45,7 +45,7 @@ from repro.util import (
     check_positive,
 )
 
-#: The lock steps of a steal attempt's chain (``Harness.steal_attempt``),
+#: The lock steps of a steal attempt's chain (``Harness.idle_pass``),
 #: on the op's ``steal = (lock, victim queue, thief queue)``: take the lock
 #: and keep it past the step; move the op's ``result`` tasks from the
 #: victim queue's tail to the thief queue's, in their order, and release

@@ -91,9 +91,10 @@ class TestShapes:
 
 class TestStealRequests:
     """Whole-SCF stealing runs ``WorkStealing``'s rank loop with the loot
-    landing after the unlock write: under the compiled engine each steal
-    attempt is one request (``Harness.steal_attempt``), under the
-    reference engine the generator attempt, and the runs are the same."""
+    landing after the unlock write: under the compiled engine each idle
+    pass of attempts is one request (``Harness.idle_pass``), under the
+    reference engine each attempt a generator, and the runs are the
+    same."""
 
     @pytest.mark.parametrize("steal", ["half", "one"])
     @pytest.mark.parametrize("tiers", ["flat", "two-tier"])

@@ -181,10 +181,11 @@ class TestTermination:
 
 
 class TestStealRequests:
-    """Under the compiled engine a steal attempt is one request (the
-    model's decision its one call into Python) and the FIFO hand-off of
-    every lock runs in the core; under the reference engine it is
-    ``_attempt_steal`` and the backoff sleep after it."""
+    """Under the compiled engine a rank's attempts from an empty queue are
+    one request (``Harness.idle_pass``), the decisions made in C, and the
+    FIFO hand-off of every lock runs in the core; under the reference
+    engine each attempt is ``_attempt_steal`` and the backoff sleep after
+    it."""
 
     @pytest.mark.parametrize("steal", ["half", "one", "half_cost"])
     @pytest.mark.parametrize("victim", ["random", "ring", "hierarchical"])

@@ -34,6 +34,7 @@ from repro.simulate.network import (
     KEEP_LOCK,
     LAND_TASKS,
     MOVE_TASKS,
+    Message,
     Network,
     NetworkModel,
     SharedCell,
@@ -1084,6 +1085,30 @@ def test_a_finished_run_leaves_no_garbage_per_task(model_name, no_gc):
     assert small < wide <= 2 * small, (small, wide)
 
 
+@pytest.mark.parametrize("model_name", ["counter_dynamic", "work_stealing", "work_stealing_hier"])
+def test_a_finished_runs_harness_dies_by_reference_count(model_name, no_gc, monkeypatch):
+    """Nothing a run leaves in its rank processes' cycles — an idle pass's
+    claim source, the steal state its ranks share — holds the harness:
+    it goes, with its queues, locks and mailboxes, as ``run`` returns,
+    not at the next full collection."""
+    from repro.chemistry.tasks import synthetic_task_graph
+    from repro.exec_models import make_model
+    from repro.exec_models.base import Harness
+    from repro.simulate import hierarchical_cluster
+
+    refs, finish = [], Harness.finish
+
+    def finished(harness, name):
+        refs.append(weakref.ref(harness))
+        return finish(harness, name)
+
+    monkeypatch.setattr(Harness, "finish", finished)
+    graph = synthetic_task_graph(300, 12, seed=5, skew=1.2, mean_cost=2.0e5)
+    result = make_model(model_name).run(graph, hierarchical_cluster(2, 4), seed=3)
+    assert result.n_tasks == 300 and len(refs) == 1
+    assert refs[0]() is None
+
+
 def _claim_loop_harness(source, n_tasks=120, n_ranks=4):
     """A compiled-engine harness set up for the model whose claim loop
     ``source`` names, the loop not yet started."""
@@ -1393,6 +1418,156 @@ def test_closing_an_op_that_keeps_a_lock():
             continue
         assert op.close() is None and lock.in_use == 0
         assert op.close() is None and lock.in_use == 0
+
+
+def _idle_source(net, **changes):
+    """An idle pass's claim source (``Harness.idle_pass``) for rank 0 of
+    four over :func:`_table`, rank 1 queueing tasks 0 and 1 and the ring
+    its victim order (1, 2, 3), 1 us first backoff, parking after one
+    failure; ``changes`` replace its items by name (``make`` the shared
+    descriptor maker)."""
+
+    def programs(nbytes):
+        return tuple(net._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
+
+    make = changes.pop("make", lambda k: programs(16 * k))
+    items = dict(
+        tasks=_table(net),
+        shared=(
+            [None] * 4, programs(8), programs(16), OVERHEAD, {}, make,
+            net._chain((MOVE_TASKS, IDLE)), np.zeros(4, dtype=np.int64),
+        ),
+        queues=[collections.deque(queued) for queued in ([], [0, 1], [], [])],
+        locks=[Resource(1) for _ in range(4)], dirty=[False] * 4, rank=0, staging=None,
+        bit_generator=np.random.default_rng(0).bit_generator, victim="ring", peers=(),
+        steal="half", tags=None, messages=collections.deque(), park_after=1,
+        min_backoff=1.0e-6, max_backoff=4.0e-6, backoff=1.0e-6, scan=0, failures=0,
+    )  # fmt: skip
+    items.update(changes)
+    return ("idle", *items.values())
+
+
+def _idle_op(**changes):
+    """The op of :func:`_idle_source`'s pass, for :func:`_walk_one`."""
+
+    def make(net, trace):
+        source = _idle_source(net, **changes)
+        return FusedOp(trace, 0, chain=source[1][0], claim=source)
+
+    return make
+
+
+_MALFORMED_IDLE = {
+    "short": (lambda net: _idle_source(net)[:-1], TypeError, "malformed claim source"),
+    "shared-of-seven": (
+        lambda net: _idle_source(net, shared=_idle_source(net)[2][:-1]), TypeError, "idle claim"
+    ),
+    "steal-policy": (lambda net: _idle_source(net, steal="all"), ValueError, "malformed idle"),
+    "victim-policy": (lambda net: _idle_source(net, victim="far"), ValueError, "no victim draw"),
+    "rank-outside": (lambda net: _idle_source(net, rank=4), ValueError, "malformed idle"),
+    "one-rank": (
+        lambda net: _idle_source(
+            net, queues=[collections.deque()], locks=[Resource(1)], dirty=[False],
+            shared=(([None],) + _idle_source(net)[2][1:]),
+        ),
+        ValueError, "no victim draw",
+    ),  # fmt: skip
+    "staging-a-list": (lambda net: _idle_source(net, staging=[]), ValueError, "malformed idle"),
+    "tags-a-list": (lambda net: _idle_source(net, tags=["token"]), ValueError, "malformed idle"),
+    "no-bit-generator": (
+        lambda net: _idle_source(net, victim="random", bit_generator=None),
+        AttributeError, "capsule",
+    ),
+    "tally-of-three": (
+        lambda net: _idle_source(
+            net, shared=(*_idle_source(net)[2][:-1], np.zeros(3, dtype=np.int64))
+        ),
+        ValueError, "a tally four",
+    ),
+    "float-tally": (
+        lambda net: _idle_source(net, shared=(*_idle_source(net)[2][:-1], np.zeros(4))),
+        TypeError, "tally must be",
+    ),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", _MALFORMED_IDLE)
+def test_a_malformed_idle_pass_is_refused_where_the_op_is_made(case):
+    """An idle pass's spec is read once too: the wrong shape, a policy or
+    victim choice the pass does not know, a rank outside its queues, a
+    draw over fewer than two ranks, a staging queue or poll tags of the
+    wrong type, a Generator without a bit generator, or a tally that is
+    not four int64 counts is refused where the op is made."""
+    make, error, match = _MALFORMED_IDLE[case]
+    net = Network(CompiledEngine(), NetworkModel(), 4)
+    with pytest.raises(error, match=match):
+        FusedOp(TraceRecorder(4), 0, chain=(), claim=make(net))
+
+
+_IDLE_ENDINGS = {
+    # ring victim 1 holds two tasks: half of them, at once
+    "success": ({}, (1.0e-6, 1, 0), [1, 1, 1, 0], [1]),
+    # nothing anywhere: two failures park the pass
+    "park": (dict(queues=[collections.deque()] * 4, park_after=2), (4.0e-6, 2, 2), [2, 0, 0, 2], []),
+    # a message it polls for ends it at the first poll, one it does not poll for does not
+    "poll": (
+        dict(queues=[collections.deque()] * 4, park_after=3, tags=("token",),
+             messages=collections.deque([Message(2, "token", 0)])),
+        (2.0e-6, 1, 1), [1, 0, 0, 1], [],
+    ),
+    "poll-other-tag": (
+        dict(queues=[collections.deque()] * 4, park_after=3, tags=("token",),
+             messages=collections.deque([Message(2, "other", 0)])),
+        (4.0e-6, 3, 3), [3, 0, 0, 3], [],
+    ),
+    "half-cost-from-scan-three": (dict(scan=3, steal="half_cost"), (1.0e-6, 4, 0), [1, 1, 1, 0], [1]),
+}  # fmt: skip
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", _IDLE_ENDINGS)
+def test_an_idle_pass_returns_the_loop_state_it_ends_with(case):
+    """The pass returns ``(backoff, scan, failures)`` as its loop leaves
+    them, tallies every attempt, marks the thief dirty only when it takes
+    tasks, and lets go of every lock it took."""
+    changes, state, tally, thief = _IDLE_ENDINGS[case]
+    engine, net, op = _walk_one(_idle_op(**changes))
+    assert op.done and op.result == pytest.approx(state)
+    source = op.claim
+    assert source[2][-1].tolist() == tally
+    assert source[5] == [bool(thief), False, False, False]
+    assert list(source[3][0]) == thief
+    assert all(lock.in_use == 0 for lock in source[4])
+
+
+_REFUSED_IDLE = {
+    "queued-task-outside-the-table": (
+        _idle_op(steal="half_cost", queues=[collections.deque(q) for q in ([], [0, 7], [], [])]),
+        ValueError, "a queued task 7 is outside the task table",
+    ),
+    "descriptors-raise": (_idle_op(make=lambda k: 1 / 0), ZeroDivisionError, "division"),
+    "message-without-a-tag": (
+        _idle_op(queues=[collections.deque()] * 4, tags=("token",),
+                 messages=collections.deque([object()])),
+        AttributeError, "tag",
+    ),
+    "peer-outside-the-ranks": (
+        _idle_op(victim="hierarchical", peers=(9,)), ValueError, "a node peer 9 is no rank",
+    ),
+}  # fmt: skip
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", _REFUSED_IDLE)
+def test_an_idle_pass_refuses_what_it_cannot_serve(case):
+    """A queued task outside the task table (read by ``half_cost``), a
+    descriptor maker that raises, a mailbox message without a tag, and a
+    node peer outside the ranks each raise from the run, where the pass
+    meets them."""
+    make, error, match = _REFUSED_IDLE[case]
+    with pytest.raises(error, match=match):
+        _walk_one(make)
 
 
 class _SubProcess(Process):

@@ -14,9 +14,10 @@ exec models' claim loops (counter claims, queue drains under a lock, a
 static rank's list) chained into one request each, with their claims
 made in Python or read by the core itself, and work stealing's steal
 attempt (lock word, lock kept, metadata, decision, descriptors, task
-move, unlock, or the backoff) as one request. The C core is the only
-walker of a ``FusedOp``; the generators on ``Engine`` are the reference
-it is held to.
+move, unlock, or the backoff) as one request, and a stealing rank's idle
+pass (victim draw, attempt, backoff, poll, again) as one more. The C core
+is the only walker of a ``FusedOp``; the generators on ``Engine`` are the
+reference it is held to.
 """
 
 from collections import deque
@@ -233,8 +234,10 @@ def _task_table(net, specs, n_tasks):
 
 def _steal_count(policy, queue, kernel):
     """``WorkStealing._steal_count`` under ``policy`` on a queue of this
-    scenario's tasks, each task's ``kernel`` seconds its modeled cost."""
-    costs = [kernel(task) for task in queue]
+    scenario's tasks, each task's ``kernel`` seconds its modeled cost (in
+    a float64 array, as a graph's costs are: the core sums them as
+    ``sum()`` sums NumPy scalars)."""
+    costs = np.array([kernel(task) for task in queue], dtype=np.float64)
     harness = SimpleNamespace(graph=SimpleNamespace(costs=costs))
     return WorkStealing(steal=policy)._steal_count(harness, deque(range(len(costs))))
 
@@ -278,10 +281,17 @@ def _run_scenario(
     is ``WorkStealing``'s steal attempt on a victim under a steal policy
     — lock word, the victim's lock kept, metadata, the decision, then
     descriptors, the task move and the unlock, or the backoff sleep —
-    as one request under both (``Harness.steal_attempt``), its tasks
+    as one request under both (a claim in Python decides it), its tasks
     landing in the thief's queue before the unlock write or, given
     ``after_unlock``, after it (from a staging queue); ``queue``
-    puts tasks on the rank's queue for thieves. ``net_cancel = (rank,
+    puts tasks on the rank's queue for thieves. ``idle`` is
+    ``WorkStealing._steal_loop``'s idle pass from the rank's empty queue
+    — a victim drawn on a seeded Generator, an attempt, the backoff,
+    a poll of the rank's mailbox, again — until an attempt took tasks, a
+    message for it waits (``send`` puts one there, ``recv`` takes one or
+    times out) or ``park_after`` failures in a row end it: attempt by
+    attempt under the generators and ``chain``, one request whose claim
+    source the core reads under ``native`` (``Harness.idle_pass``). ``net_cancel = (rank,
     time)`` cancels one of them wherever it then is — in a pre-delay,
     queued, holding (a NIC or a kept lock), on the return
     path, in a later step of a task or inside its kernel — before
@@ -321,6 +331,9 @@ def _run_scenario(
     tally = SharedCell()
     locks = [Resource(capacity=1) for _ in range(4)]
     queues = [deque() for _ in range(4)]
+    dirty = [False] * 4
+    # What the idle passes stole: attempts, successes, tasks, failures.
+    steals = np.zeros(4, dtype=np.int64)
     chained = []
     # Every task a claim loop or queue may hold, by tid: claimed ones are
     # the counter's positions, the rank's own numbered from _TID_BASE.
@@ -439,12 +452,25 @@ def _run_scenario(
         note("stole", src, victim, len(stolen), engine.now)
 
     def attempt(src, victim, policy, backoff_ns, after_unlock=False):
+        got = yield from steal_once(src, victim, policy, backoff_ns * 1.0e-9, after_unlock)
+        note("attempted", src, victim, got, engine.now)
+
+    def steal_once(src, victim, policy, backoff, after_unlock, idle=False):
+        """One steal attempt, the backoff sleep after a failure. Its
+        decision is noted, or for an idle pass, whose decisions the core
+        makes under ``native``, tallied and the thief marked dirty as
+        ``Harness.idle_pass`` does."""
         lock, queue = locks[victim], queues[victim]
-        backoff = backoff_ns * 1.0e-9
 
         def take(queue):
             k = _steal_count(policy, queue, kernel_of) if queue else 0
-            note("decided", src, victim, k)
+            if not idle:
+                note("decided", src, victim, k)
+            elif k:
+                steals[1:3] += (1, k)
+                dirty[src] = True
+            else:
+                steals[3] += 1
             return k
 
         if not chained_loops:  # WorkStealing._attempt_steal, then the backoff
@@ -469,7 +495,7 @@ def _run_scenario(
                 start = engine.now
                 yield pooled_timeout(backoff)
                 trace.record(src, IDLE, start, engine.now)
-        else:  # as Harness.steal_attempt builds it
+        else:  # one request, an idle pass's attempt with the decision in Python
 
             def rma(nbytes):
                 programs = tuple(net._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
@@ -493,7 +519,54 @@ def _run_scenario(
             )  # fmt: skip
             chained.append(op)
             got = yield from op
-        note("attempted", src, victim, got, engine.now)
+        return got
+
+    def idle(src, pos, victim, policy, park_after, backoff_ns, after_unlock, tags):
+        """``WorkStealing._steal_loop``'s idle pass (see above); notes the
+        loop's state and the Generator's after it."""
+        rng = np.random.default_rng(100 * src + pos)
+        model = WorkStealing(
+            steal=policy, victim=victim, min_backoff=backoff_ns * 1.0e-9,
+            max_backoff=4 * backoff_ns * 1.0e-9, park_after=max(park_after, 1),
+        )  # fmt: skip
+        node = src - src % 2
+        peers = [node + 1 - src % 2]
+        backoff, scan, failures = model.min_backoff, 0, 0
+        if native:
+            programs = lambda nbytes: tuple(  # noqa: E731
+                net._tier_program("rma", tier, nbytes) for tier in (0, 1, 2)
+            )
+            shared = (
+                [None] * 4, programs(8), programs(16), OVERHEAD, {},
+                lambda k: programs(16 * k), net._chain((MOVE_TASKS, IDLE)), steals,
+            )  # fmt: skip
+            source = (
+                "idle", own_table, shared, queues, locks, dirty, src,
+                deque() if after_unlock else None, rng.bit_generator, victim, tuple(peers),
+                policy, tags, net._mailboxes[src].messages, park_after,
+                model.min_backoff, model.max_backoff, backoff, scan, failures,
+            )  # fmt: skip
+            op = FusedOp(trace, src, chain=own_table[0], claim=source)
+            chained.append(op)
+            backoff, scan, failures = yield from op
+        else:
+            ctx = SimpleNamespace(rank=src, machine=SimpleNamespace(n_ranks=4))
+            mailbox = net._mailboxes[src].messages
+            while True:
+                target = model._choose_victim(ctx, rng, peers, scan)
+                scan += 1
+                steals[0] += 1
+                got = yield from steal_once(src, target, policy, backoff, after_unlock, True)
+                if got:
+                    backoff, failures = model.min_backoff, 0
+                    break
+                failures += 1
+                backoff = min(backoff * 2.0, model.max_backoff)
+                if any(tags is None or message.tag in tags for message in mailbox):
+                    break
+                if park_after and failures >= park_after:
+                    break
+        note("idled", src, backoff, scan, failures, engine.now, rng.bit_generator.state)
 
     def task_list(src, listed):
         if not chained_loops or not listed:
@@ -571,6 +644,15 @@ def _run_scenario(
                 yield from steal(src, *args)
             elif kind == "attempt":
                 yield from attempt(src, *args)
+            elif kind == "idle":
+                yield from idle(src, pos, *args)
+            elif kind == "send":
+                dst, tag = args
+                yield from net.send(src, dst, tag)
+                note("sent", src, dst, tag, engine.now)
+            elif kind == "recv":
+                message = yield from net.recv(src, timeout=args[0] * 1.0e-9)
+                note("received", src, message and message.tag, engine.now)
             else:
                 dst, nanoseconds = args
                 yield from hold(net.nics[dst], nanoseconds * 1.0e-9)
@@ -637,6 +719,8 @@ def _run_scenario(
             [(n.in_use, n.total_acquisitions, n.total_waits, len(n._queue)) for n in locks],
             [[(t, *own[t]) if native else t for t in queue] for queue in queues],
             claim_cell.value,
+            dirty,
+            steals.tolist(),
         )
     )
     log.append(
@@ -825,11 +909,23 @@ _LOOP_TASK = st.tuples(
 _LIST_OP = st.tuples(st.just("tasks"), st.lists(_LOOP_TASK, max_size=3))
 #: A steal policy of ``WorkStealing``.
 _POLICY = st.sampled_from(["one", "half", "half_cost"])
+#: An idle pass: ``(victim, policy, park_after, min_backoff ns,
+#: after_unlock, tags)``, its backoff capped at four times the first.
+_IDLE_OP = st.tuples(
+    st.just("idle"),
+    st.sampled_from(["random", "ring", "hierarchical"]),
+    _POLICY,
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1000, 8000]),
+    st.booleans(),
+    st.sampled_from([None, ("token",)]),
+)
 #: A counter claim loop at home rank 0 or 1, a drain of the rank's own
 #: queue, a list, a steal holding a victim's lock for some ns and taking
 #: up to two tasks from its tail under it, tasks queued for thieves, or a
 #: steal attempt on a victim under a policy, with its backoff in ns and
-#: whether its tasks land after the unlock write.
+#: whether its tasks land after the unlock write, an idle pass, or a
+#: message sent to a rank with a tag its idle pass polls for or not.
 _LOOP_OP = st.one_of(
     st.tuples(st.just("claims"), st.integers(min_value=0, max_value=1)),
     _LIST_OP,
@@ -847,6 +943,10 @@ _LOOP_OP = st.one_of(
         _POLICY,
         st.sampled_from([1000, 8000]),
         st.booleans(),
+    ),
+    _IDLE_OP,
+    st.tuples(
+        st.just("send"), st.integers(min_value=0, max_value=3), st.sampled_from(["token", "other"])
     ),
 )
 
@@ -875,6 +975,55 @@ _STEAL_RACE_PLANS = [
     [("attempt", 0, "one", 1000), ("attempt", 1, "half_cost", 1000)],
     [("queue", [_FAST, _SLOW, _FAST, _FAST]), ("attempt", 0, "half", 1000)],
 ]
+
+#: Rank 1's idle passes, ring victims 2, 3, 0 in turn, 1 us first backoff
+#: capped at 4 us: ``(plans, (scan, failures) it ends with)``. Rank 0's
+#: three tasks end the third attempt (two taken); with none anywhere two
+#: failures park it; a token rank 0 sends at once ends it at the first
+#: poll when it polls for tokens or for anything, and another tag does not.
+_IDLE_ENDS = {
+    "success": ([[("queue", [_SLOW, _FAST, _SLOW])], [("idle", "ring", "half", 3, 1000, False, None)]], (3, 0)),
+    "park": ([[], [("idle", "ring", "half", 2, 1000, False, None)]], (2, 2)),
+    "poll-token": ([[("send", 1, "token")], [("idle", "ring", "one", 3, 1000, True, ("token",))]], (1, 1)),
+    "poll-any": ([[("send", 1, "other")], [("idle", "ring", "one", 3, 1000, True, None)]], (1, 1)),
+    "poll-other-tag": ([[("send", 1, "other")], [("idle", "ring", "one", 3, 1000, True, ("token",))]], (3, 3)),
+}  # fmt: skip
+
+
+def _idle_cancel_plans(tail, token=False, park_after=3):
+    """Rank 2's idle pass (ring victims 3, 0, 1), then ``tail``: rank 0
+    holds rank 1's lock for the first 20 us, rank 1 queues three tasks,
+    rank 3 sends rank 2 a token if ``token``. The pass fails on rank 3
+    (same node) and backs off 1 us until ~2.4 us, fails on rank 0 (metadata
+    read on its NIC at ~8 us, the 2 us backoff until ~11.6 us), then queues
+    for rank 1's lock from ~15.2 us to 20 us and takes two tasks (the
+    descriptor read ~23.6-27.2 us, the unlock write until ~30.8 us). A
+    token ends it at its first poll, ``park_after`` 2 at its second."""
+    idle = ("idle", "ring", "half", park_after, 1000, False, ("token",))
+    spec = ([(1, 288)], 3.0e-6, [(1, 288)])
+    sender = [("send", 2, "token")] if token else []
+    return [[("steal", 1, 20000, 0)], [("queue", [spec] * 3)], [idle, *tail], sender]
+
+
+#: Cancel ``(plans, time)`` pairs that find rank 2's idle pass in each
+#: state it passes through, as ``(phase, holding, kept, queued for the
+#: lock, done)``: backing off, reading a victim's metadata under its lock,
+#: queued for a held lock, reading descriptors under it, and parked in a
+#: ``recv`` after the pass ended on a poll or a park.
+_IDLE_CANCEL_PHASES = {
+    "backoff": (_idle_cancel_plans([]), 2.0e-6, (5, False, False, False, False)),
+    "metadata-holding-the-nic": (_idle_cancel_plans([]), 8.0e-6, (2, True, True, False, False)),
+    "queued-for-the-lock": (_idle_cancel_plans([]), 1.8e-5, (6, False, False, True, False)),
+    "descriptors-under-the-lock": (_idle_cancel_plans([]), 2.5e-5, (0, False, True, False, False)),
+    "poll-return": (
+        _idle_cancel_plans([("recv", 100000), ("recv", 100000)], token=True),
+        5.0e-5, (5, False, False, False, True),
+    ),
+    "park-return": (
+        _idle_cancel_plans([("recv", 100000)], park_after=2),
+        5.0e-5, (5, False, False, False, True),
+    ),
+}  # fmt: skip
 
 _THIEF_UNTIL = 2000 * 1.0e-9
 #: Cancel ``(time, late)`` pairs that find the drain's pop step in each
@@ -1037,7 +1186,7 @@ class TestCrossEngineOrder:
         ]  # fmt: skip
         ((_, rank, ran, _),) = _entries(log, "drained")
         assert (rank, ran) == (0, 1)  # the thieves took the other five
-        locks, queues, _ = log[-4]
+        locks, queues = log[-4][:2]
         assert locks[0] == (0, 5, 2, 0)  # a pop, four attempts; two waited
         assert [[task[0] for task in queue] for queue in queues] == [
             [], [1003], [1002, 1004, 1005], [3300, 3301, 3302, 3303, 1001]
@@ -1064,8 +1213,55 @@ class TestCrossEngineOrder:
         ]
         log = _assert_interpreters_agree([[1.0e-6]], [], False, plans)
         assert [entry[1:] for entry in _entries(log, "decided")] == [(2, 1, 2), (3, 2, found)]
-        _, queues, _ = log[-4]
+        queues = log[-4][1]
         assert [len(queue) for queue in queues] == [0, 1, 2 - found, found]
+
+    @pytest.mark.parametrize("end", _IDLE_ENDS)
+    def test_idle_pass_ends_as_its_loop_does(self, end):
+        """An idle pass is one request that dispatches as the attempts,
+        backoffs and polls of its loop, and ends where the loop leaves
+        them: on a success, on a park or on a message it polls for, with
+        the loop's backoff, scan and failures and the Generator's state
+        as the loop leaves them."""
+        plans, (scan, failures) = _IDLE_ENDS[end]
+        log = _assert_interpreters_agree([[1.0e-6]], [], False, plans)
+        ((_, rank, backoff, *ended, _),) = _entries(log, "idled")
+        assert (rank, *ended[:2]) == (1, scan, failures)
+        assert backoff == pytest.approx([1.0e-6, 2.0e-6, 4.0e-6, 4.0e-6][failures])
+        attempts, successes, stolen, failed = log[-4][-1]
+        assert (attempts, failed) == (scan, failures if end != "success" else 2)
+        assert (successes, stolen) == ((1, 2) if end == "success" else (0, 0))
+        assert log[-4][-2][1] == (end == "success")  # the thief's dirty bit
+        if end == "success":
+            assert [len(queue) for queue in log[-4][1]] == [1, 2, 0, 0]
+
+    @pytest.mark.parametrize("horizons", [(), (1.0e-6, 1.0e-5, 2.2e-5)], ids=["drain", "staged"])
+    @pytest.mark.parametrize("phase", _IDLE_CANCEL_PHASES)
+    def test_idle_pass_cancelled_in_every_phase(self, phase, horizons):
+        """A cancel landing in each state of an idle pass — backing off,
+        inside an attempt under the victim's lock, waiting for that lock —
+        closes the one request where the generators are closed; one landing
+        after the pass ended on a poll or a park finds the rank parked in a
+        ``recv``. Either way every lock and NIC comes back."""
+        plans, when, expected = _IDLE_CANCEL_PHASES[phase]
+        seen = []
+
+        def probe(ops):
+            (op,) = ops
+            seen.append(
+                (op.phase, op.holding, op.kept, op in op.steal[0]._queue, op.done)
+            )  # fmt: skip
+
+        scenario = ([[1.0e-6]], list(horizons), False, plans, (2, when))
+        reference = _assert_interpreters_agree(*scenario)
+        for engine_cls in FUSED_ENGINE_CLASSES:
+            _run_scenario(engine_cls, *scenario, interpreter="native", probe=probe)
+        assert seen == [expected] * len(FUSED_ENGINE_CLASSES)
+        ended = phase.endswith("-return")
+        assert len(_entries(reference, "idled")) == ended
+        assert not [entry for entry in _entries(reference, "received") if entry[1] == 2][ended:]
+        assert all(lock[0] == 0 for lock in reference[-4][0])  # every lock came back
+        assert all(nic[0] == 0 for nic in reference[-3])
 
     @pytest.mark.parametrize("phase", _DRAIN_CANCEL_PHASES)
     def test_drain_closed_waiting_for_or_holding_its_lock(self, phase):
