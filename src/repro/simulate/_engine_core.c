@@ -19,8 +19,8 @@
  *
  * For the whole of one core_run() call the engine's state lives in C,
  * and Python sees it only at a *call out* (call_out below: a generator
- * send, _finish, activate, a claim callable, a
- * fallback method, a generic callback):
+ * send, _finish, activate, a claim callable, a fallback method, a
+ * generic callback):
  *
  * - the **clock and the seq counter** are C scalars. call_out publishes
  *   both to `engine.now` / `engine._seq` before it calls (writing only
@@ -793,8 +793,8 @@ resume_fast(RunCtx *ctx, PyObject *proc, PyObject *value)
  * attempts. Every seq is allocated and every trace record made at the
  * dispatch where the generators (Network._walk, Harness._walk_task, the
  * models' claim loops and WorkStealing._attempt_steal) make theirs, so
- * (time, seq) orders
- * are unchanged; tests/simulate/test_sched.py holds the walker to them.
+ * (time, seq) orders are unchanged; tests/simulate/test_sched.py holds
+ * the walker to them.
  *
  * A chain is (steps, nics, node_ids): a flat step list shared by every
  * task of a run, of which steps[pos:end] are the op's. A step is (dst,
