@@ -291,10 +291,10 @@ def _run_scenario(
     message for it waits (``send`` puts one there, ``recv`` takes one or
     times out) or ``park_after`` failures in a row end it: attempt by
     attempt under the generators and ``chain``, one request whose claim
-    source the core reads under ``native`` (``Harness.idle_pass``). ``net_cancel = (rank,
-    time)`` cancels one of them wherever it then is — in a pre-delay,
-    queued, holding (a NIC or a kept lock), on the return
-    path, in a later step of a task or inside its kernel — before
+    source the core reads under ``native`` (``Harness.idle_pass``).
+    ``net_cancel = (rank, time)`` cancels one of them wherever it then
+    is — in a pre-delay, queued, holding (a NIC or a kept lock), on the
+    return path, in a later step of a task or inside its kernel — before
     anything else due at that time, or with ``late_cancel`` after what
     was already scheduled for it (a grant issued but not yet delivered).
     ``probe(ops)`` is called just before the cancel with the chained
@@ -533,9 +533,10 @@ def _run_scenario(
         peers = [node + 1 - src % 2]
         backoff, scan, failures = model.min_backoff, 0, 0
         if native:
-            programs = lambda nbytes: tuple(  # noqa: E731
-                net._tier_program("rma", tier, nbytes) for tier in (0, 1, 2)
-            )
+
+            def programs(nbytes):
+                return tuple(net._tier_program("rma", tier, nbytes) for tier in (0, 1, 2))
+
             shared = (
                 [None] * 4, programs(8), programs(16), OVERHEAD, {},
                 lambda k: programs(16 * k), net._chain((MOVE_TASKS, IDLE)), steals,
