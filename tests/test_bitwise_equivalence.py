@@ -157,6 +157,22 @@ CASES = {
         "machine": {"n_ranks": 128},
         "seed": 9,
     },
+    # A two-tier machine: token hops and terminates between ranks of
+    # one node take the same-node path and no NIC, and ranks park and
+    # wake on them.
+    "work_stealing_twotier_p64": {
+        "model": "work_stealing",
+        "graph": {"n_tasks": 1200, "n_blocks": 16, "seed": 29, "skew": 1.1},
+        "machine": {"n_ranks": 64, "cores_per_node": 8},
+        "seed": 11,
+    },
+    # About three tasks per rank: the run is mostly its termination tail.
+    "work_stealing_tail_p128": {
+        "model": "work_stealing",
+        "graph": {"n_tasks": 384, "n_blocks": 12, "seed": 31, "skew": 1.2},
+        "machine": {"n_ranks": 128},
+        "seed": 13,
+    },
     "work_stealing_intervals_p16": {
         "model": "work_stealing",
         "graph": {"n_tasks": 600, "n_blocks": 12, "seed": 13, "skew": 0.9},
