@@ -236,8 +236,9 @@ class WorkStealing(ExecutionModel):
         ``run_task(tid)`` and ``recover()`` (tasks adopted before each
         poll); ``after_unlock`` orders the attempt (:meth:`_attempt_steal`).
         Without ``choose``, the attempts from an empty queue up to the
-        next success, message or park are one request when the engine
-        walks it (:meth:`Harness.idle_pass`).
+        next success or message, the park and its wait included, are one
+        request when the engine walks it (:meth:`Harness.idle_pass`),
+        which brings back the message that woke a park.
         """
         counters = harness.counters
         queue = queues[ctx.rank]
@@ -247,6 +248,7 @@ class WorkStealing(ExecutionModel):
         backoff = self.min_backoff
         scan = 0
         consecutive_failures = 0
+        message = None
         idle = None
         if choose is None:
             peers = self._peers(ctx) if self.victim == "hierarchical" else None
@@ -268,11 +270,13 @@ class WorkStealing(ExecutionModel):
                 consecutive_failures = 0
                 continue
 
-            # Idle: handle protocol messages.
-            for tag in polled:
-                message = ctx.try_recv(tag)
-                if message is not None:
-                    break
+            # Idle: handle protocol messages (an idle pass that parked
+            # brings the one that woke it).
+            if message is None:
+                for tag in polled:
+                    message = ctx.try_recv(tag)
+                    if message is not None:
+                        break
             if message is None and park and consecutive_failures >= self.park_after:
                 # Park: the local neighbourhood looks drained, so wait for
                 # the circulating token (or terminate) instead of burning
@@ -291,15 +295,16 @@ class WorkStealing(ExecutionModel):
                     counters["token_hops"] = float(ring.hops)
                     if declared:
                         return
+                message = None
             if not ring.launched and ctx.rank == ring.lowest_alive():  # the launcher, once
                 yield from ring.maybe_launch(ctx)
                 counters["token_hops"] = float(ring.hops)
 
-            # Steal: the attempts up to the next success, message or park
-            # as one request when the engine walks it; else one attempt's
-            # generator, then the backoff sleep.
+            # Steal: the attempts up to the next success or message, a
+            # park's wait included, as one request when the engine walks
+            # it; else one attempt's generator, then the backoff sleep.
             if idle is not None:
-                backoff, scan, consecutive_failures = yield from idle(
+                backoff, scan, consecutive_failures, message = yield from idle(
                     backoff, scan, consecutive_failures
                 )
                 continue

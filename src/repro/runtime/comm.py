@@ -23,8 +23,8 @@ from typing import Any
 from repro.simulate.engine import Engine, Timeout, pooled_timeout
 from repro.simulate.machine import MachineSpec
 from repro.simulate.network import Message, Network, SharedCell
-from repro.runtime.trace import COMM, COMPUTE, FAILED, IDLE, OVERHEAD, TraceRecorder
-from repro.util import RankFailedError, check_non_negative
+from repro.runtime.trace import COMM, COMPUTE, IDLE, OVERHEAD, TraceRecorder
+from repro.util import check_non_negative
 
 
 class RankContext:
@@ -125,14 +125,11 @@ class RankContext:
         return net.rma_traced(self.rank, owner, nbytes, self.trace, OVERHEAD)
 
     def send(self, dst: int, tag: Any, payload: Any = None, nbytes: int = 64):
-        engine = self.engine
-        start = engine.now
-        try:
-            yield from self.network.send(self.rank, dst, tag, payload, nbytes)
-        except RankFailedError:
-            self.trace.record(self.rank, FAILED, start, engine.now)
-            raise
-        self.trace.record(self.rank, OVERHEAD, start, engine.now)
+        """Fire-and-forget message; the sender's overhead is traced
+        OVERHEAD. One request when the engine walks it (see
+        :meth:`Network.send`), passed through as :meth:`protocol_get`
+        passes its operation."""
+        return self.network.send(self.rank, dst, tag, payload, nbytes, self.trace, OVERHEAD)
 
     def recv(self, tag: Any = None, traced: bool = True, timeout: float | None = None):
         """Blocking receive.

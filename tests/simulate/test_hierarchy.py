@@ -61,16 +61,22 @@ class TestMachineTopology:
 
 
 class TestTwoTierNetwork:
+    @staticmethod
+    def _one_hop(net, a, b):
+        """Whether a message from ``a`` to ``b`` takes the same-node path
+        (no NIC hold) rather than the wire."""
+        return net._fused_program("message", a, b, 64)[1] is None
+
     def test_same_node_detection(self):
         _, _, net = make_net(cores_per_node=4)
-        assert net.same_node(0, 3)
-        assert not net.same_node(3, 4)
-        assert net.same_node(5, 5)
+        assert self._one_hop(net, 0, 3)
+        assert not self._one_hop(net, 3, 4)
+        assert self._one_hop(net, 5, 5)
 
     def test_flat_network_everything_remote(self):
         engine = Engine()
         net = Network(engine, NetworkModel(), 8)
-        assert not net.same_node(0, 1)
+        assert not self._one_hop(net, 0, 1)
 
     def test_intra_node_get_cheaper(self):
         e1, m, n1 = make_net()

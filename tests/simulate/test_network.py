@@ -217,6 +217,28 @@ class TestMessages:
         assert got == [0, 1, 2, 3, 4]
 
 
+    def test_a_refused_recv_leaves_no_waiter_behind(self):
+        """A ``recv`` whose timeout is refused registers nothing: the next
+        message for that tag stays in the mailbox for whoever asks."""
+        engine, _, net = make_net()
+        refused = []
+
+        def receiver():
+            try:
+                yield from net.recv(1, "t", timeout=-1.0)
+            except ConfigurationError as exc:
+                refused.append(exc)
+
+        def sender():
+            yield from net.send(0, 1, "t", "kept")
+
+        engine.process(receiver())
+        engine.process(sender())
+        engine.run()
+        assert refused and not net._mailboxes[1].waiters
+        assert net.try_recv(1, "t").payload == "kept"
+
+
 class TestStats:
     def test_operation_counts(self):
         engine, _, net = make_net()
