@@ -8,7 +8,7 @@ the improvement ratios.
 Run:
   python examples/model_comparison.py
   python examples/model_comparison.py --molecule alkane --size 10 --ranks 32 128 512
-  python examples/model_comparison.py --models static_block work_stealing persistence
+  python examples/model_comparison.py --models static_block work_stealing inspector_semi_matching
 """
 
 import argparse

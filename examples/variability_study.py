@@ -5,13 +5,19 @@ Slows a growing fraction of the simulated machine and measures how each
 execution model degrades — the paper's closing argument for dynamic
 execution models on "emerging dynamic platforms with energy-induced
 performance variability". Also shows persistence-based rebalancing
-adapting over SCF iterations on a statically heterogeneous machine.
+adapting over whole-SCF iterations on a statically heterogeneous machine.
 
 Run:  python examples/variability_study.py
 """
 
-from repro.api import ScfProblem, commodity_cluster, format_table, run_model, water_cluster
-from repro.exec_models import run_persistence
+from repro.api import (
+    ScfProblem,
+    ScfSimulation,
+    commodity_cluster,
+    format_table,
+    run_model,
+    water_cluster,
+)
 from repro.simulate import RandomStaticVariability, StaticHeterogeneity
 
 N_RANKS = 64
@@ -47,12 +53,13 @@ def main() -> None:
     machine = commodity_cluster(
         N_RANKS, variability=RandomStaticVariability(N_RANKS, sigma=0.35, seed=4)
     )
-    history = run_persistence(graph, machine, n_iterations=5, seed=0)
+    sim = ScfSimulation("persistence").run(graph, machine, n_iterations=5, seed=0)
     print("\nPersistence-based rebalancing on a lognormal-heterogeneous machine:")
-    for i, result in enumerate(history.results, start=1):
-        bar = "#" * int(result.makespan / history.results[0].makespan * 40)
-        print(f"  iter {i}: {result.makespan * 1e3:7.2f} ms  {bar}")
-    print(f"  steady-state improvement: {history.improvement:.2f}x over iteration 1")
+    for i, time in enumerate(sim.iteration_times, start=1):
+        bar = "#" * int(time / sim.first_iteration_time * 40)
+        print(f"  iter {i}: {time * 1e3:7.2f} ms  {bar}")
+    improvement = sim.first_iteration_time / sim.steady_state_time
+    print(f"  steady-state improvement: {improvement:.2f}x over iteration 1")
 
 
 if __name__ == "__main__":

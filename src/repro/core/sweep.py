@@ -51,7 +51,7 @@ from repro.simulate.machine import MachineSpec
 from repro.util import ConfigurationError, derive_seed
 
 #: Cell kinds the orchestrator knows how to execute.
-CELL_KINDS = ("model", "scf_sim", "persistence")
+CELL_KINDS = ("model", "scf_sim")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class SweepCell:
     """One independent unit of sweep work.
 
     Attributes:
-        model: registry model name (``kind="model"``), ScfSimulation mode
-            (``kind="scf_sim"``), or ignored (``kind="persistence"``).
+        model: registry model name (``kind="model"``) or ScfSimulation
+            mode (``kind="scf_sim"``).
         graph: the task graph to schedule.
         machine: the simulated cluster (carries rank count, network,
             variability).
@@ -123,16 +123,12 @@ def execute_cell(cell: SweepCell) -> Any:
             trace_intervals=cell.trace_intervals,
             faults=cell.faults,
         )
-    if cell.kind == "scf_sim":
-        from repro.exec_models.scf_simulation import ScfSimulation
+    # kind == "scf_sim" (validated at construction)
+    from repro.exec_models.scf_simulation import ScfSimulation
 
-        n_iterations = options.pop("n_iterations", 5)
-        sim = ScfSimulation(cell.model, **options)
-        return sim.run(cell.graph, cell.machine, n_iterations=n_iterations, seed=cell.seed)
-    # kind == "persistence" (validated at construction)
-    from repro.exec_models.persistence import run_persistence
-
-    return run_persistence(cell.graph, cell.machine, seed=cell.seed, **options)
+    n_iterations = options.pop("n_iterations", 5)
+    sim = ScfSimulation(cell.model, **options)
+    return sim.run(cell.graph, cell.machine, n_iterations=n_iterations, seed=cell.seed)
 
 
 @dataclass

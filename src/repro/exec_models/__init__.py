@@ -13,8 +13,10 @@ implemented here mirror the paper's sweep:
   scheduling via an NXTVAL-style shared counter, with chunked claiming.
 - :mod:`repro.exec_models.work_stealing` -- distributed work stealing with
   lock-based remote deques and token-ring termination detection.
-- :mod:`repro.exec_models.persistence` -- persistence-based rebalancing
-  across SCF iterations from measured task durations.
+- :mod:`repro.exec_models.scf_simulation` -- whole-SCF runs: iterated
+  Fock builds with their collectives under one discipline, including
+  persistence-based rebalancing from the previous iteration's measured
+  task durations.
 
 All models run on the simulated machine through the shared
 :class:`~repro.exec_models.base.Harness`, return a uniform
@@ -28,7 +30,6 @@ from repro.exec_models.counter_dynamic import CounterDynamic
 from repro.exec_models.node_counter import CounterPerNode
 from repro.exec_models.work_stealing import WorkStealing
 from repro.exec_models.inspector import InspectorExecutor
-from repro.exec_models.persistence import run_persistence
 from repro.exec_models.scf_simulation import ScfSimulation, ScfSimResult
 from repro.exec_models.registry import make_model, MODEL_NAMES
 
@@ -43,7 +44,6 @@ __all__ = [
     "CounterPerNode",
     "WorkStealing",
     "InspectorExecutor",
-    "run_persistence",
     "ScfSimulation",
     "ScfSimResult",
     "make_model",

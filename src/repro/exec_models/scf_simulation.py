@@ -16,7 +16,8 @@ cross-iteration adaptation (persistence) are modeled faithfully:
 Disciplines: ``static_block``, ``static_cyclic``, ``counter`` (chunked
 NXTVAL), ``work_stealing`` (per-iteration epoch-tagged token rings), and
 ``persistence`` (iteration i+1 statically scheduled from iteration i's
-*measured* durations and rank throughputs). The diagonalization itself is
+*measured* durations and rank throughputs, :func:`persistence_assignment`).
+The diagonalization itself is
 outside the scope (it is a dense-linear-algebra phase, not part of the
 paper's kernel); its synchronization structure is what the collectives
 stand in for.
@@ -30,9 +31,9 @@ from typing import Any
 
 import numpy as np
 
+from repro.balance.greedy import capacity_lpt
 from repro.chemistry.tasks import TaskGraph
 from repro.exec_models.base import Harness, take_fields
-from repro.exec_models.persistence import persistence_assignment
 from repro.exec_models.static_ import block_assignment, cyclic_assignment
 from repro.exec_models.termination import TokenRing
 from repro.exec_models.work_stealing import STEAL_COUNTERS, WorkStealing
@@ -217,6 +218,29 @@ class ScfSimulation:
 
 #: The one option each mode uses, if any.
 _MODE_OPTIONS = {"counter": "chunk", "work_stealing": "steal"}
+
+
+def persistence_assignment(
+    assignment: np.ndarray, durations: np.ndarray, costs: np.ndarray, n_ranks: int
+) -> np.ndarray:
+    """Capacity-aware LPT from one iteration's measurements.
+
+    Each rank's throughput is estimated as modeled flops done / compute
+    seconds; ranks that ran no tasks get the mean capacity (no evidence
+    either way).
+    """
+    flops_done = np.bincount(assignment, weights=costs, minlength=n_ranks)
+    seconds = np.bincount(assignment, weights=durations, minlength=n_ranks)
+    capacities = np.ones(n_ranks)
+    ran = seconds > 0
+    capacities[ran] = flops_done[ran] / seconds[ran]
+    if ran.any():
+        capacities[~ran] = capacities[ran].mean()
+    # Predicted cost of a task is speed-independent (flops); measured
+    # duration folds in the executing rank's speed, so convert back to a
+    # rank-neutral cost before capacity-aware placement.
+    neutral = durations * capacities[assignment]
+    return capacity_lpt(neutral, capacities)
 
 
 class _IterationState:

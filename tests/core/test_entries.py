@@ -261,8 +261,7 @@ class TestResultCodec:
         [
             ("scf_sim", mode, (("n_iterations", 3),))
             for mode in ("static_block", "persistence", "counter", "work_stealing")
-        ]
-        + [("persistence", "persistence", (("n_iterations", 3),))],
+        ],
     )
     def test_scf_and_persistence_outcomes_round_trip(self, tmp_path, kind, model, options):
         value = execute_cell(cell(model, kind=kind, options=options))

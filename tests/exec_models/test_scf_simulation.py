@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from repro.chemistry.tasks import synthetic_task_graph
-from repro.exec_models import ScfSimulation
-from repro.simulate import RandomStaticVariability, commodity_cluster, hierarchical_cluster
+from repro.exec_models import ScfSimulation, StaticBlock
+from repro.exec_models.scf_simulation import persistence_assignment
+from repro.simulate import (
+    RandomStaticVariability,
+    StaticHeterogeneity,
+    commodity_cluster,
+    hierarchical_cluster,
+)
 from repro.util import ConfigurationError
 
 
@@ -66,6 +72,22 @@ class TestShapes:
         assert persist.iteration_times[0] == pytest.approx(
             static.iteration_times[0], rel=1e-9
         )
+
+    def test_persistence_adapts_to_heterogeneity(self):
+        """Capacity-aware rebalancing must unload the slow ranks."""
+        graph = synthetic_task_graph(600, 16, seed=1, skew=0.8)
+        machine = commodity_cluster(16, variability=StaticHeterogeneity([0, 1], 0.4))
+        result = ScfSimulation("persistence").run(graph, machine, n_iterations=4)
+        assert result.iteration_times[-1] < 0.7 * result.iteration_times[0]
+        # Slow ranks end with less modeled work than the mean.
+        loads = np.bincount(result.assignments[-1], weights=graph.costs, minlength=16)
+        assert loads[0] < loads[2:].mean()
+
+    def test_persistence_converges_quickly(self, machine16):
+        """Deterministic costs: iteration 4 matches iteration 3."""
+        graph = synthetic_task_graph(400, 16, seed=6, skew=1.5)
+        times = ScfSimulation("persistence").run(graph, machine16, n_iterations=4).iteration_times
+        assert abs(times[3] - times[2]) / times[2] < 0.05
 
     def test_dynamic_modes_beat_static_block(self, graph, machine):
         static = ScfSimulation("static_block").run(graph, machine, n_iterations=3)
@@ -141,6 +163,29 @@ class TestStealRequests:
             assert counters == {"claims": 0.0, "steals": 0.0, "token_hops": 0.0}
         else:
             assert counters["steals"] > 0 and counters["token_hops"] >= 3 * 2 * n_ranks
+
+
+class TestPersistenceAssignment:
+    """The persistence discipline's plan, made directly from one static
+    block run's measurements."""
+
+    @pytest.fixture
+    def measured(self, synthetic_graph, machine16):
+        result = StaticBlock().run(synthetic_graph, machine16)
+        plan = persistence_assignment(
+            result.assignment, result.task_durations, synthetic_graph.costs, 16
+        )
+        return result, plan
+
+    def test_assignment_shape_valid(self, synthetic_graph, measured):
+        _, plan = measured
+        assert plan.shape == (synthetic_graph.n_tasks,)
+        assert plan.min() >= 0 and plan.max() < 16
+
+    def test_balances_measured_durations(self, measured):
+        result, plan = measured
+        loads = np.bincount(plan, weights=result.task_durations, minlength=16)
+        assert loads.max() / loads.mean() < 1.1
 
 
 class TestValidation:

@@ -1126,17 +1126,49 @@ def test_a_compiled_stealing_run_starts_no_process_per_message(model_name, monke
     from repro.simulate import hierarchical_cluster
 
     monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    processes, finish = [], Harness.finish
+    started = _count_processes(monkeypatch)
+    graph = synthetic_task_graph(300, 12, seed=5, skew=1.2, mean_cost=2.0e5)
+    result = make_model(model_name).run(graph, hierarchical_cluster(4, 4), seed=3)
+    assert result.network["messages"] > 2 * 16 and len(started) == 16
+
+
+def test_a_finished_delivery_process_is_not_kept_listed(monkeypatch):
+    """The reference engine delivers each message in a daemon process.
+    The engine lists only its non-daemon processes, the ones the deadlock
+    check reads, so a finished delivery is not kept for the life of the
+    engine: a 32-rank stealing run lists its 32 ranks."""
+    from repro.chemistry.tasks import synthetic_task_graph
+    from repro.exec_models import make_model
+    from repro.exec_models.base import Harness
+    from repro.simulate import commodity_cluster
+
+    monkeypatch.setenv("REPRO_ENGINE", "python")
+    started, listed, finish = _count_processes(monkeypatch), [], Harness.finish
 
     def finished(harness, name):
         result = finish(harness, name)
-        processes.append(len(harness.engine._processes))
+        listed.append(len(harness.engine._processes))
         return result
 
     monkeypatch.setattr(Harness, "finish", finished)
     graph = synthetic_task_graph(300, 12, seed=5, skew=1.2, mean_cost=2.0e5)
-    result = make_model(model_name).run(graph, hierarchical_cluster(4, 4), seed=3)
-    assert result.network["messages"] > 2 * 16 and processes == [16]
+    result = make_model("work_stealing").run(graph, commodity_cluster(32), seed=3)
+    deliveries = [name for name in started if name.startswith("deliver(")]
+    assert len(deliveries) == result.network["messages"] > 32
+    assert listed == [32]
+
+
+def _count_processes(monkeypatch):
+    """The names of the processes ``Engine.process`` starts from here on,
+    daemon or not, on either engine."""
+    started, process = [], Engine.process
+
+    def counted(engine, generator, name="process", **kwargs):
+        started.append(name)
+        return process(engine, generator, name=name, **kwargs)
+
+    monkeypatch.setattr(Engine, "process", counted)
+    return started
 
 
 def _claim_loop_harness(source, n_tasks=120, n_ranks=4):
@@ -1735,7 +1767,7 @@ def _message_run(engine_cls, dst, node_of, receive=True, trace=True):
          [m.payload for m in net._mailboxes[dst].messages],
          recorder._totals if trace else None)
     )  # fmt: skip
-    return log, [p.name for p in engine._processes]
+    return log
 
 
 @needs_compiled
@@ -1745,22 +1777,27 @@ def _message_run(engine_cls, dst, node_of, receive=True, trace=True):
     ids=["remote-contended-nic", "same-node", "self"],
 )
 @pytest.mark.parametrize("receive", [True, False], ids=["waiter", "queued"])
-def test_a_message_is_one_request_that_dispatches_as_its_generators(dst, node_of, receive):
+def test_a_message_is_one_request_that_dispatches_as_its_generators(
+    dst, node_of, receive, monkeypatch
+):
     """On the compiled engine ``send`` is one request and its delivery no
     process: the sender's ``o``, then the wire, the NIC it queues for, the
     hold and the mailbox — or one same-node hop — take the seqs, events,
     ``Timeout`` counts and grants the generators take, and the message
     wakes the ``recv`` waiting for it or waits in the mailbox."""
-    reference, processes = _message_run(Engine, dst, node_of, receive)
-    log, compiled = _message_run(CompiledEngine, dst, node_of, receive)
+    started = _count_processes(monkeypatch)
+    reference = _message_run(Engine, dst, node_of, receive)
+    processes = started[:]
+    del started[:]
+    log = _message_run(CompiledEngine, dst, node_of, receive)
     assert log == reference
-    assert "deliver(0->%d)" % dst in processes and not [p for p in compiled if "deliver" in p]
+    assert "deliver(0->%d)" % dst in processes and not [p for p in started if "deliver" in p]
 
 
 @needs_compiled
 def test_an_untraced_message_records_nothing():
-    log, _ = _message_run(CompiledEngine, 2, None, trace=False)
-    assert log == _message_run(Engine, 2, None, trace=False)[0]
+    log = _message_run(CompiledEngine, 2, None, trace=False)
+    assert log == _message_run(Engine, 2, None, trace=False)
 
 
 #: A message request's ``deliver`` — (message, waiters, messages,
@@ -1924,7 +1961,7 @@ def test_compiled_core_holds_no_references_after_a_run(monkeypatch):
         gc.collect()
         counts = {
             "trace": sys.getrefcount(harness.trace),
-            # every Process ever started refers to its engine
+            # every listed Process (a rank's) refers to its engine
             "engine": sys.getrefcount(harness.engine) - len(harness.engine._processes),
             "nics": [sys.getrefcount(nic) for nic in harness.network.nics],
             "totals": [sys.getrefcount(harness.trace._totals[c]) for c in categories],
